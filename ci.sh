@@ -1,11 +1,19 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, the tier-1 test suite, and example rot checks.
+# CI gate: formatting, lints, every workspace test suite, the end-to-end
+# benchmark's own gate, and example/bench rot checks.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
-cargo test --release
+# --workspace: the root is itself a package, so a bare `cargo test` stops
+# at its 15 suites and never reaches the member crates' (pmclient, npmu,
+# simnet qos_props, txnkit end_to_end, ...).
+cargo test --release --workspace
+# The end-to-end benchmark package gates itself: fmt, clippy, its unit
+# tests, and all four workloads at 1/20 scale with the power-loss oracle
+# and the determinism guard on, traced and untraced.
+benchmark/check.sh
 cargo build --release --examples
 # Smoke: 4-volume pool, striped region, one member failure + online
 # resilver — asserts internally, fails loud if the pool path rots.
@@ -26,9 +34,11 @@ cargo run --release -p pm-bench --bin shard_scaling
 # under an online resilver with DRR+admission, resilver >= 80% of its
 # standalone rate, and the FIFO baseline's p99 blow-up, all internally.
 cargo run --release -p pm-bench --bin qos_isolation
-# Smoke: near-device offload (T13) — asserts the offload append removes
-# >= 1 fabric round trip per commit at p50 no worse, the batched device
-# scrub cuts verify fabric bytes >= 10x, and NPMU->NPMU copy lifts the
+# Smoke: near-device offload (T13) — asserts the device append is no
+# worse than the chained host append (fabric round trips per commit and
+# p50; the host chain carries data, watermark cell and persist fence in
+# one round trip, so the arm measures parity), the batched device scrub
+# cuts verify fabric bytes >= 10x, and NPMU->NPMU copy lifts the
 # pool-wide resilver rate >= 1.5x, all internally.
 cargo run --release -p pm-bench --bin offload
 # Smoke: geo-replication failover drill (T14) — asserts internally that
@@ -40,8 +50,9 @@ cargo run --release -p pm-bench --bin georep
 # Crash-point fuzz smoke: ~200 injected power-loss points across the
 # three persistence modes plus the device-append offload arm (power loss
 # sampled between device tail bump and client ack; release: `cargo test
-# --release` above already ran it once; FUZZ_FULL=1 widens to the
-# ≥ 2000-point sweep).
+# --release --workspace` above already ran it once; FUZZ_FULL=1 widens to
+# the ≥ 2000-point sweep). Its probe asserts the PersistFlush arm issued
+# no standalone flush verb and chained at least one publication.
 FUZZ_FULL="${FUZZ_FULL:-}" cargo test --release --test crash_fuzz
 # Throughput-regression gate: fresh --json runs vs committed results/.
 tools/bench_check.sh

@@ -5,9 +5,12 @@
 //! classic arms reproduce prior experiments bit-exactly):
 //!
 //! * **Device-side atomic append** (`pm_offload_append`): the ADP stages
-//!   the same commit batches, but the device bumps its own durable tail —
-//!   the 16-byte control-cell publication (one full fabric round trip per
-//!   mirror half per batch) disappears from the commit pipeline.
+//!   the same commit batches, but the device bumps its own durable tail
+//!   instead of the host publishing a 16-byte control cell. Since the
+//!   host path chains that cell behind its data under one persist fence,
+//!   both paths cost one fabric round trip per mirror half per commit:
+//!   the arm now measures *parity* — plain ordered writes match the
+//!   device verb without any device logic.
 //! * **Device-local CRC scrub** (`offload_scrub`): resilver verification
 //!   moves one batched command per `scrub_batch` chunks and 4-byte
 //!   digests instead of one `rdma_crc_read` round trip per chunk per
@@ -20,8 +23,9 @@
 //!   (~113 MB/s) no matter how many members need repair. Device copies
 //!   ride each pair's own link, so the aggregate scales with the pool.
 //!
-//! Acceptance (asserted below): offload append removes ≥ 1 fabric round
-//! trip per commit with p50 no worse; device scrub cuts verify fabric
+//! Acceptance (asserted below): the device append is no worse than the
+//! chained host append (round trips per commit and p50); device scrub
+//! cuts verify fabric
 //! bytes ≥ 10×; device copy lifts the resilver rate ≥ 1.5× over the
 //! host-mediated ~113 MB/s; and every classic arm uses zero offload verbs.
 
@@ -50,7 +54,7 @@ const RECORD_BYTES: usize = 64;
 const CMD_BYTES: u64 = 64;
 /// An `rdma_crc_read` reply carries one 8-byte digest.
 const CRC_REPLY_BYTES: u64 = 8;
-/// A scrub reply carries one 4-byte CRC32 per chunk.
+/// A scrub reply carries one 4-byte digest per chunk.
 const SCRUB_DIGEST_BYTES: u64 = 4;
 
 // ---------------------------------------------------------------------------
@@ -166,15 +170,15 @@ struct AppendPoint {
     commits_per_sec: f64,
     p50_us: f64,
     p99_us: f64,
-    /// PM fabric round trips per committed transaction (writes + flushes
-    /// + appends), workload phase only.
+    /// PM fabric round trips per committed transaction (write chains +
+    /// appends + reads), workload phase only.
     ops_per_commit: f64,
     ctrl_writes: u64,
     appends: u64,
 }
 
 fn pm_ops(s: &NetStats) -> u64 {
-    s.rdma_writes + s.rdma_flushes + s.rdma_appends + s.rdma_reads
+    s.rdma_writes + s.rdma_appends + s.rdma_reads
 }
 
 fn run_append(offload: bool, clients: u64, commits_per_client: u64) -> AppendPoint {
@@ -530,10 +534,17 @@ fn main() {
     );
     assert_eq!(offload.ctrl_writes, 0, "offload arm must not publish cells");
     assert!(offload.appends > 0, "offload arm must use the append verb");
+    println!(
+        "parity: device append / chained host append = {:.2}x fabric ops per commit, \
+         {:.2}x p50, {:.3}x commits/s",
+        offload.ops_per_commit / classic.ops_per_commit,
+        offload.p50_us / classic.p50_us,
+        offload.commits_per_sec / classic.commits_per_sec,
+    );
     assert!(
-        classic.ops_per_commit - offload.ops_per_commit >= 1.0,
-        "offload append must remove >= 1 fabric round trip per commit \
-         (classic {:.2}, offload {:.2})",
+        offload.ops_per_commit <= classic.ops_per_commit,
+        "device append must need no more fabric round trips per commit than \
+         the chained host append (classic {:.2}, offload {:.2})",
         classic.ops_per_commit,
         offload.ops_per_commit
     );

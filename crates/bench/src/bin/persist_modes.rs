@@ -6,16 +6,24 @@
 //! each mode's persist point costs at the commit boundary:
 //!
 //! * `NicAck` — ack at the NPMU's ingress buffer (the optimistic
-//!   assumption the crash fuzzer proves lossy): no persist round trip.
+//!   assumption the crash fuzzer proves lossy): no persist point at all.
 //! * `FlushOnRead` — a forcing RDMA read per mirror half drags the
-//!   buffered bytes onto the array before the ack.
-//! * `PersistFlush` — an explicit flush verb per mirror half, with its
-//!   own device-side latency.
+//!   buffered bytes onto the array before the ack: one extra round trip.
+//! * `PersistFlush` — each write chain ends in a persist fence, so the
+//!   device drains and pays its flush cost before the chain's one ack:
+//!   no extra round trip.
 //!
-//! Acceptance (asserted below): honest modes pay a visible latency
-//! premium over `NicAck` but never collapse throughput (≥ 40% of the
-//! NicAck rate at the same depth), and pipelining (depth 4 vs 1) helps
-//! every mode.
+//! In every mode an append that finds the pipeline empty carries its own
+//! control-cell slot as the last link of its chain, so the uncontended
+//! commit is one fabric round trip (two under `FlushOnRead`).
+//!
+//! Acceptance (asserted below): honest modes cost no less than `NicAck`
+//! but never collapse throughput (≥ 40% of the NicAck rate at the same
+//! depth); `PersistFlush` stays within 10% of `NicAck`'s p50 and under
+//! `FlushOnRead`'s; and a deeper pipeline never hurts (depth 4 ≥ 0.95 ×
+//! depth 1 in every mode): appends that arrive behind a publishing chain
+//! wait for it and leave as the next chain instead of going out without
+//! their cell.
 
 use bytes::Bytes;
 use npmu::NpmuConfig;
@@ -263,7 +271,9 @@ fn main() {
     println!(
         "NicAck acks at the ingress buffer (fast, lossy under power failure); \
          FlushOnRead and PersistFlush only ack once the bytes are proven on \
-         the array, paying one forcing round trip per mirror half"
+         the array: FlushOnRead by one forcing round trip per mirror half, \
+         PersistFlush by a fence on the write chain itself (device flush \
+         cost only)"
     );
 
     let find = |m: PersistMode, d: u32| {
@@ -292,6 +302,26 @@ fn main() {
                 nic.commits_per_sec
             );
         }
+    }
+    for &d in &depths {
+        let (nic, fread, flush) = (
+            find(PersistMode::NicAck, d),
+            find(PersistMode::FlushOnRead, d),
+            find(PersistMode::PersistFlush, d),
+        );
+        println!(
+            "d{d}: honesty costs {:+.1}% p50 with the in-chain fence, {:+.1}% with a forcing read",
+            100.0 * (flush.p50_us / nic.p50_us - 1.0),
+            100.0 * (fread.p50_us / nic.p50_us - 1.0),
+        );
+        assert!(
+            flush.p50_us <= 1.10 * nic.p50_us && flush.p50_us < fread.p50_us,
+            "d{d}: the in-chain fence must cost a device flush, not a round trip \
+             (persistflush {:.1} us, nicack {:.1} us, flushonread {:.1} us)",
+            flush.p50_us,
+            nic.p50_us,
+            fread.p50_us
+        );
     }
     for &mode in &modes {
         let d1 = find(mode, 1);

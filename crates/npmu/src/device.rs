@@ -9,8 +9,9 @@
 //! is actor state, so a power loss (dropping the `Sim`) loses exactly the
 //! acked-but-undrained bytes. A normal read drains the buffer first
 //! (reads cannot pass posted writes — the read-after-write flush trick),
-//! an explicit [`InboundRdmaFlush`] drains it with its own latency, and a
-//! checksum ("scrub") read deliberately does **not**: it hashes the
+//! a write chain's trailing persist fence drains it, at its own latency,
+//! before the chain's one ack, and a checksum ("scrub") read
+//! deliberately does **not**: it hashes the
 //! persisted array alone, so a resilver verify can never mistake
 //! buffered-but-volatile bytes for good media.
 
@@ -23,10 +24,10 @@ use simcore::checksum::crc32;
 use simcore::durable::{DurableStore, Image};
 use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration};
 use simnet::{
-    rdma_write, reply_rdma_append, reply_rdma_copy, reply_rdma_crc_read, reply_rdma_flush,
-    reply_rdma_read, reply_rdma_scrub, reply_rdma_write, EndpointId, InboundRdmaAppend,
-    InboundRdmaCopy, InboundRdmaCrcRead, InboundRdmaFlush, InboundRdmaRead, InboundRdmaScrub,
-    InboundRdmaWrite, RdmaStatus, RdmaWriteDone, SharedNetwork, APPEND_CELL_BYTES,
+    rdma_write, reply_rdma_append, reply_rdma_copy, reply_rdma_crc_read, reply_rdma_read,
+    reply_rdma_scrub, reply_rdma_write, EndpointId, InboundRdmaAppend, InboundRdmaCopy,
+    InboundRdmaCrcRead, InboundRdmaRead, InboundRdmaScrub, InboundRdmaWrite, RdmaStatus,
+    RdmaWriteDone, SharedNetwork, APPEND_CELL_BYTES,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -66,6 +67,17 @@ pub fn parse_append_cell(raw: &[u8]) -> (u64, Option<u64>) {
         }
     }
     best
+}
+
+/// Digest of one scrub chunk: the 64-bit content checksum folded to the
+/// 4 bytes a scrub reply ships per chunk. Deliberately NOT a CRC-32:
+/// every watermark cell in the system is stored as `x ‖ crc32(x)`, and
+/// the CRC of a message followed by its own CRC is a constant — a CRC
+/// digest of a chunk that starts with such a cell is the same for every
+/// `x`, so mirrors diverging only in a cell would verify clean.
+fn scrub_digest(chunk: &[u8]) -> u32 {
+    let h = checksum64(chunk);
+    (h ^ (h >> 32)) as u32
 }
 
 /// Hardware NPMU or the paper's process-based prototype.
@@ -115,8 +127,8 @@ pub struct NpmuConfig {
     /// it reaches the array, ns. Bytes younger than this at power loss
     /// are gone — the window [`simnet::PersistMode`] exists to close.
     pub ingress_drain_ns: u64,
-    /// Device-side cost of an explicit persist flush (drain + fence), ns,
-    /// paid before the [`simnet::RdmaFlushDone`] reply.
+    /// Device-side cost of a write chain's persist fence (drain + fence),
+    /// ns, paid before the chain's [`simnet::RdmaWriteDone`] ack.
     pub flush_ns: u64,
 }
 
@@ -170,6 +182,7 @@ impl NpmuConfig {
 
 #[derive(Default, Debug, Clone, Copy)]
 pub struct NpmuStats {
+    /// Writes applied: one per accepted chain link.
     pub writes: u64,
     pub reads: u64,
     /// Checksum ("scrub") reads served: the range is read from media and
@@ -181,7 +194,7 @@ pub struct NpmuStats {
     /// Writes/appends rejected because the device-wide write fence was
     /// engaged (an epoch fence from a disaster-recovery takeover).
     pub fenced_ops: u64,
-    /// Explicit persist flushes served.
+    /// Persist fences served (one per accepted fenced write chain).
     pub flushes: u64,
     /// Device-side atomic log-appends granted (real appends; tail
     /// probes are counted under `append_probes`).
@@ -250,7 +263,6 @@ pub struct NpmuHandle {
 struct DeferredWrite(InboundRdmaWrite);
 struct DeferredRead(InboundRdmaRead);
 struct DeferredCrcRead(InboundRdmaCrcRead);
-struct DeferredFlush(InboundRdmaFlush);
 struct DeferredAppend(InboundRdmaAppend);
 struct DeferredScrub(InboundRdmaScrub);
 struct DeferredCopy(InboundRdmaCopy);
@@ -435,8 +447,8 @@ impl Npmu {
         }
     }
 
-    /// Force the whole buffer to the array (read-after-write or explicit
-    /// flush: both act as a persist barrier for everything acked so far).
+    /// Force the whole buffer to the array (read-after-write or a persist
+    /// fence: both act as a persist barrier for everything acked so far).
     fn drain_all(&mut self) {
         let mut mem = self.mem.lock();
         while let Some((_, phys, data)) = self.ingress.pop_front() {
@@ -461,19 +473,24 @@ impl Npmu {
         self.stats.lock().ingress_lost_bytes += lost;
     }
 
+    /// Apply one inbound write chain. Every link is validated before any
+    /// is staged, so a rejected link rejects the chain whole; accepted
+    /// links enter the ingress FIFO in chain order, which is what keeps
+    /// the array a prefix of the chain across a power cut. A trailing
+    /// fence drains the whole buffer — every earlier acked write too —
+    /// and the one ack leaves after the device-side flush cost.
     fn do_write(&mut self, ctx: &mut Ctx<'_>, w: InboundRdmaWrite) {
+        let net = self.net.clone();
         if self.down_now(ctx) {
             self.stats.lock().failed_ops += 1;
             if self.cfg.fail_mode == FailureMode::Nack {
-                let net = self.net.clone();
-                reply_rdma_write(ctx, &net, &w, RdmaStatus::DeviceFailed);
+                reply_rdma_write(ctx, &net, &w, RdmaStatus::DeviceFailed, 0);
             }
             return;
         }
-        let net = self.net.clone();
         if self.fenced(w.from_ep) {
             self.stats.lock().fenced_ops += 1;
-            reply_rdma_write(ctx, &net, &w, RdmaStatus::AccessViolation);
+            reply_rdma_write(ctx, &net, &w, RdmaStatus::AccessViolation, 0);
             return;
         }
         let cpu = self.initiator_cpu(w.from_ep);
@@ -482,54 +499,63 @@ impl Npmu {
         // payload writes land through the same open windows the PMM
         // restricted to itself).
         let peer = self.dma_peers.lock().contains(&w.from_ep);
-        // Validate the on-wire span, not the (possibly compact) payload:
-        // a zero-length translate at a window boundary matches the
-        // preceding window and fails on the wrong entry's permissions.
-        let span = (w.wire_len as u64).max(w.data.len() as u64);
-        let verdict = if peer {
-            self.att.lock().translate_peer(w.addr, span)
-        } else {
-            self.att.lock().translate(w.addr, span, cpu)
+        // Validate each link's on-wire span, not its (possibly compact)
+        // payload: a zero-length translate at a window boundary matches
+        // the preceding window and fails on the wrong entry's permissions.
+        let verdict: Result<Vec<u64>, AttError> = {
+            let att = self.att.lock();
+            w.links
+                .iter()
+                .map(|l| {
+                    if peer {
+                        att.translate_peer(l.addr, l.span())
+                    } else {
+                        att.translate(l.addr, l.span(), cpu)
+                    }
+                })
+                .collect()
         };
-        match verdict {
-            Ok(phys) => {
-                // A plain write overlapping a cached tail cell (a
-                // resilver rewriting this region from the peer copy)
-                // invalidates that cache entry: the next append
-                // re-parses the durable cell.
-                if !self.append.is_empty() {
-                    let end = phys + w.data.len() as u64;
-                    self.append
-                        .retain(|base, _| *base >= end || phys >= *base + APPEND_CELL_BYTES);
-                }
-                let mut s = self.stats.lock();
-                s.writes += 1;
-                s.bytes_written += w.data.len() as u64;
-                drop(s);
-                // Stage in the volatile ingress buffer and ack now: the
-                // ack proves arrival, not durability. The bytes reach the
-                // array only at the drain tick (or a forcing read/flush).
-                if self.cfg.ingress_drain_ns == 0 {
-                    self.mem.lock().write(phys, &w.data);
-                } else {
-                    let apply_at = ctx.now().as_nanos() + self.cfg.ingress_drain_ns;
-                    self.ingress.push_back((apply_at, phys, w.data.clone()));
-                    ctx.send_self(
-                        SimDuration::from_nanos(self.cfg.ingress_drain_ns),
-                        DrainTick,
-                    );
-                }
-                reply_rdma_write(ctx, &net, &w, RdmaStatus::Ok);
-            }
+        let phys = match verdict {
+            Ok(phys) => phys,
             Err(e) => {
                 self.stats.lock().access_violations += 1;
                 let status = match e {
                     AttError::Unmapped => RdmaStatus::OutOfBounds,
                     AttError::Forbidden => RdmaStatus::AccessViolation,
                 };
-                reply_rdma_write(ctx, &net, &w, status);
+                reply_rdma_write(ctx, &net, &w, status, 0);
+                return;
             }
+        };
+        {
+            let mut s = self.stats.lock();
+            s.writes += w.links.len() as u64;
+            s.bytes_written += w.links.iter().map(|l| l.data.len() as u64).sum::<u64>();
+            s.flushes += u64::from(w.fence);
         }
+        // Stage in the volatile ingress buffer: the ack of an unfenced
+        // chain proves arrival, not durability. The bytes reach the
+        // array only at the drain tick (or a forcing read/fence).
+        let apply_at = ctx.now().as_nanos() + self.cfg.ingress_drain_ns;
+        for (l, &phys) in w.links.iter().zip(&phys) {
+            // A plain write overlapping a cached tail cell (a resilver
+            // rewriting this region from the peer copy) invalidates that
+            // cache entry: the next append re-parses the durable cell.
+            let end = phys + l.data.len() as u64;
+            self.append
+                .retain(|base, _| *base >= end || phys >= *base + APPEND_CELL_BYTES);
+            self.ingress.push_back((apply_at, phys, l.data.clone()));
+        }
+        if w.fence || self.cfg.ingress_drain_ns == 0 {
+            self.drain_all();
+        } else {
+            ctx.send_self(
+                SimDuration::from_nanos(self.cfg.ingress_drain_ns),
+                DrainTick,
+            );
+        }
+        let persist_ns = if w.fence { self.cfg.flush_ns } else { 0 };
+        reply_rdma_write(ctx, &net, &w, RdmaStatus::Ok, persist_ns);
     }
 
     fn do_read(&mut self, ctx: &mut Ctx<'_>, r: InboundRdmaRead) {
@@ -608,25 +634,6 @@ impl Npmu {
                 reply_rdma_crc_read(ctx, &net, ep, &r, status, 0);
             }
         }
-    }
-
-    /// Explicit persist flush: drain the whole ingress buffer, then ack
-    /// after the device-side flush cost. Once the initiator sees
-    /// [`simnet::RdmaFlushDone`] `Ok`, everything it was acked before the
-    /// flush is on the array.
-    fn do_flush(&mut self, ctx: &mut Ctx<'_>, f: InboundRdmaFlush) {
-        if self.down_now(ctx) {
-            self.stats.lock().failed_ops += 1;
-            if self.cfg.fail_mode == FailureMode::Nack {
-                let net = self.net.clone();
-                reply_rdma_flush(ctx, &net, &f, RdmaStatus::DeviceFailed, 0);
-            }
-            return;
-        }
-        self.drain_all();
-        self.stats.lock().flushes += 1;
-        let net = self.net.clone();
-        reply_rdma_flush(ctx, &net, &f, RdmaStatus::Ok, self.cfg.flush_ns);
     }
 
     /// Device-side atomic log-append (offload verb one). `wire_len == 0`
@@ -783,11 +790,12 @@ impl Npmu {
         reply_rdma_append(ctx, &net, &c.req, RdmaStatus::Ok, c.new_tail);
     }
 
-    /// Device-local CRC scrub (offload verb two): digest `ceil(len /
-    /// chunk)` consecutive chunks and reply with the 4-byte CRCs — the
-    /// verify pass moves O(digests), not O(bytes). Same honesty contract
-    /// as the single-digest scrub read: **no drain** — the persisted
-    /// array alone is digested, never the ingress buffer.
+    /// Device-local scrub (offload verb two): digest `ceil(len /
+    /// chunk)` consecutive chunks ([`scrub_digest`]) and reply with the
+    /// 4-byte digests — the verify pass moves O(digests), not O(bytes).
+    /// Same honesty contract as the single-digest scrub read: **no
+    /// drain** — the persisted array alone is digested, never the
+    /// ingress buffer.
     fn do_scrub(&mut self, ctx: &mut Ctx<'_>, r: InboundRdmaScrub) {
         if self.down_now(ctx) {
             self.stats.lock().failed_ops += 1;
@@ -812,7 +820,7 @@ impl Npmu {
             let l = chunk.min(r.len - off);
             let verdict = self.att.lock().translate_read(r.addr + off, l, cpu);
             match verdict {
-                Ok(phys) => crcs.push(crc32(&self.mem.lock().read(phys, l as usize))),
+                Ok(phys) => crcs.push(scrub_digest(&self.mem.lock().read(phys, l as usize))),
                 Err(e) => {
                     self.stats.lock().access_violations += 1;
                     let status = match e {
@@ -938,19 +946,6 @@ impl Actor for Npmu {
             }
             Err(m) => m,
         };
-        let msg = match msg.take::<InboundRdmaFlush>() {
-            Ok((_, f)) => {
-                match self.cfg.kind {
-                    NpmuKind::Hardware => self.do_flush(ctx, f),
-                    NpmuKind::Pmp => ctx.send_self(
-                        SimDuration::from_nanos(self.cfg.pmp_extra_ns),
-                        DeferredFlush(f),
-                    ),
-                }
-                return;
-            }
-            Err(m) => m,
-        };
         let msg = match msg.take::<InboundRdmaAppend>() {
             Ok((_, a)) => {
                 match self.cfg.kind {
@@ -1048,13 +1043,6 @@ impl Actor for Npmu {
             }
             Err(m) => m,
         };
-        let msg = match msg.take::<DeferredFlush>() {
-            Ok((_, DeferredFlush(f))) => {
-                self.do_flush(ctx, f);
-                return;
-            }
-            Err(m) => m,
-        };
         let msg = match msg.take::<DeferredAppend>() {
             Ok((_, DeferredAppend(a))) => {
                 self.do_append(ctx, a);
@@ -1081,7 +1069,18 @@ mod tests {
     use crate::att::{AttEntry, CpuFilter};
     use simcore::actor::Start;
     use simcore::{Sim, SimTime};
-    use simnet::{rdma_read, rdma_write, FabricConfig, Network, RdmaReadDone, RdmaWriteDone};
+    use simnet::{
+        rdma_read, rdma_write, rdma_write_chain, ChainLink, FabricConfig, Network, RdmaReadDone,
+        RdmaWriteDone,
+    };
+
+    fn link(addr: u64, data: Vec<u8>) -> ChainLink {
+        ChainLink {
+            addr,
+            wire_len: data.len() as u32,
+            data: Bytes::from(data),
+        }
+    }
 
     struct Client {
         net: SharedNetwork,
@@ -1090,7 +1089,8 @@ mod tests {
         ops: Vec<(u64, u64, Vec<u8>)>, // (op_id, addr, data) writes then one read
         read: Option<(u64, u64, u32)>,
         crc: Option<(u64, u64, u32)>,
-        flush: Option<u64>,
+        /// One write chain `(op_id, links, fence)`, posted after `ops`.
+        chain: Option<(u64, Vec<ChainLink>, bool)>,
         log: Arc<Mutex<Vec<String>>>,
         /// Issue the ops this long after spawn (to land inside/outside a
         /// planned fault window).
@@ -1129,9 +1129,9 @@ mod tests {
                     let net = self.net.clone();
                     simnet::rdma_crc_read(ctx, &net, self.ep, self.dev, addr, len, id, Commit);
                 }
-                if let Some(id) = self.flush.take() {
+                if let Some((id, links, fence)) = self.chain.take() {
                     let net = self.net.clone();
-                    simnet::rdma_flush(ctx, &net, self.ep, self.dev, id, Commit);
+                    rdma_write_chain(ctx, &net, self.ep, self.dev, links, fence, id, Commit);
                 }
                 return;
             }
@@ -1156,22 +1156,10 @@ mod tests {
                 }
                 Err(m) => m,
             };
-            let msg = match msg.take::<simnet::RdmaCrcReadDone>() {
-                Ok((_, d)) => {
-                    self.log
-                        .lock()
-                        .push(format!("c{}:{:?}:{:#x}", d.op_id, d.status, d.crc));
-                    return;
-                }
-                Err(m) => m,
-            };
-            if let Ok((_, d)) = msg.take::<simnet::RdmaFlushDone>() {
-                self.log.lock().push(format!(
-                    "f{}:{:?}@{}",
-                    d.op_id,
-                    d.status,
-                    ctx.now().as_nanos()
-                ));
+            if let Ok((_, d)) = msg.take::<simnet::RdmaCrcReadDone>() {
+                self.log
+                    .lock()
+                    .push(format!("c{}:{:?}:{:#x}", d.op_id, d.status, d.crc));
             }
         }
     }
@@ -1241,7 +1229,7 @@ mod tests {
             ops,
             read,
             crc: None,
-            flush: None,
+            chain: None,
             log,
             delay,
         });
@@ -1646,7 +1634,7 @@ mod tests {
             ops: vec![],
             read: None,
             crc: Some((3, 0x1000, 64)),
-            flush: None,
+            chain: None,
             log: log.clone(),
             delay: SimDuration::from_nanos(100_000),
         });
@@ -1659,27 +1647,203 @@ mod tests {
         assert_eq!(h.mem.lock().read(0, 4), vec![0; 4], "scrub must not drain");
     }
 
-    #[test]
-    fn explicit_flush_persists_buffered_writes() {
-        let (mut sim, _store, h, log, net) = setup_slow_drain("pm0", vec![0xEE; 64]);
-        let cep2 = net.lock().attach(ActorId(u32::MAX));
+    /// Spawn a client that posts one write chain `delay_ns` after start.
+    fn spawn_chain(
+        sim: &mut Sim,
+        net: &SharedNetwork,
+        dev: EndpointId,
+        chain: (u64, Vec<ChainLink>, bool),
+        log: Arc<Mutex<Vec<String>>>,
+        delay_ns: u64,
+    ) {
+        let ep = net.lock().attach(ActorId(u32::MAX));
         let a = sim.spawn(Client {
             net: net.clone(),
-            ep: cep2,
-            dev: h.ep,
+            ep,
+            dev,
             ops: vec![],
             read: None,
             crc: None,
-            flush: Some(7),
-            log: log.clone(),
-            delay: SimDuration::from_nanos(100_000),
+            chain: Some(chain),
+            log,
+            delay: SimDuration::from_nanos(delay_ns),
         });
-        net.lock().rebind(cep2, a);
+        net.lock().rebind(ep, a);
+    }
+
+    /// One acked 64 B write sitting in a slow-drain ingress buffer, then a
+    /// two-link chain; returns the device and the chain's ack time.
+    fn run_chain_behind_buffered_write(fence: bool) -> (NpmuHandle, u64) {
+        let (mut sim, _store, h, log, net) = setup_slow_drain("pm0", vec![0xEE; 64]);
+        let chain = vec![link(0x1100, vec![0xA1; 32]), link(0x1200, vec![0xA2; 16])];
+        spawn_chain(
+            &mut sim,
+            &net,
+            h.ep,
+            (7, chain, fence),
+            log.clone(),
+            100_000,
+        );
         sim.run_until(SimTime(simcore::time::SECS / 2));
         let l = log.lock().clone();
-        assert!(l.iter().any(|e| e.starts_with("f7:Ok")), "{l:?}");
+        assert!(
+            l[0].starts_with("w1:Ok") && l[1].starts_with("w7:Ok"),
+            "{l:?}"
+        );
+        let acked_at = l[1].rsplit('@').next().unwrap().parse::<u64>().unwrap();
+        (h, acked_at)
+    }
+
+    #[test]
+    fn fenced_chain_persists_itself_and_every_earlier_acked_write() {
+        let (h, fenced_at) = run_chain_behind_buffered_write(true);
+        // Long before the 1 s dwell: the earlier acked write and both links.
         assert_eq!(h.mem.lock().read(0, 4), vec![0xEE; 4]);
-        assert_eq!(h.stats.lock().flushes, 1);
+        assert_eq!(h.mem.lock().read(0x100, 4), vec![0xA1; 4]);
+        assert_eq!(h.mem.lock().read(0x200, 4), vec![0xA2; 4]);
+        let s = *h.stats.lock();
+        assert_eq!((s.writes, s.flushes, s.bytes_written), (3, 1, 64 + 48));
+
+        // Unfenced, the same chain acks from the buffer — nothing on the
+        // array — and the fence's only cost is the device-side flush.
+        let (h, unfenced_at) = run_chain_behind_buffered_write(false);
+        assert_eq!(h.mem.lock().writes(), 0, "acked, still volatile");
+        assert_eq!(h.stats.lock().flushes, 0);
+        assert_eq!(fenced_at - unfenced_at, 500);
+    }
+
+    #[test]
+    fn rejected_link_rejects_the_chain_and_stages_nothing() {
+        let (mut sim, _store, h, log, net, _cep) = setup(NpmuKind::Hardware);
+        // Second link runs off the end of the only mapped window.
+        let chain = vec![link(0x1100, vec![1; 32]), link(0x1FF0, vec![2; 32])];
+        spawn_chain(&mut sim, &net, h.ep, (1, chain, true), log.clone(), 0);
+        sim.run_until_idle();
+        assert!(
+            log.lock()[0].starts_with("w1:OutOfBounds"),
+            "{:?}",
+            *log.lock()
+        );
+        assert_eq!(h.mem.lock().writes(), 0);
+        let s = *h.stats.lock();
+        assert_eq!((s.writes, s.flushes, s.access_violations), (0, 0, 1));
+    }
+
+    #[test]
+    fn down_or_write_fenced_device_nacks_the_chain_whole() {
+        use simcore::fault::{Fault, FaultPlan};
+        let chain = || vec![link(0x1100, vec![1; 32]), link(0x1200, vec![2; 32])];
+
+        let (mut sim, _store, h, log, net) = setup_slow_drain("pm-a", vec![0xEE; 64]);
+        net.lock().fault_plan = FaultPlan::none().with(Fault::NpmuDown {
+            volume_half: 0,
+            from: SimTime(90_000),
+            to: SimTime(simcore::time::SECS),
+        });
+        spawn_chain(
+            &mut sim,
+            &net,
+            h.ep,
+            (7, chain(), true),
+            log.clone(),
+            100_000,
+        );
+        sim.run_until_idle();
+        assert!(
+            log.lock()[1].starts_with("w7:DeviceFailed"),
+            "{:?}",
+            *log.lock()
+        );
+        assert_eq!(h.mem.lock().writes(), 0);
+
+        let (mut sim, _store, h, log, net, _cep) = setup(NpmuKind::Hardware);
+        h.write_fence.lock().engaged = true;
+        spawn_chain(&mut sim, &net, h.ep, (7, chain(), true), log.clone(), 0);
+        sim.run_until_idle();
+        assert!(
+            log.lock()[0].starts_with("w7:AccessViolation"),
+            "{:?}",
+            *log.lock()
+        );
+        assert_eq!(h.mem.lock().writes(), 0);
+        assert_eq!(h.stats.lock().fenced_ops, 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// A power cut at any instant leaves the array holding a prefix
+        /// of the links posted so far, in post order — never link `k+1`
+        /// without link `k` — and the prefix ends on a chain boundary (a
+        /// chain is staged and drained whole). It covers every chain
+        /// whose fenced ack had been delivered, and all posted before it.
+        #[test]
+        fn power_cut_leaves_a_prefix_of_the_posted_chains(
+            chains in proptest::collection::vec(
+                (proptest::collection::vec(1usize..64, 1..5), proptest::prelude::any::<bool>()),
+                2..7,
+            ),
+            cut_us in 8u64..60,
+        ) {
+            let mut sim = Sim::with_seed(11);
+            let mut store = DurableStore::new();
+            let net = Network::new(FabricConfig::default());
+            // Dwell of four post intervals: several chains share the buffer.
+            let cfg = NpmuConfig::hardware(1 << 20).with_ingress_drain_ns(20_000);
+            let h = Npmu::install(&mut sim, &mut store, &net, None, "pm0", cfg.clone());
+            h.att.lock().map(AttEntry {
+                nva_base: 0x1000,
+                len: 0x1000,
+                phys_base: 0,
+                allowed: CpuFilter::Any,
+            });
+            // Chain `i` is posted at `5 i` us; its links fill disjoint 64 B
+            // cells, in post order, with the cell's 1-based index.
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let mut cells: Vec<(usize, usize)> = Vec::new(); // (chain, len)
+            for (i, (lens, fence)) in chains.iter().enumerate() {
+                let links = lens
+                    .iter()
+                    .map(|&n| {
+                        cells.push((i, n));
+                        let c = cells.len() as u64;
+                        link(0x1000 + 64 * (c - 1), vec![c as u8; n])
+                    })
+                    .collect();
+                let post = (i as u64 + 1, links, *fence);
+                spawn_chain(&mut sim, &net, h.ep, post, log.clone(), 5_000 * i as u64);
+            }
+            sim.run_until(SimTime(cut_us * 1_000));
+            // Power loss: the ingress buffer is gone, the array survives.
+            drop(sim);
+            store.reset_volatile();
+            let mut sim2 = Sim::with_seed(12);
+            let net2 = Network::new(FabricConfig::default());
+            let h2 = Npmu::install(&mut sim2, &mut store, &net2, None, "pm0", cfg);
+            let on_array: Vec<bool> = cells
+                .iter()
+                .enumerate()
+                .map(|(c, &(_, n))| {
+                    let got = h2.mem.lock().read(64 * c as u64, n);
+                    assert!(got == vec![c as u8 + 1; n] || got == vec![0; n], "torn link");
+                    got[0] != 0
+                })
+                .collect();
+            let k = on_array.iter().take_while(|&&b| b).count();
+            proptest::prop_assert!(on_array[k..].iter().all(|&b| !b), "not a prefix: {:?}", on_array);
+            proptest::prop_assert!(
+                k == 0 || k == cells.len() || cells[k - 1].0 != cells[k].0,
+                "prefix ends inside a chain: {:?}",
+                on_array
+            );
+            for (i, (_, fence)) in chains.iter().enumerate() {
+                let acked = log.lock().iter().any(|l| l.starts_with(&format!("w{}:Ok", i + 1)));
+                if *fence && acked {
+                    let through = cells.iter().rposition(|&(c, _)| c == i).unwrap();
+                    proptest::prop_assert!(k > through, "fenced ack {} not durable", i + 1);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1976,7 +2140,7 @@ mod tests {
     }
 
     #[test]
-    fn device_scrub_digests_match_host_crc_per_chunk() {
+    fn device_scrub_digests_match_host_digest_per_chunk() {
         let (mut sim, _store, h, log, net, cep) = setup(NpmuKind::Hardware);
         let data: Vec<u8> = (0..300u32)
             .map(|i| (i.wrapping_mul(7) % 251) as u8)
@@ -1994,13 +2158,29 @@ mod tests {
         sim.run_until_idle();
         // Three chunks: 128 + 128 + a short 44 B tail chunk.
         let expect = vec![
-            crc32(&data[..128]),
-            crc32(&data[128..256]),
-            crc32(&data[256..300]),
+            scrub_digest(&data[..128]),
+            scrub_digest(&data[128..256]),
+            scrub_digest(&data[256..300]),
         ];
         let want = format!("s5:Ok:{expect:?}");
         assert!(log.lock().contains(&want), "{:?}", *log.lock());
         assert_eq!(h.stats.lock().scrubs, 1);
+    }
+
+    /// Two chunks that differ only in a leading self-checksummed cell
+    /// (`x ‖ crc32(x)`, the control-cell and tail-cell slot format) must
+    /// digest differently — a plain CRC-32 of the chunk cannot tell them
+    /// apart.
+    #[test]
+    fn scrub_digest_sees_a_divergent_watermark_cell() {
+        let chunk = |x: u64| {
+            let mut c = encode_append_slot(x).to_vec();
+            c.extend_from_slice(&[0x5A; 100]);
+            c
+        };
+        let (a, b) = (chunk(1_005_454), chunk(1_050_638));
+        assert_eq!(crc32(&a), crc32(&b), "the blind spot being avoided");
+        assert_ne!(scrub_digest(&a), scrub_digest(&b));
     }
 
     #[test]

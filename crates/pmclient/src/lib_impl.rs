@@ -3,12 +3,11 @@
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
 use pmm::msgs::*;
-use pmm::PlacementHint;
+use pmm::{Frag, PlacementHint};
 use simcore::{Ctx, SimDuration};
 use simnet::{
-    rdma_append, rdma_flush, rdma_read, rdma_write_sized, EndpointId, PersistMode, RdmaAppendDone,
-    RdmaFlushDone, RdmaReadDone, RdmaStatus, RdmaWriteDone, SharedNetwork, TrafficClass,
-    APPEND_CELL_BYTES,
+    rdma_append, rdma_read, rdma_write_chain, ChainLink, EndpointId, PersistMode, RdmaAppendDone,
+    RdmaReadDone, RdmaStatus, RdmaWriteDone, SharedNetwork, TrafficClass, APPEND_CELL_BYTES,
 };
 use std::collections::HashMap;
 
@@ -70,8 +69,10 @@ pub struct PmClientConfig {
     /// When a mirrored write is considered *persistent* (see
     /// [`PersistMode`]). The default is the optimistic `NicAck` the paper
     /// assumes — an RDMA ack counts as durable; honest deployments (the
-    /// ODS wiring) opt into a flush mode, paying an extra persist round
-    /// per touched device half before the write completes.
+    /// ODS wiring) opt into `PersistFlush`, which closes each chain with
+    /// a persist fence (no extra round trip), or `FlushOnRead`, which
+    /// pays a forcing read per touched device half before the write
+    /// completes.
     pub persist_mode: PersistMode,
     /// Fabric traffic class every op from this library instance rides
     /// unless a per-op `_class` variant overrides it. Defaults to
@@ -168,32 +169,27 @@ pub struct PmReadTimeout {
     pub rid: u64,
 }
 
-/// A deferred RDMA leg: (device endpoint, half, nva, payload, wire len).
-type PendingLeg = (EndpointId, u8, u64, Bytes, u32);
-
-/// One stripe fragment of a mirrored write: the mirrored-pair state the
-/// pre-pool library kept per *write*, now kept per *(write, member
-/// extent)* because a striped write fans out across volumes.
-struct ChunkState {
-    /// Member volume this fragment lands on.
+/// One member volume's share of a batched write: every stripe fragment
+/// the batch lands on that volume, posted as ONE ordered chain per mirror
+/// half. A device answers a chain whole, so acks, persistence and
+/// failures are tracked per `(member, half)`, not per fragment.
+struct MemberState {
     volume: u32,
-    /// Device offset of the fragment (persist-phase read target).
-    dev_off: u64,
-    /// Fragment length on the device.
-    len: u32,
-    /// Legs of this fragment that completed `Ok`.
-    acked: u32,
-    /// Bitmask of halves whose leg acked `Ok` (bit `1 << half`).
+    /// Where `FlushOnRead` aims this member's forcing read: device
+    /// offset and length of its first fragment.
+    probe: (u64, u32),
+    /// Bitmask of halves whose chain acked `Ok` (bit `1 << half`).
     acked_halves: u8,
-    /// Bitmask of halves proven *persistent* by the persist phase. Only
-    /// meaningful for flush modes; `NicAck` never sets it.
+    /// Bitmask of halves proven *persistent*: by the ack of a fenced
+    /// chain (`PersistFlush`) or by a forcing read (`FlushOnRead`).
+    /// `NicAck` never sets it.
     persisted_halves: u8,
-    /// Legs lost to *availability* errors (device NACK, unreachable,
-    /// timeout) — survivable as long as one leg of the fragment acks.
+    /// Chains lost to *availability* errors (device NACK, unreachable,
+    /// timeout) — survivable as long as one half of the member acks.
     avail_failed: u32,
-    /// For SequentialBoth: the mirror leg to fire after the primary
-    /// decides.
-    next_leg: Option<PendingLeg>,
+    /// For SequentialBoth: the mirror half's endpoint and chain, fired
+    /// after the primary decides.
+    next_leg: Option<(EndpointId, Vec<ChainLink>)>,
 }
 
 struct WriteState {
@@ -203,19 +199,52 @@ struct WriteState {
     /// these fail the write outright; retrying a mirror cannot help.
     logical_error: Option<RdmaStatus>,
     avail_status: RdmaStatus,
-    /// Outstanding legs: (rdma op id, chunk index, half).
+    /// Outstanding chains: (rdma op id, member index, half).
     pending: Vec<(u64, usize, u8)>,
-    chunks: Vec<ChunkState>,
-    /// True once the persist phase (flush modes) has been launched.
+    members: Vec<MemberState>,
+    /// True once the forcing-read phase (`FlushOnRead`) has been launched.
     persist_phase: bool,
-    /// Outstanding persist ops (flushes or forcing reads), by rdma op id.
+    /// Outstanding forcing reads, by rdma op id.
     persist_pending: Vec<u64>,
-    /// A persist op failed: the write may still complete (another half
+    /// A forcing read failed: the write may still complete (another half
     /// persisted), but only degraded.
     persist_failed: bool,
-    /// Class every leg of this write (including persist-phase ops and
-    /// late sequential mirror legs) rides.
+    /// Class every chain of this write (including forcing reads and late
+    /// sequential mirror chains) rides.
     class: TrafficClass,
+}
+
+impl WriteState {
+    /// Append one part's stripe fragments to their members' chains,
+    /// opening a chain for a member volume first seen. The payload may be
+    /// shorter than the wire span (compact descriptor): slice what
+    /// exists, keep the wire length.
+    fn link_frags(&mut self, chains: &mut Vec<Vec<ChainLink>>, frags: Vec<Frag>, data: &Bytes) {
+        for frag in frags {
+            let mi = match self.members.iter().position(|m| m.volume == frag.volume) {
+                Some(mi) => mi,
+                None => {
+                    self.members.push(MemberState {
+                        volume: frag.volume,
+                        probe: (frag.dev_off, frag.len),
+                        acked_halves: 0,
+                        persisted_halves: 0,
+                        avail_failed: 0,
+                        next_leg: None,
+                    });
+                    chains.push(Vec::new());
+                    chains.len() - 1
+                }
+            };
+            let lo = frag.buf_off.min(data.len());
+            let hi = (frag.buf_off + frag.len as usize).min(data.len());
+            chains[mi].push(ChainLink {
+                addr: frag.dev_off,
+                data: data.slice(lo..hi),
+                wire_len: frag.len,
+            });
+        }
+    }
 }
 
 /// One mirrored device-side append (or tail probe) in flight.
@@ -287,7 +316,7 @@ pub struct PmLib {
     read_routing: ReadRouting,
     cfg: PmClientConfig,
     next_rdma: u64,
-    /// RDMA op id → (write id, chunk index, half).
+    /// RDMA op id → (write id, member index, half).
     rdma_map: HashMap<u64, (u64, usize, u8)>,
     writes: HashMap<u64, WriteState>,
     next_write: u64,
@@ -295,9 +324,8 @@ pub struct PmLib {
     next_read: u64,
     /// RDMA op id → (read run id, part index).
     read_map: HashMap<u64, (u64, usize)>,
-    /// Persist-phase op id → (write id, member volume, half). Holds both
-    /// explicit flushes and `FlushOnRead` forcing reads.
-    persist_map: HashMap<u64, (u64, u32, u8)>,
+    /// `FlushOnRead` forcing-read op id → (write id, member index, half).
+    persist_map: HashMap<u64, (u64, usize, u8)>,
     /// Regions opened through this library instance.
     regions: HashMap<u64, RegionInfo>,
     /// Per-(region, member volume) suspect halves:
@@ -582,12 +610,13 @@ impl PmLib {
 
     /// Batched persistent write: every `(offset, data, wire_len)` part is
     /// submitted in ONE fan-out under a single completion, timeout and
-    /// token — the pipelined ADP's flush primitive. All parts' stripe
-    /// fragments are issued together; the write completes (possibly
-    /// degraded) only when every fragment of every part is persistent on
-    /// at least one answering mirror, so a caller that orders a control
-    /// write after this completion gets the same guarantee K round trips
-    /// would have given, for one round trip's latency.
+    /// token — the pipelined ADP's flush primitive. The parts' stripe
+    /// fragments are grouped by member volume and each group is posted as
+    /// one ordered write chain per mirror half, links in part order —
+    /// under `PersistFlush` closed by a persist fence, so data and
+    /// durability arrive in the chain's one round trip. The write
+    /// completes (possibly degraded) only when every member's chain is
+    /// persistent on at least one answering mirror.
     pub fn write_batch(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -610,6 +639,28 @@ impl PmLib {
         token: u64,
         class: TrafficClass,
     ) {
+        self.write_batch_publish(ctx, region_id, parts, None, token, class);
+    }
+
+    /// As [`Self::write_batch_class`], with an optional *publish part*
+    /// that must be ordered after all the data — a watermark cell naming
+    /// the batch's bytes. A device applies a chain strictly in order, so
+    /// the part is chained as the last link iff every data fragment and
+    /// the publish part land on the same member volume (the library owns
+    /// the stripe map; the caller does not); the write then rides the
+    /// class given with the part, since it now gates whatever the
+    /// publication gates. Returns whether it was chained; if not, the
+    /// part is **not posted**, the data rides `class`, and the caller
+    /// publishes after completion.
+    pub fn write_batch_publish(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        region_id: u64,
+        parts: &[(u64, Bytes, u32)],
+        publish: Option<(&(u64, Bytes, u32), TrafficClass)>,
+        token: u64,
+        mut class: TrafficClass,
+    ) -> bool {
         assert!(!parts.is_empty(), "empty batch");
         let info = self
             .regions
@@ -625,69 +676,82 @@ impl PmLib {
             logical_error: None,
             avail_status: RdmaStatus::Ok,
             pending: Vec::new(),
-            chunks: Vec::new(),
+            members: Vec::new(),
             persist_phase: false,
             persist_pending: Vec::new(),
             persist_failed: false,
             class,
         };
-        // Fragment payloads: the data may be shorter than the wire span
-        // (compact descriptor); slice what exists, keep the wire length.
-        let mut legs: Vec<(usize, EndpointId, u8, u64, Bytes, u32)> = Vec::new();
-        for (offset, data, wire_len) in parts {
+        let split = |(offset, data, wire_len): &(u64, Bytes, u32)| {
             let span = (*wire_len as u64).max(data.len() as u64);
             assert!(offset + span <= info.len, "write beyond region");
-            for frag in info.map.split(*offset, span) {
-                let ci = st.chunks.len();
-                let eps = *info
-                    .eps_for(frag.volume)
-                    .expect("stripe map volume missing endpoints");
-                let lo = frag.buf_off.min(data.len());
-                let hi = (frag.buf_off + frag.len as usize).min(data.len());
-                let chunk_data = data.slice(lo..hi);
-                let mut chunk = ChunkState {
-                    volume: frag.volume,
-                    dev_off: frag.dev_off,
-                    len: frag.len,
-                    acked: 0,
-                    acked_halves: 0,
-                    persisted_halves: 0,
-                    avail_failed: 0,
-                    next_leg: None,
-                };
-                match self.policy {
-                    MirrorPolicy::ParallelBoth => {
-                        legs.push((
-                            ci,
-                            eps.primary_ep,
-                            0,
-                            frag.dev_off,
-                            chunk_data.clone(),
-                            frag.len,
-                        ));
-                        legs.push((ci, eps.mirror_ep, 1, frag.dev_off, chunk_data, frag.len));
-                    }
-                    MirrorPolicy::SequentialBoth => {
-                        chunk.next_leg =
-                            Some((eps.mirror_ep, 1, frag.dev_off, chunk_data.clone(), frag.len));
-                        legs.push((ci, eps.primary_ep, 0, frag.dev_off, chunk_data, frag.len));
-                    }
-                    MirrorPolicy::PrimaryOnly => {
-                        legs.push((ci, eps.primary_ep, 0, frag.dev_off, chunk_data, frag.len));
-                    }
+            info.map.split(*offset, span)
+        };
+        // One chain per touched member, links in part order.
+        let mut chains: Vec<Vec<ChainLink>> = Vec::new();
+        for part in parts {
+            st.link_frags(&mut chains, split(part), &part.1);
+        }
+        let chained = publish.is_some_and(|(part, publish_class)| {
+            let frags = split(part);
+            let one =
+                st.members.len() == 1 && frags.iter().all(|f| f.volume == st.members[0].volume);
+            if one {
+                st.link_frags(&mut chains, frags, &part.1);
+                class = publish_class;
+                st.class = class;
+            }
+            one
+        });
+        let mut legs: Vec<(usize, EndpointId, u8, Vec<ChainLink>)> = Vec::new();
+        for (mi, links) in chains.into_iter().enumerate() {
+            let eps = *info
+                .eps_for(st.members[mi].volume)
+                .expect("stripe map volume missing endpoints");
+            match self.policy {
+                MirrorPolicy::ParallelBoth => {
+                    legs.push((mi, eps.primary_ep, 0, links.clone()));
+                    legs.push((mi, eps.mirror_ep, 1, links));
                 }
-                st.chunks.push(chunk);
+                MirrorPolicy::SequentialBoth => {
+                    st.members[mi].next_leg = Some((eps.mirror_ep, links.clone()));
+                    legs.push((mi, eps.primary_ep, 0, links));
+                }
+                MirrorPolicy::PrimaryOnly => legs.push((mi, eps.primary_ep, 0, links)),
             }
         }
         self.writes.insert(wid, st);
-        for (ci, dev, half, nva, chunk_data, chunk_wire) in legs {
-            let rid = self.alloc_rdma(wid, ci, half);
-            let net = self.net.clone();
-            rdma_write_sized(
-                ctx, &net, self.ep, dev, nva, chunk_data, chunk_wire, rid, class,
-            );
+        for (mi, dev, half, links) in legs {
+            self.issue_chain(ctx, wid, mi, dev, half, links, class);
         }
         ctx.send_self(self.cfg.write_timeout, PmWriteTimeout { wid });
+        chained
+    }
+
+    /// Post one member's chain to one mirror half. `PersistFlush` closes
+    /// it with a persist fence; the other modes post it unfenced.
+    #[allow(clippy::too_many_arguments)]
+    fn issue_chain(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        wid: u64,
+        member: usize,
+        dev: EndpointId,
+        half: u8,
+        links: Vec<ChainLink>,
+        class: TrafficClass,
+    ) {
+        let rid = self.next_rdma;
+        self.next_rdma += 1;
+        self.rdma_map.insert(rid, (wid, member, half));
+        self.writes
+            .get_mut(&wid)
+            .expect("write registered")
+            .pending
+            .push((rid, member, half));
+        let fence = self.cfg.persist_mode == PersistMode::PersistFlush;
+        let net = self.net.clone();
+        rdma_write_chain(ctx, &net, self.ep, dev, links, fence, rid, class);
     }
 
     /// Mirrored device-side atomic log-append. The window at `base_off`
@@ -1097,18 +1161,6 @@ impl PmLib {
         ctx.send_self(self.cfg.read_timeout, PmReadTimeout { rid });
     }
 
-    fn alloc_rdma(&mut self, wid: u64, chunk: usize, half: u8) -> u64 {
-        let rid = self.next_rdma;
-        self.next_rdma += 1;
-        self.rdma_map.insert(rid, (wid, chunk, half));
-        self.writes
-            .get_mut(&wid)
-            .expect("write registered")
-            .pending
-            .push((rid, chunk, half));
-        rid
-    }
-
     /// `true` for errors that mean "this half is unavailable" rather than
     /// "this request is malformed".
     fn is_availability_error(status: RdmaStatus) -> bool {
@@ -1161,6 +1213,29 @@ impl PmLib {
         }
     }
 
+    /// Suspect bookkeeping for one answer (chain ack or forcing read)
+    /// from `half` of a write's member: `Ok` proves the half is back, an
+    /// availability error marks it suspect. A no-op once the write has
+    /// retired (e.g. a late answer racing the timeout path).
+    fn note_half_answer(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        wid: u64,
+        member: usize,
+        half: u8,
+        status: RdmaStatus,
+    ) {
+        let Some(st) = self.writes.get(&wid) else {
+            return;
+        };
+        let (region_id, volume) = (st.region_id, st.members[member].volume);
+        if status == RdmaStatus::Ok {
+            self.clear_suspect(region_id, volume, half);
+        } else if Self::is_availability_error(status) {
+            self.mark_suspect(ctx, region_id, volume, half);
+        }
+    }
+
     /// Feed an [`RdmaWriteDone`] received by the owning actor. Returns the
     /// client-level completion once the write's fate is decided, else
     /// `None`.
@@ -1169,30 +1244,23 @@ impl PmLib {
         ctx: &mut Ctx<'_>,
         done: &RdmaWriteDone,
     ) -> Option<PmWriteComplete> {
-        let (wid, chunk, half) = self.rdma_map.remove(&done.op_id)?;
-        // Suspect bookkeeping happens even for legs of writes that already
-        // completed (e.g. via timeout): a late Ok proves the half is back.
-        let key = self
-            .writes
-            .get(&wid)
-            .map(|s| (s.region_id, s.chunks[chunk].volume));
-        if let Some((region_id, volume)) = key {
-            if done.status == RdmaStatus::Ok {
-                self.clear_suspect(region_id, volume, half);
-            } else if Self::is_availability_error(done.status) {
-                self.mark_suspect(ctx, region_id, volume, half);
-            }
-        }
+        let (wid, member, half) = self.rdma_map.remove(&done.op_id)?;
+        self.note_half_answer(ctx, wid, member, half, done.status);
+        let fenced = self.cfg.persist_mode == PersistMode::PersistFlush;
         let st = self.writes.get_mut(&wid)?;
         st.pending.retain(|&(rid, _, _)| rid != done.op_id);
-        let ch = &mut st.chunks[chunk];
+        let m = &mut st.members[member];
         match done.status {
             RdmaStatus::Ok => {
-                ch.acked += 1;
-                ch.acked_halves |= 1 << half;
+                m.acked_halves |= 1 << half;
+                if fenced {
+                    // The chain carried its own persist fence: the one
+                    // ack proves arrival and durability together.
+                    m.persisted_halves |= 1 << half;
+                }
             }
             s if Self::is_availability_error(s) => {
-                ch.avail_failed += 1;
+                m.avail_failed += 1;
                 st.avail_status = s;
             }
             s => {
@@ -1201,25 +1269,23 @@ impl PmLib {
                 }
             }
         }
-        // Sequential policy: fire the fragment's mirror leg once its
+        // Sequential policy: fire the member's mirror chain once its
         // primary decided — including after an availability failure, so
-        // the survivor can still make the fragment persistent (degraded).
-        if let Some((dev, leg_half, nva, data, wire_len)) = ch.next_leg.take() {
+        // the survivor can still make the member persistent (degraded).
+        if let Some((dev, links)) = m.next_leg.take() {
             if st.logical_error.is_none() {
                 let class = st.class;
-                let rid = self.alloc_rdma(wid, chunk, leg_half);
-                let net = self.net.clone();
-                rdma_write_sized(ctx, &net, self.ep, dev, nva, data, wire_len, rid, class);
+                self.issue_chain(ctx, wid, member, dev, 1, links, class);
                 return None;
             }
         }
         self.try_complete_write(ctx, wid)
     }
 
-    /// Feed a [`PmWriteTimeout`] timer. Legs still outstanding are treated
-    /// as availability failures (silent-drop devices never answer); if
-    /// every fragment has at least one acked leg, the write completes
-    /// degraded.
+    /// Feed a [`PmWriteTimeout`] timer. Chains still outstanding are
+    /// treated as availability failures (silent-drop devices never
+    /// answer); if every member has at least one acked half, the write
+    /// completes degraded.
     pub fn on_write_timeout(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1227,52 +1293,49 @@ impl PmLib {
     ) -> Option<PmWriteComplete> {
         let st = self.writes.get_mut(&t.wid)?;
         if st.pending.is_empty()
-            && st.chunks.iter().all(|c| c.next_leg.is_none())
+            && st.members.iter().all(|m| m.next_leg.is_none())
             && st.persist_pending.is_empty()
         {
             return None; // completion already in flight elsewhere
         }
         let region_id = st.region_id;
         let stale: Vec<(u64, usize, u8)> = std::mem::take(&mut st.pending);
-        // Persist ops that never answered count as availability failures
-        // on their half: the data may be on the array, but nothing proved
-        // it, so the mode's contract says we cannot claim it.
+        // Forcing reads that never answered count as availability
+        // failures on their half: the data may be on the array, but
+        // nothing proved it, so the mode's contract says we cannot claim
+        // it.
         let stale_persist: Vec<u64> = std::mem::take(&mut st.persist_pending);
         if !stale_persist.is_empty() {
             st.persist_failed = true;
         }
         st.avail_status = RdmaStatus::Unreachable;
         let mut to_suspect = Vec::with_capacity(stale.len());
-        for &(rid, chunk, half) in &stale {
-            st.chunks[chunk].avail_failed += 1;
-            to_suspect.push((st.chunks[chunk].volume, half));
+        for &(rid, member, half) in &stale {
+            st.members[member].avail_failed += 1;
+            to_suspect.push((st.members[member].volume, half));
             self.rdma_map.remove(&rid);
         }
         for rid in stale_persist {
-            if let Some((_, volume, half)) = self.persist_map.remove(&rid) {
-                to_suspect.push((volume, half));
+            if let Some((_, member, half)) = self.persist_map.remove(&rid) {
+                to_suspect.push((st.members[member].volume, half));
             }
         }
-        // A sequential write may time out before some fragments' mirror
-        // legs were ever issued; fire them now against the survivors and
-        // give them one more timeout interval.
-        let next: Vec<(usize, PendingLeg)> = self
-            .writes
-            .get_mut(&t.wid)?
-            .chunks
+        // A sequential write may time out before some members' mirror
+        // chains were ever issued; fire them now against the survivors
+        // and give them one more timeout interval.
+        let next: Vec<(usize, (EndpointId, Vec<ChainLink>))> = st
+            .members
             .iter_mut()
             .enumerate()
-            .filter_map(|(ci, c)| c.next_leg.take().map(|l| (ci, l)))
+            .filter_map(|(mi, m)| m.next_leg.take().map(|l| (mi, l)))
             .collect();
+        let class = st.class;
         for (volume, half) in to_suspect {
             self.mark_suspect(ctx, region_id, volume, half);
         }
         if !next.is_empty() {
-            let class = self.writes[&t.wid].class;
-            for (chunk, (dev, leg_half, nva, data, wire_len)) in next {
-                let rid = self.alloc_rdma(t.wid, chunk, leg_half);
-                let net = self.net.clone();
-                rdma_write_sized(ctx, &net, self.ep, dev, nva, data, wire_len, rid, class);
+            for (member, (dev, links)) in next {
+                self.issue_chain(ctx, t.wid, member, dev, 1, links, class);
             }
             ctx.send_self(self.cfg.write_timeout, PmWriteTimeout { wid: t.wid });
             return None;
@@ -1282,26 +1345,26 @@ impl PmLib {
 
     fn try_complete_write(&mut self, ctx: &mut Ctx<'_>, wid: u64) -> Option<PmWriteComplete> {
         let Some(st) = self.writes.get(&wid) else {
-            // Duplicate/stale completion (e.g. a late leg racing the
+            // Duplicate/stale completion (e.g. a late chain racing the
             // timeout path): the write already completed — ignore it
             // rather than panic, but leave a trace for diagnosis.
             ctx.trace("pmclient: stale write completion ignored");
             return None;
         };
         if !st.pending.is_empty()
-            || st.chunks.iter().any(|c| c.next_leg.is_some())
+            || st.members.iter().any(|m| m.next_leg.is_some())
             || !st.persist_pending.is_empty()
         {
             return None;
         }
-        // Data phase settled. Flush modes interpose a persist phase
-        // before the write may complete: one flush (or forcing read) per
-        // touched device half, so the completion means "on the array",
-        // not "in a NIC buffer".
-        if self.cfg.persist_mode != PersistMode::NicAck
+        // Chains settled. `FlushOnRead` interposes a forcing read per
+        // touched device half before the write may complete, so the
+        // completion means "on the array", not "in a NIC buffer".
+        // (`PersistFlush` chains carried their own fence.)
+        if self.cfg.persist_mode == PersistMode::FlushOnRead
             && !st.persist_phase
             && st.logical_error.is_none()
-            && st.chunks.iter().all(|c| c.acked > 0)
+            && st.members.iter().all(|m| m.acked_halves != 0)
         {
             self.begin_persist_phase(ctx, wid);
             return None;
@@ -1313,10 +1376,10 @@ impl PmLib {
             // Optimistic: an RDMA ack counts as durable (the paper's
             // assumption; honest only for a device with no volatile
             // ingress buffer).
-            PersistMode::NicAck => st.chunks.iter().all(|c| c.acked > 0),
-            // Honest: every fragment proved on the array of at least one
-            // answering mirror.
-            _ => st.chunks.iter().all(|c| c.persisted_halves != 0),
+            PersistMode::NicAck => st.members.iter().all(|m| m.acked_halves != 0),
+            // Honest: every member's chain proved on the array of at
+            // least one answering mirror.
+            _ => st.members.iter().all(|m| m.persisted_halves != 0),
         };
         let (status, degraded) = if let Some(err) = st.logical_error {
             (err, false)
@@ -1328,7 +1391,7 @@ impl PmLib {
             // failed.
             (
                 RdmaStatus::Ok,
-                st.chunks.iter().any(|c| c.avail_failed > 0) || st.persist_failed,
+                st.members.iter().any(|m| m.avail_failed > 0) || st.persist_failed,
             )
         } else {
             (st.avail_status, false)
@@ -1340,36 +1403,28 @@ impl PmLib {
         })
     }
 
-    /// Launch the persist phase of a write: one persist op per distinct
-    /// `(member volume, half)` that acked data. `PersistFlush` issues the
-    /// explicit flush verb; `FlushOnRead` issues a small read of one of
-    /// the half's just-written fragments, exploiting "reads cannot pass
-    /// posted writes" as the persist barrier.
+    /// Launch the `FlushOnRead` persist phase of a write: one small read
+    /// per `(member volume, half)` that acked its chain, aimed at one of
+    /// the half's just-written fragments — "reads cannot pass posted
+    /// writes" is the persist barrier.
     fn begin_persist_phase(&mut self, ctx: &mut Ctx<'_>, wid: u64) {
-        let (region_id, targets, class) = {
-            let st = self.writes.get_mut(&wid).expect("write registered");
-            st.persist_phase = true;
-            let class = st.class;
-            let mut targets: Vec<(u32, u8, u64, u32)> = Vec::new();
-            for c in &st.chunks {
-                for half in 0..2u8 {
-                    if c.acked_halves & (1 << half) != 0
-                        && !targets
-                            .iter()
-                            .any(|&(v, h, _, _)| v == c.volume && h == half)
-                    {
-                        targets.push((c.volume, half, c.dev_off, c.len.min(8)));
-                    }
+        let st = self.writes.get_mut(&wid).expect("write registered");
+        st.persist_phase = true;
+        let (region_id, class) = (st.region_id, st.class);
+        let mut targets: Vec<(usize, u8, u32, u64, u32)> = Vec::new();
+        for (mi, m) in st.members.iter().enumerate() {
+            for half in 0..2u8 {
+                if m.acked_halves & (1 << half) != 0 {
+                    targets.push((mi, half, m.volume, m.probe.0, m.probe.1.min(8)));
                 }
             }
-            (st.region_id, targets, class)
-        };
+        }
         let info = self
             .regions
             .get(&region_id)
             .expect("region not adopted")
             .clone();
-        for (volume, half, dev_off, read_len) in targets {
+        for (member, half, volume, dev_off, read_len) in targets {
             let eps = *info
                 .eps_for(volume)
                 .expect("stripe map volume missing endpoints");
@@ -1380,34 +1435,17 @@ impl PmLib {
             };
             let rid = self.next_rdma;
             self.next_rdma += 1;
-            self.persist_map.insert(rid, (wid, volume, half));
+            self.persist_map.insert(rid, (wid, member, half));
             self.writes
                 .get_mut(&wid)
                 .expect("write registered")
                 .persist_pending
                 .push(rid);
             let net = self.net.clone();
-            match self.cfg.persist_mode {
-                PersistMode::PersistFlush => rdma_flush(ctx, &net, self.ep, dev, rid, class),
-                PersistMode::FlushOnRead => {
-                    rdma_read(ctx, &net, self.ep, dev, dev_off, read_len, rid, class)
-                }
-                PersistMode::NicAck => unreachable!("NicAck has no persist phase"),
-            }
+            rdma_read(ctx, &net, self.ep, dev, dev_off, read_len, rid, class);
         }
-        // Give the persist ops their own timeout interval.
+        // Give the forcing reads their own timeout interval.
         ctx.send_self(self.cfg.write_timeout, PmWriteTimeout { wid });
-    }
-
-    /// Feed an [`RdmaFlushDone`] received by the owning actor (persist
-    /// phase of a `PersistFlush`-mode write).
-    pub fn on_rdma_flush_done(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        done: &RdmaFlushDone,
-    ) -> Option<PmWriteComplete> {
-        let (wid, volume, half) = self.persist_map.remove(&done.op_id)?;
-        self.finish_persist_op(ctx, wid, volume, half, done.op_id, done.status)
     }
 
     /// Intercept a persist-phase forcing read (`FlushOnRead` mode). Call
@@ -1418,41 +1456,16 @@ impl PmLib {
         ctx: &mut Ctx<'_>,
         done: &RdmaReadDone,
     ) -> Option<PmWriteComplete> {
-        if !self.persist_map.contains_key(&done.op_id) {
-            return None;
-        }
-        let (wid, volume, half) = self.persist_map.remove(&done.op_id)?;
-        self.finish_persist_op(ctx, wid, volume, half, done.op_id, done.status)
-    }
-
-    fn finish_persist_op(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        wid: u64,
-        volume: u32,
-        half: u8,
-        op_id: u64,
-        status: RdmaStatus,
-    ) -> Option<PmWriteComplete> {
-        if let Some(region_id) = self.writes.get(&wid).map(|s| s.region_id) {
-            if status == RdmaStatus::Ok {
-                self.clear_suspect(region_id, volume, half);
-            } else if Self::is_availability_error(status) {
-                self.mark_suspect(ctx, region_id, volume, half);
-            }
-        }
+        let (wid, member, half) = self.persist_map.remove(&done.op_id)?;
+        self.note_half_answer(ctx, wid, member, half, done.status);
         let st = self.writes.get_mut(&wid)?;
-        st.persist_pending.retain(|&r| r != op_id);
-        if status == RdmaStatus::Ok {
-            for c in st.chunks.iter_mut() {
-                if c.volume == volume && c.acked_halves & (1 << half) != 0 {
-                    c.persisted_halves |= 1 << half;
-                }
-            }
+        st.persist_pending.retain(|&r| r != done.op_id);
+        if done.status == RdmaStatus::Ok {
+            st.members[member].persisted_halves |= 1 << half;
         } else {
             st.persist_failed = true;
             if st.avail_status == RdmaStatus::Ok {
-                st.avail_status = status;
+                st.avail_status = done.status;
             }
         }
         self.try_complete_write(ctx, wid)

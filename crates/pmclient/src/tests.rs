@@ -23,8 +23,20 @@ enum Step {
         name: String,
         len: u64,
     },
+    /// Create with an explicit placement hint (pool scenarios).
+    CreatePlaced {
+        name: String,
+        len: u64,
+        placement: pmm::PlacementHint,
+    },
     Open {
         name: String,
+    },
+    /// Batched write whose last part is a publish part: posts it and
+    /// logs whether the library chained the publish part behind the data.
+    WriteBatch {
+        region_idx: usize,
+        parts: Vec<(u64, Vec<u8>)>,
     },
     Write {
         region_idx: usize,
@@ -96,8 +108,31 @@ impl TestClient {
             Step::Create { name, len } => {
                 self.lib.create_region(ctx, &name, len, false, tok);
             }
+            Step::CreatePlaced {
+                name,
+                len,
+                placement,
+            } => {
+                self.lib
+                    .create_region_placed(ctx, &name, len, false, placement, tok);
+            }
             Step::Open { name } => {
                 self.lib.open_region(ctx, &name, tok);
+            }
+            Step::WriteBatch { region_idx, parts } => {
+                let id = self.opened[region_idx].region_id;
+                let parts: Vec<(u64, Bytes, u32)> = parts
+                    .into_iter()
+                    .map(|(off, d)| (off, Bytes::from(d.clone()), d.len() as u32))
+                    .collect();
+                let (publish, data) = parts.split_last().expect("publish part");
+                let class = self.lib.config().traffic_class;
+                let chained =
+                    self.lib
+                        .write_batch_publish(ctx, id, data, Some((publish, class)), tok, class);
+                self.log
+                    .lock()
+                    .push(format!("batch[{tok}]:chained:{chained}"));
             }
             Step::Write {
                 region_idx,
@@ -216,8 +251,12 @@ impl Actor for TestClient {
             // arrive; RPCs can be lost across a PMM takeover). Retries
             // back off exponentially up to the configured cap.
             if self.waiting {
-                if let Some(Step::Create { .. } | Step::Open { .. } | Step::Delete { .. }) =
-                    self.steps.get(self.pos)
+                if let Some(
+                    Step::Create { .. }
+                    | Step::CreatePlaced { .. }
+                    | Step::Open { .. }
+                    | Step::Delete { .. },
+                ) = self.steps.get(self.pos)
                 {
                     self.retry_attempt += 1;
                     self.fire(ctx);
@@ -269,16 +308,6 @@ impl Actor for TestClient {
         let msg = match msg.take::<RdmaWriteDone>() {
             Ok((_, done)) => {
                 if let Some(c) = self.lib.on_rdma_write_done(ctx, &done) {
-                    self.log_write_completion(ctx, &c);
-                    self.advance(ctx);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<simnet::RdmaFlushDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_rdma_flush_done(ctx, &done) {
                     self.log_write_completion(ctx, &c);
                     self.advance(ctx);
                 }
@@ -1569,19 +1598,28 @@ fn flush_modes_complete_ok_and_pay_extra_latency() {
         assert!(!log[1].contains("degraded"), "{log:?}");
         assert_eq!(log[2], "quiesced:true", "{log:?}");
         let flushes = sc.pmm.npmu_a.stats.lock().flushes + sc.pmm.npmu_b.stats.lock().flushes;
+        let net = sc.machine.lock().net.clone();
+        assert_eq!(net.lock().stats.rdma_flushes, 0, "no standalone flush verb");
         (ts(&log[1]), flushes)
     };
     let (nic, f_nic) = run(PersistMode::NicAck);
     let (fread, f_read) = run(PersistMode::FlushOnRead);
     let (flush, f_flush) = run(PersistMode::PersistFlush);
-    // Only the explicit-flush mode exercises the device flush verb.
+    // Only `PersistFlush` chains carry the device persist fence: one per
+    // touched half.
     assert_eq!(f_nic, 0);
     assert_eq!(f_read, 0);
-    assert!(f_flush >= 2, "one flush per touched half, got {f_flush}");
-    // Honesty costs a persist round trip: both flush modes complete
-    // strictly later than the optimistic ack-is-durable mode.
-    assert!(fread > nic, "FlushOnRead {fread} !> NicAck {nic}");
+    assert_eq!(f_flush, 2, "one fence per touched half");
+    // Honesty costs something in both flush modes — but the fence rides
+    // the chain's own round trip (device flush cost only), while the
+    // forcing read pays a second one.
     assert!(flush > nic, "PersistFlush {flush} !> NicAck {nic}");
+    assert!(fread > flush, "FlushOnRead {fread} !> PersistFlush {flush}");
+    assert!(
+        flush - nic < 5_000,
+        "fence cost a round trip: {}",
+        flush - nic
+    );
 }
 
 #[test]
@@ -1622,14 +1660,108 @@ fn persist_flush_write_degrades_when_half_down() {
     sc.sim.run_until(SimTime(5 * SECS));
     let log = log.lock();
     assert_eq!(log.len(), 3, "{log:?}");
-    // The persist phase only targets halves that acked data: the write
-    // completes Ok (survivor flushed) but degraded.
+    // One half NACKed its fenced chain whole: the write completes Ok
+    // (the survivor's ack proved its chain persistent) but degraded.
     assert!(log[1].contains("Ok:asexpected:degraded"), "{log:?}");
     assert_eq!(log[2], "quiesced:true", "{log:?}");
     assert_eq!(sc.pmm.npmu_a.stats.lock().flushes, 1);
     assert_eq!(sc.pmm.npmu_b.stats.lock().flushes, 0);
     let a = sc.pmm.npmu_a.mem.lock().read(pmm::META_BYTES, 4);
     assert_eq!(a, vec![0x21; 4]);
+}
+
+/// Two-member pool (4 devices), no faults.
+fn build_pool2(store: &mut DurableStore, seed: u64) -> Scenario {
+    let mut sim = Sim::with_seed(seed);
+    let net = Network::new(FabricConfig::default());
+    let machine = Machine::new(
+        MachineConfig {
+            cpus: 6,
+            ..MachineConfig::default()
+        },
+        net.clone(),
+    );
+    let volumes: Vec<_> = (0..2u32)
+        .map(|v| {
+            let dev = NpmuConfig::hardware(16 << 20).with_volume(v);
+            let mut half = |h: &str| {
+                let name = format!("pool{v}-{h}");
+                Npmu::install(&mut sim, store, &net, Some(&machine), &name, dev.clone())
+            };
+            (half("a"), half("b"))
+        })
+        .collect();
+    let pmm = pmm::install_pmm_pool(
+        &mut sim,
+        &machine,
+        "$PMM",
+        &volumes,
+        CpuId(0),
+        None,
+        PmmConfig::default(),
+    );
+    Monitor::install(&mut sim, &machine, FaultPlan::none());
+    Scenario { sim, machine, pmm }
+}
+
+/// A batch whose data and publish part all land on one member volume goes
+/// out as ONE ordered chain per mirror half, publish part last, and the
+/// library says so; when the data sits on another member the publish part
+/// is NOT posted and the library says that too (the caller must then
+/// publish after completion).
+#[test]
+fn batch_chains_per_member_and_reports_when_it_spans_two() {
+    const UNIT: u64 = 64 << 10;
+    let mut store = DurableStore::new();
+    let mut sc = build_pool2(&mut store, 83);
+    let log = spawn_client_custom(
+        &mut sc,
+        CpuId(2),
+        vec![
+            Step::CreatePlaced {
+                name: "trail".into(),
+                len: 8 * UNIT,
+                placement: pmm::PlacementHint::Striped { unit: UNIT },
+            },
+            // Data in stripe chunk 0, "cell" at offset 0: both on member 0.
+            Step::WriteBatch {
+                region_idx: 0,
+                parts: vec![
+                    (4096, vec![0xD1; 512]),
+                    (8192, vec![0xD2; 512]),
+                    (0, vec![0xC1; 16]),
+                ],
+            },
+            // Data in stripe chunk 1 (member 1), "cell" on member 0.
+            Step::WriteBatch {
+                region_idx: 0,
+                parts: vec![(UNIT + 4096, vec![0xD3; 512]), (0, vec![0xC2; 16])],
+            },
+            Step::CheckQuiesced,
+        ],
+        MirrorPolicy::ParallelBoth,
+        |lib| lib.with_config(mode_cfg(PersistMode::PersistFlush)),
+    );
+    sc.sim.run_until_idle();
+    let log = log.lock();
+    assert_eq!(log[1], "batch[1]:chained:true", "{log:?}");
+    assert!(log[2].contains("write[1]:Ok:asexpected"), "{log:?}");
+    assert_eq!(log[3], "batch[2]:chained:false", "{log:?}");
+    assert!(log[4].contains("write[2]:Ok:asexpected"), "{log:?}");
+    assert_eq!(log[5], "quiesced:true", "{log:?}");
+    // Only client chains carry a fence (the PMM's metadata writes do
+    // not), so fences count chains: each member took ONE per half — the
+    // first batch's three parts on member 0, the second's data on 1.
+    let (m0, m1) = (&sc.pmm.volumes[0], &sc.pmm.volumes[1]);
+    for h in [&m0.0, &m0.1, &m1.0, &m1.1] {
+        assert_eq!(h.stats.lock().flushes, 1);
+    }
+    // Member 0's extent starts right after the metadata: the first
+    // batch's cell landed behind its data; the second's was never posted.
+    for h in [&m0.0, &m0.1] {
+        assert_eq!(h.mem.lock().read(pmm::META_BYTES, 16), vec![0xC1; 16]);
+        assert_eq!(h.mem.lock().read(pmm::META_BYTES + 4096, 4), vec![0xD1; 4]);
+    }
 }
 
 #[test]

@@ -45,6 +45,9 @@ pub struct NetStats {
     /// Checksum ("scrub") reads: the device digests a range and replies
     /// with 8 bytes instead of the data.
     pub rdma_crc_reads: u64,
+    /// Standalone flush verbs. The verb is gone — a persist fence now
+    /// rides the write chain it closes — so this reads 0; the field stays
+    /// for artifact readers.
     pub rdma_flushes: u64,
     /// Device-side atomic appends (near-device offload verb 1); the
     /// byte counter tracks virtual record bytes, probes count 0.

@@ -59,9 +59,10 @@ pub enum PersistMode {
     /// forced to the array (Kashyap's read-after-write trick). One extra
     /// round trip, no special device verb required.
     FlushOnRead,
-    /// Issue an explicit flush verb with its own device-side latency;
-    /// its completion proves persistence. The honest default for
-    /// commit-critical writers.
+    /// Close each write chain with a persist fence: the device drains its
+    /// ingress buffer and pays its flush cost before the one ack, whose
+    /// arrival proves persistence. No extra round trip. The honest
+    /// default for commit-critical writers.
     #[default]
     PersistFlush,
 }
@@ -92,22 +93,45 @@ pub struct NetDelivery {
     pub payload: Box<dyn Any + Send>,
 }
 
-/// An RDMA write arriving at a device actor.
-pub struct InboundRdmaWrite {
-    pub from_ep: EndpointId,
-    /// Actor to notify with [`RdmaWriteDone`].
-    pub reply_to: ActorId,
-    pub op_id: u64,
-    /// Network virtual address within the target's exposed space.
+/// One write of an ordered chain: `data` lands at network virtual
+/// address `addr` within the target's exposed space.
+#[derive(Clone, Debug)]
+pub struct ChainLink {
     pub addr: u64,
     pub data: Bytes,
-    /// On-wire span of the write, ≥ `data.len()` (compact descriptors
+    /// On-wire span of the link, ≥ `data.len()` (compact descriptors
     /// carry fewer payload bytes than they cover). The target must
     /// validate/translate this span, not `data.len()`: a compact write
     /// starting exactly on a translation-window boundary would otherwise
     /// zero-length-match the *preceding* window and bounce off its
     /// permissions.
     pub wire_len: u32,
+}
+
+impl ChainLink {
+    /// Bytes this link occupies on the wire and in the target's
+    /// translation check.
+    pub fn span(&self) -> u64 {
+        (self.wire_len as u64).max(self.data.len() as u64)
+    }
+}
+
+/// An ordered chain of RDMA writes arriving at a device actor, posted
+/// with one doorbell and answered with one [`RdmaWriteDone`]. The target
+/// applies the links strictly in order — after a power cut its media hold
+/// a prefix of them, never link *k+1* without link *k* — and rejects the
+/// chain whole if any link fails validation. A plain write is the
+/// one-link, unfenced chain.
+pub struct InboundRdmaWrite {
+    pub from_ep: EndpointId,
+    /// Actor to notify with [`RdmaWriteDone`].
+    pub reply_to: ActorId,
+    pub op_id: u64,
+    pub links: Vec<ChainLink>,
+    /// Trailing persist fence: the target must have every link — and,
+    /// its ingress being FIFO, every write it acknowledged earlier — on
+    /// persistent media before it answers.
+    pub fence: bool,
     /// Class the request travelled in; replies inherit it.
     pub class: TrafficClass,
 }
@@ -134,15 +158,6 @@ pub struct InboundRdmaCrcRead {
     pub op_id: u64,
     pub addr: u64,
     pub len: u32,
-    pub class: TrafficClass,
-}
-
-/// A persist-flush verb arriving at a device actor: the device must
-/// drain its volatile ingress buffer to the array before answering.
-pub struct InboundRdmaFlush {
-    pub from_ep: EndpointId,
-    pub reply_to: ActorId,
-    pub op_id: u64,
     pub class: TrafficClass,
 }
 
@@ -180,7 +195,7 @@ pub struct InboundRdmaAppend {
 
 /// A device-local scrub command arriving at a device actor (offload
 /// verb two): digest `ceil(len / chunk)` consecutive chunks of the
-/// addressed range locally and reply with the 4-byte CRCs — a verify
+/// addressed range locally and reply with the 4-byte digests — a verify
 /// pass ships O(digests), not O(bytes).
 pub struct InboundRdmaScrub {
     pub from_ep: EndpointId,
@@ -210,18 +225,11 @@ pub struct InboundRdmaCopy {
     pub class: TrafficClass,
 }
 
-/// Write completion, delivered to the initiator.
+/// Write completion, delivered to the initiator. For a fenced chain
+/// `Ok` means every link, and every write the target acknowledged before
+/// it, is on persistent media.
 #[derive(Clone, Debug)]
 pub struct RdmaWriteDone {
-    pub op_id: u64,
-    pub status: RdmaStatus,
-}
-
-/// Flush completion, delivered to the initiator: when `status == Ok`,
-/// every write the target device had acknowledged before this flush is on
-/// persistent media.
-#[derive(Clone, Copy, Debug)]
-pub struct RdmaFlushDone {
     pub op_id: u64,
     pub status: RdmaStatus,
 }
@@ -251,7 +259,8 @@ pub struct RdmaAppendDone {
     pub tail: u64,
 }
 
-/// Scrub completion: one CRC-32 per chunk of the scrubbed range.
+/// Scrub completion: one 32-bit digest per chunk of the scrubbed range
+/// (the field keeps its historical name).
 #[derive(Clone, Debug)]
 pub struct RdmaScrubDone {
     pub op_id: u64,
@@ -347,7 +356,6 @@ enum QosPayload {
     Write(InboundRdmaWrite),
     Read(InboundRdmaRead),
     Crc(InboundRdmaCrcRead),
-    Flush(InboundRdmaFlush),
     Append(InboundRdmaAppend),
     Scrub(InboundRdmaScrub),
     Copy(InboundRdmaCopy),
@@ -427,7 +435,6 @@ impl FabricArbiter {
                 QosPayload::Write(p) => ctx.send(target, d, p),
                 QosPayload::Read(p) => ctx.send(target, d, p),
                 QosPayload::Crc(p) => ctx.send(target, d, p),
-                QosPayload::Flush(p) => ctx.send(target, d, p),
                 QosPayload::Append(p) => ctx.send(target, d, p),
                 QosPayload::Scrub(p) => ctx.send(target, d, p),
                 QosPayload::Copy(p) => ctx.send(target, d, p),
@@ -631,13 +638,40 @@ pub fn rdma_write_sized(
     class: TrafficClass,
 ) {
     debug_assert!(wire_len as usize >= data.len());
-    let len = wire_len.max(data.len() as u32);
+    let link = ChainLink {
+        addr,
+        data,
+        wire_len,
+    };
+    rdma_write_chain(ctx, net, from_ep, to_ep, vec![link], false, op_id, class)
+}
+
+/// Post an ordered chain of writes with one doorbell, optionally closed
+/// by a persist fence. The chain pays one software overhead, the wire
+/// time of its summed link spans, one target-NIC pass and one
+/// [`RdmaWriteDone`]; under QoS it is one scheduled unit of the summed
+/// bytes in `class`. [`rdma_write`] and [`rdma_write_sized`] are its
+/// one-link, unfenced case.
+#[allow(clippy::too_many_arguments)]
+pub fn rdma_write_chain(
+    ctx: &mut Ctx<'_>,
+    net: &SharedNetwork,
+    from_ep: EndpointId,
+    to_ep: EndpointId,
+    links: Vec<ChainLink>,
+    fence: bool,
+    op_id: u64,
+    class: TrafficClass,
+) {
+    assert!(!links.is_empty(), "empty write chain");
+    let span: u64 = links.iter().map(ChainLink::span).sum();
+    let len = u32::try_from(span).expect("write chain exceeds the u32 wire-size field");
     match issue_leg(ctx, net, from_ep, to_ep, len, class) {
         Some(issued) => {
             let nic = {
                 let mut n = net.lock();
                 n.stats.rdma_writes += 1;
-                n.stats.rdma_write_bytes += len as u64;
+                n.stats.rdma_write_bytes += span;
                 n.cfg.target_nic_ns
             };
             let reply_to = ctx.self_id();
@@ -645,9 +679,8 @@ pub fn rdma_write_sized(
                 from_ep,
                 reply_to,
                 op_id,
-                addr,
-                data,
-                wire_len: len,
+                links,
+                fence,
                 class,
             };
             match issued {
@@ -660,7 +693,7 @@ pub fn rdma_write_sized(
                     to_ep,
                     PortDir::Rx,
                     class,
-                    len.max(1) as u64,
+                    span.max(1),
                     nic,
                     pre_ns,
                     target,
@@ -806,93 +839,16 @@ pub fn rdma_crc_read(
     }
 }
 
-/// Issue a persist flush to a device. Completion arrives as
-/// [`RdmaFlushDone`]. The verb itself is tiny (a doorbell write); the
-/// persistence cost is paid device-side before the reply.
-pub fn rdma_flush(
-    ctx: &mut Ctx<'_>,
-    net: &SharedNetwork,
-    from_ep: EndpointId,
-    to_ep: EndpointId,
-    op_id: u64,
-    class: TrafficClass,
-) {
-    match issue_leg(ctx, net, from_ep, to_ep, 16, class) {
-        Some(issued) => {
-            let nic = {
-                let mut n = net.lock();
-                n.stats.rdma_flushes += 1;
-                n.cfg.target_nic_ns
-            };
-            let reply_to = ctx.self_id();
-            let inbound = InboundRdmaFlush {
-                from_ep,
-                reply_to,
-                op_id,
-                class,
-            };
-            match issued {
-                Issued::Legacy { target, ns } => {
-                    ctx.send(target, SimDuration::from_nanos(ns), inbound)
-                }
-                Issued::Qos { target, pre_ns } => qos_route(
-                    ctx,
-                    net,
-                    to_ep,
-                    PortDir::Rx,
-                    class,
-                    16,
-                    nic,
-                    pre_ns,
-                    target,
-                    QosPayload::Flush(inbound),
-                ),
-            }
-        }
-        None => {
-            net.lock().stats.unreachable += 1;
-            ctx.send_self(
-                SimDuration::from_nanos(UNREACHABLE_TIMEOUT_NS),
-                RdmaFlushDone {
-                    op_id,
-                    status: RdmaStatus::Unreachable,
-                },
-            );
-        }
-    }
-}
-
-/// Called by a device actor to complete an inbound write: sends the
-/// hardware ack back to the initiator. Acks are tiny priority control
+/// Called by a device actor to complete an inbound write chain: sends
+/// the hardware ack back to the initiator. Acks are tiny priority control
 /// packets in real fabrics; they ride outside the schedulers in both
-/// modes.
+/// modes. `persist_ns` is the device-side cost of a trailing persist
+/// fence, paid before the ack leaves (modelled as reply delay, like a
+/// real verb's completion ordering); `0` for an unfenced chain.
 pub fn reply_rdma_write(
     ctx: &mut Ctx<'_>,
     net: &SharedNetwork,
     req: &InboundRdmaWrite,
-    status: RdmaStatus,
-) {
-    let ack_ns = {
-        let n = net.lock();
-        n.cfg.ack_ns
-    };
-    ctx.send(
-        req.reply_to,
-        SimDuration::from_nanos(ack_ns),
-        RdmaWriteDone {
-            op_id: req.op_id,
-            status,
-        },
-    );
-}
-
-/// Called by a device actor to complete an inbound flush once its ingress
-/// buffer is on media. `persist_ns` is the device-side drain cost already
-/// paid (modelled as reply delay, like a real verb's completion ordering).
-pub fn reply_rdma_flush(
-    ctx: &mut Ctx<'_>,
-    net: &SharedNetwork,
-    req: &InboundRdmaFlush,
     status: RdmaStatus,
     persist_ns: u64,
 ) {
@@ -903,7 +859,7 @@ pub fn reply_rdma_flush(
     ctx.send(
         req.reply_to,
         SimDuration::from_nanos(ack_ns + persist_ns),
-        RdmaFlushDone {
+        RdmaWriteDone {
             op_id: req.op_id,
             status,
         },
@@ -1333,12 +1289,15 @@ mod tests {
             let msg = match msg.take::<InboundRdmaWrite>() {
                 Ok((_, w)) => {
                     let mut mem = self.mem.lock();
-                    let end = w.addr as usize + w.data.len();
-                    if end > mem.len() {
-                        reply_rdma_write(ctx, &self.net, &w, RdmaStatus::OutOfBounds);
+                    let fits = |l: &ChainLink| l.addr as usize + l.data.len() <= mem.len();
+                    if !w.links.iter().all(fits) {
+                        reply_rdma_write(ctx, &self.net, &w, RdmaStatus::OutOfBounds, 0);
                     } else {
-                        mem[w.addr as usize..end].copy_from_slice(&w.data);
-                        reply_rdma_write(ctx, &self.net, &w, RdmaStatus::Ok);
+                        for l in &w.links {
+                            let at = l.addr as usize;
+                            mem[at..at + l.data.len()].copy_from_slice(&l.data);
+                        }
+                        reply_rdma_write(ctx, &self.net, &w, RdmaStatus::Ok, 0);
                     }
                     return;
                 }
@@ -1619,6 +1578,88 @@ mod tests {
                 ev[0].0, expected,
                 "qos={enabled}: write latency diverged from analytic path"
             );
+        }
+    }
+
+    /// A chain is one op: one software overhead, the wire time of its
+    /// summed spans, one NIC pass, one ack — on both completion paths —
+    /// counted once with its links' bytes summed.
+    #[test]
+    fn chain_is_priced_and_counted_as_one_op_of_summed_bytes() {
+        struct ChainHost {
+            net: SharedNetwork,
+            ep: EndpointId,
+            dev_ep: EndpointId,
+            done_at: Arc<parking_lot::Mutex<Vec<u64>>>,
+        }
+        impl Actor for ChainHost {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+                if msg.is::<Start>() {
+                    let links = vec![
+                        ChainLink {
+                            addr: 64,
+                            data: Bytes::from(vec![0xCDu8; 32]),
+                            wire_len: 4096,
+                        },
+                        ChainLink {
+                            addr: 0,
+                            data: Bytes::from(vec![0xEFu8; 16]),
+                            wire_len: 16,
+                        },
+                    ];
+                    let net = self.net.clone();
+                    let class = TrafficClass::Commit;
+                    rdma_write_chain(ctx, &net, self.ep, self.dev_ep, links, true, 1, class);
+                    return;
+                }
+                if let Ok((_, done)) = msg.take::<RdmaWriteDone>() {
+                    assert_eq!(done.status, RdmaStatus::Ok);
+                    self.done_at.lock().push(ctx.now().as_nanos());
+                }
+            }
+        }
+
+        let cfg = FabricConfig {
+            jitter_frac: 0.0,
+            ..FabricConfig::default()
+        };
+        for qos in [QosConfig::disabled(), QosConfig::drr(0.9)] {
+            let mut sim = Sim::with_seed(3);
+            let net = Network::with_qos(cfg.clone(), qos);
+            let mem = Arc::new(parking_lot::Mutex::new(vec![0u8; 1 << 16]));
+            let done_at = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let (dev_ep, host_ep) = {
+                let mut n = net.lock();
+                (n.attach(ActorId(u32::MAX)), n.attach(ActorId(u32::MAX)))
+            };
+            let dev = sim.spawn(Device {
+                net: net.clone(),
+                ep: dev_ep,
+                mem: mem.clone(),
+            });
+            let host = sim.spawn(ChainHost {
+                net: net.clone(),
+                ep: host_ep,
+                dev_ep,
+                done_at: done_at.clone(),
+            });
+            {
+                let mut n = net.lock();
+                n.rebind(dev_ep, dev);
+                n.rebind(host_ep, host);
+            }
+            sim.run_until_idle();
+            let expected = cfg.sw_overhead_ns
+                + latency::wire_ns(&cfg, 4096 + 16)
+                + cfg.target_nic_ns
+                + cfg.ack_ns;
+            assert_eq!(*done_at.lock(), vec![expected]);
+            assert_eq!(&mem.lock()[64..68], &[0xCD; 4]);
+            assert_eq!(&mem.lock()[0..4], &[0xEF; 4]);
+            let stats = net.lock().stats;
+            assert_eq!((stats.rdma_writes, stats.rdma_write_bytes), (1, 4096 + 16));
+            let commit = net.lock().class_totals()[TrafficClass::Commit.idx()];
+            assert_eq!((commit.ops, commit.bytes), (1, 4096 + 16));
         }
     }
 

@@ -14,6 +14,23 @@
 //!   cell write is in flight, and when it completes it covers *every*
 //!   append finished since the previous one. Acks and commit-flush
 //!   answers are released only from the acked (published) watermark.
+//! * When nothing older is in flight or unpublished, the cell naming a
+//!   batch's own end rides as the **last link of that batch's chain**:
+//!   the device applies a chain in order and the library closes it with
+//!   the persist fence, so trail data, watermark and durability arrive in
+//!   ONE fabric round trip. A cell is only ever posted behind the data it
+//!   names, on the same ordered channel to the same device.
+//! * A publishing chain is never overtaken: appends arriving behind one
+//!   stay staged and leave together as the next chain when it completes.
+//!   Posting them at once, un-chained, would cost a data round trip plus
+//!   a standalone publication queued behind it — never sooner than the
+//!   rest of the chain in flight plus one round trip — so the ring only
+//!   fills past one batch where the cell cannot ride (a striped trail
+//!   whose data sits on another member volume than the cell).
+//! * A write that no mirror half took is **re-driven** verbatim — same
+//!   offsets, same cell slot — and never advances a watermark: the
+//!   completion is the only durability signal there is. A write the
+//!   device *rejects* (fence, out of bounds) freezes the log instead.
 //!
 //! There is **no backup checkpoint at all** — exactly the redundancy
 //! §3.4 says PM eliminates. Takeover recovers the exact durable position
@@ -32,8 +49,7 @@ use pmclient::{
 use pmm::msgs::CreateRegionAck;
 use simcore::{Ctx, Msg, SimDuration};
 use simnet::{
-    EndpointId, PersistMode, RdmaAppendDone, RdmaFlushDone, RdmaReadDone, RdmaStatus,
-    RdmaWriteDone, TrafficClass,
+    EndpointId, PersistMode, RdmaAppendDone, RdmaReadDone, RdmaStatus, RdmaWriteDone, TrafficClass,
 };
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -117,11 +133,19 @@ struct CpuStaged {
     app: AuditAppend,
 }
 
+/// Pacing timer for re-driving a write that failed on every mirror half.
+struct Redrive {
+    token: u64,
+}
+
+/// One `(region offset, payload, wire length)` part of a library write.
+type Part = (u64, Bytes, u32);
+
 /// What a completed PmLib token was for.
 enum TokenKind {
     /// A batched data write (ring entry).
     Batch,
-    /// The coalesced control-cell write.
+    /// The standalone coalesced control-cell write.
     Ctrl,
     /// The boot/takeover control-cell read.
     BootRead,
@@ -139,15 +163,27 @@ struct AckSlot {
 /// (≤ 2 segments when the circular trail wraps) and the ack it owes.
 struct StagedAppend {
     slot: AckSlot,
-    parts: Vec<(u64, Bytes, u32)>,
+    parts: Vec<Part>,
 }
 
-/// One in-flight batched write in the pipeline ring.
+/// One in-flight batched write in the pipeline ring. The payload is kept
+/// so a failed round can be re-driven verbatim.
 struct Batch {
     write_token: u64,
     lsn_end: u64,
     slots: Vec<AckSlot>,
+    parts: Vec<Part>,
+    /// The control-cell slot naming `lsn_end` that rides as the last link
+    /// of this batch's chain: its completion publishes it.
+    publish: Option<Part>,
     done: bool,
+}
+
+/// The standalone control-cell write in flight.
+struct CtrlWrite {
+    token: u64,
+    watermark: u64,
+    part: Part,
 }
 
 /// The single in-flight device-side append (`pm_offload_append`). The
@@ -178,8 +214,8 @@ pub(crate) struct PmLog {
     /// A control write covering this watermark has completed (acked
     /// appends and flush answers come from this).
     acked_watermark: u64,
-    ctrl_write_inflight: Option<u64>, // watermark value being written
-    /// Which control-cell slot the NEXT control write targets (the other
+    ctrl_write_inflight: Option<CtrlWrite>,
+    /// Which control-cell slot the NEXT publication targets (the other
     /// slot holds the last published watermark).
     ctrl_slot: usize,
     /// Data durable (watermark-covered), waiting for a control write to
@@ -200,10 +236,11 @@ pub(crate) struct PmLog {
     offload: bool,
     /// The single in-flight device append (offload mode).
     offload_inflight: Option<OffloadBatch>,
-    /// A trail write bounced off an engaged device write fence: this ADP
-    /// is a fenced-off old primary. Nothing is submitted, acked or
-    /// re-driven past this point — the replica site owns the trail now,
-    /// and any ack we sent would be a durability lie.
+    /// A trail write was *rejected* by the device. Nothing is submitted,
+    /// acked or re-driven past this point. Normally that is an engaged
+    /// write fence: this ADP is a fenced-off old primary, the replica
+    /// site owns the trail now, and any ack we sent would be a durability
+    /// lie. Any other rejection is a fault no retry can cure.
     fenced: bool,
 }
 
@@ -252,14 +289,31 @@ impl PmLog {
         }
     }
 
-    /// Did this completion bounce off an engaged device write fence? If
-    /// so, freeze the log: drop the token, count it, and never submit,
-    /// ack or re-drive again. (A fence rejection is a *logical* status —
-    /// the library does not fail it over — so it surfaces here intact.)
-    fn check_fence(&mut self, sh: &mut AdpShared, status: RdmaStatus) -> bool {
-        if status == RdmaStatus::AccessViolation {
-            self.fenced = true;
-            sh.stats.lock().pm_fenced += 1;
+    /// Did the device *reject* this write (or is the log frozen already)?
+    /// If so, freeze the log: count it, and never submit, ack or re-drive
+    /// again. A rejection is a *logical* status — the library does not
+    /// fail it over — so it surfaces here intact: `AccessViolation` is an
+    /// engaged write fence; anything else (`OutOfBounds`) means the trail
+    /// addressed bytes the region does not own, which re-posting the same
+    /// payload cannot cure, so it is traced and counted instead of being
+    /// retried forever. Availability errors are not rejections.
+    fn check_rejected(
+        &mut self,
+        sh: &mut AdpShared,
+        ctx: &mut Ctx<'_>,
+        status: RdmaStatus,
+    ) -> bool {
+        match status {
+            RdmaStatus::Ok | RdmaStatus::DeviceFailed | RdmaStatus::Unreachable => {}
+            RdmaStatus::AccessViolation => {
+                self.fenced = true;
+                sh.stats.lock().pm_fenced += 1;
+            }
+            RdmaStatus::OutOfBounds => {
+                self.fenced = true;
+                sh.stats.lock().pm_write_faults += 1;
+                ctx.trace("adp: PM trail write rejected (OutOfBounds), log frozen");
+            }
         }
         self.fenced
     }
@@ -286,7 +340,12 @@ impl PmLog {
             return;
         }
         while self.ring.len() < sh.cfg.pm_pipeline_depth as usize && !self.staged.is_empty() {
-            let mut parts: Vec<(u64, Bytes, u32)> = Vec::new();
+            // Never overtake a publishing chain: what is staged leaves as
+            // the next chain, with its own cell, when this one completes.
+            if self.ring.front().is_some_and(|b| b.publish.is_some()) {
+                return;
+            }
+            let mut parts: Vec<Part> = Vec::new();
             let mut slots: Vec<AckSlot> = Vec::new();
             let mut lsn_end = 0;
             while let Some(s) = self.staged.pop_front() {
@@ -294,19 +353,69 @@ impl PmLog {
                 parts.extend(s.parts);
                 slots.push(s.slot);
             }
+            // With nothing older in flight or unpublished, everything
+            // below this batch is already published, so the cell may name
+            // the batch's own end and ride as the last link of its chain
+            // — if the library can keep the two on one ordered channel.
+            let mut publish = None;
+            if self.ring.is_empty()
+                && self.ctrl_write_inflight.is_none()
+                && self.awaiting_ctrl.is_empty()
+            {
+                debug_assert_eq!(self.data_watermark, self.acked_watermark);
+                publish = Some(self.ctrl_part(lsn_end));
+            }
             let tok = sh.alloc_tag();
             self.tokens.insert(tok, TokenKind::Batch);
-            sh.stats.lock().pm_batches += 1;
-            let region = self.region_id.expect("region ready");
-            self.lib
-                .write_batch_class(ctx, region, &parts, tok, self.audit_class);
+            if !self.post_batch(ctx, &parts, publish.as_ref(), tok) {
+                publish = None;
+            }
+            let mut st = sh.stats.lock();
+            st.pm_batches += 1;
+            if publish.is_some() {
+                self.ctrl_slot ^= 1;
+                st.pm_ctrl_writes += 1;
+                st.pm_ctrl_chained += 1;
+            }
+            drop(st);
             self.ring.push_back(Batch {
                 write_token: tok,
                 lsn_end,
                 slots,
+                parts,
+                publish,
                 done: false,
             });
         }
+    }
+
+    /// Post one batch: trail data rides the audit class — unless the
+    /// library chains the batch's own publication behind it: a chain that
+    /// gates commit acks rides the commit class, as device appends do.
+    /// Says whether the cell was chained (it is not posted otherwise).
+    fn post_batch(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        parts: &[Part],
+        publish: Option<&Part>,
+        token: u64,
+    ) -> bool {
+        let region = self.region_id.expect("region ready");
+        let publish = publish.map(|cell| (cell, self.commit_class));
+        self.lib
+            .write_batch_publish(ctx, region, parts, publish, token, self.audit_class)
+    }
+
+    /// The control-cell slot the next publication targets, encoding
+    /// `watermark`. Slots alternate so a torn write to one leaves the
+    /// other — holding the last published watermark — intact; the caller
+    /// flips `ctrl_slot` once it commits to posting the part.
+    fn ctrl_part(&self, watermark: u64) -> Part {
+        let mut cell = Vec::with_capacity(PM_CTRL_SLOT_BYTES as usize);
+        cell.extend_from_slice(&watermark.to_le_bytes());
+        cell.extend_from_slice(&pmm::meta::crc32(&watermark.to_le_bytes()).to_le_bytes());
+        let off = self.ctrl_slot as u64 * PM_CTRL_SLOT_BYTES;
+        (off, Bytes::from(cell), PM_CTRL_SLOT_BYTES as u32)
     }
 
     /// Submit the next device-side append (offload mode): ONE mirrored
@@ -378,16 +487,17 @@ impl PmLog {
                 let Some(batch) = self.offload_inflight.take() else {
                     return;
                 };
-                if self.check_fence(sh, c.status) {
-                    // Fenced: the batch dies unacked, nothing re-drives.
+                if self.check_rejected(sh, ctx, c.status) {
+                    // Frozen: the batch dies unacked, nothing re-drives.
                     return;
                 }
                 if c.status != RdmaStatus::Ok {
-                    // Zero halves acked (both unreachable or rejected):
+                    // Zero halves acked (both down or unreachable):
                     // re-drive the same payload. The per-leg write
                     // timeout paces the retries, and the min-tail ack
                     // math stays correct even if one half silently
                     // persisted the earlier attempt.
+                    sh.stats.lock().pm_redrives += 1;
                     self.issue_offload(sh, ctx, batch);
                     return;
                 }
@@ -409,10 +519,20 @@ impl PmLog {
     /// A PmLib write completed (batch or control).
     fn write_done(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, c: PmWriteComplete) {
         let token = c.token;
-        if self.check_fence(sh, c.status) {
-            // Fence rejection (or already frozen): the write's covered
-            // appends are never acked and the pipeline stays parked.
+        if self.check_rejected(sh, ctx, c.status) {
+            // Rejected (or already frozen): the write's covered appends
+            // are never acked and the pipeline stays parked.
             self.tokens.remove(&token);
+            return;
+        }
+        if c.status != RdmaStatus::Ok {
+            // No mirror half took the write (down, unreachable, timed
+            // out): nothing it carried is durable, so no watermark moves
+            // and no ack is released. Re-drive the same payload after the
+            // library's timeout (the token stays registered until then).
+            sh.stats.lock().pm_redrives += 1;
+            let pace = self.lib.config().write_timeout;
+            ctx.send_self(pace, Redrive { token });
             return;
         }
         match self.tokens.remove(&token) {
@@ -420,18 +540,8 @@ impl PmLog {
                 // Control write completed: everything through the written
                 // watermark is now provably recoverable — release every
                 // append it covers (coalesced publication).
-                let covered = self.ctrl_write_inflight.take().unwrap_or(0);
-                self.acked_watermark = self.acked_watermark.max(covered);
-                sh.durable_upto = sh.durable_upto.max(covered);
-                while self
-                    .awaiting_ctrl
-                    .front()
-                    .is_some_and(|a| a.lsn_end <= self.acked_watermark)
-                {
-                    let a = self.awaiting_ctrl.pop_front().unwrap();
-                    sh.send_append_done(ctx, a.from_ep, a.token, a.lsn_start, a.lsn_end);
-                }
-                sh.answer_waiters(ctx);
+                let covered = self.ctrl_write_inflight.take().map_or(0, |w| w.watermark);
+                self.publish(sh, ctx, covered);
                 self.maybe_write_ctrl(sh, ctx);
             }
             Some(TokenKind::Batch) => {
@@ -444,11 +554,52 @@ impl PmLog {
                     let b = self.ring.pop_front().unwrap();
                     self.data_watermark = self.data_watermark.max(b.lsn_end);
                     self.awaiting_ctrl.extend(b.slots);
+                    if b.publish.is_some() {
+                        // Its own cell rode the chain behind the data:
+                        // data, watermark and fence landed together.
+                        self.publish(sh, ctx, b.lsn_end);
+                    }
                 }
                 self.pump(sh, ctx);
                 self.maybe_write_ctrl(sh, ctx);
             }
             Some(TokenKind::BootRead) | None => {}
+        }
+    }
+
+    /// A cell naming `covered` is durable: everything through it is now
+    /// provably recoverable — release every append it covers and answer
+    /// the flush waiters.
+    fn publish(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, covered: u64) {
+        self.acked_watermark = self.acked_watermark.max(covered);
+        sh.durable_upto = sh.durable_upto.max(covered);
+        while self
+            .awaiting_ctrl
+            .front()
+            .is_some_and(|a| a.lsn_end <= self.acked_watermark)
+        {
+            let a = self.awaiting_ctrl.pop_front().unwrap();
+            sh.send_append_done(ctx, a.from_ep, a.token, a.lsn_start, a.lsn_end);
+        }
+        sh.answer_waiters(ctx);
+    }
+
+    /// The pacing timer of a failed write fired: post the same payload to
+    /// the same offsets (and the same cell slot) under the same token.
+    fn redrive(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        if self.fenced {
+            return;
+        }
+        if let Some(i) = self.ring.iter().position(|b| b.write_token == token) {
+            let (parts, publish) = (self.ring[i].parts.clone(), self.ring[i].publish.clone());
+            let chained = self.post_batch(ctx, &parts, publish.as_ref(), token);
+            debug_assert_eq!(chained, publish.is_some(), "stripe map moved under a batch");
+        } else if let Some(w) = self.ctrl_write_inflight.as_ref() {
+            if w.token == token {
+                let region = self.region_id.expect("region ready");
+                let part = std::slice::from_ref(&w.part);
+                self.lib.write_batch(ctx, region, part, token);
+            }
         }
     }
 
@@ -462,27 +613,20 @@ impl PmLog {
         {
             return;
         }
-        let wm = self.data_watermark;
-        self.ctrl_write_inflight = Some(wm);
-        let mut cell = Vec::with_capacity(PM_CTRL_SLOT_BYTES as usize);
-        cell.extend_from_slice(&wm.to_le_bytes());
-        cell.extend_from_slice(&pmm::meta::crc32(&wm.to_le_bytes()).to_le_bytes());
-        let tok = sh.alloc_tag();
-        self.tokens.insert(tok, TokenKind::Ctrl);
+        let watermark = self.data_watermark;
+        let part = self.ctrl_part(watermark);
+        self.ctrl_slot ^= 1;
+        let token = sh.alloc_tag();
+        self.tokens.insert(token, TokenKind::Ctrl);
         sh.stats.lock().pm_ctrl_writes += 1;
         let region = self.region_id.expect("region ready");
-        // Alternate slots so a torn write to one slot leaves the other —
-        // holding the last published watermark — intact.
-        let off = self.ctrl_slot as u64 * PM_CTRL_SLOT_BYTES;
-        self.ctrl_slot ^= 1;
-        self.lib.write_sized(
-            ctx,
-            region,
-            off,
-            Bytes::from(cell),
-            PM_CTRL_SLOT_BYTES as u32,
-            tok,
-        );
+        self.lib
+            .write_batch(ctx, region, std::slice::from_ref(&part), token);
+        self.ctrl_write_inflight = Some(CtrlWrite {
+            token,
+            watermark,
+            part,
+        });
     }
 
     /// Boot/takeover: region acked → read the control cell.
@@ -561,7 +705,7 @@ impl PmLog {
         // trail wraps). In offload mode the device assigns the offsets
         // (and handles the wrap) itself, so the records stage whole.
         let cap = self.trail_capacity();
-        let mut parts: Vec<(u64, Bytes, u32)> = Vec::new();
+        let mut parts: Vec<Part> = Vec::new();
         if self.offload {
             let wire = u32::try_from(virt).expect("append exceeds the u32 wire-size field");
             parts.push((PM_CTRL_BYTES + (lsn_start % cap), app.records.clone(), wire));
@@ -656,6 +800,16 @@ impl AuditLog for PmLog {
             Err(m) => m,
         };
 
+        let msg = match msg.take::<Redrive>() {
+            Ok((_, r)) => {
+                if role == Role::Primary {
+                    self.redrive(ctx, r.token);
+                }
+                return None;
+            }
+            Err(m) => m,
+        };
+
         // Device-append completion / timeout (offload mode).
         let msg = match msg.take::<RdmaAppendDone>() {
             Ok((_, done)) => {
@@ -692,17 +846,6 @@ impl AuditLog for PmLog {
         let msg = match msg.take::<PmWriteTimeout>() {
             Ok((_, t)) => {
                 if let Some(c) = self.lib.on_write_timeout(ctx, &t) {
-                    self.write_done(sh, ctx, c);
-                }
-                return None;
-            }
-            Err(m) => m,
-        };
-
-        // Persist-phase flush completion (PersistFlush mode).
-        let msg = match msg.take::<RdmaFlushDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_rdma_flush_done(ctx, &done) {
                     self.write_done(sh, ctx, c);
                 }
                 return None;

@@ -118,63 +118,64 @@ impl AuditRecord {
     }
 
     /// Decode one record from the front of `buf`. Returns the record and
-    /// bytes consumed, or `None` for a torn/invalid/short prefix.
+    /// bytes consumed, or `None` for a torn/invalid/short prefix. Total:
+    /// no byte string panics it, and whatever it accepts re-encodes to
+    /// exactly the bytes consumed.
     pub fn decode(buf: &[u8]) -> Option<(AuditRecord, usize)> {
-        if buf.len() < 10 || buf[0] != MAGIC {
+        let le_u32 = |b: &[u8], o: usize| -> Option<u32> {
+            Some(u32::from_le_bytes(b.get(o..o + 4)?.try_into().ok()?))
+        };
+        let le_u64 = |b: &[u8], o: usize| -> Option<u64> {
+            Some(u64::from_le_bytes(b.get(o..o + 8)?.try_into().ok()?))
+        };
+        if *buf.first()? != MAGIC {
             return None;
         }
-        let tag = buf[1];
-        let body_len = u32::from_le_bytes(buf[2..6].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(buf[6..10].try_into().unwrap());
-        if buf.len() < 10 + body_len {
+        let tag = *buf.get(1)?;
+        let body_len = le_u32(buf, 2)? as usize;
+        let crc = le_u32(buf, 6)?;
+        let body = buf.get(10..10usize.checked_add(body_len)?)?;
+        // Lengths before contents, and before the checksum: a body's
+        // length follows from its tag and, for the variable records, a
+        // count inside it. A lapped or torn trail offers garbage headers
+        // whose `body_len` can span megabytes of the slice; they are
+        // turned away here instead of being checksummed first.
+        let want = match tag {
+            1 => 36usize.checked_add(le_u32(body, 32)? as usize)?,
+            2 | 3 | 5 => 8,
+            4 => (le_u32(body, 0)? as usize).checked_mul(8)?.checked_add(4)?,
+            _ => return None,
+        };
+        if body_len != want || pmm::meta::crc32(body) != crc {
             return None;
         }
-        let body = &buf[10..10 + body_len];
-        if pmm::meta::crc32(body) != crc {
-            return None;
-        }
-        let rd_u64 = |o: usize| u64::from_le_bytes(body[o..o + 8].try_into().unwrap());
-        let rd_u32 = |o: usize| u32::from_le_bytes(body[o..o + 4].try_into().unwrap());
         let rec = match tag {
-            1 => {
-                if body.len() < 36 {
-                    return None;
-                }
-                let payload_len = rd_u32(32) as usize;
-                if body.len() < 36 + payload_len {
-                    return None;
-                }
-                AuditRecord::Insert {
-                    txn: TxnId(rd_u64(0)),
-                    partition: PartitionId {
-                        file: rd_u32(8),
-                        part: rd_u32(12),
-                    },
-                    key: rd_u64(16),
-                    virtual_len: rd_u32(24),
-                    body_crc: rd_u32(28),
-                    body: Bytes::copy_from_slice(&body[36..36 + payload_len]),
-                }
-            }
+            1 => AuditRecord::Insert {
+                txn: TxnId(le_u64(body, 0)?),
+                partition: PartitionId {
+                    file: le_u32(body, 8)?,
+                    part: le_u32(body, 12)?,
+                },
+                key: le_u64(body, 16)?,
+                virtual_len: le_u32(body, 24)?,
+                body_crc: le_u32(body, 28)?,
+                body: Bytes::copy_from_slice(&body[36..]),
+            },
             2 => AuditRecord::Commit {
-                txn: TxnId(rd_u64(0)),
+                txn: TxnId(le_u64(body, 0)?),
             },
             3 => AuditRecord::Abort {
-                txn: TxnId(rd_u64(0)),
+                txn: TxnId(le_u64(body, 0)?),
             },
-            4 => {
-                let n = rd_u32(0) as usize;
-                if body.len() < 4 + 8 * n {
-                    return None;
-                }
-                AuditRecord::CheckpointMark {
-                    active_txns: (0..n).map(|i| TxnId(rd_u64(4 + 8 * i))).collect(),
-                }
-            }
-            5 => AuditRecord::Prepared {
-                txn: TxnId(rd_u64(0)),
+            4 => AuditRecord::CheckpointMark {
+                active_txns: body[4..]
+                    .chunks_exact(8)
+                    .map(|c| TxnId(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
+                    .collect(),
             },
-            _ => return None,
+            _ => AuditRecord::Prepared {
+                txn: TxnId(le_u64(body, 0)?),
+            },
         };
         Some((rec, 10 + body_len))
     }
@@ -284,6 +285,135 @@ mod tests {
         let mut junk = vec![MAGIC, 99];
         junk.extend_from_slice(&[0u8; 32]);
         assert!(AuditRecord::decode(&junk).is_none());
+    }
+
+    /// PR 11's finding: a lapped PM trail offered `AD 04 00 00 00 00 00 00
+    /// 00 00` — a checkpoint mark with an empty body whose CRC (0) is
+    /// valid — and the count field was read before any length check. A
+    /// body's length is judged against its tag before, and apart from,
+    /// the checksum: wrong for the tag means rejected even when the CRC
+    /// over that span is valid, so a garbage `body_len` is never what
+    /// decides how many bytes get checksummed.
+    #[test]
+    fn decode_rejects_a_wrong_length_whose_crc_is_valid() {
+        let framed = |tag: u8, body: &[u8]| {
+            let mut rec = vec![MAGIC, tag];
+            rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            rec.extend_from_slice(&pmm::meta::crc32(body).to_le_bytes());
+            rec.extend_from_slice(body);
+            rec
+        };
+        for tag in 1..=5u8 {
+            assert_eq!(framed(tag, &[]), [MAGIC, tag, 0, 0, 0, 0, 0, 0, 0, 0]);
+            assert!(
+                AuditRecord::decode(&framed(tag, &[])).is_none(),
+                "tag {tag}"
+            );
+        }
+        // Too long, too short, and a count that disagrees with the length.
+        let one_txn_in_20 = [&1u32.to_le_bytes()[..], &[0; 16]].concat();
+        for (tag, body) in [
+            (2u8, vec![0; 9]),
+            (3, vec![0; 16]),
+            (5, vec![0; 7]),
+            (4, vec![0; 3]),
+            (4, one_txn_in_20),
+            (1, vec![0; 35]),
+        ] {
+            assert!(
+                AuditRecord::decode(&framed(tag, &body)).is_none(),
+                "tag {tag}"
+            );
+        }
+        // Control: the right length under the same framing decodes.
+        assert_eq!(
+            AuditRecord::decode(&framed(2, &7u64.to_le_bytes())),
+            Some((AuditRecord::Commit { txn: TxnId(7) }, 18))
+        );
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn any_record() -> impl Strategy<Value = AuditRecord> {
+            prop_oneof![
+                (
+                    any::<u64>(),
+                    any::<u32>(),
+                    any::<u64>(),
+                    proptest::collection::vec(any::<u8>(), 0..40)
+                )
+                    .prop_map(|(txn, part, key, payload)| AuditRecord::Insert {
+                        txn: TxnId(txn),
+                        partition: PartitionId { file: part, part },
+                        key,
+                        virtual_len: part,
+                        body_crc: pmm::meta::crc32(&payload),
+                        body: Bytes::from(payload),
+                    }),
+                any::<u64>().prop_map(|t| AuditRecord::Commit { txn: TxnId(t) }),
+                any::<u64>().prop_map(|t| AuditRecord::Abort { txn: TxnId(t) }),
+                any::<u64>().prop_map(|t| AuditRecord::Prepared { txn: TxnId(t) }),
+                proptest::collection::vec(any::<u64>(), 0..6).prop_map(|v| {
+                    AuditRecord::CheckpointMark {
+                        active_txns: v.into_iter().map(TxnId).collect(),
+                    }
+                }),
+            ]
+        }
+
+        /// Whatever `decode` accepts re-encodes to exactly the prefix it
+        /// consumed; everything else is `None`, never a panic.
+        fn check_total(buf: &[u8]) {
+            if let Some((rec, used)) = AuditRecord::decode(buf) {
+                assert!(used <= buf.len());
+                assert_eq!(&rec.encode()[..], &buf[..used]);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn decode_any_bytes_is_total(
+                raw in proptest::collection::vec(any::<u8>(), 0..96),
+                tag in 0u8..8,
+                claim in 0u32..80,
+            ) {
+                check_total(&raw);
+                // The same bytes behind a header whose magic, tag and CRC
+                // are all valid for the claimed length: only the length
+                // logic stands between garbage and the field reads.
+                let body = &raw[..(claim as usize).min(raw.len())];
+                let mut framed = vec![MAGIC, tag];
+                framed.extend_from_slice(&claim.to_le_bytes());
+                framed.extend_from_slice(&pmm::meta::crc32(body).to_le_bytes());
+                framed.extend_from_slice(&raw);
+                check_total(&framed);
+            }
+
+            #[test]
+            fn decode_survives_mutated_records(
+                rec in any_record(),
+                at in any::<u32>(),
+                with in any::<u8>(),
+                cut in any::<u32>(),
+                tail in proptest::collection::vec(any::<u8>(), 0..16),
+            ) {
+                let mut enc = rec.encode().to_vec();
+                let (back, used) = AuditRecord::decode(&enc).expect("canonical");
+                prop_assert_eq!(&back, &rec);
+                prop_assert_eq!(used, enc.len());
+                // Trailing bytes are not consumed; truncations are torn.
+                enc.extend_from_slice(&tail);
+                check_total(&enc);
+                prop_assert!(AuditRecord::decode(&enc[..cut as usize % used]).is_none());
+                let i = at as usize % enc.len();
+                enc[i] = with;
+                check_total(&enc);
+            }
+        }
     }
 
     #[test]

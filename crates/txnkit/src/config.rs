@@ -68,7 +68,9 @@ pub struct TxnConfig {
     /// PM audit pipeline depth: how many batched trail writes an ADP
     /// keeps in flight before further appends coalesce into the next
     /// batch. 1 degenerates to the pre-pipelined one-write-at-a-time
-    /// discipline.
+    /// discipline. A batch that carries its own control cell is never
+    /// overtaken, so the bound only bites where the cell cannot ride its
+    /// batch (a striped trail).
     pub pm_pipeline_depth: u32,
     /// Remote-persistence mode the ADP's PM client runs in (see
     /// [`simnet::PersistMode`]). The default — and `pm_enabled()` — is

@@ -46,8 +46,7 @@ use parking_lot::Mutex;
 use pmclient::{PmClientConfig, PmLib, PmReadTimeout, PmWriteTimeout};
 use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration};
 use simnet::{
-    EndpointId, NetDelivery, RdmaFlushDone, RdmaReadDone, RdmaStatus, RdmaWriteDone, SharedWanLink,
-    TrafficClass,
+    EndpointId, NetDelivery, RdmaReadDone, RdmaStatus, RdmaWriteDone, SharedWanLink, TrafficClass,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -802,15 +801,6 @@ impl Actor for ReplicaApply {
         let msg = match msg.take::<PmWriteTimeout>() {
             Ok((_, t)) => {
                 if let Some(c) = self.lib.on_write_timeout(ctx, &t) {
-                    self.write_complete(ctx, c);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<RdmaFlushDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_rdma_flush_done(ctx, &done) {
                     self.write_complete(ctx, c);
                 }
                 return;

@@ -28,10 +28,15 @@ pub struct TxnStats {
     /// Log-writer → persistent-memory writes (one mirrored API call per
     /// appended row = 1 action, per the paper's §3.4 accounting).
     pub pm_writes: u64,
-    /// Control-cell (watermark) writes: 16-byte bookkeeping, amortized
-    /// across appends; tracked separately and *not* counted as a per-row
-    /// persistence action.
+    /// Control-cell (watermark) publications: 16-byte bookkeeping,
+    /// amortized across appends; tracked separately and *not* counted as
+    /// a per-row persistence action. Counts chained and standalone
+    /// publications alike.
     pub pm_ctrl_writes: u64,
+    /// The subset of `pm_ctrl_writes` that rode as the last link of the
+    /// data batch they publish (data, watermark and persist fence in one
+    /// fabric round trip) instead of as a write of their own.
+    pub pm_ctrl_chained: u64,
     /// Batched fabric submissions from the pipelined PM ADP (one
     /// `write_batch` fan-out may carry many `pm_writes`). The coalescing
     /// factor is `pm_writes / pm_batches`; not a per-row action.
@@ -41,6 +46,13 @@ pub struct TxnStats {
     /// first rejection freezes the PM log: nonzero means this ADP was a
     /// fenced-off old primary.
     pub pm_fenced: u64,
+    /// PM writes no mirror half took (both down, unreachable or timed
+    /// out) and the ADP therefore re-posted verbatim instead of acking.
+    pub pm_redrives: u64,
+    /// Trail writes the device rejected for any reason other than a
+    /// write fence (`OutOfBounds`): a fault no retry cures. The first
+    /// one freezes the PM log, as a fence does.
+    pub pm_write_faults: u64,
     /// TMF primary → backup checkpoints.
     pub tmf_checkpoints: u64,
 

@@ -29,24 +29,30 @@ use simnet::{EndpointId, NetDelivery};
 use std::sync::Arc;
 use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES};
 use txnkit::recovery::redo_scan_partitioned;
-use txnkit::scenario::{build_ods, AuditMode, OdsParams};
+use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
 use txnkit::{AppendDone, AuditAppend, FlushDone, FlushReq, Lsn, TxnConfig};
 
-#[test]
-fn adp_primary_killed_mid_pipeline_loses_no_acknowledged_append() {
-    let drivers = 2u32;
-    let records_per_driver = 384u64;
-    let inserts_per_txn = 8u32;
+const DRIVERS: u32 = 2;
+const RECORDS_PER_DRIVER: u64 = 384;
+const INSERTS_PER_TXN: u32 = 8;
+const WANT_TXNS: u64 = DRIVERS as u64 * RECORDS_PER_DRIVER / INSERTS_PER_TXN as u64;
 
-    // Drivers start at t = 1.1 s; partition 1's primary dies at 1.3 s
-    // with appends in flight. PM-mode ADPs keep no backup checkpoints:
-    // the takeover must recover the durable watermark from the control
-    // cell alone.
-    let mut store = DurableStore::new();
+/// A PM-audit node with `partitions` audit partitions (0 = one per CPU),
+/// two hot-stock drivers that start at t = 1.1 s, and the primary of
+/// `victim` scheduled to die at `kill_at`. PM-mode ADPs keep no backup
+/// checkpoints: the takeover must recover the durable watermark from the
+/// control cell alone.
+fn hot_stock_node(
+    store: &mut DurableStore,
+    partitions: u32,
+    victim: &str,
+    kill_at: SimTime,
+) -> (OdsNode, Vec<SharedDriverStats>) {
     let mut node = build_ods(
-        &mut store,
+        store,
         OdsParams {
             audit: AuditMode::HardwareNpmu,
+            audit_partitions: partitions,
             ..OdsParams::pm(0xAD17)
         },
     );
@@ -54,13 +60,13 @@ fn adp_primary_killed_mid_pipeline_loses_no_acknowledged_append() {
         &mut node.sim,
         &node.machine,
         FaultPlan::none().with(Fault::KillProcess {
-            name: "$ADP1".into(),
-            at: SimTime(1300 * MILLIS),
+            name: victim.into(),
+            at: kill_at,
         }),
     );
     let warmup = SimDuration::from_millis(1100);
     let mut driver_stats: Vec<SharedDriverStats> = Vec::new();
-    for d in 0..drivers {
+    for d in 0..DRIVERS {
         let st = HotStockDriver::install(
             &mut node.sim,
             &node.machine.clone(),
@@ -71,14 +77,26 @@ fn adp_primary_killed_mid_pipeline_loses_no_acknowledged_append() {
             d,
             CpuId(d % node.params.cpus),
             4096,
-            inserts_per_txn,
-            records_per_driver,
+            INSERTS_PER_TXN,
+            RECORDS_PER_DRIVER,
             warmup,
             node.params.txn.issue_cpu_ns,
         );
         driver_stats.push(st);
     }
+    (node, driver_stats)
+}
 
+/// Run the workload out, then hold the takeover to the contract: exactly
+/// the acknowledged work, once; a well-formed control cell on the
+/// victim's trail; offline redo over the per-partition trails rebuilds
+/// the whole history; both mirror halves hold the same bytes.
+fn finish_and_check_history(
+    store: &mut DurableStore,
+    mut node: OdsNode,
+    driver_stats: &[SharedDriverStats],
+    victim: usize,
+) {
     let ceiling = SimTime(600 * SECS);
     while !driver_stats.iter().all(|s| s.lock().done) {
         let now = node.sim.now();
@@ -93,51 +111,101 @@ fn adp_primary_killed_mid_pipeline_loses_no_acknowledged_append() {
     // nothing re-acknowledged after it.
     let committed: u64 = driver_stats.iter().map(|s| s.lock().committed_txns).sum();
     let inserted: u64 = driver_stats.iter().map(|s| s.lock().inserted_records).sum();
-    let want_txns = drivers as u64 * records_per_driver / inserts_per_txn as u64;
-    assert_eq!(inserted, drivers as u64 * records_per_driver);
-    assert_eq!(committed, want_txns);
+    assert_eq!(inserted, DRIVERS as u64 * RECORDS_PER_DRIVER);
+    assert_eq!(committed, WANT_TXNS);
     // The killed partition's name still resolves: the backup took over.
-    assert!(node.machine.lock().resolve("$ADP1").is_some());
+    assert!(node
+        .machine
+        .lock()
+        .resolve(&format!("$ADP{victim}"))
+        .is_some());
     {
         let s = node.stats.lock();
         assert_eq!(s.adp_checkpoints, 0, "PM mode sends no data checkpoints");
         assert!(s.pm_ctrl_writes > 0);
-        assert_eq!(s.txns_committed, want_txns);
+        assert_eq!(s.txns_committed, WANT_TXNS);
     }
 
     // The control cell the takeover read back is well-formed (at least
     // one CRC-valid slot) and covers the partition's durable appends.
-    let raw = read_region(&mut store, "npmu:pm-a", "adp1.audit", 0);
+    let raw = read_region(store, "npmu:pm-a", &format!("adp{victim}.audit"), 0);
     let (wm, slot) = parse_ctrl_cell(&raw);
     assert!(slot.is_some(), "no valid control-cell slot");
-    assert!(wm > 0, "partition 1 published no watermark");
+    assert!(wm > 0, "partition {victim} published no watermark");
 
-    // Offline recovery: merge the four per-partition trails by LSN and
-    // redo. Every acknowledged commit (and only complete history) is
-    // rebuilt, including the partition that failed over mid-run.
-    let trails: Vec<Vec<u8>> = (0..4)
-        .map(|i| {
-            read_region(
-                &mut store,
-                "npmu:pm-a",
-                &format!("adp{i}.audit"),
-                PM_CTRL_BYTES,
-            )
-        })
+    // Offline recovery: merge the per-partition trails by LSN and redo.
+    // Every acknowledged commit (and only complete history) is rebuilt,
+    // including the partition that failed over mid-run — a hole left in
+    // its trail by the takeover would stop the scan short of them.
+    let partitions = node.adps.len();
+    let trails: Vec<Vec<u8>> = (0..partitions)
+        .map(|i| read_region(store, "npmu:pm-a", &format!("adp{i}.audit"), PM_CTRL_BYTES))
         .collect();
     let refs: Vec<&[u8]> = trails.iter().map(|t| t.as_slice()).collect();
     let rec = redo_scan_partitioned(&refs);
-    assert_eq!(rec.committed.len() as u64, want_txns);
+    assert_eq!(rec.committed.len() as u64, WANT_TXNS);
     assert!(rec.inflight.is_empty(), "completed run leaves no inflight");
     let keys: usize = rec.tables.values().map(|t| t.len()).sum();
     assert_eq!(keys as u64, inserted, "all committed inserts redone");
 
     // Both mirror halves hold the same trail bytes, takeover included.
-    for i in 0..4 {
-        let b = read_region(&mut store, "npmu:pm-b", &format!("adp{i}.audit"), 0);
-        let a = read_region(&mut store, "npmu:pm-a", &format!("adp{i}.audit"), 0);
+    for i in 0..partitions {
+        let b = read_region(store, "npmu:pm-b", &format!("adp{i}.audit"), 0);
+        let a = read_region(store, "npmu:pm-a", &format!("adp{i}.audit"), 0);
         assert_eq!(a, b, "partition {i} mirrors diverged");
     }
+}
+
+#[test]
+fn adp_primary_killed_mid_pipeline_loses_no_acknowledged_append() {
+    // Partition 1's primary dies at 1.3 s with appends in flight.
+    let mut store = DurableStore::new();
+    let (node, driver_stats) = hot_stock_node(&mut store, 0, "$ADP1", SimTime(1300 * MILLIS));
+    finish_and_check_history(&mut store, node, &driver_stats, 1);
+}
+
+/// The primary dies *between posting a chain that carries its own
+/// control cell and that chain's completion*. Both mirrored chains are
+/// already on the fabric, so data and cell still land; nobody was acked.
+/// The new primary must read that cell back and continue right behind
+/// it — re-driven (never-acked) work is appended after, not into, the
+/// orphaned batch, so the trail has no hole and the counts stay exact.
+#[test]
+fn adp_primary_killed_between_chain_post_and_completion() {
+    // Pass 1 finds the instant: the first chained publication after the
+    // drivers are in full swing. (The kill is scheduled past the end of
+    // the run, so both passes are event-for-event identical up to it.)
+    let posted_at = {
+        let mut store = DurableStore::new();
+        let (mut node, _drivers) = hot_stock_node(&mut store, 1, "$ADP0", SimTime(599 * SECS));
+        node.sim.run_until(SimTime(1200 * MILLIS));
+        let before = node.stats.lock().pm_ctrl_chained;
+        while node.stats.lock().pm_ctrl_chained == before {
+            assert!(node.sim.now() < SimTime(2 * SECS), "no chained publication");
+            let next = node.sim.dispatched() + 1;
+            node.sim.run_until_dispatched(next);
+        }
+        node.sim.now()
+    };
+    // 20 µs after the post the chain is still on the wire (a 4 KB write
+    // needs ~45 µs one way): posted, not completed.
+    let kill_at = SimTime(posted_at.as_nanos() + 20_000);
+    let mut store = DurableStore::new();
+    let (mut node, driver_stats) = hot_stock_node(&mut store, 1, "$ADP0", kill_at);
+    node.sim.run_until(SimTime(kill_at.as_nanos() - 1));
+    let (a, b) = node.npmus.clone().expect("PM mode has NPMUs");
+    let fences = a.stats.lock().flushes + b.stats.lock().flushes;
+    let (chained, posted) = {
+        let s = node.stats.lock();
+        // The ADP is the only poster of fenced chains: one per mirror
+        // half for every batch and every standalone cell write.
+        let posted = 2 * (s.pm_batches + s.pm_ctrl_writes - s.pm_ctrl_chained);
+        (s.pm_ctrl_chained, posted)
+    };
+    assert!(chained > 0, "the victim never chained a publication");
+    // Fewer fences served than posted: a chain is in flight at the kill.
+    assert!(fences < posted, "nothing in flight: {fences} of {posted}");
+    finish_and_check_history(&mut store, node, &driver_stats, 0);
 }
 
 // ---------------------------------------------------------------------

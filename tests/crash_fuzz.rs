@@ -117,6 +117,23 @@ fn probe(mode: PersistMode, seed: u64, offload: bool) -> (u64, u64) {
         assert!(ts.pm_batches > 0, "offload mode ran no PM appends");
     } else {
         assert!(ts.pm_ctrl_writes > 0, "classic mode must publish cells");
+        // The sweep must exercise the one-round-trip path: cells riding
+        // the chain of the batch they publish, fenced in-chain under
+        // `PersistFlush` — there is no standalone flush verb to fall
+        // back on.
+        assert!(ts.pm_ctrl_chained > 0, "no publication rode its batch");
+        // A publishing chain is never overtaken, so on this unstriped
+        // trail no batch leaves without its cell at any pipeline depth.
+        assert_eq!(ts.pm_ctrl_chained, ts.pm_ctrl_writes);
+        assert_eq!(ts.pm_ctrl_chained, ts.pm_batches);
+        assert_eq!(node.net.lock().stats.rdma_flushes, 0);
+        let fences: u64 = node
+            .npmus
+            .iter()
+            .flat_map(|(a, b)| [a, b])
+            .map(|h| h.stats.lock().flushes)
+            .sum();
+        assert_eq!(fences > 0, mode == PersistMode::PersistFlush);
     }
     drop(ts);
     assert!(d_hi > d_lo);

@@ -3,6 +3,8 @@
 //! every acked commit intact, the PMM resilvers the revived half online,
 //! and the §1.3 scrubber finds the mirrors byte-identical afterward.
 
+mod common;
+
 use hotstock::driver::{HotStockDriver, SharedDriverStats};
 use nsk::machine::CpuId;
 use pmem::verify_mirrors;
@@ -133,4 +135,110 @@ fn npmu_half_dies_mid_run_workload_survives_and_resilvers() {
 #[test]
 fn npmu_half_dies_mid_run_resilvers_with_device_offload() {
     run_mirror_failure(true);
+}
+
+/// Both mirror halves are down at once (overlapping windows): every PM
+/// write of the outage fails on both legs. The audit log may not treat
+/// such a completion as durable — no watermark moves, no `AppendDone` or
+/// commit is released — and must re-drive the same payload until a half
+/// answers. Half 1's window nests inside half 0's, so half 1 is the
+/// survivor holding the whole acknowledged history.
+#[test]
+fn both_halves_down_acks_nothing_until_a_half_is_back() {
+    let drivers = 2u32;
+    let records_per_driver = 512u64;
+    let inserts_per_txn = 8u32;
+    let both_down = (SimTime(1250 * MILLIS), SimTime(1450 * MILLIS));
+    let plan = FaultPlan::none()
+        .with(Fault::NpmuDown {
+            volume_half: 0,
+            from: SimTime(1200 * MILLIS),
+            to: SimTime(1500 * MILLIS),
+        })
+        .with(Fault::NpmuDown {
+            volume_half: 1,
+            from: both_down.0,
+            to: both_down.1,
+        });
+    let mut store = DurableStore::new();
+    let mut node = build_ods(
+        &mut store,
+        OdsParams {
+            audit: AuditMode::HardwareNpmu,
+            fault_plan: plan,
+            ..OdsParams::pm(0xB07D)
+        },
+    );
+    let driver_stats: Vec<SharedDriverStats> = (0..drivers)
+        .map(|d| {
+            HotStockDriver::install(
+                &mut node.sim,
+                &node.machine.clone(),
+                node.tmf.clone(),
+                node.partition_map.clone(),
+                node.params.files,
+                node.params.parts_per_file,
+                d,
+                CpuId(d % node.params.cpus),
+                4096,
+                inserts_per_txn,
+                records_per_driver,
+                SimDuration::from_millis(1100),
+                node.params.txn.issue_cpu_ns,
+            )
+        })
+        .collect();
+    let progress = |stats: &[SharedDriverStats]| -> (u64, u64) {
+        let s: Vec<_> = stats.iter().map(|s| s.lock()).collect();
+        (
+            s.iter().map(|s| s.committed_txns).sum(),
+            s.iter().map(|s| s.inserted_records).sum(),
+        )
+    };
+
+    // Acks already on their way when the second half died get a
+    // millisecond to reach the drivers; from then to the end of the
+    // window nothing at all is acknowledged.
+    node.sim.run_until(SimTime(both_down.0.as_nanos() + MILLIS));
+    let frozen = progress(&driver_stats);
+    assert!(frozen.0 > 0, "the outage must hit a running workload");
+    node.sim.run_until(both_down.1);
+    assert_eq!(progress(&driver_stats), frozen, "acked during the outage");
+    let (redrives, rejected) = {
+        let ts = node.stats.lock();
+        (ts.pm_redrives, ts.pm_fenced + ts.pm_write_faults)
+    };
+    assert!(redrives > 0, "the failed writes must be re-driven");
+    assert_eq!(rejected, 0, "an outage is not a rejection");
+
+    // The workload then completes on the survivor.
+    while !driver_stats.iter().all(|s| s.lock().done) {
+        let now = node.sim.now();
+        assert!(now < SimTime(600 * SECS), "workload did not finish");
+        node.sim.run_until(SimTime(now.as_nanos() + 200 * MILLIS));
+    }
+    let want_txns = drivers as u64 * records_per_driver / inserts_per_txn as u64;
+    assert_eq!(
+        progress(&driver_stats),
+        (want_txns, drivers as u64 * records_per_driver)
+    );
+    let now = node.sim.now();
+    node.sim.run_until(SimTime(now.as_nanos() + SECS));
+    drop(node);
+
+    // Every acked commit redoes from the survivor's image alone.
+    let trails: Vec<Vec<u8>> = (0..4)
+        .map(|i| {
+            common::read_region(
+                &mut store,
+                "npmu:pm-b",
+                &format!("adp{i}.audit"),
+                txnkit::adp::PM_CTRL_BYTES,
+            )
+        })
+        .collect();
+    let refs: Vec<&[u8]> = trails.iter().map(|t| t.as_slice()).collect();
+    let rec = txnkit::recovery::redo_scan_partitioned(&refs);
+    assert_eq!(rec.committed.len() as u64, want_txns);
+    assert!(rec.inflight.is_empty(), "completed run leaves no inflight");
 }
