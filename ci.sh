@@ -52,7 +52,9 @@ cargo run --release -p pm-bench --bin georep
 # sampled between device tail bump and client ack; release: `cargo test
 # --release --workspace` above already ran it once; FUZZ_FULL=1 widens to
 # the ≥ 2000-point sweep). Its probe asserts the PersistFlush arm issued
-# no standalone flush verb and chained at least one publication.
+# no standalone flush verb and chained at least one publication, and that
+# no PM arm (cross-shard included) sent a single FlushReq: commits harden
+# on their append acks, and that is the path every crash point samples.
 FUZZ_FULL="${FUZZ_FULL:-}" cargo test --release --test crash_fuzz
 # Throughput-regression gate: fresh --json runs vs committed results/.
 tools/bench_check.sh

@@ -230,6 +230,7 @@ mod tests {
                 adp: "$ADP0".into(),
                 lsn: Lsn(99),
             },
+            durable: false,
         }));
         assert_eq!(
             ev,
@@ -256,6 +257,7 @@ mod tests {
             txn: TxnId(1),
             token: 0,
             result: InsertResult::Deadlock,
+            durable: false,
         }));
         assert_eq!(ev, Some(DbEvent::Deadlocked { txn: TxnId(1) }));
     }

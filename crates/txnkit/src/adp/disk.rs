@@ -243,6 +243,15 @@ impl AuditLog for DiskLog {
         self.maybe_flush(sh, ctx);
     }
 
+    fn backup_lost(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>) {
+        // No data checkpoint in flight will be acknowledged: ack the
+        // appends that waited on one, as an unpaired primary does.
+        for (_, p) in std::mem::take(&mut self.pending_appends) {
+            sh.send_append_done(ctx, p.from_ep, p.token, p.lsn_start, p.lsn_end);
+        }
+        self.maybe_flush(sh, ctx);
+    }
+
     fn on_msg(
         &mut self,
         sh: &mut AdpShared,

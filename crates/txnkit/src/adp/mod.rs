@@ -100,7 +100,9 @@ impl AdpShared {
         t
     }
 
-    /// Acknowledge one append back to its requester.
+    /// Acknowledge one append back to its requester, stamped with the
+    /// durable watermark as it stands now: a requester whose records it
+    /// covers needs no flush.
     pub fn send_append_done(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -120,6 +122,7 @@ impl AdpShared {
                 token,
                 lsn_start: Lsn(lsn_start),
                 lsn_end: Lsn(lsn_end),
+                durable_upto: Lsn(self.durable_upto),
             },
         );
     }
@@ -208,6 +211,11 @@ pub(crate) trait AuditLog: Send {
         msg: Msg,
     ) -> Option<Msg>;
 
+    /// The pair's backup died: release whatever was parked on an
+    /// acknowledgement from it (a pair without a backup does not
+    /// checkpoint). Only the disk discipline checkpoints at all.
+    fn backup_lost(&mut self, _sh: &mut AdpShared, _ctx: &mut Ctx<'_>) {}
+
     /// Network payloads other than appends/flushes (checkpoints, ckpt
     /// acks, region acks). Return the payload if not consumed.
     fn on_net(
@@ -233,25 +241,32 @@ impl Actor for AdpProc {
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
-            match self.role {
-                Role::Primary => self.log.open(&mut self.sh, ctx),
-                Role::Backup => {
-                    let me = ctx.self_id();
-                    self.sh
-                        .machine
-                        .lock()
-                        .watch(WatchTarget::Process(self.sh.name.clone()), me);
-                }
+            // Both halves watch the pair: the backup to take over, the
+            // primary to stop waiting on a backup that is gone.
+            let me = ctx.self_id();
+            self.sh
+                .machine
+                .lock()
+                .watch(WatchTarget::Process(self.sh.name.clone()), me);
+            if self.role == Role::Primary {
+                self.log.open(&mut self.sh, ctx);
             }
             return;
         }
 
         let msg = match msg.take::<ProcessDied>() {
             Ok((_, d)) => {
-                if self.role == Role::Backup && d.name == self.sh.name && d.was_primary {
-                    self.sh.machine.lock().promote_backup(&self.sh.name);
-                    self.role = Role::Primary;
-                    self.log.open(&mut self.sh, ctx);
+                if d.name != self.sh.name {
+                    return;
+                }
+                match (self.role, d.was_primary) {
+                    (Role::Backup, true) => {
+                        self.sh.machine.lock().promote_backup(&self.sh.name);
+                        self.role = Role::Primary;
+                        self.log.open(&mut self.sh, ctx);
+                    }
+                    (Role::Primary, false) => self.log.backup_lost(&mut self.sh, ctx),
+                    _ => {}
                 }
                 return;
             }

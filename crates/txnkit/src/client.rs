@@ -3,8 +3,8 @@
 //! Drivers (the hot-stock benchmark, the examples) run the §1.1
 //! transaction-program loop: begin → inserts → commit. [`TxnClient`]
 //! tracks, per transaction, which ADPs its inserts reached and the highest
-//! LSN on each — the flush points the TMF must harden at commit — plus the
-//! involved DP2s for post-commit lock release.
+//! not-yet-durable LSN on each — the flush points the TMF must harden at
+//! commit — plus the involved DP2s for post-commit lock release.
 
 use crate::types::*;
 use bytes::Bytes;
@@ -87,9 +87,12 @@ impl TxnClient {
     }
 
     /// Record an insert completion so the commit knows its flush points.
-    /// Returns false for deadlock/routing failures (caller aborts).
+    /// An insert whose audit delta was durable on its append ack leaves
+    /// none: there is nothing for the TMF to flush. Returns false for
+    /// deadlock/routing failures (caller aborts).
     pub fn note_insert_done(&mut self, done: &InsertDone) -> bool {
         match &done.result {
+            InsertResult::Ok { .. } if done.durable => true,
             InsertResult::Ok { adp, lsn } => {
                 let points = self.flush_points.entry(done.txn).or_default();
                 let e = points.entry(adp.clone()).or_insert(*lsn);
@@ -172,6 +175,7 @@ mod tests {
                     adp: adp.into(),
                     lsn: Lsn(lsn),
                 },
+                durable: false,
             }));
         }
         let points = c.flush_points.get(&txn).unwrap();
@@ -181,6 +185,30 @@ mod tests {
             txn,
             token: 0,
             result: InsertResult::Deadlock,
+            durable: false,
         }));
+    }
+
+    #[test]
+    fn an_insert_durable_on_its_ack_leaves_no_flush_point() {
+        let net = Network::new(FabricConfig::default());
+        let machine = Machine::new(MachineConfig::default(), net);
+        let mut c = TxnClient::new(machine, EndpointId(0), CpuId(0), "$TMF");
+        let done = |adp: &str, lsn, durable| InsertDone {
+            txn: TxnId(5),
+            token: 0,
+            result: InsertResult::Ok {
+                adp: adp.into(),
+                lsn: Lsn(lsn),
+            },
+            durable,
+        };
+        assert!(c.note_insert_done(&done("$ADP0", 100, true)));
+        assert!(c.flush_points.is_empty());
+        // Mixed backends: only the trail that still needs a flush is named.
+        assert!(c.note_insert_done(&done("$ADP1", 40, false)));
+        let points = &c.flush_points[&TxnId(5)];
+        assert_eq!(points.len(), 1);
+        assert_eq!(points["$ADP1"], Lsn(40));
     }
 }

@@ -7,6 +7,18 @@
 //! applied change to its backup *before externalizing* the reply, and
 //! destages dirty records to its data volume in the background — keeping
 //! data-volume I/O off the commit path (the commit path is the ADP's).
+//!
+//! §3.4's two per-row actions — the audit delta to the log writer and the
+//! checkpoint to the backup — are independent, so an applied insert posts
+//! both in the same event (delta first: it is the longer leg and the two
+//! share this CPU's transmit port) and [`InsertDone`] leaves when the
+//! [`AppendDone`] *and* that insert's own [`CheckpointAck`] are in. The
+//! append ack's durability verdict rides along on the reply, so a commit
+//! flushes only what its acks did not already prove durable.
+//!
+//! A pair without a backup does not checkpoint: the primary watches its
+//! own pair name and, when the backup dies, releases every insert parked
+//! on a checkpoint ack that will never come.
 
 use crate::config::TxnConfig;
 use crate::lock::{Acquire, LockManager, LockMode};
@@ -40,8 +52,6 @@ struct Dp2Ckpt {
     partition: PartitionId,
     key: u64,
     rec: StoredRecord,
-    /// Ties the ack back to the pending insert.
-    op: u64,
 }
 
 /// Stage-2 continuation after the insert's CPU cost elapsed.
@@ -74,7 +84,13 @@ struct LockTimeout {
 struct PendingInsert {
     req: InsertReq,
     from_ep: EndpointId,
-    appended: Option<Lsn>,
+    /// The stored image, computed once: the table, the audit delta and the
+    /// backup's checkpoint all carry this same `(virtual_len, crc)`.
+    rec: StoredRecord,
+    /// The first append ack: where the delta ends on its trail, and
+    /// whether that ack already proved it durable.
+    appended: Option<(Lsn, bool)>,
+    /// Its own checkpoint is at the backup, not yet acknowledged.
     awaiting_ckpt: bool,
 }
 
@@ -109,7 +125,6 @@ pub struct Dp2Proc {
     dirty_bytes: u64,
     dirty_records: u64,
     data_file_offset: u64,
-    next_ckpt: u64,
     next_tag: u64,
 }
 
@@ -119,7 +134,8 @@ impl Dp2Proc {
         &self.adps[txn.audit_partition(self.adps.len())]
     }
 
-    /// Apply a locked insert: mutate the table, append audit, checkpoint.
+    /// Apply a locked insert: mutate the table, then post the audit delta
+    /// and the backup checkpoint together.
     fn apply_insert(&mut self, ctx: &mut Ctx<'_>, op: u64) {
         let (req, from_ep) = self.staged.remove(&op).expect("staged insert");
         let rec = StoredRecord {
@@ -136,20 +152,24 @@ impl Dp2Proc {
             .push((req.partition, req.key));
         self.dirty_bytes += rec.virtual_len as u64;
         self.dirty_records += 1;
-        self.stats.lock().inserts += 1;
-
-        // Audit delta to the log writer.
-        self.stats.lock().audit_deltas += 1;
+        {
+            let mut s = self.stats.lock();
+            s.inserts += 1;
+            s.audit_deltas += 1;
+        }
         self.pending.insert(
             op,
             PendingInsert {
                 req,
                 from_ep,
+                rec,
                 appended: None,
                 awaiting_ckpt: false,
             },
         );
+        // Delta first: the longer leg, and both share the transmit port.
         self.send_audit_delta(ctx, op);
+        self.send_checkpoint(ctx, op);
         ctx.send_self(self.cfg.sub_retry_delay(0), AppendRetry { op, attempt: 0 });
     }
 
@@ -161,22 +181,18 @@ impl Dp2Proc {
             return;
         };
         let req = &p.req;
-        let rec = StoredRecord {
-            virtual_len: req.virtual_len.max(req.body.len() as u32),
-            crc: pmm::meta::crc32(&req.body),
-        };
         let audit = crate::audit::AuditRecord::Insert {
             txn: req.txn,
             partition: req.partition,
             key: req.key,
-            virtual_len: rec.virtual_len,
-            body_crc: rec.crc,
+            virtual_len: p.rec.virtual_len,
+            body_crc: p.rec.crc,
             body: req.body.clone(),
         };
         let mut enc = BytesMut::new();
         audit.encode_into(&mut enc);
         // The trail's virtual size carries the full record image.
-        let virt = (enc.len() as u32).max(rec.virtual_len);
+        let virt = (enc.len() as u32).max(p.rec.virtual_len);
         let adp = self.adp_for(req.txn).to_string();
         let machine = self.machine.clone();
         // Delta appends carry full record images — the bandwidth-bearing
@@ -198,60 +214,93 @@ impl Dp2Proc {
         );
     }
 
-    /// Audit append confirmed: checkpoint to backup, then reply.
-    fn after_append(&mut self, ctx: &mut Ctx<'_>, op: u64, lsn_end: Lsn) {
-        let has_backup = self.has_backup();
+    /// Checkpoint a pending insert to the backup (a pair without one does
+    /// not checkpoint). The reply waits for this checkpoint's own ack.
+    fn send_checkpoint(&mut self, ctx: &mut Ctx<'_>, op: u64) {
+        if !(self.cfg.dp2_checkpoint && self.has_backup()) {
+            return;
+        }
         let Some(p) = self.pending.get_mut(&op) else {
             return;
         };
-        if p.appended.is_some() {
-            return; // duplicate ack from a retried append
-        }
-        p.appended = Some(lsn_end);
-        if self.cfg.dp2_checkpoint && has_backup {
-            p.awaiting_ckpt = true;
-            let ck = Dp2Ckpt {
-                partition: p.req.partition,
-                key: p.req.key,
-                rec: StoredRecord {
-                    virtual_len: p.req.virtual_len,
-                    crc: pmm::meta::crc32(&p.req.body),
-                },
-                op,
-            };
-            let seq = self.next_ckpt;
-            self.next_ckpt += 1;
-            self.stats.lock().dbw_checkpoints += 1;
-            let wire = self.cfg.checkpoint_overhead_bytes + p.req.virtual_len;
-            let machine = self.machine.clone();
-            let name = self.name.clone();
-            nsk::proc::send_to_backup(
-                ctx,
-                &machine,
-                self.ep,
-                self.cpu,
-                &name,
-                wire,
-                Checkpoint {
-                    seq,
-                    payload: Box::new(ck),
-                },
-            );
-        } else {
-            self.reply_insert(ctx, op);
+        p.awaiting_ckpt = true;
+        let ck = Dp2Ckpt {
+            partition: p.req.partition,
+            key: p.req.key,
+            rec: p.rec,
+        };
+        let wire = self.cfg.checkpoint_overhead_bytes + p.rec.virtual_len;
+        self.stats.lock().dbw_checkpoints += 1;
+        let machine = self.machine.clone();
+        let name = self.name.clone();
+        nsk::proc::send_to_backup(
+            ctx,
+            &machine,
+            self.ep,
+            self.cpu,
+            &name,
+            wire,
+            // The checkpoint is numbered by the op it protects, so its ack
+            // names the insert to release.
+            Checkpoint {
+                seq: op,
+                payload: Box::new(ck),
+            },
+        );
+    }
+
+    /// Audit append confirmed (the first ack counts; a retried append may
+    /// be acknowledged twice).
+    fn after_append(&mut self, ctx: &mut Ctx<'_>, done: &AppendDone) {
+        let Some(p) = self.pending.get_mut(&done.token) else {
+            return;
+        };
+        if p.appended.is_none() {
+            p.appended = Some((done.lsn_end, done.is_durable()));
+            self.maybe_reply(ctx, done.token);
         }
     }
 
-    fn reply_insert(&mut self, ctx: &mut Ctx<'_>, op: u64) {
-        let Some(p) = self.pending.remove(&op) else {
+    /// `op`'s checkpoint is acknowledged — or never will be.
+    fn after_checkpoint(&mut self, ctx: &mut Ctx<'_>, op: u64) {
+        if let Some(p) = self.pending.get_mut(&op) {
+            p.awaiting_ckpt = false;
+        }
+        self.maybe_reply(ctx, op);
+    }
+
+    /// The backup died: nothing parked on a checkpoint ack will hear back.
+    /// (Sorted: `pending`'s iteration order must not reach the event trace.)
+    fn backup_lost(&mut self, ctx: &mut Ctx<'_>) {
+        let mut parked: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| p.awaiting_ckpt)
+            .map(|(op, _)| *op)
+            .collect();
+        parked.sort_unstable();
+        for op in parked {
+            self.after_checkpoint(ctx, op);
+        }
+    }
+
+    /// Externalize the insert once its delta is appended AND its
+    /// checkpoint acknowledged — in whichever order the two arrived.
+    fn maybe_reply(&mut self, ctx: &mut Ctx<'_>, op: u64) {
+        let Some(p) = self.pending.get(&op) else {
             return;
         };
-        let lsn = p.appended.unwrap_or_default();
+        let Some((lsn, durable)) = p.appended else {
+            return;
+        };
+        if p.awaiting_ckpt {
+            return;
+        }
+        let p = self.pending.remove(&op).expect("pending insert");
         let adp = self.adp_for(p.req.txn).to_string();
-        let net = self.net.clone();
         simnet::send_net_msg(
             ctx,
-            &net,
+            &self.net,
             self.ep,
             p.from_ep,
             48,
@@ -259,6 +308,30 @@ impl Dp2Proc {
                 txn: p.req.txn,
                 token: p.req.token,
                 result: InsertResult::Ok { adp, lsn },
+                durable,
+            },
+        );
+    }
+
+    /// Answer an insert that was never applied (lock victim, misrouted).
+    fn reply_failed(
+        &self,
+        ctx: &mut Ctx<'_>,
+        to: EndpointId,
+        req: &InsertReq,
+        result: InsertResult,
+    ) {
+        simnet::send_net_msg(
+            ctx,
+            &self.net,
+            self.ep,
+            to,
+            48,
+            InsertDone {
+                txn: req.txn,
+                token: req.token,
+                result,
+                durable: false,
             },
         );
     }
@@ -308,19 +381,17 @@ impl Actor for Dp2Proc {
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
-            match self.role {
-                Role::Primary => {
-                    ctx.send_self(
-                        SimDuration::from_nanos(self.cfg.destage_interval_ns),
-                        DestageTick,
-                    );
-                }
-                Role::Backup => {
-                    let me = ctx.self_id();
-                    self.machine
-                        .lock()
-                        .watch(WatchTarget::Process(self.name.clone()), me);
-                }
+            // Both halves watch the pair: the backup to take over, the
+            // primary to stop waiting on a backup that is gone.
+            let me = ctx.self_id();
+            self.machine
+                .lock()
+                .watch(WatchTarget::Process(self.name.clone()), me);
+            if self.role == Role::Primary {
+                ctx.send_self(
+                    SimDuration::from_nanos(self.cfg.destage_interval_ns),
+                    DestageTick,
+                );
             }
             return;
         }
@@ -369,19 +440,7 @@ impl Actor for Dp2Proc {
                 }
                 for op in ops {
                     if let Some((req, from_ep)) = self.staged.remove(&op) {
-                        let net = self.net.clone();
-                        simnet::send_net_msg(
-                            ctx,
-                            &net,
-                            self.ep,
-                            from_ep,
-                            48,
-                            InsertDone {
-                                txn: t.txn,
-                                token: req.token,
-                                result: InsertResult::Deadlock,
-                            },
-                        );
+                        self.reply_failed(ctx, from_ep, &req, InsertResult::Deadlock);
                     }
                 }
                 let granted = self.locks.cancel_wait(t.txn, t.key);
@@ -410,13 +469,20 @@ impl Actor for Dp2Proc {
 
         let msg = match msg.take::<ProcessDied>() {
             Ok((_, d)) => {
-                if self.role == Role::Backup && d.name == self.name && d.was_primary {
-                    self.machine.lock().promote_backup(&self.name);
-                    self.role = Role::Primary;
-                    ctx.send_self(
-                        SimDuration::from_nanos(self.cfg.destage_interval_ns),
-                        DestageTick,
-                    );
+                if d.name != self.name {
+                    return;
+                }
+                match (self.role, d.was_primary) {
+                    (Role::Backup, true) => {
+                        self.machine.lock().promote_backup(&self.name);
+                        self.role = Role::Primary;
+                        ctx.send_self(
+                            SimDuration::from_nanos(self.cfg.destage_interval_ns),
+                            DestageTick,
+                        );
+                    }
+                    (Role::Primary, false) => self.backup_lost(ctx),
+                    _ => {}
                 }
                 return;
             }
@@ -430,19 +496,7 @@ impl Actor for Dp2Proc {
                 let txn = st.req.txn;
                 let key = st.req.key;
                 if !self.partitions.contains(&st.req.partition) {
-                    let net = self.net.clone();
-                    simnet::send_net_msg(
-                        ctx,
-                        &net,
-                        self.ep,
-                        st.from_ep,
-                        48,
-                        InsertDone {
-                            txn,
-                            token: st.req.token,
-                            result: InsertResult::WrongPartition,
-                        },
-                    );
+                    self.reply_failed(ctx, st.from_ep, &st.req, InsertResult::WrongPartition);
                     return;
                 }
                 self.staged.insert(op, (st.req, st.from_ep));
@@ -460,19 +514,7 @@ impl Actor for Dp2Proc {
                     Acquire::Deadlock => {
                         let (req, from_ep) = self.staged.remove(&op).unwrap();
                         self.stats.lock().deadlocks += 1;
-                        let net = self.net.clone();
-                        simnet::send_net_msg(
-                            ctx,
-                            &net,
-                            self.ep,
-                            from_ep,
-                            48,
-                            InsertDone {
-                                txn,
-                                token: req.token,
-                                result: InsertResult::Deadlock,
-                            },
-                        );
+                        self.reply_failed(ctx, from_ep, &req, InsertResult::Deadlock);
                     }
                 }
                 return;
@@ -492,7 +534,6 @@ impl Actor for Dp2Proc {
                             .entry(delta.partition)
                             .or_default()
                             .insert(delta.key, delta.rec);
-                        let _ = delta.op;
                     }
                     let net = self.net.clone();
                     simnet::send_net_msg(
@@ -508,22 +549,10 @@ impl Actor for Dp2Proc {
                 Err(p) => p,
             };
 
-            // Primary: checkpoint acks release pending replies.
+            // Primary: a checkpoint ack releases the insert it protects.
             let payload = match payload.downcast::<CheckpointAck>() {
                 Ok(ack) => {
-                    // Ack seq == our ckpt seq; pending inserts acked FIFO.
-                    // Find the oldest awaiting op (seqs are monotonic).
-                    let _ = ack.seq;
-                    let mut ready: Vec<u64> = self
-                        .pending
-                        .iter()
-                        .filter(|(_, p)| p.awaiting_ckpt && p.appended.is_some())
-                        .map(|(op, _)| *op)
-                        .collect();
-                    ready.sort_unstable();
-                    if let Some(op) = ready.first().copied() {
-                        self.reply_insert(ctx, op);
-                    }
+                    self.after_checkpoint(ctx, ack.seq);
                     return;
                 }
                 Err(p) => p,
@@ -552,7 +581,7 @@ impl Actor for Dp2Proc {
 
             let payload = match payload.downcast::<AppendDone>() {
                 Ok(done) => {
-                    self.after_append(ctx, done.token, done.lsn_end);
+                    self.after_append(ctx, &done);
                     return;
                 }
                 Err(p) => p,
@@ -661,7 +690,6 @@ pub fn install_dp2(
                 dirty_bytes: 0,
                 dirty_records: 0,
                 data_file_offset: 0,
-                next_ckpt: 0,
                 next_tag: 0,
             })
         }

@@ -55,6 +55,12 @@ pub struct TxnStats {
     pub pm_write_faults: u64,
     /// TMF primary → backup checkpoints.
     pub tmf_checkpoints: u64,
+    /// `FlushReq` messages the TMFs sent (data-trail, master-trail and
+    /// prepare flushes, re-drives included). An append ack that already
+    /// proves its records durable needs none, so a PM trail reads 0 and
+    /// the buffered disk trail one per flush point plus one per commit
+    /// record.
+    pub flush_reqs: u64,
 
     // --- transaction outcomes ---
     pub txns_committed: u64,

@@ -11,22 +11,33 @@
 //! single-node system):
 //!
 //! 1. flush every involved data trail through the transaction's high LSN
-//!    there (parallel `FlushReq` fan-out);
-//! 2. append the commit record to the *master* trail and flush it — the
-//!    paper's "completion time of at least one – and typically more than
-//!    one – disk I/O... included in the response time of every
-//!    transaction" (§2);
+//!    there (parallel `FlushReq` fan-out) — for the flush points the
+//!    commit still carries: an insert whose append ack already proved its
+//!    delta durable left none;
+//! 2. append the commit record to the *master* trail; flush it only if
+//!    the append ack does not already cover it — the paper's "completion
+//!    time of at least one – and typically more than one – disk I/O...
+//!    included in the response time of every transaction" (§2), and its
+//!    PM answer "the database log is persistent immediately" (§4.2);
 //! 3. checkpoint the commit decision to the TMF backup;
 //! 4. externalize: reply to the driver, notify DP2s to release locks.
+//!
+//! The rule is the same at every append: *append; flush only if the ack
+//! does not already cover it*. It is decided from the ack's own
+//! `durable_upto` ([`AppendDone::is_durable`]), never from the backend's
+//! name: a skipped `FlushReq` would have been answered at once from the
+//! watermark the ack was released from. `FlushReq`/`FlushDone` and the
+//! flush phases remain because the buffered disk trail needs them.
 //!
 //! Cross-shard commits run presumed-abort two-phase commit on top of the
 //! same machinery. The coordinator (the txn's home TMF) splits the
 //! commit's flush points by owning shard: local ones flush as above while
 //! [`PrepareTxn`] goes to each participant shard's TMF, which flushes its
-//! data trails, hardens a `Prepared` record on its own master trail, and
-//! answers [`PrepareAck`]. Only when every local flush AND every prepare
-//! ack is in does the coordinator append+flush its commit record — that
-//! flush is the cluster-wide commit point. Decisions then fan out as
+//! data trails, hardens a `Prepared` record on its own master trail (a
+//! participant with no flush points left still does), and answers
+//! [`PrepareAck`]. Only when every local flush AND every prepare ack is in
+//! does the coordinator harden its commit record — that record becoming
+//! durable is the cluster-wide commit point. Decisions then fan out as
 //! [`DecisionTxn`] (retried until [`DecisionAck`]); participants log a
 //! local outcome record, resolve their DP2s and forget the prepared
 //! state. Recovery resolves a `Prepared`-but-undecided participant by
@@ -41,7 +52,7 @@ use nsk::machine::{CpuId, SharedMachine, WatchTarget};
 use nsk::proc::{Checkpoint, CheckpointAck, ProcessDied};
 use simcore::{Actor, Ctx, Msg, Sim};
 use simnet::{EndpointId, NetDelivery, SharedNetwork};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Per-participant-shard slice of a commit: the (ADP, LSN) flush points
@@ -116,7 +127,8 @@ enum CommitPhase {
     Phase1 { flushes: u32, prepares: u32 },
     /// Waiting for the master-trail append ack.
     MasterAppend,
-    /// Waiting for the master-trail flush ack.
+    /// Waiting for the master-trail flush ack (only when the append ack
+    /// did not already prove the record durable).
     MasterFlush,
     /// Waiting for the backup checkpoint ack.
     Ckpt,
@@ -181,7 +193,7 @@ pub struct TmfProc {
     next_subop: u64,
     /// Participant role: transactions this shard holds in prepared state.
     prepared: HashMap<TxnId, PrepState>,
-    ckpt_waiters: HashMap<u64, u64>, // ckpt seq → commit token
+    ckpt_waiters: BTreeMap<u64, u64>, // ckpt seq → commit token
     next_ckpt: u64,
     commits_since_mark: u64,
 }
@@ -219,6 +231,13 @@ impl TmfProc {
         nsk::proc::send_to_process(ctx, &machine, self.ep, self.cpu, to, bytes, msg);
     }
 
+    /// Ask `adp` to make its trail durable through `upto` — the one place
+    /// a `FlushReq` leaves the TMF, first issue and re-drive alike.
+    fn send_flush(&self, ctx: &mut Ctx<'_>, adp: &str, upto: Lsn, sub: u64) {
+        self.stats.lock().flush_reqs += 1;
+        self.send_proc(ctx, adp, 24, FlushReq { upto, token: sub });
+    }
+
     /// Fire-and-forget trail append (abort/outcome records, marks): the
     /// token is never registered, so its `AppendDone` is ignored.
     fn orphan_append(&mut self, ctx: &mut Ctx<'_>, rec: &crate::audit::AuditRecord, txn: TxnId) {
@@ -249,7 +268,7 @@ impl TmfProc {
         };
         match kind {
             SubKind::DataFlush { adp, upto } | SubKind::PrepDataFlush { adp, upto, .. } => {
-                self.send_proc(ctx, &adp, 24, FlushReq { upto, token: sub });
+                self.send_flush(ctx, &adp, upto, sub);
             }
             SubKind::MasterAppend { txn } => {
                 if let Some(master) = self.master_for(txn) {
@@ -285,7 +304,7 @@ impl TmfProc {
             }
             SubKind::MasterFlush { txn, upto } | SubKind::PrepFlush { txn, upto } => {
                 if let Some(master) = self.master_for(txn) {
-                    self.send_proc(ctx, &master, 24, FlushReq { upto, token: sub });
+                    self.send_flush(ctx, &master, upto, sub);
                 }
             }
             SubKind::Prepare {
@@ -584,12 +603,12 @@ impl Actor for TmfProc {
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
-            if self.role == Role::Backup {
-                let me = ctx.self_id();
-                self.machine
-                    .lock()
-                    .watch(WatchTarget::Process(self.name.clone()), me);
-            }
+            // Both halves watch the pair: the backup to take over, the
+            // primary to stop waiting on a backup that is gone.
+            let me = ctx.self_id();
+            self.machine
+                .lock()
+                .watch(WatchTarget::Process(self.name.clone()), me);
             return;
         }
 
@@ -605,9 +624,23 @@ impl Actor for TmfProc {
 
         let msg = match msg.take::<ProcessDied>() {
             Ok((_, d)) => {
-                if self.role == Role::Backup && d.name == self.name && d.was_primary {
-                    self.machine.lock().promote_backup(&self.name);
-                    self.role = Role::Primary;
+                if d.name != self.name {
+                    return;
+                }
+                match (self.role, d.was_primary) {
+                    (Role::Backup, true) => {
+                        self.machine.lock().promote_backup(&self.name);
+                        self.role = Role::Primary;
+                    }
+                    // The backup died: no decision checkpoint in flight
+                    // will be acknowledged (a pair without a backup does
+                    // not checkpoint) — externalize what waited on one.
+                    (Role::Primary, false) => {
+                        for (_, token) in std::mem::take(&mut self.ckpt_waiters) {
+                            self.externalize(ctx, token);
+                        }
+                    }
+                    _ => {}
                 }
                 return;
             }
@@ -729,15 +762,7 @@ impl Actor for TmfProc {
                                 upto: lsn,
                             },
                         );
-                        self.send_proc(
-                            ctx,
-                            &adp,
-                            24,
-                            FlushReq {
-                                upto: lsn,
-                                token: sub,
-                            },
-                        );
+                        self.send_flush(ctx, &adp, lsn, sub);
                     }
                     for peer in participants {
                         let (fps, dp2s) = remote.remove(&peer).unwrap_or_default();
@@ -864,15 +889,7 @@ impl Actor for TmfProc {
                                     upto: lsn,
                                 },
                             );
-                            self.send_proc(
-                                ctx,
-                                &adp,
-                                24,
-                                FlushReq {
-                                    upto: lsn,
-                                    token: sub,
-                                },
-                            );
+                            self.send_flush(ctx, &adp, lsn, sub);
                         }
                     }
                     return;
@@ -954,52 +971,31 @@ impl Actor for TmfProc {
                     let Some((token, kind)) = self.subop.remove(&done.token) else {
                         return;
                     };
+                    // Append; flush only if the ack does not already
+                    // cover it.
                     match kind {
-                        // Master-trail commit record landed in the
-                        // buffer: now flush it.
-                        SubKind::MasterAppend { .. } if self.commits.contains_key(&token) => {
-                            let st = self.commits.get_mut(&token).unwrap();
-                            st.phase = CommitPhase::MasterFlush;
-                            let txn = st.txn;
-                            let master = self.master_for(txn).expect("master adp");
-                            let sub = self.sub_token(
-                                ctx,
-                                token,
-                                SubKind::MasterFlush {
-                                    txn,
-                                    upto: done.lsn_end,
-                                },
-                            );
-                            self.send_proc(
-                                ctx,
-                                &master,
-                                24,
-                                FlushReq {
-                                    upto: done.lsn_end,
-                                    token: sub,
-                                },
-                            );
+                        SubKind::MasterAppend { txn } if self.commits.contains_key(&token) => {
+                            if done.is_durable() {
+                                self.commit_hardened(ctx, token);
+                            } else {
+                                self.commits.get_mut(&token).unwrap().phase =
+                                    CommitPhase::MasterFlush;
+                                let upto = done.lsn_end;
+                                let sub =
+                                    self.sub_token(ctx, token, SubKind::MasterFlush { txn, upto });
+                                let master = self.master_for(txn).expect("master adp");
+                                self.send_flush(ctx, &master, upto, sub);
+                            }
                         }
-                        SubKind::MasterAppend { .. } => {}
                         SubKind::PrepAppend { txn } => {
-                            let master = self.master_for(txn).expect("master adp");
-                            let sub = self.sub_token(
-                                ctx,
-                                0,
-                                SubKind::PrepFlush {
-                                    txn,
-                                    upto: done.lsn_end,
-                                },
-                            );
-                            self.send_proc(
-                                ctx,
-                                &master,
-                                24,
-                                FlushReq {
-                                    upto: done.lsn_end,
-                                    token: sub,
-                                },
-                            );
+                            if done.is_durable() {
+                                self.prep_durable(ctx, txn);
+                            } else {
+                                let upto = done.lsn_end;
+                                let sub = self.sub_token(ctx, 0, SubKind::PrepFlush { txn, upto });
+                                let master = self.master_for(txn).expect("master adp");
+                                self.send_flush(ctx, &master, upto, sub);
+                            }
                         }
                         _ => {}
                     }
@@ -1080,7 +1076,7 @@ pub fn install_tmf(
                 subop: HashMap::new(),
                 next_subop: 0,
                 prepared: HashMap::new(),
-                ckpt_waiters: HashMap::new(),
+                ckpt_waiters: BTreeMap::new(),
                 next_ckpt: 0,
                 commits_since_mark: 0,
             })

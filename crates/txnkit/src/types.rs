@@ -149,6 +149,10 @@ pub struct InsertDone {
     pub txn: TxnId,
     pub token: u64,
     pub result: InsertResult,
+    /// The audit delta was already durable when its append was
+    /// acknowledged ([`AppendDone::is_durable`]): the commit needs no flush
+    /// point for this insert. Always false for a failed insert.
+    pub durable: bool,
 }
 
 /// Point read of a record (used by examples/tests, and by fraud-detection
@@ -231,7 +235,8 @@ pub struct TxnResolved {
 // DP2/TMF ↔ ADP
 // ---------------------------------------------------------------------
 
-/// Append encoded audit records to the trail (buffered, not yet durable).
+/// Append encoded audit records to the trail. Whether the ack already
+/// proves them durable is the backend's to say, in [`AppendDone`].
 #[derive(Clone, Debug)]
 pub struct AuditAppend {
     pub records: Bytes,
@@ -241,12 +246,26 @@ pub struct AuditAppend {
 }
 
 /// The append's assigned trail position: records occupy
-/// `[lsn_start, lsn_end)`; durability requires flushing through `lsn_end`.
+/// `[lsn_start, lsn_end)`, and the trail was durable through
+/// `durable_upto` when the ack left. An ack whose watermark covers its own
+/// `lsn_end` *is* the durability proof (a PM trail releases acks only from
+/// a published watermark); otherwise durability requires a [`FlushReq`]
+/// through `lsn_end` (the buffered disk trail).
 #[derive(Clone, Copy, Debug)]
 pub struct AppendDone {
     pub token: u64,
     pub lsn_start: Lsn,
     pub lsn_end: Lsn,
+    pub durable_upto: Lsn,
+}
+
+impl AppendDone {
+    /// Does this ack already prove its own records durable? A `FlushReq`
+    /// through `lsn_end` would be answered at once from the same
+    /// watermark, so the requester may skip it.
+    pub fn is_durable(&self) -> bool {
+        self.durable_upto >= self.lsn_end
+    }
 }
 
 /// Make the trail durable through `upto`.

@@ -11,7 +11,7 @@ use simcore::time::SECS;
 use simcore::{Actor, Ctx, DurableStore, Msg, SimDuration, SimTime};
 use simnet::{EndpointId, NetDelivery};
 use std::sync::Arc;
-use txnkit::scenario::{build_ods, OdsNode, OdsParams};
+use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
 use txnkit::types::*;
 use txnkit::TxnClient;
 
@@ -32,6 +32,12 @@ struct DriverResults {
     reads_found: u64,
     reads_missing: u64,
     done_at_ns: u64,
+    /// Successful inserts whose `InsertDone` said durable-on-ack / not.
+    inserts_durable: u64,
+    inserts_to_flush: u64,
+    /// Data-trail flush points the commits carried: per committed txn,
+    /// one per distinct trail a not-yet-durable insert reached.
+    flush_points: u64,
 }
 
 struct TestDriver {
@@ -55,6 +61,8 @@ struct TestDriver {
     inserts_done: u32,
     /// Tokens acknowledged this txn (guards duplicate acks from retries).
     acked: std::collections::HashSet<u64>,
+    /// Trails this txn's not-yet-durable inserts reached.
+    trails_to_flush: std::collections::BTreeSet<String>,
     reads_pending: u32,
     results: Arc<Mutex<DriverResults>>,
 }
@@ -76,6 +84,7 @@ impl TestDriver {
     fn issue_inserts(&mut self, ctx: &mut Ctx<'_>) {
         self.inserts_done = 0;
         self.acked.clear();
+        self.trails_to_flush.clear();
         for i in 0..self.inserts_per_txn {
             self.issue_insert(ctx, i);
         }
@@ -151,7 +160,6 @@ impl Actor for TestDriver {
         }
         if msg.is::<Kickoff>() {
             self.begin_next(ctx);
-            ctx.send_self(SimDuration::from_millis(900), InsertRetryTick);
             return;
         }
         if let Ok((_, delivery)) = msg.take::<NetDelivery>() {
@@ -169,8 +177,21 @@ impl Actor for TestDriver {
                         if !self.acked.insert(done.token) {
                             return; // duplicate ack from a retried insert
                         }
+                        if let InsertResult::Ok { adp, .. } = &done.result {
+                            let mut r = self.results.lock();
+                            if done.durable {
+                                r.inserts_durable += 1;
+                            } else {
+                                r.inserts_to_flush += 1;
+                                self.trails_to_flush.insert(adp.clone());
+                            }
+                        }
                         self.inserts_done += 1;
                         if self.inserts_done == self.inserts_per_txn {
+                            if self.outcome == Outcome::Commit {
+                                self.results.lock().flush_points +=
+                                    self.trails_to_flush.len() as u64;
+                            }
                             self.resolve(ctx);
                         }
                     } else {
@@ -229,7 +250,6 @@ impl Actor for TestDriver {
 }
 
 struct Kickoff;
-struct InsertRetryTick;
 
 #[allow(clippy::too_many_arguments)]
 fn spawn_driver(
@@ -276,6 +296,7 @@ fn spawn_driver(
             txn_started_ns: 0,
             inserts_done: 0,
             acked: std::collections::HashSet::new(),
+            trails_to_flush: std::collections::BTreeSet::new(),
             reads_pending: 0,
             results: r2,
         })
@@ -665,4 +686,370 @@ fn whole_cpu_failure_mid_run_recovers() {
     // The services formerly on CPU 2 now answer from their backups.
     assert_ne!(m.resolve("$ADP2").unwrap().cpu, CpuId(2));
     assert_ne!(m.resolve("$DP2-2").unwrap().cpu, CpuId(2));
+}
+
+/// A primary that parks work on a `CheckpointAck` must learn that its
+/// backup died: killing CPU 1 takes out backups (and primaries nothing
+/// here uses) at every instant of a 7 ms window, including the instants
+/// where a DP2, TMF or disk-ADP checkpoint is on its way to a backup
+/// there. Every step must still commit the whole workload.
+#[test]
+fn a_dead_backup_never_strands_work_parked_on_its_checkpoint_ack() {
+    const TXNS: u64 = 400;
+    let mut stuck: Vec<(u64, u64)> = Vec::new();
+    for step in 0..700u64 {
+        let mut params = OdsParams::baseline(93);
+        params.txn.group_commit_window_ns = 0;
+        let mut store = DurableStore::new();
+        let mut node = build_ods(&mut store, params);
+        Monitor::install(
+            &mut node.sim,
+            &node.machine,
+            FaultPlan::none().with(Fault::KillCpu {
+                cpu: 1,
+                at: SimTime(2 * SECS + step * 10_000),
+            }),
+        );
+        let results = spawn_driver(
+            &mut node,
+            "$drv",
+            CpuId(0),
+            TXNS,
+            1,
+            64,
+            Outcome::Commit,
+            false,
+            70_000,
+        );
+        node.sim.run_until(SimTime(60 * SECS));
+        let committed = results.lock().committed;
+        if committed != TXNS {
+            stuck.push((step, committed));
+        }
+    }
+    assert!(
+        stuck.is_empty(),
+        "(step, commits) that never finished: {stuck:?}"
+    );
+}
+
+/// The flush elision is decided by the data on the append ack, not by the
+/// backend's name. Every PM arm acks an append only from a published
+/// watermark, so every ack covers its own records and no `FlushReq` is
+/// ever sent; the buffered disk trail's acks never do, so each commit
+/// still pays one flush per data trail plus the master's and waits for
+/// the group commit.
+#[test]
+fn flush_round_trips_are_elided_exactly_when_the_ack_proves_durability() {
+    let run = |params: OdsParams| {
+        let mut store = DurableStore::new();
+        let mut node = build_ods(&mut store, params);
+        let results = spawn_driver(
+            &mut node,
+            "$drv",
+            CpuId(0),
+            12,
+            8,
+            128,
+            Outcome::Commit,
+            false,
+            50_000,
+        );
+        node.sim.run_until(SimTime(200 * SECS));
+        let r = results.lock();
+        assert_eq!(r.committed, 12);
+        let s = node.stats.lock();
+        (
+            s.flush_reqs,
+            r.flush_points,
+            r.inserts_durable,
+            r.inserts_to_flush,
+            s.flush_latency.min(),
+        )
+    };
+
+    let pm_arms: Vec<(&str, OdsParams)> = {
+        let with = |f: &dyn Fn(&mut OdsParams)| {
+            let mut p = OdsParams::pm(77);
+            f(&mut p);
+            p
+        };
+        vec![
+            ("pmp", OdsParams::pm(77)),
+            ("npmu", with(&|p| p.audit = AuditMode::HardwareNpmu)),
+            ("striped pool", OdsParams::pm_pool(77, 2)),
+            ("device append", with(&|p| p.txn.pm_offload_append = true)),
+            (
+                "flush-on-read",
+                with(&|p| p.txn.pm_persist_mode = simnet::PersistMode::FlushOnRead),
+            ),
+            (
+                "nic-ack",
+                with(&|p| p.txn.pm_persist_mode = simnet::PersistMode::NicAck),
+            ),
+        ]
+    };
+    for (arm, params) in pm_arms {
+        let (flush_reqs, flush_points, durable, to_flush, _) = run(params);
+        assert_eq!(flush_reqs, 0, "{arm}: a PM commit sent a FlushReq");
+        assert_eq!((durable, to_flush), (96, 0), "{arm}");
+        assert_eq!(flush_points, 0, "{arm}");
+    }
+
+    let window = OdsParams::baseline(77).txn.group_commit_window_ns;
+    let (flush_reqs, flush_points, durable, to_flush, fastest) = run(OdsParams::baseline(77));
+    assert_eq!((durable, to_flush), (0, 96), "a disk ack proved durability");
+    assert!(flush_points >= 12, "every commit names a trail to flush");
+    assert_eq!(flush_reqs, flush_points + 12, "data trails + one master");
+    assert!(
+        fastest > window,
+        "a disk commit ({fastest} ns) did not wait out the group-commit window"
+    );
+}
+
+// ---------------------------------------------------------------------
+// One row, observed: the instant its insert is acknowledged, and what the
+// owning DP2 pair answers for it before and after a takeover.
+// ---------------------------------------------------------------------
+
+#[derive(Default)]
+struct RowSeen {
+    insert_done_at: Option<u64>,
+    committed: bool,
+    /// `ReadDone::found` per scripted read, in script order.
+    reads: Vec<Option<Option<(u32, u32)>>>,
+}
+
+/// One transaction with one insert into `part`, committed; then a point
+/// read of that row at each instant of `read_at`.
+struct RowProbe {
+    client: TxnClient,
+    machine: nsk::machine::SharedMachine,
+    ep: EndpointId,
+    cpu: CpuId,
+    dp2: String,
+    part: PartitionId,
+    key: u64,
+    body: Bytes,
+    virtual_len: u32,
+    read_at: Vec<SimTime>,
+    seen: Arc<Mutex<RowSeen>>,
+}
+
+struct ReadNow(u64);
+
+impl Actor for RowProbe {
+    fn name(&self) -> &str {
+        "row-probe"
+    }
+
+    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        if msg.is::<simcore::actor::Start>() {
+            ctx.send_self(SimDuration::from_millis(1200), Kickoff);
+            for (i, at) in self.read_at.iter().enumerate() {
+                ctx.send_self(SimDuration::from_nanos(at.as_nanos()), ReadNow(i as u64));
+            }
+            return;
+        }
+        if msg.is::<Kickoff>() {
+            self.client.begin(ctx, 0);
+            return;
+        }
+        let msg = match msg.take::<ReadNow>() {
+            Ok((_, ReadNow(token))) => {
+                nsk::proc::send_to_process(
+                    ctx,
+                    &self.machine.clone(),
+                    self.ep,
+                    self.cpu,
+                    &self.dp2,
+                    32,
+                    ReadReq {
+                        partition: self.part,
+                        key: self.key,
+                        token,
+                    },
+                );
+                return;
+            }
+            Err(m) => m,
+        };
+        let Ok((_, delivery)) = msg.take::<NetDelivery>() else {
+            return;
+        };
+        let payload = match delivery.payload.downcast::<TxnBegun>() {
+            Ok(b) => {
+                let (dp2, body) = (self.dp2.clone(), self.body.clone());
+                self.client.insert(
+                    ctx,
+                    &dp2,
+                    b.txn,
+                    self.part,
+                    self.key,
+                    body,
+                    self.virtual_len,
+                    0,
+                );
+                return;
+            }
+            Err(p) => p,
+        };
+        let payload = match payload.downcast::<InsertDone>() {
+            Ok(done) => {
+                self.seen.lock().insert_done_at = Some(ctx.now().as_nanos());
+                assert!(self.client.note_insert_done(&done));
+                self.client.commit(ctx, done.txn);
+                return;
+            }
+            Err(p) => p,
+        };
+        let payload = match payload.downcast::<TxnCommitted>() {
+            Ok(_) => {
+                self.seen.lock().committed = true;
+                return;
+            }
+            Err(p) => p,
+        };
+        if let Ok(rd) = payload.downcast::<ReadDone>() {
+            self.seen.lock().reads[rd.token as usize] = Some(rd.found);
+        }
+    }
+}
+
+fn spawn_row_probe(
+    node: &mut OdsNode,
+    part: PartitionId,
+    key: u64,
+    body: &[u8],
+    virtual_len: u32,
+    read_at: Vec<SimTime>,
+) -> Arc<Mutex<RowSeen>> {
+    let seen = Arc::new(Mutex::new(RowSeen {
+        reads: vec![None; read_at.len()],
+        ..RowSeen::default()
+    }));
+    let (machine, tmf, seen2) = (node.machine.clone(), node.tmf.clone(), seen.clone());
+    let dp2 = node.partition_map[&part].clone();
+    let body = Bytes::from(body.to_vec());
+    let cpu = CpuId(0);
+    nsk::machine::install_primary(&mut node.sim, &node.machine, "$probe", cpu, move |ep| {
+        Box::new(RowProbe {
+            client: TxnClient::new(machine.clone(), ep, cpu, tmf),
+            machine,
+            ep,
+            cpu,
+            dp2,
+            part,
+            key,
+            body,
+            virtual_len,
+            read_at,
+            seen: seen2,
+        })
+    });
+    seen
+}
+
+fn kill_primary_at(node: &mut OdsNode, name: &str, at: SimTime) {
+    Monitor::install(
+        &mut node.sim,
+        &node.machine,
+        FaultPlan::none().with(Fault::KillProcess {
+            name: name.into(),
+            at,
+        }),
+    );
+}
+
+/// The stored image is computed once: what the primary put in its table
+/// is what it checkpointed, so the promoted backup answers a read exactly
+/// as the primary did — also for a body longer than its `virtual_len`.
+#[test]
+fn a_promoted_dp2_backup_reads_back_the_record_the_primary_stored() {
+    let body = [0xA7u8; 128];
+    let part = PartitionId { file: 2, part: 1 };
+    let mut store = DurableStore::new();
+    let mut node = build_ods(&mut store, OdsParams::pm(41));
+    let dp2 = node.partition_map[&part].clone();
+    kill_primary_at(&mut node, &dp2, SimTime(3 * SECS));
+    let seen = spawn_row_probe(
+        &mut node,
+        part,
+        9,
+        &body,
+        16,
+        vec![SimTime(2 * SECS), SimTime(4 * SECS)],
+    );
+    node.sim.run_until(SimTime(5 * SECS));
+    let seen = seen.lock();
+    assert!(seen.committed);
+    let stored = Some((128, pmm::meta::crc32(&body)));
+    assert_eq!(seen.reads[0], Some(stored), "read from the primary");
+    assert_eq!(seen.reads[1], Some(stored), "read from the promoted backup");
+}
+
+/// Checkpoint-before-externalize and log-before-externalize both hold
+/// with the two legs overlapped: kill the DP2 primary the instant the
+/// client sees `InsertDone`, and the promoted backup has the row *and*
+/// the trail has the delta — wherever the DP2 sits relative to the
+/// transaction's log writer.
+#[test]
+fn an_acknowledged_insert_is_at_the_backup_and_on_the_trail() {
+    let body = [0x3Cu8; 64];
+    for cpu in 0..4 {
+        let part = PartitionId { file: 1, part: cpu };
+        let key = 500 + cpu as u64;
+        let run = |kill_at: Option<SimTime>| {
+            let mut store = DurableStore::new();
+            let mut node = build_ods(
+                &mut store,
+                OdsParams {
+                    audit: AuditMode::HardwareNpmu,
+                    ..OdsParams::pm(43)
+                },
+            );
+            assert!(node.params.txn.dp2_checkpoint);
+            let dp2 = node.partition_map[&part].clone();
+            if let Some(at) = kill_at {
+                kill_primary_at(&mut node, &dp2, at);
+            }
+            let read_at = kill_at.map(|t| SimTime(t.as_nanos() + SECS));
+            let seen = spawn_row_probe(&mut node, part, key, &body, 64, Vec::from_iter(read_at));
+            node.sim.run_until(SimTime(4 * SECS));
+            let trails: Vec<Vec<u8>> = (0..node.adps.len())
+                .map(|i| {
+                    let img = store.get::<npmu::NvImage>("npmu:pm-a").unwrap();
+                    let img = img.lock();
+                    let meta = pmm::MetaStore::recover(|off, len| img.read(off, len));
+                    let region = meta.find(&format!("adp{i}.audit")).unwrap();
+                    let skip = txnkit::adp::PM_CTRL_BYTES;
+                    img.read(region.base + skip, (region.len - skip) as usize)
+                })
+                .collect();
+            let seen = std::mem::take(&mut *seen.lock());
+            (seen, trails)
+        };
+
+        // Pass 1, undisturbed: the instant the client sees `InsertDone`.
+        let (seen, _) = run(None);
+        let done_at = SimTime(seen.insert_done_at.expect("insert acknowledged"));
+        // Pass 2: the primary dies at that very instant.
+        let (seen, trails) = run(Some(done_at));
+        assert_eq!(seen.insert_done_at, Some(done_at.as_nanos()));
+        assert_eq!(
+            seen.reads[0],
+            Some(Some((64, pmm::meta::crc32(&body)))),
+            "cpu {cpu}: the promoted backup lacks the acknowledged row"
+        );
+        let on_trail = trails.iter().flat_map(|t| txnkit::audit::scan(t)).any(
+            |(_, r)| matches!(r, txnkit::audit::AuditRecord::Insert { key: k, .. } if k == key),
+        );
+        assert!(
+            on_trail,
+            "cpu {cpu}: the trail lacks the acknowledged delta"
+        );
+        // The delta was durable on its ack, so the commit needed nothing
+        // more from the dead DP2 and went through.
+        assert!(seen.committed, "cpu {cpu}");
+    }
 }

@@ -6,6 +6,10 @@
 //!   acknowledged append is lost and no commit is double-counted — and
 //!   offline recovery over the per-partition trails (merged by LSN)
 //!   rebuilds exactly the acknowledged history;
+//! * an ADP primary is killed between a commit record's append and its
+//!   ack; the TMF re-drives it, the new primary's ack proves the record
+//!   durable from the watermark it recovered, and the commit completes
+//!   without a single `FlushReq` — and is redone after power loss;
 //! * a burst of appends deeper than the pipeline ring coalesces into
 //!   wide batched writes and into fewer control-cell publications than
 //!   appends (one cell write covers every append completed since the
@@ -32,19 +36,41 @@ use txnkit::recovery::redo_scan_partitioned;
 use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
 use txnkit::{AppendDone, AuditAppend, FlushDone, FlushReq, Lsn, TxnConfig};
 
-const DRIVERS: u32 = 2;
-const RECORDS_PER_DRIVER: u64 = 384;
-const INSERTS_PER_TXN: u32 = 8;
-const WANT_TXNS: u64 = DRIVERS as u64 * RECORDS_PER_DRIVER / INSERTS_PER_TXN as u64;
+/// The hot-stock load a node runs: `drivers` order streams, each
+/// inserting `records_per_driver` rows `inserts_per_txn` at a time.
+#[derive(Clone, Copy)]
+struct Load {
+    drivers: u32,
+    records_per_driver: u64,
+    inserts_per_txn: u32,
+}
+
+impl Load {
+    fn records(&self) -> u64 {
+        self.drivers as u64 * self.records_per_driver
+    }
+
+    fn txns(&self) -> u64 {
+        self.records() / self.inserts_per_txn as u64
+    }
+}
+
+/// Two drivers keeping eight inserts each in flight: a full pipeline.
+const BUSY: Load = Load {
+    drivers: 2,
+    records_per_driver: 384,
+    inserts_per_txn: 8,
+};
 
 /// A PM-audit node with `partitions` audit partitions (0 = one per CPU),
-/// two hot-stock drivers that start at t = 1.1 s, and the primary of
+/// `load`'s hot-stock drivers starting at t = 1.1 s, and the primary of
 /// `victim` scheduled to die at `kill_at`. PM-mode ADPs keep no backup
 /// checkpoints: the takeover must recover the durable watermark from the
 /// control cell alone.
 fn hot_stock_node(
     store: &mut DurableStore,
     partitions: u32,
+    load: Load,
     victim: &str,
     kill_at: SimTime,
 ) -> (OdsNode, Vec<SharedDriverStats>) {
@@ -66,7 +92,7 @@ fn hot_stock_node(
     );
     let warmup = SimDuration::from_millis(1100);
     let mut driver_stats: Vec<SharedDriverStats> = Vec::new();
-    for d in 0..DRIVERS {
+    for d in 0..load.drivers {
         let st = HotStockDriver::install(
             &mut node.sim,
             &node.machine.clone(),
@@ -77,8 +103,8 @@ fn hot_stock_node(
             d,
             CpuId(d % node.params.cpus),
             4096,
-            INSERTS_PER_TXN,
-            RECORDS_PER_DRIVER,
+            load.inserts_per_txn,
+            load.records_per_driver,
             warmup,
             node.params.txn.issue_cpu_ns,
         );
@@ -94,6 +120,7 @@ fn hot_stock_node(
 fn finish_and_check_history(
     store: &mut DurableStore,
     mut node: OdsNode,
+    load: Load,
     driver_stats: &[SharedDriverStats],
     victim: usize,
 ) {
@@ -111,8 +138,8 @@ fn finish_and_check_history(
     // nothing re-acknowledged after it.
     let committed: u64 = driver_stats.iter().map(|s| s.lock().committed_txns).sum();
     let inserted: u64 = driver_stats.iter().map(|s| s.lock().inserted_records).sum();
-    assert_eq!(inserted, DRIVERS as u64 * RECORDS_PER_DRIVER);
-    assert_eq!(committed, WANT_TXNS);
+    assert_eq!(inserted, load.records());
+    assert_eq!(committed, load.txns());
     // The killed partition's name still resolves: the backup took over.
     assert!(node
         .machine
@@ -123,7 +150,10 @@ fn finish_and_check_history(
         let s = node.stats.lock();
         assert_eq!(s.adp_checkpoints, 0, "PM mode sends no data checkpoints");
         assert!(s.pm_ctrl_writes > 0);
-        assert_eq!(s.txns_committed, WANT_TXNS);
+        assert_eq!(s.txns_committed, load.txns());
+        // Every append ack — the re-driven ones from the new primary
+        // included — proved its own records durable.
+        assert_eq!(s.flush_reqs, 0, "a PM commit sent a FlushReq");
     }
 
     // The control cell the takeover read back is well-formed (at least
@@ -143,7 +173,7 @@ fn finish_and_check_history(
         .collect();
     let refs: Vec<&[u8]> = trails.iter().map(|t| t.as_slice()).collect();
     let rec = redo_scan_partitioned(&refs);
-    assert_eq!(rec.committed.len() as u64, WANT_TXNS);
+    assert_eq!(rec.committed.len() as u64, load.txns());
     assert!(rec.inflight.is_empty(), "completed run leaves no inflight");
     let keys: usize = rec.tables.values().map(|t| t.len()).sum();
     assert_eq!(keys as u64, inserted, "all committed inserts redone");
@@ -160,8 +190,8 @@ fn finish_and_check_history(
 fn adp_primary_killed_mid_pipeline_loses_no_acknowledged_append() {
     // Partition 1's primary dies at 1.3 s with appends in flight.
     let mut store = DurableStore::new();
-    let (node, driver_stats) = hot_stock_node(&mut store, 0, "$ADP1", SimTime(1300 * MILLIS));
-    finish_and_check_history(&mut store, node, &driver_stats, 1);
+    let (node, driver_stats) = hot_stock_node(&mut store, 0, BUSY, "$ADP1", SimTime(1300 * MILLIS));
+    finish_and_check_history(&mut store, node, BUSY, &driver_stats, 1);
 }
 
 /// The primary dies *between posting a chain that carries its own
@@ -177,7 +207,8 @@ fn adp_primary_killed_between_chain_post_and_completion() {
     // the run, so both passes are event-for-event identical up to it.)
     let posted_at = {
         let mut store = DurableStore::new();
-        let (mut node, _drivers) = hot_stock_node(&mut store, 1, "$ADP0", SimTime(599 * SECS));
+        let (mut node, _drivers) =
+            hot_stock_node(&mut store, 1, BUSY, "$ADP0", SimTime(599 * SECS));
         node.sim.run_until(SimTime(1200 * MILLIS));
         let before = node.stats.lock().pm_ctrl_chained;
         while node.stats.lock().pm_ctrl_chained == before {
@@ -191,7 +222,7 @@ fn adp_primary_killed_between_chain_post_and_completion() {
     // needs ~45 µs one way): posted, not completed.
     let kill_at = SimTime(posted_at.as_nanos() + 20_000);
     let mut store = DurableStore::new();
-    let (mut node, driver_stats) = hot_stock_node(&mut store, 1, "$ADP0", kill_at);
+    let (mut node, driver_stats) = hot_stock_node(&mut store, 1, BUSY, "$ADP0", kill_at);
     node.sim.run_until(SimTime(kill_at.as_nanos() - 1));
     let (a, b) = node.npmus.clone().expect("PM mode has NPMUs");
     let fences = a.stats.lock().flushes + b.stats.lock().flushes;
@@ -205,7 +236,54 @@ fn adp_primary_killed_between_chain_post_and_completion() {
     assert!(chained > 0, "the victim never chained a publication");
     // Fewer fences served than posted: a chain is in flight at the kill.
     assert!(fences < posted, "nothing in flight: {fences} of {posted}");
-    finish_and_check_history(&mut store, node, &driver_stats, 0);
+    finish_and_check_history(&mut store, node, BUSY, &driver_stats, 0);
+}
+
+/// The primary dies *between a commit record's append and its ack*. The
+/// TMF never hears back, re-drives the append, and the new primary —
+/// whose watermark came from the control cell — acks it as durable: the
+/// commit goes from `MasterAppend` straight to hardened, no `FlushReq`
+/// anywhere, and power loss right after the run loses nothing.
+#[test]
+fn adp_primary_killed_between_a_commit_append_and_its_ack() {
+    // One driver, one insert per transaction, one trail: the trail then
+    // alternates delta, commit record, delta, … so the 2n-th staged
+    // append is the n-th commit record (no checkpoint mark before 64).
+    const ONE_BY_ONE: Load = Load {
+        drivers: 1,
+        records_per_driver: 24,
+        inserts_per_txn: 1,
+    };
+    const NTH: u64 = 9;
+    // Pass 1 finds the instant the ADP posts the chain for that record.
+    let staged_at = {
+        let mut store = DurableStore::new();
+        let (mut node, _drivers) =
+            hot_stock_node(&mut store, 1, ONE_BY_ONE, "$ADP0", SimTime(599 * SECS));
+        while node.stats.lock().pm_writes < 2 * NTH {
+            assert!(
+                node.sim.now() < SimTime(2 * SECS),
+                "commit {NTH} never staged"
+            );
+            let next = node.sim.dispatched() + 1;
+            node.sim.run_until_dispatched(next);
+        }
+        assert_eq!(node.stats.lock().audit_deltas, NTH);
+        node.sim.now()
+    };
+    // 20 µs later the chain is on the wire: appended, not acknowledged.
+    let kill_at = SimTime(staged_at.as_nanos() + 20_000);
+    let mut store = DurableStore::new();
+    let (mut node, driver_stats) = hot_stock_node(&mut store, 1, ONE_BY_ONE, "$ADP0", kill_at);
+    node.sim.run_until(kill_at);
+    assert_eq!(node.stats.lock().pm_writes, 2 * NTH, "record staged");
+    assert_eq!(node.stats.lock().txns_committed, NTH - 1, "not acked");
+    finish_and_check_history(&mut store, node, ONE_BY_ONE, &driver_stats, 0);
+    // `finish_and_check_history` dropped the node: the lights are out.
+    store.reset_volatile();
+    let trail = read_region(&mut store, "npmu:pm-a", "adp0.audit", PM_CTRL_BYTES);
+    let rec = redo_scan_partitioned(&[trail.as_slice()]);
+    assert_eq!(rec.committed.len() as u64, ONE_BY_ONE.txns());
 }
 
 // ---------------------------------------------------------------------

@@ -24,7 +24,10 @@
 //! previously published watermark — never a garbage LSN.
 //!
 //! `FUZZ_FULL=1` widens the sweep to ≥ 2000 injected points across the
-//! three modes; the default is a ~200-point smoke sized for CI.
+//! three modes; the default is a ~200-point smoke sized for CI. Each
+//! arm's uncrashed probe also pins the shape of the path being fuzzed:
+//! no `FlushReq` on any PM arm (commits harden on their append acks), no
+//! standalone flush verb, every batch carrying its own cell.
 
 mod common;
 
@@ -112,6 +115,10 @@ fn probe(mode: PersistMode, seed: u64, offload: bool) -> (u64, u64) {
     // The offload arm must actually ride the device-side append: the
     // commit pipeline publishes no control cells at all.
     let ts = node.stats.lock();
+    // Every arm acks appends only from a published watermark, so every
+    // commit in the sweep hardened on its append acks alone: the crash
+    // points below all sample the flush-less commit path.
+    assert_eq!(ts.flush_reqs, 0, "a PM commit sent a FlushReq");
     if offload {
         assert_eq!(ts.pm_ctrl_writes, 0, "offload mode must not publish cells");
         assert!(ts.pm_batches > 0, "offload mode ran no PM appends");
@@ -485,6 +492,9 @@ fn xs_probe(seed: u64) -> (u64, u64, std::collections::HashSet<TxnId>) {
         "disjoint-key probe must commit everything"
     );
     assert!(s.cross_shard_committed > 0, "probe ran no cross-shard txns");
+    // Neither coordinators nor participants flushed: every prepare and
+    // every commit record hardened on its append ack.
+    assert_eq!(node.stats.lock().flush_reqs, 0, "a PM 2PC sent a FlushReq");
     (d_lo, d_hi, s.committed_ids.iter().copied().collect())
 }
 

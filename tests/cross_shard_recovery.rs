@@ -104,6 +104,38 @@ fn replay_committed(seed: u64, victim: &str) -> HashSet<TxnId> {
         "disjoint-key replay must commit every transaction"
     );
     assert!(s.cross_shard_committed > 0);
+    // On PM every insert was durable on its append ack, so no prepare
+    // carried a flush point and no TMF sent a `FlushReq` — yet every
+    // participant still hardened `Prepared` on its own trail before it
+    // voted: wherever a shard holds a delta of a transaction another
+    // shard coordinates, it holds that transaction's `Prepared` too.
+    {
+        let t = node.stats.lock();
+        assert_eq!(t.flush_reqs, 0);
+        assert_eq!(t.twopc_prepares, s.cross_shard_committed);
+    }
+    for (shard, shard_trails) in trails(&mut store).iter().enumerate() {
+        let records: Vec<AuditRecord> = shard_trails
+            .iter()
+            .flat_map(|t| scan(t))
+            .map(|(_, r)| r)
+            .collect();
+        let prepared: HashSet<TxnId> = records
+            .iter()
+            .filter_map(|r| match r {
+                AuditRecord::Prepared { txn } => Some(*txn),
+                _ => None,
+            })
+            .collect();
+        for r in &records {
+            if let AuditRecord::Insert { txn, .. } = r {
+                assert!(
+                    txn.coordinator_shard() == shard as u32 || prepared.contains(txn),
+                    "shard {shard} voted on {txn:?} without a Prepared record"
+                );
+            }
+        }
+    }
     s.committed_ids.iter().copied().collect()
 }
 
