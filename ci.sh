@@ -18,6 +18,11 @@ cargo build --release --examples
 # Smoke: 4-volume pool, striped region, one member failure + online
 # resilver — asserts internally, fails loud if the pool path rots.
 cargo run --release --example scale_out
+# Smoke: durable-write latency by attachment (T1) — asserts internally
+# that a mirrored 4 KB PM write costs within 5% of writing one half (the
+# legs ride separate fabrics), at least a wire time more with a fabric
+# down, and that the bytes split 50:50 across the fabrics.
+cargo run --release -p pm-bench --bin t1_latency
 # Smoke: partitioned audit scaling (T8) — asserts the ≥ 2× speedup and
 # p99 bars internally at smoke scale.
 cargo run --release -p pm-bench --bin audit_scaling

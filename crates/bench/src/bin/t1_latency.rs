@@ -2,8 +2,18 @@
 //! "The handling of SCSI commands, DMA, interrupts and context switching
 //! results in 100s of microseconds – usually milliseconds – of I/O
 //! latency" vs host-initiated RDMA PM at "only 10s of microseconds".
+//!
+//! Each mirrored PM row sits beside the same write to one half only and
+//! the same mirrored write with fabric Y down, with the share of the
+//! measured bytes each fabric carried: the mirror legs ride separate
+//! fabrics, so mirroring costs no serial wire time until a fabric is
+//! lost. The bin asserts both.
 
-use pm_bench::{json, measure_disk_write, measure_pm_write, MeasureOpts, PmPathVariant, Table};
+use pm_bench::{
+    json, measure_disk_write, measure_pm_write, measure_pm_write_fabrics, MeasureOpts,
+    PmPathVariant, Table,
+};
+use pmclient::MirrorPolicy;
 use pmem::NpmuConfig;
 use simdisk::{DiskConfig, WriteCachePolicy};
 use simnet::{FabricConfig, ServerNetGen};
@@ -11,7 +21,14 @@ use simnet::{FabricConfig, ServerNetGen};
 fn main() {
     const N: u32 = 200;
     let args: Vec<String> = std::env::args().collect();
-    let mut t = Table::new(&["path", "size_B", "mean_us", "p95_us", "durable"]);
+    let mut t = Table::new(&[
+        "path",
+        "size_B",
+        "mean_us",
+        "p95_us",
+        "durable",
+        "X:Y_bytes_%",
+    ]);
     let mut metrics: Vec<(String, f64)> = Vec::new();
     let record =
         |metrics: &mut Vec<(String, f64)>, key: &str, size: u32, h: &simcore::Histogram| {
@@ -28,6 +45,7 @@ fn main() {
             format!("{:.1}", disk_rand.mean() / 1e3),
             format!("{:.1}", disk_rand.p95() as f64 / 1e3),
             "yes".into(),
+            "-".into(),
         ]);
         record(&mut metrics, "disk_random", size, &disk_rand);
         let disk_seq = measure_disk_write(DiskConfig::audit_volume(), size, N, true);
@@ -37,6 +55,7 @@ fn main() {
             format!("{:.1}", disk_seq.mean() / 1e3),
             format!("{:.1}", disk_seq.p95() as f64 / 1e3),
             "yes".into(),
+            "-".into(),
         ]);
         record(&mut metrics, "disk_sequential", size, &disk_seq);
         let disk_bb = measure_disk_write(
@@ -54,6 +73,7 @@ fn main() {
             format!("{:.1}", disk_bb.mean() / 1e3),
             format!("{:.1}", disk_bb.p95() as f64 / 1e3),
             "yes (battery)".into(),
+            "-".into(),
         ]);
         record(&mut metrics, "disk_battery_cache", size, &disk_bb);
         let pm_stack = measure_pm_write(MeasureOpts {
@@ -66,21 +86,54 @@ fn main() {
             format!("{:.1}", pm_stack.mean() / 1e3),
             format!("{:.1}", pm_stack.p95() as f64 / 1e3),
             "yes".into(),
+            "-".into(),
         ]);
         record(&mut metrics, "pm_storage_stack", size, &pm_stack);
         for (label, generation) in [("gen1", ServerNetGen::Gen1), ("gen2", ServerNetGen::Gen2)] {
-            let pm = measure_pm_write(MeasureOpts {
-                fabric: FabricConfig::for_gen(generation),
-                ..MeasureOpts::pm_default(N, size)
-            });
-            t.row(&[
-                format!("PM direct RDMA ({label}, mirrored)"),
-                size.to_string(),
-                format!("{:.1}", pm.mean() / 1e3),
-                format!("{:.1}", pm.p95() as f64 / 1e3),
-                "yes (mirrored)".into(),
-            ]);
-            record(&mut metrics, &format!("pm_rdma_{label}"), size, &pm);
+            let fabric = FabricConfig::for_gen(generation);
+            let wire_ns = simnet::latency::wire_ns(&fabric, size) as f64;
+            // (row label, JSON key suffix, policy, fabric taken down)
+            let (one_half, both) = (MirrorPolicy::PrimaryOnly, MirrorPolicy::ParallelBoth);
+            let arms = [
+                ("one half", "_one_half", one_half, None),
+                ("mirrored", "", both, None),
+                ("mirrored, Y down", "_y_down", both, Some(1)),
+            ];
+            let mut means = [0.0; 3];
+            for (i, (arm, key, policy, fabric_down)) in arms.into_iter().enumerate() {
+                let (pm, bytes) = measure_pm_write_fabrics(MeasureOpts {
+                    fabric: fabric.clone(),
+                    policy,
+                    fabric_down,
+                    ..MeasureOpts::pm_default(N, size)
+                });
+                means[i] = pm.mean();
+                let x_pct = 100.0 * bytes[0] as f64 / (bytes[0] + bytes[1]) as f64;
+                t.row(&[
+                    format!("PM direct RDMA ({label}, {arm})"),
+                    size.to_string(),
+                    format!("{:.1}", pm.mean() / 1e3),
+                    format!("{:.1}", pm.p95() as f64 / 1e3),
+                    if i == 0 { "yes" } else { "yes (mirrored)" }.into(),
+                    format!("{x_pct:.0}:{:.0}", 100.0 - x_pct),
+                ]);
+                record(&mut metrics, &format!("pm_rdma_{label}{key}"), size, &pm);
+                // Half the bytes on each fabric; all on X with Y down.
+                let want_x_pct = if i == 1 { 50.0 } else { 100.0 };
+                assert_eq!(x_pct, want_x_pct, "{label} {arm} {size} B: {bytes:?}");
+            }
+            let [one, mirrored, y_down] = means;
+            if size == 4096 {
+                assert!(
+                    mirrored >= one && mirrored <= 1.05 * one,
+                    "{label}: mirrored 4 KB write {mirrored:.0} ns vs one half {one:.0} ns"
+                );
+                assert!(
+                    y_down >= one + wire_ns,
+                    "{label}: on one fabric the second leg queues a wire time: \
+                     {y_down:.0} vs {one:.0} + {wire_ns:.0} ns"
+                );
+            }
         }
         let pmp = measure_pm_write(MeasureOpts {
             device: NpmuConfig::pmp(64 << 20),
@@ -92,6 +145,7 @@ fn main() {
             format!("{:.1}", pmp.mean() / 1e3),
             format!("{:.1}", pmp.p95() as f64 / 1e3),
             "volatile (prototype)".into(),
+            "-".into(),
         ]);
         record(&mut metrics, "pmp_prototype", size, &pmp);
     }

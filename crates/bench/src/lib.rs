@@ -33,7 +33,9 @@ pub mod measure_pool;
 pub mod measure_read;
 pub mod table;
 
-pub use measure::{measure_disk_write, measure_pm_write, MeasureOpts, PmPathVariant};
+pub use measure::{
+    measure_disk_write, measure_pm_write, measure_pm_write_fabrics, MeasureOpts, PmPathVariant,
+};
 pub use measure_pool::{measure_pool_write_bw, PoolBwOpts, PoolBwResult};
 pub use measure_read::{measure_pool_read_bw, ReadBwOpts, ReadBwResult, ReadWorkload};
 pub use table::Table;

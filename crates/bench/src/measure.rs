@@ -10,10 +10,13 @@ use pmclient::{MirrorPolicy, PmLib, PmReadTimeout, PmWriteTimeout};
 use pmem::install_pm_system;
 use pmm::msgs::CreateRegionAck;
 use simcore::actor::Start;
+use simcore::fault::{Fault, FaultPlan};
 use simcore::time::SECS;
 use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Sim, SimDuration, SimTime};
 use simdisk::{DiskConfig, DiskVolume, DiskWrite, DiskWriteDone, SparseMedia};
-use simnet::{EndpointId, FabricConfig, NetDelivery, Network, RdmaReadDone, RdmaWriteDone};
+use simnet::{
+    EndpointId, FabricConfig, NetDelivery, Network, RdmaReadDone, RdmaWriteDone, FABRICS,
+};
 use std::sync::Arc;
 
 /// How the PM device is reached (T1 rows + ablations A2/A3).
@@ -40,6 +43,8 @@ pub struct MeasureOpts {
     pub policy: MirrorPolicy,
     pub variant: PmPathVariant,
     pub seed: u64,
+    /// Take this fabric (0 = X, 1 = Y) down for the whole run.
+    pub fabric_down: Option<u8>,
 }
 
 impl MeasureOpts {
@@ -52,6 +57,7 @@ impl MeasureOpts {
             policy: MirrorPolicy::ParallelBoth,
             variant: PmPathVariant::Direct,
             seed: 7,
+            fabric_down: None,
         }
     }
 }
@@ -190,6 +196,8 @@ struct PmClientRig {
     issued: u32,
     started_ns: u64,
     hist: Arc<Mutex<Histogram>>,
+    /// Per-fabric byte counters as the first measured write is issued.
+    bytes_before: Arc<Mutex<[u64; FABRICS]>>,
     /// StorageStack: a pending sub-block write waiting on its RMW read.
     rmw_pending: bool,
 }
@@ -321,6 +329,8 @@ impl Actor for PmClientRig {
                     if let Ok(info) = ack.result {
                         self.region = Some(info.region_id);
                         self.lib.adopt(info);
+                        *self.bytes_before.lock() =
+                            self.machine.lock().net.lock().stats.fabric_bytes;
                         self.issue(ctx);
                     }
                     return;
@@ -336,15 +346,28 @@ impl Actor for PmClientRig {
 
 /// Closed-loop persistent-write latency through the PM access path.
 pub fn measure_pm_write(opts: MeasureOpts) -> Histogram {
+    measure_pm_write_fabrics(opts).0
+}
+
+/// As [`measure_pm_write`], also returning the bytes each fabric
+/// (`[X, Y]`) carried for the measured writes, set-up traffic excluded.
+pub fn measure_pm_write_fabrics(opts: MeasureOpts) -> (Histogram, [u64; FABRICS]) {
     let mut sim = Sim::with_seed(opts.seed);
     let mut store = DurableStore::new();
     let net = Network::new(opts.fabric.clone());
+    if let Some(fabric) = opts.fabric_down {
+        net.lock().fault_plan = FaultPlan::none().with(Fault::FabricDown {
+            fabric,
+            from: SimTime(0),
+            to: SimTime(u64::MAX),
+        });
+    }
     let machine = Machine::new(
         MachineConfig {
             cpus: 4,
             ..MachineConfig::default()
         },
-        net,
+        net.clone(),
     );
     let sys = install_pm_system(
         &mut sim,
@@ -369,6 +392,8 @@ pub fn measure_pm_write(opts: MeasureOpts) -> Histogram {
 
     let hist = Arc::new(Mutex::new(Histogram::new()));
     let h2 = hist.clone();
+    let bytes_before = Arc::new(Mutex::new([0; FABRICS]));
+    let b2 = bytes_before.clone();
     let m3 = machine.clone();
     let pmm_name = sys.pmm_name.clone();
     let opts2 = opts.clone();
@@ -383,6 +408,7 @@ pub fn measure_pm_write(opts: MeasureOpts) -> Histogram {
             issued: 0,
             started_ns: 0,
             hist: h2,
+            bytes_before: b2,
             rmw_pending: false,
         })
     });
@@ -390,7 +416,8 @@ pub fn measure_pm_write(opts: MeasureOpts) -> Histogram {
     sim.run_until(SimTime(3600 * SECS));
     let h = hist.lock().clone();
     assert_eq!(h.count(), opts.n as u64, "rig did not complete");
-    h
+    let (before, after) = (*bytes_before.lock(), net.lock().stats.fabric_bytes);
+    (h, [after[0] - before[0], after[1] - before[1]])
 }
 
 #[cfg(test)]

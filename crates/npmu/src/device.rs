@@ -356,6 +356,9 @@ impl Npmu {
         let dma_peers: SharedDmaPeers = Arc::new(Mutex::new(BTreeSet::new()));
         let write_fence: SharedWriteFence = Arc::new(Mutex::new(WriteFence::default()));
         let ep = net.lock().attach(ActorId(u32::MAX));
+        // Mirror half `a` lives on fabric X, half `b` on Y.
+        net.lock()
+            .set_home_fabric(ep, cfg.mirror_half.unwrap_or(0) & 1);
         let actor = sim.spawn(Npmu {
             name: name.to_string(),
             cfg: cfg.clone(),

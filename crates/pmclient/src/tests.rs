@@ -792,41 +792,153 @@ fn metadata_survives_power_loss() {
     assert!(log[1].contains("match"), "{log:?}");
 }
 
+/// Latency of a steady-state mirrored 4 KB write under `policy`, jitter
+/// off: the second of two back-to-back writes, so the first has absorbed
+/// any one-off path switch the fault plan causes.
+fn steady_write_ns(policy: MirrorPolicy, plan: FaultPlan) -> u64 {
+    let mut store = DurableStore::new();
+    let mut sc = build_faulty(
+        &mut store,
+        48,
+        false,
+        plan,
+        PmmConfig::default(),
+        npmu::FailureMode::Nack,
+    );
+    sc.machine.lock().net.lock().cfg.jitter_frac = 0.0;
+    let write = |offset| Step::Write {
+        region_idx: 0,
+        offset,
+        data: vec![1; 4096],
+        expect: RdmaStatus::Ok,
+    };
+    let create = Step::Create {
+        name: "r".into(),
+        len: 1 << 16,
+    };
+    let steps = vec![create, write(0), write(4096)];
+    let log = spawn_client(&mut sc, CpuId(2), steps, policy);
+    sc.sim.run_until_idle();
+    let log = log.lock();
+    assert_eq!(log.len(), 3, "{log:?}");
+    // Write-completion timestamps are appended as "@<ns>"; the second
+    // write is posted in the event that completes the first.
+    let at = |line: &String| line.rsplit('@').next().unwrap().parse::<u64>().unwrap();
+    at(&log[2]) - at(&log[1])
+}
+
+/// The two legs of a parallel mirrored write ride separate fabrics, so
+/// mirroring costs no serial wire time over writing one half; writing the
+/// halves one after the other still costs a whole second round trip.
 #[test]
 fn sequential_mirroring_slower_than_parallel() {
-    // Compare whole-run virtual end times after idling: the final event
-    // is the write completion, so run time orders the policies.
-    let run_time = |policy: MirrorPolicy| {
-        let mut store = DurableStore::new();
-        let mut sc = build(&mut store, 48, false);
-        let log = spawn_client(
-            &mut sc,
-            CpuId(2),
-            vec![
+    let wire = simnet::latency::wire_ns(&FabricConfig::default(), 4096);
+    let par = steady_write_ns(MirrorPolicy::ParallelBoth, FaultPlan::none());
+    let seq = steady_write_ns(MirrorPolicy::SequentialBoth, FaultPlan::none());
+    let one = steady_write_ns(MirrorPolicy::PrimaryOnly, FaultPlan::none());
+    assert!(seq > par, "seq {seq} !> par {par}");
+    assert!(seq >= 2 * one, "seq {seq} is not two round trips of {one}");
+    assert!(par >= one, "par {par} < one {one}");
+    assert!(
+        par < one + wire,
+        "par {par} vs one {one}: a wire time {wire}"
+    );
+}
+
+/// With either fabric down both legs share the survivor's transmit port:
+/// the second leg queues one wire time behind the first, as it did when
+/// every endpoint had a single port.
+#[test]
+fn parallel_mirroring_serializes_on_one_port_with_a_fabric_down() {
+    let wire = simnet::latency::wire_ns(&FabricConfig::default(), 4096);
+    for fabric in [0, 1] {
+        let outage = || {
+            FaultPlan::none().with(Fault::FabricDown {
+                fabric,
+                from: SimTime(0),
+                to: SimTime(3600 * SECS),
+            })
+        };
+        let par = steady_write_ns(MirrorPolicy::ParallelBoth, outage());
+        let one = steady_write_ns(MirrorPolicy::PrimaryOnly, outage());
+        assert!(
+            par >= one + wire,
+            "fabric {fabric} down: par {par} vs one {one}, wire {wire}"
+        );
+    }
+}
+
+/// A PMM primary that parks an op on a `CheckpointAck` must learn that
+/// its backup died. Kill the backup's CPU at every instant of a burst of
+/// namespace RPCs — including those where a checkpoint is on its way to
+/// it — with client retries off: every RPC of every step is answered.
+#[test]
+fn a_dead_pmm_backup_never_strands_an_rpc_parked_on_its_checkpoint_ack() {
+    const REGIONS: usize = 6;
+    let steps: Vec<Step> = (0..REGIONS)
+        .flat_map(|i| {
+            let name = format!("r{i}");
+            [
                 Step::Create {
-                    name: "r".into(),
+                    name: name.clone(),
                     len: 1 << 16,
                 },
-                Step::Write {
-                    region_idx: 0,
-                    offset: 0,
-                    data: vec![1; 4096],
-                    expect: RdmaStatus::Ok,
-                },
-            ],
-            policy,
-        );
-        sc.sim.run_until_idle();
-        let log = log.lock();
-        assert_eq!(log.len(), 2);
-        // Write-completion timestamp is appended as "@<ns>".
-        log[1].rsplit('@').next().unwrap().parse::<u64>().unwrap()
+                Step::Open { name },
+            ]
+        })
+        .collect();
+    // Unfaulted pass: how long the burst takes.
+    let burst_ns = {
+        let mut store = DurableStore::new();
+        let mut sc = build(&mut store, 61, true);
+        let log = spawn_client(&mut sc, CpuId(2), steps.clone(), MirrorPolicy::ParallelBoth);
+        while log.lock().len() < 2 * REGIONS {
+            let next = sc.sim.dispatched() + 1;
+            sc.sim.run_until_dispatched(next);
+        }
+        sc.sim.now().as_nanos()
     };
-    let par = run_time(MirrorPolicy::ParallelBoth);
-    let seq = run_time(MirrorPolicy::SequentialBoth);
-    let one = run_time(MirrorPolicy::PrimaryOnly);
-    assert!(seq > par, "seq {seq} !> par {par}");
-    assert!(one < par, "one {one} !< par {par}");
+    let answered_with_backup_killed_at = |at: SimTime| {
+        let plan = FaultPlan::none().with(Fault::KillCpu { cpu: 1, at });
+        let mut store = DurableStore::new();
+        let mut sc = build_faulty(
+            &mut store,
+            61,
+            true,
+            plan,
+            PmmConfig::default(),
+            npmu::FailureMode::Nack,
+        );
+        let never = SimDuration::from_secs(3600);
+        let log = spawn_client_custom(
+            &mut sc,
+            CpuId(2),
+            steps.clone(),
+            MirrorPolicy::ParallelBoth,
+            move |lib| {
+                let cfg = PmClientConfig {
+                    rpc_retry_base: never,
+                    rpc_retry_cap: never,
+                    ..*lib.config()
+                };
+                lib.with_config(cfg)
+            },
+        );
+        sc.sim.run_until(SimTime(10 * SECS));
+        let answered = log.lock().iter().filter(|l| l.ends_with(":ok")).count();
+        answered
+    };
+    let stuck: Vec<(u64, usize)> = (0..=burst_ns / 10_000)
+        .filter_map(|step| {
+            let answered = answered_with_backup_killed_at(SimTime(step * 10_000));
+            (answered != 2 * REGIONS).then_some((step, answered))
+        })
+        .collect();
+    assert!(
+        stuck.is_empty(),
+        "(step, RPCs answered of {}) that never finished: {stuck:?}",
+        2 * REGIONS
+    );
 }
 
 #[test]
@@ -1251,6 +1363,67 @@ fn write_during_resilvering_lands_on_both_halves() {
     assert_eq!(a, during);
     assert_eq!(b, during);
     assert!(mirror_halves_equal(&sc.pmm, pmm::META_BYTES, 4 << 20));
+}
+
+/// A resilver must converge *under* a writer that rewrites a small cell
+/// in place (a log's watermark cell), not only once the writer goes
+/// quiet. A chunk copy is stale by its own round trip, so right after a
+/// re-copy the revived half holds an older cell than the survivor; the
+/// foreground rewrites it on both halves a moment later. A verify that
+/// re-copied on that first mismatch would manufacture the next one and
+/// never finish (and, the mirror legs landing together, no other chunk
+/// would diverge by chance to break the rhythm).
+#[test]
+fn resilver_converges_under_a_cell_rewritten_in_place() {
+    const CELL_WRITES: usize = 6000;
+    let mut store = DurableStore::new();
+    let plan = FaultPlan::none().with(Fault::NpmuDown {
+        volume_half: 1,
+        from: SimTime(2_000_000),
+        to: SimTime(10_000_000),
+    });
+    let cfg = PmmConfig {
+        probe_interval: SimDuration::from_millis(10),
+        ..PmmConfig::default()
+    };
+    let mut sc = build_faulty(&mut store, 65, true, plan, cfg, npmu::FailureMode::Nack);
+    // One resilver chunk, so nothing else is verified (or found divergent
+    // by chance) between the cell's copy and its verify.
+    let region_len = PmmConfig::default().resilver_chunk as u64;
+    let mut steps = vec![
+        Step::Create {
+            name: "trail".into(),
+            len: region_len,
+        },
+        Step::Delay {
+            dur: SimDuration::from_millis(4),
+        },
+    ];
+    // Back to back, one cell write every ~15 µs: through the outage (the
+    // first one degrades the volume), the revival probe and the resilver.
+    // The cell has two slots written alternately, like the ADP's.
+    steps.extend((0..CELL_WRITES).map(|i| Step::Write {
+        region_idx: 0,
+        offset: 16 * (i as u64 % 2),
+        data: (i as u128).to_le_bytes().to_vec(),
+        expect: RdmaStatus::Ok,
+    }));
+    let log = spawn_client(&mut sc, CpuId(2), steps, MirrorPolicy::ParallelBoth);
+    sc.sim.run_until(SimTime(5 * SECS));
+    let log = log.lock();
+    assert_eq!(log.len(), 2 + CELL_WRITES);
+    let at = |line: &String| line.rsplit('@').next().unwrap().parse::<u64>().unwrap();
+    let (first_write_ns, last_write_ns) = (at(&log[2]), at(log.last().unwrap()));
+    let stats = *sc.pmm.stats.lock();
+    assert_eq!(stats.resilvers_completed, 1, "{stats:?}");
+    assert!(
+        first_write_ns < stats.resilver_started_ns && stats.resilver_completed_ns < last_write_ns,
+        "the resilver [{}, {}] must finish while the cell is still being \
+         rewritten [{first_write_ns}, {last_write_ns}]",
+        stats.resilver_started_ns,
+        stats.resilver_completed_ns
+    );
+    assert!(mirror_halves_equal(&sc.pmm, pmm::META_BYTES, region_len));
 }
 
 #[test]

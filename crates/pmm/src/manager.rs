@@ -307,8 +307,12 @@ struct ResilverRun {
     queue: VecDeque<(u64, u32)>,
     /// Chunks in flight in the current phase (windowed engine).
     inflight: u32,
-    /// Chunks the verify pass found divergent (re-copied next round).
+    /// Chunks the verify pass in progress found divergent.
     divergent: Vec<(u64, u32)>,
+    /// Offsets of chunks the previous verify pass found divergent and
+    /// left alone: a chunk is re-copied only once two passes running
+    /// have disagreed about it.
+    suspects: BTreeSet<u64>,
     /// Per-chunk checksum slots ([survivor, revived]) for chunks whose
     /// verify CRC reads are in flight.
     crc_pending: BTreeMap<u64, [Option<u64>; 2]>,
@@ -635,6 +639,18 @@ impl PmmProc {
         }
     }
 
+    /// An op's checkpoint is acknowledged, or lost its reader with the
+    /// backup: either way the op no longer waits on it.
+    fn checkpoint_done(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        let Some(op) = self.pending.get_mut(&token) else {
+            return;
+        };
+        op.waiting_ckpt = false;
+        if op.waiting_writes == 0 {
+            self.commit(ctx, token);
+        }
+    }
+
     /// Finish an op: program ATT, send the reply.
     fn commit(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let Some(op) = self.pending.remove(&token) else {
@@ -934,6 +950,7 @@ impl PmmProc {
             queue,
             inflight: 0,
             divergent: Vec::new(),
+            suspects: BTreeSet::new(),
             crc_pending: BTreeMap::new(),
             scrub_pending: BTreeMap::new(),
             backoff_armed: false,
@@ -1190,17 +1207,32 @@ impl PmmProc {
                     }
                 }
                 Next::Transition { copy: false, .. } => {
-                    let divergent = match &mut self.vols[vol].resilver {
-                        Some(run) => std::mem::take(&mut run.divergent),
-                        None => return,
+                    let Some(run) = &mut self.vols[vol].resilver else {
+                        return;
                     };
+                    let divergent = std::mem::take(&mut run.divergent);
                     if divergent.is_empty() {
                         self.finish_resilver(ctx, vol);
                         return;
                     }
-                    // Re-copy what diverged, then verify again.
-                    if let Some(run) = &mut self.vols[vol].resilver {
-                        run.queue = divergent.into();
+                    // One mismatch is weak evidence: a foreground write
+                    // caught between the two digests, or data rewritten in
+                    // place (a log's control cell) that the last copy left
+                    // stale on the revived half and the foreground is about
+                    // to rewrite on both. Either heals by itself, and a
+                    // re-copy — itself stale by a chunk round trip — only
+                    // manufactures the next mismatch. So look again at a
+                    // chunk that mismatched for the first time, and re-copy
+                    // (then verify everything again) only what mismatched
+                    // twice running.
+                    let (confirmed, fresh): (Vec<_>, Vec<_>) = divergent
+                        .into_iter()
+                        .partition(|(off, _)| run.suspects.contains(off));
+                    run.suspects = fresh.iter().map(|&(off, _)| off).collect();
+                    if confirmed.is_empty() {
+                        run.queue = fresh.into();
+                    } else {
+                        run.queue = confirmed.into();
                         run.phase = ResilverPhase::Copy;
                     }
                     if let HealthState::Resilvering { pass, .. } = &mut self.vols[vol].meta.health {
@@ -2520,12 +2552,13 @@ impl Actor for PmmProc {
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
-            if self.role == Role::Backup {
-                let me = ctx.self_id();
-                self.machine
-                    .lock()
-                    .watch(WatchTarget::Process(self.name.clone()), me);
-            } else {
+            // Both roles watch their own pair: the backup to take over,
+            // the primary to learn that its checkpoints lost their reader.
+            let me = ctx.self_id();
+            self.machine
+                .lock()
+                .watch(WatchTarget::Process(self.name.clone()), me);
+            if self.role == Role::Primary {
                 // Cold start with durable Degraded/Resilvering members:
                 // resume probing their dead halves.
                 self.resume_health(ctx);
@@ -2533,14 +2566,28 @@ impl Actor for PmmProc {
             return;
         }
 
-        // Takeover: backup hears its primary died.
         let msg = match msg.take::<ProcessDied>() {
             Ok((_, d)) => {
-                if self.role == Role::Backup && d.name == self.name && d.was_primary {
-                    self.machine.lock().promote_backup(&self.name);
-                    self.role = Role::Primary;
-                    // Resume failure handling from the checkpointed health.
-                    self.resume_health(ctx);
+                if d.name != self.name {
+                    return;
+                }
+                match (self.role, d.was_primary) {
+                    // Takeover: backup hears its primary died.
+                    (Role::Backup, true) => {
+                        self.machine.lock().promote_backup(&self.name);
+                        self.role = Role::Primary;
+                        // Resume failure handling from the checkpointed health.
+                        self.resume_health(ctx);
+                    }
+                    // The backup died: no checkpoint in flight will be
+                    // acknowledged (a pair without a backup does not
+                    // checkpoint) — finish what waited on one.
+                    (Role::Primary, false) => {
+                        for (_, token) in std::mem::take(&mut self.ckpt_waiters) {
+                            self.checkpoint_done(ctx, token);
+                        }
+                    }
+                    _ => {}
                 }
                 return;
             }
@@ -2770,14 +2817,7 @@ impl Actor for PmmProc {
             let payload = match payload.downcast::<CheckpointAck>() {
                 Ok(ack) => {
                     if let Some(token) = self.ckpt_waiters.remove(&ack.seq) {
-                        let ready = self
-                            .pending
-                            .get(&token)
-                            .map(|op| op.waiting_writes == 0 && op.waiting_ckpt)
-                            .unwrap_or(false);
-                        if ready {
-                            self.commit(ctx, token);
-                        }
+                        self.checkpoint_done(ctx, token);
                     }
                     return;
                 }

@@ -15,9 +15,11 @@
 //!    or the call will return in error").
 //!
 //! This crate models exactly that: an endpoint registry, a calibrated
-//! latency model with per-port bandwidth occupancy, dual redundant fabrics
-//! (X/Y) with failover, CRC-error retransmission, and typed in-flight
-//! message/RDMA events delivered through the `simcore` engine.
+//! latency model with per-port bandwidth occupancy, dual fabrics (X/Y)
+//! that both carry traffic — one transmit port per fabric, legs routed by
+//! their target's home fabric, per-path failover — CRC-error
+//! retransmission, and typed in-flight message/RDMA events delivered
+//! through the `simcore` engine.
 //!
 //! What it deliberately does *not* model: routing topology and per-switch
 //! hops (the S86000 is a single chassis; port serialization dominates), and
@@ -37,7 +39,7 @@ pub mod transport;
 pub mod wan;
 
 pub use config::{FabricConfig, ServerNetGen};
-pub use network::{EndpointId, NetStats, Network, PortDir, SharedNetwork};
+pub use network::{EndpointId, NetStats, Network, PortDir, SharedNetwork, FABRICS};
 pub use qos::{ClassStats, QosConfig, SchedPolicy, TrafficClass, CLASS_COUNT};
 pub use transport::{
     rdma_append, rdma_copy, rdma_crc_read, rdma_read, rdma_scrub, rdma_write, rdma_write_chain,

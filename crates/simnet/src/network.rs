@@ -1,5 +1,27 @@
-//! The shared network state: endpoint registry, dual-fabric health, port
-//! occupancy (bandwidth contention) and traffic statistics.
+//! The shared network state: endpoint registry, dual-fabric routing and
+//! health, port occupancy (bandwidth contention) and traffic statistics.
+//!
+//! ## Two fabrics, two transmit ports
+//!
+//! ServerNet is a *dual* network: every endpoint has a port on fabric X
+//! and a port on fabric Y, and both carry traffic in steady state. Each
+//! endpoint has a **home fabric** — an NPMU's mirror half `a` lives on X
+//! and half `b` on Y ([`Network::set_home_fabric`]), everything else on X
+//! — and a leg is routed **by its target**: it rides the target's home
+//! fabric while that fabric is up and the other one while it is not
+//! ([`Network::route`]). At the initiator it reserves only that fabric's
+//! transmit horizon, so the two legs of a mirrored write overlap instead
+//! of queueing behind each other on one port; with either fabric down
+//! both legs share the survivor's port and serialize again.
+//!
+//! Routing depends on the target and on fabric health, never on load, so
+//! every `(initiator, target)` pair rides one fabric between health edges
+//! and its legs leave one port in issue order — per-path FIFO, which
+//! read-after-write persistence and the PMM's copy→verify sequencing rely
+//! on. A health edge moves a path to the other port: the switch costs
+//! `failover_penalty_ns` once per path per edge (not per op), and the
+//! moved path's first leg waits for what the initiator already queued on
+//! the port it leaves, so a switch cannot overtake either.
 //!
 //! `Network` is shared (`Arc<Mutex<..>>`) between all actors in one
 //! simulation. The simulation itself is single-threaded, so the mutex is
@@ -11,7 +33,7 @@ use crate::qos::{ClassStats, QosConfig, TokenBucket, TrafficClass, CLASS_COUNT};
 use parking_lot::Mutex;
 use simcore::fault::FaultPlan;
 use simcore::{ActorId, SimTime};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Which side of an endpoint's link a transfer occupies.
@@ -32,6 +54,9 @@ impl std::fmt::Debug for EndpointId {
         write!(f, "ep{}", self.0)
     }
 }
+
+/// ServerNet is dual: fabric 0 is X, fabric 1 is Y.
+pub const FABRICS: usize = 2;
 
 /// Traffic counters, cheap enough to keep always-on.
 #[derive(Clone, Copy, Debug, Default)]
@@ -60,19 +85,30 @@ pub struct NetStats {
     pub rdma_copies: u64,
     pub rdma_copy_bytes: u64,
     pub retransmits: u64,
+    /// Path switches: one per `(initiator, target)` path per fabric-health
+    /// edge that moves it (onto the survivor, and back home).
     pub failovers: u64,
     pub unreachable: u64,
+    /// Legs (messages and RDMA requests) carried per fabric, `[X, Y]`.
+    pub fabric_ops: [u64; FABRICS],
+    /// Bytes carried per fabric, `[X, Y]`: request legs at their on-wire
+    /// length plus the data a device sends back.
+    pub fabric_bytes: [u64; FABRICS],
 }
 
 pub struct Network {
     pub cfg: FabricConfig,
     endpoints: Vec<Option<ActorId>>,
-    /// Per-endpoint transmit-port reservation horizon, ns.
-    tx_busy: Vec<u64>,
+    /// Per-endpoint, per-fabric transmit-port reservation horizon, ns.
+    tx_busy: Vec<[u64; FABRICS]>,
     /// Per-endpoint receive-port reservation horizon, ns.
     rx_busy: Vec<u64>,
-    /// Which fabric the last op used (for failover-penalty accounting).
-    last_fabric: u8,
+    /// Per-endpoint home fabric: where legs *to* this endpoint ride.
+    home: Vec<u8>,
+    /// `(initiator, target)` paths currently off the target's home fabric
+    /// (failover state, per path). Empty whenever both fabrics are up and
+    /// every path has failed back.
+    detoured: HashSet<(u32, u32)>,
     pub fault_plan: FaultPlan,
     pub stats: NetStats,
     /// Fabric QoS configuration (see [`crate::qos`]); disabled keeps the
@@ -106,7 +142,8 @@ impl Network {
             endpoints: Vec::new(),
             tx_busy: Vec::new(),
             rx_busy: Vec::new(),
-            last_fabric: 0,
+            home: Vec::new(),
+            detoured: HashSet::new(),
             fault_plan: FaultPlan::none(),
             stats: NetStats::default(),
             qos,
@@ -199,9 +236,17 @@ impl Network {
     pub fn attach(&mut self, actor: ActorId) -> EndpointId {
         let id = EndpointId(self.endpoints.len() as u32);
         self.endpoints.push(Some(actor));
-        self.tx_busy.push(0);
+        self.tx_busy.push([0; FABRICS]);
         self.rx_busy.push(0);
+        self.home.push(0);
         id
+    }
+
+    /// Home `ep` on `fabric` (0 = X, the default; 1 = Y): legs to it ride
+    /// that fabric while it is up. Set once at install, before traffic.
+    pub fn set_home_fabric(&mut self, ep: EndpointId, fabric: u8) {
+        assert!((fabric as usize) < FABRICS, "no fabric {fabric}");
+        self.home[ep.0 as usize] = fabric;
     }
 
     /// Re-bind an endpoint to a different actor (used when a device model
@@ -225,43 +270,55 @@ impl Network {
         self.endpoints.len()
     }
 
-    /// Reserve the transmit port of `ep` for `dur_ns` starting no earlier
-    /// than `now_ns`; returns the queueing delay incurred.
-    pub fn reserve_tx(&mut self, ep: EndpointId, now_ns: u64, dur_ns: u64) -> u64 {
-        Self::reserve(&mut self.tx_busy, ep, now_ns, dur_ns)
+    /// Reserve the transmit port of `ep` on `fabric` for `dur_ns` starting
+    /// no earlier than `now_ns`; returns the queueing delay incurred.
+    pub fn reserve_tx(&mut self, ep: EndpointId, fabric: u8, now_ns: u64, dur_ns: u64) -> u64 {
+        Self::reserve(
+            &mut self.tx_busy[ep.0 as usize][fabric as usize],
+            now_ns,
+            dur_ns,
+        )
     }
 
     /// Reserve the receive port of `ep`; returns the queueing delay.
     pub fn reserve_rx(&mut self, ep: EndpointId, now_ns: u64, dur_ns: u64) -> u64 {
-        Self::reserve(&mut self.rx_busy, ep, now_ns, dur_ns)
+        Self::reserve(&mut self.rx_busy[ep.0 as usize], now_ns, dur_ns)
     }
 
-    fn reserve(busy: &mut [u64], ep: EndpointId, now_ns: u64, dur_ns: u64) -> u64 {
-        let b = &mut busy[ep.0 as usize];
-        let start = (*b).max(now_ns);
-        *b = start + dur_ns;
+    fn reserve(busy: &mut u64, now_ns: u64, dur_ns: u64) -> u64 {
+        let start = (*busy).max(now_ns);
+        *busy = start + dur_ns;
         start - now_ns
     }
 
-    /// Choose a live fabric at `now`. Returns `(fabric, extra_ns)` where
-    /// `extra_ns` is the failover penalty if we had to switch paths, or
-    /// `None` if both fabrics are down.
-    pub fn pick_fabric(&mut self, now: SimTime) -> Option<(u8, u64)> {
-        let x_down = self.fault_plan.fabric_down_at(0, now);
-        let y_down = self.fault_plan.fabric_down_at(1, now);
-        let pick = match (x_down, y_down) {
-            (false, _) => 0,
-            (true, false) => 1,
-            (true, true) => return None,
-        };
-        let penalty = if pick != self.last_fabric {
-            self.stats.failovers += 1;
-            self.cfg.failover_penalty_ns
+    /// Route a leg `from → to` at `now`: the target's home fabric if it is
+    /// up, else the other one. Returns `(fabric, penalty_ns)`, or `None`
+    /// with both fabrics down. `penalty_ns` is the failover penalty, charged
+    /// only on the leg that moves this path between fabrics; that leg also
+    /// inherits the horizon of the port the path leaves, so it cannot
+    /// overtake what the initiator queued there.
+    pub fn route(&mut self, from: EndpointId, to: EndpointId, now: SimTime) -> Option<(u8, u64)> {
+        let home = self.home[to.0 as usize];
+        let fabric = if !self.fault_plan.fabric_down_at(home, now) {
+            home
+        } else if !self.fault_plan.fabric_down_at(home ^ 1, now) {
+            home ^ 1
         } else {
-            0
+            return None;
         };
-        self.last_fabric = pick;
-        Some((pick, penalty))
+        let path = (from.0, to.0);
+        let switched = if fabric != home {
+            self.detoured.insert(path)
+        } else {
+            !self.detoured.is_empty() && self.detoured.remove(&path)
+        };
+        if !switched {
+            return Some((fabric, 0));
+        }
+        self.stats.failovers += 1;
+        let tx = &mut self.tx_busy[from.0 as usize];
+        tx[fabric as usize] = tx[fabric as usize].max(tx[(fabric ^ 1) as usize]);
+        Some((fabric, self.cfg.failover_penalty_ns))
     }
 }
 
@@ -309,26 +366,49 @@ mod tests {
         let n = net();
         let mut n = n.lock();
         let ep = n.attach(ActorId(0));
-        assert_eq!(n.reserve_tx(ep, 1000, 500), 0);
+        assert_eq!(n.reserve_tx(ep, 0, 1000, 500), 0);
         // Second transfer at the same instant queues behind the first.
-        assert_eq!(n.reserve_tx(ep, 1000, 500), 500);
+        assert_eq!(n.reserve_tx(ep, 0, 1000, 500), 500);
         // A transfer after the port drained sees no delay.
-        assert_eq!(n.reserve_tx(ep, 10_000, 500), 0);
+        assert_eq!(n.reserve_tx(ep, 0, 10_000, 500), 0);
     }
 
     #[test]
-    fn rx_and_tx_ports_independent() {
+    fn each_fabric_has_its_own_tx_port_and_rx_is_independent() {
         let n = net();
         let mut n = n.lock();
         let ep = n.attach(ActorId(0));
-        assert_eq!(n.reserve_tx(ep, 0, 1000), 0);
+        assert_eq!(n.reserve_tx(ep, 0, 0, 1000), 0);
+        assert_eq!(n.reserve_tx(ep, 1, 0, 1000), 0);
         assert_eq!(n.reserve_rx(ep, 0, 1000), 0);
+        assert_eq!(n.reserve_tx(ep, 1, 0, 1000), 1000);
     }
 
     #[test]
-    fn fabric_failover_and_total_outage() {
+    fn legs_ride_their_targets_home_fabric() {
         let n = net();
         let mut n = n.lock();
+        let cpu = n.attach(ActorId(0));
+        let a = n.attach(ActorId(1));
+        let b = n.attach(ActorId(2));
+        n.set_home_fabric(b, 1);
+        // Alternating targets alternate fabrics and never pay a penalty.
+        for t in 0..4 {
+            assert_eq!(n.route(cpu, a, SimTime(t)), Some((0, 0)));
+            assert_eq!(n.route(cpu, b, SimTime(t)), Some((1, 0)));
+            assert_eq!(n.route(b, cpu, SimTime(t)), Some((0, 0)));
+        }
+        assert_eq!(n.stats.failovers, 0);
+    }
+
+    #[test]
+    fn fabric_failover_is_per_path_and_total_outage_is_unreachable() {
+        let n = net();
+        let mut n = n.lock();
+        let cpu = n.attach(ActorId(0));
+        let a = n.attach(ActorId(1));
+        let b = n.attach(ActorId(2));
+        n.set_home_fabric(b, 1);
         n.fault_plan = FaultPlan::none()
             .with(Fault::FabricDown {
                 fabric: 0,
@@ -340,20 +420,44 @@ mod tests {
                 from: SimTime(SECS / 2),
                 to: SimTime(SECS),
             });
-        // X down: pick Y, pay failover penalty (last used was X).
-        let (fab, pen) = n.pick_fabric(SimTime(1)).unwrap();
-        assert_eq!(fab, 1);
-        assert!(pen > 0);
+        let pen = n.cfg.failover_penalty_ns;
+        // X down: the path to `a` moves to Y and pays the penalty once;
+        // the path to `b` was on Y all along.
+        assert_eq!(n.route(cpu, a, SimTime(1)), Some((1, pen)));
+        assert_eq!(n.route(cpu, a, SimTime(2)), Some((1, 0)));
+        assert_eq!(n.route(cpu, b, SimTime(3)), Some((1, 0)));
         assert_eq!(n.stats.failovers, 1);
-        // Still on Y: no penalty.
-        let (fab, pen) = n.pick_fabric(SimTime(2)).unwrap();
-        assert_eq!(fab, 1);
-        assert_eq!(pen, 0);
+        // Another initiator's path to `a` is its own path.
+        assert_eq!(n.route(b, a, SimTime(4)), Some((1, pen)));
+        assert_eq!(n.stats.failovers, 2);
         // Both down.
-        assert!(n.pick_fabric(SimTime(SECS / 2 + 1)).is_none());
-        // After the window, X is preferred again (penalty for switching).
-        let (fab, pen) = n.pick_fabric(SimTime(SECS + 1)).unwrap();
-        assert_eq!(fab, 0);
-        assert!(pen > 0);
+        assert!(n.route(cpu, a, SimTime(SECS / 2 + 1)).is_none());
+        assert!(n.route(cpu, b, SimTime(SECS / 2 + 1)).is_none());
+        // After the window each moved path fails back once; the path
+        // that never moved pays nothing.
+        assert_eq!(n.route(cpu, a, SimTime(SECS + 1)), Some((0, pen)));
+        assert_eq!(n.route(cpu, a, SimTime(SECS + 2)), Some((0, 0)));
+        assert_eq!(n.route(cpu, b, SimTime(SECS + 3)), Some((1, 0)));
+        assert_eq!(n.stats.failovers, 3);
+    }
+
+    #[test]
+    fn a_path_switch_inherits_the_horizon_of_the_port_it_leaves() {
+        let n = net();
+        let mut n = n.lock();
+        let cpu = n.attach(ActorId(0));
+        let a = n.attach(ActorId(1));
+        n.fault_plan = FaultPlan::none().with(Fault::FabricDown {
+            fabric: 0,
+            from: SimTime(100),
+            to: SimTime(SECS),
+        });
+        // A long transfer is queued on X, then X dies: the next leg on
+        // this path leaves Y's port no earlier than X's horizon.
+        assert_eq!(n.route(cpu, a, SimTime(0)), Some((0, 0)));
+        assert_eq!(n.reserve_tx(cpu, 0, 0, 500_000), 0);
+        let (fabric, _) = n.route(cpu, a, SimTime(200)).unwrap();
+        assert_eq!(fabric, 1);
+        assert_eq!(n.reserve_tx(cpu, 1, 200, 10), 500_000 - 200);
     }
 }

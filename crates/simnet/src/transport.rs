@@ -31,6 +31,17 @@
 //! resilver can no longer ride for free underneath commit traffic.
 //! Uncontended latency is identical in both paths (the wire time is paid
 //! once either way); only *queueing* differs — which is the point.
+//!
+//! ## Which port a leg leaves through
+//!
+//! Both paths share the issue side (`issue_leg`): a leg rides the
+//! fabric its *target* is homed on (the other one while that is down —
+//! see [`crate::network`]) and reserves the initiator's transmit port on
+//! that fabric only. Two chains posted in one event to the two halves of
+//! a mirror therefore serialize their bytes side by side, not one behind
+//! the other; two legs to the same target always share a port and keep
+//! their issue order. A device's data reply (read, checksum, scrub)
+//! returns on the fabric its request arrived on.
 
 use crate::latency;
 use crate::network::{EndpointId, PortDir, SharedNetwork};
@@ -144,6 +155,8 @@ pub struct InboundRdmaRead {
     pub addr: u64,
     pub len: u32,
     pub class: TrafficClass,
+    /// Fabric the request arrived on; the reply returns on it.
+    pub fabric: u8,
 }
 
 /// A checksum ("scrub") read arriving at a device actor: the device
@@ -159,6 +172,8 @@ pub struct InboundRdmaCrcRead {
     pub addr: u64,
     pub len: u32,
     pub class: TrafficClass,
+    /// Fabric the request arrived on; the reply returns on it.
+    pub fabric: u8,
 }
 
 /// Size of the device-resident append tail cell at the base of an
@@ -206,6 +221,8 @@ pub struct InboundRdmaScrub {
     /// Digest granularity; the final chunk may be short.
     pub chunk: u32,
     pub class: TrafficClass,
+    /// Fabric the request arrived on; the reply returns on it.
+    pub fabric: u8,
 }
 
 /// A device-to-device copy command arriving at the *source* device
@@ -290,8 +307,14 @@ enum Issued {
     Qos { target: ActorId, pre_ns: u64 },
 }
 
-/// Compute the common issue-side latency: fabric choice, CRC retransmits,
-/// port occupancy, wire time. Returns `None` if the op cannot be carried.
+/// Compute the common issue-side latency: route, CRC retransmits, port
+/// occupancy, wire time. The leg rides the fabric [`Network::route`]
+/// picks for its target and reserves only that fabric's transmit port at
+/// the initiator. A failover penalty delays the reservation itself, so
+/// later legs on that port queue behind the switch instead of passing it.
+/// Returns the fabric ridden too, or `None` if the op cannot be carried.
+///
+/// [`Network::route`]: crate::network::Network::route
 fn issue_leg(
     ctx: &mut Ctx<'_>,
     net: &SharedNetwork,
@@ -299,29 +322,33 @@ fn issue_leg(
     to_ep: EndpointId,
     len: u32,
     class: TrafficClass,
-) -> Option<Issued> {
+) -> Option<(Issued, u8)> {
     let now = ctx.now();
     let mut n = net.lock();
     let target = n.actor_of(to_ep)?;
-    let (_fabric, failover_ns) = n.pick_fabric(now)?;
+    let (fabric, failover_ns) = n.route(from_ep, to_ep, now)?;
 
     let corruption = n.fault_plan.corruption_rate_at(now);
     let wire = latency::wire_ns(&n.cfg, len);
     let sw = n.cfg.sw_overhead_ns;
-    let tx_queue = n.reserve_tx(from_ep, now.as_nanos() + sw, wire);
+    let ready = now.as_nanos() + sw + failover_ns;
+    let tx_queue = failover_ns + n.reserve_tx(from_ep, fabric, ready, wire);
     let qos_on = n.qos.enabled;
     let base = if qos_on {
         // Serialization is paid at the target's scheduled port; the issue
-        // side charges software overhead, its own tx-port queueing and any
-        // failover penalty. End-to-end this equals the legacy path when
-        // the target port is idle — the wire is charged exactly once.
-        sw + tx_queue + failover_ns
+        // side charges software overhead and its own tx-port queueing (any
+        // failover penalty included). End-to-end this equals the legacy
+        // path when the target port is idle — the wire is charged exactly
+        // once.
+        sw + tx_queue
     } else {
         let nic = n.cfg.target_nic_ns;
         let rx_queue = n.reserve_rx(to_ep, now.as_nanos() + sw + tx_queue + wire, nic);
-        latency::one_way_ns(&n.cfg, len) + tx_queue + rx_queue + failover_ns
+        latency::one_way_ns(&n.cfg, len) + tx_queue + rx_queue
     };
     n.count_class_bytes(class, len.max(1) as u64);
+    n.stats.fabric_ops[fabric as usize] += 1;
+    n.stats.fabric_bytes[fabric as usize] += len.max(1) as u64;
     let retr_pen = n.cfg.retransmit_penalty_ns;
     let jfrac = n.cfg.jitter_frac;
     drop(n);
@@ -341,14 +368,15 @@ fn issue_leg(
     }
 
     let total = ctx.rng().jitter((base + extra) as f64, jfrac) as u64;
-    Some(if qos_on {
+    let issued = if qos_on {
         Issued::Qos {
             target,
             pre_ns: total,
         }
     } else {
         Issued::Legacy { target, ns: total }
-    })
+    };
+    Some((issued, fabric))
 }
 
 /// The typed payload a scheduled port eventually releases.
@@ -566,7 +594,7 @@ pub fn send_net_msg_class<T: Any + Send>(
     payload: T,
 ) -> bool {
     match issue_leg(ctx, net, from_ep, to_ep, wire_len, class) {
-        Some(issued) => {
+        Some((issued, _)) => {
             let nic = {
                 let mut n = net.lock();
                 n.stats.msgs += 1;
@@ -667,7 +695,7 @@ pub fn rdma_write_chain(
     let span: u64 = links.iter().map(ChainLink::span).sum();
     let len = u32::try_from(span).expect("write chain exceeds the u32 wire-size field");
     match issue_leg(ctx, net, from_ep, to_ep, len, class) {
-        Some(issued) => {
+        Some((issued, _)) => {
             let nic = {
                 let mut n = net.lock();
                 n.stats.rdma_writes += 1;
@@ -729,7 +757,7 @@ pub fn rdma_read(
     class: TrafficClass,
 ) {
     match issue_leg(ctx, net, from_ep, to_ep, 64, class) {
-        Some(issued) => {
+        Some((issued, fabric)) => {
             let nic = {
                 let mut n = net.lock();
                 n.stats.rdma_reads += 1;
@@ -744,6 +772,7 @@ pub fn rdma_read(
                 addr,
                 len,
                 class,
+                fabric,
             };
             match issued {
                 Issued::Legacy { target, ns } => {
@@ -792,7 +821,7 @@ pub fn rdma_crc_read(
     class: TrafficClass,
 ) {
     match issue_leg(ctx, net, from_ep, to_ep, 64, class) {
-        Some(issued) => {
+        Some((issued, fabric)) => {
             let nic = {
                 let mut n = net.lock();
                 n.stats.rdma_crc_reads += 1;
@@ -806,6 +835,7 @@ pub fn rdma_crc_read(
                 addr,
                 len,
                 class,
+                fabric,
             };
             match issued {
                 Issued::Legacy { target, ns } => {
@@ -887,6 +917,7 @@ pub fn reply_rdma_read(
     let (qos_on, ack_ns) = {
         let mut n = net.lock();
         n.count_class_bytes(req.class, bytes);
+        n.stats.fabric_bytes[req.fabric as usize] += bytes;
         (n.qos.enabled, n.cfg.ack_ns)
     };
     if qos_on {
@@ -907,7 +938,7 @@ pub fn reply_rdma_read(
     let ns = {
         let mut n = net.lock();
         let wire = latency::wire_ns(&n.cfg, done.data.len() as u32);
-        let q = n.reserve_tx(device_ep, now.as_nanos(), wire);
+        let q = n.reserve_tx(device_ep, req.fabric, now.as_nanos(), wire);
         wire + q + n.cfg.ack_ns
     };
     ctx.send(req.reply_to, SimDuration::from_nanos(ns), done);
@@ -932,6 +963,7 @@ pub fn reply_rdma_crc_read(
     let (qos_on, ack_ns) = {
         let mut n = net.lock();
         n.count_class_bytes(req.class, 8);
+        n.stats.fabric_bytes[req.fabric as usize] += 8;
         (n.qos.enabled, n.cfg.ack_ns)
     };
     if qos_on {
@@ -952,7 +984,7 @@ pub fn reply_rdma_crc_read(
     let ns = {
         let mut n = net.lock();
         let wire = latency::wire_ns(&n.cfg, 8);
-        let q = n.reserve_tx(device_ep, now.as_nanos(), wire);
+        let q = n.reserve_tx(device_ep, req.fabric, now.as_nanos(), wire);
         wire + q + n.cfg.ack_ns
     };
     ctx.send(req.reply_to, SimDuration::from_nanos(ns), done);
@@ -982,7 +1014,7 @@ pub fn rdma_append(
     // control write plus a round trip — that is the saving).
     let len = if wire_len == 0 { 64 } else { wire_len };
     match issue_leg(ctx, net, from_ep, to_ep, len, class) {
-        Some(issued) => {
+        Some((issued, _)) => {
             let nic = {
                 let mut n = net.lock();
                 n.stats.rdma_appends += 1;
@@ -1048,7 +1080,7 @@ pub fn rdma_scrub(
     class: TrafficClass,
 ) {
     match issue_leg(ctx, net, from_ep, to_ep, 64, class) {
-        Some(issued) => {
+        Some((issued, fabric)) => {
             let nic = {
                 let mut n = net.lock();
                 n.stats.rdma_scrubs += 1;
@@ -1063,6 +1095,7 @@ pub fn rdma_scrub(
                 len,
                 chunk,
                 class,
+                fabric,
             };
             match issued {
                 Issued::Legacy { target, ns } => {
@@ -1116,7 +1149,7 @@ pub fn rdma_copy(
     class: TrafficClass,
 ) {
     match issue_leg(ctx, net, from_ep, to_ep, 64, class) {
-        Some(issued) => {
+        Some((issued, _)) => {
             let nic = {
                 let mut n = net.lock();
                 n.stats.rdma_copies += 1;
@@ -1212,6 +1245,7 @@ pub fn reply_rdma_scrub(
     let (qos_on, ack_ns) = {
         let mut n = net.lock();
         n.count_class_bytes(req.class, bytes);
+        n.stats.fabric_bytes[req.fabric as usize] += bytes;
         (n.qos.enabled, n.cfg.ack_ns)
     };
     if qos_on {
@@ -1232,7 +1266,7 @@ pub fn reply_rdma_scrub(
     let ns = {
         let mut n = net.lock();
         let wire = latency::wire_ns(&n.cfg, bytes as u32);
-        let q = n.reserve_tx(device_ep, now.as_nanos(), wire);
+        let q = n.reserve_tx(device_ep, req.fabric, now.as_nanos(), wire);
         wire + q + n.cfg.ack_ns
     };
     ctx.send(req.reply_to, SimDuration::from_nanos(ns), done);
@@ -1764,6 +1798,121 @@ mod tests {
         // Everything still completes in both policies (conservation).
         assert_eq!(fifo.len(), 3);
         assert_eq!(drr.len(), 3);
+    }
+
+    /// Two equal chains posted in one event, one to a device homed on X
+    /// and one to a device homed on Y, leave through separate transmit
+    /// ports: they complete together (within jitter). With either fabric
+    /// down they share the survivor's port and complete exactly one wire
+    /// time apart. Measured on the second pair, after the first absorbed
+    /// the one-off path switch.
+    #[test]
+    fn mirror_legs_overlap_on_two_fabrics_and_serialize_on_one() {
+        use simcore::fault::{Fault, FaultPlan};
+        use simcore::time::SECS;
+        const SPAN: u32 = 4096 + 16;
+
+        struct PairHost {
+            net: SharedNetwork,
+            ep: EndpointId,
+            halves: [EndpointId; 2],
+            outstanding: u32,
+            rounds_left: u32,
+            /// `(posted_at, [done_at; 2])` of the last round.
+            last: Arc<parking_lot::Mutex<(u64, [u64; 2])>>,
+        }
+        impl PairHost {
+            fn post_pair(&mut self, ctx: &mut Ctx<'_>) {
+                self.last.lock().0 = ctx.now().as_nanos();
+                for (half, &to) in self.halves.iter().enumerate() {
+                    let links = vec![ChainLink {
+                        addr: 0,
+                        data: Bytes::from(vec![7u8; 32]),
+                        wire_len: SPAN,
+                    }];
+                    let (net, class) = (self.net.clone(), TrafficClass::Commit);
+                    rdma_write_chain(ctx, &net, self.ep, to, links, true, half as u64, class);
+                }
+                self.outstanding = 2;
+                self.rounds_left -= 1;
+            }
+        }
+        impl Actor for PairHost {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+                if msg.is::<Start>() {
+                    self.post_pair(ctx);
+                } else if let Ok((_, done)) = msg.take::<RdmaWriteDone>() {
+                    assert_eq!(done.status, RdmaStatus::Ok);
+                    self.last.lock().1[done.op_id as usize] = ctx.now().as_nanos();
+                    self.outstanding -= 1;
+                    if self.outstanding == 0 && self.rounds_left > 0 {
+                        self.post_pair(ctx);
+                    }
+                }
+            }
+        }
+
+        // Returns each half's completion latency in the second round.
+        let run = |jitter_frac: f64, qos: QosConfig, down: Option<u8>| -> [u64; 2] {
+            let cfg = FabricConfig {
+                jitter_frac,
+                ..FabricConfig::default()
+            };
+            let mut sim = Sim::with_seed(11);
+            let net = Network::with_qos(cfg, qos);
+            if let Some(fabric) = down {
+                net.lock().fault_plan = FaultPlan::none().with(Fault::FabricDown {
+                    fabric,
+                    from: simcore::SimTime(0),
+                    to: simcore::SimTime(SECS),
+                });
+            }
+            let mut halves = [EndpointId(0); 2];
+            for (half, slot) in halves.iter_mut().enumerate() {
+                let ep = net.lock().attach(ActorId(u32::MAX));
+                net.lock().set_home_fabric(ep, half as u8);
+                let dev = sim.spawn(Device {
+                    net: net.clone(),
+                    ep,
+                    mem: Arc::new(parking_lot::Mutex::new(vec![0u8; 1 << 16])),
+                });
+                net.lock().rebind(ep, dev);
+                *slot = ep;
+            }
+            let last = Arc::new(parking_lot::Mutex::new((0, [0; 2])));
+            let ep = net.lock().attach(ActorId(u32::MAX));
+            let host = sim.spawn(PairHost {
+                net: net.clone(),
+                ep,
+                halves,
+                outstanding: 0,
+                rounds_left: 2,
+                last: last.clone(),
+            });
+            net.lock().rebind(ep, host);
+            sim.run_until_idle();
+            let stats = net.lock().stats;
+            match down {
+                None => assert_eq!((stats.failovers, stats.fabric_ops), (0, [2, 2])),
+                Some(0) => assert_eq!((stats.failovers, stats.fabric_ops), (1, [0, 4])),
+                Some(_) => assert_eq!((stats.failovers, stats.fabric_ops), (1, [4, 0])),
+            }
+            let (posted, done) = *last.lock();
+            done.map(|t| t - posted)
+        };
+
+        let cfg = FabricConfig::default();
+        let wire = latency::wire_ns(&cfg, SPAN);
+        let alone = cfg.sw_overhead_ns + wire + cfg.target_nic_ns + cfg.ack_ns;
+        for qos in [QosConfig::disabled, || QosConfig::drr(0.9)] {
+            assert_eq!(run(0.0, qos(), None), [alone, alone]);
+            let [a, b] = run(cfg.jitter_frac, qos(), None);
+            let band = (2.0 * cfg.jitter_frac * alone as f64) as u64;
+            assert!(a.abs_diff(b) <= band, "legs {a} and {b} ns apart");
+            for fabric in [0, 1] {
+                assert_eq!(run(0.0, qos(), Some(fabric)), [alone, alone + wire]);
+            }
+        }
     }
 
     /// Per-class byte accounting exists on the legacy path too.

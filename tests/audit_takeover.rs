@@ -205,7 +205,7 @@ fn adp_primary_killed_between_chain_post_and_completion() {
     // Pass 1 finds the instant: the first chained publication after the
     // drivers are in full swing. (The kill is scheduled past the end of
     // the run, so both passes are event-for-event identical up to it.)
-    let posted_at = {
+    let (posted_at, sw_overhead_ns) = {
         let mut store = DurableStore::new();
         let (mut node, _drivers) =
             hot_stock_node(&mut store, 1, BUSY, "$ADP0", SimTime(599 * SECS));
@@ -216,11 +216,13 @@ fn adp_primary_killed_between_chain_post_and_completion() {
             let next = node.sim.dispatched() + 1;
             node.sim.run_until_dispatched(next);
         }
-        node.sim.now()
+        let sw_overhead_ns = node.net.lock().cfg.sw_overhead_ns;
+        (node.sim.now(), sw_overhead_ns)
     };
-    // 20 µs after the post the chain is still on the wire (a 4 KB write
-    // needs ~45 µs one way): posted, not completed.
-    let kill_at = SimTime(posted_at.as_nanos() + 20_000);
+    // Half the initiator's software overhead after the post, neither
+    // mirror leg has even left its port — whatever the chain's size and
+    // however the ports are shared: posted, not completed.
+    let kill_at = SimTime(posted_at.as_nanos() + sw_overhead_ns / 2);
     let mut store = DurableStore::new();
     let (mut node, driver_stats) = hot_stock_node(&mut store, 1, BUSY, "$ADP0", kill_at);
     node.sim.run_until(SimTime(kill_at.as_nanos() - 1));

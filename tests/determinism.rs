@@ -93,6 +93,7 @@ fn faulty_runs_are_reproducible() {
         node.sim.run_until(SimTime(8 * SECS));
         let pmm = node.pmm.as_ref().unwrap();
         let stats = *pmm.stats.lock();
+        let failovers = node.net.lock().stats.failovers;
         let s = st.lock();
         (
             node.sim.dispatched(),
@@ -103,14 +104,17 @@ fn faulty_runs_are_reproducible() {
             stats.resilver_completed_ns,
             s.committed_txns,
             s.finished_ns,
+            failovers,
         )
     };
     let a = run();
     let b = run();
     assert_eq!(a, b, "fault-plan run not deterministic");
-    // The plan actually bit: the volume degraded and resilvered.
+    // The plan actually bit: the volume degraded and resilvered, and
+    // paths moved off fabric X and back.
     assert!(a.1 >= 1, "NPMU window had no effect: {a:?}");
     assert!(a.5 > a.4, "no resilver completed: {a:?}");
+    assert!(a.8 >= 2, "fabric window had no effect: {a:?}");
 }
 
 #[test]

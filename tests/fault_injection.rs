@@ -57,13 +57,14 @@ fn workload_completes_under_packet_corruption() {
     );
 }
 
-#[test]
-fn workload_survives_fabric_x_outage() {
-    // Fabric X down for two seconds mid-run: ops fail over to Y.
+/// One fabric down for 1.5 s mid-run: every path homed on it fails over
+/// to the survivor and back, once per edge — not once per op — and the
+/// workload completes with the mirrors byte-identical.
+fn workload_survives_fabric_outage(fabric: u8, seed: u64) {
     let mut store = DurableStore::new();
-    let mut node = build_ods(&mut store, OdsParams::pm(4343));
+    let mut node = build_ods(&mut store, OdsParams::pm(seed));
     node.net.lock().fault_plan = FaultPlan::none().with(Fault::FabricDown {
-        fabric: 0,
+        fabric,
         from: SimTime(3 * SECS / 2),
         to: SimTime(3 * SECS),
     });
@@ -87,13 +88,50 @@ fn workload_survives_fabric_x_outage() {
         simcore::SimDuration::from_millis(1100),
         issue,
     );
+    node.sim.run_until(SimTime(3 * SECS / 2));
+    let before = node.net.lock().stats;
+    assert_eq!(before.failovers, 0, "no path switches with both fabrics up");
+    node.sim.run_until(SimTime(3 * SECS));
+    let during = node.net.lock().stats;
     node.sim.run_until(SimTime(600 * SECS));
     assert!(stats.lock().done);
     assert_eq!(stats.lock().inserted_records, 3000);
-    assert!(
-        node.net.lock().stats.failovers > 0,
-        "the outage window must have forced path failovers"
-    );
+
+    let (net, endpoints) = {
+        let n = node.net.lock();
+        (n.stats, n.endpoint_count() as u64)
+    };
+    // Nothing rode the dead fabric during the window ...
+    let dead = fabric as usize;
+    assert_eq!(during.fabric_ops[dead], before.fabric_ops[dead]);
+    let carried = during.fabric_ops[dead ^ 1] - before.fabric_ops[dead ^ 1];
+    assert!(carried > 1000, "the outage must fall under load: {carried}");
+    // ... and each affected path switched once going in and once coming
+    // back: paths are (initiator, target) pairs, so a few dozen at most,
+    // against thousands of ops carried on the survivor meanwhile.
+    let moved = during.failovers;
+    assert!(moved > 0, "the outage must have forced path failovers");
+    assert!(moved <= endpoints * (endpoints - 1), "{moved} switches");
+    assert!(moved * 20 < carried, "{moved} switches for {carried} ops");
+    assert_eq!(net.failovers, 2 * moved, "every moved path failed back");
+    assert_eq!(net.unreachable, 0);
+
+    let (a, b) = node.npmus.as_ref().expect("PM mode has NPMUs");
+    let report = pmem::verify_mirrors(&a.mem, &b.mem, 16);
+    assert!(report.is_clean(), "{:?}", report.discrepancies);
+}
+
+#[test]
+fn workload_survives_fabric_x_outage() {
+    // Every CPU and mirror half `a` is homed on X: all of it moves to Y.
+    workload_survives_fabric_outage(0, 4343);
+}
+
+#[test]
+fn workload_survives_fabric_y_outage() {
+    // Only mirror half `b` is homed on Y: its writers' legs join the
+    // half-`a` legs on X's ports.
+    workload_survives_fabric_outage(1, 4343);
 }
 
 #[test]
