@@ -28,8 +28,9 @@ cargo run --release -p pm-bench --bin t1_latency
 cargo run --release -p pm-bench --bin audit_scaling
 # Smoke: windowed, mirror-balanced read path (T9) — error-free matrix run.
 cargo run --release -p pm-bench --bin read_scaling
-# Smoke: persistence modes (T10) — asserts the honest modes' latency
-# premium and throughput floor internally at smoke scale.
+# Smoke: persistence modes (T10) — asserts internally, at smoke scale,
+# the honest modes' throughput floor and that the in-chain persist fence
+# costs a device flush, not a round trip.
 cargo run --release -p pm-bench --bin persist_modes
 # Smoke: sharded transaction layer (T11) — asserts the >= 2.5x 4-node
 # speedup at 10% cross-shard and the 100k-client population bars
@@ -39,12 +40,9 @@ cargo run --release -p pm-bench --bin shard_scaling
 # under an online resilver with DRR+admission, resilver >= 80% of its
 # standalone rate, and the FIFO baseline's p99 blow-up, all internally.
 cargo run --release -p pm-bench --bin qos_isolation
-# Smoke: near-device offload (T13) — asserts the device append is no
-# worse than the chained host append (fabric round trips per commit and
-# p50; the host chain carries data, watermark cell and persist fence in
-# one round trip, so the arm measures parity), the batched device scrub
-# cuts verify fabric bytes >= 10x, and NPMU->NPMU copy lifts the
-# pool-wide resilver rate >= 1.5x, all internally.
+# Smoke: near-device offload (T13) — asserts the batched device scrub
+# cuts verify fabric bytes >= 10x and NPMU->NPMU copy lifts the
+# pool-wide resilver rate >= 1.5x, both internally.
 cargo run --release -p pm-bench --bin offload
 # Smoke: geo-replication failover drill (T14) — asserts internally that
 # the drained controls converge to RPO 0 with byte-identical trail
@@ -52,15 +50,16 @@ cargo run --release -p pm-bench --bin offload
 # primary, eager RPO <= lazy below the bandwidth-delay crossover, the
 # epoch fence round-trips, and no arm accumulates unbounded backlog.
 cargo run --release -p pm-bench --bin georep
-# Crash-point fuzz smoke: ~200 injected power-loss points across the
-# three persistence modes plus the device-append offload arm (power loss
-# sampled between device tail bump and client ack; release: `cargo test
-# --release --workspace` above already ran it once; FUZZ_FULL=1 widens to
-# the ≥ 2000-point sweep). Its probe asserts the PersistFlush arm issued
-# no standalone flush verb and chained at least one publication, and that
-# no PM arm (cross-shard included) sent a single FlushReq: commits harden
-# on their append acks, and that is the path every crash point samples.
-FUZZ_FULL="${FUZZ_FULL:-}" cargo test --release --test crash_fuzz
+# Crash-point fuzz, full sweep: >= 2000 injected power-loss points across
+# the three persistence modes plus the cross-shard 2PC arm (~100 s in
+# release; `cargo test --release --workspace` above already ran the
+# ~200-point smoke; FUZZ_FULL=0 keeps it to that). The full sweep is the
+# default because it went red for a whole PR while it was opt-in. Its
+# probe asserts every chain of every arm carried its own cell, that the
+# PersistFlush arm issued no standalone flush verb, and that no PM arm
+# (cross-shard included) sent a single FlushReq: commits harden on their
+# append acks, and that is the path every crash point samples.
+FUZZ_FULL="${FUZZ_FULL:-1}" cargo test --release --test crash_fuzz
 # Throughput-regression gate: fresh --json runs vs committed results/.
 tools/bench_check.sh
 # Docs must build clean (broken intra-doc links fail the gate).

@@ -1,16 +1,9 @@
 //! T13: near-device compute offload — what each offload verb buys.
 //!
-//! Three comparisons, each against the host-mediated path with identical
+//! Two comparisons, each against the host-mediated path with identical
 //! workload, seed and topology (defaults keep every offload off, so the
-//! classic arms reproduce prior experiments bit-exactly):
+//! base arm reproduces prior experiments bit-exactly):
 //!
-//! * **Device-side atomic append** (`pm_offload_append`): the ADP stages
-//!   the same commit batches, but the device bumps its own durable tail
-//!   instead of the host publishing a 16-byte control cell. Since the
-//!   host path chains that cell behind its data under one persist fence,
-//!   both paths cost one fabric round trip per mirror half per commit:
-//!   the arm now measures *parity* — plain ordered writes match the
-//!   device verb without any device logic.
 //! * **Device-local CRC scrub** (`offload_scrub`): resilver verification
 //!   moves one batched command per `scrub_batch` chunks and 4-byte
 //!   digests instead of one `rdma_crc_read` round trip per chunk per
@@ -23,32 +16,26 @@
 //!   (~113 MB/s) no matter how many members need repair. Device copies
 //!   ride each pair's own link, so the aggregate scales with the pool.
 //!
-//! Acceptance (asserted below): the device append is no worse than the
-//! chained host append (round trips per commit and p50); device scrub
-//! cuts verify fabric
+//! (A third verb, a device-side atomic log-append, measured parity with
+//! the ADP's chained host append — T13a, 2.00 fabric ops per commit and
+//! 81.9 µs p50 on both arms — and was deleted in PR 17; T10's
+//! `persistflush` row is its "classic" arm.)
+//!
+//! Acceptance (asserted below): device scrub cuts verify fabric
 //! bytes ≥ 10×; device copy lifts the resilver rate ≥ 1.5× over the
-//! host-mediated ~113 MB/s; and every classic arm uses zero offload verbs.
+//! host-mediated ~113 MB/s; and the base arm uses zero offload verbs.
 
 use bytes::Bytes;
 use npmu::{Npmu, NpmuConfig};
-use nsk::machine::{install_primary, CpuId, Machine, MachineConfig, SharedMachine};
+use nsk::machine::{CpuId, Machine, MachineConfig};
 use nsk::Monitor;
-use parking_lot::Mutex;
 use pm_bench::{json, Table};
-use pmem::{install_audit_partitions, install_pm_pool};
 use pmm::{PmmConfig, PmmHandle};
 use simcore::actor::Start;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
-use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Sim, SimDuration, SimTime};
-use simnet::{EndpointId, NetDelivery, NetStats, SharedNetwork};
-use std::sync::Arc;
-use txnkit::{AppendDone, AuditAppend, FlushDone, FlushReq, TxnConfig, TxnId};
-
-const WORKER_CPUS: u32 = 4;
-const PARTITIONS: u32 = 2;
-const REGION_LEN: u64 = 8 << 20;
-const RECORD_BYTES: usize = 64;
+use simcore::{Actor, Ctx, DurableStore, Msg, Sim, SimDuration, SimTime};
+use simnet::{NetDelivery, SharedNetwork};
 
 /// Command legs are modelled as 64 wire bytes throughout `simnet`.
 const CMD_BYTES: u64 = 64;
@@ -58,214 +45,7 @@ const CRC_REPLY_BYTES: u64 = 8;
 const SCRUB_DIGEST_BYTES: u64 = 4;
 
 // ---------------------------------------------------------------------------
-// Arm 1: commit pipeline with and without device-side atomic append.
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct BenchResults {
-    committed: u64,
-    started_ns: u64,
-    done_at_ns: u64,
-    latency: Histogram,
-}
-
-type SharedResults = Arc<Mutex<BenchResults>>;
-
-/// One closed-loop commit source (append → flush → repeat), identical to
-/// the T10 harness so the two arms differ only in the ADP's PM backend.
-struct Appender {
-    machine: SharedMachine,
-    ep: EndpointId,
-    cpu: CpuId,
-    adps: Vec<String>,
-    id: u64,
-    commits: u64,
-    seq: u64,
-    commit_started_ns: u64,
-    results: SharedResults,
-}
-
-struct Kickoff;
-
-impl Appender {
-    fn current_adp(&self) -> String {
-        let txn = TxnId(self.id * 1_000_000 + self.seq);
-        self.adps[txn.audit_partition(self.adps.len())].clone()
-    }
-
-    fn begin_commit(&mut self, ctx: &mut Ctx<'_>) {
-        if self.seq >= self.commits {
-            self.results.lock().done_at_ns = ctx.now().as_nanos();
-            return;
-        }
-        self.commit_started_ns = ctx.now().as_nanos();
-        let adp = self.current_adp();
-        let machine = self.machine.clone();
-        nsk::proc::send_to_process(
-            ctx,
-            &machine,
-            self.ep,
-            self.cpu,
-            &adp,
-            RECORD_BYTES as u32 + 16,
-            AuditAppend {
-                records: Bytes::from(vec![0xC0u8; RECORD_BYTES]),
-                virtual_len: RECORD_BYTES as u32,
-                token: self.seq,
-            },
-        );
-    }
-}
-
-impl Actor for Appender {
-    fn name(&self) -> &str {
-        "appender"
-    }
-
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        if msg.is::<Start>() {
-            ctx.send_self(SimDuration::from_millis(200), Kickoff);
-            return;
-        }
-        if msg.is::<Kickoff>() {
-            self.results.lock().started_ns = ctx.now().as_nanos();
-            self.begin_commit(ctx);
-            return;
-        }
-        if let Ok((_, delivery)) = msg.take::<NetDelivery>() {
-            let payload = match delivery.payload.downcast::<AppendDone>() {
-                Ok(done) => {
-                    let adp = self.current_adp();
-                    let machine = self.machine.clone();
-                    nsk::proc::send_to_process(
-                        ctx,
-                        &machine,
-                        self.ep,
-                        self.cpu,
-                        &adp,
-                        32,
-                        FlushReq {
-                            upto: done.lsn_end,
-                            token: done.token,
-                        },
-                    );
-                    return;
-                }
-                Err(p) => p,
-            };
-            if payload.downcast::<FlushDone>().is_ok() {
-                let mut r = self.results.lock();
-                r.committed += 1;
-                r.latency
-                    .record(ctx.now().as_nanos() - self.commit_started_ns);
-                drop(r);
-                self.seq += 1;
-                self.begin_commit(ctx);
-            }
-        }
-    }
-}
-
-struct AppendPoint {
-    commits_per_sec: f64,
-    p50_us: f64,
-    p99_us: f64,
-    /// PM fabric round trips per committed transaction (write chains +
-    /// appends + reads), workload phase only.
-    ops_per_commit: f64,
-    ctrl_writes: u64,
-    appends: u64,
-}
-
-fn pm_ops(s: &NetStats) -> u64 {
-    s.rdma_writes + s.rdma_appends + s.rdma_reads
-}
-
-fn run_append(offload: bool, clients: u64, commits_per_client: u64) -> AppendPoint {
-    let mut store = DurableStore::new();
-    let mut sim = Sim::with_seed(29);
-    let net: SharedNetwork = simnet::Network::new(simnet::FabricConfig::default());
-    let machine = Machine::new(
-        MachineConfig {
-            cpus: WORKER_CPUS + 1,
-            ..MachineConfig::default()
-        },
-        net.clone(),
-    );
-    let cap = (REGION_LEN + pmm::META_BYTES) * (PARTITIONS as u64 + 2) + (64 << 20);
-    let pool = install_pm_pool(
-        &mut sim,
-        &mut store,
-        &machine,
-        "pm",
-        NpmuConfig::hardware(cap),
-        1,
-        CpuId(WORKER_CPUS),
-        Some(CpuId(0)),
-    );
-    let stats = txnkit::stats::shared();
-    let adps = install_audit_partitions(
-        &mut sim,
-        &machine,
-        &pool.pmm_name,
-        PARTITIONS,
-        WORKER_CPUS,
-        REGION_LEN,
-        true,
-        TxnConfig {
-            pm_offload_append: offload,
-            ..TxnConfig::pm_enabled()
-        },
-        stats.clone(),
-    );
-    let results: SharedResults = Arc::new(Mutex::new(BenchResults::default()));
-    for c in 0..clients {
-        let cpu = CpuId((c % WORKER_CPUS as u64) as u32);
-        let machine2 = machine.clone();
-        let adps2 = adps.clone();
-        let results2 = results.clone();
-        install_primary(&mut sim, &machine, &format!("$APP{c}"), cpu, move |ep| {
-            Box::new(Appender {
-                machine: machine2,
-                ep,
-                cpu,
-                adps: adps2,
-                id: c,
-                commits: commits_per_client,
-                seq: 0,
-                commit_started_ns: 0,
-                results: results2,
-            })
-        });
-    }
-    // Let setup (region create, trail adoption, boot probes) finish, then
-    // snapshot the fabric counters so the per-commit figures only count
-    // the workload phase. The appenders kick off at exactly 200 ms.
-    sim.run_until(SimTime(199 * MILLIS));
-    let before = net.lock().stats;
-    let target = clients * commits_per_client;
-    let ceiling = SimTime(600 * SECS);
-    while results.lock().committed < target {
-        let now = sim.now();
-        assert!(now < ceiling, "offload append arm never completed");
-        sim.run_until(SimTime(now.as_nanos() + 200 * MILLIS));
-    }
-    let after = net.lock().stats;
-    let r = results.lock();
-    let elapsed_ns = r.done_at_ns.saturating_sub(r.started_ns).max(1);
-    let ts = stats.lock();
-    AppendPoint {
-        commits_per_sec: r.committed as f64 * SECS as f64 / elapsed_ns as f64,
-        p50_us: r.latency.quantile(0.50) as f64 / 1_000.0,
-        p99_us: r.latency.quantile(0.99) as f64 / 1_000.0,
-        ops_per_commit: (pm_ops(&after) - pm_ops(&before)) as f64 / r.committed as f64,
-        ctrl_writes: ts.pm_ctrl_writes,
-        appends: after.rdma_appends,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Arms 2+3: pool-wide resilver with device copy and device scrub toggled.
+// Pool-wide resilver with device copy and device scrub toggled.
 // ---------------------------------------------------------------------------
 
 const MEMBERS: u32 = 4;
@@ -485,77 +265,9 @@ fn run_resilver(region_len: u64, chunk: u32, copy: bool, scrub: bool) -> Resilve
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let full = args.iter().any(|a| a == "--full");
-    let (clients, commits) = if full { (8, 600) } else { (8, 150) };
     let (region_mb, chunk_kb) = if full { (64u64, 256u32) } else { (32, 256) };
     let mut metrics: Vec<(String, f64)> = Vec::new();
 
-    // --- Arm 1: device-side atomic append -------------------------------
-    let classic = run_append(false, clients, commits);
-    // Reset the process-wide per-class counters so the artifact's
-    // `fabric_*` keys describe the offload arms alone — that is what the
-    // bench-check fabric-bytes gate watches for footprint creep.
-    simnet::qos::reset_process_stats();
-    let offload = run_append(true, clients, commits);
-
-    let mut t = Table::new(&[
-        "append_path",
-        "commits_per_s",
-        "p50_us",
-        "p99_us",
-        "fabric_ops_per_commit",
-        "ctrl_writes",
-    ]);
-    for (key, p) in [("classic", &classic), ("offload", &offload)] {
-        t.row(&[
-            key.to_string(),
-            format!("{:.0}", p.commits_per_sec),
-            format!("{:.1}", p.p50_us),
-            format!("{:.1}", p.p99_us),
-            format!("{:.2}", p.ops_per_commit),
-            p.ctrl_writes.to_string(),
-        ]);
-        metrics.push((format!("append_{key}_commits_per_sec"), p.commits_per_sec));
-        metrics.push((format!("append_{key}_p50_us"), p.p50_us));
-        metrics.push((format!("append_{key}_p99_us"), p.p99_us));
-        metrics.push((
-            format!("append_{key}_fabric_ops_per_commit"),
-            p.ops_per_commit,
-        ));
-    }
-    t.print("T13a device-side atomic append: commit pipeline round trips");
-
-    assert_eq!(
-        classic.appends, 0,
-        "classic arm must not use the append verb"
-    );
-    assert!(
-        classic.ctrl_writes > 0,
-        "classic arm publishes control cells"
-    );
-    assert_eq!(offload.ctrl_writes, 0, "offload arm must not publish cells");
-    assert!(offload.appends > 0, "offload arm must use the append verb");
-    println!(
-        "parity: device append / chained host append = {:.2}x fabric ops per commit, \
-         {:.2}x p50, {:.3}x commits/s",
-        offload.ops_per_commit / classic.ops_per_commit,
-        offload.p50_us / classic.p50_us,
-        offload.commits_per_sec / classic.commits_per_sec,
-    );
-    assert!(
-        offload.ops_per_commit <= classic.ops_per_commit,
-        "device append must need no more fabric round trips per commit than \
-         the chained host append (classic {:.2}, offload {:.2})",
-        classic.ops_per_commit,
-        offload.ops_per_commit
-    );
-    assert!(
-        offload.p50_us <= classic.p50_us,
-        "offload append p50 ({:.1} us) must be no worse than classic ({:.1} us)",
-        offload.p50_us,
-        classic.p50_us
-    );
-
-    // --- Arms 2+3: resilver with device copy / device scrub -------------
     let region = region_mb << 20;
     let chunk = chunk_kb << 10;
     let arms = [

@@ -1,5 +1,5 @@
 //! T10: remote-persistence modes — commit latency and throughput of the
-//! PM audit path under each persistence mode × pipeline depth.
+//! PM audit path under each persistence mode.
 //!
 //! The workload is the hardened-commit loop of `audit_scaling` (append a
 //! 64-byte commit record, flush it, repeat), so the table isolates what
@@ -13,17 +13,15 @@
 //!   device drains and pays its flush cost before the chain's one ack:
 //!   no extra round trip.
 //!
-//! In every mode an append that finds the pipeline empty carries its own
-//! control-cell slot as the last link of its chain, so the uncontended
-//! commit is one fabric round trip (two under `FlushOnRead`).
+//! In every mode a chain carries its own control-cell slot as its last
+//! link, so the uncontended commit is one fabric round trip (two under
+//! `FlushOnRead`); appends that arrive behind a chain in flight wait for
+//! it and leave together as the next one.
 //!
 //! Acceptance (asserted below): honest modes cost no less than `NicAck`
-//! but never collapse throughput (≥ 40% of the NicAck rate at the same
-//! depth); `PersistFlush` stays within 10% of `NicAck`'s p50 and under
-//! `FlushOnRead`'s; and a deeper pipeline never hurts (depth 4 ≥ 0.95 ×
-//! depth 1 in every mode): appends that arrive behind a publishing chain
-//! wait for it and leave as the next chain instead of going out without
-//! their cell.
+//! but never collapse throughput (≥ 40% of the NicAck rate);
+//! `PersistFlush` stays within 10% of `NicAck`'s p50 and under
+//! `FlushOnRead`'s.
 
 use bytes::Bytes;
 use npmu::NpmuConfig;
@@ -153,7 +151,7 @@ struct Point {
     p99_us: f64,
 }
 
-fn run_point(mode: PersistMode, depth: u32, clients: u64, commits_per_client: u64) -> Point {
+fn run_point(mode: PersistMode, clients: u64, commits_per_client: u64) -> Point {
     let mut store = DurableStore::new();
     let mut sim = Sim::with_seed(29);
     let net = simnet::Network::new(simnet::FabricConfig::default());
@@ -186,7 +184,6 @@ fn run_point(mode: PersistMode, depth: u32, clients: u64, commits_per_client: u6
         true,
         TxnConfig {
             pm_persist_mode: mode,
-            pm_pipeline_depth: depth,
             ..TxnConfig::pm_enabled()
         },
         stats.clone(),
@@ -240,34 +237,26 @@ fn main() {
     let full = args.iter().any(|a| a == "--full");
     let (clients, commits) = if full { (8, 600) } else { (8, 150) };
 
-    let modes = [
-        PersistMode::NicAck,
-        PersistMode::FlushOnRead,
-        PersistMode::PersistFlush,
-    ];
-    let depths = [1u32, 4];
-
-    let mut t = Table::new(&["mode", "depth", "commits_per_s", "p50_us", "p99_us"]);
+    let mut t = Table::new(&["mode", "commits_per_s", "p50_us", "p99_us"]);
     let mut metrics: Vec<(String, f64)> = Vec::new();
-    let mut grid: Vec<(PersistMode, u32, Point)> = Vec::new();
-    for &mode in &modes {
-        for &depth in &depths {
-            let p = run_point(mode, depth, clients, commits);
-            t.row(&[
-                mode_key(mode).to_string(),
-                depth.to_string(),
-                format!("{:.0}", p.commits_per_sec),
-                format!("{:.1}", p.p50_us),
-                format!("{:.1}", p.p99_us),
-            ]);
-            let k = format!("{}_d{depth}", mode_key(mode));
-            metrics.push((format!("{k}_commits_per_sec"), p.commits_per_sec));
-            metrics.push((format!("{k}_p50_us"), p.p50_us));
-            metrics.push((format!("{k}_p99_us"), p.p99_us));
-            grid.push((mode, depth, p));
-        }
-    }
-    t.print("T10 persistence modes: commit latency/throughput by mode x pipeline depth");
+    let mut measure = |mode: PersistMode| {
+        let p = run_point(mode, clients, commits);
+        let k = mode_key(mode);
+        t.row(&[
+            k.to_string(),
+            format!("{:.0}", p.commits_per_sec),
+            format!("{:.1}", p.p50_us),
+            format!("{:.1}", p.p99_us),
+        ]);
+        metrics.push((format!("{k}_commits_per_sec"), p.commits_per_sec));
+        metrics.push((format!("{k}_p50_us"), p.p50_us));
+        metrics.push((format!("{k}_p99_us"), p.p99_us));
+        p
+    };
+    let nic = measure(PersistMode::NicAck);
+    let fread = measure(PersistMode::FlushOnRead);
+    let flush = measure(PersistMode::PersistFlush);
+    t.print("T10 persistence modes: commit latency/throughput by mode");
     println!(
         "NicAck acks at the ingress buffer (fast, lossy under power failure); \
          FlushOnRead and PersistFlush only ack once the bytes are proven on \
@@ -276,64 +265,39 @@ fn main() {
          cost only)"
     );
 
-    let find = |m: PersistMode, d: u32| {
-        grid.iter()
-            .find(|(gm, gd, _)| *gm == m && *gd == d)
-            .map(|(_, _, p)| p)
-            .unwrap()
-    };
-    for &d in &depths {
-        let nic = find(PersistMode::NicAck, d);
-        for m in [PersistMode::FlushOnRead, PersistMode::PersistFlush] {
-            let h = find(m, d);
-            assert!(
-                h.p50_us >= nic.p50_us,
-                "{} d{d} p50 ({:.1} us) below NicAck ({:.1} us): the persist \
-                 round trip went missing",
-                mode_key(m),
-                h.p50_us,
-                nic.p50_us
-            );
-            assert!(
-                h.commits_per_sec >= 0.4 * nic.commits_per_sec,
-                "{} d{d} throughput collapsed: {:.0}/s vs NicAck {:.0}/s",
-                mode_key(m),
-                h.commits_per_sec,
-                nic.commits_per_sec
-            );
-        }
-    }
-    for &d in &depths {
-        let (nic, fread, flush) = (
-            find(PersistMode::NicAck, d),
-            find(PersistMode::FlushOnRead, d),
-            find(PersistMode::PersistFlush, d),
-        );
-        println!(
-            "d{d}: honesty costs {:+.1}% p50 with the in-chain fence, {:+.1}% with a forcing read",
-            100.0 * (flush.p50_us / nic.p50_us - 1.0),
-            100.0 * (fread.p50_us / nic.p50_us - 1.0),
+    for (m, h) in [
+        (PersistMode::FlushOnRead, &fread),
+        (PersistMode::PersistFlush, &flush),
+    ] {
+        assert!(
+            h.p50_us >= nic.p50_us,
+            "{} p50 ({:.1} us) below NicAck ({:.1} us): the persist \
+             round trip went missing",
+            mode_key(m),
+            h.p50_us,
+            nic.p50_us
         );
         assert!(
-            flush.p50_us <= 1.10 * nic.p50_us && flush.p50_us < fread.p50_us,
-            "d{d}: the in-chain fence must cost a device flush, not a round trip \
-             (persistflush {:.1} us, nicack {:.1} us, flushonread {:.1} us)",
-            flush.p50_us,
-            nic.p50_us,
-            fread.p50_us
+            h.commits_per_sec >= 0.4 * nic.commits_per_sec,
+            "{} throughput collapsed: {:.0}/s vs NicAck {:.0}/s",
+            mode_key(m),
+            h.commits_per_sec,
+            nic.commits_per_sec
         );
     }
-    for &mode in &modes {
-        let d1 = find(mode, 1);
-        let d4 = find(mode, 4);
-        assert!(
-            d4.commits_per_sec >= d1.commits_per_sec * 0.95,
-            "{}: pipelining must not hurt (d4 {:.0}/s vs d1 {:.0}/s)",
-            mode_key(mode),
-            d4.commits_per_sec,
-            d1.commits_per_sec
-        );
-    }
+    println!(
+        "honesty costs {:+.1}% p50 with the in-chain fence, {:+.1}% with a forcing read",
+        100.0 * (flush.p50_us / nic.p50_us - 1.0),
+        100.0 * (fread.p50_us / nic.p50_us - 1.0),
+    );
+    assert!(
+        flush.p50_us <= 1.10 * nic.p50_us && flush.p50_us < fread.p50_us,
+        "the in-chain fence must cost a device flush, not a round trip \
+         (persistflush {:.1} us, nicack {:.1} us, flushonread {:.1} us)",
+        flush.p50_us,
+        nic.p50_us,
+        fread.p50_us
+    );
     if json::wants_json(&args) {
         let path = json::emit("persist_modes", &metrics).expect("write json");
         println!("wrote {}", path.display());

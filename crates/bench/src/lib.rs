@@ -15,10 +15,10 @@
 //! | `resilver_mttr`   | DESIGN.md §3 — redundancy-repair time vs region bytes |
 //! | `audit_scaling`   | DESIGN.md §5 — commit rate vs audit partitions (T8) |
 //! | `read_scaling`    | DESIGN.md §6 — read throughput vs window × routing (T9) |
-//! | `persist_modes`   | DESIGN.md §7 — commit latency by persistence mode × pipeline depth (T10) |
+//! | `persist_modes`   | DESIGN.md §7 — commit latency by persistence mode (T10) |
 //! | `shard_scaling`   | DESIGN.md §8 — sharded txn throughput, 2PC tax, population load (T11) |
 //! | `qos_isolation`   | DESIGN.md §9 — commit p99 vs online resilver by QoS policy (T12) |
-//! | `offload`         | DESIGN.md §10 — near-device offload: device append / scrub / NPMU→NPMU copy (T13) |
+//! | `offload`         | DESIGN.md §10 — near-device offload: batched scrub / NPMU→NPMU copy (T13) |
 //! | `georep`          | DESIGN.md §11 — geo-replication: RPO/RTO by shipping mode × WAN delay (T14) |
 //! | `ablations`       | DESIGN.md ablations A1–A3 |
 //!

@@ -66,11 +66,9 @@ mod tests {
         assert_eq!(b.parts_per_file, 4);
         assert_eq!(b.data_volumes_per_dp2 * b.cpus, 16, "16 data volumes");
         assert_eq!(b.audit, AuditMode::Disk);
-        assert!(b.txn.adp_checkpoint);
 
         let p = s86000_pm(1);
         assert_eq!(p.audit, AuditMode::Pmp);
-        assert!(!p.txn.adp_checkpoint, "PM drops the ADP data checkpoint");
 
         let h = s86000_pm_hardware(1);
         assert_eq!(h.audit, AuditMode::HardwareNpmu);

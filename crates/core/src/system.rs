@@ -121,9 +121,9 @@ pub fn install_pm_pool(
 
 /// Install `partitions` independent audit-trail process pairs (`$ADP0`,
 /// `$ADP1`, …) over an already-installed PM pool's PMM namespace. Each
-/// partition owns its own trail region `adp{i}.audit` (striped across the
-/// pool by the PMM's auto placement once it crosses the stripe
-/// threshold), with primaries round-robined across `cpus` worker CPUs.
+/// partition owns its own trail region `adp{i}.audit` (one extent,
+/// capacity-balanced by the PMM, so N trails land one per member on an
+/// N-member pool), with primaries round-robined across `cpus` worker CPUs.
 /// Returns the partition process names in partition order; route work to
 /// them with [`txnkit::TxnId::audit_partition`].
 #[allow(clippy::too_many_arguments)]

@@ -20,54 +20,15 @@ use crate::memory::{checksum64, NvImage};
 use bytes::Bytes;
 use nsk::machine::SharedMachine;
 use parking_lot::Mutex;
-use simcore::checksum::crc32;
 use simcore::durable::{DurableStore, Image};
 use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration};
 use simnet::{
-    rdma_write, reply_rdma_append, reply_rdma_copy, reply_rdma_crc_read, reply_rdma_read,
-    reply_rdma_scrub, reply_rdma_write, EndpointId, InboundRdmaAppend, InboundRdmaCopy,
-    InboundRdmaCrcRead, InboundRdmaRead, InboundRdmaScrub, InboundRdmaWrite, RdmaStatus,
-    RdmaWriteDone, SharedNetwork, APPEND_CELL_BYTES,
+    rdma_write, reply_rdma_copy, reply_rdma_crc_read, reply_rdma_read, reply_rdma_scrub,
+    reply_rdma_write, EndpointId, InboundRdmaCopy, InboundRdmaCrcRead, InboundRdmaRead,
+    InboundRdmaScrub, InboundRdmaWrite, RdmaStatus, RdmaWriteDone, SharedNetwork,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
-
-/// 16-byte tail-cell slot: `tail u64 LE | crc32(tail bytes) u32 LE | pad`.
-/// Same self-validating format as the ADP control cell, so the whole
-/// system has exactly one notion of "CRC'd watermark slot".
-pub const APPEND_SLOT_BYTES: u64 = 16;
-
-/// Number of alternating slots in the [`APPEND_CELL_BYTES`] tail cell.
-pub const APPEND_SLOTS: u64 = APPEND_CELL_BYTES / APPEND_SLOT_BYTES;
-
-/// Encode one tail-cell slot.
-pub fn encode_append_slot(tail: u64) -> [u8; APPEND_SLOT_BYTES as usize] {
-    let mut slot = [0u8; APPEND_SLOT_BYTES as usize];
-    slot[..8].copy_from_slice(&tail.to_le_bytes());
-    slot[8..12].copy_from_slice(&crc32(&tail.to_le_bytes()).to_le_bytes());
-    slot
-}
-
-/// Parse a raw [`APPEND_CELL_BYTES`] tail cell: the winner is the
-/// CRC-valid slot with the highest tail (tails are monotone, so highest
-/// = latest; a torn slot write fails its CRC and the previous slot
-/// wins). Returns `(tail, winning_slot)` — `(0, None)` for a virgin
-/// cell.
-pub fn parse_append_cell(raw: &[u8]) -> (u64, Option<u64>) {
-    let mut best: (u64, Option<u64>) = (0, None);
-    for i in 0..APPEND_SLOTS {
-        let off = (i * APPEND_SLOT_BYTES) as usize;
-        let Some(slot) = raw.get(off..off + APPEND_SLOT_BYTES as usize) else {
-            break;
-        };
-        let tail = u64::from_le_bytes(slot[..8].try_into().unwrap());
-        let crc = u32::from_le_bytes(slot[8..12].try_into().unwrap());
-        if crc32(&slot[..8]) == crc && (best.1.is_none() || tail > best.0) {
-            best = (tail, Some(i));
-        }
-    }
-    best
-}
 
 /// Digest of one scrub chunk: the 64-bit content checksum folded to the
 /// 4 bytes a scrub reply ships per chunk. Deliberately NOT a CRC-32:
@@ -191,18 +152,11 @@ pub struct NpmuStats {
     pub bytes_written: u64,
     pub bytes_read: u64,
     pub access_violations: u64,
-    /// Writes/appends rejected because the device-wide write fence was
+    /// Writes rejected because the device-wide write fence was
     /// engaged (an epoch fence from a disaster-recovery takeover).
     pub fenced_ops: u64,
     /// Persist fences served (one per accepted fenced write chain).
     pub flushes: u64,
-    /// Device-side atomic log-appends granted (real appends; tail
-    /// probes are counted under `append_probes`).
-    pub appends: u64,
-    /// Record bytes persisted via device-side appends.
-    pub append_bytes: u64,
-    /// Tail-pointer probes served (wire_len == 0 appends).
-    pub append_probes: u64,
     /// Device-local scrub commands served (per-chunk CRC digests).
     pub scrubs: u64,
     /// Device-to-device copy commands served as the *source* device.
@@ -229,9 +183,9 @@ pub type SharedNpmuStats = Arc<Mutex<NpmuStats>>;
 /// register pool members as mutual peers after install.
 pub type SharedDmaPeers = Arc<Mutex<BTreeSet<EndpointId>>>;
 
-/// Device-wide *write fence*: when engaged, plain writes and real
-/// appends from any initiator outside the `exempt` set (and outside the
-/// peer-DMA set) are rejected with `AccessViolation`. Reads still serve.
+/// Device-wide *write fence*: when engaged, writes from any initiator
+/// outside the `exempt` set (and outside the peer-DMA set) are rejected
+/// with `AccessViolation`. Reads still serve.
 ///
 /// This is the enforcement half of an epoch fence: after a
 /// disaster-recovery takeover bumps the pool epoch, the PMM engages the
@@ -263,36 +217,11 @@ pub struct NpmuHandle {
 struct DeferredWrite(InboundRdmaWrite);
 struct DeferredRead(InboundRdmaRead);
 struct DeferredCrcRead(InboundRdmaCrcRead);
-struct DeferredAppend(InboundRdmaAppend);
 struct DeferredScrub(InboundRdmaScrub);
 struct DeferredCopy(InboundRdmaCopy);
 
 /// Self-timer: ingress entries whose dwell expired are due on the array.
 struct DrainTick;
-
-/// Self-timer: the device-side persist of an append completed — bump the
-/// durable tail cell and ack the initiator. A power loss or down window
-/// between the data landing and this firing leaves data-without-tail:
-/// never acked, invisible to recovery. A loss after the cell write but
-/// before the ack leaves a durable-but-unacked suffix — safe in the
-/// other direction (the ack contract is one-way).
-struct AppendCommit {
-    phys: u64,
-    new_tail: u64,
-    req: InboundRdmaAppend,
-}
-
-/// Volatile per-region append state, keyed by the *physical* base of the
-/// tail cell. Re-derived from the durable cell on first touch (and after
-/// any invalidation), so it is purely a cache of what recovery would
-/// parse — plus the not-yet-committed grant watermark.
-struct AppendRegion {
-    /// Grant watermark: where the *next* append starts. Runs ahead of
-    /// the durable tail by the in-flight (granted, uncommitted) suffix.
-    tail: u64,
-    /// Next tail-cell slot to write (alternates through the cell).
-    next_slot: u64,
-}
 
 pub struct Npmu {
     name: String,
@@ -312,10 +241,6 @@ pub struct Npmu {
     /// FIFO, as `(apply_at_ns, phys, data)`. Lives in actor state, so a
     /// power loss (dropping the `Sim`) loses exactly these bytes.
     ingress: VecDeque<(u64, u64, Bytes)>,
-    /// Volatile append-region cache (see [`AppendRegion`]). Cleared on
-    /// down windows and invalidated under plain writes that overlap a
-    /// cached tail cell (a resilver rewriting the region from the peer).
-    append: BTreeMap<u64, AppendRegion>,
     /// Outbound device-to-device copies awaiting the destination's write
     /// ack, keyed by our local write op-id → the orchestrator's command.
     pending_copies: BTreeMap<u64, InboundRdmaCopy>,
@@ -370,7 +295,6 @@ impl Npmu {
             stats: stats.clone(),
             was_down: false,
             ingress: VecDeque::new(),
-            append: BTreeMap::new(),
             pending_copies: BTreeMap::new(),
             next_copy_op: 0,
             dma_peers: dma_peers.clone(),
@@ -460,13 +384,10 @@ impl Npmu {
     }
 
     /// Discard the buffer (device failure), accounting the loss. The
-    /// failure is a power event for *all* volatile device state: the
-    /// append-region cache (grant watermarks, slot cursors) and any
-    /// in-flight device-to-device copies die with it — appends re-derive
-    /// from the durable tail cell after revival, and the copy
+    /// failure is a power event for *all* volatile device state: any
+    /// in-flight device-to-device copies die with it, and the copy
     /// orchestrator recovers by step timeout.
     fn wipe_ingress(&mut self) {
-        self.append.clear();
         self.pending_copies.clear();
         if self.ingress.is_empty() {
             return;
@@ -541,12 +462,6 @@ impl Npmu {
         // array only at the drain tick (or a forcing read/fence).
         let apply_at = ctx.now().as_nanos() + self.cfg.ingress_drain_ns;
         for (l, &phys) in w.links.iter().zip(&phys) {
-            // A plain write overlapping a cached tail cell (a resilver
-            // rewriting this region from the peer copy) invalidates that
-            // cache entry: the next append re-parses the durable cell.
-            let end = phys + l.data.len() as u64;
-            self.append
-                .retain(|base, _| *base >= end || phys >= *base + APPEND_CELL_BYTES);
             self.ingress.push_back((apply_at, phys, l.data.clone()));
         }
         if w.fence || self.cfg.ingress_drain_ns == 0 {
@@ -639,161 +554,7 @@ impl Npmu {
         }
     }
 
-    /// Device-side atomic log-append (offload verb one). `wire_len == 0`
-    /// probes the durable tail; otherwise the record bytes land in the
-    /// circular data area at the device-resident grant watermark, and the
-    /// CRC'd tail cell is bumped — then the ack sent — only after the
-    /// device-side persist cost ([`AppendCommit`]). Power loss at any
-    /// point never acks a tail the data does not cover.
-    fn do_append(&mut self, ctx: &mut Ctx<'_>, a: InboundRdmaAppend) {
-        if self.down_now(ctx) {
-            self.stats.lock().failed_ops += 1;
-            if self.cfg.fail_mode == FailureMode::Nack {
-                let net = self.net.clone();
-                reply_rdma_append(ctx, &net, &a, RdmaStatus::DeviceFailed, 0);
-            }
-            return;
-        }
-        let cpu = self.initiator_cpu(a.from_ep);
-        let net = self.net.clone();
-        if a.wire_len == 0 {
-            // Tail probe: a recovery-time *read* of the durable cell, so
-            // the device-wide read fence applies — a probe against a
-            // stale (fenced) half is excluded from the client's
-            // reconciliation instead of under-reporting the tail.
-            let verdict = self
-                .att
-                .lock()
-                .translate_read(a.base, APPEND_CELL_BYTES, cpu);
-            match verdict {
-                Ok(phys) => {
-                    // Reads cannot pass posted writes (a resilver may
-                    // have staged a newer cell in the ingress buffer).
-                    self.drain_all();
-                    let raw = self.mem.lock().read(phys, APPEND_CELL_BYTES as usize);
-                    let (tail, _) = parse_append_cell(&raw);
-                    self.stats.lock().append_probes += 1;
-                    reply_rdma_append(ctx, &net, &a, RdmaStatus::Ok, tail);
-                }
-                Err(e) => {
-                    self.stats.lock().access_violations += 1;
-                    let status = match e {
-                        AttError::Unmapped => RdmaStatus::OutOfBounds,
-                        AttError::Forbidden => RdmaStatus::AccessViolation,
-                    };
-                    reply_rdma_append(ctx, &net, &a, status, 0);
-                }
-            }
-            return;
-        }
-        // Real append: the whole cell + data window must be writable.
-        if self.fenced(a.from_ep) {
-            self.stats.lock().fenced_ops += 1;
-            reply_rdma_append(ctx, &net, &a, RdmaStatus::AccessViolation, 0);
-            return;
-        }
-        let verdict = self
-            .att
-            .lock()
-            .translate(a.base, APPEND_CELL_BYTES + a.cap, cpu);
-        let phys = match verdict {
-            Ok(p) => p,
-            Err(e) => {
-                self.stats.lock().access_violations += 1;
-                let status = match e {
-                    AttError::Unmapped => RdmaStatus::OutOfBounds,
-                    AttError::Forbidden => RdmaStatus::AccessViolation,
-                };
-                reply_rdma_append(ctx, &net, &a, status, 0);
-                return;
-            }
-        };
-        let virt = a.wire_len as u64;
-        if a.cap == 0 || virt > a.cap {
-            self.stats.lock().access_violations += 1;
-            reply_rdma_append(ctx, &net, &a, RdmaStatus::OutOfBounds, 0);
-            return;
-        }
-        let mem = self.mem.clone();
-        let cap = a.cap;
-        let st = self.append.entry(phys).or_insert_with(|| {
-            let raw = mem.lock().read(phys, APPEND_CELL_BYTES as usize);
-            let (tail, slot) = parse_append_cell(&raw);
-            AppendRegion {
-                tail,
-                next_slot: slot.map(|s| (s + 1) % APPEND_SLOTS).unwrap_or(0),
-            }
-        });
-        let start = st.tail;
-        let new_tail = start + virt;
-        st.tail = new_tail;
-        // Land the record bytes in the array now (device-local DMA from
-        // the NIC, no ingress dwell) at the circular grant offset; the
-        // tail bump — and only then the ack — follows after the
-        // device-side persist cost. Grants are issued in arrival order,
-        // so commits (same fixed delay) keep the tail monotone.
-        {
-            let data_base = phys + APPEND_CELL_BYTES;
-            let off = start % cap;
-            let first = ((cap - off) as usize).min(a.data.len());
-            let mut m = mem.lock();
-            if first > 0 {
-                m.write(data_base + off, &a.data[..first]);
-            }
-            if first < a.data.len() {
-                m.write(data_base, &a.data[first..]);
-            }
-        }
-        {
-            let mut s = self.stats.lock();
-            s.appends += 1;
-            s.append_bytes += virt;
-            s.bytes_written += virt;
-        }
-        ctx.send_self(
-            SimDuration::from_nanos(self.cfg.flush_ns.max(1)),
-            AppendCommit {
-                phys,
-                new_tail,
-                req: a,
-            },
-        );
-    }
-
-    /// The persist window of a granted append closed: write the
-    /// alternating tail-cell slot durably, then ack with the new tail.
-    fn commit_append(&mut self, ctx: &mut Ctx<'_>, c: AppendCommit) {
-        if self.down_raw(ctx.now()) {
-            // Died between the data landing and the tail bump: the
-            // granted suffix is data-without-tail — never acked,
-            // invisible to recovery. Volatile append state dies too.
-            self.wipe_ingress();
-            self.stats.lock().failed_ops += 1;
-            return;
-        }
-        let slot = match self.append.get_mut(&c.phys) {
-            Some(st) => {
-                let s = st.next_slot;
-                st.next_slot = (s + 1) % APPEND_SLOTS;
-                s
-            }
-            None => {
-                // Cache invalidated since the grant (a resilver rewrote
-                // the cell): re-derive the cursor from the durable cell.
-                let raw = self.mem.lock().read(c.phys, APPEND_CELL_BYTES as usize);
-                let (_, slot) = parse_append_cell(&raw);
-                slot.map(|s| (s + 1) % APPEND_SLOTS).unwrap_or(0)
-            }
-        };
-        self.mem.lock().write(
-            c.phys + slot * APPEND_SLOT_BYTES,
-            &encode_append_slot(c.new_tail),
-        );
-        let net = self.net.clone();
-        reply_rdma_append(ctx, &net, &c.req, RdmaStatus::Ok, c.new_tail);
-    }
-
-    /// Device-local scrub (offload verb two): digest `ceil(len /
+    /// Device-local scrub (the offload's scrub verb): digest `ceil(len /
     /// chunk)` consecutive chunks ([`scrub_digest`]) and reply with the
     /// 4-byte digests — the verify pass moves O(digests), not O(bytes).
     /// Same honesty contract as the single-digest scrub read: **no
@@ -842,7 +603,7 @@ impl Npmu {
         reply_rdma_scrub(ctx, &net, ep, &r, RdmaStatus::Ok, crcs);
     }
 
-    /// Device-to-device copy (offload verb three), serving as the
+    /// Device-to-device copy (the offload's copy verb), serving as the
     /// *source*: read the range locally, write it straight to the
     /// destination NPMU (the payload crosses the fabric exactly once),
     /// relay the destination's ack to the orchestrator on
@@ -949,19 +710,6 @@ impl Actor for Npmu {
             }
             Err(m) => m,
         };
-        let msg = match msg.take::<InboundRdmaAppend>() {
-            Ok((_, a)) => {
-                match self.cfg.kind {
-                    NpmuKind::Hardware => self.do_append(ctx, a),
-                    NpmuKind::Pmp => ctx.send_self(
-                        SimDuration::from_nanos(self.cfg.pmp_extra_ns),
-                        DeferredAppend(a),
-                    ),
-                }
-                return;
-            }
-            Err(m) => m,
-        };
         let msg = match msg.take::<InboundRdmaScrub>() {
             Ok((_, r)) => {
                 match self.cfg.kind {
@@ -1006,13 +754,6 @@ impl Actor for Npmu {
             }
             Err(m) => m,
         };
-        let msg = match msg.take::<AppendCommit>() {
-            Ok((_, c)) => {
-                self.commit_append(ctx, c);
-                return;
-            }
-            Err(m) => m,
-        };
         let msg = match msg.take::<DrainTick>() {
             Ok((_, DrainTick)) => {
                 // A failed device loses its buffer instead of draining it.
@@ -1042,13 +783,6 @@ impl Actor for Npmu {
         let msg = match msg.take::<DeferredCrcRead>() {
             Ok((_, DeferredCrcRead(r))) => {
                 self.do_crc_read(ctx, r);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<DeferredAppend>() {
-            Ok((_, DeferredAppend(a))) => {
-                self.do_append(ctx, a);
                 return;
             }
             Err(m) => m,
@@ -1870,18 +1604,15 @@ mod tests {
         assert_eq!(h.stats.lock().ingress_lost_bytes, 64);
     }
 
-    /// Client for the near-device offload verbs: a queue of appends
-    /// against one `(base, cap)` log window, plus optional tail probe,
-    /// scrub, and device-to-device copy command, issued in order at
-    /// start. Completions land in the shared log as
-    /// `a{op}:{status}:{tail}`, `s{op}:{status}:{crcs}`, `y{op}:{status}`.
+    /// Client for the near-device offload verbs: an optional scrub and
+    /// device-to-device copy command, issued in order at start.
+    /// Completions land in the shared log as `s{op}:{status}:{crcs}`,
+    /// `y{op}:{status}`.
     struct OffloadClient {
         net: SharedNetwork,
         ep: EndpointId,
         dev: EndpointId,
-        appends: Vec<(u64, u64, u64, Vec<u8>, u32)>, // (op, base, cap, data, wire)
-        probe: Option<(u64, u64, u64)>,              // (op, base, cap)
-        scrub: Option<(u64, u64, u64, u32)>,         // (op, addr, len, chunk)
+        scrub: Option<(u64, u64, u64, u32)>, // (op, addr, len, chunk)
         copy: Option<(u64, u64, u32, EndpointId, u64)>, // (op, src, len, dst_ep, dst_addr)
         log: Arc<Mutex<Vec<String>>>,
     }
@@ -1890,36 +1621,6 @@ mod tests {
         fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
             use simnet::TrafficClass::Commit;
             if msg.is::<Start>() {
-                for (id, base, cap, data, wire) in self.appends.drain(..) {
-                    let net = self.net.clone();
-                    simnet::rdma_append(
-                        ctx,
-                        &net,
-                        self.ep,
-                        self.dev,
-                        base,
-                        cap,
-                        Bytes::from(data),
-                        wire,
-                        id,
-                        Commit,
-                    );
-                }
-                if let Some((id, base, cap)) = self.probe.take() {
-                    let net = self.net.clone();
-                    simnet::rdma_append(
-                        ctx,
-                        &net,
-                        self.ep,
-                        self.dev,
-                        base,
-                        cap,
-                        Bytes::new(),
-                        0,
-                        id,
-                        Commit,
-                    );
-                }
                 if let Some((id, addr, len, chunk)) = self.scrub.take() {
                     let net = self.net.clone();
                     simnet::rdma_scrub(ctx, &net, self.ep, self.dev, addr, len, chunk, id, Commit);
@@ -1932,15 +1633,6 @@ mod tests {
                 }
                 return;
             }
-            let msg = match msg.take::<simnet::RdmaAppendDone>() {
-                Ok((_, d)) => {
-                    self.log
-                        .lock()
-                        .push(format!("a{}:{:?}:{}", d.op_id, d.status, d.tail));
-                    return;
-                }
-                Err(m) => m,
-            };
             let msg = match msg.take::<simnet::RdmaScrubDone>() {
                 Ok((_, d)) => {
                     self.log
@@ -1967,178 +1659,9 @@ mod tests {
             net: net.clone(),
             ep,
             dev,
-            appends: vec![],
-            probe: None,
             scrub: None,
             copy: None,
             log: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    #[test]
-    fn device_append_bumps_tail_persists_data_and_cell() {
-        let (mut sim, _store, h, log, net, cep) = setup(NpmuKind::Hardware);
-        let cap = 0x1000 - APPEND_CELL_BYTES; // cell + trail fill the window
-        spawn_offload(
-            &mut sim,
-            &net,
-            OffloadClient {
-                appends: vec![
-                    (1, 0x1000, cap, vec![0x11; 16], 16),
-                    (2, 0x1000, cap, vec![0x22; 24], 24),
-                ],
-                log: log.clone(),
-                ..offload_noop(&net, cep, h.ep)
-            },
-        );
-        sim.run_until_idle();
-        let l = log.lock().clone();
-        assert!(l.contains(&"a1:Ok:16".to_string()), "{l:?}");
-        assert!(l.contains(&"a2:Ok:40".to_string()), "{l:?}");
-        // Record bytes land past the 64 B tail cell, in grant order.
-        assert_eq!(h.mem.lock().read(64, 16), vec![0x11; 16]);
-        assert_eq!(h.mem.lock().read(80, 24), vec![0x22; 24]);
-        // The durable cell itself parses back to the last acked tail.
-        let raw = h.mem.lock().read(0, APPEND_CELL_BYTES as usize);
-        assert_eq!(parse_append_cell(&raw).0, 40);
-        assert_eq!(h.stats.lock().appends, 2);
-        assert_eq!(h.stats.lock().append_bytes, 40);
-
-        // A wire_len == 0 probe reads the same tail back.
-        let cep2 = net.lock().attach(ActorId(u32::MAX));
-        spawn_offload(
-            &mut sim,
-            &net,
-            OffloadClient {
-                probe: Some((3, 0x1000, cap)),
-                log: log.clone(),
-                ..offload_noop(&net, cep2, h.ep)
-            },
-        );
-        sim.run_until_idle();
-        assert!(
-            log.lock().contains(&"a3:Ok:40".to_string()),
-            "{:?}",
-            *log.lock()
-        );
-        assert_eq!(h.stats.lock().append_probes, 1);
-    }
-
-    #[test]
-    fn device_append_wraps_circularly_at_capacity() {
-        let (mut sim, _store, h, log, net, cep) = setup(NpmuKind::Hardware);
-        // Tiny 32 B trail: the second 24 B append wraps 8 + 16.
-        spawn_offload(
-            &mut sim,
-            &net,
-            OffloadClient {
-                appends: vec![
-                    (1, 0x1000, 32, (0..24).collect(), 24),
-                    (2, 0x1000, 32, (100..124).collect(), 24),
-                ],
-                log: log.clone(),
-                ..offload_noop(&net, cep, h.ep)
-            },
-        );
-        sim.run_until_idle();
-        let l = log.lock().clone();
-        assert!(l.contains(&"a1:Ok:24".to_string()), "{l:?}");
-        assert!(l.contains(&"a2:Ok:48".to_string()), "{l:?}");
-        // Tail cell holds the *virtual* (unwrapped) tail.
-        let raw = h.mem.lock().read(0, APPEND_CELL_BYTES as usize);
-        assert_eq!(parse_append_cell(&raw).0, 48);
-        // Second record: 8 bytes at offset 24, 16 wrapped to offset 0.
-        let m = h.mem.lock();
-        assert_eq!(m.read(64 + 24, 8), (100..108).collect::<Vec<u8>>());
-        assert_eq!(m.read(64, 16), (108..124).collect::<Vec<u8>>());
-        // The unwrapped suffix of the first record survives.
-        assert_eq!(m.read(64 + 16, 8), (16..24).collect::<Vec<u8>>());
-    }
-
-    #[test]
-    fn device_append_rejects_oversized_and_unmapped() {
-        let (mut sim, _store, h, log, net, cep) = setup(NpmuKind::Hardware);
-        spawn_offload(
-            &mut sim,
-            &net,
-            OffloadClient {
-                appends: vec![
-                    // wire_len exceeds the trail capacity.
-                    (1, 0x1000, 16, vec![0x33; 24], 24),
-                    // window not mapped at this nva.
-                    (2, 0x9000, 64, vec![0x44; 8], 8),
-                ],
-                log: log.clone(),
-                ..offload_noop(&net, cep, h.ep)
-            },
-        );
-        sim.run_until_idle();
-        let l = log.lock().clone();
-        assert!(l.contains(&"a1:OutOfBounds:0".to_string()), "{l:?}");
-        assert!(l.contains(&"a2:OutOfBounds:0".to_string()), "{l:?}");
-        assert_eq!(h.stats.lock().appends, 0);
-        // Nothing granted → the tail cell stays virgin.
-        let raw = h.mem.lock().read(0, APPEND_CELL_BYTES as usize);
-        assert_eq!(parse_append_cell(&raw), (0, None));
-    }
-
-    /// The device-append crash contract, swept at *every* dispatch
-    /// boundary: cut the power after exactly `k` events, then check that
-    /// the durable tail cell covers every tail the client was acked —
-    /// and is never torn to garbage, only ever one of the legal
-    /// watermarks.
-    #[test]
-    fn device_append_power_loss_never_acks_uncovered_tail() {
-        let cap = 0x1000 - APPEND_CELL_BYTES;
-        let appends = |log: &Arc<Mutex<Vec<String>>>,
-                       net: &SharedNetwork,
-                       cep: EndpointId,
-                       dev: EndpointId| OffloadClient {
-            appends: vec![
-                (1, 0x1000, cap, vec![0x11; 16], 16),
-                (2, 0x1000, cap, vec![0x22; 24], 24),
-            ],
-            log: log.clone(),
-            ..offload_noop(net, cep, dev)
-        };
-        // Learn the full dispatch count once.
-        let total = {
-            let (mut sim, _store, h, log, net, cep) = setup(NpmuKind::Hardware);
-            spawn_offload(&mut sim, &net, appends(&log, &net, cep, h.ep));
-            sim.run_until_idle();
-            sim.dispatched()
-        };
-        assert!(total > 4, "sweep needs a real window, got {total}");
-        for k in 0..=total {
-            let (mut sim, mut store, h, log, net, cep) = setup(NpmuKind::Hardware);
-            spawn_offload(&mut sim, &net, appends(&log, &net, cep, h.ep));
-            sim.run_until_dispatched(k);
-            let acked: Vec<u64> = log
-                .lock()
-                .iter()
-                .filter_map(|e| e.strip_prefix("a").and_then(|r| r.split(":Ok:").nth(1)))
-                .map(|t| t.parse().unwrap())
-                .collect();
-            // Power loss: the sim dies mid-flight, volatile state resets;
-            // the hardware NPMU's array (and h.mem) is battery-backed.
-            drop(sim);
-            store.reset_volatile();
-            let raw = h.mem.lock().read(0, APPEND_CELL_BYTES as usize);
-            let (tail, _) = parse_append_cell(&raw);
-            assert!(
-                tail == 0 || tail == 16 || tail == 40,
-                "cut@{k}: torn tail {tail}"
-            );
-            for &t in &acked {
-                assert!(t <= tail, "cut@{k}: acked tail {t} > durable tail {tail}");
-            }
-            // Every byte under the durable tail is the appended record.
-            if tail >= 16 {
-                assert_eq!(h.mem.lock().read(64, 16), vec![0x11; 16], "cut@{k}");
-            }
-            if tail == 40 {
-                assert_eq!(h.mem.lock().read(80, 24), vec![0x22; 24], "cut@{k}");
-            }
         }
     }
 
@@ -2171,14 +1694,15 @@ mod tests {
     }
 
     /// Two chunks that differ only in a leading self-checksummed cell
-    /// (`x ‖ crc32(x)`, the control-cell and tail-cell slot format) must
-    /// digest differently — a plain CRC-32 of the chunk cannot tell them
-    /// apart.
+    /// (`x ‖ crc32(x)`, the control-cell slot format) must digest
+    /// differently — a plain CRC-32 of the chunk cannot tell them apart.
     #[test]
     fn scrub_digest_sees_a_divergent_watermark_cell() {
+        use simcore::checksum::crc32;
         let chunk = |x: u64| {
-            let mut c = encode_append_slot(x).to_vec();
-            c.extend_from_slice(&[0x5A; 100]);
+            let mut c = x.to_le_bytes().to_vec();
+            c.extend_from_slice(&crc32(&x.to_le_bytes()).to_le_bytes());
+            c.extend_from_slice(&[0x5A; 104]);
             c
         };
         let (a, b) = (chunk(1_005_454), chunk(1_050_638));

@@ -26,8 +26,7 @@ pub mod memory;
 
 pub use att::{AttEntry, AttTable, CpuFilter, SharedAtt};
 pub use device::{
-    encode_append_slot, parse_append_cell, FailureMode, Npmu, NpmuConfig, NpmuHandle, NpmuKind,
-    NpmuStats, SharedDmaPeers, SharedNpmuStats, SharedWriteFence, WriteFence, APPEND_SLOTS,
-    APPEND_SLOT_BYTES,
+    FailureMode, Npmu, NpmuConfig, NpmuHandle, NpmuKind, NpmuStats, SharedDmaPeers,
+    SharedNpmuStats, SharedWriteFence, WriteFence,
 };
 pub use memory::{checksum64, NvImage};

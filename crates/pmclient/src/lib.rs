@@ -18,8 +18,8 @@
 pub mod lib_impl;
 
 pub use lib_impl::{
-    MirrorPolicy, PmAppendComplete, PmAppendTimeout, PmClientConfig, PmLib, PmReadComplete,
-    PmReadTimeout, PmWriteComplete, PmWriteTimeout, ReadRouting,
+    MirrorPolicy, PmClientConfig, PmLib, PmReadComplete, PmReadTimeout, PmWriteComplete,
+    PmWriteTimeout, ReadRouting,
 };
 pub use simnet::PersistMode;
 

@@ -6,8 +6,8 @@ use pmm::msgs::*;
 use pmm::{Frag, PlacementHint};
 use simcore::{Ctx, SimDuration};
 use simnet::{
-    rdma_append, rdma_read, rdma_write_chain, ChainLink, EndpointId, PersistMode, RdmaAppendDone,
-    RdmaReadDone, RdmaStatus, RdmaWriteDone, SharedNetwork, TrafficClass, APPEND_CELL_BYTES,
+    rdma_read, rdma_write_chain, ChainLink, EndpointId, PersistMode, RdmaReadDone, RdmaStatus,
+    RdmaWriteDone, SharedNetwork, TrafficClass,
 };
 use std::collections::HashMap;
 
@@ -129,31 +129,6 @@ pub struct PmReadComplete {
     pub degraded: bool,
 }
 
-/// Completion of a mirrored device-side log-append. When `status == Ok`,
-/// `tail` is the new log watermark durable on **every answering half**
-/// (the fold takes the min over acked tails, so the watermark is always
-/// the shorter durable prefix — exactly what recovery would reconcile
-/// to). The device persists data *and* tail cell before its ack, so an
-/// `Ok` here needs no separate persist phase. `degraded` means one half
-/// availability-failed and the append stands on a survivor alone. For a
-/// tail *probe* ([`PmLib::probe_tail_class`]), halves that answered with
-/// any error are excluded from the min — a probe fails only when no half
-/// answered at all.
-#[derive(Clone, Copy, Debug)]
-pub struct PmAppendComplete {
-    pub token: u64,
-    pub status: RdmaStatus,
-    pub tail: u64,
-    pub degraded: bool,
-}
-
-/// Self-addressed timer armed per mirrored append; feed to
-/// [`PmLib::on_append_timeout`].
-#[derive(Clone, Copy, Debug)]
-pub struct PmAppendTimeout {
-    pub aid: u64,
-}
-
 /// Self-addressed timer armed per mirrored write; the owning actor feeds
 /// it to [`PmLib::on_write_timeout`]. Stale instances (the write already
 /// completed) are ignored there.
@@ -247,28 +222,6 @@ impl WriteState {
     }
 }
 
-/// One mirrored device-side append (or tail probe) in flight.
-struct AppendState {
-    token: u64,
-    region_id: u64,
-    /// Member volume the append window lives on (the window must fit in
-    /// one stripe fragment).
-    volume: u32,
-    /// Tail probe (`wire_len == 0`): error legs are *excluded* from the
-    /// min instead of failing the op.
-    probe: bool,
-    logical_error: Option<RdmaStatus>,
-    avail_status: RdmaStatus,
-    /// Outstanding legs: (rdma op id, half).
-    pending: Vec<(u64, u8)>,
-    /// Bitmask of halves whose leg acked `Ok` (bit `1 << half`).
-    acked_halves: u8,
-    /// Device-returned tail per acked half.
-    tails: [u64; 2],
-    /// Legs lost to availability errors (or, for a probe, any error).
-    failed: u32,
-}
-
 /// One stripe fragment of a read, with its own half selection and
 /// one-shot failover.
 struct ReadPart {
@@ -352,11 +305,6 @@ pub struct PmLib {
     /// Per-(member volume, half) read round-trip EWMA, ns (adaptive
     /// routing).
     rtt_ewma: HashMap<(u32, u8), f64>,
-    /// Mirrored device-side appends in flight.
-    appends: HashMap<u64, AppendState>,
-    next_append: u64,
-    /// RDMA op id → (append id, half).
-    append_map: HashMap<u64, (u64, u8)>,
 }
 
 impl PmLib {
@@ -390,9 +338,6 @@ impl PmLib {
             stale: HashMap::new(),
             read_seq: HashMap::new(),
             rtt_ewma: HashMap::new(),
-            appends: HashMap::new(),
-            next_append: 0,
-            append_map: HashMap::new(),
         }
     }
 
@@ -610,7 +555,7 @@ impl PmLib {
 
     /// Batched persistent write: every `(offset, data, wire_len)` part is
     /// submitted in ONE fan-out under a single completion, timeout and
-    /// token — the pipelined ADP's flush primitive. The parts' stripe
+    /// token — the ADP's trail-write primitive. The parts' stripe
     /// fragments are grouped by member volume and each group is posted as
     /// one ordered write chain per mirror half, links in part order —
     /// under `PersistFlush` closed by a persist fence, so data and
@@ -629,8 +574,8 @@ impl PmLib {
     }
 
     /// As [`Self::write_batch`], riding an explicit [`TrafficClass`]
-    /// instead of the library default (e.g. the ADP tags its audit-trail
-    /// batches `Audit` while its control-cell publications stay `Commit`).
+    /// instead of the library default (e.g. the geo-replica tags its
+    /// applied batches `Bulk`).
     pub fn write_batch_class(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -643,24 +588,21 @@ impl PmLib {
     }
 
     /// As [`Self::write_batch_class`], with an optional *publish part*
-    /// that must be ordered after all the data — a watermark cell naming
-    /// the batch's bytes. A device applies a chain strictly in order, so
-    /// the part is chained as the last link iff every data fragment and
-    /// the publish part land on the same member volume (the library owns
-    /// the stripe map; the caller does not); the write then rides the
-    /// class given with the part, since it now gates whatever the
-    /// publication gates. Returns whether it was chained; if not, the
-    /// part is **not posted**, the data rides `class`, and the caller
-    /// publishes after completion.
+    /// ordered after all the data — a watermark cell naming the batch's
+    /// bytes. A device applies a chain strictly in order, so the part
+    /// rides as the last link of the data's chain. One ordered channel
+    /// means one member volume: panics unless the data and the publish
+    /// part all land on the same member (a region placed `Solo` or
+    /// `OnVolume` always does).
     pub fn write_batch_publish(
         &mut self,
         ctx: &mut Ctx<'_>,
         region_id: u64,
         parts: &[(u64, Bytes, u32)],
-        publish: Option<(&(u64, Bytes, u32), TrafficClass)>,
+        publish: Option<&(u64, Bytes, u32)>,
         token: u64,
-        mut class: TrafficClass,
-    ) -> bool {
+        class: TrafficClass,
+    ) {
         assert!(!parts.is_empty(), "empty batch");
         let info = self
             .regions
@@ -692,17 +634,13 @@ impl PmLib {
         for part in parts {
             st.link_frags(&mut chains, split(part), &part.1);
         }
-        let chained = publish.is_some_and(|(part, publish_class)| {
-            let frags = split(part);
-            let one =
-                st.members.len() == 1 && frags.iter().all(|f| f.volume == st.members[0].volume);
-            if one {
-                st.link_frags(&mut chains, frags, &part.1);
-                class = publish_class;
-                st.class = class;
-            }
-            one
-        });
+        if let Some(part) = publish {
+            st.link_frags(&mut chains, split(part), &part.1);
+            assert!(
+                chains.len() == 1,
+                "publish part must share one member volume with its data"
+            );
+        }
         let mut legs: Vec<(usize, EndpointId, u8, Vec<ChainLink>)> = Vec::new();
         for (mi, links) in chains.into_iter().enumerate() {
             let eps = *info
@@ -725,7 +663,6 @@ impl PmLib {
             self.issue_chain(ctx, wid, mi, dev, half, links, class);
         }
         ctx.send_self(self.cfg.write_timeout, PmWriteTimeout { wid });
-        chained
     }
 
     /// Post one member's chain to one mirror half. `PersistFlush` closes
@@ -752,219 +689,6 @@ impl PmLib {
         let fence = self.cfg.persist_mode == PersistMode::PersistFlush;
         let net = self.net.clone();
         rdma_write_chain(ctx, &net, self.ep, dev, links, fence, rid, class);
-    }
-
-    /// Mirrored device-side atomic log-append. The window at `base_off`
-    /// (tail cell + `cap`-byte circular data area, laid out per
-    /// [`APPEND_CELL_BYTES`]) must fit inside one stripe fragment — the
-    /// device owns the tail pointer, so an append cannot straddle
-    /// members. One `rdma_append` goes to each mirror half; the record is
-    /// persisted at each device's own tail, the tail bump is CRC'd and
-    /// crash-ordered device-side, and the completion folds the acked
-    /// tails by min — no control-cell publication, no persist phase.
-    /// Completion surfaces through [`Self::on_rdma_append_done`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn append_class(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        region_id: u64,
-        base_off: u64,
-        cap: u64,
-        data: Bytes,
-        wire_len: u32,
-        token: u64,
-        class: TrafficClass,
-    ) {
-        assert!(wire_len as usize >= data.len(), "wire_len under data");
-        assert!(wire_len > 0, "use probe_tail_class for probes");
-        self.append_inner(ctx, region_id, base_off, cap, data, wire_len, token, class)
-    }
-
-    /// Probe the durable tail of an append window: asks every half for
-    /// the tail its recovery would parse and folds by min over the
-    /// *answering* halves. A fenced (stale) or down half is excluded;
-    /// the probe fails only if no half answers.
-    pub fn probe_tail_class(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        region_id: u64,
-        base_off: u64,
-        cap: u64,
-        token: u64,
-        class: TrafficClass,
-    ) {
-        self.append_inner(ctx, region_id, base_off, cap, Bytes::new(), 0, token, class)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn append_inner(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        region_id: u64,
-        base_off: u64,
-        cap: u64,
-        data: Bytes,
-        wire_len: u32,
-        token: u64,
-        class: TrafficClass,
-    ) {
-        let info = self
-            .regions
-            .get(&region_id)
-            .expect("region not adopted")
-            .clone();
-        let span = APPEND_CELL_BYTES + cap;
-        assert!(base_off + span <= info.len, "append window beyond region");
-        let frags = info.map.split(base_off, span);
-        assert!(
-            frags.len() == 1,
-            "append window must fit one stripe fragment"
-        );
-        let frag = &frags[0];
-        let eps = *info
-            .eps_for(frag.volume)
-            .expect("stripe map volume missing endpoints");
-        let aid = self.next_append;
-        self.next_append += 1;
-        self.appends.insert(
-            aid,
-            AppendState {
-                token,
-                region_id,
-                volume: frag.volume,
-                probe: wire_len == 0,
-                logical_error: None,
-                avail_status: RdmaStatus::Unreachable,
-                pending: Vec::new(),
-                acked_halves: 0,
-                tails: [0; 2],
-                failed: 0,
-            },
-        );
-        let halves: &[(EndpointId, u8)] = match self.policy {
-            MirrorPolicy::PrimaryOnly => &[(eps.primary_ep, 0)],
-            // Device-assigned tails make a sequential half-by-half issue
-            // pointless (there is no "primary decides" step — each device
-            // owns its own tail), so both mirrored policies fan out.
-            _ => &[(eps.primary_ep, 0), (eps.mirror_ep, 1)],
-        };
-        for &(dev, half) in halves {
-            let rid = self.next_rdma;
-            self.next_rdma += 1;
-            self.append_map.insert(rid, (aid, half));
-            self.appends
-                .get_mut(&aid)
-                .expect("append registered")
-                .pending
-                .push((rid, half));
-            let net = self.net.clone();
-            rdma_append(
-                ctx,
-                &net,
-                self.ep,
-                dev,
-                frag.dev_off,
-                cap,
-                data.clone(),
-                wire_len,
-                rid,
-                class,
-            );
-        }
-        ctx.send_self(self.cfg.write_timeout, PmAppendTimeout { aid });
-    }
-
-    /// Feed an [`RdmaAppendDone`] received by the owning actor. Returns
-    /// the client-level completion once every leg decided, else `None`.
-    pub fn on_rdma_append_done(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        done: &RdmaAppendDone,
-    ) -> Option<PmAppendComplete> {
-        let (aid, half) = self.append_map.remove(&done.op_id)?;
-        let key = self.appends.get(&aid).map(|s| (s.region_id, s.volume));
-        if let Some((region_id, volume)) = key {
-            if done.status == RdmaStatus::Ok {
-                self.clear_suspect(region_id, volume, half);
-            } else if Self::is_availability_error(done.status) {
-                self.mark_suspect(ctx, region_id, volume, half);
-            }
-        }
-        let st = self.appends.get_mut(&aid)?;
-        st.pending.retain(|&(rid, _)| rid != done.op_id);
-        match done.status {
-            RdmaStatus::Ok => {
-                st.acked_halves |= 1 << half;
-                st.tails[half as usize] = done.tail;
-            }
-            s if Self::is_availability_error(s) => {
-                st.failed += 1;
-                st.avail_status = s;
-            }
-            s if st.probe => {
-                // A probe leg rejected through the read fence (or any
-                // other error): this half's tail must not be trusted —
-                // exclude it from the min rather than fail the probe.
-                st.failed += 1;
-                st.avail_status = s;
-            }
-            s => {
-                if st.logical_error.is_none() {
-                    st.logical_error = Some(s);
-                }
-            }
-        }
-        self.try_complete_append(aid)
-    }
-
-    /// Feed a [`PmAppendTimeout`] timer: legs still outstanding count as
-    /// availability failures on their half.
-    pub fn on_append_timeout(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        t: &PmAppendTimeout,
-    ) -> Option<PmAppendComplete> {
-        let st = self.appends.get_mut(&t.aid)?;
-        if st.pending.is_empty() {
-            return None; // completion already decided
-        }
-        let region_id = st.region_id;
-        let volume = st.volume;
-        let stale: Vec<(u64, u8)> = std::mem::take(&mut st.pending);
-        st.failed += stale.len() as u32;
-        st.avail_status = RdmaStatus::Unreachable;
-        for &(rid, half) in &stale {
-            self.append_map.remove(&rid);
-            self.mark_suspect(ctx, region_id, volume, half);
-        }
-        self.try_complete_append(t.aid)
-    }
-
-    fn try_complete_append(&mut self, aid: u64) -> Option<PmAppendComplete> {
-        if !self.appends.get(&aid)?.pending.is_empty() {
-            return None;
-        }
-        let st = self.appends.remove(&aid)?;
-        self.append_map.retain(|_, &mut (a, _)| a != aid);
-        let (status, tail, degraded) = if let Some(err) = st.logical_error {
-            (err, 0, false)
-        } else if st.acked_halves != 0 {
-            let mut tail = u64::MAX;
-            for h in 0..2 {
-                if st.acked_halves & (1 << h) != 0 {
-                    tail = tail.min(st.tails[h]);
-                }
-            }
-            (RdmaStatus::Ok, tail, st.failed > 0)
-        } else {
-            (st.avail_status, 0, false)
-        };
-        Some(PmAppendComplete {
-            token: st.token,
-            status,
-            tail,
-            degraded,
-        })
     }
 
     /// Read `len` bytes at `offset`. Reads need not be replicated, so one
@@ -1594,8 +1318,6 @@ impl PmLib {
             && self.rdma_map.is_empty()
             && self.read_map.is_empty()
             && self.persist_map.is_empty()
-            && self.appends.is_empty()
-            && self.append_map.is_empty()
     }
 
     /// Schedule a retry timer helper: clients re-send PMM RPCs if no ack

@@ -32,8 +32,8 @@ enum Step {
     Open {
         name: String,
     },
-    /// Batched write whose last part is a publish part: posts it and
-    /// logs whether the library chained the publish part behind the data.
+    /// Batched write whose last part is a publish part, chained behind
+    /// the data.
     WriteBatch {
         region_idx: usize,
         parts: Vec<(u64, Vec<u8>)>,
@@ -127,12 +127,8 @@ impl TestClient {
                     .collect();
                 let (publish, data) = parts.split_last().expect("publish part");
                 let class = self.lib.config().traffic_class;
-                let chained =
-                    self.lib
-                        .write_batch_publish(ctx, id, data, Some((publish, class)), tok, class);
-                self.log
-                    .lock()
-                    .push(format!("batch[{tok}]:chained:{chained}"));
+                self.lib
+                    .write_batch_publish(ctx, id, data, Some(publish), tok, class);
             }
             Step::Write {
                 region_idx,
@@ -1877,13 +1873,12 @@ fn build_pool2(store: &mut DurableStore, seed: u64) -> Scenario {
     Scenario { sim, machine, pmm }
 }
 
-/// A batch whose data and publish part all land on one member volume goes
-/// out as ONE ordered chain per mirror half, publish part last, and the
-/// library says so; when the data sits on another member the publish part
-/// is NOT posted and the library says that too (the caller must then
-/// publish after completion).
+/// A `Solo` region lives whole on one member of the pool, so a batch
+/// whose data straddles what would be a stripe-unit boundary still goes
+/// out as ONE fenced chain per mirror half, publish part last — and the
+/// other member sees nothing.
 #[test]
-fn batch_chains_per_member_and_reports_when_it_spans_two() {
+fn solo_region_batch_is_one_fenced_chain_per_half_cell_last() {
     const UNIT: u64 = 64 << 10;
     let mut store = DurableStore::new();
     let mut sc = build_pool2(&mut store, 83);
@@ -1894,21 +1889,15 @@ fn batch_chains_per_member_and_reports_when_it_spans_two() {
             Step::CreatePlaced {
                 name: "trail".into(),
                 len: 8 * UNIT,
-                placement: pmm::PlacementHint::Striped { unit: UNIT },
+                placement: pmm::PlacementHint::Solo,
             },
-            // Data in stripe chunk 0, "cell" at offset 0: both on member 0.
             Step::WriteBatch {
                 region_idx: 0,
                 parts: vec![
-                    (4096, vec![0xD1; 512]),
-                    (8192, vec![0xD2; 512]),
+                    (UNIT - 256, vec![0xD1; 512]),
+                    (2 * UNIT + 4096, vec![0xD2; 512]),
                     (0, vec![0xC1; 16]),
                 ],
-            },
-            // Data in stripe chunk 1 (member 1), "cell" on member 0.
-            Step::WriteBatch {
-                region_idx: 0,
-                parts: vec![(UNIT + 4096, vec![0xD3; 512]), (0, vec![0xC2; 16])],
             },
             Step::CheckQuiesced,
         ],
@@ -1917,24 +1906,61 @@ fn batch_chains_per_member_and_reports_when_it_spans_two() {
     );
     sc.sim.run_until_idle();
     let log = log.lock();
-    assert_eq!(log[1], "batch[1]:chained:true", "{log:?}");
-    assert!(log[2].contains("write[1]:Ok:asexpected"), "{log:?}");
-    assert_eq!(log[3], "batch[2]:chained:false", "{log:?}");
-    assert!(log[4].contains("write[2]:Ok:asexpected"), "{log:?}");
-    assert_eq!(log[5], "quiesced:true", "{log:?}");
+    assert!(log[1].contains("write[1]:Ok:asexpected"), "{log:?}");
+    assert_eq!(log[2], "quiesced:true", "{log:?}");
     // Only client chains carry a fence (the PMM's metadata writes do
-    // not), so fences count chains: each member took ONE per half — the
-    // first batch's three parts on member 0, the second's data on 1.
-    let (m0, m1) = (&sc.pmm.volumes[0], &sc.pmm.volumes[1]);
-    for h in [&m0.0, &m0.1, &m1.0, &m1.1] {
-        assert_eq!(h.stats.lock().flushes, 1);
+    // not), so fences count chains: ONE per half on the member holding
+    // the region, none on the other.
+    let fences = |v: &(npmu::NpmuHandle, npmu::NpmuHandle)| {
+        (v.0.stats.lock().flushes, v.1.stats.lock().flushes)
+    };
+    let (holder, other) = match fences(&sc.pmm.volumes[0]) {
+        (0, 0) => (&sc.pmm.volumes[1], &sc.pmm.volumes[0]),
+        _ => (&sc.pmm.volumes[0], &sc.pmm.volumes[1]),
+    };
+    assert_eq!(fences(holder), (1, 1));
+    assert_eq!(fences(other), (0, 0));
+    // The extent starts right after the metadata: the cell landed behind
+    // data on both sides of the would-be stripe boundary.
+    for h in [&holder.0, &holder.1] {
+        let mem = h.mem.lock();
+        assert_eq!(mem.read(pmm::META_BYTES, 16), vec![0xC1; 16]);
+        assert_eq!(mem.read(pmm::META_BYTES + UNIT - 256, 512), vec![0xD1; 512]);
+        assert_eq!(
+            mem.read(pmm::META_BYTES + 2 * UNIT + 4096, 4),
+            vec![0xD2; 4]
+        );
     }
-    // Member 0's extent starts right after the metadata: the first
-    // batch's cell landed behind its data; the second's was never posted.
-    for h in [&m0.0, &m0.1] {
-        assert_eq!(h.mem.lock().read(pmm::META_BYTES, 16), vec![0xC1; 16]);
-        assert_eq!(h.mem.lock().read(pmm::META_BYTES + 4096, 4), vec![0xD1; 4]);
-    }
+}
+
+/// One ordered channel means one member volume: on a striped region a
+/// publish part on another member than its data cannot be ordered behind
+/// it, and the library refuses instead of posting it un-chained.
+#[test]
+#[should_panic(expected = "publish part must share one member volume")]
+fn publish_part_on_another_member_than_its_data_panics() {
+    const UNIT: u64 = 64 << 10;
+    let mut store = DurableStore::new();
+    let mut sc = build_pool2(&mut store, 83);
+    spawn_client_custom(
+        &mut sc,
+        CpuId(2),
+        vec![
+            Step::CreatePlaced {
+                name: "trail".into(),
+                len: 8 * UNIT,
+                placement: pmm::PlacementHint::Striped { unit: UNIT },
+            },
+            // Data in stripe chunk 1 (member 1), "cell" on member 0.
+            Step::WriteBatch {
+                region_idx: 0,
+                parts: vec![(UNIT + 4096, vec![0xD3; 512]), (0, vec![0xC2; 16])],
+            },
+        ],
+        MirrorPolicy::ParallelBoth,
+        |lib| lib.with_config(mode_cfg(PersistMode::PersistFlush)),
+    );
+    sc.sim.run_until_idle();
 }
 
 #[test]

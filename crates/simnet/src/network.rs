@@ -74,14 +74,16 @@ pub struct NetStats {
     /// rides the write chain it closes — so this reads 0; the field stays
     /// for artifact readers.
     pub rdma_flushes: u64,
-    /// Device-side atomic appends (near-device offload verb 1); the
-    /// byte counter tracks virtual record bytes, probes count 0.
+    /// Device-side appends. The verb is gone — an ordered, fenced write
+    /// chain that carries its own watermark cell does the same job in the
+    /// same one round trip — so both counters read 0; the fields stay for
+    /// artifact readers.
     pub rdma_appends: u64,
     pub rdma_append_bytes: u64,
-    /// Batched device-local scrub commands (offload verb 2).
+    /// Batched device-local scrub commands (the offload's scrub verb).
     pub rdma_scrubs: u64,
-    /// Device-to-device copy commands (offload verb 3); bytes are the
-    /// payload each command moves NPMU→NPMU.
+    /// Device-to-device copy commands (the offload's copy verb); bytes
+    /// are the payload each command moves NPMU→NPMU.
     pub rdma_copies: u64,
     pub rdma_copy_bytes: u64,
     pub retransmits: u64,

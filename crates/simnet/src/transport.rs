@@ -176,42 +176,10 @@ pub struct InboundRdmaCrcRead {
     pub fabric: u8,
 }
 
-/// Size of the device-resident append tail cell at the base of an
-/// append region: two alternating 16-byte slots (`tail u64 LE | crc32 |
-/// pad`), CRC'd with the shared [`simcore::checksum::crc32`]. The data
-/// area is the `cap` bytes that follow. Deliberately identical to the
-/// ADP's client-side control cell (`txnkit`'s `PM_CTRL_BYTES`) so one
-/// region layout serves both the offloaded and the classic pipeline.
-pub const APPEND_CELL_BYTES: u64 = 64;
-
-/// A device-side atomic log-append arriving at a device actor (the
-/// near-device offload's first verb). The device persists the record at
-/// its device-resident tail for the region at `base`, bumps the tail
-/// (crash-safe: the CRC'd tail cell is only advanced after the data is
-/// on media, so power loss never acks a tail the data doesn't cover)
-/// and returns the new tail in the ack. A `wire_len` of zero is a tail
-/// *probe*: nothing is written, the current durable tail comes back —
-/// recovery uses it to read the device-resident watermark.
-pub struct InboundRdmaAppend {
-    pub from_ep: EndpointId,
-    pub reply_to: ActorId,
-    pub op_id: u64,
-    /// NVA of the append region: tail cell at `base`, circular data
-    /// area of `cap` bytes at `base + APPEND_CELL_BYTES`.
-    pub base: u64,
-    pub cap: u64,
-    /// Record bytes (possibly a compact descriptor — see
-    /// [`rdma_write_sized`]).
-    pub data: Bytes,
-    /// Virtual record length; `0` probes the tail.
-    pub wire_len: u32,
-    pub class: TrafficClass,
-}
-
-/// A device-local scrub command arriving at a device actor (offload
-/// verb two): digest `ceil(len / chunk)` consecutive chunks of the
-/// addressed range locally and reply with the 4-byte digests — a verify
-/// pass ships O(digests), not O(bytes).
+/// A device-local scrub command arriving at a device actor (the
+/// offload's scrub verb): digest `ceil(len / chunk)` consecutive chunks of
+/// the addressed range locally and reply with the 4-byte digests — a
+/// verify pass ships O(digests), not O(bytes).
 pub struct InboundRdmaScrub {
     pub from_ep: EndpointId,
     pub reply_to: ActorId,
@@ -226,8 +194,8 @@ pub struct InboundRdmaScrub {
 }
 
 /// A device-to-device copy command arriving at the *source* device
-/// (offload verb three): read `len` bytes at `src_addr` locally, write
-/// them straight to `dst_ep` at `dst_addr` (the payload crosses the
+/// (the offload's copy verb): read `len` bytes at `src_addr` locally,
+/// write them straight to `dst_ep` at `dst_addr` (the payload crosses the
 /// fabric exactly once, NPMU→NPMU), then ack the orchestrator. The PMM
 /// keeps its transfer windows and bulk-admission gate; only the data
 /// path moves off its ports.
@@ -265,15 +233,6 @@ pub struct RdmaCrcReadDone {
     pub op_id: u64,
     pub status: RdmaStatus,
     pub crc: u64,
-}
-
-/// Device-append completion: `tail` is the device-resident durable tail
-/// *after* this append (for a probe, the current durable tail).
-#[derive(Clone, Copy, Debug)]
-pub struct RdmaAppendDone {
-    pub op_id: u64,
-    pub status: RdmaStatus,
-    pub tail: u64,
 }
 
 /// Scrub completion: one 32-bit digest per chunk of the scrubbed range
@@ -384,7 +343,6 @@ enum QosPayload {
     Write(InboundRdmaWrite),
     Read(InboundRdmaRead),
     Crc(InboundRdmaCrcRead),
-    Append(InboundRdmaAppend),
     Scrub(InboundRdmaScrub),
     Copy(InboundRdmaCopy),
     Ipc(NetDelivery),
@@ -463,7 +421,6 @@ impl FabricArbiter {
                 QosPayload::Write(p) => ctx.send(target, d, p),
                 QosPayload::Read(p) => ctx.send(target, d, p),
                 QosPayload::Crc(p) => ctx.send(target, d, p),
-                QosPayload::Append(p) => ctx.send(target, d, p),
                 QosPayload::Scrub(p) => ctx.send(target, d, p),
                 QosPayload::Copy(p) => ctx.send(target, d, p),
                 QosPayload::Ipc(p) => ctx.send(target, d, p),
@@ -990,80 +947,6 @@ pub fn reply_rdma_crc_read(
     ctx.send(req.reply_to, SimDuration::from_nanos(ns), done);
 }
 
-/// Issue a device-side atomic append of `wire_len` virtual bytes (the
-/// record may be carried as a compact descriptor in `data`, as with
-/// [`rdma_write_sized`]). `wire_len == 0` probes the device-resident
-/// tail without writing. Completion arrives as [`RdmaAppendDone`].
-#[allow(clippy::too_many_arguments)]
-pub fn rdma_append(
-    ctx: &mut Ctx<'_>,
-    net: &SharedNetwork,
-    from_ep: EndpointId,
-    to_ep: EndpointId,
-    base: u64,
-    cap: u64,
-    data: Bytes,
-    wire_len: u32,
-    op_id: u64,
-    class: TrafficClass,
-) {
-    debug_assert!(wire_len as usize >= data.len());
-    // A probe is a 64 B command descriptor; a real append pays the
-    // record bytes on the wire, same as the classic data write it
-    // replaces (the tail bump it *also* replaces cost a separate 16 B
-    // control write plus a round trip — that is the saving).
-    let len = if wire_len == 0 { 64 } else { wire_len };
-    match issue_leg(ctx, net, from_ep, to_ep, len, class) {
-        Some((issued, _)) => {
-            let nic = {
-                let mut n = net.lock();
-                n.stats.rdma_appends += 1;
-                n.stats.rdma_append_bytes += wire_len as u64;
-                n.cfg.target_nic_ns
-            };
-            let reply_to = ctx.self_id();
-            let inbound = InboundRdmaAppend {
-                from_ep,
-                reply_to,
-                op_id,
-                base,
-                cap,
-                data,
-                wire_len,
-                class,
-            };
-            match issued {
-                Issued::Legacy { target, ns } => {
-                    ctx.send(target, SimDuration::from_nanos(ns), inbound)
-                }
-                Issued::Qos { target, pre_ns } => qos_route(
-                    ctx,
-                    net,
-                    to_ep,
-                    PortDir::Rx,
-                    class,
-                    len.max(1) as u64,
-                    nic,
-                    pre_ns,
-                    target,
-                    QosPayload::Append(inbound),
-                ),
-            }
-        }
-        None => {
-            net.lock().stats.unreachable += 1;
-            ctx.send_self(
-                SimDuration::from_nanos(UNREACHABLE_TIMEOUT_NS),
-                RdmaAppendDone {
-                    op_id,
-                    status: RdmaStatus::Unreachable,
-                    tail: 0,
-                },
-            );
-        }
-    }
-}
-
 /// Issue a batched device-local scrub: the target digests
 /// `ceil(len / chunk)` chunks locally and only the per-chunk CRCs come
 /// back. Completion arrives as [`RdmaScrubDone`].
@@ -1196,32 +1079,6 @@ pub fn rdma_copy(
             );
         }
     }
-}
-
-/// Called by a device actor to complete an inbound append once the tail
-/// bump is durable. Like write acks, the completion is a tiny priority
-/// control packet riding outside the schedulers; the device has already
-/// paid its persist cost before calling this.
-pub fn reply_rdma_append(
-    ctx: &mut Ctx<'_>,
-    net: &SharedNetwork,
-    req: &InboundRdmaAppend,
-    status: RdmaStatus,
-    tail: u64,
-) {
-    let ack_ns = {
-        let n = net.lock();
-        n.cfg.ack_ns
-    };
-    ctx.send(
-        req.reply_to,
-        SimDuration::from_nanos(ack_ns),
-        RdmaAppendDone {
-            op_id: req.op_id,
-            status,
-            tail,
-        },
-    );
 }
 
 /// Called by a device actor to complete an inbound scrub: only the

@@ -15,9 +15,9 @@
 //!
 //! * `disk::DiskLog` (baseline): buffered appends checkpointed to the
 //!   backup before each ack, group-commit flushes to the audit volume.
-//! * `pm::PmLog` (the paper's ADP): a pipelined ring of in-flight
-//!   batched PM appends with coalesced control-cell watermark
-//!   publication — no backup checkpoints at all.
+//! * `pm::PmLog` (the paper's ADP): one ordered PM write chain in
+//!   flight, carrying every staged append and the control cell that
+//!   publishes them — no backup checkpoints at all.
 //!
 //! Scaling past one ADP is the scenario layer's job: §4.2's "multiple
 //! ADPs can be configured per node" installs N independent pairs, each
@@ -198,7 +198,7 @@ pub(crate) trait AuditLog: Send {
 
     /// A flush waiter was queued for an LSN beyond the durable watermark;
     /// push durability forward if the discipline requires a kick (disk
-    /// group commit does, PM answers from the in-flight control write).
+    /// group commit does, PM answers from the chain in flight).
     fn flush_queued(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>);
 
     /// Timers and IO completions addressed to this actor. Return the
@@ -388,8 +388,6 @@ pub fn install_adp(
                     *region_len,
                     cfg2.pm_persist_mode,
                     cfg2.pm_commit_class,
-                    cfg2.pm_audit_class,
-                    cfg2.pm_offload_append,
                 )),
             };
             Box::new(AdpProc {

@@ -1,58 +1,44 @@
-//! PM audit backend (the paper's ADP), **pipelined**: every append is
-//! written to the mirrored PM region immediately — "the database log is
-//! persistent immediately" — but instead of serializing one control-cell
-//! round trip per append, the trail keeps a bounded ring of in-flight
-//! *batches*:
+//! PM audit backend (the paper's ADP): every append is written to the
+//! mirrored PM region immediately — "the database log is persistent
+//! immediately" — and there is exactly one way it gets there:
 //!
-//! * Appends are assigned LSNs on arrival and staged; whenever the ring
-//!   has a free slot, every staged append is submitted as ONE batched
-//!   mirrored write ([`pmclient::PmLib::write_batch`] — one fan-out per
-//!   pipeline flush, not K round trips).
-//! * Batches may complete out of order; the contiguous data watermark
-//!   only advances as the ring head completes, so it never covers a gap.
-//! * Watermark publication is **coalesced**: at most one 16-byte control
-//!   cell write is in flight, and when it completes it covers *every*
-//!   append finished since the previous one. Acks and commit-flush
-//!   answers are released only from the acked (published) watermark.
-//! * When nothing older is in flight or unpublished, the cell naming a
-//!   batch's own end rides as the **last link of that batch's chain**:
-//!   the device applies a chain in order and the library closes it with
-//!   the persist fence, so trail data, watermark and durability arrive in
-//!   ONE fabric round trip. A cell is only ever posted behind the data it
-//!   names, on the same ordered channel to the same device.
-//! * A publishing chain is never overtaken: appends arriving behind one
-//!   stay staged and leave together as the next chain when it completes.
-//!   Posting them at once, un-chained, would cost a data round trip plus
-//!   a standalone publication queued behind it — never sooner than the
-//!   rest of the chain in flight plus one round trip — so the ring only
-//!   fills past one batch where the cell cannot ride (a striped trail
-//!   whose data sits on another member volume than the cell).
-//! * A write that no mirror half took is **re-driven** verbatim — same
-//!   offsets, same cell slot — and never advances a watermark: the
-//!   completion is the only durability signal there is. A write the
-//!   device *rejects* (fence, out of bounds) freezes the log instead.
+//! * Appends are assigned LSNs on arrival and staged. With nothing in
+//!   flight, every staged append leaves as ONE ordered write chain
+//!   ([`pmclient::PmLib::write_batch_publish`]) whose last link is the
+//!   16-byte control cell naming the chain's own end. The device applies a
+//!   chain in order and the library closes it with the persist fence, so
+//!   trail data, watermark and durability arrive in ONE fabric round trip.
+//! * The trail region is placed [`PlacementHint::Solo`]: one extent on one
+//!   member volume, so data and cell always share one ordered channel. A
+//!   single writer's bytes all leave through its own transmit port, so
+//!   striping one trail would buy no bandwidth; partitions, not stripes,
+//!   spread audit load over the pool's members.
+//! * At most one chain is in flight. Appends arriving behind it stay
+//!   staged and leave together as the next chain when it completes —
+//!   coalescing is the throughput mechanism. The chain's completion is the
+//!   only durability signal there is: it publishes the watermark, releases
+//!   every covered ack and answers the commit-flush waiters.
+//! * A chain that no mirror half took is **re-driven** verbatim — same
+//!   offsets, same cell slot — and never advances the watermark. A chain
+//!   the device *rejects* (fence, out of bounds) freezes the log instead.
 //!
 //! There is **no backup checkpoint at all** — exactly the redundancy
 //! §3.4 says PM eliminates. Takeover recovers the exact durable position
 //! by reading the control cell back: acks only ever followed a
-//! *completed* cell write, so a torn or stale cell can only under-report
+//! *completed* chain, so a torn or stale cell can only under-report
 //! unacknowledged work, never lose an acknowledged append.
 
 use super::{AdpShared, AuditLog, Role};
 use crate::types::*;
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
-use pmclient::{
-    PmAppendComplete, PmAppendTimeout, PmClientConfig, PmLib, PmReadTimeout, PmWriteComplete,
-    PmWriteTimeout,
-};
+use pmclient::{PmClientConfig, PmLib, PmReadTimeout, PmWriteComplete, PmWriteTimeout};
 use pmm::msgs::CreateRegionAck;
+use pmm::PlacementHint;
 use simcore::{Ctx, Msg, SimDuration};
-use simnet::{
-    EndpointId, PersistMode, RdmaAppendDone, RdmaReadDone, RdmaStatus, RdmaWriteDone, TrafficClass,
-};
+use simnet::{EndpointId, PersistMode, RdmaReadDone, RdmaStatus, RdmaWriteDone, TrafficClass};
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Bytes reserved at the base of a PM trail region for the control cell.
 /// The cell is double-buffered: two 16 B slots at offsets 0 and 16,
@@ -133,25 +119,13 @@ struct CpuStaged {
     app: AuditAppend,
 }
 
-/// Pacing timer for re-driving a write that failed on every mirror half.
-struct Redrive {
-    token: u64,
-}
+/// Pacing timer for re-driving a chain that failed on every mirror half.
+struct Redrive;
 
 /// One `(region offset, payload, wire length)` part of a library write.
 type Part = (u64, Bytes, u32);
 
-/// What a completed PmLib token was for.
-enum TokenKind {
-    /// A batched data write (ring entry).
-    Batch,
-    /// The standalone coalesced control-cell write.
-    Ctrl,
-    /// The boot/takeover control-cell read.
-    BootRead,
-}
-
-/// The ack owed for one append once a covering control write lands.
+/// The ack owed for one append once a chain covering it completes.
 struct AckSlot {
     from_ep: EndpointId,
     token: u64,
@@ -159,42 +133,22 @@ struct AckSlot {
     lsn_end: u64,
 }
 
-/// An append staged for the next pipeline submission: its trail writes
-/// (≤ 2 segments when the circular trail wraps) and the ack it owes.
+/// An append staged for the next chain: its trail writes (≤ 2 segments
+/// when the circular trail wraps) and the ack it owes.
 struct StagedAppend {
     slot: AckSlot,
     parts: Vec<Part>,
 }
 
-/// One in-flight batched write in the pipeline ring. The payload is kept
-/// so a failed round can be re-driven verbatim.
-struct Batch {
-    write_token: u64,
+/// The chain in flight. The payload is kept so a failed round can be
+/// re-driven verbatim.
+struct Chain {
+    token: u64,
     lsn_end: u64,
     slots: Vec<AckSlot>,
     parts: Vec<Part>,
-    /// The control-cell slot naming `lsn_end` that rides as the last link
-    /// of this batch's chain: its completion publishes it.
-    publish: Option<Part>,
-    done: bool,
-}
-
-/// The standalone control-cell write in flight.
-struct CtrlWrite {
-    token: u64,
-    watermark: u64,
-    part: Part,
-}
-
-/// The single in-flight device-side append (`pm_offload_append`). The
-/// devices assign the durable offsets themselves, so at most one append
-/// may be outstanding: two concurrent appends could land in opposite
-/// orders on the two mirrors. The batch keeps its payload so a failed
-/// round can be re-driven verbatim.
-struct OffloadBatch {
-    data: Bytes,
-    wire_len: u32,
-    slots: Vec<AckSlot>,
+    /// The control-cell slot naming `lsn_end`, the chain's last link.
+    cell: Part,
 }
 
 pub(crate) struct PmLog {
@@ -205,37 +159,14 @@ pub(crate) struct PmLog {
     /// Reading the control cell during takeover/boot.
     ctrl_read_pending: bool,
     ready: bool,
-    /// Appends with LSNs assigned, waiting for a ring slot.
+    /// Appends with LSNs assigned, waiting for the next chain.
     staged: VecDeque<StagedAppend>,
-    /// In-flight batches, in submission (= LSN) order.
-    ring: VecDeque<Batch>,
-    /// All data writes complete through here (ring-head contiguous).
-    data_watermark: u64,
-    /// A control write covering this watermark has completed (acked
-    /// appends and flush answers come from this).
-    acked_watermark: u64,
-    ctrl_write_inflight: Option<CtrlWrite>,
-    /// Which control-cell slot the NEXT publication targets (the other
-    /// slot holds the last published watermark).
+    inflight: Option<Chain>,
+    /// Which control-cell slot the NEXT chain targets (the other slot
+    /// holds the last published watermark).
     ctrl_slot: usize,
-    /// Data durable (watermark-covered), waiting for a control write to
-    /// publish it; LSN-ordered.
-    awaiting_ctrl: VecDeque<AckSlot>,
-    /// PmLib token → purpose.
-    tokens: BTreeMap<u64, TokenKind>,
     /// Appends received before the region/cell were ready.
     boot_pending: Vec<(EndpointId, AuditAppend)>,
-    /// Fabric class the trail data batches ride (control ops use the
-    /// library's default class — see [`PmLog::new`]).
-    audit_class: TrafficClass,
-    /// Fabric class for commit-gating ops (control cell / device appends).
-    commit_class: TrafficClass,
-    /// Device-side append mode: the NPMUs own the tail pointer, there is
-    /// no control cell, and acks are released straight from the mirrored
-    /// append completion (`min` over the halves' durable tails).
-    offload: bool,
-    /// The single in-flight device append (offload mode).
-    offload_inflight: Option<OffloadBatch>,
     /// A trail write was *rejected* by the device. Nothing is submitted,
     /// acked or re-driven past this point. Normally that is an engaged
     /// write fence: this ADP is a fenced-off old primary, the replica
@@ -255,35 +186,24 @@ impl PmLog {
         region_len: u64,
         persist_mode: PersistMode,
         commit_class: TrafficClass,
-        audit_class: TrafficClass,
-        offload: bool,
     ) -> Self {
         PmLog {
-            // Control-cell publications and boot reads ride the commit
-            // class (they gate commit acks); trail data batches ride the
-            // audit class via `write_batch_class`.
+            // Every op of this library gates commit acks — each trail
+            // chain carries the cell that releases them — so they all
+            // ride the commit class.
             lib: PmLib::new(machine, ep, cpu, pmm).with_config(PmClientConfig {
                 persist_mode,
                 traffic_class: commit_class,
                 ..PmClientConfig::default()
             }),
-            audit_class,
-            commit_class,
-            offload,
-            offload_inflight: None,
             region_name,
             region_id: None,
             region_len,
             ctrl_read_pending: false,
             ready: false,
             staged: VecDeque::new(),
-            ring: VecDeque::new(),
-            data_watermark: 0,
-            acked_watermark: 0,
-            ctrl_write_inflight: None,
+            inflight: None,
             ctrl_slot: 0,
-            awaiting_ctrl: VecDeque::new(),
-            tokens: BTreeMap::new(),
             boot_pending: Vec::new(),
             fenced: false,
         }
@@ -324,89 +244,61 @@ impl PmLog {
 
     fn start_region(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, attempt: u32) {
         let (region, region_len) = (self.region_name.clone(), self.region_len);
-        self.lib.create_region(ctx, &region, region_len, true, 0);
+        // One extent on one member: the cell must share an ordered
+        // channel with every byte of trail data it names.
+        self.lib
+            .create_region_placed(ctx, &region, region_len, true, PlacementHint::Solo, 0);
         ctx.send_self(sh.cfg.region_retry_delay(attempt), RegionRetry { attempt });
     }
 
-    /// Submit staged appends while the pipeline ring has room. Each
-    /// submission takes EVERY currently staged append in one batched
-    /// write — the deeper the backlog, the wider the batch.
+    /// With nothing in flight, post EVERY currently staged append as one
+    /// chain closed by the cell naming its end — the deeper the backlog,
+    /// the wider the chain.
     fn pump(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>) {
-        if self.fenced {
+        if self.fenced || self.inflight.is_some() || self.staged.is_empty() {
             return;
         }
-        if self.offload {
-            self.pump_offload(sh, ctx);
-            return;
+        let mut parts: Vec<Part> = Vec::new();
+        let mut slots: Vec<AckSlot> = Vec::new();
+        let mut lsn_end = 0;
+        while let Some(s) = self.staged.pop_front() {
+            lsn_end = s.slot.lsn_end;
+            parts.extend(s.parts);
+            slots.push(s.slot);
         }
-        while self.ring.len() < sh.cfg.pm_pipeline_depth as usize && !self.staged.is_empty() {
-            // Never overtake a publishing chain: what is staged leaves as
-            // the next chain, with its own cell, when this one completes.
-            if self.ring.front().is_some_and(|b| b.publish.is_some()) {
-                return;
-            }
-            let mut parts: Vec<Part> = Vec::new();
-            let mut slots: Vec<AckSlot> = Vec::new();
-            let mut lsn_end = 0;
-            while let Some(s) = self.staged.pop_front() {
-                lsn_end = s.slot.lsn_end;
-                parts.extend(s.parts);
-                slots.push(s.slot);
-            }
-            // With nothing older in flight or unpublished, everything
-            // below this batch is already published, so the cell may name
-            // the batch's own end and ride as the last link of its chain
-            // — if the library can keep the two on one ordered channel.
-            let mut publish = None;
-            if self.ring.is_empty()
-                && self.ctrl_write_inflight.is_none()
-                && self.awaiting_ctrl.is_empty()
-            {
-                debug_assert_eq!(self.data_watermark, self.acked_watermark);
-                publish = Some(self.ctrl_part(lsn_end));
-            }
-            let tok = sh.alloc_tag();
-            self.tokens.insert(tok, TokenKind::Batch);
-            if !self.post_batch(ctx, &parts, publish.as_ref(), tok) {
-                publish = None;
-            }
-            let mut st = sh.stats.lock();
-            st.pm_batches += 1;
-            if publish.is_some() {
-                self.ctrl_slot ^= 1;
-                st.pm_ctrl_writes += 1;
-                st.pm_ctrl_chained += 1;
-            }
-            drop(st);
-            self.ring.push_back(Batch {
-                write_token: tok,
-                lsn_end,
-                slots,
-                parts,
-                publish,
-                done: false,
-            });
-        }
+        self.inflight = Some(Chain {
+            token: sh.alloc_tag(),
+            lsn_end,
+            slots,
+            parts,
+            cell: self.ctrl_part(lsn_end),
+        });
+        self.ctrl_slot ^= 1;
+        self.post_inflight(ctx);
+        let mut st = sh.stats.lock();
+        st.pm_batches += 1;
+        st.pm_ctrl_writes += 1;
     }
 
-    /// Post one batch: trail data rides the audit class — unless the
-    /// library chains the batch's own publication behind it: a chain that
-    /// gates commit acks rides the commit class, as device appends do.
-    /// Says whether the cell was chained (it is not posted otherwise).
-    fn post_batch(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        parts: &[Part],
-        publish: Option<&Part>,
-        token: u64,
-    ) -> bool {
+    /// Post the chain in flight: the same payload to the same offsets
+    /// (and the same cell slot) under the same token, every time.
+    fn post_inflight(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(chain) = &self.inflight else {
+            return;
+        };
         let region = self.region_id.expect("region ready");
-        let publish = publish.map(|cell| (cell, self.commit_class));
-        self.lib
-            .write_batch_publish(ctx, region, parts, publish, token, self.audit_class)
+        let class = self.lib.config().traffic_class;
+        self.lib.write_batch_publish(
+            ctx,
+            region,
+            &chain.parts,
+            Some(&chain.cell),
+            chain.token,
+            class,
+        );
     }
 
-    /// The control-cell slot the next publication targets, encoding
+    /// The control-cell slot the next chain targets, encoding
     /// `watermark`. Slots alternate so a torn write to one leaves the
     /// other — holding the last published watermark — intact; the caller
     /// flips `ctrl_slot` once it commits to posting the part.
@@ -418,215 +310,35 @@ impl PmLog {
         (off, Bytes::from(cell), PM_CTRL_SLOT_BYTES as u32)
     }
 
-    /// Submit the next device-side append (offload mode): ONE mirrored
-    /// append in flight, coalescing every staged append into it. The ack
-    /// carries the device's new durable tail, which directly releases the
-    /// covered appends — no control-cell round trip follows.
-    fn pump_offload(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>) {
-        if self.fenced || self.offload_inflight.is_some() || self.staged.is_empty() {
-            return;
-        }
-        let mut data: Vec<u8> = Vec::new();
-        let mut slots: Vec<AckSlot> = Vec::new();
-        let mut wire_len = 0u32;
-        while let Some(s) = self.staged.pop_front() {
-            for (_, bytes, w) in s.parts {
-                data.extend_from_slice(&bytes);
-                wire_len += w;
-            }
-            slots.push(s.slot);
-        }
-        let batch = OffloadBatch {
-            data: Bytes::from(data),
-            wire_len,
-            slots,
-        };
-        self.issue_offload(sh, ctx, batch);
-    }
-
-    fn issue_offload(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, batch: OffloadBatch) {
-        let tok = sh.alloc_tag();
-        self.tokens.insert(tok, TokenKind::Batch);
-        sh.stats.lock().pm_batches += 1;
-        let region = self.region_id.expect("region ready");
-        self.lib.append_class(
-            ctx,
-            region,
-            0,
-            self.trail_capacity(),
-            batch.data.clone(),
-            batch.wire_len,
-            tok,
-            self.commit_class,
-        );
-        self.offload_inflight = Some(batch);
-    }
-
-    /// A device append (or the boot tail probe) completed.
-    fn append_complete(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, c: PmAppendComplete) {
-        match self.tokens.remove(&c.token) {
-            Some(TokenKind::BootRead) => {
-                // Boot/takeover tail probe: the shorter durable prefix of
-                // the mirrored pair is the recovered watermark. Acked
-                // appends always had both (healthy) halves' tails past
-                // their end, so min() can only under-report unacked work.
-                self.ctrl_read_pending = false;
-                self.ready = true;
-                let wm = c.tail;
-                self.data_watermark = self.data_watermark.max(wm);
-                self.acked_watermark = self.acked_watermark.max(wm);
-                sh.next_lsn = sh.next_lsn.max(wm);
-                sh.durable_upto = sh.durable_upto.max(wm);
-                let pending: Vec<(EndpointId, AuditAppend)> = self.boot_pending.drain(..).collect();
-                for (ep, app) in pending {
-                    self.append(sh, ctx, ep, app);
-                }
-                sh.answer_waiters(ctx);
-            }
-            Some(TokenKind::Batch) => {
-                let Some(batch) = self.offload_inflight.take() else {
-                    return;
-                };
-                if self.check_rejected(sh, ctx, c.status) {
-                    // Frozen: the batch dies unacked, nothing re-drives.
-                    return;
-                }
-                if c.status != RdmaStatus::Ok {
-                    // Zero halves acked (both down or unreachable):
-                    // re-drive the same payload. The per-leg write
-                    // timeout paces the retries, and the min-tail ack
-                    // math stays correct even if one half silently
-                    // persisted the earlier attempt.
-                    sh.stats.lock().pm_redrives += 1;
-                    self.issue_offload(sh, ctx, batch);
-                    return;
-                }
-                // The devices' durable tails cover the whole batch:
-                // release every ack straight from the append completion.
-                self.data_watermark = self.data_watermark.max(c.tail);
-                self.acked_watermark = self.acked_watermark.max(c.tail);
-                sh.durable_upto = sh.durable_upto.max(c.tail);
-                for a in batch.slots {
-                    sh.send_append_done(ctx, a.from_ep, a.token, a.lsn_start, a.lsn_end);
-                }
-                sh.answer_waiters(ctx);
-                self.pump_offload(sh, ctx);
-            }
-            _ => {}
-        }
-    }
-
-    /// A PmLib write completed (batch or control).
+    /// The chain in flight completed.
     fn write_done(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, c: PmWriteComplete) {
-        let token = c.token;
         if self.check_rejected(sh, ctx, c.status) {
-            // Rejected (or already frozen): the write's covered appends
-            // are never acked and the pipeline stays parked.
-            self.tokens.remove(&token);
+            // Rejected (or already frozen): the chain's appends are never
+            // acked and the log stays parked.
             return;
         }
         if c.status != RdmaStatus::Ok {
-            // No mirror half took the write (down, unreachable, timed
-            // out): nothing it carried is durable, so no watermark moves
-            // and no ack is released. Re-drive the same payload after the
-            // library's timeout (the token stays registered until then).
+            // No mirror half took the chain (down, unreachable, timed
+            // out): nothing it carried is durable, so the watermark does
+            // not move and no ack is released. Re-drive the same payload
+            // after the library's timeout.
             sh.stats.lock().pm_redrives += 1;
             let pace = self.lib.config().write_timeout;
-            ctx.send_self(pace, Redrive { token });
+            ctx.send_self(pace, Redrive);
             return;
         }
-        match self.tokens.remove(&token) {
-            Some(TokenKind::Ctrl) => {
-                // Control write completed: everything through the written
-                // watermark is now provably recoverable — release every
-                // append it covers (coalesced publication).
-                let covered = self.ctrl_write_inflight.take().map_or(0, |w| w.watermark);
-                self.publish(sh, ctx, covered);
-                self.maybe_write_ctrl(sh, ctx);
-            }
-            Some(TokenKind::Batch) => {
-                if let Some(b) = self.ring.iter_mut().find(|b| b.write_token == token) {
-                    b.done = true;
-                }
-                // Advance the contiguous data watermark from the ring
-                // head; a completed batch behind an incomplete one waits.
-                while self.ring.front().is_some_and(|b| b.done) {
-                    let b = self.ring.pop_front().unwrap();
-                    self.data_watermark = self.data_watermark.max(b.lsn_end);
-                    self.awaiting_ctrl.extend(b.slots);
-                    if b.publish.is_some() {
-                        // Its own cell rode the chain behind the data:
-                        // data, watermark and fence landed together.
-                        self.publish(sh, ctx, b.lsn_end);
-                    }
-                }
-                self.pump(sh, ctx);
-                self.maybe_write_ctrl(sh, ctx);
-            }
-            Some(TokenKind::BootRead) | None => {}
-        }
-    }
-
-    /// A cell naming `covered` is durable: everything through it is now
-    /// provably recoverable — release every append it covers and answer
-    /// the flush waiters.
-    fn publish(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, covered: u64) {
-        self.acked_watermark = self.acked_watermark.max(covered);
-        sh.durable_upto = sh.durable_upto.max(covered);
-        while self
-            .awaiting_ctrl
-            .front()
-            .is_some_and(|a| a.lsn_end <= self.acked_watermark)
-        {
-            let a = self.awaiting_ctrl.pop_front().unwrap();
+        let Some(chain) = self.inflight.take() else {
+            return;
+        };
+        // Its cell rode behind the data: data, watermark and fence landed
+        // together, so everything through `lsn_end` is provably
+        // recoverable — release every append the chain carried.
+        sh.durable_upto = sh.durable_upto.max(chain.lsn_end);
+        for a in chain.slots {
             sh.send_append_done(ctx, a.from_ep, a.token, a.lsn_start, a.lsn_end);
         }
         sh.answer_waiters(ctx);
-    }
-
-    /// The pacing timer of a failed write fired: post the same payload to
-    /// the same offsets (and the same cell slot) under the same token.
-    fn redrive(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if self.fenced {
-            return;
-        }
-        if let Some(i) = self.ring.iter().position(|b| b.write_token == token) {
-            let (parts, publish) = (self.ring[i].parts.clone(), self.ring[i].publish.clone());
-            let chained = self.post_batch(ctx, &parts, publish.as_ref(), token);
-            debug_assert_eq!(chained, publish.is_some(), "stripe map moved under a batch");
-        } else if let Some(w) = self.ctrl_write_inflight.as_ref() {
-            if w.token == token {
-                let region = self.region_id.expect("region ready");
-                let part = std::slice::from_ref(&w.part);
-                self.lib.write_batch(ctx, region, part, token);
-            }
-        }
-    }
-
-    /// Keep at most one control write in flight while the acked watermark
-    /// lags the data watermark; one cell write covers every append
-    /// completed since the previous one.
-    fn maybe_write_ctrl(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>) {
-        if self.fenced
-            || self.ctrl_write_inflight.is_some()
-            || self.data_watermark <= self.acked_watermark
-        {
-            return;
-        }
-        let watermark = self.data_watermark;
-        let part = self.ctrl_part(watermark);
-        self.ctrl_slot ^= 1;
-        let token = sh.alloc_tag();
-        self.tokens.insert(token, TokenKind::Ctrl);
-        sh.stats.lock().pm_ctrl_writes += 1;
-        let region = self.region_id.expect("region ready");
-        self.lib
-            .write_batch(ctx, region, std::slice::from_ref(&part), token);
-        self.ctrl_write_inflight = Some(CtrlWrite {
-            token,
-            watermark,
-            part,
-        });
+        self.pump(sh, ctx);
     }
 
     /// Boot/takeover: region acked → read the control cell.
@@ -637,40 +349,22 @@ impl PmLog {
             self.lib.adopt(info);
         }
         if !self.ready && !self.ctrl_read_pending {
-            let tok = sh.alloc_tag();
-            self.tokens.insert(tok, TokenKind::BootRead);
             self.ctrl_read_pending = true;
-            let region = self.region_id.unwrap();
-            if self.offload {
-                // Offload mode: the devices own the tail. Probe both
-                // halves' durable append cells and recover the shorter
-                // prefix instead of reading a host-managed control cell.
-                self.lib.probe_tail_class(
-                    ctx,
-                    region,
-                    0,
-                    self.trail_capacity(),
-                    tok,
-                    self.commit_class,
-                );
-            } else {
-                self.lib
-                    .read(ctx, region, 0, 2 * PM_CTRL_SLOT_BYTES as u32, tok);
-            }
+            let (region, tok) = (self.region_id.unwrap(), sh.alloc_tag());
+            self.lib
+                .read(ctx, region, 0, 2 * PM_CTRL_SLOT_BYTES as u32, tok);
         }
     }
 
     fn ctrl_read_done(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, data: &[u8]) {
         // Fresh region, or both slots torn → 0: covered appends were acked
-        // only after a *completed* cell write, so a torn cell can only
+        // only after a *completed* chain, so a torn cell can only
         // under-report unacknowledged work. With one valid slot, the next
         // write must target the OTHER slot so the survivor is preserved.
         let (wm, slot) = parse_ctrl_cell(data);
         self.ctrl_slot = slot.map(|s| 1 - s).unwrap_or(0);
         self.ctrl_read_pending = false;
         self.ready = true;
-        self.data_watermark = self.data_watermark.max(wm);
-        self.acked_watermark = self.acked_watermark.max(wm);
         sh.next_lsn = sh.next_lsn.max(wm);
         sh.durable_upto = sh.durable_upto.max(wm);
         // Drain appends that arrived during boot.
@@ -682,8 +376,8 @@ impl PmLog {
     }
 
     /// The CPU got to an append: assign its LSNs, stage its trail writes
-    /// and submit with the next pipeline flush (immediately, if the ring
-    /// has room).
+    /// and submit with the next chain (immediately, if none is in
+    /// flight).
     fn stage_append(
         &mut self,
         sh: &mut AdpShared,
@@ -702,18 +396,12 @@ impl PmLog {
         let lsn_end = sh.next_lsn;
 
         // Stage the records for the circular trail (≤ 2 segments when the
-        // trail wraps). In offload mode the device assigns the offsets
-        // (and handles the wrap) itself, so the records stage whole.
+        // trail wraps).
         let cap = self.trail_capacity();
-        let mut parts: Vec<Part> = Vec::new();
-        if self.offload {
-            let wire = u32::try_from(virt).expect("append exceeds the u32 wire-size field");
-            parts.push((PM_CTRL_BYTES + (lsn_start % cap), app.records.clone(), wire));
-        } else {
-            for (off, range, wire) in split_trail_parts(lsn_start, cap, virt, app.records.len()) {
-                parts.push((off, app.records.slice(range), wire));
-            }
-        }
+        let parts = split_trail_parts(lsn_start, cap, virt, app.records.len())
+            .into_iter()
+            .map(|(off, range, wire)| (off, app.records.slice(range), wire))
+            .collect();
         // One persistence action per appended row (§3.4 accounting); the
         // mirrored legs, wrap segments and batching are below the API.
         sh.stats.lock().pm_writes += 1;
@@ -767,7 +455,7 @@ impl AuditLog for PmLog {
 
     fn flush_queued(&mut self, _sh: &mut AdpShared, _ctx: &mut Ctx<'_>) {
         // The trail is persistent immediately; the waiter is answered as
-        // soon as a control write covering its LSN completes.
+        // soon as a chain covering its LSN completes.
     }
     fn on_msg(
         &mut self,
@@ -800,30 +488,11 @@ impl AuditLog for PmLog {
             Err(m) => m,
         };
 
+        // The pacing timer of a failed chain fired.
         let msg = match msg.take::<Redrive>() {
-            Ok((_, r)) => {
-                if role == Role::Primary {
-                    self.redrive(ctx, r.token);
-                }
-                return None;
-            }
-            Err(m) => m,
-        };
-
-        // Device-append completion / timeout (offload mode).
-        let msg = match msg.take::<RdmaAppendDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_rdma_append_done(ctx, &done) {
-                    self.append_complete(sh, ctx, c);
-                }
-                return None;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<PmAppendTimeout>() {
-            Ok((_, t)) => {
-                if let Some(c) = self.lib.on_append_timeout(ctx, &t) {
-                    self.append_complete(sh, ctx, c);
+            Ok(_) => {
+                if role == Role::Primary && !self.fenced {
+                    self.post_inflight(ctx);
                 }
                 return None;
             }
@@ -861,7 +530,6 @@ impl AuditLog for PmLog {
                 if let Some(c) = self.lib.on_persist_read_done(ctx, &done) {
                     self.write_done(sh, ctx, c);
                 } else if let Some(c) = self.lib.on_rdma_read_done(ctx, done) {
-                    self.tokens.remove(&c.token);
                     self.ctrl_read_done(sh, ctx, &c.data);
                 }
                 return None;
@@ -872,7 +540,6 @@ impl AuditLog for PmLog {
         match msg.take::<PmReadTimeout>() {
             Ok((_, t)) => {
                 if let Some(c) = self.lib.on_read_timeout(ctx, &t) {
-                    self.tokens.remove(&c.token);
                     self.ctrl_read_done(sh, ctx, &c.data);
                 }
                 None

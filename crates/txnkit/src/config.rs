@@ -13,14 +13,6 @@ pub struct TxnConfig {
     /// DP2 checkpoints each insert to its backup before replying
     /// (process-pair discipline; §1.3).
     pub dp2_checkpoint: bool,
-    /// Descriptive flag: does the log writer checkpoint audit data to its
-    /// backup? Structurally true for the disk backend (the shadow buffer
-    /// is what makes acknowledged appends survive takeover) and false for
-    /// the PM backend (the mirrored region plus its control cell replace
-    /// the checkpoint entirely — §3.4's eliminated redundancy). The ADP
-    /// derives the behaviour from its backend; this flag documents it for
-    /// accounting and tests.
-    pub adp_checkpoint: bool,
     /// TMF checkpoints commit decisions to its backup.
     pub tmf_checkpoint: bool,
     /// Wire size of a checkpoint message beyond the record payload, bytes.
@@ -65,13 +57,6 @@ pub struct TxnConfig {
     pub region_retry_base_ns: u64,
     /// Ceiling on the region-RPC retry delay, ns.
     pub region_retry_cap_ns: u64,
-    /// PM audit pipeline depth: how many batched trail writes an ADP
-    /// keeps in flight before further appends coalesce into the next
-    /// batch. 1 degenerates to the pre-pipelined one-write-at-a-time
-    /// discipline. A batch that carries its own control cell is never
-    /// overtaken, so the bound only bites where the cell cannot ride its
-    /// batch (a striped trail).
-    pub pm_pipeline_depth: u32,
     /// Remote-persistence mode the ADP's PM client runs in (see
     /// [`simnet::PersistMode`]). The default — and `pm_enabled()` — is
     /// the honest `PersistFlush`: a commit ack is only released once the
@@ -80,24 +65,16 @@ pub struct TxnConfig {
     /// `NicAck` restores the paper's optimistic assumption (and is what
     /// the crash-point fuzzer uses to demonstrate acked-commit loss).
     pub pm_persist_mode: simnet::PersistMode,
-    /// Fabric traffic class for commit-critical PM ops: the ADP's
-    /// control-cell publication (which releases commit acks) and its
-    /// boot/takeover reads. Pinned through to the fabric's per-class
-    /// schedulers when QoS is enabled.
+    /// Fabric traffic class for commit-critical PM ops: the ADP's trail
+    /// chains (each carries the control cell that releases commit acks)
+    /// and its boot/takeover reads. Pinned through to the fabric's
+    /// per-class schedulers when QoS is enabled.
     pub pm_commit_class: simnet::TrafficClass,
-    /// Fabric traffic class for the audit-trail data batches themselves:
-    /// bandwidth-bearing but still latency-relevant, so they ride the
-    /// middle `Audit` class by default, above background `Bulk` movers.
+    /// Fabric traffic class for the DP2→ADP delta appends, which carry
+    /// full record images: bandwidth-bearing but still latency-relevant,
+    /// so they ride the middle `Audit` class by default, above background
+    /// `Bulk` movers.
     pub pm_audit_class: simnet::TrafficClass,
-    /// Use the NPMU's device-side atomic log-append for the audit trail
-    /// instead of host-managed writes plus a control-cell publication.
-    /// The device persists the records at its own durable tail pointer
-    /// and returns the new tail in the ack, so the 16 B control-cell
-    /// round trip disappears from the commit pipeline entirely; recovery
-    /// probes the device tails and takes the shorter durable prefix of
-    /// the mirrored pair. Off by default so prior experiments reproduce
-    /// bit-exactly.
-    pub pm_offload_append: bool,
 }
 
 /// Capped exponential backoff: `base * 2^attempt`, clamped to `cap`.
@@ -115,7 +92,6 @@ impl Default for TxnConfig {
             group_commit_bytes: 192 * 1024,
             issue_cpu_ns: 1_000_000,
             dp2_checkpoint: true,
-            adp_checkpoint: true,
             tmf_checkpoint: true,
             checkpoint_overhead_bytes: 64,
             commit_record_bytes: 64,
@@ -126,23 +102,21 @@ impl Default for TxnConfig {
             sub_retry_cap_ns: 7_200_000_000,
             region_retry_base_ns: 500_000_000,
             region_retry_cap_ns: 4_000_000_000,
-            pm_pipeline_depth: 4,
             pm_persist_mode: simnet::PersistMode::PersistFlush,
             pm_commit_class: simnet::TrafficClass::Commit,
             pm_audit_class: simnet::TrafficClass::Audit,
-            pm_offload_append: false,
         }
     }
 }
 
 impl TxnConfig {
-    /// The configuration for a PM-enabled ODS per §3.4: the single
+    /// The configuration for a PM-enabled ODS per §3.4. The single
     /// synchronous PM write replaces the ADP's checkpoint-to-backup (the
     /// trail itself survives any single process/CPU failure in the
-    /// mirrored NPMUs).
+    /// mirrored NPMUs) — structurally: the PM backend has no checkpoint
+    /// path at all, so there is nothing to switch off here.
     pub fn pm_enabled() -> Self {
         TxnConfig {
-            adp_checkpoint: false,
             // PM is "fast enough to support synchronous interfaces":
             // no group-commit delay on the flush path.
             group_commit_window_ns: 0,
@@ -177,21 +151,14 @@ mod tests {
     #[test]
     fn default_is_full_process_pair_discipline() {
         let c = TxnConfig::default();
-        assert!(c.dp2_checkpoint && c.adp_checkpoint && c.tmf_checkpoint);
+        assert!(c.dp2_checkpoint && c.tmf_checkpoint);
     }
 
     #[test]
-    fn pm_profile_drops_only_adp_checkpoint() {
+    fn pm_profile_keeps_dp2_and_tmf_checkpoints_and_drops_group_commit() {
         let c = TxnConfig::pm_enabled();
-        assert!(c.dp2_checkpoint);
-        assert!(!c.adp_checkpoint);
-        assert!(c.tmf_checkpoint);
-    }
-
-    #[test]
-    fn pm_pipeline_has_depth() {
-        assert!(TxnConfig::default().pm_pipeline_depth >= 1);
-        assert!(TxnConfig::pm_enabled().pm_pipeline_depth >= 1);
+        assert!(c.dp2_checkpoint && c.tmf_checkpoint);
+        assert_eq!(c.group_commit_window_ns, 0);
     }
 
     #[test]

@@ -67,7 +67,8 @@ pub struct OdsParams {
     /// installs one ADP per CPU regardless. DP2s and the TMF route a
     /// transaction's trail work by `TxnId::audit_partition`, so each
     /// partition owns a disjoint slice of the audit stream with its own
-    /// striped PM trail region.
+    /// PM trail region — one extent on one pool member, so partitions
+    /// (not stripes) spread the audit load over the pool.
     pub audit_partitions: u32,
     /// Data volumes per DP2 (paper: 16 volumes / 4 DP2s = 4).
     pub data_volumes_per_dp2: u32,
@@ -128,7 +129,8 @@ impl OdsParams {
         OdsParams {
             pm_volumes: volumes.max(1),
             // Scale audit partitions with the pool so trail bandwidth
-            // grows with member volumes (one partition per member).
+            // grows with member volumes: one partition per member, each
+            // trail whole on its own.
             audit_partitions: volumes.max(1),
             ..OdsParams::pm(seed)
         }

@@ -30,16 +30,13 @@ pub struct TxnStats {
     pub pm_writes: u64,
     /// Control-cell (watermark) publications: 16-byte bookkeeping,
     /// amortized across appends; tracked separately and *not* counted as
-    /// a per-row persistence action. Counts chained and standalone
-    /// publications alike.
+    /// a per-row persistence action. Every publication rides as the last
+    /// link of the chain it publishes, so this equals `pm_batches`; both
+    /// names stay for artifact readers.
     pub pm_ctrl_writes: u64,
-    /// The subset of `pm_ctrl_writes` that rode as the last link of the
-    /// data batch they publish (data, watermark and persist fence in one
-    /// fabric round trip) instead of as a write of their own.
-    pub pm_ctrl_chained: u64,
-    /// Batched fabric submissions from the pipelined PM ADP (one
-    /// `write_batch` fan-out may carry many `pm_writes`). The coalescing
-    /// factor is `pm_writes / pm_batches`; not a per-row action.
+    /// Write chains the PM ADP posted (one chain may carry many
+    /// `pm_writes`, re-drives not counted). The coalescing factor is
+    /// `pm_writes / pm_batches`; not a per-row action.
     pub pm_batches: u64,
     /// Trail writes rejected by an engaged device write fence
     /// (`AccessViolation` after a disaster-recovery epoch fence). The

@@ -374,14 +374,21 @@ fn pm_mode_commits_with_much_lower_flush_latency() {
         node.sim.run_until(SimTime(200 * SECS));
         assert_eq!(results.lock().committed, 12);
         let s = node.stats.lock();
-        (s.flush_latency.mean(), s.pm_writes, s.audit_volume_writes)
+        (
+            s.flush_latency.mean(),
+            s.pm_writes,
+            s.audit_volume_writes,
+            s.adp_checkpoints,
+        )
     };
-    let (disk_mean, disk_pm_writes, disk_vol_writes) = run(OdsParams::baseline(77));
-    let (pm_mean, pm_pm_writes, pm_vol_writes) = run(OdsParams::pm(77));
+    let (disk_mean, disk_pm_writes, disk_vol_writes, disk_ckpts) = run(OdsParams::baseline(77));
+    let (pm_mean, pm_pm_writes, pm_vol_writes, pm_ckpts) = run(OdsParams::pm(77));
     assert_eq!(disk_pm_writes, 0);
     assert!(disk_vol_writes > 0);
+    assert!(disk_ckpts > 0, "the disk ADP checkpoints to its backup");
     assert!(pm_pm_writes > 0, "PM mode must write PM");
     assert_eq!(pm_vol_writes, 0, "PM mode must not touch audit volumes");
+    assert_eq!(pm_ckpts, 0, "the PM ADP has no checkpoint path");
     assert!(
         pm_mean * 5.0 < disk_mean,
         "PM flush {pm_mean}ns !≪ disk {disk_mean}ns"
@@ -389,13 +396,14 @@ fn pm_mode_commits_with_much_lower_flush_latency() {
 }
 
 #[test]
-fn pm_pool_mode_commits_with_striped_audit_regions() {
-    // Same PM-mode workload, but the audit regions live on a 2-member
-    // scale-out pool. The 8MB trails cross the placement policy's stripe
-    // threshold, so every ADP's region fans out over both members and
-    // the whole commit path runs through stripe-routed client writes.
+fn pm_pool_mode_places_one_whole_trail_per_member() {
+    // Same PM-mode workload, but the audit regions live on a 4-member
+    // scale-out pool with one audit partition per member. Each ADP places
+    // its trail `Solo`: one capacity-balanced extent, so the control cell
+    // shares an ordered channel with all of its trail's data and the four
+    // partitions — not stripes — spread the audit load over the pool.
     let mut store = DurableStore::new();
-    let mut node = build_ods(&mut store, OdsParams::pm_pool(83, 2));
+    let mut node = build_ods(&mut store, OdsParams::pm_pool(83, 4));
     let results = spawn_driver(
         &mut node,
         "$drv",
@@ -410,13 +418,21 @@ fn pm_pool_mode_commits_with_striped_audit_regions() {
     node.sim.run_until(SimTime(200 * SECS));
     assert_eq!(results.lock().committed, 12);
     assert!(node.stats.lock().pm_writes > 0);
-    assert_eq!(node.pm_pool.len(), 2);
-    // Both members carry region windows beyond their metadata window:
-    // the striped trails really landed on both mirrored pairs.
-    for (a, b) in &node.pm_pool {
-        assert!(a.att.lock().len() > 1, "member primary has region windows");
-        assert!(b.att.lock().len() > 1, "member mirror has region windows");
-    }
+    assert_eq!(node.pm_pool.len(), 4);
+    // The pool-wide region table, as member 0's durable metadata has it.
+    let img = node.pm_pool[0].0.mem.lock();
+    let pool = pmm::MetaStore::recover(|off, len| img.read(off, len))
+        .pool
+        .expect("pool member carries the region table");
+    let mut members: Vec<u32> = (0..4)
+        .map(|i| {
+            let region = pool.find(&format!("adp{i}.audit")).expect("trail region");
+            assert_eq!(region.map.extents.len(), 1, "adp{i}.audit is striped");
+            region.map.extents[0].volume
+        })
+        .collect();
+    members.sort_unstable();
+    assert_eq!(members, [0, 1, 2, 3], "one trail per member");
 }
 
 #[test]
@@ -759,6 +775,7 @@ fn flush_round_trips_are_elided_exactly_when_the_ack_proves_durability() {
         let r = results.lock();
         assert_eq!(r.committed, 12);
         let s = node.stats.lock();
+        assert_eq!(s.pm_ctrl_writes, s.pm_batches, "a cell left its chain");
         (
             s.flush_reqs,
             r.flush_points,
@@ -777,8 +794,7 @@ fn flush_round_trips_are_elided_exactly_when_the_ack_proves_durability() {
         vec![
             ("pmp", OdsParams::pm(77)),
             ("npmu", with(&|p| p.audit = AuditMode::HardwareNpmu)),
-            ("striped pool", OdsParams::pm_pool(77, 2)),
-            ("device append", with(&|p| p.txn.pm_offload_append = true)),
+            ("pool", OdsParams::pm_pool(77, 2)),
             (
                 "flush-on-read",
                 with(&|p| p.txn.pm_persist_mode = simnet::PersistMode::FlushOnRead),

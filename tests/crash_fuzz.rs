@@ -18,16 +18,17 @@
 //!   commit is gone after recovery. That observable loss is the whole
 //!   reason the honest modes exist.
 //!
-//! A rotating subset of points additionally injects a *torn* control-cell
-//! write (a partial-byte overwrite of the slot the next publication would
-//! target) and checks the double-buffered cell still parses to the
-//! previously published watermark — never a garbage LSN.
+//! A rotating subset of points additionally tears a control-cell write
+//! (a partial-byte overwrite of the slot the next publication would
+//! target, applied to a copy of the recovered cell) and checks the
+//! double-buffered cell still parses to the previously published
+//! watermark — never a garbage LSN.
 //!
 //! `FUZZ_FULL=1` widens the sweep to ≥ 2000 injected points across the
 //! three modes; the default is a ~200-point smoke sized for CI. Each
 //! arm's uncrashed probe also pins the shape of the path being fuzzed:
 //! no `FlushReq` on any PM arm (commits harden on their append acks), no
-//! standalone flush verb, every batch carrying its own cell.
+//! standalone flush verb, every chain carrying its own cell.
 
 mod common;
 
@@ -64,14 +65,12 @@ fn build_node(
     store: &mut DurableStore,
     mode: PersistMode,
     seed: u64,
-    offload: bool,
 ) -> (OdsNode, SharedDriverStats) {
     let mut params = OdsParams {
         audit: AuditMode::HardwareNpmu,
         ..OdsParams::pm(seed)
     };
     params.txn.pm_persist_mode = mode;
-    params.txn.pm_offload_append = offload;
     params.pm_ingress_drain_ns = Some(DRAIN_NS);
     let mut node = build_ods(store, params);
     let machine = node.machine.clone();
@@ -96,9 +95,9 @@ fn build_node(
 /// Run the workload to completion once, uncrashed, and learn the dispatch
 /// window worth fuzzing: from just before the first commits to the last
 /// acknowledgement.
-fn probe(mode: PersistMode, seed: u64, offload: bool) -> (u64, u64) {
+fn probe(mode: PersistMode, seed: u64) -> (u64, u64) {
     let mut store = DurableStore::new();
-    let (mut node, stats) = build_node(&mut store, mode, seed, offload);
+    let (mut node, stats) = build_node(&mut store, mode, seed);
     node.sim.run_until(SimTime(1120 * MILLIS));
     let d_lo = node.sim.dispatched();
     while !stats.lock().done {
@@ -112,36 +111,24 @@ fn probe(mode: PersistMode, seed: u64, offload: bool) -> (u64, u64) {
         RECORDS / INSERTS_PER_TXN as u64,
         "probe must commit the whole workload"
     );
-    // The offload arm must actually ride the device-side append: the
-    // commit pipeline publishes no control cells at all.
     let ts = node.stats.lock();
     // Every arm acks appends only from a published watermark, so every
     // commit in the sweep hardened on its append acks alone: the crash
     // points below all sample the flush-less commit path.
     assert_eq!(ts.flush_reqs, 0, "a PM commit sent a FlushReq");
-    if offload {
-        assert_eq!(ts.pm_ctrl_writes, 0, "offload mode must not publish cells");
-        assert!(ts.pm_batches > 0, "offload mode ran no PM appends");
-    } else {
-        assert!(ts.pm_ctrl_writes > 0, "classic mode must publish cells");
-        // The sweep must exercise the one-round-trip path: cells riding
-        // the chain of the batch they publish, fenced in-chain under
-        // `PersistFlush` — there is no standalone flush verb to fall
-        // back on.
-        assert!(ts.pm_ctrl_chained > 0, "no publication rode its batch");
-        // A publishing chain is never overtaken, so on this unstriped
-        // trail no batch leaves without its cell at any pipeline depth.
-        assert_eq!(ts.pm_ctrl_chained, ts.pm_ctrl_writes);
-        assert_eq!(ts.pm_ctrl_chained, ts.pm_batches);
-        assert_eq!(node.net.lock().stats.rdma_flushes, 0);
-        let fences: u64 = node
-            .npmus
-            .iter()
-            .flat_map(|(a, b)| [a, b])
-            .map(|h| h.stats.lock().flushes)
-            .sum();
-        assert_eq!(fences > 0, mode == PersistMode::PersistFlush);
-    }
+    // The sweep exercises the one publication path there is: every chain
+    // carries the cell that publishes it, fenced in-chain under
+    // `PersistFlush` — there is no standalone flush verb to fall back on.
+    assert!(ts.pm_batches > 0, "the probe posted no chain");
+    assert_eq!(ts.pm_ctrl_writes, ts.pm_batches);
+    assert_eq!(node.net.lock().stats.rdma_flushes, 0);
+    let fences: u64 = node
+        .npmus
+        .iter()
+        .flat_map(|(a, b)| [a, b])
+        .map(|h| h.stats.lock().flushes)
+        .sum();
+    assert_eq!(fences > 0, mode == PersistMode::PersistFlush);
     drop(ts);
     assert!(d_hi > d_lo);
     (d_lo, d_hi)
@@ -155,19 +142,13 @@ struct PointOutcome {
 
 /// Cut power at dispatch boundary `k` of a fresh deterministic replay,
 /// recover offline, and evaluate every invariant the mode promises.
-/// `torn_offset` additionally applies an `off`-byte torn write inside the
-/// control cell of partition 0 before recovery.
-fn crash_point(
-    mode: PersistMode,
-    seed: u64,
-    k: u64,
-    torn_offset: Option<usize>,
-    offload: bool,
-) -> PointOutcome {
+/// `torn_offset` additionally tears an `off`-byte write into a copy of
+/// partition 0's recovered control cell.
+fn crash_point(mode: PersistMode, seed: u64, k: u64, torn_offset: Option<usize>) -> PointOutcome {
     let mut store = DurableStore::new();
     let acked;
     {
-        let (mut node, stats) = build_node(&mut store, mode, seed, offload);
+        let (mut node, stats) = build_node(&mut store, mode, seed);
         node.sim.run_until_dispatched(k);
         acked = stats.lock().committed_txns;
         // Sim dropped here == power loss at the event boundary.
@@ -176,43 +157,28 @@ fn crash_point(
 
     let mut violations: Vec<String> = Vec::new();
 
-    // Either watermark discipline parses the same way: the region head
-    // holds CRC'd `(tail, crc)` slots — two for the classic control cell,
-    // four for the device-side append tail.
-    let parse_wm = |raw: &[u8]| -> (u64, u64) {
-        if offload {
-            let (wm, slot) = npmu::parse_append_cell(raw);
-            (wm, slot.map(|s| (s + 1) % npmu::APPEND_SLOTS).unwrap_or(0))
-        } else {
-            let (wm, slot) = parse_ctrl_cell(raw);
-            (wm, slot.map(|s| 1 - s).unwrap_or(0) as u64)
-        }
-    };
-
     // Torn watermark write: the next publication tears mid-slot. The
-    // multi-slot cell must still parse to the previously published
-    // watermark — never a garbage LSN.
+    // double-buffered cell must still parse to the previously published
+    // watermark — never a garbage LSN. The tear goes into a *copy* of the
+    // cell: a cell is only ever written as the last link behind its data,
+    // so "cell whole, data absent" is not a state the store can reach,
+    // and left in the image it would hand the mirror check below a
+    // watermark no chain ever wrote.
     if let Some(off) = torn_offset {
         if let Some(img) = store.get::<npmu::NvImage>("npmu:pm-a") {
-            let mut img = img.lock();
+            let img = img.lock();
             let meta = pmm::MetaStore::recover(|o, l| img.read(o, l));
             if let Some(region) = meta.find("adp0.audit") {
-                let base = region.base;
-                let raw = img.read(base, PM_CTRL_BYTES as usize);
-                let (wm, target) = parse_wm(&raw);
+                let mut cell = img.read(region.base, PM_CTRL_BYTES as usize);
+                let (wm, slot) = parse_ctrl_cell(&cell);
+                let target = slot.map(|s| 1 - s).unwrap_or(0) * PM_CTRL_SLOT_BYTES as usize;
                 let next = wm + 4096;
-                let cell = if offload {
-                    npmu::encode_append_slot(next).to_vec()
-                } else {
-                    let mut c = Vec::with_capacity(PM_CTRL_SLOT_BYTES as usize);
-                    c.extend_from_slice(&next.to_le_bytes());
-                    c.extend_from_slice(&pmm::meta::crc32(&next.to_le_bytes()).to_le_bytes());
-                    c.extend_from_slice(&[0u8; 4]);
-                    c
-                };
-                img.partial_write(base + target * PM_CTRL_SLOT_BYTES, &cell, off);
-                let raw2 = img.read(base, PM_CTRL_BYTES as usize);
-                let (wm2, _) = parse_wm(&raw2);
+                let mut write = Vec::with_capacity(PM_CTRL_SLOT_BYTES as usize);
+                write.extend_from_slice(&next.to_le_bytes());
+                write.extend_from_slice(&pmm::meta::crc32(&next.to_le_bytes()).to_le_bytes());
+                write.extend_from_slice(&[0u8; 4]);
+                cell[target..target + off].copy_from_slice(&write[..off]);
+                let (wm2, _) = parse_ctrl_cell(&cell);
                 // A tear short of the 12 payload bytes (wm + crc) must
                 // fall back to the surviving slot; a tear at >= 12 bytes
                 // delivered the whole logical cell (only pad was cut), so
@@ -281,8 +247,8 @@ fn crash_point(
             ) else {
                 continue;
             };
-            let (wa, _) = parse_wm(&a);
-            let (wb, _) = parse_wm(&b);
+            let (wa, _) = parse_ctrl_cell(&a);
+            let (wb, _) = parse_ctrl_cell(&b);
             let wm = wa.min(wb) as usize;
             let cap = a.len() - PM_CTRL_BYTES as usize;
             if wm > cap {
@@ -312,7 +278,7 @@ struct ModeReport {
     violations: Vec<String>,
 }
 
-fn fuzz_mode(mode: PersistMode, offload: bool) -> ModeReport {
+fn fuzz_mode(mode: PersistMode) -> ModeReport {
     let per_mode = points_per_mode();
     let seeds: &[u64] = &[0xF0_0D, 0x5EED];
     let per_seed = per_mode.div_ceil(seeds.len());
@@ -323,13 +289,13 @@ fn fuzz_mode(mode: PersistMode, offload: bool) -> ModeReport {
         violations: Vec::new(),
     };
     for (si, &seed) in seeds.iter().enumerate() {
-        let (d_lo, d_hi) = probe(mode, seed, offload);
+        let (d_lo, d_hi) = probe(mode, seed);
         for i in 0..per_seed {
             let k = d_lo + (d_hi - d_lo) * i as u64 / per_seed as u64;
             // Every 5th point also tears the next watermark write,
             // cycling through all intra-slot byte offsets 1..=15.
             let torn = (i % 5 == 0).then_some((si + i / 5) % 15 + 1);
-            let out = crash_point(mode, seed, k, torn, offload);
+            let out = crash_point(mode, seed, k, torn);
             report.points += 1;
             if out.acked > 0 {
                 report.points_with_acks += 1;
@@ -354,7 +320,7 @@ fn fuzz_mode(mode: PersistMode, offload: bool) -> ModeReport {
 
 #[test]
 fn persist_flush_never_loses_an_acked_commit_at_any_crash_point() {
-    let report = fuzz_mode(PersistMode::PersistFlush, false);
+    let report = fuzz_mode(PersistMode::PersistFlush);
     assert!(
         report.violations.is_empty(),
         "{} violations:\n{}",
@@ -366,25 +332,7 @@ fn persist_flush_never_loses_an_acked_commit_at_any_crash_point() {
 
 #[test]
 fn flush_on_read_never_loses_an_acked_commit_at_any_crash_point() {
-    let report = fuzz_mode(PersistMode::FlushOnRead, false);
-    assert!(
-        report.violations.is_empty(),
-        "{} violations:\n{}",
-        report.violations.len(),
-        report.violations.join("\n")
-    );
-    assert_eq!(report.total_lost, 0);
-}
-
-/// The device-append arm: commits ride the NPMU's device-side atomic
-/// log-append (no control-cell publication at all), and the sweep cuts
-/// power at every sampled boundary — including between the device's tail
-/// bump and the client's ack. Zero acked commits may be lost, recovery
-/// reconciles mirrored tails, and a torn tail-slot write never parses to
-/// a garbage watermark.
-#[test]
-fn device_append_offload_never_loses_an_acked_commit_at_any_crash_point() {
-    let report = fuzz_mode(PersistMode::PersistFlush, true);
+    let report = fuzz_mode(PersistMode::FlushOnRead);
     assert!(
         report.violations.is_empty(),
         "{} violations:\n{}",
@@ -396,7 +344,7 @@ fn device_append_offload_never_loses_an_acked_commit_at_any_crash_point() {
 
 #[test]
 fn nic_ack_demonstrably_loses_acked_commits_under_crash() {
-    let report = fuzz_mode(PersistMode::NicAck, false);
+    let report = fuzz_mode(PersistMode::NicAck);
     // The torn-cell invariant still holds in NicAck (the only invariant
     // checked for the optimistic mode).
     assert!(

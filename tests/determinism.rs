@@ -119,9 +119,9 @@ fn faulty_runs_are_reproducible() {
 
 #[test]
 fn partitioned_audit_runs_are_reproducible() {
-    // The partitioned audit path — txn-hash routing across ADPs, per-
-    // partition pipelined rings, coalesced watermark publication — must
-    // stay bit-deterministic on a striped pool.
+    // The partitioned audit path — txn-hash routing across ADPs, one
+    // coalescing chain in flight per partition, each trail whole on its
+    // own pool member — must stay bit-deterministic.
     let run = || {
         let mut store = simcore::DurableStore::new();
         let mut node = txnkit::scenario::build_ods(

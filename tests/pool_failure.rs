@@ -1,6 +1,6 @@
 //! Acceptance test for the scale-out PM pool: on a 4-member pool with
-//! striped audit regions, one half of ONE member dies mid-hot-stock run.
-//! The workload completes (degraded writes on the wounded member, full
+//! one audit trail per member, one half of ONE member dies mid-hot-stock
+//! run. The workload completes (degraded writes on the wounded member, full
 //! mirroring everywhere else), only that member resilvers, and no other
 //! member's mirror ever leaves Healthy.
 
@@ -21,7 +21,7 @@ fn one_member_half_dies_others_stay_healthy() {
     let inserts_per_txn = 8u32;
 
     // Drivers start at t = 1.1 s (warmup); member 2's "b" half dies under
-    // the striped audit trails at 1.2 s and revives, stale, at 1.6 s.
+    // its audit trail at 1.2 s and revives, stale, at 1.6 s.
     // `PoolNpmuDown` is member-local — the other three pairs never fault.
     let outage = Fault::PoolNpmuDown {
         volume: wounded,
@@ -92,12 +92,12 @@ fn one_member_half_dies_others_stay_healthy() {
         drivers as u64 * records_per_driver / inserts_per_txn as u64
     );
 
-    // The audit trails really striped across the pool: during the run
+    // The four audit trails really landed one per member: during the run
     // every member's pair carried region windows beyond metadata.
     for (v, (a, b)) in pool.iter().enumerate() {
         assert!(
             a.att.lock().len() > 1 && b.att.lock().len() > 1,
-            "member {v} carries no striped extents"
+            "member {v} carries no trail extent"
         );
     }
 
@@ -120,7 +120,7 @@ fn one_member_half_dies_others_stay_healthy() {
     assert_eq!(agg.degraded_events, 1, "{agg:?}");
     assert_eq!(agg.resilvers_completed, 1, "{agg:?}");
 
-    // §1.3 scrubber on every member: metadata and every striped extent
+    // §1.3 scrubber on every member: metadata and every trail extent
     // byte-identical on both halves after the online resilver.
     for (v, (a, b)) in pool.iter().enumerate() {
         let report = verify_mirrors(&a.mem, &b.mem, 8);
