@@ -25,17 +25,16 @@
 //! bytes ≥ 10×; device copy lifts the resilver rate ≥ 1.5× over the
 //! host-mediated ~113 MB/s; and the base arm uses zero offload verbs.
 
-use bytes::Bytes;
 use npmu::{Npmu, NpmuConfig};
 use nsk::machine::{CpuId, Machine, MachineConfig};
 use nsk::Monitor;
+use pm_bench::outage::{self, OutageWrites};
 use pm_bench::{json, Table};
 use pmm::{PmmConfig, PmmHandle};
-use simcore::actor::Start;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
-use simcore::{Actor, Ctx, DurableStore, Msg, Sim, SimDuration, SimTime};
-use simnet::{NetDelivery, SharedNetwork};
+use simcore::{DurableStore, Sim, SimDuration, SimTime};
+use simnet::SharedNetwork;
 
 /// Command legs are modelled as 64 wire bytes throughout `simnet`.
 const CMD_BYTES: u64 = 64;
@@ -50,69 +49,6 @@ const SCRUB_DIGEST_BYTES: u64 = 4;
 
 const MEMBERS: u32 = 4;
 const STRIPE_UNIT: u64 = 64 << 10;
-
-/// Creates one striped region, then writes one record per pool member
-/// inside the outage window so the PMM learns about every dead half
-/// (the pool-scale cousin of `resilver_mttr`'s poke).
-struct Client {
-    lib: pmclient::PmLib,
-    region_len: u64,
-    region: Option<u64>,
-}
-
-struct Poke;
-
-impl Actor for Client {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        if msg.is::<Start>() {
-            self.lib.create_region_placed(
-                ctx,
-                "payload",
-                self.region_len,
-                false,
-                pmm::PlacementHint::Striped { unit: STRIPE_UNIT },
-                0,
-            );
-            return;
-        }
-        if msg.is::<Poke>() {
-            if let Some(id) = self.region {
-                for v in 0..MEMBERS as u64 {
-                    self.lib.write(
-                        ctx,
-                        id,
-                        v * STRIPE_UNIT,
-                        Bytes::from(vec![0xD6u8; 4096]),
-                        v + 1,
-                    );
-                }
-            }
-            return;
-        }
-        let msg = match msg.take::<simnet::RdmaWriteDone>() {
-            Ok((_, done)) => {
-                let _ = self.lib.on_rdma_write_done(ctx, &done);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<pmclient::PmWriteTimeout>() {
-            Ok((_, t)) => {
-                let _ = self.lib.on_write_timeout(ctx, &t);
-                return;
-            }
-            Err(m) => m,
-        };
-        if let Ok((_, d)) = msg.take::<NetDelivery>() {
-            if let Ok(ack) = d.payload.downcast::<pmm::msgs::CreateRegionAck>() {
-                let info = ack.result.expect("create failed");
-                self.region = Some(info.region_id);
-                self.lib.adopt(info);
-                ctx.send_self(SimDuration::from_millis(4), Poke);
-            }
-        }
-    }
-}
 
 struct ResilverPoint {
     mttr_ms: f64,
@@ -194,14 +130,18 @@ fn run_resilver(region_len: u64, chunk: u32, copy: bool, scrub: bool) -> Resilve
             to: SimTime(10 * MILLIS),
         }),
     );
-    let m2 = machine.clone();
-    nsk::machine::install_primary(&mut sim, &machine, "$client", CpuId(2), move |ep| {
-        Box::new(Client {
-            lib: pmclient::PmLib::new(m2, ep, CpuId(2), "$PMM"),
-            region_len,
-            region: None,
-        })
-    });
+    // Inside the outage, a block into every stripe unit of a region
+    // striped over the pool: every resilver chunk of every member
+    // diverges, so the repair copies the whole region.
+    let writes = OutageWrites {
+        region: "payload",
+        len: region_len,
+        placement: pmm::PlacementHint::Striped { unit: STRIPE_UNIT },
+        at: SimTime(4 * MILLIS),
+        span: region_len,
+        stride: STRIPE_UNIT,
+    };
+    outage::install(&mut sim, &machine, CpuId(2), "$PMM", writes);
     let ceiling = SimTime(300 * SECS);
     while pmm
         .vol_stats
@@ -233,12 +173,17 @@ fn run_resilver(region_len: u64, chunk: u32, copy: bool, scrub: bool) -> Resilve
         .iter()
         .map(|vs| vs.lock().resilver_bytes_copied)
         .sum();
-    // Chunks the verify pass covered (same ranges in every arm).
-    let chunks = copied.div_ceil(chunk as u64);
+    // Chunk digests the verify passes took, both halves counted (same
+    // ranges in every arm).
+    let digests: u64 = pmm
+        .vol_stats
+        .iter()
+        .map(|vs| vs.lock().resilver_bytes_digested.div_ceil(chunk as u64))
+        .sum();
     let verify_bytes = if scrub {
         // One batched command per `scrub_batch` contiguous chunks per
         // half, each replying 4 bytes per chunk.
-        ns.rdma_scrubs * CMD_BYTES + 2 * chunks * SCRUB_DIGEST_BYTES
+        ns.rdma_scrubs * CMD_BYTES + digests * SCRUB_DIGEST_BYTES
     } else {
         // One `rdma_crc_read` round trip per chunk per half.
         ns.rdma_crc_reads * (CMD_BYTES + CRC_REPLY_BYTES)
@@ -247,8 +192,8 @@ fn run_resilver(region_len: u64, chunk: u32, copy: bool, scrub: bool) -> Resilve
         ns.rdma_copy_bytes
     } else {
         // Host-mediated: payload crosses the fabric twice (survivor →
-        // host, host → revived). The client's 4 KiB poke and the metadata
-        // epoch writes ride along but are noise at this scale.
+        // host, host → revived). The outage writer's blocks and the
+        // metadata epoch writes ride along but are noise at this scale.
         ns.rdma_read_bytes + ns.rdma_write_bytes
     };
     ResilverPoint {

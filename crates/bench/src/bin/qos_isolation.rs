@@ -5,7 +5,10 @@
 //! *while* the system repairs itself. This bench quantifies the "while":
 //! one mirror half dies briefly under a hot-stock run and revives stale,
 //! and the PMM's resilver then fights the foreground commit traffic for
-//! the stale half's link. Arms:
+//! the stale half's link. The resilver copies only what diverged, and
+//! 100 ms of hot-stock commits diverge a handful of chunks — so an
+//! outage writer dirties a 24 MiB scratch region inside the window, which
+//! keeps the repair at the ≈ 300 ms the arms were calibrated on. Arms:
 //!
 //! * `base`      — hot-stock alone (no fault), DRR scheduling: the
 //!   commit-p99 yardstick.
@@ -23,7 +26,9 @@
 //!
 //! Usage: `cargo run --release -p pm-bench --bin qos_isolation [--json] [--records N]`
 
-use hotstock::{run_hot_stock, HotStockParams, TxnSize};
+use hotstock::{run_hot_stock_with, HotStockParams, TxnSize};
+use nsk::machine::CpuId;
+use pm_bench::outage::{self, OutageWrites};
 use pm_bench::Table;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
@@ -39,6 +44,19 @@ fn outage() -> FaultPlan {
         from: SimTime(1150 * MILLIS),
         to: SimTime(1250 * MILLIS),
     })
+}
+
+/// Every resilver chunk of a 24 MiB scratch region, dirtied 10 ms into
+/// the outage: ≈ 220 ms of copy on top of the ≈ 60 ms scan.
+fn divergence() -> OutageWrites {
+    OutageWrites {
+        region: "scratch",
+        len: 24 << 20,
+        placement: pmm::PlacementHint::Solo,
+        at: SimTime(1160 * MILLIS),
+        span: 24 << 20,
+        stride: pmm::PmmConfig::default().resilver_chunk as u64,
+    }
 }
 
 struct Arm {
@@ -71,10 +89,16 @@ fn combined(label: &'static str, qos: QosConfig, drivers: u32, records: u64, fau
     simnet::qos::reset_process_stats();
     let t0 = std::time::Instant::now();
     eprintln!("qos_isolation: arm {label} ({drivers} drivers x {records} records)...");
-    let r = run_hot_stock(HotStockParams {
+    let params = HotStockParams {
         qos,
         fault_plan: if faulted { outage() } else { FaultPlan::none() },
         ..HotStockParams::scaled(drivers, TxnSize::K32, AuditMode::HardwareNpmu, records)
+    };
+    let r = run_hot_stock_with(params, |node| {
+        if faulted {
+            let machine = node.machine.clone();
+            outage::install(&mut node.sim, &machine, CpuId(1), "$PMM", divergence());
+        }
     });
     eprintln!(
         "qos_isolation: arm {label} done in {:.1}s wall ({:.2}s simulated)",
@@ -98,15 +122,13 @@ fn combined(label: &'static str, qos: QosConfig, drivers: u32, records: u64, fau
     }
 }
 
-/// The resilver with (almost) no foreground load: the standalone rate
-/// yardstick, run unthrottled (FIFO ports, no admission cap) so it shows
-/// the repair engine's full capability (~113 MB/s). A single short-lived
-/// driver writes through the outage window — without a foreground write
-/// hitting the dead half the PMM never learns it died — but finishes
-/// before the revived half's copy phase, so the resilver runs the link
-/// essentially alone.
+/// The resilver with no foreground load: the standalone rate yardstick,
+/// run unthrottled (FIFO ports, no admission cap) so it shows the repair
+/// engine's full capability. The one driver a hot-stock run needs
+/// commits a handful of transactions and is done before the half
+/// revives, so the resilver has the links to itself.
 fn resilver_alone() -> f64 {
-    let arm = combined("alone", QosConfig::fifo(), 1, 1_200, true);
+    let arm = combined("alone", QosConfig::fifo(), 1, 64, true);
     arm.resilver_mb_s
 }
 

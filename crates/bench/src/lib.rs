@@ -31,6 +31,7 @@ pub mod json;
 pub mod measure;
 pub mod measure_pool;
 pub mod measure_read;
+pub mod outage;
 pub mod table;
 
 pub use measure::{

@@ -20,4 +20,4 @@ pub mod driver;
 pub mod runner;
 
 pub use driver::HotStockDriver;
-pub use runner::{run_hot_stock, HotStockParams, HotStockResult, TxnSize};
+pub use runner::{run_hot_stock, run_hot_stock_with, HotStockParams, HotStockResult, TxnSize};

@@ -6,7 +6,7 @@ use nsk::machine::CpuId;
 use simcore::fault::FaultPlan;
 use simcore::time::SECS;
 use simcore::{DurableStore, Histogram, SimDuration, SimTime};
-use txnkit::scenario::{build_ods, AuditMode, OdsParams};
+use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
 use txnkit::stats::TxnStats;
 
 /// Transaction size (degree of boxcarring), per the paper:
@@ -148,6 +148,16 @@ impl TxnStatsSnapshot {
 
 /// Execute one hot-stock configuration to completion.
 pub fn run_hot_stock(params: HotStockParams) -> HotStockResult {
+    run_hot_stock_with(params, |_| {})
+}
+
+/// As [`run_hot_stock`], with `setup` called on the freshly built node
+/// before the drivers are installed — the place to add a process of the
+/// caller's own beside them.
+pub fn run_hot_stock_with(
+    params: HotStockParams,
+    setup: impl FnOnce(&mut OdsNode),
+) -> HotStockResult {
     let mut store = DurableStore::new();
     let ods = match params.audit {
         AuditMode::Disk => OdsParams::baseline(params.seed),
@@ -162,6 +172,7 @@ pub fn run_hot_stock(params: HotStockParams) -> HotStockResult {
         ..ods
     };
     let mut node = build_ods(&mut store, ods);
+    setup(&mut node);
 
     // PM regions must exist before the drivers start hammering; the ADP
     // creates them in its first ~100 ms. One second of warmup mirrors a

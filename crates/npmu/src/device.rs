@@ -13,10 +13,12 @@
 //! before the chain's one ack, and a checksum ("scrub") read
 //! deliberately does **not**: it hashes the
 //! persisted array alone, so a resilver verify can never mistake
-//! buffered-but-volatile bytes for good media.
+//! buffered-but-volatile bytes for good media. A digest is not free in
+//! device time either: it occupies the one scan engine at
+//! [`DIGEST_BW_BPS`] and its reply waits for the scan.
 
 use crate::att::{AttError, AttTable, SharedAtt};
-use crate::memory::{checksum64, NvImage};
+use crate::memory::NvImage;
 use bytes::Bytes;
 use nsk::machine::SharedMachine;
 use parking_lot::Mutex;
@@ -30,15 +32,25 @@ use simnet::{
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-/// Digest of one scrub chunk: the 64-bit content checksum folded to the
-/// 4 bytes a scrub reply ships per chunk. Deliberately NOT a CRC-32:
+/// Digest of one scrub chunk: its 64-bit content checksum `h` folded to
+/// the 4 bytes a scrub reply ships per chunk. Deliberately NOT a CRC-32:
 /// every watermark cell in the system is stored as `x ‖ crc32(x)`, and
 /// the CRC of a message followed by its own CRC is a constant — a CRC
 /// digest of a chunk that starts with such a cell is the same for every
 /// `x`, so mirrors diverging only in a cell would verify clean.
-fn scrub_digest(chunk: &[u8]) -> u32 {
-    let h = checksum64(chunk);
+fn scrub_digest(h: u64) -> u32 {
     (h ^ (h >> 32)) as u32
+}
+
+/// Rate at which the device digests its own array, bytes per second: a
+/// 2004 NIC scanning battery-backed DRAM. A checksum read or scrub holds
+/// the device's one scan engine for [`digest_ns`] of its length, and its
+/// reply leaves when the scan is done.
+pub const DIGEST_BW_BPS: u64 = 1_000_000_000;
+
+/// Device time to digest `len` bytes at [`DIGEST_BW_BPS`], ns.
+pub fn digest_ns(len: u64) -> u64 {
+    (len as u128 * 1_000_000_000 / DIGEST_BW_BPS as u128) as u64
 }
 
 /// Hardware NPMU or the paper's process-based prototype.
@@ -246,6 +258,9 @@ pub struct Npmu {
     pending_copies: BTreeMap<u64, InboundRdmaCopy>,
     /// Local op-id space for the outbound copy writes above.
     next_copy_op: u64,
+    /// When the scan engine finishes the digests accepted so far, ns:
+    /// digests queue behind one another, they do not overlap.
+    scan_busy_until: u64,
     dma_peers: SharedDmaPeers,
     write_fence: SharedWriteFence,
 }
@@ -297,6 +312,7 @@ impl Npmu {
             ingress: VecDeque::new(),
             pending_copies: BTreeMap::new(),
             next_copy_op: 0,
+            scan_busy_until: 0,
             dma_peers: dma_peers.clone(),
             write_fence: write_fence.clone(),
         });
@@ -515,13 +531,20 @@ impl Npmu {
         }
     }
 
+    /// Queue a digest of `len` bytes on the scan engine; returns how long
+    /// from now its result is ready.
+    fn scan(&mut self, now_ns: u64, len: u64) -> u64 {
+        self.scan_busy_until = self.scan_busy_until.max(now_ns) + digest_ns(len);
+        self.scan_busy_until - now_ns
+    }
+
     fn do_crc_read(&mut self, ctx: &mut Ctx<'_>, r: InboundRdmaCrcRead) {
         if self.down_now(ctx) {
             self.stats.lock().failed_ops += 1;
             if self.cfg.fail_mode == FailureMode::Nack {
                 let net = self.net.clone();
                 let ep = self.ep;
-                reply_rdma_crc_read(ctx, &net, ep, &r, RdmaStatus::DeviceFailed, 0);
+                reply_rdma_crc_read(ctx, &net, ep, &r, RdmaStatus::DeviceFailed, 0, 0);
             }
             return;
         }
@@ -536,12 +559,13 @@ impl Npmu {
         let verdict = self.att.lock().translate_read(r.addr, r.len as u64, cpu);
         match verdict {
             Ok(phys) => {
-                let crc = checksum64(&self.mem.lock().read(phys, r.len as usize));
+                let crc = self.mem.lock().digest(phys, r.len as u64);
                 let mut s = self.stats.lock();
                 s.crc_reads += 1;
                 s.bytes_read += r.len as u64;
                 drop(s);
-                reply_rdma_crc_read(ctx, &net, ep, &r, RdmaStatus::Ok, crc);
+                let scan_ns = self.scan(ctx.now().as_nanos(), r.len as u64);
+                reply_rdma_crc_read(ctx, &net, ep, &r, RdmaStatus::Ok, crc, scan_ns);
             }
             Err(e) => {
                 self.stats.lock().access_violations += 1;
@@ -549,7 +573,7 @@ impl Npmu {
                     AttError::Unmapped => RdmaStatus::OutOfBounds,
                     AttError::Forbidden => RdmaStatus::AccessViolation,
                 };
-                reply_rdma_crc_read(ctx, &net, ep, &r, status, 0);
+                reply_rdma_crc_read(ctx, &net, ep, &r, status, 0, 0);
             }
         }
     }
@@ -566,7 +590,7 @@ impl Npmu {
             if self.cfg.fail_mode == FailureMode::Nack {
                 let net = self.net.clone();
                 let ep = self.ep;
-                reply_rdma_scrub(ctx, &net, ep, &r, RdmaStatus::DeviceFailed, Vec::new());
+                reply_rdma_scrub(ctx, &net, ep, &r, RdmaStatus::DeviceFailed, Vec::new(), 0);
             }
             return;
         }
@@ -584,14 +608,14 @@ impl Npmu {
             let l = chunk.min(r.len - off);
             let verdict = self.att.lock().translate_read(r.addr + off, l, cpu);
             match verdict {
-                Ok(phys) => crcs.push(scrub_digest(&self.mem.lock().read(phys, l as usize))),
+                Ok(phys) => crcs.push(scrub_digest(self.mem.lock().digest(phys, l))),
                 Err(e) => {
                     self.stats.lock().access_violations += 1;
                     let status = match e {
                         AttError::Unmapped => RdmaStatus::OutOfBounds,
                         AttError::Forbidden => RdmaStatus::AccessViolation,
                     };
-                    reply_rdma_scrub(ctx, &net, ep, &r, status, Vec::new());
+                    reply_rdma_scrub(ctx, &net, ep, &r, status, Vec::new(), 0);
                     return;
                 }
             }
@@ -600,7 +624,8 @@ impl Npmu {
         s.scrubs += 1;
         s.bytes_read += r.len;
         drop(s);
-        reply_rdma_scrub(ctx, &net, ep, &r, RdmaStatus::Ok, crcs);
+        let scan_ns = self.scan(ctx.now().as_nanos(), r.len);
+        reply_rdma_scrub(ctx, &net, ep, &r, RdmaStatus::Ok, crcs, scan_ns);
     }
 
     /// Device-to-device copy (the offload's copy verb), serving as the
@@ -837,6 +862,11 @@ mod tests {
     /// Timer marker for a delayed client start.
     struct Kick;
 
+    /// Completion time a log line ends with, as `@<ns>`.
+    fn ts(line: &str) -> u64 {
+        line.rsplit('@').next().unwrap().parse().unwrap()
+    }
+
     impl Actor for Client {
         fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
             if msg.is::<Start>() {
@@ -894,9 +924,13 @@ mod tests {
                 Err(m) => m,
             };
             if let Ok((_, d)) = msg.take::<simnet::RdmaCrcReadDone>() {
-                self.log
-                    .lock()
-                    .push(format!("c{}:{:?}:{:#x}", d.op_id, d.status, d.crc));
+                self.log.lock().push(format!(
+                    "c{}:{:?}:{:#x}@{}",
+                    d.op_id,
+                    d.status,
+                    d.crc,
+                    ctx.now().as_nanos()
+                ));
             }
         }
     }
@@ -1042,7 +1076,7 @@ mod tests {
             );
             sim.run_until_idle();
             let entry = log.lock()[0].clone();
-            entry.rsplit('@').next().unwrap().parse::<u64>().unwrap()
+            ts(&entry)
         };
         let hw = run(NpmuKind::Hardware);
         let pmp = run(NpmuKind::Pmp);
@@ -1360,28 +1394,80 @@ mod tests {
         assert_eq!(h.mem.lock().read(0, 4), vec![0x5C; 4]);
     }
 
+    /// Spawn a client that posts one checksum read `(op_id, addr, len)`
+    /// `delay_ns` after start.
+    fn spawn_crc(
+        sim: &mut Sim,
+        net: &SharedNetwork,
+        dev: EndpointId,
+        crc: (u64, u64, u32),
+        log: Arc<Mutex<Vec<String>>>,
+        delay_ns: u64,
+    ) {
+        let ep = net.lock().attach(ActorId(u32::MAX));
+        let a = sim.spawn(Client {
+            net: net.clone(),
+            ep,
+            dev,
+            ops: vec![],
+            read: None,
+            crc: Some(crc),
+            chain: None,
+            log,
+            delay: SimDuration::from_nanos(delay_ns),
+        });
+        net.lock().rebind(ep, a);
+    }
+
     #[test]
     fn crc_scrub_hashes_persisted_array_not_ingress() {
         let (mut sim, _store, h, log, net) = setup_slow_drain("pm0", vec![0x77; 64]);
-        let cep2 = net.lock().attach(ActorId(u32::MAX));
-        let a = sim.spawn(Client {
-            net: net.clone(),
-            ep: cep2,
-            dev: h.ep,
-            ops: vec![],
-            read: None,
-            crc: Some((3, 0x1000, 64)),
-            chain: None,
-            log: log.clone(),
-            delay: SimDuration::from_nanos(100_000),
-        });
-        net.lock().rebind(cep2, a);
+        spawn_crc(&mut sim, &net, h.ep, (3, 0x1000, 64), log.clone(), 100_000);
         sim.run_until(SimTime(simcore::time::SECS / 2));
         // The scrub saw zeros: buffered bytes are not media.
-        let zeros = checksum64(&[0u8; 64]);
-        let expect = format!("c3:Ok:{zeros:#x}");
-        assert!(log.lock().contains(&expect), "{:?}", *log.lock());
+        let zeros = crate::checksum64(&[0u8; 64]);
+        let expect = format!("c3:Ok:{zeros:#x}@");
+        assert!(
+            log.lock().iter().any(|l| l.starts_with(&expect)),
+            "{:?}",
+            *log.lock()
+        );
         assert_eq!(h.mem.lock().read(0, 4), vec![0; 4], "scrub must not drain");
+    }
+
+    /// A digest holds the device's one scan engine for `len /
+    /// DIGEST_BW_BPS`: its reply is late by exactly that, and a digest
+    /// that arrives while another is scanning waits for it.
+    #[test]
+    fn digest_reply_pays_scan_time_and_digests_queue() {
+        // Completion times of checksum reads `(len, posted_at_ns)`, by op.
+        let done_at = |digests: &[(u32, u64)]| -> Vec<u64> {
+            let (mut sim, _store, h, log, net, _cep) = setup(NpmuKind::Hardware);
+            h.att.lock().map(AttEntry {
+                nva_base: 0x10_0000,
+                len: 0x8_0000,
+                phys_base: 0x1_0000,
+                allowed: CpuFilter::Any,
+            });
+            for (op, &(len, at)) in digests.iter().enumerate() {
+                let crc = (op as u64, 0x10_0000, len);
+                spawn_crc(&mut sim, &net, h.ep, crc, log.clone(), at);
+            }
+            sim.run_until_idle();
+            let mut log = log.lock().clone();
+            log.sort();
+            assert!(log.iter().all(|l| l.contains(":Ok:")), "{log:?}");
+            log.iter().map(|l| ts(l)).collect()
+        };
+        let (big, small) = (256 << 10, 64 << 10);
+        let free = done_at(&[(0, 0)])[0];
+        let alone = done_at(&[(big, 0)])[0];
+        assert_eq!(alone - free, digest_ns(big as u64));
+        assert_eq!(digest_ns(big as u64), 262_144, "1 GB/s: a byte a ns");
+        // Posted 10 us later, well inside the first one's 262 us scan.
+        let both = done_at(&[(big, 0), (small, 10_000)]);
+        assert_eq!(both[0], alone);
+        assert_eq!(both[1] - both[0], digest_ns(small as u64));
     }
 
     /// Spawn a client that posts one write chain `delay_ns` after start.
@@ -1427,8 +1513,7 @@ mod tests {
             l[0].starts_with("w1:Ok") && l[1].starts_with("w7:Ok"),
             "{l:?}"
         );
-        let acked_at = l[1].rsplit('@').next().unwrap().parse::<u64>().unwrap();
-        (h, acked_at)
+        (h, ts(&l[1]))
     }
 
     #[test]
@@ -1683,11 +1768,9 @@ mod tests {
         );
         sim.run_until_idle();
         // Three chunks: 128 + 128 + a short 44 B tail chunk.
-        let expect = vec![
-            scrub_digest(&data[..128]),
-            scrub_digest(&data[128..256]),
-            scrub_digest(&data[256..300]),
-        ];
+        let expect: Vec<u32> = [&data[..128], &data[128..256], &data[256..300]]
+            .map(|c| scrub_digest(crate::checksum64(c)))
+            .to_vec();
         let want = format!("s5:Ok:{expect:?}");
         assert!(log.lock().contains(&want), "{:?}", *log.lock());
         assert_eq!(h.stats.lock().scrubs, 1);
@@ -1707,7 +1790,8 @@ mod tests {
         };
         let (a, b) = (chunk(1_005_454), chunk(1_050_638));
         assert_eq!(crc32(&a), crc32(&b), "the blind spot being avoided");
-        assert_ne!(scrub_digest(&a), scrub_digest(&b));
+        let digest = |c: &[u8]| scrub_digest(crate::checksum64(c));
+        assert_ne!(digest(&a), digest(&b));
     }
 
     #[test]

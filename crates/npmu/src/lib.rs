@@ -26,7 +26,7 @@ pub mod memory;
 
 pub use att::{AttEntry, AttTable, CpuFilter, SharedAtt};
 pub use device::{
-    FailureMode, Npmu, NpmuConfig, NpmuHandle, NpmuKind, NpmuStats, SharedDmaPeers,
-    SharedNpmuStats, SharedWriteFence, WriteFence,
+    digest_ns, FailureMode, Npmu, NpmuConfig, NpmuHandle, NpmuKind, NpmuStats, SharedDmaPeers,
+    SharedNpmuStats, SharedWriteFence, WriteFence, DIGEST_BW_BPS,
 };
 pub use memory::{checksum64, NvImage};

@@ -10,12 +10,15 @@
 use std::collections::BTreeMap;
 
 const BLOCK: u64 = 4096;
+/// What an absent block reads as.
+static ZERO_BLOCK: [u8; BLOCK as usize] = [0; BLOCK as usize];
 
 /// 64-bit content checksum used by the device-side scrub read: the NIC
 /// digests a range locally so mirror comparison ships 8 bytes instead of
 /// the chunk. The implementation is shared tree-wide in
 /// [`simcore::checksum`]; this re-export keeps existing call sites.
 pub use simcore::checksum::checksum64;
+use simcore::checksum::Checksum64;
 
 /// Non-volatile memory image of one NPMU.
 pub struct NvImage {
@@ -95,6 +98,30 @@ impl NvImage {
         out
     }
 
+    /// [`checksum64`] of `len` bytes at `offset`, computed over the
+    /// sparse blocks where they lie: nothing is copied out, and an absent
+    /// block digests as the zeros it reads as.
+    pub fn digest(&self, offset: u64, len: u64) -> u64 {
+        assert!(
+            offset + len <= self.capacity,
+            "NvImage digest beyond capacity"
+        );
+        let mut sum = Checksum64::default();
+        let mut off = offset;
+        let end = offset + len;
+        while off < end {
+            let in_blk = (off % BLOCK) as usize;
+            let n = (end - off).min(BLOCK - in_blk as u64) as usize;
+            let block = self
+                .blocks
+                .get(&(off / BLOCK))
+                .map_or(&ZERO_BLOCK, |b| &**b);
+            sum.update(&block[in_blk..in_blk + n]);
+            off += n as u64;
+        }
+        sum.finish()
+    }
+
     pub fn writes(&self) -> u64 {
         self.writes
     }
@@ -161,6 +188,34 @@ mod tests {
         let mut m = NvImage::new(1 << 16);
         m.partial_write(0, &[1; 8], 100);
         assert_eq!(m.read(0, 8), vec![1; 8]);
+    }
+
+    proptest::proptest! {
+        /// The in-place digest is the digest of what a read returns, at
+        /// any alignment, across block edges and over absent blocks.
+        #[test]
+        fn digest_matches_checksum_of_read(
+            writes in proptest::collection::vec(
+                (0u64..60_000, proptest::collection::vec(proptest::prelude::any::<u8>(), 1..6000)),
+                0..4,
+            ),
+            off in 0u64..40_000,
+            len in 0u64..25_000,
+        ) {
+            let mut m = NvImage::new(1 << 16);
+            for (at, data) in &writes {
+                let n = data.len().min((m.capacity() - at) as usize);
+                m.write(*at, &data[..n]);
+            }
+            proptest::prop_assert_eq!(m.digest(off, len), checksum64(&m.read(off, len as usize)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond capacity")]
+    fn digest_beyond_capacity_panics() {
+        let m = NvImage::new(100);
+        let _ = m.digest(64, 64);
     }
 
     #[test]

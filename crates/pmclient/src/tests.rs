@@ -63,6 +63,12 @@ enum Step {
     Delay {
         dur: SimDuration,
     },
+    /// Synchronous: tell the PMM a write leg to `half` of the region's
+    /// first member failed, as the library does on a NACK or timeout.
+    ReportFailure {
+        region_idx: usize,
+        half: u8,
+    },
     /// Synchronous: log whether the library has quiesced (no in-flight
     /// ops AND all completion maps purged — the leak invariant).
     CheckQuiesced,
@@ -153,6 +159,28 @@ impl TestClient {
             } => {
                 let id = self.opened[region_idx].region_id;
                 self.lib.read_batch(ctx, id, &spans, tok);
+            }
+            Step::ReportFailure { region_idx, half } => {
+                let info = &self.opened[region_idx];
+                let report = ReportMirrorFailure {
+                    region_id: info.region_id,
+                    volume: info.volumes[0].volume,
+                    half,
+                };
+                let m = self.lib_machine();
+                nsk::proc::send_to_process(
+                    ctx,
+                    &m,
+                    self.lib_ep(),
+                    self.lib_cpu(),
+                    "$PMM",
+                    32,
+                    report,
+                );
+                self.log
+                    .lock()
+                    .push(format!("report[{tok}]@{}", ctx.now().as_nanos()));
+                self.advance(ctx);
             }
             Step::CheckQuiesced => {
                 self.log
@@ -1269,8 +1297,14 @@ fn pmm_resilvers_revived_half_and_mirrors_converge() {
     assert!(stats.probes_sent >= 1, "{stats:?}");
     assert_eq!(stats.resilvers_started, 1, "{stats:?}");
     assert_eq!(stats.resilvers_completed, 1, "{stats:?}");
-    // The whole allocated range was copied back (one 2 MB region).
-    assert!(stats.resilver_bytes_copied >= 2 << 20, "{stats:?}");
+    // Both halves digested the whole allocated range (one 2 MB region),
+    // and only the chunk the outage dirtied was copied back.
+    assert!(stats.resilver_bytes_digested >= 2 * (2 << 20), "{stats:?}");
+    assert_eq!(
+        stats.resilver_bytes_copied,
+        PmmConfig::default().resilver_chunk as u64,
+        "{stats:?}"
+    );
     // Both the degraded-era write and the full region are now mirrored.
     let b = sc.pmm.npmu_b.mem.lock().read(pmm::META_BYTES + 8192, 4096);
     assert_eq!(b, degraded);
@@ -1285,8 +1319,9 @@ fn write_during_resilvering_lands_on_both_halves() {
         from: SimTime(2_000_000), // 2 ms
         to: SimTime(10_000_000),  // 10 ms
     });
-    // Tiny chunks + a big region stretch the resilver so a foreground
-    // write provably overlaps it; a fast probe finds the revival quickly.
+    // Tiny chunks + a big region dirtied end to end inside the outage
+    // stretch the resilver so a foreground write provably overlaps it; a
+    // fast probe finds the revival quickly.
     let cfg = PmmConfig {
         probe_interval: SimDuration::from_millis(10),
         resilver_chunk: 4096,
@@ -1305,12 +1340,11 @@ fn write_during_resilvering_lands_on_both_halves() {
             Step::Delay {
                 dur: SimDuration::from_millis(4),
             },
-            // Inside the outage: makes the volume degraded.
-            Step::Write {
+            // Inside the outage: makes the volume degraded, and every one
+            // of its 1024 chunks divergent (one chain, 64 B a chunk).
+            Step::WriteBatch {
                 region_idx: 0,
-                offset: 0,
-                data: vec![1u8; 4096],
-                expect: RdmaStatus::Ok,
+                parts: (0..1024).map(|i| (i * 4096, vec![1u8; 64])).collect(),
             },
             // Past revival (10 ms) and probe (≤ ~20 ms), well inside the
             // multi-millisecond chunk-by-chunk resilver of 4 MB.
@@ -1420,6 +1454,188 @@ fn resilver_converges_under_a_cell_rewritten_in_place() {
         stats.resilver_completed_ns
     );
     assert!(mirror_halves_equal(&sc.pmm, pmm::META_BYTES, region_len));
+}
+
+/// Outage over 2–10 ms with a 10 ms probe, as the tests below use it.
+fn short_outage_cfg() -> (FaultPlan, PmmConfig) {
+    let plan = FaultPlan::none().with(Fault::NpmuDown {
+        volume_half: 1,
+        from: SimTime(2_000_000),
+        to: SimTime(10_000_000),
+    });
+    let cfg = PmmConfig {
+        probe_interval: SimDuration::from_millis(10),
+        ..PmmConfig::default()
+    };
+    (plan, cfg)
+}
+
+/// Repair is proportional to divergence: of a 12 MiB region, the three
+/// chunks rewritten inside the outage are copied, and digesting is
+/// bounded by one look at everything allocated plus at most four at what
+/// was copied (after a copy: a look, and a second before any re-copy).
+#[test]
+fn resilver_copies_only_the_chunks_an_outage_dirtied() {
+    const REGION: u64 = 12 << 20;
+    let chunk = PmmConfig::default().resilver_chunk as u64;
+    let mut store = DurableStore::new();
+    let (plan, cfg) = short_outage_cfg();
+    let mut sc = build_faulty(&mut store, 67, true, plan, cfg, npmu::FailureMode::Nack);
+    let mut steps = vec![
+        Step::Create {
+            name: "sparse".into(),
+            len: REGION,
+        },
+        Step::Delay {
+            dur: SimDuration::from_millis(4),
+        },
+    ];
+    steps.extend([3, 17, 40].map(|c| Step::Write {
+        region_idx: 0,
+        offset: c * chunk + 100,
+        data: vec![0xE7; 4096],
+        expect: RdmaStatus::Ok,
+    }));
+    let log = spawn_client(&mut sc, CpuId(2), steps, MirrorPolicy::ParallelBoth);
+    sc.sim.run_until(SimTime(5 * SECS));
+    assert!(log.lock()[4].contains("Ok:asexpected:degraded"));
+    let stats = *sc.pmm.stats.lock();
+    assert_eq!(stats.resilvers_completed, 1, "{stats:?}");
+    assert_eq!(stats.resilver_bytes_copied, 3 * chunk, "{stats:?}");
+    assert!(
+        stats.resilver_bytes_digested <= 2 * (REGION + 4 * stats.resilver_bytes_copied),
+        "{stats:?}"
+    );
+    assert!(stats.resilver_bytes_digested >= 2 * REGION, "{stats:?}");
+    assert!(mirror_halves_equal(&sc.pmm, pmm::META_BYTES, REGION));
+}
+
+/// A half that comes back *blank* (the device was replaced) is repaired
+/// by the same path: every chunk that holds data mismatches and is
+/// copied, and the mirrors end byte-equal.
+#[test]
+fn blank_replacement_half_is_copied_whole() {
+    const CHUNKS: u64 = 8;
+    let chunk = PmmConfig::default().resilver_chunk as u64;
+    let mut store = DurableStore::new();
+    let plan = FaultPlan::none().with(Fault::NpmuDown {
+        volume_half: 1,
+        from: SimTime(40_000_000),
+        to: SimTime(50_000_000),
+    });
+    let cfg = PmmConfig {
+        probe_interval: SimDuration::from_millis(10),
+        ..PmmConfig::default()
+    };
+    let mut sc = build_faulty(&mut store, 68, true, plan, cfg, npmu::FailureMode::Nack);
+    let mut steps = vec![Step::Create {
+        name: "full".into(),
+        len: CHUNKS * chunk,
+    }];
+    // Mirrored, ~2 ms on the wire each: every chunk holds data.
+    steps.extend((0..CHUNKS).map(|c| Step::Write {
+        region_idx: 0,
+        offset: c * chunk,
+        data: (0..chunk).map(|i| (i % 251) as u8 + 1).collect(),
+        expect: RdmaStatus::Ok,
+    }));
+    steps.push(Step::Delay {
+        dur: SimDuration::from_millis(25),
+    });
+    // Inside the outage: the PMM learns of it.
+    steps.push(Step::Write {
+        region_idx: 0,
+        offset: 0,
+        data: vec![0xB1; 512],
+        expect: RdmaStatus::Ok,
+    });
+    let log = spawn_client(&mut sc, CpuId(2), steps, MirrorPolicy::ParallelBoth);
+    // Mid-outage, swap half "b" for a blank device.
+    sc.sim.run_until(SimTime(48_000_000));
+    assert!(
+        log.lock()
+            .last()
+            .unwrap()
+            .contains("Ok:asexpected:degraded"),
+        "{log:?}"
+    );
+    let cap = sc.pmm.npmu_b.mem.lock().capacity();
+    *sc.pmm.npmu_b.mem.lock() = npmu::NvImage::new(cap);
+    sc.sim.run_until(SimTime(5 * SECS));
+    let stats = *sc.pmm.stats.lock();
+    assert_eq!(stats.resilvers_completed, 1, "{stats:?}");
+    assert_eq!(stats.resilver_bytes_copied, CHUNKS * chunk, "{stats:?}");
+    assert!(mirror_halves_equal(
+        &sc.pmm,
+        pmm::META_BYTES,
+        CHUNKS * chunk
+    ));
+}
+
+/// The clean marks rest on every foreground write reaching both halves.
+/// A client report that a leg to the half under repair failed says one
+/// did not: the run digests the whole range once more — exactly once —
+/// before it declares the member healthy.
+#[test]
+fn failure_report_mid_resilver_voids_the_clean_marks() {
+    const REGION: u64 = 4 << 20;
+    let run = |report: bool| {
+        let mut store = DurableStore::new();
+        let (plan, cfg) = short_outage_cfg();
+        let mut sc = build_faulty(&mut store, 69, true, plan, cfg, npmu::FailureMode::Nack);
+        let mut steps = vec![
+            Step::Create {
+                name: "void".into(),
+                len: REGION,
+            },
+            Step::Delay {
+                dur: SimDuration::from_millis(4),
+            },
+            Step::Write {
+                region_idx: 0,
+                offset: 0,
+                data: vec![0x3C; 4096],
+                expect: RdmaStatus::Ok,
+            },
+        ];
+        if report {
+            // Past revival and probe, into the ~10 ms the repair takes.
+            steps.push(Step::Delay {
+                dur: SimDuration::from_millis(14),
+            });
+            steps.push(Step::ReportFailure {
+                region_idx: 0,
+                half: 1,
+            });
+        }
+        let log = spawn_client(&mut sc, CpuId(2), steps, MirrorPolicy::ParallelBoth);
+        sc.sim.run_until(SimTime(5 * SECS));
+        let stats = *sc.pmm.stats.lock();
+        assert_eq!(stats.resilvers_started, 1, "{stats:?}");
+        assert_eq!(stats.resilvers_completed, 1, "{stats:?}");
+        assert!(mirror_halves_equal(&sc.pmm, pmm::META_BYTES, REGION));
+        let reported_at = report.then(|| ts(log.lock().last().unwrap()));
+        (stats, reported_at)
+    };
+    let (quiet, _) = run(false);
+    let (voided, reported_at) = run(true);
+    let at = reported_at.unwrap();
+    assert!(
+        voided.resilver_started_ns < at && at < quiet.resilver_completed_ns,
+        "report at {at} must land inside the repair [{}, {}]",
+        voided.resilver_started_ns,
+        quiet.resilver_completed_ns
+    );
+    assert_eq!(voided.resilver_bytes_copied, quiet.resilver_bytes_copied);
+    assert_eq!(
+        voided.resilver_bytes_digested,
+        quiet.resilver_bytes_digested + 2 * REGION,
+        "one more look at the whole range, on both halves"
+    );
+    assert_eq!(
+        voided.resilver_extra_passes,
+        quiet.resilver_extra_passes + 1
+    );
 }
 
 #[test]

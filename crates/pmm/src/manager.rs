@@ -38,13 +38,25 @@
 //! acting. While a member is degraded, its metadata writes go to the
 //! survivor only, and a probe read is sent to the dead half on a timer.
 //!
-//! *Resilvering.* When a dead half answers a probe, the PMM copies the
-//! survivor's contents back over RDMA chunk by chunk — **online**:
-//! clients keep writing (to both halves again) throughout, and the other
-//! members serve their stripes undisturbed. A copy pass is followed by a
-//! verify pass (read both halves, compare); divergent chunks are
-//! re-copied and verified again until a pass is clean, then the member
-//! is declared healthy with a metadata write to both of its mirrors.
+//! *Resilvering.* When a dead half answers a probe, the PMM repairs it
+//! **online** — clients keep writing (to both halves again) throughout,
+//! and the other members serve their stripes undisturbed — and *by
+//! exception*: it asks both halves to digest every allocated chunk and
+//! copies survivor → revived only the chunks whose digests differ. A
+//! chunk that digests equal leaves the run for good: from then on every
+//! foreground write lands on both halves, so the only writer that can
+//! move the revived half backwards is the resilver's own copy (stale by
+//! its round trip), and a copied chunk is always digested again. The
+//! verify after a copy therefore looks at what was just copied and at
+//! what mismatched for the first time beside it, never at everything;
+//! after the first pass (whose mismatches *are* the outage) a chunk is
+//! re-copied only when two looks running disagreed. The one signal that
+//! a foreground leg did not land — a client [`ReportMirrorFailure`]
+//! naming the half under repair — voids the clean marks: the whole range
+//! is digested once more before the member is declared healthy with a
+//! metadata write to both of its mirrors. Work is proportional to what
+//! diverged (plus one scan of what is allocated); a blank replacement
+//! half mismatches everywhere and is copied whole through the same path.
 //!
 //! # Placement and striping
 //!
@@ -108,9 +120,10 @@ pub struct PmmConfig {
     /// and migration engines keep in flight at once. 1 restores the old
     /// lock-step behaviour; the default pipelines the survivor's port.
     pub transfer_window: u32,
-    /// A resilver step (chunk read or write) with no answer by then
-    /// aborts the resilver back to Degraded. Per-op watchdogs stretch
-    /// this by the worst-case port queueing behind a full window.
+    /// A resilver step (chunk read, write or digest) with no answer by
+    /// then aborts the resilver back to Degraded. Per-op watchdogs stretch
+    /// this by the worst-case queueing behind a full window: port time for
+    /// a copy, device scan time for a digest.
     pub resilver_step_timeout: SimDuration,
     /// How new regions are laid out across pool members.
     pub placement: PlacementPolicy,
@@ -161,7 +174,12 @@ pub struct PmmStats {
     pub meta_leg_failures: u64,
     /// Bytes copied survivor → revived across all resilver passes.
     pub resilver_bytes_copied: u64,
-    /// Copy+verify rounds beyond the first (divergence re-copies).
+    /// Bytes the devices digested for resilver verify passes, both halves
+    /// counted (a chunk looked at once adds twice its length).
+    pub resilver_bytes_digested: u64,
+    /// Verify passes that did not end their run: each found a mismatch
+    /// (and is followed by a copy or a second look) or had its clean
+    /// marks voided.
     pub resilver_extra_passes: u64,
     /// Resilvers started / completed.
     pub resilvers_started: u64,
@@ -309,10 +327,18 @@ struct ResilverRun {
     inflight: u32,
     /// Chunks the verify pass in progress found divergent.
     divergent: Vec<(u64, u32)>,
-    /// Offsets of chunks the previous verify pass found divergent and
-    /// left alone: a chunk is re-copied only once two passes running
-    /// have disagreed about it.
+    /// Offsets of chunks whose next mismatch is copied rather than looked
+    /// at again: every chunk in a full-range pass (that mismatch is the
+    /// outage), afterwards the chunks the previous pass found divergent
+    /// and left alone — a chunk is re-copied only once two passes
+    /// running have disagreed about it.
     suspects: BTreeSet<u64>,
+    /// What the verify after the copy in progress looks at: the chunks
+    /// being copied and the first-time mismatches found beside them.
+    recheck: Vec<(u64, u32)>,
+    /// A client reported a failed write leg to the half under repair:
+    /// chunks that digested equal may have diverged since.
+    voided: bool,
     /// Per-chunk checksum slots ([survivor, revived]) for chunks whose
     /// verify CRC reads are in flight.
     crc_pending: BTreeMap<u64, [Option<u64>; 2]>,
@@ -904,8 +930,8 @@ impl PmmProc {
         }
     }
 
-    /// A member's dead half answered: start copying the survivor's
-    /// contents back while foreground writes (to every member) continue.
+    /// A member's dead half answered: find what diverged and copy it back
+    /// while foreground writes (to every member) continue.
     fn begin_resilver(&mut self, ctx: &mut Ctx<'_>, vol: usize) {
         let HealthState::Degraded {
             half,
@@ -937,7 +963,7 @@ impl PmmProc {
         for id in ids {
             self.program_region_att(id);
         }
-        // The revived half is stale until the verify pass is clean: keep
+        // The revived half is stale until a verify pass is clean: keep
         // the client read fence armed (reads fail over to the survivor)
         // while foreground writes converge it.
         self.update_read_fence(vol);
@@ -946,11 +972,13 @@ impl PmmProc {
             half,
             since_epoch,
             dirty_upto,
-            phase: ResilverPhase::Copy,
+            phase: ResilverPhase::Verify,
+            suspects: queue.iter().map(|&(off, _)| off).collect(),
             queue,
             inflight: 0,
             divergent: Vec::new(),
-            suspects: BTreeSet::new(),
+            recheck: Vec::new(),
+            voided: false,
             crc_pending: BTreeMap::new(),
             scrub_pending: BTreeMap::new(),
             backoff_armed: false,
@@ -1004,6 +1032,19 @@ impl PmmProc {
         )
     }
 
+    /// Per-op watchdog for a digest (checksum read or scrub). Its bytes
+    /// never cross the wire; what it waits for is the device's scan
+    /// engine, behind up to a full window of digests of `chunks` chunks —
+    /// the largest this engine issues. Every device scans for itself, so
+    /// concurrent resilvers do not stretch each other here.
+    fn digest_timeout(&self, chunks: u32) -> SimDuration {
+        let window = self.cfg.transfer_window.max(1) as u64;
+        let unit = chunks as u64 * self.cfg.resilver_chunk as u64;
+        SimDuration::from_nanos(
+            self.cfg.resilver_step_timeout.as_nanos() + (window + 1) * npmu::digest_ns(unit),
+        )
+    }
+
     /// Chunk list covering every allocated byte of the member's extents
     /// below `dirty_upto`.
     fn resilver_chunks(&self, vol: usize, dirty_upto: u64) -> VecDeque<(u64, u32)> {
@@ -1048,7 +1089,6 @@ impl PmmProc {
             },
             Transition {
                 copy: bool,
-                dirty_upto: u64,
             },
             Backoff {
                 wait_ns: u64,
@@ -1071,10 +1111,7 @@ impl PmmProc {
                     if run.inflight > 0 {
                         Next::Wait
                     } else {
-                        Next::Transition {
-                            copy,
-                            dirty_upto: run.dirty_upto,
-                        }
+                        Next::Transition { copy }
                     }
                 } else if run.inflight >= window {
                     Next::Wait
@@ -1194,46 +1231,61 @@ impl PmmProc {
                     self.issue_resilver_crc(ctx, vol, 1 - half, off, len, true);
                     self.issue_resilver_crc(ctx, vol, half, off, len, false);
                 }
-                Next::Transition {
-                    copy: true,
-                    dirty_upto,
-                } => {
-                    // Copy done: verify the full range (foreground writes
-                    // may have raced the copy).
-                    let queue = self.resilver_chunks(vol, dirty_upto);
+                Next::Transition { copy: true } => {
+                    // Copy done: look again at what was copied (a copy is
+                    // stale by its own round trip) and at the first-time
+                    // mismatches set aside beside it. What digested equal
+                    // stays out of the run.
                     if let Some(run) = &mut self.vols[vol].resilver {
                         run.phase = ResilverPhase::Verify;
-                        run.queue = queue;
+                        run.queue = std::mem::take(&mut run.recheck).into();
                     }
                 }
-                Next::Transition { copy: false, .. } => {
+                Next::Transition { copy: false } => {
                     let Some(run) = &mut self.vols[vol].resilver else {
                         return;
                     };
-                    let divergent = std::mem::take(&mut run.divergent);
+                    let mut divergent = std::mem::take(&mut run.divergent);
                     if divergent.is_empty() {
-                        self.finish_resilver(ctx, vol);
-                        return;
-                    }
-                    // One mismatch is weak evidence: a foreground write
-                    // caught between the two digests, or data rewritten in
-                    // place (a log's control cell) that the last copy left
-                    // stale on the revived half and the foreground is about
-                    // to rewrite on both. Either heals by itself, and a
-                    // re-copy — itself stale by a chunk round trip — only
-                    // manufactures the next mismatch. So look again at a
-                    // chunk that mismatched for the first time, and re-copy
-                    // (then verify everything again) only what mismatched
-                    // twice running.
-                    let (confirmed, fresh): (Vec<_>, Vec<_>) = divergent
-                        .into_iter()
-                        .partition(|(off, _)| run.suspects.contains(off));
-                    run.suspects = fresh.iter().map(|&(off, _)| off).collect();
-                    if confirmed.is_empty() {
-                        run.queue = fresh.into();
+                        if !std::mem::take(&mut run.voided) {
+                            self.finish_resilver(ctx, vol);
+                            return;
+                        }
+                        // Nothing left that differs, but a foreground leg
+                        // to this half was reported lost since the run
+                        // began: start over on the whole range.
+                        let dirty_upto = run.dirty_upto;
+                        let queue = self.resilver_chunks(vol, dirty_upto);
+                        if let Some(run) = &mut self.vols[vol].resilver {
+                            run.suspects = queue.iter().map(|&(off, _)| off).collect();
+                            run.queue = queue;
+                        }
                     } else {
-                        run.queue = confirmed.into();
-                        run.phase = ResilverPhase::Copy;
+                        // One mismatch is weak evidence once the outage
+                        // itself has been copied: a foreground write caught
+                        // between the two digests, or data rewritten in
+                        // place (a log's control cell) that the last copy
+                        // left stale on the revived half and the foreground
+                        // is about to rewrite on both. Either heals by
+                        // itself, and a re-copy — itself stale by a chunk
+                        // round trip — only manufactures the next mismatch.
+                        // So look again at a chunk that mismatched for the
+                        // first time, and re-copy only what mismatched
+                        // twice running. Offset order keeps scrub runs
+                        // contiguous.
+                        divergent.sort_unstable();
+                        let (confirmed, fresh): (Vec<_>, Vec<_>) = divergent
+                            .iter()
+                            .copied()
+                            .partition(|(off, _)| run.suspects.contains(off));
+                        run.suspects = fresh.iter().map(|&(off, _)| off).collect();
+                        if confirmed.is_empty() {
+                            run.queue = fresh.into();
+                        } else {
+                            run.queue = confirmed.into();
+                            run.recheck = divergent;
+                            run.phase = ResilverPhase::Copy;
+                        }
                     }
                     if let HealthState::Resilvering { pass, .. } = &mut self.vols[vol].meta.health {
                         *pass += 1;
@@ -1296,7 +1348,7 @@ impl PmmProc {
             rid,
             TrafficClass::Bulk,
         );
-        let timeout = self.step_timeout(len);
+        let timeout = self.digest_timeout(1);
         ctx.send_self(timeout, ResilverStepTimeout { rid });
     }
 
@@ -1360,7 +1412,7 @@ impl PmmProc {
             rid,
             TrafficClass::Bulk,
         );
-        let timeout = self.step_timeout(len.min(u32::MAX as u64) as u32);
+        let timeout = self.digest_timeout(self.cfg.scrub_batch.max(1));
         ctx.send_self(timeout, ResilverStepTimeout { rid });
     }
 
@@ -1387,7 +1439,7 @@ impl PmmProc {
 
     /// One half's digest vector for a coalesced scrub run arrived. The
     /// run completes (and frees a window slot) when both halves have
-    /// answered; per-chunk mismatches queue those chunks for re-copy.
+    /// answered; per-chunk mismatches go on the pass's divergent list.
     fn on_resilver_scrub_done(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1402,6 +1454,7 @@ impl PmmProc {
         let ResilverOp::VerifyScrub { off, len, survivor } = kind else {
             return;
         };
+        self.vol_stat(vol, |s| s.resilver_bytes_digested += len);
         let chunk = self.cfg.resilver_chunk.max(1) as u64;
         let run_done = {
             let Some(run) = &mut self.vols[vol].resilver else {
@@ -1436,7 +1489,7 @@ impl PmmProc {
 
     /// One half's checksum for a chunk under verify arrived. The chunk
     /// completes (and frees a window slot) when both halves have
-    /// answered; a mismatch queues it for re-copy.
+    /// answered; a mismatch goes on the pass's divergent list.
     fn on_resilver_crc_done(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1451,6 +1504,7 @@ impl PmmProc {
         let ResilverOp::VerifyCrc { off, len, survivor } = kind else {
             return;
         };
+        self.vol_stat(vol, |s| s.resilver_bytes_digested += len as u64);
         let chunk_done = {
             let Some(run) = &mut self.vols[vol].resilver else {
                 return;
@@ -1870,7 +1924,7 @@ impl PmmProc {
             rid,
             TrafficClass::Bulk,
         );
-        let timeout = self.step_timeout(len);
+        let timeout = self.digest_timeout(1);
         ctx.send_self(timeout, MigStepTimeout { rid });
     }
 
@@ -2457,6 +2511,16 @@ impl PmmProc {
                     // A hint, not proof: confirm with our own probe before
                     // recording a durable state change.
                     self.send_probe(ctx, vol, ProbeKind::Confirm { half: rep.half });
+                } else if let Some(run) = self.vols[vol]
+                    .resilver
+                    .as_mut()
+                    .filter(|run| run.half == rep.half)
+                {
+                    // A foreground leg to the half under repair did not
+                    // land — the one way a chunk that already digested
+                    // equal can diverge again. The run looks at the whole
+                    // range once more before it ends.
+                    run.voided = true;
                 }
                 return;
             }

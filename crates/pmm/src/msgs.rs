@@ -161,9 +161,12 @@ pub struct MigrateRegionAck {
 /// Fire-and-forget client report: RDMA to one mirror half of a member
 /// volume failed (NACK or timeout) while the other half answered. The
 /// PMM treats this as a failure-detection hint — it confirms with its
-/// own probe before transitioning that member's durable health state. No
-/// ack is sent; clients dedupe on the suspect-state edge and the PMM
-/// also detects failures through its own metadata writes.
+/// own probe before transitioning that member's durable health state —
+/// and, when the half named is the one being resilvered, as notice that
+/// a foreground write missed it: chunks the resilver already found equal
+/// are digested once more. No ack is sent; clients dedupe on the
+/// suspect-state edge and the PMM also detects failures through its own
+/// metadata writes.
 #[derive(Clone, Copy, Debug)]
 pub struct ReportMirrorFailure {
     pub region_id: u64,

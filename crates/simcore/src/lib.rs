@@ -40,7 +40,7 @@ pub mod time;
 pub mod trace;
 
 pub use actor::{Actor, ActorId, Ctx, Msg};
-pub use checksum::{checksum64, crc32};
+pub use checksum::{checksum64, crc32, Checksum64};
 pub use durable::DurableStore;
 pub use event::EventQueue;
 pub use rng::DetRng;

@@ -902,7 +902,10 @@ pub fn reply_rdma_read(
 }
 
 /// Called by a device actor to complete an inbound checksum read: only
-/// the 8-byte digest crosses the wire back.
+/// the 8-byte digest crosses the wire back. `digest_ns` is the device
+/// time until the digest is ready (its scan, and whatever scans were
+/// queued ahead of it), paid before the reply reaches the transmit port —
+/// a reply delay, like [`reply_rdma_write`]'s `persist_ns`.
 pub fn reply_rdma_crc_read(
     ctx: &mut Ctx<'_>,
     net: &SharedNetwork,
@@ -910,6 +913,7 @@ pub fn reply_rdma_crc_read(
     req: &InboundRdmaCrcRead,
     status: RdmaStatus,
     crc: u64,
+    digest_ns: u64,
 ) {
     let now = ctx.now();
     let done = RdmaCrcReadDone {
@@ -932,7 +936,7 @@ pub fn reply_rdma_crc_read(
             req.class,
             8,
             ack_ns,
-            0,
+            digest_ns,
             req.reply_to,
             QosPayload::CrcDone(done),
         );
@@ -941,8 +945,8 @@ pub fn reply_rdma_crc_read(
     let ns = {
         let mut n = net.lock();
         let wire = latency::wire_ns(&n.cfg, 8);
-        let q = n.reserve_tx(device_ep, req.fabric, now.as_nanos(), wire);
-        wire + q + n.cfg.ack_ns
+        let q = n.reserve_tx(device_ep, req.fabric, now.as_nanos() + digest_ns, wire);
+        digest_ns + wire + q + n.cfg.ack_ns
     };
     ctx.send(req.reply_to, SimDuration::from_nanos(ns), done);
 }
@@ -1083,7 +1087,8 @@ pub fn rdma_copy(
 
 /// Called by a device actor to complete an inbound scrub: only the
 /// packed 4-byte digests cross the wire back, on the device's transmit
-/// port (scheduled under QoS, in the request's class).
+/// port (scheduled under QoS, in the request's class), `digest_ns` after
+/// now (see [`reply_rdma_crc_read`]).
 pub fn reply_rdma_scrub(
     ctx: &mut Ctx<'_>,
     net: &SharedNetwork,
@@ -1091,6 +1096,7 @@ pub fn reply_rdma_scrub(
     req: &InboundRdmaScrub,
     status: RdmaStatus,
     crcs: Vec<u32>,
+    digest_ns: u64,
 ) {
     let now = ctx.now();
     let bytes = (4 * crcs.len()).max(1) as u64;
@@ -1114,7 +1120,7 @@ pub fn reply_rdma_scrub(
             req.class,
             bytes,
             ack_ns,
-            0,
+            digest_ns,
             req.reply_to,
             QosPayload::ScrubDone(done),
         );
@@ -1123,8 +1129,8 @@ pub fn reply_rdma_scrub(
     let ns = {
         let mut n = net.lock();
         let wire = latency::wire_ns(&n.cfg, bytes as u32);
-        let q = n.reserve_tx(device_ep, req.fabric, now.as_nanos(), wire);
-        wire + q + n.cfg.ack_ns
+        let q = n.reserve_tx(device_ep, req.fabric, now.as_nanos() + digest_ns, wire);
+        digest_ns + wire + q + n.cfg.ack_ns
     };
     ctx.send(req.reply_to, SimDuration::from_nanos(ns), done);
 }

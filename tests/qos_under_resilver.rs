@@ -1,5 +1,7 @@
 //! Acceptance test for fabric QoS isolation: a hot-stock run races an
-//! online resilver (one mirror half dies briefly and revives stale).
+//! online resilver (one mirror half dies briefly and revives stale, and
+//! an outage writer dirties 24 MiB of scratch chunks meanwhile, so there
+//! is ≈ 300 ms of repair to race — the commits alone diverge a handful).
 //!
 //! With QoS on (DRR arbitration + bulk admission at 90% of the link),
 //! commit p99 stays bounded (≤ 2× the uncontended run), the resilver
@@ -10,6 +12,7 @@
 
 use hotstock::driver::{HotStockDriver, SharedDriverStats};
 use nsk::machine::CpuId;
+use pm_bench::outage::{self, OutageWrites};
 use pmem::verify_mirrors;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
@@ -52,6 +55,18 @@ fn run_arm(qos: QosConfig, faulted: bool) -> ArmResult {
     );
     let pmm = node.pmm.clone().expect("PM mode has a PMM");
     let (npmu_a, npmu_b) = node.npmus.clone().expect("PM mode has NPMUs");
+    if faulted {
+        let machine = node.machine.clone();
+        let spec = OutageWrites {
+            region: "scratch",
+            len: 24 << 20,
+            placement: pmm::PlacementHint::Solo,
+            at: SimTime(1160 * MILLIS),
+            span: 24 << 20,
+            stride: node.params.pmm.resilver_chunk as u64,
+        };
+        outage::install(&mut node.sim, &machine, CpuId(1), "$PMM", spec);
+    }
 
     let warmup = SimDuration::from_millis(1100);
     let mut driver_stats: Vec<SharedDriverStats> = Vec::new();
@@ -105,9 +120,12 @@ fn run_arm(qos: QosConfig, faulted: bool) -> ArmResult {
         response.merge(&st.lock().response);
     }
     let s = *pmm.stats.lock();
+    // Copy rate: the repair time less what the devices spent digesting
+    // (the halves scan side by side, and never while a copy is moving).
     let rate = if s.resilvers_completed > 0 {
         let dur_ns = s.resilver_completed_ns - s.resilver_started_ns;
-        s.resilver_bytes_copied as f64 / (1 << 20) as f64 / (dur_ns as f64 / SECS as f64)
+        let copy_ns = dur_ns - npmu::digest_ns(s.resilver_bytes_digested / 2);
+        s.resilver_bytes_copied as f64 / (1 << 20) as f64 / (copy_ns as f64 / SECS as f64)
     } else {
         0.0
     };
@@ -127,7 +145,8 @@ fn qos_bounds_commit_p99_under_online_resilver() {
     // The resilver completed online and repaired the mirror bit-exactly.
     assert_eq!(on.resilvers_completed, 1);
     assert!(on.mirrors_clean, "mirrors diverged after QoS-on resilver");
-    // It held a healthy rate (admission cap is 90% of the 125 MB/s link).
+    // The copy held a healthy rate (admission cap is 90% of the 125 MB/s
+    // link).
     assert!(
         on.resilver_rate_mb_s > 80.0,
         "resilver rate {:.0} MB/s under QoS",

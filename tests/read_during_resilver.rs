@@ -11,6 +11,7 @@ use npmu::{Npmu, NpmuConfig};
 use nsk::machine::{CpuId, Machine, MachineConfig, SharedMachine};
 use nsk::Monitor;
 use parking_lot::Mutex;
+use pm_bench::outage::{self, OutageWrites};
 use pmclient::{MirrorPolicy, PmLib, PmReadTimeout, PmWriteTimeout, ReadRouting};
 use pmm::msgs::{CreateRegionAck, RegionInfo};
 use pmm::{install_pmm_pair, PmmConfig, PmmHandle};
@@ -22,6 +23,8 @@ use simnet::{FabricConfig, NetDelivery, Network, RdmaReadDone, RdmaStatus, RdmaW
 use std::sync::Arc;
 
 const REGION_LEN: u64 = 8 << 20;
+/// Resilver chunk size in both tests.
+const CHUNK: u32 = 64 << 10;
 const BLOCK: u32 = 4096;
 const PATTERN_A: u8 = 0xAA;
 const PATTERN_B: u8 = 0xB7;
@@ -198,7 +201,16 @@ struct Scenario {
     pmm: PmmHandle,
 }
 
-fn build(store: &mut DurableStore, seed: u64, plan: FaultPlan, cfg: PmmConfig) -> Scenario {
+/// Both tests take half 1 out over 10–30 ms. The reader's one block
+/// would repair in a single chunk, so an outage writer dirties every
+/// chunk of an 8 MiB scratch region beside it: ≈ 17 ms of scan and
+/// ≈ 75 ms of copy for the reads (and the second fault) to land in.
+fn build(store: &mut DurableStore, seed: u64, plan: FaultPlan) -> Scenario {
+    let cfg = PmmConfig {
+        probe_interval: SimDuration::from_millis(5),
+        resilver_chunk: CHUNK,
+        ..PmmConfig::default()
+    };
     let mut sim = Sim::with_seed(seed);
     let net = Network::new(FabricConfig::default());
     let machine = Machine::new(
@@ -208,11 +220,20 @@ fn build(store: &mut DurableStore, seed: u64, plan: FaultPlan, cfg: PmmConfig) -
         },
         net.clone(),
     );
-    let dev = NpmuConfig::hardware(16 << 20).with_fail_mode(npmu::FailureMode::Nack);
+    let dev = NpmuConfig::hardware(32 << 20).with_fail_mode(npmu::FailureMode::Nack);
     let a = Npmu::install(&mut sim, store, &net, Some(&machine), "pm-a", dev.clone());
     let b = Npmu::install(&mut sim, store, &net, Some(&machine), "pm-b", dev);
     let pmm = install_pmm_pair(&mut sim, &machine, "$PMM", &a, &b, CpuId(0), None, cfg);
     Monitor::install(&mut sim, &machine, plan);
+    let writes = OutageWrites {
+        region: "scratch",
+        len: REGION_LEN,
+        placement: pmm::PlacementHint::Auto,
+        at: SimTime(12 * MILLIS),
+        span: REGION_LEN,
+        stride: CHUNK as u64,
+    };
+    outage::install(&mut sim, &machine, CpuId(3), "$PMM", writes);
     Scenario { sim, machine, pmm }
 }
 
@@ -255,13 +276,8 @@ fn balanced_reads_during_resilver_never_observe_stale_bytes() {
         from: SimTime(10 * MILLIS),
         to: SimTime(30 * MILLIS),
     });
-    let cfg = PmmConfig {
-        probe_interval: SimDuration::from_millis(5),
-        resilver_chunk: 64 << 10,
-        ..PmmConfig::default()
-    };
     let mut store = DurableStore::new();
-    let mut sc = build(&mut store, 0xbead, plan, cfg);
+    let mut sc = build(&mut store, 0xbead, plan);
     let stats = spawn_reader(&mut sc, 150 * MILLIS);
     sc.sim.run_until(SimTime(2 * SECS));
 
@@ -296,10 +312,11 @@ fn balanced_reads_during_resilver_never_observe_stale_bytes() {
 
 #[test]
 fn survivor_death_mid_resilver_fails_reads_cleanly() {
-    // Half 1 is out 10–30 ms; the resilver onto it starts ~35 ms and
-    // needs ~70 ms for 8 MiB — and the SURVIVOR (half 0) dies at 45 ms,
-    // mid-copy. The resilver must abort, and client reads must complete
-    // in error: no hangs, and never stale pattern-A bytes.
+    // Half 1 is out 10–30 ms; the resilver onto it starts ~35 ms, has
+    // found what diverged by ~52 ms and needs ~75 ms to copy it — and the
+    // SURVIVOR (half 0) dies at 70 ms, mid-copy. The resilver must abort,
+    // and client reads must complete in error: no hangs, and never stale
+    // pattern-A bytes.
     let plan = FaultPlan::none()
         .with(Fault::NpmuDown {
             volume_half: 1,
@@ -308,16 +325,11 @@ fn survivor_death_mid_resilver_fails_reads_cleanly() {
         })
         .with(Fault::NpmuDown {
             volume_half: 0,
-            from: SimTime(45 * MILLIS),
+            from: SimTime(70 * MILLIS),
             to: SimTime(10 * SECS),
         });
-    let cfg = PmmConfig {
-        probe_interval: SimDuration::from_millis(5),
-        resilver_chunk: 64 << 10,
-        ..PmmConfig::default()
-    };
     let mut store = DurableStore::new();
-    let mut sc = build(&mut store, 0xdead, plan, cfg);
+    let mut sc = build(&mut store, 0xdead, plan);
     let stats = spawn_reader(&mut sc, 200 * MILLIS);
     sc.sim.run_until(SimTime(2 * SECS));
 
@@ -326,6 +338,11 @@ fn survivor_death_mid_resilver_fails_reads_cleanly() {
     assert_eq!(
         pmm_stats.resilvers_completed, 0,
         "resilver cannot complete without its source: {pmm_stats:?}"
+    );
+    // It died mid-copy: part of what diverged had been copied, not all.
+    assert!(
+        0 < pmm_stats.resilver_bytes_copied && pmm_stats.resilver_bytes_copied < REGION_LEN,
+        "{pmm_stats:?}"
     );
 
     let st = stats.lock();
@@ -340,6 +357,6 @@ fn survivor_death_mid_resilver_fails_reads_cleanly() {
     // stale half closed. Replies served just before the cut can drain
     // several ms late (queued behind 64 KiB resilver bulk replies on the
     // device port), hence the generous grace bound.
-    let late_ok = st.ok_ns.iter().filter(|&&ns| ns > 60 * MILLIS).count();
+    let late_ok = st.ok_ns.iter().filter(|&&ns| ns > 85 * MILLIS).count();
     assert_eq!(late_ok, 0, "{st:?}");
 }
