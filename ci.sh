@@ -40,18 +40,15 @@ cargo run --release -p pm-bench --bin shard_scaling
 # inside the outage; asserts internally that exactly the dirtied chunks
 # are copied in every row and that a 64 MB region with one chunk dirtied
 # repairs in <= 80 ms (a scan of what is allocated, a copy of what
-# diverged).
+# diverged); then a pool-wide outage that dirtied every chunk of a 32 MB
+# striped region: the four pairs repair side by side at >= 300 MB/s
+# aggregate and the verify ships 8 bytes per chunk digest, no more.
 cargo run --release -p pm-bench --bin resilver_mttr
 # Smoke: fabric QoS isolation (T12) — hot-stock commits racing the repair
 # of an outage that dirtied 24 MiB of scratch chunks; asserts commit p99
 # <= 2x uncontended with DRR+admission, resilver >= 80% of its standalone
 # rate, and the FIFO baseline's p99 blow-up, all internally.
 cargo run --release -p pm-bench --bin qos_isolation
-# Smoke: near-device offload (T13) — a pool-wide outage that dirtied
-# every chunk of a 32 MB striped region; asserts the batched device scrub
-# cuts verify fabric bytes >= 10x and NPMU->NPMU copy lifts the pool-wide
-# resilver rate >= 1.5x, both internally.
-cargo run --release -p pm-bench --bin offload
 # Smoke: geo-replication failover drill (T14) — asserts internally that
 # the drained controls converge to RPO 0 with byte-identical trail
 # prefixes, every drill replica is a bit-identical prefix of its

@@ -12,13 +12,12 @@
 //! | `t4_npmu_vs_pmp`  | §4.2 — hardware NPMU vs PMP prototype |
 //! | `t5_adp_scaling`  | §4.2 — audit throughput vs ADPs per node |
 //! | `pool_scaling`    | DESIGN.md §4 — aggregate write bandwidth vs pool members |
-//! | `resilver_mttr`   | DESIGN.md §3 — redundancy-repair time vs region bytes |
+//! | `resilver_mttr`   | DESIGN.md §3, §10 — redundancy-repair time vs allocated and diverged bytes; pool-wide device-to-device repair (T6) |
 //! | `audit_scaling`   | DESIGN.md §5 — commit rate vs audit partitions (T8) |
 //! | `read_scaling`    | DESIGN.md §6 — read throughput vs window × routing (T9) |
 //! | `persist_modes`   | DESIGN.md §7 — commit latency by persistence mode (T10) |
 //! | `shard_scaling`   | DESIGN.md §8 — sharded txn throughput, 2PC tax, population load (T11) |
 //! | `qos_isolation`   | DESIGN.md §9 — commit p99 vs online resilver by QoS policy (T12) |
-//! | `offload`         | DESIGN.md §10 — near-device offload: batched scrub / NPMU→NPMU copy (T13) |
 //! | `georep`          | DESIGN.md §11 — geo-replication: RPO/RTO by shipping mode × WAN delay (T14) |
 //! | `ablations`       | DESIGN.md ablations A1–A3 |
 //!

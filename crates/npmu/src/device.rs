@@ -10,12 +10,11 @@
 //! acked-but-undrained bytes. A normal read drains the buffer first
 //! (reads cannot pass posted writes — the read-after-write flush trick),
 //! a write chain's trailing persist fence drains it, at its own latency,
-//! before the chain's one ack, and a checksum ("scrub") read
-//! deliberately does **not**: it hashes the
-//! persisted array alone, so a resilver verify can never mistake
+//! before the chain's one ack, and a scrub deliberately does **not**: it
+//! digests the persisted array alone, so a verify can never mistake
 //! buffered-but-volatile bytes for good media. A digest is not free in
 //! device time either: it occupies the one scan engine at
-//! [`DIGEST_BW_BPS`] and its reply waits for the scan.
+//! [`DIGEST_BW_BPS`], and its reply leaves when the scan ends.
 
 use crate::att::{AttError, AttTable, SharedAtt};
 use crate::memory::NvImage;
@@ -25,27 +24,17 @@ use parking_lot::Mutex;
 use simcore::durable::{DurableStore, Image};
 use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration};
 use simnet::{
-    rdma_write, reply_rdma_copy, reply_rdma_crc_read, reply_rdma_read, reply_rdma_scrub,
-    reply_rdma_write, EndpointId, InboundRdmaCopy, InboundRdmaCrcRead, InboundRdmaRead,
-    InboundRdmaScrub, InboundRdmaWrite, RdmaStatus, RdmaWriteDone, SharedNetwork,
+    rdma_write, reply_rdma_copy, reply_rdma_read, reply_rdma_scrub, reply_rdma_write, EndpointId,
+    InboundRdmaCopy, InboundRdmaRead, InboundRdmaScrub, InboundRdmaWrite, RdmaStatus,
+    RdmaWriteDone, SharedNetwork,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-/// Digest of one scrub chunk: its 64-bit content checksum `h` folded to
-/// the 4 bytes a scrub reply ships per chunk. Deliberately NOT a CRC-32:
-/// every watermark cell in the system is stored as `x ‖ crc32(x)`, and
-/// the CRC of a message followed by its own CRC is a constant — a CRC
-/// digest of a chunk that starts with such a cell is the same for every
-/// `x`, so mirrors diverging only in a cell would verify clean.
-fn scrub_digest(h: u64) -> u32 {
-    (h ^ (h >> 32)) as u32
-}
-
 /// Rate at which the device digests its own array, bytes per second: a
-/// 2004 NIC scanning battery-backed DRAM. A checksum read or scrub holds
-/// the device's one scan engine for [`digest_ns`] of its length, and its
-/// reply leaves when the scan is done.
+/// 2004 NIC scanning battery-backed DRAM. A scrub holds the device's one
+/// scan engine for [`digest_ns`] of its length, and its reply leaves when
+/// the scan is done.
 pub const DIGEST_BW_BPS: u64 = 1_000_000_000;
 
 /// Device time to digest `len` bytes at [`DIGEST_BW_BPS`], ns.
@@ -158,9 +147,6 @@ pub struct NpmuStats {
     /// Writes applied: one per accepted chain link.
     pub writes: u64,
     pub reads: u64,
-    /// Checksum ("scrub") reads served: the range is read from media and
-    /// digested device-side, only 8 bytes cross the wire.
-    pub crc_reads: u64,
     pub bytes_written: u64,
     pub bytes_read: u64,
     pub access_violations: u64,
@@ -169,7 +155,8 @@ pub struct NpmuStats {
     pub fenced_ops: u64,
     /// Persist fences served (one per accepted fenced write chain).
     pub flushes: u64,
-    /// Device-local scrub commands served (per-chunk CRC digests).
+    /// Device-local scrub commands served: ranges digested chunk by chunk
+    /// from media, 8 bytes per chunk crossing the wire.
     pub scrubs: u64,
     /// Device-to-device copy commands served as the *source* device.
     pub copies: u64,
@@ -228,12 +215,15 @@ pub struct NpmuHandle {
 /// PMP-only: an op whose device-side processing is delayed.
 struct DeferredWrite(InboundRdmaWrite);
 struct DeferredRead(InboundRdmaRead);
-struct DeferredCrcRead(InboundRdmaCrcRead);
 struct DeferredScrub(InboundRdmaScrub);
 struct DeferredCopy(InboundRdmaCopy);
 
 /// Self-timer: ingress entries whose dwell expired are due on the array.
 struct DrainTick;
+
+/// Self-timer: the scan engine has finished a scrub's range; its digests
+/// (taken when the command arrived) may leave.
+struct ScanDone(InboundRdmaScrub, Vec<u64>);
 
 pub struct Npmu {
     name: String,
@@ -538,84 +528,45 @@ impl Npmu {
         self.scan_busy_until - now_ns
     }
 
-    fn do_crc_read(&mut self, ctx: &mut Ctx<'_>, r: InboundRdmaCrcRead) {
-        if self.down_now(ctx) {
-            self.stats.lock().failed_ops += 1;
-            if self.cfg.fail_mode == FailureMode::Nack {
-                let net = self.net.clone();
-                let ep = self.ep;
-                reply_rdma_crc_read(ctx, &net, ep, &r, RdmaStatus::DeviceFailed, 0, 0);
-            }
-            return;
-        }
-        let cpu = self.initiator_cpu(r.from_ep);
-        let net = self.net.clone();
-        let ep = self.ep;
-        // Deliberately NO drain here: a scrub read digests the persisted
-        // array alone. Draining (or hashing the buffer) would let a
-        // resilver verify bless acked-but-volatile bytes as good media —
-        // exactly the bug a `PoolNpmuDown` + `FailureMode::SilentDrop`
-        // window used to be able to hide.
-        let verdict = self.att.lock().translate_read(r.addr, r.len as u64, cpu);
-        match verdict {
-            Ok(phys) => {
-                let crc = self.mem.lock().digest(phys, r.len as u64);
-                let mut s = self.stats.lock();
-                s.crc_reads += 1;
-                s.bytes_read += r.len as u64;
-                drop(s);
-                let scan_ns = self.scan(ctx.now().as_nanos(), r.len as u64);
-                reply_rdma_crc_read(ctx, &net, ep, &r, RdmaStatus::Ok, crc, scan_ns);
-            }
-            Err(e) => {
-                self.stats.lock().access_violations += 1;
-                let status = match e {
-                    AttError::Unmapped => RdmaStatus::OutOfBounds,
-                    AttError::Forbidden => RdmaStatus::AccessViolation,
-                };
-                reply_rdma_crc_read(ctx, &net, ep, &r, status, 0, 0);
-            }
-        }
-    }
-
-    /// Device-local scrub (the offload's scrub verb): digest `ceil(len /
-    /// chunk)` consecutive chunks ([`scrub_digest`]) and reply with the
-    /// 4-byte digests — the verify pass moves O(digests), not O(bytes).
-    /// Same honesty contract as the single-digest scrub read: **no
-    /// drain** — the persisted array alone is digested, never the
-    /// ingress buffer.
+    /// Device-local scrub: digest `ceil(len / chunk)` consecutive chunks
+    /// ([`NvImage::digest`]) and reply with the 8-byte digests — a verify
+    /// pass moves O(digests), not O(bytes). Deliberately **no drain**: the
+    /// persisted array alone is digested. Draining (or hashing the
+    /// buffer) would let a verify bless acked-but-volatile bytes as good
+    /// media — exactly the bug a `PoolNpmuDown` + `FailureMode::SilentDrop`
+    /// window used to be able to hide. The digests are taken on arrival;
+    /// the reply leaves when the scan engine gets through the range
+    /// ([`ScanDone`]), holding no port in the meantime.
     fn do_scrub(&mut self, ctx: &mut Ctx<'_>, r: InboundRdmaScrub) {
+        let net = self.net.clone();
+        let ep = self.ep;
         if self.down_now(ctx) {
             self.stats.lock().failed_ops += 1;
             if self.cfg.fail_mode == FailureMode::Nack {
-                let net = self.net.clone();
-                let ep = self.ep;
-                reply_rdma_scrub(ctx, &net, ep, &r, RdmaStatus::DeviceFailed, Vec::new(), 0);
+                reply_rdma_scrub(ctx, &net, ep, &r, RdmaStatus::DeviceFailed, Vec::new());
             }
             return;
         }
         let cpu = self.initiator_cpu(r.from_ep);
-        let net = self.net.clone();
-        let ep = self.ep;
         // Translate chunk-by-chunk, not the run as a whole: a coalesced
         // scrub command may span adjacent regions (separate ATT windows)
         // even though each `chunk`-strided piece sits inside one window.
         let chunk = r.chunk.max(1) as u64;
         let n = r.len.div_ceil(chunk);
-        let mut crcs = Vec::with_capacity(n as usize);
+        let mut digests = Vec::with_capacity(n as usize);
         for i in 0..n {
             let off = i * chunk;
             let l = chunk.min(r.len - off);
             let verdict = self.att.lock().translate_read(r.addr + off, l, cpu);
             match verdict {
-                Ok(phys) => crcs.push(scrub_digest(self.mem.lock().digest(phys, l))),
+                Ok(phys) => digests.push(self.mem.lock().digest(phys, l)),
                 Err(e) => {
                     self.stats.lock().access_violations += 1;
                     let status = match e {
                         AttError::Unmapped => RdmaStatus::OutOfBounds,
                         AttError::Forbidden => RdmaStatus::AccessViolation,
                     };
-                    reply_rdma_scrub(ctx, &net, ep, &r, status, Vec::new(), 0);
+                    reply_rdma_scrub(ctx, &net, ep, &r, status, Vec::new());
                     return;
                 }
             }
@@ -625,14 +576,13 @@ impl Npmu {
         s.bytes_read += r.len;
         drop(s);
         let scan_ns = self.scan(ctx.now().as_nanos(), r.len);
-        reply_rdma_scrub(ctx, &net, ep, &r, RdmaStatus::Ok, crcs, scan_ns);
+        ctx.send_self(SimDuration::from_nanos(scan_ns), ScanDone(r, digests));
     }
 
-    /// Device-to-device copy (the offload's copy verb), serving as the
-    /// *source*: read the range locally, write it straight to the
-    /// destination NPMU (the payload crosses the fabric exactly once),
-    /// relay the destination's ack to the orchestrator on
-    /// [`RdmaWriteDone`].
+    /// Device-to-device copy, serving as the *source*: read the range
+    /// locally, write it straight to the destination NPMU (the payload
+    /// crosses the fabric exactly once), relay the destination's ack to
+    /// the orchestrator on [`RdmaWriteDone`].
     fn do_copy(&mut self, ctx: &mut Ctx<'_>, c: InboundRdmaCopy) {
         if self.down_now(ctx) {
             self.stats.lock().failed_ops += 1;
@@ -722,19 +672,6 @@ impl Actor for Npmu {
             }
             Err(m) => m,
         };
-        let msg = match msg.take::<InboundRdmaCrcRead>() {
-            Ok((_, r)) => {
-                match self.cfg.kind {
-                    NpmuKind::Hardware => self.do_crc_read(ctx, r),
-                    NpmuKind::Pmp => ctx.send_self(
-                        SimDuration::from_nanos(self.cfg.pmp_extra_ns),
-                        DeferredCrcRead(r),
-                    ),
-                }
-                return;
-            }
-            Err(m) => m,
-        };
         let msg = match msg.take::<InboundRdmaScrub>() {
             Ok((_, r)) => {
                 match self.cfg.kind {
@@ -805,9 +742,16 @@ impl Actor for Npmu {
             }
             Err(m) => m,
         };
-        let msg = match msg.take::<DeferredCrcRead>() {
-            Ok((_, DeferredCrcRead(r))) => {
-                self.do_crc_read(ctx, r);
+        let msg = match msg.take::<ScanDone>() {
+            Ok((_, ScanDone(r, digests))) => {
+                // A device that failed mid-scan lost the scan with the rest
+                // of its volatile state; the orchestrator times out.
+                if self.down_raw(ctx.now()) {
+                    self.stats.lock().failed_ops += 1;
+                } else {
+                    let net = self.net.clone();
+                    reply_rdma_scrub(ctx, &net, self.ep, &r, RdmaStatus::Ok, digests);
+                }
                 return;
             }
             Err(m) => m,
@@ -850,7 +794,8 @@ mod tests {
         dev: EndpointId,
         ops: Vec<(u64, u64, Vec<u8>)>, // (op_id, addr, data) writes then one read
         read: Option<(u64, u64, u32)>,
-        crc: Option<(u64, u64, u32)>,
+        /// One scrub `(op_id, addr, len, chunk)`.
+        scrub: Option<(u64, u64, u32, u32)>,
         /// One write chain `(op_id, links, fence)`, posted after `ops`.
         chain: Option<(u64, Vec<ChainLink>, bool)>,
         log: Arc<Mutex<Vec<String>>>,
@@ -892,9 +837,10 @@ mod tests {
                     let net = self.net.clone();
                     rdma_read(ctx, &net, self.ep, self.dev, addr, len, id, Commit);
                 }
-                if let Some((id, addr, len)) = self.crc.take() {
+                if let Some((id, addr, len, chunk)) = self.scrub.take() {
                     let net = self.net.clone();
-                    simnet::rdma_crc_read(ctx, &net, self.ep, self.dev, addr, len, id, Commit);
+                    let (ep, dev) = (self.ep, self.dev);
+                    simnet::rdma_scrub(ctx, &net, ep, dev, addr, len as u64, chunk, id, Commit);
                 }
                 if let Some((id, links, fence)) = self.chain.take() {
                     let net = self.net.clone();
@@ -916,19 +862,23 @@ mod tests {
             };
             let msg = match msg.take::<RdmaReadDone>() {
                 Ok((_, d)) => {
-                    self.log
-                        .lock()
-                        .push(format!("r{}:{:?}:{}", d.op_id, d.status, d.data.len()));
+                    self.log.lock().push(format!(
+                        "r{}:{:?}:{}@{}",
+                        d.op_id,
+                        d.status,
+                        d.data.len(),
+                        ctx.now().as_nanos()
+                    ));
                     return;
                 }
                 Err(m) => m,
             };
-            if let Ok((_, d)) = msg.take::<simnet::RdmaCrcReadDone>() {
+            if let Ok((_, d)) = msg.take::<simnet::RdmaScrubDone>() {
                 self.log.lock().push(format!(
-                    "c{}:{:?}:{:#x}@{}",
+                    "c{}:{:?}:{:#x?}@{}",
                     d.op_id,
                     d.status,
-                    d.crc,
+                    d.digests,
                     ctx.now().as_nanos()
                 ));
             }
@@ -999,7 +949,7 @@ mod tests {
             dev,
             ops,
             read,
-            crc: None,
+            scrub: None,
             chain: None,
             log,
             delay,
@@ -1058,7 +1008,7 @@ mod tests {
             log.clone(),
         );
         sim.run_until_idle();
-        assert_eq!(log.lock()[0], "r9:Ok:64");
+        assert!(log.lock()[0].starts_with("r9:Ok:64@"));
     }
 
     #[test]
@@ -1148,7 +1098,7 @@ mod tests {
             let l = log.lock();
             assert!(l[0].starts_with("w1:Ok"), "{:?}", *l);
             assert!(l[1].starts_with("w2:DeviceFailed"), "{:?}", *l);
-            assert_eq!(l[2], "r3:DeviceFailed:0");
+            assert!(l[2].starts_with("r3:DeviceFailed:0@"), "{l:?}");
         }
         assert_eq!(h.mem.lock().read(0, 4), vec![0x11; 4], "stale data kept");
         let s = *h.stats.lock();
@@ -1386,7 +1336,7 @@ mod tests {
         );
         sim.run_until(SimTime(simcore::time::SECS / 2));
         assert!(
-            log.lock().contains(&"r2:Ok:16".to_string()),
+            log.lock().iter().any(|l| l.starts_with("r2:Ok:16@")),
             "{:?}",
             *log.lock()
         );
@@ -1394,13 +1344,13 @@ mod tests {
         assert_eq!(h.mem.lock().read(0, 4), vec![0x5C; 4]);
     }
 
-    /// Spawn a client that posts one checksum read `(op_id, addr, len)`
+    /// Spawn a client that posts one scrub `(op_id, addr, len, chunk)`
     /// `delay_ns` after start.
-    fn spawn_crc(
+    fn spawn_scrub(
         sim: &mut Sim,
         net: &SharedNetwork,
         dev: EndpointId,
-        crc: (u64, u64, u32),
+        scrub: (u64, u64, u32, u32),
         log: Arc<Mutex<Vec<String>>>,
         delay_ns: u64,
     ) {
@@ -1411,7 +1361,7 @@ mod tests {
             dev,
             ops: vec![],
             read: None,
-            crc: Some(crc),
+            scrub: Some(scrub),
             chain: None,
             log,
             delay: SimDuration::from_nanos(delay_ns),
@@ -1420,13 +1370,20 @@ mod tests {
     }
 
     #[test]
-    fn crc_scrub_hashes_persisted_array_not_ingress() {
+    fn scrub_hashes_persisted_array_not_ingress() {
         let (mut sim, _store, h, log, net) = setup_slow_drain("pm0", vec![0x77; 64]);
-        spawn_crc(&mut sim, &net, h.ep, (3, 0x1000, 64), log.clone(), 100_000);
+        spawn_scrub(
+            &mut sim,
+            &net,
+            h.ep,
+            (3, 0x1000, 64, 64),
+            log.clone(),
+            100_000,
+        );
         sim.run_until(SimTime(simcore::time::SECS / 2));
         // The scrub saw zeros: buffered bytes are not media.
-        let zeros = crate::checksum64(&[0u8; 64]);
-        let expect = format!("c3:Ok:{zeros:#x}@");
+        let zeros = [crate::checksum64(&[0u8; 64])];
+        let expect = format!("c3:Ok:{zeros:#x?}@");
         assert!(
             log.lock().iter().any(|l| l.starts_with(&expect)),
             "{:?}",
@@ -1435,23 +1392,40 @@ mod tests {
         assert_eq!(h.mem.lock().read(0, 4), vec![0; 4], "scrub must not drain");
     }
 
+    /// An 8 MiB device with a 4 KiB window at `0x1000` and a 4 MiB one at
+    /// `0x10_0000` for scrubs to range over, on a jitter-free fabric (so
+    /// runs that post different ops stay comparable to the nanosecond).
+    fn setup_scan_window() -> (Sim, NpmuHandle, Arc<Mutex<Vec<String>>>, SharedNetwork) {
+        let mut sim = Sim::with_seed(11);
+        let mut store = DurableStore::new();
+        let net = Network::new(FabricConfig {
+            jitter_frac: 0.0,
+            ..FabricConfig::default()
+        });
+        let cfg = NpmuConfig::hardware(8 << 20);
+        let h = Npmu::install(&mut sim, &mut store, &net, None, "pm0", cfg);
+        for (nva_base, len) in [(0x1000, 0x1000), (0x10_0000, 4 << 20)] {
+            h.att.lock().map(AttEntry {
+                nva_base,
+                len,
+                phys_base: nva_base,
+                allowed: CpuFilter::Any,
+            });
+        }
+        (sim, h, Arc::new(Mutex::new(Vec::new())), net)
+    }
+
     /// A digest holds the device's one scan engine for `len /
     /// DIGEST_BW_BPS`: its reply is late by exactly that, and a digest
     /// that arrives while another is scanning waits for it.
     #[test]
     fn digest_reply_pays_scan_time_and_digests_queue() {
-        // Completion times of checksum reads `(len, posted_at_ns)`, by op.
+        // Completion times of scrubs `(len, posted_at_ns)`, by op.
         let done_at = |digests: &[(u32, u64)]| -> Vec<u64> {
-            let (mut sim, _store, h, log, net, _cep) = setup(NpmuKind::Hardware);
-            h.att.lock().map(AttEntry {
-                nva_base: 0x10_0000,
-                len: 0x8_0000,
-                phys_base: 0x1_0000,
-                allowed: CpuFilter::Any,
-            });
+            let (mut sim, h, log, net) = setup_scan_window();
             for (op, &(len, at)) in digests.iter().enumerate() {
-                let crc = (op as u64, 0x10_0000, len);
-                spawn_crc(&mut sim, &net, h.ep, crc, log.clone(), at);
+                let scrub = (op as u64, 0x10_0000, len, len);
+                spawn_scrub(&mut sim, &net, h.ep, scrub, log.clone(), at);
             }
             sim.run_until_idle();
             let mut log = log.lock().clone();
@@ -1460,7 +1434,8 @@ mod tests {
             log.iter().map(|l| ts(l)).collect()
         };
         let (big, small) = (256 << 10, 64 << 10);
-        let free = done_at(&[(0, 0)])[0];
+        // One byte: the same one-digest reply, next to no scan.
+        let free = done_at(&[(1, 0)])[0] - digest_ns(1);
         let alone = done_at(&[(big, 0)])[0];
         assert_eq!(alone - free, digest_ns(big as u64));
         assert_eq!(digest_ns(big as u64), 262_144, "1 GB/s: a byte a ns");
@@ -1468,6 +1443,43 @@ mod tests {
         let both = done_at(&[(big, 0), (small, 10_000)]);
         assert_eq!(both[0], alone);
         assert_eq!(both[1] - both[0], digest_ns(small as u64));
+    }
+
+    /// A scan occupies the scan engine, not the transmit port: a read
+    /// posted while a long scrub is scanning completes exactly when it
+    /// would on an idle device. (A digest reply that reserved the port
+    /// for the end of its scan closed it from *now* — the port's busy
+    /// horizon — and every read reply queued behind nothing.)
+    #[test]
+    fn read_behind_a_scanning_scrub_is_not_delayed() {
+        let read_done_at = |scrub: Option<u32>| -> u64 {
+            let (mut sim, h, log, net) = setup_scan_window();
+            if let Some(len) = scrub {
+                spawn_scrub(
+                    &mut sim,
+                    &net,
+                    h.ep,
+                    (1, 0x10_0000, len, len),
+                    log.clone(),
+                    0,
+                );
+            }
+            let cep = net.lock().attach(ActorId(u32::MAX));
+            let read = Some((2, 0x1000, 4096));
+            let at = SimDuration::from_nanos(50_000);
+            spawn_client_at(&mut sim, &net, cep, h.ep, vec![], read, log.clone(), at);
+            sim.run_until_idle();
+            let log = log.lock();
+            let line = log.iter().find(|l| l.starts_with("r2:Ok:4096@"));
+            ts(line.unwrap_or_else(|| panic!("{log:?}")))
+        };
+        let scan = 4 << 20;
+        let idle = read_done_at(None);
+        assert!(
+            digest_ns(scan as u64) > 10 * idle,
+            "the scan outlasts the read"
+        );
+        assert_eq!(read_done_at(Some(scan)), idle);
     }
 
     /// Spawn a client that posts one write chain `delay_ns` after start.
@@ -1486,7 +1498,7 @@ mod tests {
             dev,
             ops: vec![],
             read: None,
-            crc: None,
+            scrub: None,
             chain: Some(chain),
             log,
             delay: SimDuration::from_nanos(delay_ns),
@@ -1689,90 +1701,57 @@ mod tests {
         assert_eq!(h.stats.lock().ingress_lost_bytes, 64);
     }
 
-    /// Client for the near-device offload verbs: an optional scrub and
-    /// device-to-device copy command, issued in order at start.
-    /// Completions land in the shared log as `s{op}:{status}:{crcs}`,
+    /// Posts one device-to-device copy command `(op, src, len, dst_ep,
+    /// dst_addr)` at start; the completion lands in the shared log as
     /// `y{op}:{status}`.
-    struct OffloadClient {
+    struct CopyClient {
         net: SharedNetwork,
         ep: EndpointId,
         dev: EndpointId,
-        scrub: Option<(u64, u64, u64, u32)>, // (op, addr, len, chunk)
-        copy: Option<(u64, u64, u32, EndpointId, u64)>, // (op, src, len, dst_ep, dst_addr)
+        copy: (u64, u64, u32, EndpointId, u64),
         log: Arc<Mutex<Vec<String>>>,
     }
 
-    impl Actor for OffloadClient {
+    impl Actor for CopyClient {
         fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
             use simnet::TrafficClass::Commit;
             if msg.is::<Start>() {
-                if let Some((id, addr, len, chunk)) = self.scrub.take() {
-                    let net = self.net.clone();
-                    simnet::rdma_scrub(ctx, &net, self.ep, self.dev, addr, len, chunk, id, Commit);
-                }
-                if let Some((id, src, len, dst_ep, dst_addr)) = self.copy.take() {
-                    let net = self.net.clone();
-                    simnet::rdma_copy(
-                        ctx, &net, self.ep, self.dev, src, len, dst_ep, dst_addr, id, Commit,
-                    );
-                }
-                return;
-            }
-            let msg = match msg.take::<simnet::RdmaScrubDone>() {
-                Ok((_, d)) => {
-                    self.log
-                        .lock()
-                        .push(format!("s{}:{:?}:{:?}", d.op_id, d.status, d.crcs));
-                    return;
-                }
-                Err(m) => m,
-            };
-            if let Ok((_, d)) = msg.take::<simnet::RdmaCopyDone>() {
+                let (id, src, len, dst_ep, dst_addr) = self.copy;
+                let net = self.net.clone();
+                simnet::rdma_copy(
+                    ctx, &net, self.ep, self.dev, src, len, dst_ep, dst_addr, id, Commit,
+                );
+            } else if let Ok((_, d)) = msg.take::<simnet::RdmaCopyDone>() {
                 self.log.lock().push(format!("y{}:{:?}", d.op_id, d.status));
             }
         }
     }
 
-    fn spawn_offload(sim: &mut Sim, net: &SharedNetwork, c: OffloadClient) {
-        let ep = c.ep;
+    fn spawn_copy(sim: &mut Sim, c: CopyClient) {
+        let (net, ep) = (c.net.clone(), c.ep);
         let a = sim.spawn(c);
         net.lock().rebind(ep, a);
     }
 
-    fn offload_noop(net: &SharedNetwork, ep: EndpointId, dev: EndpointId) -> OffloadClient {
-        OffloadClient {
-            net: net.clone(),
-            ep,
-            dev,
-            scrub: None,
-            copy: None,
-            log: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
     #[test]
     fn device_scrub_digests_match_host_digest_per_chunk() {
-        let (mut sim, _store, h, log, net, cep) = setup(NpmuKind::Hardware);
+        let (mut sim, _store, h, log, net, _cep) = setup(NpmuKind::Hardware);
         let data: Vec<u8> = (0..300u32)
             .map(|i| (i.wrapping_mul(7) % 251) as u8)
             .collect();
         h.mem.lock().write(0x100, &data);
-        spawn_offload(
-            &mut sim,
-            &net,
-            OffloadClient {
-                scrub: Some((5, 0x1100, 300, 128)),
-                log: log.clone(),
-                ..offload_noop(&net, cep, h.ep)
-            },
-        );
+        spawn_scrub(&mut sim, &net, h.ep, (5, 0x1100, 300, 128), log.clone(), 0);
         sim.run_until_idle();
         // Three chunks: 128 + 128 + a short 44 B tail chunk.
-        let expect: Vec<u32> = [&data[..128], &data[128..256], &data[256..300]]
-            .map(|c| scrub_digest(crate::checksum64(c)))
+        let expect: Vec<u64> = [&data[..128], &data[128..256], &data[256..300]]
+            .map(crate::checksum64)
             .to_vec();
-        let want = format!("s5:Ok:{expect:?}");
-        assert!(log.lock().contains(&want), "{:?}", *log.lock());
+        let want = format!("c5:Ok:{expect:#x?}@");
+        assert!(
+            log.lock().iter().any(|l| l.starts_with(&want)),
+            "{:?}",
+            *log.lock()
+        );
         assert_eq!(h.stats.lock().scrubs, 1);
     }
 
@@ -1790,8 +1769,7 @@ mod tests {
         };
         let (a, b) = (chunk(1_005_454), chunk(1_050_638));
         assert_eq!(crc32(&a), crc32(&b), "the blind spot being avoided");
-        let digest = |c: &[u8]| scrub_digest(crate::checksum64(c));
-        assert_ne!(digest(&a), digest(&b));
+        assert_ne!(crate::checksum64(&a), crate::checksum64(&b));
     }
 
     #[test]
@@ -1815,13 +1793,14 @@ mod tests {
         });
         h2.dma_peers.lock().insert(h.ep);
         h.mem.lock().write(0x200, &[0xAB; 64]);
-        spawn_offload(
+        spawn_copy(
             &mut sim,
-            &net,
-            OffloadClient {
-                copy: Some((7, 0x1200, 64, h2.ep, 0x1300)),
+            CopyClient {
+                net: net.clone(),
+                ep: cep,
+                dev: h.ep,
+                copy: (7, 0x1200, 64, h2.ep, 0x1300),
                 log: log.clone(),
-                ..offload_noop(&net, cep, h.ep)
             },
         );
         sim.run_until_idle();
@@ -1855,13 +1834,14 @@ mod tests {
         // No dma_peers registration: the source's write is an ordinary
         // initiator write and the CPU filter rejects it.
         h.mem.lock().write(0x200, &[0xCD; 32]);
-        spawn_offload(
+        spawn_copy(
             &mut sim,
-            &net,
-            OffloadClient {
-                copy: Some((8, 0x1200, 32, h2.ep, 0x1300)),
+            CopyClient {
+                net: net.clone(),
+                ep: cep,
+                dev: h.ep,
+                copy: (8, 0x1200, 32, h2.ep, 0x1300),
                 log: log.clone(),
-                ..offload_noop(&net, cep, h.ep)
             },
         );
         sim.run_until_idle();

@@ -13,7 +13,7 @@ const BLOCK: u64 = 4096;
 /// What an absent block reads as.
 static ZERO_BLOCK: [u8; BLOCK as usize] = [0; BLOCK as usize];
 
-/// 64-bit content checksum used by the device-side scrub read: the NIC
+/// 64-bit content checksum used by the device-side scrub: the NIC
 /// digests a range locally so mirror comparison ships 8 bytes instead of
 /// the chunk. The implementation is shared tree-wide in
 /// [`simcore::checksum`]; this re-export keeps existing call sites.
@@ -100,7 +100,11 @@ impl NvImage {
 
     /// [`checksum64`] of `len` bytes at `offset`, computed over the
     /// sparse blocks where they lie: nothing is copied out, and an absent
-    /// block digests as the zeros it reads as.
+    /// block digests as the zeros it reads as. Deliberately NOT a CRC-32:
+    /// every watermark cell in the system is stored as `x ‖ crc32(x)`, and
+    /// the CRC of a message followed by its own CRC is a constant — a CRC
+    /// digest of a chunk that starts with such a cell is the same for
+    /// every `x`, so mirrors diverging only in a cell would verify clean.
     pub fn digest(&self, offset: u64, len: u64) -> u64 {
         assert!(
             offset + len <= self.capacity,

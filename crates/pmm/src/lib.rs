@@ -30,6 +30,7 @@
 //! over* (the device-manager/device separation §4 credits ServerNet for).
 
 pub mod alloc;
+pub mod bulk;
 pub mod manager;
 pub mod meta;
 pub mod msgs;

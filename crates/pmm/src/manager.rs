@@ -40,23 +40,26 @@
 //!
 //! *Resilvering.* When a dead half answers a probe, the PMM repairs it
 //! **online** — clients keep writing (to both halves again) throughout,
-//! and the other members serve their stripes undisturbed — and *by
-//! exception*: it asks both halves to digest every allocated chunk and
-//! copies survivor → revived only the chunks whose digests differ. A
-//! chunk that digests equal leaves the run for good: from then on every
-//! foreground write lands on both halves, so the only writer that can
-//! move the revived half backwards is the resilver's own copy (stale by
-//! its round trip), and a copied chunk is always digested again. The
-//! verify after a copy therefore looks at what was just copied and at
-//! what mismatched for the first time beside it, never at everything;
-//! after the first pass (whose mismatches *are* the outage) a chunk is
-//! re-copied only when two looks running disagreed. The one signal that
-//! a foreground leg did not land — a client [`ReportMirrorFailure`]
-//! naming the half under repair — voids the clean marks: the whole range
-//! is digested once more before the member is declared healthy with a
-//! metadata write to both of its mirrors. Work is proportional to what
-//! diverged (plus one scan of what is allocated); a blank replacement
-//! half mismatches everywhere and is copied whole through the same path.
+//! and the other members serve their stripes undisturbed — *by exception*
+//! and *on the devices*: both halves digest every allocated chunk
+//! (coalesced `rdma_scrub` commands, 8 bytes back per chunk) and the
+//! survivor pushes only the chunks whose digests differ straight to the
+//! revived half (`rdma_copy`, NPMU→NPMU) — no payload byte crosses the
+//! PMM's ports. A chunk that digests equal leaves the run for good: from
+//! then on every foreground write lands on both halves, so the only
+//! writer that can move the revived half backwards is the resilver's own
+//! copy (stale by its round trip), and a copied chunk is always digested
+//! again. The verify after a copy therefore looks at what was just copied
+//! and at what mismatched for the first time beside it, never at
+//! everything; after the first pass (whose mismatches *are* the outage) a
+//! chunk is re-copied only when two looks running disagreed. The one
+//! signal that a foreground leg did not land — a client
+//! [`ReportMirrorFailure`] naming the half under repair — voids the clean
+//! marks: the whole range is digested once more before the member is
+//! declared healthy with a metadata write to both of its mirrors. Work is
+//! proportional to what diverged (plus one scan of what is allocated); a
+//! blank replacement half mismatches everywhere and is copied whole
+//! through the same path.
 //!
 //! # Placement and striping
 //!
@@ -70,14 +73,20 @@
 //! # Online migration
 //!
 //! [`MigrateRegion`] moves a single-extent region to another member
-//! while clients keep writing: copy chunks to the destination mirrors,
-//! then *fence* the source window (clients lose ATT access, the PMM
-//! keeps it), verify source against destination, re-copy any chunk that
-//! diverged before the fence, and commit the new map with a pool-wide
+//! while clients keep writing, through the same engine
+//! ([`crate::bulk::BulkRun`]) as the resilver: the source's primary half
+//! copies each chunk to both destination mirrors (one `rdma_copy` per
+//! half), then the PMM *fences* the source window (clients lose ATT
+//! access, the PMM keeps it), has source and **both** destination halves
+//! digest every chunk — the two device copies of a chunk read the source
+//! at two instants, so a write landing between them leaves the
+//! destination halves different from each other — re-copies any chunk on
+//! which the three disagree, and commits the new map with a pool-wide
 //! metadata write. Stale clients take an RDMA fault and reopen for the
 //! new map.
 
 use crate::alloc;
+use crate::bulk::{BulkRun, Chunk, Phase, Step, SCRUB_BATCH};
 use crate::meta::{HealthState, MetaStore, RegionMeta, VolumeMeta, META_BYTES, SLOT_BYTES};
 use crate::msgs::*;
 use npmu::att::{AttEntry, CpuFilter};
@@ -90,9 +99,9 @@ use pmpool::{
 };
 use simcore::{Actor, Ctx, Msg, Sim, SimDuration};
 use simnet::{
-    rdma_copy, rdma_crc_read, rdma_read, rdma_scrub, rdma_write, send_net_msg, EndpointId,
-    NetDelivery, RdmaCopyDone, RdmaCrcReadDone, RdmaReadDone, RdmaScrubDone, RdmaStatus,
-    RdmaWriteDone, SharedNetwork, TrafficClass,
+    rdma_copy, rdma_read, rdma_scrub, rdma_write, send_net_msg, EndpointId, NetDelivery,
+    RdmaCopyDone, RdmaReadDone, RdmaScrubDone, RdmaStatus, RdmaWriteDone, SharedNetwork,
+    TrafficClass,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -114,31 +123,21 @@ pub struct PmmConfig {
     /// Metadata slot writes with unanswered legs by then treat those legs
     /// as failed (and degrade the member volume).
     pub meta_write_timeout: SimDuration,
-    /// Resilver / migration copy+verify granularity, bytes.
+    /// Bulk-mover granularity, bytes: the unit of a device copy and of a
+    /// device digest, for resilver and migration alike.
     pub resilver_chunk: u32,
-    /// Bulk-transfer window: how many `resilver_chunk` units the resilver
-    /// and migration engines keep in flight at once. 1 restores the old
-    /// lock-step behaviour; the default pipelines the survivor's port.
+    /// Bulk-transfer window: how many units the engine keeps in flight at
+    /// once per run — chunks being copied device to device, or coalesced
+    /// scrub runs being digested. 1 is lock-step; the default pipelines
+    /// the source device's port and scan engine.
     pub transfer_window: u32,
-    /// A resilver step (chunk read, write or digest) with no answer by
-    /// then aborts the resilver back to Degraded. Per-op watchdogs stretch
+    /// A bulk step (device copy or scrub) with no answer by then aborts
+    /// its run (a resilver back to Degraded). Per-op watchdogs stretch
     /// this by the worst-case queueing behind a full window: port time for
     /// a copy, device scan time for a digest.
     pub resilver_step_timeout: SimDuration,
     /// How new regions are laid out across pool members.
     pub placement: PlacementPolicy,
-    /// Offload resilver verify to the devices: instead of two
-    /// `rdma_crc_read`s per chunk, batch contiguous chunks into one
-    /// `rdma_scrub` command per half and compare the returned per-chunk
-    /// digest vectors. Off by default so prior experiments reproduce.
-    pub offload_scrub: bool,
-    /// Offload resilver copy to the devices: instead of staging each
-    /// chunk through the PMM (read survivor → write revived), send the
-    /// survivor a device-to-device `rdma_copy` command and let the
-    /// payload flow NPMU→NPMU directly. Off by default.
-    pub offload_copy: bool,
-    /// Max contiguous chunks coalesced into one scrub command.
-    pub scrub_batch: u32,
 }
 
 impl Default for PmmConfig {
@@ -152,9 +151,6 @@ impl Default for PmmConfig {
             transfer_window: 8,
             resilver_step_timeout: SimDuration::from_millis(10),
             placement: PlacementPolicy::default(),
-            offload_scrub: false,
-            offload_copy: false,
-            scrub_batch: 64,
         }
     }
 }
@@ -256,20 +252,14 @@ struct ProbeTimeout {
 struct MetaWriteTimeout {
     token: u64,
 }
-/// A resilver chunk read/write got no answer.
-struct ResilverStepTimeout {
+/// A bulk step (device copy or scrub) got no answer.
+struct BulkStepTimeout {
     rid: u64,
 }
-/// A migration chunk read/write got no answer.
-struct MigStepTimeout {
-    rid: u64,
+/// The QoS token bucket denied a copy chunk; retry the mover's admission.
+struct BulkBackoff {
+    mover: Mover,
 }
-/// The QoS token bucket denied a resilver copy chunk; retry admission.
-struct ResilverBackoff {
-    vol: usize,
-}
-/// The QoS token bucket denied a migration copy chunk; retry admission.
-struct MigBackoff;
 
 /// Why a probe read was sent.
 #[derive(Clone, Copy)]
@@ -280,53 +270,30 @@ enum ProbeKind {
     Revival { half: u8 },
 }
 
-enum ResilverPhase {
-    /// Copying survivor chunks onto the revived half.
-    Copy,
-    /// Reading both halves back and comparing.
-    Verify,
+/// Which of the PMM's bulk movers a run, or an op in flight, belongs to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mover {
+    /// The resilver of member `vol`.
+    Resilver(usize),
+    /// The one region migration.
+    Migration,
 }
 
-/// Which resilver step an RDMA op id belongs to.
-enum ResilverOp {
-    CopyRead {
-        off: u64,
-        len: u32,
-    },
-    CopyWrite {
-        len: u32,
-    },
-    /// Device-side checksum of one half of a chunk under verify.
-    VerifyCrc {
-        off: u64,
-        len: u32,
-        survivor: bool,
-    },
-    /// Device-to-device copy command: the survivor pushes the chunk to
-    /// the revived half itself (`offload_copy`).
-    CopyCmd {
-        len: u32,
-    },
-    /// Batched device-local scrub of one half of a coalesced chunk run
-    /// under verify (`offload_scrub`).
-    VerifyScrub {
-        off: u64,
-        len: u64,
-        survivor: bool,
-    },
+/// Which engine step an RDMA op id belongs to. Offsets are the run's own:
+/// device offsets for a resilver, region-relative for a migration.
+enum BulkOp {
+    /// One device-to-device copy of the chunk queued at `off`.
+    Copy { off: u64, len: u32 },
+    /// One party's digests of the scrub run queued at `off`.
+    Scrub { off: u64, len: u64, party: usize },
 }
 
 struct ResilverRun {
     half: u8,
     since_epoch: u64,
     dirty_upto: u64,
-    phase: ResilverPhase,
-    /// Chunks still to process in the current phase.
-    queue: VecDeque<(u64, u32)>,
-    /// Chunks in flight in the current phase (windowed engine).
-    inflight: u32,
-    /// Chunks the verify pass in progress found divergent.
-    divergent: Vec<(u64, u32)>,
+    /// The engine: survivor → revived copies, both halves' digests.
+    bulk: BulkRun,
     /// Offsets of chunks whose next mismatch is copied rather than looked
     /// at again: every chunk in a full-range pass (that mismatch is the
     /// outage), afterwards the chunks the previous pass found divergent
@@ -335,37 +302,10 @@ struct ResilverRun {
     suspects: BTreeSet<u64>,
     /// What the verify after the copy in progress looks at: the chunks
     /// being copied and the first-time mismatches found beside them.
-    recheck: Vec<(u64, u32)>,
+    recheck: Vec<Chunk>,
     /// A client reported a failed write leg to the half under repair:
     /// chunks that digested equal may have diverged since.
     voided: bool,
-    /// Per-chunk checksum slots ([survivor, revived]) for chunks whose
-    /// verify CRC reads are in flight.
-    crc_pending: BTreeMap<u64, [Option<u64>; 2]>,
-    /// Per-run digest-vector slots ([survivor, revived]) for coalesced
-    /// scrub commands in flight (`offload_scrub` verify).
-    scrub_pending: BTreeMap<u64, [Option<Vec<u32>>; 2]>,
-    /// A [`ResilverBackoff`] timer is outstanding (bulk admission denied).
-    backoff_armed: bool,
-}
-
-/// Which migration step an RDMA op id belongs to. Offsets are relative
-/// to the region start.
-enum MigOp {
-    CopyRead {
-        off: u64,
-        len: u32,
-    },
-    CopyWrite {
-        off: u64,
-        len: u32,
-    },
-    /// Device-side checksum of source (`src`) or destination chunk.
-    VerifyCrc {
-        off: u64,
-        len: u32,
-        src: bool,
-    },
 }
 
 /// An in-flight online region migration (volatile: a takeover drops it
@@ -381,17 +321,9 @@ struct MigrationRun {
     len: u64,
     /// Source window revoked from clients (PMM-only) for the verify pass.
     fenced: bool,
-    phase: ResilverPhase,
-    queue: VecDeque<(u64, u32)>,
-    /// Chunks in flight in the current phase (windowed engine).
-    inflight: u32,
-    divergent: Vec<(u64, u32)>,
-    /// Per-chunk checksum slots ([src, dst]) under verify.
-    crc_pending: BTreeMap<u64, [Option<u64>; 2]>,
-    /// Per-chunk mirror-leg write acks outstanding, keyed by offset.
-    copy_writes_left: BTreeMap<u64, u32>,
-    /// A [`MigBackoff`] timer is outstanding (bulk admission denied).
-    backoff_armed: bool,
+    /// The engine: source half 0 → both destination halves, three
+    /// parties' digests.
+    bulk: BulkRun,
 }
 
 /// One mirrored member volume of the pool, with its own durable
@@ -431,8 +363,8 @@ pub struct PmmProc {
     ep: EndpointId,
     cpu: CpuId,
     /// PMM CPUs (primary + backup): always allowed through region ATT
-    /// windows so the manager can read/write region bytes for
-    /// resilvering and migration.
+    /// windows — a device checks the *commanding* CPU before a copy or a
+    /// scrub reads region bytes on the manager's behalf.
     att_cpus: Vec<u32>,
     /// Pool members, index = member volume id.
     vols: Vec<VolState>,
@@ -449,11 +381,9 @@ pub struct PmmProc {
     next_ckpt: u64,
     /// Outstanding probe reads.
     probes: BTreeMap<u64, (usize, ProbeKind)>,
-    /// Outstanding resilver chunk ops.
-    resilver_ops: BTreeMap<u64, (usize, ResilverOp)>,
     migration: Option<MigrationRun>,
-    /// Outstanding migration chunk ops.
-    mig_ops: BTreeMap<u64, MigOp>,
+    /// Outstanding device copies and scrubs, every mover's in one table.
+    bulk_ops: BTreeMap<u64, (Mover, BulkOp)>,
     /// Pool-aggregate counters (every member's events also land here).
     stats: SharedPmmStats,
 }
@@ -755,8 +685,8 @@ impl PmmProc {
 
     /// (Re)program every extent window of a region, on both mirrors of
     /// each extent's member, from `open_cpus`. The PMM's own CPUs are
-    /// always included: the manager must reach region bytes to copy them
-    /// during resilvers and migrations.
+    /// always included: the copies and scrubs it commands during resilvers
+    /// and migrations read region bytes under its identity.
     fn program_region_att(&mut self, region_id: u64) {
         let Some(r) = self.pool.find_by_id(region_id) else {
             return;
@@ -972,18 +902,12 @@ impl PmmProc {
             half,
             since_epoch,
             dirty_upto,
-            phase: ResilverPhase::Verify,
             suspects: queue.iter().map(|&(off, _)| off).collect(),
-            queue,
-            inflight: 0,
-            divergent: Vec::new(),
+            bulk: self.new_bulk_run(Phase::Verify, queue, 2),
             recheck: Vec::new(),
             voided: false,
-            crc_pending: BTreeMap::new(),
-            scrub_pending: BTreeMap::new(),
-            backoff_armed: false,
         });
-        self.resilver_pump(ctx, vol);
+        self.bulk_pump(ctx, Mover::Resilver(vol));
     }
 
     /// Arm or lift the stale-half read fence from the member's health: a
@@ -1015,14 +939,15 @@ impl PmmProc {
         }
     }
 
-    /// Per-op watchdog: the configured step timeout plus worst-case port
-    /// queueing behind a full window of chunk transfers ahead of this op —
-    /// from *every* member currently resilvering, not just this one. A
-    /// pool-wide outage repairs all members at once and the host-mediated
-    /// chunks all funnel through the PMM's NIC ports, so an op can
-    /// legitimately sit behind `active_members * window` transfers; sizing
-    /// the watchdog for one member's window makes concurrent resilvers
-    /// time out, abort and restart each other forever.
+    /// Per-op watchdog for a device copy of `len` payload bytes: the
+    /// configured step timeout plus worst-case port queueing behind a full
+    /// window of chunk transfers ahead of it. The payload rides source →
+    /// destination on the pair's own link, so what an op really waits
+    /// behind is its own run's window; the `active_members` factor dates
+    /// from chunks funneling through the PMM's NIC and is kept as slack —
+    /// a watchdog sized too tightly makes concurrent resilvers time out,
+    /// abort and restart each other forever, and ROADMAP item 6 derives
+    /// every deadline from the model in one place.
     fn step_timeout(&self, len: u32) -> SimDuration {
         let wire = simnet::latency::wire_ns(&self.net.lock().cfg, len);
         let window = self.cfg.transfer_window.max(1) as u64;
@@ -1032,23 +957,31 @@ impl PmmProc {
         )
     }
 
-    /// Per-op watchdog for a digest (checksum read or scrub). Its bytes
-    /// never cross the wire; what it waits for is the device's scan
-    /// engine, behind up to a full window of digests of `chunks` chunks —
-    /// the largest this engine issues. Every device scans for itself, so
-    /// concurrent resilvers do not stretch each other here.
-    fn digest_timeout(&self, chunks: u32) -> SimDuration {
+    /// Per-op watchdog for a scrub. Its bytes never cross the wire; what
+    /// it waits for is the device's scan engine, behind up to a full
+    /// window of scrubs of [`SCRUB_BATCH`] chunks — the largest this
+    /// engine issues. Every device scans for itself, so concurrent runs
+    /// do not stretch each other here.
+    fn digest_timeout(&self) -> SimDuration {
         let window = self.cfg.transfer_window.max(1) as u64;
-        let unit = chunks as u64 * self.cfg.resilver_chunk as u64;
+        let unit = SCRUB_BATCH as u64 * self.cfg.resilver_chunk as u64;
         SimDuration::from_nanos(
             self.cfg.resilver_step_timeout.as_nanos() + (window + 1) * npmu::digest_ns(unit),
         )
     }
 
+    /// `len` bytes from `base` up, cut into `resilver_chunk` pieces.
+    fn chunks(&self, base: u64, len: u64) -> impl Iterator<Item = Chunk> {
+        let chunk = self.cfg.resilver_chunk.max(1) as u64;
+        (0..len.div_ceil(chunk)).map(move |i| {
+            let at = i * chunk;
+            (base + at, chunk.min(len - at) as u32)
+        })
+    }
+
     /// Chunk list covering every allocated byte of the member's extents
     /// below `dirty_upto`.
-    fn resilver_chunks(&self, vol: usize, dirty_upto: u64) -> VecDeque<(u64, u32)> {
-        let chunk = self.cfg.resilver_chunk.max(1) as u64;
+    fn resilver_chunks(&self, vol: usize, dirty_upto: u64) -> VecDeque<Chunk> {
         let mut regions: Vec<(u64, u64)> = self.vols[vol]
             .meta
             .regions
@@ -1057,540 +990,231 @@ impl PmmProc {
             .map(|r| (r.base, r.len.min(dirty_upto - r.base)))
             .collect();
         regions.sort_unstable();
-        let mut q = VecDeque::new();
-        for (base, len) in regions {
-            let mut off = 0u64;
-            while off < len {
-                let n = chunk.min(len - off) as u32;
-                q.push_back((base + off, n));
-                off += n as u64;
-            }
-        }
-        q
+        regions
+            .into_iter()
+            .flat_map(|(base, len)| self.chunks(base, len))
+            .collect()
     }
 
-    /// Drive a member's resilver with the windowed bulk-transfer engine:
-    /// keep up to `transfer_window` chunks in flight (a copy chunk counts
-    /// as one unit through its read+write chain; a verify chunk through
-    /// its paired CRC reads), and move between phases / finish only once
-    /// the phase queue drains *and* the window empties.
-    fn resilver_pump(&mut self, ctx: &mut Ctx<'_>, vol: usize) {
-        enum Next {
-            Issue {
-                off: u64,
-                len: u32,
-                copy: bool,
-                half: u8,
-            },
-            IssueScrub {
-                off: u64,
-                len: u64,
-                half: u8,
-            },
-            Transition {
-                copy: bool,
-            },
-            Backoff {
-                wait_ns: u64,
-            },
-            Wait,
+    // --- the bulk engine's pump: one for every mover ----------------------
+
+    fn new_bulk_run(&self, phase: Phase, queue: VecDeque<Chunk>, parties: usize) -> BulkRun {
+        let (window, chunk) = (self.cfg.transfer_window, self.cfg.resilver_chunk);
+        BulkRun::new(phase, queue, parties, window, chunk)
+    }
+
+    fn bulk_mut(&mut self, mover: Mover) -> Option<&mut BulkRun> {
+        match mover {
+            Mover::Resilver(vol) => self.vols[vol].resilver.as_mut().map(|r| &mut r.bulk),
+            Mover::Migration => self.migration.as_mut().map(|m| &mut m.bulk),
         }
-        let window = self.cfg.transfer_window.max(1);
-        let offload_scrub = self.cfg.offload_scrub;
-        let scrub_batch = self.cfg.scrub_batch.max(1);
-        let chunk_bytes = self.cfg.resilver_chunk.max(1) as u64;
+    }
+
+    /// The device ranges behind a run offset, source first: a copy goes
+    /// from party 0 to each of the others, a verify digests them all.
+    /// Resilver: survivor → revived, same device offset. Migration: the
+    /// source's primary half (the source member is Healthy — a degrade
+    /// aborts the migration) → both destination halves.
+    fn parties(&self, mover: Mover, off: u64) -> Vec<(EndpointId, u64)> {
+        match mover {
+            Mover::Resilver(vol) => {
+                let run = self.vols[vol].resilver.as_ref();
+                let half = run.expect("pumped without a run").half;
+                vec![
+                    (self.half_ep(vol, 1 - half), off),
+                    (self.half_ep(vol, half), off),
+                ]
+            }
+            Mover::Migration => {
+                let m = self.migration.as_ref().expect("pumped without a run");
+                vec![
+                    (self.half_ep(m.src_vol, 0), m.src_base + off),
+                    (self.half_ep(m.dst_vol, 0), m.dst_base + off),
+                    (self.half_ep(m.dst_vol, 1), m.dst_base + off),
+                ]
+            }
+        }
+    }
+
+    /// `mover`'s run is over: its ops still in flight answer to nobody.
+    fn forget_bulk_ops(&mut self, mover: Mover) {
+        self.bulk_ops.retain(|_, (m, _)| *m != mover);
+    }
+
+    fn track_bulk_op(&mut self, mover: Mover, op: BulkOp) -> u64 {
+        let rid = self.next_rdma;
+        self.next_rdma += 1;
+        self.bulk_ops.insert(rid, (mover, op));
+        rid
+    }
+
+    /// Drive a mover's run: keep up to `transfer_window` units in flight,
+    /// and hand the run to its owner's transition rule each time a phase
+    /// has drained *and* the window emptied. Every byte moves device to
+    /// device (the source pushes a chunk straight to each destination;
+    /// bulk admission is bought first) and every comparison is of digests
+    /// the devices took themselves — the PMM's ports carry 64-byte
+    /// commands and 8 bytes per chunk back.
+    fn bulk_pump(&mut self, ctx: &mut Ctx<'_>, mover: Mover) {
+        let chunk = self.cfg.resilver_chunk.max(1);
         let now_ns = ctx.now().as_nanos();
+        let net = self.net.clone();
         loop {
-            let next = {
-                let net = &self.net;
-                let Some(run) = &mut self.vols[vol].resilver else {
-                    return;
-                };
-                let copy = matches!(run.phase, ResilverPhase::Copy);
-                if run.queue.is_empty() {
-                    if run.inflight > 0 {
-                        Next::Wait
-                    } else {
-                        Next::Transition { copy }
-                    }
-                } else if run.inflight >= window {
-                    Next::Wait
-                } else {
-                    // Copy chunks move real payload: acquire bulk budget
-                    // from the fabric before launching. Verify chunks ship
-                    // only digests and are admitted for free.
-                    let &(off, len) = run.queue.front().unwrap();
-                    let admit = if copy {
-                        net.lock().try_bulk_admission(len as u64, now_ns)
-                    } else {
-                        Ok(())
-                    };
-                    match admit {
-                        Ok(()) => {
-                            run.queue.pop_front();
-                            run.inflight += 1;
-                            if !copy && offload_scrub {
-                                // Coalesce contiguous chunks into one scrub
-                                // command. Only extend past full-size chunks
-                                // so device chunking (fixed `resilver_chunk`
-                                // stride from `off`) matches queue-entry
-                                // boundaries exactly.
-                                let mut total = len as u64;
-                                let mut parts = 1u32;
-                                let mut last = len as u64;
-                                while parts < scrub_batch && last == chunk_bytes {
-                                    match run.queue.front() {
-                                        Some(&(o, l)) if o == off + total => {
-                                            total += l as u64;
-                                            last = l as u64;
-                                            parts += 1;
-                                            run.queue.pop_front();
-                                        }
-                                        _ => break,
-                                    }
-                                }
-                                Next::IssueScrub {
-                                    off,
-                                    len: total,
-                                    half: run.half,
-                                }
-                            } else {
-                                Next::Issue {
-                                    off,
-                                    len,
-                                    copy,
-                                    half: run.half,
-                                }
-                            }
-                        }
-                        Err(wait_ns) => Next::Backoff { wait_ns },
-                    }
-                }
+            let Some(run) = self.bulk_mut(mover) else {
+                return;
             };
-            match next {
-                Next::Wait => return,
-                Next::Backoff { wait_ns } => {
-                    self.vol_stat(vol, |s| s.bulk_throttle_waits += 1);
-                    if let Some(run) = &mut self.vols[vol].resilver {
-                        if !run.backoff_armed {
-                            run.backoff_armed = true;
-                            ctx.send_self(
-                                SimDuration::from_nanos(wait_ns.max(1)),
-                                ResilverBackoff { vol },
-                            );
-                        }
+            let admit = |bytes| net.lock().try_bulk_admission(bytes, now_ns);
+            match run.next(admit) {
+                Step::Wait => return,
+                Step::Backoff { wait_ns, arm } => {
+                    match mover {
+                        Mover::Resilver(vol) => self.vol_stat(vol, |s| s.bulk_throttle_waits += 1),
+                        Mover::Migration => self.stats.lock().bulk_throttle_waits += 1,
+                    }
+                    if arm {
+                        let wait = SimDuration::from_nanos(wait_ns.max(1));
+                        ctx.send_self(wait, BulkBackoff { mover });
                     }
                     return;
                 }
-                Next::Issue {
-                    off,
-                    len,
-                    copy: true,
-                    half,
-                } => {
-                    if self.cfg.offload_copy {
-                        // Device-to-device: the survivor pushes the chunk
-                        // straight to the revived half. The payload crosses
-                        // the fabric once (NPMU→NPMU) instead of twice
-                        // through the PMM; bulk admission was bought above.
-                        self.issue_resilver_copy_cmd(ctx, vol, half, off, len);
-                    } else {
-                        self.issue_resilver_read(
-                            ctx,
-                            vol,
-                            1 - half,
-                            off,
-                            len,
-                            ResilverOp::CopyRead { off, len },
+                Step::Copy { off, len } => {
+                    let parties = self.parties(mover, off);
+                    let (src, src_at) = parties[0];
+                    let timeout = self.step_timeout(len * (parties.len() as u32 - 1));
+                    for &(dst, dst_at) in &parties[1..] {
+                        let rid = self.track_bulk_op(mover, BulkOp::Copy { off, len });
+                        let class = TrafficClass::Bulk;
+                        rdma_copy(
+                            ctx, &net, self.ep, src, src_at, len, dst, dst_at, rid, class,
                         );
+                        ctx.send_self(timeout, BulkStepTimeout { rid });
                     }
                 }
-                Next::IssueScrub { off, len, half } => {
-                    // Verify by batched device scrub: both halves digest
-                    // the coalesced run locally and ship one 4-byte CRC
-                    // per chunk, and the command itself covers up to
-                    // `scrub_batch` chunks — O(digests) on the fabric.
-                    if let Some(run) = &mut self.vols[vol].resilver {
-                        run.scrub_pending.insert(off, [None, None]);
-                    }
-                    self.issue_resilver_scrub(ctx, vol, 1 - half, off, len, true);
-                    self.issue_resilver_scrub(ctx, vol, half, off, len, false);
-                }
-                Next::Issue {
-                    off,
-                    len,
-                    copy: false,
-                    half,
-                } => {
-                    // Verify by device-side checksum: both halves digest
-                    // the chunk locally and ship 8 bytes each, so the
-                    // survivor's port isn't re-shipping full chunks.
-                    if let Some(run) = &mut self.vols[vol].resilver {
-                        run.crc_pending.insert(off, [None, None]);
-                    }
-                    self.issue_resilver_crc(ctx, vol, 1 - half, off, len, true);
-                    self.issue_resilver_crc(ctx, vol, half, off, len, false);
-                }
-                Next::Transition { copy: true } => {
-                    // Copy done: look again at what was copied (a copy is
-                    // stale by its own round trip) and at the first-time
-                    // mismatches set aside beside it. What digested equal
-                    // stays out of the run.
-                    if let Some(run) = &mut self.vols[vol].resilver {
-                        run.phase = ResilverPhase::Verify;
-                        run.queue = std::mem::take(&mut run.recheck).into();
+                Step::Scrub { off, len } => {
+                    let timeout = self.digest_timeout();
+                    for (party, (ep, at)) in self.parties(mover, off).into_iter().enumerate() {
+                        let rid = self.track_bulk_op(mover, BulkOp::Scrub { off, len, party });
+                        let class = TrafficClass::Bulk;
+                        rdma_scrub(ctx, &net, self.ep, ep, at, len, chunk, rid, class);
+                        ctx.send_self(timeout, BulkStepTimeout { rid });
                     }
                 }
-                Next::Transition { copy: false } => {
-                    let Some(run) = &mut self.vols[vol].resilver else {
-                        return;
+                Step::Transition(drained) => {
+                    let go_on = match mover {
+                        Mover::Resilver(vol) => self.resilver_transition(ctx, vol, drained),
+                        Mover::Migration => self.mig_transition(ctx, drained),
                     };
-                    let mut divergent = std::mem::take(&mut run.divergent);
-                    if divergent.is_empty() {
-                        if !std::mem::take(&mut run.voided) {
-                            self.finish_resilver(ctx, vol);
-                            return;
-                        }
-                        // Nothing left that differs, but a foreground leg
-                        // to this half was reported lost since the run
-                        // began: start over on the whole range.
-                        let dirty_upto = run.dirty_upto;
-                        let queue = self.resilver_chunks(vol, dirty_upto);
-                        if let Some(run) = &mut self.vols[vol].resilver {
-                            run.suspects = queue.iter().map(|&(off, _)| off).collect();
-                            run.queue = queue;
-                        }
-                    } else {
-                        // One mismatch is weak evidence once the outage
-                        // itself has been copied: a foreground write caught
-                        // between the two digests, or data rewritten in
-                        // place (a log's control cell) that the last copy
-                        // left stale on the revived half and the foreground
-                        // is about to rewrite on both. Either heals by
-                        // itself, and a re-copy — itself stale by a chunk
-                        // round trip — only manufactures the next mismatch.
-                        // So look again at a chunk that mismatched for the
-                        // first time, and re-copy only what mismatched
-                        // twice running. Offset order keeps scrub runs
-                        // contiguous.
-                        divergent.sort_unstable();
-                        let (confirmed, fresh): (Vec<_>, Vec<_>) = divergent
-                            .iter()
-                            .copied()
-                            .partition(|(off, _)| run.suspects.contains(off));
-                        run.suspects = fresh.iter().map(|&(off, _)| off).collect();
-                        if confirmed.is_empty() {
-                            run.queue = fresh.into();
-                        } else {
-                            run.queue = confirmed.into();
-                            run.recheck = divergent;
-                            run.phase = ResilverPhase::Copy;
-                        }
+                    if !go_on {
+                        return;
                     }
-                    if let HealthState::Resilvering { pass, .. } = &mut self.vols[vol].meta.health {
-                        *pass += 1;
-                    }
-                    self.vol_stat(vol, |s| s.resilver_extra_passes += 1);
                 }
             }
         }
     }
 
-    fn issue_resilver_read(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vol: usize,
-        src_half: u8,
-        off: u64,
-        len: u32,
-        kind: ResilverOp,
-    ) {
-        let rid = self.next_rdma;
-        self.next_rdma += 1;
-        self.resilver_ops.insert(rid, (vol, kind));
-        let net = self.net.clone();
-        rdma_read(
-            ctx,
-            &net,
-            self.ep,
-            self.half_ep(vol, src_half),
-            off,
-            len,
-            rid,
-            TrafficClass::Bulk,
-        );
-        let timeout = self.step_timeout(len);
-        ctx.send_self(timeout, ResilverStepTimeout { rid });
-    }
-
-    /// Ask one half to digest a chunk locally (verify pass).
-    fn issue_resilver_crc(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vol: usize,
-        src_half: u8,
-        off: u64,
-        len: u32,
-        survivor: bool,
-    ) {
-        let rid = self.next_rdma;
-        self.next_rdma += 1;
-        self.resilver_ops
-            .insert(rid, (vol, ResilverOp::VerifyCrc { off, len, survivor }));
-        let net = self.net.clone();
-        rdma_crc_read(
-            ctx,
-            &net,
-            self.ep,
-            self.half_ep(vol, src_half),
-            off,
-            len,
-            rid,
-            TrafficClass::Bulk,
-        );
-        let timeout = self.digest_timeout(1);
-        ctx.send_self(timeout, ResilverStepTimeout { rid });
-    }
-
-    /// Command the survivor half to push a chunk straight to the revived
-    /// half (`offload_copy`).
-    fn issue_resilver_copy_cmd(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vol: usize,
-        half: u8,
-        off: u64,
-        len: u32,
-    ) {
-        let rid = self.next_rdma;
-        self.next_rdma += 1;
-        self.resilver_ops
-            .insert(rid, (vol, ResilverOp::CopyCmd { len }));
-        let src = self.half_ep(vol, 1 - half);
-        let dst = self.half_ep(vol, half);
-        let net = self.net.clone();
-        rdma_copy(
-            ctx,
-            &net,
-            self.ep,
-            src,
-            off,
-            len,
-            dst,
-            off,
-            rid,
-            TrafficClass::Bulk,
-        );
-        let timeout = self.step_timeout(len);
-        ctx.send_self(timeout, ResilverStepTimeout { rid });
-    }
-
-    /// Ask one half to digest a coalesced chunk run locally and return
-    /// per-chunk CRCs (`offload_scrub` verify).
-    fn issue_resilver_scrub(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vol: usize,
-        src_half: u8,
-        off: u64,
-        len: u64,
-        survivor: bool,
-    ) {
-        let rid = self.next_rdma;
-        self.next_rdma += 1;
-        self.resilver_ops
-            .insert(rid, (vol, ResilverOp::VerifyScrub { off, len, survivor }));
-        let net = self.net.clone();
-        rdma_scrub(
-            ctx,
-            &net,
-            self.ep,
-            self.half_ep(vol, src_half),
-            off,
-            len,
-            self.cfg.resilver_chunk.max(1),
-            rid,
-            TrafficClass::Bulk,
-        );
-        let timeout = self.digest_timeout(self.cfg.scrub_batch.max(1));
-        ctx.send_self(timeout, ResilverStepTimeout { rid });
-    }
-
-    /// A device-to-device copy command completed (`offload_copy`).
-    fn on_resilver_copy_done(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vol: usize,
-        kind: ResilverOp,
-        status: RdmaStatus,
-    ) {
+    /// A device-to-device copy was acknowledged (or refused).
+    fn on_copy_done(&mut self, ctx: &mut Ctx<'_>, mover: Mover, op: BulkOp, status: RdmaStatus) {
+        let BulkOp::Copy { off, len } = op else {
+            return;
+        };
         if status != RdmaStatus::Ok {
-            self.abort_resilver(ctx, vol);
+            self.abort_mover(ctx, mover);
             return;
         }
-        if let ResilverOp::CopyCmd { len } = kind {
-            self.vol_stat(vol, |s| s.resilver_bytes_copied += len as u64);
+        if !self.bulk_mut(mover).is_some_and(|run| run.copy_done(off)) {
+            return;
+        }
+        match mover {
+            Mover::Resilver(vol) => self.vol_stat(vol, |s| s.resilver_bytes_copied += len as u64),
+            Mover::Migration => self.stats.lock().migrate_bytes_copied += len as u64,
+        }
+        self.bulk_pump(ctx, mover);
+    }
+
+    /// One party's digest vector for a scrub run arrived. The run leaves
+    /// the window once every party has answered.
+    fn on_scrub_done(&mut self, ctx: &mut Ctx<'_>, mover: Mover, op: BulkOp, done: RdmaScrubDone) {
+        let BulkOp::Scrub { off, len, party } = op else {
+            return;
+        };
+        if done.status != RdmaStatus::Ok {
+            self.abort_mover(ctx, mover);
+            return;
+        }
+        if let Mover::Resilver(vol) = mover {
+            self.vol_stat(vol, |s| s.resilver_bytes_digested += len);
+        }
+        if self
+            .bulk_mut(mover)
+            .is_some_and(|run| run.scrub_done(off, party, done.digests))
+        {
+            self.bulk_pump(ctx, mover);
+        }
+    }
+
+    /// A step of `mover`'s run failed or went unanswered.
+    fn abort_mover(&mut self, ctx: &mut Ctx<'_>, mover: Mover) {
+        match mover {
+            Mover::Resilver(vol) => self.abort_resilver(ctx, vol),
+            Mover::Migration => self.abort_migration(ctx),
+        }
+    }
+
+    /// The resilver's transition rule; `false` once the run has ended.
+    fn resilver_transition(&mut self, ctx: &mut Ctx<'_>, vol: usize, drained: Phase) -> bool {
+        let Some(run) = &mut self.vols[vol].resilver else {
+            return false;
+        };
+        if drained == Phase::Copy {
+            // Copy done: look again at what was copied (a copy is stale by
+            // its own round trip) and at the first-time mismatches set
+            // aside beside it. What digested equal stays out of the run.
+            let recheck = std::mem::take(&mut run.recheck);
+            run.bulk.start(Phase::Verify, recheck.into());
+            return true;
+        }
+        let divergent = run.bulk.take_divergent();
+        if divergent.is_empty() {
+            if !std::mem::take(&mut run.voided) {
+                self.finish_resilver(ctx, vol);
+                return false;
+            }
+            // Nothing left that differs, but a foreground leg to this half
+            // was reported lost since the run began: start over on the
+            // whole range.
+            let dirty_upto = run.dirty_upto;
+            let queue = self.resilver_chunks(vol, dirty_upto);
             if let Some(run) = &mut self.vols[vol].resilver {
-                run.inflight = run.inflight.saturating_sub(1);
+                run.suspects = queue.iter().map(|&(off, _)| off).collect();
+                run.bulk.start(Phase::Verify, queue);
             }
-        }
-        self.resilver_pump(ctx, vol);
-    }
-
-    /// One half's digest vector for a coalesced scrub run arrived. The
-    /// run completes (and frees a window slot) when both halves have
-    /// answered; per-chunk mismatches go on the pass's divergent list.
-    fn on_resilver_scrub_done(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vol: usize,
-        kind: ResilverOp,
-        done: RdmaScrubDone,
-    ) {
-        if done.status != RdmaStatus::Ok {
-            self.abort_resilver(ctx, vol);
-            return;
-        }
-        let ResilverOp::VerifyScrub { off, len, survivor } = kind else {
-            return;
-        };
-        self.vol_stat(vol, |s| s.resilver_bytes_digested += len);
-        let chunk = self.cfg.resilver_chunk.max(1) as u64;
-        let run_done = {
-            let Some(run) = &mut self.vols[vol].resilver else {
-                return;
-            };
-            let Some(slot) = run.scrub_pending.get_mut(&off) else {
-                return;
-            };
-            slot[if survivor { 0 } else { 1 }] = Some(done.crcs);
-            if slot.iter().all(Option::is_some) {
-                let pair = run.scrub_pending.remove(&off).unwrap();
-                let (a, b) = (pair[0].as_ref().unwrap(), pair[1].as_ref().unwrap());
-                let n = len.div_ceil(chunk);
-                for i in 0..n {
-                    let co = off + i * chunk;
-                    let cl = chunk.min(len - i * chunk) as u32;
-                    let i = i as usize;
-                    if a.get(i).is_none() || a.get(i) != b.get(i) {
-                        run.divergent.push((co, cl));
-                    }
-                }
-                run.inflight = run.inflight.saturating_sub(1);
-                true
+        } else {
+            // One mismatch is weak evidence once the outage itself has
+            // been copied: a foreground write caught between the two
+            // digests, or data rewritten in place (a log's control cell)
+            // that the last copy left stale on the revived half and the
+            // foreground is about to rewrite on both. Either heals by
+            // itself, and a re-copy — itself stale by a chunk round trip —
+            // only manufactures the next mismatch. So look again at a
+            // chunk that mismatched for the first time, and re-copy only
+            // what mismatched twice running.
+            let (confirmed, fresh): (Vec<_>, Vec<_>) = divergent
+                .iter()
+                .copied()
+                .partition(|(off, _)| run.suspects.contains(off));
+            run.suspects = fresh.iter().map(|&(off, _)| off).collect();
+            if confirmed.is_empty() {
+                run.bulk.start(Phase::Verify, fresh.into());
             } else {
-                false
-            }
-        };
-        if run_done {
-            self.resilver_pump(ctx, vol);
-        }
-    }
-
-    /// One half's checksum for a chunk under verify arrived. The chunk
-    /// completes (and frees a window slot) when both halves have
-    /// answered; a mismatch goes on the pass's divergent list.
-    fn on_resilver_crc_done(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vol: usize,
-        kind: ResilverOp,
-        done: RdmaCrcReadDone,
-    ) {
-        if done.status != RdmaStatus::Ok {
-            self.abort_resilver(ctx, vol);
-            return;
-        }
-        let ResilverOp::VerifyCrc { off, len, survivor } = kind else {
-            return;
-        };
-        self.vol_stat(vol, |s| s.resilver_bytes_digested += len as u64);
-        let chunk_done = {
-            let Some(run) = &mut self.vols[vol].resilver else {
-                return;
-            };
-            let Some(slot) = run.crc_pending.get_mut(&off) else {
-                return;
-            };
-            slot[if survivor { 0 } else { 1 }] = Some(done.crc);
-            if let [Some(a), Some(b)] = *slot {
-                run.crc_pending.remove(&off);
-                if a != b {
-                    run.divergent.push((off, len));
-                }
-                run.inflight = run.inflight.saturating_sub(1);
-                true
-            } else {
-                false
-            }
-        };
-        if chunk_done {
-            self.resilver_pump(ctx, vol);
-        }
-    }
-
-    fn on_resilver_read_done(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vol: usize,
-        kind: ResilverOp,
-        done: RdmaReadDone,
-    ) {
-        if done.status != RdmaStatus::Ok {
-            self.abort_resilver(ctx, vol);
-            return;
-        }
-        let half = match &self.vols[vol].resilver {
-            Some(run) => run.half,
-            None => return,
-        };
-        match kind {
-            ResilverOp::CopyRead { off, len } => {
-                // Write the survivor's bytes onto the revived half.
-                let rid = self.next_rdma;
-                self.next_rdma += 1;
-                self.resilver_ops
-                    .insert(rid, (vol, ResilverOp::CopyWrite { len }));
-                let dst = self.half_ep(vol, half);
-                let net = self.net.clone();
-                rdma_write(
-                    ctx,
-                    &net,
-                    self.ep,
-                    dst,
-                    off,
-                    done.data,
-                    rid,
-                    TrafficClass::Bulk,
-                );
-                let timeout = self.step_timeout(len);
-                ctx.send_self(timeout, ResilverStepTimeout { rid });
-            }
-            ResilverOp::VerifyCrc { .. } => unreachable!("CRC acks arrive as RdmaCrcReadDone"),
-            ResilverOp::CopyWrite { .. } => unreachable!("write acks arrive as RdmaWriteDone"),
-            ResilverOp::CopyCmd { .. } => unreachable!("copy-cmd acks arrive as RdmaCopyDone"),
-            ResilverOp::VerifyScrub { .. } => unreachable!("scrub acks arrive as RdmaScrubDone"),
-        }
-    }
-
-    fn on_resilver_write_done(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vol: usize,
-        kind: ResilverOp,
-        status: RdmaStatus,
-    ) {
-        if status != RdmaStatus::Ok {
-            self.abort_resilver(ctx, vol);
-            return;
-        }
-        if let ResilverOp::CopyWrite { len } = kind {
-            self.vol_stat(vol, |s| s.resilver_bytes_copied += len as u64);
-            if let Some(run) = &mut self.vols[vol].resilver {
-                run.inflight = run.inflight.saturating_sub(1);
+                run.recheck = divergent;
+                run.bulk.start(Phase::Copy, confirmed.into());
             }
         }
-        self.resilver_pump(ctx, vol);
+        if let HealthState::Resilvering { pass, .. } = &mut self.vols[vol].meta.health {
+            *pass += 1;
+        }
+        self.vol_stat(vol, |s| s.resilver_extra_passes += 1);
+        true
     }
 
     /// A member's revived half (or, catastrophically, its survivor)
@@ -1600,7 +1224,7 @@ impl PmmProc {
         let Some(run) = self.vols[vol].resilver.take() else {
             return;
         };
-        self.resilver_ops.retain(|_, (v, _)| *v != vol);
+        self.forget_bulk_ops(Mover::Resilver(vol));
         self.vols[vol].meta.epoch += 1;
         self.vols[vol].meta.health = HealthState::Degraded {
             half: run.half,
@@ -1616,7 +1240,7 @@ impl PmmProc {
     /// Healthy with a metadata write to both of its halves.
     fn finish_resilver(&mut self, ctx: &mut Ctx<'_>, vol: usize) {
         self.vols[vol].resilver = None;
-        self.resilver_ops.retain(|_, (v, _)| *v != vol);
+        self.forget_bulk_ops(Mover::Resilver(vol));
         let now = ctx.now().as_nanos();
         self.vol_stat(vol, |s| {
             s.resilvers_completed += 1;
@@ -1687,349 +1311,56 @@ impl PmmProc {
 
     // --- online region migration -----------------------------------------
 
-    /// Re-point the source extent window to the PMM CPUs only: clients
-    /// take RDMA faults from here until the new map commits (or the
-    /// migration aborts and the window is re-opened).
-    fn fence_src(&mut self, run_src_vol: usize, src_base: u64, len: u64) {
-        let vol = &self.vols[run_src_vol];
+    /// (Re)map `[base, base + len)` on both halves of `vol` for the PMM
+    /// CPUs only. On a migration's destination this is the window its
+    /// copies land through; on its source it is the fence — clients take
+    /// RDMA faults from here until the new map commits (or the migration
+    /// aborts and the window is re-opened).
+    fn map_pmm_only(&mut self, vol: usize, base: u64, len: u64) {
+        let vol = &self.vols[vol];
         for att in [&vol.npmu_a.att, &vol.npmu_b.att] {
             let mut att = att.lock();
-            att.unmap(src_base);
+            att.unmap(base);
             att.map(AttEntry {
-                nva_base: src_base,
+                nva_base: base,
                 len,
-                phys_base: src_base,
+                phys_base: base,
                 allowed: CpuFilter::Only(self.att_cpus.clone()),
             });
         }
     }
 
-    /// Drive the migration with the windowed bulk-transfer engine: keep
-    /// up to `transfer_window` chunks in flight per phase. The source
-    /// fence still happens only once the copy queue drains *and* every
-    /// in-flight copy write has landed — the verify pass never races an
-    /// outstanding PMM write of its own.
-    fn mig_pump(&mut self, ctx: &mut Ctx<'_>) {
-        enum Next {
-            Issue { off: u64, chunk: u32, copy: bool },
-            Transition { copy: bool },
-            Backoff { wait_ns: u64 },
-            Wait,
-        }
-        let window = self.cfg.transfer_window.max(1);
-        let now_ns = ctx.now().as_nanos();
-        loop {
-            let (next, src_vol, dst_vol, src_base, dst_base, len, fenced) = {
-                let net = &self.net;
-                let Some(run) = &mut self.migration else {
-                    return;
-                };
-                let copy = matches!(run.phase, ResilverPhase::Copy);
-                let next = if run.queue.is_empty() {
-                    if run.inflight > 0 {
-                        Next::Wait
-                    } else {
-                        Next::Transition { copy }
-                    }
-                } else if run.inflight >= window {
-                    Next::Wait
-                } else {
-                    // Same admission discipline as the resilver: payload
-                    // chunks buy bulk budget, digest-only verify is free.
-                    let &(off, chunk) = run.queue.front().unwrap();
-                    let admit = if copy {
-                        net.lock().try_bulk_admission(chunk as u64, now_ns)
-                    } else {
-                        Ok(())
-                    };
-                    match admit {
-                        Ok(()) => {
-                            run.queue.pop_front();
-                            run.inflight += 1;
-                            Next::Issue { off, chunk, copy }
-                        }
-                        Err(wait_ns) => Next::Backoff { wait_ns },
-                    }
-                };
-                (
-                    next,
-                    run.src_vol,
-                    run.dst_vol,
-                    run.src_base,
-                    run.dst_base,
-                    run.len,
-                    run.fenced,
-                )
-            };
-            match next {
-                Next::Wait => return,
-                Next::Backoff { wait_ns } => {
-                    self.stats.lock().bulk_throttle_waits += 1;
-                    if let Some(run) = &mut self.migration {
-                        if !run.backoff_armed {
-                            run.backoff_armed = true;
-                            ctx.send_self(SimDuration::from_nanos(wait_ns.max(1)), MigBackoff);
-                        }
-                    }
-                    return;
-                }
-                Next::Issue {
-                    off,
-                    chunk,
-                    copy: true,
-                } => {
-                    // Reads come from the source's primary half (the
-                    // source member is Healthy — a degrade aborts the
-                    // migration).
-                    self.issue_mig_read(
-                        ctx,
-                        src_vol,
-                        0,
-                        src_base + off,
-                        chunk,
-                        MigOp::CopyRead { off, len: chunk },
-                    );
-                }
-                Next::Issue {
-                    off,
-                    chunk,
-                    copy: false,
-                } => {
-                    // Verify by device-side checksum of source vs
-                    // destination. Destination halves are identical by
-                    // construction (both written from the same source
-                    // read); digest half 0 of each side.
-                    if let Some(run) = &mut self.migration {
-                        run.crc_pending.insert(off, [None, None]);
-                    }
-                    self.issue_mig_crc(
-                        ctx,
-                        src_vol,
-                        src_base + off,
-                        chunk,
-                        MigOp::VerifyCrc {
-                            off,
-                            len: chunk,
-                            src: true,
-                        },
-                    );
-                    self.issue_mig_crc(
-                        ctx,
-                        dst_vol,
-                        dst_base + off,
-                        chunk,
-                        MigOp::VerifyCrc {
-                            off,
-                            len: chunk,
-                            src: false,
-                        },
-                    );
-                }
-                Next::Transition { copy: true } => {
-                    // Copy drained and landed: fence the source so no
-                    // further client write can race the verify, then
-                    // compare source and destination.
-                    if !fenced {
-                        self.fence_src(src_vol, src_base, len);
-                        if let Some(run) = &mut self.migration {
-                            run.fenced = true;
-                        }
-                    }
-                    let queue = self.mig_chunks(len);
-                    if let Some(run) = &mut self.migration {
-                        run.phase = ResilverPhase::Verify;
-                        run.queue = queue;
-                    }
-                }
-                Next::Transition { copy: false } => {
-                    let divergent = match &mut self.migration {
-                        Some(run) => std::mem::take(&mut run.divergent),
-                        None => return,
-                    };
-                    if divergent.is_empty() {
-                        self.commit_migration(ctx);
-                        return;
-                    }
-                    // Chunks written by clients between the copy and the
-                    // fence: re-copy them (the fence guarantees
-                    // convergence).
-                    if let Some(run) = &mut self.migration {
-                        run.queue = divergent.into();
-                        run.phase = ResilverPhase::Copy;
-                    }
-                }
+    /// The migration's transition rule; `false` once the run has ended.
+    fn mig_transition(&mut self, ctx: &mut Ctx<'_>, drained: Phase) -> bool {
+        let Some(run) = &mut self.migration else {
+            return false;
+        };
+        if drained == Phase::Verify {
+            let divergent = run.bulk.take_divergent();
+            if divergent.is_empty() {
+                self.commit_migration(ctx);
+                return false;
             }
+            // Chunks clients wrote between their copy and the fence — or
+            // between the two device copies of one chunk, which leaves
+            // the destination halves unequal: re-copy them (behind the
+            // fence the source no longer moves, so this converges).
+            run.bulk.start(Phase::Copy, divergent.into());
+            return true;
         }
-    }
-
-    fn mig_chunks(&self, len: u64) -> VecDeque<(u64, u32)> {
-        let chunk = self.cfg.resilver_chunk.max(1) as u64;
-        let mut q = VecDeque::new();
-        let mut off = 0u64;
-        while off < len {
-            let n = chunk.min(len - off) as u32;
-            q.push_back((off, n));
-            off += n as u64;
+        // Copy drained and every device copy acknowledged: fence the
+        // source so no further client write can race the verify, then
+        // compare source and both destination halves over the whole
+        // region.
+        let (src_vol, src_base, len) = (run.src_vol, run.src_base, run.len);
+        if !std::mem::replace(&mut run.fenced, true) {
+            self.map_pmm_only(src_vol, src_base, len);
         }
-        q
-    }
-
-    fn issue_mig_read(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vol: usize,
-        half: u8,
-        dev_off: u64,
-        len: u32,
-        kind: MigOp,
-    ) {
-        let rid = self.next_rdma;
-        self.next_rdma += 1;
-        self.mig_ops.insert(rid, kind);
-        let net = self.net.clone();
-        rdma_read(
-            ctx,
-            &net,
-            self.ep,
-            self.half_ep(vol, half),
-            dev_off,
-            len,
-            rid,
-            TrafficClass::Bulk,
-        );
-        let timeout = self.step_timeout(len);
-        ctx.send_self(timeout, MigStepTimeout { rid });
-    }
-
-    /// Ask half 0 of `vol` to digest a chunk locally (verify pass).
-    fn issue_mig_crc(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        vol: usize,
-        dev_off: u64,
-        len: u32,
-        kind: MigOp,
-    ) {
-        let rid = self.next_rdma;
-        self.next_rdma += 1;
-        self.mig_ops.insert(rid, kind);
-        let net = self.net.clone();
-        rdma_crc_read(
-            ctx,
-            &net,
-            self.ep,
-            self.half_ep(vol, 0),
-            dev_off,
-            len,
-            rid,
-            TrafficClass::Bulk,
-        );
-        let timeout = self.digest_timeout(1);
-        ctx.send_self(timeout, MigStepTimeout { rid });
-    }
-
-    fn on_mig_crc_done(&mut self, ctx: &mut Ctx<'_>, kind: MigOp, done: RdmaCrcReadDone) {
-        if done.status != RdmaStatus::Ok {
-            self.abort_migration(ctx);
-            return;
+        let queue = self.chunks(0, len).collect();
+        if let Some(run) = &mut self.migration {
+            run.bulk.start(Phase::Verify, queue);
         }
-        let MigOp::VerifyCrc { off, len, src } = kind else {
-            return;
-        };
-        let chunk_done = {
-            let Some(run) = &mut self.migration else {
-                return;
-            };
-            let Some(slot) = run.crc_pending.get_mut(&off) else {
-                return;
-            };
-            slot[if src { 0 } else { 1 }] = Some(done.crc);
-            if let [Some(a), Some(b)] = *slot {
-                run.crc_pending.remove(&off);
-                if a != b {
-                    run.divergent.push((off, len));
-                }
-                run.inflight = run.inflight.saturating_sub(1);
-                true
-            } else {
-                false
-            }
-        };
-        if chunk_done {
-            self.mig_pump(ctx);
-        }
-    }
-
-    fn on_mig_read_done(&mut self, ctx: &mut Ctx<'_>, kind: MigOp, done: RdmaReadDone) {
-        if done.status != RdmaStatus::Ok {
-            self.abort_migration(ctx);
-            return;
-        }
-        let (dst_vol, dst_base) = match &self.migration {
-            Some(run) => (run.dst_vol, run.dst_base),
-            None => return,
-        };
-        match kind {
-            MigOp::CopyRead { off, len } => {
-                // Replicate the chunk onto both destination mirrors.
-                if let Some(run) = &mut self.migration {
-                    run.copy_writes_left.insert(off, 2);
-                }
-                for half in [0u8, 1u8] {
-                    let rid = self.next_rdma;
-                    self.next_rdma += 1;
-                    self.mig_ops.insert(rid, MigOp::CopyWrite { off, len });
-                    let dst = self.half_ep(dst_vol, half);
-                    let net = self.net.clone();
-                    rdma_write(
-                        ctx,
-                        &net,
-                        self.ep,
-                        dst,
-                        dst_base + off,
-                        done.data.clone(),
-                        rid,
-                        TrafficClass::Bulk,
-                    );
-                    let timeout = self.step_timeout(len);
-                    ctx.send_self(timeout, MigStepTimeout { rid });
-                }
-            }
-            MigOp::VerifyCrc { .. } => unreachable!("CRC acks arrive as RdmaCrcReadDone"),
-            MigOp::CopyWrite { .. } => unreachable!("write acks arrive as RdmaWriteDone"),
-        }
-    }
-
-    fn on_mig_write_done(&mut self, ctx: &mut Ctx<'_>, kind: MigOp, status: RdmaStatus) {
-        if status != RdmaStatus::Ok {
-            self.abort_migration(ctx);
-            return;
-        }
-        let MigOp::CopyWrite { off, len } = kind else {
-            return;
-        };
-        let both_landed = {
-            let Some(run) = &mut self.migration else {
-                return;
-            };
-            match run.copy_writes_left.get_mut(&off) {
-                Some(left) => {
-                    *left = left.saturating_sub(1);
-                    if *left == 0 {
-                        run.copy_writes_left.remove(&off);
-                        run.inflight = run.inflight.saturating_sub(1);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                None => false,
-            }
-        };
-        if both_landed {
-            self.stats.lock().migrate_bytes_copied += len as u64;
-            self.mig_pump(ctx);
-        }
+        true
     }
 
     /// Undo an in-flight migration: drop the destination reservation and
@@ -2038,7 +1369,7 @@ impl PmmProc {
         let Some(run) = self.migration.take() else {
             return;
         };
-        self.mig_ops.clear();
+        self.forget_bulk_ops(Mover::Migration);
         self.vols[run.dst_vol]
             .meta
             .regions
@@ -2070,7 +1401,7 @@ impl PmmProc {
         let Some(run) = self.migration.take() else {
             return;
         };
-        self.mig_ops.clear();
+        self.forget_bulk_ops(Mover::Migration);
         if let Some(r) = self.pool.regions.iter_mut().find(|r| r.id == run.region_id) {
             r.map = StripeMap::solo(run.dst_vol as u32, run.dst_base, run.len);
         }
@@ -2434,8 +1765,8 @@ impl PmmProc {
                     reject(ctx, PmError::AlreadyExists);
                     return;
                 }
-                // Both ends must have both mirrors: the copy writes the
-                // destination's two halves and trusts the source's reads.
+                // Both ends must have both mirrors: the copy lands on the
+                // destination's two halves and trusts the source's primary.
                 if !self.vols[src_vol].meta.health.is_healthy()
                     || !self.vols[dst_vol].meta.health.is_healthy()
                 {
@@ -2460,22 +1791,10 @@ impl PmmProc {
                     len: r.len,
                     owner_cpu: r.owner_cpu,
                 });
-                let att_cpus = self.att_cpus.clone();
-                for att in [
-                    &self.vols[dst_vol].npmu_a.att,
-                    &self.vols[dst_vol].npmu_b.att,
-                ] {
-                    let mut att = att.lock();
-                    att.unmap(dst_base);
-                    att.map(AttEntry {
-                        nva_base: dst_base,
-                        len: r.len,
-                        phys_base: dst_base,
-                        allowed: CpuFilter::Only(att_cpus.clone()),
-                    });
-                }
+                self.map_pmm_only(dst_vol, dst_base, r.len);
                 self.stats.lock().migrations_started += 1;
                 let src_base = r.map.extents[0].base;
+                let queue = self.chunks(0, r.len).collect();
                 self.migration = Some(MigrationRun {
                     region_id: r.id,
                     client_token: req.token,
@@ -2486,15 +1805,9 @@ impl PmmProc {
                     dst_base,
                     len: r.len,
                     fenced: false,
-                    phase: ResilverPhase::Copy,
-                    queue: self.mig_chunks(r.len),
-                    inflight: 0,
-                    divergent: Vec::new(),
-                    crc_pending: BTreeMap::new(),
-                    copy_writes_left: BTreeMap::new(),
-                    backoff_armed: false,
+                    bulk: self.new_bulk_run(Phase::Copy, queue, 3),
                 });
-                self.mig_pump(ctx);
+                self.bulk_pump(ctx, Mover::Migration);
                 return;
             }
             Err(p) => p,
@@ -2716,59 +2029,31 @@ impl Actor for PmmProc {
             Err(m) => m,
         };
 
-        let msg = match msg.take::<ResilverStepTimeout>() {
+        let msg = match msg.take::<BulkStepTimeout>() {
             Ok((_, t)) => {
-                if let Some((vol, _)) = self.resilver_ops.remove(&t.rid) {
-                    self.abort_resilver(ctx, vol);
+                if let Some((mover, _)) = self.bulk_ops.remove(&t.rid) {
+                    self.abort_mover(ctx, mover);
                 }
                 return;
             }
             Err(m) => m,
         };
 
-        let msg = match msg.take::<MigStepTimeout>() {
+        // Bulk-admission backoff expiry: retry the mover's pump.
+        let msg = match msg.take::<BulkBackoff>() {
             Ok((_, t)) => {
-                if self.mig_ops.remove(&t.rid).is_some() {
-                    self.abort_migration(ctx);
+                if let Some(run) = self.bulk_mut(t.mover) {
+                    run.backoff_expired();
+                    self.bulk_pump(ctx, t.mover);
                 }
                 return;
             }
             Err(m) => m,
         };
 
-        // Bulk-admission backoff expiries: retry the mover's pump.
-        let msg = match msg.take::<ResilverBackoff>() {
-            Ok((_, t)) => {
-                if let Some(run) = &mut self.vols[t.vol].resilver {
-                    run.backoff_armed = false;
-                    self.resilver_pump(ctx, t.vol);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<MigBackoff>() {
-            Ok((_, _)) => {
-                if let Some(run) = &mut self.migration {
-                    run.backoff_armed = false;
-                    self.mig_pump(ctx);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-
-        // Metadata slot write acks + resilver/migration copy-write acks.
+        // Metadata slot write acks.
         let msg = match msg.take::<RdmaWriteDone>() {
             Ok((_, done)) => {
-                if let Some((vol, kind)) = self.resilver_ops.remove(&done.op_id) {
-                    self.on_resilver_write_done(ctx, vol, kind, done.status);
-                    return;
-                }
-                if let Some(kind) = self.mig_ops.remove(&done.op_id) {
-                    self.on_mig_write_done(ctx, kind, done.status);
-                    return;
-                }
                 if let Some((token, vol, half)) = self.rdma_ops.remove(&done.op_id) {
                     if done.status != RdmaStatus::Ok {
                         // The member is still consistent (other mirror +
@@ -2793,56 +2078,33 @@ impl Actor for PmmProc {
             Err(m) => m,
         };
 
-        // Probe answers + resilver/migration chunk reads.
+        // Probe answers.
         let msg = match msg.take::<RdmaReadDone>() {
             Ok((_, done)) => {
                 if let Some((vol, kind)) = self.probes.remove(&done.op_id) {
                     self.on_probe_result(ctx, vol, kind, done.status == RdmaStatus::Ok);
-                    return;
-                }
-                if let Some((vol, kind)) = self.resilver_ops.remove(&done.op_id) {
-                    self.on_resilver_read_done(ctx, vol, kind, done);
-                    return;
-                }
-                if let Some(kind) = self.mig_ops.remove(&done.op_id) {
-                    self.on_mig_read_done(ctx, kind, done);
                 }
                 return;
             }
             Err(m) => m,
         };
 
-        // Device-side checksum answers (resilver/migration verify passes).
-        let msg = match msg.take::<RdmaCrcReadDone>() {
-            Ok((_, done)) => {
-                if let Some((vol, kind)) = self.resilver_ops.remove(&done.op_id) {
-                    self.on_resilver_crc_done(ctx, vol, kind, done);
-                    return;
-                }
-                if let Some(kind) = self.mig_ops.remove(&done.op_id) {
-                    self.on_mig_crc_done(ctx, kind, done);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-
-        // Device-to-device copy acks (offloaded resilver copy).
+        // Device-to-device copy acks.
         let msg = match msg.take::<RdmaCopyDone>() {
             Ok((_, done)) => {
-                if let Some((vol, kind)) = self.resilver_ops.remove(&done.op_id) {
-                    self.on_resilver_copy_done(ctx, vol, kind, done.status);
+                if let Some((mover, op)) = self.bulk_ops.remove(&done.op_id) {
+                    self.on_copy_done(ctx, mover, op, done.status);
                 }
                 return;
             }
             Err(m) => m,
         };
 
-        // Batched device-scrub digest answers (offloaded resilver verify).
+        // Device scrub digests.
         let msg = match msg.take::<RdmaScrubDone>() {
             Ok((_, done)) => {
-                if let Some((vol, kind)) = self.resilver_ops.remove(&done.op_id) {
-                    self.on_resilver_scrub_done(ctx, vol, kind, done);
+                if let Some((mover, op)) = self.bulk_ops.remove(&done.op_id) {
+                    self.on_scrub_done(ctx, mover, op, done);
                 }
                 return;
             }
@@ -3017,9 +2279,8 @@ pub fn install_pmm_pool(
                 ckpt_waiters: BTreeMap::new(),
                 next_ckpt: 0,
                 probes: BTreeMap::new(),
-                resilver_ops: BTreeMap::new(),
                 migration: None,
-                mig_ops: BTreeMap::new(),
+                bulk_ops: BTreeMap::new(),
                 stats: stats2,
             })
         }

@@ -42,11 +42,10 @@ pub use config::{FabricConfig, ServerNetGen};
 pub use network::{EndpointId, NetStats, Network, PortDir, SharedNetwork, FABRICS};
 pub use qos::{ClassStats, QosConfig, SchedPolicy, TrafficClass, CLASS_COUNT};
 pub use transport::{
-    rdma_copy, rdma_crc_read, rdma_read, rdma_scrub, rdma_write, rdma_write_chain,
-    rdma_write_sized, reply_rdma_copy, reply_rdma_crc_read, reply_rdma_read, reply_rdma_scrub,
-    reply_rdma_write, send_net_msg, send_net_msg_class, ChainLink, InboundRdmaCopy,
-    InboundRdmaCrcRead, InboundRdmaRead, InboundRdmaScrub, InboundRdmaWrite, NetDelivery,
-    PersistMode, RdmaCopyDone, RdmaCrcReadDone, RdmaReadDone, RdmaScrubDone, RdmaStatus,
-    RdmaWriteDone,
+    rdma_copy, rdma_read, rdma_scrub, rdma_write, rdma_write_chain, rdma_write_sized,
+    reply_rdma_copy, reply_rdma_read, reply_rdma_scrub, reply_rdma_write, send_net_msg,
+    send_net_msg_class, ChainLink, InboundRdmaCopy, InboundRdmaRead, InboundRdmaScrub,
+    InboundRdmaWrite, NetDelivery, PersistMode, RdmaCopyDone, RdmaReadDone, RdmaScrubDone,
+    RdmaStatus, RdmaWriteDone,
 };
 pub use wan::{SharedWanLink, WanConfig, WanLink, WanStats};

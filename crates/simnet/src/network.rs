@@ -67,9 +67,6 @@ pub struct NetStats {
     pub rdma_write_bytes: u64,
     pub rdma_reads: u64,
     pub rdma_read_bytes: u64,
-    /// Checksum ("scrub") reads: the device digests a range and replies
-    /// with 8 bytes instead of the data.
-    pub rdma_crc_reads: u64,
     /// Standalone flush verbs. The verb is gone — a persist fence now
     /// rides the write chain it closes — so this reads 0; the field stays
     /// for artifact readers.
@@ -80,10 +77,11 @@ pub struct NetStats {
     /// artifact readers.
     pub rdma_appends: u64,
     pub rdma_append_bytes: u64,
-    /// Batched device-local scrub commands (the offload's scrub verb).
+    /// Batched device-local scrub commands: the device digests a range
+    /// chunk by chunk and replies with 8 bytes per chunk, not the data.
     pub rdma_scrubs: u64,
-    /// Device-to-device copy commands (the offload's copy verb); bytes
-    /// are the payload each command moves NPMU→NPMU.
+    /// Device-to-device copy commands; bytes are the payload each
+    /// command moves NPMU→NPMU.
     pub rdma_copies: u64,
     pub rdma_copy_bytes: u64,
     pub retransmits: u64,

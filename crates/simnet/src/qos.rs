@@ -50,8 +50,9 @@ pub enum TrafficClass {
     /// phase. Throughput-sensitive but still on the commit critical path
     /// (a commit ack waits for the batch covering its LSN).
     Audit = 1,
-    /// Background movers: resilver copy, CRC scrub, `MigrateRegion`
-    /// drains, recovery scans. Bandwidth-hungry, latency-tolerant.
+    /// Background movers: the PMM's device-to-device copies and device
+    /// scrubs (resilver and `MigrateRegion` alike), recovery scans.
+    /// Bandwidth-hungry, latency-tolerant.
     Bulk = 2,
 }
 

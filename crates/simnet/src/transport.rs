@@ -40,7 +40,7 @@
 //! that fabric only. Two chains posted in one event to the two halves of
 //! a mirror therefore serialize their bytes side by side, not one behind
 //! the other; two legs to the same target always share a port and keep
-//! their issue order. A device's data reply (read, checksum, scrub)
+//! their issue order. A device's data reply (read, scrub)
 //! returns on the fabric its request arrived on.
 
 use crate::latency;
@@ -159,27 +159,12 @@ pub struct InboundRdmaRead {
     pub fabric: u8,
 }
 
-/// A checksum ("scrub") read arriving at a device actor: the device
-/// digests the addressed range and replies with the 8-byte checksum
-/// instead of the data. Real arrays scrub mirrors exactly this way —
-/// the NIC's CRC engine reads the media locally and only the digest
-/// crosses the wire, so comparing two mirrors costs two tiny transfers
-/// rather than two full-chunk ones.
-pub struct InboundRdmaCrcRead {
-    pub from_ep: EndpointId,
-    pub reply_to: ActorId,
-    pub op_id: u64,
-    pub addr: u64,
-    pub len: u32,
-    pub class: TrafficClass,
-    /// Fabric the request arrived on; the reply returns on it.
-    pub fabric: u8,
-}
-
-/// A device-local scrub command arriving at a device actor (the
-/// offload's scrub verb): digest `ceil(len / chunk)` consecutive chunks of
-/// the addressed range locally and reply with the 4-byte digests — a
-/// verify pass ships O(digests), not O(bytes).
+/// A device-local scrub command arriving at a device actor: digest
+/// `ceil(len / chunk)` consecutive chunks of the addressed range locally
+/// and reply with one 8-byte digest per chunk. Real arrays scrub mirrors
+/// exactly this way — the NIC's checksum engine reads the media locally
+/// and only the digests cross the wire, so a verify pass ships
+/// O(digests), not O(bytes).
 pub struct InboundRdmaScrub {
     pub from_ep: EndpointId,
     pub reply_to: ActorId,
@@ -193,12 +178,11 @@ pub struct InboundRdmaScrub {
     pub fabric: u8,
 }
 
-/// A device-to-device copy command arriving at the *source* device
-/// (the offload's copy verb): read `len` bytes at `src_addr` locally,
-/// write them straight to `dst_ep` at `dst_addr` (the payload crosses the
-/// fabric exactly once, NPMU→NPMU), then ack the orchestrator. The PMM
-/// keeps its transfer windows and bulk-admission gate; only the data
-/// path moves off its ports.
+/// A device-to-device copy command arriving at the *source* device: read
+/// `len` bytes at `src_addr` locally, write them straight to `dst_ep` at
+/// `dst_addr` (the payload crosses the fabric exactly once, NPMU→NPMU),
+/// then ack the orchestrator. The PMM keeps its transfer window and
+/// bulk-admission gate; the data path stays off its ports.
 pub struct InboundRdmaCopy {
     pub from_ep: EndpointId,
     pub reply_to: ActorId,
@@ -227,21 +211,13 @@ pub struct RdmaReadDone {
     pub data: Bytes,
 }
 
-/// Checksum-read completion, delivered to the initiator.
-#[derive(Clone, Copy, Debug)]
-pub struct RdmaCrcReadDone {
-    pub op_id: u64,
-    pub status: RdmaStatus,
-    pub crc: u64,
-}
-
-/// Scrub completion: one 32-bit digest per chunk of the scrubbed range
-/// (the field keeps its historical name).
+/// Scrub completion: one 64-bit content digest per chunk of the scrubbed
+/// range, in address order.
 #[derive(Clone, Debug)]
 pub struct RdmaScrubDone {
     pub op_id: u64,
     pub status: RdmaStatus,
-    pub crcs: Vec<u32>,
+    pub digests: Vec<u64>,
 }
 
 /// Device-to-device copy completion, delivered to the orchestrator once
@@ -342,12 +318,10 @@ fn issue_leg(
 enum QosPayload {
     Write(InboundRdmaWrite),
     Read(InboundRdmaRead),
-    Crc(InboundRdmaCrcRead),
     Scrub(InboundRdmaScrub),
     Copy(InboundRdmaCopy),
     Ipc(NetDelivery),
     ReadDone(RdmaReadDone),
-    CrcDone(RdmaCrcReadDone),
     ScrubDone(RdmaScrubDone),
 }
 
@@ -420,12 +394,10 @@ impl FabricArbiter {
             match payload {
                 QosPayload::Write(p) => ctx.send(target, d, p),
                 QosPayload::Read(p) => ctx.send(target, d, p),
-                QosPayload::Crc(p) => ctx.send(target, d, p),
                 QosPayload::Scrub(p) => ctx.send(target, d, p),
                 QosPayload::Copy(p) => ctx.send(target, d, p),
                 QosPayload::Ipc(p) => ctx.send(target, d, p),
                 QosPayload::ReadDone(p) => ctx.send(target, d, p),
-                QosPayload::CrcDone(p) => ctx.send(target, d, p),
                 QosPayload::ScrubDone(p) => ctx.send(target, d, p),
             }
         }
@@ -763,69 +735,6 @@ pub fn rdma_read(
     }
 }
 
-/// Issue a checksum read of `len` bytes: the target digests the range
-/// device-side and only 8 bytes come back. Completion arrives as
-/// [`RdmaCrcReadDone`].
-#[allow(clippy::too_many_arguments)]
-pub fn rdma_crc_read(
-    ctx: &mut Ctx<'_>,
-    net: &SharedNetwork,
-    from_ep: EndpointId,
-    to_ep: EndpointId,
-    addr: u64,
-    len: u32,
-    op_id: u64,
-    class: TrafficClass,
-) {
-    match issue_leg(ctx, net, from_ep, to_ep, 64, class) {
-        Some((issued, fabric)) => {
-            let nic = {
-                let mut n = net.lock();
-                n.stats.rdma_crc_reads += 1;
-                n.cfg.target_nic_ns
-            };
-            let reply_to = ctx.self_id();
-            let inbound = InboundRdmaCrcRead {
-                from_ep,
-                reply_to,
-                op_id,
-                addr,
-                len,
-                class,
-                fabric,
-            };
-            match issued {
-                Issued::Legacy { target, ns } => {
-                    ctx.send(target, SimDuration::from_nanos(ns), inbound)
-                }
-                Issued::Qos { target, pre_ns } => qos_route(
-                    ctx,
-                    net,
-                    to_ep,
-                    PortDir::Rx,
-                    class,
-                    64,
-                    nic,
-                    pre_ns,
-                    target,
-                    QosPayload::Crc(inbound),
-                ),
-            }
-        }
-        None => {
-            net.lock().stats.unreachable += 1;
-            ctx.send_self(
-                SimDuration::from_nanos(UNREACHABLE_TIMEOUT_NS),
-                RdmaCrcReadDone {
-                    op_id,
-                    status: RdmaStatus::Unreachable,
-                    crc: 0,
-                },
-            );
-        }
-    }
-}
-
 /// Called by a device actor to complete an inbound write chain: sends
 /// the hardware ack back to the initiator. Acks are tiny priority control
 /// packets in real fabrics; they ride outside the schedulers in both
@@ -901,58 +810,8 @@ pub fn reply_rdma_read(
     ctx.send(req.reply_to, SimDuration::from_nanos(ns), done);
 }
 
-/// Called by a device actor to complete an inbound checksum read: only
-/// the 8-byte digest crosses the wire back. `digest_ns` is the device
-/// time until the digest is ready (its scan, and whatever scans were
-/// queued ahead of it), paid before the reply reaches the transmit port —
-/// a reply delay, like [`reply_rdma_write`]'s `persist_ns`.
-pub fn reply_rdma_crc_read(
-    ctx: &mut Ctx<'_>,
-    net: &SharedNetwork,
-    device_ep: EndpointId,
-    req: &InboundRdmaCrcRead,
-    status: RdmaStatus,
-    crc: u64,
-    digest_ns: u64,
-) {
-    let now = ctx.now();
-    let done = RdmaCrcReadDone {
-        op_id: req.op_id,
-        status,
-        crc,
-    };
-    let (qos_on, ack_ns) = {
-        let mut n = net.lock();
-        n.count_class_bytes(req.class, 8);
-        n.stats.fabric_bytes[req.fabric as usize] += 8;
-        (n.qos.enabled, n.cfg.ack_ns)
-    };
-    if qos_on {
-        qos_route(
-            ctx,
-            net,
-            device_ep,
-            PortDir::Tx,
-            req.class,
-            8,
-            ack_ns,
-            digest_ns,
-            req.reply_to,
-            QosPayload::CrcDone(done),
-        );
-        return;
-    }
-    let ns = {
-        let mut n = net.lock();
-        let wire = latency::wire_ns(&n.cfg, 8);
-        let q = n.reserve_tx(device_ep, req.fabric, now.as_nanos() + digest_ns, wire);
-        digest_ns + wire + q + n.cfg.ack_ns
-    };
-    ctx.send(req.reply_to, SimDuration::from_nanos(ns), done);
-}
-
 /// Issue a batched device-local scrub: the target digests
-/// `ceil(len / chunk)` chunks locally and only the per-chunk CRCs come
+/// `ceil(len / chunk)` chunks locally and only the per-chunk digests come
 /// back. Completion arrives as [`RdmaScrubDone`].
 #[allow(clippy::too_many_arguments)]
 pub fn rdma_scrub(
@@ -1009,7 +868,7 @@ pub fn rdma_scrub(
                 RdmaScrubDone {
                     op_id,
                     status: RdmaStatus::Unreachable,
-                    crcs: Vec::new(),
+                    digests: Vec::new(),
                 },
             );
         }
@@ -1085,25 +944,23 @@ pub fn rdma_copy(
     }
 }
 
-/// Called by a device actor to complete an inbound scrub: only the
-/// packed 4-byte digests cross the wire back, on the device's transmit
-/// port (scheduled under QoS, in the request's class), `digest_ns` after
-/// now (see [`reply_rdma_crc_read`]).
+/// Called by a device actor to complete an inbound scrub, once its scan
+/// has ended: only the packed 8-byte digests cross the wire back, on the
+/// device's transmit port (scheduled under QoS, in the request's class).
 pub fn reply_rdma_scrub(
     ctx: &mut Ctx<'_>,
     net: &SharedNetwork,
     device_ep: EndpointId,
     req: &InboundRdmaScrub,
     status: RdmaStatus,
-    crcs: Vec<u32>,
-    digest_ns: u64,
+    digests: Vec<u64>,
 ) {
     let now = ctx.now();
-    let bytes = (4 * crcs.len()).max(1) as u64;
+    let bytes = (8 * digests.len()).max(1) as u64;
     let done = RdmaScrubDone {
         op_id: req.op_id,
         status,
-        crcs,
+        digests,
     };
     let (qos_on, ack_ns) = {
         let mut n = net.lock();
@@ -1120,7 +977,7 @@ pub fn reply_rdma_scrub(
             req.class,
             bytes,
             ack_ns,
-            digest_ns,
+            0,
             req.reply_to,
             QosPayload::ScrubDone(done),
         );
@@ -1129,8 +986,8 @@ pub fn reply_rdma_scrub(
     let ns = {
         let mut n = net.lock();
         let wire = latency::wire_ns(&n.cfg, bytes as u32);
-        let q = n.reserve_tx(device_ep, req.fabric, now.as_nanos() + digest_ns, wire);
-        digest_ns + wire + q + n.cfg.ack_ns
+        let q = n.reserve_tx(device_ep, req.fabric, now.as_nanos(), wire);
+        wire + q + n.cfg.ack_ns
     };
     ctx.send(req.reply_to, SimDuration::from_nanos(ns), done);
 }

@@ -80,9 +80,8 @@ pub struct OdsParams {
     /// admission). The default keeps QoS off — the legacy analytic
     /// completion path, bit-identical to pre-QoS runs.
     pub qos: simnet::QosConfig,
-    /// PMM policy knobs (resilver chunking, near-device scrub/copy
-    /// offload). The default keeps every offload off — host-mediated
-    /// resilver reads/writes, bit-identical to pre-offload runs.
+    /// PMM policy knobs (probe cadence, bulk-mover chunking and window,
+    /// placement).
     pub pmm: PmmConfig,
     /// Additional CPUs beyond the worker set (and the PM manager CPU in
     /// PM modes) — hosts for site-level extras like the DR replica's PMM

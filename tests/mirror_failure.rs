@@ -13,7 +13,8 @@ use simcore::time::{MILLIS, SECS};
 use simcore::{DurableStore, SimDuration, SimTime};
 use txnkit::scenario::{build_ods, AuditMode, OdsParams};
 
-fn run_mirror_failure(offload: bool) {
+#[test]
+fn npmu_half_dies_mid_run_workload_survives_and_resilvers() {
     let drivers = 2u32;
     let records_per_driver = 512u64;
     let inserts_per_txn = 8u32;
@@ -27,17 +28,11 @@ fn run_mirror_failure(offload: bool) {
         to: SimTime(1600 * MILLIS),
     };
     let mut store = DurableStore::new();
-    let mut params = OdsParams {
+    let params = OdsParams {
         audit: AuditMode::HardwareNpmu,
         fault_plan: FaultPlan::none().with(outage),
         ..OdsParams::pm(0x51ee9)
     };
-    if offload {
-        // Near-device resilver: payload moves NPMU→NPMU, verify moves
-        // per-chunk digests instead of bytes.
-        params.pmm.offload_copy = true;
-        params.pmm.offload_scrub = true;
-    }
     let mut node = build_ods(&mut store, params);
     let pmm = node.pmm.clone().expect("PM mode has a PMM");
     let (npmu_a, npmu_b) = node.npmus.clone().expect("PM mode has NPMUs");
@@ -110,31 +105,12 @@ fn run_mirror_failure(offload: bool) {
         report
     );
 
-    // The offload path must actually move the payload device-to-device
-    // and verify by digests; the classic path must use neither verb.
+    // The repair moved its payload device to device and verified by
+    // digests: no chunk crossed the PMM's ports.
     let ns = node.net.lock().stats;
-    if offload {
-        assert!(ns.rdma_copies > 0, "no NPMU→NPMU copy commands: {ns:?}");
-        assert!(ns.rdma_copy_bytes > 0, "{ns:?}");
-        assert!(ns.rdma_scrubs > 0, "no batched scrub commands: {ns:?}");
-    } else {
-        assert_eq!(ns.rdma_copies, 0, "{ns:?}");
-        assert_eq!(ns.rdma_scrubs, 0, "{ns:?}");
-    }
-}
-
-#[test]
-fn npmu_half_dies_mid_run_workload_survives_and_resilvers() {
-    run_mirror_failure(false);
-}
-
-/// Same outage, but the resilver rides the near-device offload verbs:
-/// survivor→revived copy commands (`TrafficClass::Bulk`, admission
-/// controlled) and device-local CRC scrub verification. Every acceptance
-/// bar of the host-mediated path must still hold.
-#[test]
-fn npmu_half_dies_mid_run_resilvers_with_device_offload() {
-    run_mirror_failure(true);
+    assert!(ns.rdma_copies > 0, "no NPMU→NPMU copy commands: {ns:?}");
+    assert_eq!(ns.rdma_copy_bytes, stats.resilver_bytes_copied, "{ns:?}");
+    assert!(ns.rdma_scrubs > 0, "no batched scrub commands: {ns:?}");
 }
 
 /// Both mirror halves are down at once (overlapping windows): every PM

@@ -11,11 +11,11 @@
 #     looser band because tails move more than means.
 #
 # Speedup ratios and fabric byte counters are deliberately ignored —
-# except for the `offload` bench, whose artifact captures the offload
-# arms' per-class fabric byte totals: there a third arm fails if any
+# except for the `resilver_mttr` bench, whose artifact captures the
+# repairs' per-class fabric byte totals: there a third arm fails if any
 # fabric_*_bytes counter grows past 1.25x the committed number (the
-# offload verbs exist to keep bytes off the wire; footprint creep is
-# exactly the regression they can suffer silently).
+# device copy and scrub verbs exist to keep bytes off the wire; footprint
+# creep is exactly the regression they can suffer silently).
 #
 # The `georep` bench gets a recovery-objective arm: any *_rpo_bytes or
 # *_rto_ms key failing 1.5x the committed number means the DR site is
@@ -26,7 +26,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 repo="$PWD"
 
-BENCHES=(pool_scaling audit_scaling read_scaling persist_modes shard_scaling qos_isolation offload georep)
+BENCHES=(pool_scaling audit_scaling read_scaling persist_modes shard_scaling qos_isolation resilver_mttr georep)
 
 cargo build --release -p pm-bench --bins
 
@@ -57,7 +57,7 @@ for bench in "${BENCHES[@]}"; do
       kind = ""
       if (key ~ /(per_sec|mb_s|kops)$/) kind = "tput"
       else if (key ~ /p(50|95|99)_(ns|us|ms)$/) kind = "lat"
-      else if (bench == "offload" && key ~ /^fabric_[a-z]+_bytes$/) kind = "fab"
+      else if (bench == "resilver_mttr" && key ~ /^fabric_[a-z]+_bytes$/) kind = "fab"
       else if (bench == "georep" && key ~ /_(rpo_bytes|rto_ms)$/) kind = "dr"
       if (kind == "") next
       if (NR == FNR) { committed[key] = val; next }
