@@ -67,5 +67,9 @@ cargo run --release -p pm-bench --bin georep
 FUZZ_FULL="${FUZZ_FULL:-1}" cargo test --release --test crash_fuzz
 # Throughput-regression gate: fresh --json runs vs committed results/.
 tools/bench_check.sh
+# Rot check for the host-cost A/B tool: one pair of this tree against
+# itself (the numbers mean nothing; the build, the parse and the
+# simulated-metrics comparison must all still work).
+tools/ab_wall.sh . trade_pm 1
 # Docs must build clean (broken intra-doc links fail the gate).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -4,7 +4,7 @@ use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
 use pmm::msgs::*;
 use pmm::{Frag, PlacementHint};
-use simcore::{Ctx, SimDuration};
+use simcore::{Ctx, SimDuration, TimerId};
 use simnet::{
     rdma_read, rdma_write_chain, ChainLink, EndpointId, PersistMode, RdmaReadDone, RdmaStatus,
     RdmaWriteDone, SharedNetwork, TrafficClass,
@@ -129,15 +129,17 @@ pub struct PmReadComplete {
     pub degraded: bool,
 }
 
-/// Self-addressed timer armed per mirrored write; the owning actor feeds
-/// it to [`PmLib::on_write_timeout`]. Stale instances (the write already
-/// completed) are ignored there.
+/// Self-addressed timer armed per mirrored write and disarmed when the
+/// write retires; the owning actor feeds it to
+/// [`PmLib::on_write_timeout`]. One that fires as its write completes
+/// finds nothing there and is ignored.
 #[derive(Clone, Copy, Debug)]
 pub struct PmWriteTimeout {
     pub wid: u64,
 }
 
-/// Self-addressed timer armed per read fragment; feed to
+/// Self-addressed timer armed per read fragment attempt and disarmed
+/// when the attempt is answered or its run retires; feed to
 /// [`PmLib::on_read_timeout`].
 #[derive(Clone, Copy, Debug)]
 pub struct PmReadTimeout {
@@ -187,6 +189,13 @@ struct WriteState {
     /// Class every chain of this write (including forcing reads and late
     /// sequential mirror chains) rides.
     class: TrafficClass,
+    /// The [`PmWriteTimeout`] armed when the write was issued, and those
+    /// armed later beside it (the persist phase's, a late sequential
+    /// leg's — rare paths, so the common one allocates nothing). All are
+    /// disarmed together when the write retires, never earlier: each
+    /// keeps the deadline it was armed with.
+    watchdog: Option<TimerId>,
+    late_watchdogs: Vec<TimerId>,
 }
 
 impl WriteState {
@@ -275,8 +284,8 @@ pub struct PmLib {
     next_write: u64,
     reads: HashMap<u64, ReadRun>,
     next_read: u64,
-    /// RDMA op id → (read run id, part index).
-    read_map: HashMap<u64, (u64, usize)>,
+    /// RDMA op id → (read run id, part index, the attempt's watchdog).
+    read_map: HashMap<u64, (u64, usize, TimerId)>,
     /// `FlushOnRead` forcing-read op id → (write id, member index, half).
     persist_map: HashMap<u64, (u64, usize, u8)>,
     /// Regions opened through this library instance.
@@ -623,6 +632,8 @@ impl PmLib {
             persist_pending: Vec::new(),
             persist_failed: false,
             class,
+            watchdog: None,
+            late_watchdogs: Vec::new(),
         };
         let split = |(offset, data, wire_len): &(u64, Bytes, u32)| {
             let span = (*wire_len as u64).max(data.len() as u64);
@@ -662,7 +673,16 @@ impl PmLib {
         for (mi, dev, half, links) in legs {
             self.issue_chain(ctx, wid, mi, dev, half, links, class);
         }
-        ctx.send_self(self.cfg.write_timeout, PmWriteTimeout { wid });
+        self.arm_write_timeout(ctx, wid);
+    }
+
+    fn arm_write_timeout(&mut self, ctx: &mut Ctx<'_>, wid: u64) {
+        let timer = ctx.arm_timer(self.cfg.write_timeout, PmWriteTimeout { wid });
+        let st = self.writes.get_mut(&wid).expect("write registered");
+        match st.watchdog {
+            None => st.watchdog = Some(timer),
+            Some(_) => st.late_watchdogs.push(timer),
+        }
     }
 
     /// Post one member's chain to one mirror half. `PersistFlush` closes
@@ -879,10 +899,10 @@ impl PmLib {
         };
         let rid = self.next_rdma;
         self.next_rdma += 1;
-        self.read_map.insert(rid, (run_id, part));
         let net = self.net.clone();
         rdma_read(ctx, &net, self.ep, dev, dev_off, len, rid, class);
-        ctx.send_self(self.cfg.read_timeout, PmReadTimeout { rid });
+        let timer = ctx.arm_timer(self.cfg.read_timeout, PmReadTimeout { rid });
+        self.read_map.insert(rid, (run_id, part, timer));
     }
 
     /// `true` for errors that mean "this half is unavailable" rather than
@@ -1061,7 +1081,7 @@ impl PmLib {
             for (member, (dev, links)) in next {
                 self.issue_chain(ctx, t.wid, member, dev, 1, links, class);
             }
-            ctx.send_self(self.cfg.write_timeout, PmWriteTimeout { wid: t.wid });
+            self.arm_write_timeout(ctx, t.wid);
             return None;
         }
         self.try_complete_write(ctx, t.wid)
@@ -1094,6 +1114,9 @@ impl PmLib {
             return None;
         }
         let st = self.writes.remove(&wid)?;
+        for &timer in st.watchdog.iter().chain(&st.late_watchdogs) {
+            ctx.disarm(timer);
+        }
         // Purge op-id entries still pointing at the retired write.
         self.rdma_map.retain(|_, &mut (w, _, _)| w != wid);
         let persistent = match self.cfg.persist_mode {
@@ -1169,7 +1192,7 @@ impl PmLib {
             rdma_read(ctx, &net, self.ep, dev, dev_off, read_len, rid, class);
         }
         // Give the forcing reads their own timeout interval.
-        ctx.send_self(self.cfg.write_timeout, PmWriteTimeout { wid });
+        self.arm_write_timeout(ctx, wid);
     }
 
     /// Intercept a persist-phase forcing read (`FlushOnRead` mode). Call
@@ -1204,7 +1227,8 @@ impl PmLib {
         ctx: &mut Ctx<'_>,
         done: RdmaReadDone,
     ) -> Option<PmReadComplete> {
-        let (run_id, part) = self.read_map.remove(&done.op_id)?;
+        let (run_id, part, timer) = self.read_map.remove(&done.op_id)?;
+        ctx.disarm(timer);
         let r = self.reads.get_mut(&run_id)?;
         let (region_id, volume, half, issued_ns) = {
             let p = &r.parts[part];
@@ -1223,7 +1247,7 @@ impl PmLib {
                 .and_modify(|e| *e += Self::RTT_ALPHA * (rtt - *e))
                 .or_insert(rtt);
             self.pump_reads(ctx, run_id);
-            return self.try_complete_read(run_id);
+            return self.try_complete_read(ctx, run_id);
         }
         if Self::is_availability_error(done.status) {
             self.mark_suspect(ctx, region_id, volume, half);
@@ -1243,7 +1267,7 @@ impl PmLib {
         ctx: &mut Ctx<'_>,
         t: &PmReadTimeout,
     ) -> Option<PmReadComplete> {
-        let (run_id, part) = self.read_map.remove(&t.rid)?;
+        let (run_id, part, _) = self.read_map.remove(&t.rid)?;
         let r = self.reads.get(&run_id)?;
         let (region_id, volume, half) = {
             let p = &r.parts[part];
@@ -1273,7 +1297,7 @@ impl PmLib {
         // the run and orphan its other in-flight fragments (their
         // completions no-op via the removed `read_map` entries).
         let r = self.reads.remove(&run_id)?;
-        self.read_map.retain(|_, &mut (rn, _)| rn != run_id);
+        self.forget_read_ops(ctx, run_id);
         Some(PmReadComplete {
             token: r.token,
             status,
@@ -1282,15 +1306,25 @@ impl PmLib {
         })
     }
 
-    fn try_complete_read(&mut self, run_id: u64) -> Option<PmReadComplete> {
+    /// Purge any op-id entry still pointing at a retired run (a fragment
+    /// orphaned by a failed sibling, a leg re-issued while its original
+    /// was still tracked) so the completion map can't grow without bound,
+    /// and take its watchdog with it.
+    fn forget_read_ops(&mut self, ctx: &mut Ctx<'_>, run_id: u64) {
+        self.read_map.retain(|_, &mut (rn, _, timer)| {
+            if rn == run_id {
+                ctx.disarm(timer);
+            }
+            rn != run_id
+        });
+    }
+
+    fn try_complete_read(&mut self, ctx: &mut Ctx<'_>, run_id: u64) -> Option<PmReadComplete> {
         if self.reads.get(&run_id)?.outstanding > 0 {
             return None;
         }
         let r = self.reads.remove(&run_id)?;
-        // Purge any op-id entry still pointing at the retired run (e.g. a
-        // leg that was re-issued while its original was still tracked) so
-        // the completion map can't grow without bound.
-        self.read_map.retain(|_, &mut (rn, _)| rn != run_id);
+        self.forget_read_ops(ctx, run_id);
         let mut buf = vec![0u8; r.total];
         for p in &r.parts {
             let d = p.data.as_ref().expect("all fragments complete");
@@ -1318,12 +1352,6 @@ impl PmLib {
             && self.rdma_map.is_empty()
             && self.read_map.is_empty()
             && self.persist_map.is_empty()
-    }
-
-    /// Schedule a retry timer helper: clients re-send PMM RPCs if no ack
-    /// within `after` (used across PMM takeovers).
-    pub fn retry_after<T: std::any::Any + Send>(ctx: &mut Ctx<'_>, after: SimDuration, marker: T) {
-        ctx.send_self(after, marker);
     }
 
     /// Test-only: inject suspect state directly (no PMM report), with an

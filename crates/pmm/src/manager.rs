@@ -97,7 +97,7 @@ use parking_lot::Mutex;
 use pmpool::{
     stripe_extent_lens, Extent, Placement, PlacementPolicy, PoolMeta, PoolRegionMeta, StripeMap,
 };
-use simcore::{Actor, Ctx, Msg, Sim, SimDuration};
+use simcore::{Actor, Ctx, Msg, Sim, SimDuration, TimerId};
 use simnet::{
     rdma_copy, rdma_read, rdma_scrub, rdma_write, send_net_msg, EndpointId, NetDelivery,
     RdmaCopyDone, RdmaReadDone, RdmaScrubDone, RdmaStatus, RdmaWriteDone, SharedNetwork,
@@ -213,6 +213,8 @@ struct PmmCkpt {
 /// What a pending op still waits for, and how to finish it.
 struct PendingOp {
     waiting_writes: u32,
+    /// The [`MetaWriteTimeout`] standing over those writes.
+    write_timeout: Option<TimerId>,
     waiting_ckpt: bool,
     reply_to_ep: EndpointId,
     reply: PendingReply,
@@ -239,6 +241,8 @@ enum AttAction {
 }
 
 // --- self-addressed timers -------------------------------------------------
+// The three `*Timeout`s each stand over one operation and are disarmed
+// where it is answered; the tick and the back-off always act when due.
 
 /// Periodic revival probe while a member is degraded.
 struct ProbeTick {
@@ -379,11 +383,12 @@ pub struct PmmProc {
     next_rdma: u64,
     ckpt_waiters: BTreeMap<u64, u64>, // ckpt seq → op token
     next_ckpt: u64,
-    /// Outstanding probe reads.
-    probes: BTreeMap<u64, (usize, ProbeKind)>,
+    /// Outstanding probe reads, each with its [`ProbeTimeout`].
+    probes: BTreeMap<u64, (usize, ProbeKind, TimerId)>,
     migration: Option<MigrationRun>,
-    /// Outstanding device copies and scrubs, every mover's in one table.
-    bulk_ops: BTreeMap<u64, (Mover, BulkOp)>,
+    /// Outstanding device copies and scrubs, every mover's in one table,
+    /// each with its [`BulkStepTimeout`].
+    bulk_ops: BTreeMap<u64, (Mover, BulkOp, TimerId)>,
     /// Pool-aggregate counters (every member's events also land here).
     stats: SharedPmmStats,
 }
@@ -527,8 +532,9 @@ impl PmmProc {
                 TrafficClass::Commit,
             );
         }
+        let timeout = self.cfg.meta_write_timeout;
+        op.write_timeout = Some(ctx.arm_timer(timeout, MetaWriteTimeout { token }));
         self.pending.insert(token, op);
-        ctx.send_self(self.cfg.meta_write_timeout, MetaWriteTimeout { token });
         token
     }
 
@@ -797,6 +803,7 @@ impl PmmProc {
     fn internal_op(&self) -> PendingOp {
         PendingOp {
             waiting_writes: 0,
+            write_timeout: None,
             waiting_ckpt: false,
             reply_to_ep: self.ep,
             reply: PendingReply::Internal,
@@ -820,7 +827,6 @@ impl PmmProc {
         };
         let rid = self.next_rdma;
         self.next_rdma += 1;
-        self.probes.insert(rid, (vol, kind));
         self.vol_stat(vol, |s| s.probes_sent += 1);
         let net = self.net.clone();
         rdma_read(
@@ -833,7 +839,8 @@ impl PmmProc {
             rid,
             TrafficClass::Commit,
         );
-        ctx.send_self(self.cfg.probe_timeout, ProbeTimeout { rid });
+        let timeout = ctx.arm_timer(self.cfg.probe_timeout, ProbeTimeout { rid });
+        self.probes.insert(rid, (vol, kind, timeout));
     }
 
     fn on_probe_result(&mut self, ctx: &mut Ctx<'_>, vol: usize, kind: ProbeKind, ok: bool) {
@@ -1037,15 +1044,34 @@ impl PmmProc {
     }
 
     /// `mover`'s run is over: its ops still in flight answer to nobody.
-    fn forget_bulk_ops(&mut self, mover: Mover) {
-        self.bulk_ops.retain(|_, (m, _)| *m != mover);
+    fn forget_bulk_ops(&mut self, ctx: &mut Ctx<'_>, mover: Mover) {
+        self.bulk_ops.retain(|_, (m, _, timeout)| {
+            if *m == mover {
+                ctx.disarm(*timeout);
+            }
+            *m != mover
+        });
     }
 
-    fn track_bulk_op(&mut self, mover: Mover, op: BulkOp) -> u64 {
-        let rid = self.next_rdma;
-        self.next_rdma += 1;
-        self.bulk_ops.insert(rid, (mover, op));
-        rid
+    /// A bulk step is on the wire under `rid`: track it and stand a
+    /// watchdog over it.
+    fn track_bulk_op(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        rid: u64,
+        mover: Mover,
+        op: BulkOp,
+        timeout: SimDuration,
+    ) {
+        let timeout = ctx.arm_timer(timeout, BulkStepTimeout { rid });
+        self.bulk_ops.insert(rid, (mover, op, timeout));
+    }
+
+    /// A bulk step was answered: its entry and its watchdog go.
+    fn retire_bulk_op(&mut self, ctx: &mut Ctx<'_>, rid: u64) -> Option<(Mover, BulkOp)> {
+        let (mover, op, timeout) = self.bulk_ops.remove(&rid)?;
+        ctx.disarm(timeout);
+        Some((mover, op))
     }
 
     /// Drive a mover's run: keep up to `transfer_window` units in flight,
@@ -1082,21 +1108,24 @@ impl PmmProc {
                     let (src, src_at) = parties[0];
                     let timeout = self.step_timeout(len * (parties.len() as u32 - 1));
                     for &(dst, dst_at) in &parties[1..] {
-                        let rid = self.track_bulk_op(mover, BulkOp::Copy { off, len });
+                        let rid = self.next_rdma;
+                        self.next_rdma += 1;
                         let class = TrafficClass::Bulk;
                         rdma_copy(
                             ctx, &net, self.ep, src, src_at, len, dst, dst_at, rid, class,
                         );
-                        ctx.send_self(timeout, BulkStepTimeout { rid });
+                        self.track_bulk_op(ctx, rid, mover, BulkOp::Copy { off, len }, timeout);
                     }
                 }
                 Step::Scrub { off, len } => {
                     let timeout = self.digest_timeout();
                     for (party, (ep, at)) in self.parties(mover, off).into_iter().enumerate() {
-                        let rid = self.track_bulk_op(mover, BulkOp::Scrub { off, len, party });
+                        let rid = self.next_rdma;
+                        self.next_rdma += 1;
                         let class = TrafficClass::Bulk;
                         rdma_scrub(ctx, &net, self.ep, ep, at, len, chunk, rid, class);
-                        ctx.send_self(timeout, BulkStepTimeout { rid });
+                        let op = BulkOp::Scrub { off, len, party };
+                        self.track_bulk_op(ctx, rid, mover, op, timeout);
                     }
                 }
                 Step::Transition(drained) => {
@@ -1224,7 +1253,7 @@ impl PmmProc {
         let Some(run) = self.vols[vol].resilver.take() else {
             return;
         };
-        self.forget_bulk_ops(Mover::Resilver(vol));
+        self.forget_bulk_ops(ctx, Mover::Resilver(vol));
         self.vols[vol].meta.epoch += 1;
         self.vols[vol].meta.health = HealthState::Degraded {
             half: run.half,
@@ -1240,7 +1269,7 @@ impl PmmProc {
     /// Healthy with a metadata write to both of its halves.
     fn finish_resilver(&mut self, ctx: &mut Ctx<'_>, vol: usize) {
         self.vols[vol].resilver = None;
-        self.forget_bulk_ops(Mover::Resilver(vol));
+        self.forget_bulk_ops(ctx, Mover::Resilver(vol));
         let now = ctx.now().as_nanos();
         self.vol_stat(vol, |s| {
             s.resilvers_completed += 1;
@@ -1369,7 +1398,7 @@ impl PmmProc {
         let Some(run) = self.migration.take() else {
             return;
         };
-        self.forget_bulk_ops(Mover::Migration);
+        self.forget_bulk_ops(ctx, Mover::Migration);
         self.vols[run.dst_vol]
             .meta
             .regions
@@ -1401,7 +1430,7 @@ impl PmmProc {
         let Some(run) = self.migration.take() else {
             return;
         };
-        self.forget_bulk_ops(Mover::Migration);
+        self.forget_bulk_ops(ctx, Mover::Migration);
         if let Some(r) = self.pool.regions.iter_mut().find(|r| r.id == run.region_id) {
             r.map = StripeMap::solo(run.dst_vol as u32, run.dst_base, run.len);
         }
@@ -1418,6 +1447,7 @@ impl PmmProc {
             ctx,
             PendingOp {
                 waiting_writes: 0,
+                write_timeout: None,
                 waiting_ckpt: false,
                 reply_to_ep: run.reply_to_ep,
                 reply: PendingReply::Migrate(run.client_token, info.ok_or(PmError::Failed)),
@@ -1584,6 +1614,7 @@ impl PmmProc {
                     ctx,
                     PendingOp {
                         waiting_writes: 0,
+                        write_timeout: None,
                         waiting_ckpt: false,
                         reply_to_ep: from_ep,
                         reply: PendingReply::Create(req.token, Ok(info)),
@@ -1698,6 +1729,7 @@ impl PmmProc {
                             ctx,
                             PendingOp {
                                 waiting_writes: 0,
+                                write_timeout: None,
                                 waiting_ckpt: false,
                                 reply_to_ep: from_ep,
                                 reply: PendingReply::Delete(req.token, Ok(())),
@@ -1873,6 +1905,7 @@ impl PmmProc {
                     ctx,
                     PendingOp {
                         waiting_writes: 0,
+                        write_timeout: None,
                         waiting_ckpt: false,
                         reply_to_ep: from_ep,
                         reply: PendingReply::Fence(req.token, req.epoch),
@@ -1987,7 +2020,7 @@ impl Actor for PmmProc {
 
         let msg = match msg.take::<ProbeTimeout>() {
             Ok((_, t)) => {
-                if let Some((vol, kind)) = self.probes.remove(&t.rid) {
+                if let Some((vol, kind, _)) = self.probes.remove(&t.rid) {
                     self.on_probe_result(ctx, vol, kind, false);
                 }
                 return;
@@ -2031,7 +2064,7 @@ impl Actor for PmmProc {
 
         let msg = match msg.take::<BulkStepTimeout>() {
             Ok((_, t)) => {
-                if let Some((mover, _)) = self.bulk_ops.remove(&t.rid) {
+                if let Some((mover, _, _)) = self.bulk_ops.remove(&t.rid) {
                     self.abort_mover(ctx, mover);
                 }
                 return;
@@ -2064,6 +2097,12 @@ impl Actor for PmmProc {
                     let finished = {
                         if let Some(op) = self.pending.get_mut(&token) {
                             op.waiting_writes = op.waiting_writes.saturating_sub(1);
+                            if op.waiting_writes == 0 {
+                                // Every leg answered: nothing to time out.
+                                if let Some(timeout) = op.write_timeout.take() {
+                                    ctx.disarm(timeout);
+                                }
+                            }
                             op.waiting_writes == 0
                         } else {
                             false
@@ -2081,7 +2120,8 @@ impl Actor for PmmProc {
         // Probe answers.
         let msg = match msg.take::<RdmaReadDone>() {
             Ok((_, done)) => {
-                if let Some((vol, kind)) = self.probes.remove(&done.op_id) {
+                if let Some((vol, kind, timeout)) = self.probes.remove(&done.op_id) {
+                    ctx.disarm(timeout);
                     self.on_probe_result(ctx, vol, kind, done.status == RdmaStatus::Ok);
                 }
                 return;
@@ -2092,7 +2132,7 @@ impl Actor for PmmProc {
         // Device-to-device copy acks.
         let msg = match msg.take::<RdmaCopyDone>() {
             Ok((_, done)) => {
-                if let Some((mover, op)) = self.bulk_ops.remove(&done.op_id) {
+                if let Some((mover, op)) = self.retire_bulk_op(ctx, done.op_id) {
                     self.on_copy_done(ctx, mover, op, done.status);
                 }
                 return;
@@ -2103,7 +2143,7 @@ impl Actor for PmmProc {
         // Device scrub digests.
         let msg = match msg.take::<RdmaScrubDone>() {
             Ok((_, done)) => {
-                if let Some((mover, op)) = self.bulk_ops.remove(&done.op_id) {
+                if let Some((mover, op)) = self.retire_bulk_op(ctx, done.op_id) {
                     self.on_scrub_done(ctx, mover, op, done);
                 }
                 return;

@@ -8,6 +8,7 @@
 //! also how the NonStop kernel's own process model behaves at the message
 //! layer.
 
+use crate::event::TimerId;
 use crate::sim::Sim;
 use crate::time::{SimDuration, SimTime};
 use crate::DetRng;
@@ -106,9 +107,29 @@ impl<'a> Ctx<'a> {
         self.sim.queue.push(at, to, Msg::new(self.self_id, payload));
     }
 
-    /// Schedule a message to self — the idiom for timers.
+    /// Schedule a message to self — the idiom for what is never taken
+    /// back: periodic ticks, CPU-delay continuations, back-off pacing.
     pub fn send_self<T: Any + Send>(&mut self, delay: SimDuration, payload: T) {
         self.send(self.self_id, delay, payload);
+    }
+
+    /// Like [`Self::send_self`], but the delivery can be taken back with
+    /// [`Self::disarm`] — the idiom for a watchdog over one operation:
+    /// arm it with the operation, keep the handle beside the operation's
+    /// state, disarm where the operation retires. Ordering against every
+    /// other event is exactly `send_self`'s.
+    pub fn arm_timer<T: Any + Send>(&mut self, delay: SimDuration, payload: T) -> TimerId {
+        let at = self.sim.now() + delay;
+        let msg = Msg::new(self.self_id, payload);
+        self.sim.queue.arm(at, self.self_id, msg)
+    }
+
+    /// Take an armed timer out of the queue. Returns `false` — and does
+    /// nothing — if it already fired or was disarmed; a handler must
+    /// still tolerate a timer that fires in the same instant its
+    /// operation completes.
+    pub fn disarm(&mut self, timer: TimerId) -> bool {
+        self.sim.queue.disarm(timer)
     }
 
     /// Forward an existing message (keeps the original sender).

@@ -1,13 +1,24 @@
-//! The event queue: a binary heap ordered by `(time, seq)`.
+//! The event queue: a binary heap ordered by `(time, seq)`, and beside it
+//! an ordered set of *timers* — events their owner may take back.
 //!
 //! The sequence number breaks ties between events scheduled for the same
 //! instant in scheduling order, which is what makes the engine
 //! deterministic: `BinaryHeap` alone gives no stable order for equal keys.
+//!
+//! A per-operation watchdog is armed when the operation starts and is
+//! dead the moment it completes — long before it is due. Left on the heap
+//! it is sifted past, popped and dispatched to a handler that looks the
+//! operation up and finds nothing. A timer's key is its handle
+//! ([`TimerId`]), so disarming *removes* it: nothing dead stands in the
+//! queue and nothing dead is dispatched. Timers draw `seq` from the
+//! heap's counter and [`EventQueue::pop`] takes whichever head has the
+//! smaller `(time, seq)`, so the events that survive leave in exactly the
+//! order one heap would have given them.
 
 use crate::actor::{ActorId, Msg};
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// A scheduled delivery of a message to an actor.
 pub struct Event {
@@ -37,10 +48,21 @@ impl Ord for Event {
     }
 }
 
+/// Handle to an armed timer: its queue key `(due time, schedule seq)`.
+/// Stays valid — and harmless — after the timer fired or was disarmed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimerId {
+    due: SimTime,
+    seq: u64,
+}
+
 /// Priority queue of pending events.
 #[derive(Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Event>,
+    /// Armed timers by `(due, seq)`. Ordered, so a disarm is a removal
+    /// rather than a tombstone the dispatch loop would still have to pop.
+    timers: BTreeMap<(SimTime, u64), (ActorId, Msg)>,
     next_seq: u64,
 }
 
@@ -61,20 +83,54 @@ impl EventQueue {
         });
     }
 
+    /// Schedule delivery of `msg` to `target` at `time` as a timer that
+    /// [`Self::disarm`] can take back.
+    pub fn arm(&mut self, time: SimTime, target: ActorId, msg: Msg) -> TimerId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.timers.insert((time, seq), (target, msg));
+        TimerId { due: time, seq }
+    }
+
+    /// Remove a timer that has not fired. Returns whether it was still
+    /// armed; a fired, disarmed or discarded timer is left alone.
+    pub fn disarm(&mut self, id: TimerId) -> bool {
+        self.timers.remove(&(id.due, id.seq)).is_some()
+    }
+
     pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
+        let timer_first = match (self.timers.first_key_value(), self.heap.peek()) {
+            (Some((&key, _)), Some(e)) => key < (e.time, e.seq),
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if !timer_first {
+            return self.heap.pop();
+        }
+        let ((time, seq), (target, msg)) = self.timers.pop_first()?;
+        Some(Event {
+            time,
+            seq,
+            target,
+            msg,
+        })
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        let event = self.heap.peek().map(|e| e.time);
+        let timer = self.timers.first_key_value().map(|(&(time, _), _)| time);
+        match (event, timer) {
+            (Some(e), Some(t)) => Some(e.min(t)),
+            (e, t) => e.or(t),
+        }
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.timers.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.timers.is_empty()
     }
 
     /// Total number of events ever scheduled (monotone counter).
@@ -82,11 +138,13 @@ impl EventQueue {
         self.next_seq
     }
 
-    /// Drop every pending event addressed to `target`. Used when an actor
-    /// is killed by fault injection: a dead CPU receives nothing.
+    /// Drop every pending event and timer addressed to `target`. Used
+    /// when an actor is killed by fault injection: a dead CPU receives
+    /// nothing.
     pub fn discard_for(&mut self, target: ActorId) {
         let drained: Vec<Event> = std::mem::take(&mut self.heap).into_vec();
         self.heap = drained.into_iter().filter(|e| e.target != target).collect();
+        self.timers.retain(|_, (to, _)| *to != target);
     }
 }
 

@@ -42,7 +42,7 @@ pub mod trace;
 pub use actor::{Actor, ActorId, Ctx, Msg};
 pub use checksum::{checksum64, crc32, Checksum64};
 pub use durable::DurableStore;
-pub use event::EventQueue;
+pub use event::{EventQueue, TimerId};
 pub use rng::DetRng;
 pub use sim::{RunOutcome, Sim, SimConfig};
 pub use stats::{Counter, Histogram, SharedCounter, SharedHistogram, TimeSeries};

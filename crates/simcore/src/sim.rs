@@ -90,6 +90,11 @@ impl Sim {
         self.dispatched
     }
 
+    /// Number of events and armed timers waiting to be dispatched.
+    pub fn pending_events(&self) -> usize {
+        self.queue.len()
+    }
+
     /// Spawn an actor; it receives [`Start`] at the current instant.
     pub fn spawn(&mut self, actor: impl Actor + 'static) -> ActorId {
         self.spawn_boxed(Box::new(actor))
@@ -447,6 +452,100 @@ mod tests {
         };
         assert_eq!(run(3), run(3));
         assert!(run(3).1 > 0);
+    }
+
+    /// Three tickers of co-prime periods whose ticks collide at common
+    /// multiples (so tie-breaks by `seq` are exercised), on either
+    /// scheduling primitive.
+    struct Ticker {
+        period: u64,
+        timers: bool,
+    }
+    impl Actor for Ticker {
+        fn name(&self) -> &str {
+            "ticker"
+        }
+        fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            if msg.is::<Start>() || msg.is::<Tick>() {
+                let d = SimDuration::from_micros(self.period);
+                if self.timers {
+                    ctx.arm_timer(d, Tick);
+                } else {
+                    ctx.send_self(d, Tick);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn undisarmed_timers_trace_exactly_like_send_self() {
+        let run = |timers: bool| {
+            let mut sim = Sim::new(SimConfig {
+                seed: 9,
+                trace: true,
+                max_events: 0,
+            });
+            for period in [2, 3, 5] {
+                sim.spawn(Ticker { period, timers });
+            }
+            sim.run_until(SimTime(crate::time::MILLIS));
+            (sim.trace_digest(), sim.trace_len(), sim.dispatched())
+        };
+        assert_eq!(run(true), run(false));
+        assert!(run(true).1 > 1000);
+    }
+
+    struct Watched {
+        fired: std::sync::Arc<parking_lot::Mutex<u32>>,
+        watchdog: Option<crate::TimerId>,
+    }
+    struct Done;
+    impl Actor for Watched {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            if msg.is::<Start>() {
+                self.watchdog = Some(ctx.arm_timer(SimDuration::from_millis(900), Tick));
+                ctx.send_self(SimDuration::from_micros(50), Done);
+            } else if msg.is::<Done>() {
+                let timer = self.watchdog.take().unwrap();
+                assert!(ctx.disarm(timer));
+                assert!(!ctx.disarm(timer), "a second disarm finds nothing");
+            } else if msg.is::<Tick>() {
+                *self.fired.lock() += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn disarmed_watchdog_leaves_the_queue_and_never_fires() {
+        let fired = std::sync::Arc::new(parking_lot::Mutex::new(0));
+        let mut sim = Sim::with_seed(0);
+        sim.spawn(Watched {
+            fired: fired.clone(),
+            watchdog: None,
+        });
+        sim.run_until(SimTime(10 * MICROS));
+        assert_eq!(sim.pending_events(), 2, "the completion and its watchdog");
+        // The operation completes at 50 us; nothing is left to wait for.
+        assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+        assert_eq!(sim.now(), SimTime(50 * MICROS));
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.dispatched(), 2);
+        assert_eq!(*fired.lock(), 0);
+    }
+
+    #[test]
+    fn killed_actor_loses_its_timers() {
+        let fired = std::sync::Arc::new(parking_lot::Mutex::new(0));
+        let mut sim = Sim::with_seed(0);
+        let id = sim.spawn(Watched {
+            fired: fired.clone(),
+            watchdog: None,
+        });
+        sim.run_until(SimTime(10 * MICROS));
+        sim.kill(id);
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.run_until_idle(), RunOutcome::Idle);
+        assert_eq!(*fired.lock(), 0);
     }
 
     struct SpawnOnStart;

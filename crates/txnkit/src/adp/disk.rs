@@ -56,6 +56,10 @@ pub(crate) struct DiskLog {
     buffer_virtual: u64,
     buffer_base: u64,
     flush: Option<FlushState>,
+    /// The window expiry (ns) the latest [`GroupTimer`] was armed for.
+    /// Every append ack and flush request inside one window computes the
+    /// same expiry; one timer per expiry is enough.
+    group_timer_due: u64,
     /// Appends awaiting backup ckpt ack, keyed by ckpt seq.
     pending_appends: BTreeMap<u64, PendingAppend>,
     /// Backup's shadow of unflushed appends: lsn_start → (virt, bytes).
@@ -71,6 +75,7 @@ impl DiskLog {
             buffer_virtual: 0,
             buffer_base: 0,
             flush: None,
+            group_timer_due: 0,
             pending_appends: BTreeMap::new(),
             shadow: BTreeMap::new(),
             next_ckpt: 0,
@@ -100,8 +105,12 @@ impl DiskLog {
                 .map(|(_, _, _, at)| *at)
                 .min()
                 .unwrap();
-            if now < oldest + window {
-                ctx.send_self(SimDuration::from_nanos(oldest + window - now), GroupTimer);
+            let due = oldest + window;
+            if now < due {
+                if self.group_timer_due != due {
+                    self.group_timer_due = due;
+                    ctx.send_self(SimDuration::from_nanos(due - now), GroupTimer);
+                }
                 return;
             }
         }

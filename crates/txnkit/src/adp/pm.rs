@@ -35,7 +35,7 @@ use nsk::machine::{CpuId, SharedMachine};
 use pmclient::{PmClientConfig, PmLib, PmReadTimeout, PmWriteComplete, PmWriteTimeout};
 use pmm::msgs::CreateRegionAck;
 use pmm::PlacementHint;
-use simcore::{Ctx, Msg, SimDuration};
+use simcore::{Ctx, Msg, SimDuration, TimerId};
 use simnet::{EndpointId, PersistMode, RdmaReadDone, RdmaStatus, RdmaWriteDone, TrafficClass};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -104,8 +104,9 @@ pub(crate) fn split_trail_parts(
     ]
 }
 
-/// Retry timer for PM region creation at startup/takeover. `attempt`
-/// counts the RPCs already sent, driving the capped exponential backoff.
+/// Retry timer for PM region creation at startup/takeover, disarmed once
+/// the log is ready. `attempt` counts the RPCs already sent, driving the
+/// capped exponential backoff.
 struct RegionRetry {
     attempt: u32,
 }
@@ -159,6 +160,8 @@ pub(crate) struct PmLog {
     /// Reading the control cell during takeover/boot.
     ctrl_read_pending: bool,
     ready: bool,
+    /// The [`RegionRetry`] standing over region creation until `ready`.
+    region_retry: Option<TimerId>,
     /// Appends with LSNs assigned, waiting for the next chain.
     staged: VecDeque<StagedAppend>,
     inflight: Option<Chain>,
@@ -201,6 +204,7 @@ impl PmLog {
             region_len,
             ctrl_read_pending: false,
             ready: false,
+            region_retry: None,
             staged: VecDeque::new(),
             inflight: None,
             ctrl_slot: 0,
@@ -248,7 +252,8 @@ impl PmLog {
         // channel with every byte of trail data it names.
         self.lib
             .create_region_placed(ctx, &region, region_len, true, PlacementHint::Solo, 0);
-        ctx.send_self(sh.cfg.region_retry_delay(attempt), RegionRetry { attempt });
+        let delay = sh.cfg.region_retry_delay(attempt);
+        self.region_retry = Some(ctx.arm_timer(delay, RegionRetry { attempt }));
     }
 
     /// With nothing in flight, post EVERY currently staged append as one
@@ -365,6 +370,9 @@ impl PmLog {
         self.ctrl_slot = slot.map(|s| 1 - s).unwrap_or(0);
         self.ctrl_read_pending = false;
         self.ready = true;
+        if let Some(retry) = self.region_retry.take() {
+            ctx.disarm(retry);
+        }
         sh.next_lsn = sh.next_lsn.max(wm);
         sh.durable_upto = sh.durable_upto.max(wm);
         // Drain appends that arrived during boot.

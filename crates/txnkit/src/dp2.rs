@@ -27,10 +27,10 @@ use crate::types::*;
 use bytes::BytesMut;
 use nsk::machine::{CpuId, SharedMachine, WatchTarget};
 use nsk::proc::{Checkpoint, CheckpointAck, ProcessDied};
-use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration};
+use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration, TimerId};
 use simdisk::DiskWrite;
 use simnet::{EndpointId, NetDelivery, SharedNetwork};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Role {
@@ -63,9 +63,9 @@ struct StagedInsert {
 /// Background destage tick.
 struct DestageTick;
 
-/// Retry timer for an audit append whose ack never came (ADP takeover).
-/// `attempt` counts the retries already fired, driving the capped
-/// exponential backoff.
+/// Retry timer for an audit append whose ack never came (ADP takeover);
+/// disarmed by the first ack. `attempt` counts the retries already fired,
+/// driving the capped exponential backoff.
 struct AppendRetry {
     op: u64,
     attempt: u32,
@@ -75,10 +75,17 @@ struct AppendRetry {
 /// `TxnConfig::lock_timeout_ns`. The per-DP2 wait-for graph catches local
 /// cycles eagerly, but a distributed deadlock spanning DP2s (or shards,
 /// under cross-shard 2PC) is invisible to it — the timer is what breaks
-/// those.
+/// those. Disarmed when the wait ends any other way.
 struct LockTimeout {
     txn: TxnId,
     key: u64,
+}
+
+/// An insert parked on a lock, with the [`LockTimeout`] armed for its
+/// wait (none when the backstop is off).
+struct Parked {
+    op: u64,
+    timeout: Option<TimerId>,
 }
 
 struct PendingInsert {
@@ -92,6 +99,8 @@ struct PendingInsert {
     appended: Option<(Lsn, bool)>,
     /// Its own checkpoint is at the backup, not yet acknowledged.
     awaiting_ckpt: bool,
+    /// The [`AppendRetry`] standing over the delta until `appended` is set.
+    retry: Option<TimerId>,
 }
 
 pub struct Dp2Proc {
@@ -110,15 +119,17 @@ pub struct Dp2Proc {
     data_volumes: Vec<ActorId>,
     next_vol: usize,
     stats: SharedTxnStats,
-    table: HashMap<PartitionId, BTreeMap<u64, StoredRecord>>,
+    /// Point-inserted, point-read and point-removed only — never walked,
+    /// so the hasher's order cannot reach the event trace.
+    table: HashMap<PartitionId, HashMap<u64, StoredRecord>>,
     locks: LockManager,
     /// Undo log: keys inserted per txn (undo of insert = delete).
     txn_writes: HashMap<TxnId, Vec<(PartitionId, u64)>>,
     /// Inserts in flight past the lock stage, keyed by op token.
     pending: HashMap<u64, PendingInsert>,
     next_op: u64,
-    /// Inserts parked on a lock: (txn, key) → op tokens.
-    parked: HashMap<(TxnId, u64), Vec<u64>>,
+    /// Inserts parked on a lock, by the (txn, key) wait they belong to.
+    parked: HashMap<(TxnId, u64), Vec<Parked>>,
     /// Ops staged but not yet applied (waiting on lock) keep their request
     /// here too, keyed by op.
     staged: HashMap<u64, (InsertReq, EndpointId)>,
@@ -165,12 +176,33 @@ impl Dp2Proc {
                 rec,
                 appended: None,
                 awaiting_ckpt: false,
+                retry: None,
             },
         );
         // Delta first: the longer leg, and both share the transmit port.
         self.send_audit_delta(ctx, op);
         self.send_checkpoint(ctx, op);
-        ctx.send_self(self.cfg.sub_retry_delay(0), AppendRetry { op, attempt: 0 });
+        self.arm_append_retry(ctx, op, 0);
+    }
+
+    fn arm_append_retry(&mut self, ctx: &mut Ctx<'_>, op: u64, attempt: u32) {
+        let delay = self.cfg.sub_retry_delay(attempt);
+        let retry = ctx.arm_timer(delay, AppendRetry { op, attempt });
+        if let Some(p) = self.pending.get_mut(&op) {
+            p.retry = Some(retry);
+        }
+    }
+
+    /// Locks were granted: apply every insert that was parked on them.
+    fn unpark(&mut self, ctx: &mut Ctx<'_>, granted: Vec<(TxnId, u64)>) {
+        for (txn, key) in granted {
+            for p in self.parked.remove(&(txn, key)).unwrap_or_default() {
+                if let Some(timeout) = p.timeout {
+                    ctx.disarm(timeout);
+                }
+                self.apply_insert(ctx, p.op);
+            }
+        }
     }
 
     /// Build and send the audit record for a pending insert. Re-sent on
@@ -257,6 +289,9 @@ impl Dp2Proc {
         };
         if p.appended.is_none() {
             p.appended = Some((done.lsn_end, done.is_durable()));
+            if let Some(retry) = p.retry.take() {
+                ctx.disarm(retry);
+            }
             self.maybe_reply(ctx, done.token);
         }
     }
@@ -406,14 +441,7 @@ impl Actor for Dp2Proc {
                         .unwrap_or(false);
                     if stalled {
                         self.send_audit_delta(ctx, r.op);
-                        let next = r.attempt + 1;
-                        ctx.send_self(
-                            self.cfg.sub_retry_delay(next),
-                            AppendRetry {
-                                op: r.op,
-                                attempt: next,
-                            },
-                        );
+                        self.arm_append_retry(ctx, r.op, r.attempt + 1);
                     }
                 }
                 return;
@@ -438,19 +466,17 @@ impl Actor for Dp2Proc {
                     s.deadlocks += 1;
                     s.lock_timeouts += 1;
                 }
-                for op in ops {
-                    if let Some((req, from_ep)) = self.staged.remove(&op) {
+                for p in ops {
+                    // The other ops of this wait each armed their own.
+                    if let Some(timeout) = p.timeout {
+                        ctx.disarm(timeout);
+                    }
+                    if let Some((req, from_ep)) = self.staged.remove(&p.op) {
                         self.reply_failed(ctx, from_ep, &req, InsertResult::Deadlock);
                     }
                 }
                 let granted = self.locks.cancel_wait(t.txn, t.key);
-                for (txn, key) in granted {
-                    if let Some(ops) = self.parked.remove(&(txn, key)) {
-                        for op in ops {
-                            self.apply_insert(ctx, op);
-                        }
-                    }
-                }
+                self.unpark(ctx, granted);
                 return;
             }
             Err(m) => m,
@@ -503,13 +529,16 @@ impl Actor for Dp2Proc {
                 match self.locks.acquire(txn, key, LockMode::Exclusive) {
                     Acquire::Granted => self.apply_insert(ctx, op),
                     Acquire::Queued => {
-                        self.parked.entry((txn, key)).or_default().push(op);
-                        if self.cfg.lock_timeout_ns > 0 {
-                            ctx.send_self(
+                        let timeout = (self.cfg.lock_timeout_ns > 0).then(|| {
+                            ctx.arm_timer(
                                 SimDuration::from_nanos(self.cfg.lock_timeout_ns),
                                 LockTimeout { txn, key },
-                            );
-                        }
+                            )
+                        });
+                        self.parked
+                            .entry((txn, key))
+                            .or_default()
+                            .push(Parked { op, timeout });
                     }
                     Acquire::Deadlock => {
                         let (req, from_ep) = self.staged.remove(&op).unwrap();
@@ -600,13 +629,7 @@ impl Actor for Dp2Proc {
                     }
                     self.txn_writes.remove(&res.txn);
                     let granted = self.locks.release_all(res.txn);
-                    for (txn, key) in granted {
-                        if let Some(ops) = self.parked.remove(&(txn, key)) {
-                            for op in ops {
-                                self.apply_insert(ctx, op);
-                            }
-                        }
-                    }
+                    self.unpark(ctx, granted);
                     return;
                 }
                 Err(p) => p,

@@ -44,7 +44,7 @@ use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
 use parking_lot::Mutex;
 use pmclient::{PmClientConfig, PmLib, PmReadTimeout, PmWriteTimeout};
-use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration};
+use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration, TimerId};
 use simnet::{
     EndpointId, NetDelivery, RdmaReadDone, RdmaStatus, RdmaWriteDone, SharedWanLink, TrafficClass,
 };
@@ -246,6 +246,8 @@ struct ShipperPart {
     sent: u64,
     read_inflight: bool,
     ship_inflight: bool,
+    /// The [`RetryTick`] standing over the batch in flight.
+    ship_retry: Option<TimerId>,
     ctrl_read_inflight: bool,
     subscribed: bool,
 }
@@ -423,13 +425,13 @@ impl LogShipper {
         }
         self.parts[i].sent = end;
         self.parts[i].ship_inflight = true;
-        ctx.send_self(
+        self.parts[i].ship_retry = Some(ctx.arm_timer(
             self.cfg.retry_interval,
             RetryTick {
                 part: i,
                 expect: end,
             },
-        );
+        ));
     }
 
     fn on_ack(&mut self, ctx: &mut Ctx<'_>, ack: ShipAck) {
@@ -440,6 +442,10 @@ impl LogShipper {
         self.stats.lock().acks += 1;
         let p = &mut self.parts[i];
         p.acked = p.acked.max(ack.applied_upto);
+        // Either way the batch in flight is answered.
+        if let Some(retry) = p.ship_retry.take() {
+            ctx.disarm(retry);
+        }
         if ack.applied_upto >= p.sent {
             p.ship_inflight = false;
         } else {
@@ -1039,6 +1045,7 @@ pub fn install_georep(
                         sent: 0,
                         read_inflight: false,
                         ship_inflight: false,
+                        ship_retry: None,
                         ctrl_read_inflight: false,
                         subscribed: false,
                     })

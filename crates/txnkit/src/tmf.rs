@@ -50,7 +50,7 @@ use crate::stats::SharedTxnStats;
 use crate::types::*;
 use nsk::machine::{CpuId, SharedMachine, WatchTarget};
 use nsk::proc::{Checkpoint, CheckpointAck, ProcessDied};
-use simcore::{Actor, Ctx, Msg, Sim};
+use simcore::{Actor, Ctx, Msg, Sim, TimerId};
 use simnet::{EndpointId, NetDelivery, SharedNetwork};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -114,8 +114,9 @@ enum SubKind {
     },
 }
 
-/// Retry timer for a sub-operation. `attempt` counts the retries already
-/// fired, driving the capped exponential backoff.
+/// Retry timer for a sub-operation, disarmed when its token retires.
+/// `attempt` counts the retries already fired, driving the capped
+/// exponential backoff.
 struct SubRetry {
     sub: u64,
     attempt: u32,
@@ -188,8 +189,9 @@ pub struct TmfProc {
     next_txn: u64,
     commits: HashMap<u64, CommitState>, // token → state
     next_token: u64,
-    /// flush/append tokens → (commit token, what it was, for retry).
-    subop: HashMap<u64, (u64, SubKind)>,
+    /// flush/append tokens → (commit token, what it was, for retry, the
+    /// [`SubRetry`] standing over it).
+    subop: HashMap<u64, (u64, SubKind, TimerId)>,
     next_subop: u64,
     /// Participant role: transactions this shard holds in prepared state.
     prepared: HashMap<TxnId, PrepState>,
@@ -221,9 +223,16 @@ impl TmfProc {
     fn sub_token(&mut self, ctx: &mut Ctx<'_>, commit_token: u64, kind: SubKind) -> u64 {
         let t = self.next_subop;
         self.next_subop += 1;
-        self.subop.insert(t, (commit_token, kind));
-        ctx.send_self(self.cfg.sub_retry_delay(0), SubRetry { sub: t, attempt: 0 });
+        let retry = ctx.arm_timer(self.cfg.sub_retry_delay(0), SubRetry { sub: t, attempt: 0 });
+        self.subop.insert(t, (commit_token, kind, retry));
         t
+    }
+
+    /// A sub-operation was answered: its token and its retry timer go.
+    fn retire_sub(&mut self, ctx: &mut Ctx<'_>, sub: u64) -> Option<(u64, SubKind)> {
+        let (commit_token, kind, retry) = self.subop.remove(&sub)?;
+        ctx.disarm(retry);
+        Some((commit_token, kind))
     }
 
     fn send_proc<M: 'static + Send>(&self, ctx: &mut Ctx<'_>, to: &str, bytes: u32, msg: M) {
@@ -263,7 +272,7 @@ impl TmfProc {
     /// over and the new primary never saw it, or a peer TMF's reply was
     /// lost to a takeover).
     fn reissue(&mut self, ctx: &mut Ctx<'_>, sub: u64, attempt: u32) {
-        let Some((_, kind)) = self.subop.get(&sub).cloned() else {
+        let Some((_, kind, _)) = self.subop.get(&sub).cloned() else {
             return;
         };
         match kind {
@@ -349,10 +358,13 @@ impl TmfProc {
             }
         }
         let next = attempt + 1;
-        ctx.send_self(
+        let retry = ctx.arm_timer(
             self.cfg.sub_retry_delay(next),
             SubRetry { sub, attempt: next },
         );
+        if let Some(entry) = self.subop.get_mut(&sub) {
+            entry.2 = retry;
+        }
     }
 
     /// A phase-1 local data flush completed.
@@ -900,13 +912,15 @@ impl Actor for TmfProc {
             // --- coordinator: a participant voted yes ---
             let payload = match payload.downcast::<PrepareAck>() {
                 Ok(ack) => {
-                    if let Some((token, kind)) = self.subop.remove(&ack.token) {
-                        if matches!(kind, SubKind::Prepare { .. }) {
+                    // (Tokens are unique: an ack naming any other kind of
+                    // sub-operation is not ours to retire.)
+                    let prepare = matches!(
+                        self.subop.get(&ack.token),
+                        Some((_, SubKind::Prepare { .. }, _))
+                    );
+                    if prepare {
+                        if let Some((token, _)) = self.retire_sub(ctx, ack.token) {
                             self.phase1_prepare_done(ctx, token);
-                        } else {
-                            // Token reuse mismatch: restore (shouldn't
-                            // happen — tokens are unique).
-                            self.subop.insert(ack.token, (token, kind));
                         }
                     }
                     return;
@@ -960,7 +974,7 @@ impl Actor for TmfProc {
             // --- coordinator: decision delivered, stop retrying ---
             let payload = match payload.downcast::<DecisionAck>() {
                 Ok(ack) => {
-                    self.subop.remove(&ack.token);
+                    self.retire_sub(ctx, ack.token);
                     return;
                 }
                 Err(p) => p,
@@ -968,7 +982,7 @@ impl Actor for TmfProc {
 
             let payload = match payload.downcast::<AppendDone>() {
                 Ok(done) => {
-                    let Some((token, kind)) = self.subop.remove(&done.token) else {
+                    let Some((token, kind)) = self.retire_sub(ctx, done.token) else {
                         return;
                     };
                     // Append; flush only if the ack does not already
@@ -1005,7 +1019,7 @@ impl Actor for TmfProc {
             };
 
             if let Ok(done) = payload.downcast::<FlushDone>() {
-                if let Some((token, kind)) = self.subop.remove(&done.token) {
+                if let Some((token, kind)) = self.retire_sub(ctx, done.token) {
                     match kind {
                         SubKind::DataFlush { .. } => self.phase1_flush_done(ctx, token),
                         SubKind::MasterFlush { .. } => self.commit_hardened(ctx, token),

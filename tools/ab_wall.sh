@@ -1,0 +1,94 @@
+#!/usr/bin/env bash
+# A/B the end-to-end benchmark's host cost between two checkouts:
+#
+#   tools/ab_wall.sh <parent-checkout> <workload> [pairs=10]
+#
+# Builds `benchmark/` in <parent-checkout> and in this tree, runs the
+# workload <pairs> times on each side in alternating order (the side that
+# goes first flips every pair, so drift on a shared box hits both), and
+# prints per side the median and quartiles of `wall_s`, how many pairs
+# the change won (a tie counts for neither), whether the medians are
+# further apart than the parent's own quartiles, and whether the three
+# simulated metrics and the correctness counts are identical in every run
+# of both sides — which a host-cost change owes and a commit-path change
+# does not. SEED picks the plan seed (default: the reference seed).
+#
+# Nothing under `benchmark/` is modified; each tree builds into its own
+# `benchmark/target`, exactly as the benchmark driver does.
+set -euo pipefail
+
+if [[ $# -lt 2 || $# -gt 3 ]]; then
+  echo "usage: $0 <parent-checkout> <workload> [pairs=10]" >&2
+  exit 2
+fi
+parent="$(cd "$1" && pwd)"
+change="$(cd "$(dirname "$0")/.." && pwd)"
+workload="$2"
+pairs="${3:-10}"
+seed="${SEED:-0x0D5B11}"
+unset CARGO_TARGET_DIR
+
+for tree in "$parent" "$change"; do
+  cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
+done
+
+# One run of a tree's benchmark; its result is the last stdout line (the
+# per-repetition narration on stderr is dropped).
+run() {
+  (cd "$1/benchmark" && target/release/odsbench \
+    --workload "$workload" --seed "$seed" --seconds 12 --trace 0 2>/dev/null | tail -n 1)
+}
+metric() { sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" <<<"$1"; }
+# What must not move: correctness counts and the simulated metrics.
+simulated() {
+  echo "${1%%,\"metrics\"*} $(metric "$1" commit_p50_us) $(metric "$1" commit_p99_us) $(metric "$1" commits_per_sim_s)"
+}
+
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+wins=0
+ties=0
+for ((i = 1; i <= pairs; i++)); do
+  if ((i % 2)); then order=(parent change); else order=(change parent); fi
+  for side in "${order[@]}"; do
+    out="$(run "${!side}")"
+    if [[ -z "$(metric "$out" wall_s)" ]]; then
+      echo "$0: no result line from the $side tree's benchmark" >&2
+      exit 1
+    fi
+    metric "$out" wall_s >>"$scratch/$side.wall"
+    simulated "$out" >>"$scratch/simulated"
+  done
+  p="$(tail -n 1 "$scratch/parent.wall")"
+  c="$(tail -n 1 "$scratch/change.wall")"
+  verdict="$(awk -v p="$p" -v c="$c" 'BEGIN { print (c < p) ? "win" : (c > p) ? "loss" : "tie" }')"
+  [[ $verdict == win ]] && wins=$((wins + 1))
+  [[ $verdict == tie ]] && ties=$((ties + 1))
+  printf 'pair %2d (%s first): parent %.3f s  change %.3f s  ratio %.3f  %s\n' \
+    "$i" "${order[0]}" "$p" "$c" "$(awk -v p="$p" -v c="$c" 'BEGIN { print c / p }')" "$verdict"
+done
+
+# "q1 median q3" of a file of numbers (linear interpolation between ranks).
+quartiles() {
+  sort -g "$1" | awk '
+    { v[NR] = $1 }
+    function q(f,   h, lo) { h = 1 + (NR - 1) * f; lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
+    END { printf "%.4f %.4f %.4f\n", q(0.25), q(0.5), q(0.75) }'
+}
+read -r pq1 pmed pq3 <<<"$(quartiles "$scratch/parent.wall")"
+read -r cq1 cmed cq3 <<<"$(quartiles "$scratch/change.wall")"
+echo "workload $workload  seed $seed  pairs $pairs"
+echo "parent wall_s: median $pmed  quartiles $pq1 .. $pq3"
+echo "change wall_s: median $cmed  quartiles $cq1 .. $cq3"
+awk -v w="$wins" -v t="$ties" -v n="$pairs" -v pm="$pmed" -v cm="$cmed" -v q1="$pq1" -v q3="$pq3" 'BEGIN {
+  printf "change won %d of %d pairs (%d ties); median change/parent %.3f; medians %.4f s apart, parent quartiles %.4f s apart\n",
+    w, n, t, cm / pm, pm - cm, q3 - q1
+  gain = (w * 10 >= n * 9 && pm - cm > q3 - q1)
+  print (gain ? "wall_s: gain resolved" : "wall_s: no gain resolved")
+}'
+if [[ "$(sort -u "$scratch/simulated" | wc -l)" -eq 1 ]]; then
+  echo "simulated metrics: identical in all $((2 * pairs)) runs ($(head -n 1 "$scratch/simulated"))"
+else
+  echo "simulated metrics: DIFFER between runs:"
+  sort "$scratch/simulated" | uniq -c
+fi
