@@ -71,5 +71,8 @@ tools/bench_check.sh
 # itself (the numbers mean nothing; the build, the parse and the
 # simulated-metrics comparison must all still work).
 tools/ab_wall.sh . trade_pm 1
+# The size and option census every re-anchor used to count by hand. It
+# gates nothing; it runs here so the script cannot rot unnoticed.
+tools/census.sh
 # Docs must build clean (broken intra-doc links fail the gate).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -30,7 +30,7 @@ use txnkit::{AppendDone, AuditAppend, FlushDone, FlushReq, TxnConfig, TxnId};
 const WORKER_CPUS: u32 = 4;
 const POOL_VOLUMES: u32 = 4;
 const REGION_LEN: u64 = 8 << 20;
-// One commit record per commit (`TxnConfig::commit_record_bytes`).
+// One commit record per commit (the TMF's `COMMIT_RECORD_BYTES`).
 const RECORD_BYTES: usize = 64;
 
 #[derive(Default)]

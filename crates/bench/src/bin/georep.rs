@@ -90,7 +90,7 @@ fn run_arm(seed: u64, eager: bool, delay_ms: u64, drill: bool) -> DrillOutcome {
             // Moderate, bounded-lag load. Two ceilings matter: at full
             // closed-loop throttle trail production saturates the shared
             // fabric, and shipping is stop-and-wait per partition, so a
-            // 40 ms WAN caps drain at max_batch/RTT ≈ 2.9 MB/s/partition.
+            // 40 ms WAN caps drain at MAX_BATCH/RTT ≈ 2.9 MB/s/partition.
             // Past either ceiling RPO measures backlog accumulation, not
             // the shipping mode. Think time keeps production below both
             // so the arms measure what they claim to.

@@ -16,7 +16,7 @@ use pm_bench::{json, Table};
 use simdisk::DiskConfig;
 use simnet::FabricConfig;
 use txnkit::audit::AuditRecord;
-use txnkit::recovery::{mttr_disk_scan, mttr_pm_scan, mttr_pm_with_tcb, redo_scan};
+use txnkit::recovery::{mttr_disk_scan, mttr_pm_scan, mttr_pm_with_tcb, redo_scan_partitioned};
 use txnkit::types::{PartitionId, TxnId};
 
 fn main() {
@@ -92,7 +92,7 @@ fn main() {
             }
         }
     }
-    let rec = redo_scan(&[&trail], None);
+    let rec = redo_scan_partitioned(&[&trail]);
     let rebuilt: usize = rec.tables.values().map(|t| t.len()).sum();
     println!(
         "redo validation: {} committed txns, {} in flight, {} aborted, {} keys rebuilt (expected {})",

@@ -32,17 +32,6 @@ impl NvMedium {
         );
         NvMedium { image, base, len }
     }
-
-    /// Convenience: the window described by a PMM region. Only meaningful
-    /// for single-extent regions — a striped region has no one contiguous
-    /// device window.
-    pub fn for_region(image: Image<NvImage>, region: &pmm::RegionInfo) -> Self {
-        assert!(
-            !region.map.is_striped(),
-            "NvMedium needs a single-extent region"
-        );
-        NvMedium::new(image, region.nva_base(), region.len)
-    }
 }
 
 impl PmMedium for NvMedium {

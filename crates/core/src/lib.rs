@@ -28,9 +28,7 @@ pub mod system;
 pub use adapter::NvMedium;
 pub use integrity::{verify_mirrors, Discrepancy, MirrorReport};
 pub use presets::{s86000_baseline, s86000_cluster, s86000_pm, s86000_pm_hardware, s86000_pm_pool};
-pub use system::{
-    install_audit_partitions, install_pm_pool, install_pm_system, PmPoolSystem, PmSystem,
-};
+pub use system::{install_audit_partitions, install_pm_pool, install_pm_system, PmPoolSystem};
 
 // One-stop re-exports of the architecture's components.
 pub use npmu::{AttEntry, AttTable, CpuFilter, Npmu, NpmuConfig, NpmuHandle, NpmuKind, NvImage};
@@ -39,7 +37,7 @@ pub use pmclient::{
     PmWriteTimeout,
 };
 pub use pmm::{
-    install_pmm_pair, install_pmm_pool, Extent, HealthState, PlacementHint, PlacementPolicy,
-    PmmConfig, PmmHandle, PmmStats, RegionInfo, StripeMap, VolumeEps,
+    install_pmm_pool, Extent, HealthState, PlacementHint, PlacementPolicy, PmmConfig, PmmHandle,
+    PmmStats, RegionInfo, StripeMap, VolumeEps,
 };
 pub use pmstore::{ParseError, PmBTree, PmHeap, PmLockTable, PmQueue, PmTx, TcbTable};

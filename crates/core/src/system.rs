@@ -2,66 +2,8 @@
 
 use npmu::{Npmu, NpmuConfig, NpmuHandle};
 use nsk::machine::{CpuId, SharedMachine};
-use pmm::{install_pmm_pair, install_pmm_pool, PmmConfig, PmmHandle};
+use pmm::{install_pmm_pool, PmmConfig, PmmHandle};
 use simcore::{DurableStore, Sim};
-
-/// Handles to an installed PM subsystem.
-pub struct PmSystem {
-    pub npmu_a: NpmuHandle,
-    pub npmu_b: NpmuHandle,
-    pub pmm: PmmHandle,
-    /// Process name clients pass to `PmLib::new`.
-    pub pmm_name: String,
-}
-
-/// Install a mirrored NPMU pair named `<prefix>-a` / `<prefix>-b` and the
-/// `$PMM-<prefix>` process pair that manages them. Device memory persists
-/// in `store` under `npmu:<prefix>-{a,b}` (durable for hardware devices,
-/// volatile for PMPs), so a rebuilt simulation recovers the volume.
-pub fn install_pm_system(
-    sim: &mut Sim,
-    store: &mut DurableStore,
-    machine: &SharedMachine,
-    prefix: &str,
-    device: NpmuConfig,
-    primary_cpu: CpuId,
-    backup_cpu: Option<CpuId>,
-) -> PmSystem {
-    let net = machine.lock().net.clone();
-    let a = Npmu::install(
-        sim,
-        store,
-        &net,
-        Some(machine),
-        &format!("{prefix}-a"),
-        device.clone(),
-    );
-    let b = Npmu::install(
-        sim,
-        store,
-        &net,
-        Some(machine),
-        &format!("{prefix}-b"),
-        device,
-    );
-    let pmm_name = format!("$PMM-{prefix}");
-    let pmm = install_pmm_pair(
-        sim,
-        machine,
-        &pmm_name,
-        &a,
-        &b,
-        primary_cpu,
-        backup_cpu,
-        PmmConfig::default(),
-    );
-    PmSystem {
-        npmu_a: a,
-        npmu_b: b,
-        pmm,
-        pmm_name,
-    }
-}
 
 /// Handles to an installed scale-out PM pool.
 pub struct PmPoolSystem {
@@ -72,11 +14,12 @@ pub struct PmPoolSystem {
     pub pmm_name: String,
 }
 
-/// Install a scale-out PM pool: `n_volumes` mirrored NPMU pairs behind
-/// one `$PMM-<prefix>` namespace. Member `v`'s devices are named
-/// `<prefix><v>-a` / `<prefix><v>-b` — except member 0 of a 1-volume
-/// pool, which keeps the [`install_pm_system`] names `<prefix>-a` /
-/// `<prefix>-b` so existing durable images stay adopted.
+/// Install a scale-out PM pool: `n_volumes` mirrored NPMU pairs and the
+/// `$PMM-<prefix>` process pair that manages them as one namespace.
+/// Member `v`'s devices are named `<prefix><v>-a` / `<prefix><v>-b` —
+/// a 1-volume pool's are plain `<prefix>-a` / `<prefix>-b`. Device memory
+/// persists in `store` under `npmu:<device name>` (durable for hardware
+/// devices, volatile for PMPs), so a rebuilt simulation recovers the pool.
 #[allow(clippy::too_many_arguments)]
 pub fn install_pm_pool(
     sim: &mut Sim,
@@ -119,6 +62,29 @@ pub fn install_pm_pool(
     }
 }
 
+/// Install §4.1's three pieces — one mirrored NPMU pair and its PMM
+/// process pair: the one-volume [`install_pm_pool`].
+pub fn install_pm_system(
+    sim: &mut Sim,
+    store: &mut DurableStore,
+    machine: &SharedMachine,
+    prefix: &str,
+    device: NpmuConfig,
+    primary_cpu: CpuId,
+    backup_cpu: Option<CpuId>,
+) -> PmPoolSystem {
+    install_pm_pool(
+        sim,
+        store,
+        machine,
+        prefix,
+        device,
+        1,
+        primary_cpu,
+        backup_cpu,
+    )
+}
+
 /// Install `partitions` independent audit-trail process pairs (`$ADP0`,
 /// `$ADP1`, …) over an already-installed PM pool's PMM namespace. Each
 /// partition owns its own trail region `adp{i}.audit` (one extent,
@@ -138,32 +104,24 @@ pub fn install_audit_partitions(
     cfg: txnkit::TxnConfig,
     stats: txnkit::SharedTxnStats,
 ) -> Vec<String> {
-    let n = partitions.max(1);
-    let cpus = cpus.max(1);
-    let mut names = Vec::with_capacity(n as usize);
-    for i in 0..n {
-        let name = format!("$ADP{i}");
-        txnkit::install_adp(
-            sim,
-            machine,
-            &name,
-            CpuId(i % cpus),
-            if backups {
-                Some(CpuId((i + 1) % cpus))
-            } else {
-                None
-            },
-            txnkit::AuditBackend::Pm {
+    txnkit::install_adp_pairs(
+        sim,
+        machine,
+        partitions.max(1),
+        0,
+        cpus.max(1),
+        backups,
+        |_, i| {
+            let backend = txnkit::AuditBackend::Pm {
                 pmm: pmm_name.to_string(),
                 region: format!("adp{i}.audit"),
                 region_len,
-            },
-            cfg.clone(),
-            stats.clone(),
-        );
-        names.push(name);
-    }
-    names
+            };
+            (format!("$ADP{i}"), backend)
+        },
+        &cfg,
+        &stats,
+    )
 }
 
 #[cfg(test)]
@@ -192,8 +150,9 @@ mod tests {
         assert!(store.contains("npmu:pm0-a"));
         assert!(store.contains("npmu:pm0-b"));
         // Metadata windows were programmed on both devices.
-        assert_eq!(sys.npmu_a.att.lock().len(), 1);
-        assert_eq!(sys.npmu_b.att.lock().len(), 1);
+        let (a, b) = &sys.volumes[0];
+        assert_eq!(a.att.lock().len(), 1);
+        assert_eq!(b.att.lock().len(), 1);
     }
 
     #[test]

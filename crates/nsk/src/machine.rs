@@ -26,8 +26,6 @@ pub struct MachineConfig {
     /// died. Paper §4: "a backup process takes over from its primary in a
     /// second or less" — detection is the dominant part of that budget.
     pub detection_delay_ns: u64,
-    /// Model per-CPU compute contention (serialize handler work).
-    pub model_cpu_contention: bool,
 }
 
 impl Default for MachineConfig {
@@ -36,7 +34,6 @@ impl Default for MachineConfig {
             cpus: 4,
             local_ipc_ns: 5_000,
             detection_delay_ns: 400_000_000, // 400 ms
-            model_cpu_contention: true,
         }
     }
 }
@@ -189,14 +186,11 @@ impl Machine {
     }
 
     /// Account `cost_ns` of compute on `cpu` starting at `now_ns`; returns
-    /// the queueing delay before the work can begin (0 when contention
-    /// modelling is off).
+    /// the queueing delay before the work can begin (a CPU serializes its
+    /// handlers' work).
     pub fn cpu_work(&mut self, cpu: CpuId, now_ns: u64, cost_ns: u64) -> u64 {
         let i = cpu.0 as usize;
         self.cpu_work_total_ns[i] += cost_ns;
-        if !self.cfg.model_cpu_contention {
-            return 0;
-        }
         let start = self.cpu_busy_ns[i].max(now_ns);
         self.cpu_busy_ns[i] = start + cost_ns;
         start - now_ns
@@ -217,13 +211,6 @@ impl Machine {
             .filter(|(t, _)| t == target)
             .map(|(_, w)| *w)
             .collect()
-    }
-
-    /// Names of all registered processes (deterministic order).
-    pub fn process_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.procs.keys().cloned().collect();
-        names.sort();
-        names
     }
 }
 
@@ -340,29 +327,13 @@ mod tests {
     }
 
     #[test]
-    fn cpu_work_serializes_when_contention_on() {
+    fn cpu_work_serializes_per_cpu() {
         let m = machine();
         let mut m = m.lock();
         assert_eq!(m.cpu_work(CpuId(0), 0, 100), 0);
         assert_eq!(m.cpu_work(CpuId(0), 0, 100), 100);
         assert_eq!(m.cpu_work(CpuId(1), 0, 100), 0, "other cpu independent");
         assert_eq!(m.cpu_work_total(CpuId(0)), 200);
-    }
-
-    #[test]
-    fn cpu_work_free_when_contention_off() {
-        let net = Network::new(FabricConfig::default());
-        let m = Machine::new(
-            MachineConfig {
-                model_cpu_contention: false,
-                ..MachineConfig::default()
-            },
-            net,
-        );
-        let mut m = m.lock();
-        assert_eq!(m.cpu_work(CpuId(0), 0, 100), 0);
-        assert_eq!(m.cpu_work(CpuId(0), 0, 100), 0);
-        assert_eq!(m.cpu_work_total(CpuId(0)), 200, "accounting still runs");
     }
 
     #[test]

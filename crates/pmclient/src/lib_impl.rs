@@ -267,6 +267,30 @@ struct ReadRun {
     class: TrafficClass,
 }
 
+/// What the library knows of one member volume's two halves
+/// (`[primary, mirror]`) for a region it has open.
+#[derive(Default)]
+struct HalfState {
+    /// Set on availability failure (which also fires a one-shot
+    /// [`ReportMirrorFailure`] to the PMM), cleared when that half
+    /// answers `Ok` again.
+    suspect: [bool; 2],
+    /// When each half was last suspected (sim ns) — breaks the tie when
+    /// *both* halves are suspect: reads go to the least-recently-suspected
+    /// half rather than silently to half 0.
+    suspected_at: [u64; 2],
+    /// Halves whose *contents* may be stale: set when a half is
+    /// suspected (its data diverges while it is out) or when a read is
+    /// rejected by the PMM's resilver read fence. A successful write
+    /// clears `suspect` but not this — only a successful *read* on the
+    /// half (fence lifted, resilver verified clean) does. Balanced
+    /// routing avoids stale halves, probing them every
+    /// [`PmLib::STALE_PROBE_PERIOD`]th read.
+    stale: [bool; 2],
+    /// Read sequence counter (round-robin + stale probe cadence).
+    read_seq: u64,
+}
+
 /// The client library state, embedded in a process actor.
 pub struct PmLib {
     machine: SharedMachine,
@@ -290,27 +314,8 @@ pub struct PmLib {
     persist_map: HashMap<u64, (u64, usize, u8)>,
     /// Regions opened through this library instance.
     regions: HashMap<u64, RegionInfo>,
-    /// Per-(region, member volume) suspect halves:
-    /// `suspects[(region, volume)] = [primary, mirror]`. Set on
-    /// availability failure (which also fires a one-shot
-    /// [`ReportMirrorFailure`] to the PMM), cleared when that half
-    /// answers `Ok` again.
-    suspects: HashMap<(u64, u32), [bool; 2]>,
-    /// When each half was last suspected (sim ns) — breaks the tie when
-    /// *both* halves of a member are suspect: reads go to the
-    /// least-recently-suspected half rather than silently to half 0.
-    suspected_at: HashMap<(u64, u32), [u64; 2]>,
-    /// Halves whose *contents* may be stale: set when a half is
-    /// suspected (its data diverges while it is out) or when a read is
-    /// rejected by the PMM's resilver read fence. A successful write
-    /// clears `suspects` but not this — only a successful *read* on the
-    /// half (fence lifted, resilver verified clean) does. Balanced
-    /// routing avoids stale halves, probing them every
-    /// [`Self::STALE_PROBE_PERIOD`]th read.
-    stale: HashMap<(u64, u32), [bool; 2]>,
-    /// Per-(region, member) read sequence counter (round-robin + stale
-    /// probe cadence).
-    read_seq: HashMap<(u64, u32), u64>,
+    /// What is known of each (region, member volume)'s two halves.
+    halves: HashMap<(u64, u32), HalfState>,
     /// Per-(member volume, half) read round-trip EWMA, ns (adaptive
     /// routing).
     rtt_ewma: HashMap<(u32, u8), f64>,
@@ -342,10 +347,7 @@ impl PmLib {
             read_map: HashMap::new(),
             persist_map: HashMap::new(),
             regions: HashMap::new(),
-            suspects: HashMap::new(),
-            suspected_at: HashMap::new(),
-            stale: HashMap::new(),
-            read_seq: HashMap::new(),
+            halves: HashMap::new(),
             rtt_ewma: HashMap::new(),
         }
     }
@@ -380,28 +382,6 @@ impl PmLib {
 
     pub fn config(&self) -> &PmClientConfig {
         &self.cfg
-    }
-
-    /// Suspect state for a region's halves (`[primary, mirror]`), OR-ed
-    /// across member volumes. Pre-pool callers see the same shape as
-    /// before; use [`Self::suspect_halves_on`] for a single member.
-    pub fn suspect_halves(&self, region_id: u64) -> [bool; 2] {
-        let mut out = [false; 2];
-        for (&(rid, _), s) in &self.suspects {
-            if rid == region_id {
-                out[0] |= s[0];
-                out[1] |= s[1];
-            }
-        }
-        out
-    }
-
-    /// Suspect state of one member volume's halves for a region.
-    pub fn suspect_halves_on(&self, region_id: u64, volume: u32) -> [bool; 2] {
-        self.suspects
-            .get(&(region_id, volume))
-            .copied()
-            .unwrap_or([false; 2])
     }
 
     /// Ask the PMM to create (or, with `open_if_exists`, open) a region
@@ -475,10 +455,7 @@ impl PmLib {
     /// Ask the PMM to close a region.
     pub fn close_region(&mut self, ctx: &mut Ctx<'_>, region_id: u64, token: u64) -> bool {
         self.regions.remove(&region_id);
-        self.suspects.retain(|&(rid, _), _| rid != region_id);
-        self.suspected_at.retain(|&(rid, _), _| rid != region_id);
-        self.stale.retain(|&(rid, _), _| rid != region_id);
-        self.read_seq.retain(|&(rid, _), _| rid != region_id);
+        self.halves.retain(|&(rid, _), _| rid != region_id);
         let machine = self.machine.clone();
         nsk::proc::send_to_process(
             ctx,
@@ -816,17 +793,14 @@ impl PmLib {
     /// least-recently-suspected half), then stale-avoidance, then the
     /// configured routing policy across the healthy halves.
     fn pick_read_half(&mut self, ctx: &mut Ctx<'_>, region_id: u64, volume: u32) -> u8 {
-        let s = self.suspect_halves_on(region_id, volume);
+        let st = self.halves.entry((region_id, volume)).or_default();
+        let s = st.suspect;
         if s[0] && s[1] {
             // Nowhere healthy to go: a real library still has to issue
             // somewhere. Prefer the half that failed longest ago (most
             // likely to have recovered) instead of silently picking the
             // primary, and leave a trace for diagnosis.
-            let at = self
-                .suspected_at
-                .get(&(region_id, volume))
-                .copied()
-                .unwrap_or([0; 2]);
+            let at = st.suspected_at;
             ctx.trace("pmclient: degraded read, both halves suspect");
             return if at[0] <= at[1] { 0 } else { 1 };
         }
@@ -836,16 +810,8 @@ impl PmLib {
         if s[1] {
             return 0;
         }
-        let seq = {
-            let c = self.read_seq.entry((region_id, volume)).or_insert(0);
-            *c += 1;
-            *c
-        };
-        let stale = self
-            .stale
-            .get(&(region_id, volume))
-            .copied()
-            .unwrap_or([false; 2]);
+        st.read_seq += 1;
+        let (seq, stale) = (st.read_seq, st.stale);
         if stale[0] != stale[1] {
             // One half is converging behind the PMM's read fence: serve
             // from the fresh half, but probe the stale one periodically
@@ -918,14 +884,12 @@ impl PmLib {
         // A failing half's contents diverge while it is out: even after
         // it answers again, don't trust its reads until one succeeds
         // directly (the PMM fences reads off it until resilvered).
-        self.stale.entry((region_id, volume)).or_default()[half as usize] = true;
-        self.suspected_at.entry((region_id, volume)).or_default()[half as usize] =
-            ctx.now().as_nanos();
-        let entry = self.suspects.entry((region_id, volume)).or_default();
-        if entry[half as usize] {
+        let st = self.halves.entry((region_id, volume)).or_default();
+        st.stale[half as usize] = true;
+        st.suspected_at[half as usize] = ctx.now().as_nanos();
+        if std::mem::replace(&mut st.suspect[half as usize], true) {
             return;
         }
-        entry[half as usize] = true;
         let machine = self.machine.clone();
         nsk::proc::send_to_process(
             ctx,
@@ -943,8 +907,8 @@ impl PmLib {
     }
 
     fn clear_suspect(&mut self, region_id: u64, volume: u32, half: u8) {
-        if let Some(entry) = self.suspects.get_mut(&(region_id, volume)) {
-            entry[half as usize] = false;
+        if let Some(st) = self.halves.get_mut(&(region_id, volume)) {
+            st.suspect[half as usize] = false;
         }
     }
 
@@ -952,8 +916,8 @@ impl PmLib {
     /// (the PMM only lifts the read fence once the resilver verified the
     /// mirrors identical).
     fn clear_stale(&mut self, region_id: u64, volume: u32, half: u8) {
-        if let Some(entry) = self.stale.get_mut(&(region_id, volume)) {
-            entry[half as usize] = false;
+        if let Some(st) = self.halves.get_mut(&(region_id, volume)) {
+            st.stale[half as usize] = false;
         }
     }
 
@@ -1255,7 +1219,7 @@ impl PmLib {
             // A rejection through an open window means the PMM re-fenced
             // this half (resilver in progress): its contents are stale,
             // not its port. Route around it until a probe read succeeds.
-            self.stale.entry((region_id, volume)).or_default()[half as usize] = true;
+            self.halves.entry((region_id, volume)).or_default().stale[half as usize] = true;
         }
         self.fail_over_part(ctx, run_id, part, done.status)
     }
@@ -1338,11 +1302,6 @@ impl PmLib {
         })
     }
 
-    /// Outstanding mirrored writes (for drain/shutdown checks).
-    pub fn inflight_writes(&self) -> usize {
-        self.writes.len()
-    }
-
     /// True when no read or write is in flight *and* every per-op
     /// completion map has been purged — the invariant a long-lived
     /// client relies on to not leak tracking state across runs.
@@ -1359,7 +1318,8 @@ impl PmLib {
     /// tie-break deterministically.
     #[cfg(test)]
     pub(crate) fn force_suspect_at(&mut self, region_id: u64, volume: u32, half: u8, at_ns: u64) {
-        self.suspects.entry((region_id, volume)).or_default()[half as usize] = true;
-        self.suspected_at.entry((region_id, volume)).or_default()[half as usize] = at_ns;
+        let st = self.halves.entry((region_id, volume)).or_default();
+        st.suspect[half as usize] = true;
+        st.suspected_at[half as usize] = at_ns;
     }
 }

@@ -8,7 +8,7 @@ use nsk::machine::{CpuId, Machine, MachineConfig, SharedMachine};
 use nsk::Monitor;
 use parking_lot::Mutex;
 use pmm::msgs::*;
-use pmm::{install_pmm_pair, PmmConfig, PmmHandle};
+use pmm::{install_pmm_pool, PmmConfig, PmmHandle};
 use simcore::actor::Start;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::SECS;
@@ -58,6 +58,16 @@ enum Step {
     },
     Delete {
         name: String,
+    },
+    /// Close the region on this CPU (`opened[region_idx]` keeps its info,
+    /// so a later `RawWrite` can aim at the window it no longer has).
+    Close {
+        region_idx: usize,
+    },
+    /// A bare `rdma_write` to the region's base on its primary half,
+    /// around the library: only the device's ATT decides.
+    RawWrite {
+        region_idx: usize,
     },
     /// Ask the PMM to move the region to `to_volume`; on success the
     /// fresh info replaces (or joins) this client's opened regions.
@@ -221,6 +231,24 @@ impl TestClient {
                     },
                 );
             }
+            Step::Close { region_idx } => {
+                let id = self.opened[region_idx].region_id;
+                self.lib.close_region(ctx, id, tok);
+            }
+            Step::RawWrite { region_idx } => {
+                let info = &self.opened[region_idx];
+                let net = self.machine.lock().net.clone();
+                simnet::rdma_write(
+                    ctx,
+                    &net,
+                    self.ep,
+                    info.volumes[0].primary_ep,
+                    info.nva_base(),
+                    Bytes::from(vec![9u8; 32]),
+                    tok,
+                    simnet::TrafficClass::Commit,
+                );
+            }
             Step::Migrate { name, to_volume } => {
                 self.lib.migrate_region(ctx, &name, Some(to_volume), tok);
             }
@@ -343,6 +371,11 @@ impl Actor for TestClient {
                 if let Some(c) = self.lib.on_rdma_write_done(ctx, &done) {
                     self.log_write_completion(ctx, &c);
                     self.advance(ctx);
+                } else if let Some(Step::RawWrite { .. }) = self.steps.get(self.pos) {
+                    self.log
+                        .lock()
+                        .push(format!("raw[{}]:{:?}", self.pos, done.status));
+                    self.advance(ctx);
                 }
                 return;
             }
@@ -443,6 +476,18 @@ impl Actor for TestClient {
                 }
                 Err(p) => p,
             };
+            let payload = match payload.downcast::<CloseRegionAck>() {
+                Ok(ack) => {
+                    if self.waiting && ack.token == self.pos as u64 {
+                        self.log
+                            .lock()
+                            .push(format!("close[{}]:{:?}", ack.token, ack.result));
+                        self.advance(ctx);
+                    }
+                    return;
+                }
+                Err(p) => p,
+            };
             if let Ok(ack) = payload.downcast::<MigrateRegionAck>() {
                 if !self.waiting || ack.token != self.pos as u64 {
                     return;
@@ -515,12 +560,11 @@ fn build_faulty(
     let dev = NpmuConfig::hardware(16 << 20).with_fail_mode(fail_mode);
     let a = Npmu::install(&mut sim, store, &net, Some(&machine), "pm-a", dev.clone());
     let b = Npmu::install(&mut sim, store, &net, Some(&machine), "pm-b", dev);
-    let pmm = install_pmm_pair(
+    let pmm = install_pmm_pool(
         &mut sim,
         &machine,
         "$PMM",
-        &a,
-        &b,
+        &[(a, b)],
         CpuId(0),
         if backup { Some(CpuId(1)) } else { None },
         pmm_cfg,
@@ -682,6 +726,51 @@ fn access_control_blocks_cpu_that_did_not_open() {
     );
     sc.sim.run_until(SimTime(20 * SECS));
     assert!(log_c.lock()[1].contains("Ok:asexpected"));
+}
+
+/// §3's region API is create / open / close / delete; close is the one
+/// with no other caller in the tree. Closing takes the calling CPU out of
+/// the region's ATT window on the devices, so a write from that endpoint
+/// that the window admitted a moment ago is now an access violation; a
+/// second close finds nothing open; re-opening restores access.
+#[test]
+fn close_revokes_the_closing_cpus_window_until_it_reopens() {
+    let mut store = DurableStore::new();
+    let mut sc = build(&mut store, 46, true);
+    let log = spawn_client(
+        &mut sc,
+        CpuId(2),
+        vec![
+            Step::Create {
+                name: "c".into(),
+                len: 1 << 16,
+            },
+            Step::RawWrite { region_idx: 0 },
+            Step::Close { region_idx: 0 },
+            Step::RawWrite { region_idx: 0 },
+            Step::Close { region_idx: 0 },
+            Step::Open { name: "c".into() },
+            Step::RawWrite { region_idx: 1 },
+            Step::Write {
+                region_idx: 1,
+                offset: 64,
+                data: vec![7; 64],
+                expect: RdmaStatus::Ok,
+            },
+        ],
+        MirrorPolicy::ParallelBoth,
+    );
+    sc.sim.run_until(SimTime(20 * SECS));
+    let log = log.lock();
+    assert_eq!(log.len(), 8, "{log:?}");
+    assert_eq!(log[0], "create[0]:ok");
+    assert_eq!(log[1], "raw[1]:Ok", "an open region admits its CPU");
+    assert_eq!(log[2], "close[2]:Ok(())");
+    assert_eq!(log[3], "raw[3]:AccessViolation", "the window is gone");
+    assert_eq!(log[4], "close[4]:Err(NotOpen)");
+    assert_eq!(log[5], "open[5]:ok");
+    assert_eq!(log[6], "raw[6]:Ok", "re-opened");
+    assert!(log[7].contains("Ok:asexpected"), "{log:?}");
 }
 
 #[test]

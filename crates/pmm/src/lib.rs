@@ -35,9 +35,7 @@ pub mod manager;
 pub mod meta;
 pub mod msgs;
 
-pub use manager::{
-    install_pmm_pair, install_pmm_pool, PmmConfig, PmmHandle, PmmStats, SharedPmmStats,
-};
+pub use manager::{install_pmm_pool, PmmConfig, PmmHandle, PmmStats, SharedPmmStats};
 pub use meta::{HealthState, MetaStore, RegionMeta, VolumeMeta, META_BYTES};
 pub use msgs::*;
 // Pool shapes clients and harnesses need to route I/O and place regions.

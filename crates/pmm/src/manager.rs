@@ -111,31 +111,32 @@ use std::sync::Arc;
 /// pool namespace, so an interrupted migration's reservation vanishes.
 const MIG_RESERVATION_ID: u64 = u64::MAX;
 
+/// CPU cost charged per management op, ns.
+const OP_CPU_NS: u64 = 15_000;
+/// Probe reads with no answer by then count as failed (silent-drop
+/// devices never NACK).
+const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(5);
+/// Metadata slot writes with unanswered legs by then treat those legs as
+/// failed (and degrade the member volume).
+const META_WRITE_TIMEOUT: SimDuration = SimDuration::from_millis(5);
+/// Bulk-transfer window: how many units the engine keeps in flight at
+/// once per run — chunks being copied device to device, or coalesced
+/// scrub runs being digested — pipelining the source device's port and
+/// scan engine.
+const TRANSFER_WINDOW: u32 = 8;
+/// A bulk step (device copy or scrub) with no answer by then aborts its
+/// run (a resilver back to Degraded). Per-op watchdogs stretch this by the
+/// worst-case queueing behind a full window: port time for a copy, device
+/// scan time for a digest.
+const RESILVER_STEP_TIMEOUT: SimDuration = SimDuration::from_millis(10);
+
 #[derive(Clone, Debug)]
 pub struct PmmConfig {
-    /// CPU cost charged per management op, ns.
-    pub op_cpu_ns: u64,
     /// While a member is degraded, how often to probe its dead half.
     pub probe_interval: SimDuration,
-    /// Probe reads with no answer by then count as failed (silent-drop
-    /// devices never NACK).
-    pub probe_timeout: SimDuration,
-    /// Metadata slot writes with unanswered legs by then treat those legs
-    /// as failed (and degrade the member volume).
-    pub meta_write_timeout: SimDuration,
     /// Bulk-mover granularity, bytes: the unit of a device copy and of a
     /// device digest, for resilver and migration alike.
     pub resilver_chunk: u32,
-    /// Bulk-transfer window: how many units the engine keeps in flight at
-    /// once per run — chunks being copied device to device, or coalesced
-    /// scrub runs being digested. 1 is lock-step; the default pipelines
-    /// the source device's port and scan engine.
-    pub transfer_window: u32,
-    /// A bulk step (device copy or scrub) with no answer by then aborts
-    /// its run (a resilver back to Degraded). Per-op watchdogs stretch
-    /// this by the worst-case queueing behind a full window: port time for
-    /// a copy, device scan time for a digest.
-    pub resilver_step_timeout: SimDuration,
     /// How new regions are laid out across pool members.
     pub placement: PlacementPolicy,
 }
@@ -143,13 +144,8 @@ pub struct PmmConfig {
 impl Default for PmmConfig {
     fn default() -> Self {
         PmmConfig {
-            op_cpu_ns: 15_000,
             probe_interval: SimDuration::from_millis(50),
-            probe_timeout: SimDuration::from_millis(5),
-            meta_write_timeout: SimDuration::from_millis(5),
             resilver_chunk: 256 * 1024,
-            transfer_window: 8,
-            resilver_step_timeout: SimDuration::from_millis(10),
             placement: PlacementPolicy::default(),
         }
     }
@@ -341,7 +337,7 @@ struct VolState {
     stats: SharedPmmStats,
 }
 
-/// Handle returned by [`install_pmm_pool`] / [`install_pmm_pair`].
+/// Handle returned by [`install_pmm_pool`].
 #[derive(Clone)]
 pub struct PmmHandle {
     pub name: String,
@@ -466,9 +462,7 @@ impl PmmProc {
 
     fn charge_cpu(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_nanos();
-        self.machine
-            .lock()
-            .cpu_work(self.cpu, now, self.cfg.op_cpu_ns);
+        self.machine.lock().cpu_work(self.cpu, now, OP_CPU_NS);
     }
 
     fn half_ep(&self, vol: usize, half: u8) -> EndpointId {
@@ -532,8 +526,7 @@ impl PmmProc {
                 TrafficClass::Commit,
             );
         }
-        let timeout = self.cfg.meta_write_timeout;
-        op.write_timeout = Some(ctx.arm_timer(timeout, MetaWriteTimeout { token }));
+        op.write_timeout = Some(ctx.arm_timer(META_WRITE_TIMEOUT, MetaWriteTimeout { token }));
         self.pending.insert(token, op);
         token
     }
@@ -839,7 +832,7 @@ impl PmmProc {
             rid,
             TrafficClass::Commit,
         );
-        let timeout = ctx.arm_timer(self.cfg.probe_timeout, ProbeTimeout { rid });
+        let timeout = ctx.arm_timer(PROBE_TIMEOUT, ProbeTimeout { rid });
         self.probes.insert(rid, (vol, kind, timeout));
     }
 
@@ -957,10 +950,10 @@ impl PmmProc {
     /// every deadline from the model in one place.
     fn step_timeout(&self, len: u32) -> SimDuration {
         let wire = simnet::latency::wire_ns(&self.net.lock().cfg, len);
-        let window = self.cfg.transfer_window.max(1) as u64;
+        let window = TRANSFER_WINDOW as u64;
         let active = self.vols.iter().filter(|v| v.resilver.is_some()).count() as u64;
         SimDuration::from_nanos(
-            self.cfg.resilver_step_timeout.as_nanos() + (window * active.max(1) + 2) * wire,
+            RESILVER_STEP_TIMEOUT.as_nanos() + (window * active.max(1) + 2) * wire,
         )
     }
 
@@ -970,10 +963,10 @@ impl PmmProc {
     /// engine issues. Every device scans for itself, so concurrent runs
     /// do not stretch each other here.
     fn digest_timeout(&self) -> SimDuration {
-        let window = self.cfg.transfer_window.max(1) as u64;
+        let window = TRANSFER_WINDOW as u64;
         let unit = SCRUB_BATCH as u64 * self.cfg.resilver_chunk as u64;
         SimDuration::from_nanos(
-            self.cfg.resilver_step_timeout.as_nanos() + (window + 1) * npmu::digest_ns(unit),
+            RESILVER_STEP_TIMEOUT.as_nanos() + (window + 1) * npmu::digest_ns(unit),
         )
     }
 
@@ -1006,8 +999,13 @@ impl PmmProc {
     // --- the bulk engine's pump: one for every mover ----------------------
 
     fn new_bulk_run(&self, phase: Phase, queue: VecDeque<Chunk>, parties: usize) -> BulkRun {
-        let (window, chunk) = (self.cfg.transfer_window, self.cfg.resilver_chunk);
-        BulkRun::new(phase, queue, parties, window, chunk)
+        BulkRun::new(
+            phase,
+            queue,
+            parties,
+            TRANSFER_WINDOW,
+            self.cfg.resilver_chunk,
+        )
     }
 
     fn bulk_mut(&mut self, mover: Mover) -> Option<&mut BulkRun> {
@@ -1074,7 +1072,7 @@ impl PmmProc {
         Some((mover, op))
     }
 
-    /// Drive a mover's run: keep up to `transfer_window` units in flight,
+    /// Drive a mover's run: keep up to [`TRANSFER_WINDOW`] units in flight,
     /// and hand the run to its owner's transition rule each time a phase
     /// has drained *and* the window emptied. Every byte moves device to
     /// device (the source pushes a chunk straight to each destination;
@@ -1872,84 +1870,45 @@ impl PmmProc {
             Err(p) => p,
         };
 
-        let payload = match payload.downcast::<FencePool>() {
-            Ok(req) => {
-                let req = *req;
-                if req.epoch <= self.pool.epoch {
-                    // Stale fence (a replayed or out-of-order takeover):
-                    // epochs only move forward.
-                    send_net_msg(
-                        ctx,
-                        &net,
-                        self.ep,
-                        from_ep,
-                        64,
-                        FencePoolAck {
-                            token: req.token,
-                            result: Err(PmError::Busy),
-                        },
-                    );
-                    return;
-                }
-                // Persist the new epoch on every member's metadata FIRST,
-                // then engage the device fences at commit: a fence that
-                // engaged before the epoch was durable could be silently
-                // lost to a PMM restart, un-fencing a dead primary.
-                self.pool.epoch = req.epoch;
-                for v in 0..self.vols.len() {
-                    apply_pool_to_member(&self.pool, v as u32, &mut self.vols[v].meta);
-                    self.vols[v].meta.epoch += 1;
-                }
-                let targets = self.all_vols();
-                self.start_meta_write(
-                    ctx,
-                    PendingOp {
-                        waiting_writes: 0,
-                        write_timeout: None,
-                        waiting_ckpt: false,
-                        reply_to_ep: from_ep,
-                        reply: PendingReply::Fence(req.token, req.epoch),
-                        att_actions: vec![],
-                    },
-                    &targets,
-                );
-                return;
-            }
-            Err(p) => p,
-        };
-
-        let payload = match payload.downcast::<VolumeHealthReq>() {
-            Ok(req) => {
-                let members: Vec<HealthState> = self.vols.iter().map(|v| v.meta.health).collect();
+        if let Ok(req) = payload.downcast::<FencePool>() {
+            let req = *req;
+            if req.epoch <= self.pool.epoch {
+                // Stale fence (a replayed or out-of-order takeover):
+                // epochs only move forward.
                 send_net_msg(
                     ctx,
                     &net,
                     self.ep,
                     from_ep,
                     64,
-                    VolumeHealthAck {
+                    FencePoolAck {
                         token: req.token,
-                        health: members[0],
-                        members,
+                        result: Err(PmError::Busy),
                     },
                 );
                 return;
             }
-            Err(p) => p,
-        };
-
-        if let Ok(req) = payload.downcast::<ListRegions>() {
-            let names: Vec<String> = self.pool.regions.iter().map(|r| r.name.clone()).collect();
-            send_net_msg(
+            // Persist the new epoch on every member's metadata FIRST,
+            // then engage the device fences at commit: a fence that
+            // engaged before the epoch was durable could be silently
+            // lost to a PMM restart, un-fencing a dead primary.
+            self.pool.epoch = req.epoch;
+            for v in 0..self.vols.len() {
+                apply_pool_to_member(&self.pool, v as u32, &mut self.vols[v].meta);
+                self.vols[v].meta.epoch += 1;
+            }
+            let targets = self.all_vols();
+            self.start_meta_write(
                 ctx,
-                &net,
-                self.ep,
-                from_ep,
-                256,
-                ListRegionsAck {
-                    token: req.token,
-                    names,
+                PendingOp {
+                    waiting_writes: 0,
+                    write_timeout: None,
+                    waiting_ckpt: false,
+                    reply_to_ep: from_ep,
+                    reply: PendingReply::Fence(req.token, req.epoch),
+                    att_actions: vec![],
                 },
+                &targets,
             );
         }
     }
@@ -2347,30 +2306,6 @@ pub fn install_pmm_pool(
         stats,
         vol_stats,
     }
-}
-
-/// Install a PMM pair managing a single mirrored NPMU pair — the
-/// pre-pool entry point, now a 1-member pool.
-#[allow(clippy::too_many_arguments)]
-pub fn install_pmm_pair(
-    sim: &mut Sim,
-    machine: &SharedMachine,
-    name: &str,
-    npmu_a: &NpmuHandle,
-    npmu_b: &NpmuHandle,
-    primary_cpu: CpuId,
-    backup_cpu: Option<CpuId>,
-    cfg: PmmConfig,
-) -> PmmHandle {
-    install_pmm_pool(
-        sim,
-        machine,
-        name,
-        &[(npmu_a.clone(), npmu_b.clone())],
-        primary_cpu,
-        backup_cpu,
-        cfg,
-    )
 }
 
 #[cfg(test)]

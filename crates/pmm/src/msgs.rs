@@ -46,26 +46,6 @@ pub struct RegionInfo {
 }
 
 impl RegionInfo {
-    /// A single-extent region on one mirrored pair — the pre-pool shape.
-    pub fn solo(
-        region_id: u64,
-        nva_base: u64,
-        len: u64,
-        primary_ep: EndpointId,
-        mirror_ep: EndpointId,
-    ) -> RegionInfo {
-        RegionInfo {
-            region_id,
-            len,
-            map: StripeMap::solo(0, nva_base, len),
-            volumes: vec![VolumeEps {
-                volume: 0,
-                primary_ep,
-                mirror_ep,
-            }],
-        }
-    }
-
     /// Base network virtual address of the first extent. For unstriped
     /// regions this is *the* region base (the pre-pool `nva_base` field).
     pub fn nva_base(&self) -> u64 {
@@ -176,23 +156,6 @@ pub struct ReportMirrorFailure {
     pub half: u8,
 }
 
-/// Ask the PMM for the pool's current member health (tests and
-/// monitoring poll this to observe each member's Healthy → Degraded →
-/// Resilvering → Healthy cycle independently).
-#[derive(Clone, Copy, Debug)]
-pub struct VolumeHealthReq {
-    pub token: u64,
-}
-
-#[derive(Clone, Debug)]
-pub struct VolumeHealthAck {
-    pub token: u64,
-    /// Member 0's health (the pre-pool single-volume field).
-    pub health: crate::meta::HealthState,
-    /// Health of every member volume, in pool order.
-    pub members: Vec<crate::meta::HealthState>,
-}
-
 /// Epoch-fence the whole pool (disaster-recovery takeover). Sent by the
 /// takeover controller once the replica site declares the primary dead:
 /// the PMM bumps the pool epoch to `epoch` (rejected if not strictly
@@ -211,16 +174,4 @@ pub struct FencePoolAck {
     pub token: u64,
     /// `Err(Busy)` if the requested epoch is not newer than the pool's.
     pub result: Result<u64, PmError>,
-}
-
-/// Enumerate regions.
-#[derive(Clone, Debug)]
-pub struct ListRegions {
-    pub token: u64,
-}
-
-#[derive(Clone, Debug)]
-pub struct ListRegionsAck {
-    pub token: u64,
-    pub names: Vec<String>,
 }

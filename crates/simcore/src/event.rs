@@ -133,11 +133,6 @@ impl EventQueue {
         self.heap.is_empty() && self.timers.is_empty()
     }
 
-    /// Total number of events ever scheduled (monotone counter).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Drop every pending event and timer addressed to `target`. Used
     /// when an actor is killed by fault injection: a dead CPU receives
     /// nothing.

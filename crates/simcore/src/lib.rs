@@ -45,5 +45,5 @@ pub use durable::DurableStore;
 pub use event::{EventQueue, TimerId};
 pub use rng::DetRng;
 pub use sim::{RunOutcome, Sim, SimConfig};
-pub use stats::{Counter, Histogram, SharedCounter, SharedHistogram, TimeSeries};
+pub use stats::{Counter, Histogram, TimeSeries};
 pub use time::{SimDuration, SimTime, MICROS, MILLIS, NANOS, SECS};

@@ -44,7 +44,6 @@ pub enum RunOutcome {
 struct Slot {
     actor: Option<Box<dyn Actor>>,
     alive: bool,
-    name: String,
 }
 
 /// A discrete-event simulation instance.
@@ -108,11 +107,9 @@ impl Sim {
 
     pub(crate) fn spawn_boxed(&mut self, actor: Box<dyn Actor>) -> ActorId {
         let id = ActorId(self.slots.len() as u32);
-        let name = actor.name().to_string();
         self.slots.push(Slot {
             actor: Some(actor),
             alive: true,
-            name,
         });
         self.queue.push(self.now, id, Msg::new(ENGINE, Start));
         id
@@ -132,13 +129,6 @@ impl Sim {
             .get(id.0 as usize)
             .map(|s| s.alive)
             .unwrap_or(false)
-    }
-
-    pub fn actor_name(&self, id: ActorId) -> &str {
-        self.slots
-            .get(id.0 as usize)
-            .map(|s| s.name.as_str())
-            .unwrap_or("<none>")
     }
 
     /// Inject a message from outside the simulation (scenario setup).

@@ -5,14 +5,6 @@
 //! HDR-style log-linear histogram: 64 powers of two, each split into 16
 //! linear sub-buckets, giving ≤ ~6% relative quantile error over the full
 //! `u64` range — plenty for latencies spanning microseconds to minutes.
-//!
-//! Actors share collectors through [`SharedHistogram`]/[`SharedCounter`]
-//! handles (`Arc<parking_lot::Mutex<..>>`): the simulation itself is
-//! single-threaded, but whole sims run on worker threads during parameter
-//! sweeps, so the handles must be `Send`.
-
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 const SUB_BITS: u32 = 4;
 const SUB: usize = 1 << SUB_BITS; // 16 sub-buckets per power of two
@@ -192,21 +184,6 @@ impl TimeSeries {
     pub fn last(&self) -> Option<(u64, f64)> {
         self.points.last().copied()
     }
-}
-
-/// Shared handle to a [`Histogram`].
-pub type SharedHistogram = Arc<Mutex<Histogram>>;
-/// Shared handle to a [`Counter`].
-pub type SharedCounter = Arc<Mutex<Counter>>;
-
-/// Fresh shared histogram.
-pub fn shared_histogram() -> SharedHistogram {
-    Arc::new(Mutex::new(Histogram::new()))
-}
-
-/// Fresh shared counter.
-pub fn shared_counter() -> SharedCounter {
-    Arc::new(Mutex::new(Counter::default()))
 }
 
 #[cfg(test)]

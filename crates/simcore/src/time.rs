@@ -24,16 +24,16 @@ pub struct SimDuration(pub u64);
 impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
-    pub fn from_nanos(ns: u64) -> Self {
+    pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * MICROS)
     }
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * MILLIS)
     }
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * SECS)
     }
     /// From a floating-point microsecond count (latency model outputs).

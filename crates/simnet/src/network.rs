@@ -224,14 +224,6 @@ impl Network {
         self.class_totals
     }
 
-    /// Per-(endpoint, direction, class) scheduler counters, sorted for
-    /// deterministic iteration.
-    pub fn port_class_stats(&self) -> Vec<((u32, PortDir, TrafficClass), ClassStats)> {
-        let mut v: Vec<_> = self.port_class.iter().map(|(k, s)| (*k, *s)).collect();
-        v.sort_by_key(|((ep, dir, class), _)| (*ep, *dir as u8, *class));
-        v
-    }
-
     /// Allocate a fresh endpoint bound to `actor`.
     pub fn attach(&mut self, actor: ActorId) -> EndpointId {
         let id = EndpointId(self.endpoints.len() as u32);

@@ -95,10 +95,6 @@ impl WanLink {
         self.severed = false;
     }
 
-    pub fn is_severed(&self) -> bool {
-        self.severed
-    }
-
     /// Is the link down at `now` (severed, or inside a planned window)?
     pub fn down_at(&self, now: SimTime) -> bool {
         self.severed

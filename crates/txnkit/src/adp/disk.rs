@@ -17,6 +17,10 @@ use simnet::EndpointId;
 use std::any::Any;
 use std::collections::BTreeMap;
 
+/// Buffered trail bytes that trigger an immediate flush regardless of the
+/// group-commit window.
+const GROUP_COMMIT_BYTES: u64 = 192 * 1024;
+
 /// Data checkpoint: an append's bytes, shipped to the backup before the
 /// append is acknowledged.
 #[derive(Clone)]
@@ -96,7 +100,7 @@ impl DiskLog {
         // Group commit: hold the flush until the oldest waiter aged past
         // the window or the buffer is big enough to amortize the device.
         let window = sh.cfg.group_commit_window_ns;
-        if window > 0 && self.buffer_virtual < sh.cfg.group_commit_bytes {
+        if window > 0 && self.buffer_virtual < GROUP_COMMIT_BYTES {
             let now = ctx.now().as_nanos();
             let oldest = sh
                 .waiters
@@ -229,7 +233,7 @@ impl AuditLog for DiskLog {
             };
             let machine = sh.machine.clone();
             let name = sh.name.clone();
-            let wire = sh.cfg.checkpoint_overhead_bytes + virt as u32;
+            let wire = crate::config::CHECKPOINT_OVERHEAD_BYTES + virt as u32;
             nsk::proc::send_to_backup(
                 ctx,
                 &machine,

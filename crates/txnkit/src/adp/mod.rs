@@ -41,6 +41,12 @@ use std::any::Any;
 
 pub use pm::{parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
 
+/// Fabric traffic class for commit-critical PM ops: the ADP's trail
+/// chains (each carries the control cell that releases commit acks), its
+/// boot/takeover reads, and the geo-replication shipper's trail reads.
+/// Pinned through to the fabric's per-class schedulers when QoS is on.
+pub(crate) const PM_COMMIT_CLASS: simnet::TrafficClass = simnet::TrafficClass::Commit;
+
 /// Where the trail becomes durable.
 #[derive(Clone)]
 pub enum AuditBackend {
@@ -355,7 +361,7 @@ impl Actor for AdpProc {
 
 /// Install an ADP pair named `name` with the given backend.
 #[allow(clippy::too_many_arguments)]
-pub fn install_adp(
+fn install_adp(
     sim: &mut Sim,
     machine: &SharedMachine,
     name: &str,
@@ -387,7 +393,7 @@ pub fn install_adp(
                     region.clone(),
                     *region_len,
                     cfg2.pm_persist_mode,
-                    cfg2.pm_commit_class,
+                    PM_COMMIT_CLASS,
                 )),
             };
             Box::new(AdpProc {
@@ -415,4 +421,39 @@ pub fn install_adp(
     if let Some(bcpu) = backup_cpu {
         nsk::machine::install_backup(sim, machine, name, bcpu, mk(Role::Backup, bcpu));
     }
+}
+
+/// Install `n` independent ADP pairs — §4.2's "multiple ADPs can be
+/// configured per node". `partition(sim, i)` names pair `i` and gives its
+/// backend (spawning a disk volume if it needs one); primaries go round
+/// robin over the worker CPUs `cpu0..cpu0 + cpus`, each backup on the CPU
+/// after its primary. Returns the process names in partition order.
+#[allow(clippy::too_many_arguments)]
+pub fn install_adp_pairs(
+    sim: &mut Sim,
+    machine: &SharedMachine,
+    n: u32,
+    cpu0: u32,
+    cpus: u32,
+    backups: bool,
+    mut partition: impl FnMut(&mut Sim, u32) -> (String, AuditBackend),
+    cfg: &TxnConfig,
+    stats: &SharedTxnStats,
+) -> Vec<String> {
+    (0..n)
+        .map(|i| {
+            let (name, backend) = partition(sim, i);
+            install_adp(
+                sim,
+                machine,
+                &name,
+                CpuId(cpu0 + i % cpus),
+                backups.then(|| CpuId(cpu0 + (i + 1) % cpus)),
+                backend,
+                cfg.clone(),
+                stats.clone(),
+            );
+            name
+        })
+        .collect()
 }

@@ -246,13 +246,13 @@ impl PmLog {
         self.region_len - PM_CTRL_BYTES
     }
 
-    fn start_region(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, attempt: u32) {
+    fn start_region(&mut self, ctx: &mut Ctx<'_>, attempt: u32) {
         let (region, region_len) = (self.region_name.clone(), self.region_len);
         // One extent on one member: the cell must share an ordered
         // channel with every byte of trail data it names.
         self.lib
             .create_region_placed(ctx, &region, region_len, true, PlacementHint::Solo, 0);
-        let delay = sh.cfg.region_retry_delay(attempt);
+        let delay = crate::config::region_retry_delay(attempt);
         self.region_retry = Some(ctx.arm_timer(delay, RegionRetry { attempt }));
     }
 
@@ -427,11 +427,11 @@ impl PmLog {
 }
 
 impl AuditLog for PmLog {
-    fn open(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>) {
+    fn open(&mut self, _sh: &mut AdpShared, ctx: &mut Ctx<'_>) {
         // Boot and takeover are the same: (re)open the region and recover
         // the exact durable position from the PM control cell; no shadow
         // state is needed.
-        self.start_region(sh, ctx, 0);
+        self.start_region(ctx, 0);
     }
 
     fn append(
@@ -475,7 +475,7 @@ impl AuditLog for PmLog {
         let msg = match msg.take::<RegionRetry>() {
             Ok((_, r)) => {
                 if role == Role::Primary && !self.ready {
-                    self.start_region(sh, ctx, r.attempt + 1);
+                    self.start_region(ctx, r.attempt + 1);
                 }
                 return None;
             }

@@ -32,6 +32,20 @@ use simdisk::DiskWrite;
 use simnet::{EndpointId, NetDelivery, SharedNetwork};
 use std::collections::{HashMap, HashSet};
 
+/// Lock wait limit before a waiter is victimized (coarse deadlock
+/// backstop on top of cycle detection). In a sharded cluster this is also
+/// the backstop for *distributed* deadlocks — wait cycles that thread
+/// through two shards' lock managers, which no single shard's cycle
+/// detector can see. The victim aborts before its coordinator prepares,
+/// so the timeout never unwinds a prepared participant.
+const LOCK_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Dirty-page destage interval (background writes to data volumes).
+const DESTAGE_INTERVAL: SimDuration = SimDuration::from_millis(200);
+/// Fabric traffic class for the DP2→ADP delta appends, which carry full
+/// record images: bandwidth-bearing but still latency-relevant, so they
+/// ride the middle `Audit` class, above background `Bulk` movers.
+const PM_AUDIT_CLASS: simnet::TrafficClass = simnet::TrafficClass::Audit;
+
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Role {
     Primary,
@@ -71,8 +85,8 @@ struct AppendRetry {
     attempt: u32,
 }
 
-/// Lock-wait timeout: the coarse victimization backstop from
-/// `TxnConfig::lock_timeout_ns`. The per-DP2 wait-for graph catches local
+/// Lock-wait timeout: the coarse victimization backstop, [`LOCK_TIMEOUT`]
+/// after the wait began. The per-DP2 wait-for graph catches local
 /// cycles eagerly, but a distributed deadlock spanning DP2s (or shards,
 /// under cross-shard 2PC) is invisible to it — the timer is what breaks
 /// those. Disarmed when the wait ends any other way.
@@ -82,10 +96,10 @@ struct LockTimeout {
 }
 
 /// An insert parked on a lock, with the [`LockTimeout`] armed for its
-/// wait (none when the backstop is off).
+/// wait.
 struct Parked {
     op: u64,
-    timeout: Option<TimerId>,
+    timeout: TimerId,
 }
 
 struct PendingInsert {
@@ -186,7 +200,7 @@ impl Dp2Proc {
     }
 
     fn arm_append_retry(&mut self, ctx: &mut Ctx<'_>, op: u64, attempt: u32) {
-        let delay = self.cfg.sub_retry_delay(attempt);
+        let delay = crate::config::sub_retry_delay(attempt);
         let retry = ctx.arm_timer(delay, AppendRetry { op, attempt });
         if let Some(p) = self.pending.get_mut(&op) {
             p.retry = Some(retry);
@@ -197,9 +211,7 @@ impl Dp2Proc {
     fn unpark(&mut self, ctx: &mut Ctx<'_>, granted: Vec<(TxnId, u64)>) {
         for (txn, key) in granted {
             for p in self.parked.remove(&(txn, key)).unwrap_or_default() {
-                if let Some(timeout) = p.timeout {
-                    ctx.disarm(timeout);
-                }
+                ctx.disarm(p.timeout);
                 self.apply_insert(ctx, p.op);
             }
         }
@@ -237,7 +249,7 @@ impl Dp2Proc {
             self.cpu,
             &adp,
             virt,
-            self.cfg.pm_audit_class,
+            PM_AUDIT_CLASS,
             AuditAppend {
                 records: enc.freeze(),
                 virtual_len: virt,
@@ -261,7 +273,7 @@ impl Dp2Proc {
             key: p.req.key,
             rec: p.rec,
         };
-        let wire = self.cfg.checkpoint_overhead_bytes + p.rec.virtual_len;
+        let wire = crate::config::CHECKPOINT_OVERHEAD_BYTES + p.rec.virtual_len;
         self.stats.lock().dbw_checkpoints += 1;
         let machine = self.machine.clone();
         let name = self.name.clone();
@@ -423,10 +435,7 @@ impl Actor for Dp2Proc {
                 .lock()
                 .watch(WatchTarget::Process(self.name.clone()), me);
             if self.role == Role::Primary {
-                ctx.send_self(
-                    SimDuration::from_nanos(self.cfg.destage_interval_ns),
-                    DestageTick,
-                );
+                ctx.send_self(DESTAGE_INTERVAL, DestageTick);
             }
             return;
         }
@@ -468,9 +477,7 @@ impl Actor for Dp2Proc {
                 }
                 for p in ops {
                     // The other ops of this wait each armed their own.
-                    if let Some(timeout) = p.timeout {
-                        ctx.disarm(timeout);
-                    }
+                    ctx.disarm(p.timeout);
                     if let Some((req, from_ep)) = self.staged.remove(&p.op) {
                         self.reply_failed(ctx, from_ep, &req, InsertResult::Deadlock);
                     }
@@ -485,10 +492,7 @@ impl Actor for Dp2Proc {
         if msg.is::<DestageTick>() {
             if self.role == Role::Primary {
                 self.destage(ctx);
-                ctx.send_self(
-                    SimDuration::from_nanos(self.cfg.destage_interval_ns),
-                    DestageTick,
-                );
+                ctx.send_self(DESTAGE_INTERVAL, DestageTick);
             }
             return;
         }
@@ -502,10 +506,7 @@ impl Actor for Dp2Proc {
                     (Role::Backup, true) => {
                         self.machine.lock().promote_backup(&self.name);
                         self.role = Role::Primary;
-                        ctx.send_self(
-                            SimDuration::from_nanos(self.cfg.destage_interval_ns),
-                            DestageTick,
-                        );
+                        ctx.send_self(DESTAGE_INTERVAL, DestageTick);
                     }
                     (Role::Primary, false) => self.backup_lost(ctx),
                     _ => {}
@@ -529,12 +530,7 @@ impl Actor for Dp2Proc {
                 match self.locks.acquire(txn, key, LockMode::Exclusive) {
                     Acquire::Granted => self.apply_insert(ctx, op),
                     Acquire::Queued => {
-                        let timeout = (self.cfg.lock_timeout_ns > 0).then(|| {
-                            ctx.arm_timer(
-                                SimDuration::from_nanos(self.cfg.lock_timeout_ns),
-                                LockTimeout { txn, key },
-                            )
-                        });
+                        let timeout = ctx.arm_timer(LOCK_TIMEOUT, LockTimeout { txn, key });
                         self.parked
                             .entry((txn, key))
                             .or_default()

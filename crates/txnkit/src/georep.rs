@@ -215,12 +215,13 @@ pub struct ShipperConfig {
     pub lazy_interval: SimDuration,
     /// Re-ship pace when a batch or its ack is lost to the WAN.
     pub retry_interval: SimDuration,
-    /// Largest single batch (bytes of trail span). Sized so one batch's
-    /// local read — and the replica's mirrored write — serializes in a
-    /// couple of milliseconds at ServerNet bandwidth, well inside the DR
-    /// libraries' relaxed timeouts.
-    pub max_batch: u64,
 }
+
+/// Largest single batch (bytes of trail span). Sized so one batch's local
+/// read — and the replica's mirrored write — serializes in a couple of
+/// milliseconds at ServerNet bandwidth, well inside the DR libraries'
+/// relaxed timeouts.
+const MAX_BATCH: u64 = 256 << 10;
 
 impl Default for ShipperConfig {
     fn default() -> Self {
@@ -228,7 +229,6 @@ impl Default for ShipperConfig {
             eager_partitions: u32::MAX,
             lazy_interval: SimDuration::from_millis(50),
             retry_interval: SimDuration::from_millis(20),
-            max_batch: 256 << 10,
         }
     }
 }
@@ -360,14 +360,13 @@ impl LogShipper {
     /// Ship the next contiguous span if the watermark is ahead and the
     /// pipe is free (one batch in flight per partition).
     fn try_ship(&mut self, ctx: &mut Ctx<'_>, i: usize) {
-        let max_batch = self.cfg.max_batch.max(1);
         let p = &mut self.parts[i];
         let Some(region) = p.region_id else { return };
         if p.read_inflight || p.ship_inflight || p.durable <= p.sent {
             return;
         }
         let start = p.sent;
-        let end = p.durable.min(start + max_batch);
+        let end = p.durable.min(start + MAX_BATCH);
         p.read_inflight = true;
         // The trail is circular: a span crossing the wrap reads as two
         // scatter-gather parts, concatenated by the library in order.
@@ -979,7 +978,7 @@ pub fn install_georep(
                 name: "$GEO-APPLY".into(),
                 lib: PmLib::new(m2, ep, replica_cpu, pmm2).with_config(PmClientConfig {
                     persist_mode: txn2.pm_persist_mode,
-                    traffic_class: txn2.pm_commit_class,
+                    traffic_class: crate::adp::PM_COMMIT_CLASS,
                     // Bulk DR transfers serialize for milliseconds at
                     // ServerNet bandwidth; the default timeouts are tuned
                     // for 4 KB commit ops and would declare a healthy
@@ -1024,7 +1023,7 @@ pub fn install_georep(
                 cpu: shipper_cpu,
                 lib: PmLib::new(m2, ep, shipper_cpu, pmm2).with_config(PmClientConfig {
                     persist_mode: txn2.pm_persist_mode,
-                    traffic_class: txn2.pm_commit_class,
+                    traffic_class: crate::adp::PM_COMMIT_CLASS,
                     // Same relaxed timeouts as the replica: a batch read
                     // is a multi-millisecond bulk transfer, not a 4 KB
                     // commit op.

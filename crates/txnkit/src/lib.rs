@@ -47,7 +47,7 @@ pub mod stats;
 pub mod tmf;
 pub mod types;
 
-pub use adp::{install_adp, AuditBackend};
+pub use adp::{install_adp_pairs, AuditBackend};
 pub use client::TxnClient;
 pub use config::TxnConfig;
 pub use dp2::install_dp2;

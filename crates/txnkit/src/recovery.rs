@@ -38,84 +38,6 @@ pub struct RecoveredState {
     pub bytes_scanned: u64,
 }
 
-/// Run the redo/undo pass over one or more data trails plus an optional
-/// master trail (where commit/abort records live when TMF uses one).
-///
-/// Pass 1 collects transaction outcomes from *all* trails; pass 2 redoes
-/// inserts of committed transactions only — undo of an insert is "don't
-/// redo it", since recovery starts from the last consistent data image
-/// (here: empty tables; real DP2 would start from data volumes plus this).
-pub fn redo_scan(trails: &[&[u8]], master: Option<&[u8]>) -> RecoveredState {
-    let mut out = RecoveredState::default();
-    let mut parsed: Vec<Vec<(crate::types::Lsn, AuditRecord)>> = Vec::new();
-    for t in trails {
-        let recs = scan(t);
-        out.bytes_scanned += t.len() as u64;
-        out.records_scanned += recs.len() as u64;
-        parsed.push(recs);
-    }
-    let master_recs = master.map(|m| {
-        let recs = scan(m);
-        out.bytes_scanned += m.len() as u64;
-        out.records_scanned += recs.len() as u64;
-        recs
-    });
-
-    let mut seen: HashSet<TxnId> = HashSet::new();
-    for recs in parsed.iter().chain(master_recs.iter()) {
-        for (_, r) in recs {
-            match r {
-                AuditRecord::Insert { txn, .. } => {
-                    seen.insert(*txn);
-                }
-                AuditRecord::Commit { txn } => {
-                    out.committed.insert(*txn);
-                }
-                AuditRecord::Abort { txn } => {
-                    out.aborted.insert(*txn);
-                }
-                // In isolation a Prepared txn with no outcome is presumed
-                // aborted — resolving it for real needs the coordinator
-                // shard's trail (see `redo_scan_sharded`).
-                AuditRecord::Prepared { txn } => {
-                    seen.insert(*txn);
-                }
-                AuditRecord::CheckpointMark { .. } => {}
-            }
-        }
-    }
-    out.inflight = seen
-        .iter()
-        .filter(|t| !out.committed.contains(t) && !out.aborted.contains(t))
-        .copied()
-        .collect();
-
-    for recs in &parsed {
-        for (_, r) in recs {
-            if let AuditRecord::Insert {
-                txn,
-                partition,
-                key,
-                virtual_len,
-                body_crc,
-                ..
-            } = r
-            {
-                if out.committed.contains(txn) {
-                    out.tables.entry(*partition).or_default().insert(
-                        *key,
-                        StoredRecord {
-                            virtual_len: *virtual_len,
-                            crc: *body_crc,
-                        },
-                    );
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Merge per-partition audit trails into one serializable history.
 ///
 /// Each partition's trail is internally LSN-ordered (the scan yields
@@ -155,44 +77,51 @@ pub fn merge_trails_by_lsn(trails: &[&[u8]]) -> Vec<(usize, Lsn, AuditRecord)> {
     out
 }
 
-/// Redo/undo over partitioned trails: merge the per-partition histories
-/// by LSN, then run the same two-pass redo as [`redo_scan`]. There is no
-/// separate master trail — with partitioned ADPs the TMF's commit/abort
-/// records are routed to the same partition as the transaction's data
-/// deltas, so outcomes are found in-line.
-pub fn redo_scan_partitioned(trails: &[&[u8]]) -> RecoveredState {
-    let merged = merge_trails_by_lsn(trails);
-    let mut out = RecoveredState {
-        bytes_scanned: trails.iter().map(|t| t.len() as u64).sum(),
-        records_scanned: merged.len() as u64,
-        ..RecoveredState::default()
+/// One node's partition trails merged into one history, and every
+/// transaction its records name, by the kind of record that names it.
+struct NodeScan {
+    merged: Vec<(usize, Lsn, AuditRecord)>,
+    bytes: u64,
+    /// Wrote data (an `Insert`).
+    wrote: HashSet<TxnId>,
+    prepared: HashSet<TxnId>,
+    committed: HashSet<TxnId>,
+    aborted: HashSet<TxnId>,
+}
+
+/// Pass 1 of every recovery: merge a node's trails by LSN and collect the
+/// outcome records found in them.
+fn scan_node(trails: &[&[u8]]) -> NodeScan {
+    let mut node = NodeScan {
+        merged: merge_trails_by_lsn(trails),
+        bytes: trails.iter().map(|t| t.len() as u64).sum(),
+        wrote: HashSet::new(),
+        prepared: HashSet::new(),
+        committed: HashSet::new(),
+        aborted: HashSet::new(),
     };
-
-    let mut seen: HashSet<TxnId> = HashSet::new();
-    for (_, _, r) in &merged {
+    for (_, _, r) in &node.merged {
         match r {
-            AuditRecord::Insert { txn, .. } => {
-                seen.insert(*txn);
-            }
-            AuditRecord::Commit { txn } => {
-                out.committed.insert(*txn);
-            }
-            AuditRecord::Abort { txn } => {
-                out.aborted.insert(*txn);
-            }
-            AuditRecord::Prepared { txn } => {
-                seen.insert(*txn);
-            }
-            AuditRecord::CheckpointMark { .. } => {}
-        }
+            AuditRecord::Insert { txn, .. } => node.wrote.insert(*txn),
+            AuditRecord::Prepared { txn } => node.prepared.insert(*txn),
+            AuditRecord::Commit { txn } => node.committed.insert(*txn),
+            AuditRecord::Abort { txn } => node.aborted.insert(*txn),
+            AuditRecord::CheckpointMark { .. } => continue,
+        };
     }
-    out.inflight = seen
-        .iter()
-        .filter(|t| !out.committed.contains(t) && !out.aborted.contains(t))
-        .copied()
-        .collect();
+    node
+}
 
-    for (_, _, r) in &merged {
+/// The last pass of every recovery: redo the inserts of `committed`
+/// transactions only. Undo of an insert is "don't redo it", since recovery
+/// starts from the last consistent data image (here: empty tables; a real
+/// DP2 would start from its data volumes plus this).
+fn redo_committed(
+    merged: &[(usize, Lsn, AuditRecord)],
+    committed: &HashSet<TxnId>,
+) -> HashMap<PartitionId, BTreeMap<u64, StoredRecord>> {
+    let mut tables: HashMap<PartitionId, BTreeMap<u64, StoredRecord>> = HashMap::new();
+    for (_, _, r) in merged {
         if let AuditRecord::Insert {
             txn,
             partition,
@@ -202,8 +131,8 @@ pub fn redo_scan_partitioned(trails: &[&[u8]]) -> RecoveredState {
             ..
         } = r
         {
-            if out.committed.contains(txn) {
-                out.tables.entry(*partition).or_default().insert(
+            if committed.contains(txn) {
+                tables.entry(*partition).or_default().insert(
                     *key,
                     StoredRecord {
                         virtual_len: *virtual_len,
@@ -213,7 +142,33 @@ pub fn redo_scan_partitioned(trails: &[&[u8]]) -> RecoveredState {
             }
         }
     }
-    out
+    tables
+}
+
+/// Redo/undo over one node's partition trails (one trail is the
+/// one-partition case): merge the per-partition histories by LSN, collect
+/// outcomes, redo the committed. A trail that holds only outcome records
+/// — a master trail — is just one more partition. In isolation a
+/// `Prepared` transaction with no outcome stays in flight (undone):
+/// resolving it for real needs the coordinator shard's trail, see
+/// [`redo_scan_sharded`].
+pub fn redo_scan_partitioned(trails: &[&[u8]]) -> RecoveredState {
+    let node = scan_node(trails);
+    let tables = redo_committed(&node.merged, &node.committed);
+    let inflight = node
+        .wrote
+        .union(&node.prepared)
+        .filter(|t| !node.committed.contains(t) && !node.aborted.contains(t))
+        .copied()
+        .collect();
+    RecoveredState {
+        tables,
+        inflight,
+        records_scanned: node.merged.len() as u64,
+        bytes_scanned: node.bytes,
+        committed: node.committed,
+        aborted: node.aborted,
+    }
 }
 
 /// Cluster-wide recovery outcome over sharded trails.
@@ -252,103 +207,53 @@ pub struct ShardedRecovery {
 /// data AND `Prepared` record are durable, so a committed transaction is
 /// either locally decided or rule-2-resolvable on every shard it touched.
 pub fn redo_scan_sharded(shards: &[Vec<&[u8]>]) -> ShardedRecovery {
-    let n = shards.len();
+    let nodes: Vec<NodeScan> = shards.iter().map(|trails| scan_node(trails)).collect();
     let mut out = ShardedRecovery::default();
-    // Pass 1: per-shard record merge + outcome collection.
-    let mut merged: Vec<Vec<(usize, Lsn, AuditRecord)>> = Vec::with_capacity(n);
-    let mut local_commit: Vec<HashSet<TxnId>> = vec![HashSet::new(); n];
-    let mut local_abort: Vec<HashSet<TxnId>> = vec![HashSet::new(); n];
-    let mut local_prepared: Vec<HashSet<TxnId>> = vec![HashSet::new(); n];
-    let mut local_seen: Vec<HashSet<TxnId>> = vec![HashSet::new(); n];
-    for (s, trails) in shards.iter().enumerate() {
-        let m = merge_trails_by_lsn(trails);
-        let mut st = RecoveredState {
-            bytes_scanned: trails.iter().map(|t| t.len() as u64).sum(),
-            records_scanned: m.len() as u64,
-            ..RecoveredState::default()
-        };
-        for (_, _, r) in &m {
-            match r {
-                AuditRecord::Insert { txn, .. } => {
-                    local_seen[s].insert(*txn);
-                }
-                AuditRecord::Commit { txn } => {
-                    local_commit[s].insert(*txn);
-                }
-                AuditRecord::Abort { txn } => {
-                    local_abort[s].insert(*txn);
-                }
-                AuditRecord::Prepared { txn } => {
-                    local_prepared[s].insert(*txn);
-                }
-                AuditRecord::CheckpointMark { .. } => {}
-            }
-        }
-        st.committed = local_commit[s].clone();
-        st.aborted = local_abort[s].clone();
-        merged.push(m);
-        out.shards.push(st);
-    }
 
-    // Pass 2: global resolution.
-    for s in 0..n {
-        for txn in local_seen[s].union(&local_prepared[s]) {
-            if local_commit[s].contains(txn) {
+    // Global resolution, on top of what each node's own trails say.
+    for node in &nodes {
+        for txn in node.wrote.union(&node.prepared) {
+            if node.committed.contains(txn) {
                 out.committed.insert(*txn);
-            } else if local_abort[s].contains(txn) {
+            } else if node.aborted.contains(txn) {
                 out.aborted.insert(*txn);
-            } else if local_prepared[s].contains(txn) {
+            } else if node.prepared.contains(txn) {
                 // In-doubt: the coordinator trail decides.
-                let c = txn.coordinator_shard() as usize;
-                if c < n && local_commit[c].contains(txn) {
+                let coordinator = nodes.get(txn.coordinator_shard() as usize);
+                if coordinator.is_some_and(|c| c.committed.contains(txn)) {
                     out.indoubt_committed.insert(*txn);
                     out.committed.insert(*txn);
-                } else if c < n && local_abort[c].contains(txn) {
+                } else if coordinator.is_some_and(|c| c.aborted.contains(txn)) {
                     out.aborted.insert(*txn);
                 } else {
                     out.indoubt_aborted.insert(*txn);
                     out.aborted.insert(*txn);
                 }
             }
-            // else: in-flight on this shard, handled below.
+            // else: in-flight on this shard, undone.
         }
-    }
-    for s in 0..n {
-        out.shards[s].committed = local_seen[s]
-            .union(&local_prepared[s])
-            .filter(|t| out.committed.contains(t))
-            .copied()
-            .collect();
-        out.shards[s].inflight = local_seen[s]
-            .iter()
-            .filter(|t| !out.committed.contains(t) && !out.aborted.contains(t))
-            .copied()
-            .collect();
     }
 
-    // Pass 3: redo inserts of globally committed transactions only.
-    for (s, m) in merged.iter().enumerate() {
-        for (_, _, r) in m {
-            if let AuditRecord::Insert {
-                txn,
-                partition,
-                key,
-                virtual_len,
-                body_crc,
-                ..
-            } = r
-            {
-                if out.committed.contains(txn) {
-                    out.shards[s].tables.entry(*partition).or_default().insert(
-                        *key,
-                        StoredRecord {
-                            virtual_len: *virtual_len,
-                            crc: *body_crc,
-                        },
-                    );
-                }
-            }
-        }
+    // Redo each shard under the global resolution.
+    for node in nodes {
+        out.shards.push(RecoveredState {
+            tables: redo_committed(&node.merged, &out.committed),
+            committed: node
+                .wrote
+                .union(&node.prepared)
+                .filter(|t| out.committed.contains(t))
+                .copied()
+                .collect(),
+            inflight: node
+                .wrote
+                .iter()
+                .filter(|t| !out.committed.contains(t) && !out.aborted.contains(t))
+                .copied()
+                .collect(),
+            records_scanned: node.merged.len() as u64,
+            bytes_scanned: node.bytes,
+            aborted: node.aborted,
+        });
     }
     out
 }
@@ -395,37 +300,18 @@ fn scan_io_ns(fabric: &FabricConfig, chunks: u64, chunk_len: u32, window: u32) -
 
 /// Modelled time to scan-and-redo the same trail out of persistent memory
 /// over RDMA, with [`SCAN_WINDOW`] chunk reads prefetched ahead of the
-/// redo-apply cursor.
+/// redo-apply cursor: the one-trail [`mttr_pm_scan_partitioned`].
 pub fn mttr_pm_scan(trail_bytes: u64, records: u64, fabric: &FabricConfig) -> SimDuration {
-    mttr_pm_scan_windowed(trail_bytes, records, fabric, SCAN_WINDOW)
-}
-
-/// [`mttr_pm_scan`] with an explicit prefetch window (1 = the lock-step
-/// chunk-at-a-time scan the pre-pipelined recovery performed). Apply CPU
-/// overlaps the prefetched fetches: only the last chunk's share of the
-/// apply work is forced to run after the I/O finishes.
-pub fn mttr_pm_scan_windowed(
-    trail_bytes: u64,
-    records: u64,
-    fabric: &FabricConfig,
-    window: u32,
-) -> SimDuration {
-    let chunks = trail_bytes.div_ceil(SCAN_CHUNK).max(1);
-    let chunk_len = SCAN_CHUNK.min(trail_bytes.max(1)) as u32;
-    let io = scan_io_ns(fabric, chunks, chunk_len, window);
-    let apply = records * REDO_APPLY_NS;
-    if window <= 1 {
-        // Lock-step: no fetch/apply overlap.
-        return SimDuration::from_nanos(io + apply);
-    }
-    let tail = apply / chunks;
-    SimDuration::from_nanos(io.max(apply - tail) + tail)
+    mttr_pm_scan_partitioned(&[trail_bytes], records, fabric, SCAN_WINDOW)
 }
 
 /// Modelled recovery over *partitioned* trails ([`redo_scan_partitioned`]):
 /// every partition's tail streams concurrently from its own audit region
 /// (independent device ports), so the I/O phase costs the slowest
 /// partition, not the sum; the k-way merge + redo apply is serial CPU.
+/// Apply overlaps the prefetched fetches — only the last chunk's share of
+/// it is forced to run after the I/O finishes — unless `window` is 1, the
+/// lock-step chunk-at-a-time scan the pre-pipelined recovery performed.
 pub fn mttr_pm_scan_partitioned(
     partition_bytes: &[u64],
     records: u64,
@@ -455,17 +341,12 @@ pub fn mttr_pm_scan_partitioned(
 }
 
 /// Modelled recovery with PM-resident transaction control blocks: read the
-/// TCB table (one small RDMA read), then stream only the tail written
-/// after the last fuzzy checkpoint ([`SCAN_WINDOW`] reads in flight),
-/// then redo just those records.
+/// TCB table (one small RDMA read), then stream and redo only the tail
+/// written after the last fuzzy checkpoint (at least one read: the tail's
+/// end is not known until it is looked at).
 pub fn mttr_pm_with_tcb(tail_bytes: u64, tail_records: u64, fabric: &FabricConfig) -> SimDuration {
     let tcb_read = simnet::latency::read_round_trip_ns(fabric, 4096);
-    let chunks = tail_bytes.div_ceil(SCAN_CHUNK).max(1);
-    let chunk_len = SCAN_CHUNK.min(tail_bytes.max(1)) as u32;
-    let io = scan_io_ns(fabric, chunks, chunk_len, SCAN_WINDOW);
-    let apply = tail_records * REDO_APPLY_NS;
-    let tail = apply / chunks;
-    SimDuration::from_nanos(tcb_read + io.max(apply - tail) + tail)
+    SimDuration::from_nanos(tcb_read) + mttr_pm_scan(tail_bytes.max(1), tail_records, fabric)
 }
 
 #[cfg(test)]
@@ -501,7 +382,7 @@ mod tests {
             AuditRecord::Abort { txn: TxnId(3) },
         ]);
         let master = trail(&[AuditRecord::Commit { txn: TxnId(1) }]);
-        let rec = redo_scan(&[&data], Some(&master));
+        let rec = redo_scan_partitioned(&[&data, &master]);
         assert!(rec.committed.contains(&TxnId(1)));
         assert!(rec.aborted.contains(&TxnId(3)));
         assert!(rec.inflight.contains(&TxnId(2)));
@@ -519,7 +400,7 @@ mod tests {
     fn redo_across_multiple_trails() {
         let t1 = trail(&[insert(5, 0, 1)]);
         let t2 = trail(&[insert(5, 1, 2), AuditRecord::Commit { txn: TxnId(5) }]);
-        let rec = redo_scan(&[&t1, &t2], None);
+        let rec = redo_scan_partitioned(&[&t1, &t2]);
         assert!(rec.committed.contains(&TxnId(5)));
         assert_eq!(rec.records_scanned, 3);
         assert!(rec.tables[&PartitionId { file: 0, part: 0 }].contains_key(&1));
@@ -531,7 +412,7 @@ mod tests {
         let mut data = trail(&[insert(1, 0, 1), AuditRecord::Commit { txn: TxnId(1) }]);
         let torn = insert(2, 0, 2).encode();
         data.extend_from_slice(&torn[..torn.len() / 2]);
-        let rec = redo_scan(&[&data], None);
+        let rec = redo_scan_partitioned(&[&data]);
         assert_eq!(rec.records_scanned, 2);
         assert!(!rec.tables[&PartitionId { file: 0, part: 0 }].contains_key(&2));
     }
@@ -556,8 +437,8 @@ mod tests {
         let fabric = FabricConfig::default();
         let bytes = 64 << 20;
         // Few records so I/O dominates: the win is pure pipelining.
-        let lock_step = mttr_pm_scan_windowed(bytes, 100, &fabric, 1);
-        let windowed = mttr_pm_scan_windowed(bytes, 100, &fabric, SCAN_WINDOW);
+        let lock_step = mttr_pm_scan_partitioned(&[bytes], 100, &fabric, 1);
+        let windowed = mttr_pm_scan_partitioned(&[bytes], 100, &fabric, SCAN_WINDOW);
         assert!(
             lock_step.as_nanos() > windowed.as_nanos(),
             "window must help: {lock_step} !> {windowed}"
@@ -566,7 +447,7 @@ mod tests {
         // trip, so even lock-step is within 2× of wire speed; the window
         // must claw back most of the remaining gap, and a deeper window
         // never hurts.
-        let deeper = mttr_pm_scan_windowed(bytes, 100, &fabric, 2 * SCAN_WINDOW);
+        let deeper = mttr_pm_scan_partitioned(&[bytes], 100, &fabric, 2 * SCAN_WINDOW);
         assert!(deeper.as_nanos() <= windowed.as_nanos());
     }
 
@@ -579,9 +460,34 @@ mod tests {
         let records = 100_000u64;
         let windowed = mttr_pm_scan(bytes, records, &fabric);
         let serial_floor = records * REDO_APPLY_NS;
-        let lock_step = mttr_pm_scan_windowed(bytes, records, &fabric, 1);
+        let lock_step = mttr_pm_scan_partitioned(&[bytes], records, &fabric, 1);
         assert!(windowed.as_nanos() >= serial_floor, "apply is serial CPU");
         assert!(windowed < lock_step);
+    }
+
+    /// [`mttr_pm_scan`] used to be a body of its own; the digits T3
+    /// prints were taken from it before it became the one-trail call, at
+    /// the prefetch window and in lock-step.
+    #[test]
+    fn one_trail_scan_keeps_t3s_digits() {
+        let fabric = FabricConfig::default();
+        for (mb, windowed, lock_step) in [
+            (16u64, 142_705_540, 264_560_896),
+            (64, 565_019_524, 1_058_243_584),
+            (256, 2_254_275_460, 4_232_974_336),
+            (1024, 9_011_299_204, 16_931_897_344u64),
+        ] {
+            let (bytes, records) = (mb << 20, (mb << 20) / 4096);
+            let scan = |w| mttr_pm_scan_partitioned(&[bytes], records, &fabric, w).as_nanos();
+            assert_eq!(scan(SCAN_WINDOW), windowed, "{mb} MB");
+            assert_eq!(scan(1), lock_step, "{mb} MB, lock-step");
+            assert_eq!(mttr_pm_scan(bytes, records, &fabric).as_nanos(), windowed);
+        }
+        assert_eq!(
+            mttr_pm_with_tcb(2 << 20, 512, &fabric).as_nanos(),
+            19_579_208
+        );
+        assert_eq!(mttr_pm_with_tcb(0, 0, &fabric).as_nanos(), 63_000);
     }
 
     #[test]
@@ -590,7 +496,7 @@ mod tests {
         let per_part = 16u64 << 20;
         let one = mttr_pm_scan_partitioned(&[per_part], 100, &fabric, SCAN_WINDOW);
         let four = mttr_pm_scan_partitioned(&[per_part; 4], 100, &fabric, SCAN_WINDOW);
-        let merged = mttr_pm_scan_windowed(4 * per_part, 100, &fabric, SCAN_WINDOW);
+        let merged = mttr_pm_scan_partitioned(&[4 * per_part], 100, &fabric, SCAN_WINDOW);
         // Four equal partitions fetch concurrently: barely more than one.
         assert!(
             four.as_nanos() < one.as_nanos() * 12 / 10,
@@ -618,7 +524,7 @@ mod tests {
 
     #[test]
     fn empty_trail_recovers_empty() {
-        let rec = redo_scan(&[&[][..]], None);
+        let rec = redo_scan_partitioned(&[&[][..]]);
         assert!(rec.tables.is_empty());
         assert_eq!(rec.records_scanned, 0);
     }

@@ -7,7 +7,7 @@
 //! with one auxiliary audit volume each, four database files each
 //! partitioned four ways across the CPUs' DP2s, and 16 data volumes.
 
-use crate::adp::{install_adp, AuditBackend};
+use crate::adp::AuditBackend;
 use crate::config::TxnConfig;
 use crate::dp2::install_dp2;
 use crate::shard::ShardDirectory;
@@ -19,10 +19,11 @@ use nsk::machine::{CpuId, Machine, MachineConfig, SharedMachine};
 use nsk::Monitor;
 use pmm::{install_pmm_pool, PmmConfig, PmmHandle};
 use simcore::fault::FaultPlan;
-use simcore::{ActorId, DurableStore, Sim, SimConfig};
+use simcore::{DurableStore, Sim, SimConfig};
 use simdisk::{DiskConfig, DiskVolume, SharedDiskStats, SparseMedia};
 use simnet::{FabricConfig, Network, SharedNetwork};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Durability backend for the audit trail.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,12 +137,13 @@ impl OdsParams {
     }
 }
 
-/// Resolved audit-partition count for PM modes (0 ⇒ one per CPU).
-fn effective_audit_partitions(params: &OdsParams) -> u32 {
-    if params.audit_partitions == 0 {
-        params.cpus
+/// ADP pairs per node: one per CPU in disk mode (and in PM modes when
+/// `audit_partitions` is 0), else `audit_partitions`.
+fn adp_count(base: &OdsParams) -> u32 {
+    if base.audit == AuditMode::Disk || base.audit_partitions == 0 {
+        base.cpus
     } else {
-        params.audit_partitions
+        base.audit_partitions
     }
 }
 
@@ -160,8 +162,6 @@ pub struct OdsNode {
     pub dp2s: Vec<String>,
     pub audit_volume_stats: Vec<SharedDiskStats>,
     pub data_volume_stats: Vec<SharedDiskStats>,
-    /// Member 0's NPMU pair (PM modes only) — the pre-pool field.
-    pub npmus: Option<(NpmuHandle, NpmuHandle)>,
     /// Every pool member's NPMU pair, in pool order (empty in disk mode).
     pub pm_pool: Vec<(NpmuHandle, NpmuHandle)>,
     /// PMM handle (PM modes only): mirror-health stats for fault tests.
@@ -169,204 +169,342 @@ pub struct OdsNode {
     pub params: OdsParams,
 }
 
+/// CPUs one shard occupies: its workers, plus in PM modes the extra CPU
+/// that hosts the PM manager (the paper's 5th-CPU PMP).
+fn shard_cpus(base: &OdsParams) -> u32 {
+    match base.audit {
+        AuditMode::Disk => base.cpus,
+        _ => base.cpus + 1,
+    }
+}
+
+/// How a shard's processes and devices are named. A standalone node
+/// keeps the pre-sharding names — committed durable images, the
+/// benchmark and some forty call sites know them — and a cluster's shards
+/// carry their index so the names stay unique inside one simulation.
+#[derive(Clone, Copy)]
+enum Names {
+    Node,
+    Shard(u32),
+}
+
+impl Names {
+    fn shard(self) -> u32 {
+        match self {
+            Names::Node => 0,
+            Names::Shard(s) => s,
+        }
+    }
+
+    fn tmf(self) -> String {
+        match self {
+            Names::Node => "$TMF".into(),
+            Names::Shard(s) => format!("$TMF-s{s}"),
+        }
+    }
+
+    fn pmm(self) -> String {
+        match self {
+            Names::Node => "$PMM".into(),
+            Names::Shard(s) => format!("$PMM-s{s}"),
+        }
+    }
+
+    fn adp(self, i: u32) -> String {
+        match self {
+            Names::Node => format!("$ADP{i}"),
+            Names::Shard(s) => format!("$ADP-s{s}p{i}"),
+        }
+    }
+
+    fn dp2(self, c: u32) -> String {
+        match self {
+            Names::Node => format!("$DP2-{c}"),
+            Names::Shard(s) => format!("$DP2-s{s}c{c}"),
+        }
+    }
+
+    /// Pool member `v`'s device pair is `<this>-a` / `<this>-b`. A node's
+    /// member 0 is plain `pm`, so its images survive a change in pool size.
+    fn npmu(self, v: u32) -> String {
+        match self {
+            Names::Node if v == 0 => "pm".into(),
+            Names::Node => format!("pm{v}"),
+            Names::Shard(s) => format!("pm-s{s}m{v}"),
+        }
+    }
+
+    fn audit_volume(self, i: u32) -> String {
+        match self {
+            Names::Node => format!("$AUDIT{i}"),
+            Names::Shard(s) => format!("$AUDIT-s{s}i{i}"),
+        }
+    }
+
+    fn data_volume(self, c: u32, v: u32) -> String {
+        match self {
+            Names::Node => format!("$DATA{c}-{v}"),
+            Names::Shard(s) => format!("$DATA-s{s}c{c}-{v}"),
+        }
+    }
+}
+
+/// Install one PM pool — `volumes` mirrored NPMU pairs of the kind
+/// `base.audit` names, each sized for every trail region of a node, with
+/// fault-plan volume ids `first_volume..` — and the PMM pair managing it.
+#[allow(clippy::too_many_arguments)]
+fn install_pool(
+    sim: &mut Sim,
+    store: &mut DurableStore,
+    machine: &SharedMachine,
+    base: &OdsParams,
+    volumes: u32,
+    first_volume: u32,
+    device_name: impl Fn(u32) -> String,
+    pmm_name: &str,
+    pmm_cpu: CpuId,
+    pmm_backup_cpu: Option<CpuId>,
+) -> (Vec<(NpmuHandle, NpmuHandle)>, PmmHandle) {
+    let net = machine.lock().net.clone();
+    let trail_regions = base.cpus.max(adp_count(base));
+    let cap = (base.pm_region_len + pmm::META_BYTES) * (trail_regions as u64 + 2) + (64 << 20);
+    let kind = match base.audit {
+        AuditMode::Pmp => NpmuConfig::pmp(cap),
+        _ => NpmuConfig::hardware(cap),
+    };
+    let kind = match base.pm_ingress_drain_ns {
+        Some(ns) => kind.with_ingress_drain_ns(ns),
+        None => kind,
+    };
+    let pool: Vec<_> = (0..volumes)
+        .map(|v| {
+            let dev = kind.clone().with_volume(first_volume + v);
+            let [a, b] = ["a", "b"].map(|half| {
+                let name = format!("{}-{half}", device_name(v));
+                Npmu::install(sim, store, &net, Some(machine), &name, dev.clone())
+            });
+            (a, b)
+        })
+        .collect();
+    let pmm = install_pmm_pool(
+        sim,
+        machine,
+        pmm_name,
+        &pool,
+        pmm_cpu,
+        pmm_backup_cpu,
+        base.pmm.clone(),
+    );
+    (pool, pmm)
+}
+
+/// The simulation a builder starts from, and what accumulates in it as
+/// shards are installed.
+struct World {
+    sim: Sim,
+    machine: SharedMachine,
+    net: SharedNetwork,
+    stats: SharedTxnStats,
+    partition_map: HashMap<PartitionId, String>,
+    audit_volume_stats: Vec<SharedDiskStats>,
+    data_volume_stats: Vec<SharedDiskStats>,
+}
+
+impl World {
+    fn new(base: &OdsParams, cpus: u32) -> World {
+        let mut sim = Sim::new(SimConfig {
+            seed: base.seed,
+            ..SimConfig::default()
+        });
+        let net = Network::with_qos(base.fabric.clone(), base.qos);
+        let machine = Machine::new(
+            MachineConfig {
+                cpus,
+                ..MachineConfig::default()
+            },
+            net.clone(),
+        );
+        // Arm the fault plan before anything spawns: devices and fabrics
+        // consult it per-op, and timed kills are scheduled deterministically.
+        Monitor::install(&mut sim, &machine, base.fault_plan.clone());
+        World {
+            sim,
+            machine,
+            net,
+            stats: stats::shared(),
+            partition_map: HashMap::new(),
+            audit_volume_stats: Vec::new(),
+            data_volume_stats: Vec::new(),
+        }
+    }
+
+    /// Install one node's worth of processes on CPUs `cpu0..`: PM pool and
+    /// PMM (PM modes), audit partitions, data volumes and DP2s, TMF. A
+    /// standalone node is the one-shard case (`Names::Node`, a directory of
+    /// one TMF).
+    fn build_shard(
+        &mut self,
+        store: &mut DurableStore,
+        base: &OdsParams,
+        names: Names,
+        cpu0: u32,
+        directory: Arc<ShardDirectory>,
+    ) -> ShardHandle {
+        let shard = names.shard();
+        let scpu = |c: u32| CpuId(cpu0 + c);
+        let backup_on = |c: u32| base.backups.then(|| scpu(c % base.cpus));
+        let pm = base.audit != AuditMode::Disk;
+
+        let pmm_name = names.pmm();
+        let (pm_pool, pmm) = if pm {
+            let volumes = base.pm_volumes.max(1);
+            let (pool, pmm) = install_pool(
+                &mut self.sim,
+                store,
+                &self.machine,
+                base,
+                volumes,
+                shard * volumes,
+                |v| names.npmu(v),
+                &pmm_name,
+                scpu(base.cpus), // the extra CPU
+                backup_on(0),
+            );
+            (pool, Some(pmm))
+        } else {
+            (Vec::new(), None)
+        };
+
+        // Disk mode keeps the paper's one-ADP-per-CPU topology; PM modes
+        // install `audit_partitions` independent ADP pairs, each owning its
+        // own PM trail region (partitions default to one per CPU).
+        let adps = crate::adp::install_adp_pairs(
+            &mut self.sim,
+            &self.machine,
+            adp_count(base),
+            cpu0,
+            base.cpus,
+            base.backups,
+            |sim, i| {
+                let backend = if pm {
+                    AuditBackend::Pm {
+                        pmm: pmm_name.clone(),
+                        region: format!("adp{i}.audit"),
+                        region_len: base.pm_region_len,
+                    }
+                } else {
+                    let volume = names.audit_volume(i);
+                    let media =
+                        store.get_or_insert_with(&format!("disk:{volume}"), SparseMedia::new);
+                    let vol = DiskVolume::new(volume, base.audit_disk.clone(), media);
+                    self.audit_volume_stats.push(vol.stats());
+                    AuditBackend::Disk {
+                        volume: sim.spawn(vol),
+                    }
+                };
+                (names.adp(i), backend)
+            },
+            &base.txn,
+            &self.stats,
+        );
+
+        // One DP2 per CPU, owning one partition of every file. Files are
+        // numbered globally: shard `s` owns `[s * files, (s + 1) * files)`.
+        let mut dp2s = Vec::new();
+        for c in 0..base.cpus {
+            let name = names.dp2(c);
+            let mut vols = Vec::new();
+            for v in 0..base.data_volumes_per_dp2 {
+                let volume = names.data_volume(c, v);
+                let media = store.get_or_insert_with(&format!("disk:{volume}"), SparseMedia::new);
+                let vol = DiskVolume::new(volume, base.data_disk.clone(), media);
+                self.data_volume_stats.push(vol.stats());
+                vols.push(self.sim.spawn(vol));
+            }
+            let mut parts = Vec::new();
+            if c < base.parts_per_file {
+                for file in 0..base.files {
+                    let part = PartitionId {
+                        file: shard * base.files + file,
+                        part: c,
+                    };
+                    parts.push(part);
+                    self.partition_map.insert(part, name.clone());
+                }
+            }
+            // Disk mode keeps the classic CPU-affine trail (each DP2 logs to
+            // its own CPU's ADP); PM modes route every audit site by
+            // transaction hash across all partitions.
+            let dp2_adps = if pm {
+                adps.clone()
+            } else {
+                vec![adps[c as usize].clone()]
+            };
+            install_dp2(
+                &mut self.sim,
+                &self.machine,
+                &name,
+                scpu(c),
+                backup_on(c + 1),
+                parts,
+                dp2_adps,
+                vols,
+                base.txn.clone(),
+                self.stats.clone(),
+            );
+            dp2s.push(name);
+        }
+
+        // The master trail is routed by txn hash across partitions (disk
+        // mode keeps the single ADP0 master trail).
+        let tmf = names.tmf();
+        let master_adps = if pm {
+            adps.clone()
+        } else {
+            vec![adps[0].clone()]
+        };
+        install_tmf(
+            &mut self.sim,
+            &self.machine,
+            &tmf,
+            scpu(0),
+            backup_on(1),
+            master_adps,
+            shard,
+            directory,
+            base.txn.clone(),
+            self.stats.clone(),
+        );
+
+        ShardHandle {
+            tmf,
+            adps,
+            dp2s,
+            pm_pool,
+            pmm,
+        }
+    }
+}
+
 /// Build the node into a fresh simulation around `store` (the durable
 /// world that persists across power loss).
 pub fn build_ods(store: &mut DurableStore, params: OdsParams) -> OdsNode {
-    let mut sim = Sim::new(SimConfig {
-        seed: params.seed,
-        ..SimConfig::default()
-    });
-    let net = Network::with_qos(params.fabric.clone(), params.qos);
-    // PM modes host the PM devices' manager on an extra CPU, like the
-    // paper's 5th-CPU PMP.
-    let total_cpus = match params.audit {
-        AuditMode::Disk => params.cpus,
-        _ => params.cpus + 1,
-    } + params.extra_cpus;
-    let machine = Machine::new(
-        MachineConfig {
-            cpus: total_cpus,
-            ..MachineConfig::default()
-        },
-        net.clone(),
-    );
-    let stats = stats::shared();
-
-    // Arm the fault plan before anything spawns: devices and fabrics
-    // consult it per-op, and timed kills are scheduled deterministically.
-    Monitor::install(&mut sim, &machine, params.fault_plan.clone());
-
-    // --- PM devices + PMM (PM modes only) ---
-    let (pm_pool, pmm) = match params.audit {
-        AuditMode::Disk => (Vec::new(), None),
-        mode => {
-            let drain = params.pm_ingress_drain_ns;
-            let kind_cfg = |cap| {
-                let c = match mode {
-                    AuditMode::Pmp => NpmuConfig::pmp(cap),
-                    _ => NpmuConfig::hardware(cap),
-                };
-                match drain {
-                    Some(ns) => c.with_ingress_drain_ns(ns),
-                    None => c,
-                }
-            };
-            let trail_regions = params.cpus.max(effective_audit_partitions(&params));
-            let cap =
-                (params.pm_region_len + pmm::META_BYTES) * (trail_regions as u64 + 2) + (64 << 20);
-            let mut pool = Vec::new();
-            for v in 0..params.pm_volumes.max(1) {
-                // Member 0 keeps the pre-pool "pm-{a,b}" names so durable
-                // device images survive a change in pool size.
-                let (an, bn) = if v == 0 {
-                    ("pm-a".to_string(), "pm-b".to_string())
-                } else {
-                    (format!("pm{v}-a"), format!("pm{v}-b"))
-                };
-                let dev = kind_cfg(cap).with_volume(v);
-                let a = Npmu::install(&mut sim, store, &net, Some(&machine), &an, dev.clone());
-                let b = Npmu::install(&mut sim, store, &net, Some(&machine), &bn, dev);
-                pool.push((a, b));
-            }
-            let pm_cpu = CpuId(params.cpus); // the extra CPU
-            let pmm = install_pmm_pool(
-                &mut sim,
-                &machine,
-                "$PMM",
-                &pool,
-                pm_cpu,
-                if params.backups { Some(CpuId(0)) } else { None },
-                params.pmm.clone(),
-            );
-            (pool, Some(pmm))
-        }
-    };
-
-    // --- audit trail processes ---
-    //
-    // Disk mode keeps the paper's one-ADP-per-CPU topology; PM modes
-    // install `audit_partitions` independent ADP pairs, each owning its
-    // own PM trail region (partitions default to one per CPU).
-    let n_adps = match params.audit {
-        AuditMode::Disk => params.cpus,
-        _ => effective_audit_partitions(&params),
-    };
-    let mut adps = Vec::new();
-    let mut audit_volume_stats = Vec::new();
-    for i in 0..n_adps {
-        let name = format!("$ADP{i}");
-        let backend = match params.audit {
-            AuditMode::Disk => {
-                let media = store.get_or_insert_with(&format!("disk:$AUDIT{i}"), SparseMedia::new);
-                let vol = DiskVolume::new(format!("$AUDIT{i}"), params.audit_disk.clone(), media);
-                audit_volume_stats.push(vol.stats());
-                let vol_actor = sim.spawn(vol);
-                AuditBackend::Disk { volume: vol_actor }
-            }
-            _ => AuditBackend::Pm {
-                pmm: "$PMM".into(),
-                region: format!("adp{i}.audit"),
-                region_len: params.pm_region_len,
-            },
-        };
-        install_adp(
-            &mut sim,
-            &machine,
-            &name,
-            CpuId(i % params.cpus),
-            if params.backups {
-                Some(CpuId((i + 1) % params.cpus))
-            } else {
-                None
-            },
-            backend,
-            params.txn.clone(),
-            stats.clone(),
-        );
-        adps.push(name);
-    }
-
-    // --- data volumes + DP2s, one DP2 per CPU owning one partition of
-    //     every file ---
-    let mut partition_map = HashMap::new();
-    let mut dp2s = Vec::new();
-    let mut data_volume_stats = Vec::new();
-    for cpu in 0..params.cpus {
-        let name = format!("$DP2-{cpu}");
-        let mut vols = Vec::new();
-        for v in 0..params.data_volumes_per_dp2 {
-            let media = store.get_or_insert_with(&format!("disk:$DATA{cpu}-{v}"), SparseMedia::new);
-            let vol = DiskVolume::new(format!("$DATA{cpu}-{v}"), params.data_disk.clone(), media);
-            data_volume_stats.push(vol.stats());
-            vols.push(sim.spawn(vol));
-        }
-        let mut parts = Vec::new();
-        for file in 0..params.files {
-            let part = PartitionId { file, part: cpu };
-            if cpu < params.parts_per_file {
-                parts.push(part);
-                partition_map.insert(part, name.clone());
-            }
-        }
-        // Disk mode keeps the classic CPU-affine trail (each DP2 logs to
-        // its own CPU's ADP); PM modes route every audit site by
-        // transaction hash across all partitions.
-        let dp2_adps = match params.audit {
-            AuditMode::Disk => vec![format!("$ADP{cpu}")],
-            _ => adps.clone(),
-        };
-        install_dp2(
-            &mut sim,
-            &machine,
-            &name,
-            CpuId(cpu),
-            if params.backups {
-                Some(CpuId((cpu + 1) % params.cpus))
-            } else {
-                None
-            },
-            parts,
-            dp2_adps,
-            vols,
-            params.txn.clone(),
-            stats.clone(),
-        );
-        dp2s.push(name);
-    }
-
-    // --- TMF, master trail routed by txn hash across partitions (disk
-    //     mode keeps the single ADP0 master trail) ---
-    let master_adps = match params.audit {
-        AuditMode::Disk => vec!["$ADP0".to_string()],
-        _ => adps.clone(),
-    };
-    install_tmf(
-        &mut sim,
-        &machine,
-        "$TMF",
-        CpuId(0),
-        if params.backups { Some(CpuId(1)) } else { None },
-        master_adps,
-        0,
-        None,
-        params.txn.clone(),
-        stats.clone(),
-    );
-
+    let mut world = World::new(&params, shard_cpus(&params) + params.extra_cpus);
+    let directory = Arc::new(ShardDirectory::new(vec![Names::Node.tmf()]));
+    let shard = world.build_shard(store, &params, Names::Node, 0, directory);
     OdsNode {
-        sim,
-        machine,
-        net,
-        stats,
-        tmf: "$TMF".into(),
-        adps,
-        partition_map,
-        dp2s,
-        audit_volume_stats,
-        data_volume_stats,
-        pmm,
-        npmus: pm_pool.first().cloned(),
-        pm_pool,
+        sim: world.sim,
+        machine: world.machine,
+        net: world.net,
+        stats: world.stats,
+        tmf: shard.tmf,
+        adps: shard.adps,
+        partition_map: world.partition_map,
+        dp2s: shard.dp2s,
+        audit_volume_stats: world.audit_volume_stats,
+        data_volume_stats: world.data_volume_stats,
+        pmm: shard.pmm,
+        pm_pool: shard.pm_pool,
         params,
     }
 }
@@ -449,42 +587,20 @@ pub fn build_georep(store: &mut DurableStore, params: GeorepParams) -> GeorepNod
     let cpus = base.cpus;
     let mut node = build_ods(store, base);
 
-    // --- DR site: standby NPMU pair + its own PMM namespace ---
-    let trail_regions = node
-        .params
-        .cpus
-        .max(effective_audit_partitions(&node.params));
-    let cap =
-        (node.params.pm_region_len + pmm::META_BYTES) * (trail_regions as u64 + 2) + (64 << 20);
-    let dev = match node.params.audit {
-        AuditMode::Pmp => NpmuConfig::pmp(cap),
-        _ => NpmuConfig::hardware(cap),
-    };
-    let a = Npmu::install(
+    // --- DR site: standby NPMU pair + its own PMM namespace. Its fault
+    //     plan volume ids follow the primary pool's, so a member-scoped
+    //     fault names a device at one site only. ---
+    let (dr_pool, dr_pmm) = install_pool(
         &mut node.sim,
         store,
-        &node.net,
-        Some(&node.machine),
-        "drpm-a",
-        dev.clone(),
-    );
-    let b = Npmu::install(
-        &mut node.sim,
-        store,
-        &node.net,
-        Some(&node.machine),
-        "drpm-b",
-        dev,
-    );
-    let dr_pool = vec![(a, b)];
-    let dr_pmm = install_pmm_pool(
-        &mut node.sim,
         &node.machine,
+        &node.params,
+        1,
+        node.params.pm_volumes.max(1),
+        |_| "drpm".into(),
         "$PMM-dr",
-        &dr_pool,
         CpuId(cpus + 1),
         None,
-        node.params.pmm.clone(),
     );
 
     // --- WAN + shipper/replica/drill ---
@@ -504,22 +620,16 @@ pub fn build_georep(store: &mut DurableStore, params: GeorepParams) -> GeorepNod
         wan.clone(),
         CpuId(cpus),
         CpuId(cpus + 2),
-        {
-            let defaults = crate::georep::ShipperConfig::default();
-            crate::georep::ShipperConfig {
-                eager_partitions: params.eager_partitions,
-                lazy_interval: params.lazy_interval,
-                // A batch is not lost until it has had a full ship round
-                // trip to arrive: rewinding on a fixed short timer would
-                // re-ship in-flight data on long-haul links. Keep the
-                // floor for LAN-ish delays, scale with the WAN RTT.
-                retry_interval: defaults
-                    .retry_interval
-                    .max(simcore::SimDuration::from_nanos(
-                        4 * params.wan.one_way_delay.as_nanos(),
-                    )),
-                ..defaults
-            }
+        crate::georep::ShipperConfig {
+            eager_partitions: params.eager_partitions,
+            lazy_interval: params.lazy_interval,
+            // A batch is not lost until it has had a full ship round
+            // trip to arrive: rewinding on a fixed short timer would
+            // re-ship in-flight data on long-haul links. Keep the
+            // floor for LAN-ish delays, scale with the WAN RTT.
+            retry_interval: crate::georep::ShipperConfig::default().retry_interval.max(
+                simcore::SimDuration::from_nanos(4 * params.wan.one_way_delay.as_nanos()),
+            ),
         },
         match (params.sever_at, params.fence_at) {
             (Some(s), Some(f)) => Some((s, f, params.fence_epoch)),
@@ -587,7 +697,7 @@ pub struct ClusterNode {
     pub net: SharedNetwork,
     pub stats: SharedTxnStats,
     pub shards: Vec<ShardHandle>,
-    pub directory: std::sync::Arc<ShardDirectory>,
+    pub directory: Arc<ShardDirectory>,
     /// Global partition → owning DP2 name (files renumbered per shard).
     pub partition_map: HashMap<PartitionId, String>,
     pub audit_volume_stats: Vec<SharedDiskStats>,
@@ -611,45 +721,50 @@ pub struct ClusterView {
     pub cpus_per_shard: u32,
 }
 
-impl ClusterNode {
-    pub fn view(&self) -> ClusterView {
-        let base = &self.params.base;
-        let pm_extra = match base.audit {
-            AuditMode::Disk => 0,
-            _ => 1,
-        };
+impl ClusterView {
+    fn new(
+        base: &OdsParams,
+        tmfs: Vec<String>,
+        partition_map: &HashMap<PartitionId, String>,
+    ) -> ClusterView {
+        let shards = tmfs.len() as u32;
         ClusterView {
-            shards: self.params.shards,
-            tmfs: self.shards.iter().map(|s| s.tmf.clone()).collect(),
-            partition_map: self.partition_map.clone(),
+            shards,
+            tmfs,
+            partition_map: partition_map.clone(),
             files: base.files,
             parts_per_file: base.parts_per_file,
-            shard_cpu_base: (0..self.params.shards)
-                .map(|s| s * (base.cpus + pm_extra))
-                .collect(),
+            shard_cpu_base: (0..shards).map(|s| s * shard_cpus(base)).collect(),
             cpus_per_shard: base.cpus,
         }
+    }
+}
+
+impl ClusterNode {
+    pub fn view(&self) -> ClusterView {
+        let tmfs = self.shards.iter().map(|s| s.tmf.clone()).collect();
+        ClusterView::new(&self.params.base, tmfs, &self.partition_map)
     }
 
     /// Store key of a shard's member-`v` NPMU half (`'a'`/`'b'`), for
     /// offline trail reads in recovery tests.
     pub fn npmu_store_key(shard: u32, volume: u32, half: char) -> String {
-        format!("npmu:pm-s{shard}m{volume}-{half}")
+        format!("npmu:{}-{half}", Names::Shard(shard).npmu(volume))
     }
 }
 
 impl OdsNode {
     /// Single-node view for the workload driver.
     pub fn view(&self) -> ClusterView {
-        ClusterView {
-            shards: 1,
-            tmfs: vec![self.tmf.clone()],
-            partition_map: self.partition_map.clone(),
-            files: self.params.files,
-            parts_per_file: self.params.parts_per_file,
-            shard_cpu_base: vec![0],
-            cpus_per_shard: self.params.cpus,
-        }
+        ClusterView::new(&self.params, vec![self.tmf.clone()], &self.partition_map)
+    }
+
+    /// Convenience for tests: route a partition to its DP2 name.
+    pub fn dp2_of(&self, partition: PartitionId) -> &str {
+        self.partition_map
+            .get(&partition)
+            .map(|s| s.as_str())
+            .expect("unmapped partition")
     }
 }
 
@@ -662,242 +777,38 @@ impl OdsNode {
 pub fn build_cluster(store: &mut DurableStore, params: ClusterParams) -> ClusterNode {
     assert!(params.shards.is_power_of_two() && params.shards >= 1);
     let base = &params.base;
-    let mut sim = Sim::new(SimConfig {
-        seed: base.seed,
-        ..SimConfig::default()
-    });
-    let net = Network::with_qos(base.fabric.clone(), base.qos);
-    let pm_extra = match base.audit {
-        AuditMode::Disk => 0,
-        _ => 1,
-    };
-    let cpus_per_shard = base.cpus + pm_extra;
-    let machine = Machine::new(
-        MachineConfig {
-            cpus: params.shards * cpus_per_shard,
-            ..MachineConfig::default()
-        },
-        net.clone(),
-    );
-    let stats = stats::shared();
-    Monitor::install(&mut sim, &machine, base.fault_plan.clone());
+    let cpus_per_shard = shard_cpus(base);
+    let mut world = World::new(base, params.shards * cpus_per_shard);
 
-    // Pass 1: names into the directory (TMFs need it at install time).
-    let mut directory =
-        ShardDirectory::new((0..params.shards).map(|s| format!("$TMF-s{s}")).collect());
-    let n_adps = match base.audit {
-        AuditMode::Disk => base.cpus,
-        _ => effective_audit_partitions(base),
-    };
-    for s in 0..params.shards {
-        for i in 0..n_adps {
-            directory.register(format!("$ADP-s{s}p{i}"), s);
+    // Names into the directory first: every TMF needs it at install time.
+    let shard_names = || (0..params.shards).map(Names::Shard);
+    let mut directory = ShardDirectory::new(shard_names().map(Names::tmf).collect());
+    for names in shard_names() {
+        for i in 0..adp_count(base) {
+            directory.register(names.adp(i), names.shard());
         }
         for c in 0..base.cpus {
-            directory.register(format!("$DP2-s{s}c{c}"), s);
+            directory.register(names.dp2(c), names.shard());
         }
     }
-    let directory = std::sync::Arc::new(directory);
+    let directory = Arc::new(directory);
 
-    let mut shards = Vec::new();
-    let mut partition_map = HashMap::new();
-    let mut audit_volume_stats = Vec::new();
-    for s in 0..params.shards {
-        let cpu0 = s * cpus_per_shard;
-        let scpu = |c: u32| CpuId(cpu0 + c);
-
-        // --- PM devices + per-shard PMM namespace ---
-        let pmm_name = format!("$PMM-s{s}");
-        let (pm_pool, pmm) = match base.audit {
-            AuditMode::Disk => (Vec::new(), None),
-            mode => {
-                let kind_cfg = |cap| {
-                    let c = match mode {
-                        AuditMode::Pmp => NpmuConfig::pmp(cap),
-                        _ => NpmuConfig::hardware(cap),
-                    };
-                    match base.pm_ingress_drain_ns {
-                        Some(ns) => c.with_ingress_drain_ns(ns),
-                        None => c,
-                    }
-                };
-                let trail_regions = base.cpus.max(n_adps);
-                let cap = (base.pm_region_len + pmm::META_BYTES) * (trail_regions as u64 + 2)
-                    + (64 << 20);
-                let mut pool = Vec::new();
-                for v in 0..base.pm_volumes.max(1) {
-                    let an = format!("pm-s{s}m{v}-a");
-                    let bn = format!("pm-s{s}m{v}-b");
-                    let dev = kind_cfg(cap).with_volume(s * base.pm_volumes.max(1) + v);
-                    let a = Npmu::install(&mut sim, store, &net, Some(&machine), &an, dev.clone());
-                    let b = Npmu::install(&mut sim, store, &net, Some(&machine), &bn, dev);
-                    pool.push((a, b));
-                }
-                let pmm = install_pmm_pool(
-                    &mut sim,
-                    &machine,
-                    &pmm_name,
-                    &pool,
-                    scpu(base.cpus),
-                    if base.backups { Some(scpu(0)) } else { None },
-                    base.pmm.clone(),
-                );
-                (pool, Some(pmm))
-            }
-        };
-
-        // --- audit partitions ---
-        let mut adps = Vec::new();
-        for i in 0..n_adps {
-            let name = format!("$ADP-s{s}p{i}");
-            let backend = match base.audit {
-                AuditMode::Disk => {
-                    let media = store
-                        .get_or_insert_with(&format!("disk:$AUDIT-s{s}i{i}"), SparseMedia::new);
-                    let vol =
-                        DiskVolume::new(format!("$AUDIT-s{s}i{i}"), base.audit_disk.clone(), media);
-                    audit_volume_stats.push(vol.stats());
-                    AuditBackend::Disk {
-                        volume: sim.spawn(vol),
-                    }
-                }
-                _ => AuditBackend::Pm {
-                    pmm: pmm_name.clone(),
-                    region: format!("adp{i}.audit"),
-                    region_len: base.pm_region_len,
-                },
-            };
-            install_adp(
-                &mut sim,
-                &machine,
-                &name,
-                scpu(i % base.cpus),
-                if base.backups {
-                    Some(scpu((i + 1) % base.cpus))
-                } else {
-                    None
-                },
-                backend,
-                base.txn.clone(),
-                stats.clone(),
-            );
-            adps.push(name);
-        }
-
-        // --- data volumes + DP2s ---
-        let mut dp2s = Vec::new();
-        for c in 0..base.cpus {
-            let name = format!("$DP2-s{s}c{c}");
-            let mut vols = Vec::new();
-            for v in 0..base.data_volumes_per_dp2 {
-                let media =
-                    store.get_or_insert_with(&format!("disk:$DATA-s{s}c{c}-{v}"), SparseMedia::new);
-                let vol =
-                    DiskVolume::new(format!("$DATA-s{s}c{c}-{v}"), base.data_disk.clone(), media);
-                vols.push(sim.spawn(vol));
-            }
-            let mut parts = Vec::new();
-            for file in 0..base.files {
-                // Files renumbered globally: shard s owns files
-                // [s*files, (s+1)*files).
-                let part = PartitionId {
-                    file: s * base.files + file,
-                    part: c,
-                };
-                if c < base.parts_per_file {
-                    parts.push(part);
-                    partition_map.insert(part, name.clone());
-                }
-            }
-            let dp2_adps = match base.audit {
-                AuditMode::Disk => vec![format!("$ADP-s{s}p{c}")],
-                _ => adps.clone(),
-            };
-            install_dp2(
-                &mut sim,
-                &machine,
-                &name,
-                scpu(c),
-                if base.backups {
-                    Some(scpu((c + 1) % base.cpus))
-                } else {
-                    None
-                },
-                parts,
-                dp2_adps,
-                vols,
-                base.txn.clone(),
-                stats.clone(),
-            );
-            dp2s.push(name);
-        }
-
-        // --- shard TMF, wired into the cluster directory ---
-        let tmf = format!("$TMF-s{s}");
-        let master_adps = match base.audit {
-            AuditMode::Disk => vec![adps[0].clone()],
-            _ => adps.clone(),
-        };
-        install_tmf(
-            &mut sim,
-            &machine,
-            &tmf,
-            scpu(0),
-            if base.backups {
-                Some(scpu(1 % base.cpus))
-            } else {
-                None
-            },
-            master_adps,
-            s,
-            Some(directory.clone()),
-            base.txn.clone(),
-            stats.clone(),
-        );
-
-        shards.push(ShardHandle {
-            tmf,
-            adps,
-            dp2s,
-            pm_pool,
-            pmm,
-        });
-    }
+    let shards = shard_names()
+        .map(|names| {
+            let cpu0 = names.shard() * cpus_per_shard;
+            world.build_shard(store, base, names, cpu0, directory.clone())
+        })
+        .collect();
 
     ClusterNode {
-        sim,
-        machine,
-        net,
-        stats,
+        sim: world.sim,
+        machine: world.machine,
+        net: world.net,
+        stats: world.stats,
         shards,
         directory,
-        partition_map,
-        audit_volume_stats,
+        partition_map: world.partition_map,
+        audit_volume_stats: world.audit_volume_stats,
         params,
-    }
-}
-
-/// Convenience for tests: route a partition to its DP2 name.
-impl OdsNode {
-    pub fn dp2_of(&self, partition: PartitionId) -> &str {
-        self.partition_map
-            .get(&partition)
-            .map(|s| s.as_str())
-            .expect("unmapped partition")
-    }
-
-    /// Audit-trail media images (disk mode), for recovery tests.
-    pub fn audit_media(
-        &self,
-        store: &mut DurableStore,
-        cpu: u32,
-    ) -> Option<simcore::durable::Image<SparseMedia>> {
-        store.get::<SparseMedia>(&format!("disk:$AUDIT{cpu}"))
-    }
-
-    /// All spawned volume actor ids are private; the harness reads media
-    /// through the durable store instead.
-    pub fn placeholder(&self) -> ActorId {
-        ActorId(u32::MAX)
     }
 }

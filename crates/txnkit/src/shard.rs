@@ -7,7 +7,6 @@
 //! TMF-coordinated two-phase commit in [`crate::tmf`].
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Route a key to one of `shards` shards. `shards` MUST be a power of two
 /// (asserted): masking a finalized splitmix64 hash makes every key map to
@@ -67,13 +66,6 @@ impl ShardDirectory {
     pub fn tmf(&self, shard: u32) -> &str {
         &self.tmfs[shard as usize]
     }
-}
-
-/// A single-shard directory: every name resolves to shard 0. What a
-/// standalone node effectively runs with (`install_tmf` with no
-/// directory behaves identically).
-pub fn single_node_directory(tmf: impl Into<String>) -> Arc<ShardDirectory> {
-    Arc::new(ShardDirectory::new(vec![tmf.into()]))
 }
 
 #[cfg(test)]

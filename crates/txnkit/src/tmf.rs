@@ -55,6 +55,13 @@ use simnet::{EndpointId, NetDelivery, SharedNetwork};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+/// Size of the commit/abort record in the master trail, bytes.
+const COMMIT_RECORD_BYTES: u32 = 64;
+/// The TMF appends a fuzzy `CheckpointMark` (listing in-flight txns) to
+/// the master trail every this many commits — the recovery scan's
+/// starting hint.
+const CHECKPOINT_MARK_EVERY: u64 = 64;
+
 /// Per-participant-shard slice of a commit: the (ADP, LSN) flush points
 /// and DP2 names whose data that shard must harden before it prepares.
 type ShardWork = (Vec<(String, Lsn)>, Vec<String>);
@@ -176,9 +183,9 @@ pub struct TmfProc {
     cpu: CpuId,
     /// This TMF's shard id (encoded into allocated TxnIds).
     shard: u32,
-    /// Cluster directory for cross-shard routing; `None` = standalone
-    /// node, everything is local.
-    directory: Option<Arc<ShardDirectory>>,
+    /// Cluster directory for cross-shard routing. A standalone node's has
+    /// one shard, so everything there is local.
+    directory: Arc<ShardDirectory>,
     /// ADPs holding the master audit trail (commit/abort records), one
     /// per audit partition: a transaction's commit record goes to
     /// `master_adps[txn.audit_partition(len)]` — the same mapping the
@@ -223,7 +230,10 @@ impl TmfProc {
     fn sub_token(&mut self, ctx: &mut Ctx<'_>, commit_token: u64, kind: SubKind) -> u64 {
         let t = self.next_subop;
         self.next_subop += 1;
-        let retry = ctx.arm_timer(self.cfg.sub_retry_delay(0), SubRetry { sub: t, attempt: 0 });
+        let retry = ctx.arm_timer(
+            crate::config::sub_retry_delay(0),
+            SubRetry { sub: t, attempt: 0 },
+        );
         self.subop.insert(t, (commit_token, kind, retry));
         t
     }
@@ -282,7 +292,7 @@ impl TmfProc {
             SubKind::MasterAppend { txn } => {
                 if let Some(master) = self.master_for(txn) {
                     let enc = crate::audit::AuditRecord::Commit { txn }.encode();
-                    let virt = (enc.len() as u32).max(self.cfg.commit_record_bytes);
+                    let virt = (enc.len() as u32).max(COMMIT_RECORD_BYTES);
                     self.send_proc(
                         ctx,
                         &master,
@@ -298,7 +308,7 @@ impl TmfProc {
             SubKind::PrepAppend { txn } => {
                 if let Some(master) = self.master_for(txn) {
                     let enc = crate::audit::AuditRecord::Prepared { txn }.encode();
-                    let virt = (enc.len() as u32).max(self.cfg.commit_record_bytes);
+                    let virt = (enc.len() as u32).max(COMMIT_RECORD_BYTES);
                     self.send_proc(
                         ctx,
                         &master,
@@ -322,44 +332,41 @@ impl TmfProc {
                 flush_points,
                 involved_dp2,
             } => {
-                if let Some(dir) = self.directory.clone() {
-                    let name = self.name.clone();
-                    self.send_proc(
-                        ctx,
-                        dir.tmf(peer),
-                        64,
-                        PrepareTxn {
-                            txn,
-                            coord: name,
-                            flush_points,
-                            involved_dp2,
-                            token: sub,
-                        },
-                    );
-                }
+                let (dir, name) = (self.directory.clone(), self.name.clone());
+                self.send_proc(
+                    ctx,
+                    dir.tmf(peer),
+                    64,
+                    PrepareTxn {
+                        txn,
+                        coord: name,
+                        flush_points,
+                        involved_dp2,
+                        token: sub,
+                    },
+                );
             }
             SubKind::Decision {
                 peer,
                 txn,
                 committed,
             } => {
-                if let Some(dir) = self.directory.clone() {
-                    self.send_proc(
-                        ctx,
-                        dir.tmf(peer),
-                        24,
-                        DecisionTxn {
-                            txn,
-                            committed,
-                            token: sub,
-                        },
-                    );
-                }
+                let dir = self.directory.clone();
+                self.send_proc(
+                    ctx,
+                    dir.tmf(peer),
+                    24,
+                    DecisionTxn {
+                        txn,
+                        committed,
+                        token: sub,
+                    },
+                );
             }
         }
         let next = attempt + 1;
         let retry = ctx.arm_timer(
-            self.cfg.sub_retry_delay(next),
+            crate::config::sub_retry_delay(next),
             SubRetry { sub, attempt: next },
         );
         if let Some(entry) = self.subop.get_mut(&sub) {
@@ -409,7 +416,7 @@ impl TmfProc {
             let sub = self.sub_token(ctx, token, SubKind::MasterAppend { txn });
             let master = self.master_for(txn).expect("master adp");
             let enc = crate::audit::AuditRecord::Commit { txn }.encode();
-            let virt = (enc.len() as u32).max(self.cfg.commit_record_bytes);
+            let virt = (enc.len() as u32).max(COMMIT_RECORD_BYTES);
             self.send_proc(
                 ctx,
                 &master,
@@ -429,7 +436,7 @@ impl TmfProc {
             Some(s) => s.txn,
             None => return,
         };
-        if self.cfg.tmf_checkpoint && self.has_backup() {
+        if self.has_backup() {
             if let Some(s) = self.commits.get_mut(&token) {
                 s.phase = CommitPhase::Ckpt;
             }
@@ -445,7 +452,7 @@ impl TmfProc {
                 self.ep,
                 self.cpu,
                 &name,
-                self.cfg.checkpoint_overhead_bytes,
+                crate::config::CHECKPOINT_OVERHEAD_BYTES,
                 Checkpoint {
                     seq,
                     payload: Box::new(TmfCkpt { committed_txn: txn }),
@@ -461,12 +468,11 @@ impl TmfProc {
     /// examine — each trail gets its own mark so every per-partition scan
     /// is bounded independently.
     fn maybe_checkpoint_mark(&mut self, ctx: &mut Ctx<'_>) {
-        let every = self.cfg.checkpoint_mark_every;
-        if every == 0 || self.master_adps.is_empty() {
+        if self.master_adps.is_empty() {
             return;
         }
         self.commits_since_mark += 1;
-        if self.commits_since_mark < every {
+        if self.commits_since_mark < CHECKPOINT_MARK_EVERY {
             return;
         }
         self.commits_since_mark = 0;
@@ -533,18 +539,17 @@ impl TmfProc {
                     committed: true,
                 },
             );
-            if let Some(dir) = self.directory.clone() {
-                self.send_proc(
-                    ctx,
-                    dir.tmf(*peer),
-                    24,
-                    DecisionTxn {
-                        txn: state.txn,
-                        committed: true,
-                        token: sub,
-                    },
-                );
-            }
+            let dir = self.directory.clone();
+            self.send_proc(
+                ctx,
+                dir.tmf(*peer),
+                24,
+                DecisionTxn {
+                    txn: state.txn,
+                    committed: true,
+                    token: sub,
+                },
+            );
         }
         // Post-commit lock release at every locally-involved DP2 (off the
         // response path).
@@ -582,7 +587,7 @@ impl TmfProc {
         let sub = self.sub_token(ctx, 0, SubKind::PrepAppend { txn });
         let master = self.master_for(txn).expect("master adp");
         let enc = crate::audit::AuditRecord::Prepared { txn }.encode();
-        let virt = (enc.len() as u32).max(self.cfg.commit_record_bytes);
+        let virt = (enc.len() as u32).max(COMMIT_RECORD_BYTES);
         self.send_proc(
             ctx,
             &master,
@@ -728,26 +733,21 @@ impl Actor for TmfProc {
                     let mut local_flush: Vec<(String, Lsn)> = Vec::new();
                     let mut local_dp2: Vec<String> = Vec::new();
                     let mut remote: HashMap<u32, ShardWork> = HashMap::new();
-                    if let Some(dir) = &self.directory {
-                        for (adp, lsn) in req.flush_points {
-                            let s = dir.shard_of(&adp);
-                            if s == self.shard {
-                                local_flush.push((adp, lsn));
-                            } else {
-                                remote.entry(s).or_default().0.push((adp, lsn));
-                            }
+                    for (adp, lsn) in req.flush_points {
+                        let s = self.directory.shard_of(&adp);
+                        if s == self.shard {
+                            local_flush.push((adp, lsn));
+                        } else {
+                            remote.entry(s).or_default().0.push((adp, lsn));
                         }
-                        for dp2 in req.involved_dp2 {
-                            let s = dir.shard_of(&dp2);
-                            if s == self.shard {
-                                local_dp2.push(dp2);
-                            } else {
-                                remote.entry(s).or_default().1.push(dp2);
-                            }
+                    }
+                    for dp2 in req.involved_dp2 {
+                        let s = self.directory.shard_of(&dp2);
+                        if s == self.shard {
+                            local_dp2.push(dp2);
+                        } else {
+                            remote.entry(s).or_default().1.push(dp2);
                         }
-                    } else {
-                        local_flush = req.flush_points;
-                        local_dp2 = req.involved_dp2;
                     }
                     let token = self.next_token;
                     self.next_token += 1;
@@ -788,7 +788,7 @@ impl Actor for TmfProc {
                                 involved_dp2: dp2s.clone(),
                             },
                         );
-                        let dir = self.directory.clone().expect("directory for cross-shard");
+                        let dir = self.directory.clone();
                         let name = self.name.clone();
                         self.send_proc(
                             ctx,
@@ -1047,8 +1047,9 @@ impl Actor for TmfProc {
 /// Install the TMF pair. `master_adps` names the ADPs that harden commit
 /// records, one per audit partition — records route by transaction hash;
 /// a single entry routes everything there; empty skips master-trail I/O.
-/// `shard`/`directory` place this TMF in a cluster: pass `0`/`None` for a
-/// standalone node (every commit stays on the fast path).
+/// `shard`/`directory` place this TMF in a cluster; a standalone node is
+/// shard 0 of a one-TMF directory (unregistered names resolve to shard 0,
+/// so every commit stays on the fast path).
 #[allow(clippy::too_many_arguments)]
 pub fn install_tmf(
     sim: &mut Sim,
@@ -1058,7 +1059,7 @@ pub fn install_tmf(
     backup_cpu: Option<CpuId>,
     master_adps: Vec<String>,
     shard: u32,
-    directory: Option<Arc<ShardDirectory>>,
+    directory: Arc<ShardDirectory>,
     cfg: TxnConfig,
     stats: SharedTxnStats,
 ) {

@@ -348,7 +348,7 @@ fn disk_baseline_commits_and_recovery_rebuilds_tables() {
         })
         .collect();
     let refs: Vec<&[u8]> = trails.iter().map(|t| t.as_slice()).collect();
-    let rec = txnkit::recovery::redo_scan(&refs, None);
+    let rec = txnkit::recovery::redo_scan_partitioned(&refs);
     assert_eq!(rec.committed.len(), 10);
     assert!(rec.inflight.is_empty());
     let total_keys: usize = rec.tables.values().map(|t| t.len()).sum();

@@ -99,18 +99,6 @@ impl ThinkTime {
             }
         }
     }
-
-    /// Mean of the distribution, ns (for offered-load arithmetic).
-    pub fn mean_ns(self) -> f64 {
-        match self {
-            ThinkTime::Zero => 0.0,
-            ThinkTime::Fixed { ns } => ns as f64,
-            ThinkTime::Exponential { mean_ns } => mean_ns as f64,
-            ThinkTime::LogNormal { median_ns, sigma } => {
-                median_ns as f64 * (sigma * sigma / 2.0).exp()
-            }
-        }
-    }
 }
 
 /// YCSB-style Zipfian generator over `0..n` with skew `theta` (0.99 is

@@ -93,16 +93,6 @@ impl WorkloadConfig {
             issue_cpu_ns: 20_000,
         }
     }
-
-    /// Offered load in transactions/s if responses were instantaneous
-    /// (closed-loop offered ≈ clients / think; an upper bound).
-    pub fn offered_tps(&self) -> f64 {
-        let think = self.think.mean_ns();
-        if think <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.clients as f64 * 1e9 / think
-    }
 }
 
 /// Aggregated workload measurements (all pools share one).

@@ -226,7 +226,7 @@ fn adp_primary_killed_between_chain_post_and_completion() {
     let mut store = DurableStore::new();
     let (mut node, driver_stats) = hot_stock_node(&mut store, 1, BUSY, "$ADP0", kill_at);
     node.sim.run_until(SimTime(kill_at.as_nanos() - 1));
-    let (a, b) = node.npmus.clone().expect("PM mode has NPMUs");
+    let (a, b) = node.pm_pool[0].clone();
     let fences = a.stats.lock().flushes + b.stats.lock().flushes;
     // The ADP is the only poster of fenced chains: one per mirror half
     // for every batch.

@@ -41,7 +41,7 @@ use simnet::PersistMode;
 use std::collections::HashMap;
 use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
 use txnkit::audit::{scan, AuditRecord};
-use txnkit::recovery::redo_scan;
+use txnkit::recovery::redo_scan_partitioned;
 use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
 use txnkit::TxnId;
 
@@ -123,7 +123,7 @@ fn probe(mode: PersistMode, seed: u64) -> (u64, u64) {
     assert_eq!(ts.pm_ctrl_writes, ts.pm_batches);
     assert_eq!(node.net.lock().stats.rdma_flushes, 0);
     let fences: u64 = node
-        .npmus
+        .pm_pool
         .iter()
         .flat_map(|(a, b)| [a, b])
         .map(|h| h.stats.lock().flushes)
@@ -207,7 +207,7 @@ fn crash_point(mode: PersistMode, seed: u64, k: u64, torn_offset: Option<usize>)
         })
         .collect();
     let refs: Vec<&[u8]> = trails.iter().map(|t| t.as_slice()).collect();
-    let rec = redo_scan(&refs, None);
+    let rec = redo_scan_partitioned(&refs);
     let lost = acked.saturating_sub(rec.committed.len() as u64);
 
     if mode != PersistMode::NicAck {

@@ -251,3 +251,72 @@ fn sharded_workload_runs_are_reproducible() {
         "no trail bytes were persisted"
     );
 }
+
+#[test]
+fn single_node_is_the_one_shard_cluster() {
+    // `build_ods` is one call of the shard recipe `build_cluster` loops
+    // over, under the pre-sharding names. So a node and a one-shard
+    // cluster of the same topology are the same simulation: the same
+    // workload dispatches event for event and leaves byte-identical
+    // trails, under different device names.
+    use common::read_region;
+    use txnkit::scenario::{build_cluster, build_ods, ClusterNode, ClusterParams, ClusterView};
+    use workload::{install_workload, run_to_completion, ThinkTime, WorkloadConfig};
+
+    const SEED: u64 = 0x0451;
+    let run = |sim: &mut simcore::Sim, machine: &nsk::machine::SharedMachine, view: ClusterView| {
+        let stats = install_workload(
+            sim,
+            machine,
+            &view,
+            WorkloadConfig {
+                think: ThinkTime::Zero,
+                txns_per_client: 6,
+                run_for: None,
+                inserts_per_txn: 4,
+                ..WorkloadConfig::new(SEED, 8)
+            },
+        );
+        run_to_completion(sim, &stats, SimTime(60 * SECS));
+        let s = stats.lock();
+        (
+            sim.dispatched(),
+            s.finished_ns,
+            s.committed,
+            s.response.mean(),
+        )
+    };
+    let trails = |store: &mut simcore::DurableStore, device_key: &str| -> Vec<Vec<u8>> {
+        store.reset_volatile();
+        (0..4)
+            .map(|i| read_region(store, device_key, &format!("adp{i}.audit"), 0))
+            .collect()
+    };
+    let params = ClusterParams::pm(SEED, 1);
+
+    let mut node_store = simcore::DurableStore::new();
+    let mut node = build_ods(&mut node_store, params.base.clone());
+    let (view, machine) = (node.view(), node.machine.clone());
+    let as_node = run(&mut node.sim, &machine, view);
+    drop((node, machine));
+    let node_trails = trails(&mut node_store, "npmu:pm-a");
+
+    let mut cluster_store = simcore::DurableStore::new();
+    let mut cluster = build_cluster(&mut cluster_store, params);
+    let (view, machine) = (cluster.view(), cluster.machine.clone());
+    let as_cluster = run(&mut cluster.sim, &machine, view);
+    drop((cluster, machine));
+    let cluster_trails = trails(&mut cluster_store, &ClusterNode::npmu_store_key(0, 0, 'a'));
+
+    assert_eq!(
+        as_node, as_cluster,
+        "(dispatched, finished, committed, mean response)"
+    );
+    assert_eq!(as_node.2, 48, "every transaction committed");
+    for (i, (a, b)) in node_trails.iter().zip(&cluster_trails).enumerate() {
+        assert!(
+            a == b,
+            "adp{i}.audit differs between node and one-shard cluster"
+        );
+    }
+}

@@ -10,7 +10,7 @@ use hotstock::driver::HotStockDriver;
 use nsk::machine::CpuId;
 use simcore::time::SECS;
 use simcore::{DurableStore, SimDuration, SimTime};
-use txnkit::recovery::redo_scan;
+use txnkit::recovery::redo_scan_partitioned;
 use txnkit::scenario::{build_ods, AuditMode, OdsParams};
 
 #[test]
@@ -62,7 +62,7 @@ fn committed_transactions_survive_power_loss() {
         .map(|i| read_region(&mut store, "npmu:pm-a", &format!("adp{i}.audit"), 64))
         .collect();
     let refs: Vec<&[u8]> = trails.iter().map(|t| t.as_slice()).collect();
-    let rec = redo_scan(&refs, None);
+    let rec = redo_scan_partitioned(&refs);
 
     assert!(
         rec.committed.len() as u64 >= committed_txns,
@@ -174,7 +174,7 @@ fn volatile_write_cache_violates_audit_durability() {
         })
         .collect();
     let refs: Vec<&[u8]> = trails.iter().map(|t| t.as_slice()).collect();
-    let rec = redo_scan(&refs, None);
+    let rec = redo_scan_partitioned(&refs);
     assert!(
         (rec.committed.len() as u64) < acked,
         "volatile cache must lose acknowledged commits: recovered {} of {acked}",

@@ -116,7 +116,7 @@ fn workload_survives_fabric_outage(fabric: u8, seed: u64) {
     assert_eq!(net.failovers, 2 * moved, "every moved path failed back");
     assert_eq!(net.unreachable, 0);
 
-    let (a, b) = node.npmus.as_ref().expect("PM mode has NPMUs");
+    let (a, b) = &node.pm_pool[0];
     let report = pmem::verify_mirrors(&a.mem, &b.mem, 16);
     assert!(report.is_clean(), "{:?}", report.discrepancies);
 }
@@ -169,12 +169,8 @@ fn mirrors_byte_identical_after_workload() {
     node.sim.run_until(SimTime(600 * SECS));
     assert!(stats.lock().done);
 
-    let (a, b) = node
-        .npmus
-        .as_ref()
-        .map(|(a, b)| (a.mem.clone(), b.mem.clone()))
-        .unwrap();
-    let report = pmem::verify_mirrors(&a, &b, 16);
+    let (a, b) = &node.pm_pool[0];
+    let report = pmem::verify_mirrors(&a.mem, &b.mem, 16);
     assert!(
         report.is_clean(),
         "mirror scrub found: {:?}",
@@ -184,7 +180,7 @@ fn mirrors_byte_identical_after_workload() {
     assert!(report.bytes_compared > 0);
 
     // Inject silent corruption into one mirror; the scrubber must catch it.
-    b.lock().write(pmm::META_BYTES + 4096 + 77, &[0x5A]);
-    let report = pmem::verify_mirrors(&a, &b, 16);
+    b.mem.lock().write(pmm::META_BYTES + 4096 + 77, &[0x5A]);
+    let report = pmem::verify_mirrors(&a.mem, &b.mem, 16);
     assert!(!report.is_clean(), "injected SDC must be detected");
 }

@@ -310,3 +310,83 @@ fn lazy_partitions_catch_up_on_the_poll_timer() {
         assert_eq!(&p_trail[..r_wm as usize], &r_trail[..r_wm as usize]);
     }
 }
+
+/// A member-scoped fault names one device at one site. The DR pool's
+/// volume ids follow the primary pool's, so taking the primary's member 0
+/// half `a` down must leave both DR halves untouched, the replica applying
+/// throughout, and the drained pipe where the fault-free control ends: at
+/// RPO 0 with every acknowledged transaction recoverable at the DR site.
+#[test]
+fn member_scoped_primary_fault_stays_at_the_primary_site() {
+    use simcore::fault::{Fault, FaultPlan};
+    let run = |outage: bool| {
+        let mut store = DurableStore::new();
+        let mut params = GeorepParams::pm(0x6E05);
+        if outage {
+            params.base.fault_plan = FaultPlan::none().with(Fault::PoolNpmuDown {
+                volume: 0,
+                half: 0,
+                from: SimTime(1_200 * MILLIS),
+                to: SimTime(1_300 * MILLIS),
+            });
+        }
+        let mut node = build_georep(&mut store, params);
+        let (view, machine) = (node.node.view(), node.node.machine.clone());
+        // Sustained load so trail traffic spans the outage.
+        let stats = install_workload(
+            &mut node.node.sim,
+            &machine,
+            &view,
+            WorkloadConfig {
+                think: ThinkTime::Zero,
+                disjoint_keys: true,
+                track_txns: true,
+                txns_per_client: 0,
+                run_for: Some(simcore::SimDuration::from_nanos(600 * MILLIS)),
+                inserts_per_txn: 4,
+                ..WorkloadConfig::new(0x6E05, CLIENTS)
+            },
+        );
+        run_to_completion(&mut node.node.sim, &stats, SimTime(60 * SECS));
+        let t = node.node.sim.now();
+        node.node.sim.run_until(SimTime(t.as_nanos() + SECS));
+
+        let epochs = |h: &npmu::NpmuHandle| h.stats.lock().failure_epochs;
+        let (pa, pb) = &node.node.pm_pool[0];
+        let (da, db) = &node.dr_pool[0];
+        let seen = (epochs(pa), epochs(pb), epochs(da), epochs(db));
+        let rpo = node.shipper_stats.lock().rpo_bytes();
+        let applied = node.replica_stats.lock().batches_applied;
+        let committed = stats.lock().committed_ids.clone();
+        drop(node);
+        store.reset_volatile();
+        let mut replica_trails = Vec::new();
+        for part in 0..PARTS {
+            let (p_wm, r_wm, _, r_trail) = site_watermarks(&mut store, part);
+            assert_eq!(p_wm, r_wm, "partition {part} lags after the drain");
+            replica_trails.push(r_trail);
+        }
+        let refs: Vec<&[u8]> = replica_trails.iter().map(|t| t.as_slice()).collect();
+        let rec = redo_scan_partitioned(&refs);
+        let lost = committed
+            .iter()
+            .filter(|t| !rec.committed.contains(t))
+            .count();
+        (seen, rpo, applied, committed.len(), lost)
+    };
+    let (seen, rpo, applied, committed, lost) = run(true);
+    assert_eq!(
+        seen,
+        (1, 0, 0, 0),
+        "failure epochs on (pm-a, pm-b, drpm-a, drpm-b): one outage, one device"
+    );
+    let (control_seen, control_rpo, control_applied, control_committed, control_lost) = run(false);
+    assert_eq!(control_seen, (0, 0, 0, 0));
+    assert!(
+        applied > 0 && control_applied > 0,
+        "replica applied nothing"
+    );
+    assert!(committed > 0 && control_committed > 0);
+    assert_eq!((rpo, lost), (0, 0), "outage run did not drain to RPO 0");
+    assert_eq!((control_rpo, control_lost), (0, 0));
+}

@@ -35,7 +35,7 @@ fn npmu_half_dies_mid_run_workload_survives_and_resilvers() {
     };
     let mut node = build_ods(&mut store, params);
     let pmm = node.pmm.clone().expect("PM mode has a PMM");
-    let (npmu_a, npmu_b) = node.npmus.clone().expect("PM mode has NPMUs");
+    let (npmu_a, npmu_b) = node.pm_pool[0].clone();
 
     let warmup = SimDuration::from_millis(1100);
     let mut driver_stats: Vec<SharedDriverStats> = Vec::new();

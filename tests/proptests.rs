@@ -535,3 +535,83 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Recovery: one node is the one-shard cluster
+// ---------------------------------------------------------------------
+
+/// Transaction ids from a domain small enough that outcome records meet
+/// the inserts they decide, with coordinators on this shard (0) and on
+/// shards a one-shard recovery has no trail for.
+fn arb_small_txn() -> impl Strategy<Value = TxnId> {
+    (0u32..3, 0u64..8).prop_map(|(shard, seq)| TxnId::compose(shard, seq))
+}
+
+fn arb_outcome_mix_record() -> impl Strategy<Value = AuditRecord> {
+    prop_oneof![
+        (arb_small_txn(), 0u32..2, 0u64..6, any::<u32>()).prop_map(|(txn, part, key, crc)| {
+            AuditRecord::Insert {
+                txn,
+                partition: PartitionId { file: 0, part },
+                key,
+                virtual_len: 64,
+                body_crc: crc,
+                body: Bytes::new(),
+            }
+        }),
+        arb_small_txn().prop_map(|txn| AuditRecord::Commit { txn }),
+        arb_small_txn().prop_map(|txn| AuditRecord::Abort { txn }),
+        arb_small_txn().prop_map(|txn| AuditRecord::Prepared { txn }),
+        proptest::collection::vec(arb_small_txn(), 0..4)
+            .prop_map(|active_txns| AuditRecord::CheckpointMark { active_txns }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `redo_scan_sharded` over one shard and `redo_scan_partitioned` run
+    /// the same merge and the same redo; what the sharded pass adds —
+    /// in-doubt resolution, a per-shard `committed` narrowed to the
+    /// transactions that touched the shard — never changes what is redone.
+    #[test]
+    fn one_shard_recovery_redoes_what_partitioned_recovery_redoes(
+        trails in proptest::collection::vec(
+            proptest::collection::vec(arb_outcome_mix_record(), 0..12),
+            1..5,
+        ),
+        torn in 0usize..24,
+    ) {
+        use txnkit::recovery::{redo_scan_partitioned, redo_scan_sharded};
+        let mut images: Vec<Vec<u8>> = trails
+            .iter()
+            .map(|recs| {
+                let mut b = BytesMut::new();
+                for r in recs {
+                    r.encode_into(&mut b);
+                }
+                b.to_vec()
+            })
+            .collect();
+        // A torn tail on the last trail: a record cut short mid-write.
+        let tail = AuditRecord::Commit { txn: TxnId(1) }.encode();
+        images
+            .last_mut()
+            .unwrap()
+            .extend_from_slice(&tail[..torn.min(tail.len() - 1)]);
+        let refs: Vec<&[u8]> = images.iter().map(|t| t.as_slice()).collect();
+
+        let node = redo_scan_partitioned(&refs);
+        let sharded = redo_scan_sharded(std::slice::from_ref(&refs));
+        let shard = &sharded.shards[0];
+        prop_assert_eq!(&shard.tables, &node.tables);
+        prop_assert!(shard.committed.is_subset(&node.committed));
+        prop_assert_eq!(shard.records_scanned, node.records_scanned);
+        prop_assert_eq!(shard.bytes_scanned, node.bytes_scanned);
+        prop_assert_eq!(
+            node.records_scanned as usize,
+            trails.iter().map(|t| t.len()).sum::<usize>(),
+            "the torn tail is not a record"
+        );
+    }
+}

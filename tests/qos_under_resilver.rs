@@ -54,7 +54,7 @@ fn run_arm(qos: QosConfig, faulted: bool) -> ArmResult {
         },
     );
     let pmm = node.pmm.clone().expect("PM mode has a PMM");
-    let (npmu_a, npmu_b) = node.npmus.clone().expect("PM mode has NPMUs");
+    let (npmu_a, npmu_b) = node.pm_pool[0].clone();
     if faulted {
         let machine = node.machine.clone();
         let spec = OutageWrites {

@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use pm_bench::outage::{self, OutageWrites};
 use pmclient::{MirrorPolicy, PmLib, PmReadTimeout, PmWriteTimeout, ReadRouting};
 use pmm::msgs::{CreateRegionAck, RegionInfo};
-use pmm::{install_pmm_pair, PmmConfig, PmmHandle};
+use pmm::{install_pmm_pool, PmmConfig, PmmHandle};
 use simcore::actor::Start;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
@@ -223,7 +223,7 @@ fn build(store: &mut DurableStore, seed: u64, plan: FaultPlan) -> Scenario {
     let dev = NpmuConfig::hardware(32 << 20).with_fail_mode(npmu::FailureMode::Nack);
     let a = Npmu::install(&mut sim, store, &net, Some(&machine), "pm-a", dev.clone());
     let b = Npmu::install(&mut sim, store, &net, Some(&machine), "pm-b", dev);
-    let pmm = install_pmm_pair(&mut sim, &machine, "$PMM", &a, &b, CpuId(0), None, cfg);
+    let pmm = install_pmm_pool(&mut sim, &machine, "$PMM", &[(a, b)], CpuId(0), None, cfg);
     Monitor::install(&mut sim, &machine, plan);
     let writes = OutageWrites {
         region: "scratch",

@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# The numbers every ROADMAP re-anchor counts by hand, printed. No gate:
+# ci.sh runs this so the script itself cannot rot, and CHANGES.md quotes
+# its output at the parent and at the change so "fewer paths, flags and
+# lines" is a diff of two printouts.
+#
+#   tools/census.sh [checkout]      (default: this repository)
+set -euo pipefail
+cd "${1:-$(dirname "$0")/..}"
+
+lines() { # total lines of the *.rs files under the given directories
+  { find "$@" -name '*.rs' -type f -print0 2>/dev/null | xargs -0 -r cat; } | wc -l
+}
+
+echo "== first-party Rust lines"
+printf '%-28s %6d\n' "crates/*/src + src" "$(lines crates/*/src src)"
+printf '%-28s %6d\n' "tests + crates/*/tests" "$(lines tests crates/*/tests)"
+printf '%-28s %6d\n' "examples" "$(lines examples)"
+printf '%-28s %6d\n' "benchmark/src" "$(lines benchmark/src)"
+
+echo "== largest non-test files"
+find crates/*/src src -name '*.rs' ! -name 'tests.rs' -type f -print0 | xargs -0 wc -l |
+  grep -v ' total$' | sort -rn | head -8 | awk '{ printf "%-28s %6d\n", $2, $1 }'
+
+echo "== public fields per *Config / *Params struct"
+find crates/*/src src -name '*.rs' -type f -print0 | xargs -0 awk '
+  /^pub struct [A-Za-z0-9]+(Config|Params)( |<|\{)/ { name = $3; sub(/[<{].*/, "", name); n = 0; next }
+  name != "" && /^    pub [a-z_0-9]+:/ { n++ }
+  name != "" && /^}/ { printf "%-28s %6d\n", name, n; name = "" }
+' | sort -k2,2nr -k1,1
+
+echo "== *Stats structs"
+grep -rhoE '^pub struct [A-Za-z0-9]+Stats\b' crates/*/src src | wc -l
+
+echo "== crates/bench bins"
+find crates/bench/src/bin -name '*.rs' -type f | wc -l
+
+echo "== unwrap / expect / panic! sites under crates/*/src"
+grep -rhoE '\.unwrap\(\)|\.expect\(|panic!\(' crates/*/src | wc -l
