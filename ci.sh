@@ -74,5 +74,8 @@ tools/ab_wall.sh . trade_pm 1
 # The size and option census every re-anchor used to count by hand. It
 # gates nothing; it runs here so the script cannot rot unnoticed.
 tools/census.sh
+# Rot check for the host-time profiler (frame-pointer build, SIGPROF
+# sampler, nm symbolization): it must still find measured-phase samples.
+tools/hostprof.sh trade_pm 0x0D5B11 --quick >/dev/null
 # Docs must build clean (broken intra-doc links fail the gate).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -26,14 +26,12 @@
 use bytes::Bytes;
 use npmu::NpmuConfig;
 use nsk::machine::{install_primary, CpuId, Machine, MachineConfig, SharedMachine};
-use parking_lot::Mutex;
 use pm_bench::{json, Table};
 use pmem::{install_audit_partitions, install_pm_pool};
 use simcore::actor::Start;
 use simcore::time::{MILLIS, SECS};
-use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Sim, SimDuration, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Shared, Sim, SimDuration, SimTime};
 use simnet::{EndpointId, NetDelivery, PersistMode};
-use std::sync::Arc;
 use txnkit::{AppendDone, AuditAppend, FlushDone, FlushReq, TxnConfig, TxnId};
 
 const WORKER_CPUS: u32 = 4;
@@ -49,7 +47,7 @@ struct BenchResults {
     latency: Histogram,
 }
 
-type SharedResults = Arc<Mutex<BenchResults>>;
+type SharedResults = Shared<BenchResults>;
 
 /// One closed-loop commit source (append → flush → repeat).
 struct Appender {
@@ -188,7 +186,7 @@ fn run_point(mode: PersistMode, clients: u64, commits_per_client: u64) -> Point 
         },
         stats.clone(),
     );
-    let results: SharedResults = Arc::new(Mutex::new(BenchResults::default()));
+    let results: SharedResults = Shared::new(BenchResults::default());
     for c in 0..clients {
         let cpu = CpuId((c % WORKER_CPUS as u64) as u32);
         let machine2 = machine.clone();

@@ -5,19 +5,17 @@
 use bytes::Bytes;
 use npmu::NpmuConfig;
 use nsk::machine::{CpuId, Machine, MachineConfig, SharedMachine};
-use parking_lot::Mutex;
 use pmclient::{MirrorPolicy, PmLib, PmReadTimeout, PmWriteTimeout};
 use pmem::install_pm_system;
 use pmm::msgs::CreateRegionAck;
 use simcore::actor::Start;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::SECS;
-use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Sim, SimDuration, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Shared, Sim, SimDuration, SimTime};
 use simdisk::{DiskConfig, DiskVolume, DiskWrite, DiskWriteDone, SparseMedia};
 use simnet::{
     EndpointId, FabricConfig, NetDelivery, Network, RdmaReadDone, RdmaWriteDone, FABRICS,
 };
-use std::sync::Arc;
 
 /// How the PM device is reached (T1 rows + ablations A2/A3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,7 +72,7 @@ struct DiskClient {
     issued: u32,
     offset: u64,
     started_ns: u64,
-    hist: Arc<Mutex<Histogram>>,
+    hist: Shared<Histogram>,
 }
 
 impl DiskClient {
@@ -124,10 +122,10 @@ impl Actor for DiskClient {
 /// Closed-loop durable-write latency against one disk volume.
 pub fn measure_disk_write(cfg: DiskConfig, size: u32, n: u32, sequential: bool) -> Histogram {
     let mut sim = Sim::with_seed(11);
-    let media = Arc::new(Mutex::new(SparseMedia::new()));
+    let media = Shared::new(SparseMedia::new());
     let vol = DiskVolume::new("$BENCH", cfg, media);
     let disk = sim.spawn(vol);
-    let hist = Arc::new(Mutex::new(Histogram::new()));
+    let hist = Shared::new(Histogram::new());
     sim.spawn(DiskClient {
         disk,
         n,
@@ -195,9 +193,9 @@ struct PmClientRig {
     region: Option<u64>,
     issued: u32,
     started_ns: u64,
-    hist: Arc<Mutex<Histogram>>,
+    hist: Shared<Histogram>,
     /// Per-fabric byte counters as the first measured write is issued.
-    bytes_before: Arc<Mutex<[u64; FABRICS]>>,
+    bytes_before: Shared<[u64; FABRICS]>,
     /// StorageStack: a pending sub-block write waiting on its RMW read.
     rmw_pending: bool,
 }
@@ -390,9 +388,9 @@ pub fn measure_pm_write_fabrics(opts: MeasureOpts) -> (Histogram, [u64; FABRICS]
         });
     }
 
-    let hist = Arc::new(Mutex::new(Histogram::new()));
+    let hist = Shared::new(Histogram::new());
     let h2 = hist.clone();
-    let bytes_before = Arc::new(Mutex::new([0; FABRICS]));
+    let bytes_before = Shared::new([0; FABRICS]);
     let b2 = bytes_before.clone();
     let m3 = machine.clone();
     let pmm_name = sys.pmm_name.clone();

@@ -11,17 +11,15 @@
 use bytes::Bytes;
 use npmu::NpmuConfig;
 use nsk::machine::{CpuId, Machine, MachineConfig};
-use parking_lot::Mutex;
 use pmclient::{PmLib, PmWriteTimeout};
 use pmem::install_pm_pool;
 use pmm::msgs::{CreateRegionAck, OpenRegionAck};
 use pmm::PlacementHint;
 use simcore::actor::Start;
+use simcore::hash::FastMap;
 use simcore::time::{MILLIS, SECS};
-use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Sim, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Shared, Sim, SimTime};
 use simnet::{FabricConfig, NetDelivery, Network, RdmaWriteDone};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Stripe unit the rig assumes (the placement policy default).
 const STRIPE_UNIT: u64 = 64 << 10;
@@ -100,8 +98,8 @@ struct PoolWriter {
     issued: u32,
     completed: u32,
     /// token → issue time (pipelined, so one start time per op).
-    inflight: HashMap<u64, u64>,
-    shared: Arc<Mutex<SharedRun>>,
+    inflight: FastMap<u64, u64>,
+    shared: Shared<SharedRun>,
 }
 
 impl PoolWriter {
@@ -242,7 +240,7 @@ pub fn measure_pool_write_bw(opts: PoolBwOpts) -> PoolBwResult {
         Some(CpuId(opts.clients + 1)),
     );
 
-    let shared = Arc::new(Mutex::new(SharedRun::default()));
+    let shared = Shared::new(SharedRun::default());
     for idx in 0..opts.clients {
         let m = machine.clone();
         let pmm_name = pool.pmm_name.clone();
@@ -263,7 +261,7 @@ pub fn measure_pool_write_bw(opts: PoolBwOpts) -> PoolBwResult {
                     total_stripes,
                     issued: 0,
                     completed: 0,
-                    inflight: HashMap::new(),
+                    inflight: FastMap::default(),
                     shared: sh.clone(),
                 })
             },

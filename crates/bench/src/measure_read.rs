@@ -15,16 +15,14 @@
 
 use npmu::NpmuConfig;
 use nsk::machine::{CpuId, Machine, MachineConfig};
-use parking_lot::Mutex;
 use pmclient::{PmClientConfig, PmLib, PmReadTimeout, ReadRouting};
 use pmem::install_pm_pool;
 use pmm::msgs::{CreateRegionAck, OpenRegionAck};
 use pmm::PlacementHint;
 use simcore::actor::Start;
 use simcore::time::{MILLIS, SECS};
-use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Sim, SimDuration, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Histogram, Msg, Shared, Sim, SimDuration, SimTime};
 use simnet::{FabricConfig, NetDelivery, Network, RdmaReadDone};
-use std::sync::Arc;
 
 /// Stripe unit the rig assumes (the placement policy default).
 const STRIPE_UNIT: u64 = 64 << 10;
@@ -125,7 +123,7 @@ struct PoolReader {
     region: Option<u64>,
     issued: u32,
     issue_ns: u64,
-    shared: Arc<Mutex<SharedRun>>,
+    shared: Shared<SharedRun>,
 }
 
 impl PoolReader {
@@ -272,7 +270,7 @@ pub fn measure_pool_read_bw(opts: ReadBwOpts) -> ReadBwResult {
         Some(CpuId(opts.clients + 1)),
     );
 
-    let shared = Arc::new(Mutex::new(SharedRun::default()));
+    let shared = Shared::new(SharedRun::default());
     for idx in 0..opts.clients {
         let m = machine.clone();
         let pmm_name = pool.pmm_name.clone();

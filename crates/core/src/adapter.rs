@@ -53,12 +53,11 @@ impl PmMedium for NvMedium {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use pmstore::{PmBTree, PmQueue};
-    use std::sync::Arc;
+    use simcore::Shared;
 
     fn device(capacity: u64) -> Image<NvImage> {
-        Arc::new(Mutex::new(NvImage::new(capacity)))
+        Shared::new(NvImage::new(capacity))
     }
 
     #[test]

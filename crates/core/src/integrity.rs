@@ -127,12 +127,11 @@ fn region_union(a: &VolumeMeta, b: &VolumeMeta) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use pmm::{RegionMeta, META_BYTES};
-    use std::sync::Arc;
+    use simcore::Shared;
 
     fn device_with_meta(regions: Vec<RegionMeta>, epoch: u64) -> Image<NvImage> {
-        let img = Arc::new(Mutex::new(NvImage::new(4 << 20)));
+        let img = Shared::new(NvImage::new(4 << 20));
         let meta = VolumeMeta {
             epoch,
             next_region_id: regions.len() as u64,

@@ -2,10 +2,9 @@
 
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
-use parking_lot::Mutex;
-use simcore::{Actor, Ctx, Histogram, Msg, SimDuration};
+use simcore::hash::FastMap;
+use simcore::{Actor, Ctx, Histogram, Msg, Shared, SimDuration};
 use simnet::{EndpointId, NetDelivery};
-use std::sync::Arc;
 use txnkit::types::*;
 use txnkit::TxnClient;
 
@@ -20,7 +19,7 @@ pub struct DriverStats {
     pub done: bool,
 }
 
-pub type SharedDriverStats = Arc<Mutex<DriverStats>>;
+pub type SharedDriverStats = Shared<DriverStats>;
 
 struct Kickoff;
 
@@ -45,7 +44,7 @@ pub struct HotStockDriver {
     files: u32,
     parts_per_file: u32,
     /// Partition → DP2 name (from the scenario).
-    dp2_of: Arc<dyn Fn(PartitionId) -> String + Send + Sync>,
+    dp2_of: FastMap<PartitionId, String>,
     record_bytes: u32,
     inserts_per_txn: u32,
     total_records: u64,
@@ -80,14 +79,13 @@ impl HotStockDriver {
         warmup: SimDuration,
         issue_cpu_ns: u64,
     ) -> SharedDriverStats {
-        let stats: SharedDriverStats = Arc::new(Mutex::new(DriverStats::default()));
+        let stats: SharedDriverStats = Shared::new(DriverStats::default());
         let stats2 = stats.clone();
         let machine2 = machine.clone();
         let machine3 = machine.clone();
-        let pm = partition_map;
         let parts = parts_per_file;
         let name = format!("$driver{stock}");
-        let dp2_of = Arc::new(move |p: PartitionId| pm[&p].clone());
+        let dp2_of = partition_map.into_iter().collect();
         nsk::machine::install_primary(sim, machine, &name.clone(), cpu, move |ep| {
             Box::new(HotStockDriver {
                 name,
@@ -144,7 +142,7 @@ impl HotStockDriver {
             file,
             part: (self.stock + i / self.files) % self.parts_per_file,
         };
-        let dp2 = (self.dp2_of)(part);
+        let dp2 = self.dp2_of[&part].clone();
         let key = ((self.stock as u64) << 48) | (self.inserted + i as u64);
         // Compact body: 16 descriptor bytes standing in for a 4 KB
         // record (full size travels through the timing model).

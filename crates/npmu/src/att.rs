@@ -7,8 +7,7 @@
 //! form of access control, allowing the PMM to specify which CPUs have
 //! access to a specific range" (§4.1).
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use simcore::Shared;
 
 /// Which initiator CPUs may touch a window.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,7 +45,7 @@ pub enum AttError {
     Forbidden,
 }
 
-/// The translation table. Shared (`Arc<Mutex>`) between the device actor
+/// The translation table. Shared ([`SharedAtt`]) between the device actor
 /// that consults it on every inbound op and the PMM that programs it.
 #[derive(Default)]
 pub struct AttTable {
@@ -61,7 +60,7 @@ pub struct AttTable {
     read_fence: Option<CpuFilter>,
 }
 
-pub type SharedAtt = Arc<Mutex<AttTable>>;
+pub type SharedAtt = Shared<AttTable>;
 
 impl AttTable {
     pub fn new() -> Self {
@@ -69,7 +68,7 @@ impl AttTable {
     }
 
     pub fn shared() -> SharedAtt {
-        Arc::new(Mutex::new(AttTable::new()))
+        Shared::new(AttTable::new())
     }
 
     /// Program a window. Windows must not overlap in NVA space; the PMM is

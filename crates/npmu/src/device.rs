@@ -20,16 +20,14 @@ use crate::att::{AttError, AttTable, SharedAtt};
 use crate::memory::NvImage;
 use bytes::Bytes;
 use nsk::machine::SharedMachine;
-use parking_lot::Mutex;
 use simcore::durable::{DurableStore, Image};
-use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration};
+use simcore::{Actor, ActorId, Ctx, Msg, Shared, Sim, SimDuration};
 use simnet::{
     rdma_write, reply_rdma_copy, reply_rdma_read, reply_rdma_scrub, reply_rdma_write, EndpointId,
     InboundRdmaCopy, InboundRdmaRead, InboundRdmaScrub, InboundRdmaWrite, RdmaStatus,
     RdmaWriteDone, SharedNetwork,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
 
 /// Rate at which the device digests its own array, bytes per second: a
 /// 2004 NIC scanning battery-backed DRAM. A scrub holds the device's one
@@ -175,12 +173,12 @@ pub struct NpmuStats {
     pub last_failed_at_ns: u64,
 }
 
-pub type SharedNpmuStats = Arc<Mutex<NpmuStats>>;
+pub type SharedNpmuStats = Shared<NpmuStats>;
 
 /// Endpoints this device accepts *peer-DMA* writes from (other NPMUs
 /// doing device-to-device resilver copies). Shared so the PMM can
 /// register pool members as mutual peers after install.
-pub type SharedDmaPeers = Arc<Mutex<BTreeSet<EndpointId>>>;
+pub type SharedDmaPeers = Shared<BTreeSet<EndpointId>>;
 
 /// Device-wide *write fence*: when engaged, writes from any initiator
 /// outside the `exempt` set (and outside the peer-DMA set) are rejected
@@ -197,7 +195,7 @@ pub struct WriteFence {
     pub exempt: BTreeSet<EndpointId>,
 }
 
-pub type SharedWriteFence = Arc<Mutex<WriteFence>>;
+pub type SharedWriteFence = Shared<WriteFence>;
 
 /// Everything a scenario needs to talk to an installed NPMU.
 #[derive(Clone)]
@@ -282,9 +280,9 @@ impl Npmu {
             NpmuKind::Pmp => store.get_or_insert_volatile(&key, move || NvImage::new(cap)),
         };
         let att = AttTable::shared();
-        let stats: SharedNpmuStats = Arc::new(Mutex::new(NpmuStats::default()));
-        let dma_peers: SharedDmaPeers = Arc::new(Mutex::new(BTreeSet::new()));
-        let write_fence: SharedWriteFence = Arc::new(Mutex::new(WriteFence::default()));
+        let stats: SharedNpmuStats = Shared::new(NpmuStats::default());
+        let dma_peers: SharedDmaPeers = Shared::new(BTreeSet::new());
+        let write_fence: SharedWriteFence = Shared::new(WriteFence::default());
         let ep = net.lock().attach(ActorId(u32::MAX));
         // Mirror half `a` lives on fabric X, half `b` on Y.
         net.lock()
@@ -798,7 +796,7 @@ mod tests {
         scrub: Option<(u64, u64, u32, u32)>,
         /// One write chain `(op_id, links, fence)`, posted after `ops`.
         chain: Option<(u64, Vec<ChainLink>, bool)>,
-        log: Arc<Mutex<Vec<String>>>,
+        log: Shared<Vec<String>>,
         /// Issue the ops this long after spawn (to land inside/outside a
         /// planned fault window).
         delay: SimDuration,
@@ -891,7 +889,7 @@ mod tests {
         Sim,
         DurableStore,
         NpmuHandle,
-        Arc<Mutex<Vec<String>>>,
+        Shared<Vec<String>>,
         SharedNetwork,
         EndpointId,
     ) {
@@ -910,14 +908,7 @@ mod tests {
             allowed: CpuFilter::Any,
         });
         let client_ep = net.lock().attach(ActorId(u32::MAX));
-        (
-            sim,
-            store,
-            h,
-            Arc::new(Mutex::new(Vec::new())),
-            net,
-            client_ep,
-        )
+        (sim, store, h, Shared::new(Vec::new()), net, client_ep)
     }
 
     fn spawn_client(
@@ -927,7 +918,7 @@ mod tests {
         dev: EndpointId,
         ops: Vec<(u64, u64, Vec<u8>)>,
         read: Option<(u64, u64, u32)>,
-        log: Arc<Mutex<Vec<String>>>,
+        log: Shared<Vec<String>>,
     ) {
         spawn_client_at(sim, net, ep, dev, ops, read, log, SimDuration::ZERO);
     }
@@ -940,7 +931,7 @@ mod tests {
         dev: EndpointId,
         ops: Vec<(u64, u64, Vec<u8>)>,
         read: Option<(u64, u64, u32)>,
-        log: Arc<Mutex<Vec<String>>>,
+        log: Shared<Vec<String>>,
         delay: SimDuration,
     ) {
         let a = sim.spawn(Client {
@@ -1055,7 +1046,7 @@ mod tests {
             from: SimTime(simcore::time::SECS),
             to: SimTime(2 * simcore::time::SECS),
         });
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Shared::new(Vec::new());
         let secs = simcore::time::SECS;
 
         // Three clients scripted up front: before, during, and after the
@@ -1135,7 +1126,7 @@ mod tests {
             from: SimTime(0),
             to: SimTime(simcore::time::SECS),
         });
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Shared::new(Vec::new());
         let cep = net.lock().attach(ActorId(u32::MAX));
         spawn_client(
             &mut sim,
@@ -1179,7 +1170,7 @@ mod tests {
             phys_base: 0,
             allowed: CpuFilter::Any,
         });
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Shared::new(Vec::new());
         let cep = net.lock().attach(ActorId(u32::MAX));
         spawn_client(
             &mut sim,
@@ -1232,7 +1223,7 @@ mod tests {
                 allowed: CpuFilter::Any,
             });
         }
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Shared::new(Vec::new());
         let cep0 = net.lock().attach(ActorId(u32::MAX));
         spawn_client(
             &mut sim,
@@ -1270,7 +1261,7 @@ mod tests {
         Sim,
         DurableStore,
         NpmuHandle,
-        Arc<Mutex<Vec<String>>>,
+        Shared<Vec<String>>,
         SharedNetwork,
     ) {
         let mut sim = Sim::with_seed(31);
@@ -1284,7 +1275,7 @@ mod tests {
             phys_base: 0,
             allowed: CpuFilter::Any,
         });
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Shared::new(Vec::new());
         let cep = net.lock().attach(ActorId(u32::MAX));
         spawn_client(
             &mut sim,
@@ -1351,7 +1342,7 @@ mod tests {
         net: &SharedNetwork,
         dev: EndpointId,
         scrub: (u64, u64, u32, u32),
-        log: Arc<Mutex<Vec<String>>>,
+        log: Shared<Vec<String>>,
         delay_ns: u64,
     ) {
         let ep = net.lock().attach(ActorId(u32::MAX));
@@ -1395,7 +1386,7 @@ mod tests {
     /// An 8 MiB device with a 4 KiB window at `0x1000` and a 4 MiB one at
     /// `0x10_0000` for scrubs to range over, on a jitter-free fabric (so
     /// runs that post different ops stay comparable to the nanosecond).
-    fn setup_scan_window() -> (Sim, NpmuHandle, Arc<Mutex<Vec<String>>>, SharedNetwork) {
+    fn setup_scan_window() -> (Sim, NpmuHandle, Shared<Vec<String>>, SharedNetwork) {
         let mut sim = Sim::with_seed(11);
         let mut store = DurableStore::new();
         let net = Network::new(FabricConfig {
@@ -1412,7 +1403,7 @@ mod tests {
                 allowed: CpuFilter::Any,
             });
         }
-        (sim, h, Arc::new(Mutex::new(Vec::new())), net)
+        (sim, h, Shared::new(Vec::new()), net)
     }
 
     /// A digest holds the device's one scan engine for `len /
@@ -1488,7 +1479,7 @@ mod tests {
         net: &SharedNetwork,
         dev: EndpointId,
         chain: (u64, Vec<ChainLink>, bool),
-        log: Arc<Mutex<Vec<String>>>,
+        log: Shared<Vec<String>>,
         delay_ns: u64,
     ) {
         let ep = net.lock().attach(ActorId(u32::MAX));
@@ -1633,7 +1624,7 @@ mod tests {
             });
             // Chain `i` is posted at `5 i` us; its links fill disjoint 64 B
             // cells, in post order, with the cell's 1-based index.
-            let log = Arc::new(Mutex::new(Vec::new()));
+            let log = Shared::new(Vec::new());
             let mut cells: Vec<(usize, usize)> = Vec::new(); // (chain, len)
             for (i, (lens, fence)) in chains.iter().enumerate() {
                 let links = lens
@@ -1709,7 +1700,7 @@ mod tests {
         ep: EndpointId,
         dev: EndpointId,
         copy: (u64, u64, u32, EndpointId, u64),
-        log: Arc<Mutex<Vec<String>>>,
+        log: Shared<Vec<String>>,
     }
 
     impl Actor for CopyClient {

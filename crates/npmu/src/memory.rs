@@ -7,7 +7,7 @@
 //! loss applies a *prefix* at packet granularity — never interleaved
 //! fragments.
 
-use std::collections::BTreeMap;
+use simcore::hash::FastMap;
 
 const BLOCK: u64 = 4096;
 /// What an absent block reads as.
@@ -23,7 +23,8 @@ use simcore::checksum::Checksum64;
 /// Non-volatile memory image of one NPMU.
 pub struct NvImage {
     capacity: u64,
-    blocks: BTreeMap<u64, Box<[u8; BLOCK as usize]>>,
+    /// Block number → block. Only ever looked up by point.
+    blocks: FastMap<u64, Box<[u8; BLOCK as usize]>>,
     writes: u64,
     bytes_written: u64,
 }
@@ -32,7 +33,7 @@ impl NvImage {
     pub fn new(capacity: u64) -> Self {
         NvImage {
             capacity,
-            blocks: BTreeMap::new(),
+            blocks: FastMap::default(),
             writes: 0,
             bytes_written: 0,
         }

@@ -1,10 +1,8 @@
 //! The machine model: CPUs, the process registry, and compute accounting.
 
-use parking_lot::Mutex;
-use simcore::{ActorId, Sim};
+use simcore::hash::FastMap;
+use simcore::{ActorId, Shared, Sim};
 use simnet::{EndpointId, SharedNetwork};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A processor within the node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,26 +64,26 @@ pub struct Machine {
     cpu_alive: Vec<bool>,
     cpu_busy_ns: Vec<u64>,
     cpu_work_total_ns: Vec<u64>,
-    procs: HashMap<String, ProcEntry>,
-    ep_cpu: HashMap<EndpointId, CpuId>,
+    procs: FastMap<String, ProcEntry>,
+    ep_cpu: FastMap<EndpointId, CpuId>,
     watchers: Vec<(WatchTarget, ActorId)>,
 }
 
-pub type SharedMachine = Arc<Mutex<Machine>>;
+pub type SharedMachine = Shared<Machine>;
 
 impl Machine {
     pub fn new(cfg: MachineConfig, net: SharedNetwork) -> SharedMachine {
         let cpus = cfg.cpus as usize;
-        Arc::new(Mutex::new(Machine {
+        Shared::new(Machine {
             cfg,
             net,
             cpu_alive: vec![true; cpus],
             cpu_busy_ns: vec![0; cpus],
             cpu_work_total_ns: vec![0; cpus],
-            procs: HashMap::new(),
-            ep_cpu: HashMap::new(),
+            procs: FastMap::default(),
+            ep_cpu: FastMap::default(),
             watchers: Vec::new(),
-        }))
+        })
     }
 
     /// Register a spawned actor as the *primary* of process `name` on

@@ -129,9 +129,8 @@ mod tests {
     use simcore::actor::Start;
     use simcore::fault::Fault;
     use simcore::time::SECS;
-    use simcore::SimTime;
+    use simcore::{Shared, SimTime};
     use simnet::{FabricConfig, Network};
-    use std::sync::Arc;
 
     struct Victim;
     impl Actor for Victim {
@@ -141,7 +140,7 @@ mod tests {
     struct Watcher {
         machine: SharedMachine,
         watch: Vec<WatchTarget>,
-        seen: Arc<parking_lot::Mutex<Vec<(u64, String)>>>,
+        seen: Shared<Vec<(u64, String)>>,
     }
     impl Actor for Watcher {
         fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
@@ -177,7 +176,7 @@ mod tests {
         let mut sim = Sim::with_seed(1);
         let (victim, _) =
             install_primary(&mut sim, &machine, "$adp", CpuId(0), |_| Box::new(Victim));
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Shared::new(Vec::new());
         sim.spawn(Watcher {
             machine: machine.clone(),
             watch: vec![WatchTarget::Process("$adp".into())],
@@ -213,7 +212,7 @@ mod tests {
         let (v1, _) = install_primary(&mut sim, &machine, "$a", CpuId(2), |_| Box::new(Victim));
         let (v2, _) = install_primary(&mut sim, &machine, "$b", CpuId(2), |_| Box::new(Victim));
         let (v3, _) = install_primary(&mut sim, &machine, "$c", CpuId(1), |_| Box::new(Victim));
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Shared::new(Vec::new());
         sim.spawn(Watcher {
             machine: machine.clone(),
             watch: vec![

@@ -24,7 +24,7 @@ pub struct CpuDied {
 /// and proceeds only once [`CheckpointAck`] returns.
 pub struct Checkpoint {
     pub seq: u64,
-    pub payload: Box<dyn Any + Send>,
+    pub payload: Box<dyn Any>,
 }
 
 /// Backup's acknowledgement of a checkpoint.
@@ -41,7 +41,7 @@ pub struct CheckpointAck {
 /// [`NetDelivery`]. Returns `false` if the name does not resolve or the
 /// fabric cannot carry the message (callers treat that as a lost message,
 /// exactly like NSK's message system during a takeover window).
-pub fn send_to_process<T: Any + Send>(
+pub fn send_to_process<T: Any>(
     ctx: &mut Ctx<'_>,
     machine: &SharedMachine,
     from_ep: EndpointId,
@@ -68,7 +68,7 @@ pub fn send_to_process<T: Any + Send>(
 /// themselves so the fabric's per-class schedulers can arbitrate them
 /// against commit-critical control traffic.
 #[allow(clippy::too_many_arguments)]
-pub fn send_to_process_class<T: Any + Send>(
+pub fn send_to_process_class<T: Any>(
     ctx: &mut Ctx<'_>,
     machine: &SharedMachine,
     from_ep: EndpointId,
@@ -102,7 +102,7 @@ pub fn send_to_process_class<T: Any + Send>(
 }
 
 /// Send to the *backup* of `name` (checkpoint traffic).
-pub fn send_to_backup<T: Any + Send>(
+pub fn send_to_backup<T: Any>(
     ctx: &mut Ctx<'_>,
     machine: &SharedMachine,
     from_ep: EndpointId,
@@ -147,12 +147,11 @@ mod tests {
     use super::*;
     use crate::machine::{install_backup, install_primary, Machine, MachineConfig};
     use simcore::actor::Start;
-    use simcore::{Actor, Msg, Sim};
+    use simcore::{Actor, Msg, Shared, Sim};
     use simnet::{FabricConfig, Network};
-    use std::sync::Arc;
 
     struct Echo {
-        log: Arc<parking_lot::Mutex<Vec<(u64, String)>>>,
+        log: Shared<Vec<(u64, String)>>,
         tagname: &'static str,
     }
     impl Actor for Echo {
@@ -208,7 +207,7 @@ mod tests {
         let net = Network::new(FabricConfig::default());
         let machine = Machine::new(MachineConfig::default(), net);
         let mut sim = Sim::with_seed(3);
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Shared::new(Vec::new());
 
         let l1 = log.clone();
         install_primary(&mut sim, &machine, "$local", CpuId(0), move |_| {
@@ -247,7 +246,7 @@ mod tests {
         let net = Network::new(FabricConfig::default());
         let machine = Machine::new(MachineConfig::default(), net);
         let mut sim = Sim::with_seed(3);
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Shared::new(Vec::new());
 
         let l1 = log.clone();
         install_primary(&mut sim, &machine, "$pair", CpuId(0), move |_| {

@@ -4,12 +4,12 @@ use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
 use pmm::msgs::*;
 use pmm::{Frag, PlacementHint};
+use simcore::hash::FastMap;
 use simcore::{Ctx, SimDuration, TimerId};
 use simnet::{
     rdma_read, rdma_write_chain, ChainLink, EndpointId, PersistMode, RdmaReadDone, RdmaStatus,
     RdmaWriteDone, SharedNetwork, TrafficClass,
 };
-use std::collections::HashMap;
 
 /// How writes are replicated across each member's mirrored NPMU pair.
 ///
@@ -303,22 +303,22 @@ pub struct PmLib {
     cfg: PmClientConfig,
     next_rdma: u64,
     /// RDMA op id → (write id, member index, half).
-    rdma_map: HashMap<u64, (u64, usize, u8)>,
-    writes: HashMap<u64, WriteState>,
+    rdma_map: FastMap<u64, (u64, usize, u8)>,
+    writes: FastMap<u64, WriteState>,
     next_write: u64,
-    reads: HashMap<u64, ReadRun>,
+    reads: FastMap<u64, ReadRun>,
     next_read: u64,
     /// RDMA op id → (read run id, part index, the attempt's watchdog).
-    read_map: HashMap<u64, (u64, usize, TimerId)>,
+    read_map: FastMap<u64, (u64, usize, TimerId)>,
     /// `FlushOnRead` forcing-read op id → (write id, member index, half).
-    persist_map: HashMap<u64, (u64, usize, u8)>,
+    persist_map: FastMap<u64, (u64, usize, u8)>,
     /// Regions opened through this library instance.
-    regions: HashMap<u64, RegionInfo>,
+    regions: FastMap<u64, RegionInfo>,
     /// What is known of each (region, member volume)'s two halves.
-    halves: HashMap<(u64, u32), HalfState>,
+    halves: FastMap<(u64, u32), HalfState>,
     /// Per-(member volume, half) read round-trip EWMA, ns (adaptive
     /// routing).
-    rtt_ewma: HashMap<(u32, u8), f64>,
+    rtt_ewma: FastMap<(u32, u8), f64>,
 }
 
 impl PmLib {
@@ -339,16 +339,16 @@ impl PmLib {
             read_routing: ReadRouting::PrimaryOnly,
             cfg: PmClientConfig::default(),
             next_rdma: 0,
-            rdma_map: HashMap::new(),
-            writes: HashMap::new(),
+            rdma_map: FastMap::default(),
+            writes: FastMap::default(),
             next_write: 0,
-            reads: HashMap::new(),
+            reads: FastMap::default(),
             next_read: 0,
-            read_map: HashMap::new(),
-            persist_map: HashMap::new(),
-            regions: HashMap::new(),
-            halves: HashMap::new(),
-            rtt_ewma: HashMap::new(),
+            read_map: FastMap::default(),
+            persist_map: FastMap::default(),
+            regions: FastMap::default(),
+            halves: FastMap::default(),
+            rtt_ewma: FastMap::default(),
         }
     }
 

@@ -6,15 +6,13 @@ use bytes::Bytes;
 use npmu::{Npmu, NpmuConfig};
 use nsk::machine::{CpuId, Machine, MachineConfig, SharedMachine};
 use nsk::Monitor;
-use parking_lot::Mutex;
 use pmm::msgs::*;
 use pmm::{install_pmm_pool, PmmConfig, PmmHandle};
 use simcore::actor::Start;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::SECS;
-use simcore::{Actor, Ctx, DurableStore, Msg, Sim, SimDuration, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Msg, Shared, Sim, SimDuration, SimTime};
 use simnet::{FabricConfig, NetDelivery, Network, RdmaReadDone, RdmaStatus, RdmaWriteDone};
-use std::sync::Arc;
 
 /// One scripted client step.
 #[derive(Clone)]
@@ -113,7 +111,7 @@ struct TestClient {
     opened: Vec<RegionInfo>,
     waiting: bool,
     retry_attempt: u32,
-    log: Arc<Mutex<Vec<String>>>,
+    log: Shared<Vec<String>>,
     machine: SharedMachine,
     ep: simnet::EndpointId,
     cpu: CpuId,
@@ -578,7 +576,7 @@ fn spawn_client(
     cpu: CpuId,
     steps: Vec<Step>,
     policy: MirrorPolicy,
-) -> Arc<Mutex<Vec<String>>> {
+) -> Shared<Vec<String>> {
     spawn_client_custom(sc, cpu, steps, policy, |lib| lib)
 }
 
@@ -589,9 +587,9 @@ fn spawn_client_custom(
     cpu: CpuId,
     steps: Vec<Step>,
     policy: MirrorPolicy,
-    customize: impl FnOnce(PmLib) -> PmLib + Send + 'static,
-) -> Arc<Mutex<Vec<String>>> {
-    let log = Arc::new(Mutex::new(Vec::new()));
+    customize: impl FnOnce(PmLib) -> PmLib + 'static,
+) -> Shared<Vec<String>> {
+    let log = Shared::new(Vec::new());
     let machine = sc.machine.clone();
     let log2 = log.clone();
     nsk::machine::install_primary(
@@ -798,7 +796,7 @@ fn write_without_any_mapping_is_rejected() {
         ep: simnet::EndpointId,
         dev: simnet::EndpointId,
         nva: u64,
-        log: Arc<Mutex<Vec<String>>>,
+        log: Shared<Vec<String>>,
     }
     impl Actor for Forger {
         fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
@@ -821,7 +819,7 @@ fn write_without_any_mapping_is_rejected() {
             }
         }
     }
-    let flog = Arc::new(Mutex::new(Vec::new()));
+    let flog = Shared::new(Vec::new());
     let machine = sc.machine.clone();
     let dev = sc.pmm.npmu_a.ep;
     let flog2 = flog.clone();
@@ -2456,7 +2454,7 @@ fn region_migrates_under_a_writer_and_both_destination_halves_match_the_source()
         MirrorPolicy::ParallelBoth,
     );
     // Up to the commit: the source extent still holds its final bytes.
-    let migrated = |log: &Arc<Mutex<Vec<String>>>| log.lock().iter().any(|l| l.contains("migrate"));
+    let migrated = |log: &Shared<Vec<String>>| log.lock().iter().any(|l| l.contains("migrate"));
     while !migrated(&m_log) {
         assert!(sc.sim.step(), "idle before the migration answered");
     }

@@ -93,18 +93,16 @@ use npmu::att::{AttEntry, CpuFilter};
 use npmu::device::NpmuHandle;
 use nsk::machine::{CpuId, SharedMachine, WatchTarget};
 use nsk::proc::{Checkpoint, CheckpointAck, ProcessDied};
-use parking_lot::Mutex;
 use pmpool::{
     stripe_extent_lens, Extent, Placement, PlacementPolicy, PoolMeta, PoolRegionMeta, StripeMap,
 };
-use simcore::{Actor, Ctx, Msg, Sim, SimDuration, TimerId};
+use simcore::{Actor, Ctx, Msg, Shared, Sim, SimDuration, TimerId};
 use simnet::{
     rdma_copy, rdma_read, rdma_scrub, rdma_write, send_net_msg, EndpointId, NetDelivery,
     RdmaCopyDone, RdmaReadDone, RdmaScrubDone, RdmaStatus, RdmaWriteDone, SharedNetwork,
     TrafficClass,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
 
 /// Region id used for the in-memory destination reservation during a
 /// migration. Never durable: recovery rederives member tables from the
@@ -190,7 +188,7 @@ pub struct PmmStats {
     pub bulk_throttle_waits: u64,
 }
 
-pub type SharedPmmStats = Arc<Mutex<PmmStats>>;
+pub type SharedPmmStats = Shared<PmmStats>;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Role {
@@ -1531,7 +1529,7 @@ impl PmmProc {
         &mut self,
         ctx: &mut Ctx<'_>,
         from_ep: EndpointId,
-        payload: Box<dyn std::any::Any + Send>,
+        payload: Box<dyn std::any::Any>,
     ) {
         self.charge_cpu(ctx);
         let net = self.net.clone();
@@ -2231,10 +2229,10 @@ pub fn install_pmm_pool(
         apply_pool_to_member(&pool, v as u32, m);
     }
 
-    let stats: SharedPmmStats = Arc::new(Mutex::new(PmmStats::default()));
+    let stats: SharedPmmStats = Shared::new(PmmStats::default());
     let vol_stats: Vec<SharedPmmStats> = volumes
         .iter()
-        .map(|_| Arc::new(Mutex::new(PmmStats::default())))
+        .map(|_| Shared::new(PmmStats::default()))
         .collect();
 
     let mk = |role: Role, cpu: CpuId| {

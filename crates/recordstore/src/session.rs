@@ -149,7 +149,7 @@ impl DbSession {
 
     /// Fold a transport payload into an application event. Returns `None`
     /// for payloads that belong to someone else.
-    pub fn on_delivery(&mut self, payload: Box<dyn std::any::Any + Send>) -> Option<DbEvent> {
+    pub fn on_delivery(&mut self, payload: Box<dyn std::any::Any>) -> Option<DbEvent> {
         let payload = match payload.downcast::<TxnBegun>() {
             Ok(b) => {
                 self.txn = Some(b.txn);

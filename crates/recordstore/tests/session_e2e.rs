@@ -3,13 +3,11 @@
 
 use bytes::Bytes;
 use nsk::machine::CpuId;
-use parking_lot::Mutex;
 use recordstore::{DbEvent, DbSession, Schema};
 use simcore::actor::Start;
 use simcore::time::SECS;
-use simcore::{Actor, Ctx, DurableStore, Msg, SimDuration, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Msg, Shared, SimDuration, SimTime};
 use simnet::NetDelivery;
-use std::sync::Arc;
 use txnkit::scenario::{build_ods, OdsParams};
 
 #[derive(Default)]
@@ -27,7 +25,7 @@ struct App {
     #[allow(dead_code)]
     phase: u32,
     txn_idx: u64,
-    out: Arc<Mutex<Outcome>>,
+    out: Shared<Outcome>,
     reads_pending: u32,
 }
 
@@ -118,7 +116,7 @@ fn session_api_drives_full_stack() {
     let mut store = DurableStore::new();
     let mut node = build_ods(&mut store, OdsParams::pm(606));
     let schema = Schema::for_ods(&node);
-    let out = Arc::new(Mutex::new(Outcome::default()));
+    let out = Shared::new(Outcome::default());
     let out2 = out.clone();
     let machine = node.machine.clone();
     let tmf = node.tmf.clone();

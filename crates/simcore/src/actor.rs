@@ -32,7 +32,7 @@ pub struct Start;
 pub struct Msg {
     /// The sender. `ActorId(u32::MAX)` marks engine-internal origins.
     pub from: ActorId,
-    pub payload: Box<dyn Any + Send>,
+    pub payload: Box<dyn Any>,
 }
 
 impl std::fmt::Debug for Msg {
@@ -45,7 +45,7 @@ impl std::fmt::Debug for Msg {
 pub const ENGINE: ActorId = ActorId(u32::MAX);
 
 impl Msg {
-    pub fn new<T: Any + Send>(from: ActorId, payload: T) -> Msg {
+    pub fn new<T: Any>(from: ActorId, payload: T) -> Msg {
         Msg {
             from,
             payload: Box::new(payload),
@@ -71,9 +71,10 @@ impl Msg {
     }
 }
 
-/// A simulated process/device. Implementations must be `Send` so whole
-/// simulations can run on worker threads during parameter sweeps.
-pub trait Actor: Send {
+/// A simulated process/device. A simulation runs on one thread, so an
+/// actor need not be `Send`; a parallel sweep builds a whole `Sim` on each
+/// worker thread instead of moving actors between them.
+pub trait Actor {
     /// Handle one message. All side effects go through `ctx`.
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg);
 
@@ -102,14 +103,14 @@ impl<'a> Ctx<'a> {
     /// Schedule `payload` for delivery to `to` after `delay` of virtual
     /// time. Delay zero is legal and delivers after currently queued
     /// same-time events (FIFO among equal times).
-    pub fn send<T: Any + Send>(&mut self, to: ActorId, delay: SimDuration, payload: T) {
+    pub fn send<T: Any>(&mut self, to: ActorId, delay: SimDuration, payload: T) {
         let at = self.sim.now() + delay;
         self.sim.queue.push(at, to, Msg::new(self.self_id, payload));
     }
 
     /// Schedule a message to self — the idiom for what is never taken
     /// back: periodic ticks, CPU-delay continuations, back-off pacing.
-    pub fn send_self<T: Any + Send>(&mut self, delay: SimDuration, payload: T) {
+    pub fn send_self<T: Any>(&mut self, delay: SimDuration, payload: T) {
         self.send(self.self_id, delay, payload);
     }
 
@@ -118,7 +119,7 @@ impl<'a> Ctx<'a> {
     /// arm it with the operation, keep the handle beside the operation's
     /// state, disarm where the operation retires. Ordering against every
     /// other event is exactly `send_self`'s.
-    pub fn arm_timer<T: Any + Send>(&mut self, delay: SimDuration, payload: T) -> TimerId {
+    pub fn arm_timer<T: Any>(&mut self, delay: SimDuration, payload: T) -> TimerId {
         let at = self.sim.now() + delay;
         let msg = Msg::new(self.self_id, payload);
         self.sim.queue.arm(at, self.self_id, msg)

@@ -12,19 +12,19 @@
 //! ordinary actor state, or register them and explicitly clear them on
 //! power loss (see [`DurableStore::reset_volatile`]).
 
-use parking_lot::Mutex;
+use crate::Shared;
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A handle to one durable image (e.g. a disk's block map).
-pub type Image<T> = Arc<Mutex<T>>;
+pub type Image<T> = Shared<T>;
 
 struct Entry {
-    value: Arc<dyn Any + Send + Sync>,
+    /// An `Image<T>` of the type the key was registered with.
+    value: Box<dyn Any>,
     /// Volatile entries are cleared (replaced by `fresh()`) on power loss.
     volatile: bool,
-    fresh: Box<dyn Fn() -> Arc<dyn Any + Send + Sync> + Send + Sync>,
+    fresh: Box<dyn Fn() -> Box<dyn Any>>,
 }
 
 /// Keyed registry of state that outlives individual `Sim` instances.
@@ -41,40 +41,39 @@ impl DurableStore {
     /// Get the image registered under `key`, creating it with `T::default()`
     /// if absent. Panics if the key exists with a different type — that is
     /// always a wiring bug.
-    pub fn get_or_default<T: Default + Send + Sync + 'static>(&mut self, key: &str) -> Image<T> {
+    pub fn get_or_default<T: Default + 'static>(&mut self, key: &str) -> Image<T> {
         self.get_or_insert_with(key, T::default)
     }
 
     /// Like [`Self::get_or_default`] with an explicit constructor.
-    pub fn get_or_insert_with<T: Send + Sync + 'static>(
+    pub fn get_or_insert_with<T: 'static>(
         &mut self,
         key: &str,
-        make: impl Fn() -> T + Send + Sync + Clone + 'static,
+        make: impl Fn() -> T + 'static,
     ) -> Image<T> {
-        let make2 = make.clone();
         let entry = self.entries.entry(key.to_string()).or_insert_with(|| {
-            let v: Image<T> = Arc::new(Mutex::new(make()));
+            let fresh = move || Box::new(Image::new(make())) as Box<dyn Any>;
             Entry {
-                value: v,
+                value: fresh(),
                 volatile: false,
-                fresh: Box::new(move || Arc::new(Mutex::new(make2())) as _),
+                fresh: Box::new(fresh),
             }
         });
         entry
             .value
+            .downcast_ref::<Image<T>>()
+            .unwrap_or_else(|| panic!("durable key {key:?} registered with a different type"))
             .clone()
-            .downcast::<Mutex<T>>()
-            .unwrap_or_else(|_| panic!("durable key {key:?} registered with a different type"))
     }
 
     /// Register a *volatile* shared image: it participates in sharing across
     /// `Sim` rebuilds within one power domain, but [`Self::reset_volatile`]
     /// replaces it with a fresh default. Models PMP memory (a process's
     /// DRAM) and non-battery-backed caches.
-    pub fn get_or_insert_volatile<T: Send + Sync + 'static>(
+    pub fn get_or_insert_volatile<T: 'static>(
         &mut self,
         key: &str,
-        make: impl Fn() -> T + Send + Sync + Clone + 'static,
+        make: impl Fn() -> T + 'static,
     ) -> Image<T> {
         let img = self.get_or_insert_with(key, make);
         if let Some(e) = self.entries.get_mut(key) {
@@ -89,9 +88,12 @@ impl DurableStore {
     }
 
     /// Look up an existing image without creating it.
-    pub fn get<T: Send + Sync + 'static>(&self, key: &str) -> Option<Image<T>> {
-        let e = self.entries.get(key)?;
-        e.value.clone().downcast::<Mutex<T>>().ok()
+    pub fn get<T: 'static>(&self, key: &str) -> Option<Image<T>> {
+        self.entries
+            .get(key)?
+            .value
+            .downcast_ref::<Image<T>>()
+            .cloned()
     }
 
     /// All registered keys (sorted — the map is a BTreeMap).
@@ -100,7 +102,7 @@ impl DurableStore {
     }
 
     /// Simulated power loss: every volatile entry is replaced by a fresh
-    /// default. Holders of old handles keep the *old* Arc — callers must
+    /// default. Holders of old handles keep the *old* image — callers must
     /// re-fetch after power loss, which mirrors reality: after reboot you
     /// re-open the device and see its post-crash contents.
     pub fn reset_volatile(&mut self) {

@@ -22,6 +22,12 @@
 //! through [`actor::Ctx`]. Higher layers (the `nsk` process/IPC model, the
 //! `simnet` fabric) build richer abstractions on top.
 //!
+//! A simulation is one thread. State its actors share (the network, the
+//! machine, stats blocks, durable images) sits behind [`Shared`], an
+//! unsynchronised `Rc<RefCell<_>>`, and maps hash with the fixed-key
+//! [`hash::FastHasher`]; neither actors nor messages are `Send`. A
+//! parallel sweep builds one `Sim` per worker thread.
+//!
 //! State that must survive a simulated *power loss* — NPMU memory arrays,
 //! disk media images — lives in the [`durable::DurableStore`], which is kept
 //! *outside* the simulation proper: an experiment tears the `Sim` down and
@@ -33,7 +39,9 @@ pub mod checksum;
 pub mod durable;
 pub mod event;
 pub mod fault;
+pub mod hash;
 pub mod rng;
+mod shared;
 pub mod sim;
 pub mod stats;
 pub mod time;
@@ -44,6 +52,7 @@ pub use checksum::{checksum64, crc32, Checksum64};
 pub use durable::DurableStore;
 pub use event::{EventQueue, TimerId};
 pub use rng::DetRng;
+pub use shared::Shared;
 pub use sim::{RunOutcome, Sim, SimConfig};
 pub use stats::{Counter, Histogram, TimeSeries};
 pub use time::{SimDuration, SimTime, MICROS, MILLIS, NANOS, SECS};

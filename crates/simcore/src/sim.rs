@@ -132,7 +132,7 @@ impl Sim {
     }
 
     /// Inject a message from outside the simulation (scenario setup).
-    pub fn post<T: std::any::Any + Send>(&mut self, to: ActorId, delay: SimDuration, payload: T) {
+    pub fn post<T: std::any::Any>(&mut self, to: ActorId, delay: SimDuration, payload: T) {
         let at = self.now + delay;
         self.queue.push(at, to, Msg::new(ENGINE, payload));
     }
@@ -204,8 +204,8 @@ impl Sim {
     }
 
     /// Run until virtual time would exceed `deadline` (the clock is left at
-    /// `deadline` if the limit is what stopped us), the queue drains, or an
-    /// actor halts.
+    /// `deadline` if the limit is what stopped us — or where it was, if
+    /// `deadline` is already past), the queue drains, or an actor halts.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         loop {
             if self.halted {
@@ -218,7 +218,9 @@ impl Sim {
             match self.queue.peek_time() {
                 None => return RunOutcome::Idle,
                 Some(t) if t > deadline => {
-                    self.now = deadline;
+                    // Never backwards: an event scheduled after this would
+                    // land before events already dispatched.
+                    self.now = self.now.max(deadline);
                     return RunOutcome::TimeLimit;
                 }
                 Some(_) => {
@@ -273,12 +275,13 @@ impl Sim {
 mod tests {
     use super::*;
     use crate::time::MICROS;
+    use crate::Shared;
 
     /// Ping-pong pair used by several tests.
     struct Pinger {
         peer: Option<ActorId>,
         remaining: u32,
-        log: std::sync::Arc<parking_lot::Mutex<Vec<u64>>>,
+        log: Shared<Vec<u64>>,
     }
     struct Ping(u32);
 
@@ -305,7 +308,7 @@ mod tests {
     }
 
     fn ping_pong(seed: u64) -> (Vec<u64>, RunOutcome) {
-        let log = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Shared::new(Vec::new());
         let mut sim = Sim::with_seed(seed);
         let a = sim.spawn(Pinger {
             peer: None,
@@ -338,7 +341,7 @@ mod tests {
     }
 
     struct Counter {
-        hits: std::sync::Arc<parking_lot::Mutex<u32>>,
+        hits: Shared<u32>,
     }
     struct Tick;
     impl Actor for Counter {
@@ -354,7 +357,7 @@ mod tests {
 
     #[test]
     fn run_until_respects_deadline() {
-        let hits = std::sync::Arc::new(parking_lot::Mutex::new(0));
+        let hits = Shared::new(0);
         let mut sim = Sim::with_seed(0);
         sim.spawn(Counter { hits: hits.clone() });
         let out = sim.run_until(SimTime(10 * crate::time::MILLIS + 1));
@@ -364,8 +367,32 @@ mod tests {
     }
 
     #[test]
+    fn run_until_a_past_deadline_leaves_the_clock_alone() {
+        let hits = Shared::new(0);
+        let mut sim = Sim::with_seed(0);
+        sim.spawn(Counter { hits: hits.clone() });
+        sim.run_until(SimTime(5 * crate::time::MILLIS + 1));
+        assert_eq!(
+            sim.run_until(SimTime(crate::time::MILLIS)),
+            RunOutcome::TimeLimit
+        );
+        assert_eq!(sim.now(), SimTime(5 * crate::time::MILLIS + 1));
+        // What is scheduled now lands after everything already dispatched.
+        let log = Shared::new(Vec::new());
+        let a = sim.spawn(Pinger {
+            peer: None,
+            remaining: 0,
+            log: log.clone(),
+        });
+        sim.post(a, SimDuration::ZERO, Ping(0));
+        assert_eq!(sim.run_until_idle(), RunOutcome::Halted);
+        assert_eq!(*log.lock(), vec![5 * crate::time::MILLIS + 1]);
+        assert_eq!(*hits.lock(), 5);
+    }
+
+    #[test]
     fn killed_actor_gets_nothing() {
-        let hits = std::sync::Arc::new(parking_lot::Mutex::new(0));
+        let hits = Shared::new(0);
         let mut sim = Sim::with_seed(0);
         let id = sim.spawn(Counter { hits: hits.clone() });
         sim.run_until(SimTime(3 * crate::time::MILLIS + 1));
@@ -385,7 +412,7 @@ mod tests {
 
     #[test]
     fn run_until_dispatched_stops_at_exact_event_boundary() {
-        let hits = std::sync::Arc::new(parking_lot::Mutex::new(0));
+        let hits = Shared::new(0);
         let mut sim = Sim::with_seed(0);
         sim.spawn(Counter { hits: hits.clone() });
         // Dispatch 1 is Start; dispatches 2..=6 are ticks.
@@ -401,7 +428,7 @@ mod tests {
     fn run_until_dispatched_returns_idle_when_queue_drains_first() {
         let (_, out) = ping_pong(1); // 11 dispatches end-to-end
         assert_eq!(out, RunOutcome::Halted);
-        let log = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Shared::new(Vec::new());
         let mut sim = Sim::with_seed(1);
         let a = sim.spawn(Pinger {
             peer: None,
@@ -418,7 +445,7 @@ mod tests {
 
     #[test]
     fn event_limit_stops_runaway() {
-        let hits = std::sync::Arc::new(parking_lot::Mutex::new(0));
+        let hits = Shared::new(0);
         let mut sim = Sim::new(SimConfig {
             max_events: 100,
             ..SimConfig::default()
@@ -430,7 +457,7 @@ mod tests {
     #[test]
     fn trace_digest_identical_for_identical_runs() {
         let run = |seed| {
-            let hits = std::sync::Arc::new(parking_lot::Mutex::new(0));
+            let hits = Shared::new(0);
             let mut sim = Sim::new(SimConfig {
                 seed,
                 trace: true,
@@ -486,7 +513,7 @@ mod tests {
     }
 
     struct Watched {
-        fired: std::sync::Arc<parking_lot::Mutex<u32>>,
+        fired: Shared<u32>,
         watchdog: Option<crate::TimerId>,
     }
     struct Done;
@@ -507,7 +534,7 @@ mod tests {
 
     #[test]
     fn disarmed_watchdog_leaves_the_queue_and_never_fires() {
-        let fired = std::sync::Arc::new(parking_lot::Mutex::new(0));
+        let fired = Shared::new(0);
         let mut sim = Sim::with_seed(0);
         sim.spawn(Watched {
             fired: fired.clone(),
@@ -525,7 +552,7 @@ mod tests {
 
     #[test]
     fn killed_actor_loses_its_timers() {
-        let fired = std::sync::Arc::new(parking_lot::Mutex::new(0));
+        let fired = Shared::new(0);
         let mut sim = Sim::with_seed(0);
         let id = sim.spawn(Watched {
             fired: fired.clone(),
@@ -542,7 +569,7 @@ mod tests {
     impl Actor for SpawnOnStart {
         fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
             if msg.is::<Start>() {
-                let hits = std::sync::Arc::new(parking_lot::Mutex::new(0));
+                let hits = Shared::new(0);
                 let id = ctx.spawn(Box::new(Counter { hits }));
                 assert!(ctx.is_alive(id));
                 ctx.kill(id);

@@ -3,10 +3,8 @@
 use crate::config::{DiskConfig, WriteCachePolicy};
 use crate::media::SparseMedia;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use simcore::durable::Image;
-use simcore::{Actor, ActorId, Ctx, Histogram, Msg, SimDuration};
-use std::sync::Arc;
+use simcore::{Actor, ActorId, Ctx, Histogram, Msg, Shared, SimDuration};
 
 /// I/O result code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +62,7 @@ pub struct DiskStats {
     pub latency: Histogram,
 }
 
-pub type SharedDiskStats = Arc<Mutex<DiskStats>>;
+pub type SharedDiskStats = Shared<DiskStats>;
 
 /// Internal completion event.
 struct Complete {
@@ -112,7 +110,7 @@ impl DiskVolume {
             name: name.into(),
             cfg,
             media,
-            stats: Arc::new(Mutex::new(DiskStats::default())),
+            stats: Shared::new(DiskStats::default()),
             busy_until_ns: 0,
             last_end: None,
             pending: Vec::new(),
@@ -359,8 +357,8 @@ mod tests {
     struct Client {
         disk: ActorId,
         script: Vec<ClientOp>,
-        done: Arc<Mutex<Vec<(u64, u64)>>>, // (tag, completion ns)
-        read_data: Arc<Mutex<Vec<(u64, Vec<u8>)>>>,
+        done: Shared<Vec<(u64, u64)>>, // (tag, completion ns)
+        read_data: Shared<Vec<(u64, Vec<u8>)>>,
     }
 
     enum ClientOp {
@@ -424,12 +422,12 @@ mod tests {
         SharedDiskStats,
     ) {
         let mut sim = Sim::with_seed(7);
-        let media: Image<SparseMedia> = Arc::new(Mutex::new(SparseMedia::new()));
+        let media: Image<SparseMedia> = Shared::new(SparseMedia::new());
         let vol = DiskVolume::new("$DATA0", cfg, media.clone());
         let stats = vol.stats();
         let disk = sim.spawn(vol);
-        let done = Arc::new(Mutex::new(Vec::new()));
-        let rdata = Arc::new(Mutex::new(Vec::new()));
+        let done = Shared::new(Vec::new());
+        let rdata = Shared::new(Vec::new());
         sim.spawn(Client {
             disk,
             script,
@@ -497,15 +495,15 @@ mod tests {
             ..DiskConfig::default()
         };
         let mut sim = Sim::with_seed(7);
-        let media: Image<SparseMedia> = Arc::new(Mutex::new(SparseMedia::new()));
+        let media: Image<SparseMedia> = Shared::new(SparseMedia::new());
         let vol = DiskVolume::new("$VOL", cfg.clone(), media.clone());
         let disk = sim.spawn(vol);
-        let done = Arc::new(Mutex::new(Vec::new()));
+        let done = Shared::new(Vec::new());
         sim.spawn(Client {
             disk,
             script: vec![ClientOp::Write(0, vec![3u8; 64], 1)],
             done: done.clone(),
-            read_data: Arc::new(Mutex::new(Vec::new())),
+            read_data: Shared::new(Vec::new()),
         });
         // Run to just after completion but before destage.
         sim.run_until(SimTime(cfg.stack_overhead_ns + 1000));

@@ -23,18 +23,16 @@
 //! moved path's first leg waits for what the initiator already queued on
 //! the port it leaves, so a switch cannot overtake either.
 //!
-//! `Network` is shared (`Arc<Mutex<..>>`) between all actors in one
-//! simulation. The simulation itself is single-threaded, so the mutex is
-//! uncontended; it exists because whole simulations run on worker threads
-//! during parameter sweeps and the handle must be `Send + Sync`.
+//! `Network` is shared ([`SharedNetwork`], a [`simcore::Shared`]) between
+//! all actors in one simulation. A simulation is one thread, so the handle
+//! carries no lock: parameter sweeps run whole simulations on worker
+//! threads, each building its own network.
 
 use crate::config::FabricConfig;
 use crate::qos::{ClassStats, QosConfig, TokenBucket, TrafficClass, CLASS_COUNT};
-use parking_lot::Mutex;
 use simcore::fault::FaultPlan;
-use simcore::{ActorId, SimTime};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use simcore::hash::FastSet;
+use simcore::{ActorId, Shared, SimTime};
 
 /// Which side of an endpoint's link a transfer occupies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -108,7 +106,7 @@ pub struct Network {
     /// `(initiator, target)` paths currently off the target's home fabric
     /// (failover state, per path). Empty whenever both fabrics are up and
     /// every path has failed back.
-    detoured: HashSet<(u32, u32)>,
+    detoured: FastSet<(u32, u32)>,
     pub fault_plan: FaultPlan,
     pub stats: NetStats,
     /// Fabric QoS configuration (see [`crate::qos`]); disabled keeps the
@@ -124,11 +122,9 @@ pub struct Network {
     /// Per-class totals across every port (bytes always counted, even on
     /// the legacy path; waits/depths only exist with the scheduler on).
     class_totals: [ClassStats; CLASS_COUNT],
-    /// Per-(endpoint, direction, class) counters under the scheduler.
-    port_class: HashMap<(u32, PortDir, TrafficClass), ClassStats>,
 }
 
-pub type SharedNetwork = Arc<Mutex<Network>>;
+pub type SharedNetwork = Shared<Network>;
 
 impl Network {
     pub fn new(cfg: FabricConfig) -> SharedNetwork {
@@ -137,21 +133,20 @@ impl Network {
 
     /// A network with fabric QoS installed from the start.
     pub fn with_qos(cfg: FabricConfig, qos: QosConfig) -> SharedNetwork {
-        Arc::new(Mutex::new(Network {
+        Shared::new(Network {
             cfg,
             endpoints: Vec::new(),
             tx_busy: Vec::new(),
             rx_busy: Vec::new(),
             home: Vec::new(),
-            detoured: HashSet::new(),
+            detoured: FastSet::default(),
             fault_plan: FaultPlan::none(),
             stats: NetStats::default(),
             qos,
             arbiter: None,
             bulk_bucket: None,
             class_totals: [ClassStats::default(); CLASS_COUNT],
-            port_class: HashMap::new(),
-        }))
+        })
     }
 
     /// Forget per-`Sim` QoS runtime state (arbiter id, bucket fill) so the
@@ -193,19 +188,10 @@ impl Network {
         );
     }
 
-    /// Record a scheduler observation for one (port, class): queueing wait
-    /// and depth high-water marks (bytes are counted at issue time).
-    pub(crate) fn record_port_wait(
-        &mut self,
-        ep: u32,
-        dir: PortDir,
-        class: TrafficClass,
-        wait_ns: u64,
-        depth: u64,
-    ) {
-        let e = self.port_class.entry((ep, dir, class)).or_default();
-        e.max_wait_ns = e.max_wait_ns.max(wait_ns);
-        e.peak_depth = e.peak_depth.max(depth);
+    /// Record a scheduler observation for one class at some port:
+    /// queueing wait and depth high-water marks (bytes are counted at
+    /// issue time).
+    pub(crate) fn record_port_wait(&mut self, class: TrafficClass, wait_ns: u64, depth: u64) {
         let t = &mut self.class_totals[class.idx()];
         t.max_wait_ns = t.max_wait_ns.max(wait_ns);
         t.peak_depth = t.peak_depth.max(depth);

@@ -48,9 +48,9 @@ use crate::network::{EndpointId, PortDir, SharedNetwork};
 use crate::qos::{PortScheduler, TrafficClass};
 use bytes::Bytes;
 use simcore::actor::Start;
+use simcore::hash::FastMap;
 use simcore::{Actor, ActorId, Ctx, Msg, SimDuration};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// When a remote persistent write is actually *durable*, as opposed to
 /// merely acknowledged. Kashyap et al. ("Correct, Fast Remote
@@ -101,7 +101,7 @@ pub enum RdmaStatus {
 /// An IPC message delivered to the actor bound to the target endpoint.
 pub struct NetDelivery {
     pub from_ep: EndpointId,
-    pub payload: Box<dyn Any + Send>,
+    pub payload: Box<dyn Any>,
 }
 
 /// One write of an ordered chain: `data` lands at network virtual
@@ -357,7 +357,7 @@ struct PortState {
 /// segments to wire time and forwards completed payloads.
 struct FabricArbiter {
     net: SharedNetwork,
-    ports: HashMap<(EndpointId, PortDir), PortState>,
+    ports: FastMap<(EndpointId, PortDir), PortState>,
 }
 
 impl FabricArbiter {
@@ -378,9 +378,7 @@ impl FabricArbiter {
         };
         port.busy_until_ns = now + dur;
         if let Some(w) = seg.first_wait_ns {
-            self.net
-                .lock()
-                .record_port_wait(key.0 .0, key.1, seg.class, w, 0);
+            self.net.lock().record_port_wait(seg.class, w, 0);
         }
         ctx.send_self(
             SimDuration::from_nanos(dur),
@@ -430,9 +428,7 @@ impl Actor for FabricArbiter {
                     (a.target, a.tail_ns, a.payload),
                 );
                 let depth = port.sched.depth(a.class) as u64;
-                self.net
-                    .lock()
-                    .record_port_wait(a.ep.0, a.dir, a.class, 0, depth);
+                self.net.lock().record_port_wait(a.class, 0, depth);
                 self.serve(ctx, key);
                 return;
             }
@@ -451,7 +447,7 @@ fn ensure_arbiter(ctx: &mut Ctx<'_>, net: &SharedNetwork) -> ActorId {
     }
     let a = ctx.spawn(Box::new(FabricArbiter {
         net: net.clone(),
-        ports: HashMap::new(),
+        ports: FastMap::default(),
     }));
     net.lock().arbiter = Some(a);
     a
@@ -493,7 +489,7 @@ fn qos_route(
 /// callers model their own timeout/retry, as the NSK message system does.
 /// Control-plane IPC rides [`TrafficClass::Commit`]; bandwidth-bearing
 /// senders use [`send_net_msg_class`].
-pub fn send_net_msg<T: Any + Send>(
+pub fn send_net_msg<T: Any>(
     ctx: &mut Ctx<'_>,
     net: &SharedNetwork,
     from_ep: EndpointId,
@@ -513,7 +509,7 @@ pub fn send_net_msg<T: Any + Send>(
 }
 
 /// As [`send_net_msg`], with an explicit traffic class.
-pub fn send_net_msg_class<T: Any + Send>(
+pub fn send_net_msg_class<T: Any>(
     ctx: &mut Ctx<'_>,
     net: &SharedNetwork,
     from_ep: EndpointId,
@@ -1022,14 +1018,13 @@ mod tests {
     use crate::network::Network;
     use crate::qos::{QosConfig, SchedPolicy};
     use simcore::actor::Start;
-    use simcore::{Actor, Msg, Sim};
-    use std::sync::Arc;
+    use simcore::{Actor, Msg, Shared, Sim};
 
     /// Echo device: applies writes to a buffer, serves reads from it.
     struct Device {
         net: SharedNetwork,
         ep: EndpointId,
-        mem: Arc<parking_lot::Mutex<Vec<u8>>>,
+        mem: Shared<Vec<u8>>,
     }
 
     impl Actor for Device {
@@ -1070,7 +1065,7 @@ mod tests {
         net: SharedNetwork,
         ep: EndpointId,
         dev_ep: EndpointId,
-        events: Arc<parking_lot::Mutex<Vec<(u64, String)>>>,
+        events: Shared<Vec<(u64, String)>>,
     }
 
     impl Actor for Host {
@@ -1128,13 +1123,13 @@ mod tests {
     ) -> (
         Sim,
         SharedNetwork,
-        Arc<parking_lot::Mutex<Vec<u8>>>,
-        Arc<parking_lot::Mutex<Vec<(u64, String)>>>,
+        Shared<Vec<u8>>,
+        Shared<Vec<(u64, String)>>,
     ) {
         let mut sim = Sim::with_seed(99);
         let net = Network::with_qos(FabricConfig::default(), qos);
-        let mem = Arc::new(parking_lot::Mutex::new(vec![0u8; 1 << 16]));
-        let events = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let mem = Shared::new(vec![0u8; 1 << 16]);
+        let events = Shared::new(Vec::new());
 
         // Pre-allocate endpoint ids, then spawn actors and bind.
         let (dev_ep, host_ep) = {
@@ -1166,8 +1161,8 @@ mod tests {
     fn setup() -> (
         Sim,
         SharedNetwork,
-        Arc<parking_lot::Mutex<Vec<u8>>>,
-        Arc<parking_lot::Mutex<Vec<(u64, String)>>>,
+        Shared<Vec<u8>>,
+        Shared<Vec<(u64, String)>>,
     ) {
         setup_with(QosConfig::disabled())
     }
@@ -1232,7 +1227,7 @@ mod tests {
     #[test]
     fn ipc_message_delivery() {
         struct Receiver {
-            got: Arc<parking_lot::Mutex<Vec<String>>>,
+            got: Shared<Vec<String>>,
         }
         impl Actor for Receiver {
             fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
@@ -1260,7 +1255,7 @@ mod tests {
 
         let mut sim = Sim::with_seed(5);
         let net = Network::new(FabricConfig::default());
-        let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let got = Shared::new(Vec::new());
         let (rx_ep, tx_ep) = {
             let mut n = net.lock();
             (n.attach(ActorId(u32::MAX)), n.attach(ActorId(u32::MAX)))
@@ -1294,8 +1289,8 @@ mod tests {
             let enabled = qos.enabled;
             let mut sim = Sim::with_seed(99);
             let net = Network::with_qos(cfg.clone(), qos);
-            let mem = Arc::new(parking_lot::Mutex::new(vec![0u8; 1 << 16]));
-            let events = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let mem = Shared::new(vec![0u8; 1 << 16]);
+            let events = Shared::new(Vec::new());
             let (dev_ep, host_ep) = {
                 let mut n = net.lock();
                 (
@@ -1344,7 +1339,7 @@ mod tests {
             net: SharedNetwork,
             ep: EndpointId,
             dev_ep: EndpointId,
-            done_at: Arc<parking_lot::Mutex<Vec<u64>>>,
+            done_at: Shared<Vec<u64>>,
         }
         impl Actor for ChainHost {
             fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
@@ -1380,8 +1375,8 @@ mod tests {
         for qos in [QosConfig::disabled(), QosConfig::drr(0.9)] {
             let mut sim = Sim::with_seed(3);
             let net = Network::with_qos(cfg.clone(), qos);
-            let mem = Arc::new(parking_lot::Mutex::new(vec![0u8; 1 << 16]));
-            let done_at = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let mem = Shared::new(vec![0u8; 1 << 16]);
+            let done_at = Shared::new(Vec::new());
             let (dev_ep, host_ep) = {
                 let mut n = net.lock();
                 (n.attach(ActorId(u32::MAX)), n.attach(ActorId(u32::MAX)))
@@ -1428,7 +1423,7 @@ mod tests {
             dev_ep: EndpointId,
             class: TrafficClass,
             bytes: usize,
-            done_at: Arc<parking_lot::Mutex<Vec<(TrafficClass, u64)>>>,
+            done_at: Shared<Vec<(TrafficClass, u64)>>,
         }
         impl Actor for MultiHost {
             fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
@@ -1462,8 +1457,8 @@ mod tests {
             qos.policy = policy;
             let mut sim = Sim::with_seed(7);
             let net = Network::with_qos(cfg, qos);
-            let mem = Arc::new(parking_lot::Mutex::new(vec![0u8; 1 << 20]));
-            let done_at = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let mem = Shared::new(vec![0u8; 1 << 20]);
+            let done_at = Shared::new(Vec::new());
             let dev_ep = net.lock().attach(simcore::ActorId(u32::MAX));
             let dev = sim.spawn(Device {
                 net: net.clone(),
@@ -1539,7 +1534,7 @@ mod tests {
             outstanding: u32,
             rounds_left: u32,
             /// `(posted_at, [done_at; 2])` of the last round.
-            last: Arc<parking_lot::Mutex<(u64, [u64; 2])>>,
+            last: Shared<(u64, [u64; 2])>,
         }
         impl PairHost {
             fn post_pair(&mut self, ctx: &mut Ctx<'_>) {
@@ -1594,12 +1589,12 @@ mod tests {
                 let dev = sim.spawn(Device {
                     net: net.clone(),
                     ep,
-                    mem: Arc::new(parking_lot::Mutex::new(vec![0u8; 1 << 16])),
+                    mem: Shared::new(vec![0u8; 1 << 16]),
                 });
                 net.lock().rebind(ep, dev);
                 *slot = ep;
             }
-            let last = Arc::new(parking_lot::Mutex::new((0, [0; 2])));
+            let last = Shared::new((0, [0; 2]));
             let ep = net.lock().attach(ActorId(u32::MAX));
             let host = sim.spawn(PairHost {
                 net: net.clone(),

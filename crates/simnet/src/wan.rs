@@ -22,9 +22,7 @@
 //! * **manual severance** ([`WanLink::sever`]) — the disaster itself; it
 //!   stays down until [`WanLink::restore`], independent of windows.
 
-use parking_lot::Mutex;
-use simcore::{SimDuration, SimTime};
-use std::sync::Arc;
+use simcore::{Shared, SimDuration, SimTime};
 
 /// Static shape of the long-haul pipe.
 #[derive(Clone, Debug)]
@@ -62,7 +60,7 @@ pub struct WanStats {
     pub dropped_bytes: u64,
 }
 
-/// One site-to-site link. Shared (`Arc<Mutex<_>>`) between the shipper
+/// One site-to-site link. Shared ([`SharedWanLink`]) between the shipper
 /// side and the replica side, plus the drill controller that severs it.
 pub struct WanLink {
     cfg: WanConfig,
@@ -74,16 +72,16 @@ pub struct WanLink {
     pub stats: WanStats,
 }
 
-pub type SharedWanLink = Arc<Mutex<WanLink>>;
+pub type SharedWanLink = Shared<WanLink>;
 
 impl WanLink {
     pub fn shared(cfg: WanConfig) -> SharedWanLink {
-        Arc::new(Mutex::new(WanLink {
+        Shared::new(WanLink {
             cfg,
             severed: false,
             busy_until_ns: 0,
             stats: WanStats::default(),
-        }))
+        })
     }
 
     /// The disaster: take the link down until [`WanLink::restore`].

@@ -16,17 +16,15 @@
 //! *meant* to overtake each other.
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use simcore::actor::Start;
 use simcore::fault::{Fault, FaultPlan};
-use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration, SimTime};
+use simcore::{Actor, ActorId, Ctx, Msg, Shared, Sim, SimDuration, SimTime};
 use simnet::{
     rdma_read, rdma_write_sized, reply_rdma_read, reply_rdma_write, send_net_msg, EndpointId,
     FabricConfig, InboundRdmaRead, InboundRdmaWrite, NetDelivery, Network, QosConfig, RdmaStatus,
     SharedNetwork, TrafficClass,
 };
-use std::sync::Arc;
 
 #[derive(Clone, Copy, Debug)]
 enum Verb {
@@ -43,7 +41,7 @@ struct Op {
     len: u32,
 }
 
-type Seen = Arc<Mutex<Vec<u64>>>;
+type Seen = Shared<Vec<u64>>;
 
 /// Records the id of everything delivered to it, in delivery order.
 struct Target {

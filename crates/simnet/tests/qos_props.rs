@@ -56,14 +56,14 @@ proptest! {
         let mut enq_bytes = [0u64; CLASS_COUNT];
         let mut served_bytes = [0u64; CLASS_COUNT];
         let mut next_payload = 0u64;
-        let mut outstanding = std::collections::HashSet::new();
+        let mut outstanding = simcore::hash::FastSet::default();
         let mut now = 0u64;
 
         // Plain assert! inside the helper: proptest catches panics and
         // shrinks them just like prop_assert! failures.
         let serve_one = |s: &mut PortScheduler<u64>,
                          served: &mut [u64; CLASS_COUNT],
-                         outstanding: &mut std::collections::HashSet<u64>,
+                         outstanding: &mut simcore::hash::FastSet<u64>,
                          now: u64|
          -> bool {
             match s.next_segment(now) {

@@ -298,8 +298,8 @@ impl AuditLog for DiskLog {
         ctx: &mut Ctx<'_>,
         _role: Role,
         from_ep: EndpointId,
-        payload: Box<dyn Any + Send>,
-    ) -> Option<Box<dyn Any + Send>> {
+        payload: Box<dyn Any>,
+    ) -> Option<Box<dyn Any>> {
         // Backup: apply checkpoints.
         let payload = match payload.downcast::<Checkpoint>() {
             Ok(ck) => {

@@ -187,7 +187,7 @@ impl AdpShared {
 
 /// A durable audit-trail backend. One instance lives in each half of the
 /// ADP pair; the actor shell routes messages here and owns promotion.
-pub(crate) trait AuditLog: Send {
+pub(crate) trait AuditLog {
     /// Bring the trail up as primary — called on primary start AND on
     /// backup promotion (takeover must recover the durable position from
     /// whatever the discipline persisted: backup shadow or PM cell).
@@ -230,8 +230,8 @@ pub(crate) trait AuditLog: Send {
         ctx: &mut Ctx<'_>,
         role: Role,
         from_ep: EndpointId,
-        payload: Box<dyn Any + Send>,
-    ) -> Option<Box<dyn Any + Send>>;
+        payload: Box<dyn Any>,
+    ) -> Option<Box<dyn Any>>;
 }
 
 pub struct AdpProc {

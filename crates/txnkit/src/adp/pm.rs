@@ -562,8 +562,8 @@ impl AuditLog for PmLog {
         ctx: &mut Ctx<'_>,
         role: Role,
         _from_ep: EndpointId,
-        payload: Box<dyn Any + Send>,
-    ) -> Option<Box<dyn Any + Send>> {
+        payload: Box<dyn Any>,
+    ) -> Option<Box<dyn Any>> {
         match payload.downcast::<CreateRegionAck>() {
             Ok(ack) => {
                 if let Ok(info) = ack.result {

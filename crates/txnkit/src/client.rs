@@ -9,17 +9,18 @@
 use crate::types::*;
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
+use simcore::hash::FastMap;
 use simcore::Ctx;
 use simnet::EndpointId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 pub struct TxnClient {
     machine: SharedMachine,
     ep: EndpointId,
     cpu: CpuId,
     tmf: String,
-    flush_points: HashMap<TxnId, BTreeMap<String, Lsn>>,
-    involved: HashMap<TxnId, BTreeSet<String>>,
+    flush_points: FastMap<TxnId, BTreeMap<String, Lsn>>,
+    involved: FastMap<TxnId, BTreeSet<String>>,
 }
 
 impl TxnClient {
@@ -29,8 +30,8 @@ impl TxnClient {
             ep,
             cpu,
             tmf: tmf.into(),
-            flush_points: HashMap::new(),
-            involved: HashMap::new(),
+            flush_points: FastMap::default(),
+            involved: FastMap::default(),
         }
     }
 

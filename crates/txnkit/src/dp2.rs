@@ -27,10 +27,10 @@ use crate::types::*;
 use bytes::BytesMut;
 use nsk::machine::{CpuId, SharedMachine, WatchTarget};
 use nsk::proc::{Checkpoint, CheckpointAck, ProcessDied};
+use simcore::hash::{FastMap, FastSet};
 use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration, TimerId};
 use simdisk::DiskWrite;
 use simnet::{EndpointId, NetDelivery, SharedNetwork};
-use std::collections::{HashMap, HashSet};
 
 /// Lock wait limit before a waiter is victimized (coarse deadlock
 /// backstop on top of cycle detection). In a sharded cluster this is also
@@ -125,7 +125,7 @@ pub struct Dp2Proc {
     net: SharedNetwork,
     ep: EndpointId,
     cpu: CpuId,
-    partitions: HashSet<PartitionId>,
+    partitions: FastSet<PartitionId>,
     /// Audit partitions: a transaction's deltas go to
     /// `adps[txn.audit_partition(adps.len())]`, the same mapping the TMF
     /// uses for its commit record, so each txn lives on one trail.
@@ -135,18 +135,18 @@ pub struct Dp2Proc {
     stats: SharedTxnStats,
     /// Point-inserted, point-read and point-removed only — never walked,
     /// so the hasher's order cannot reach the event trace.
-    table: HashMap<PartitionId, HashMap<u64, StoredRecord>>,
+    table: FastMap<PartitionId, FastMap<u64, StoredRecord>>,
     locks: LockManager,
     /// Undo log: keys inserted per txn (undo of insert = delete).
-    txn_writes: HashMap<TxnId, Vec<(PartitionId, u64)>>,
+    txn_writes: FastMap<TxnId, Vec<(PartitionId, u64)>>,
     /// Inserts in flight past the lock stage, keyed by op token.
-    pending: HashMap<u64, PendingInsert>,
+    pending: FastMap<u64, PendingInsert>,
     next_op: u64,
     /// Inserts parked on a lock, by the (txn, key) wait they belong to.
-    parked: HashMap<(TxnId, u64), Vec<Parked>>,
+    parked: FastMap<(TxnId, u64), Vec<Parked>>,
     /// Ops staged but not yet applied (waiting on lock) keep their request
     /// here too, keyed by op.
-    staged: HashMap<u64, (InsertReq, EndpointId)>,
+    staged: FastMap<u64, (InsertReq, EndpointId)>,
     dirty_bytes: u64,
     dirty_records: u64,
     data_file_offset: u64,
@@ -675,7 +675,7 @@ pub fn install_dp2(
 ) {
     assert!(!adps.is_empty(), "DP2 needs at least one audit partition");
     let net = machine.lock().net.clone();
-    let parts: HashSet<PartitionId> = partitions.into_iter().collect();
+    let parts: FastSet<PartitionId> = partitions.into_iter().collect();
     let mk = |role: Role, on_cpu: CpuId| {
         let machine2 = machine.clone();
         let net2 = net.clone();
@@ -699,13 +699,13 @@ pub fn install_dp2(
                 data_volumes: vols2,
                 next_vol: 0,
                 stats: stats2,
-                table: HashMap::new(),
+                table: FastMap::default(),
                 locks: LockManager::new(),
-                txn_writes: HashMap::new(),
-                pending: HashMap::new(),
+                txn_writes: FastMap::default(),
+                pending: FastMap::default(),
                 next_op: 0,
-                parked: HashMap::new(),
-                staged: HashMap::new(),
+                parked: FastMap::default(),
+                staged: FastMap::default(),
                 dirty_bytes: 0,
                 dirty_records: 0,
                 data_file_offset: 0,

@@ -42,14 +42,12 @@ use crate::config::TxnConfig;
 use crate::types::{SubscribeTrail, TrailAdvance};
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
-use parking_lot::Mutex;
 use pmclient::{PmClientConfig, PmLib, PmReadTimeout, PmWriteTimeout};
-use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration, TimerId};
+use simcore::{Actor, ActorId, Ctx, Msg, Shared, Sim, SimDuration, TimerId};
 use simnet::{
     EndpointId, NetDelivery, RdmaReadDone, RdmaStatus, RdmaWriteDone, SharedWanLink, TrafficClass,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // WAN protocol
@@ -186,8 +184,8 @@ pub struct ReplicaStats {
     pub corrupt: u64,
 }
 
-pub type SharedShipperStats = Arc<Mutex<ShipperStats>>;
-pub type SharedReplicaStats = Arc<Mutex<ReplicaStats>>;
+pub type SharedShipperStats = Shared<ShipperStats>;
+pub type SharedReplicaStats = Shared<ReplicaStats>;
 
 /// Drill timeline recorded by the [`GeorepController`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -199,7 +197,7 @@ pub struct DrillRecord {
     pub fence_ok: bool,
 }
 
-pub type SharedDrillRecord = Arc<Mutex<DrillRecord>>;
+pub type SharedDrillRecord = Shared<DrillRecord>;
 
 // ---------------------------------------------------------------------
 // Log shipper (primary site)
@@ -963,9 +961,9 @@ pub fn install_georep(
     cfg: ShipperConfig,
     drill: Option<(SimDuration, SimDuration, u64)>,
 ) -> GeorepHandles {
-    let shipper_stats: SharedShipperStats = Arc::new(Mutex::new(ShipperStats::default()));
-    let replica_stats: SharedReplicaStats = Arc::new(Mutex::new(ReplicaStats::default()));
-    let record: SharedDrillRecord = Arc::new(Mutex::new(DrillRecord::default()));
+    let shipper_stats: SharedShipperStats = Shared::new(ShipperStats::default());
+    let replica_stats: SharedReplicaStats = Shared::new(ReplicaStats::default());
+    let record: SharedDrillRecord = Shared::new(DrillRecord::default());
     let cap = region_len - PM_CTRL_BYTES;
 
     // Replica first: the shipper needs its actor id as the WAN target.

@@ -12,7 +12,8 @@
 //! abort.
 
 use crate::types::TxnId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use simcore::hash::{FastMap, FastSet};
+use std::collections::VecDeque;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockMode {
@@ -34,16 +35,16 @@ pub enum Acquire {
 }
 
 struct LockState {
-    holders: HashMap<TxnId, LockMode>,
+    holders: FastMap<TxnId, LockMode>,
     waiters: VecDeque<(TxnId, LockMode)>,
 }
 
 /// Per-DP2 lock table.
 #[derive(Default)]
 pub struct LockManager {
-    locks: HashMap<LockKey, LockState>,
+    locks: FastMap<LockKey, LockState>,
     /// Keys held (or waited on) per txn, for release_all.
-    by_txn: HashMap<TxnId, HashSet<LockKey>>,
+    by_txn: FastMap<TxnId, FastSet<LockKey>>,
 }
 
 impl LockManager {
@@ -51,7 +52,7 @@ impl LockManager {
         Self::default()
     }
 
-    fn compatible(holders: &HashMap<TxnId, LockMode>, txn: TxnId, mode: LockMode) -> bool {
+    fn compatible(holders: &FastMap<TxnId, LockMode>, txn: TxnId, mode: LockMode) -> bool {
         holders
             .iter()
             .all(|(h, m)| *h == txn || (*m == LockMode::Shared && mode == LockMode::Shared))
@@ -72,7 +73,7 @@ impl LockManager {
     /// Wait-for reachability: can `from` reach `target` through waits?
     fn waits_for(&self, from: TxnId, target: TxnId) -> bool {
         let mut stack = vec![from];
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         while let Some(t) = stack.pop() {
             if t == target {
                 return true;
@@ -117,7 +118,7 @@ impl LockManager {
             }
         }
         let st = self.locks.entry(key).or_insert_with(|| LockState {
-            holders: HashMap::new(),
+            holders: FastMap::default(),
             waiters: VecDeque::new(),
         });
         if st.waiters.is_empty() && Self::compatible(&st.holders, txn, mode) {

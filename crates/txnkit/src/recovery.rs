@@ -20,12 +20,15 @@
 use crate::audit::{scan, AuditRecord};
 use crate::dp2::StoredRecord;
 use crate::types::{Lsn, PartitionId, TxnId};
+use simcore::hash::FastSet;
 use simcore::SimDuration;
 use simdisk::DiskConfig;
 use simnet::FabricConfig;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Outcome of a redo/undo pass.
+/// Outcome of a redo/undo pass. Its maps keep std's hasher: callers
+/// outside the crates (the end-to-end benchmark's oracle) name them by
+/// type.
 #[derive(Default, Debug)]
 pub struct RecoveredState {
     pub tables: HashMap<PartitionId, BTreeMap<u64, StoredRecord>>,
@@ -83,10 +86,10 @@ struct NodeScan {
     merged: Vec<(usize, Lsn, AuditRecord)>,
     bytes: u64,
     /// Wrote data (an `Insert`).
-    wrote: HashSet<TxnId>,
-    prepared: HashSet<TxnId>,
-    committed: HashSet<TxnId>,
-    aborted: HashSet<TxnId>,
+    wrote: FastSet<TxnId>,
+    prepared: FastSet<TxnId>,
+    committed: FastSet<TxnId>,
+    aborted: FastSet<TxnId>,
 }
 
 /// Pass 1 of every recovery: merge a node's trails by LSN and collect the
@@ -95,10 +98,10 @@ fn scan_node(trails: &[&[u8]]) -> NodeScan {
     let mut node = NodeScan {
         merged: merge_trails_by_lsn(trails),
         bytes: trails.iter().map(|t| t.len() as u64).sum(),
-        wrote: HashSet::new(),
-        prepared: HashSet::new(),
-        committed: HashSet::new(),
-        aborted: HashSet::new(),
+        wrote: FastSet::default(),
+        prepared: FastSet::default(),
+        committed: FastSet::default(),
+        aborted: FastSet::default(),
     };
     for (_, _, r) in &node.merged {
         match r {
@@ -118,8 +121,10 @@ fn scan_node(trails: &[&[u8]]) -> NodeScan {
 /// DP2 would start from its data volumes plus this).
 fn redo_committed(
     merged: &[(usize, Lsn, AuditRecord)],
-    committed: &HashSet<TxnId>,
+    committed: impl Fn(&TxnId) -> bool,
 ) -> HashMap<PartitionId, BTreeMap<u64, StoredRecord>> {
+    // std-hashed: this becomes `RecoveredState::tables`.
+    #[allow(clippy::disallowed_methods)]
     let mut tables: HashMap<PartitionId, BTreeMap<u64, StoredRecord>> = HashMap::new();
     for (_, _, r) in merged {
         if let AuditRecord::Insert {
@@ -131,7 +136,7 @@ fn redo_committed(
             ..
         } = r
         {
-            if committed.contains(txn) {
+            if committed(txn) {
                 tables.entry(*partition).or_default().insert(
                     *key,
                     StoredRecord {
@@ -154,7 +159,7 @@ fn redo_committed(
 /// [`redo_scan_sharded`].
 pub fn redo_scan_partitioned(trails: &[&[u8]]) -> RecoveredState {
     let node = scan_node(trails);
-    let tables = redo_committed(&node.merged, &node.committed);
+    let tables = redo_committed(&node.merged, |t| node.committed.contains(t));
     let inflight = node
         .wrote
         .union(&node.prepared)
@@ -166,12 +171,13 @@ pub fn redo_scan_partitioned(trails: &[&[u8]]) -> RecoveredState {
         inflight,
         records_scanned: node.merged.len() as u64,
         bytes_scanned: node.bytes,
-        committed: node.committed,
-        aborted: node.aborted,
+        committed: node.committed.into_iter().collect(),
+        aborted: node.aborted.into_iter().collect(),
     }
 }
 
-/// Cluster-wide recovery outcome over sharded trails.
+/// Cluster-wide recovery outcome over sharded trails (std-hashed sets,
+/// like [`RecoveredState`]'s).
 #[derive(Default, Debug)]
 pub struct ShardedRecovery {
     /// Per-shard recovered state, redone under the *global* resolution
@@ -237,7 +243,7 @@ pub fn redo_scan_sharded(shards: &[Vec<&[u8]>]) -> ShardedRecovery {
     // Redo each shard under the global resolution.
     for node in nodes {
         out.shards.push(RecoveredState {
-            tables: redo_committed(&node.merged, &out.committed),
+            tables: redo_committed(&node.merged, |t| out.committed.contains(t)),
             committed: node
                 .wrote
                 .union(&node.prepared)
@@ -252,7 +258,7 @@ pub fn redo_scan_sharded(shards: &[Vec<&[u8]>]) -> ShardedRecovery {
                 .collect(),
             records_scanned: node.merged.len() as u64,
             bytes_scanned: node.bytes,
-            aborted: node.aborted,
+            aborted: node.aborted.into_iter().collect(),
         });
     }
     out

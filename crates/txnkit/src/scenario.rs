@@ -332,6 +332,8 @@ impl World {
             machine,
             net,
             stats: stats::shared(),
+            // std-hashed: it becomes the public `partition_map` fields.
+            #[allow(clippy::disallowed_methods)]
             partition_map: HashMap::new(),
             audit_volume_stats: Vec::new(),
             data_volume_stats: Vec::new(),

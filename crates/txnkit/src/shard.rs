@@ -6,7 +6,7 @@
 //! fast path; one that touches a remote shard is driven through the
 //! TMF-coordinated two-phase commit in [`crate::tmf`].
 
-use std::collections::HashMap;
+use simcore::hash::FastMap;
 
 /// Route a key to one of `shards` shards. `shards` MUST be a power of two
 /// (asserted): masking a finalized splitmix64 hash makes every key map to
@@ -37,14 +37,14 @@ pub struct ShardDirectory {
     /// TMF process name per shard (index = shard id).
     pub tmfs: Vec<String>,
     /// Owning shard of every ADP and DP2 process name in the cluster.
-    shard_of: HashMap<String, u32>,
+    shard_of: FastMap<String, u32>,
 }
 
 impl ShardDirectory {
     pub fn new(tmfs: Vec<String>) -> Self {
         ShardDirectory {
             tmfs,
-            shard_of: HashMap::new(),
+            shard_of: FastMap::default(),
         }
     }
 

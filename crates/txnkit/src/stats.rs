@@ -8,9 +8,8 @@
 //! one synchronous NPMU write. Experiment T2 reproduces that claim from
 //! these counters.
 
-use parking_lot::Mutex;
 use simcore::Histogram;
-use std::sync::Arc;
+use simcore::Shared;
 
 #[derive(Default)]
 pub struct TxnStats {
@@ -99,10 +98,10 @@ impl TxnStats {
     }
 }
 
-pub type SharedTxnStats = Arc<Mutex<TxnStats>>;
+pub type SharedTxnStats = Shared<TxnStats>;
 
 pub fn shared() -> SharedTxnStats {
-    Arc::new(Mutex::new(TxnStats::default()))
+    Shared::new(TxnStats::default())
 }
 
 #[cfg(test)]

@@ -50,9 +50,10 @@ use crate::stats::SharedTxnStats;
 use crate::types::*;
 use nsk::machine::{CpuId, SharedMachine, WatchTarget};
 use nsk::proc::{Checkpoint, CheckpointAck, ProcessDied};
+use simcore::hash::FastMap;
 use simcore::{Actor, Ctx, Msg, Sim, TimerId};
 use simnet::{EndpointId, NetDelivery, SharedNetwork};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Size of the commit/abort record in the master trail, bytes.
@@ -194,14 +195,14 @@ pub struct TmfProc {
     master_adps: Vec<String>,
     stats: SharedTxnStats,
     next_txn: u64,
-    commits: HashMap<u64, CommitState>, // token → state
+    commits: FastMap<u64, CommitState>, // token → state
     next_token: u64,
     /// flush/append tokens → (commit token, what it was, for retry, the
     /// [`SubRetry`] standing over it).
-    subop: HashMap<u64, (u64, SubKind, TimerId)>,
+    subop: FastMap<u64, (u64, SubKind, TimerId)>,
     next_subop: u64,
     /// Participant role: transactions this shard holds in prepared state.
-    prepared: HashMap<TxnId, PrepState>,
+    prepared: FastMap<TxnId, PrepState>,
     ckpt_waiters: BTreeMap<u64, u64>, // ckpt seq → commit token
     next_ckpt: u64,
     commits_since_mark: u64,
@@ -245,7 +246,7 @@ impl TmfProc {
         Some((commit_token, kind))
     }
 
-    fn send_proc<M: 'static + Send>(&self, ctx: &mut Ctx<'_>, to: &str, bytes: u32, msg: M) {
+    fn send_proc<M: 'static>(&self, ctx: &mut Ctx<'_>, to: &str, bytes: u32, msg: M) {
         let machine = self.machine.clone();
         nsk::proc::send_to_process(ctx, &machine, self.ep, self.cpu, to, bytes, msg);
     }
@@ -476,10 +477,11 @@ impl TmfProc {
             return;
         }
         self.commits_since_mark = 0;
-        // Canonical order: `commits` is a HashMap, and its iteration
+        // Canonical order: `commits` is a hash map, and its iteration
         // order must never leak into durable bytes — identical runs have
         // to produce bit-identical trails (the determinism suite and the
-        // DR site's byte-compare both depend on it).
+        // DR site's byte-compare both depend on it). A fixed-key map's
+        // order is reproducible, but it is an accident of the hasher.
         let mut active: Vec<TxnId> = self.commits.values().map(|c| c.txn).collect();
         active.sort_unstable();
         let rec = crate::audit::AuditRecord::CheckpointMark {
@@ -732,7 +734,7 @@ impl Actor for TmfProc {
                     // Split the commit's work by owning shard.
                     let mut local_flush: Vec<(String, Lsn)> = Vec::new();
                     let mut local_dp2: Vec<String> = Vec::new();
-                    let mut remote: HashMap<u32, ShardWork> = HashMap::new();
+                    let mut remote: FastMap<u32, ShardWork> = FastMap::default();
                     for (adp, lsn) in req.flush_points {
                         let s = self.directory.shard_of(&adp);
                         if s == self.shard {
@@ -1086,11 +1088,11 @@ pub fn install_tmf(
                 master_adps: master2,
                 stats: stats2,
                 next_txn: 1,
-                commits: HashMap::new(),
+                commits: FastMap::default(),
                 next_token: 0,
-                subop: HashMap::new(),
+                subop: FastMap::default(),
                 next_subop: 0,
-                prepared: HashMap::new(),
+                prepared: FastMap::default(),
                 ckpt_waiters: BTreeMap::new(),
                 next_ckpt: 0,
                 commits_since_mark: 0,

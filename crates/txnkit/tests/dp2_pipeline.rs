@@ -7,13 +7,11 @@
 use bytes::Bytes;
 use nsk::machine::{install_backup, install_primary, CpuId, Machine, MachineConfig, SharedMachine};
 use nsk::proc::{Checkpoint, CheckpointAck};
-use parking_lot::Mutex;
 use simcore::actor::Start;
 use simcore::time::SECS;
-use simcore::{Actor, Ctx, Msg, Sim, SimDuration, SimTime};
+use simcore::{Actor, Ctx, Msg, Shared, Sim, SimDuration, SimTime};
 use simnet::{EndpointId, FabricConfig, NetDelivery, Network, SharedNetwork};
 use std::collections::HashMap;
-use std::sync::Arc;
 use txnkit::{
     install_dp2, AppendDone, AuditAppend, InsertDone, InsertReq, InsertResult, Lsn, PartitionId,
     TxnConfig, TxnId,
@@ -32,7 +30,7 @@ struct Seen {
     /// key → (when the client saw `InsertDone`, its `durable` flag).
     done: HashMap<u64, (u64, bool)>,
 }
-type SharedSeen = Arc<Mutex<Seen>>;
+type SharedSeen = Shared<Seen>;
 
 /// Log writer: acks the append for `key` after `delay[key]`, claiming it
 /// durable iff `durable[key]`.
@@ -190,7 +188,7 @@ fn run(adp_script: &[(u64, u64, bool)], ckpt_delays: &[u64], cfg: TxnConfig) -> 
     let mut sim = Sim::with_seed(7);
     let net = Network::new(FabricConfig::default());
     let machine = Machine::new(MachineConfig::default(), net.clone());
-    let seen: SharedSeen = Arc::default();
+    let seen: SharedSeen = Shared::default();
     let (net2, seen2) = (net.clone(), seen.clone());
     let script: HashMap<u64, (u64, bool)> = adp_script
         .iter()

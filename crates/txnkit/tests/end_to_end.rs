@@ -5,10 +5,9 @@
 use bytes::Bytes;
 use nsk::machine::CpuId;
 use nsk::Monitor;
-use parking_lot::Mutex;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::SECS;
-use simcore::{Actor, Ctx, DurableStore, Msg, SimDuration, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Msg, Shared, SimDuration, SimTime};
 use simnet::{EndpointId, NetDelivery};
 use std::sync::Arc;
 use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
@@ -45,7 +44,7 @@ struct TestDriver {
     machine: nsk::machine::SharedMachine,
     ep: EndpointId,
     cpu: CpuId,
-    partition_of: Arc<dyn Fn(u32) -> (PartitionId, String) + Send + Sync>,
+    partition_of: Arc<dyn Fn(u32) -> (PartitionId, String)>,
     txns: u64,
     inserts_per_txn: u32,
     payload: Vec<u8>,
@@ -60,11 +59,11 @@ struct TestDriver {
     txn_started_ns: u64,
     inserts_done: u32,
     /// Tokens acknowledged this txn (guards duplicate acks from retries).
-    acked: std::collections::HashSet<u64>,
+    acked: simcore::hash::FastSet<u64>,
     /// Trails this txn's not-yet-durable inserts reached.
     trails_to_flush: std::collections::BTreeSet<String>,
     reads_pending: u32,
-    results: Arc<Mutex<DriverResults>>,
+    results: Shared<DriverResults>,
 }
 
 impl TestDriver {
@@ -262,8 +261,8 @@ fn spawn_driver(
     outcome: Outcome,
     verify_reads: bool,
     key_base: u64,
-) -> Arc<Mutex<DriverResults>> {
-    let results = Arc::new(Mutex::new(DriverResults::default()));
+) -> Shared<DriverResults> {
+    let results = Shared::new(DriverResults::default());
     let machine = node.machine.clone();
     let pm: std::collections::HashMap<PartitionId, String> = node.partition_map.clone();
     let files = node.params.files;
@@ -295,7 +294,7 @@ fn spawn_driver(
             txn: None,
             txn_started_ns: 0,
             inserts_done: 0,
-            acked: std::collections::HashSet::new(),
+            acked: simcore::hash::FastSet::default(),
             trails_to_flush: std::collections::BTreeSet::new(),
             reads_pending: 0,
             results: r2,
@@ -849,7 +848,7 @@ struct RowProbe {
     body: Bytes,
     virtual_len: u32,
     read_at: Vec<SimTime>,
-    seen: Arc<Mutex<RowSeen>>,
+    seen: Shared<RowSeen>,
 }
 
 struct ReadNow(u64);
@@ -939,11 +938,11 @@ fn spawn_row_probe(
     body: &[u8],
     virtual_len: u32,
     read_at: Vec<SimTime>,
-) -> Arc<Mutex<RowSeen>> {
-    let seen = Arc::new(Mutex::new(RowSeen {
+) -> Shared<RowSeen> {
+    let seen = Shared::new(RowSeen {
         reads: vec![None; read_at.len()],
         ..RowSeen::default()
-    }));
+    });
     let (machine, tmf, seen2) = (node.machine.clone(), node.tmf.clone(), seen.clone());
     let dp2 = node.partition_map[&part].clone();
     let body = Bytes::from(body.to_vec());

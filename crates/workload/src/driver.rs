@@ -21,10 +21,9 @@
 use crate::dist::{Rng64, ThinkTime, Zipf};
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
-use parking_lot::Mutex;
-use simcore::{Actor, Ctx, Histogram, Msg, Sim, SimDuration, SimTime};
+use simcore::hash::FastMap;
+use simcore::{Actor, Ctx, Histogram, Msg, Shared, Sim, SimDuration, SimTime};
 use simnet::NetDelivery;
-use std::collections::HashMap;
 use std::sync::Arc;
 use txnkit::scenario::ClusterView;
 use txnkit::shard::{shard_of_key, splitmix64};
@@ -129,7 +128,7 @@ impl WorkloadStats {
     }
 }
 
-pub type SharedWorkloadStats = Arc<Mutex<WorkloadStats>>;
+pub type SharedWorkloadStats = Shared<WorkloadStats>;
 
 const THINK_SALT: u64 = 0x7468_696e_6b21_0000; // "think!"
 
@@ -169,7 +168,7 @@ pub struct ClientPool {
     cfg: Arc<WorkloadConfig>,
     zipf: Zipf,
     slots: Vec<VClient>,
-    by_txn: HashMap<TxnId, u32>,
+    by_txn: FastMap<TxnId, u32>,
     live: u32,
     /// Absolute ns after which no new transactions start.
     stop_at_ns: Option<u64>,
@@ -468,10 +467,10 @@ pub fn install_workload(
 ) -> SharedWorkloadStats {
     assert!(view.shards >= 1 && cfg.pools_per_shard >= 1);
     assert!(cfg.inserts_per_txn >= 1);
-    let stats: SharedWorkloadStats = Arc::new(Mutex::new(WorkloadStats {
+    let stats: SharedWorkloadStats = Shared::new(WorkloadStats {
         started_ns: cfg.warmup.as_nanos(),
         ..WorkloadStats::default()
-    }));
+    });
     let view = Arc::new(view.clone());
     let cfg = Arc::new(cfg);
     let mut next_client = 0u64;
@@ -526,7 +525,7 @@ pub fn install_workload(
                     cfg: c2,
                     zipf,
                     slots,
-                    by_txn: HashMap::new(),
+                    by_txn: FastMap::default(),
                     live,
                     stop_at_ns: None,
                     stats: st2,

@@ -6,14 +6,13 @@
 //! Run: `cargo run --release --example fine_grained`
 
 use npmu::NvImage;
-use parking_lot::Mutex;
 use pmem::NvMedium;
 use pmstore::{PmBTree, PmQueue, TcbState, TcbTable, TornWriter};
-use std::sync::Arc;
+use simcore::Shared;
 
 fn main() {
     // One hardware NPMU image: the durable substrate.
-    let device = Arc::new(Mutex::new(NvImage::new(64 << 20)));
+    let device = Shared::new(NvImage::new(64 << 20));
 
     // Carve three windows, as a PMM would with three regions.
     let index_win = NvMedium::new(device.clone(), 0, 8 << 20);

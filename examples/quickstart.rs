@@ -13,9 +13,8 @@ use pmem::{install_pm_system, NpmuConfig, PmLib};
 use pmm::msgs::{CreateRegionAck, OpenRegionAck};
 use simcore::actor::Start;
 use simcore::time::SECS;
-use simcore::{Actor, Ctx, DurableStore, Msg, Sim, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Msg, Shared, Sim, SimTime};
 use simnet::{FabricConfig, NetDelivery, Network, RdmaReadDone, RdmaWriteDone};
-use std::sync::Arc;
 
 /// What the demo client should do this boot.
 enum Phase {
@@ -29,7 +28,7 @@ struct DemoClient {
     lib: PmLib,
     phase: Phase,
     region: Option<u64>,
-    log: Arc<parking_lot::Mutex<Vec<String>>>,
+    log: Shared<Vec<String>>,
 }
 
 impl Actor for DemoClient {
@@ -107,7 +106,7 @@ fn boot(
     store: &mut DurableStore,
     phase: Phase,
     seed: u64,
-) -> (Sim, SharedMachine, Arc<parking_lot::Mutex<Vec<String>>>) {
+) -> (Sim, SharedMachine, Shared<Vec<String>>) {
     let mut sim = Sim::with_seed(seed);
     let net = Network::new(FabricConfig::default());
     let machine = Machine::new(MachineConfig::default(), net);
@@ -120,7 +119,7 @@ fn boot(
         CpuId(0),
         Some(CpuId(1)),
     );
-    let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let log = Shared::new(Vec::new());
     let log2 = log.clone();
     let m2 = machine.clone();
     let pmm_name = sys.pmm_name.clone();

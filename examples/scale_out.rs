@@ -17,9 +17,8 @@ use pmm::PlacementHint;
 use simcore::actor::Start;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
-use simcore::{Actor, Ctx, DurableStore, Msg, Sim, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Msg, Shared, Sim, SimTime};
 use simnet::{FabricConfig, NetDelivery, Network, RdmaStatus, RdmaWriteDone};
-use std::sync::Arc;
 
 const VOLUMES: u32 = 4;
 const STRIPE_UNIT: u64 = 64 << 10;
@@ -43,7 +42,7 @@ struct StreamWriter {
     region: Option<u64>,
     inflight: u32,
     seq: u64,
-    shared: Arc<parking_lot::Mutex<Progress>>,
+    shared: Shared<Progress>,
 }
 
 impl StreamWriter {
@@ -165,7 +164,7 @@ fn main() {
         Some(CpuId(1)),
     );
 
-    let shared = Arc::new(parking_lot::Mutex::new(Progress::default()));
+    let shared = Shared::new(Progress::default());
     let sh = shared.clone();
     let m2 = machine.clone();
     let pmm_name = pool.pmm_name.clone();

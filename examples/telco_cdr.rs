@@ -12,13 +12,11 @@
 
 use bytes::Bytes;
 use nsk::machine::CpuId;
-use parking_lot::Mutex;
 use recordstore::{DbEvent, DbSession, Schema};
 use simcore::actor::Start;
 use simcore::time::SECS;
-use simcore::{Actor, Ctx, DurableStore, Msg, SimDuration, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Msg, Shared, SimDuration, SimTime};
 use simnet::NetDelivery;
-use std::sync::Arc;
 use txnkit::scenario::{build_ods, OdsParams};
 
 const CDR_FILE: u32 = 0;
@@ -38,7 +36,7 @@ struct CdrIngest {
     total: u64,
     sent: u64,
     in_txn: u32,
-    stats: Arc<Mutex<IngestStats>>,
+    stats: Shared<IngestStats>,
 }
 
 struct Kick;
@@ -120,13 +118,13 @@ fn main() {
     let per_switch = 800u64;
     let mut all_stats = Vec::new();
     for sw in 0..switches {
-        let stats = Arc::new(Mutex::new(IngestStats {
+        let stats = Shared::new(IngestStats {
             committed: 0,
             records: 0,
             done: false,
             finished_ns: 0,
             reads_ok: 0,
-        }));
+        });
         all_stats.push(stats.clone());
         let machine = node.machine.clone();
         let schema2 = schema.clone();

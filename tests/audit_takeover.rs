@@ -22,14 +22,12 @@ use hotstock::driver::{HotStockDriver, SharedDriverStats};
 use npmu::NpmuConfig;
 use nsk::machine::{install_primary, CpuId, Machine, MachineConfig, SharedMachine};
 use nsk::Monitor;
-use parking_lot::Mutex;
 use pmem::{install_audit_partitions, install_pm_pool};
 use simcore::actor::Start;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
-use simcore::{Actor, Ctx, DurableStore, Msg, Sim, SimDuration, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Msg, Shared, Sim, SimDuration, SimTime};
 use simnet::{EndpointId, NetDelivery};
-use std::sync::Arc;
 use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES};
 use txnkit::recovery::redo_scan_partitioned;
 use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
@@ -306,7 +304,7 @@ struct BurstClient {
     cpu: CpuId,
     adp: String,
     max_lsn: Lsn,
-    results: Arc<Mutex<BurstResults>>,
+    results: Shared<BurstResults>,
 }
 
 struct Kickoff;
@@ -417,7 +415,7 @@ fn burst_coalesces(volumes: u32) {
         TxnConfig::pm_enabled(),
         stats.clone(),
     );
-    let results: Arc<Mutex<BurstResults>> = Arc::new(Mutex::new(BurstResults::default()));
+    let results: Shared<BurstResults> = Shared::new(BurstResults::default());
     let machine2 = machine.clone();
     let adp = adps[0].clone();
     let results2 = results.clone();

@@ -253,6 +253,70 @@ fn sharded_workload_runs_are_reproducible() {
 }
 
 #[test]
+fn parallel_sweep_matches_serial() {
+    // What `fig1`/`fig2` rely on: a simulation is one thread, and its
+    // actors and handles are not `Send`, so a parallel sweep builds each
+    // simulation inside its own worker thread. Built there, it must be the
+    // simulation built anywhere else: same dispatches, same commits, same
+    // durable trail bytes.
+    use common::read_region;
+    use txnkit::scenario::{build_ods, OdsParams};
+    use workload::{install_workload, run_to_completion, ThinkTime, WorkloadConfig};
+
+    const SEED: u64 = 0x5EED;
+    fn run() -> (u64, u64, u64) {
+        let mut store = simcore::DurableStore::new();
+        let mut node = build_ods(
+            &mut store,
+            OdsParams {
+                audit: AuditMode::HardwareNpmu,
+                ..OdsParams::pm(SEED)
+            },
+        );
+        let (view, machine) = (node.view(), node.machine.clone());
+        let stats = install_workload(
+            &mut node.sim,
+            &machine,
+            &view,
+            WorkloadConfig {
+                think: ThinkTime::Zero,
+                txns_per_client: 6,
+                run_for: None,
+                inserts_per_txn: 4,
+                ..WorkloadConfig::new(SEED, 8)
+            },
+        );
+        run_to_completion(&mut node.sim, &stats, SimTime(60 * SECS));
+        let (dispatched, committed) = (node.sim.dispatched(), stats.lock().committed);
+        drop((node, machine, stats));
+        store.reset_volatile();
+        let mut trails = simcore::Checksum64::default();
+        for i in 0..4 {
+            trails.update(&read_region(
+                &mut store,
+                "npmu:pm-a",
+                &format!("adp{i}.audit"),
+                0,
+            ));
+        }
+        (trails.finish(), dispatched, committed)
+    }
+
+    let serial = run();
+    assert_eq!(serial.2, 48, "every transaction committed");
+    let parallel: Vec<(u64, u64, u64)> = crossbeam::thread::scope(|s| {
+        let workers: Vec<_> = (0..2).map(|_| s.spawn(|_| run())).collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    })
+    .unwrap();
+    assert_eq!(
+        parallel,
+        vec![serial; 2],
+        "(trail digest, dispatched, committed)"
+    );
+}
+
+#[test]
 fn single_node_is_the_one_shard_cluster() {
     // `build_ods` is one call of the shard recipe `build_cluster` loops
     // over, under the pre-sharding names. So a node and a one-shard

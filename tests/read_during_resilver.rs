@@ -10,7 +10,6 @@ use bytes::Bytes;
 use npmu::{Npmu, NpmuConfig};
 use nsk::machine::{CpuId, Machine, MachineConfig, SharedMachine};
 use nsk::Monitor;
-use parking_lot::Mutex;
 use pm_bench::outage::{self, OutageWrites};
 use pmclient::{MirrorPolicy, PmLib, PmReadTimeout, PmWriteTimeout, ReadRouting};
 use pmm::msgs::{CreateRegionAck, RegionInfo};
@@ -18,9 +17,8 @@ use pmm::{install_pmm_pool, PmmConfig, PmmHandle};
 use simcore::actor::Start;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
-use simcore::{Actor, Ctx, DurableStore, Msg, Sim, SimDuration, SimTime};
+use simcore::{Actor, Ctx, DurableStore, Msg, Shared, Sim, SimDuration, SimTime};
 use simnet::{FabricConfig, NetDelivery, Network, RdmaReadDone, RdmaStatus, RdmaWriteDone};
-use std::sync::Arc;
 
 const REGION_LEN: u64 = 8 << 20;
 /// Resilver chunk size in both tests.
@@ -42,7 +40,7 @@ struct ReaderStats {
     writes_done: u64,
 }
 
-type SharedReaderStats = Arc<Mutex<ReaderStats>>;
+type SharedReaderStats = Shared<ReaderStats>;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Stage {
@@ -238,7 +236,7 @@ fn build(store: &mut DurableStore, seed: u64, plan: FaultPlan) -> Scenario {
 }
 
 fn spawn_reader(sc: &mut Scenario, stop_reads_at_ns: u64) -> SharedReaderStats {
-    let stats: SharedReaderStats = Arc::new(Mutex::new(ReaderStats::default()));
+    let stats: SharedReaderStats = Shared::new(ReaderStats::default());
     let st2 = stats.clone();
     let machine = sc.machine.clone();
     nsk::machine::install_primary(
