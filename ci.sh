@@ -77,5 +77,8 @@ tools/census.sh
 # Rot check for the host-time profiler (frame-pointer build, SIGPROF
 # sampler, nm symbolization): it must still find measured-phase samples.
 tools/hostprof.sh trade_pm 0x0D5B11 --quick >/dev/null
+# Same for its allocation census (malloc wrappers, folded stacks, the
+# site filter).
+tools/hostprof.sh --alloc trade_pm 0x0D5B11 --quick >/dev/null
 # Docs must build clean (broken intra-doc links fail the gate).
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -142,13 +142,13 @@ impl HotStockDriver {
             file,
             part: (self.stock + i / self.files) % self.parts_per_file,
         };
-        let dp2 = self.dp2_of[&part].clone();
+        let dp2 = &self.dp2_of[&part];
         let key = ((self.stock as u64) << 48) | (self.inserted + i as u64);
         // Compact body: 16 descriptor bytes standing in for a 4 KB
         // record (full size travels through the timing model).
-        let body = Bytes::from(key.to_le_bytes().to_vec());
+        let body = Bytes::copy_from_slice(&key.to_le_bytes());
         self.client
-            .insert(ctx, &dp2, txn, part, key, body, self.record_bytes, i as u64);
+            .insert(ctx, dp2, txn, part, key, body, self.record_bytes, i as u64);
         if i + 1 < n {
             let now = ctx.now().as_nanos();
             let queue = self

@@ -114,23 +114,31 @@ impl StripeMap {
     /// in logical order. Each fragment stays inside one stripe chunk, so
     /// it is contiguous on its device.
     pub fn split(&self, off: u64, len: u64) -> Vec<Frag> {
+        let mut frags = Vec::new();
+        self.split_into(off, len, &mut frags);
+        frags
+    }
+
+    /// As [`Self::split`], appending the fragments to `frags` — a hot
+    /// caller passes one buffer it clears and reuses across writes.
+    pub fn split_into(&self, off: u64, len: u64, frags: &mut Vec<Frag>) {
         assert!(off + len <= self.total_len(), "range beyond region");
         if len == 0 {
-            return Vec::new();
+            return;
         }
         if !self.is_striped() {
             let e = &self.extents[0];
-            return vec![Frag {
+            frags.push(Frag {
                 volume: e.volume,
                 slot: 0,
                 dev_off: e.base + off,
                 len: len as u32,
                 buf_off: 0,
-            }];
+            });
+            return;
         }
         let n = self.extents.len() as u64;
         let u = self.stripe_unit;
-        let mut frags = Vec::new();
         let mut cur = off;
         let end = off + len;
         while cur < end {
@@ -148,7 +156,6 @@ impl StripeMap {
             });
             cur += take;
         }
-        frags
     }
 }
 
@@ -482,6 +489,18 @@ mod tests {
             cursor += f.len as usize;
         }
         assert_eq!(cursor, 40 << 10);
+    }
+
+    #[test]
+    fn split_into_appends_what_split_returns() {
+        let m = striped_map(40 << 10, 4 << 10, 3);
+        let mut buf = m.split(0, 100);
+        let head = buf.clone();
+        m.split_into(4000, 9000, &mut buf);
+        assert_eq!(buf[..head.len()], head[..]);
+        assert_eq!(buf[head.len()..], m.split(4000, 9000)[..]);
+        m.split_into(7, 0, &mut buf);
+        assert_eq!(buf.len(), head.len() + m.split(4000, 9000).len());
     }
 
     #[test]

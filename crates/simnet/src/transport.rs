@@ -51,6 +51,7 @@ use simcore::actor::Start;
 use simcore::hash::FastMap;
 use simcore::{Actor, ActorId, Ctx, Msg, SimDuration};
 use std::any::Any;
+use std::rc::Rc;
 
 /// When a remote persistent write is actually *durable*, as opposed to
 /// merely acknowledged. Kashyap et al. ("Correct, Fast Remote
@@ -138,7 +139,10 @@ pub struct InboundRdmaWrite {
     /// Actor to notify with [`RdmaWriteDone`].
     pub reply_to: ActorId,
     pub op_id: u64,
-    pub links: Vec<ChainLink>,
+    /// Shared, not owned: a mirrored write posts one chain to both halves
+    /// of a pair, the way a real initiator posts one registered buffer
+    /// twice.
+    pub links: Rc<[ChainLink]>,
     /// Trailing persist fence: the target must have every link — and,
     /// its ingress being FIFO, every write it acknowledged earlier — on
     /// persistent media before it answers.
@@ -596,7 +600,7 @@ pub fn rdma_write_sized(
         data,
         wire_len,
     };
-    rdma_write_chain(ctx, net, from_ep, to_ep, vec![link], false, op_id, class)
+    rdma_write_chain(ctx, net, from_ep, to_ep, [link], false, op_id, class)
 }
 
 /// Post an ordered chain of writes with one doorbell, optionally closed
@@ -604,18 +608,21 @@ pub fn rdma_write_sized(
 /// time of its summed link spans, one target-NIC pass and one
 /// [`RdmaWriteDone`]; under QoS it is one scheduled unit of the summed
 /// bytes in `class`. [`rdma_write`] and [`rdma_write_sized`] are its
-/// one-link, unfenced case.
+/// one-link, unfenced case. `links` may be an `Rc<[ChainLink]>` already
+/// posted elsewhere (the other half of a mirror): the chain is shared,
+/// never copied.
 #[allow(clippy::too_many_arguments)]
 pub fn rdma_write_chain(
     ctx: &mut Ctx<'_>,
     net: &SharedNetwork,
     from_ep: EndpointId,
     to_ep: EndpointId,
-    links: Vec<ChainLink>,
+    links: impl Into<Rc<[ChainLink]>>,
     fence: bool,
     op_id: u64,
     class: TrafficClass,
 ) {
+    let links = links.into();
     assert!(!links.is_empty(), "empty write chain");
     let span: u64 = links.iter().map(ChainLink::span).sum();
     let len = u32::try_from(span).expect("write chain exceeds the u32 wire-size field");
@@ -1042,7 +1049,7 @@ mod tests {
                     if !w.links.iter().all(fits) {
                         reply_rdma_write(ctx, &self.net, &w, RdmaStatus::OutOfBounds, 0);
                     } else {
-                        for l in &w.links {
+                        for l in w.links.iter() {
                             let at = l.addr as usize;
                             mem[at..at + l.data.len()].copy_from_slice(&l.data);
                         }

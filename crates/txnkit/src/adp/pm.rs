@@ -72,11 +72,11 @@ pub fn parse_ctrl_cell(raw: &[u8]) -> (u64, Option<usize>) {
 }
 
 /// Split one append of `virt` virtual bytes at trail position
-/// `lsn_start` into ≤ 2 circular-trail segments: `(region_off,
-/// record_byte_range, wire_len)` per segment. All positions and lengths
-/// are computed in `u64` — a trail's virtual length passes 4 GiB in
-/// long-running populations, and narrowing them would silently wrap the
-/// stream a geo-replica ships from this trail. Only the fabric's
+/// `lsn_start` into ≤ 2 circular-trail segments, yielded in trail order:
+/// `(region_off, record_byte_range, wire_len)` per segment. All positions
+/// and lengths are computed in `u64` — a trail's virtual length passes
+/// 4 GiB in long-running populations, and narrowing them would silently
+/// wrap the stream a geo-replica ships from this trail. Only the fabric's
 /// per-write size field is `u32`, and that conversion is checked: a
 /// single segment wider than `u32::MAX` fails loudly instead of
 /// corrupting the trail.
@@ -85,23 +85,25 @@ pub(crate) fn split_trail_parts(
     cap: u64,
     virt: u64,
     records_len: usize,
-) -> Vec<(u64, std::ops::Range<usize>, u32)> {
+) -> impl Iterator<Item = (u64, std::ops::Range<usize>, u32)> {
     let wire = |len: u64| -> u32 {
         u32::try_from(len).expect("trail segment exceeds the u32 wire-size field")
     };
     let pos = lsn_start % cap;
     let off = PM_CTRL_BYTES + pos;
-    if pos + virt <= cap {
-        return vec![(off, 0..records_len, wire(virt))];
-    }
-    let first = cap - pos;
-    let cut = usize::try_from(first)
-        .unwrap_or(records_len)
-        .min(records_len);
-    vec![
-        (off, 0..cut, wire(first)),
-        (PM_CTRL_BYTES, cut..records_len, wire(virt - first)),
-    ]
+    let segments = if pos + virt <= cap {
+        [Some((off, 0..records_len, wire(virt))), None]
+    } else {
+        let first = cap - pos;
+        let cut = usize::try_from(first)
+            .unwrap_or(records_len)
+            .min(records_len);
+        [
+            Some((off, 0..cut, wire(first))),
+            Some((PM_CTRL_BYTES, cut..records_len, wire(virt - first))),
+        ]
+    };
+    segments.into_iter().flatten()
 }
 
 /// Retry timer for PM region creation at startup/takeover, disarmed once
@@ -134,15 +136,16 @@ struct AckSlot {
     lsn_end: u64,
 }
 
-/// An append staged for the next chain: its trail writes (≤ 2 segments
-/// when the circular trail wraps) and the ack it owes.
+/// An append staged for the next chain: its trail writes (the second is
+/// there only when the circular trail wraps) and the ack it owes.
 struct StagedAppend {
     slot: AckSlot,
-    parts: Vec<Part>,
+    parts: [Option<Part>; 2],
 }
 
 /// The chain in flight. The payload is kept so a failed round can be
-/// re-driven verbatim.
+/// re-driven verbatim; once the chain completes, its emptied `slots` and
+/// `parts` carry the next one.
 struct Chain {
     token: u64,
     lsn_end: u64,
@@ -165,6 +168,8 @@ pub(crate) struct PmLog {
     /// Appends with LSNs assigned, waiting for the next chain.
     staged: VecDeque<StagedAppend>,
     inflight: Option<Chain>,
+    /// The last completed chain's vectors, emptied, for the next `pump`.
+    spare: (Vec<Part>, Vec<AckSlot>),
     /// Which control-cell slot the NEXT chain targets (the other slot
     /// holds the last published watermark).
     ctrl_slot: usize,
@@ -207,6 +212,7 @@ impl PmLog {
             region_retry: None,
             staged: VecDeque::new(),
             inflight: None,
+            spare: (Vec::new(), Vec::new()),
             ctrl_slot: 0,
             boot_pending: Vec::new(),
             fenced: false,
@@ -263,12 +269,11 @@ impl PmLog {
         if self.fenced || self.inflight.is_some() || self.staged.is_empty() {
             return;
         }
-        let mut parts: Vec<Part> = Vec::new();
-        let mut slots: Vec<AckSlot> = Vec::new();
+        let (mut parts, mut slots) = std::mem::take(&mut self.spare);
         let mut lsn_end = 0;
         while let Some(s) = self.staged.pop_front() {
             lsn_end = s.slot.lsn_end;
-            parts.extend(s.parts);
+            parts.extend(s.parts.into_iter().flatten());
             slots.push(s.slot);
         }
         self.inflight = Some(Chain {
@@ -308,11 +313,16 @@ impl PmLog {
     /// other — holding the last published watermark — intact; the caller
     /// flips `ctrl_slot` once it commits to posting the part.
     fn ctrl_part(&self, watermark: u64) -> Part {
-        let mut cell = Vec::with_capacity(PM_CTRL_SLOT_BYTES as usize);
-        cell.extend_from_slice(&watermark.to_le_bytes());
-        cell.extend_from_slice(&pmm::meta::crc32(&watermark.to_le_bytes()).to_le_bytes());
+        let wm = watermark.to_le_bytes();
+        let mut cell = [0u8; 12];
+        cell[..8].copy_from_slice(&wm);
+        cell[8..].copy_from_slice(&pmm::meta::crc32(&wm).to_le_bytes());
         let off = self.ctrl_slot as u64 * PM_CTRL_SLOT_BYTES;
-        (off, Bytes::from(cell), PM_CTRL_SLOT_BYTES as u32)
+        (
+            off,
+            Bytes::copy_from_slice(&cell),
+            PM_CTRL_SLOT_BYTES as u32,
+        )
     }
 
     /// The chain in flight completed.
@@ -332,16 +342,18 @@ impl PmLog {
             ctx.send_self(pace, Redrive);
             return;
         }
-        let Some(chain) = self.inflight.take() else {
+        let Some(mut chain) = self.inflight.take() else {
             return;
         };
         // Its cell rode behind the data: data, watermark and fence landed
         // together, so everything through `lsn_end` is provably
         // recoverable — release every append the chain carried.
         sh.durable_upto = sh.durable_upto.max(chain.lsn_end);
-        for a in chain.slots {
+        for a in chain.slots.drain(..) {
             sh.send_append_done(ctx, a.from_ep, a.token, a.lsn_start, a.lsn_end);
         }
+        chain.parts.clear();
+        self.spare = (chain.parts, chain.slots);
         sh.answer_waiters(ctx);
         self.pump(sh, ctx);
     }
@@ -406,10 +418,11 @@ impl PmLog {
         // Stage the records for the circular trail (≤ 2 segments when the
         // trail wraps).
         let cap = self.trail_capacity();
-        let parts = split_trail_parts(lsn_start, cap, virt, app.records.len())
-            .into_iter()
-            .map(|(off, range, wire)| (off, app.records.slice(range), wire))
-            .collect();
+        let mut parts = [None, None];
+        let segments = split_trail_parts(lsn_start, cap, virt, app.records.len());
+        for (part, (off, range, wire)) in parts.iter_mut().zip(segments) {
+            *part = Some((off, app.records.slice(range), wire));
+        }
         // One persistence action per appended row (§3.4 accounting); the
         // mirrored legs, wrap segments and batching are below the API.
         sh.stats.lock().pm_writes += 1;
@@ -593,18 +606,19 @@ mod tests {
         let cap = 6 * GIB;
 
         // No wrap, start beyond 4 GiB: offset must keep the full position.
-        let parts = split_trail_parts(5 * GIB, cap, 1024, 1024);
+        let split = |start, virt, len| split_trail_parts(start, cap, virt, len).collect::<Vec<_>>();
+        let parts = split(5 * GIB, 1024, 1024);
         assert_eq!(parts, vec![(PM_CTRL_BYTES + 5 * GIB, 0..1024usize, 1024)]);
 
         // Second lap of the trail (virtual LSN 11 GiB → position 5 GiB).
-        let parts = split_trail_parts(11 * GIB, cap, 512, 512);
+        let parts = split(11 * GIB, 512, 512);
         assert_eq!(parts, vec![(PM_CTRL_BYTES + 5 * GIB, 0..512usize, 512)]);
 
         // Wrap across the capacity boundary at a > 4 GiB position: the
         // first segment starts past 4 GiB, the remainder restarts at the
         // trail base, and the wire lengths partition the append exactly.
         let start = 6 * GIB - 100;
-        let parts = split_trail_parts(start, cap, 300, 300);
+        let parts = split(start, 300, 300);
         assert_eq!(
             parts,
             vec![
@@ -615,7 +629,7 @@ mod tests {
 
         // Virtual-length appends (records shorter than virt) still split
         // by trail geometry, clamping the byte ranges to the real payload.
-        let parts = split_trail_parts(6 * GIB - 64, cap, 4096, 32);
+        let parts = split(6 * GIB - 64, 4096, 32);
         assert_eq!(
             parts,
             vec![
@@ -630,6 +644,6 @@ mod tests {
     fn oversized_segment_fails_loudly_instead_of_wrapping() {
         // A single segment wider than u32::MAX cannot be expressed on the
         // wire; it must panic, not truncate.
-        split_trail_parts(0, 1 << 40, (1 << 32) + 8, 0);
+        split_trail_parts(0, 1 << 40, (1 << 32) + 8, 0).for_each(drop);
     }
 }

@@ -60,9 +60,16 @@ impl AuditRecord {
     }
 
     /// Append the encoded record to `out`. Layout:
-    /// `magic u8 | type u8 | body_len u32 | crc u32 | body`.
+    /// `magic u8 | type u8 | body_len u32 | crc u32 | body`. The body is
+    /// written in place and the header patched behind it, so encoding
+    /// into a buffer with room allocates nothing.
     pub fn encode_into(&self, out: &mut BytesMut) {
-        let mut body = BytesMut::with_capacity(48);
+        let start = out.len();
+        out.put_u8(MAGIC);
+        out.put_u8(self.type_tag());
+        out.put_u32_le(0);
+        out.put_u32_le(0);
+        let body_at = out.len();
         match self {
             AuditRecord::Insert {
                 txn,
@@ -72,32 +79,41 @@ impl AuditRecord {
                 body_crc,
                 body: payload,
             } => {
-                body.put_u64_le(txn.0);
-                body.put_u32_le(partition.file);
-                body.put_u32_le(partition.part);
-                body.put_u64_le(*key);
-                body.put_u32_le(*virtual_len);
-                body.put_u32_le(*body_crc);
-                body.put_u32_le(payload.len() as u32);
-                body.put_slice(payload);
+                out.put_u64_le(txn.0);
+                out.put_u32_le(partition.file);
+                out.put_u32_le(partition.part);
+                out.put_u64_le(*key);
+                out.put_u32_le(*virtual_len);
+                out.put_u32_le(*body_crc);
+                out.put_u32_le(payload.len() as u32);
+                out.put_slice(payload);
             }
             AuditRecord::Commit { txn }
             | AuditRecord::Abort { txn }
             | AuditRecord::Prepared { txn } => {
-                body.put_u64_le(txn.0);
+                out.put_u64_le(txn.0);
             }
             AuditRecord::CheckpointMark { active_txns } => {
-                body.put_u32_le(active_txns.len() as u32);
+                out.put_u32_le(active_txns.len() as u32);
                 for t in active_txns {
-                    body.put_u64_le(t.0);
+                    out.put_u64_le(t.0);
                 }
             }
         }
-        out.put_u8(MAGIC);
-        out.put_u8(self.type_tag());
-        out.put_u32_le(body.len() as u32);
-        out.put_u32_le(pmm::meta::crc32(&body));
-        out.put_slice(&body);
+        let body_len = (out.len() - body_at) as u32;
+        let crc = pmm::meta::crc32(&out[body_at..]);
+        out[start + 2..start + 6].copy_from_slice(&body_len.to_le_bytes());
+        out[start + 6..body_at].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// The encoded record at exactly its size, built in `scratch` (left
+    /// empty for the next record): one allocation, where [`Self::encode`]
+    /// makes two.
+    pub fn encode_in(&self, scratch: &mut BytesMut) -> Bytes {
+        self.encode_into(scratch);
+        let records = Bytes::copy_from_slice(scratch);
+        scratch.clear();
+        records
     }
 
     pub fn encode(&self) -> Bytes {
@@ -236,9 +252,12 @@ mod tests {
                 txn: TxnId::compose(3, 44),
             },
         ];
+        let mut scratch = BytesMut::new();
         for r in recs {
             let enc = r.encode();
             assert_eq!(enc.len(), r.encoded_len());
+            assert_eq!(r.encode_in(&mut scratch), enc);
+            assert!(scratch.is_empty());
             let (back, used) = AuditRecord::decode(&enc).unwrap();
             assert_eq!(back, r);
             assert_eq!(used, enc.len());

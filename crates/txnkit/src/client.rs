@@ -4,7 +4,9 @@
 //! transaction-program loop: begin → inserts → commit. [`TxnClient`]
 //! tracks, per transaction, which ADPs its inserts reached and the highest
 //! not-yet-durable LSN on each — the flush points the TMF must harden at
-//! commit — plus the involved DP2s for post-commit lock release.
+//! commit — plus the involved DP2s for post-commit lock release. Both are
+//! kept as vectors sorted by name, so a commit hands them to the TMF as
+//! they are.
 
 use crate::types::*;
 use bytes::Bytes;
@@ -12,15 +14,16 @@ use nsk::machine::{CpuId, SharedMachine};
 use simcore::hash::FastMap;
 use simcore::Ctx;
 use simnet::EndpointId;
-use std::collections::{BTreeMap, BTreeSet};
 
 pub struct TxnClient {
     machine: SharedMachine,
     ep: EndpointId,
     cpu: CpuId,
     tmf: String,
-    flush_points: FastMap<TxnId, BTreeMap<String, Lsn>>,
-    involved: FastMap<TxnId, BTreeSet<String>>,
+    /// Per transaction, `(ADP, highest LSN)` sorted by ADP name.
+    flush_points: FastMap<TxnId, Vec<(String, Lsn)>>,
+    /// Per transaction, the involved DP2 names, sorted and distinct.
+    involved: FastMap<TxnId, Vec<String>>,
 }
 
 impl TxnClient {
@@ -37,13 +40,12 @@ impl TxnClient {
 
     /// Request a new transaction; [`TxnBegun`] arrives with `token`.
     pub fn begin(&mut self, ctx: &mut Ctx<'_>, token: u64) -> bool {
-        let machine = self.machine.clone();
         nsk::proc::send_to_process(
             ctx,
-            &machine,
+            &self.machine,
             self.ep,
             self.cpu,
-            &self.tmf.clone(),
+            &self.tmf,
             24,
             BeginTxn { token },
         )
@@ -64,14 +66,13 @@ impl TxnClient {
         virtual_len: u32,
         token: u64,
     ) -> bool {
-        self.involved
-            .entry(txn)
-            .or_default()
-            .insert(dp2.to_string());
-        let machine = self.machine.clone();
+        let involved = self.involved.entry(txn).or_default();
+        if let Err(at) = involved.binary_search_by(|d| d.as_str().cmp(dp2)) {
+            involved.insert(at, dp2.to_string());
+        }
         nsk::proc::send_to_process(
             ctx,
-            &machine,
+            &self.machine,
             self.ep,
             self.cpu,
             dp2,
@@ -96,9 +97,9 @@ impl TxnClient {
             InsertResult::Ok { .. } if done.durable => true,
             InsertResult::Ok { adp, lsn } => {
                 let points = self.flush_points.entry(done.txn).or_default();
-                let e = points.entry(adp.clone()).or_insert(*lsn);
-                if *lsn > *e {
-                    *e = *lsn;
+                match points.binary_search_by(|(a, _)| a.cmp(adp)) {
+                    Ok(at) => points[at].1 = points[at].1.max(*lsn),
+                    Err(at) => points.insert(at, (adp.clone(), *lsn)),
                 }
                 true
             }
@@ -109,23 +110,14 @@ impl TxnClient {
     /// Commit: sends the accumulated flush points to the TMF.
     /// [`TxnCommitted`] arrives when durable.
     pub fn commit(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) -> bool {
-        let flush_points: Vec<(String, Lsn)> = self
-            .flush_points
-            .remove(&txn)
-            .map(|m| m.into_iter().collect())
-            .unwrap_or_default();
-        let involved_dp2: Vec<String> = self
-            .involved
-            .remove(&txn)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
-        let machine = self.machine.clone();
+        let flush_points = self.flush_points.remove(&txn).unwrap_or_default();
+        let involved_dp2 = self.involved.remove(&txn).unwrap_or_default();
         nsk::proc::send_to_process(
             ctx,
-            &machine,
+            &self.machine,
             self.ep,
             self.cpu,
-            &self.tmf.clone(),
+            &self.tmf,
             64,
             CommitTxn {
                 txn,
@@ -138,18 +130,13 @@ impl TxnClient {
     /// Abort a transaction.
     pub fn abort(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) -> bool {
         self.flush_points.remove(&txn);
-        let involved_dp2: Vec<String> = self
-            .involved
-            .remove(&txn)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
-        let machine = self.machine.clone();
+        let involved_dp2 = self.involved.remove(&txn).unwrap_or_default();
         nsk::proc::send_to_process(
             ctx,
-            &machine,
+            &self.machine,
             self.ep,
             self.cpu,
-            &self.tmf.clone(),
+            &self.tmf,
             32,
             AbortTxn { txn, involved_dp2 },
         )
@@ -180,8 +167,13 @@ mod tests {
             }));
         }
         let points = c.flush_points.get(&txn).unwrap();
-        assert_eq!(points["$ADP0"], Lsn(100));
-        assert_eq!(points["$ADP1"], Lsn(10));
+        assert_eq!(
+            points[..],
+            [
+                ("$ADP0".to_string(), Lsn(100)),
+                ("$ADP1".to_string(), Lsn(10))
+            ]
+        );
         assert!(!c.note_insert_done(&InsertDone {
             txn,
             token: 0,
@@ -209,7 +201,6 @@ mod tests {
         // Mixed backends: only the trail that still needs a flush is named.
         assert!(c.note_insert_done(&done("$ADP1", 40, false)));
         let points = &c.flush_points[&TxnId(5)];
-        assert_eq!(points.len(), 1);
-        assert_eq!(points["$ADP1"], Lsn(40));
+        assert_eq!(points[..], [("$ADP1".to_string(), Lsn(40))]);
     }
 }

@@ -674,7 +674,6 @@ impl ReplicaApply {
                 // the standby image is byte-identical to the primary's.
                 let parts: Vec<(u64, Bytes, u32)> =
                     crate::adp::pm::split_trail_parts(applied, cap, data.len() as u64, data.len())
-                        .into_iter()
                         .map(|(off, range, wire)| (off, data.slice(range), wire))
                         .collect();
                 let tok = self.token(ApplyToken::Data { part: i, end });

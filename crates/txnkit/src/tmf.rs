@@ -44,10 +44,12 @@
 //! consulting the coordinator shard's trail: commit iff the decision
 //! record is there, else presumed abort (see `recovery::redo_scan_sharded`).
 
+use crate::audit::AuditRecord;
 use crate::config::TxnConfig;
 use crate::shard::ShardDirectory;
 use crate::stats::SharedTxnStats;
 use crate::types::*;
+use bytes::BytesMut;
 use nsk::machine::{CpuId, SharedMachine, WatchTarget};
 use nsk::proc::{Checkpoint, CheckpointAck, ProcessDied};
 use simcore::hash::FastMap;
@@ -76,7 +78,6 @@ enum Role {
 /// What an outstanding sub-operation is, for retry across ADP takeovers
 /// (a takeover loses the old primary's buffered waiters, so the TMF
 /// re-drives; duplicate commit records in the trail are harmless).
-#[derive(Clone)]
 enum SubKind {
     DataFlush {
         adp: String,
@@ -206,15 +207,17 @@ pub struct TmfProc {
     ckpt_waiters: BTreeMap<u64, u64>, // ckpt seq → commit token
     next_ckpt: u64,
     commits_since_mark: u64,
+    /// Trail records are encoded here and copied out once, at their size.
+    scratch: BytesMut,
 }
 
 impl TmfProc {
     /// The master-trail partition a transaction's records route to.
-    fn master_for(&self, txn: TxnId) -> Option<String> {
+    fn master_for(&self, txn: TxnId) -> Option<&str> {
         if self.master_adps.is_empty() {
             return None;
         }
-        Some(self.master_adps[txn.audit_partition(self.master_adps.len())].clone())
+        Some(&self.master_adps[txn.audit_partition(self.master_adps.len())])
     }
 
     fn has_backup(&self) -> bool {
@@ -247,8 +250,32 @@ impl TmfProc {
     }
 
     fn send_proc<M: 'static>(&self, ctx: &mut Ctx<'_>, to: &str, bytes: u32, msg: M) {
-        let machine = self.machine.clone();
-        nsk::proc::send_to_process(ctx, &machine, self.ep, self.cpu, to, bytes, msg);
+        nsk::proc::send_to_process(ctx, &self.machine, self.ep, self.cpu, to, bytes, msg);
+    }
+
+    /// Append `rec` to `txn`'s master-trail partition under `token`,
+    /// padded to at least `min_virt` virtual bytes. No master trail, no
+    /// append.
+    fn append_record(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        txn: TxnId,
+        rec: &AuditRecord,
+        min_virt: u32,
+        token: u64,
+    ) {
+        if self.master_adps.is_empty() {
+            return;
+        }
+        let records = rec.encode_in(&mut self.scratch);
+        let virtual_len = (records.len() as u32).max(min_virt);
+        let master = self.master_for(txn).expect("master adp");
+        let msg = AuditAppend {
+            records,
+            virtual_len,
+            token,
+        };
+        self.send_proc(ctx, master, virtual_len, msg);
     }
 
     /// Ask `adp` to make its trail durable through `upto` — the one place
@@ -260,71 +287,45 @@ impl TmfProc {
 
     /// Fire-and-forget trail append (abort/outcome records, marks): the
     /// token is never registered, so its `AppendDone` is ignored.
-    fn orphan_append(&mut self, ctx: &mut Ctx<'_>, rec: &crate::audit::AuditRecord, txn: TxnId) {
-        if let Some(master) = self.master_for(txn) {
-            let enc = rec.encode();
-            let virt = enc.len() as u32;
-            let sub = self.next_subop;
-            self.next_subop += 1;
-            self.send_proc(
-                ctx,
-                &master,
-                virt,
-                AuditAppend {
-                    records: enc,
-                    virtual_len: virt,
-                    token: sub,
-                },
-            );
+    fn orphan_append(&mut self, ctx: &mut Ctx<'_>, rec: &AuditRecord, txn: TxnId) {
+        if self.master_adps.is_empty() {
+            return;
         }
+        let sub = self.next_subop;
+        self.next_subop += 1;
+        self.append_record(ctx, txn, rec, 0, sub);
     }
 
-    /// Re-drive a sub-operation that got no answer (e.g. its ADP failed
-    /// over and the new primary never saw it, or a peer TMF's reply was
-    /// lost to a takeover).
-    fn reissue(&mut self, ctx: &mut Ctx<'_>, sub: u64, attempt: u32) {
-        let Some((_, kind, _)) = self.subop.get(&sub).cloned() else {
+    /// Register sub-operation `kind` of commit `commit_token` and send
+    /// it.
+    fn start_sub(&mut self, ctx: &mut Ctx<'_>, commit_token: u64, kind: SubKind) {
+        let sub = self.sub_token(ctx, commit_token, kind);
+        self.send_sub(ctx, sub);
+    }
+
+    /// Send sub-operation `sub` as it is registered — the one place a
+    /// sub-operation leaves the TMF, first issue and re-drive alike.
+    fn send_sub(&mut self, ctx: &mut Ctx<'_>, sub: u64) {
+        let Some((_, kind, _)) = self.subop.get(&sub) else {
             return;
         };
         match kind {
             SubKind::DataFlush { adp, upto } | SubKind::PrepDataFlush { adp, upto, .. } => {
-                self.send_flush(ctx, &adp, upto, sub);
+                self.send_flush(ctx, adp, *upto, sub);
             }
             SubKind::MasterAppend { txn } => {
-                if let Some(master) = self.master_for(txn) {
-                    let enc = crate::audit::AuditRecord::Commit { txn }.encode();
-                    let virt = (enc.len() as u32).max(COMMIT_RECORD_BYTES);
-                    self.send_proc(
-                        ctx,
-                        &master,
-                        virt,
-                        AuditAppend {
-                            records: enc,
-                            virtual_len: virt,
-                            token: sub,
-                        },
-                    );
-                }
+                let txn = *txn;
+                let rec = AuditRecord::Commit { txn };
+                self.append_record(ctx, txn, &rec, COMMIT_RECORD_BYTES, sub);
             }
             SubKind::PrepAppend { txn } => {
-                if let Some(master) = self.master_for(txn) {
-                    let enc = crate::audit::AuditRecord::Prepared { txn }.encode();
-                    let virt = (enc.len() as u32).max(COMMIT_RECORD_BYTES);
-                    self.send_proc(
-                        ctx,
-                        &master,
-                        virt,
-                        AuditAppend {
-                            records: enc,
-                            virtual_len: virt,
-                            token: sub,
-                        },
-                    );
-                }
+                let txn = *txn;
+                let rec = AuditRecord::Prepared { txn };
+                self.append_record(ctx, txn, &rec, COMMIT_RECORD_BYTES, sub);
             }
             SubKind::MasterFlush { txn, upto } | SubKind::PrepFlush { txn, upto } => {
-                if let Some(master) = self.master_for(txn) {
-                    self.send_flush(ctx, &master, upto, sub);
+                if let Some(master) = self.master_for(*txn) {
+                    self.send_flush(ctx, master, *upto, sub);
                 }
             }
             SubKind::Prepare {
@@ -333,38 +334,38 @@ impl TmfProc {
                 flush_points,
                 involved_dp2,
             } => {
-                let (dir, name) = (self.directory.clone(), self.name.clone());
-                self.send_proc(
-                    ctx,
-                    dir.tmf(peer),
-                    64,
-                    PrepareTxn {
-                        txn,
-                        coord: name,
-                        flush_points,
-                        involved_dp2,
-                        token: sub,
-                    },
-                );
+                let msg = PrepareTxn {
+                    txn: *txn,
+                    coord: self.name.clone(),
+                    flush_points: flush_points.clone(),
+                    involved_dp2: involved_dp2.clone(),
+                    token: sub,
+                };
+                self.send_proc(ctx, self.directory.tmf(*peer), 64, msg);
             }
             SubKind::Decision {
                 peer,
                 txn,
                 committed,
             } => {
-                let dir = self.directory.clone();
-                self.send_proc(
-                    ctx,
-                    dir.tmf(peer),
-                    24,
-                    DecisionTxn {
-                        txn,
-                        committed,
-                        token: sub,
-                    },
-                );
+                let msg = DecisionTxn {
+                    txn: *txn,
+                    committed: *committed,
+                    token: sub,
+                };
+                self.send_proc(ctx, self.directory.tmf(*peer), 24, msg);
             }
         }
+    }
+
+    /// Re-drive a sub-operation that got no answer (e.g. its ADP failed
+    /// over and the new primary never saw it, or a peer TMF's reply was
+    /// lost to a takeover).
+    fn reissue(&mut self, ctx: &mut Ctx<'_>, sub: u64, attempt: u32) {
+        if !self.subop.contains_key(&sub) {
+            return;
+        }
+        self.send_sub(ctx, sub);
         let next = attempt + 1;
         let retry = ctx.arm_timer(
             crate::config::sub_retry_delay(next),
@@ -414,20 +415,7 @@ impl TmfProc {
             self.commit_hardened(ctx, token);
         } else {
             state.phase = CommitPhase::MasterAppend;
-            let sub = self.sub_token(ctx, token, SubKind::MasterAppend { txn });
-            let master = self.master_for(txn).expect("master adp");
-            let enc = crate::audit::AuditRecord::Commit { txn }.encode();
-            let virt = (enc.len() as u32).max(COMMIT_RECORD_BYTES);
-            self.send_proc(
-                ctx,
-                &master,
-                virt,
-                AuditAppend {
-                    records: enc,
-                    virtual_len: virt,
-                    token: sub,
-                },
-            );
+            self.start_sub(ctx, token, SubKind::MasterAppend { txn });
         }
     }
 
@@ -445,14 +433,12 @@ impl TmfProc {
             self.next_ckpt += 1;
             self.ckpt_waiters.insert(seq, token);
             self.stats.lock().tmf_checkpoints += 1;
-            let machine = self.machine.clone();
-            let name = self.name.clone();
             nsk::proc::send_to_backup(
                 ctx,
-                &machine,
+                &self.machine,
                 self.ep,
                 self.cpu,
-                &name,
+                &self.name,
                 crate::config::CHECKPOINT_OVERHEAD_BYTES,
                 Checkpoint {
                     seq,
@@ -484,25 +470,21 @@ impl TmfProc {
         // order is reproducible, but it is an accident of the hasher.
         let mut active: Vec<TxnId> = self.commits.values().map(|c| c.txn).collect();
         active.sort_unstable();
-        let rec = crate::audit::AuditRecord::CheckpointMark {
+        let records = AuditRecord::CheckpointMark {
             active_txns: active,
-        };
-        let enc = rec.encode();
-        let virt = enc.len() as u32;
-        for master in self.master_adps.clone() {
+        }
+        .encode_in(&mut self.scratch);
+        let virt = records.len() as u32;
+        for master in &self.master_adps {
             // Fire-and-forget orphan append (like abort records).
             let sub = self.next_subop;
             self.next_subop += 1;
-            self.send_proc(
-                ctx,
-                &master,
-                virt,
-                AuditAppend {
-                    records: enc.clone(),
-                    virtual_len: virt,
-                    token: sub,
-                },
-            );
+            let msg = AuditAppend {
+                records: records.clone(),
+                virtual_len: virt,
+                token: sub,
+            };
+            nsk::proc::send_to_process(ctx, &self.machine, self.ep, self.cpu, master, virt, msg);
         }
     }
 
@@ -531,27 +513,13 @@ impl TmfProc {
         self.maybe_checkpoint_mark(ctx);
         // Decision fan-out to participant shards (retried until acked;
         // off the response path — the decision record is already durable).
-        for peer in &state.participants {
-            let sub = self.sub_token(
-                ctx,
-                token,
-                SubKind::Decision {
-                    peer: *peer,
-                    txn: state.txn,
-                    committed: true,
-                },
-            );
-            let dir = self.directory.clone();
-            self.send_proc(
-                ctx,
-                dir.tmf(*peer),
-                24,
-                DecisionTxn {
-                    txn: state.txn,
-                    committed: true,
-                    token: sub,
-                },
-            );
+        for &peer in &state.participants {
+            let kind = SubKind::Decision {
+                peer,
+                txn: state.txn,
+                committed: true,
+            };
+            self.start_sub(ctx, token, kind);
         }
         // Post-commit lock release at every locally-involved DP2 (off the
         // response path).
@@ -586,20 +554,7 @@ impl TmfProc {
             self.prep_durable(ctx, txn);
             return;
         }
-        let sub = self.sub_token(ctx, 0, SubKind::PrepAppend { txn });
-        let master = self.master_for(txn).expect("master adp");
-        let enc = crate::audit::AuditRecord::Prepared { txn }.encode();
-        let virt = (enc.len() as u32).max(COMMIT_RECORD_BYTES);
-        self.send_proc(
-            ctx,
-            &master,
-            virt,
-            AuditAppend {
-                records: enc,
-                virtual_len: virt,
-                token: sub,
-            },
-        );
+        self.start_sub(ctx, 0, SubKind::PrepAppend { txn });
     }
 
     /// The `Prepared` record is durable: this shard is in-doubt; vote yes.
@@ -609,9 +564,9 @@ impl TmfProc {
         };
         st.durable = true;
         self.stats.lock().twopc_prepares += 1;
-        let coord = st.coord.clone();
         let token = st.coord_token;
-        self.send_proc(ctx, &coord, 24, PrepareAck { txn, token });
+        let st = &self.prepared[&txn];
+        self.send_proc(ctx, &st.coord, 24, PrepareAck { txn, token });
     }
 }
 
@@ -730,33 +685,32 @@ impl Actor for TmfProc {
             let payload = match payload.downcast::<CommitTxn>() {
                 Ok(req) => {
                     self.charge_cpu(ctx);
-                    let req = *req;
-                    // Split the commit's work by owning shard.
-                    let mut local_flush: Vec<(String, Lsn)> = Vec::new();
-                    let mut local_dp2: Vec<String> = Vec::new();
+                    let CommitTxn {
+                        txn,
+                        flush_points: mut local_flush,
+                        involved_dp2: mut local_dp2,
+                    } = *req;
+                    // Split the commit's work by owning shard: what stays
+                    // local stays in the request's own vectors.
                     let mut remote: FastMap<u32, ShardWork> = FastMap::default();
-                    for (adp, lsn) in req.flush_points {
-                        let s = self.directory.shard_of(&adp);
-                        if s == self.shard {
-                            local_flush.push((adp, lsn));
-                        } else {
-                            remote.entry(s).or_default().0.push((adp, lsn));
-                        }
+                    let (dir, shard) = (&self.directory, self.shard);
+                    for (adp, lsn) in local_flush.extract_if(.., |(a, _)| dir.shard_of(a) != shard)
+                    {
+                        remote
+                            .entry(dir.shard_of(&adp))
+                            .or_default()
+                            .0
+                            .push((adp, lsn));
                     }
-                    for dp2 in req.involved_dp2 {
-                        let s = self.directory.shard_of(&dp2);
-                        if s == self.shard {
-                            local_dp2.push(dp2);
-                        } else {
-                            remote.entry(s).or_default().1.push(dp2);
-                        }
+                    for dp2 in local_dp2.extract_if(.., |d| dir.shard_of(d) != shard) {
+                        remote.entry(dir.shard_of(&dp2)).or_default().1.push(dp2);
                     }
                     let token = self.next_token;
                     self.next_token += 1;
                     let mut participants: Vec<u32> = remote.keys().copied().collect();
                     participants.sort_unstable();
                     let state = CommitState {
-                        txn: req.txn,
+                        txn,
                         driver_ep: from_ep,
                         involved_dp2: local_dp2,
                         participants: participants.clone(),
@@ -767,43 +721,18 @@ impl Actor for TmfProc {
                         started_ns: ctx.now().as_nanos(),
                     };
                     self.commits.insert(token, state);
-                    for (adp, lsn) in local_flush {
-                        let sub = self.sub_token(
-                            ctx,
-                            token,
-                            SubKind::DataFlush {
-                                adp: adp.clone(),
-                                upto: lsn,
-                            },
-                        );
-                        self.send_flush(ctx, &adp, lsn, sub);
+                    for (adp, upto) in local_flush {
+                        self.start_sub(ctx, token, SubKind::DataFlush { adp, upto });
                     }
                     for peer in participants {
-                        let (fps, dp2s) = remote.remove(&peer).unwrap_or_default();
-                        let sub = self.sub_token(
-                            ctx,
-                            token,
-                            SubKind::Prepare {
-                                peer,
-                                txn: req.txn,
-                                flush_points: fps.clone(),
-                                involved_dp2: dp2s.clone(),
-                            },
-                        );
-                        let dir = self.directory.clone();
-                        let name = self.name.clone();
-                        self.send_proc(
-                            ctx,
-                            dir.tmf(peer),
-                            64,
-                            PrepareTxn {
-                                txn: req.txn,
-                                coord: name,
-                                flush_points: fps,
-                                involved_dp2: dp2s,
-                                token: sub,
-                            },
-                        );
+                        let (flush_points, involved_dp2) = remote.remove(&peer).unwrap_or_default();
+                        let kind = SubKind::Prepare {
+                            peer,
+                            txn,
+                            flush_points,
+                            involved_dp2,
+                        };
+                        self.start_sub(ctx, token, kind);
                     }
                     // Read-only (nothing to flush anywhere): advances
                     // straight through phase 1.
@@ -825,11 +754,7 @@ impl Actor for TmfProc {
                     // involved DP2s directly — names resolve cluster-wide
                     // — is sufficient; participant trails hold no
                     // prepared state to clean up.
-                    self.orphan_append(
-                        ctx,
-                        &crate::audit::AuditRecord::Abort { txn: req.txn },
-                        req.txn,
-                    );
+                    self.orphan_append(ctx, &AuditRecord::Abort { txn: req.txn }, req.txn);
                     for dp2 in &req.involved_dp2 {
                         self.send_proc(
                             ctx,
@@ -866,16 +791,12 @@ impl Actor for TmfProc {
                         st.coord = req.coord;
                         st.coord_token = req.token;
                         if st.durable {
-                            let coord = st.coord.clone();
-                            self.send_proc(
-                                ctx,
-                                &coord,
-                                24,
-                                PrepareAck {
-                                    txn: req.txn,
-                                    token: req.token,
-                                },
-                            );
+                            let ack = PrepareAck {
+                                txn: req.txn,
+                                token: req.token,
+                            };
+                            let st = &self.prepared[&req.txn];
+                            self.send_proc(ctx, &st.coord, 24, ack);
                         }
                         return;
                     }
@@ -893,17 +814,13 @@ impl Actor for TmfProc {
                     if req.flush_points.is_empty() {
                         self.prep_append(ctx, req.txn);
                     } else {
-                        for (adp, lsn) in req.flush_points {
-                            let sub = self.sub_token(
-                                ctx,
-                                0,
-                                SubKind::PrepDataFlush {
-                                    txn: req.txn,
-                                    adp: adp.clone(),
-                                    upto: lsn,
-                                },
-                            );
-                            self.send_flush(ctx, &adp, lsn, sub);
+                        for (adp, upto) in req.flush_points {
+                            let kind = SubKind::PrepDataFlush {
+                                txn: req.txn,
+                                adp,
+                                upto,
+                            };
+                            self.start_sub(ctx, 0, kind);
                         }
                     }
                     return;
@@ -941,9 +858,9 @@ impl Actor for TmfProc {
                         // resolves the txn without consulting the
                         // coordinator once this lands.
                         let rec = if d.committed {
-                            crate::audit::AuditRecord::Commit { txn: d.txn }
+                            AuditRecord::Commit { txn: d.txn }
                         } else {
-                            crate::audit::AuditRecord::Abort { txn: d.txn }
+                            AuditRecord::Abort { txn: d.txn }
                         };
                         self.orphan_append(ctx, &rec, d.txn);
                         for dp2 in &st.involved_dp2 {
@@ -997,10 +914,7 @@ impl Actor for TmfProc {
                                 self.commits.get_mut(&token).unwrap().phase =
                                     CommitPhase::MasterFlush;
                                 let upto = done.lsn_end;
-                                let sub =
-                                    self.sub_token(ctx, token, SubKind::MasterFlush { txn, upto });
-                                let master = self.master_for(txn).expect("master adp");
-                                self.send_flush(ctx, &master, upto, sub);
+                                self.start_sub(ctx, token, SubKind::MasterFlush { txn, upto });
                             }
                         }
                         SubKind::PrepAppend { txn } => {
@@ -1008,9 +922,7 @@ impl Actor for TmfProc {
                                 self.prep_durable(ctx, txn);
                             } else {
                                 let upto = done.lsn_end;
-                                let sub = self.sub_token(ctx, 0, SubKind::PrepFlush { txn, upto });
-                                let master = self.master_for(txn).expect("master adp");
-                                self.send_flush(ctx, &master, upto, sub);
+                                self.start_sub(ctx, 0, SubKind::PrepFlush { txn, upto });
                             }
                         }
                         _ => {}
@@ -1096,6 +1008,7 @@ pub fn install_tmf(
                 ckpt_waiters: BTreeMap::new(),
                 next_ckpt: 0,
                 commits_since_mark: 0,
+                scratch: BytesMut::new(),
             })
         }
     };
