@@ -16,8 +16,10 @@
 //! * message IPC: same-CPU messages at local dispatch cost, cross-CPU
 //!   messages over the `simnet` fabric (each process owns a ServerNet
 //!   endpoint, mirroring NSK's network-addressed services);
-//! * process-pair plumbing: [`proc::Checkpoint`]/[`proc::CheckpointAck`]
-//!   message types and backup registration/promotion;
+//! * process-pair plumbing, written once in [`pair`]: the protocol as a
+//!   pure state machine ([`pair::PairCore`]) and the shell that puts it
+//!   on the wire ([`pair::Pair`]: own-name watch, promotion, checkpoints
+//!   to the current backup and their acks);
 //! * a fault [`monitor::Monitor`] actor that executes a declarative
 //!   `FaultPlan` — killing CPUs or processes, detaching their endpoints,
 //!   and notifying registered watchers after the configured failure
@@ -29,8 +31,9 @@
 
 pub mod machine;
 pub mod monitor;
+pub mod pair;
 pub mod proc;
 
 pub use machine::{CpuId, Machine, MachineConfig, SharedMachine};
 pub use monitor::Monitor;
-pub use proc::{send_to_backup, send_to_process, Checkpoint, CheckpointAck, CpuDied, ProcessDied};
+pub use proc::{send_to_process, Checkpoint, CheckpointAck, CpuDied, ProcessDied};

@@ -86,31 +86,25 @@ impl Machine {
         })
     }
 
-    /// Register a spawned actor as the *primary* of process `name` on
-    /// `cpu`, allocating its ServerNet endpoint. Returns the endpoint.
-    pub fn register_primary(&mut self, name: &str, actor: ActorId, cpu: CpuId) -> EndpointId {
-        assert!(cpu.0 < self.cfg.cpus, "cpu out of range");
-        let ep = self.net.lock().attach(actor);
-        self.ep_cpu.insert(ep, cpu);
-        let side = ProcSide { actor, ep, cpu };
-        let entry = self.procs.entry(name.to_string()).or_insert(ProcEntry {
-            primary: side,
-            backup: None,
-        });
-        entry.primary = side;
-        ep
-    }
-
-    /// Register the *backup* half of a pair.
-    pub fn register_backup(&mut self, name: &str, actor: ActorId, cpu: CpuId) -> EndpointId {
-        let ep = self.net.lock().attach(actor);
-        self.ep_cpu.insert(ep, cpu);
-        let entry = self
-            .procs
-            .get_mut(name)
-            .expect("backup registered before primary");
-        entry.backup = Some(ProcSide { actor, ep, cpu });
-        ep
+    /// Enter `side` in the registry as the primary of process `name`, or
+    /// as its backup (the primary comes first).
+    fn enter(&mut self, name: &str, side: ProcSide, backup: bool) {
+        self.ep_cpu.insert(side.ep, side.cpu);
+        if backup {
+            let entry = self
+                .procs
+                .get_mut(name)
+                .expect("backup registered before primary");
+            entry.backup = Some(side);
+        } else {
+            self.procs
+                .entry(name.to_string())
+                .and_modify(|e| e.primary = side)
+                .or_insert(ProcEntry {
+                    primary: side,
+                    backup: None,
+                });
+        }
     }
 
     /// Resolve a process name to its current primary.
@@ -227,24 +221,7 @@ pub fn install_primary<F>(
 where
     F: FnOnce(EndpointId) -> Box<dyn simcore::Actor>,
 {
-    let net = machine.lock().net.clone();
-    let ep = net.lock().attach(ActorId(u32::MAX));
-    let actor = {
-        let boxed = make(ep);
-        sim.spawn_dyn(boxed)
-    };
-    net.lock().rebind(ep, actor);
-    {
-        let mut m = machine.lock();
-        m.ep_cpu.insert(ep, cpu);
-        let side = ProcSide { actor, ep, cpu };
-        let entry = m.procs.entry(name.to_string()).or_insert(ProcEntry {
-            primary: side,
-            backup: None,
-        });
-        entry.primary = side;
-    }
-    (actor, ep)
+    install(sim, machine, name, cpu, make, false)
 }
 
 /// As [`install_primary`], for the backup half of a pair.
@@ -258,22 +235,27 @@ pub fn install_backup<F>(
 where
     F: FnOnce(EndpointId) -> Box<dyn simcore::Actor>,
 {
+    install(sim, machine, name, cpu, make, true)
+}
+
+fn install<F>(
+    sim: &mut Sim,
+    machine: &SharedMachine,
+    name: &str,
+    cpu: CpuId,
+    make: F,
+    backup: bool,
+) -> (ActorId, EndpointId)
+where
+    F: FnOnce(EndpointId) -> Box<dyn simcore::Actor>,
+{
     let net = machine.lock().net.clone();
     let ep = net.lock().attach(ActorId(u32::MAX));
-    let actor = {
-        let boxed = make(ep);
-        sim.spawn_dyn(boxed)
-    };
+    let actor = sim.spawn_dyn(make(ep));
     net.lock().rebind(ep, actor);
-    {
-        let mut m = machine.lock();
-        m.ep_cpu.insert(ep, cpu);
-        let entry = m
-            .procs
-            .get_mut(name)
-            .expect("backup registered before primary");
-        entry.backup = Some(ProcSide { actor, ep, cpu });
-    }
+    machine
+        .lock()
+        .enter(name, ProcSide { actor, ep, cpu }, backup);
     (actor, ep)
 }
 
@@ -287,25 +269,42 @@ mod tests {
         Machine::new(MachineConfig::default(), net)
     }
 
+    struct Idle;
+    impl simcore::Actor for Idle {
+        fn handle(&mut self, _ctx: &mut simcore::Ctx<'_>, _msg: simcore::Msg) {}
+    }
+
+    /// Install an idle primary of `name` on `cpu`, or its backup.
+    fn idle(
+        sim: &mut Sim,
+        m: &SharedMachine,
+        name: &str,
+        cpu: u32,
+        backup: bool,
+    ) -> (ActorId, EndpointId) {
+        let make = |_| Box::new(Idle) as Box<dyn simcore::Actor>;
+        install(sim, m, name, CpuId(cpu), make, backup)
+    }
+
     #[test]
     fn register_and_resolve() {
-        let m = machine();
-        let mut m = m.lock();
-        let ep = m.register_primary("$adp0", ActorId(1), CpuId(0));
-        assert_eq!(m.resolve("$adp0").unwrap().actor, ActorId(1));
+        let (m, mut sim) = (machine(), Sim::with_seed(1));
+        let (a, ep) = idle(&mut sim, &m, "$adp0", 0, false);
+        let m = m.lock();
+        assert_eq!(m.resolve("$adp0").unwrap().actor, a);
         assert_eq!(m.cpu_of_ep(ep), Some(CpuId(0)));
         assert!(m.resolve("$nope").is_none());
     }
 
     #[test]
     fn promote_backup_swaps_primary() {
-        let m = machine();
+        let (m, mut sim) = (machine(), Sim::with_seed(1));
+        idle(&mut sim, &m, "$pmm", 0, false);
+        let (b, _) = idle(&mut sim, &m, "$pmm", 1, true);
         let mut m = m.lock();
-        m.register_primary("$pmm", ActorId(1), CpuId(0));
-        m.register_backup("$pmm", ActorId(2), CpuId(1));
         let newp = m.promote_backup("$pmm").unwrap();
-        assert_eq!(newp.actor, ActorId(2));
-        assert_eq!(m.resolve("$pmm").unwrap().actor, ActorId(2));
+        assert_eq!(newp.actor, b);
+        assert_eq!(m.resolve("$pmm").unwrap().actor, b);
         assert!(m.resolve_backup("$pmm").is_none());
         // Second promote has no backup to promote.
         assert!(m.promote_backup("$pmm").is_none());
@@ -313,13 +312,10 @@ mod tests {
 
     #[test]
     fn old_primary_endpoint_detached_on_promote() {
-        let m = machine();
-        let (net, old_ep) = {
-            let mut mm = m.lock();
-            let ep = mm.register_primary("$p", ActorId(1), CpuId(0));
-            mm.register_backup("$p", ActorId(2), CpuId(1));
-            (mm.net.clone(), ep)
-        };
+        let (m, mut sim) = (machine(), Sim::with_seed(1));
+        let (_, old_ep) = idle(&mut sim, &m, "$p", 0, false);
+        idle(&mut sim, &m, "$p", 1, true);
+        let net = m.lock().net.clone();
         m.lock().promote_backup("$p");
         assert_eq!(net.lock().actor_of(old_ep), None);
     }
@@ -336,11 +332,11 @@ mod tests {
 
     #[test]
     fn procs_on_cpu_lists_both_sides() {
-        let m = machine();
-        let mut m = m.lock();
-        m.register_primary("$a", ActorId(1), CpuId(0));
-        m.register_backup("$a", ActorId(2), CpuId(1));
-        m.register_primary("$b", ActorId(3), CpuId(0));
+        let (m, mut sim) = (machine(), Sim::with_seed(1));
+        idle(&mut sim, &m, "$a", 0, false);
+        idle(&mut sim, &m, "$a", 1, true);
+        idle(&mut sim, &m, "$b", 0, false);
+        let m = m.lock();
         let on0 = m.procs_on_cpu(CpuId(0));
         assert_eq!(on0.len(), 2);
         assert!(on0.iter().all(|(_, _, primary)| *primary));
@@ -365,18 +361,15 @@ mod tests {
 
     #[test]
     fn mark_process_dead_detaches() {
-        let m = machine();
-        let (net, ep_b) = {
-            let mut mm = m.lock();
-            mm.register_primary("$p", ActorId(1), CpuId(0));
-            let ep_b = mm.register_backup("$p", ActorId(2), CpuId(1));
-            (mm.net.clone(), ep_b)
-        };
-        let was_primary = m.lock().mark_process_dead("$p", ActorId(2));
+        let (m, mut sim) = (machine(), Sim::with_seed(1));
+        let (a, _) = idle(&mut sim, &m, "$p", 0, false);
+        let (b, ep_b) = idle(&mut sim, &m, "$p", 1, true);
+        let net = m.lock().net.clone();
+        let was_primary = m.lock().mark_process_dead("$p", b);
         assert!(!was_primary);
         assert_eq!(net.lock().actor_of(ep_b), None);
         assert!(m.lock().resolve_backup("$p").is_none());
-        let was_primary = m.lock().mark_process_dead("$p", ActorId(1));
+        let was_primary = m.lock().mark_process_dead("$p", a);
         assert!(was_primary);
     }
 }

@@ -1,6 +1,6 @@
 //! Process-level IPC helpers and process-pair message types.
 
-use crate::machine::{CpuId, SharedMachine};
+use crate::machine::{CpuId, ProcSide, SharedMachine};
 use simcore::{Ctx, SimDuration};
 use simnet::{send_net_msg_class, EndpointId, NetDelivery, TrafficClass};
 use std::any::Any;
@@ -78,46 +78,23 @@ pub fn send_to_process_class<T: Any>(
     class: TrafficClass,
     payload: T,
 ) -> bool {
-    let (target, net) = {
-        let m = machine.lock();
-        let Some(side) = m.resolve(name) else {
-            return false;
-        };
-        (side, m.net.clone())
-    };
-    if target.cpu == from_cpu {
-        let delay = machine.lock().cfg.local_ipc_ns;
-        ctx.send(
-            target.actor,
-            SimDuration::from_nanos(delay),
-            NetDelivery {
-                from_ep,
-                payload: Box::new(payload),
-            },
-        );
-        true
-    } else {
-        send_net_msg_class(ctx, &net, from_ep, target.ep, wire_len, class, payload)
-    }
+    let target = machine.lock().resolve(name);
+    target.is_some_and(|t| send_to(ctx, machine, from_ep, from_cpu, t, wire_len, class, payload))
 }
 
-/// Send to the *backup* of `name` (checkpoint traffic).
-pub fn send_to_backup<T: Any>(
+/// The one send to a resolved process side, primary or backup: local IPC
+/// on the same CPU, the fabric otherwise.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn send_to<T: Any>(
     ctx: &mut Ctx<'_>,
     machine: &SharedMachine,
     from_ep: EndpointId,
     from_cpu: CpuId,
-    name: &str,
+    target: ProcSide,
     wire_len: u32,
+    class: TrafficClass,
     payload: T,
 ) -> bool {
-    let (target, net) = {
-        let m = machine.lock();
-        let Some(side) = m.resolve_backup(name) else {
-            return false;
-        };
-        (side, m.net.clone())
-    };
     if target.cpu == from_cpu {
         let delay = machine.lock().cfg.local_ipc_ns;
         ctx.send(
@@ -130,22 +107,15 @@ pub fn send_to_backup<T: Any>(
         );
         true
     } else {
-        send_net_msg_class(
-            ctx,
-            &net,
-            from_ep,
-            target.ep,
-            wire_len,
-            TrafficClass::Commit,
-            payload,
-        )
+        let net = machine.lock().net.clone();
+        send_net_msg_class(ctx, &net, from_ep, target.ep, wire_len, class, payload)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{install_backup, install_primary, Machine, MachineConfig};
+    use crate::machine::{install_primary, Machine, MachineConfig};
     use simcore::actor::Start;
     use simcore::{Actor, Msg, Shared, Sim};
     use simnet::{FabricConfig, Network};
@@ -173,30 +143,23 @@ mod tests {
         machine: SharedMachine,
         ep: EndpointId,
         cpu: CpuId,
-        dests: Vec<(&'static str, bool)>, // (name, to_backup)
+        dests: Vec<&'static str>,
     }
     impl Actor for Sender {
         fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
             if msg.is::<Start>() {
-                for (name, to_backup) in self.dests.clone() {
+                for name in self.dests.clone() {
                     let machine = self.machine.clone();
-                    let ok = if to_backup {
-                        send_to_backup(ctx, &machine, self.ep, self.cpu, name, 64, "hi".to_string())
-                    } else {
-                        send_to_process(
-                            ctx,
-                            &machine,
-                            self.ep,
-                            self.cpu,
-                            name,
-                            64,
-                            "hi".to_string(),
-                        )
-                    };
-                    assert!(ok || name == "$missing");
-                    if name == "$missing" {
-                        assert!(!ok);
-                    }
+                    let ok = send_to_process(
+                        ctx,
+                        &machine,
+                        self.ep,
+                        self.cpu,
+                        name,
+                        64,
+                        "hi".to_string(),
+                    );
+                    assert_eq!(ok, name != "$missing", "{name}");
                 }
             }
         }
@@ -229,7 +192,7 @@ mod tests {
                 machine: m2,
                 ep,
                 cpu: CpuId(0),
-                dests: vec![("$local", false), ("$remote", false), ("$missing", false)],
+                dests: vec!["$local", "$remote", "$missing"],
             })
         });
         sim.run_until_idle();
@@ -239,41 +202,5 @@ mod tests {
         let t_remote = log.iter().find(|(_, s)| s.starts_with("remote")).unwrap().0;
         assert!(t_local < t_remote, "local {t_local} !< remote {t_remote}");
         assert_eq!(t_local, MachineConfig::default().local_ipc_ns);
-    }
-
-    #[test]
-    fn backup_addressing() {
-        let net = Network::new(FabricConfig::default());
-        let machine = Machine::new(MachineConfig::default(), net);
-        let mut sim = Sim::with_seed(3);
-        let log = Shared::new(Vec::new());
-
-        let l1 = log.clone();
-        install_primary(&mut sim, &machine, "$pair", CpuId(0), move |_| {
-            Box::new(Echo {
-                log: l1,
-                tagname: "primary",
-            })
-        });
-        let l2 = log.clone();
-        install_backup(&mut sim, &machine, "$pair", CpuId(1), move |_| {
-            Box::new(Echo {
-                log: l2,
-                tagname: "backup",
-            })
-        });
-        let m2 = machine.clone();
-        install_primary(&mut sim, &machine, "$sender", CpuId(2), move |ep| {
-            Box::new(Sender {
-                machine: m2,
-                ep,
-                cpu: CpuId(2),
-                dests: vec![("$pair", true)],
-            })
-        });
-        sim.run_until_idle();
-        let log = log.lock();
-        assert_eq!(log.len(), 1);
-        assert!(log[0].1.starts_with("backup:"));
     }
 }

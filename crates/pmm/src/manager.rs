@@ -16,11 +16,11 @@
 //! Opens and closes touch only ATT hardware state (volatile by design —
 //! after a power loss clients must reopen), so they skip step 2.
 //!
-//! The backup applies checkpoints and watches the primary; on a
-//! `ProcessDied` notification it promotes itself in the machine registry
-//! and continues service with the checkpointed state. Requests in flight
-//! at the moment of failure are lost — clients retry, exactly as NSK
-//! message clients do across a takeover.
+//! The backup applies checkpoints and watches the primary; when the
+//! primary dies it is promoted ([`nsk::pair`]) and continues service with
+//! the checkpointed state. Requests in flight at the moment of failure
+//! are lost — clients retry, exactly as NSK message clients do across a
+//! takeover.
 //!
 //! # Per-member mirror failure and online resilvering
 //!
@@ -91,16 +91,15 @@ use crate::meta::{HealthState, MetaStore, RegionMeta, VolumeMeta, META_BYTES, SL
 use crate::msgs::*;
 use npmu::att::{AttEntry, CpuFilter};
 use npmu::device::NpmuHandle;
-use nsk::machine::{CpuId, SharedMachine, WatchTarget};
-use nsk::proc::{Checkpoint, CheckpointAck, ProcessDied};
+use nsk::machine::{CpuId, SharedMachine};
+use nsk::pair::{Died, Inbound, Pair, Role};
 use pmpool::{
     stripe_extent_lens, Extent, Placement, PlacementPolicy, PoolMeta, PoolRegionMeta, StripeMap,
 };
 use simcore::{Actor, Ctx, Msg, Shared, Sim, SimDuration, TimerId};
 use simnet::{
     rdma_copy, rdma_read, rdma_scrub, rdma_write, send_net_msg, EndpointId, NetDelivery,
-    RdmaCopyDone, RdmaReadDone, RdmaScrubDone, RdmaStatus, RdmaWriteDone, SharedNetwork,
-    TrafficClass,
+    RdmaCopyDone, RdmaReadDone, RdmaScrubDone, RdmaStatus, RdmaWriteDone, TrafficClass,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -189,12 +188,6 @@ pub struct PmmStats {
 }
 
 pub type SharedPmmStats = Shared<PmmStats>;
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Role {
-    Primary,
-    Backup,
-}
 
 /// State checkpointed from primary to backup (whole-state: it is small).
 #[derive(Clone)]
@@ -353,13 +346,9 @@ pub struct PmmHandle {
 }
 
 pub struct PmmProc {
-    name: String,
-    role: Role,
+    /// The pair; a checkpoint's waiter is the token of the op it protects.
+    pair: Pair<u64>,
     cfg: PmmConfig,
-    machine: SharedMachine,
-    net: SharedNetwork,
-    ep: EndpointId,
-    cpu: CpuId,
     /// PMM CPUs (primary + backup): always allowed through region ATT
     /// windows — a device checks the *commanding* CPU before a copy or a
     /// scrub reads region bytes on the manager's behalf.
@@ -375,8 +364,6 @@ pub struct PmmProc {
     /// RDMA op id → (pending op token, member volume, mirror half).
     rdma_ops: BTreeMap<u64, (u64, usize, u8)>,
     next_rdma: u64,
-    ckpt_waiters: BTreeMap<u64, u64>, // ckpt seq → op token
-    next_ckpt: u64,
     /// Outstanding probe reads, each with its [`ProbeTimeout`].
     probes: BTreeMap<u64, (usize, ProbeKind, TimerId)>,
     migration: Option<MigrationRun>,
@@ -454,13 +441,12 @@ impl PmmProc {
         self.vols[vol].npmu_a.mem.lock().capacity()
     }
 
-    fn has_backup(&self) -> bool {
-        self.machine.lock().resolve_backup(&self.name).is_some()
-    }
-
     fn charge_cpu(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_nanos();
-        self.machine.lock().cpu_work(self.cpu, now, OP_CPU_NS);
+        self.pair
+            .machine
+            .lock()
+            .cpu_work(self.pair.cpu, now, OP_CPU_NS);
     }
 
     fn half_ep(&self, vol: usize, half: u8) -> EndpointId {
@@ -512,11 +498,11 @@ impl PmmProc {
             let rid = self.next_rdma;
             self.next_rdma += 1;
             self.rdma_ops.insert(rid, (token, vol, half));
-            let net = self.net.clone();
+            let net = self.pair.net.clone();
             rdma_write(
                 ctx,
                 &net,
-                self.ep,
+                self.pair.ep,
                 self.half_ep(vol, half),
                 slot,
                 data,
@@ -554,39 +540,24 @@ impl PmmProc {
         }
     }
 
-    fn send_ckpt(&mut self, ctx: &mut Ctx<'_>, seq: u64, approx_bytes: u32) {
+    /// Checkpoint the whole state, `waiter` parked on the ack.
+    fn send_ckpt(&mut self, ctx: &mut Ctx<'_>, waiter: Option<u64>, approx_bytes: u32) {
         let ckpt = PmmCkpt {
             pool: self.pool.clone(),
             vols_meta: self.vols.iter().map(|v| v.meta.clone()).collect(),
             open_cpus: self.open_cpus.clone(),
         };
-        let machine = self.machine.clone();
-        nsk::proc::send_to_backup(
-            ctx,
-            &machine,
-            self.ep,
-            self.cpu,
-            &self.name.clone(),
-            approx_bytes,
-            Checkpoint {
-                seq,
-                payload: Box::new(ckpt),
-            },
-        );
+        self.pair.send_checkpoint(ctx, waiter, approx_bytes, ckpt);
     }
 
     /// Step an op forward once its durable writes landed: checkpoint, or
     /// commit straight away if there is no backup.
     fn after_writes(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let need_ckpt = self.has_backup();
-        if need_ckpt {
-            let seq = self.next_ckpt;
-            self.next_ckpt += 1;
-            self.ckpt_waiters.insert(seq, token);
+        if self.pair.has_backup() {
             if let Some(op) = self.pending.get_mut(&token) {
                 op.waiting_ckpt = true;
             }
-            self.send_ckpt(ctx, seq, 1024);
+            self.send_ckpt(ctx, Some(token), 1024);
         } else {
             self.commit(ctx, token);
         }
@@ -620,13 +591,13 @@ impl PmmProc {
                 }
             }
         }
-        let net = self.net.clone();
+        let net = self.pair.net.clone();
         match op.reply {
             PendingReply::Create(tok, result) => {
                 send_net_msg(
                     ctx,
                     &net,
-                    self.ep,
+                    self.pair.ep,
                     op.reply_to_ep,
                     128,
                     CreateRegionAck { token: tok, result },
@@ -636,7 +607,7 @@ impl PmmProc {
                 send_net_msg(
                     ctx,
                     &net,
-                    self.ep,
+                    self.pair.ep,
                     op.reply_to_ep,
                     64,
                     DeleteRegionAck { token: tok, result },
@@ -646,7 +617,7 @@ impl PmmProc {
                 send_net_msg(
                     ctx,
                     &net,
-                    self.ep,
+                    self.pair.ep,
                     op.reply_to_ep,
                     128,
                     MigrateRegionAck { token: tok, result },
@@ -661,13 +632,13 @@ impl PmmProc {
                     for h in [&v.npmu_a, &v.npmu_b] {
                         let mut f = h.write_fence.lock();
                         f.engaged = true;
-                        f.exempt.insert(self.ep);
+                        f.exempt.insert(self.pair.ep);
                     }
                 }
                 send_net_msg(
                     ctx,
                     &net,
-                    self.ep,
+                    self.pair.ep,
                     op.reply_to_ep,
                     64,
                     FencePoolAck {
@@ -733,7 +704,8 @@ impl PmmProc {
     }
 
     fn client_cpu(&self, from_ep: EndpointId) -> u32 {
-        self.machine
+        self.pair
+            .machine
             .lock()
             .cpu_of_ep(from_ep)
             .map(|c| c.0)
@@ -796,7 +768,7 @@ impl PmmProc {
             waiting_writes: 0,
             write_timeout: None,
             waiting_ckpt: false,
-            reply_to_ep: self.ep,
+            reply_to_ep: self.pair.ep,
             reply: PendingReply::Internal,
             att_actions: Vec::new(),
         }
@@ -819,11 +791,11 @@ impl PmmProc {
         let rid = self.next_rdma;
         self.next_rdma += 1;
         self.vol_stat(vol, |s| s.probes_sent += 1);
-        let net = self.net.clone();
+        let net = self.pair.net.clone();
         rdma_read(
             ctx,
             &net,
-            self.ep,
+            self.pair.ep,
             self.half_ep(vol, half),
             0,
             64,
@@ -947,7 +919,7 @@ impl PmmProc {
     /// abort and restart each other forever, and ROADMAP item 6 derives
     /// every deadline from the model in one place.
     fn step_timeout(&self, len: u32) -> SimDuration {
-        let wire = simnet::latency::wire_ns(&self.net.lock().cfg, len);
+        let wire = simnet::latency::wire_ns(&self.pair.net.lock().cfg, len);
         let window = TRANSFER_WINDOW as u64;
         let active = self.vols.iter().filter(|v| v.resilver.is_some()).count() as u64;
         SimDuration::from_nanos(
@@ -1080,7 +1052,7 @@ impl PmmProc {
     fn bulk_pump(&mut self, ctx: &mut Ctx<'_>, mover: Mover) {
         let chunk = self.cfg.resilver_chunk.max(1);
         let now_ns = ctx.now().as_nanos();
-        let net = self.net.clone();
+        let (net, me) = (self.pair.net.clone(), self.pair.ep);
         loop {
             let Some(run) = self.bulk_mut(mover) else {
                 return;
@@ -1107,9 +1079,7 @@ impl PmmProc {
                         let rid = self.next_rdma;
                         self.next_rdma += 1;
                         let class = TrafficClass::Bulk;
-                        rdma_copy(
-                            ctx, &net, self.ep, src, src_at, len, dst, dst_at, rid, class,
-                        );
+                        rdma_copy(ctx, &net, me, src, src_at, len, dst, dst_at, rid, class);
                         self.track_bulk_op(ctx, rid, mover, BulkOp::Copy { off, len }, timeout);
                     }
                 }
@@ -1119,7 +1089,7 @@ impl PmmProc {
                         let rid = self.next_rdma;
                         self.next_rdma += 1;
                         let class = TrafficClass::Bulk;
-                        rdma_scrub(ctx, &net, self.ep, ep, at, len, chunk, rid, class);
+                        rdma_scrub(ctx, &net, me, ep, at, len, chunk, rid, class);
                         let op = BulkOp::Scrub { off, len, party };
                         self.track_bulk_op(ctx, rid, mover, op, timeout);
                     }
@@ -1405,11 +1375,11 @@ impl PmmProc {
             self.program_region_att(run.region_id);
         }
         self.stats.lock().migrations_aborted += 1;
-        let net = self.net.clone();
+        let net = self.pair.net.clone();
         send_net_msg(
             ctx,
             &net,
-            self.ep,
+            self.pair.ep,
             run.reply_to_ep,
             128,
             MigrateRegionAck {
@@ -1532,7 +1502,7 @@ impl PmmProc {
         payload: Box<dyn std::any::Any>,
     ) {
         self.charge_cpu(ctx);
-        let net = self.net.clone();
+        let net = self.pair.net.clone();
         let payload = match payload.downcast::<CreateRegion>() {
             Ok(req) => {
                 let req = *req;
@@ -1540,7 +1510,7 @@ impl PmmProc {
                     send_net_msg(
                         ctx,
                         &net,
-                        self.ep,
+                        self.pair.ep,
                         from_ep,
                         128,
                         CreateRegionAck {
@@ -1562,7 +1532,7 @@ impl PmmProc {
                     send_net_msg(
                         ctx,
                         &net,
-                        self.ep,
+                        self.pair.ep,
                         from_ep,
                         128,
                         CreateRegionAck {
@@ -1637,15 +1607,13 @@ impl PmmProc {
                 };
                 // Open state is volatile (ATT hardware) but still
                 // checkpointed so a takeover preserves mappings knowledge.
-                if self.has_backup() {
-                    let seq = self.next_ckpt;
-                    self.next_ckpt += 1;
-                    self.send_ckpt(ctx, seq, 512);
+                if self.pair.has_backup() {
+                    self.send_ckpt(ctx, None, 512);
                 }
                 send_net_msg(
                     ctx,
                     &net,
-                    self.ep,
+                    self.pair.ep,
                     from_ep,
                     128,
                     OpenRegionAck {
@@ -1676,7 +1644,7 @@ impl PmmProc {
                 send_net_msg(
                     ctx,
                     &net,
-                    self.ep,
+                    self.pair.ep,
                     from_ep,
                     64,
                     CloseRegionAck {
@@ -1696,7 +1664,7 @@ impl PmmProc {
                     send_net_msg(
                         ctx,
                         &net,
-                        self.ep,
+                        self.pair.ep,
                         from_ep,
                         64,
                         DeleteRegionAck {
@@ -1748,7 +1716,7 @@ impl PmmProc {
                     send_net_msg(
                         ctx,
                         &net,
-                        self.ep,
+                        self.pair.ep,
                         from_ep,
                         128,
                         MigrateRegionAck {
@@ -1876,7 +1844,7 @@ impl PmmProc {
                 send_net_msg(
                     ctx,
                     &net,
-                    self.ep,
+                    self.pair.ep,
                     from_ep,
                     64,
                     FencePoolAck {
@@ -1914,18 +1882,13 @@ impl PmmProc {
 
 impl Actor for PmmProc {
     fn name(&self) -> &str {
-        &self.name
+        &self.pair.name
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
-            // Both roles watch their own pair: the backup to take over,
-            // the primary to learn that its checkpoints lost their reader.
-            let me = ctx.self_id();
-            self.machine
-                .lock()
-                .watch(WatchTarget::Process(self.name.clone()), me);
-            if self.role == Role::Primary {
+            self.pair.watch(ctx);
+            if self.pair.is_primary() {
                 // Cold start with durable Degraded/Resilvering members:
                 // resume probing their dead halves.
                 self.resume_health(ctx);
@@ -1933,31 +1896,19 @@ impl Actor for PmmProc {
             return;
         }
 
-        let msg = match msg.take::<ProcessDied>() {
-            Ok((_, d)) => {
-                if d.name != self.name {
-                    return;
-                }
-                match (self.role, d.was_primary) {
-                    // Takeover: backup hears its primary died.
-                    (Role::Backup, true) => {
-                        self.machine.lock().promote_backup(&self.name);
-                        self.role = Role::Primary;
-                        // Resume failure handling from the checkpointed health.
-                        self.resume_health(ctx);
-                    }
-                    // The backup died: no checkpoint in flight will be
-                    // acknowledged (a pair without a backup does not
-                    // checkpoint) — finish what waited on one.
-                    (Role::Primary, false) => {
-                        for (_, token) in std::mem::take(&mut self.ckpt_waiters) {
-                            self.checkpoint_done(ctx, token);
-                        }
-                    }
-                    _ => {}
+        let msg = match self.pair.take_died(msg) {
+            // Takeover: resume failure handling from the checkpointed health.
+            Ok(Died::Promote) => {
+                self.resume_health(ctx);
+                return;
+            }
+            Ok(Died::BackupLost(tokens)) => {
+                for token in tokens {
+                    self.checkpoint_done(ctx, token);
                 }
                 return;
             }
+            Ok(Died::Ignore) => return,
             Err(m) => m,
         };
 
@@ -1965,7 +1916,7 @@ impl Actor for PmmProc {
         let msg = match msg.take::<ProbeTick>() {
             Ok((_, t)) => {
                 self.vols[t.vol].probe_tick_armed = false;
-                if self.role == Role::Primary {
+                if self.pair.is_primary() {
                     if let HealthState::Degraded { half, .. } = self.vols[t.vol].meta.health {
                         self.send_probe(ctx, t.vol, ProbeKind::Revival { half });
                     }
@@ -2110,11 +2061,10 @@ impl Actor for PmmProc {
 
         if let Ok((_, delivery)) = msg.take::<NetDelivery>() {
             let NetDelivery { from_ep, payload } = delivery;
-            // Checkpoint traffic (backup side).
-            let payload = match payload.downcast::<Checkpoint>() {
-                Ok(ck) => {
-                    let ck = *ck;
-                    if let Ok(state) = ck.payload.downcast::<PmmCkpt>() {
+            let payload = match self.pair.recv(ctx, from_ep, payload) {
+                // Backup side: adopt the primary's whole state.
+                Inbound::Checkpoint(ck) => {
+                    if let Ok(state) = ck.downcast::<PmmCkpt>() {
                         self.pool = state.pool;
                         self.open_cpus = state.open_cpus;
                         if state.vols_meta.len() == self.vols.len() {
@@ -2123,31 +2073,17 @@ impl Actor for PmmProc {
                             }
                         }
                     }
-                    let net = self.net.clone();
-                    send_net_msg(
-                        ctx,
-                        &net,
-                        self.ep,
-                        from_ep,
-                        16,
-                        CheckpointAck { seq: ck.seq },
-                    );
                     return;
                 }
-                Err(p) => p,
-            };
-            // Checkpoint acks (primary side).
-            let payload = match payload.downcast::<CheckpointAck>() {
-                Ok(ack) => {
-                    if let Some(token) = self.ckpt_waiters.remove(&ack.seq) {
-                        self.checkpoint_done(ctx, token);
-                    }
+                Inbound::Released(token) => {
+                    self.checkpoint_done(ctx, token);
                     return;
                 }
-                Err(p) => p,
+                Inbound::Acked => return,
+                Inbound::Other(p) => p,
             };
             // Client requests.
-            if self.role == Role::Primary {
+            if self.pair.is_primary() {
                 self.handle_request(ctx, from_ep, payload);
             }
         }
@@ -2171,7 +2107,6 @@ pub fn install_pmm_pool(
     cfg: PmmConfig,
 ) -> PmmHandle {
     assert!(!volumes.is_empty(), "a pool needs at least one member");
-    let net = machine.lock().net.clone();
 
     // Metadata windows: PMM CPUs only, on every member half.
     let mut meta_cpus = vec![primary_cpu.0];
@@ -2236,9 +2171,6 @@ pub fn install_pmm_pool(
         .collect();
 
     let mk = |role: Role, cpu: CpuId| {
-        let machine2 = machine.clone();
-        let net2 = net.clone();
-        let name2 = name.to_string();
         let cfg2 = cfg.clone();
         let att_cpus = meta_cpus.clone();
         let stats2 = stats.clone();
@@ -2258,13 +2190,8 @@ pub fn install_pmm_pool(
             .collect();
         move |ep: EndpointId| -> Box<dyn Actor> {
             Box::new(PmmProc {
-                name: name2,
-                role,
+                pair: Pair::new(role, name, machine, ep, cpu),
                 cfg: cfg2,
-                machine: machine2,
-                net: net2,
-                ep,
-                cpu,
                 att_cpus,
                 vols,
                 pool: pool2,
@@ -2273,8 +2200,6 @@ pub fn install_pmm_pool(
                 next_op: 0,
                 rdma_ops: BTreeMap::new(),
                 next_rdma: 0,
-                ckpt_waiters: BTreeMap::new(),
-                next_ckpt: 0,
                 probes: BTreeMap::new(),
                 migration: None,
                 bulk_ops: BTreeMap::new(),

@@ -7,10 +7,9 @@
 //! mechanical cost. On takeover the backup rebuilds the unflushed buffer
 //! from its shadow copy, so no acknowledged append is lost.
 
-use super::{AdpShared, AuditLog, Role};
+use super::{AdpShared, AuditLog, HeldAck};
 use crate::types::*;
 use bytes::{Bytes, BytesMut};
-use nsk::proc::{Checkpoint, CheckpointAck};
 use simcore::{ActorId, Ctx, Msg, SimDuration};
 use simdisk::{DiskWrite, DiskWriteDone};
 use simnet::EndpointId;
@@ -46,14 +45,6 @@ struct FlushState {
     outstanding: u32,
 }
 
-/// An append waiting for its backup checkpoint ack.
-struct PendingAppend {
-    from_ep: EndpointId,
-    token: u64,
-    lsn_start: u64,
-    lsn_end: u64,
-}
-
 pub(crate) struct DiskLog {
     volume: ActorId,
     buffer: BytesMut,
@@ -64,11 +55,8 @@ pub(crate) struct DiskLog {
     /// Every append ack and flush request inside one window computes the
     /// same expiry; one timer per expiry is enough.
     group_timer_due: u64,
-    /// Appends awaiting backup ckpt ack, keyed by ckpt seq.
-    pending_appends: BTreeMap<u64, PendingAppend>,
     /// Backup's shadow of unflushed appends: lsn_start → (virt, bytes).
     shadow: BTreeMap<u64, (u64, Bytes)>,
-    next_ckpt: u64,
 }
 
 impl DiskLog {
@@ -80,9 +68,7 @@ impl DiskLog {
             buffer_base: 0,
             flush: None,
             group_timer_due: 0,
-            pending_appends: BTreeMap::new(),
             shadow: BTreeMap::new(),
-            next_ckpt: 0,
         }
     }
 
@@ -148,27 +134,12 @@ impl DiskLog {
         sh.durable_upto = sh.durable_upto.max(fl.end_lsn);
         // Position checkpoint (small, async): lets the backup prune its
         // shadow and track the durable point.
-        if sh.has_backup() {
-            let seq = self.next_ckpt;
-            self.next_ckpt += 1;
+        if sh.pair.has_backup() {
             let ck = AdpFlushCkpt {
                 durable_upto: sh.durable_upto,
                 next_lsn: sh.next_lsn,
             };
-            let machine = sh.machine.clone();
-            let name = sh.name.clone();
-            nsk::proc::send_to_backup(
-                ctx,
-                &machine,
-                sh.ep,
-                sh.cpu,
-                &name,
-                32,
-                Checkpoint {
-                    seq,
-                    payload: Box::new(ck),
-                },
-            );
+            sh.pair.send_checkpoint(ctx, None, 32, ck);
         }
         sh.answer_waiters(ctx);
         self.maybe_flush(sh, ctx);
@@ -211,41 +182,23 @@ impl AuditLog for DiskLog {
         self.buffer.extend_from_slice(&app.records);
         self.buffer_virtual += virt;
 
-        if sh.has_backup() {
+        if sh.pair.has_backup() {
             // Checkpoint the audit data before externalizing the ack.
-            let seq = self.next_ckpt;
-            self.next_ckpt += 1;
             sh.stats.lock().adp_checkpoints += 1;
-            self.pending_appends.insert(
-                seq,
-                PendingAppend {
-                    from_ep,
-                    token: app.token,
-                    lsn_start,
-                    lsn_end: sh.next_lsn,
-                },
-            );
+            let held = HeldAck {
+                to: from_ep,
+                token: app.token,
+                lsn_start,
+                lsn_end: sh.next_lsn,
+            };
             let ck = AdpDataCkpt {
                 lsn_start,
                 virt,
                 records: app.records.clone(),
                 next_lsn: sh.next_lsn,
             };
-            let machine = sh.machine.clone();
-            let name = sh.name.clone();
             let wire = crate::config::CHECKPOINT_OVERHEAD_BYTES + virt as u32;
-            nsk::proc::send_to_backup(
-                ctx,
-                &machine,
-                sh.ep,
-                sh.cpu,
-                &name,
-                wire,
-                Checkpoint {
-                    seq,
-                    payload: Box::new(ck),
-                },
-            );
+            sh.pair.send_checkpoint(ctx, Some(held), wire, ck);
         } else {
             let lsn_end = sh.next_lsn;
             sh.send_append_done(ctx, from_ep, app.token, lsn_start, lsn_end);
@@ -256,24 +209,9 @@ impl AuditLog for DiskLog {
         self.maybe_flush(sh, ctx);
     }
 
-    fn backup_lost(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>) {
-        // No data checkpoint in flight will be acknowledged: ack the
-        // appends that waited on one, as an unpaired primary does.
-        for (_, p) in std::mem::take(&mut self.pending_appends) {
-            sh.send_append_done(ctx, p.from_ep, p.token, p.lsn_start, p.lsn_end);
-        }
-        self.maybe_flush(sh, ctx);
-    }
-
-    fn on_msg(
-        &mut self,
-        sh: &mut AdpShared,
-        ctx: &mut Ctx<'_>,
-        role: Role,
-        msg: Msg,
-    ) -> Option<Msg> {
+    fn on_msg(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, msg: Msg) -> Option<Msg> {
         if msg.is::<GroupTimer>() {
-            if role == Role::Primary {
+            if sh.pair.is_primary() {
                 self.maybe_flush(sh, ctx);
             }
             return None;
@@ -292,53 +230,22 @@ impl AuditLog for DiskLog {
         }
     }
 
-    fn on_net(
-        &mut self,
-        sh: &mut AdpShared,
-        ctx: &mut Ctx<'_>,
-        _role: Role,
-        from_ep: EndpointId,
-        payload: Box<dyn Any>,
-    ) -> Option<Box<dyn Any>> {
-        // Backup: apply checkpoints.
-        let payload = match payload.downcast::<Checkpoint>() {
-            Ok(ck) => {
-                let ck = *ck;
-                let leftover = match ck.payload.downcast::<AdpDataCkpt>() {
-                    Ok(data) => {
-                        self.shadow
-                            .insert(data.lsn_start, (data.virt, data.records.clone()));
-                        sh.next_lsn = sh.next_lsn.max(data.next_lsn);
-                        None
-                    }
-                    Err(p) => Some(p),
-                };
-                if let Some(p) = leftover {
-                    if let Ok(fl) = p.downcast::<AdpFlushCkpt>() {
-                        sh.durable_upto = sh.durable_upto.max(fl.durable_upto);
-                        sh.next_lsn = sh.next_lsn.max(fl.next_lsn);
-                        let durable = sh.durable_upto;
-                        self.shadow
-                            .retain(|start, (virt, _)| start + *virt > durable);
-                    }
-                }
-                let net = sh.net.clone();
-                simnet::send_net_msg(ctx, &net, sh.ep, from_ep, 16, CheckpointAck { seq: ck.seq });
-                return None;
+    fn apply_checkpoint(&mut self, sh: &mut AdpShared, ck: Box<dyn Any>) {
+        let ck = match ck.downcast::<AdpDataCkpt>() {
+            Ok(data) => {
+                self.shadow
+                    .insert(data.lsn_start, (data.virt, data.records.clone()));
+                sh.next_lsn = sh.next_lsn.max(data.next_lsn);
+                return;
             }
-            Err(p) => p,
+            Err(ck) => ck,
         };
-
-        // Primary: data-ckpt acks release append acknowledgements.
-        match payload.downcast::<CheckpointAck>() {
-            Ok(ack) => {
-                if let Some(p) = self.pending_appends.remove(&ack.seq) {
-                    sh.send_append_done(ctx, p.from_ep, p.token, p.lsn_start, p.lsn_end);
-                    self.maybe_flush(sh, ctx);
-                }
-                None
-            }
-            Err(p) => Some(p),
+        if let Ok(fl) = ck.downcast::<AdpFlushCkpt>() {
+            sh.durable_upto = sh.durable_upto.max(fl.durable_upto);
+            sh.next_lsn = sh.next_lsn.max(fl.next_lsn);
+            let durable = sh.durable_upto;
+            self.shadow
+                .retain(|start, (virt, _)| start + *virt > durable);
         }
     }
 }

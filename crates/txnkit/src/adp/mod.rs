@@ -9,9 +9,9 @@
 //! multiple ADPs can be configured per node." (§4.2)
 //!
 //! The actor in this module owns only what every backend shares — the
-//! process-pair role, the LSN space, the durable watermark, and the queue
-//! of commit flush waiters. The durable-trail *discipline* lives behind
-//! the `AuditLog` trait:
+//! process pair ([`nsk::pair`]), the LSN space, the durable watermark,
+//! and the queue of commit flush waiters. The durable-trail *discipline*
+//! lives behind the `AuditLog` trait:
 //!
 //! * `disk::DiskLog` (baseline): buffered appends checkpointed to the
 //!   backup before each ack, group-commit flushes to the audit volume.
@@ -33,10 +33,10 @@ pub(crate) mod pm;
 use crate::config::TxnConfig;
 use crate::stats::SharedTxnStats;
 use crate::types::*;
-use nsk::machine::{CpuId, SharedMachine, WatchTarget};
-use nsk::proc::ProcessDied;
+use nsk::machine::{CpuId, SharedMachine};
+use nsk::pair::{Died, Inbound, Pair, Role};
 use simcore::{Actor, ActorId, Ctx, Msg, Sim};
-use simnet::{EndpointId, NetDelivery, SharedNetwork};
+use simnet::{EndpointId, NetDelivery};
 use std::any::Any;
 
 pub use pm::{parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
@@ -60,21 +60,21 @@ pub enum AuditBackend {
     },
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Role {
-    Primary,
-    Backup,
+/// An append whose ack waits on its data checkpoint (the disk trail's
+/// checkpoint-before-externalize), released by the checkpoint's ack or
+/// the backup's death.
+pub(crate) struct HeldAck {
+    pub to: EndpointId,
+    pub token: u64,
+    pub lsn_start: u64,
+    pub lsn_end: u64,
 }
 
 /// State every audit backend shares, handed to [`AuditLog`] methods so
 /// backends stay free of process-pair plumbing.
 pub(crate) struct AdpShared {
-    pub name: String,
+    pub pair: Pair<HeldAck>,
     pub cfg: TxnConfig,
-    pub machine: SharedMachine,
-    pub net: SharedNetwork,
-    pub ep: EndpointId,
-    pub cpu: CpuId,
     pub stats: SharedTxnStats,
     /// Next virtual byte offset to assign.
     pub next_lsn: u64,
@@ -91,13 +91,9 @@ pub(crate) struct AdpShared {
 }
 
 impl AdpShared {
-    pub fn has_backup(&self) -> bool {
-        self.machine.lock().resolve_backup(&self.name).is_some()
-    }
-
     pub fn charge_cpu(&mut self, ctx: &mut Ctx<'_>, cost: u64) {
         let now = ctx.now().as_nanos();
-        self.machine.lock().cpu_work(self.cpu, now, cost);
+        self.pair.machine.lock().cpu_work(self.pair.cpu, now, cost);
     }
 
     pub fn alloc_tag(&mut self) -> u64 {
@@ -117,11 +113,11 @@ impl AdpShared {
         lsn_start: u64,
         lsn_end: u64,
     ) {
-        let net = self.net.clone();
+        let net = self.pair.net.clone();
         simnet::send_net_msg(
             ctx,
             &net,
-            self.ep,
+            self.pair.ep,
             to,
             32,
             AppendDone {
@@ -136,14 +132,14 @@ impl AdpShared {
     /// Answer every flush waiter covered by the durable watermark.
     pub fn answer_waiters(&mut self, ctx: &mut Ctx<'_>) {
         let durable = self.durable_upto;
-        let net = self.net.clone();
+        let net = self.pair.net.clone();
         let mut still = Vec::new();
         for (ep, token, upto, at) in self.waiters.drain(..) {
             if upto <= durable {
                 simnet::send_net_msg(
                     ctx,
                     &net,
-                    self.ep,
+                    self.pair.ep,
                     ep,
                     32,
                     FlushDone {
@@ -167,13 +163,13 @@ impl AdpShared {
             return;
         }
         self.last_trail_note = self.durable_upto;
-        let net = self.net.clone();
+        let net = self.pair.net.clone();
         let note: Vec<(EndpointId, u64)> = self.trail_subs.clone();
         for (ep, tag) in note {
             simnet::send_net_msg(
                 ctx,
                 &net,
-                self.ep,
+                self.pair.ep,
                 ep,
                 32,
                 TrailAdvance {
@@ -202,100 +198,100 @@ pub(crate) trait AuditLog {
         app: AuditAppend,
     );
 
-    /// A flush waiter was queued for an LSN beyond the durable watermark;
-    /// push durability forward if the discipline requires a kick (disk
-    /// group commit does, PM answers from the chain in flight).
+    /// A flush waiter was queued for an LSN beyond the durable watermark,
+    /// or held acks were released; push durability forward if the
+    /// discipline requires a kick (disk group commit does, PM answers from
+    /// the chain in flight).
     fn flush_queued(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>);
 
     /// Timers and IO completions addressed to this actor. Return the
     /// message if it is not this backend's.
-    fn on_msg(
-        &mut self,
-        sh: &mut AdpShared,
-        ctx: &mut Ctx<'_>,
-        role: Role,
-        msg: Msg,
-    ) -> Option<Msg>;
+    fn on_msg(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, msg: Msg) -> Option<Msg>;
 
-    /// The pair's backup died: release whatever was parked on an
-    /// acknowledgement from it (a pair without a backup does not
-    /// checkpoint). Only the disk discipline checkpoints at all.
-    fn backup_lost(&mut self, _sh: &mut AdpShared, _ctx: &mut Ctx<'_>) {}
+    /// Backup side: apply a checkpoint from the primary. Only the disk
+    /// discipline checkpoints at all.
+    fn apply_checkpoint(&mut self, _sh: &mut AdpShared, _ck: Box<dyn Any>) {}
 
-    /// Network payloads other than appends/flushes (checkpoints, ckpt
-    /// acks, region acks). Return the payload if not consumed.
+    /// Network payloads other than appends, flushes and pair traffic
+    /// (region acks). Return the payload if not consumed.
     fn on_net(
         &mut self,
-        sh: &mut AdpShared,
-        ctx: &mut Ctx<'_>,
-        role: Role,
-        from_ep: EndpointId,
+        _sh: &mut AdpShared,
+        _ctx: &mut Ctx<'_>,
         payload: Box<dyn Any>,
-    ) -> Option<Box<dyn Any>>;
+    ) -> Option<Box<dyn Any>> {
+        Some(payload)
+    }
 }
 
 pub struct AdpProc {
     sh: AdpShared,
-    role: Role,
     log: Box<dyn AuditLog>,
 }
 
 impl Actor for AdpProc {
     fn name(&self) -> &str {
-        &self.sh.name
+        &self.sh.pair.name
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
-            // Both halves watch the pair: the backup to take over, the
-            // primary to stop waiting on a backup that is gone.
-            let me = ctx.self_id();
-            self.sh
-                .machine
-                .lock()
-                .watch(WatchTarget::Process(self.sh.name.clone()), me);
-            if self.role == Role::Primary {
+            self.sh.pair.watch(ctx);
+            if self.sh.pair.is_primary() {
                 self.log.open(&mut self.sh, ctx);
             }
             return;
         }
 
-        let msg = match msg.take::<ProcessDied>() {
-            Ok((_, d)) => {
-                if d.name != self.sh.name {
-                    return;
-                }
-                match (self.role, d.was_primary) {
-                    (Role::Backup, true) => {
-                        self.sh.machine.lock().promote_backup(&self.sh.name);
-                        self.role = Role::Primary;
-                        self.log.open(&mut self.sh, ctx);
-                    }
-                    (Role::Primary, false) => self.log.backup_lost(&mut self.sh, ctx),
-                    _ => {}
-                }
+        let msg = match self.sh.pair.take_died(msg) {
+            Ok(Died::Promote) => {
+                self.log.open(&mut self.sh, ctx);
                 return;
             }
+            // No data checkpoint in flight will be acknowledged: ack the
+            // appends that waited on one, as an unpaired primary does.
+            Ok(Died::BackupLost(held)) => {
+                for h in held {
+                    self.sh
+                        .send_append_done(ctx, h.to, h.token, h.lsn_start, h.lsn_end);
+                }
+                self.log.flush_queued(&mut self.sh, ctx);
+                return;
+            }
+            Ok(Died::Ignore) => return,
             Err(m) => m,
         };
 
         // Backend timers and IO completions.
-        let Some(msg) = self.log.on_msg(&mut self.sh, ctx, self.role, msg) else {
+        let Some(msg) = self.log.on_msg(&mut self.sh, ctx, msg) else {
             return;
         };
 
         if let Ok((_, delivery)) = msg.take::<NetDelivery>() {
             let NetDelivery { from_ep, payload } = delivery;
 
-            // Checkpoint traffic, region acks, … — backend-specific.
-            let Some(payload) = self
-                .log
-                .on_net(&mut self.sh, ctx, self.role, from_ep, payload)
-            else {
+            let payload = match self.sh.pair.recv(ctx, from_ep, payload) {
+                Inbound::Checkpoint(ck) => {
+                    self.log.apply_checkpoint(&mut self.sh, ck);
+                    return;
+                }
+                // The append's data is at the backup: externalize its ack.
+                Inbound::Released(h) => {
+                    self.sh
+                        .send_append_done(ctx, h.to, h.token, h.lsn_start, h.lsn_end);
+                    self.log.flush_queued(&mut self.sh, ctx);
+                    return;
+                }
+                Inbound::Acked => return,
+                Inbound::Other(p) => p,
+            };
+
+            // Region acks, … — backend-specific.
+            let Some(payload) = self.log.on_net(&mut self.sh, ctx, payload) else {
                 return;
             };
 
-            if self.role != Role::Primary {
+            if !self.sh.pair.is_primary() {
                 return;
             }
 
@@ -306,11 +302,11 @@ impl Actor for AdpProc {
                     // Announce the current position straight away so the
                     // subscriber starts from the live watermark instead
                     // of waiting for the next append.
-                    let net = self.sh.net.clone();
+                    let net = self.sh.pair.net.clone();
                     simnet::send_net_msg(
                         ctx,
                         &net,
-                        self.sh.ep,
+                        self.sh.pair.ep,
                         from_ep,
                         32,
                         TrailAdvance {
@@ -336,11 +332,11 @@ impl Actor for AdpProc {
             if let Ok(req) = payload.downcast::<FlushReq>() {
                 let req = *req;
                 if req.upto.0 <= self.sh.durable_upto {
-                    let net = self.sh.net.clone();
+                    let net = self.sh.pair.net.clone();
                     simnet::send_net_msg(
                         ctx,
                         &net,
-                        self.sh.ep,
+                        self.sh.pair.ep,
                         from_ep,
                         32,
                         FlushDone {
@@ -372,9 +368,6 @@ fn install_adp(
     stats: SharedTxnStats,
 ) {
     let mk = |role: Role, on_cpu: CpuId| {
-        let machine2 = machine.clone();
-        let net2 = machine.lock().net.clone();
-        let name2 = name.to_string();
         let cfg2 = cfg.clone();
         let stats2 = stats.clone();
         let backend2 = backend.clone();
@@ -386,7 +379,7 @@ fn install_adp(
                     region,
                     region_len,
                 } => Box::new(pm::PmLog::new(
-                    machine2.clone(),
+                    machine.clone(),
                     ep,
                     on_cpu,
                     pmm.clone(),
@@ -398,12 +391,8 @@ fn install_adp(
             };
             Box::new(AdpProc {
                 sh: AdpShared {
-                    name: name2,
+                    pair: Pair::new(role, name, machine, ep, on_cpu),
                     cfg: cfg2,
-                    machine: machine2,
-                    net: net2,
-                    ep,
-                    cpu: on_cpu,
                     stats: stats2,
                     next_lsn: 0,
                     durable_upto: 0,
@@ -412,7 +401,6 @@ fn install_adp(
                     last_trail_note: 0,
                     next_tag: 0,
                 },
-                role,
                 log,
             })
         }

@@ -28,7 +28,7 @@
 //! *completed* chain, so a torn or stale cell can only under-report
 //! unacknowledged work, never lose an acknowledged append.
 
-use super::{AdpShared, AuditLog, Role};
+use super::{AdpShared, AuditLog};
 use crate::types::*;
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
@@ -465,9 +465,10 @@ impl AuditLog for PmLog {
         // partition's append rate.
         let now = ctx.now().as_nanos();
         let queue = sh
+            .pair
             .machine
             .lock()
-            .cpu_work(sh.cpu, now, sh.cfg.append_cpu_ns);
+            .cpu_work(sh.pair.cpu, now, sh.cfg.append_cpu_ns);
         ctx.send_self(
             SimDuration::from_nanos(queue + sh.cfg.append_cpu_ns),
             CpuStaged { from_ep, app },
@@ -478,16 +479,10 @@ impl AuditLog for PmLog {
         // The trail is persistent immediately; the waiter is answered as
         // soon as a chain covering its LSN completes.
     }
-    fn on_msg(
-        &mut self,
-        sh: &mut AdpShared,
-        ctx: &mut Ctx<'_>,
-        role: Role,
-        msg: Msg,
-    ) -> Option<Msg> {
+    fn on_msg(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, msg: Msg) -> Option<Msg> {
         let msg = match msg.take::<RegionRetry>() {
             Ok((_, r)) => {
-                if role == Role::Primary && !self.ready {
+                if sh.pair.is_primary() && !self.ready {
                     self.start_region(ctx, r.attempt + 1);
                 }
                 return None;
@@ -497,7 +492,7 @@ impl AuditLog for PmLog {
 
         let msg = match msg.take::<CpuStaged>() {
             Ok((_, s)) => {
-                if role == Role::Primary {
+                if sh.pair.is_primary() {
                     if self.ready {
                         self.stage_append(sh, ctx, s.from_ep, s.app);
                     } else {
@@ -512,7 +507,7 @@ impl AuditLog for PmLog {
         // The pacing timer of a failed chain fired.
         let msg = match msg.take::<Redrive>() {
             Ok(_) => {
-                if role == Role::Primary && !self.fenced {
+                if sh.pair.is_primary() && !self.fenced {
                     self.post_inflight(ctx);
                 }
                 return None;
@@ -573,14 +568,12 @@ impl AuditLog for PmLog {
         &mut self,
         sh: &mut AdpShared,
         ctx: &mut Ctx<'_>,
-        role: Role,
-        _from_ep: EndpointId,
         payload: Box<dyn Any>,
     ) -> Option<Box<dyn Any>> {
         match payload.downcast::<CreateRegionAck>() {
             Ok(ack) => {
                 if let Ok(info) = ack.result {
-                    if role == Role::Primary {
+                    if sh.pair.is_primary() {
                         self.region_ready(sh, ctx, info);
                     }
                 }

@@ -12,25 +12,24 @@
 //! checkpoint to the backup — are independent, so an applied insert posts
 //! both in the same event (delta first: it is the longer leg and the two
 //! share this CPU's transmit port) and [`InsertDone`] leaves when the
-//! [`AppendDone`] *and* that insert's own [`CheckpointAck`] are in. The
+//! [`AppendDone`] *and* that insert's own checkpoint ack are in. The
 //! append ack's durability verdict rides along on the reply, so a commit
 //! flushes only what its acks did not already prove durable.
 //!
-//! A pair without a backup does not checkpoint: the primary watches its
-//! own pair name and, when the backup dies, releases every insert parked
-//! on a checkpoint ack that will never come.
+//! The pair protocol is [`nsk::pair`]'s; a DP2 parks each insert's op on
+//! its checkpoint, and a pair without a backup does not checkpoint.
 
 use crate::config::TxnConfig;
 use crate::lock::{Acquire, LockManager, LockMode};
 use crate::stats::SharedTxnStats;
 use crate::types::*;
 use bytes::BytesMut;
-use nsk::machine::{CpuId, SharedMachine, WatchTarget};
-use nsk::proc::{Checkpoint, CheckpointAck, ProcessDied};
+use nsk::machine::{CpuId, SharedMachine};
+use nsk::pair::{Died, Inbound, Pair, Role};
 use simcore::hash::{FastMap, FastSet};
 use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration, TimerId};
 use simdisk::DiskWrite;
-use simnet::{EndpointId, NetDelivery, SharedNetwork};
+use simnet::{EndpointId, NetDelivery};
 
 /// Lock wait limit before a waiter is victimized (coarse deadlock
 /// backstop on top of cycle detection). In a sharded cluster this is also
@@ -45,12 +44,6 @@ const DESTAGE_INTERVAL: SimDuration = SimDuration::from_millis(200);
 /// record images: bandwidth-bearing but still latency-relevant, so they
 /// ride the middle `Audit` class, above background `Bulk` movers.
 const PM_AUDIT_CLASS: simnet::TrafficClass = simnet::TrafficClass::Audit;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Role {
-    Primary,
-    Backup,
-}
 
 /// A stored record: logical length + payload CRC (content stays compact
 /// at benchmark scale; tests use `virtual_len == body.len()`).
@@ -118,13 +111,9 @@ struct PendingInsert {
 }
 
 pub struct Dp2Proc {
-    name: String,
-    role: Role,
+    /// The pair; a checkpoint's waiter is the op of the insert it protects.
+    pair: Pair<u64>,
     cfg: TxnConfig,
-    machine: SharedMachine,
-    net: SharedNetwork,
-    ep: EndpointId,
-    cpu: CpuId,
     partitions: FastSet<PartitionId>,
     /// Audit partitions: a transaction's deltas go to
     /// `adps[txn.audit_partition(adps.len())]`, the same mapping the TMF
@@ -243,9 +232,9 @@ impl Dp2Proc {
         // can arbitrate them against the TMF's commit-record control ops.
         nsk::proc::send_to_process_class(
             ctx,
-            &self.machine,
-            self.ep,
-            self.cpu,
+            &self.pair.machine,
+            self.pair.ep,
+            self.pair.cpu,
             self.adp_for(req.txn),
             virt,
             PM_AUDIT_CLASS,
@@ -260,7 +249,7 @@ impl Dp2Proc {
     /// Checkpoint a pending insert to the backup (a pair without one does
     /// not checkpoint). The reply waits for this checkpoint's own ack.
     fn send_checkpoint(&mut self, ctx: &mut Ctx<'_>, op: u64) {
-        if !(self.cfg.dp2_checkpoint && self.has_backup()) {
+        if !(self.cfg.dp2_checkpoint && self.pair.has_backup()) {
             return;
         }
         let Some(p) = self.pending.get_mut(&op) else {
@@ -274,20 +263,7 @@ impl Dp2Proc {
         };
         let wire = crate::config::CHECKPOINT_OVERHEAD_BYTES + p.rec.virtual_len;
         self.stats.lock().dbw_checkpoints += 1;
-        nsk::proc::send_to_backup(
-            ctx,
-            &self.machine,
-            self.ep,
-            self.cpu,
-            &self.name,
-            wire,
-            // The checkpoint is numbered by the op it protects, so its ack
-            // names the insert to release.
-            Checkpoint {
-                seq: op,
-                payload: Box::new(ck),
-            },
-        );
+        self.pair.send_checkpoint(ctx, Some(op), wire, ck);
     }
 
     /// Audit append confirmed (the first ack counts; a retried append may
@@ -313,21 +289,6 @@ impl Dp2Proc {
         self.maybe_reply(ctx, op);
     }
 
-    /// The backup died: nothing parked on a checkpoint ack will hear back.
-    /// (Sorted: `pending`'s iteration order must not reach the event trace.)
-    fn backup_lost(&mut self, ctx: &mut Ctx<'_>) {
-        let mut parked: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.awaiting_ckpt)
-            .map(|(op, _)| *op)
-            .collect();
-        parked.sort_unstable();
-        for op in parked {
-            self.after_checkpoint(ctx, op);
-        }
-    }
-
     /// Externalize the insert once its delta is appended AND its
     /// checkpoint acknowledged — in whichever order the two arrived.
     fn maybe_reply(&mut self, ctx: &mut Ctx<'_>, op: u64) {
@@ -344,8 +305,8 @@ impl Dp2Proc {
         let adp = self.adp_for(p.req.txn).to_string();
         simnet::send_net_msg(
             ctx,
-            &self.net,
-            self.ep,
+            &self.pair.net,
+            self.pair.ep,
             p.from_ep,
             48,
             InsertDone {
@@ -367,8 +328,8 @@ impl Dp2Proc {
     ) {
         simnet::send_net_msg(
             ctx,
-            &self.net,
-            self.ep,
+            &self.pair.net,
+            self.pair.ep,
             to,
             48,
             InsertDone {
@@ -378,10 +339,6 @@ impl Dp2Proc {
                 durable: false,
             },
         );
-    }
-
-    fn has_backup(&self) -> bool {
-        self.machine.lock().resolve_backup(&self.name).is_some()
     }
 
     fn destage(&mut self, ctx: &mut Ctx<'_>) {
@@ -420,18 +377,13 @@ impl Dp2Proc {
 
 impl Actor for Dp2Proc {
     fn name(&self) -> &str {
-        &self.name
+        &self.pair.name
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
-            // Both halves watch the pair: the backup to take over, the
-            // primary to stop waiting on a backup that is gone.
-            let me = ctx.self_id();
-            self.machine
-                .lock()
-                .watch(WatchTarget::Process(self.name.clone()), me);
-            if self.role == Role::Primary {
+            self.pair.watch(ctx);
+            if self.pair.is_primary() {
                 ctx.send_self(DESTAGE_INTERVAL, DestageTick);
             }
             return;
@@ -439,7 +391,7 @@ impl Actor for Dp2Proc {
 
         let msg = match msg.take::<AppendRetry>() {
             Ok((_, r)) => {
-                if self.role == Role::Primary {
+                if self.pair.is_primary() {
                     let stalled = self
                         .pending
                         .get(&r.op)
@@ -457,7 +409,7 @@ impl Actor for Dp2Proc {
 
         let msg = match msg.take::<LockTimeout>() {
             Ok((_, t)) => {
-                if self.role != Role::Primary {
+                if !self.pair.is_primary() {
                     return;
                 }
                 // Still parked after the full wait? Victimize the whole
@@ -487,29 +439,28 @@ impl Actor for Dp2Proc {
         };
 
         if msg.is::<DestageTick>() {
-            if self.role == Role::Primary {
+            if self.pair.is_primary() {
                 self.destage(ctx);
                 ctx.send_self(DESTAGE_INTERVAL, DestageTick);
             }
             return;
         }
 
-        let msg = match msg.take::<ProcessDied>() {
-            Ok((_, d)) => {
-                if d.name != self.name {
-                    return;
-                }
-                match (self.role, d.was_primary) {
-                    (Role::Backup, true) => {
-                        self.machine.lock().promote_backup(&self.name);
-                        self.role = Role::Primary;
-                        ctx.send_self(DESTAGE_INTERVAL, DestageTick);
-                    }
-                    (Role::Primary, false) => self.backup_lost(ctx),
-                    _ => {}
+        let msg = match self.pair.take_died(msg) {
+            Ok(Died::Promote) => {
+                ctx.send_self(DESTAGE_INTERVAL, DestageTick);
+                return;
+            }
+            // Released in op order: a lock-parked insert checkpoints after
+            // later ops, so its seq is not its op.
+            Ok(Died::BackupLost(mut ops)) => {
+                ops.sort_unstable();
+                for op in ops {
+                    self.after_checkpoint(ctx, op);
                 }
                 return;
             }
+            Ok(Died::Ignore) => return,
             Err(m) => m,
         };
 
@@ -547,40 +498,26 @@ impl Actor for Dp2Proc {
         if let Ok((_, delivery)) = msg.take::<NetDelivery>() {
             let NetDelivery { from_ep, payload } = delivery;
 
-            // Backup side: apply checkpointed inserts.
-            let payload = match payload.downcast::<Checkpoint>() {
-                Ok(ck) => {
-                    let ck = *ck;
-                    if let Ok(delta) = ck.payload.downcast::<Dp2Ckpt>() {
+            let payload = match self.pair.recv(ctx, from_ep, payload) {
+                // Backup side: apply checkpointed inserts.
+                Inbound::Checkpoint(ck) => {
+                    if let Ok(delta) = ck.downcast::<Dp2Ckpt>() {
                         self.table
                             .entry(delta.partition)
                             .or_default()
                             .insert(delta.key, delta.rec);
                     }
-                    let net = self.net.clone();
-                    simnet::send_net_msg(
-                        ctx,
-                        &net,
-                        self.ep,
-                        from_ep,
-                        16,
-                        CheckpointAck { seq: ck.seq },
-                    );
                     return;
                 }
-                Err(p) => p,
-            };
-
-            // Primary: a checkpoint ack releases the insert it protects.
-            let payload = match payload.downcast::<CheckpointAck>() {
-                Ok(ack) => {
-                    self.after_checkpoint(ctx, ack.seq);
+                Inbound::Released(op) => {
+                    self.after_checkpoint(ctx, op);
                     return;
                 }
-                Err(p) => p,
+                Inbound::Acked => return,
+                Inbound::Other(p) => p,
             };
 
-            if self.role != Role::Primary {
+            if !self.pair.is_primary() {
                 return;
             }
 
@@ -588,10 +525,11 @@ impl Actor for Dp2Proc {
                 Ok(req) => {
                     // Charge the insert's CPU cost, then continue.
                     let now = ctx.now().as_nanos();
-                    let queue = self
-                        .machine
-                        .lock()
-                        .cpu_work(self.cpu, now, self.cfg.insert_cpu_ns);
+                    let queue = self.pair.machine.lock().cpu_work(
+                        self.pair.cpu,
+                        now,
+                        self.cfg.insert_cpu_ns,
+                    );
                     ctx.send_self(
                         SimDuration::from_nanos(queue + self.cfg.insert_cpu_ns),
                         StagedInsert { req: *req, from_ep },
@@ -629,17 +567,19 @@ impl Actor for Dp2Proc {
 
             if let Ok(req) = payload.downcast::<ReadReq>() {
                 let now = ctx.now().as_nanos();
-                self.machine.lock().cpu_work(self.cpu, now, 50_000);
+                self.pair
+                    .machine
+                    .lock()
+                    .cpu_work(self.pair.cpu, now, 50_000);
                 let found = self
                     .table
                     .get(&req.partition)
                     .and_then(|t| t.get(&req.key))
                     .map(|r| (r.virtual_len, r.crc));
-                let net = self.net.clone();
                 simnet::send_net_msg(
                     ctx,
-                    &net,
-                    self.ep,
+                    &self.pair.net,
+                    self.pair.ep,
                     from_ep,
                     32,
                     ReadDone {
@@ -670,12 +610,8 @@ pub fn install_dp2(
     stats: SharedTxnStats,
 ) {
     assert!(!adps.is_empty(), "DP2 needs at least one audit partition");
-    let net = machine.lock().net.clone();
     let parts: FastSet<PartitionId> = partitions.into_iter().collect();
     let mk = |role: Role, on_cpu: CpuId| {
-        let machine2 = machine.clone();
-        let net2 = net.clone();
-        let name2 = name.to_string();
         let adps2 = adps.clone();
         let cfg2 = cfg.clone();
         let stats2 = stats.clone();
@@ -683,13 +619,8 @@ pub fn install_dp2(
         let vols2 = data_volumes.clone();
         move |ep: EndpointId| -> Box<dyn Actor> {
             Box::new(Dp2Proc {
-                name: name2,
-                role,
+                pair: Pair::new(role, name, machine, ep, on_cpu),
                 cfg: cfg2,
-                machine: machine2,
-                net: net2,
-                ep,
-                cpu: on_cpu,
                 partitions: parts2,
                 adps: adps2,
                 data_volumes: vols2,

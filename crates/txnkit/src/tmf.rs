@@ -50,12 +50,11 @@ use crate::shard::ShardDirectory;
 use crate::stats::SharedTxnStats;
 use crate::types::*;
 use bytes::BytesMut;
-use nsk::machine::{CpuId, SharedMachine, WatchTarget};
-use nsk::proc::{Checkpoint, CheckpointAck, ProcessDied};
+use nsk::machine::{CpuId, SharedMachine};
+use nsk::pair::{Died, Inbound, Pair, Role};
 use simcore::hash::FastMap;
 use simcore::{Actor, Ctx, Msg, Sim, TimerId};
-use simnet::{EndpointId, NetDelivery, SharedNetwork};
-use std::collections::BTreeMap;
+use simnet::{EndpointId, NetDelivery};
 use std::sync::Arc;
 
 /// Size of the commit/abort record in the master trail, bytes.
@@ -68,12 +67,6 @@ const CHECKPOINT_MARK_EVERY: u64 = 64;
 /// Per-participant-shard slice of a commit: the (ADP, LSN) flush points
 /// and DP2 names whose data that shard must harden before it prepares.
 type ShardWork = (Vec<(String, Lsn)>, Vec<String>);
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Role {
-    Primary,
-    Backup,
-}
 
 /// What an outstanding sub-operation is, for retry across ADP takeovers
 /// (a takeover loses the old primary's buffered waiters, so the TMF
@@ -176,13 +169,10 @@ struct TmfCkpt {
 }
 
 pub struct TmfProc {
-    name: String,
-    role: Role,
+    /// The pair; a checkpoint's waiter is the token of the commit whose
+    /// decision it carries.
+    pair: Pair<u64>,
     cfg: TxnConfig,
-    machine: SharedMachine,
-    net: SharedNetwork,
-    ep: EndpointId,
-    cpu: CpuId,
     /// This TMF's shard id (encoded into allocated TxnIds).
     shard: u32,
     /// Cluster directory for cross-shard routing. A standalone node's has
@@ -204,8 +194,6 @@ pub struct TmfProc {
     next_subop: u64,
     /// Participant role: transactions this shard holds in prepared state.
     prepared: FastMap<TxnId, PrepState>,
-    ckpt_waiters: BTreeMap<u64, u64>, // ckpt seq → commit token
-    next_ckpt: u64,
     commits_since_mark: u64,
     /// Trail records are encoded here and copied out once, at their size.
     scratch: BytesMut,
@@ -220,15 +208,12 @@ impl TmfProc {
         Some(&self.master_adps[txn.audit_partition(self.master_adps.len())])
     }
 
-    fn has_backup(&self) -> bool {
-        self.machine.lock().resolve_backup(&self.name).is_some()
-    }
-
     fn charge_cpu(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_nanos();
-        self.machine
+        self.pair
+            .machine
             .lock()
-            .cpu_work(self.cpu, now, self.cfg.commit_cpu_ns);
+            .cpu_work(self.pair.cpu, now, self.cfg.commit_cpu_ns);
     }
 
     fn sub_token(&mut self, ctx: &mut Ctx<'_>, commit_token: u64, kind: SubKind) -> u64 {
@@ -250,7 +235,15 @@ impl TmfProc {
     }
 
     fn send_proc<M: 'static>(&self, ctx: &mut Ctx<'_>, to: &str, bytes: u32, msg: M) {
-        nsk::proc::send_to_process(ctx, &self.machine, self.ep, self.cpu, to, bytes, msg);
+        nsk::proc::send_to_process(
+            ctx,
+            &self.pair.machine,
+            self.pair.ep,
+            self.pair.cpu,
+            to,
+            bytes,
+            msg,
+        );
     }
 
     /// Append `rec` to `txn`'s master-trail partition under `token`,
@@ -336,7 +329,7 @@ impl TmfProc {
             } => {
                 let msg = PrepareTxn {
                     txn: *txn,
-                    coord: self.name.clone(),
+                    coord: self.pair.name.clone(),
                     flush_points: flush_points.clone(),
                     involved_dp2: involved_dp2.clone(),
                     token: sub,
@@ -425,26 +418,14 @@ impl TmfProc {
             Some(s) => s.txn,
             None => return,
         };
-        if self.has_backup() {
+        if self.pair.has_backup() {
             if let Some(s) = self.commits.get_mut(&token) {
                 s.phase = CommitPhase::Ckpt;
             }
-            let seq = self.next_ckpt;
-            self.next_ckpt += 1;
-            self.ckpt_waiters.insert(seq, token);
             self.stats.lock().tmf_checkpoints += 1;
-            nsk::proc::send_to_backup(
-                ctx,
-                &self.machine,
-                self.ep,
-                self.cpu,
-                &self.name,
-                crate::config::CHECKPOINT_OVERHEAD_BYTES,
-                Checkpoint {
-                    seq,
-                    payload: Box::new(TmfCkpt { committed_txn: txn }),
-                },
-            );
+            let wire = crate::config::CHECKPOINT_OVERHEAD_BYTES;
+            let ck = TmfCkpt { committed_txn: txn };
+            self.pair.send_checkpoint(ctx, Some(token), wire, ck);
         } else {
             self.externalize(ctx, token);
         }
@@ -484,7 +465,7 @@ impl TmfProc {
                 virtual_len: virt,
                 token: sub,
             };
-            nsk::proc::send_to_process(ctx, &self.machine, self.ep, self.cpu, master, virt, msg);
+            self.send_proc(ctx, master, virt, msg);
         }
     }
 
@@ -492,7 +473,7 @@ impl TmfProc {
         let Some(state) = self.commits.remove(&token) else {
             return;
         };
-        let net = self.net.clone();
+        let net = self.pair.net.clone();
         {
             let mut s = self.stats.lock();
             s.txns_committed += 1;
@@ -505,7 +486,7 @@ impl TmfProc {
         simnet::send_net_msg(
             ctx,
             &net,
-            self.ep,
+            self.pair.ep,
             state.driver_ep,
             32,
             TxnCommitted { txn: state.txn },
@@ -572,23 +553,18 @@ impl TmfProc {
 
 impl Actor for TmfProc {
     fn name(&self) -> &str {
-        &self.name
+        &self.pair.name
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
-            // Both halves watch the pair: the backup to take over, the
-            // primary to stop waiting on a backup that is gone.
-            let me = ctx.self_id();
-            self.machine
-                .lock()
-                .watch(WatchTarget::Process(self.name.clone()), me);
+            self.pair.watch(ctx);
             return;
         }
 
         let msg = match msg.take::<SubRetry>() {
             Ok((_, r)) => {
-                if self.role == Role::Primary {
+                if self.pair.is_primary() {
                     self.reissue(ctx, r.sub, r.attempt);
                 }
                 return;
@@ -596,67 +572,37 @@ impl Actor for TmfProc {
             Err(m) => m,
         };
 
-        let msg = match msg.take::<ProcessDied>() {
-            Ok((_, d)) => {
-                if d.name != self.name {
-                    return;
-                }
-                match (self.role, d.was_primary) {
-                    (Role::Backup, true) => {
-                        self.machine.lock().promote_backup(&self.name);
-                        self.role = Role::Primary;
-                    }
-                    // The backup died: no decision checkpoint in flight
-                    // will be acknowledged (a pair without a backup does
-                    // not checkpoint) — externalize what waited on one.
-                    (Role::Primary, false) => {
-                        for (_, token) in std::mem::take(&mut self.ckpt_waiters) {
-                            self.externalize(ctx, token);
-                        }
-                    }
-                    _ => {}
+        let msg = match self.pair.take_died(msg) {
+            Ok(Died::BackupLost(tokens)) => {
+                for token in tokens {
+                    self.externalize(ctx, token);
                 }
                 return;
             }
+            Ok(Died::Promote | Died::Ignore) => return,
             Err(m) => m,
         };
 
         if let Ok((_, delivery)) = msg.take::<NetDelivery>() {
             let NetDelivery { from_ep, payload } = delivery;
 
-            // Backup: checkpoints.
-            let payload = match payload.downcast::<Checkpoint>() {
-                Ok(ck) => {
-                    let ck = *ck;
-                    if let Ok(st) = ck.payload.downcast::<TmfCkpt>() {
-                        // Track the committed-txn high-water mark.
+            let payload = match self.pair.recv(ctx, from_ep, payload) {
+                // Backup: track the committed-txn high-water mark.
+                Inbound::Checkpoint(ck) => {
+                    if let Ok(st) = ck.downcast::<TmfCkpt>() {
                         self.next_txn = self.next_txn.max(st.committed_txn.sequence() + 1);
                     }
-                    let net = self.net.clone();
-                    simnet::send_net_msg(
-                        ctx,
-                        &net,
-                        self.ep,
-                        from_ep,
-                        16,
-                        CheckpointAck { seq: ck.seq },
-                    );
                     return;
                 }
-                Err(p) => p,
-            };
-
-            let payload = match payload.downcast::<CheckpointAck>() {
-                Ok(ack) => {
-                    if let Some(token) = self.ckpt_waiters.remove(&ack.seq) {
-                        self.externalize(ctx, token);
-                    }
+                Inbound::Released(token) => {
+                    self.externalize(ctx, token);
                     return;
                 }
-                Err(p) => p,
+                Inbound::Acked => return,
+                Inbound::Other(p) => p,
             };
 
-            if self.role != Role::Primary {
+            if !self.pair.is_primary() {
                 return;
             }
 
@@ -665,11 +611,11 @@ impl Actor for TmfProc {
                     self.charge_cpu(ctx);
                     let txn = TxnId::compose(self.shard, self.next_txn);
                     self.next_txn += 1;
-                    let net = self.net.clone();
+                    let net = self.pair.net.clone();
                     simnet::send_net_msg(
                         ctx,
                         &net,
-                        self.ep,
+                        self.pair.ep,
                         from_ep,
                         24,
                         TxnBegun {
@@ -766,11 +712,11 @@ impl Actor for TmfProc {
                             },
                         );
                     }
-                    let net = self.net.clone();
+                    let net = self.pair.net.clone();
                     simnet::send_net_msg(
                         ctx,
                         &net,
-                        self.ep,
+                        self.pair.ep,
                         from_ep,
                         24,
                         TxnAborted { txn: req.txn },
@@ -876,11 +822,11 @@ impl Actor for TmfProc {
                         }
                     }
                     // Ack even for duplicates (the first ack was lost).
-                    let net = self.net.clone();
+                    let net = self.pair.net.clone();
                     simnet::send_net_msg(
                         ctx,
                         &net,
-                        self.ep,
+                        self.pair.ep,
                         from_ep,
                         16,
                         DecisionAck { token: d.token },
@@ -977,24 +923,15 @@ pub fn install_tmf(
     cfg: TxnConfig,
     stats: SharedTxnStats,
 ) {
-    let net = machine.lock().net.clone();
     let mk = |role: Role, on_cpu: CpuId| {
-        let machine2 = machine.clone();
-        let net2 = net.clone();
-        let name2 = name.to_string();
         let cfg2 = cfg.clone();
         let stats2 = stats.clone();
         let master2 = master_adps.clone();
         let dir2 = directory.clone();
         move |ep: EndpointId| -> Box<dyn Actor> {
             Box::new(TmfProc {
-                name: name2,
-                role,
+                pair: Pair::new(role, name, machine, ep, on_cpu),
                 cfg: cfg2,
-                machine: machine2,
-                net: net2,
-                ep,
-                cpu: on_cpu,
                 shard,
                 directory: dir2,
                 master_adps: master2,
@@ -1005,8 +942,6 @@ pub fn install_tmf(
                 subop: FastMap::default(),
                 next_subop: 0,
                 prepared: FastMap::default(),
-                ckpt_waiters: BTreeMap::new(),
-                next_ckpt: 0,
                 commits_since_mark: 0,
                 scratch: BytesMut::new(),
             })

@@ -384,3 +384,167 @@ fn single_node_is_the_one_shard_cluster() {
         );
     }
 }
+
+/// One fault against a node carrying two hot-stock drivers, run to 4 s:
+/// `(dispatched, per driver (commits, finish ns), trail-image digest)`.
+/// A driver whose request died with a primary never finishes (drivers
+/// do not retry), so its finish time reads 0.
+fn takeover_run(base: txnkit::scenario::OdsParams, fault: Fault) -> (u64, [(u64, u64); 2], u64) {
+    use hotstock::driver::HotStockDriver;
+    let mut store = simcore::DurableStore::new();
+    let mut node = txnkit::scenario::build_ods(
+        &mut store,
+        txnkit::scenario::OdsParams {
+            fault_plan: FaultPlan::none().with(fault),
+            pm_region_len: 1 << 20,
+            ..base
+        },
+    );
+    let disk = node.params.audit == AuditMode::Disk;
+    // Either budget runs the undisturbed load to about 2.2 s (PM) or
+    // 3.0 s (disk): past every fault and its 400 ms detection.
+    let records = if disk { 512 } else { 1024 };
+    let drivers: Vec<_> = (0..2)
+        .map(|d| {
+            HotStockDriver::install(
+                &mut node.sim,
+                &node.machine.clone(),
+                node.tmf.clone(),
+                node.partition_map.clone(),
+                node.params.files,
+                node.params.parts_per_file,
+                d,
+                nsk::machine::CpuId(2 + d),
+                4096,
+                8,
+                records,
+                simcore::SimDuration::from_millis(1100),
+                node.params.txn.issue_cpu_ns,
+            )
+        })
+        .collect();
+    node.sim.run_until(SimTime(4 * SECS));
+    let dispatched = node.sim.dispatched();
+    let per_driver = [0, 1].map(|d| {
+        let s = drivers[d].lock();
+        (s.committed_txns, s.finished_ns)
+    });
+    let adps = node.adps.len();
+    drop(node);
+    store.reset_volatile();
+    let mut trails = simcore::Checksum64::default();
+    for i in 0..adps {
+        if disk {
+            let media = store
+                .get::<simdisk::SparseMedia>(&format!("disk:$AUDIT{i}"))
+                .expect("audit volume");
+            let m = media.lock();
+            trails.update(&m.read(0, m.high_water() as usize));
+        } else {
+            trails.update(&common::read_region(
+                &mut store,
+                "npmu:pm-a",
+                &format!("adp{i}.audit"),
+                0,
+            ));
+        }
+    }
+    (dispatched, per_driver, trails.finish())
+}
+
+#[test]
+fn takeovers_keep_their_schedule() {
+    // Every process pair's takeover, and a backup lost under parked
+    // checkpoints, pinned to the event: the four primaries die at fixed
+    // instants, and CPU 1 (the TMF's, `$DP2-0`'s and `$ADP0`'s backups)
+    // dies while checkpoints are on their way there — a TMF decision
+    // checkpoint (PM, 1.50236 s), two of them (disk, 1.5153 s), and a DP2
+    // insert's beside an ADP append's (disk, 1.5157 s). The literals were
+    // taken from one run; a change to the pair protocol that moves any
+    // message by a nanosecond moves them.
+    let kill = |name: &str, ms: u64| Fault::KillProcess {
+        name: name.into(),
+        at: SimTime(ms * MILLIS),
+    };
+    let cpu1 = |ns: u64| Fault::KillCpu {
+        cpu: 1,
+        at: SimTime(ns),
+    };
+    let pm = txnkit::scenario::OdsParams {
+        audit: AuditMode::HardwareNpmu,
+        ..txnkit::scenario::OdsParams::pm(0x7A4E)
+    };
+    let disk = txnkit::scenario::OdsParams::baseline(0x7A4E);
+    let runs = [
+        (
+            &pm,
+            kill("$TMF", 1500),
+            (11503, [(47, 0), (47, 0)], 6106954379392675721),
+        ),
+        (
+            &pm,
+            kill("$DP2-0", 1600),
+            (22478, [(60, 0), (128, 2120202816)], 8482644932455761693),
+        ),
+        (
+            &pm,
+            kill("$ADP0", 1700),
+            (
+                30533,
+                [(128, 3068759348), (128, 3068713498)],
+                12673246484457089587,
+            ),
+        ),
+        (
+            &pm,
+            kill("$PMM", 1800),
+            (
+                30500,
+                [(128, 2172490296), (128, 2172442263)],
+                7659251096915355820,
+            ),
+        ),
+        (
+            &pm,
+            cpu1(1_502_360_000),
+            (20271, [(48, 0), (128, 2507098097)], 10785378346733178679),
+        ),
+        (
+            &disk,
+            kill("$TMF", 1500),
+            (3173, [(13, 0), (13, 0)], 14360563810453391444),
+        ),
+        (
+            &disk,
+            kill("$DP2-0", 1600),
+            (9349, [(17, 0), (64, 2936576340)], 8264628482714541618),
+        ),
+        (
+            &disk,
+            kill("$ADP0", 1700),
+            (
+                13483,
+                [(64, 3884696990), (64, 3884695848)],
+                17418342822903451598,
+            ),
+        ),
+        (
+            &disk,
+            cpu1(1_515_300_000),
+            (
+                11079,
+                [(64, 3411967408), (64, 3411966266)],
+                9692817120586790402,
+            ),
+        ),
+        (
+            &disk,
+            cpu1(1_515_700_000),
+            (3286, [(14, 0), (14, 0)], 6556561106758177960),
+        ),
+    ];
+    for (base, fault, want) in runs {
+        let got = takeover_run(base.clone(), fault.clone());
+        assert_eq!(got, want, "{:?} node, {fault:?}", base.audit);
+    }
+}

@@ -32,6 +32,14 @@ find crates/*/src src -name '*.rs' -type f -print0 | xargs -0 awk '
 echo "== *Stats structs"
 grep -rhoE '^pub struct [A-Za-z0-9]+Stats\b' crates/*/src src | wc -l
 
+echo "== process pairs"
+printf '%-28s %6d\n' "enum Role under crates/" \
+  "$({ grep -rhE '^\s*(pub(\([a-z]+\))? )?enum Role\b' crates --include='*.rs' || true; } | wc -l)"
+# Lines in the server files naming the pair protocol's plumbing.
+printf '%-28s %6d\n' "pair plumbing in servers" \
+  "$(cat crates/txnkit/src/{dp2,tmf}.rs crates/txnkit/src/adp/*.rs crates/pmm/src/manager.rs |
+    { grep -cE 'ProcessDied|CheckpointAck|Checkpoint \{|promote_backup|resolve_backup|send_to_backup|WatchTarget::Process' || true; })"
+
 echo "== crates/bench bins"
 find crates/bench/src/bin -name '*.rs' -type f | wc -l
 
