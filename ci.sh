@@ -71,6 +71,10 @@ tools/bench_check.sh
 # itself (the numbers mean nothing; the build, the parse and the
 # simulated-metrics comparison must all still work).
 tools/ab_wall.sh . trade_pm 1
+# Rot check for the N-seed sweep a commit- or repair-timing change owes
+# (40 seeds of repair_under_load): two seeds at 1/20 scale; it fails if
+# either seed is not correct.
+tools/seed_sweep.sh --quick repair_under_load 2 >/dev/null
 # The size and option census every re-anchor used to count by hand. It
 # gates nothing; it runs here so the script cannot rot unnoticed.
 tools/census.sh

@@ -14,13 +14,19 @@
 //!    there (parallel `FlushReq` fan-out) — for the flush points the
 //!    commit still carries: an insert whose append ack already proved its
 //!    delta durable left none;
-//! 2. append the commit record to the *master* trail; flush it only if
-//!    the append ack does not already cover it — the paper's "completion
-//!    time of at least one – and typically more than one – disk I/O...
-//!    included in the response time of every transaction" (§2), and its
-//!    PM answer "the database log is persistent immediately" (§4.2);
-//! 3. checkpoint the commit decision to the TMF backup;
-//! 4. externalize: reply to the driver, notify DP2s to release locks.
+//! 2. append and checkpoint together: the event that makes the decision
+//!    sends the commit record to the *master* trail and the decision
+//!    checkpoint to the TMF backup (record first: it is the longer leg,
+//!    and both share the TMF's transmit port — DP2's rule for its delta
+//!    and its checkpoint). The record is flushed only if the append ack
+//!    does not already cover it — the paper's "completion time of at
+//!    least one – and typically more than one – disk I/O... included in
+//!    the response time of every transaction" (§2), and its PM answer
+//!    "the database log is persistent immediately" (§4.2);
+//! 3. externalize once both legs are done — the record durable, the
+//!    checkpoint acknowledged or released by a lost backup, in either
+//!    order (`CommitJoin`): reply to the driver, notify DP2s to release
+//!    locks.
 //!
 //! The rule is the same at every append: *append; flush only if the ack
 //! does not already cover it*. It is decided from the ack's own
@@ -128,13 +134,73 @@ enum CommitPhase {
     /// Waiting for local data-trail flush acks and participant prepare
     /// acks (both counts must reach zero).
     Phase1 { flushes: u32, prepares: u32 },
-    /// Waiting for the master-trail append ack.
-    MasterAppend,
-    /// Waiting for the master-trail flush ack (only when the append ack
-    /// did not already prove the record durable).
-    MasterFlush,
-    /// Waiting for the backup checkpoint ack.
+    /// Decided: the commit record and the decision checkpoint are out.
+    Decided(CommitJoin),
+}
+
+/// A decided commit's two legs, joined (DP2's `PendingInsert` shape):
+/// the commit is externalized once its record is durable and its decision
+/// checkpoint is done with, in whichever order the two land.
+#[derive(Clone, Copy)]
+struct CommitJoin {
+    /// The commit record is durable: its append ack covered it, or the
+    /// `MasterFlush` behind that ack came back. Without a master trail
+    /// there is no record to wait for.
+    durable: bool,
+    /// The decision checkpoint is at the backup, not yet acknowledged.
+    awaiting_ckpt: bool,
+}
+
+/// One leg of a decided commit.
+enum Leg {
+    /// The commit record is durable.
+    Record,
+    /// The decision checkpoint was acknowledged — or never will be: a
+    /// lost backup released it. This clears the checkpoint leg only; the
+    /// record may still be on its way to durability.
     Ckpt,
+}
+
+impl CommitJoin {
+    /// The decision is made: a record leg only with a master trail, a
+    /// checkpoint leg only with a backup.
+    fn new(master_trail: bool, backup: bool) -> Self {
+        CommitJoin {
+            durable: !master_trail,
+            awaiting_ckpt: backup,
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.durable && !self.awaiting_ckpt
+    }
+
+    /// `leg` is done: whether the commit can be externalized now.
+    fn finish(&mut self, leg: Leg) -> bool {
+        match leg {
+            Leg::Record => self.durable = true,
+            Leg::Ckpt => self.awaiting_ckpt = false,
+        }
+        self.done()
+    }
+}
+
+/// Finish `leg` of commit `token`: its state, taken out of `commits`, once
+/// both legs are done. Taking it out is what makes a commit externalize
+/// exactly once — a duplicate or late leg finds nothing.
+fn finish_leg(
+    commits: &mut FastMap<u64, CommitState>,
+    token: u64,
+    leg: Leg,
+) -> Option<CommitState> {
+    let CommitPhase::Decided(join) = &mut commits.get_mut(&token)?.phase else {
+        return None;
+    };
+    if join.finish(leg) {
+        commits.remove(&token)
+    } else {
+        None
+    }
 }
 
 struct CommitState {
@@ -163,6 +229,12 @@ struct PrepState {
     durable: bool,
 }
 
+/// The decision checkpoint. What it protects is the backup's `next_txn`
+/// high-water mark: a promoted backup allocates past every id its primary
+/// decided on, so ids are skipped, never reused. It leaves beside the
+/// commit record, so it may reach the backup before the record is durable
+/// (or for a commit whose record never becomes durable): that only skips
+/// an id.
 #[derive(Clone, Copy)]
 struct TmfCkpt {
     committed_txn: TxnId,
@@ -389,9 +461,10 @@ impl TmfProc {
         self.maybe_advance_phase1(ctx, token);
     }
 
-    /// When every local flush and every prepare ack is in, harden the
-    /// commit record on the txn's master-trail partition — the
-    /// cluster-wide commit point.
+    /// When every local flush and every prepare ack is in, the commit is
+    /// decided: harden its record on the txn's master-trail partition —
+    /// that record becoming durable is the cluster-wide commit point — and
+    /// checkpoint the decision to the backup, both in this event.
     fn maybe_advance_phase1(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let Some(state) = self.commits.get_mut(&token) else {
             return;
@@ -404,30 +477,30 @@ impl TmfProc {
             _ => return,
         }
         let txn = state.txn;
-        if self.master_adps.is_empty() {
-            self.commit_hardened(ctx, token);
-        } else {
-            state.phase = CommitPhase::MasterAppend;
+        let master_trail = !self.master_adps.is_empty();
+        let backup = self.pair.has_backup();
+        let join = CommitJoin::new(master_trail, backup);
+        state.phase = CommitPhase::Decided(join);
+        // Record first: the longer leg, and both share the transmit port.
+        if master_trail {
             self.start_sub(ctx, token, SubKind::MasterAppend { txn });
         }
-    }
-
-    /// All trails durable: checkpoint the decision, then externalize.
-    fn commit_hardened(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let txn = match self.commits.get(&token) {
-            Some(s) => s.txn,
-            None => return,
-        };
-        if self.pair.has_backup() {
-            if let Some(s) = self.commits.get_mut(&token) {
-                s.phase = CommitPhase::Ckpt;
-            }
+        if backup {
             self.stats.lock().tmf_checkpoints += 1;
             let wire = crate::config::CHECKPOINT_OVERHEAD_BYTES;
             let ck = TmfCkpt { committed_txn: txn };
             self.pair.send_checkpoint(ctx, Some(token), wire, ck);
-        } else {
-            self.externalize(ctx, token);
+        }
+        if join.done() {
+            let state = self.commits.remove(&token).expect("decided commit");
+            self.externalize(ctx, token, state);
+        }
+    }
+
+    /// Leg `leg` of commit `token` is done; externalize once both are.
+    fn leg_done(&mut self, ctx: &mut Ctx<'_>, token: u64, leg: Leg) {
+        if let Some(state) = finish_leg(&mut self.commits, token, leg) {
+            self.externalize(ctx, token, state);
         }
     }
 
@@ -469,10 +542,9 @@ impl TmfProc {
         }
     }
 
-    fn externalize(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let Some(state) = self.commits.remove(&token) else {
-            return;
-        };
+    /// Commit `token` is durable and its decision checkpointed: reply, and
+    /// resolve it everywhere else. `state` is already out of `commits`.
+    fn externalize(&mut self, ctx: &mut Ctx<'_>, token: u64, state: CommitState) {
         let net = self.pair.net.clone();
         {
             let mut s = self.stats.lock();
@@ -575,7 +647,7 @@ impl Actor for TmfProc {
         let msg = match self.pair.take_died(msg) {
             Ok(Died::BackupLost(tokens)) => {
                 for token in tokens {
-                    self.externalize(ctx, token);
+                    self.leg_done(ctx, token, Leg::Ckpt);
                 }
                 return;
             }
@@ -595,7 +667,7 @@ impl Actor for TmfProc {
                     return;
                 }
                 Inbound::Released(token) => {
-                    self.externalize(ctx, token);
+                    self.leg_done(ctx, token, Leg::Ckpt);
                     return;
                 }
                 Inbound::Acked => return,
@@ -855,10 +927,8 @@ impl Actor for TmfProc {
                     match kind {
                         SubKind::MasterAppend { txn } if self.commits.contains_key(&token) => {
                             if done.is_durable() {
-                                self.commit_hardened(ctx, token);
+                                self.leg_done(ctx, token, Leg::Record);
                             } else {
-                                self.commits.get_mut(&token).unwrap().phase =
-                                    CommitPhase::MasterFlush;
                                 let upto = done.lsn_end;
                                 self.start_sub(ctx, token, SubKind::MasterFlush { txn, upto });
                             }
@@ -882,7 +952,7 @@ impl Actor for TmfProc {
                 if let Some((token, kind)) = self.retire_sub(ctx, done.token) {
                     match kind {
                         SubKind::DataFlush { .. } => self.phase1_flush_done(ctx, token),
-                        SubKind::MasterFlush { .. } => self.commit_hardened(ctx, token),
+                        SubKind::MasterFlush { .. } => self.leg_done(ctx, token, Leg::Record),
                         SubKind::PrepDataFlush { txn, .. } => {
                             let advance = match self.prepared.get_mut(&txn) {
                                 Some(st) => {
@@ -950,5 +1020,158 @@ pub fn install_tmf(
     nsk::machine::install_primary(sim, machine, name, cpu, mk(Role::Primary, cpu));
     if let Some(bcpu) = backup_cpu {
         nsk::machine::install_backup(sim, machine, name, bcpu, mk(Role::Backup, bcpu));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nsk::pair::PairCore;
+
+    /// What reaches a decided commit, as the TMF's handler hears it.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Ev {
+        /// The master append's ack; `durable`: it covers the record.
+        AppendAck { durable: bool },
+        /// The `MasterFlush` behind a non-durable append ack came back.
+        FlushAck,
+        /// An ack of the decision checkpoint's seq (a second one is a
+        /// duplicate; one after `BackupLost` is late).
+        CkptAck,
+        /// The backup died.
+        BackupLost,
+    }
+
+    /// Every distinct order of `evs` in which a `FlushAck` follows the
+    /// non-durable append ack it was sent for.
+    fn orders(evs: &[Ev]) -> Vec<Vec<Ev>> {
+        if evs.is_empty() {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for (i, &ev) in evs.iter().enumerate() {
+            if evs[..i].contains(&ev) {
+                continue;
+            }
+            let mut rest = evs.to_vec();
+            rest.remove(i);
+            if ev == Ev::FlushAck && rest.contains(&Ev::AppendAck { durable: false }) {
+                continue;
+            }
+            for mut tail in orders(&rest) {
+                tail.insert(0, ev);
+                out.push(tail);
+            }
+        }
+        out
+    }
+
+    /// One commit decided with (or without) a master trail and a backup,
+    /// then `events` fed through `PairCore` and the join the way the
+    /// handler feeds them. Asserts at every step that the commit is
+    /// externalized at most once, never before its record is durable, and
+    /// as soon as both legs are done.
+    fn run(master_trail: bool, backup: bool, events: &[Ev]) {
+        const TOKEN: u64 = 7;
+        let mut core = PairCore::<u64>::new(Role::Primary);
+        let mut commits = FastMap::default();
+        let join = CommitJoin::new(master_trail, backup);
+        let state = CommitState {
+            txn: TxnId::compose(0, 1),
+            driver_ep: EndpointId(0),
+            involved_dp2: Vec::new(),
+            participants: Vec::new(),
+            phase: CommitPhase::Decided(join),
+            started_ns: 0,
+        };
+        commits.insert(TOKEN, state);
+        let seq = backup.then(|| core.park(TOKEN));
+        let (mut durable, mut ckpt_done) = (!master_trail, !backup);
+        let mut externalized = 0;
+        if join.done() {
+            commits.remove(&TOKEN);
+            externalized += 1;
+        }
+        let why = format!("master trail {master_trail}, backup {backup}, {events:?}");
+        for &ev in events {
+            let released: Vec<CommitState> = match ev {
+                Ev::AppendAck { durable: false } => Vec::new(),
+                Ev::AppendAck { durable: true } | Ev::FlushAck => {
+                    durable = true;
+                    finish_leg(&mut commits, TOKEN, Leg::Record)
+                        .into_iter()
+                        .collect()
+                }
+                Ev::CkptAck => {
+                    let waiter = seq.and_then(|s| core.acked(s));
+                    ckpt_done |= waiter.is_some();
+                    waiter
+                        .and_then(|t| finish_leg(&mut commits, t, Leg::Ckpt))
+                        .into_iter()
+                        .collect()
+                }
+                Ev::BackupLost => {
+                    let Died::BackupLost(waiters) = core.died(false) else {
+                        panic!("a primary's backup died: {why}");
+                    };
+                    ckpt_done = true;
+                    waiters
+                        .into_iter()
+                        .filter_map(|t| finish_leg(&mut commits, t, Leg::Ckpt))
+                        .collect()
+                }
+            };
+            for state in released {
+                assert_eq!(state.txn, TxnId::compose(0, 1));
+                assert!(durable, "externalized before durable after {ev:?}: {why}");
+                externalized += 1;
+            }
+            assert!(externalized <= 1, "externalized twice: {why}");
+            let due = u32::from(durable && ckpt_done);
+            assert_eq!(externalized, due, "after {ev:?}: {why}");
+        }
+        assert_eq!(externalized, 1, "never externalized: {why}");
+    }
+
+    #[test]
+    fn a_decided_commit_externalizes_once_both_legs_are_done_in_any_order() {
+        use Ev::*;
+        let mut orders_run = 0;
+        for master_trail in [false, true] {
+            let records: &[&[Ev]] = if master_trail {
+                &[
+                    &[AppendAck { durable: true }],
+                    &[AppendAck { durable: false }, FlushAck],
+                ]
+            } else {
+                &[&[]]
+            };
+            for backup in [false, true] {
+                // Every checkpoint outcome: acked, lost, both (either
+                // order: a late ack), acked twice, and all three.
+                let ckpts: &[&[Ev]] = &[
+                    &[CkptAck],
+                    &[BackupLost],
+                    &[CkptAck, BackupLost],
+                    &[CkptAck, CkptAck],
+                    &[CkptAck, CkptAck, BackupLost],
+                ];
+                for record in records {
+                    for ckpt in ckpts {
+                        for order in orders(&[*record, *ckpt].concat()) {
+                            run(master_trail, backup, &order);
+                            orders_run += 1;
+                        }
+                    }
+                }
+                if !backup {
+                    run(master_trail, backup, records[0]);
+                }
+            }
+        }
+        // Per backup setting: 8 orders of the checkpoint outcomes alone,
+        // 25 with a durable append ack among them, 54 with an ack and the
+        // flush behind it.
+        assert_eq!(orders_run, 2 * (8 + 25 + 54));
     }
 }

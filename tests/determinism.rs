@@ -457,11 +457,20 @@ fn takeovers_keep_their_schedule() {
     // Every process pair's takeover, and a backup lost under parked
     // checkpoints, pinned to the event: the four primaries die at fixed
     // instants, and CPU 1 (the TMF's, `$DP2-0`'s and `$ADP0`'s backups)
-    // dies while checkpoints are on their way there — a TMF decision
-    // checkpoint (PM, 1.50236 s), two of them (disk, 1.5153 s), and a DP2
-    // insert's beside an ADP append's (disk, 1.5157 s). The literals were
-    // taken from one run; a change to the pair protocol that moves any
-    // message by a nanosecond moves them.
+    // dies while checkpoints are on their way there:
+    // - PM, 1.501165 s: a TMF decision checkpoint is on its way to the dead
+    //   CPU while its commit record is still in flight to the master trail
+    //   (decided 1.501160 s, durable 1.501219 s); the commit waits for
+    //   `BackupLost` 400 ms later;
+    // - disk, 1.50467 s: two decision checkpoints are on their way there
+    //   and both records wait out the group commit; `$ADP0`, its own
+    //   backup gone too, holds the master append until its `BackupLost`,
+    //   so the TMF's `BackupLost` lands ~10 ms *before* the records are
+    //   durable and must not externalize them;
+    // - disk, 1.51535 s: a DP2 insert's checkpoint is on its way there
+    //   beside the `$ADP0` append checkpoint of its delta.
+    // The literals were taken from one run; a change to the pair protocol
+    // or the commit path that moves any message by a nanosecond moves them.
     let kill = |name: &str, ms: u64| Fault::KillProcess {
         name: name.into(),
         at: SimTime(ms * MILLIS),
@@ -479,20 +488,20 @@ fn takeovers_keep_their_schedule() {
         (
             &pm,
             kill("$TMF", 1500),
-            (11503, [(47, 0), (47, 0)], 6106954379392675721),
+            (11503, [(47, 0), (47, 0)], 2079511577281231438),
         ),
         (
             &pm,
             kill("$DP2-0", 1600),
-            (22478, [(60, 0), (128, 2120202816)], 8482644932455761693),
+            (22478, [(60, 0), (128, 2117127792)], 2166801894833700049),
         ),
         (
             &pm,
             kill("$ADP0", 1700),
             (
                 30533,
-                [(128, 3068759348), (128, 3068713498)],
-                12673246484457089587,
+                [(128, 3065672617), (128, 3065628502)],
+                17124581019110678906,
             ),
         ),
         (
@@ -500,14 +509,14 @@ fn takeovers_keep_their_schedule() {
             kill("$PMM", 1800),
             (
                 30500,
-                [(128, 2172490296), (128, 2172442263)],
-                7659251096915355820,
+                [(128, 2169413509), (128, 2169365973)],
+                6686197513892902550,
             ),
         ),
         (
             &pm,
-            cpu1(1_502_360_000),
-            (20271, [(48, 0), (128, 2507098097)], 10785378346733178679),
+            cpu1(1_501_165_000),
+            (20210, [(47, 0), (128, 2505928137)], 16110119932908520823),
         ),
         (
             &disk,
@@ -517,29 +526,29 @@ fn takeovers_keep_their_schedule() {
         (
             &disk,
             kill("$DP2-0", 1600),
-            (9349, [(17, 0), (64, 2936576340)], 8264628482714541618),
+            (9349, [(17, 0), (64, 2935036733)], 8264628482714541618),
         ),
         (
             &disk,
             kill("$ADP0", 1700),
             (
                 13483,
-                [(64, 3884696990), (64, 3884695848)],
+                [(64, 3883145084), (64, 3883143943)],
                 17418342822903451598,
             ),
         ),
         (
             &disk,
-            cpu1(1_515_300_000),
+            cpu1(1_504_670_000),
             (
-                11079,
-                [(64, 3411967408), (64, 3411966266)],
+                11072,
+                [(64, 3411609620), (64, 3411608191)],
                 9692817120586790402,
             ),
         ),
         (
             &disk,
-            cpu1(1_515_700_000),
+            cpu1(1_515_350_000),
             (3286, [(14, 0), (14, 0)], 6556561106758177960),
         ),
     ];
