@@ -15,9 +15,13 @@ cargo test --release --workspace
 # and the determinism guard on, traced and untraced.
 benchmark/check.sh
 cargo build --release --examples
-# Smoke: 4-volume pool, striped region, one member failure + online
-# resilver — asserts internally, fails loud if the pool path rots.
-cargo run --release --example scale_out
+# Smoke: every example runs to completion (under a second together), and
+# the ones that assert fail loud — scale_out's 4-volume pool surviving one
+# member failure with an online resilver, failover losing no record
+# across ADP and PMM primary kills.
+for example in examples/*.rs; do
+  cargo run --release --example "$(basename "$example" .rs)"
+done
 # Smoke: durable-write latency by attachment (T1) — asserts internally
 # that a mirrored 4 KB PM write costs within 5% of writing one half (the
 # legs ride separate fabrics), at least a wire time more with a fabric

@@ -4,8 +4,8 @@
 //! produce the actual tables.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hotstock::{run_hot_stock, HotStockParams, TxnSize};
 use txnkit::scenario::AuditMode;
+use workload::{hot_stock, run_hot_stock, TxnSize, WorkloadConfig};
 
 fn bench_fig1_cell(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig1_cell");
@@ -17,7 +17,10 @@ fn bench_fig1_cell(c: &mut Criterion) {
         };
         g.bench_function(format!("32k_1driver_{label}"), |b| {
             b.iter(|| {
-                let r = run_hot_stock(HotStockParams::scaled(1, TxnSize::K32, mode, 64));
+                let r = run_hot_stock(
+                    hot_stock::node(mode),
+                    WorkloadConfig::hot_stock(1, TxnSize::K32.inserts_per_txn(), 64),
+                );
                 black_box(r.response.mean())
             })
         });
@@ -30,7 +33,10 @@ fn bench_fig2_cell(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("128k_2drivers_pm", |b| {
         b.iter(|| {
-            let r = run_hot_stock(HotStockParams::scaled(2, TxnSize::K128, AuditMode::Pmp, 64));
+            let r = run_hot_stock(
+                hot_stock::node(AuditMode::Pmp),
+                WorkloadConfig::hot_stock(2, TxnSize::K128.inserts_per_txn(), 64),
+            );
             black_box(r.elapsed.as_nanos())
         })
     });

@@ -3,8 +3,8 @@
 //! the practical limit on experiment scale.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use hotstock::{run_hot_stock, HotStockParams, TxnSize};
 use txnkit::scenario::AuditMode;
+use workload::{hot_stock, run_hot_stock, TxnSize, WorkloadConfig};
 
 fn bench_txn_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("txn_path");
@@ -14,7 +14,10 @@ fn bench_txn_path(c: &mut Criterion) {
     for (label, mode) in [("disk", AuditMode::Disk), ("pm", AuditMode::Pmp)] {
         g.bench_function(format!("8_txns_{label}"), |b| {
             b.iter(|| {
-                let r = run_hot_stock(HotStockParams::scaled(1, TxnSize::K32, mode, 64));
+                let r = run_hot_stock(
+                    hot_stock::node(mode),
+                    WorkloadConfig::hot_stock(1, TxnSize::K32.inserts_per_txn(), 64),
+                );
                 black_box(r.committed_txns)
             })
         });

@@ -4,12 +4,9 @@
 //! the latency/throughput trade PM dissolves (PM runs with window = 0 and
 //! pays nothing for it).
 
-use hotstock::driver::HotStockDriver;
-use nsk::machine::CpuId;
 use pm_bench::Table;
-use simcore::time::SECS;
-use simcore::{DurableStore, SimDuration, SimTime};
-use txnkit::scenario::{build_ods, AuditMode, OdsParams};
+use txnkit::scenario::{AuditMode, OdsParams};
+use workload::{hot_stock, run_hot_stock, WorkloadConfig};
 
 struct RunOut {
     rt_ms: f64,
@@ -18,62 +15,18 @@ struct RunOut {
 }
 
 fn run(window_ms: u64, audit: AuditMode) -> RunOut {
-    let mut params = match audit {
-        AuditMode::Disk => OdsParams::baseline(0xA4),
-        _ => OdsParams::pm(0xA4),
+    let mut ods = OdsParams {
+        seed: 0xA4,
+        ..hot_stock::node(audit)
     };
-    params.txn.group_commit_window_ns = window_ms * 1_000_000;
-    let mut store = DurableStore::new();
-    let mut node = build_ods(&mut store, params);
+    ods.txn.group_commit_window_ns = window_ms * 1_000_000;
     // Four concurrent drivers: group commit only coalesces when multiple
     // commits overlap at an ADP.
-    let drivers = 4u32;
-    let records = 400u64;
-    let tmf = node.tmf.clone();
-    let pmap = node.partition_map.clone();
-    let (files, parts) = (node.params.files, node.params.parts_per_file);
-    let issue = node.params.txn.issue_cpu_ns;
-    let mut all = Vec::new();
-    for d in 0..drivers {
-        let machine = node.machine.clone();
-        all.push(HotStockDriver::install(
-            &mut node.sim,
-            &machine,
-            tmf.clone(),
-            pmap.clone(),
-            files,
-            parts,
-            d,
-            CpuId(d % node.params.cpus),
-            4096,
-            8,
-            records,
-            SimDuration::from_millis(1100),
-            issue,
-        ));
-    }
-    loop {
-        if all.iter().all(|s| s.lock().done) {
-            break;
-        }
-        let now = node.sim.now();
-        assert!(now < SimTime(3600 * SECS));
-        node.sim.run_until(SimTime(now.as_nanos() + 2 * SECS));
-    }
-    let mut resp = simcore::Histogram::new();
-    let mut first = u64::MAX;
-    let mut last = 0;
-    for s in &all {
-        let s = s.lock();
-        resp.merge(&s.response);
-        first = first.min(s.started_ns);
-        last = last.max(s.finished_ns);
-    }
-    let audit_writes = node.stats.lock().audit_volume_writes;
+    let r = run_hot_stock(ods, WorkloadConfig::hot_stock(4, 8, 400));
     RunOut {
-        rt_ms: resp.mean() / 1e6,
-        elapsed_s: (last - first) as f64 / 1e9,
-        audit_writes,
+        rt_ms: r.response.mean() / 1e6,
+        elapsed_s: r.elapsed.as_secs_f64(),
+        audit_writes: r.txn_stats.audit_volume_writes,
     }
 }
 

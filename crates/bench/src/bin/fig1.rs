@@ -6,9 +6,9 @@
 //! (`--full` = the paper's 32000 records per driver; default 2000, same
 //! shape at 1/16 the events).
 
-use hotstock::{run_hot_stock, HotStockParams, TxnSize};
 use pm_bench::{records_per_driver, Table};
 use txnkit::scenario::AuditMode;
+use workload::{hot_stock, run_hot_stock, TxnSize, WorkloadConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -30,7 +30,10 @@ fn main() {
             .iter()
             .map(|&(size, drivers, mode)| {
                 s.spawn(move |_| {
-                    let r = run_hot_stock(HotStockParams::scaled(drivers, size, mode, records));
+                    let r = run_hot_stock(
+                        hot_stock::node(mode),
+                        WorkloadConfig::hot_stock(drivers, size.inserts_per_txn(), records),
+                    );
                     ((size, drivers, mode), r.response.mean())
                 })
             })

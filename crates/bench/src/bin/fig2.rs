@@ -7,9 +7,9 @@
 //!
 //! Usage: `cargo run --release -p pm-bench --bin fig2 [--full]`
 
-use hotstock::{run_hot_stock, HotStockParams, TxnSize};
 use pm_bench::{records_per_driver, Table};
 use txnkit::scenario::AuditMode;
+use workload::{hot_stock, run_hot_stock, TxnSize, WorkloadConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -29,7 +29,10 @@ fn main() {
             .iter()
             .map(|&(size, drivers, mode)| {
                 s.spawn(move |_| {
-                    let r = run_hot_stock(HotStockParams::scaled(drivers, size, mode, records));
+                    let r = run_hot_stock(
+                        hot_stock::node(mode),
+                        WorkloadConfig::hot_stock(drivers, size.inserts_per_txn(), records),
+                    );
                     ((size, drivers, mode), r.elapsed.as_secs_f64())
                 })
             })

@@ -36,7 +36,7 @@ use simcore::{DurableStore, SimTime};
 use txnkit::adp::parse_ctrl_cell;
 use txnkit::recovery::{mttr_pm_scan_partitioned, redo_scan_partitioned, RecoveredState};
 use txnkit::scenario::{build_georep, GeorepParams};
-use workload::{install_workload, ThinkTime, WorkloadConfig};
+use workload::{install_workload, Keys, ThinkTime, WorkloadConfig};
 
 const PARTS: usize = 4;
 const CLIENTS: u64 = 8;
@@ -97,8 +97,7 @@ fn run_arm(seed: u64, eager: bool, delay_ms: u64, drill: bool) -> DrillOutcome {
             think: ThinkTime::Exponential {
                 mean_ns: 6 * MILLIS,
             },
-            disjoint_keys: true,
-            txns_per_client: 0,
+            keys: Keys::Disjoint,
             run_for: Some(simcore::SimDuration::from_nanos(600 * MILLIS)),
             inserts_per_txn: 4,
             ..WorkloadConfig::new(seed, CLIENTS)

@@ -26,7 +26,6 @@
 //!
 //! Usage: `cargo run --release -p pm-bench --bin qos_isolation [--json] [--records N]`
 
-use hotstock::{run_hot_stock_with, HotStockParams, TxnSize};
 use nsk::machine::CpuId;
 use pm_bench::outage::{self, OutageWrites};
 use pm_bench::Table;
@@ -34,7 +33,8 @@ use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
 use simcore::SimTime;
 use simnet::QosConfig;
-use txnkit::scenario::AuditMode;
+use txnkit::scenario::{AuditMode, OdsParams};
+use workload::{hot_stock, run_hot_stock_with, TxnSize, WorkloadConfig};
 
 /// One mirror half dies at 1.15 s (drivers start at 1.1 s) and revives,
 /// stale, at 1.25 s; the PMM's next probe round starts the resilver.
@@ -89,12 +89,13 @@ fn combined(label: &'static str, qos: QosConfig, drivers: u32, records: u64, fau
     simnet::qos::reset_process_stats();
     let t0 = std::time::Instant::now();
     eprintln!("qos_isolation: arm {label} ({drivers} drivers x {records} records)...");
-    let params = HotStockParams {
+    let ods = OdsParams {
         qos,
         fault_plan: if faulted { outage() } else { FaultPlan::none() },
-        ..HotStockParams::scaled(drivers, TxnSize::K32, AuditMode::HardwareNpmu, records)
+        ..hot_stock::node(AuditMode::HardwareNpmu)
     };
-    let r = run_hot_stock_with(params, |node| {
+    let load = WorkloadConfig::hot_stock(drivers, TxnSize::K32.inserts_per_txn(), records);
+    let r = run_hot_stock_with(ods, load, |node| {
         if faulted {
             let machine = node.machine.clone();
             outage::install(&mut node.sim, &machine, CpuId(1), "$PMM", divergence());

@@ -3,14 +3,20 @@
 //! paper's shapes. `fig1`/`fig2` produce the publication tables; this
 //! prints the raw grid.
 
-use hotstock::*;
 use txnkit::scenario::AuditMode;
+use workload::{hot_stock, run_hot_stock, TxnSize, WorkloadConfig};
 fn main() {
     let recs = 2000;
     for size in TxnSize::ALL {
         for drivers in [1u32, 2, 4] {
-            let d = run_hot_stock(HotStockParams::scaled(drivers, size, AuditMode::Disk, recs));
-            let p = run_hot_stock(HotStockParams::scaled(drivers, size, AuditMode::Pmp, recs));
+            let d = run_hot_stock(
+                hot_stock::node(AuditMode::Disk),
+                WorkloadConfig::hot_stock(drivers, size.inserts_per_txn(), recs),
+            );
+            let p = run_hot_stock(
+                hot_stock::node(AuditMode::Pmp),
+                WorkloadConfig::hot_stock(drivers, size.inserts_per_txn(), recs),
+            );
             println!(
                 "size={} drivers={} | disk: rt={:.2}ms el={:.1}s | pm: rt={:.2}ms el={:.1}s | speedup_rt={:.2} el_ratio={:.2}",
                 size.label(), drivers,

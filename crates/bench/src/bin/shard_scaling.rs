@@ -26,7 +26,7 @@ use pmem::s86000_cluster;
 use simcore::time::SECS;
 use simcore::{DurableStore, SimDuration, SimTime};
 use txnkit::scenario::build_cluster;
-use workload::{install_workload, run_to_completion, ThinkTime, WorkloadConfig};
+use workload::{install_workload, run_to_completion, Keys, ThinkTime, WorkloadConfig};
 
 struct Point {
     commits_per_sec: f64,
@@ -45,7 +45,7 @@ fn run_point(nodes: u32, cross_pct: u32, cfg_tweak: impl FnOnce(&mut WorkloadCon
         cross_shard_fraction: cross_pct as f64 / 100.0,
         // Record-capture style: every insert is a fresh record, so the
         // matrix measures system capacity rather than hot-key queueing.
-        disjoint_keys: true,
+        keys: Keys::Disjoint,
         issue_cpu_ns: 5_000,
         ..WorkloadConfig::new(0xBEE7 + cross_pct as u64, 48 * nodes as u64)
     };

@@ -5,28 +5,25 @@
 //! data volumes and from the log writer to log volumes") vs the single
 //! synchronous PM write.
 
-use hotstock::{run_hot_stock, HotStockParams, TxnSize};
 use pm_bench::{json, Table};
 use txnkit::scenario::AuditMode;
+use txnkit::stats::TxnStats;
+use workload::{hot_stock, run_hot_stock, TxnSize, WorkloadConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let records = 1000;
-    let disk = run_hot_stock(HotStockParams::scaled(
-        1,
-        TxnSize::K64,
-        AuditMode::Disk,
-        records,
-    ));
-    let pm = run_hot_stock(HotStockParams::scaled(
-        1,
-        TxnSize::K64,
-        AuditMode::Pmp,
-        records,
-    ));
+    let disk = run_hot_stock(
+        hot_stock::node(AuditMode::Disk),
+        WorkloadConfig::hot_stock(1, TxnSize::K64.inserts_per_txn(), records),
+    );
+    let pm = run_hot_stock(
+        hot_stock::node(AuditMode::Pmp),
+        WorkloadConfig::hot_stock(1, TxnSize::K64.inserts_per_txn(), records),
+    );
 
     #[allow(clippy::type_complexity)]
-    let rows: [(&str, fn(&hotstock::runner::TxnStatsSnapshot) -> u64); 6] = [
+    let rows: [(&str, fn(&TxnStats) -> u64); 6] = [
         ("DBW primary -> backup checkpoint", |s| s.dbw_checkpoints),
         ("DBW -> ADP audit delta", |s| s.audit_deltas),
         ("ADP primary -> backup checkpoint", |s| s.adp_checkpoints),

@@ -2,10 +2,10 @@
 //! verified this claim, and have found that a true hardware PMU is
 //! actually slightly faster than the PMPs used in the experiments."
 
-use hotstock::{run_hot_stock, HotStockParams, TxnSize};
 use pm_bench::{measure_pm_write, MeasureOpts, Table};
 use pmem::NpmuConfig;
 use txnkit::scenario::AuditMode;
+use workload::{hot_stock, run_hot_stock, TxnSize, WorkloadConfig};
 
 fn main() {
     const N: u32 = 300;
@@ -32,18 +32,14 @@ fn main() {
     t.print("T4: persistent-write latency, hardware NPMU vs PMP");
 
     // End-to-end check on the benchmark workload.
-    let pmp = run_hot_stock(HotStockParams::scaled(
-        1,
-        TxnSize::K32,
-        AuditMode::Pmp,
-        1000,
-    ));
-    let hw = run_hot_stock(HotStockParams::scaled(
-        1,
-        TxnSize::K32,
-        AuditMode::HardwareNpmu,
-        1000,
-    ));
+    let pmp = run_hot_stock(
+        hot_stock::node(AuditMode::Pmp),
+        WorkloadConfig::hot_stock(1, TxnSize::K32.inserts_per_txn(), 1000),
+    );
+    let hw = run_hot_stock(
+        hot_stock::node(AuditMode::HardwareNpmu),
+        WorkloadConfig::hot_stock(1, TxnSize::K32.inserts_per_txn(), 1000),
+    );
     println!(
         "hot-stock 32k mean response: PMP {:.2} ms, hardware {:.2} ms ({:.1}% faster)",
         pmp.response.mean() / 1e6,

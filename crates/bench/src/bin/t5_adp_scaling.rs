@@ -3,61 +3,20 @@
 //! CPU/ADP count under a fixed 4-driver insert-heavy load and report
 //! aggregate insert throughput.
 
-use hotstock::driver::HotStockDriver;
-use nsk::machine::CpuId;
 use pm_bench::Table;
-use simcore::time::SECS;
-use simcore::{DurableStore, SimDuration, SimTime};
-use txnkit::scenario::{build_ods, AuditMode, OdsParams};
+use txnkit::scenario::{AuditMode, OdsParams};
+use workload::{hot_stock, run_hot_stock, WorkloadConfig};
 
+/// Aggregate inserts/s of 4 drivers × 600 records in 32k transactions.
 fn run(cpus: u32, audit: AuditMode) -> f64 {
-    let mut store = DurableStore::new();
-    let params = match audit {
-        AuditMode::Disk => OdsParams::baseline(0xBEEF),
-        _ => OdsParams::pm(0xBEEF),
-    };
-    let params = OdsParams {
+    let ods = OdsParams {
+        seed: 0xBEEF,
         cpus,
         parts_per_file: cpus,
-        ..params
+        ..hot_stock::node(audit)
     };
-    let mut node = build_ods(&mut store, params);
-    let records = 600u64;
-    let drivers = 4u32;
-    let tmf = node.tmf.clone();
-    let pmap = node.partition_map.clone();
-    let (files, parts) = (node.params.files, node.params.parts_per_file);
-    let issue = node.params.txn.issue_cpu_ns;
-    let mut stats = Vec::new();
-    for d in 0..drivers {
-        let machine = node.machine.clone();
-        stats.push(HotStockDriver::install(
-            &mut node.sim,
-            &machine,
-            tmf.clone(),
-            pmap.clone(),
-            files,
-            parts,
-            d,
-            CpuId(d % cpus),
-            4096,
-            8,
-            records,
-            SimDuration::from_millis(1100),
-            issue,
-        ));
-    }
-    loop {
-        if stats.iter().all(|s| s.lock().done) {
-            break;
-        }
-        let now = node.sim.now();
-        assert!(now < SimTime(3600 * SECS), "run ran away");
-        node.sim.run_until(SimTime(now.as_nanos() + 5 * SECS));
-    }
-    let first = stats.iter().map(|s| s.lock().started_ns).min().unwrap();
-    let last = stats.iter().map(|s| s.lock().finished_ns).max().unwrap();
-    (drivers as u64 * records) as f64 / ((last - first) as f64 / 1e9)
+    let r = run_hot_stock(ods, WorkloadConfig::hot_stock(4, 8, 600));
+    r.inserted_records as f64 / r.elapsed.as_secs_f64()
 }
 
 fn main() {

@@ -39,7 +39,7 @@ use simcore::{Actor, ActorId, Ctx, Msg, Sim};
 use simnet::{EndpointId, NetDelivery};
 use std::any::Any;
 
-pub use pm::{parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
+pub use pm::{encode_ctrl_slot, parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
 
 /// Fabric traffic class for commit-critical PM ops: the ADP's trail
 /// chains (each carries the control cell that releases commit acks), its

@@ -50,6 +50,17 @@ pub const PM_CTRL_BYTES: u64 = 64;
 /// 4 B pad`.
 pub const PM_CTRL_SLOT_BYTES: u64 = 16;
 
+/// Encode one control-cell slot's payload: `watermark u64 LE +
+/// crc32(watermark) u32 LE`. A write of it is sized
+/// [`PM_CTRL_SLOT_BYTES`]; the pad is never read.
+pub fn encode_ctrl_slot(watermark: u64) -> [u8; 12] {
+    let wm = watermark.to_le_bytes();
+    let mut cell = [0u8; 12];
+    cell[..8].copy_from_slice(&wm);
+    cell[8..].copy_from_slice(&pmm::meta::crc32(&wm).to_le_bytes());
+    cell
+}
+
 /// Parse the double-buffered control cell (both 16 B slots). Returns the
 /// highest CRC-valid watermark — 0 when neither slot is valid (fresh
 /// region, or both torn) — and the slot index holding it.
@@ -313,14 +324,10 @@ impl PmLog {
     /// other — holding the last published watermark — intact; the caller
     /// flips `ctrl_slot` once it commits to posting the part.
     fn ctrl_part(&self, watermark: u64) -> Part {
-        let wm = watermark.to_le_bytes();
-        let mut cell = [0u8; 12];
-        cell[..8].copy_from_slice(&wm);
-        cell[8..].copy_from_slice(&pmm::meta::crc32(&wm).to_le_bytes());
         let off = self.ctrl_slot as u64 * PM_CTRL_SLOT_BYTES;
         (
             off,
-            Bytes::copy_from_slice(&cell),
+            Bytes::copy_from_slice(&encode_ctrl_slot(watermark)),
             PM_CTRL_SLOT_BYTES as u32,
         )
     }

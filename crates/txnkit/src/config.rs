@@ -19,10 +19,6 @@ pub struct TxnConfig {
     /// device across concurrent commits. The paper's PM thesis is exactly
     /// that this trade disappears: PM flushes immediately.
     pub group_commit_window_ns: u64,
-    /// Driver/application CPU cost to issue one insert (client-side
-    /// processing: building the request, object-relational glue — §2's
-    /// "issue rate of a single application server thread").
-    pub issue_cpu_ns: u64,
     /// Remote-persistence mode the ADP's PM client runs in (see
     /// [`simnet::PersistMode`]). The default — and `pm_enabled()` — is
     /// the honest `PersistFlush`: a commit ack is only released once the
@@ -73,7 +69,6 @@ impl Default for TxnConfig {
             append_cpu_ns: 20_000,
             commit_cpu_ns: 40_000,
             group_commit_window_ns: 8_000_000,
-            issue_cpu_ns: 1_000_000,
             dp2_checkpoint: true,
             pm_persist_mode: simnet::PersistMode::PersistFlush,
         }

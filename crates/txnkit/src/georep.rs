@@ -37,7 +37,7 @@
 //! by a zombie's acks. RPO/RTO are then *measured*, not asserted: see
 //! the `georep` bench and `tests/georep_failover.rs`.
 
-use crate::adp::{parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
+use crate::adp::{encode_ctrl_slot, parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
 use crate::config::TxnConfig;
 use crate::types::{SubscribeTrail, TrailAdvance};
 use bytes::Bytes;
@@ -717,9 +717,7 @@ impl ReplicaApply {
                 // the same double-buffered control cell the primary
                 // uses, so replica takeover reads it identically.
                 let region = self.parts[part].region_id.expect("adopted");
-                let mut cell = Vec::with_capacity(PM_CTRL_SLOT_BYTES as usize);
-                cell.extend_from_slice(&end.to_le_bytes());
-                cell.extend_from_slice(&pmm::meta::crc32(&end.to_le_bytes()).to_le_bytes());
+                let cell = encode_ctrl_slot(end);
                 let off = self.parts[part].ctrl_slot as u64 * PM_CTRL_SLOT_BYTES;
                 self.parts[part].ctrl_slot ^= 1;
                 let tok = self.token(ApplyToken::Ctrl { part, end });
@@ -727,7 +725,7 @@ impl ReplicaApply {
                     ctx,
                     region,
                     off,
-                    Bytes::from(cell),
+                    Bytes::copy_from_slice(&cell),
                     PM_CTRL_SLOT_BYTES as u32,
                     tok,
                 );

@@ -30,6 +30,23 @@ use txnkit::shard::{shard_of_key, splitmix64};
 use txnkit::types::*;
 use txnkit::TxnClient;
 
+/// How a transaction's inserts choose their keys and partitions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Keys {
+    /// Customer ids from the Zipfian draw, each placed by its hash: hot
+    /// customers contend for locks, and some transactions abort.
+    Zipfian,
+    /// A globally unique key per insert, placed by its hash: no lock
+    /// contention and no aborts — what crash/recovery harnesses that
+    /// account for every record use.
+    Disjoint,
+    /// §4.3's layout, unique too: a client's n-th record is key
+    /// `client << 48 | n`, and a transaction's i-th insert goes to file
+    /// `i % files`, partition `(client + i / files) % parts_per_file` of
+    /// its shard ("inserts into each file", spread over the DP2s).
+    Sequential,
+}
+
 /// Closed-loop workload parameters.
 #[derive(Clone, Debug)]
 pub struct WorkloadConfig {
@@ -50,16 +67,16 @@ pub struct WorkloadConfig {
     pub inserts_per_txn: u32,
     /// Logical record size (travels through the timing model).
     pub record_bytes: u32,
-    /// Give every insert a globally-unique key (no lock contention, no
-    /// aborts) — used by crash/recovery harnesses that need to account
-    /// for every record.
-    pub disjoint_keys: bool,
+    /// How inserts choose their keys and partitions.
+    pub keys: Keys,
     /// Record every committed [`TxnId`] in the stats (crash harnesses
     /// compare the acked set against offline recovery; off by default —
     /// population-scale runs don't want the allocation).
     pub track_txns: bool,
-    /// Transactions per client; 0 means "until `run_for` elapses".
-    pub txns_per_client: u64,
+    /// Records each client attempts, `inserts_per_txn` per transaction
+    /// and the rest in a last, shorter one; 0 means "until `run_for`
+    /// elapses".
+    pub records_per_client: u64,
     /// Stop issuing new transactions this long after warmup.
     pub run_for: Option<SimDuration>,
     /// Boot delay before the first transaction.
@@ -84,9 +101,9 @@ impl WorkloadConfig {
             cross_shard_fraction: 0.0,
             inserts_per_txn: 8,
             record_bytes: 4096,
-            disjoint_keys: false,
+            keys: Keys::Zipfian,
             track_txns: false,
-            txns_per_client: 0,
+            records_per_client: 0,
             run_for: Some(SimDuration::from_millis(2_000)),
             warmup: SimDuration::from_millis(1_100),
             issue_cpu_ns: 20_000,
@@ -139,8 +156,8 @@ struct VClient {
     /// Transactions attempted so far (the RNG stream index).
     seq: u64,
     txn: Option<TxnId>,
-    /// This attempt's inserts: (partition, key, dp2 name).
-    plan: Vec<(PartitionId, u64, String)>,
+    /// This attempt's inserts: (partition, key).
+    plan: Vec<(PartitionId, u64)>,
     cross: bool,
     outstanding: u32,
     failed: bool,
@@ -166,7 +183,8 @@ pub struct ClientPool {
     home: u32,
     view: Arc<ClusterView>,
     cfg: Arc<WorkloadConfig>,
-    zipf: Zipf,
+    /// The customer draw ([`Keys::Zipfian`] only).
+    zipf: Option<Zipf>,
     slots: Vec<VClient>,
     by_txn: FastMap<TxnId, u32>,
     live: u32,
@@ -188,10 +206,10 @@ impl ClientPool {
     }
 
     /// Draw a key routed to `target` (bounded rejection sampling over the
-    /// Zipfian customer draw, or over a salt field in disjoint mode).
+    /// Zipfian customer draw, or over a salt field for disjoint keys).
     fn key_for_shard(&self, rng: &mut Rng64, target: u32, unique: u64) -> u64 {
         let shards = self.view.shards;
-        if self.cfg.disjoint_keys {
+        let Some(zipf) = &self.zipf else {
             // Unique key: | salt 16 | client 28 | counter 20 |; vary the
             // salt until the routing hash lands on the target shard.
             for salt in 0u64..(1 << 16) {
@@ -201,13 +219,13 @@ impl ClientPool {
                 }
             }
             unreachable!("no salt routes to shard {target}");
-        }
+        };
         // Contended key = customer id: resample the Zipfian until the
         // customer's home shard matches (hot customers keep a fixed
         // home, like warehouses). Expected tries = shard count.
         let mut last = 0;
         for _ in 0..4096 {
-            last = self.zipf.sample(rng) + 1; // avoid key 0
+            last = zipf.sample(rng) + 1; // avoid key 0
             if shard_of_key(last, shards) == target {
                 return last;
             }
@@ -215,13 +233,19 @@ impl ClientPool {
         last
     }
 
-    /// Build the slot's next transaction plan from its private stream.
+    /// Build the slot's next transaction plan from its private stream:
+    /// `inserts_per_txn` inserts, or what is left of the record budget.
     fn build_plan(&mut self, slot: u32) {
         let view = self.view.clone();
         let cfg = self.cfg.clone();
         let (id, seq) = {
             let s = &self.slots[slot as usize];
             (s.id, s.seq)
+        };
+        let done = seq * cfg.inserts_per_txn as u64;
+        let n = match cfg.records_per_client {
+            0 => cfg.inserts_per_txn,
+            budget => cfg.inserts_per_txn.min((budget - done) as u32),
         };
         let mut rng = Rng64::for_txn(cfg.seed, id, seq);
         let cross = view.shards > 1 && rng.next_f64() < cfg.cross_shard_fraction;
@@ -234,18 +258,25 @@ impl ClientPool {
         } else {
             None
         };
-        let mut plan = Vec::with_capacity(cfg.inserts_per_txn as usize);
-        for i in 0..cfg.inserts_per_txn {
+        let mut plan = std::mem::take(&mut self.slots[slot as usize].plan);
+        plan.clear();
+        for i in 0..n {
             // The last insert of a cross-shard transaction goes remote.
             let target = match remote {
-                Some(r) if i + 1 == cfg.inserts_per_txn => r,
+                Some(r) if i + 1 == n => r,
                 _ => self.home,
             };
-            let unique = (id << 20) | ((seq * cfg.inserts_per_txn as u64 + i as u64) & 0xf_ffff);
-            let key = self.key_for_shard(&mut rng, target, unique);
-            let part = Self::place(&view, target, key);
-            let dp2 = view.partition_map[&part].clone();
-            plan.push((part, key, dp2));
+            let record = done + i as u64;
+            plan.push(if cfg.keys == Keys::Sequential {
+                let part = PartitionId {
+                    file: target * view.files + i % view.files,
+                    part: (id as u32 + i / view.files) % view.parts_per_file,
+                };
+                (part, (id << 48) | record)
+            } else {
+                let key = self.key_for_shard(&mut rng, target, (id << 20) | (record & 0xf_ffff));
+                (Self::place(&view, target, key), key)
+            });
         }
         let s = &mut self.slots[slot as usize];
         s.plan = plan;
@@ -265,11 +296,15 @@ impl ClientPool {
         ctx.send_self(SimDuration::from_nanos(delay), ThinkDone { slot });
     }
 
+    /// Think, then begin the slot's next transaction; a zero think begins
+    /// it in this event.
     fn think_then_next(&mut self, ctx: &mut Ctx<'_>, slot: u32) {
         let s = &self.slots[slot as usize];
         let mut rng = Rng64::for_txn(self.cfg.seed ^ THINK_SALT, s.id, s.seq);
-        let think = self.cfg.think.sample_ns(&mut rng);
-        self.schedule_think(ctx, slot, think);
+        match self.cfg.think.sample_ns(&mut rng) {
+            0 => self.begin_next(ctx, slot),
+            think => self.schedule_think(ctx, slot, think),
+        }
     }
 
     fn finish_client(&mut self, ctx: &mut Ctx<'_>, slot: u32) {
@@ -289,8 +324,9 @@ impl ClientPool {
     fn begin_next(&mut self, ctx: &mut Ctx<'_>, slot: u32) {
         let now = ctx.now().as_nanos();
         let over_deadline = self.stop_at_ns.map(|d| now >= d).unwrap_or(false);
-        let quota = self.cfg.txns_per_client;
-        let exhausted = quota > 0 && self.slots[slot as usize].seq >= quota;
+        let budget = self.cfg.records_per_client;
+        let exhausted =
+            budget > 0 && self.slots[slot as usize].seq * self.cfg.inserts_per_txn as u64 >= budget;
         if over_deadline || exhausted {
             self.finish_client(ctx, slot);
             return;
@@ -301,15 +337,15 @@ impl ClientPool {
     }
 
     fn issue_one(&mut self, ctx: &mut Ctx<'_>, slot: u32, i: u32) {
-        let (txn, part, key, dp2) = {
-            let s = &self.slots[slot as usize];
-            let (part, key, ref dp2) = s.plan[i as usize];
-            (s.txn.unwrap(), part, key, dp2.clone())
-        };
-        let body = Bytes::from(key.to_le_bytes().to_vec());
+        let s = &self.slots[slot as usize];
+        let (txn, (part, key), n) = (s.txn.unwrap(), s.plan[i as usize], s.plan.len() as u32);
+        // Compact body: the key's 8 bytes stand in for the record (its
+        // full size travels through the timing model).
+        let body = Bytes::copy_from_slice(&key.to_le_bytes());
+        let dp2 = &self.view.partition_map[&part];
         self.client.insert(
             ctx,
-            &dp2,
+            dp2,
             txn,
             part,
             key,
@@ -317,7 +353,7 @@ impl ClientPool {
             self.cfg.record_bytes,
             slot as u64,
         );
-        if (i + 1) < self.slots[slot as usize].plan.len() as u32 {
+        if i + 1 < n {
             let now = ctx.now().as_nanos();
             let queue = self
                 .machine
@@ -367,16 +403,23 @@ impl Actor for ClientPool {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
             // Stagger client arrivals across one think time so a cold
-            // start doesn't issue every first transaction at once.
+            // start doesn't issue every first transaction at once. A pool
+            // of one client has nobody to stagger against: it starts when
+            // the warmup ends.
             let warmup = self.cfg.warmup;
             self.stop_at_ns = self.cfg.run_for.map(|d| warmup.as_nanos() + d.as_nanos());
+            let stagger = self.slots.len() > 1;
             for slot in 0..self.slots.len() as u32 {
-                let id = self.slots[slot as usize].id;
-                let mut rng = Rng64::for_txn(self.cfg.seed ^ THINK_SALT, id, u64::MAX);
                 // A think-time draw plus up to 2 ms of uniform stagger, so
                 // even zero-think saturation runs ramp up instead of
                 // issuing every first begin on the same instant.
-                let jitter = self.cfg.think.sample_ns(&mut rng) + rng.below(2_000_000);
+                let jitter = if stagger {
+                    let id = self.slots[slot as usize].id;
+                    let mut rng = Rng64::for_txn(self.cfg.seed ^ THINK_SALT, id, u64::MAX);
+                    self.cfg.think.sample_ns(&mut rng) + rng.below(2_000_000)
+                } else {
+                    0
+                };
                 self.schedule_think(ctx, slot, warmup.as_nanos() + jitter);
             }
             return;
@@ -473,6 +516,7 @@ pub fn install_workload(
     });
     let view = Arc::new(view.clone());
     let cfg = Arc::new(cfg);
+    let zipf = (cfg.keys == Keys::Zipfian).then(|| Zipf::new(cfg.customers, cfg.zipf_theta));
     let mut next_client = 0u64;
     let mut pools = 0u32;
     for shard in 0..view.shards {
@@ -510,9 +554,8 @@ pub fn install_workload(
             let cpu = CpuId(view.shard_cpu_base[shard as usize] + p % view.cpus_per_shard);
             let name = format!("$pool-s{shard}p{p}");
             let tmf = view.tmfs[shard as usize].clone();
-            let zipf = Zipf::new(cfg.customers, cfg.zipf_theta);
             let (m2, m3) = (machine.clone(), machine.clone());
-            let (v2, c2, st2) = (view.clone(), cfg.clone(), stats.clone());
+            let (v2, c2, st2, z2) = (view.clone(), cfg.clone(), stats.clone(), zipf.clone());
             let live = slots.len() as u32;
             nsk::machine::install_primary(sim, machine, &name.clone(), cpu, move |ep| {
                 Box::new(ClientPool {
@@ -523,7 +566,7 @@ pub fn install_workload(
                     home: shard,
                     view: v2,
                     cfg: c2,
-                    zipf,
+                    zipf: z2,
                     slots,
                     by_txn: FastMap::default(),
                     live,
@@ -560,7 +603,7 @@ mod tests {
     fn quick_cfg(seed: u64, clients: u64) -> WorkloadConfig {
         WorkloadConfig {
             think: ThinkTime::Exponential { mean_ns: 5_000_000 },
-            txns_per_client: 4,
+            records_per_client: 4 * 8, // four transactions of 8 inserts
             run_for: None,
             customers: 10_000,
             ..WorkloadConfig::new(seed, clients)
@@ -601,7 +644,7 @@ mod tests {
             &view,
             WorkloadConfig {
                 cross_shard_fraction: 0.5,
-                disjoint_keys: true, // no aborts: every txn must commit
+                keys: Keys::Disjoint, // no aborts: every txn must commit
                 ..quick_cfg(12, 32)
             },
         );

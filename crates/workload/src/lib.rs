@@ -19,7 +19,10 @@
 //! * **cross-shard transactions**: a configurable fraction of
 //!   transactions insert into a remote shard, forcing the TMF's
 //!   two-phase commit path on a [`txnkit::scenario::build_cluster`]
-//!   topology.
+//!   topology;
+//! * **the paper's hot-stock benchmark** ([`hot_stock`]): the same pool,
+//!   one zero-think client per stock with a record budget, run to
+//!   completion on one node.
 //!
 //! Sampling is counter-based ([`dist::Rng64::for_txn`]): a client's n-th
 //! transaction draws from a stream keyed by (seed, client, n), so runs
@@ -27,8 +30,10 @@
 
 pub mod dist;
 pub mod driver;
+pub mod hot_stock;
 
 pub use dist::{Rng64, ThinkTime, Zipf};
 pub use driver::{
-    install_workload, run_to_completion, SharedWorkloadStats, WorkloadConfig, WorkloadStats,
+    install_workload, run_to_completion, Keys, SharedWorkloadStats, WorkloadConfig, WorkloadStats,
 };
+pub use hot_stock::{run_hot_stock, run_hot_stock_with, HotStockResult, TxnSize};

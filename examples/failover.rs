@@ -6,13 +6,12 @@
 //!
 //! Run: `cargo run --release --example failover`
 
-use hotstock::driver::HotStockDriver;
-use nsk::machine::CpuId;
 use nsk::Monitor;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::SECS;
-use simcore::{DurableStore, SimDuration, SimTime};
+use simcore::{DurableStore, SimTime};
 use txnkit::scenario::{build_ods, OdsParams};
+use workload::{install_workload, WorkloadConfig};
 
 fn main() {
     let mut store = DurableStore::new();
@@ -35,30 +34,17 @@ fn main() {
     );
 
     let records = 3000u64;
-    let tmf = node.tmf.clone();
-    let pmap = node.partition_map.clone();
-    let (files, parts) = (node.params.files, node.params.parts_per_file);
-    let issue = node.params.txn.issue_cpu_ns;
-    let machine = node.machine.clone();
-    let stats = HotStockDriver::install(
+    let (view, machine) = (node.view(), node.machine.clone());
+    let stats = install_workload(
         &mut node.sim,
         &machine,
-        tmf,
-        pmap,
-        files,
-        parts,
-        0,
-        CpuId(0),
-        4096,
-        8,
-        records,
-        SimDuration::from_millis(1100),
-        issue,
+        &view,
+        WorkloadConfig::hot_stock(1, 8, records),
     );
 
     println!("running {records} inserts with ADP + PMM primaries killed mid-run...");
     loop {
-        if stats.lock().done {
+        if stats.lock().done() {
             break;
         }
         let now = node.sim.now();
@@ -68,7 +54,7 @@ fn main() {
         println!(
             "  t={:>4.0}s committed={:>4} txns inserted={:>5} records",
             now.as_secs_f64(),
-            s.committed_txns,
+            s.committed,
             s.inserted_records
         );
     }
@@ -77,7 +63,7 @@ fn main() {
     println!(
         "\ndone at t={:.1}s: {} transactions committed, {} records inserted — none lost",
         s.finished_ns as f64 / 1e9,
-        s.committed_txns,
+        s.committed,
         s.inserted_records
     );
     assert_eq!(s.inserted_records, records);

@@ -3,8 +3,8 @@
 //!
 //! Run: `cargo run --release --example hot_stock`
 
-use hotstock::{run_hot_stock, HotStockParams, TxnSize};
 use txnkit::scenario::AuditMode;
+use workload::{hot_stock, run_hot_stock, TxnSize, WorkloadConfig};
 
 fn main() {
     let records = 1000;
@@ -14,8 +14,14 @@ fn main() {
         "txn", "disk rt (ms)", "pm rt (ms)", "speedup", "disk elapsed", "pm elapsed"
     );
     for size in TxnSize::ALL {
-        let disk = run_hot_stock(HotStockParams::scaled(1, size, AuditMode::Disk, records));
-        let pm = run_hot_stock(HotStockParams::scaled(1, size, AuditMode::Pmp, records));
+        let disk = run_hot_stock(
+            hot_stock::node(AuditMode::Disk),
+            WorkloadConfig::hot_stock(1, size.inserts_per_txn(), records),
+        );
+        let pm = run_hot_stock(
+            hot_stock::node(AuditMode::Pmp),
+            WorkloadConfig::hot_stock(1, size.inserts_per_txn(), records),
+        );
         println!(
             "{:>8} {:>14.2} {:>14.2} {:>8.2}x  {:>13.2}s {:>13.2}s",
             size.label(),

@@ -8,9 +8,11 @@
 //!
 //! * [`pmem`] — the persistent-memory architecture (devices, manager,
 //!   client library, fine-grained persistent structures);
-//! * [`hotstock`] — the paper's benchmark, runnable at any scale.
+//! * [`workload`] — the client driver: closed-loop client pools, and the
+//!   paper's hot-stock benchmark ([`workload::hot_stock`]), runnable at
+//!   any scale.
 
-pub use hotstock;
 pub use pmem;
 pub use recordstore;
 pub use txnkit;
+pub use workload;

@@ -16,13 +16,12 @@
 //! comment.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use hotstock::driver::{HotStockDriver, SharedDriverStats};
-use nsk::machine::CpuId;
 use simcore::time::MILLIS;
 use simcore::{DurableStore, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
+use txnkit::scenario::{build_ods, AuditMode, OdsParams};
+use workload::{install_workload, WorkloadConfig};
 
 struct ThreadCounting;
 
@@ -81,35 +80,6 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-/// Zero-think hot-stock clients issuing one 4 KB insert per transaction,
-/// started `warmup` after boot.
-fn install_drivers(
-    node: &mut OdsNode,
-    drivers: u32,
-    txns: u64,
-    warmup: SimDuration,
-) -> Vec<SharedDriverStats> {
-    (0..drivers)
-        .map(|d| {
-            HotStockDriver::install(
-                &mut node.sim,
-                &node.machine.clone(),
-                node.tmf.clone(),
-                node.partition_map.clone(),
-                node.params.files,
-                node.params.parts_per_file,
-                d,
-                CpuId(d % node.params.cpus),
-                4096,
-                1,
-                txns,
-                warmup,
-                node.params.txn.issue_cpu_ns,
-            )
-        })
-        .collect()
-}
-
 /// Allocations per commit on the warm PM commit path: 63.8 measured, in
 /// release and debug builds alike, of which about 40 are the message
 /// envelopes (one or two boxes per event). The count is deterministic, but
@@ -132,27 +102,29 @@ fn pm_commit_path_stays_within_its_allocation_budget() {
             ..OdsParams::pm(0x0D5B11)
         },
     );
-    let warmup = SimDuration::from_millis(1100);
-    let drivers = install_drivers(&mut node, DRIVERS, TXNS_PER_DRIVER, warmup);
-    let committed = |drivers: &[SharedDriverStats]| -> u64 {
-        drivers.iter().map(|d| d.lock().committed_txns).sum()
-    };
+    // Zero-think hot-stock clients issuing one 4 KB insert per
+    // transaction, started `warmup` after boot.
+    let load = WorkloadConfig::hot_stock(DRIVERS, 1, TXNS_PER_DRIVER);
+    let warmup = load.warmup;
+    let (view, machine) = (node.view(), node.machine.clone());
+    let stats = install_workload(&mut node.sim, &machine, &view, load);
+    let committed = || stats.lock().committed;
     let step = SimDuration::from_nanos(MILLIS / 4);
 
     // Warm: every table, pool and scratch buffer on the path reaches its
     // steady size before anything is counted.
     node.sim.run_until(SimTime::ZERO + warmup);
-    while committed(&drivers) < WARM_COMMITS {
+    while committed() < WARM_COMMITS {
         node.sim.run_for(step);
     }
-    let warm = committed(&drivers);
+    let warm = committed();
     let allocs = allocations_in(|| {
-        while !drivers.iter().all(|d| d.lock().done) {
+        while !stats.lock().done() {
             node.sim.run_for(step);
         }
     });
-    let commits = committed(&drivers) - warm;
-    assert_eq!(committed(&drivers), DRIVERS as u64 * TXNS_PER_DRIVER);
+    let commits = committed() - warm;
+    assert_eq!(committed(), DRIVERS as u64 * TXNS_PER_DRIVER);
 
     let per_commit = allocs as f64 / commits as f64;
     println!("{allocs} allocations over {commits} commits: {per_commit:.1} per commit");

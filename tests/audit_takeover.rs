@@ -18,7 +18,6 @@ mod common;
 
 use bytes::Bytes;
 use common::read_region;
-use hotstock::driver::{HotStockDriver, SharedDriverStats};
 use npmu::NpmuConfig;
 use nsk::machine::{install_primary, CpuId, Machine, MachineConfig, SharedMachine};
 use nsk::Monitor;
@@ -32,6 +31,7 @@ use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES};
 use txnkit::recovery::redo_scan_partitioned;
 use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
 use txnkit::{AppendDone, AuditAppend, FlushDone, FlushReq, Lsn, TxnConfig};
+use workload::{install_workload, SharedWorkloadStats, WorkloadConfig};
 
 /// The hot-stock load a node runs: `drivers` order streams, each
 /// inserting `records_per_driver` rows `inserts_per_txn` at a time.
@@ -71,7 +71,7 @@ fn hot_stock_node(
     load: Load,
     victim: &str,
     kill_at: SimTime,
-) -> (OdsNode, Vec<SharedDriverStats>) {
+) -> (OdsNode, SharedWorkloadStats) {
     let mut node = build_ods(
         store,
         OdsParams {
@@ -88,26 +88,13 @@ fn hot_stock_node(
             at: kill_at,
         }),
     );
-    let warmup = SimDuration::from_millis(1100);
-    let mut driver_stats: Vec<SharedDriverStats> = Vec::new();
-    for d in 0..load.drivers {
-        let st = HotStockDriver::install(
-            &mut node.sim,
-            &node.machine.clone(),
-            node.tmf.clone(),
-            node.partition_map.clone(),
-            node.params.files,
-            node.params.parts_per_file,
-            d,
-            CpuId(d % node.params.cpus),
-            4096,
-            load.inserts_per_txn,
-            load.records_per_driver,
-            warmup,
-            node.params.txn.issue_cpu_ns,
-        );
-        driver_stats.push(st);
-    }
+    let (view, machine) = (node.view(), node.machine.clone());
+    let driver_stats = install_workload(
+        &mut node.sim,
+        &machine,
+        &view,
+        WorkloadConfig::hot_stock(load.drivers, load.inserts_per_txn, load.records_per_driver),
+    );
     (node, driver_stats)
 }
 
@@ -119,11 +106,11 @@ fn finish_and_check_history(
     store: &mut DurableStore,
     mut node: OdsNode,
     load: Load,
-    driver_stats: &[SharedDriverStats],
+    driver_stats: &SharedWorkloadStats,
     victim: usize,
 ) {
     let ceiling = SimTime(600 * SECS);
-    while !driver_stats.iter().all(|s| s.lock().done) {
+    while !driver_stats.lock().done() {
         let now = node.sim.now();
         assert!(now < ceiling, "workload did not finish after ADP takeover");
         node.sim.run_until(SimTime(now.as_nanos() + 200 * MILLIS));
@@ -134,8 +121,10 @@ fn finish_and_check_history(
 
     // Exactly the acknowledged work, once: nothing lost to the takeover,
     // nothing re-acknowledged after it.
-    let committed: u64 = driver_stats.iter().map(|s| s.lock().committed_txns).sum();
-    let inserted: u64 = driver_stats.iter().map(|s| s.lock().inserted_records).sum();
+    let (committed, inserted) = {
+        let s = driver_stats.lock();
+        (s.committed, s.inserted_records)
+    };
     assert_eq!(inserted, load.records());
     assert_eq!(committed, load.txns());
     // The killed partition's name still resolves: the backup took over.

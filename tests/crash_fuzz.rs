@@ -33,13 +33,11 @@
 mod common;
 
 use common::try_read_region;
-use hotstock::driver::{HotStockDriver, SharedDriverStats};
-use nsk::machine::CpuId;
 use simcore::time::{MILLIS, SECS};
-use simcore::{DurableStore, SimDuration, SimTime};
+use simcore::{DurableStore, SimTime};
 use simnet::PersistMode;
 use std::collections::HashMap;
-use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
+use txnkit::adp::{encode_ctrl_slot, parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
 use txnkit::audit::{scan, AuditRecord};
 use txnkit::recovery::redo_scan_partitioned;
 use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
@@ -65,7 +63,7 @@ fn build_node(
     store: &mut DurableStore,
     mode: PersistMode,
     seed: u64,
-) -> (OdsNode, SharedDriverStats) {
+) -> (OdsNode, SharedWorkloadStats) {
     let mut params = OdsParams {
         audit: AuditMode::HardwareNpmu,
         ..OdsParams::pm(seed)
@@ -73,21 +71,12 @@ fn build_node(
     params.txn.pm_persist_mode = mode;
     params.pm_ingress_drain_ns = Some(DRAIN_NS);
     let mut node = build_ods(store, params);
-    let machine = node.machine.clone();
-    let stats = HotStockDriver::install(
+    let (view, machine) = (node.view(), node.machine.clone());
+    let stats = install_workload(
         &mut node.sim,
         &machine,
-        node.tmf.clone(),
-        node.partition_map.clone(),
-        node.params.files,
-        node.params.parts_per_file,
-        0,
-        CpuId(0),
-        4096,
-        INSERTS_PER_TXN,
-        RECORDS,
-        SimDuration::from_millis(1100),
-        node.params.txn.issue_cpu_ns,
+        &view,
+        WorkloadConfig::hot_stock(1, INSERTS_PER_TXN, RECORDS),
     );
     (node, stats)
 }
@@ -100,14 +89,14 @@ fn probe(mode: PersistMode, seed: u64) -> (u64, u64) {
     let (mut node, stats) = build_node(&mut store, mode, seed);
     node.sim.run_until(SimTime(1120 * MILLIS));
     let d_lo = node.sim.dispatched();
-    while !stats.lock().done {
+    while !stats.lock().done() {
         let now = node.sim.now();
         assert!(now < SimTime(60 * SECS), "probe workload did not finish");
         node.sim.run_until(SimTime(now.as_nanos() + 10 * MILLIS));
     }
     let d_hi = node.sim.dispatched();
     assert_eq!(
-        stats.lock().committed_txns,
+        stats.lock().committed,
         RECORDS / INSERTS_PER_TXN as u64,
         "probe must commit the whole workload"
     );
@@ -150,7 +139,7 @@ fn crash_point(mode: PersistMode, seed: u64, k: u64, torn_offset: Option<usize>)
     {
         let (mut node, stats) = build_node(&mut store, mode, seed);
         node.sim.run_until_dispatched(k);
-        acked = stats.lock().committed_txns;
+        acked = stats.lock().committed;
         // Sim dropped here == power loss at the event boundary.
     }
     store.reset_volatile();
@@ -173,10 +162,8 @@ fn crash_point(mode: PersistMode, seed: u64, k: u64, torn_offset: Option<usize>)
                 let (wm, slot) = parse_ctrl_cell(&cell);
                 let target = slot.map(|s| 1 - s).unwrap_or(0) * PM_CTRL_SLOT_BYTES as usize;
                 let next = wm + 4096;
-                let mut write = Vec::with_capacity(PM_CTRL_SLOT_BYTES as usize);
-                write.extend_from_slice(&next.to_le_bytes());
-                write.extend_from_slice(&pmm::meta::crc32(&next.to_le_bytes()).to_le_bytes());
-                write.extend_from_slice(&[0u8; 4]);
+                let mut write = [0u8; PM_CTRL_SLOT_BYTES as usize];
+                write[..12].copy_from_slice(&encode_ctrl_slot(next));
                 cell[target..target + off].copy_from_slice(&write[..off]);
                 let (wm2, _) = parse_ctrl_cell(&cell);
                 // A tear short of the 12 payload bytes (wm + crc) must
@@ -376,7 +363,7 @@ fn nic_ack_demonstrably_loses_acked_commits_under_crash() {
 use txnkit::recovery::redo_scan_sharded;
 use txnkit::scenario::{build_cluster, ClusterNode, ClusterParams};
 use workload::{
-    install_workload, run_to_completion, SharedWorkloadStats, ThinkTime, WorkloadConfig,
+    install_workload, run_to_completion, Keys, SharedWorkloadStats, ThinkTime, WorkloadConfig,
 };
 
 const XS_SHARDS: u32 = 2;
@@ -406,9 +393,9 @@ fn build_xs_cluster(store: &mut DurableStore, seed: u64) -> (ClusterNode, Shared
             pools_per_shard: 1,
             think: ThinkTime::Zero,
             cross_shard_fraction: 0.6,
-            disjoint_keys: true,
+            keys: Keys::Disjoint,
             track_txns: true,
-            txns_per_client: XS_TXNS_PER_CLIENT,
+            records_per_client: XS_TXNS_PER_CLIENT * XS_INSERTS as u64,
             run_for: None,
             inserts_per_txn: XS_INSERTS,
             ..WorkloadConfig::new(seed, XS_CLIENTS)

@@ -38,7 +38,7 @@ use txnkit::recovery::redo_scan_sharded;
 use txnkit::scenario::{build_cluster, ClusterNode, ClusterParams};
 use txnkit::TxnId;
 use workload::{
-    install_workload, run_to_completion, SharedWorkloadStats, ThinkTime, WorkloadConfig,
+    install_workload, run_to_completion, Keys, SharedWorkloadStats, ThinkTime, WorkloadConfig,
 };
 
 const SHARDS: u32 = 2;
@@ -79,9 +79,9 @@ fn build(
             pools_per_shard: 1,
             think: ThinkTime::Zero,
             cross_shard_fraction: 0.9,
-            disjoint_keys: true,
+            keys: Keys::Disjoint,
             track_txns: true,
-            txns_per_client: TXNS_PER_CLIENT,
+            records_per_client: TXNS_PER_CLIENT * INSERTS as u64,
             run_for: None,
             inserts_per_txn: INSERTS,
             ..WorkloadConfig::new(seed, CLIENTS)

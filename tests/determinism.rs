@@ -4,17 +4,20 @@
 
 mod common;
 
-use hotstock::{run_hot_stock, HotStockParams, TxnSize};
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
 use simcore::SimTime;
-use txnkit::scenario::AuditMode;
+use txnkit::scenario::{AuditMode, OdsParams};
+use workload::{hot_stock, install_workload, run_hot_stock, WorkloadConfig};
 
 fn run_sig(seed: u64, audit: AuditMode) -> (u64, u64, f64, u64) {
-    let r = run_hot_stock(HotStockParams {
-        seed,
-        ..HotStockParams::scaled(2, TxnSize::K32, audit, 200)
-    });
+    let r = run_hot_stock(
+        OdsParams {
+            seed,
+            ..hot_stock::node(audit)
+        },
+        WorkloadConfig::hot_stock(2, 8, 200),
+    );
     (
         r.committed_txns,
         r.elapsed.as_nanos(),
@@ -75,20 +78,12 @@ fn faulty_runs_are_reproducible() {
         );
         // A hot-stock driver so PM traffic actually crosses the fault
         // windows (detection, degraded writes, resilver).
-        let st = hotstock::driver::HotStockDriver::install(
+        let (view, machine) = (node.view(), node.machine.clone());
+        let st = install_workload(
             &mut node.sim,
-            &node.machine.clone(),
-            node.tmf.clone(),
-            node.partition_map.clone(),
-            node.params.files,
-            node.params.parts_per_file,
-            0,
-            nsk::machine::CpuId(0),
-            4096,
-            8,
-            256,
-            simcore::SimDuration::from_millis(1100),
-            node.params.txn.issue_cpu_ns,
+            &machine,
+            &view,
+            WorkloadConfig::hot_stock(1, 8, 256),
         );
         node.sim.run_until(SimTime(8 * SECS));
         let pmm = node.pmm.as_ref().unwrap();
@@ -102,7 +97,7 @@ fn faulty_runs_are_reproducible() {
             stats.resilver_bytes_copied,
             stats.resilver_started_ns,
             stats.resilver_completed_ns,
-            s.committed_txns,
+            s.committed,
             s.finished_ns,
             failovers,
         )
@@ -131,27 +126,19 @@ fn partitioned_audit_runs_are_reproducible() {
                 ..txnkit::scenario::OdsParams::pm_pool(7117, 4)
             },
         );
-        let st = hotstock::driver::HotStockDriver::install(
+        let (view, machine) = (node.view(), node.machine.clone());
+        let st = install_workload(
             &mut node.sim,
-            &node.machine.clone(),
-            node.tmf.clone(),
-            node.partition_map.clone(),
-            node.params.files,
-            node.params.parts_per_file,
-            0,
-            nsk::machine::CpuId(0),
-            4096,
-            8,
-            256,
-            simcore::SimDuration::from_millis(1100),
-            node.params.txn.issue_cpu_ns,
+            &machine,
+            &view,
+            WorkloadConfig::hot_stock(1, 8, 256),
         );
         node.sim.run_until(SimTime(8 * SECS));
         let s = st.lock();
         let t = node.stats.lock();
         (
             node.sim.dispatched(),
-            s.committed_txns,
+            s.committed,
             s.finished_ns,
             t.pm_writes,
             t.pm_batches,
@@ -201,7 +188,7 @@ fn sharded_workload_runs_are_reproducible() {
                     mean_ns: 2 * MILLIS,
                 },
                 cross_shard_fraction: 0.3,
-                txns_per_client: 4,
+                records_per_client: 4 * 8, // four transactions of 8 inserts
                 run_for: None,
                 track_txns: true,
                 ..WorkloadConfig::new(0xDE7E, 24)
@@ -280,7 +267,7 @@ fn parallel_sweep_matches_serial() {
             &view,
             WorkloadConfig {
                 think: ThinkTime::Zero,
-                txns_per_client: 6,
+                records_per_client: 6 * 4,
                 run_for: None,
                 inserts_per_txn: 4,
                 ..WorkloadConfig::new(SEED, 8)
@@ -335,7 +322,7 @@ fn single_node_is_the_one_shard_cluster() {
             &view,
             WorkloadConfig {
                 think: ThinkTime::Zero,
-                txns_per_client: 6,
+                records_per_client: 6 * 4,
                 run_for: None,
                 inserts_per_txn: 4,
                 ..WorkloadConfig::new(SEED, 8)
@@ -385,16 +372,16 @@ fn single_node_is_the_one_shard_cluster() {
     }
 }
 
-/// One fault against a node carrying two hot-stock drivers, run to 4 s:
-/// `(dispatched, per driver (commits, finish ns), trail-image digest)`.
-/// A driver whose request died with a primary never finishes (drivers
-/// do not retry), so its finish time reads 0.
-fn takeover_run(base: txnkit::scenario::OdsParams, fault: Fault) -> (u64, [(u64, u64); 2], u64) {
-    use hotstock::driver::HotStockDriver;
+/// One fault against a node carrying two hot-stock drivers on CPUs 2
+/// and 3, run to 4 s: `(dispatched, (commits, every driver done, last
+/// finish ns), trail-image digest)`. A driver whose request died with a
+/// primary never finishes (nothing re-drives a lost reply), so with
+/// neither driver done the finish time reads 0.
+fn takeover_run(base: OdsParams, fault: Fault) -> (u64, (u64, bool, u64), u64) {
     let mut store = simcore::DurableStore::new();
     let mut node = txnkit::scenario::build_ods(
         &mut store,
-        txnkit::scenario::OdsParams {
+        OdsParams {
             fault_plan: FaultPlan::none().with(fault),
             pm_region_len: 1 << 20,
             ..base
@@ -404,31 +391,21 @@ fn takeover_run(base: txnkit::scenario::OdsParams, fault: Fault) -> (u64, [(u64,
     // Either budget runs the undisturbed load to about 2.2 s (PM) or
     // 3.0 s (disk): past every fault and its 400 ms detection.
     let records = if disk { 512 } else { 1024 };
-    let drivers: Vec<_> = (0..2)
-        .map(|d| {
-            HotStockDriver::install(
-                &mut node.sim,
-                &node.machine.clone(),
-                node.tmf.clone(),
-                node.partition_map.clone(),
-                node.params.files,
-                node.params.parts_per_file,
-                d,
-                nsk::machine::CpuId(2 + d),
-                4096,
-                8,
-                records,
-                simcore::SimDuration::from_millis(1100),
-                node.params.txn.issue_cpu_ns,
-            )
-        })
-        .collect();
+    let (mut view, machine) = (node.view(), node.machine.clone());
+    // Off CPU 1, which one of the faults kills.
+    view.shard_cpu_base[0] = 2;
+    let stats = install_workload(
+        &mut node.sim,
+        &machine,
+        &view,
+        WorkloadConfig::hot_stock(2, 8, records),
+    );
     node.sim.run_until(SimTime(4 * SECS));
     let dispatched = node.sim.dispatched();
-    let per_driver = [0, 1].map(|d| {
-        let s = drivers[d].lock();
-        (s.committed_txns, s.finished_ns)
-    });
+    let drivers = {
+        let s = stats.lock();
+        (s.committed, s.done(), s.finished_ns)
+    };
     let adps = node.adps.len();
     drop(node);
     store.reset_volatile();
@@ -449,7 +426,7 @@ fn takeover_run(base: txnkit::scenario::OdsParams, fault: Fault) -> (u64, [(u64,
             ));
         }
     }
-    (dispatched, per_driver, trails.finish())
+    (dispatched, drivers, trails.finish())
 }
 
 #[test]
@@ -479,77 +456,61 @@ fn takeovers_keep_their_schedule() {
         cpu: 1,
         at: SimTime(ns),
     };
-    let pm = txnkit::scenario::OdsParams {
+    let pm = OdsParams {
         audit: AuditMode::HardwareNpmu,
-        ..txnkit::scenario::OdsParams::pm(0x7A4E)
+        ..OdsParams::pm(0x7A4E)
     };
-    let disk = txnkit::scenario::OdsParams::baseline(0x7A4E);
+    let disk = OdsParams::baseline(0x7A4E);
     let runs = [
         (
             &pm,
             kill("$TMF", 1500),
-            (11503, [(47, 0), (47, 0)], 2079511577281231438),
+            (11503, (94, false, 0), 2079511577281231438),
         ),
         (
             &pm,
             kill("$DP2-0", 1600),
-            (22478, [(60, 0), (128, 2117127792)], 2166801894833700049),
+            (22478, (188, false, 2117127792), 2166801894833700049),
         ),
         (
             &pm,
             kill("$ADP0", 1700),
-            (
-                30533,
-                [(128, 3065672617), (128, 3065628502)],
-                17124581019110678906,
-            ),
+            (30533, (256, true, 3065672617), 17124581019110678906),
         ),
         (
             &pm,
             kill("$PMM", 1800),
-            (
-                30500,
-                [(128, 2169413509), (128, 2169365973)],
-                6686197513892902550,
-            ),
+            (30500, (256, true, 2169413509), 6686197513892902550),
         ),
         (
             &pm,
             cpu1(1_501_165_000),
-            (20210, [(47, 0), (128, 2505928137)], 16110119932908520823),
+            (20210, (175, false, 2505928137), 16110119932908520823),
         ),
         (
             &disk,
             kill("$TMF", 1500),
-            (3173, [(13, 0), (13, 0)], 14360563810453391444),
+            (3173, (26, false, 0), 14360563810453391444),
         ),
         (
             &disk,
             kill("$DP2-0", 1600),
-            (9349, [(17, 0), (64, 2935036733)], 8264628482714541618),
+            (9349, (81, false, 2935036733), 8264628482714541618),
         ),
         (
             &disk,
             kill("$ADP0", 1700),
-            (
-                13483,
-                [(64, 3883145084), (64, 3883143943)],
-                17418342822903451598,
-            ),
+            (13483, (128, true, 3883145084), 17418342822903451598),
         ),
         (
             &disk,
             cpu1(1_504_670_000),
-            (
-                11072,
-                [(64, 3411609620), (64, 3411608191)],
-                9692817120586790402,
-            ),
+            (11072, (128, true, 3411609620), 9692817120586790402),
         ),
         (
             &disk,
             cpu1(1_515_350_000),
-            (3286, [(14, 0), (14, 0)], 6556561106758177960),
+            (3286, (28, false, 0), 6556561106758177960),
         ),
     ];
     for (base, fault, want) in runs {

@@ -6,17 +6,16 @@
 mod common;
 
 use common::read_region;
-use hotstock::driver::HotStockDriver;
-use nsk::machine::CpuId;
 use simcore::time::SECS;
-use simcore::{DurableStore, SimDuration, SimTime};
+use simcore::{DurableStore, SimTime};
 use txnkit::recovery::redo_scan_partitioned;
 use txnkit::scenario::{build_ods, AuditMode, OdsParams};
+use workload::{install_workload, WorkloadConfig};
 
 #[test]
 fn committed_transactions_survive_power_loss() {
     let mut store = DurableStore::new();
-    let committed_txns;
+    let committed;
     {
         // PM on *hardware* NPMUs: contents survive power loss (a PMP's
         // would not — the paper's prototype traded that away knowingly).
@@ -27,30 +26,18 @@ fn committed_transactions_survive_power_loss() {
                 ..OdsParams::pm(777)
             },
         );
-        let tmf = node.tmf.clone();
-        let pmap = node.partition_map.clone();
-        let (files, parts) = (node.params.files, node.params.parts_per_file);
-        let issue = node.params.txn.issue_cpu_ns;
-        let machine = node.machine.clone();
-        let stats = HotStockDriver::install(
+        let (view, machine) = (node.view(), node.machine.clone());
+        let stats = install_workload(
             &mut node.sim,
             &machine,
-            tmf,
-            pmap,
-            files,
-            parts,
-            0,
-            CpuId(0),
-            4096,
-            8,
-            10_000, // more than will finish: we cut power mid-stream
-            SimDuration::from_millis(1100),
-            issue,
+            &view,
+            // More records than will finish: we cut power mid-stream.
+            WorkloadConfig::hot_stock(1, 8, 10_000),
         );
         // Power fails 4 seconds in, mid-workload.
         node.sim.run_until(SimTime(4 * SECS));
-        committed_txns = stats.lock().committed_txns;
-        assert!(committed_txns > 50, "want a meaningful prefix committed");
+        committed = stats.lock().committed;
+        assert!(committed > 50, "want a meaningful prefix committed");
         // Sim dropped here == power loss.
     }
     store.reset_volatile();
@@ -65,16 +52,16 @@ fn committed_transactions_survive_power_loss() {
     let rec = redo_scan_partitioned(&refs);
 
     assert!(
-        rec.committed.len() as u64 >= committed_txns,
+        rec.committed.len() as u64 >= committed,
         "every acknowledged commit must be recoverable: found {} < acked {}",
         rec.committed.len(),
-        committed_txns
+        committed
     );
     // The acknowledged commits' inserts are all redone (8 per txn).
     let keys: usize = rec.tables.values().map(|t| t.len()).sum();
     assert!(
-        keys as u64 >= committed_txns * 8,
-        "redo rebuilt {keys} keys for {committed_txns} acked txns"
+        keys as u64 >= committed * 8,
+        "redo rebuilt {keys} keys for {committed} acked txns"
     );
 
     // The master trail carries periodic fuzzy checkpoint marks — the
@@ -85,7 +72,7 @@ fn committed_transactions_survive_power_loss() {
         .count();
     assert!(
         marks >= 1,
-        "expected fuzzy checkpoint marks in the master trail ({committed_txns} commits)"
+        "expected fuzzy checkpoint marks in the master trail ({committed} commits)"
     );
 
     // The mirror pair agrees (both devices hold the same trail bytes).
@@ -137,28 +124,15 @@ fn volatile_write_cache_violates_audit_durability() {
         // No group-commit wait needed: the (volatile) cache answers fast.
         params.txn.group_commit_window_ns = 0;
         let mut node = build_ods(&mut store, params);
-        let tmf = node.tmf.clone();
-        let pmap = node.partition_map.clone();
-        let (files, parts) = (node.params.files, node.params.parts_per_file);
-        let issue = node.params.txn.issue_cpu_ns;
-        let machine = node.machine.clone();
-        let stats = HotStockDriver::install(
+        let (view, machine) = (node.view(), node.machine.clone());
+        let stats = install_workload(
             &mut node.sim,
             &machine,
-            tmf,
-            pmap,
-            files,
-            parts,
-            0,
-            CpuId(0),
-            4096,
-            8,
-            10_000,
-            SimDuration::from_millis(1100),
-            issue,
+            &view,
+            WorkloadConfig::hot_stock(1, 8, 10_000),
         );
         node.sim.run_until(SimTime(4 * SECS));
-        acked = stats.lock().committed_txns;
+        acked = stats.lock().committed;
         assert!(acked > 50);
         // Power loss: the controller cache dies with the machine.
     }

@@ -2,17 +2,20 @@
 //! never wrong — through packet corruption, a fabric outage, and the
 //! mirrors must stay byte-identical through it all (§1.3 data integrity).
 
-use hotstock::{run_hot_stock, HotStockParams, TxnSize};
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::SECS;
 use simcore::{DurableStore, SimTime};
 use txnkit::scenario::{build_ods, AuditMode, OdsParams};
+use workload::{hot_stock, install_workload, run_hot_stock, TxnSize, WorkloadConfig};
 
 #[test]
 fn workload_completes_under_packet_corruption() {
     // A 2% CRC-corruption storm for the whole run: ServerNet detects and
     // retransmits in hardware; everything completes, just slower.
-    let clean = run_hot_stock(HotStockParams::scaled(1, TxnSize::K32, AuditMode::Pmp, 200));
+    let clean = run_hot_stock(
+        hot_stock::node(AuditMode::Pmp),
+        WorkloadConfig::hot_stock(1, TxnSize::K32.inserts_per_txn(), 200),
+    );
 
     let mut store = DurableStore::new();
     let mut node = build_ods(&mut store, OdsParams::pm(4242));
@@ -21,29 +24,16 @@ fn workload_completes_under_packet_corruption() {
         from: SimTime(0),
         to: SimTime(3600 * SECS),
     });
-    let tmf = node.tmf.clone();
-    let pmap = node.partition_map.clone();
-    let (files, parts) = (node.params.files, node.params.parts_per_file);
-    let issue = node.params.txn.issue_cpu_ns;
-    let machine = node.machine.clone();
-    let stats = hotstock::driver::HotStockDriver::install(
+    let (view, machine) = (node.view(), node.machine.clone());
+    let stats = install_workload(
         &mut node.sim,
         &machine,
-        tmf,
-        pmap,
-        files,
-        parts,
-        0,
-        nsk::machine::CpuId(0),
-        4096,
-        8,
-        200,
-        simcore::SimDuration::from_millis(1100),
-        issue,
+        &view,
+        WorkloadConfig::hot_stock(1, 8, 200),
     );
     node.sim.run_until(SimTime(600 * SECS));
     let s = stats.lock();
-    assert!(s.done, "run must complete under corruption");
+    assert!(s.done(), "run must complete under corruption");
     assert_eq!(s.inserted_records, 200);
     let net = node.net.lock();
     assert!(net.stats.retransmits > 0, "corruption must be exercised");
@@ -68,25 +58,12 @@ fn workload_survives_fabric_outage(fabric: u8, seed: u64) {
         from: SimTime(3 * SECS / 2),
         to: SimTime(3 * SECS),
     });
-    let tmf = node.tmf.clone();
-    let pmap = node.partition_map.clone();
-    let (files, parts) = (node.params.files, node.params.parts_per_file);
-    let issue = node.params.txn.issue_cpu_ns;
-    let machine = node.machine.clone();
-    let stats = hotstock::driver::HotStockDriver::install(
+    let (view, machine) = (node.view(), node.machine.clone());
+    let stats = install_workload(
         &mut node.sim,
         &machine,
-        tmf,
-        pmap,
-        files,
-        parts,
-        0,
-        nsk::machine::CpuId(0),
-        4096,
-        8,
-        3000,
-        simcore::SimDuration::from_millis(1100),
-        issue,
+        &view,
+        WorkloadConfig::hot_stock(1, 8, 3000),
     );
     node.sim.run_until(SimTime(3 * SECS / 2));
     let before = node.net.lock().stats;
@@ -94,7 +71,7 @@ fn workload_survives_fabric_outage(fabric: u8, seed: u64) {
     node.sim.run_until(SimTime(3 * SECS));
     let during = node.net.lock().stats;
     node.sim.run_until(SimTime(600 * SECS));
-    assert!(stats.lock().done);
+    assert!(stats.lock().done());
     assert_eq!(stats.lock().inserted_records, 3000);
 
     let (net, endpoints) = {
@@ -146,28 +123,15 @@ fn mirrors_byte_identical_after_workload() {
             ..OdsParams::pm(909)
         },
     );
-    let tmf = node.tmf.clone();
-    let pmap = node.partition_map.clone();
-    let (files, parts) = (node.params.files, node.params.parts_per_file);
-    let issue = node.params.txn.issue_cpu_ns;
-    let machine = node.machine.clone();
-    let stats = hotstock::driver::HotStockDriver::install(
+    let (view, machine) = (node.view(), node.machine.clone());
+    let stats = install_workload(
         &mut node.sim,
         &machine,
-        tmf,
-        pmap,
-        files,
-        parts,
-        0,
-        nsk::machine::CpuId(0),
-        4096,
-        8,
-        400,
-        simcore::SimDuration::from_millis(1100),
-        issue,
+        &view,
+        WorkloadConfig::hot_stock(1, 8, 400),
     );
     node.sim.run_until(SimTime(600 * SECS));
-    assert!(stats.lock().done);
+    assert!(stats.lock().done());
 
     let (a, b) = &node.pm_pool[0];
     let report = pmem::verify_mirrors(&a.mem, &b.mem, 16);

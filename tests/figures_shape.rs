@@ -2,11 +2,14 @@
 //! breaks a figure's *shape*, these fail before anyone re-runs the full
 //! harness.
 
-use hotstock::{run_hot_stock, HotStockParams, HotStockResult, TxnSize};
 use txnkit::scenario::AuditMode;
+use workload::{hot_stock, run_hot_stock, HotStockResult, TxnSize, WorkloadConfig};
 
 fn cell(drivers: u32, size: TxnSize, audit: AuditMode) -> HotStockResult {
-    run_hot_stock(HotStockParams::scaled(drivers, size, audit, 400))
+    run_hot_stock(
+        hot_stock::node(audit),
+        WorkloadConfig::hot_stock(drivers, size.inserts_per_txn(), 400),
+    )
 }
 
 #[test]

@@ -28,7 +28,7 @@ use simcore::{DurableStore, SimTime};
 use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES};
 use txnkit::recovery::redo_scan_partitioned;
 use txnkit::scenario::{build_georep, GeorepNode, GeorepParams};
-use workload::{install_workload, run_to_completion, ThinkTime, WorkloadConfig};
+use workload::{install_workload, run_to_completion, Keys, ThinkTime, WorkloadConfig};
 
 const CLIENTS: u64 = 8;
 const TXNS_PER_CLIENT: u64 = 6;
@@ -42,9 +42,9 @@ fn start_workload(node: &mut GeorepNode, seed: u64) -> workload::SharedWorkloadS
         &view,
         WorkloadConfig {
             think: ThinkTime::Zero,
-            disjoint_keys: true,
+            keys: Keys::Disjoint,
             track_txns: true,
-            txns_per_client: TXNS_PER_CLIENT,
+            records_per_client: TXNS_PER_CLIENT * 4,
             run_for: None,
             inserts_per_txn: 4,
             ..WorkloadConfig::new(seed, CLIENTS)
@@ -146,8 +146,7 @@ fn failover_drill_fences_the_old_primary() {
         &view,
         WorkloadConfig {
             think: ThinkTime::Zero,
-            disjoint_keys: true,
-            txns_per_client: 0,
+            keys: Keys::Disjoint,
             run_for: Some(simcore::SimDuration::from_nanos(2_000 * MILLIS)),
             inserts_per_txn: 4,
             ..WorkloadConfig::new(0x6E02, CLIENTS)
@@ -221,8 +220,7 @@ fn wan_partition_replication_is_deterministic() {
             &view,
             WorkloadConfig {
                 think: ThinkTime::Zero,
-                disjoint_keys: true,
-                txns_per_client: 0,
+                keys: Keys::Disjoint,
                 run_for: Some(simcore::SimDuration::from_nanos(600 * MILLIS)),
                 inserts_per_txn: 4,
                 ..WorkloadConfig::new(0x6E03, CLIENTS)
@@ -339,9 +337,8 @@ fn member_scoped_primary_fault_stays_at_the_primary_site() {
             &view,
             WorkloadConfig {
                 think: ThinkTime::Zero,
-                disjoint_keys: true,
+                keys: Keys::Disjoint,
                 track_txns: true,
-                txns_per_client: 0,
                 run_for: Some(simcore::SimDuration::from_nanos(600 * MILLIS)),
                 inserts_per_txn: 4,
                 ..WorkloadConfig::new(0x6E05, CLIENTS)

@@ -5,13 +5,12 @@
 
 mod common;
 
-use hotstock::driver::{HotStockDriver, SharedDriverStats};
-use nsk::machine::CpuId;
 use pmem::verify_mirrors;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
-use simcore::{DurableStore, SimDuration, SimTime};
+use simcore::{DurableStore, SimTime};
 use txnkit::scenario::{build_ods, AuditMode, OdsParams};
+use workload::{install_workload, SharedWorkloadStats, WorkloadConfig};
 
 #[test]
 fn npmu_half_dies_mid_run_workload_survives_and_resilvers() {
@@ -37,31 +36,18 @@ fn npmu_half_dies_mid_run_workload_survives_and_resilvers() {
     let pmm = node.pmm.clone().expect("PM mode has a PMM");
     let (npmu_a, npmu_b) = node.pm_pool[0].clone();
 
-    let warmup = SimDuration::from_millis(1100);
-    let mut driver_stats: Vec<SharedDriverStats> = Vec::new();
-    for d in 0..drivers {
-        let st = HotStockDriver::install(
-            &mut node.sim,
-            &node.machine.clone(),
-            node.tmf.clone(),
-            node.partition_map.clone(),
-            node.params.files,
-            node.params.parts_per_file,
-            d,
-            CpuId(d % node.params.cpus),
-            4096,
-            inserts_per_txn,
-            records_per_driver,
-            warmup,
-            node.params.txn.issue_cpu_ns,
-        );
-        driver_stats.push(st);
-    }
+    let (view, machine) = (node.view(), node.machine.clone());
+    let driver_stats = install_workload(
+        &mut node.sim,
+        &machine,
+        &view,
+        WorkloadConfig::hot_stock(drivers, inserts_per_txn, records_per_driver),
+    );
 
     // Run until the workload finishes AND the PMM has resilvered.
     let ceiling = SimTime(600 * SECS);
     loop {
-        let workload_done = driver_stats.iter().all(|s| s.lock().done);
+        let workload_done = driver_stats.lock().done();
         let resilvered = pmm.stats.lock().resilvers_completed >= 1;
         if workload_done && resilvered {
             break;
@@ -80,8 +66,10 @@ fn npmu_half_dies_mid_run_workload_survives_and_resilvers() {
 
     // Every acked commit survived: the drivers completed their full
     // scripted load in degraded mode, nothing was lost or re-issued.
-    let committed: u64 = driver_stats.iter().map(|s| s.lock().committed_txns).sum();
-    let inserted: u64 = driver_stats.iter().map(|s| s.lock().inserted_records).sum();
+    let (committed, inserted) = {
+        let s = driver_stats.lock();
+        (s.committed, s.inserted_records)
+    };
     assert_eq!(inserted, drivers as u64 * records_per_driver);
     assert_eq!(
         committed,
@@ -145,31 +133,16 @@ fn both_halves_down_acks_nothing_until_a_half_is_back() {
             ..OdsParams::pm(0xB07D)
         },
     );
-    let driver_stats: Vec<SharedDriverStats> = (0..drivers)
-        .map(|d| {
-            HotStockDriver::install(
-                &mut node.sim,
-                &node.machine.clone(),
-                node.tmf.clone(),
-                node.partition_map.clone(),
-                node.params.files,
-                node.params.parts_per_file,
-                d,
-                CpuId(d % node.params.cpus),
-                4096,
-                inserts_per_txn,
-                records_per_driver,
-                SimDuration::from_millis(1100),
-                node.params.txn.issue_cpu_ns,
-            )
-        })
-        .collect();
-    let progress = |stats: &[SharedDriverStats]| -> (u64, u64) {
-        let s: Vec<_> = stats.iter().map(|s| s.lock()).collect();
-        (
-            s.iter().map(|s| s.committed_txns).sum(),
-            s.iter().map(|s| s.inserted_records).sum(),
-        )
+    let (view, machine) = (node.view(), node.machine.clone());
+    let driver_stats = install_workload(
+        &mut node.sim,
+        &machine,
+        &view,
+        WorkloadConfig::hot_stock(drivers, inserts_per_txn, records_per_driver),
+    );
+    let progress = |stats: &SharedWorkloadStats| -> (u64, u64) {
+        let s = stats.lock();
+        (s.committed, s.inserted_records)
     };
 
     // Acks already on their way when the second half died get a
@@ -188,7 +161,7 @@ fn both_halves_down_acks_nothing_until_a_half_is_back() {
     assert_eq!(rejected, 0, "an outage is not a rejection");
 
     // The workload then completes on the survivor.
-    while !driver_stats.iter().all(|s| s.lock().done) {
+    while !driver_stats.lock().done() {
         let now = node.sim.now();
         assert!(now < SimTime(600 * SECS), "workload did not finish");
         node.sim.run_until(SimTime(now.as_nanos() + 200 * MILLIS));

@@ -4,13 +4,12 @@
 //! mirroring everywhere else), only that member resilvers, and no other
 //! member's mirror ever leaves Healthy.
 
-use hotstock::driver::{HotStockDriver, SharedDriverStats};
-use nsk::machine::CpuId;
 use pmem::verify_mirrors;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
-use simcore::{DurableStore, SimDuration, SimTime};
+use simcore::{DurableStore, SimTime};
 use txnkit::scenario::{build_ods, AuditMode, OdsParams};
+use workload::{install_workload, WorkloadConfig};
 
 #[test]
 fn one_member_half_dies_others_stay_healthy() {
@@ -42,31 +41,18 @@ fn one_member_half_dies_others_stay_healthy() {
     let pool = node.pm_pool.clone();
     assert_eq!(pool.len(), volumes as usize);
 
-    let warmup = SimDuration::from_millis(1100);
-    let mut driver_stats: Vec<SharedDriverStats> = Vec::new();
-    for d in 0..drivers {
-        let st = HotStockDriver::install(
-            &mut node.sim,
-            &node.machine.clone(),
-            node.tmf.clone(),
-            node.partition_map.clone(),
-            node.params.files,
-            node.params.parts_per_file,
-            d,
-            CpuId(d % node.params.cpus),
-            4096,
-            inserts_per_txn,
-            records_per_driver,
-            warmup,
-            node.params.txn.issue_cpu_ns,
-        );
-        driver_stats.push(st);
-    }
+    let (view, machine) = (node.view(), node.machine.clone());
+    let driver_stats = install_workload(
+        &mut node.sim,
+        &machine,
+        &view,
+        WorkloadConfig::hot_stock(drivers, inserts_per_txn, records_per_driver),
+    );
 
     // Run until the workload finishes AND the wounded member resilvered.
     let ceiling = SimTime(600 * SECS);
     loop {
-        let workload_done = driver_stats.iter().all(|s| s.lock().done);
+        let workload_done = driver_stats.lock().done();
         let resilvered = pmm.vol_stats[wounded as usize].lock().resilvers_completed >= 1;
         if workload_done && resilvered {
             break;
@@ -84,8 +70,10 @@ fn one_member_half_dies_others_stay_healthy() {
     node.sim.run_until(SimTime(now.as_nanos() + SECS));
 
     // Every acked commit survived the member-local outage.
-    let committed: u64 = driver_stats.iter().map(|s| s.lock().committed_txns).sum();
-    let inserted: u64 = driver_stats.iter().map(|s| s.lock().inserted_records).sum();
+    let (committed, inserted) = {
+        let s = driver_stats.lock();
+        (s.committed, s.inserted_records)
+    };
     assert_eq!(inserted, drivers as u64 * records_per_driver);
     assert_eq!(
         committed,

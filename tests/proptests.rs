@@ -134,14 +134,12 @@ proptest! {
         torn_at in 0usize..17,
         junk in proptest::collection::vec(any::<u8>(), 0..65)
     ) {
-        use txnkit::adp::{parse_ctrl_cell, PM_CTRL_SLOT_BYTES};
+        use txnkit::adp::{encode_ctrl_slot, parse_ctrl_cell, PM_CTRL_SLOT_BYTES};
         let next_wm = next_wm | 1; // ensure next != 0 so it is observable
         let prev_wm = prev_wm.min(next_wm - 1);
         let cell_for = |wm: u64| {
-            let mut c = Vec::with_capacity(PM_CTRL_SLOT_BYTES as usize);
-            c.extend_from_slice(&wm.to_le_bytes());
-            c.extend_from_slice(&pmm::meta::crc32(&wm.to_le_bytes()).to_le_bytes());
-            c.extend_from_slice(&[0u8; 4]);
+            let mut c = [0u8; PM_CTRL_SLOT_BYTES as usize];
+            c[..12].copy_from_slice(&encode_ctrl_slot(wm));
             c
         };
         // Start from arbitrary junk (a recycled region), publish prev_wm

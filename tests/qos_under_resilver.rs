@@ -10,15 +10,15 @@
 //! ports and no admission pacing — commit p99 demonstrably blows up:
 //! commits queue behind whole 256 KiB resilver chunks.
 
-use hotstock::driver::{HotStockDriver, SharedDriverStats};
 use nsk::machine::CpuId;
 use pm_bench::outage::{self, OutageWrites};
 use pmem::verify_mirrors;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
-use simcore::{DurableStore, Histogram, SimDuration, SimTime};
+use simcore::{DurableStore, SimTime};
 use simnet::QosConfig;
 use txnkit::scenario::{build_ods, AuditMode, OdsParams};
+use workload::{install_workload, WorkloadConfig};
 
 const DRIVERS: u32 = 2;
 const RECORDS_PER_DRIVER: u64 = 2_000;
@@ -68,30 +68,17 @@ fn run_arm(qos: QosConfig, faulted: bool) -> ArmResult {
         outage::install(&mut node.sim, &machine, CpuId(1), "$PMM", spec);
     }
 
-    let warmup = SimDuration::from_millis(1100);
-    let mut driver_stats: Vec<SharedDriverStats> = Vec::new();
-    for d in 0..DRIVERS {
-        let st = HotStockDriver::install(
-            &mut node.sim,
-            &node.machine.clone(),
-            node.tmf.clone(),
-            node.partition_map.clone(),
-            node.params.files,
-            node.params.parts_per_file,
-            d,
-            CpuId(d % node.params.cpus),
-            4096,
-            INSERTS_PER_TXN,
-            RECORDS_PER_DRIVER,
-            warmup,
-            node.params.txn.issue_cpu_ns,
-        );
-        driver_stats.push(st);
-    }
+    let (view, machine) = (node.view(), node.machine.clone());
+    let driver_stats = install_workload(
+        &mut node.sim,
+        &machine,
+        &view,
+        WorkloadConfig::hot_stock(DRIVERS, INSERTS_PER_TXN, RECORDS_PER_DRIVER),
+    );
 
     let ceiling = SimTime(600 * SECS);
     loop {
-        let workload_done = driver_stats.iter().all(|s| s.lock().done);
+        let workload_done = driver_stats.lock().done();
         let resilvers_settled = {
             let s = pmm.stats.lock();
             !faulted || (s.resilvers_completed >= 1 && s.resilvers_completed >= s.resilvers_started)
@@ -112,13 +99,10 @@ fn run_arm(qos: QosConfig, faulted: bool) -> ArmResult {
     node.sim.run_until(SimTime(now.as_nanos() + SECS));
 
     // Every acked commit survived regardless of the outage.
-    let inserted: u64 = driver_stats.iter().map(|s| s.lock().inserted_records).sum();
+    let inserted = driver_stats.lock().inserted_records;
     assert_eq!(inserted, DRIVERS as u64 * RECORDS_PER_DRIVER);
 
-    let mut response = Histogram::new();
-    for st in &driver_stats {
-        response.merge(&st.lock().response);
-    }
+    let response = std::mem::take(&mut driver_stats.lock().response);
     let s = *pmm.stats.lock();
     // Copy rate: the repair time less what the devices spent digesting
     // (the halves scan side by side, and never while a copy is moving).

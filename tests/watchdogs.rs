@@ -6,40 +6,22 @@
 //! fails, none of them has anything to do — and none of them may still be
 //! standing in the queue once the operation it guarded has completed.
 
-use hotstock::driver::{HotStockDriver, SharedDriverStats};
-use nsk::machine::CpuId;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::MILLIS;
 use simcore::{DurableStore, SimDuration, SimTime};
 use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
+use workload::{install_workload, SharedWorkloadStats, WorkloadConfig};
 
-/// Zero-think clients issuing one 4 KB insert per transaction, started
-/// `warmup` after boot.
-fn install_drivers(
-    node: &mut OdsNode,
-    drivers: u32,
-    txns: u64,
-    warmup: SimDuration,
-) -> Vec<SharedDriverStats> {
-    (0..drivers)
-        .map(|d| {
-            HotStockDriver::install(
-                &mut node.sim,
-                &node.machine.clone(),
-                node.tmf.clone(),
-                node.partition_map.clone(),
-                node.params.files,
-                node.params.parts_per_file,
-                d,
-                CpuId(d % node.params.cpus),
-                4096,
-                1,
-                txns,
-                warmup,
-                node.params.txn.issue_cpu_ns,
-            )
-        })
-        .collect()
+/// Zero-think hot-stock clients issuing one 4 KB insert per transaction,
+/// started 1.1 s after boot.
+fn install_drivers(node: &mut OdsNode, drivers: u32, txns: u64) -> SharedWorkloadStats {
+    let (view, machine) = (node.view(), node.machine.clone());
+    install_workload(
+        &mut node.sim,
+        &machine,
+        &view,
+        WorkloadConfig::hot_stock(drivers, 1, txns),
+    )
 }
 
 #[test]
@@ -54,19 +36,19 @@ fn fault_free_pm_run_leaves_no_watchdog_standing() {
             ..OdsParams::pm(0x0D5B11)
         },
     );
+    let drivers = install_drivers(&mut node, DRIVERS, TXNS_PER_DRIVER);
     let warmup = SimDuration::from_millis(1100);
-    let drivers = install_drivers(&mut node, DRIVERS, TXNS_PER_DRIVER, warmup);
 
     // Sample the queue every quarter millisecond of the run (≈ 0.7 s:
     // shorter than one retry delay, so a timer left to stand until due
     // would still be there at the last commit).
     node.sim.run_until(SimTime::ZERO + warmup);
     let mut deepest = 0;
-    while !drivers.iter().all(|d| d.lock().done) {
+    while !drivers.lock().done() {
         node.sim.run_for(SimDuration::from_nanos(MILLIS / 4));
         deepest = deepest.max(node.sim.pending_events());
     }
-    let commits: u64 = drivers.iter().map(|d| d.lock().committed_txns).sum();
+    let commits = drivers.lock().committed;
     assert_eq!(commits, DRIVERS as u64 * TXNS_PER_DRIVER);
 
     // Standing work is what the clients have in flight plus the node's
@@ -99,12 +81,12 @@ fn region_create_lost_at_boot_is_redriven_by_its_retry_timer() {
             ..OdsParams::pm(7)
         },
     );
-    let drivers = install_drivers(&mut node, 1, 50, SimDuration::from_millis(1100));
+    let drivers = install_drivers(&mut node, 1, 50);
     node.sim.run_until(SimTime(400 * MILLIS));
     let lost = node.net.lock().stats.unreachable;
     assert!(lost > 0, "the outage dropped nothing");
     node.sim.run_until(SimTime(3_000 * MILLIS));
-    let d = drivers[0].lock();
-    assert!(d.done, "trail never came up: {} commits", d.committed_txns);
-    assert_eq!(d.committed_txns, 50);
+    let d = drivers.lock();
+    assert!(d.done(), "trail never came up: {} commits", d.committed);
+    assert_eq!(d.committed, 50);
 }
