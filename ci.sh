@@ -60,8 +60,9 @@ cargo run --release -p pm-bench --bin qos_isolation
 # epoch fence round-trips, and no arm accumulates unbounded backlog.
 cargo run --release -p pm-bench --bin georep
 # Crash-point fuzz, full sweep: >= 2000 injected power-loss points across
-# the three persistence modes plus the cross-shard 2PC arm (~100 s in
-# release; `cargo test --release --workspace` above already ran the
+# the three persistence modes plus the cross-shard 2PC arm (~2 s in
+# release on 2 CPUs: recovery reads each region only up to its last
+# written block; `cargo test --release --workspace` above already ran the
 # ~200-point smoke; FUZZ_FULL=0 keeps it to that). The full sweep is the
 # default because it went red for a whole PR while it was opt-in. Its
 # probe asserts every chain of every arm carried its own cell, that the

@@ -78,25 +78,41 @@ impl NvImage {
         }
     }
 
+    /// `len` bytes at `offset`. Each byte is written once: copied from
+    /// its block, or zero where the block is absent.
     pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
         assert!(
             offset + len as u64 <= self.capacity,
             "NvImage read beyond capacity"
         );
-        let mut out = vec![0u8; len];
+        let mut out = Vec::with_capacity(len);
         let mut off = offset;
-        let mut filled = 0usize;
-        while filled < len {
-            let blk = off / BLOCK;
+        while out.len() < len {
             let in_blk = (off % BLOCK) as usize;
-            let n = (len - filled).min(BLOCK as usize - in_blk);
-            if let Some(block) = self.blocks.get(&blk) {
-                out[filled..filled + n].copy_from_slice(&block[in_blk..in_blk + n]);
-            }
+            let n = (len - out.len()).min(BLOCK as usize - in_blk);
+            let block = self
+                .blocks
+                .get(&(off / BLOCK))
+                .map_or(&ZERO_BLOCK, |b| &**b);
+            out.extend_from_slice(&block[in_blk..in_blk + n]);
             off += n as u64;
-            filled += n;
         }
         out
+    }
+
+    /// How many of the `len` bytes at `offset` reach the end of the last
+    /// block ever written there (clamped to the range): past them the
+    /// range reads as zeros, so a reader that zero-pads need not read
+    /// further. A scan of the whole block index — meant for offline
+    /// readers of an image, not for the device's data path.
+    pub fn written_extent(&self, offset: u64, len: u64) -> u64 {
+        let end = offset + len;
+        self.blocks
+            .keys()
+            .map(|&blk| (blk + 1) * BLOCK)
+            .filter(|&blk_end| blk_end > offset && blk_end - BLOCK < end)
+            .max()
+            .map_or(0, |blk_end| blk_end.min(end) - offset)
     }
 
     /// [`checksum64`] of `len` bytes at `offset`, computed over the
@@ -221,6 +237,42 @@ mod tests {
     fn digest_beyond_capacity_panics() {
         let m = NvImage::new(100);
         let _ = m.digest(64, 64);
+    }
+
+    #[test]
+    fn written_extent_ends_at_the_last_written_block_in_range() {
+        let mut m = NvImage::new(1 << 20);
+        assert_eq!(m.written_extent(0, 1 << 20), 0);
+        m.write(5000, &[7; 10]);
+        m.write(40_000, &[0; 1]);
+        // The block holding 40_000 ends at 40_960; it counts although
+        // only a zero was written to it.
+        assert_eq!(m.written_extent(0, 1 << 20), 40_960);
+        assert_eq!(m.written_extent(100, 1 << 16), 40_860);
+        // Clamped to the range, and blind to blocks outside it.
+        assert_eq!(m.written_extent(4096, 1000), 1000);
+        assert_eq!(m.written_extent(8192, 4096), 0);
+        assert_eq!(m.written_extent(41_000, 1000), 0);
+    }
+
+    proptest::proptest! {
+        /// Reading only the written extent and zero-padding to the range
+        /// gives exactly what reading the whole range gives.
+        #[test]
+        fn written_extent_padded_reads_as_the_whole_range(
+            writes in proptest::collection::vec((0u64..60_000, 1usize..6000), 0..4),
+            off in 0u64..40_000,
+            len in 0u64..25_000,
+        ) {
+            let mut m = NvImage::new(1 << 16);
+            for &(at, n) in &writes {
+                let n = n.min((m.capacity() - at) as usize);
+                m.write(at, &vec![0xA5; n]);
+            }
+            let mut padded = m.read(off, m.written_extent(off, len) as usize);
+            padded.resize(len as usize, 0);
+            proptest::prop_assert_eq!(padded, m.read(off, len as usize));
+        }
     }
 
     #[test]

@@ -1309,17 +1309,28 @@ impl PmLib {
         if self.reads.get(&run_id)?.outstanding > 0 {
             return None;
         }
-        let r = self.reads.remove(&run_id)?;
+        let mut r = self.reads.remove(&run_id)?;
         self.forget_read_ops(ctx, run_id);
-        let mut buf = vec![0u8; r.total];
-        for p in &r.parts {
-            let d = p.data.as_ref().expect("all fragments complete");
-            buf[p.buf_off..p.buf_off + d.len()].copy_from_slice(d);
-        }
+        let data = match &mut r.parts[..] {
+            // One fragment covering the run is the run: pass it through.
+            [ReadPart {
+                buf_off: 0,
+                data: Some(d),
+                ..
+            }] if d.len() == r.total => std::mem::take(d),
+            parts => {
+                let mut buf = vec![0u8; r.total];
+                for p in parts {
+                    let d = p.data.as_ref().expect("all fragments complete");
+                    buf[p.buf_off..p.buf_off + d.len()].copy_from_slice(d);
+                }
+                Bytes::from(buf)
+            }
+        };
         Some(PmReadComplete {
             token: r.token,
             status: RdmaStatus::Ok,
-            data: Bytes::from(buf),
+            data,
             degraded: r.degraded,
         })
     }

@@ -1875,6 +1875,46 @@ fn read_batch_reassembles_spans_in_argument_order_and_quiesces() {
     assert_eq!(log[4], "quiesced:true", "{log:?}");
 }
 
+/// A read of one fragment hands back the device's reply as is: written
+/// bytes where they were written, zeros around them, at the run's length.
+#[test]
+fn one_fragment_read_returns_the_devices_bytes() {
+    let mut store = DurableStore::new();
+    let mut sc = build(&mut store, 72, false);
+    let pattern: Vec<u8> = (0..5000u32).map(|i| (i * 7 % 251) as u8).collect();
+    let mut expect = vec![0u8; 12 << 10];
+    expect[100..100 + pattern.len()].copy_from_slice(&pattern);
+    let log = spawn_client(
+        &mut sc,
+        CpuId(2),
+        vec![
+            Step::Create {
+                name: "one".into(),
+                len: 1 << 20,
+            },
+            Step::Write {
+                region_idx: 0,
+                offset: 4096 + 100,
+                data: pattern,
+                expect: RdmaStatus::Ok,
+            },
+            Step::Read {
+                region_idx: 0,
+                offset: 4096,
+                len: 12 << 10,
+                expect: Some(expect),
+            },
+            Step::CheckQuiesced,
+        ],
+        MirrorPolicy::ParallelBoth,
+    );
+    sc.sim.run_until(SimTime(10 * SECS));
+    let log = log.lock();
+    assert_eq!(log.len(), 4, "{log:?}");
+    assert!(log[2].contains("Ok:match"), "{log:?}");
+    assert_eq!(log[3], "quiesced:true", "{log:?}");
+}
+
 #[test]
 fn read_window_pipelines_small_fragments() {
     // 16 × 64 B spans are latency-bound (sw overhead ≫ wire time), so a

@@ -8,7 +8,7 @@
 //! also how the NonStop kernel's own process model behaves at the message
 //! layer.
 
-use crate::event::TimerId;
+use crate::event::{EventSlot, TimerId};
 use crate::sim::Sim;
 use crate::time::{SimDuration, SimTime};
 use crate::DetRng;
@@ -123,6 +123,27 @@ impl<'a> Ctx<'a> {
         let at = self.sim.now() + delay;
         let msg = Msg::new(self.self_id, payload);
         self.sim.queue.arm(at, self.self_id, msg)
+    }
+
+    /// Reserve the place in the schedule a `send` due after `delay` would
+    /// take now, without sending anything: the idiom for a completion
+    /// that is usually a no-op and matters only if something arrives
+    /// before it is due. [`Self::send_reserved`] fills it; dropping the
+    /// slot sends nothing, and every other event keeps its order either
+    /// way.
+    pub fn reserve(&mut self, delay: SimDuration) -> EventSlot {
+        let at = self.sim.now() + delay;
+        self.sim.queue.reserve(at)
+    }
+
+    /// Send `payload` to `to` in a reserved slot. It is delivered exactly
+    /// as a `send` made at reservation time would have been, so the slot
+    /// must be filled strictly before its instant: a handler running at
+    /// that instant may already be past it in the schedule.
+    pub fn send_reserved<T: Any>(&mut self, slot: EventSlot, to: ActorId, payload: T) {
+        debug_assert!(slot.time() > self.now(), "reserved slot already due");
+        let msg = Msg::new(self.self_id, payload);
+        self.sim.queue.push_reserved(slot, to, msg);
     }
 
     /// Take an armed timer out of the queue. Returns `false` — and does

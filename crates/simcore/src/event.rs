@@ -14,6 +14,13 @@
 //! heap's counter and [`EventQueue::pop`] takes whichever head has the
 //! smaller `(time, seq)`, so the events that survive leave in exactly the
 //! order one heap would have given them.
+//!
+//! An event that is usually dead *before* it is scheduled — a completion
+//! that only matters if something else arrives first — need not be pushed
+//! at all: [`EventQueue::reserve`] draws its `seq` now and
+//! [`EventQueue::push_reserved`] pushes it into that `(time, seq)` later,
+//! if it turns out to be needed. Draws are what fix the order, so every
+//! other event keeps its key whether or not the slot is ever filled.
 
 use crate::actor::{ActorId, Msg};
 use crate::time::SimTime;
@@ -62,6 +69,20 @@ pub struct TimerId {
     seq: u64,
 }
 
+/// A `(time, seq)` drawn by [`EventQueue::reserve`] for an event that
+/// may be pushed later. Dropping it unfilled pushes nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EventSlot {
+    time: SimTime,
+    seq: u64,
+}
+
+impl EventSlot {
+    pub(crate) fn time(&self) -> SimTime {
+        self.time
+    }
+}
+
 /// Priority queue of pending events.
 #[derive(Default)]
 pub struct EventQueue {
@@ -84,6 +105,28 @@ impl EventQueue {
         self.heap.push(Event {
             time,
             seq,
+            target,
+            msg,
+        });
+    }
+
+    /// Draw the next `seq` for an event due at `time` without pushing it:
+    /// the slot sits in the schedule exactly where a [`Self::push`] made
+    /// now would have.
+    pub fn reserve(&mut self, time: SimTime) -> EventSlot {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        EventSlot { time, seq }
+    }
+
+    /// Push `msg` to `target` into a reserved slot. It pops exactly where
+    /// a push at reservation time would have, behind everything drawn
+    /// before the slot and ahead of everything drawn after it — so the
+    /// slot must be filled before the queue has popped past it.
+    pub fn push_reserved(&mut self, slot: EventSlot, target: ActorId, msg: Msg) {
+        self.heap.push(Event {
+            time: slot.time,
+            seq: slot.seq,
             target,
             msg,
         });
@@ -245,6 +288,52 @@ mod tests {
                 .collect();
             proptest::prop_assert_eq!(got, want);
         }
+    }
+
+    proptest::proptest! {
+        /// A slot filled at any later point pops exactly where a push at
+        /// reservation time would have — same-instant events drawn
+        /// between the reservation and the fill included.
+        #[test]
+        fn a_reserved_slot_pops_where_an_immediate_push_would(
+            before in proptest::collection::vec(0u64..4, 0..20),
+            due in 0u64..4,
+            between in proptest::collection::vec(0u64..4, 0..20),
+            fill_after in 0usize..20,
+        ) {
+            let (mut reserved, mut eager) = (EventQueue::new(), EventQueue::new());
+            for (i, &t) in before.iter().enumerate() {
+                reserved.push(SimTime(t), ActorId(1), msg(i as u32));
+                eager.push(SimTime(t), ActorId(1), msg(i as u32));
+            }
+            let slot = reserved.reserve(SimTime(due));
+            eager.push(SimTime(due), ActorId(9), msg(u32::MAX));
+            for (i, &t) in between.iter().enumerate() {
+                if i == fill_after {
+                    reserved.push_reserved(slot, ActorId(9), msg(u32::MAX));
+                }
+                reserved.push(SimTime(t), ActorId(2), msg(i as u32));
+                eager.push(SimTime(t), ActorId(2), msg(i as u32));
+            }
+            if fill_after >= between.len() {
+                reserved.push_reserved(slot, ActorId(9), msg(u32::MAX));
+            }
+            let key = |e: Event| (e.time, e.seq, e.target);
+            let got: Vec<_> = std::iter::from_fn(|| reserved.pop()).map(key).collect();
+            let want: Vec<_> = std::iter::from_fn(|| eager.pop()).map(key).collect();
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn an_unfilled_slot_leaves_no_event_and_no_gap_in_the_order() {
+        let mut q = EventQueue::new();
+        q.push(SimTime(5), ActorId(1), msg(0));
+        let _dropped = q.reserve(SimTime(5));
+        q.push(SimTime(5), ActorId(2), msg(0));
+        assert_eq!(q.len(), 2);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.target.0).collect();
+        assert_eq!(order, vec![1, 2]);
     }
 
     #[test]

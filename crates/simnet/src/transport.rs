@@ -49,7 +49,7 @@ use crate::qos::{PortScheduler, TrafficClass};
 use bytes::Bytes;
 use simcore::actor::Start;
 use simcore::hash::FastMap;
-use simcore::{Actor, ActorId, Ctx, Msg, SimDuration};
+use simcore::{Actor, ActorId, Ctx, EventSlot, Msg, SimDuration};
 use std::any::Any;
 use std::rc::Rc;
 
@@ -353,6 +353,12 @@ struct SegDone {
 struct PortState {
     sched: PortScheduler<(ActorId, u64, QosPayload)>,
     busy_until_ns: u64,
+    /// The `SegDone` of a segment that left the scheduler empty, reserved
+    /// instead of sent: delivered, it would find nothing to serve. An
+    /// arrival while the port is still busy fills it — the port then
+    /// frees exactly when and in the order it would have — and a serve
+    /// replaces it.
+    idle_done: Option<EventSlot>,
 }
 
 /// The fabric arbiter: one actor per `Sim` owning every scheduled port.
@@ -384,13 +390,19 @@ impl FabricArbiter {
         if let Some(w) = seg.first_wait_ns {
             self.net.lock().record_port_wait(seg.class, w, 0);
         }
-        ctx.send_self(
-            SimDuration::from_nanos(dur),
-            SegDone {
-                ep: key.0,
-                dir: key.1,
-            },
-        );
+        let free_in = SimDuration::from_nanos(dur);
+        port.idle_done = if port.sched.is_empty() {
+            Some(ctx.reserve(free_in))
+        } else {
+            ctx.send_self(
+                free_in,
+                SegDone {
+                    ep: key.0,
+                    dir: key.1,
+                },
+            );
+            None
+        };
         if let Some((target, tail_ns, payload)) = seg.done {
             let d = SimDuration::from_nanos(dur + tail_ns);
             match payload {
@@ -424,13 +436,24 @@ impl Actor for FabricArbiter {
                 let port = self.ports.entry(key).or_insert_with(|| PortState {
                     sched: PortScheduler::new(policy, quantum),
                     busy_until_ns: 0,
+                    idle_done: None,
                 });
-                port.sched.enqueue(
-                    a.class,
-                    a.bytes,
-                    ctx.now().as_nanos(),
-                    (a.target, a.tail_ns, a.payload),
-                );
+                let now = ctx.now().as_nanos();
+                port.sched
+                    .enqueue(a.class, a.bytes, now, (a.target, a.tail_ns, a.payload));
+                if port.busy_until_ns > now {
+                    if let Some(slot) = port.idle_done.take() {
+                        let me = ctx.self_id();
+                        ctx.send_reserved(
+                            slot,
+                            me,
+                            SegDone {
+                                ep: a.ep,
+                                dir: a.dir,
+                            },
+                        );
+                    }
+                }
                 let depth = port.sched.depth(a.class) as u64;
                 self.net.lock().record_port_wait(a.class, 0, depth);
                 self.serve(ctx, key);
@@ -1520,6 +1543,106 @@ mod tests {
         // Everything still completes in both policies (conservation).
         assert_eq!(fifo.len(), 3);
         assert_eq!(drr.len(), 3);
+    }
+
+    /// An uncontended scheduled leg is two events — the arrival at the
+    /// arbiter and the delivery — not three: the segment that empties its
+    /// port reserves its `SegDone` instead of sending it. Write request,
+    /// read request and read reply each ride a scheduled port here, so
+    /// the QoS run dispatches the legacy run's events plus the arbiter's
+    /// `Start` and one arrival per leg.
+    #[test]
+    fn uncontended_scheduled_legs_dispatch_two_events_each() {
+        let dispatched = |qos| {
+            let (mut sim, _net, _mem, events) = setup_with(qos);
+            sim.run_until_idle();
+            assert_eq!(events.lock().len(), 2);
+            sim.dispatched()
+        };
+        let legacy = dispatched(QosConfig::disabled());
+        let scheduled = dispatched(QosConfig::drr(0.9));
+        assert_eq!(scheduled, legacy + 1 + 3);
+    }
+
+    /// 4 KiB writes from separate initiators into one device port, each
+    /// posted its `delays` entry (ns) after start: their completion times
+    /// and the run's dispatch count.
+    fn staggered_writes(delays: &[u64]) -> (Vec<u64>, u64) {
+        struct Go;
+        struct Staggered {
+            net: SharedNetwork,
+            ep: EndpointId,
+            dev_ep: EndpointId,
+            delay: u64,
+            done_at: Shared<Vec<(EndpointId, u64)>>,
+        }
+        impl Actor for Staggered {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+                if msg.is::<Start>() {
+                    ctx.send_self(SimDuration::from_nanos(self.delay), Go);
+                } else if msg.is::<Go>() {
+                    let data = Bytes::from(vec![0u8; 4096]);
+                    let net = self.net.clone();
+                    let class = TrafficClass::Commit;
+                    rdma_write(ctx, &net, self.ep, self.dev_ep, 0, data, 1, class);
+                } else if let Ok((_, done)) = msg.take::<RdmaWriteDone>() {
+                    assert_eq!(done.status, RdmaStatus::Ok);
+                    self.done_at.lock().push((self.ep, ctx.now().as_nanos()));
+                }
+            }
+        }
+
+        let cfg = FabricConfig {
+            jitter_frac: 0.0,
+            ..FabricConfig::default()
+        };
+        let mut sim = Sim::with_seed(11);
+        let net = Network::with_qos(cfg, QosConfig::drr(0.9));
+        let done_at = Shared::new(Vec::new());
+        let dev_ep = net.lock().attach(ActorId(u32::MAX));
+        let dev = sim.spawn(Device {
+            net: net.clone(),
+            ep: dev_ep,
+            mem: Shared::new(vec![0u8; 1 << 16]),
+        });
+        net.lock().rebind(dev_ep, dev);
+        let mut eps = Vec::new();
+        for &delay in delays {
+            let ep = net.lock().attach(ActorId(u32::MAX));
+            let h = sim.spawn(Staggered {
+                net: net.clone(),
+                ep,
+                dev_ep,
+                delay,
+                done_at: done_at.clone(),
+            });
+            net.lock().rebind(ep, h);
+            eps.push(ep);
+        }
+        sim.run_until_idle();
+        let done = done_at.lock();
+        let at = |ep| done.iter().find(|&&(e, _)| e == ep).expect("write done").1;
+        (eps.into_iter().map(at).collect(), sim.dispatched())
+    }
+
+    /// A write arriving while the port still serializes another fills the
+    /// reserved `SegDone` and is served the instant the port frees, as if
+    /// the `SegDone` had been sent; one arriving after the port went idle
+    /// is served at once and leaves the stale slot unfilled.
+    #[test]
+    fn an_arrival_behind_a_reserved_segdone_is_served_when_the_port_frees() {
+        let cfg = FabricConfig::default();
+        let wire = latency::wire_ns(&cfg, 4096);
+        let (sw, nic, ack) = (cfg.sw_overhead_ns, cfg.target_nic_ns, cfg.ack_ns);
+        let alone = sw + wire + nic + ack;
+
+        let (done, contended) = staggered_writes(&[0, wire / 2]);
+        assert_eq!(done, vec![alone, sw + 2 * wire + nic + ack]);
+        let (done, idle) = staggered_writes(&[0, 2 * wire]);
+        assert_eq!(done, vec![alone, 2 * wire + alone]);
+        // The queued write needed the first one's `SegDone`; the idle
+        // port's second write did not.
+        assert_eq!(contended, idle + 1);
     }
 
     /// Two equal chains posted in one event, one to a device homed on X

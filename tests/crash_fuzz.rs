@@ -32,7 +32,7 @@
 
 mod common;
 
-use common::try_read_region;
+use common::{try_read_region, try_read_region_sized};
 use simcore::time::{MILLIS, SECS};
 use simcore::{DurableStore, SimTime};
 use simnet::PersistMode;
@@ -228,21 +228,27 @@ fn crash_point(mode: PersistMode, seed: u64, k: u64, torn_offset: Option<usize>)
         // the (lower) published watermark.
         for i in 0..N_TRAILS {
             let name = format!("adp{i}.audit");
-            let (Some(a), Some(b)) = (
-                try_read_region(&mut store, "npmu:pm-a", &name, 0),
-                try_read_region(&mut store, "npmu:pm-b", &name, 0),
+            let (Some((mut a, len)), Some((mut b, _))) = (
+                try_read_region_sized(&mut store, "npmu:pm-a", &name, 0),
+                try_read_region_sized(&mut store, "npmu:pm-b", &name, 0),
             ) else {
                 continue;
             };
             let (wa, _) = parse_ctrl_cell(&a);
             let (wb, _) = parse_ctrl_cell(&b);
             let wm = wa.min(wb) as usize;
-            let cap = a.len() - PM_CTRL_BYTES as usize;
+            let cap = len as usize - PM_CTRL_BYTES as usize;
             if wm > cap {
                 continue; // wrapped trail: prefix compare is not meaningful
             }
-            let pa = &a[PM_CTRL_BYTES as usize..][..wm];
-            let pb = &b[PM_CTRL_BYTES as usize..][..wm];
+            // Each half was read up to its last written block; past it
+            // the region reads as zeros.
+            let end = PM_CTRL_BYTES as usize + wm;
+            for half in [&mut a, &mut b] {
+                half.resize(half.len().max(end), 0);
+            }
+            let pa = &a[PM_CTRL_BYTES as usize..end];
+            let pb = &b[PM_CTRL_BYTES as usize..end];
             if pa != pb {
                 violations.push(format!(
                     "k={k}: partition {i} mirrors diverge below wm {wm}"

@@ -448,6 +448,9 @@ fn takeovers_keep_their_schedule() {
     //   beside the `$ADP0` append checkpoint of its delta.
     // The literals were taken from one run; a change to the pair protocol
     // or the commit path that moves any message by a nanosecond moves them.
+    // The trail digest is `Checksum64` over each PM trail up to its last
+    // written block (each disk trail up to its high water), so a change
+    // to that function moves the last literal of every row too.
     let kill = |name: &str, ms: u64| Fault::KillProcess {
         name: name.into(),
         at: SimTime(ms * MILLIS),
@@ -465,52 +468,52 @@ fn takeovers_keep_their_schedule() {
         (
             &pm,
             kill("$TMF", 1500),
-            (11503, (94, false, 0), 2079511577281231438),
+            (11503, (94, false, 0), 5079481480833276432),
         ),
         (
             &pm,
             kill("$DP2-0", 1600),
-            (22478, (188, false, 2117127792), 2166801894833700049),
+            (22478, (188, false, 2117127792), 5676903632757811524),
         ),
         (
             &pm,
             kill("$ADP0", 1700),
-            (30533, (256, true, 3065672617), 17124581019110678906),
+            (30533, (256, true, 3065672617), 12294410604440157272),
         ),
         (
             &pm,
             kill("$PMM", 1800),
-            (30500, (256, true, 2169413509), 6686197513892902550),
+            (30500, (256, true, 2169413509), 6156968513316966160),
         ),
         (
             &pm,
             cpu1(1_501_165_000),
-            (20210, (175, false, 2505928137), 16110119932908520823),
+            (20210, (175, false, 2505928137), 16403225150398762877),
         ),
         (
             &disk,
             kill("$TMF", 1500),
-            (3173, (26, false, 0), 14360563810453391444),
+            (3173, (26, false, 0), 14082333683238535100),
         ),
         (
             &disk,
             kill("$DP2-0", 1600),
-            (9349, (81, false, 2935036733), 8264628482714541618),
+            (9349, (81, false, 2935036733), 10205077505263003367),
         ),
         (
             &disk,
             kill("$ADP0", 1700),
-            (13483, (128, true, 3883145084), 17418342822903451598),
+            (13483, (128, true, 3883145084), 5153163538395916706),
         ),
         (
             &disk,
             cpu1(1_504_670_000),
-            (11072, (128, true, 3411609620), 9692817120586790402),
+            (11072, (128, true, 3411609620), 11754654112277986043),
         ),
         (
             &disk,
             cpu1(1_515_350_000),
-            (3286, (28, false, 0), 6556561106758177960),
+            (3286, (28, false, 0), 7335015414533378212),
         ),
     ];
     for (base, fault, want) in runs {
