@@ -59,17 +59,11 @@ cargo run --release -p pm-bench --bin qos_isolation
 # primary, eager RPO <= lazy below the bandwidth-delay crossover, the
 # epoch fence round-trips, and no arm accumulates unbounded backlog.
 cargo run --release -p pm-bench --bin georep
-# Crash-point fuzz, full sweep: >= 2000 injected power-loss points across
-# the three persistence modes plus the cross-shard 2PC arm (~2 s in
-# release on 2 CPUs: recovery reads each region only up to its last
-# written block; `cargo test --release --workspace` above already ran the
-# ~200-point smoke; FUZZ_FULL=0 keeps it to that). The full sweep is the
-# default because it went red for a whole PR while it was opt-in. Its
-# probe asserts every chain of every arm carried its own cell, that the
-# PersistFlush arm issued no standalone flush verb, and that no PM arm
-# (cross-shard included) sent a single FlushReq: commits harden on their
-# append acks, and that is the path every crash point samples.
-FUZZ_FULL="${FUZZ_FULL:-1}" cargo test --release --test crash_fuzz
+# The recovery matrix's whole product: topology x persistence mode x QoS x
+# fault, every cell's recovery held to `pmem::oracle` (~3 s in release on
+# 2 CPUs). `cargo test --release --workspace` above ran its pairwise
+# subset and the crash fuzz's full 2,340-point sweep.
+cargo test --release --test recovery_matrix -- --ignored
 # Throughput-regression gate: fresh --json runs vs committed results/.
 tools/bench_check.sh
 # Rot check for the host-cost A/B tool: one pair of this tree against

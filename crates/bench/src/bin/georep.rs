@@ -31,39 +31,24 @@
 //! modes just have to stay under a loose backlog sanity ceiling.
 
 use pm_bench::{json, Table};
+use pmem::oracle::{Expect, Snapshot, Trails};
 use simcore::time::{MILLIS, SECS};
 use simcore::{DurableStore, SimTime};
-use txnkit::adp::parse_ctrl_cell;
-use txnkit::recovery::{mttr_pm_scan_partitioned, redo_scan_partitioned, RecoveredState};
+use txnkit::recovery::mttr_pm_scan_partitioned;
 use txnkit::scenario::{build_georep, GeorepParams};
 use workload::{install_workload, Keys, ThinkTime, WorkloadConfig};
 
-const PARTS: usize = 4;
 const CLIENTS: u64 = 8;
 const SEVER_MS: u64 = 1_450;
 const FENCE_MS: u64 = 1_550;
-/// The primary pool has a handful of failover epochs of its own; the
-/// drill's fence generation sits far above them.
-const PM_CTRL_BYTES: u64 = txnkit::adp::PM_CTRL_BYTES;
-
-/// Offline image read — what a takeover/recovery tool does: find the
-/// region through the PMM's durable metadata, pull its bytes.
-fn read_region(store: &mut DurableStore, device_key: &str, region: &str) -> Vec<u8> {
-    let img = store
-        .get::<npmu::NvImage>(device_key)
-        .expect("device image survived the crash");
-    let img = img.lock();
-    let meta = pmm::MetaStore::recover(|off, len| img.read(off, len));
-    let r = meta.find(region).expect("region in device image");
-    img.read(r.base, r.len as usize)
-}
 
 struct DrillOutcome {
     rpo_bytes: u64,
     rpo_commits: u64,
     /// End-state replica watermarks (scan input for the RTO model).
     replica_bytes: Vec<u64>,
-    replica_scan: RecoveredState,
+    /// Records the replica's redo scan reads.
+    replica_records: u64,
     fence_rtt_ns: u64,
     shipped: u64,
     rewinds: u64,
@@ -80,9 +65,10 @@ fn run_arm(seed: u64, eager: bool, delay_ms: u64, drill: bool) -> DrillOutcome {
         params.sever_at = Some(simcore::SimDuration::from_nanos(SEVER_MS * MILLIS));
         params.fence_at = Some(simcore::SimDuration::from_nanos(FENCE_MS * MILLIS));
     }
+    let base = params.base.clone();
     let mut node = build_georep(&mut store, params);
     let (view, machine) = (node.node.view(), node.node.machine.clone());
-    install_workload(
+    let stats = install_workload(
         &mut node.node.sim,
         &machine,
         &view,
@@ -111,37 +97,34 @@ fn run_arm(seed: u64, eager: bool, delay_ms: u64, drill: bool) -> DrillOutcome {
         assert!(rec.fence_ok, "primary pool rejected the drill fence");
         assert!(rec.fence_acked_at_ns > rec.fence_sent_at_ns);
     }
+    let acked = stats.lock().committed_ids.clone();
     drop(node);
     // The disaster (or the end of the run): volatile state gone, device
-    // images are all that is left of either site.
+    // images are all that is left of either site. The primary must still
+    // redo every commit it acknowledged, and every replica trail must be
+    // a byte-identical prefix of its primary's (a lagging replica is
+    // fine, a diverging one never is).
     store.reset_volatile();
-
-    let mut rpo_bytes = 0u64;
-    let mut replica_bytes = Vec::with_capacity(PARTS);
-    let mut p_trails: Vec<Vec<u8>> = Vec::new();
-    let mut r_trails: Vec<Vec<u8>> = Vec::new();
-    for part in 0..PARTS {
-        let region = format!("adp{part}.audit");
-        let p_raw = read_region(&mut store, "npmu:pm-a", &region);
-        let r_raw = read_region(&mut store, "npmu:drpm-a", &region);
-        let (p_wm, _) = parse_ctrl_cell(&p_raw);
-        let (r_wm, _) = parse_ctrl_cell(&r_raw);
-        assert!(r_wm <= p_wm, "replica ahead of its primary");
-        assert_eq!(
-            &p_raw[PM_CTRL_BYTES as usize..(PM_CTRL_BYTES + r_wm) as usize],
-            &r_raw[PM_CTRL_BYTES as usize..(PM_CTRL_BYTES + r_wm) as usize],
-            "partition {part} replica prefix diverges from primary"
-        );
-        rpo_bytes += p_wm - r_wm;
-        replica_bytes.push(r_wm);
-        p_trails.push(p_raw[PM_CTRL_BYTES as usize..(PM_CTRL_BYTES + p_wm) as usize].to_vec());
-        r_trails.push(r_raw[PM_CTRL_BYTES as usize..(PM_CTRL_BYTES + r_wm) as usize].to_vec());
-    }
-    let p_refs: Vec<&[u8]> = p_trails.iter().map(|t| t.as_slice()).collect();
-    let r_refs: Vec<&[u8]> = r_trails.iter().map(|t| t.as_slice()).collect();
-    let p_rec = redo_scan_partitioned(&p_refs);
-    let r_rec = redo_scan_partitioned(&r_refs);
-    let rpo_commits = p_rec
+    let primary = Snapshot::read(&store, &[Trails::node(&base)]);
+    let replica = Snapshot::read(&store, &[Trails::replica(&base)]);
+    let report = primary.check(&Expect {
+        acked: &acked,
+        inserts: 4,
+        replica: Some(&replica),
+        ..Expect::default()
+    });
+    report.assert_clean("primary site");
+    let watermarks =
+        |s: &Snapshot| -> Vec<u64> { s.shards[0].iter().map(|t| t.watermark()).collect() };
+    let replica_bytes = watermarks(&replica);
+    let rpo_bytes = watermarks(&primary)
+        .iter()
+        .zip(&replica_bytes)
+        .map(|(p, r)| p - r)
+        .sum();
+    let r_rec = replica.recover();
+    let rpo_commits = report
+        .recovery
         .committed
         .iter()
         .filter(|t| !r_rec.committed.contains(t))
@@ -150,7 +133,7 @@ fn run_arm(seed: u64, eager: bool, delay_ms: u64, drill: bool) -> DrillOutcome {
         rpo_bytes,
         rpo_commits,
         replica_bytes,
-        replica_scan: r_rec,
+        replica_records: r_rec.shards[0].records_scanned,
         fence_rtt_ns: rec.fence_acked_at_ns.saturating_sub(rec.fence_sent_at_ns),
         shipped: ship.batches_shipped,
         rewinds: ship.rewinds,
@@ -199,12 +182,7 @@ fn main() {
         for (di, &d) in delays.iter().enumerate() {
             let o = run_arm(0x714A, eager, d, true);
             // RTO = detection window + fence round trip + replica scan.
-            let scan = mttr_pm_scan_partitioned(
-                &o.replica_bytes,
-                o.replica_scan.records_scanned,
-                &fabric,
-                8,
-            );
+            let scan = mttr_pm_scan_partitioned(&o.replica_bytes, o.replica_records, &fabric, 8);
             let rto_ns = (FENCE_MS - SEVER_MS) * MILLIS + o.fence_rtt_ns + scan.as_nanos();
             let rto_ms = rto_ns as f64 / MILLIS as f64;
             if eager {

@@ -16,12 +16,15 @@
 //!   evaluation uses, both the disk-audit baseline and the PM-enabled
 //!   variant;
 //! * [`integrity`] — the §1.3 duplicate-and-compare scrubber over a
-//!   mirrored NPMU pair (silent-data-corruption detection).
+//!   mirrored NPMU pair (silent-data-corruption detection);
+//! * [`oracle`] — the acked-commit invariants every crash and fault test
+//!   holds offline recovery to.
 //!
 //! Re-exports give one-stop access to the full stack.
 
 pub mod adapter;
 pub mod integrity;
+pub mod oracle;
 pub mod presets;
 pub mod system;
 

@@ -1,0 +1,717 @@
+//! The recovery oracle: the acked-commit invariants, stated once.
+//!
+//! The paper's promise is that a commit the ODS acknowledged survives any
+//! single failure, recovered from what reached the NPMUs (or the audit
+//! disks) alone. A crash state is whatever reached the array, so the
+//! oracle starts from a [`DurableStore`] after power loss:
+//!
+//! * **One trail reader.** [`Snapshot::read`] opens every audit trail of a
+//!   node, a pool, a shard cluster or a DR replica ([`Trails`] says where
+//!   they live): a PM trail region from both mirror halves, control cell
+//!   first, up to the region's last written block; a disk trail is its
+//!   media up to its high water. Which halves recovery may read is the
+//!   pool member's durable health, as the PMM recovers it (its newest
+//!   [`VolumeMeta`]): a `Healthy` member's reader may route any read to
+//!   either half, so each half must recover every promise; a `Degraded`
+//!   or `Resilvering` member's suspect half is read by nobody.
+//! * **One check.** [`Snapshot::check`] redoes the snapshot
+//!   ([`redo_scan_sharded`]; a node is the one-shard case) once per half a
+//!   reader may read and names a [`Violation`] for each breach of six
+//!   invariants:
+//!   1. every acked transaction is redone, and every recovered commit
+//!      carries its full insert set;
+//!   2. nothing is invented: what recovery commits, an uncrashed run
+//!      commits too;
+//!   3. the 2PC verdict is single-valued, and no shard redoes a key of a
+//!      transaction that did not commit;
+//!   4. a healthy member's halves agree up to the lower published
+//!      watermark;
+//!   5. a DR replica's trails are bit-identical prefixes of the primary's;
+//!   6. after a completed repair the halves are byte-equal
+//!      ([`verify_mirrors`]).
+
+use crate::integrity::{verify_mirrors, Discrepancy};
+use npmu::NvImage;
+use pmm::{MetaStore, VolumeMeta};
+use simcore::durable::Image;
+use simcore::hash::{FastMap, FastSet};
+use simcore::DurableStore;
+use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES};
+use txnkit::audit::{scan, AuditRecord};
+use txnkit::recovery::{redo_scan_sharded, ShardedRecovery};
+use txnkit::scenario::{adp_count, AuditMode, ClusterParams, Names, OdsParams, DR_POOL};
+use txnkit::TxnId;
+
+/// Where one shard's audit trails live in a durable store.
+#[derive(Clone, Debug)]
+pub enum Trails {
+    /// `partitions` PM trail regions `adp<i>.audit`, each one extent on
+    /// one member of a pool whose member `v` is the mirrored pair of
+    /// images `npmu:<members[v]>-a` / `-b`.
+    Pm {
+        members: Vec<String>,
+        partitions: u32,
+    },
+    /// One trail per disk audit volume, by its media's store key.
+    Disk { media: Vec<String> },
+}
+
+impl Trails {
+    /// A standalone node's trails (`build_ods`).
+    pub fn node(base: &OdsParams) -> Trails {
+        Trails::of(Names::Node, base)
+    }
+
+    /// Every shard's trails of a cluster (`build_cluster`), in shard order.
+    pub fn cluster(params: &ClusterParams) -> Vec<Trails> {
+        (0..params.shards)
+            .map(|s| Trails::of(Names::Shard(s), &params.base))
+            .collect()
+    }
+
+    /// A geo-replicated node's DR copies of its trail regions.
+    pub fn replica(base: &OdsParams) -> Trails {
+        Trails::Pm {
+            members: vec![DR_POOL.into()],
+            partitions: adp_count(base),
+        }
+    }
+
+    fn of(names: Names, base: &OdsParams) -> Trails {
+        let n = adp_count(base);
+        if base.audit == AuditMode::Disk {
+            let media = (0..n).map(|i| format!("disk:{}", names.audit_volume(i)));
+            return Trails::Disk {
+                media: media.collect(),
+            };
+        }
+        Trails::Pm {
+            members: (0..base.pm_volumes.max(1)).map(|v| names.npmu(v)).collect(),
+            partitions: n,
+        }
+    }
+}
+
+/// One copy of a trail as the store holds it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Half {
+    /// The region's control cell (empty for a disk volume).
+    pub cell: Vec<u8>,
+    /// The trail past the cell, up to the region's last written block
+    /// (a disk volume: its media up to its high water).
+    pub trail: Vec<u8>,
+    /// The trail's durable end: the cell's watermark (0 when no slot is
+    /// valid), or a disk volume's high water.
+    pub watermark: u64,
+}
+
+impl Half {
+    /// The published trail: up to the watermark, or a lapped ring's
+    /// whole region in physical (not ring) order.
+    fn bytes(&self) -> &[u8] {
+        &self.trail[..self.trail.len().min(self.watermark as usize)]
+    }
+}
+
+/// One trail: a PM region's mirror halves `a`, `b` (a half whose image or
+/// region is missing is empty), or a disk volume's one copy.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Trail {
+    pub name: String,
+    pub halves: Vec<Half>,
+    /// The half its member's durable health marks failed or under
+    /// repair: no reader reads it.
+    pub stale: Option<usize>,
+}
+
+impl Trail {
+    /// The halves a reader may read, `a` first.
+    fn readable(&self) -> impl Iterator<Item = &Half> {
+        let stale = self.stale;
+        let halves = self.halves.iter().enumerate();
+        halves
+            .filter(move |&(i, _)| Some(i) != stale)
+            .map(|(_, h)| h)
+    }
+
+    /// What a reader routing to readable half `h` reads: that half's
+    /// published bytes, or the only readable half's.
+    fn view(&self, h: usize) -> &[u8] {
+        let half = self.readable().nth(h).or_else(|| self.readable().next());
+        half.map_or(&[], Half::bytes)
+    }
+
+    /// The first readable half's published bytes (none if the trail
+    /// never reached the store).
+    pub fn bytes(&self) -> &[u8] {
+        self.view(0)
+    }
+
+    /// The first readable half's watermark.
+    pub fn watermark(&self) -> u64 {
+        self.readable().next().map_or(0, |h| h.watermark)
+    }
+}
+
+/// Region `name` of one device image, if its metadata holds it.
+fn read_half(img: &NvImage, meta: &VolumeMeta, name: &str) -> Option<Half> {
+    let r = meta.find(name)?;
+    let mut cell = img.read(r.base, img.written_extent(r.base, r.len) as usize);
+    let trail = cell.split_off(cell.len().min(PM_CTRL_BYTES as usize));
+    let (watermark, _) = parse_ctrl_cell(&cell);
+    Some(Half {
+        cell,
+        trail,
+        watermark,
+    })
+}
+
+/// A disk audit volume's media up to its high water.
+fn read_disk(store: &DurableStore, key: &str) -> Trail {
+    let half = store.get::<simdisk::SparseMedia>(key).map(|m| {
+        let m = m.lock();
+        let watermark = m.high_water();
+        let trail = m.read(0, watermark as usize);
+        Half {
+            trail,
+            watermark,
+            ..Half::default()
+        }
+    });
+    Trail {
+        name: key.into(),
+        halves: half.into_iter().collect(),
+        stale: None,
+    }
+}
+
+/// Everything the store holds of a site's trails, per shard.
+pub struct Snapshot {
+    pub shards: Vec<Vec<Trail>>,
+    /// Every PM pool member whose two images exist: `(member, a, b)`.
+    pairs: Vec<(String, Image<NvImage>, Image<NvImage>)>,
+}
+
+impl Snapshot {
+    /// Open every trail of `site` (one [`Trails`] per shard) in `store`.
+    pub fn read(store: &DurableStore, site: &[Trails]) -> Snapshot {
+        let mut snapshot = Snapshot {
+            shards: Vec::new(),
+            pairs: Vec::new(),
+        };
+        for trails in site {
+            let shard = match trails {
+                Trails::Disk { media } => media.iter().map(|k| read_disk(store, k)).collect(),
+                Trails::Pm {
+                    members,
+                    partitions,
+                } => snapshot.read_pool(store, members, *partitions),
+            };
+            snapshot.shards.push(shard);
+        }
+        snapshot
+    }
+
+    /// A pool's trail regions, each from the halves of whichever member
+    /// holds it, marked with that member's durable health.
+    fn read_pool(&mut self, store: &DurableStore, members: &[String], n: u32) -> Vec<Trail> {
+        let mut pool = Vec::new();
+        for m in members {
+            let imgs = ['a', 'b'].map(|h| store.get::<NvImage>(&format!("npmu:{m}-{h}")));
+            if let [Some(a), Some(b)] = &imgs {
+                self.pairs.push((m.clone(), a.clone(), b.clone()));
+            }
+            let halves = imgs.map(|img| {
+                img.map(|img| {
+                    let meta = MetaStore::recover(|o, l| img.lock().read(o, l));
+                    (img, meta)
+                })
+            });
+            // A degraded PMM writes its metadata to the survivor alone:
+            // the member's health is its newest copy's.
+            let newest = halves.iter().flatten().max_by_key(|(_, m)| m.epoch);
+            let stale = newest.and_then(|(_, m)| m.health.suspect_half());
+            pool.push((halves, stale.map(usize::from)));
+        }
+        let trail = |name: String| {
+            let holds = |(_, meta): &(_, VolumeMeta)| meta.find(&name).is_some();
+            let Some((halves, stale)) = pool.iter().find(|(h, _)| h.iter().flatten().any(holds))
+            else {
+                return Trail {
+                    name,
+                    ..Trail::default()
+                };
+            };
+            let read = |h: &Option<(Image<NvImage>, VolumeMeta)>| {
+                let half = h
+                    .as_ref()
+                    .and_then(|(img, meta)| read_half(&img.lock(), meta, &name));
+                half.unwrap_or_default()
+            };
+            Trail {
+                halves: halves.iter().map(read).collect(),
+                stale: *stale,
+                name,
+            }
+        };
+        (0..n).map(|i| trail(format!("adp{i}.audit"))).collect()
+    }
+
+    /// Offline redo/undo over every trail's first readable half.
+    pub fn recover(&self) -> ShardedRecovery {
+        self.recover_view(0)
+    }
+
+    fn recover_view(&self, h: usize) -> ShardedRecovery {
+        let refs: Vec<Vec<&[u8]>> = self
+            .shards
+            .iter()
+            .map(|s| s.iter().map(|t| t.view(h)).collect())
+            .collect();
+        redo_scan_sharded(&refs)
+    }
+
+    /// Invariants 1–3 over `recovery`, the redo of readable half `h`.
+    fn redo_violations(
+        &self,
+        h: usize,
+        recovery: &ShardedRecovery,
+        expect: &Expect,
+    ) -> Vec<Violation> {
+        let committed = &recovery.committed;
+        let mut sorted: Vec<TxnId> = committed.iter().copied().collect();
+        sorted.sort_unstable();
+        let mut v = Vec::new();
+
+        // 1. Acked ⇒ redone, and redone ⇒ whole. Each insert has its own
+        // key; a re-driven insert's second record is the same key.
+        v.extend(
+            expect
+                .acked
+                .iter()
+                .filter(|t| !committed.contains(t))
+                .map(|&t| Violation::Lost(t)),
+        );
+        let mut keys_of: FastMap<TxnId, FastSet<u64>> = FastMap::default();
+        let mut owner: FastMap<u64, TxnId> = FastMap::default();
+        for trail in self.shards.iter().flatten() {
+            for (_, r) in scan(trail.view(h)) {
+                if let AuditRecord::Insert { txn, key, .. } = r {
+                    keys_of.entry(txn).or_default().insert(key);
+                    owner.insert(key, txn);
+                }
+            }
+        }
+        for &t in &sorted {
+            let found = keys_of.get(&t).map_or(0, |k| k.len());
+            if found != expect.inserts as usize {
+                v.push(Violation::HalfApplied(t, found));
+            }
+        }
+
+        // 2. Nothing invented.
+        if let Some(truth) = expect.truth {
+            let truth: FastSet<TxnId> = truth.iter().copied().collect();
+            let invented = sorted.iter().filter(|t| !truth.contains(t));
+            v.extend(invented.map(|&t| Violation::Invented(t)));
+        }
+
+        // 3. One verdict per transaction, redone only where it committed.
+        let split = sorted.iter().filter(|t| recovery.aborted.contains(t));
+        v.extend(split.map(|&t| Violation::SplitVerdict(t)));
+        let mut keys: Vec<u64> = recovery
+            .shards
+            .iter()
+            .flat_map(|s| s.tables.values().flat_map(|t| t.keys().copied()))
+            .collect();
+        keys.sort_unstable();
+        keys.retain(|k| owner.get(k).is_none_or(|t| !committed.contains(t)));
+        v.extend(keys.into_iter().map(Violation::UncommittedApplied));
+
+        v
+    }
+
+    /// Recover, and hold the result to every invariant `expect` asks for.
+    pub fn check(&self, expect: &Expect) -> Report {
+        let recovery = self.recover();
+        let mut v = self.redo_violations(0, &recovery, expect);
+        // A healthy pair's reader may route any read to `b`: recover what
+        // it would, wherever that differs.
+        if self.shards.iter().flatten().any(|t| t.view(0) != t.view(1)) {
+            for x in self.redo_violations(1, &self.recover_view(1), expect) {
+                if !v.contains(&x) {
+                    v.push(x);
+                }
+            }
+        }
+
+        // 4. A healthy member's halves agree below the lower watermark (a
+        // lapped ring has no linear prefix to compare).
+        for t in self.shards.iter().flatten().filter(|t| t.stale.is_none()) {
+            if let [a, b] = t.halves.as_slice() {
+                let wm = a.watermark.min(b.watermark) as usize;
+                let (Some(pa), Some(pb)) = (a.bytes().get(..wm), b.bytes().get(..wm)) else {
+                    continue;
+                };
+                if pa != pb {
+                    let off = pa.iter().zip(pb).position(|(x, y)| x != y).unwrap_or(wm);
+                    v.push(Violation::MirrorsDiverge(t.name.clone(), off as u64));
+                }
+            }
+        }
+
+        // 5. The replica is a bit-identical prefix of the primary.
+        if let Some(replica) = expect.replica {
+            let pairs = self
+                .shards
+                .iter()
+                .flatten()
+                .zip(replica.shards.iter().flatten());
+            for (p, r) in pairs {
+                if r.watermark() > p.watermark() || !p.bytes().starts_with(r.bytes()) {
+                    v.push(Violation::NotAPrefix(r.name.clone()));
+                }
+            }
+        }
+
+        // 6. Repaired halves are byte-equal, metadata included.
+        if expect.resilvered {
+            for (member, a, b) in &self.pairs {
+                let found = verify_mirrors(a, b, 8).discrepancies;
+                v.extend(
+                    found
+                        .into_iter()
+                        .map(|d| Violation::NotResilvered(member.clone(), d)),
+                );
+            }
+        }
+        Report {
+            recovery,
+            violations: v,
+        }
+    }
+}
+
+/// What recovery is held to.
+#[derive(Clone, Copy, Default)]
+pub struct Expect<'a> {
+    /// Transactions acknowledged to a client as committed.
+    pub acked: &'a [TxnId],
+    /// Every transaction an uncrashed run commits; `None` skips
+    /// invariant 2. A run that finished acked all it committed, so its
+    /// acked set serves.
+    pub truth: Option<&'a [TxnId]>,
+    /// Inserts (distinct keys) every transaction carries.
+    pub inserts: u32,
+    /// The DR site's snapshot, held to invariant 5.
+    pub replica: Option<&'a Snapshot>,
+    /// The run ended with every repair done: hold each pool member's
+    /// halves to invariant 6.
+    pub resilvered: bool,
+}
+
+impl<'a> Expect<'a> {
+    /// A finished run: every commit it made was acked, `inserts` each.
+    pub fn finished(acked: &'a [TxnId], inserts: u32) -> Expect<'a> {
+        Expect {
+            acked,
+            truth: Some(acked),
+            inserts,
+            ..Expect::default()
+        }
+    }
+}
+
+/// One breach of an invariant, named.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Violation {
+    /// 1: an acknowledged transaction is not recovered as committed.
+    Lost(TxnId),
+    /// 1: a recovered commit carries this many of its inserts.
+    HalfApplied(TxnId, usize),
+    /// 2: recovered as committed, but the uncrashed run never commits it.
+    Invented(TxnId),
+    /// 3: recovered both committed and aborted.
+    SplitVerdict(TxnId),
+    /// 3: a shard redid this key, whose transaction did not commit.
+    UncommittedApplied(u64),
+    /// 4: this trail's halves differ at this offset, below the lower
+    /// published watermark.
+    MirrorsDiverge(String, u64),
+    /// 5: this replica trail is not a prefix of the primary's.
+    NotAPrefix(String),
+    /// 6: this repaired pool member's halves differ.
+    NotResilvered(String, Discrepancy),
+}
+
+/// A recovery and what it breached.
+pub struct Report {
+    pub recovery: ShardedRecovery,
+    pub violations: Vec<Violation>,
+}
+
+impl Report {
+    /// Acknowledged transactions recovery did not redo.
+    pub fn lost(&self) -> usize {
+        let lost = |v: &&Violation| matches!(v, Violation::Lost(_));
+        self.violations.iter().filter(lost).count()
+    }
+
+    /// Fail with every violation listed, `what` naming the run.
+    #[track_caller]
+    pub fn assert_clean(&self, what: &str) {
+        let v = &self.violations;
+        assert!(v.is_empty(), "{what}: {} violations: {v:?}", v.len());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pmm::{HealthState, RegionMeta, META_BYTES};
+    use txnkit::adp::encode_ctrl_slot;
+    use txnkit::PartitionId;
+    use Violation::*;
+
+    /// A trail: transaction `id` inserts `keys` then commits, for each
+    /// `(id, keys)`; `aborted` ids end in an abort record instead.
+    fn trail(txns: &[(u64, &[u64])], aborted: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &(id, keys) in txns {
+            let txn = TxnId(id);
+            for &key in keys {
+                let r = AuditRecord::Insert {
+                    txn,
+                    partition: PartitionId { file: 0, part: 0 },
+                    key,
+                    virtual_len: 64,
+                    body_crc: 0,
+                    body: Default::default(),
+                };
+                out.extend_from_slice(&r.encode());
+            }
+            let end = match aborted.contains(&id) {
+                true => AuditRecord::Abort { txn },
+                false => AuditRecord::Commit { txn },
+            };
+            out.extend_from_slice(&end.encode());
+        }
+        out
+    }
+
+    /// One image of a one-region member: metadata recording `health`
+    /// (at a later epoch than a healthy half's), a control cell
+    /// publishing the first `published` bytes, then `bytes`.
+    fn put_half(
+        store: &mut DurableStore,
+        key: &str,
+        bytes: &[u8],
+        published: usize,
+        health: HealthState,
+    ) {
+        let region = RegionMeta {
+            id: 0,
+            name: "adp0.audit".into(),
+            base: META_BYTES,
+            len: 64 << 10,
+            owner_cpu: 0,
+        };
+        let meta = VolumeMeta {
+            epoch: 1 + u64::from(!health.is_healthy()),
+            regions: vec![region],
+            health,
+            ..VolumeMeta::default()
+        };
+        let img = store.get_or_insert_with(key, || NvImage::new(1 << 20));
+        let mut img = img.lock();
+        img.write(MetaStore::slot_for_epoch(meta.epoch), &meta.encode());
+        img.write(META_BYTES, &encode_ctrl_slot(published as u64));
+        img.write(META_BYTES + PM_CTRL_BYTES, bytes);
+    }
+
+    /// Both halves of `member` hold `bytes`, all published.
+    fn put_pair(store: &mut DurableStore, member: &str, bytes: &[u8]) {
+        for h in ['a', 'b'] {
+            let key = format!("npmu:{member}-{h}");
+            put_half(store, &key, bytes, bytes.len(), HealthState::Healthy);
+        }
+    }
+
+    /// One shard per member, one trail each.
+    fn site(members: &[&str]) -> Vec<Trails> {
+        let pm = |m: &&str| Trails::Pm {
+            members: vec![m.to_string()],
+            partitions: 1,
+        };
+        members.iter().map(pm).collect()
+    }
+
+    fn check(store: &DurableStore, members: &[&str], expect: &Expect) -> Report {
+        Snapshot::read(store, &site(members)).check(expect)
+    }
+
+    fn violations(store: &DurableStore, members: &[&str], expect: Expect) -> Vec<Violation> {
+        check(store, members, &expect).violations
+    }
+
+    const HEALTHY: HealthState = HealthState::Healthy;
+    const T1: &[TxnId] = &[TxnId(1)];
+    const T12: &[TxnId] = &[TxnId(1), TxnId(2)];
+
+    #[test]
+    fn a_whole_recovered_history_breaks_nothing() {
+        let mut store = DurableStore::new();
+        put_pair(&mut store, "pm", &trail(&[(1, &[10, 11])], &[]));
+        let repaired = Expect {
+            resilvered: true,
+            ..Expect::finished(T1, 2)
+        };
+        assert_eq!(violations(&store, &["pm"], repaired), vec![]);
+    }
+
+    #[test]
+    fn a_dropped_acked_txn_is_lost() {
+        let mut store = DurableStore::new();
+        put_pair(&mut store, "pm", &trail(&[(1, &[10])], &[]));
+        let report = check(&store, &["pm"], &Expect::finished(T12, 1));
+        assert_eq!(report.violations, vec![Lost(TxnId(2))]);
+        assert_eq!(report.lost(), 1);
+    }
+
+    #[test]
+    fn a_commit_the_uncrashed_run_never_made_is_invented() {
+        let mut store = DurableStore::new();
+        put_pair(&mut store, "pm", &trail(&[(1, &[10]), (3, &[30])], &[]));
+        let v = violations(&store, &["pm"], Expect::finished(T1, 1));
+        assert_eq!(v, vec![Invented(TxnId(3))]);
+    }
+
+    #[test]
+    fn a_half_applied_commit_is_named() {
+        let mut store = DurableStore::new();
+        put_pair(&mut store, "pm", &trail(&[(1, &[10])], &[]));
+        let v = violations(&store, &["pm"], Expect::finished(T1, 2));
+        assert_eq!(v, vec![HalfApplied(TxnId(1), 1)]);
+    }
+
+    #[test]
+    fn a_txn_committed_on_one_shard_and_aborted_on_another_is_a_split_verdict() {
+        let mut store = DurableStore::new();
+        put_pair(&mut store, "s0", &trail(&[(7, &[1])], &[]));
+        put_pair(&mut store, "s1", &trail(&[(7, &[2])], &[7]));
+        let two = Expect {
+            inserts: 2,
+            ..Expect::default()
+        };
+        let v = violations(&store, &["s0", "s1"], two);
+        assert_eq!(v, vec![SplitVerdict(TxnId(7))]);
+    }
+
+    #[test]
+    fn a_mirror_byte_flipped_below_the_watermark_is_named() {
+        let bytes = trail(&[(1, &[10, 11])], &[]);
+        let mut flipped = bytes.clone();
+        flipped[3] ^= 0x40;
+        let mut store = DurableStore::new();
+        put_pair(&mut store, "pm", &bytes);
+        put_half(&mut store, "npmu:pm-b", &flipped, bytes.len(), HEALTHY);
+        // A reader routed to `b` no longer finds txn 1 whole.
+        let diverge = MirrorsDiverge("adp0.audit".into(), 3);
+        assert_eq!(
+            violations(&store, &["pm"], Expect::finished(T1, 2)),
+            vec![Lost(TxnId(1)), diverge]
+        );
+        // Repaired halves must agree everywhere: invariant 6 fails too.
+        let repaired = Expect {
+            resilvered: true,
+            ..Expect::finished(T1, 2)
+        };
+        let v = violations(&store, &["pm"], repaired);
+        assert!(matches!(
+            v[..],
+            [Lost(_), MirrorsDiverge(..), NotResilvered(..)]
+        ));
+
+        // Past the lower watermark the halves may differ (a tail not yet
+        // published on `a`), but not once the pair is repaired.
+        let mut store = DurableStore::new();
+        put_pair(&mut store, "pm", &bytes);
+        let tail = trail(&[(1, &[10, 11]), (2, &[20, 21])], &[]);
+        put_half(&mut store, "npmu:pm-b", &tail, bytes.len(), HEALTHY);
+        assert_eq!(violations(&store, &["pm"], Expect::finished(T1, 2)), vec![]);
+        let v = violations(&store, &["pm"], repaired);
+        assert!(matches!(v[..], [NotResilvered(..)]));
+    }
+
+    #[test]
+    fn a_replica_that_is_not_a_prefix_is_named() {
+        let mut store = DurableStore::new();
+        put_pair(&mut store, "pm", &trail(&[(1, &[10]), (2, &[20])], &[]));
+        let mut shipped = trail(&[(1, &[10])], &[]);
+        let mut check_replica = |shipped: &[u8]| {
+            put_pair(&mut store, DR_POOL, shipped);
+            let replica = Snapshot::read(&store, &site(&[DR_POOL]));
+            let expect = Expect {
+                inserts: 1,
+                replica: Some(&replica),
+                ..Expect::default()
+            };
+            violations(&store, &["pm"], expect)
+        };
+        assert_eq!(check_replica(&shipped), vec![]);
+        shipped[12] ^= 1;
+        assert_eq!(
+            check_replica(&shipped),
+            vec![NotAPrefix("adp0.audit".into())]
+        );
+    }
+
+    /// Half `a` missed txn 2 while `health` was recorded on `b`.
+    fn stale_a(health: HealthState) -> (DurableStore, Vec<u8>) {
+        let new = trail(&[(1, &[10]), (2, &[20])], &[]);
+        let old = trail(&[(1, &[10])], &[]);
+        let mut store = DurableStore::new();
+        put_half(&mut store, "npmu:pm-a", &old, old.len(), HEALTHY);
+        put_half(&mut store, "npmu:pm-b", &new, new.len(), health);
+        (store, new)
+    }
+
+    #[test]
+    fn a_half_the_pmm_marked_stale_is_not_read() {
+        for health in [
+            HealthState::Degraded {
+                half: 0,
+                since_epoch: 1,
+                dirty_upto: 1 << 20,
+            },
+            HealthState::Resilvering {
+                half: 0,
+                since_epoch: 1,
+                dirty_upto: 1 << 20,
+                pass: 0,
+            },
+        ] {
+            let (store, new) = stale_a(health);
+            let snapshot = Snapshot::read(&store, &site(&["pm"]));
+            assert_eq!(snapshot.shards[0][0].watermark(), new.len() as u64);
+            let report = snapshot.check(&Expect::finished(T12, 1));
+            report.assert_clean("stale a");
+        }
+    }
+
+    #[test]
+    fn an_ack_on_one_half_of_a_healthy_pair_is_lost() {
+        // Nothing marked `a` stale, so a reader may route to it: txn 2,
+        // durable on `b` alone, is lost there.
+        let (store, _) = stale_a(HEALTHY);
+        let v = violations(&store, &["pm"], Expect::finished(T12, 1));
+        assert_eq!(v, vec![Lost(TxnId(2))]);
+        // The same state with `a`, then `b`, the half left behind.
+        let (mut store, new) = stale_a(HEALTHY);
+        let old = trail(&[(1, &[10])], &[]);
+        put_half(&mut store, "npmu:pm-a", &new, new.len(), HEALTHY);
+        put_half(&mut store, "npmu:pm-b", &old, old.len(), HEALTHY);
+        let v = violations(&store, &["pm"], Expect::finished(T12, 1));
+        assert_eq!(v, vec![Lost(TxnId(2))]);
+    }
+}

@@ -17,7 +17,9 @@
 //!   publications ([`crate::types::SubscribeTrail`]) and ship *eagerly*;
 //!   cold partitions poll on a lazy timer (the PotionDB-style hot/cold
 //!   split: eager buckets buy low RPO where it matters, lazy buckets
-//!   save WAN bandwidth where it does not).
+//!   save WAN bandwidth where it does not). A subscription lives in the
+//!   ADP primary alone, so the shipper watches each hot partition's ADP
+//!   pair and subscribes again to the primary a takeover promotes.
 //! * [`ReplicaApply`] (DR site) owns a standby mirror of every trail
 //!   region on the replica's own PM pool. Every arriving batch is
 //!   CRC-checked and contiguity-checked ([`validate_batch`] — a pure,
@@ -41,7 +43,8 @@ use crate::adp::{encode_ctrl_slot, parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_
 use crate::config::TxnConfig;
 use crate::types::{SubscribeTrail, TrailAdvance};
 use bytes::Bytes;
-use nsk::machine::{CpuId, SharedMachine};
+use nsk::machine::{CpuId, SharedMachine, WatchTarget};
+use nsk::ProcessDied;
 use pmclient::{PmClientConfig, PmLib, PmReadTimeout, PmWriteTimeout};
 use simcore::{Actor, ActorId, Ctx, Msg, Shared, Sim, SimDuration, TimerId};
 use simnet::{
@@ -464,9 +467,31 @@ impl Actor for LogShipper {
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
+            let me = ctx.self_id();
+            let mut machine = self.machine.lock();
+            for (p, adp) in self.parts.iter().zip(&self.adp_names) {
+                if p.eager {
+                    machine.watch(WatchTarget::Process(adp.clone()), me);
+                }
+            }
+            drop(machine);
             self.boot(ctx);
             return;
         }
+        // An ADP primary died: its pair's backup, which watched it since
+        // before this shipper started, has been promoted by now, knowing
+        // no subscriber.
+        let msg = match msg.take::<ProcessDied>() {
+            Ok((_, died)) => {
+                let part = self.adp_names.iter().position(|n| *n == died.name);
+                if let Some(i) = part.filter(|&i| died.was_primary && self.parts[i].subscribed) {
+                    self.parts[i].subscribed = false;
+                    self.part_adopted(ctx, i);
+                }
+                return;
+            }
+            Err(m) => m,
+        };
         let msg = match msg.take::<BootTick>() {
             Ok(_) => {
                 if self.parts.iter().any(|p| p.region_id.is_none()) {

@@ -139,7 +139,7 @@ impl OdsParams {
 
 /// ADP pairs per node: one per CPU in disk mode (and in PM modes when
 /// `audit_partitions` is 0), else `audit_partitions`.
-fn adp_count(base: &OdsParams) -> u32 {
+pub fn adp_count(base: &OdsParams) -> u32 {
     if base.audit == AuditMode::Disk || base.audit_partitions == 0 {
         base.cpus
     } else {
@@ -182,8 +182,9 @@ fn shard_cpus(base: &OdsParams) -> u32 {
 /// keeps the pre-sharding names — committed durable images, the
 /// benchmark and some forty call sites know them — and a cluster's shards
 /// carry their index so the names stay unique inside one simulation.
+/// Offline recovery tools find a shard's durable images by these names.
 #[derive(Clone, Copy)]
-enum Names {
+pub enum Names {
     Node,
     Shard(u32),
 }
@@ -226,7 +227,7 @@ impl Names {
 
     /// Pool member `v`'s device pair is `<this>-a` / `<this>-b`. A node's
     /// member 0 is plain `pm`, so its images survive a change in pool size.
-    fn npmu(self, v: u32) -> String {
+    pub fn npmu(self, v: u32) -> String {
         match self {
             Names::Node if v == 0 => "pm".into(),
             Names::Node => format!("pm{v}"),
@@ -234,7 +235,7 @@ impl Names {
         }
     }
 
-    fn audit_volume(self, i: u32) -> String {
+    pub fn audit_volume(self, i: u32) -> String {
         match self {
             Names::Node => format!("$AUDIT{i}"),
             Names::Shard(s) => format!("$AUDIT-s{s}i{i}"),
@@ -562,6 +563,9 @@ impl GeorepParams {
     }
 }
 
+/// The DR site's standby pool: one member, images `npmu:drpm-a` / `-b`.
+pub const DR_POOL: &str = "drpm";
+
 /// A built geo-replicated pair. The replica site lives in the same
 /// simulation (separate CPUs, separate NPMU pair, separate PMM
 /// namespace) — the only coupling is the WAN link.
@@ -599,7 +603,7 @@ pub fn build_georep(store: &mut DurableStore, params: GeorepParams) -> GeorepNod
         &node.params,
         1,
         node.params.pm_volumes.max(1),
-        |_| "drpm".into(),
+        |_| DR_POOL.into(),
         "$PMM-dr",
         CpuId(cpus + 1),
         None,

@@ -69,10 +69,6 @@ pub struct WorkloadConfig {
     pub record_bytes: u32,
     /// How inserts choose their keys and partitions.
     pub keys: Keys,
-    /// Record every committed [`TxnId`] in the stats (crash harnesses
-    /// compare the acked set against offline recovery; off by default —
-    /// population-scale runs don't want the allocation).
-    pub track_txns: bool,
     /// Records each client attempts, `inserts_per_txn` per transaction
     /// and the rest in a last, shorter one; 0 means "until `run_for`
     /// elapses".
@@ -102,7 +98,6 @@ impl WorkloadConfig {
             inserts_per_txn: 8,
             record_bytes: 4096,
             keys: Keys::Zipfian,
-            track_txns: false,
             records_per_client: 0,
             run_for: Some(SimDuration::from_millis(2_000)),
             warmup: SimDuration::from_millis(1_100),
@@ -121,8 +116,8 @@ pub struct WorkloadStats {
     pub inserted_records: u64,
     /// Client-observed response time (begin → committed), ns.
     pub response: Histogram,
-    /// Acknowledged-committed transaction ids (only when
-    /// [`WorkloadConfig::track_txns`] is set).
+    /// Acknowledged-committed transaction ids, in ack order (crash and
+    /// fault tests hold offline recovery to them).
     pub committed_ids: Vec<TxnId>,
     pub started_ns: u64,
     pub finished_ns: u64,
@@ -383,9 +378,7 @@ impl ClientPool {
                 if cross {
                     st.cross_shard_committed += 1;
                 }
-                if self.cfg.track_txns {
-                    st.committed_ids.push(txn);
-                }
+                st.committed_ids.push(txn);
                 st.response.record(ctx.now().as_nanos() - started);
             } else {
                 st.aborted += 1;

@@ -14,21 +14,17 @@
 //!   into wide chains, each publishing everything it carries with its one
 //!   control cell — on a single-volume pool and on a four-member one.
 
-mod common;
-
 use bytes::Bytes;
-use common::read_region;
 use npmu::NpmuConfig;
 use nsk::machine::{install_primary, CpuId, Machine, MachineConfig, SharedMachine};
 use nsk::Monitor;
+use pmem::oracle::{Expect, Snapshot, Trails};
 use pmem::{install_audit_partitions, install_pm_pool};
 use simcore::actor::Start;
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
 use simcore::{Actor, Ctx, DurableStore, Msg, Shared, Sim, SimDuration, SimTime};
 use simnet::{EndpointId, NetDelivery};
-use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES};
-use txnkit::recovery::redo_scan_partitioned;
 use txnkit::scenario::{build_ods, AuditMode, OdsNode, OdsParams};
 use txnkit::{AppendDone, AuditAppend, FlushDone, FlushReq, Lsn, TxnConfig};
 use workload::{install_workload, SharedWorkloadStats, WorkloadConfig};
@@ -99,9 +95,10 @@ fn hot_stock_node(
 }
 
 /// Run the workload out, then hold the takeover to the contract: exactly
-/// the acknowledged work, once; a well-formed control cell on the
-/// victim's trail; offline redo over the per-partition trails rebuilds
-/// the whole history; both mirror halves hold the same bytes.
+/// the acknowledged work, once; then cut power and hand the images to the
+/// recovery oracle: a well-formed control cell on the victim's trail, and
+/// offline redo over the per-partition trails rebuilding the whole history
+/// on mirror halves that hold the same bytes.
 fn finish_and_check_history(
     store: &mut DurableStore,
     mut node: OdsNode,
@@ -121,12 +118,12 @@ fn finish_and_check_history(
 
     // Exactly the acknowledged work, once: nothing lost to the takeover,
     // nothing re-acknowledged after it.
-    let (committed, inserted) = {
+    let (acked, inserted) = {
         let s = driver_stats.lock();
-        (s.committed, s.inserted_records)
+        (s.committed_ids.clone(), s.inserted_records)
     };
     assert_eq!(inserted, load.records());
-    assert_eq!(committed, load.txns());
+    assert_eq!(acked.len() as u64, load.txns());
     // The killed partition's name still resolves: the backup took over.
     assert!(node
         .machine
@@ -142,35 +139,28 @@ fn finish_and_check_history(
         // included — proved its own records durable.
         assert_eq!(s.flush_reqs, 0, "a PM commit sent a FlushReq");
     }
+    let site = [Trails::node(&node.params)];
+    drop(node);
+    store.reset_volatile();
 
-    // The control cell the takeover read back is well-formed (at least
-    // one CRC-valid slot) and covers the partition's durable appends.
-    let raw = read_region(store, "npmu:pm-a", &format!("adp{victim}.audit"), 0);
-    let (wm, slot) = parse_ctrl_cell(&raw);
-    assert!(slot.is_some(), "no valid control-cell slot");
-    assert!(wm > 0, "partition {victim} published no watermark");
-
-    // Offline recovery: merge the per-partition trails by LSN and redo.
     // Every acknowledged commit (and only complete history) is rebuilt,
     // including the partition that failed over mid-run — a hole left in
     // its trail by the takeover would stop the scan short of them.
-    let partitions = node.adps.len();
-    let trails: Vec<Vec<u8>> = (0..partitions)
-        .map(|i| read_region(store, "npmu:pm-a", &format!("adp{i}.audit"), PM_CTRL_BYTES))
-        .collect();
-    let refs: Vec<&[u8]> = trails.iter().map(|t| t.as_slice()).collect();
-    let rec = redo_scan_partitioned(&refs);
-    assert_eq!(rec.committed.len() as u64, load.txns());
+    let expect = Expect {
+        resilvered: true,
+        ..Expect::finished(&acked, load.inserts_per_txn)
+    };
+    let snapshot = Snapshot::read(store, &site);
+    let report = snapshot.check(&expect);
+    report.assert_clean("after the ADP takeover");
+    let rec = &report.recovery.shards[0];
     assert!(rec.inflight.is_empty(), "completed run leaves no inflight");
     let keys: usize = rec.tables.values().map(|t| t.len()).sum();
     assert_eq!(keys as u64, inserted, "all committed inserts redone");
-
-    // Both mirror halves hold the same trail bytes, takeover included.
-    for i in 0..partitions {
-        let b = read_region(store, "npmu:pm-b", &format!("adp{i}.audit"), 0);
-        let a = read_region(store, "npmu:pm-a", &format!("adp{i}.audit"), 0);
-        assert_eq!(a, b, "partition {i} mirrors diverged");
-    }
+    // The control cell the takeover read back is well-formed (a CRC-valid
+    // slot) and covers the partition's durable appends.
+    let wm = snapshot.shards[0][victim].halves[0].watermark;
+    assert!(wm > 0, "partition {victim} published no valid watermark");
 }
 
 #[test]
@@ -264,11 +254,6 @@ fn adp_primary_killed_between_a_commit_append_and_its_ack() {
     assert_eq!(node.stats.lock().pm_writes, 2 * NTH, "record staged");
     assert_eq!(node.stats.lock().txns_committed, NTH - 1, "not acked");
     finish_and_check_history(&mut store, node, ONE_BY_ONE, &driver_stats, 0);
-    // `finish_and_check_history` dropped the node: the lights are out.
-    store.reset_volatile();
-    let trail = read_region(&mut store, "npmu:pm-a", "adp0.audit", PM_CTRL_BYTES);
-    let rec = redo_scan_partitioned(&[trail.as_slice()]);
-    assert_eq!(rec.committed.len() as u64, ONE_BY_ONE.txns());
 }
 
 // ---------------------------------------------------------------------

@@ -24,17 +24,11 @@
 //!   subset of what a deterministic uncrashed replay of the same seed
 //!   commits.
 
-mod common;
-
-use common::try_read_region;
-use nsk::Monitor;
+use pmem::oracle::{Expect, Snapshot, Trails};
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
 use simcore::{DurableStore, SimTime};
-use std::collections::{HashMap, HashSet};
-use txnkit::adp::PM_CTRL_BYTES;
 use txnkit::audit::{scan, AuditRecord};
-use txnkit::recovery::redo_scan_sharded;
 use txnkit::scenario::{build_cluster, ClusterNode, ClusterParams};
 use txnkit::TxnId;
 use workload::{
@@ -42,10 +36,23 @@ use workload::{
 };
 
 const SHARDS: u32 = 2;
-const TRAILS: u32 = 4;
 const CLIENTS: u64 = 16;
 const TXNS_PER_CLIENT: u64 = 6;
 const INSERTS: u32 = 4;
+
+/// The cluster with `victim` killed at `at`. Process-pair backups are
+/// off, so a killed TMF stays dead. A wide modelled ingress-drain latency
+/// stretches the burst across the kill instants, so each kill lands while
+/// two-phase transactions are genuinely in flight (the real window is
+/// ~µs; the recovery contract is window-size independent).
+fn params(seed: u64, victim: &str, at: SimTime) -> ClusterParams {
+    let mut params = ClusterParams::pm(seed, SHARDS);
+    params.base.backups = false;
+    params.base.pm_ingress_drain_ns = Some(MILLIS);
+    let name = victim.into();
+    params.base.fault_plan = FaultPlan::none().with(Fault::KillProcess { name, at });
+    params
+}
 
 /// Build the cluster + workload with a TMF kill scheduled at `at`.
 fn build(
@@ -54,22 +61,7 @@ fn build(
     victim: &str,
     at: SimTime,
 ) -> (ClusterNode, SharedWorkloadStats) {
-    let mut params = ClusterParams::pm(seed, SHARDS);
-    params.base.backups = false; // a killed TMF stays dead
-                                 // Wide modelled ingress-drain latency stretches the burst across the
-                                 // kill instants, so each kill lands while two-phase transactions are
-                                 // genuinely in flight (the real window is ~µs; the recovery contract
-                                 // is window-size independent).
-    params.base.pm_ingress_drain_ns = Some(MILLIS);
-    let mut node = build_cluster(store, params);
-    Monitor::install(
-        &mut node.sim,
-        &node.machine,
-        FaultPlan::none().with(Fault::KillProcess {
-            name: victim.into(),
-            at,
-        }),
-    );
+    let mut node = build_cluster(store, params(seed, victim, at));
     let (view, machine) = (node.view(), node.machine.clone());
     let stats = install_workload(
         &mut node.sim,
@@ -80,7 +72,6 @@ fn build(
             think: ThinkTime::Zero,
             cross_shard_fraction: 0.9,
             keys: Keys::Disjoint,
-            track_txns: true,
             records_per_client: TXNS_PER_CLIENT * INSERTS as u64,
             run_for: None,
             inserts_per_txn: INSERTS,
@@ -93,7 +84,7 @@ fn build(
 /// Ground truth: the same seed with the kill scheduled long after the
 /// workload finishes (the pre-kill event prefix is identical, so any
 /// transaction the crashed run could legitimately commit appears here).
-fn replay_committed(seed: u64, victim: &str) -> HashSet<TxnId> {
+fn replay_committed(seed: u64, victim: &str) -> Vec<TxnId> {
     let mut store = DurableStore::new();
     let (mut node, stats) = build(&mut store, seed, victim, SimTime(600 * SECS));
     run_to_completion(&mut node.sim, &stats, SimTime(300 * SECS));
@@ -114,47 +105,24 @@ fn replay_committed(seed: u64, victim: &str) -> HashSet<TxnId> {
         assert_eq!(t.flush_reqs, 0);
         assert_eq!(t.twopc_prepares, s.cross_shard_committed);
     }
-    for (shard, shard_trails) in trails(&mut store).iter().enumerate() {
-        let records: Vec<AuditRecord> = shard_trails
+    let site = Trails::cluster(&params(seed, victim, SimTime(600 * SECS)));
+    for (shard, trails) in Snapshot::read(&store, &site).shards.iter().enumerate() {
+        let records: Vec<AuditRecord> = trails
             .iter()
-            .flat_map(|t| scan(t))
+            .flat_map(|t| scan(t.bytes()))
             .map(|(_, r)| r)
             .collect();
-        let prepared: HashSet<TxnId> = records
-            .iter()
-            .filter_map(|r| match r {
-                AuditRecord::Prepared { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
+        let prepared = |t: TxnId| records.contains(&AuditRecord::Prepared { txn: t });
         for r in &records {
-            if let AuditRecord::Insert { txn, .. } = r {
+            if let AuditRecord::Insert { txn, .. } = *r {
                 assert!(
-                    txn.coordinator_shard() == shard as u32 || prepared.contains(txn),
+                    txn.coordinator_shard() == shard as u32 || prepared(txn),
                     "shard {shard} voted on {txn:?} without a Prepared record"
                 );
             }
         }
     }
-    s.committed_ids.iter().copied().collect()
-}
-
-/// Read every audit trail of every shard from one surviving mirror half.
-fn trails(store: &mut DurableStore) -> Vec<Vec<Vec<u8>>> {
-    (0..SHARDS)
-        .map(|s| {
-            (0..TRAILS)
-                .filter_map(|i| {
-                    try_read_region(
-                        store,
-                        &ClusterNode::npmu_store_key(s, 0, 'a'),
-                        &format!("adp{i}.audit"),
-                        PM_CTRL_BYTES,
-                    )
-                })
-                .collect()
-        })
-        .collect()
+    s.committed_ids.clone()
 }
 
 /// Kill `victim` at several instants inside the burst, then verify the
@@ -178,70 +146,21 @@ fn kill_and_recover(victim: &str, seed: u64) {
             s.committed_ids.clone()
         };
         store.reset_volatile();
-        let shard_trails = trails(&mut store);
-        let refs: Vec<Vec<&[u8]>> = shard_trails
-            .iter()
-            .map(|s| s.iter().map(|t| t.as_slice()).collect())
-            .collect();
-        let rec = redo_scan_sharded(&refs);
-        indoubt_resolved += rec.indoubt_committed.len() + rec.indoubt_aborted.len();
-        inflight_undone += rec.shards.iter().map(|s| s.inflight.len()).sum::<usize>();
-
         assert!(
             !acked.is_empty(),
             "kill at {kill_ms} ms landed before any commit was acknowledged"
         );
-        for txn in &acked {
-            assert!(
-                rec.committed.contains(txn),
-                "kill at {kill_ms} ms: acked {txn:?} did not survive recovery"
-            );
-        }
-        assert!(
-            rec.committed.is_disjoint(&rec.aborted),
-            "kill at {kill_ms} ms: a transaction is both committed and aborted"
-        );
-        for txn in &rec.committed {
-            assert!(
-                replay.contains(txn),
-                "kill at {kill_ms} ms: recovery invented commit {txn:?}"
-            );
-        }
-        // Atomicity: committed transactions carry their full insert set
-        // (disjoint keys, so distinct-key count identifies completeness
-        // even under idempotent sub-op retries), and no shard applies a
-        // record of a transaction the cluster did not commit.
-        let mut keys_of: HashMap<TxnId, HashSet<u64>> = HashMap::new();
-        let mut txn_of_key: HashMap<u64, TxnId> = HashMap::new();
-        for shard in &shard_trails {
-            for t in shard {
-                for (_, r) in scan(t) {
-                    if let AuditRecord::Insert { txn, key, .. } = r {
-                        keys_of.entry(txn).or_default().insert(key);
-                        txn_of_key.insert(key, txn);
-                    }
-                }
-            }
-        }
-        for txn in &rec.committed {
-            assert_eq!(
-                keys_of.get(txn).map(|s| s.len()).unwrap_or(0),
-                INSERTS as usize,
-                "kill at {kill_ms} ms: committed {txn:?} is half-applied"
-            );
-        }
-        for (si, shard) in rec.shards.iter().enumerate() {
-            for table in shard.tables.values() {
-                for key in table.keys() {
-                    let owner = txn_of_key.get(key).copied();
-                    assert!(
-                        owner.is_some_and(|t| rec.committed.contains(&t)),
-                        "kill at {kill_ms} ms: shard {si} applied key {key} of \
-                         non-committed {owner:?}"
-                    );
-                }
-            }
-        }
+        let site = Trails::cluster(&params(seed, victim, SimTime::ZERO));
+        let report = Snapshot::read(&store, &site).check(&Expect {
+            acked: &acked,
+            truth: Some(&replay),
+            inserts: INSERTS,
+            ..Expect::default()
+        });
+        report.assert_clean(&format!("{victim} killed at {kill_ms} ms"));
+        let rec = &report.recovery;
+        indoubt_resolved += rec.indoubt_committed.len() + rec.indoubt_aborted.len();
+        inflight_undone += rec.shards.iter().map(|s| s.inflight.len()).sum::<usize>();
     }
     // The sweep must actually have interrupted the two-phase window:
     // prepared-but-undecided participants resolved via the coordinator

@@ -2,13 +2,30 @@
 //! experiment results — the property that makes every figure in
 //! EXPERIMENTS.md reproducible.
 
-mod common;
-
+use pmem::oracle::{Snapshot, Trail, Trails};
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
-use simcore::SimTime;
+use simcore::{Checksum64, DurableStore, SimTime};
 use txnkit::scenario::{AuditMode, OdsParams};
 use workload::{hot_stock, install_workload, run_hot_stock, WorkloadConfig};
+
+/// A site's trails as a power cut leaves them: each half's raw region,
+/// control cell included, up to its last written block (a disk volume:
+/// its media), so unpublished tails are compared too.
+fn trails_at_cut(store: &mut DurableStore, site: &[Trails]) -> Vec<Vec<Trail>> {
+    store.reset_volatile();
+    Snapshot::read(store, site).shards
+}
+
+/// Digest of half `a`'s raw trails, as the pinned digests cover them.
+fn digest(shards: &[Vec<Trail>]) -> u64 {
+    let mut d = Checksum64::default();
+    for h in shards.iter().flatten().map(|t| &t.halves[0]) {
+        d.update(&h.cell);
+        d.update(&h.trail);
+    }
+    d.finish()
+}
 
 fn run_sig(seed: u64, audit: AuditMode) -> (u64, u64, f64, u64) {
     let r = run_hot_stock(
@@ -169,14 +186,14 @@ fn sharded_workload_runs_are_reproducible() {
     // must give identical commit/abort/cross-shard counts AND bit-
     // identical per-shard audit-trail images — the property that makes
     // the T11 matrix and the cross-shard crash sweeps replayable.
-    use common::try_read_region;
-    use txnkit::adp::PM_CTRL_BYTES;
-    use txnkit::scenario::{build_cluster, ClusterNode, ClusterParams};
+    use txnkit::scenario::{build_cluster, ClusterParams};
     use workload::{install_workload, run_to_completion, ThinkTime, WorkloadConfig};
 
     let run = || {
-        let mut store = simcore::DurableStore::new();
-        let mut node = build_cluster(&mut store, ClusterParams::pm(0xDE7E, 2));
+        let mut store = DurableStore::new();
+        let params = ClusterParams::pm(0xDE7E, 2);
+        let site = Trails::cluster(&params);
+        let mut node = build_cluster(&mut store, params);
         let (view, machine) = (node.view(), node.machine.clone());
         let stats = install_workload(
             &mut node.sim,
@@ -190,7 +207,6 @@ fn sharded_workload_runs_are_reproducible() {
                 cross_shard_fraction: 0.3,
                 records_per_client: 4 * 8, // four transactions of 8 inserts
                 run_for: None,
-                track_txns: true,
                 ..WorkloadConfig::new(0xDE7E, 24)
             },
         );
@@ -207,34 +223,22 @@ fn sharded_workload_runs_are_reproducible() {
         );
         drop(s);
         drop(node);
-        // Power-cut view: the per-shard trail images recovery would scan.
-        store.reset_volatile();
-        let mut trails: Vec<Vec<u8>> = Vec::new();
-        for sh in 0..2u32 {
-            for i in 0..4u32 {
-                if let Some(t) = try_read_region(
-                    &mut store,
-                    &ClusterNode::npmu_store_key(sh, 0, 'a'),
-                    &format!("adp{i}.audit"),
-                    PM_CTRL_BYTES,
-                ) {
-                    trails.push(t);
-                }
-            }
-        }
-        (counts, trails)
+        (counts, trails_at_cut(&mut store, &site))
     };
     let (counts_a, trails_a) = run();
     let (counts_b, trails_b) = run();
     assert_eq!(counts_a, counts_b, "workload counts not deterministic");
     assert!(counts_a.1 > 0, "workload committed nothing");
     assert!(counts_a.3 > 0, "no cross-shard transactions ran");
-    assert_eq!(trails_a.len(), trails_b.len());
-    for (i, (a, b)) in trails_a.iter().zip(&trails_b).enumerate() {
-        assert_eq!(a, b, "audit trail image {i} differs between runs");
-    }
     assert!(
-        trails_a.iter().any(|t| !t.is_empty()),
+        trails_a == trails_b,
+        "audit trail images differ between runs"
+    );
+    assert!(
+        trails_a
+            .iter()
+            .flatten()
+            .any(|t| !t.halves[0].trail.is_empty()),
         "no trail bytes were persisted"
     );
 }
@@ -246,20 +250,18 @@ fn parallel_sweep_matches_serial() {
     // simulation inside its own worker thread. Built there, it must be the
     // simulation built anywhere else: same dispatches, same commits, same
     // durable trail bytes.
-    use common::read_region;
     use txnkit::scenario::{build_ods, OdsParams};
     use workload::{install_workload, run_to_completion, ThinkTime, WorkloadConfig};
 
     const SEED: u64 = 0x5EED;
     fn run() -> (u64, u64, u64) {
-        let mut store = simcore::DurableStore::new();
-        let mut node = build_ods(
-            &mut store,
-            OdsParams {
-                audit: AuditMode::HardwareNpmu,
-                ..OdsParams::pm(SEED)
-            },
-        );
+        let mut store = DurableStore::new();
+        let params = OdsParams {
+            audit: AuditMode::HardwareNpmu,
+            ..OdsParams::pm(SEED)
+        };
+        let site = [Trails::node(&params)];
+        let mut node = build_ods(&mut store, params);
         let (view, machine) = (node.view(), node.machine.clone());
         let stats = install_workload(
             &mut node.sim,
@@ -276,17 +278,8 @@ fn parallel_sweep_matches_serial() {
         run_to_completion(&mut node.sim, &stats, SimTime(60 * SECS));
         let (dispatched, committed) = (node.sim.dispatched(), stats.lock().committed);
         drop((node, machine, stats));
-        store.reset_volatile();
-        let mut trails = simcore::Checksum64::default();
-        for i in 0..4 {
-            trails.update(&read_region(
-                &mut store,
-                "npmu:pm-a",
-                &format!("adp{i}.audit"),
-                0,
-            ));
-        }
-        (trails.finish(), dispatched, committed)
+        let trails = digest(&trails_at_cut(&mut store, &site));
+        (trails, dispatched, committed)
     }
 
     let serial = run();
@@ -310,8 +303,7 @@ fn single_node_is_the_one_shard_cluster() {
     // cluster of the same topology are the same simulation: the same
     // workload dispatches event for event and leaves byte-identical
     // trails, under different device names.
-    use common::read_region;
-    use txnkit::scenario::{build_cluster, build_ods, ClusterNode, ClusterParams, ClusterView};
+    use txnkit::scenario::{build_cluster, build_ods, ClusterParams, ClusterView};
     use workload::{install_workload, run_to_completion, ThinkTime, WorkloadConfig};
 
     const SEED: u64 = 0x0451;
@@ -337,37 +329,33 @@ fn single_node_is_the_one_shard_cluster() {
             s.response.mean(),
         )
     };
-    let trails = |store: &mut simcore::DurableStore, device_key: &str| -> Vec<Vec<u8>> {
-        store.reset_volatile();
-        (0..4)
-            .map(|i| read_region(store, device_key, &format!("adp{i}.audit"), 0))
-            .collect()
-    };
     let params = ClusterParams::pm(SEED, 1);
 
-    let mut node_store = simcore::DurableStore::new();
+    let mut node_store = DurableStore::new();
     let mut node = build_ods(&mut node_store, params.base.clone());
     let (view, machine) = (node.view(), node.machine.clone());
     let as_node = run(&mut node.sim, &machine, view);
     drop((node, machine));
-    let node_trails = trails(&mut node_store, "npmu:pm-a");
+    let node_trails = trails_at_cut(&mut node_store, &[Trails::node(&params.base)]);
 
-    let mut cluster_store = simcore::DurableStore::new();
+    let mut cluster_store = DurableStore::new();
+    let site = Trails::cluster(&params);
     let mut cluster = build_cluster(&mut cluster_store, params);
     let (view, machine) = (cluster.view(), cluster.machine.clone());
     let as_cluster = run(&mut cluster.sim, &machine, view);
     drop((cluster, machine));
-    let cluster_trails = trails(&mut cluster_store, &ClusterNode::npmu_store_key(0, 0, 'a'));
+    let cluster_trails = trails_at_cut(&mut cluster_store, &site);
 
     assert_eq!(
         as_node, as_cluster,
         "(dispatched, finished, committed, mean response)"
     );
     assert_eq!(as_node.2, 48, "every transaction committed");
-    for (i, (a, b)) in node_trails.iter().zip(&cluster_trails).enumerate() {
+    for (a, b) in node_trails[0].iter().zip(&cluster_trails[0]) {
         assert!(
             a == b,
-            "adp{i}.audit differs between node and one-shard cluster"
+            "{} differs between node and one-shard cluster",
+            a.name
         );
     }
 }
@@ -378,15 +366,14 @@ fn single_node_is_the_one_shard_cluster() {
 /// primary never finishes (nothing re-drives a lost reply), so with
 /// neither driver done the finish time reads 0.
 fn takeover_run(base: OdsParams, fault: Fault) -> (u64, (u64, bool, u64), u64) {
-    let mut store = simcore::DurableStore::new();
-    let mut node = txnkit::scenario::build_ods(
-        &mut store,
-        OdsParams {
-            fault_plan: FaultPlan::none().with(fault),
-            pm_region_len: 1 << 20,
-            ..base
-        },
-    );
+    let mut store = DurableStore::new();
+    let params = OdsParams {
+        fault_plan: FaultPlan::none().with(fault),
+        pm_region_len: 1 << 20,
+        ..base
+    };
+    let site = [Trails::node(&params)];
+    let mut node = txnkit::scenario::build_ods(&mut store, params);
     let disk = node.params.audit == AuditMode::Disk;
     // Either budget runs the undisturbed load to about 2.2 s (PM) or
     // 3.0 s (disk): past every fault and its 400 ms detection.
@@ -406,27 +393,12 @@ fn takeover_run(base: OdsParams, fault: Fault) -> (u64, (u64, bool, u64), u64) {
         let s = stats.lock();
         (s.committed, s.done(), s.finished_ns)
     };
-    let adps = node.adps.len();
     drop(node);
-    store.reset_volatile();
-    let mut trails = simcore::Checksum64::default();
-    for i in 0..adps {
-        if disk {
-            let media = store
-                .get::<simdisk::SparseMedia>(&format!("disk:$AUDIT{i}"))
-                .expect("audit volume");
-            let m = media.lock();
-            trails.update(&m.read(0, m.high_water() as usize));
-        } else {
-            trails.update(&common::read_region(
-                &mut store,
-                "npmu:pm-a",
-                &format!("adp{i}.audit"),
-                0,
-            ));
-        }
-    }
-    (dispatched, drivers, trails.finish())
+    (
+        dispatched,
+        drivers,
+        digest(&trails_at_cut(&mut store, &site)),
+    )
 }
 
 #[test]

@@ -3,85 +3,84 @@
 //! power loss — its audit records and commit record are recoverable from
 //! the NPMU images alone.
 
-mod common;
-
-use common::read_region;
+use pmem::oracle::{Expect, Snapshot, Trails};
 use simcore::time::SECS;
 use simcore::{DurableStore, SimTime};
-use txnkit::recovery::redo_scan_partitioned;
+use txnkit::audit::{scan, AuditRecord};
 use txnkit::scenario::{build_ods, AuditMode, OdsParams};
+use txnkit::TxnId;
 use workload::{install_workload, WorkloadConfig};
+
+/// Run one hot-stock driver (8 inserts per transaction, more records
+/// than will finish) on a node built from `params` until `cut`, and
+/// return what it saw acknowledged. Dropping the node is the power loss.
+fn run_until_cut(store: &mut DurableStore, params: OdsParams, cut: SimTime) -> Vec<TxnId> {
+    let mut node = build_ods(store, params);
+    let (view, machine) = (node.view(), node.machine.clone());
+    let stats = install_workload(
+        &mut node.sim,
+        &machine,
+        &view,
+        WorkloadConfig::hot_stock(1, 8, 10_000),
+    );
+    node.sim.run_until(cut);
+    let acked = stats.lock().committed_ids.clone();
+    assert!(acked.len() > 50, "want a meaningful prefix committed");
+    acked
+}
 
 #[test]
 fn committed_transactions_survive_power_loss() {
+    // PM on *hardware* NPMUs: contents survive power loss (a PMP's would
+    // not — the paper's prototype traded that away knowingly).
+    let params = OdsParams {
+        audit: AuditMode::HardwareNpmu,
+        ..OdsParams::pm(777)
+    };
+    // Ground truth: the same run a second longer. Anything durable at the
+    // cut has been acknowledged by then.
+    let truth = run_until_cut(&mut DurableStore::new(), params.clone(), SimTime(5 * SECS));
+    // Power fails 4 seconds in, mid-workload.
     let mut store = DurableStore::new();
-    let committed;
-    {
-        // PM on *hardware* NPMUs: contents survive power loss (a PMP's
-        // would not — the paper's prototype traded that away knowingly).
-        let mut node = build_ods(
-            &mut store,
-            OdsParams {
-                audit: AuditMode::HardwareNpmu,
-                ..OdsParams::pm(777)
-            },
-        );
-        let (view, machine) = (node.view(), node.machine.clone());
-        let stats = install_workload(
-            &mut node.sim,
-            &machine,
-            &view,
-            // More records than will finish: we cut power mid-stream.
-            WorkloadConfig::hot_stock(1, 8, 10_000),
-        );
-        // Power fails 4 seconds in, mid-workload.
-        node.sim.run_until(SimTime(4 * SECS));
-        committed = stats.lock().committed;
-        assert!(committed > 50, "want a meaningful prefix committed");
-        // Sim dropped here == power loss.
-    }
+    let acked = run_until_cut(&mut store, params.clone(), SimTime(4 * SECS));
     store.reset_volatile();
 
-    // Recovery, offline: read the four data trails and the master trail
-    // (ADP0's region holds both its data records and the commit records)
-    // straight from a surviving mirror, then redo.
-    let trails: Vec<Vec<u8>> = (0..4)
-        .map(|i| read_region(&mut store, "npmu:pm-a", &format!("adp{i}.audit"), 64))
-        .collect();
-    let refs: Vec<&[u8]> = trails.iter().map(|t| t.as_slice()).collect();
-    let rec = redo_scan_partitioned(&refs);
+    // Recovery, offline, from the four trails on the NPMU images alone
+    // (ADP0's region holds both its data records and commit records):
+    // every acknowledged commit redone with its 8 inserts from either
+    // half, nothing invented.
+    let snapshot = Snapshot::read(&store, &[Trails::node(&params)]);
+    let report = snapshot.check(&Expect {
+        acked: &acked,
+        truth: Some(&truth),
+        inserts: 8,
+        ..Expect::default()
+    });
+    report.assert_clean("power loss at 4 s");
 
-    assert!(
-        rec.committed.len() as u64 >= committed,
-        "every acknowledged commit must be recoverable: found {} < acked {}",
-        rec.committed.len(),
-        committed
-    );
-    // The acknowledged commits' inserts are all redone (8 per txn).
-    let keys: usize = rec.tables.values().map(|t| t.len()).sum();
-    assert!(
-        keys as u64 >= committed * 8,
-        "redo rebuilt {keys} keys for {committed} acked txns"
-    );
+    // The mirror pair agrees: both halves hold the same written trails.
+    for t in &snapshot.shards[0] {
+        let [a, b] = &t.halves[..] else {
+            panic!("{} is not mirrored", t.name)
+        };
+        assert_eq!(
+            a.trail, b.trail,
+            "{}: mirrors must hold identical trails",
+            t.name
+        );
+    }
 
     // The master trail carries periodic fuzzy checkpoint marks — the
     // recovery hint that bounds a tail scan (T3's constant-MTTR story).
-    let marks = txnkit::audit::scan(&trails[0])
+    let marks = scan(snapshot.shards[0][0].bytes())
         .iter()
-        .filter(|(_, r)| matches!(r, txnkit::audit::AuditRecord::CheckpointMark { .. }))
+        .filter(|(_, r)| matches!(r, AuditRecord::CheckpointMark { .. }))
         .count();
     assert!(
         marks >= 1,
-        "expected fuzzy checkpoint marks in the master trail ({committed} commits)"
+        "expected fuzzy checkpoint marks in the master trail ({} commits)",
+        acked.len()
     );
-
-    // The mirror pair agrees (both devices hold the same trail bytes).
-    let mirror: Vec<Vec<u8>> = (0..4)
-        .map(|i| read_region(&mut store, "npmu:pm-b", &format!("adp{i}.audit"), 64))
-        .collect();
-    for (a, b) in trails.iter().zip(mirror.iter()) {
-        assert_eq!(a, b, "mirrors must hold identical trails");
-    }
 }
 
 #[test]
@@ -112,46 +111,28 @@ fn volatile_write_cache_violates_audit_durability() {
     // cache makes commits fast and WRONG: acknowledged commits evaporate
     // at power loss.
     use simdisk::{DiskConfig, WriteCachePolicy};
+    let mut params = OdsParams::baseline(2222);
+    params.audit_disk = DiskConfig {
+        cache: WriteCachePolicy::Volatile,
+        destage_delay_ns: 2_000_000_000, // 2 s destage lag
+        ..DiskConfig::default()
+    };
+    // No group-commit wait needed: the (volatile) cache answers fast.
+    params.txn.group_commit_window_ns = 0;
     let mut store = DurableStore::new();
-    let acked;
-    {
-        let mut params = OdsParams::baseline(2222);
-        params.audit_disk = DiskConfig {
-            cache: WriteCachePolicy::Volatile,
-            destage_delay_ns: 2_000_000_000, // 2 s destage lag
-            ..DiskConfig::default()
-        };
-        // No group-commit wait needed: the (volatile) cache answers fast.
-        params.txn.group_commit_window_ns = 0;
-        let mut node = build_ods(&mut store, params);
-        let (view, machine) = (node.view(), node.machine.clone());
-        let stats = install_workload(
-            &mut node.sim,
-            &machine,
-            &view,
-            WorkloadConfig::hot_stock(1, 8, 10_000),
-        );
-        node.sim.run_until(SimTime(4 * SECS));
-        acked = stats.lock().committed;
-        assert!(acked > 50);
-        // Power loss: the controller cache dies with the machine.
-    }
+    let acked = run_until_cut(&mut store, params.clone(), SimTime(4 * SECS));
+    // Power loss: the controller cache dies with the machine.
     store.reset_volatile();
 
-    let trails: Vec<Vec<u8>> = (0..4)
-        .map(|cpu| {
-            let media = store
-                .get::<simdisk::SparseMedia>(&format!("disk:$AUDIT{cpu}"))
-                .unwrap();
-            let m = media.lock();
-            m.read(0, m.high_water() as usize)
-        })
-        .collect();
-    let refs: Vec<&[u8]> = trails.iter().map(|t| t.as_slice()).collect();
-    let rec = redo_scan_partitioned(&refs);
+    let report = Snapshot::read(&store, &[Trails::node(&params)]).check(&Expect {
+        acked: &acked,
+        inserts: 8,
+        ..Expect::default()
+    });
     assert!(
-        (rec.committed.len() as u64) < acked,
-        "volatile cache must lose acknowledged commits: recovered {} of {acked}",
-        rec.committed.len()
+        report.lost() > 0,
+        "volatile cache must lose acknowledged commits: recovered {} of {}",
+        report.recovery.committed.len(),
+        acked.len()
     );
 }

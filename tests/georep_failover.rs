@@ -20,71 +20,101 @@
 //!    identical shipper/replica counters, so DR experiments are
 //!    replayable like every other experiment in this repo.
 
-mod common;
-
-use common::{read_region, try_read_region};
+use pmem::oracle::{Expect, Snapshot, Trails};
 use simcore::time::{MILLIS, SECS};
-use simcore::{DurableStore, SimTime};
-use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES};
-use txnkit::recovery::redo_scan_partitioned;
-use txnkit::scenario::{build_georep, GeorepNode, GeorepParams};
-use workload::{install_workload, run_to_completion, Keys, ThinkTime, WorkloadConfig};
+use simcore::{DurableStore, SimDuration, SimTime};
+use txnkit::scenario::{build_georep, GeorepNode, GeorepParams, OdsParams};
+use txnkit::TxnId;
+use workload::WorkloadConfig;
+use workload::{install_workload, run_to_completion, Keys, SharedWorkloadStats, ThinkTime};
 
 const CLIENTS: u64 = 8;
 const TXNS_PER_CLIENT: u64 = 6;
 const PARTS: usize = 4; // OdsParams::pm default: one audit partition per CPU
 
-fn start_workload(node: &mut GeorepNode, seed: u64) -> workload::SharedWorkloadStats {
+/// Start zero-think clients: a burst of `TXNS_PER_CLIENT` transactions
+/// each, or with `for_ms` a load sustained that long (so trail traffic
+/// spans a fault).
+fn start_workload(node: &mut GeorepNode, seed: u64, for_ms: Option<u64>) -> SharedWorkloadStats {
     let (view, machine) = (node.node.view(), node.node.machine.clone());
-    install_workload(
-        &mut node.node.sim,
-        &machine,
-        &view,
-        WorkloadConfig {
-            think: ThinkTime::Zero,
-            keys: Keys::Disjoint,
-            track_txns: true,
-            records_per_client: TXNS_PER_CLIENT * 4,
-            run_for: None,
-            inserts_per_txn: 4,
-            ..WorkloadConfig::new(seed, CLIENTS)
+    let cfg = WorkloadConfig {
+        think: ThinkTime::Zero,
+        keys: Keys::Disjoint,
+        records_per_client: if for_ms.is_some() {
+            0
+        } else {
+            TXNS_PER_CLIENT * 4
         },
-    )
+        run_for: for_ms.map(|ms| SimDuration::from_nanos(ms * MILLIS)),
+        inserts_per_txn: 4,
+        ..WorkloadConfig::new(seed, CLIENTS)
+    };
+    install_workload(&mut node.node.sim, &machine, &view, cfg)
 }
 
-/// Primary/replica watermarks and trail prefixes for one partition, read
-/// offline from the durable device images (the crash view).
-fn site_watermarks(store: &mut DurableStore, part: usize) -> (u64, u64, Vec<u8>, Vec<u8>) {
-    let region = format!("adp{part}.audit");
-    let p_raw = try_read_region(store, "npmu:pm-a", &region, 0)
-        .unwrap_or_else(|| panic!("{region} missing on primary image"));
-    let r_raw = try_read_region(store, "npmu:drpm-a", &region, 0)
-        .unwrap_or_else(|| panic!("{region} missing on replica image"));
-    let (p_wm, _) = parse_ctrl_cell(&p_raw);
-    let (r_wm, _) = parse_ctrl_cell(&r_raw);
-    (
-        p_wm,
-        r_wm,
-        p_raw[PM_CTRL_BYTES as usize..].to_vec(),
-        r_raw[PM_CTRL_BYTES as usize..].to_vec(),
-    )
+/// Run the clients out, then give the pipe `drain_ms` to drain.
+fn drain(node: &mut GeorepNode, stats: &SharedWorkloadStats, drain_ms: u64) {
+    run_to_completion(&mut node.node.sim, stats, SimTime(60 * SECS));
+    let t = node.node.sim.now();
+    node.node
+        .sim
+        .run_until(SimTime(t.as_nanos() + drain_ms * MILLIS));
+}
+
+/// Power loss: what the clients saw acked, and the node's recipe.
+fn power_cut(
+    store: &mut DurableStore,
+    node: GeorepNode,
+    stats: &SharedWorkloadStats,
+) -> (Vec<TxnId>, OdsParams) {
+    let cut = (stats.lock().committed_ids.clone(), node.node.params.clone());
+    drop(node);
+    store.reset_volatile();
+    cut
+}
+
+/// The two sites' trails after power loss: the primary held to the
+/// acked-commit invariants and the replica to being a bit-identical
+/// prefix of it. Returns each partition's `(primary, replica)` watermark
+/// and the replica's snapshot.
+fn check_sites(
+    store: &DurableStore,
+    base: &OdsParams,
+    acked: &[TxnId],
+) -> (Vec<(u64, u64)>, Snapshot) {
+    let primary = Snapshot::read(store, &[Trails::node(base)]);
+    let replica = Snapshot::read(store, &[Trails::replica(base)]);
+    let expect = Expect {
+        acked,
+        inserts: 4,
+        replica: Some(&replica),
+        ..Expect::default()
+    };
+    primary.check(&expect).assert_clean("primary site");
+    let watermarks = primary.shards[0]
+        .iter()
+        .zip(&replica.shards[0])
+        .map(|(p, r)| (p.watermark(), r.watermark()))
+        .collect::<Vec<_>>();
+    assert_eq!(watermarks.len(), PARTS);
+    (watermarks, replica)
+}
+
+/// The replica alone recovers every acknowledged transaction (RPO 0).
+fn assert_rpo_zero(replica: &Snapshot, acked: &[TxnId]) {
+    replica
+        .check(&Expect::finished(acked, 4))
+        .assert_clean("DR site");
 }
 
 #[test]
 fn eager_shipping_converges_to_rpo_zero() {
     let mut store = DurableStore::new();
     let mut node = build_georep(&mut store, GeorepParams::pm(0x6E01));
-    let stats = start_workload(&mut node, 0x6E01);
-    run_to_completion(&mut node.node.sim, &stats, SimTime(60 * SECS));
+    let stats = start_workload(&mut node, 0x6E01, None);
     // Drain: the last durable publications notify the shipper, the final
     // batches cross the WAN, the replica persists and acks.
-    let t = node.node.sim.now();
-    node.node
-        .sim
-        .run_until(SimTime(t.as_nanos() + 500 * MILLIS));
-
-    let committed_ids = stats.lock().committed_ids.clone();
-    assert_eq!(committed_ids.len() as u64, CLIENTS * TXNS_PER_CLIENT);
+    drain(&mut node, &stats, 500);
     let ship = node.shipper_stats.lock().clone();
     assert_eq!(ship.parts.len(), PARTS);
     assert_eq!(
@@ -94,38 +124,19 @@ fn eager_shipping_converges_to_rpo_zero() {
         ship.parts
     );
     assert!(ship.batches_shipped > 0 && ship.acks > 0);
-    drop(node);
-    store.reset_volatile();
+    let (acked, base) = power_cut(&mut store, node, &stats);
+    assert_eq!(acked.len() as u64, CLIENTS * TXNS_PER_CLIENT);
 
-    // Every partition: replica watermark == primary watermark, trail
-    // prefixes byte-identical (the shipped image IS the primary image).
-    let mut replica_trails: Vec<Vec<u8>> = Vec::new();
-    for part in 0..PARTS {
-        let (p_wm, r_wm, p_trail, r_trail) = site_watermarks(&mut store, part);
+    // Every partition: replica watermark == primary watermark, the trail
+    // prefixes byte-identical (the shipped image IS the primary image),
+    // and redo over the *standby* trails alone yields the workload's
+    // committed set.
+    let (watermarks, replica) = check_sites(&store, &base, &acked);
+    for (part, (p_wm, r_wm)) in watermarks.into_iter().enumerate() {
         assert_eq!(p_wm, r_wm, "partition {part} watermark lag after drain");
         assert!(r_wm > 0, "partition {part} saw no traffic");
-        assert!(
-            r_wm <= p_trail.len() as u64,
-            "test assumes an unwrapped trail"
-        );
-        assert_eq!(
-            &p_trail[..r_wm as usize],
-            &r_trail[..r_wm as usize],
-            "partition {part} replica trail diverges from primary"
-        );
-        replica_trails.push(r_trail);
     }
-
-    // The replica alone recovers every acknowledged transaction: redo
-    // over the *standby* trails yields the workload's committed set.
-    let refs: Vec<&[u8]> = replica_trails.iter().map(|t| t.as_slice()).collect();
-    let rec = redo_scan_partitioned(&refs);
-    for txn in &committed_ids {
-        assert!(
-            rec.committed.contains(txn),
-            "acked {txn:?} not recoverable at the DR site (RPO != 0)"
-        );
-    }
+    assert_rpo_zero(&replica, &acked);
 }
 
 #[test]
@@ -134,24 +145,12 @@ fn failover_drill_fences_the_old_primary() {
     let mut params = GeorepParams::pm(0x6E02);
     // Disaster at 1.6 s (mid-workload), dead-primary declaration and
     // epoch fence 100 ms later.
-    params.sever_at = Some(simcore::SimDuration::from_nanos(1_600 * MILLIS));
-    params.fence_at = Some(simcore::SimDuration::from_nanos(1_700 * MILLIS));
+    params.sever_at = Some(SimDuration::from_nanos(1_600 * MILLIS));
+    params.fence_at = Some(SimDuration::from_nanos(1_700 * MILLIS));
     let mut node = build_georep(&mut store, params);
-    let (view, machine) = (node.node.view(), node.node.machine.clone());
     // Open-ended load so the zombie primary is still appending when the
     // fence lands.
-    let stats = install_workload(
-        &mut node.node.sim,
-        &machine,
-        &view,
-        WorkloadConfig {
-            think: ThinkTime::Zero,
-            keys: Keys::Disjoint,
-            run_for: Some(simcore::SimDuration::from_nanos(2_000 * MILLIS)),
-            inserts_per_txn: 4,
-            ..WorkloadConfig::new(0x6E02, CLIENTS)
-        },
-    );
+    let stats = start_workload(&mut node, 0x6E02, Some(2_000));
     node.node.sim.run_until(SimTime(4 * SECS));
 
     // The drill ran on schedule and the fence round-tripped: epoch
@@ -182,21 +181,14 @@ fn failover_drill_fences_the_old_primary() {
     );
 
     // The replica's shipped prefix is intact and byte-identical — the
-    // zombie stalled, it did not corrupt.
-    drop(node);
-    store.reset_volatile();
-    let mut any_shipped = false;
-    for part in 0..PARTS {
-        let (p_wm, r_wm, p_trail, r_trail) = site_watermarks(&mut store, part);
-        assert!(r_wm <= p_wm, "replica ahead of a fenced primary");
-        assert_eq!(
-            &p_trail[..r_wm as usize],
-            &r_trail[..r_wm as usize],
-            "partition {part} replica prefix diverges"
-        );
-        any_shipped |= r_wm > 0;
-    }
-    assert!(any_shipped, "nothing replicated before the disaster");
+    // zombie stalled, it did not corrupt — and the primary's images still
+    // redo every commit it acknowledged.
+    let (acked, base) = power_cut(&mut store, node, &stats);
+    let (watermarks, _) = check_sites(&store, &base, &acked);
+    assert!(
+        watermarks.iter().any(|&(_, r_wm)| r_wm > 0),
+        "nothing replicated before the disaster"
+    );
 }
 
 #[test]
@@ -210,41 +202,17 @@ fn wan_partition_replication_is_deterministic() {
             (SimTime(1_200 * MILLIS), SimTime(1_350 * MILLIS)),
             (SimTime(1_450 * MILLIS), SimTime(1_550 * MILLIS)),
         ];
-        params.wan.one_way_delay = simcore::SimDuration::from_nanos(5 * MILLIS);
+        params.wan.one_way_delay = SimDuration::from_nanos(5 * MILLIS);
         let mut node = build_georep(&mut store, params);
-        // Sustained load (not a burst) so trail traffic spans both flaps.
-        let (view, machine) = (node.node.view(), node.node.machine.clone());
-        let stats = install_workload(
-            &mut node.node.sim,
-            &machine,
-            &view,
-            WorkloadConfig {
-                think: ThinkTime::Zero,
-                keys: Keys::Disjoint,
-                run_for: Some(simcore::SimDuration::from_nanos(600 * MILLIS)),
-                inserts_per_txn: 4,
-                ..WorkloadConfig::new(0x6E03, CLIENTS)
-            },
-        );
-        run_to_completion(&mut node.node.sim, &stats, SimTime(60 * SECS));
-        let t = node.node.sim.now();
-        node.node.sim.run_until(SimTime(t.as_nanos() + SECS));
+        let stats = start_workload(&mut node, 0x6E03, Some(600));
+        drain(&mut node, &stats, 1_000);
 
         let ship = node.shipper_stats.lock().clone();
         let rep = *node.replica_stats.lock();
         let wan = node.wan.lock().stats;
         let dispatched = node.node.sim.dispatched();
-        drop(node);
-        store.reset_volatile();
-        let mut images = Vec::new();
-        for part in 0..PARTS {
-            images.push(read_region(
-                &mut store,
-                "npmu:drpm-a",
-                &format!("adp{part}.audit"),
-                0,
-            ));
-        }
+        let (_, base) = power_cut(&mut store, node, &stats);
+        let images = Snapshot::read(&store, &[Trails::replica(&base)]).shards;
         (
             (
                 dispatched,
@@ -265,12 +233,7 @@ fn wan_partition_replication_is_deterministic() {
         a, b,
         "WAN-partitioned replication counters not reproducible"
     );
-    for part in 0..PARTS {
-        assert!(
-            a_images[part] == b_images[part],
-            "partition {part} replica image not reproducible"
-        );
-    }
+    assert!(a_images == b_images, "replica images not reproducible");
     // The flaps actually bit: losses happened and were repaired.
     assert!(a.7 > 0, "no WAN drops — windows missed the traffic");
     assert!(a.2 > 0, "no rewinds — loss recovery never exercised");
@@ -282,12 +245,10 @@ fn lazy_partitions_catch_up_on_the_poll_timer() {
     let mut store = DurableStore::new();
     let mut params = GeorepParams::pm(0x6E04);
     params.eager_partitions = 0; // every partition cold: timer-driven only
-    params.lazy_interval = simcore::SimDuration::from_nanos(20 * MILLIS);
+    params.lazy_interval = SimDuration::from_nanos(20 * MILLIS);
     let mut node = build_georep(&mut store, params);
-    let stats = start_workload(&mut node, 0x6E04);
-    run_to_completion(&mut node.node.sim, &stats, SimTime(60 * SECS));
-    let t = node.node.sim.now();
-    node.node.sim.run_until(SimTime(t.as_nanos() + SECS));
+    let stats = start_workload(&mut node, 0x6E04, None);
+    drain(&mut node, &stats, 1_000);
 
     // No subscriptions, yet the quiesced pipe still drains to zero lag —
     // the ctrl-cell poll finds the watermark the publications would have
@@ -300,12 +261,10 @@ fn lazy_partitions_catch_up_on_the_poll_timer() {
         ship.parts
     );
     assert!(ship.batches_shipped > 0);
-    drop(node);
-    store.reset_volatile();
-    for part in 0..PARTS {
-        let (p_wm, r_wm, p_trail, r_trail) = site_watermarks(&mut store, part);
+    let (acked, base) = power_cut(&mut store, node, &stats);
+    let (watermarks, _) = check_sites(&store, &base, &acked);
+    for (part, (p_wm, r_wm)) in watermarks.into_iter().enumerate() {
         assert_eq!(p_wm, r_wm, "partition {part} lagged");
-        assert_eq!(&p_trail[..r_wm as usize], &r_trail[..r_wm as usize]);
     }
 }
 
@@ -329,24 +288,8 @@ fn member_scoped_primary_fault_stays_at_the_primary_site() {
             });
         }
         let mut node = build_georep(&mut store, params);
-        let (view, machine) = (node.node.view(), node.node.machine.clone());
-        // Sustained load so trail traffic spans the outage.
-        let stats = install_workload(
-            &mut node.node.sim,
-            &machine,
-            &view,
-            WorkloadConfig {
-                think: ThinkTime::Zero,
-                keys: Keys::Disjoint,
-                track_txns: true,
-                run_for: Some(simcore::SimDuration::from_nanos(600 * MILLIS)),
-                inserts_per_txn: 4,
-                ..WorkloadConfig::new(0x6E05, CLIENTS)
-            },
-        );
-        run_to_completion(&mut node.node.sim, &stats, SimTime(60 * SECS));
-        let t = node.node.sim.now();
-        node.node.sim.run_until(SimTime(t.as_nanos() + SECS));
+        let stats = start_workload(&mut node, 0x6E05, Some(600));
+        drain(&mut node, &stats, 1_000);
 
         let epochs = |h: &npmu::NpmuHandle| h.stats.lock().failure_epochs;
         let (pa, pb) = &node.node.pm_pool[0];
@@ -354,36 +297,52 @@ fn member_scoped_primary_fault_stays_at_the_primary_site() {
         let seen = (epochs(pa), epochs(pb), epochs(da), epochs(db));
         let rpo = node.shipper_stats.lock().rpo_bytes();
         let applied = node.replica_stats.lock().batches_applied;
-        let committed = stats.lock().committed_ids.clone();
-        drop(node);
-        store.reset_volatile();
-        let mut replica_trails = Vec::new();
-        for part in 0..PARTS {
-            let (p_wm, r_wm, _, r_trail) = site_watermarks(&mut store, part);
+        let (acked, base) = power_cut(&mut store, node, &stats);
+        let (watermarks, replica) = check_sites(&store, &base, &acked);
+        for (part, (p_wm, r_wm)) in watermarks.into_iter().enumerate() {
             assert_eq!(p_wm, r_wm, "partition {part} lags after the drain");
-            replica_trails.push(r_trail);
         }
-        let refs: Vec<&[u8]> = replica_trails.iter().map(|t| t.as_slice()).collect();
-        let rec = redo_scan_partitioned(&refs);
-        let lost = committed
-            .iter()
-            .filter(|t| !rec.committed.contains(t))
-            .count();
-        (seen, rpo, applied, committed.len(), lost)
+        assert_rpo_zero(&replica, &acked);
+        (seen, rpo, applied, acked.len())
     };
-    let (seen, rpo, applied, committed, lost) = run(true);
+    let (seen, rpo, applied, committed) = run(true);
     assert_eq!(
         seen,
         (1, 0, 0, 0),
         "failure epochs on (pm-a, pm-b, drpm-a, drpm-b): one outage, one device"
     );
-    let (control_seen, control_rpo, control_applied, control_committed, control_lost) = run(false);
+    let (control_seen, control_rpo, control_applied, control_committed) = run(false);
     assert_eq!(control_seen, (0, 0, 0, 0));
     assert!(
         applied > 0 && control_applied > 0,
         "replica applied nothing"
     );
     assert!(committed > 0 && control_committed > 0);
-    assert_eq!((rpo, lost), (0, 0), "outage run did not drain to RPO 0");
-    assert_eq!((control_rpo, control_lost), (0, 0));
+    assert_eq!(rpo, 0, "outage run did not drain to RPO 0");
+    assert_eq!(control_rpo, 0);
+}
+
+/// A trail subscription lives in the ADP primary alone. When `$ADP0`'s
+/// primary dies under sustained load, the shipper must subscribe again to
+/// the backup the takeover promotes: otherwise partition 0 stops shipping
+/// while the shipper's own accounting still reads RPO 0.
+#[test]
+fn an_adp_takeover_keeps_its_partition_shipping() {
+    use simcore::fault::{Fault, FaultPlan};
+    let mut store = DurableStore::new();
+    let mut params = GeorepParams::pm(0x6E06);
+    params.base.fault_plan = FaultPlan::none().with(Fault::KillProcess {
+        name: "$ADP0".into(),
+        at: SimTime(1_200 * MILLIS),
+    });
+    let mut node = build_georep(&mut store, params);
+    let stats = start_workload(&mut node, 0x6E06, Some(800));
+    drain(&mut node, &stats, 1_000);
+    assert_eq!(node.shipper_stats.lock().rpo_bytes(), 0);
+    let (acked, base) = power_cut(&mut store, node, &stats);
+    let (watermarks, replica) = check_sites(&store, &base, &acked);
+    for (part, (p_wm, r_wm)) in watermarks.into_iter().enumerate() {
+        assert_eq!(p_wm, r_wm, "partition {part} stopped shipping");
+    }
+    assert_rpo_zero(&replica, &acked);
 }

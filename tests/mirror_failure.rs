@@ -3,9 +3,7 @@
 //! every acked commit intact, the PMM resilvers the revived half online,
 //! and the §1.3 scrubber finds the mirrors byte-identical afterward.
 
-mod common;
-
-use pmem::verify_mirrors;
+use pmem::oracle::{Expect, Snapshot, Trails};
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::{MILLIS, SECS};
 use simcore::{DurableStore, SimTime};
@@ -32,9 +30,9 @@ fn npmu_half_dies_mid_run_workload_survives_and_resilvers() {
         fault_plan: FaultPlan::none().with(outage),
         ..OdsParams::pm(0x51ee9)
     };
+    let site = [Trails::node(&params)];
     let mut node = build_ods(&mut store, params);
     let pmm = node.pmm.clone().expect("PM mode has a PMM");
-    let (npmu_a, npmu_b) = node.pm_pool[0].clone();
 
     let (view, machine) = (node.view(), node.machine.clone());
     let driver_stats = install_workload(
@@ -64,15 +62,15 @@ fn npmu_half_dies_mid_run_workload_survives_and_resilvers() {
     let now = node.sim.now();
     node.sim.run_until(SimTime(now.as_nanos() + SECS));
 
-    // Every acked commit survived: the drivers completed their full
-    // scripted load in degraded mode, nothing was lost or re-issued.
-    let (committed, inserted) = {
+    // The drivers completed their full scripted load in degraded mode,
+    // nothing lost or re-issued.
+    let (acked, inserted) = {
         let s = driver_stats.lock();
-        (s.committed, s.inserted_records)
+        (s.committed_ids.clone(), s.inserted_records)
     };
     assert_eq!(inserted, drivers as u64 * records_per_driver);
     assert_eq!(
-        committed,
+        acked.len() as u64,
         drivers as u64 * records_per_driver / inserts_per_txn as u64
     );
 
@@ -84,21 +82,24 @@ fn npmu_half_dies_mid_run_workload_survives_and_resilvers() {
     assert_eq!(stats.resilvers_completed, 1, "{stats:?}");
     assert!(stats.resilver_bytes_copied > 0, "{stats:?}");
 
-    // §1.3 scrubber: metadata and every region byte identical on both
-    // halves after the online resilver.
-    let report = verify_mirrors(&npmu_a.mem, &npmu_b.mem, 8);
-    assert!(
-        report.is_clean(),
-        "mirrors diverged after resilver: {:?}",
-        report
-    );
-
     // The repair moved its payload device to device and verified by
     // digests: no chunk crossed the PMM's ports.
     let ns = node.net.lock().stats;
     assert!(ns.rdma_copies > 0, "no NPMU→NPMU copy commands: {ns:?}");
     assert_eq!(ns.rdma_copy_bytes, stats.resilver_bytes_copied, "{ns:?}");
     assert!(ns.rdma_scrubs > 0, "no batched scrub commands: {ns:?}");
+
+    // Power loss after the repair: every acked commit redoes whole from
+    // the images, and the §1.3 scrubber finds metadata and every region
+    // byte identical on both halves.
+    drop(node);
+    store.reset_volatile();
+    let expect = Expect {
+        resilvered: true,
+        ..Expect::finished(&acked, inserts_per_txn)
+    };
+    let report = Snapshot::read(&store, &site).check(&expect);
+    report.assert_clean("after the resilver");
 }
 
 /// Both mirror halves are down at once (overlapping windows): every PM
@@ -125,14 +126,13 @@ fn both_halves_down_acks_nothing_until_a_half_is_back() {
             to: both_down.1,
         });
     let mut store = DurableStore::new();
-    let mut node = build_ods(
-        &mut store,
-        OdsParams {
-            audit: AuditMode::HardwareNpmu,
-            fault_plan: plan,
-            ..OdsParams::pm(0xB07D)
-        },
-    );
+    let params = OdsParams {
+        audit: AuditMode::HardwareNpmu,
+        fault_plan: plan,
+        ..OdsParams::pm(0xB07D)
+    };
+    let site = [Trails::node(&params)];
+    let mut node = build_ods(&mut store, params);
     let (view, machine) = (node.view(), node.machine.clone());
     let driver_stats = install_workload(
         &mut node.sim,
@@ -173,21 +173,16 @@ fn both_halves_down_acks_nothing_until_a_half_is_back() {
     );
     let now = node.sim.now();
     node.sim.run_until(SimTime(now.as_nanos() + SECS));
+    let acked = driver_stats.lock().committed_ids.clone();
     drop(node);
+    store.reset_volatile();
 
-    // Every acked commit redoes from the survivor's image alone.
-    let trails: Vec<Vec<u8>> = (0..4)
-        .map(|i| {
-            common::read_region(
-                &mut store,
-                "npmu:pm-b",
-                &format!("adp{i}.audit"),
-                txnkit::adp::PM_CTRL_BYTES,
-            )
-        })
-        .collect();
-    let refs: Vec<&[u8]> = trails.iter().map(|t| t.as_slice()).collect();
-    let rec = txnkit::recovery::redo_scan_partitioned(&refs);
-    assert_eq!(rec.committed.len() as u64, want_txns);
-    assert!(rec.inflight.is_empty(), "completed run leaves no inflight");
+    // Every acked commit redoes from the images: from `b`, the survivor
+    // holding the whole acknowledged history, wherever the PMM's durable
+    // health still marks `a` stale; from either half once it is repaired.
+    let expect = Expect::finished(&acked, inserts_per_txn);
+    let report = Snapshot::read(&store, &site).check(&expect);
+    report.assert_clean("after both halves were down");
+    let inflight = &report.recovery.shards[0].inflight;
+    assert!(inflight.is_empty(), "completed run leaves no inflight");
 }

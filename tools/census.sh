@@ -40,6 +40,11 @@ printf '%-28s %6d\n' "pair plumbing in servers" \
   "$(cat crates/txnkit/src/{dp2,tmf}.rs crates/txnkit/src/adp/*.rs crates/pmm/src/manager.rs |
     { grep -cE 'ProcessDied|CheckpointAck|Checkpoint \{|promote_backup|resolve_backup|send_to_backup|WatchTarget::Process' || true; })"
 
+# Recovery checks that bypass `pmem::oracle`: what stays calls the scan
+# for its own sake (the two-scan equivalence property, T3's timed redo).
+echo "== redo_scan_* calls under tests/ + crates/bench/src"
+{ grep -rhoE 'redo_scan_[a-z_]+\(' tests crates/bench/src || true; } | wc -l
+
 echo "== crates/bench bins"
 find crates/bench/src/bin -name '*.rs' -type f | wc -l
 
