@@ -1,154 +1,33 @@
-//! The device's memory array.
-//!
-//! Fixed logical capacity, sparse physical representation (4 KB blocks) so
-//! simulating a multi-hundred-megabyte NPMU doesn't allocate it all.
-//! Includes the partial-write primitive the crash-consistency tests use:
-//! ServerNet delivers packets in order, so a transfer interrupted by power
-//! loss applies a *prefix* at packet granularity — never interleaved
-//! fragments.
+//! The device's memory array: a [`PageStore`] of the device's capacity,
+//! which allocates only what was written. Its `partial_write` is the torn-
+//! write model: ServerNet delivers packets in order, so a transfer cut by
+//! power loss applies a *prefix* at packet granularity.
 
-use simcore::hash::FastMap;
-
-const BLOCK: u64 = 4096;
-/// What an absent block reads as.
-static ZERO_BLOCK: [u8; BLOCK as usize] = [0; BLOCK as usize];
-
-/// 64-bit content checksum used by the device-side scrub: the NIC
-/// digests a range locally so mirror comparison ships 8 bytes instead of
-/// the chunk. The implementation is shared tree-wide in
-/// [`simcore::checksum`]; this re-export keeps existing call sites.
+/// The scrub's 64-bit content checksum (shared tree-wide in
+/// [`simcore::checksum`]); re-exported for existing call sites.
 pub use simcore::checksum::checksum64;
-use simcore::checksum::Checksum64;
+use simcore::pages::PageStore;
 
-/// Non-volatile memory image of one NPMU.
-pub struct NvImage {
-    capacity: u64,
-    /// Block number → block. Only ever looked up by point.
-    blocks: FastMap<u64, Box<[u8; BLOCK as usize]>>,
-    writes: u64,
-    bytes_written: u64,
-}
+/// Non-volatile memory image of one NPMU, under its own type, which the
+/// `DurableStore` looks images up by.
+pub struct NvImage(PageStore);
 
 impl NvImage {
     pub fn new(capacity: u64) -> Self {
-        NvImage {
-            capacity,
-            blocks: FastMap::default(),
-            writes: 0,
-            bytes_written: 0,
-        }
+        NvImage(PageStore::new(capacity))
     }
+}
 
-    pub fn capacity(&self) -> u64 {
-        self.capacity
+impl std::ops::Deref for NvImage {
+    type Target = PageStore;
+    fn deref(&self) -> &PageStore {
+        &self.0
     }
+}
 
-    /// Write `data` at `offset`. Panics if out of range — the ATT layer
-    /// rejects such requests before they get here, so reaching this is a
-    /// device-model bug.
-    pub fn write(&mut self, offset: u64, data: &[u8]) {
-        assert!(
-            offset + data.len() as u64 <= self.capacity,
-            "NvImage write beyond capacity"
-        );
-        let mut off = offset;
-        let mut rest = data;
-        while !rest.is_empty() {
-            let blk = off / BLOCK;
-            let in_blk = (off % BLOCK) as usize;
-            let n = rest.len().min(BLOCK as usize - in_blk);
-            let block = self
-                .blocks
-                .entry(blk)
-                .or_insert_with(|| Box::new([0u8; BLOCK as usize]));
-            block[in_blk..in_blk + n].copy_from_slice(&rest[..n]);
-            off += n as u64;
-            rest = &rest[n..];
-        }
-        self.writes += 1;
-        self.bytes_written += data.len() as u64;
-    }
-
-    /// Apply only the first `applied` bytes of a write — the power-loss
-    /// torn-write model (packet-prefix semantics).
-    pub fn partial_write(&mut self, offset: u64, data: &[u8], applied: usize) {
-        let applied = applied.min(data.len());
-        if applied > 0 {
-            self.write(offset, &data[..applied]);
-        }
-    }
-
-    /// `len` bytes at `offset`. Each byte is written once: copied from
-    /// its block, or zero where the block is absent.
-    pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
-        assert!(
-            offset + len as u64 <= self.capacity,
-            "NvImage read beyond capacity"
-        );
-        let mut out = Vec::with_capacity(len);
-        let mut off = offset;
-        while out.len() < len {
-            let in_blk = (off % BLOCK) as usize;
-            let n = (len - out.len()).min(BLOCK as usize - in_blk);
-            let block = self
-                .blocks
-                .get(&(off / BLOCK))
-                .map_or(&ZERO_BLOCK, |b| &**b);
-            out.extend_from_slice(&block[in_blk..in_blk + n]);
-            off += n as u64;
-        }
-        out
-    }
-
-    /// How many of the `len` bytes at `offset` reach the end of the last
-    /// block ever written there (clamped to the range): past them the
-    /// range reads as zeros, so a reader that zero-pads need not read
-    /// further. A scan of the whole block index — meant for offline
-    /// readers of an image, not for the device's data path.
-    pub fn written_extent(&self, offset: u64, len: u64) -> u64 {
-        let end = offset + len;
-        self.blocks
-            .keys()
-            .map(|&blk| (blk + 1) * BLOCK)
-            .filter(|&blk_end| blk_end > offset && blk_end - BLOCK < end)
-            .max()
-            .map_or(0, |blk_end| blk_end.min(end) - offset)
-    }
-
-    /// [`checksum64`] of `len` bytes at `offset`, computed over the
-    /// sparse blocks where they lie: nothing is copied out, and an absent
-    /// block digests as the zeros it reads as. Deliberately NOT a CRC-32:
-    /// every watermark cell in the system is stored as `x ‖ crc32(x)`, and
-    /// the CRC of a message followed by its own CRC is a constant — a CRC
-    /// digest of a chunk that starts with such a cell is the same for
-    /// every `x`, so mirrors diverging only in a cell would verify clean.
-    pub fn digest(&self, offset: u64, len: u64) -> u64 {
-        assert!(
-            offset + len <= self.capacity,
-            "NvImage digest beyond capacity"
-        );
-        let mut sum = Checksum64::default();
-        let mut off = offset;
-        let end = offset + len;
-        while off < end {
-            let in_blk = (off % BLOCK) as usize;
-            let n = (end - off).min(BLOCK - in_blk as u64) as usize;
-            let block = self
-                .blocks
-                .get(&(off / BLOCK))
-                .map_or(&ZERO_BLOCK, |b| &**b);
-            sum.update(&block[in_blk..in_blk + n]);
-            off += n as u64;
-        }
-        sum.finish()
-    }
-
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
+impl std::ops::DerefMut for NvImage {
+    fn deref_mut(&mut self) -> &mut PageStore {
+        &mut self.0
     }
 }
 

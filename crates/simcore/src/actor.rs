@@ -160,6 +160,13 @@ impl<'a> Ctx<'a> {
         self.sim.queue.push(at, to, msg);
     }
 
+    /// Up to 1 ns of seeded delay under a perturbation seed
+    /// ([`crate::SimConfig::perturb`]); 0 without one. Drawn without
+    /// touching [`Self::rng`], so an unperturbed run is unchanged.
+    pub fn jitter_ns(&self) -> u64 {
+        self.sim.queue.jitter_ns()
+    }
+
     /// Deterministic randomness (one stream per simulation).
     pub fn rng(&mut self) -> &mut DetRng {
         &mut self.sim.rng

@@ -21,8 +21,17 @@
 //! [`EventQueue::push_reserved`] pushes it into that `(time, seq)` later,
 //! if it turns out to be needed. Draws are what fix the order, so every
 //! other event keeps its key whether or not the slot is ever filled.
+//!
+//! A queue built with a perturbation seed ([`EventQueue::perturbed`])
+//! keeps time order and each actor's own order but shuffles the rest: an
+//! event's key is `(time, rank ‖ seq)`, where the rank — the top 24
+//! bits of the 64-bit key — is a seeded hash of its time and target. Events due at one instant for one actor share a rank and leave
+//! in schedule order; those for different actors leave in an order the
+//! seed picks afresh at every instant. Without a seed every rank is 0 and
+//! the key is the schedule order.
 
 use crate::actor::{ActorId, Msg};
+use crate::rng::splitmix64;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -83,6 +92,10 @@ impl EventSlot {
     }
 }
 
+/// High bits of an event's `seq` a perturbation seed ranks it by; the
+/// schedule counter keeps the low `64 - RANK_BITS`.
+const RANK_BITS: u32 = 24;
+
 /// Priority queue of pending events.
 #[derive(Default)]
 pub struct EventQueue {
@@ -91,6 +104,7 @@ pub struct EventQueue {
     /// rather than a tombstone the dispatch loop would still have to pop.
     timers: BTreeMap<(SimTime, u64), (ActorId, Msg)>,
     next_seq: u64,
+    perturb: Option<u64>,
 }
 
 impl EventQueue {
@@ -98,9 +112,40 @@ impl EventQueue {
         Self::default()
     }
 
+    /// A queue that orders same-instant events of different actors by a
+    /// hash of `seed` (module docs).
+    pub fn perturbed(seed: u64) -> Self {
+        let perturb = Some(seed);
+        EventQueue {
+            perturb,
+            ..Self::default()
+        }
+    }
+
+    /// `seq` with the rank of an event due at `time` for `target` in its
+    /// high bits.
+    fn ranked(&self, time: SimTime, target: ActorId, seq: u64) -> u64 {
+        let Some(seed) = self.perturb else {
+            return seq;
+        };
+        assert!(
+            seq >> (64 - RANK_BITS) == 0,
+            "schedule counter overflows the rank"
+        );
+        let h = splitmix64(seed ^ splitmix64(time.0 ^ (u64::from(target.0) << 40)));
+        (h >> (64 - RANK_BITS) << (64 - RANK_BITS)) | seq
+    }
+
+    /// 0 or 1 ns drawn from the perturbation seed and the schedule
+    /// counter; always 0 without a seed.
+    pub fn jitter_ns(&self) -> u64 {
+        self.perturb
+            .map_or(0, |seed| splitmix64(seed ^ !self.next_seq) & 1)
+    }
+
     /// Schedule delivery of `msg` to `target` at absolute time `time`.
     pub fn push(&mut self, time: SimTime, target: ActorId, msg: Msg) {
-        let seq = self.next_seq;
+        let seq = self.ranked(time, target, self.next_seq);
         self.next_seq += 1;
         self.heap.push(Event {
             time,
@@ -126,7 +171,7 @@ impl EventQueue {
     pub fn push_reserved(&mut self, slot: EventSlot, target: ActorId, msg: Msg) {
         self.heap.push(Event {
             time: slot.time,
-            seq: slot.seq,
+            seq: self.ranked(slot.time, target, slot.seq),
             target,
             msg,
         });
@@ -135,7 +180,7 @@ impl EventQueue {
     /// Schedule delivery of `msg` to `target` at `time` as a timer that
     /// [`Self::disarm`] can take back.
     pub fn arm(&mut self, time: SimTime, target: ActorId, msg: Msg) -> TimerId {
-        let seq = self.next_seq;
+        let seq = self.ranked(time, target, self.next_seq);
         self.next_seq += 1;
         self.timers.insert((time, seq), (target, msg));
         TimerId { due: time, seq }
@@ -334,6 +379,74 @@ mod tests {
         assert_eq!(q.len(), 2);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.target.0).collect();
         assert_eq!(order, vec![1, 2]);
+    }
+
+    proptest::proptest! {
+        /// A perturbed queue pops what an unperturbed one pops, in time
+        /// order, with each actor's events in schedule order — timers and
+        /// reserved slots included.
+        #[test]
+        fn perturbation_keeps_time_and_per_actor_order(
+            seed in proptest::prelude::any::<u64>(),
+            events in proptest::collection::vec((0u64..4, 0u32..5, 0u8..3), 0..80),
+        ) {
+            let (mut plain, mut perturbed) = (EventQueue::new(), EventQueue::perturbed(seed));
+            for q in [&mut plain, &mut perturbed] {
+                let mut slots = Vec::new();
+                for (i, &(t, to, kind)) in events.iter().enumerate() {
+                    let (at, to, m) = (SimTime(t), ActorId(to), msg(i as u32));
+                    match kind {
+                        0 => q.push(at, to, m),
+                        1 => drop(q.arm(at, to, m)),
+                        _ => slots.push((q.reserve(at), to, m)),
+                    }
+                }
+                for (slot, to, m) in slots {
+                    q.push_reserved(slot, to, m);
+                }
+            }
+            let tag = |e: &Event| *e.msg.payload.downcast_ref::<u32>().unwrap();
+            let popped = |q: &mut EventQueue| {
+                std::iter::from_fn(|| q.pop()).map(|e| (e.time, e.target, tag(&e))).collect::<Vec<_>>()
+            };
+            let (want, got) = (popped(&mut plain), popped(&mut perturbed));
+            proptest::prop_assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
+            for to in 0..5 {
+                let of = |v: &[(SimTime, ActorId, u32)]| {
+                    v.iter().filter(|e| e.1 == ActorId(to)).copied().collect::<Vec<_>>()
+                };
+                proptest::prop_assert_eq!(of(&got), of(&want));
+            }
+        }
+    }
+
+    #[test]
+    fn some_seed_reorders_actors_due_at_one_instant() {
+        let order = |seed| {
+            let mut q = EventQueue::perturbed(seed);
+            for to in 0..8 {
+                q.push(SimTime(5), ActorId(to), msg(to));
+            }
+            std::iter::from_fn(|| q.pop())
+                .map(|e| e.target.0)
+                .collect::<Vec<_>>()
+        };
+        assert!((0..4).any(|seed| order(seed) != (0..8).collect::<Vec<_>>()));
+        assert_eq!(order(7), order(7), "a seed picks one order");
+    }
+
+    #[test]
+    fn jitter_is_zero_without_a_seed_and_at_most_a_nanosecond_with_one() {
+        let mut plain = EventQueue::new();
+        let mut perturbed = EventQueue::perturbed(3);
+        let mut draws = Vec::new();
+        for i in 0..64 {
+            assert_eq!(plain.jitter_ns(), 0);
+            draws.push(perturbed.jitter_ns());
+            plain.push(SimTime(i), ActorId(0), msg(0));
+            perturbed.push(SimTime(i), ActorId(0), msg(0));
+        }
+        assert!(draws.iter().all(|&j| j <= 1) && draws.contains(&0) && draws.contains(&1));
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! disk media images — lives in the [`durable::DurableStore`], which is kept
 //! *outside* the simulation proper: an experiment tears the `Sim` down and
 //! builds a fresh one around the same store, exactly as real durable media
-//! survive a reboot.
+//! survive a reboot. Every such image keeps its bytes in a
+//! [`pages::PageStore`].
 
 pub mod actor;
 pub mod checksum;
@@ -40,6 +41,7 @@ pub mod durable;
 pub mod event;
 pub mod fault;
 pub mod hash;
+pub mod pages;
 pub mod rng;
 mod shared;
 pub mod sim;

@@ -16,6 +16,16 @@ pub struct SimConfig {
     pub trace: bool,
     /// Safety valve: abort after this many dispatches (0 = unlimited).
     pub max_events: u64,
+    /// Perturbation seed: when set, events due at one instant for
+    /// different actors leave in an order this seed picks (each actor's
+    /// own events keep theirs), and [`Ctx::jitter_ns`] adds up to 1 ns to
+    /// fabric deliveries. One seed is one more legal schedule of the same
+    /// model; `None` is the schedule every figure in the tree is taken
+    /// on. The default reads it from the `SIM_PERTURB` environment
+    /// variable (decimal or `0x` hex; unset or empty is `None`), so a test
+    /// suite or a benchmark run can be re-run under other schedules
+    /// without a code change.
+    pub perturb: Option<u64>,
 }
 
 impl Default for SimConfig {
@@ -24,8 +34,20 @@ impl Default for SimConfig {
             seed: 0xD1CE,
             trace: false,
             max_events: 0,
+            perturb: perturb_from_env(),
         }
     }
+}
+
+fn perturb_from_env() -> Option<u64> {
+    let v = std::env::var("SIM_PERTURB")
+        .ok()
+        .filter(|v| !v.is_empty())?;
+    let parsed = match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    Some(parsed.unwrap_or_else(|_| panic!("SIM_PERTURB={v:?} is not a u64")))
 }
 
 /// Why a run loop returned.
@@ -62,7 +84,9 @@ impl Sim {
     pub fn new(config: SimConfig) -> Self {
         Sim {
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            queue: config
+                .perturb
+                .map_or_else(EventQueue::new, EventQueue::perturbed),
             slots: Vec::new(),
             rng: DetRng::new(config.seed),
             halted: false,
@@ -461,7 +485,7 @@ mod tests {
             let mut sim = Sim::new(SimConfig {
                 seed,
                 trace: true,
-                max_events: 0,
+                ..SimConfig::default()
             });
             sim.spawn(Counter { hits });
             sim.run_until(SimTime(crate::time::MILLIS * 5));
@@ -500,7 +524,7 @@ mod tests {
             let mut sim = Sim::new(SimConfig {
                 seed: 9,
                 trace: true,
-                max_events: 0,
+                ..SimConfig::default()
             });
             for period in [2, 3, 5] {
                 sim.spawn(Ticker { period, timers });

@@ -1,75 +1,30 @@
-//! The platter image: a sparse byte-addressable store.
-//!
-//! Held in the simulation's `DurableStore` so contents survive power loss.
-//! Reads of never-written ranges return zeros, like a freshly formatted
-//! volume.
+//! The platter image, held in the simulation's `DurableStore` so contents
+//! survive power loss. Never-written ranges read as zeros, like a freshly
+//! formatted volume.
 
-use std::collections::BTreeMap;
+use simcore::pages::PageStore;
 
-const BLOCK: u64 = 4096;
-
-/// Sparse byte store organized as 4 KB blocks.
+/// A disk's platter: an unbounded [`PageStore`] under its own type, which
+/// the `DurableStore` looks images up by.
 #[derive(Default, Clone)]
-pub struct SparseMedia {
-    blocks: BTreeMap<u64, Box<[u8; BLOCK as usize]>>,
-    /// Highest byte offset ever written + 1 (media "high-water mark").
-    high_water: u64,
-    /// Total bytes ever written (wear/traffic accounting).
-    bytes_written: u64,
-}
+pub struct SparseMedia(PageStore);
 
 impl SparseMedia {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    pub fn write(&mut self, offset: u64, data: &[u8]) {
-        let mut off = offset;
-        let mut rest = data;
-        while !rest.is_empty() {
-            let blk = off / BLOCK;
-            let in_blk = (off % BLOCK) as usize;
-            let n = rest.len().min(BLOCK as usize - in_blk);
-            let block = self
-                .blocks
-                .entry(blk)
-                .or_insert_with(|| Box::new([0u8; BLOCK as usize]));
-            block[in_blk..in_blk + n].copy_from_slice(&rest[..n]);
-            off += n as u64;
-            rest = &rest[n..];
-        }
-        self.high_water = self.high_water.max(offset + data.len() as u64);
-        self.bytes_written += data.len() as u64;
+impl std::ops::Deref for SparseMedia {
+    type Target = PageStore;
+    fn deref(&self) -> &PageStore {
+        &self.0
     }
+}
 
-    pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        let mut off = offset;
-        let mut filled = 0usize;
-        while filled < len {
-            let blk = off / BLOCK;
-            let in_blk = (off % BLOCK) as usize;
-            let n = (len - filled).min(BLOCK as usize - in_blk);
-            if let Some(block) = self.blocks.get(&blk) {
-                out[filled..filled + n].copy_from_slice(&block[in_blk..in_blk + n]);
-            }
-            off += n as u64;
-            filled += n;
-        }
-        out
-    }
-
-    pub fn high_water(&self) -> u64 {
-        self.high_water
-    }
-
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Number of distinct 4 KB blocks touched.
-    pub fn blocks_used(&self) -> usize {
-        self.blocks.len()
+impl std::ops::DerefMut for SparseMedia {
+    fn deref_mut(&mut self) -> &mut PageStore {
+        &mut self.0
     }
 }
 

@@ -251,6 +251,7 @@ enum Issued {
 /// picks for its target and reserves only that fabric's transmit port at
 /// the initiator. A failover penalty delays the reservation itself, so
 /// later legs on that port queue behind the switch instead of passing it.
+/// Under a perturbation seed the leg also takes [`Ctx::jitter_ns`].
 /// Returns the fabric ridden too, or `None` if the op cannot be carried.
 ///
 /// [`Network::route`]: crate::network::Network::route
@@ -306,7 +307,7 @@ fn issue_leg(
         }
     }
 
-    let total = ctx.rng().jitter((base + extra) as f64, jfrac) as u64;
+    let total = ctx.rng().jitter((base + extra) as f64, jfrac) as u64 + ctx.jitter_ns();
     let issued = if qos_on {
         Issued::Qos {
             target,

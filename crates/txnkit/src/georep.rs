@@ -271,6 +271,10 @@ struct RetryTick {
 struct ReadRetryTick {
     part: usize,
 }
+/// Try [`LogShipper::resubscribe`] again.
+struct Resubscribe {
+    part: usize,
+}
 
 pub struct LogShipper {
     name: String,
@@ -341,6 +345,21 @@ impl LogShipper {
                 self.cfg.lazy_interval.as_nanos() * (i as u64 + 1) / (self.parts.len() as u64 + 1),
             );
             ctx.send_self(jitter, LazyTick { part: i });
+        }
+    }
+
+    /// Subscribe partition `i` again after its ADP primary died, to the
+    /// backup the takeover promotes. The backup hears of the death at the
+    /// same instant as this shipper, in either order, and until it has
+    /// promoted itself the name still resolves to the dead primary: so
+    /// while a live backup waits, this waits too.
+    fn resubscribe(&mut self, ctx: &mut Ctx<'_>, i: usize) {
+        let backup = self.machine.lock().resolve_backup(&self.adp_names[i]);
+        match backup {
+            Some(b) if ctx.is_alive(b.actor) => {
+                ctx.send_self(SimDuration::from_micros(1), Resubscribe { part: i })
+            }
+            _ => self.part_adopted(ctx, i),
         }
     }
 
@@ -478,18 +497,21 @@ impl Actor for LogShipper {
             self.boot(ctx);
             return;
         }
-        // An ADP primary died: its pair's backup, which watched it since
-        // before this shipper started, has been promoted by now, knowing
-        // no subscriber.
+        // An ADP primary died: its pair's backup is promoted knowing no
+        // subscriber.
         let msg = match msg.take::<ProcessDied>() {
             Ok((_, died)) => {
                 let part = self.adp_names.iter().position(|n| *n == died.name);
                 if let Some(i) = part.filter(|&i| died.was_primary && self.parts[i].subscribed) {
                     self.parts[i].subscribed = false;
-                    self.part_adopted(ctx, i);
+                    self.resubscribe(ctx, i);
                 }
                 return;
             }
+            Err(m) => m,
+        };
+        let msg = match msg.take::<Resubscribe>() {
+            Ok((_, r)) => return self.resubscribe(ctx, r.part),
             Err(m) => m,
         };
         let msg = match msg.take::<BootTick>() {

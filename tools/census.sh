@@ -45,6 +45,11 @@ printf '%-28s %6d\n' "pair plumbing in servers" \
 echo "== redo_scan_* calls under tests/ + crates/bench/src"
 { grep -rhoE 'redo_scan_[a-z_]+\(' tests crates/bench/src || true; } | wc -l
 
+# Device images keep their bytes in one page store (`simcore::pages`):
+# a map from a page or block number to its bytes is a second copy of it.
+echo "== sparse block stores (maps from a block number to its bytes)"
+{ grep -rhoE '(FastMap|BTreeMap|HashMap)<u64, (Box<\[u8|Page>)' crates/*/src src || true; } | wc -l
+
 echo "== crates/bench bins"
 find crates/bench/src/bin -name '*.rs' -type f | wc -l
 
