@@ -7,13 +7,18 @@ cd "$(dirname "$0")"
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # --workspace: the root is itself a package, so a bare `cargo test` stops
-# at its 15 suites and never reaches the member crates' (pmclient, npmu,
+# at its 17 suites and never reaches the member crates' (pmclient, npmu,
 # simnet qos_props, txnkit end_to_end, ...).
 cargo test --release --workspace
 # The end-to-end benchmark package gates itself: fmt, clippy, its unit
 # tests, and all four workloads at 1/20 scale with the power-loss oracle
 # and the determinism guard on, traced and untraced.
 benchmark/check.sh
+# The benchmark's lock file records every dependency edge of the crates it
+# builds. Cargo rewrites it, without failing, when an edge is dropped (and
+# `cargo metadata --locked` / `cargo tree --locked` still exit 0), so a
+# build here must leave it byte-identical.
+git diff --exit-code -- benchmark/Cargo.lock
 cargo build --release --examples
 # Smoke: every example runs to completion (under a second together), and
 # the ones that assert fail loud — scale_out's 4-volume pool surviving one

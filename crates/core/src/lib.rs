@@ -7,11 +7,6 @@
 //!   process pair into a simulated node (§4.1's three deployment pieces:
 //!   devices, manager, client library — the client side is
 //!   `pmclient::PmLib`, re-exported here);
-//! * [`NvMedium`] — view a region of an NPMU's memory as a
-//!   `pmstore::PmMedium`, so the fine-grained persistent structures
-//!   (§3.4: heap, B-tree index, lock table, TCBs, queue, redo
-//!   transactions) can live *on the device image* and be recovered from
-//!   it after a power loss;
 //! * presets ([`presets`]) — the S86000-like ODS configurations the
 //!   evaluation uses, both the disk-audit baseline and the PM-enabled
 //!   variant;
@@ -22,13 +17,11 @@
 //!
 //! Re-exports give one-stop access to the full stack.
 
-pub mod adapter;
 pub mod integrity;
 pub mod oracle;
 pub mod presets;
 pub mod system;
 
-pub use adapter::NvMedium;
 pub use integrity::{verify_mirrors, Discrepancy, MirrorReport};
 pub use presets::{s86000_baseline, s86000_cluster, s86000_pm, s86000_pm_hardware, s86000_pm_pool};
 pub use system::{install_audit_partitions, install_pm_pool, install_pm_system, PmPoolSystem};
@@ -43,4 +36,3 @@ pub use pmm::{
     install_pmm_pool, Extent, HealthState, PlacementHint, PlacementPolicy, PmmConfig, PmmHandle,
     PmmStats, RegionInfo, StripeMap, VolumeEps,
 };
-pub use pmstore::{ParseError, PmBTree, PmHeap, PmLockTable, PmQueue, PmTx, TcbTable};

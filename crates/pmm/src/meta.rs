@@ -201,7 +201,8 @@ impl VolumeMeta {
         }
         let mut c = Cursor { buf: body, pos: 0 };
         let next_region_id = c.u64()?;
-        let n = c.u32()? as usize;
+        // A region is at least id, base, len, owner and name length.
+        let n = c.count(32)?;
         let mut regions = Vec::with_capacity(n);
         for _ in 0..n {
             let id = c.u64()?;
@@ -313,6 +314,13 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Option<u64> {
         self.slice(8)
             .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
+    }
+    /// A u32 item count, refused when that many items of at least
+    /// `min_item` bytes each cannot fit in what is left: a hostile count
+    /// never sizes an allocation.
+    fn count(&mut self, min_item: usize) -> Option<usize> {
+        let n = self.u32()? as usize;
+        (n.checked_mul(min_item)? <= self.buf.len() - self.pos).then_some(n)
     }
 }
 

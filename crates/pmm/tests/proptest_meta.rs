@@ -184,3 +184,52 @@ proptest! {
         prop_assert_eq!(rec, meta_at(epoch));
     }
 }
+
+/// A metadata body that opens like a real one — a u64, then a u32 item
+/// count — over arbitrary bytes, so the count usually claims far more
+/// items than the bytes behind it could hold.
+fn arb_counted_body(lead: usize) -> impl Strategy<Value = Vec<u8>> {
+    (
+        proptest::collection::vec(any::<u8>(), lead..lead + 1),
+        prop_oneof![any::<u32>(), Just(u32::MAX), 0u32..16],
+        proptest::collection::vec(any::<u8>(), 0..200),
+    )
+        .prop_map(|(lead, n, rest): (Vec<u8>, u32, Vec<u8>)| {
+            let mut b = lead;
+            b.extend_from_slice(&n.to_le_bytes());
+            b.extend_from_slice(&rest);
+            b
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `VolumeMeta::decode` is total: any body behind a valid header and
+    /// CRC (so the body parser is reached) decodes or is refused, never
+    /// panics or aborts, and whatever decodes re-encodes to itself.
+    #[test]
+    fn volume_meta_decodes_any_body(epoch in any::<u64>(), body in arb_counted_body(8)) {
+        let magic = &VolumeMeta::default().encode()[..4];
+        let mut guarded = epoch.to_le_bytes().to_vec();
+        guarded.extend_from_slice(&body);
+        let mut img = magic.to_vec();
+        img.extend_from_slice(&epoch.to_le_bytes());
+        img.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        img.extend_from_slice(&pmm::meta::crc32(&guarded).to_le_bytes());
+        img.extend_from_slice(&body);
+        if let Some(meta) = VolumeMeta::decode(&img) {
+            prop_assert_eq!(VolumeMeta::decode(&meta.encode()), Some(meta));
+        }
+    }
+
+    /// `PoolMeta::from_bytes` is total: any bytes decode or are refused,
+    /// never panic or abort, and whatever decodes is exactly what
+    /// `to_bytes` would write.
+    #[test]
+    fn pool_meta_decodes_any_bytes(bytes in arb_counted_body(16)) {
+        if let Some(meta) = PoolMeta::from_bytes(&bytes) {
+            prop_assert_eq!(meta.to_bytes(), bytes);
+        }
+    }
+}

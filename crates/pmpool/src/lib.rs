@@ -238,7 +238,9 @@ impl PoolMeta {
         let mut c = Cursor { buf, pos: 0 };
         let epoch = c.u64()?;
         let next_region_id = c.u64()?;
-        let n = c.u32()? as usize;
+        // A region is at least id, len, owner, name length, stripe unit
+        // and extent count; an extent is volume, base and len.
+        let n = c.count(36)?;
         let mut regions = Vec::with_capacity(n);
         for _ in 0..n {
             let id = c.u64()?;
@@ -247,7 +249,7 @@ impl PoolMeta {
             let name_len = c.u32()? as usize;
             let name = String::from_utf8(c.slice(name_len)?.to_vec()).ok()?;
             let stripe_unit = c.u64()?;
-            let ne = c.u32()? as usize;
+            let ne = c.count(20)?;
             let mut extents = Vec::with_capacity(ne);
             for _ in 0..ne {
                 extents.push(Extent {
@@ -388,6 +390,13 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Option<u64> {
         self.slice(8)
             .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
+    }
+    /// A u32 item count, refused when that many items of at least
+    /// `min_item` bytes each cannot fit in what is left: a hostile count
+    /// never sizes an allocation.
+    fn count(&mut self, min_item: usize) -> Option<usize> {
+        let n = self.u32()? as usize;
+        (n.checked_mul(min_item)? <= self.buf.len() - self.pos).then_some(n)
     }
 }
 

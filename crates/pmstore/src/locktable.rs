@@ -12,8 +12,7 @@
 //! held — safe, because a crashed holder's transaction will be undone by
 //! recovery anyway).
 
-use crate::error::{le_u32, le_u64};
-use crate::medium::PmMedium;
+use crate::medium::{le_u32, le_u64, PmMedium};
 use crate::redo::crc32;
 
 const SLOT: u64 = 32;

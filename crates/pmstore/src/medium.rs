@@ -13,26 +13,23 @@ pub trait PmMedium {
     }
     fn read(&self, off: u64, len: usize) -> Vec<u8>;
     fn write(&mut self, off: u64, data: &[u8]);
+}
 
-    fn read_u32(&self, off: u64) -> u32 {
-        u32::from_le_bytes(self.read(off, 4).try_into().unwrap())
-    }
-    fn read_u64(&self, off: u64) -> u64 {
-        u64::from_le_bytes(self.read(off, 8).try_into().unwrap())
-    }
-    fn write_u32(&mut self, off: u64, v: u32) {
-        self.write(off, &v.to_le_bytes());
-    }
-    fn write_u64(&mut self, off: u64, v: u64) {
-        self.write(off, &v.to_le_bytes());
-    }
+/// Little-endian u32 at `at`, or `None` when the slice is short: a torn
+/// or short record image fails its parse instead of aborting recovery.
+pub(crate) fn le_u32(raw: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from_le_bytes(raw.get(at..at + 4)?.try_into().ok()?))
+}
+
+/// Little-endian u64 at `at`, or `None` when the slice is short.
+pub(crate) fn le_u64(raw: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(raw.get(at..at + 8)?.try_into().ok()?))
 }
 
 /// Plain in-memory backing.
 #[derive(Clone)]
 pub struct VecMedium {
     buf: Vec<u8>,
-    pub writes: u64,
     pub bytes_written: u64,
 }
 
@@ -40,7 +37,6 @@ impl VecMedium {
     pub fn new(len: u64) -> Self {
         VecMedium {
             buf: vec![0; len as usize],
-            writes: 0,
             bytes_written: 0,
         }
     }
@@ -55,7 +51,6 @@ impl PmMedium for VecMedium {
     }
     fn write(&mut self, off: u64, data: &[u8]) {
         self.buf[off as usize..off as usize + data.len()].copy_from_slice(data);
-        self.writes += 1;
         self.bytes_written += data.len() as u64;
     }
 }
@@ -130,12 +125,7 @@ mod tests {
         let mut m = VecMedium::new(64);
         m.write(10, b"abc");
         assert_eq!(m.read(10, 3), b"abc");
-        assert_eq!(m.writes, 1);
         assert_eq!(m.bytes_written, 3);
-        m.write_u64(0, 0xDEAD_BEEF);
-        assert_eq!(m.read_u64(0), 0xDEAD_BEEF);
-        m.write_u32(32, 7);
-        assert_eq!(m.read_u32(32), 7);
     }
 
     #[test]

@@ -184,7 +184,7 @@ mod tests {
         assert_eq!(m.read(0, 5), b"hello");
         assert_eq!(m.read(100, 5), b"world");
         // Log invalidated afterward.
-        assert_eq!(m.read_u64(LOG), 0);
+        assert_eq!(m.read(LOG, 8), [0; 8]);
     }
 
     #[test]

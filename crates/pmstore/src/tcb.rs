@@ -14,8 +14,7 @@
 //! CRC and read as empty (the transaction is then resolved by the
 //! trail-tail scan, bounded by the checkpoint mark).
 
-use crate::error::{le_u32, le_u64};
-use crate::medium::PmMedium;
+use crate::medium::{le_u32, le_u64, PmMedium};
 use crate::redo::crc32;
 
 const SLOT: u64 = 48;

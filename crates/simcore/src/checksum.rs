@@ -2,10 +2,9 @@
 //!
 //! Three subsystems independently grew the same integrity primitives —
 //! the NPMU's device-side scrub digest, the PMM metadata slot CRC and
-//! the ADP control-cell CRC (via `pmstore`'s redo cell). They live here
-//! now so every durable cell format in the tree hashes bytes the same
-//! way, including the device-resident append tail pointer introduced
-//! with the near-device offload surface.
+//! the ADP control-cell CRC (which calls `pmm::meta::crc32`, this CRC
+//! re-exported). They live here now so every durable cell format in the
+//! tree hashes bytes the same way.
 
 /// CRC-32 (IEEE 802.3), table-driven. Known vector:
 /// `crc32(b"123456789") == 0xCBF4_3926`.

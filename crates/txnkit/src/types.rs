@@ -155,8 +155,8 @@ pub struct InsertDone {
     pub durable: bool,
 }
 
-/// Point read of a record (used by examples/tests, and by fraud-detection
-/// style readers in the telco example).
+/// Point read of a record (`txnkit`'s end-to-end tests read back what
+/// they inserted).
 #[derive(Clone, Debug)]
 pub struct ReadReq {
     pub partition: PartitionId,

@@ -3,185 +3,40 @@
 //! records per second... neither lose transactions nor corrupt their
 //! data."
 //!
-//! A call-data-record ingest application built on the `recordstore` API:
-//! several ingest sessions stream CDRs in small transactions against the
-//! PM-enabled node, and a fraud-detection reader spot-checks records as
-//! they land.
+//! Call-data-record ingest on the PM-enabled node: three switches, each
+//! one zero-think client of the hot-stock preset, stream 512-byte CDRs
+//! in transactions of eight.
 //!
 //! Run: `cargo run --release --example telco_cdr`
 
-use bytes::Bytes;
-use nsk::machine::CpuId;
-use recordstore::{DbEvent, DbSession, Schema};
-use simcore::actor::Start;
-use simcore::time::SECS;
-use simcore::{Actor, Ctx, DurableStore, Msg, Shared, SimDuration, SimTime};
-use simnet::NetDelivery;
-use txnkit::scenario::{build_ods, OdsParams};
-
-const CDR_FILE: u32 = 0;
-const CDRS_PER_TXN: u32 = 8;
-
-struct IngestStats {
-    committed: u64,
-    records: u64,
-    done: bool,
-    finished_ns: u64,
-    reads_ok: u64,
-}
-
-struct CdrIngest {
-    session: DbSession,
-    switch_id: u64,
-    total: u64,
-    sent: u64,
-    in_txn: u32,
-    stats: Shared<IngestStats>,
-}
-
-struct Kick;
-
-impl CdrIngest {
-    fn next_batch(&mut self, ctx: &mut Ctx<'_>) {
-        if self.sent >= self.total {
-            let mut s = self.stats.lock();
-            s.done = true;
-            s.finished_ns = ctx.now().as_nanos();
-            return;
-        }
-        self.session.begin(ctx);
-    }
-}
-
-impl Actor for CdrIngest {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        if msg.is::<Start>() {
-            ctx.send_self(SimDuration::from_millis(1200), Kick);
-            return;
-        }
-        if msg.is::<Kick>() {
-            self.next_batch(ctx);
-            return;
-        }
-        if let Ok((_, d)) = msg.take::<NetDelivery>() {
-            match self.session.on_delivery(d.payload) {
-                Some(DbEvent::Begun { .. }) => {
-                    self.in_txn = CDRS_PER_TXN.min((self.total - self.sent) as u32);
-                    for i in 0..self.in_txn {
-                        // A CDR: caller, callee, duration — packed compactly;
-                        // logical record size 512 B.
-                        let cdr_id = (self.switch_id << 40) | (self.sent + i as u64);
-                        let body = Bytes::from(cdr_id.to_le_bytes().to_vec());
-                        self.session
-                            .insert_sized(ctx, CDR_FILE, cdr_id, body, 512, i as u64);
-                    }
-                }
-                Some(DbEvent::Inserted { remaining: 0, .. }) => {
-                    self.session.commit(ctx);
-                }
-                Some(DbEvent::Inserted { .. }) => {}
-                Some(DbEvent::Committed { .. }) => {
-                    self.sent += self.in_txn as u64;
-                    {
-                        let mut s = self.stats.lock();
-                        s.committed += 1;
-                        s.records += self.in_txn as u64;
-                    }
-                    // Fraud detection spot check: read back one committed
-                    // CDR (browse access) every few batches.
-                    if self.sent.is_multiple_of(64) && self.sent > 0 {
-                        let probe = (self.switch_id << 40) | (self.sent - 1);
-                        self.session.read(ctx, CDR_FILE, probe, 999);
-                    }
-                    self.next_batch(ctx);
-                }
-                Some(DbEvent::Read { found: Some(_), .. }) => {
-                    self.stats.lock().reads_ok += 1;
-                }
-                Some(DbEvent::Read { .. }) => {}
-                Some(DbEvent::Deadlocked { .. }) => {
-                    self.session.abort(ctx);
-                }
-                Some(DbEvent::Aborted { .. }) => self.next_batch(ctx),
-                None => {}
-            }
-        }
-    }
-}
+use txnkit::scenario::OdsParams;
+use workload::{run_hot_stock, WorkloadConfig};
 
 fn main() {
-    let mut store = DurableStore::new();
-    let mut node = build_ods(&mut store, OdsParams::pm(0x7E1C0));
-    let schema = Schema::for_ods(&node);
-
-    let switches = 3u64;
-    let per_switch = 800u64;
-    let mut all_stats = Vec::new();
-    for sw in 0..switches {
-        let stats = Shared::new(IngestStats {
-            committed: 0,
-            records: 0,
-            done: false,
-            finished_ns: 0,
-            reads_ok: 0,
-        });
-        all_stats.push(stats.clone());
-        let machine = node.machine.clone();
-        let schema2 = schema.clone();
-        let tmf = node.tmf.clone();
-        let cpu = CpuId((sw % node.params.cpus as u64) as u32);
-        nsk::machine::install_primary(
-            &mut node.sim,
-            &machine.clone(),
-            &format!("$switch{sw}"),
-            cpu,
-            move |ep| {
-                Box::new(CdrIngest {
-                    session: DbSession::new(machine, schema2, ep, cpu, &tmf),
-                    switch_id: sw,
-                    total: per_switch,
-                    sent: 0,
-                    in_txn: 0,
-                    stats,
-                })
-            },
-        );
-    }
-
+    let (switches, per_switch) = (3u32, 800u64);
     println!(
         "ingesting {} CDRs from {switches} switches into the PM-enabled node...",
-        switches * per_switch
+        switches as u64 * per_switch
     );
-    loop {
-        if all_stats.iter().all(|s| s.lock().done) {
-            break;
-        }
-        let now = node.sim.now();
-        assert!(now < SimTime(600 * SECS));
-        node.sim.run_until(SimTime(now.as_nanos() + SECS));
-    }
-
-    let total_records: u64 = all_stats.iter().map(|s| s.lock().records).sum();
-    let total_txns: u64 = all_stats.iter().map(|s| s.lock().committed).sum();
-    let reads_ok: u64 = all_stats.iter().map(|s| s.lock().reads_ok).sum();
-    let finish = all_stats
-        .iter()
-        .map(|s| s.lock().finished_ns)
-        .max()
-        .unwrap() as f64
-        / 1e9;
-    let span = finish - 1.2; // warmup offset
-    println!(
-        "done: {total_records} CDRs in {total_txns} transactions over {span:.2}s \
-         = {:.0} CDRs/s sustained (4-CPU node)",
-        total_records as f64 / span
+    let r = run_hot_stock(
+        OdsParams::pm(0x7E1C0),
+        WorkloadConfig {
+            record_bytes: 512,
+            ..WorkloadConfig::hot_stock(switches, 8, per_switch)
+        },
     );
-    println!("fraud-detection spot reads served: {reads_ok}");
-    let stats = node.stats.lock();
+    assert_eq!(r.inserted_records, switches as u64 * per_switch);
+    let span = r.elapsed.as_secs_f64();
     println!(
-        "commit-path flush: mean {:.0} us (PM), audit volume writes: {}",
-        stats.flush_latency.mean() / 1e3,
-        0
+        "done: {} CDRs in {} transactions over {span:.2}s = {:.0} CDRs/s sustained (4-CPU node)",
+        r.inserted_records,
+        r.committed_txns,
+        r.inserted_records as f64 / span
+    );
+    println!(
+        "commit response: mean {:.2} ms; commit-path flush: mean {:.0} us (PM)",
+        r.response.mean() / 1e6,
+        r.txn_stats.flush_latency.mean() / 1e3
     );
     println!(
         "\n§1's target — tens of thousands of CDR inserts/s — is reached by scaling\n\

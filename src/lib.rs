@@ -7,12 +7,11 @@
 //! The two entry points most users want:
 //!
 //! * [`pmem`] — the persistent-memory architecture (devices, manager,
-//!   client library, fine-grained persistent structures);
+//!   client library, presets, the recovery oracle);
 //! * [`workload`] — the client driver: closed-loop client pools, and the
 //!   paper's hot-stock benchmark ([`workload::hot_stock`]), runnable at
 //!   any scale.
 
 pub use pmem;
-pub use recordstore;
 pub use txnkit;
 pub use workload;

@@ -208,82 +208,15 @@ proptest! {
         tx.run(&mut torn, &refs);
         let mut m = torn.into_inner();
         PmTx::recover(&mut m, 0, 4096);
-        // All-or-nothing: every write present, or every write absent.
-        let applied: Vec<bool> = writes
+        // All-or-nothing: every home range holds its data, or every home
+        // range still reads zero (the medium starts zeroed).
+        let homes: Vec<Vec<u8>> = writes
             .iter()
-            .map(|(off, data)| m.read(*off, data.len()) == *data)
+            .map(|(off, data)| m.read(*off, data.len()))
             .collect();
-        let all = applied.iter().all(|&x| x);
-        let none = applied.iter().all(|&x| {
-            !x || writes.iter().filter(|(o, _)| m.read(*o, 1) == [0]).count() == 0
-        });
-        prop_assert!(all || applied.iter().all(|&x| !x) || none,
-            "hybrid state: {applied:?} at crash {crash_at}/{total}");
-    }
-
-    /// The persistent B+-tree agrees with a model BTreeMap under random
-    /// insert/remove/get sequences.
-    #[test]
-    fn pmbtree_matches_model(ops in proptest::collection::vec(
-        (0u8..3, 0u64..512, any::<u64>()), 1..120)
-    ) {
-        use pmstore::{PmBTree, VecMedium};
-        use std::collections::BTreeMap;
-        let mut m = VecMedium::new(4 << 20);
-        let mut tree = PmBTree::format(&mut m, 0, 4 << 20);
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for (op, key, val) in ops {
-            match op {
-                0 => {
-                    let a = tree.insert(&mut m, key, val).unwrap();
-                    let b = model.insert(key, val);
-                    prop_assert_eq!(a, b);
-                }
-                1 => {
-                    let a = tree.remove(&mut m, key).unwrap();
-                    let b = model.remove(&key);
-                    prop_assert_eq!(a, b);
-                }
-                _ => {
-                    prop_assert_eq!(tree.get(&m, key).unwrap(), model.get(&key).copied());
-                }
-            }
-        }
-        tree.check(&m);
-        prop_assert_eq!(tree.len(&m).unwrap(), model.len());
-        let range: Vec<(u64, u64)> = tree.range(&m, 100, 400).unwrap();
-        let model_range: Vec<(u64, u64)> =
-            model.range(100..400).map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(range, model_range);
-    }
-
-    /// The persistent queue behaves as a FIFO under random op sequences.
-    #[test]
-    fn pmqueue_matches_model(ops in proptest::collection::vec(
-        (any::<bool>(), proptest::collection::vec(any::<u8>(), 1..32)), 1..80)
-    ) {
-        use pmstore::{PmQueue, VecMedium};
-        use std::collections::VecDeque;
-        let slots = 16;
-        let mut m = VecMedium::new(PmQueue::required_len(slots, 32) + 64);
-        let q = PmQueue::format(&mut m, 0, slots, 32);
-        let mut model: VecDeque<Vec<u8>> = VecDeque::new();
-        for (enq, payload) in ops {
-            if enq {
-                let ok = q.enqueue(&mut m, &payload);
-                if model.len() < slots as usize {
-                    prop_assert!(ok);
-                    model.push_back(payload);
-                } else {
-                    prop_assert!(!ok, "must reject when full");
-                }
-            } else {
-                let got = q.dequeue(&mut m);
-                let want = model.pop_front();
-                prop_assert_eq!(got, want);
-            }
-            prop_assert_eq!(q.len(&m), model.len() as u64);
-        }
+        let all = writes.iter().zip(&homes).all(|((_, data), home)| home == data);
+        let none = homes.iter().all(|home| home.iter().all(|&b| b == 0));
+        prop_assert!(all || none, "hybrid state: {homes:?} at crash {crash_at}/{total}");
     }
 }
 

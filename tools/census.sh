@@ -18,6 +18,12 @@ printf '%-28s %6d\n' "tests + crates/*/tests" "$(lines tests crates/*/tests)"
 printf '%-28s %6d\n' "examples" "$(lines examples)"
 printf '%-28s %6d\n' "benchmark/src" "$(lines benchmark/src)"
 
+echo "== src lines per crate (crates/<name>/src, unit tests included)"
+for src in crates/*/src; do
+  name="${src#crates/}"
+  printf '%-28s %6d\n' "${name%/src}" "$(lines "$src")"
+done | sort -k2,2nr -k1,1
+
 echo "== largest non-test files"
 find crates/*/src src -name '*.rs' ! -name 'tests.rs' -type f -print0 | xargs -0 wc -l |
   grep -v ' total$' | sort -rn | head -8 | awk '{ printf "%-28s %6d\n", $2, $1 }'
