@@ -1,16 +1,20 @@
 //! The byte store behind every device image (an NPMU's array, a disk's
 //! platter): sparse, byte-exact, and sized by what was written.
 //!
-//! Pages of 4 KiB are keyed by page number. A page holds exactly the span
-//! its writes covered, allocated to that length — a 64-byte control cell
-//! keeps 64 bytes — until a write would stretch the span past half a page:
-//! then the page is full, one block written by a plain copy, as in a block
-//! store. What no page holds reads as zeros, like a fresh medium.
+//! Pages of 4 KiB are keyed by page number. A page holds the runs its
+//! writes covered — disjoint byte ranges, each with its own bytes, so a
+//! 64-byte control cell keeps 64 bytes and a lapped trail page keeps its
+//! descriptors, not the gaps between them — until more than half of its
+//! bytes have been written: then the page is full, one block written by a
+//! plain copy, as in a block store. What no page holds reads as zeros,
+//! like a fresh medium.
 
 use crate::checksum::Checksum64;
 use crate::hash::FastMap;
+use std::ops::Range;
 
 const PAGE: usize = 4096;
+
 static ZEROS: [u8; PAGE] = [0; PAGE];
 
 /// Sparse byte store with write accounting, unbounded or of a fixed
@@ -18,13 +22,203 @@ static ZEROS: [u8; PAGE] = [0; PAGE];
 #[derive(Default, Clone)]
 pub struct PageStore {
     capacity: Option<u64>,
-    /// Page number → block, for pages written past half: a point lookup.
+    /// Page number → block, for pages more than half written: a point lookup.
     full: FastMap<u64, Box<[u8; PAGE]>>,
-    /// Page number → `(start, bytes)`, the bytes from `start` of the rest.
-    spans: FastMap<u64, (usize, Box<[u8]>)>,
+    /// Page number → its runs, for the rest.
+    runs: FastMap<u64, Runs>,
     writes: u64,
     bytes_written: u64,
     high_water: u64,
+}
+
+/// A page that is not full: a log of its writes, oldest first, each a
+/// record of `at: u16`, `len: u16` and the `len` bytes; where two overlap
+/// the later wins. A write appends its record until the log would pass
+/// twice the bytes the last compaction kept (at least 512, at most half
+/// a page); then the log and the write are compacted — if any two
+/// overlap, rewritten as the page's maximal runs in offset order, else
+/// left as the disjoint runs they are. So a write costs amortised O(1),
+/// the written bytes the log holds stay within twice the page's distinct
+/// bytes plus 512, and a page goes full exactly when its distinct bytes
+/// pass half.
+#[derive(Default, Clone)]
+struct Runs {
+    /// The records, then room for more.
+    log: Box<[u8]>,
+    /// Log bytes in use.
+    len: u16,
+    /// Distinct bytes at the last compaction.
+    compacted: u16,
+    /// Log length at the last compaction, if the log was then disjoint
+    /// runs and the page one that rewrites bytes (or its lone first
+    /// record); else 0. Only a log of that length is searched for a run
+    /// that can take a write in place.
+    tail: u16,
+}
+
+// A page of runs fills a 32-byte map bucket: the bucket's width is paid
+// on every lookup.
+const _: () = assert!(std::mem::size_of::<(u64, Runs)>() == 32);
+
+impl Runs {
+    /// Log length up to which a write appends rather than compacts.
+    fn limit(&self) -> usize {
+        limit(self.compacted as usize)
+    }
+
+    /// `(offset in page, where its bytes lie in the log)` of the record
+    /// that starts at byte `start` of the log.
+    fn record(&self, start: usize) -> Option<(usize, Range<usize>)> {
+        if start >= self.len as usize {
+            return None;
+        }
+        let head = &self.log[start..start + 4];
+        let at = u16::from_le_bytes([head[0], head[1]]) as usize;
+        let len = u16::from_le_bytes([head[2], head[3]]) as usize;
+        Some((at, start + 4..start + 4 + len))
+    }
+
+    /// Each record, oldest first.
+    fn records(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let mut next = 0;
+        std::iter::from_fn(move || {
+            let (at, r) = self.record(next)?;
+            next = r.end;
+            Some((at, r))
+        })
+    }
+
+    /// The page as it reads: every record copied in order over zeros.
+    fn image(&self) -> [u8; PAGE] {
+        let mut img = [0; PAGE];
+        for (at, r) in self.records() {
+            img[at..at + r.len()].copy_from_slice(&self.log[r]);
+        }
+        img
+    }
+
+    /// Copy `src` over the bytes at `at` in place if nothing was appended
+    /// since a compaction that found rewritten bytes and one run holds
+    /// them all: a page of cells rewritten in turn grows no log, and a
+    /// page that has only ever taken fresh bytes is not searched.
+    fn overwrite(&mut self, at: usize, src: &[u8]) -> bool {
+        if self.len != self.tail {
+            return false;
+        }
+        let end = at + src.len();
+        let hit = self.records().find(|(a, r)| *a <= at && end <= a + r.len());
+        let Some((a, r)) = hit else {
+            return false;
+        };
+        self.log[r.start + at - a..][..src.len()].copy_from_slice(src);
+        true
+    }
+
+    /// Write the record of `bytes` at `at` to the log at `len`, growing
+    /// the log to `room` bytes first if it cannot hold it. Returns where
+    /// the record ends.
+    fn put(&mut self, len: usize, at: usize, bytes: &[u8], room: usize) -> usize {
+        let need = 4 + bytes.len();
+        if self.log.len() < len + need {
+            // A `realloc`: the allocator may grow the block where it lies.
+            let mut log = std::mem::take(&mut self.log).into_vec();
+            let room = room.max(len + need);
+            log.reserve_exact(room - log.len());
+            log.resize(room, 0);
+            self.log = log.into_boxed_slice();
+        }
+        let record = &mut self.log[len..len + need];
+        record[..2].copy_from_slice(&(at as u16).to_le_bytes());
+        record[2..4].copy_from_slice(&(bytes.len() as u16).to_le_bytes());
+        record[4..].copy_from_slice(bytes);
+        len + need
+    }
+
+    /// Append the record of a write. A page's first two writes take
+    /// exactly their records (most pages never take a third); a later one
+    /// that finds the log full takes room up to the limit, so a page
+    /// moves its log about once between compactions.
+    fn append(&mut self, at: usize, src: &[u8]) {
+        let len = self.len as usize;
+        // At most one record: nothing, a first write, or one run.
+        let lone = len <= 4 + self.compacted as usize;
+        self.len = self.put(len, at, src, if lone { 0 } else { self.limit() }) as u16;
+        if len == 0 {
+            // One record is a compacted log.
+            (self.compacted, self.tail) = (src.len() as u16, self.len);
+        }
+    }
+
+    /// Compact the log with `src` at `at` written last. Returns the whole
+    /// page instead when that makes more than half of it written.
+    fn compact(&mut self, at: usize, src: &[u8]) -> Option<[u8; PAGE]> {
+        let mut mask = [0u64; PAGE / 64];
+        let mut overlap = false;
+        let records = self.records().map(|(a, r)| (a, r.len()));
+        for (a, len) in records.chain([(at, src.len())]) {
+            let (mut b, end) = (a, a + len);
+            while b < end {
+                let n = (64 - b % 64).min(end - b);
+                let bits = (u64::MAX >> (64 - n)) << (b % 64);
+                overlap |= mask[b / 64] & bits != 0;
+                mask[b / 64] |= bits;
+                b += n;
+            }
+        }
+        let distinct = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        if distinct <= PAGE / 2 && !overlap {
+            // No byte was written twice: the records are the runs already.
+            let len = self.put(self.len as usize, at, src, limit(distinct));
+            (self.len, self.compacted, self.tail) = (len as u16, distinct as u16, 0);
+            return None;
+        }
+        let mut img = self.image();
+        img[at..at + src.len()].copy_from_slice(src);
+        if distinct > PAGE / 2 {
+            return Some(img);
+        }
+        // Rewrite the log as the page's runs, where it lies if it fits.
+        let mut len = 0;
+        for (s, e) in set_runs(&mask) {
+            len = self.put(len, s, &img[s..e], limit(distinct));
+        }
+        (self.len, self.compacted, self.tail) = (len as u16, distinct as u16, len as u16);
+        None
+    }
+}
+
+/// Log length up to which a page that last compacted to `distinct` bytes
+/// appends: twice them, at least 512, at most half a page.
+fn limit(distinct: usize) -> usize {
+    (2 * distinct).clamp(512, PAGE / 2)
+}
+
+/// `(start, end)` of each maximal run of set bits in a page's byte mask.
+fn set_runs(mask: &[u64; PAGE / 64]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    // The first bit at or after `from` that is set (`want`) or clear;
+    // PAGE if none is.
+    let find = move |from: usize, want: bool| {
+        if from == PAGE {
+            return PAGE;
+        }
+        let word = |w: usize| if want { mask[w] } else { !mask[w] };
+        let mut w = from / 64;
+        let mut bits = word(w) & (u64::MAX << (from % 64));
+        while bits == 0 {
+            w += 1;
+            if w == mask.len() {
+                return PAGE;
+            }
+            bits = word(w);
+        }
+        w * 64 + bits.trailing_zeros() as usize
+    };
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let start = find(at, true);
+        at = find(start, false);
+        (start < PAGE).then_some((start, at))
+    })
 }
 
 impl PageStore {
@@ -62,27 +256,20 @@ impl PageStore {
 
     /// Copy `src` to byte `at` of `page`.
     fn put(&mut self, page: u64, at: usize, src: &[u8]) {
-        let end = at + src.len();
         if let Some(block) = self.full.get_mut(&page) {
-            return block[at..end].copy_from_slice(src);
+            return block[at..at + src.len()].copy_from_slice(src);
         }
-        let (start, bytes) = self.spans.entry(page).or_insert((at, Box::default()));
-        let (s, e) = (*start, *start + bytes.len());
-        let (lo, hi) = (s.min(at), e.max(end));
-        if hi - lo > PAGE / 2 {
-            let mut block = Box::new([0; PAGE]);
-            block[s..e].copy_from_slice(bytes);
-            block[at..end].copy_from_slice(src);
-            self.spans.remove(&page);
-            self.full.insert(page, block);
+        let runs = self.runs.entry(page).or_default();
+        if runs.overwrite(at, src) {
             return;
         }
-        if (lo, hi) != (s, e) {
-            let mut grown = vec![0; hi - lo].into_boxed_slice();
-            grown[s - lo..e - lo].copy_from_slice(bytes);
-            (*start, *bytes) = (lo, grown);
+        if runs.len as usize + 4 + src.len() <= runs.limit() {
+            return runs.append(at, src);
         }
-        bytes[at - *start..end - *start].copy_from_slice(src);
+        if let Some(block) = runs.compact(at, src) {
+            self.runs.remove(&page);
+            self.full.insert(page, Box::new(block));
+        }
     }
 
     /// Hand `f` the `len` bytes at `offset` in order, zeros where unwritten.
@@ -91,17 +278,11 @@ impl PageStore {
             let end = at + n;
             if let Some(block) = self.full.get(&page) {
                 f(&block[at..end]);
-                continue;
+            } else if let Some(runs) = self.runs.get(&page) {
+                f(&runs.image()[at..end]);
+            } else {
+                f(&ZEROS[at..end]);
             }
-            // An absent page is an empty span.
-            let (s, bytes) = self
-                .spans
-                .get(&page)
-                .map_or((at, &[][..]), |(s, b)| (*s, b));
-            let (lo, hi) = (at.clamp(s, s + bytes.len()), end.clamp(s, s + bytes.len()));
-            f(&ZEROS[at..lo.clamp(at, end)]);
-            f(&bytes[lo - s..hi - s]);
-            f(&ZEROS[hi.clamp(at, end)..end]);
         }
     }
 
@@ -125,7 +306,7 @@ impl PageStore {
     /// page written there: the rest reads as zeros. Scans the whole index.
     pub fn written_extent(&self, offset: u64, len: u64) -> u64 {
         let (end, page) = (offset + len, PAGE as u64);
-        let pages = self.full.keys().chain(self.spans.keys());
+        let pages = self.full.keys().chain(self.runs.keys());
         let page_ends = pages.map(|&p| (p + 1) * page);
         (page_ends.filter(|&p_end| p_end > offset && p_end - page < end))
             .max()
@@ -147,7 +328,7 @@ impl PageStore {
 
     /// Number of distinct 4 KiB pages touched.
     pub fn blocks_used(&self) -> usize {
-        self.full.len() + self.spans.len()
+        self.full.len() + self.runs.len()
     }
 
     /// `(page, offset in page, length)` of each page `len` bytes at `offset` touch.
@@ -168,9 +349,11 @@ mod tests {
     use crate::checksum64;
     use proptest::prelude::*;
 
-    /// Bytes the pages hold: each span's length, a whole page when full.
+    /// Bytes the pages hold: each page's run bytes (record headers
+    /// aside), a whole page when full.
     fn resident(s: &PageStore) -> usize {
-        s.full.len() * PAGE + s.spans.values().map(|(_, b)| b.len()).sum::<usize>()
+        let runs = s.runs.values().flat_map(Runs::records);
+        s.full.len() * PAGE + runs.map(|(_, r)| r.len()).sum::<usize>()
     }
 
     #[test]
@@ -180,22 +363,57 @@ mod tests {
             s.write(page * 4096 + 1000, &[0xAB; 64]);
         }
         assert_eq!(s.blocks_used(), 1000);
-        assert!(resident(&s) <= 128 * 1000, "{} bytes", resident(&s));
-        // A second small write grows the span to cover both, exactly.
+        assert_eq!(resident(&s), 64 * 1000);
+        // A second small write adds its own run, not the gap before it.
         s.write(1200, &[1; 8]);
-        assert_eq!(resident(&s), 64 * 1000 + 144);
-        // One that would stretch it past half a page makes it full.
-        s.write(3500, &[2; 8]);
-        assert_eq!(resident(&s), 64 * 999 + PAGE);
+        assert_eq!(resident(&s), 64 * 1000 + 8);
+        // The page holds up to half its bytes as runs ...
+        s.write(2000, &[2; 1976]);
+        s.write(3500, &[3; 8]);
+        assert_eq!((s.full.len(), resident(&s)), (0, 64 * 999 + 2048));
+        // ... and goes full with the next distinct byte.
+        s.write(0, &[4]);
+        assert_eq!((s.full.len(), resident(&s)), (1, 64 * 999 + PAGE));
         let page = s.read(0, PAGE);
         assert_eq!(
-            (page[999], &page[1000..1064], page[1064]),
-            (0, &[0xAB; 64][..], 0)
+            (page[0], page[1], page[999], &page[1000..1064], page[1064]),
+            (4, 0, 0, &[0xAB; 64][..], 0)
         );
         assert_eq!(
-            (&page[1200..1208], &page[3500..3508]),
-            (&[1; 8][..], &[2; 8][..])
+            (
+                &page[1200..1208],
+                &page[2000..3500],
+                &page[3500..3508],
+                page[3976]
+            ),
+            (&[1; 8][..], &[2; 1500][..], &[3; 8][..], 0)
         );
+    }
+
+    /// A PM trail: 52-byte records at a 4,136-byte stride around a 1 MiB
+    /// ring, ten laps, so every page takes about ten runs at offsets that
+    /// differ from lap to lap. No page's distinct bytes reach half of it.
+    #[test]
+    fn a_lapped_ring_keeps_its_runs() {
+        const RING: u64 = 1 << 20;
+        let mut s = PageStore::new(RING);
+        let (mut flat, mut written) = (vec![0; RING as usize], vec![false; RING as usize]);
+        for i in 0..10 * RING / 4136 {
+            let at = i * 4136 % RING;
+            let len = 52.min(RING - at) as usize;
+            let record = [i as u8 | 1; 52];
+            s.write(at, &record[..len]);
+            flat[at as usize..][..len].copy_from_slice(&record[..len]);
+            written[at as usize..][..len].fill(true);
+        }
+        let distinct = written.iter().filter(|&&w| w).count();
+        assert_eq!((s.blocks_used(), s.full.len()), (256, 0));
+        assert!(
+            resident(&s) <= 2 * distinct + 512 * s.blocks_used(),
+            "{} bytes held for {distinct} distinct",
+            resident(&s)
+        );
+        assert!(s.read(0, RING as usize) == flat);
     }
 
     #[derive(Clone, Debug)]
@@ -243,6 +461,7 @@ mod tests {
             let mut s = PageStore::new(CAP);
             let mut flat = vec![0u8; CAP as usize];
             let mut touched = std::collections::BTreeSet::new();
+            let mut written = vec![false; CAP as usize];
             let (mut writes, mut bytes, mut high) = (0, 0, 0);
             for op in ops {
                 match op {
@@ -255,6 +474,7 @@ mod tests {
                         }
                         flat[o as usize..][..k].copy_from_slice(&d[..k]);
                         touched.extend((o..o + k as u64).map(|b| b / PAGE as u64));
+                        written[o as usize..][..k].fill(true);
                         if k > 0 {
                             (writes, bytes) = (writes + 1, bytes + k as u64);
                             high = high.max(o + k as u64);
@@ -279,6 +499,16 @@ mod tests {
             prop_assert_eq!((s.writes(), s.bytes_written(), s.high_water()), (writes, bytes, high));
             prop_assert_eq!(s.blocks_used(), touched.len());
             prop_assert!(resident(&s) <= touched.len() * PAGE);
+            // A page that is not full holds at most twice its distinct
+            // bytes plus 512, and a full page has more than half written.
+            for (&page, runs) in &s.runs {
+                let distinct = written[page as usize * PAGE..][..PAGE].iter().filter(|&&w| w).count();
+                let held = runs.records().map(|(_, r)| r.len()).sum::<usize>();
+                prop_assert!(distinct <= PAGE / 2 && held <= 2 * distinct + 512, "page {}: {} held, {} distinct", page, held, distinct);
+            }
+            for &page in s.full.keys() {
+                prop_assert!(written[page as usize * PAGE..][..PAGE].iter().filter(|&&w| w).count() > PAGE / 2);
+            }
         }
     }
 

@@ -6,12 +6,14 @@
 # Builds `benchmark/` in <parent-checkout> and in this tree, runs the
 # workload <pairs> times on each side in alternating order (the side that
 # goes first flips every pair, so drift on a shared box hits both), and
-# prints per side the median and quartiles of `wall_s`, how many pairs
-# the change won (a tie counts for neither), whether the medians are
-# further apart than the parent's own quartiles, and whether the three
-# simulated metrics and the correctness counts are identical in every run
-# of both sides — which a host-cost change owes and a commit-path change
-# does not. SEED picks the plan seed (default: the reference seed).
+# prints, for `wall_s` and for `peak_rss_mb` alike, per side the median
+# and quartiles, how many pairs each side won (a tie counts for
+# neither), and whether the medians are further apart than the parent's
+# own quartiles — so a memory claim and its wall-time check come from the
+# same pairs. Last, whether the three simulated metrics and the
+# correctness counts are identical in every run of both sides — which a
+# host-cost change owes and a commit-path change does not. SEED picks the
+# plan seed (default: the reference seed).
 #
 # Nothing under `benchmark/` is modified; each tree builds into its own
 # `benchmark/target`, exactly as the benchmark driver does.
@@ -46,26 +48,30 @@ simulated() {
 
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
-wins=0
-ties=0
+metrics=(wall_s peak_rss_mb)
 for ((i = 1; i <= pairs; i++)); do
   if ((i % 2)); then order=(parent change); else order=(change parent); fi
   for side in "${order[@]}"; do
     out="$(run "${!side}")"
-    if [[ -z "$(metric "$out" wall_s)" ]]; then
-      echo "$0: no result line from the $side tree's benchmark" >&2
-      exit 1
-    fi
-    metric "$out" wall_s >>"$scratch/$side.wall"
+    for m in "${metrics[@]}"; do
+      if [[ -z "$(metric "$out" "$m")" ]]; then
+        echo "$0: no $m in the result line from the $side tree's benchmark" >&2
+        exit 1
+      fi
+      metric "$out" "$m" >>"$scratch/$side.$m"
+    done
     simulated "$out" >>"$scratch/simulated"
   done
-  p="$(tail -n 1 "$scratch/parent.wall")"
-  c="$(tail -n 1 "$scratch/change.wall")"
-  verdict="$(awk -v p="$p" -v c="$c" 'BEGIN { print (c < p) ? "win" : (c > p) ? "loss" : "tie" }')"
-  [[ $verdict == win ]] && wins=$((wins + 1))
-  [[ $verdict == tie ]] && ties=$((ties + 1))
-  printf 'pair %2d (%s first): parent %.3f s  change %.3f s  ratio %.3f  %s\n' \
-    "$i" "${order[0]}" "$p" "$c" "$(awk -v p="$p" -v c="$c" 'BEGIN { print c / p }')" "$verdict"
+  line="pair $(printf %2d "$i") (${order[0]} first):"
+  for m in "${metrics[@]}"; do
+    p="$(tail -n 1 "$scratch/parent.$m")"
+    c="$(tail -n 1 "$scratch/change.$m")"
+    verdict="$(awk -v p="$p" -v c="$c" 'BEGIN { print (c < p) ? "win" : (c > p) ? "loss" : "tie" }')"
+    echo "$verdict" >>"$scratch/verdicts.$m"
+    line+="$(printf '  %s parent %.3f change %.3f ratio %.3f %s' \
+      "$m" "$p" "$c" "$(awk -v p="$p" -v c="$c" 'BEGIN { print c / p }')" "$verdict")"
+  done
+  echo "$line"
 done
 
 # "q1 median q3" of a file of numbers (linear interpolation between ranks).
@@ -75,17 +81,21 @@ quartiles() {
     function q(f,   h, lo) { h = 1 + (NR - 1) * f; lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
     END { printf "%.4f %.4f %.4f\n", q(0.25), q(0.5), q(0.75) }'
 }
-read -r pq1 pmed pq3 <<<"$(quartiles "$scratch/parent.wall")"
-read -r cq1 cmed cq3 <<<"$(quartiles "$scratch/change.wall")"
 echo "workload $workload  seed $seed  pairs $pairs"
-echo "parent wall_s: median $pmed  quartiles $pq1 .. $pq3"
-echo "change wall_s: median $cmed  quartiles $cq1 .. $cq3"
-awk -v w="$wins" -v t="$ties" -v n="$pairs" -v pm="$pmed" -v cm="$cmed" -v q1="$pq1" -v q3="$pq3" 'BEGIN {
-  printf "change won %d of %d pairs (%d ties); median change/parent %.3f; medians %.4f s apart, parent quartiles %.4f s apart\n",
-    w, n, t, cm / pm, pm - cm, q3 - q1
-  gain = (w * 10 >= n * 9 && pm - cm > q3 - q1)
-  print (gain ? "wall_s: gain resolved" : "wall_s: no gain resolved")
-}'
+for m in "${metrics[@]}"; do
+  read -r pq1 pmed pq3 <<<"$(quartiles "$scratch/parent.$m")"
+  read -r cq1 cmed cq3 <<<"$(quartiles "$scratch/change.$m")"
+  wins="$(grep -c '^win$' "$scratch/verdicts.$m" || true)"
+  losses="$(grep -c '^loss$' "$scratch/verdicts.$m" || true)"
+  echo "parent $m: median $pmed  quartiles $pq1 .. $pq3"
+  echo "change $m: median $cmed  quartiles $cq1 .. $cq3"
+  awk -v m="$m" -v w="$wins" -v l="$losses" -v n="$pairs" -v pm="$pmed" -v cm="$cmed" -v q1="$pq1" -v q3="$pq3" 'BEGIN {
+    printf "%s: change won %d of %d pairs, parent won %d (%d ties); median change/parent %.3f; medians %.4f apart, parent quartiles %.4f apart\n",
+      m, w, n, l, n - w - l, cm / pm, pm - cm, q3 - q1
+    gain = (w * 10 >= n * 9 && pm - cm > q3 - q1)
+    print m (gain ? ": gain resolved" : ": no gain resolved")
+  }'
+done
 if [[ "$(sort -u "$scratch/simulated" | wc -l)" -eq 1 ]]; then
   echo "simulated metrics: identical in all $((2 * pairs)) runs ($(head -n 1 "$scratch/simulated"))"
 else
