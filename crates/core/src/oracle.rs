@@ -8,27 +8,36 @@
 //! * **One trail reader.** [`Snapshot::read`] opens every audit trail of a
 //!   node, a pool, a shard cluster or a DR replica ([`Trails`] says where
 //!   they live): a PM trail region from both mirror halves, control cell
-//!   first, up to the region's last written block; a disk trail is its
-//!   media up to its high water. Which halves recovery may read is the
+//!   first, up to the region's last written block, read as a ring — the
+//!   window `[watermark − capacity, watermark)` in LSN order
+//!   ([`ring_window`]); a disk trail is its media up to its high water.
+//!   Which halves recovery may read is the
 //!   pool member's durable health, as the PMM recovers it (its newest
 //!   [`VolumeMeta`]): a `Healthy` member's reader may route any read to
 //!   either half, so each half must recover every promise; a `Degraded`
 //!   or `Resilvering` member's suspect half is read by nobody.
 //! * **One check.** [`Snapshot::check`] redoes the snapshot
-//!   ([`redo_scan_sharded`]; a node is the one-shard case) once per half a
-//!   reader may read and names a [`Violation`] for each breach of six
-//!   invariants:
-//!   1. every acked transaction is redone, and every recovered commit
-//!      carries its full insert set;
+//!   ([`redo_windows_sharded`]; a node is the one-shard case) once per
+//!   half a reader may read and names a [`Violation`] for each breach of
+//!   six invariants:
+//!   1. every acked transaction whose records all lie at or above its
+//!      trail's floor is redone whole, and every recovered commit carries
+//!      its full insert set; an acked transaction a lap overwrote is
+//!      counted ([`Report::overwritten`]), not flagged — one lap of a
+//!      trail is the durability horizon (DESIGN.md §5);
 //!   2. nothing is invented: what recovery commits, an uncrashed run
 //!      commits too;
 //!   3. the 2PC verdict is single-valued, and no shard redoes a key of a
 //!      transaction that did not commit;
-//!   4. a healthy member's halves agree up to the lower published
-//!      watermark;
-//!   5. a DR replica's trails are bit-identical prefixes of the primary's;
+//!   4. a healthy member's halves agree over the LSNs both windows hold,
+//!      up to the lower published watermark;
+//!   5. a DR replica's trails are bit-identical prefixes of the primary's,
+//!      LSN for LSN;
 //!   6. after a completed repair the halves are byte-equal
 //!      ([`verify_mirrors`]).
+//!
+//!   Its [`Report`] also says how each half's read went ([`HalfScan`]), so
+//!   a violation can be told from a lap.
 
 use crate::integrity::{verify_mirrors, Discrepancy};
 use npmu::NvImage;
@@ -36,21 +45,22 @@ use pmm::{MetaStore, VolumeMeta};
 use simcore::durable::Image;
 use simcore::hash::{FastMap, FastSet};
 use simcore::DurableStore;
+use std::borrow::Cow;
 use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES};
-use txnkit::audit::{scan, AuditRecord};
-use txnkit::recovery::{redo_scan_sharded, ShardedRecovery};
+use txnkit::audit::{ring_window, scan_window, AuditRecord, Window};
+use txnkit::recovery::{redo_windows_sharded, ShardedRecovery};
 use txnkit::scenario::{adp_count, AuditMode, ClusterParams, Names, OdsParams, DR_POOL};
-use txnkit::TxnId;
+use txnkit::{Lsn, TxnId};
 
 /// Where one shard's audit trails live in a durable store.
 #[derive(Clone, Debug)]
 pub enum Trails {
-    /// `partitions` PM trail regions `adp<i>.audit`, each one extent on
-    /// one member of a pool whose member `v` is the mirrored pair of
-    /// images `npmu:<members[v]>-a` / `-b`.
+    /// PM trail regions `adp<i>.audit`, written by ADP pair `adps[i]`,
+    /// each one extent on one member of a pool whose member `v` is the
+    /// mirrored pair of images `npmu:<members[v]>-a` / `-b`.
     Pm {
         members: Vec<String>,
-        partitions: u32,
+        adps: Vec<String>,
     },
     /// One trail per disk audit volume, by its media's store key.
     Disk { media: Vec<String> },
@@ -73,7 +83,7 @@ impl Trails {
     pub fn replica(base: &OdsParams) -> Trails {
         Trails::Pm {
             members: vec![DR_POOL.into()],
-            partitions: adp_count(base),
+            adps: (0..adp_count(base)).map(|i| Names::Node.adp(i)).collect(),
         }
     }
 
@@ -87,7 +97,7 @@ impl Trails {
         }
         Trails::Pm {
             members: (0..base.pm_volumes.max(1)).map(|v| names.npmu(v)).collect(),
-            partitions: n,
+            adps: (0..n).map(|i| names.adp(i)).collect(),
         }
     }
 }
@@ -97,19 +107,52 @@ impl Trails {
 pub struct Half {
     /// The region's control cell (empty for a disk volume).
     pub cell: Vec<u8>,
-    /// The trail past the cell, up to the region's last written block
-    /// (a disk volume: its media up to its high water).
+    /// The trail past the cell as the device holds it, in ring offsets,
+    /// up to the region's last written block (a disk volume: its media up
+    /// to its high water).
     pub trail: Vec<u8>,
     /// The trail's durable end: the cell's watermark (0 when no slot is
     /// valid), or a disk volume's high water.
     pub watermark: u64,
+    /// The ring's capacity, the region's length past the cell (a disk
+    /// volume never wraps: `u64::MAX`).
+    pub cap: u64,
+    /// The LSN the published trail starts at: 0, or `watermark − cap`
+    /// once the ring has lapped.
+    pub base: u64,
+    /// A lapped ring's published trail in LSN order, `[base, watermark)`
+    /// (empty before the first lap, when it is `trail`'s prefix).
+    pub window: Vec<u8>,
 }
 
 impl Half {
-    /// The published trail: up to the watermark, or a lapped ring's
-    /// whole region in physical (not ring) order.
-    fn bytes(&self) -> &[u8] {
-        &self.trail[..self.trail.len().min(self.watermark as usize)]
+    fn new(cell: Vec<u8>, trail: Vec<u8>, watermark: u64, cap: u64) -> Half {
+        let (base, window) = ring_window(&trail, watermark, cap);
+        // Before the first lap the window is `trail`'s prefix: no copy.
+        let window = match window {
+            Cow::Owned(lapped) => lapped,
+            Cow::Borrowed(_) => Vec::new(),
+        };
+        Half {
+            cell,
+            trail,
+            watermark,
+            cap,
+            base,
+            window,
+        }
+    }
+
+    /// The published trail, each byte at its LSN.
+    fn bytes(&self) -> Window<'_> {
+        let bytes = match self.base {
+            0 => &self.trail[..self.trail.len().min(self.watermark as usize)],
+            _ => &self.window,
+        };
+        Window {
+            base: self.base,
+            bytes,
+        }
     }
 }
 
@@ -135,16 +178,16 @@ impl Trail {
     }
 
     /// What a reader routing to readable half `h` reads: that half's
-    /// published bytes, or the only readable half's.
-    fn view(&self, h: usize) -> &[u8] {
+    /// published window, or the only readable half's.
+    fn view(&self, h: usize) -> Window<'_> {
         let half = self.readable().nth(h).or_else(|| self.readable().next());
-        half.map_or(&[], Half::bytes)
+        half.map_or_else(Window::default, Half::bytes)
     }
 
-    /// The first readable half's published bytes (none if the trail
-    /// never reached the store).
+    /// The first readable half's published bytes in LSN order (none if
+    /// the trail never reached the store).
     pub fn bytes(&self) -> &[u8] {
-        self.view(0)
+        self.view(0).bytes
     }
 
     /// The first readable half's watermark.
@@ -159,11 +202,8 @@ fn read_half(img: &NvImage, meta: &VolumeMeta, name: &str) -> Option<Half> {
     let mut cell = img.read(r.base, img.written_extent(r.base, r.len) as usize);
     let trail = cell.split_off(cell.len().min(PM_CTRL_BYTES as usize));
     let (watermark, _) = parse_ctrl_cell(&cell);
-    Some(Half {
-        cell,
-        trail,
-        watermark,
-    })
+    let cap = r.len.saturating_sub(PM_CTRL_BYTES);
+    Some(Half::new(cell, trail, watermark, cap))
 }
 
 /// A disk audit volume's media up to its high water.
@@ -172,22 +212,32 @@ fn read_disk(store: &DurableStore, key: &str) -> Trail {
         let m = m.lock();
         let watermark = m.high_water();
         let trail = m.read(0, watermark as usize);
-        Half {
-            trail,
-            watermark,
-            ..Half::default()
-        }
+        Half::new(Vec::new(), trail, watermark, u64::MAX)
     });
     Trail {
         name: key.into(),
         halves: half.into_iter().collect(),
-        stale: None,
+        ..Trail::default()
     }
+}
+
+/// The LSNs two windows both hold, up to `end`, and each one's bytes
+/// there; `None` if they share none.
+fn overlap<'a>(x: Window<'a>, y: Window<'a>, end: u64) -> Option<(u64, &'a [u8], &'a [u8])> {
+    let from = x.base.max(y.base);
+    let end = end
+        .min(x.base + x.bytes.len() as u64)
+        .min(y.base + y.bytes.len() as u64);
+    let at = |w: Window<'a>| &w.bytes[(from - w.base) as usize..(end - w.base) as usize];
+    (from < end).then(|| (from, at(x), at(y)))
 }
 
 /// Everything the store holds of a site's trails, per shard.
 pub struct Snapshot {
     pub shards: Vec<Vec<Trail>>,
+    /// The ADP pair writing each PM trail, parallel to `shards` (none
+    /// for disk volumes, which never wrap).
+    writers: Vec<Vec<String>>,
     /// Every PM pool member whose two images exist: `(member, a, b)`.
     pairs: Vec<(String, Image<NvImage>, Image<NvImage>)>,
 }
@@ -197,24 +247,27 @@ impl Snapshot {
     pub fn read(store: &DurableStore, site: &[Trails]) -> Snapshot {
         let mut snapshot = Snapshot {
             shards: Vec::new(),
+            writers: Vec::new(),
             pairs: Vec::new(),
         };
         for trails in site {
-            let shard = match trails {
-                Trails::Disk { media } => media.iter().map(|k| read_disk(store, k)).collect(),
-                Trails::Pm {
-                    members,
-                    partitions,
-                } => snapshot.read_pool(store, members, *partitions),
+            let (shard, writers) = match trails {
+                Trails::Disk { media } => {
+                    (media.iter().map(|k| read_disk(store, k)).collect(), vec![])
+                }
+                Trails::Pm { members, adps } => {
+                    (snapshot.read_pool(store, members, adps.len()), adps.clone())
+                }
             };
             snapshot.shards.push(shard);
+            snapshot.writers.push(writers);
         }
         snapshot
     }
 
     /// A pool's trail regions, each from the halves of whichever member
     /// holds it, marked with that member's durable health.
-    fn read_pool(&mut self, store: &DurableStore, members: &[String], n: u32) -> Vec<Trail> {
+    fn read_pool(&mut self, store: &DurableStore, members: &[String], n: usize) -> Vec<Trail> {
         let mut pool = Vec::new();
         for m in members {
             let imgs = ['a', 'b'].map(|h| store.get::<NvImage>(&format!("npmu:{m}-{h}")));
@@ -263,12 +316,25 @@ impl Snapshot {
     }
 
     fn recover_view(&self, h: usize) -> ShardedRecovery {
-        let refs: Vec<Vec<&[u8]>> = self
+        let windows: Vec<Vec<Window<'_>>> = self
             .shards
             .iter()
             .map(|s| s.iter().map(|t| t.view(h)).collect())
             .collect();
-        redo_scan_sharded(&refs)
+        redo_windows_sharded(&windows)
+    }
+
+    /// The acked transactions a lap overwrote in readable half `h`: some
+    /// record of theirs begins below its trail's floor.
+    fn overwritten(&self, h: usize, expect: &Expect) -> FastSet<TxnId> {
+        let floors: FastMap<&str, u64> = (self.shards.iter().zip(&self.writers))
+            .flat_map(|(trails, adps)| trails.iter().zip(adps))
+            .map(|(t, adp)| (adp.as_str(), t.view(h).base))
+            .collect();
+        let below = |(_, adp, lsn): &&(TxnId, String, Lsn)| {
+            floors.get(adp.as_str()).is_some_and(|&floor| lsn.0 < floor)
+        };
+        expect.acked_at.iter().filter(below).map(|a| a.0).collect()
     }
 
     /// Invariants 1–3 over `recovery`, the redo of readable half `h`.
@@ -283,26 +349,30 @@ impl Snapshot {
         sorted.sort_unstable();
         let mut v = Vec::new();
 
-        // 1. Acked ⇒ redone, and redone ⇒ whole. Each insert has its own
-        // key; a re-driven insert's second record is the same key.
+        // 1. Acked and inside the horizon ⇒ redone, and redone ⇒ whole.
+        // Each insert has its own key; a re-driven insert's second record
+        // is the same key.
+        let overwritten = self.overwritten(h, expect);
+        let owed = |t: &&TxnId| !overwritten.contains(t);
         v.extend(
             expect
                 .acked
                 .iter()
+                .filter(owed)
                 .filter(|t| !committed.contains(t))
                 .map(|&t| Violation::Lost(t)),
         );
         let mut keys_of: FastMap<TxnId, FastSet<u64>> = FastMap::default();
         let mut owner: FastMap<u64, TxnId> = FastMap::default();
         for trail in self.shards.iter().flatten() {
-            for (_, r) in scan(trail.view(h)) {
+            for (_, r) in scan_window(trail.view(h)).records {
                 if let AuditRecord::Insert { txn, key, .. } = r {
                     keys_of.entry(txn).or_default().insert(key);
                     owner.insert(key, txn);
                 }
             }
         }
-        for &t in &sorted {
+        for &t in sorted.iter().filter(owed) {
             let found = keys_of.get(&t).map_or(0, |k| k.len());
             if found != expect.inserts as usize {
                 v.push(Violation::HalfApplied(t, found));
@@ -345,22 +415,23 @@ impl Snapshot {
             }
         }
 
-        // 4. A healthy member's halves agree below the lower watermark (a
-        // lapped ring has no linear prefix to compare).
+        // 4. A healthy member's halves agree below the lower watermark,
+        // LSN for LSN, wherever both windows reach.
         for t in self.shards.iter().flatten().filter(|t| t.stale.is_none()) {
             if let [a, b] = t.halves.as_slice() {
-                let wm = a.watermark.min(b.watermark) as usize;
-                let (Some(pa), Some(pb)) = (a.bytes().get(..wm), b.bytes().get(..wm)) else {
+                let wm = a.watermark.min(b.watermark);
+                let Some((from, pa, pb)) = overlap(a.bytes(), b.bytes(), wm) else {
                     continue;
                 };
                 if pa != pb {
-                    let off = pa.iter().zip(pb).position(|(x, y)| x != y).unwrap_or(wm);
-                    v.push(Violation::MirrorsDiverge(t.name.clone(), off as u64));
+                    let i = pa.iter().zip(pb).position(|(x, y)| x != y).unwrap_or(0);
+                    v.push(Violation::MirrorsDiverge(t.name.clone(), from + i as u64));
                 }
             }
         }
 
-        // 5. The replica is a bit-identical prefix of the primary.
+        // 5. The replica is a bit-identical prefix of the primary: it ends
+        // no later, and the LSNs both windows hold carry the same bytes.
         if let Some(replica) = expect.replica {
             let pairs = self
                 .shards
@@ -368,7 +439,10 @@ impl Snapshot {
                 .flatten()
                 .zip(replica.shards.iter().flatten());
             for (p, r) in pairs {
-                if r.watermark() > p.watermark() || !p.bytes().starts_with(r.bytes()) {
+                let (pw, rw) = (p.view(0), r.view(0));
+                let ends = |w: Window<'_>| w.base + w.bytes.len() as u64;
+                let same = overlap(pw, rw, u64::MAX).is_none_or(|(_, x, y)| x == y);
+                if r.watermark() > p.watermark() || ends(rw) > ends(pw) || !same {
                     v.push(Violation::NotAPrefix(r.name.clone()));
                 }
             }
@@ -385,10 +459,40 @@ impl Snapshot {
                 );
             }
         }
+        // A clean report needs no explanation: reading every half once
+        // more would double the oracle's scans at every crash point.
+        let halves = match v.is_empty() {
+            true => Vec::new(),
+            false => self.half_scans(),
+        };
         Report {
             recovery,
             violations: v,
+            overwritten: self.overwritten(0, expect).len(),
+            halves,
         }
+    }
+
+    /// How the read of every trail half went, stale halves included.
+    fn half_scans(&self) -> Vec<HalfScan> {
+        let mut out = Vec::new();
+        for t in self.shards.iter().flatten() {
+            for (i, half) in t.halves.iter().enumerate() {
+                let scan = scan_window(half.bytes());
+                out.push(HalfScan {
+                    trail: t.name.clone(),
+                    half: i,
+                    stale: t.stale == Some(i),
+                    watermark: half.watermark,
+                    laps: half.watermark.checked_div(half.cap).unwrap_or(0),
+                    base: half.base,
+                    records: scan.records.len(),
+                    skipped: scan.skipped,
+                    stopped_at: scan.stopped_at,
+                });
+            }
+        }
+        out
     }
 }
 
@@ -403,6 +507,12 @@ pub struct Expect<'a> {
     pub truth: Option<&'a [TxnId]>,
     /// Inserts (distinct keys) every transaction carries.
     pub inserts: u32,
+    /// Where acked transactions' records begin: `(txn, ADP, lowest LSN)`
+    /// per ADP a transaction wrote through (`WorkloadStats::acked_at`).
+    /// One whose records begin below that trail's floor was overwritten
+    /// by a lap and is owed nothing; with none given, every acked
+    /// transaction is owed.
+    pub acked_at: &'a [(TxnId, String, Lsn)],
     /// The DR site's snapshot, held to invariant 5.
     pub replica: Option<&'a Snapshot>,
     /// The run ended with every repair done: hold each pool member's
@@ -444,10 +554,39 @@ pub enum Violation {
     NotResilvered(String, Discrepancy),
 }
 
+/// How the read of one trail half went: what a `Lost` is weighed
+/// against (a dropped record stops a scan short; a lap moves the floor).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HalfScan {
+    pub trail: String,
+    /// 0 for `a`, 1 for `b`.
+    pub half: usize,
+    /// Its member's durable health marks it stale: no reader reads it.
+    pub stale: bool,
+    pub watermark: u64,
+    /// Whole rings written below the watermark.
+    pub laps: u64,
+    /// The window's floor, the lowest LSN the ring still holds.
+    pub base: u64,
+    /// Records the scan read.
+    pub records: usize,
+    /// Non-zero bytes the read of a lapped window passed over.
+    pub skipped: u64,
+    /// Where an undecodable byte stopped the read; `None` when it reached
+    /// the window's end.
+    pub stopped_at: Option<Lsn>,
+}
+
 /// A recovery and what it breached.
 pub struct Report {
     pub recovery: ShardedRecovery,
     pub violations: Vec<Violation>,
+    /// Acked transactions a lap overwrote before the cut: beyond the
+    /// durability horizon, so counted rather than flagged.
+    pub overwritten: usize,
+    /// How each trail half's read went, when the report names a
+    /// violation.
+    pub halves: Vec<HalfScan>,
 }
 
 impl Report {
@@ -457,11 +596,24 @@ impl Report {
         self.violations.iter().filter(lost).count()
     }
 
+    /// The violations, then how each trail half was read.
+    pub fn explain(&self) -> String {
+        let mut out = format!(
+            "{} violations: {:?}; {} acked overwritten by a lap",
+            self.violations.len(),
+            self.violations,
+            self.overwritten
+        );
+        for h in &self.halves {
+            out += &format!("\n  {h:?}");
+        }
+        out
+    }
+
     /// Fail with every violation listed, `what` naming the run.
     #[track_caller]
     pub fn assert_clean(&self, what: &str) {
-        let v = &self.violations;
-        assert!(v.is_empty(), "{what}: {} violations: {v:?}", v.len());
+        assert!(self.violations.is_empty(), "{what}: {}", self.explain());
     }
 }
 
@@ -473,6 +625,17 @@ mod tests {
     use txnkit::PartitionId;
     use Violation::*;
 
+    fn ins(txn: u64, key: u64) -> AuditRecord {
+        AuditRecord::Insert {
+            txn: TxnId(txn),
+            partition: PartitionId { file: 0, part: 0 },
+            key,
+            virtual_len: 4096,
+            body_crc: 0,
+            body: Default::default(),
+        }
+    }
+
     /// A trail: transaction `id` inserts `keys` then commits, for each
     /// `(id, keys)`; `aborted` ids end in an abort record instead.
     fn trail(txns: &[(u64, &[u64])], aborted: &[u64]) -> Vec<u8> {
@@ -480,15 +643,7 @@ mod tests {
         for &(id, keys) in txns {
             let txn = TxnId(id);
             for &key in keys {
-                let r = AuditRecord::Insert {
-                    txn,
-                    partition: PartitionId { file: 0, part: 0 },
-                    key,
-                    virtual_len: 64,
-                    body_crc: 0,
-                    body: Default::default(),
-                };
-                out.extend_from_slice(&r.encode());
+                out.extend_from_slice(&ins(id, key).encode());
             }
             let end = match aborted.contains(&id) {
                 true => AuditRecord::Abort { txn },
@@ -541,7 +696,7 @@ mod tests {
     fn site(members: &[&str]) -> Vec<Trails> {
         let pm = |m: &&str| Trails::Pm {
             members: vec![m.to_string()],
-            partitions: 1,
+            adps: vec![format!("$ADP-{m}")],
         };
         members.iter().map(pm).collect()
     }
@@ -713,5 +868,139 @@ mod tests {
         put_half(&mut store, "npmu:pm-b", &old, old.len(), HEALTHY);
         let v = violations(&store, &["pm"], Expect::finished(T12, 1));
         assert_eq!(v, vec![Lost(TxnId(2))]);
+    }
+
+    /// The test region's ring: 64 KiB less the control cell.
+    const CAP: u64 = (64 << 10) - PM_CTRL_BYTES;
+
+    fn commit(txn: u64) -> AuditRecord {
+        AuditRecord::Commit { txn: TxnId(txn) }
+    }
+
+    /// Both halves of member "pm" hold `recs`, each at offset `lsn mod
+    /// CAP` of the ring, published up to `watermark`.
+    fn put_ring(store: &mut DurableStore, recs: &[(u64, AuditRecord)], watermark: u64) {
+        let mut ring = vec![0u8; CAP as usize];
+        for (lsn, r) in recs {
+            for (i, b) in r.encode().iter().enumerate() {
+                ring[((lsn + i as u64) % CAP) as usize] = *b;
+            }
+        }
+        for h in ['a', 'b'] {
+            let key = format!("npmu:pm-{h}");
+            put_half(store, &key, &ring, watermark as usize, HEALTHY);
+        }
+    }
+
+    /// Where `txns` wrote, in `site(&["pm"])`'s one trail.
+    fn at(txns: &[(u64, u64)]) -> Vec<(TxnId, String, Lsn)> {
+        let at = |&(t, lsn): &(u64, u64)| (TxnId(t), "$ADP-pm".to_string(), Lsn(lsn));
+        txns.iter().map(at).collect()
+    }
+
+    #[test]
+    fn a_record_split_across_the_ring_end_redoes() {
+        // Txn 1's first insert starts 20 bytes short of the ring's end.
+        let first = CAP - 20;
+        let recs = [
+            (first, ins(1, 10)),
+            (first + 4096, ins(1, 11)),
+            (first + 8192, commit(1)),
+        ];
+        let mut store = DurableStore::new();
+        put_ring(&mut store, &recs, first + 8192 + 64);
+        let acked_at = at(&[(1, first)]);
+        let expect = Expect {
+            acked_at: &acked_at,
+            ..Expect::finished(T1, 2)
+        };
+        let snapshot = Snapshot::read(&store, &site(&["pm"]));
+        assert!(snapshot.shards[0][0].halves[0].base > 0, "the ring lapped");
+        let report = snapshot.check(&expect);
+        report.assert_clean("a wrapped record");
+        assert_eq!(report.overwritten, 0);
+    }
+
+    /// Txn 1 began at LSN 0 and a lap overwrote its head: txn 2's second
+    /// insert lies at LSN `CAP`, offset 0. The floor ends up inside an
+    /// insert of txn 9 (never committed), so the window opens on a
+    /// fragment of it.
+    fn lapped_over_txn_1() -> (Vec<(u64, AuditRecord)>, u64) {
+        let recs = vec![
+            (0, ins(1, 10)),
+            (4100, ins(9, 90)),
+            (8196, ins(1, 11)),
+            (12292, commit(1)),
+            (CAP - 4096, ins(2, 20)),
+            (CAP, ins(2, 21)),
+            (CAP + 4096, commit(2)),
+        ];
+        (recs, CAP + 4130)
+    }
+
+    /// The oracle's verdict on that ring for `acked` commits (two
+    /// inserts each) whose records begin `at` these LSNs, or with none
+    /// given.
+    fn check_lapped(acked: &[TxnId], at_lsns: &[(u64, u64)]) -> Report {
+        let (recs, wm) = lapped_over_txn_1();
+        let mut store = DurableStore::new();
+        put_ring(&mut store, &recs, wm);
+        let acked_at = at(at_lsns);
+        let expect = Expect {
+            acked_at: &acked_at,
+            ..Expect::finished(acked, 2)
+        };
+        check(&store, &["pm"], &expect)
+    }
+
+    #[test]
+    fn an_acked_txn_a_lap_overwrote_is_counted_not_flagged() {
+        let report = check_lapped(T12, &[(1, 0), (2, CAP - 4096)]);
+        // Txn 1 redoes with one insert of two: below the horizon, it is
+        // owed nothing.
+        assert!(report.recovery.committed.contains(&TxnId(1)));
+        report.assert_clean("one lap over txn 1");
+        assert_eq!(report.overwritten, 1);
+        // Without the acks' LSNs every acked commit is owed.
+        let v = check_lapped(T12, &[]).violations;
+        assert_eq!(v, vec![HalfApplied(TxnId(1), 1)]);
+    }
+
+    #[test]
+    fn a_missing_txn_that_begins_at_the_floor_is_lost() {
+        // Txn 3 was acked from the floor (LSN 4130) up, yet none of it is
+        // on the ring.
+        let acked = [TxnId(1), TxnId(2), TxnId(3)];
+        let report = check_lapped(&acked, &[(1, 0), (2, CAP - 4096), (3, 4130)]);
+        assert_eq!(report.violations, vec![Lost(TxnId(3))]);
+        assert_eq!(report.overwritten, 1);
+    }
+
+    #[test]
+    fn the_explanation_tells_a_lap_from_a_dropped_record() {
+        // A lap: the read skips the fragment at the floor and reaches the
+        // window's end, while txn 3, acked from the floor up, is missing.
+        let acked = [TxnId(1), TxnId(2), TxnId(3)];
+        let lap = check_lapped(&acked, &[(1, 0), (2, CAP - 4096), (3, 4130)]);
+        let a = &lap.halves[0];
+        assert_eq!((a.laps, a.base, a.stopped_at), (1, 4130, None));
+        assert!(a.skipped > 0 && a.records == 5, "{a:?}");
+        assert!(lap.explain().contains("stopped_at: None"));
+        // A dropped record: txn 2's first insert torn in place on an
+        // unlapped trail. The read stops there, and txn 2 is lost, not
+        // overwritten.
+        let mut bytes = trail(&[(1, &[10])], &[]);
+        let at2 = bytes.len();
+        bytes.extend(trail(&[(2, &[20])], &[]));
+        bytes[at2 + 12] ^= 1;
+        let mut store = DurableStore::new();
+        put_pair(&mut store, "pm", &bytes);
+        let dropped = check(&store, &["pm"], &Expect::finished(T12, 1));
+        assert_eq!(dropped.violations, vec![Lost(TxnId(2))]);
+        assert_eq!(dropped.overwritten, 0);
+        let a = &dropped.halves[0];
+        let torn = Some(Lsn(at2 as u64));
+        assert_eq!((a.laps, a.skipped, a.stopped_at), (0, 0, torn));
+        assert!(dropped.explain().contains(&format!("stopped_at: {torn:?}")));
     }
 }

@@ -510,31 +510,6 @@ impl PmLib {
         )
     }
 
-    /// Ask the PMM to migrate a region to another member volume
-    /// ([`MigrateRegionAck`] arrives; on success re-[`Self::adopt`] the
-    /// fresh info — the old map is fenced out).
-    pub fn migrate_region(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        name: &str,
-        to_volume: Option<u32>,
-        token: u64,
-    ) -> bool {
-        nsk::proc::send_to_process(
-            ctx,
-            &self.machine,
-            self.ep,
-            self.cpu,
-            &self.pmm_name,
-            96,
-            MigrateRegion {
-                name: name.to_string(),
-                to_volume,
-                token,
-            },
-        )
-    }
-
     /// Register an opened region so reads/writes can target it.
     pub fn adopt(&mut self, info: RegionInfo) {
         self.regions.insert(info.region_id, info);

@@ -67,12 +67,6 @@ enum Step {
     RawWrite {
         region_idx: usize,
     },
-    /// Ask the PMM to move the region to `to_volume`; on success the
-    /// fresh info replaces (or joins) this client's opened regions.
-    Migrate {
-        name: String,
-        to_volume: u32,
-    },
     /// Let virtual time pass (e.g. into or out of a fault window).
     Delay {
         dur: SimDuration,
@@ -246,9 +240,6 @@ impl TestClient {
                     tok,
                     simnet::TrafficClass::Commit,
                 );
-            }
-            Step::Migrate { name, to_volume } => {
-                self.lib.migrate_region(ctx, &name, Some(to_volume), tok);
             }
             Step::Delay { dur } => {
                 ctx.send_self(dur, DelayDone { pos: self.pos });
@@ -474,45 +465,13 @@ impl Actor for TestClient {
                 }
                 Err(p) => p,
             };
-            let payload = match payload.downcast::<CloseRegionAck>() {
-                Ok(ack) => {
-                    if self.waiting && ack.token == self.pos as u64 {
-                        self.log
-                            .lock()
-                            .push(format!("close[{}]:{:?}", ack.token, ack.result));
-                        self.advance(ctx);
-                    }
-                    return;
-                }
-                Err(p) => p,
-            };
-            if let Ok(ack) = payload.downcast::<MigrateRegionAck>() {
-                if !self.waiting || ack.token != self.pos as u64 {
-                    return;
-                }
-                let now = ctx.now().as_nanos();
-                match ack.result {
-                    Ok(info) => {
-                        // The old map is fenced out: re-adopt the new one.
-                        self.lib.adopt(info.clone());
-                        match self
-                            .opened
-                            .iter_mut()
-                            .find(|o| o.region_id == info.region_id)
-                        {
-                            Some(slot) => *slot = info,
-                            None => self.opened.push(info),
-                        }
-                        self.log
-                            .lock()
-                            .push(format!("migrate[{}]:ok@{now}", ack.token));
-                    }
-                    Err(e) => self
-                        .log
+            if let Ok(ack) = payload.downcast::<CloseRegionAck>() {
+                if self.waiting && ack.token == self.pos as u64 {
+                    self.log
                         .lock()
-                        .push(format!("migrate[{}]:err:{:?}@{now}", ack.token, e)),
+                        .push(format!("close[{}]:{:?}", ack.token, ack.result));
+                    self.advance(ctx);
                 }
-                self.advance(ctx);
             }
         }
     }
@@ -2400,276 +2359,4 @@ fn pmm_takeover_mid_degradation_still_resilvers() {
     let b = sc.pmm.npmu_b.mem.lock().read(pmm::META_BYTES + 4096, 2048);
     assert_eq!(b, payload);
     assert!(mirror_halves_equal(&sc.pmm, pmm::META_BYTES, 1 << 20));
-}
-
-// --- online region migration ------------------------------------------------
-
-/// Bytes at `[base, base + len)` of one half of pool member `vol`.
-fn member_bytes(pmm: &PmmHandle, vol: usize, half: u8, base: u64, len: u64) -> Vec<u8> {
-    let (a, b) = &pmm.volumes[vol];
-    let h = if half == 0 { a } else { b };
-    h.mem.lock().read(base, len as usize)
-}
-
-/// Both halves of pool member `vol` byte-equal, metadata and all.
-fn member_halves_equal(pmm: &PmmHandle, vol: usize) -> bool {
-    let cap = pmm.volumes[vol].0.mem.lock().capacity();
-    member_bytes(pmm, vol, 0, 0, cap) == member_bytes(pmm, vol, 1, 0, cap)
-}
-
-/// Step shorthands for the scripts below (region 0 unless said).
-fn create_on(name: &str, len: u64, vol: u32) -> Step {
-    Step::CreatePlaced {
-        name: name.into(),
-        len,
-        placement: pmm::PlacementHint::OnVolume(vol),
-    }
-}
-fn write_at(region_idx: usize, offset: u64, data: Vec<u8>) -> Step {
-    Step::Write {
-        region_idx,
-        offset,
-        data,
-        expect: RdmaStatus::Ok,
-    }
-}
-fn read_4k(offset: u64, expect: Option<Vec<u8>>) -> Step {
-    Step::Read {
-        region_idx: 0,
-        offset,
-        len: 4096,
-        expect,
-    }
-}
-fn migrate(name: &str, to_volume: u32) -> Step {
-    Step::Migrate {
-        name: name.into(),
-        to_volume,
-    }
-}
-fn delay_ms(ms: u64) -> Step {
-    Step::Delay {
-        dur: SimDuration::from_millis(ms),
-    }
-}
-
-/// A region is migrated while a writer keeps rewriting it: whatever the
-/// source held when the fence fell is on both destination halves, the
-/// migrating client re-adopts the new map and reads and writes through
-/// it, and the source extent is free again.
-#[test]
-fn region_migrates_under_a_writer_and_both_destination_halves_match_the_source() {
-    const LEN: u64 = 1 << 20;
-    const WRITES: u64 = 900;
-    let mut store = DurableStore::new();
-    let mut sc = build_pool2(&mut store, 91);
-    // The writer: 4 KB blocks all over the region, back to back, from
-    // before the migration starts until well after the fence falls (its
-    // writes then fail on the fenced window, which is the point).
-    let mut w_steps = vec![create_on("mv", LEN, 0)];
-    w_steps.extend((0..WRITES).map(|i| {
-        write_at(
-            0,
-            (i * 37 % (LEN / 4096)) * 4096,
-            vec![(i % 251) as u8 + 1; 4096],
-        )
-    }));
-    let w_log = spawn_client(&mut sc, CpuId(2), w_steps, MirrorPolicy::ParallelBoth);
-    let after = vec![0xF0u8; 512];
-    let m_log = spawn_client(
-        &mut sc,
-        CpuId(3),
-        vec![
-            delay_ms(3),
-            // Migrating does not open: a client that means to use the
-            // region afterwards is one of its openers beforehand.
-            Step::Open { name: "mv".into() },
-            migrate("mv", 1),
-            read_4k(0, None),
-            write_at(0, 8192, after.clone()),
-            // First fit: lands on the extent the migration freed.
-            create_on("reuse", LEN, 0),
-            write_at(1, 0, vec![0x0F; 64]),
-        ],
-        MirrorPolicy::ParallelBoth,
-    );
-    // Up to the commit: the source extent still holds its final bytes.
-    let migrated = |log: &Shared<Vec<String>>| log.lock().iter().any(|l| l.contains("migrate"));
-    while !migrated(&m_log) {
-        assert!(sc.sim.step(), "idle before the migration answered");
-    }
-    let m = m_log.lock().clone();
-    assert!(m[2].starts_with("migrate[2]:ok@"), "{m:?}");
-    let (started, committed) = (3_000_000, ts(&m[2]));
-    let src_final = member_bytes(&sc.pmm, 0, 0, pmm::META_BYTES, LEN);
-    assert_eq!(src_final, member_bytes(&sc.pmm, 1, 0, pmm::META_BYTES, LEN));
-    assert_eq!(src_final, member_bytes(&sc.pmm, 1, 1, pmm::META_BYTES, LEN));
-    // The writer really overlapped it: acknowledged writes inside the
-    // migration, and refused ones once the source was fenced.
-    let w = w_log.lock().clone();
-    let inside = |l: &&String| l.starts_with("write[") && (started..committed).contains(&ts(l));
-    assert!(w.iter().filter(inside).any(|l| l.contains(":Ok:")), "{w:?}");
-    assert!(
-        w.iter()
-            .filter(inside)
-            .any(|l| l.contains(":AccessViolation:")),
-        "{w:?}"
-    );
-    let stats = *sc.pmm.stats.lock();
-    assert_eq!(stats.migrations_completed, 1, "{stats:?}");
-    assert_eq!(stats.migrations_aborted, 0, "{stats:?}");
-    assert!(stats.migrate_bytes_copied >= LEN, "{stats:?}");
-
-    sc.sim.run_until(SimTime(5 * SECS));
-    let m = m_log.lock().clone();
-    assert!(m[3].contains("read[3]:Ok"), "{m:?}");
-    assert!(m[4].contains("write[4]:Ok:asexpected"), "{m:?}");
-    assert!(
-        m[5].contains("ok") && m[6].contains("Ok:asexpected"),
-        "{m:?}"
-    );
-    for half in [0, 1] {
-        let at = pmm::META_BYTES + 8192;
-        assert_eq!(member_bytes(&sc.pmm, 1, half, at, 512), after);
-        // The source extent was freed: the next region sits on it.
-        assert_eq!(
-            member_bytes(&sc.pmm, 0, half, pmm::META_BYTES, 64),
-            vec![0x0F; 64]
-        );
-    }
-    assert!(member_halves_equal(&sc.pmm, 1));
-}
-
-/// The case the three-party verify exists for. The two device copies of
-/// a chunk read the source at two instants; a write landing between them
-/// leaves destination half *a* with the old bytes and half *b* with the
-/// new — and a cell that is flipped and flipped back leaves *a* equal to
-/// the source and only *b* stale. Either way the chunk must be re-copied
-/// and the halves must end equal: digesting the source and one
-/// destination half cannot tell (each variant defeats one choice of
-/// half).
-#[test]
-fn write_between_the_two_copies_of_a_chunk_is_caught_and_recopied() {
-    const LEN: u64 = 64 << 10; // one chunk
-    let (old, new) = (vec![0xA1u8; 4096], vec![0xB2u8; 4096]);
-    for flip_back in [false, true] {
-        let mut store = DurableStore::new();
-        let mut sc = build_pool2(&mut store, 92);
-        let last = if flip_back { &old } else { &new };
-        let log = spawn_client(
-            &mut sc,
-            CpuId(2),
-            vec![
-                create_on("split", LEN, 0),
-                write_at(0, 0, old.clone()),
-                migrate("split", 1),
-                read_4k(0, Some(last.clone())),
-            ],
-            MirrorPolicy::ParallelBoth,
-        );
-        // A foreground write to both source halves, landed exactly when
-        // the source's primary has served `n` of the copy commands.
-        let src_copies = |sc: &Scenario| sc.pmm.volumes[0].0.stats.lock().copies;
-        let land_after = |sc: &mut Scenario, n: u64, data: &[u8]| {
-            while src_copies(sc) < n {
-                assert!(sc.sim.step(), "idle before copy {n}");
-            }
-            assert_eq!(src_copies(sc), n);
-            for h in [&sc.pmm.volumes[0].0, &sc.pmm.volumes[0].1] {
-                h.mem.lock().write(pmm::META_BYTES, data);
-            }
-        };
-        land_after(&mut sc, 1, &new);
-        if flip_back {
-            land_after(&mut sc, 2, &old);
-        }
-        sc.sim.run_until(SimTime(5 * SECS));
-        let log = log.lock();
-        assert!(log[2].starts_with("migrate[2]:ok@"), "{log:?}");
-        assert!(log[3].contains("Ok:match"), "{log:?}");
-        let stats = *sc.pmm.stats.lock();
-        assert_eq!(stats.migrations_completed, 1, "{stats:?}");
-        assert_eq!(
-            stats.migrate_bytes_copied,
-            2 * LEN,
-            "copied, then re-copied"
-        );
-        for half in [0, 1] {
-            assert_eq!(
-                &member_bytes(&sc.pmm, 1, half, pmm::META_BYTES, 4096),
-                last,
-                "flip_back={flip_back}: destination half {half}"
-            );
-        }
-        assert!(member_halves_equal(&sc.pmm, 1), "flip_back={flip_back}");
-    }
-}
-
-/// A destination half dying mid-copy aborts the migration: the client is
-/// told, the reservation and its PMM-only windows are gone, and the
-/// region is still where it was, open to its clients.
-#[test]
-fn destination_half_dying_mid_copy_aborts_the_migration() {
-    const LEN: u64 = 2 << 20;
-    let mut store = DurableStore::new();
-    // ≈ 35 ms of copying from 5 ms on; member 1's half "b" dies at 12 ms.
-    let plan = FaultPlan::none().with(Fault::PoolNpmuDown {
-        volume: 1,
-        half: 1,
-        from: SimTime(12_000_000),
-        to: SimTime(SECS),
-    });
-    let mut sc = build_pool2_faulty(&mut store, 93, plan);
-    let still = vec![0x5Eu8; 4096];
-    let log = spawn_client(
-        &mut sc,
-        CpuId(2),
-        vec![
-            create_on("stay", LEN, 0),
-            delay_ms(5),
-            migrate("stay", 1),
-            // Same map as before, never fenced or re-opened.
-            write_at(0, 4096, still.clone()),
-            read_4k(4096, Some(still.clone())),
-        ],
-        MirrorPolicy::ParallelBoth,
-    );
-    sc.sim.run_until(SimTime(SECS / 2));
-    let log = log.lock();
-    assert!(log[2].starts_with("migrate[2]:err:Failed@"), "{log:?}");
-    let aborted_at = ts(&log[2]);
-    assert!((12_000_000..60_000_000).contains(&aborted_at), "{log:?}");
-    assert!(log[3].contains("Ok:asexpected"), "{log:?}");
-    assert!(!log[3].contains("degraded"), "{log:?}");
-    assert!(log[4].contains("Ok:match"), "{log:?}");
-    let stats = *sc.pmm.stats.lock();
-    assert_eq!(stats.migrations_started, 1, "{stats:?}");
-    assert_eq!(stats.migrations_aborted, 1, "{stats:?}");
-    assert_eq!(stats.migrations_completed, 0, "{stats:?}");
-    for half in [0, 1] {
-        assert_eq!(
-            member_bytes(&sc.pmm, 0, half, pmm::META_BYTES + 4096, 4096),
-            still
-        );
-    }
-    // The destination's PMM-only windows are unmapped on both halves…
-    let (a, b) = &sc.pmm.volumes[1];
-    for h in [a, b] {
-        assert!(h.att.lock().translate_peer(pmm::META_BYTES, 1).is_err());
-    }
-    drop(log);
-    // …and its reservation released: the next region on that member is
-    // placed on the very extent the migration had reserved.
-    let log2 = spawn_client(
-        &mut sc,
-        CpuId(3),
-        vec![create_on("next", LEN, 1), write_at(0, 0, vec![0x77; 64])],
-        MirrorPolicy::ParallelBoth,
-    );
-    sc.sim.run_until(SimTime(SECS / 2 + SECS / 4));
-    assert!(log2.lock()[1].contains("Ok:asexpected"), "{log2:?}");
-    assert_eq!(
-        member_bytes(&sc.pmm, 1, 0, pmm::META_BYTES, 64),
-        vec![0x77; 64]
-    );
 }

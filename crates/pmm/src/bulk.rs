@@ -1,16 +1,17 @@
-//! The PMM's one windowed copy/verify engine, as a pure state machine.
+//! The resilver's windowed copy/verify engine, as a pure state machine.
 //!
 //! A [`BulkRun`] is a queue of chunks, a phase and a bounded number of
-//! units in flight. In the copy phase one unit is one chunk, moved by a
-//! device-to-device copy per destination; in the verify phase one unit is
-//! a *run* of contiguous chunks that every party digests with a single
-//! coalesced scrub command. The engine decides what to issue next and
-//! when a phase has drained ([`Step`]); it owns no clock and no network,
-//! so the manager's pumps are reduced to their transition rules and the
-//! engine itself can be property-tested (as `simnet::qos::PortScheduler`
-//! is).
+//! units in flight, between two parties: a source (party 0, the
+//! survivor) and a destination (party 1, the revived half). In the copy
+//! phase one unit is one chunk, moved by one device-to-device copy; in
+//! the verify phase one unit is a *run* of contiguous chunks that both
+//! parties digest with a single coalesced scrub command each. The engine
+//! decides what to issue next and when a phase has drained ([`Step`]); it
+//! owns no clock and no network, so the manager's pump is reduced to the
+//! resilver's transition rule and the engine itself can be
+//! property-tested (as `simnet::qos::PortScheduler` is).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Most contiguous chunks one scrub command covers.
 pub const SCRUB_BATCH: u32 = 64;
@@ -20,18 +21,18 @@ pub type Chunk = (u64, u32);
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Phase {
-    /// Copying queued chunks source → destination(s).
+    /// Copying queued chunks source → destination.
     Copy,
-    /// Having every party digest queued chunks, and comparing.
+    /// Having both parties digest queued chunks, and comparing.
     Verify,
 }
 
 /// What the pump should do next.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Step {
-    /// Issue the device copies of one chunk (admission already bought).
+    /// Issue the device copy of one chunk (admission already bought).
     Copy { off: u64, len: u32 },
-    /// Issue one scrub of `len` bytes at `off` to every party.
+    /// Issue one scrub of `len` bytes at `off` to each party.
     Scrub { off: u64, len: u64 },
     /// The phase's queue is drained and nothing is in flight: the owner
     /// applies its transition rule ([`BulkRun::start`] or finish).
@@ -43,10 +44,10 @@ pub enum Step {
     Wait,
 }
 
-/// Digest vectors of one scrub run in flight, one slot per party.
+/// Digest vectors of one scrub run in flight: source's, destination's.
 struct ScrubSlots {
     len: u64,
-    digests: Vec<Option<Vec<u64>>>,
+    digests: [Option<Vec<u64>>; 2],
 }
 
 pub struct BulkRun {
@@ -54,16 +55,12 @@ pub struct BulkRun {
     queue: VecDeque<Chunk>,
     /// Units in flight in the current phase.
     inflight: u32,
-    /// Devices taking part: party 0 is the source, the rest destinations.
-    /// A copy unit is one device copy per destination; a verify unit
-    /// compares every party's digests.
-    parties: usize,
     /// Most units in flight at once.
     window: u32,
     /// Full chunk size: the stride of a scrub's digests.
     chunk: u32,
-    /// Copy acks outstanding per chunk in flight, by offset.
-    copy_pending: BTreeMap<u64, u32>,
+    /// Offsets of the chunks whose copy is in flight.
+    copy_pending: BTreeSet<u64>,
     /// Per-run digest slots for scrubs in flight, by run offset.
     scrub_pending: BTreeMap<u64, ScrubSlots>,
     /// Chunks the verify pass in progress found divergent.
@@ -72,24 +69,16 @@ pub struct BulkRun {
 }
 
 impl BulkRun {
-    /// A run among `parties` devices starting in `phase` over `queue`, cut
-    /// into pieces of at most `chunk` bytes, `window` units at a time.
-    pub fn new(
-        phase: Phase,
-        queue: VecDeque<Chunk>,
-        parties: usize,
-        window: u32,
-        chunk: u32,
-    ) -> Self {
-        assert!(parties >= 2, "a source and at least one destination");
+    /// A run starting in `phase` over `queue`, cut into pieces of at most
+    /// `chunk` bytes, `window` units at a time.
+    pub fn new(phase: Phase, queue: VecDeque<Chunk>, window: u32, chunk: u32) -> Self {
         BulkRun {
             phase,
             queue,
             inflight: 0,
-            parties,
             window: window.max(1),
             chunk: chunk.max(1),
-            copy_pending: BTreeMap::new(),
+            copy_pending: BTreeSet::new(),
             scrub_pending: BTreeMap::new(),
             divergent: Vec::new(),
             backoff_armed: false,
@@ -131,14 +120,13 @@ impl BulkRun {
             return Step::Wait;
         }
         if self.phase == Phase::Copy {
-            let legs = self.parties as u32 - 1;
-            if let Err(wait_ns) = admit(len as u64 * legs as u64) {
+            if let Err(wait_ns) = admit(len as u64) {
                 let arm = !std::mem::replace(&mut self.backoff_armed, true);
                 return Step::Backoff { wait_ns, arm };
             }
             self.queue.pop_front();
             self.inflight += 1;
-            self.copy_pending.insert(off, legs);
+            self.copy_pending.insert(off);
             return Step::Copy { off, len };
         }
         self.queue.pop_front();
@@ -155,10 +143,9 @@ impl BulkRun {
                 _ => break,
             }
         }
-        let digests = vec![None; self.parties];
         let slots = ScrubSlots {
             len: total,
-            digests,
+            digests: [None, None],
         };
         self.scrub_pending.insert(off, slots);
         Step::Scrub { off, len: total }
@@ -169,43 +156,41 @@ impl BulkRun {
         self.backoff_armed = false;
     }
 
-    /// One device copy of the chunk at `off` was acknowledged. `true`
-    /// once every leg of the chunk has been: the unit left the window.
+    /// The device copy of the chunk at `off` was acknowledged. `true`
+    /// if it was in flight: the unit left the window.
     pub fn copy_done(&mut self, off: u64) -> bool {
-        let Some(left) = self.copy_pending.get_mut(&off) else {
-            return false;
-        };
-        *left -= 1;
-        if *left > 0 {
+        if !self.copy_pending.remove(&off) {
             return false;
         }
-        self.copy_pending.remove(&off);
         self.inflight -= 1;
         true
     }
 
-    /// `party`'s digests for the scrub run at `off` arrived. `true` once
-    /// every party's have: the run left the window, and each of its
-    /// chunks on which the parties' digests differ — or that a short
-    /// vector does not cover — is on the divergent list.
+    /// `party`'s digests (0 the source, 1 the destination) for the scrub
+    /// run at `off` arrived. `true` once both have: the run left the
+    /// window, and each of its chunks on which the two digests differ —
+    /// or that a short vector does not cover — is on the divergent list.
     pub fn scrub_done(&mut self, off: u64, party: usize, digests: Vec<u64>) -> bool {
         let Some(slots) = self.scrub_pending.get_mut(&off) else {
             return false;
         };
         slots.digests[party] = Some(digests);
-        if slots.digests.iter().any(Option::is_none) {
+        let ScrubSlots {
+            len,
+            digests: [Some(src), Some(dst)],
+        } = slots
+        else {
             return false;
-        }
-        let ScrubSlots { len, digests } = self.scrub_pending.remove(&off).expect("just seen");
-        let digests: Vec<Vec<u64>> = digests.into_iter().flatten().collect();
-        let chunk = self.chunk as u64;
+        };
+        let (len, chunk) = (*len, self.chunk as u64);
         for i in 0..len.div_ceil(chunk) {
-            let first = digests[0].get(i as usize);
-            if first.is_none() || digests.iter().any(|d| d.get(i as usize) != first) {
+            let first = src.get(i as usize);
+            if first.is_none() || dst.get(i as usize) != first {
                 let at = i * chunk;
                 self.divergent.push((off + at, chunk.min(len - at) as u32));
             }
         }
+        self.scrub_pending.remove(&off);
         self.inflight -= 1;
         true
     }

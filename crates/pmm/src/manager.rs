@@ -1,7 +1,7 @@
 //! The PMM process-pair actor: one process pair managing a *pool* of
 //! mirrored NPMU member volumes behind a single region namespace.
 //!
-//! Request pipeline for a *mutating* operation (create/delete/migrate):
+//! Request pipeline for a *mutating* operation (create/delete/fence):
 //!
 //! 1. mutate the in-memory pool namespace and the derived per-member
 //!    region tables, bump the pool epoch and every member's epoch;
@@ -69,21 +69,6 @@
 //! members so aggregate write bandwidth scales with the pool. The stripe
 //! map is part of the durable pool namespace and is handed to clients in
 //! the create/open ack — the PMM stays off the data path.
-//!
-//! # Online migration
-//!
-//! [`MigrateRegion`] moves a single-extent region to another member
-//! while clients keep writing, through the same engine
-//! ([`crate::bulk::BulkRun`]) as the resilver: the source's primary half
-//! copies each chunk to both destination mirrors (one `rdma_copy` per
-//! half), then the PMM *fences* the source window (clients lose ATT
-//! access, the PMM keeps it), has source and **both** destination halves
-//! digest every chunk — the two device copies of a chunk read the source
-//! at two instants, so a write landing between them leaves the
-//! destination halves different from each other — re-copies any chunk on
-//! which the three disagree, and commits the new map with a pool-wide
-//! metadata write. Stale clients take an RDMA fault and reopen for the
-//! new map.
 
 use crate::alloc;
 use crate::bulk::{BulkRun, Chunk, Phase, Step, SCRUB_BATCH};
@@ -102,11 +87,6 @@ use simnet::{
     RdmaCopyDone, RdmaReadDone, RdmaScrubDone, RdmaStatus, RdmaWriteDone, TrafficClass,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// Region id used for the in-memory destination reservation during a
-/// migration. Never durable: recovery rederives member tables from the
-/// pool namespace, so an interrupted migration's reservation vanishes.
-const MIG_RESERVATION_ID: u64 = u64::MAX;
 
 /// CPU cost charged per management op, ns.
 const OP_CPU_NS: u64 = 15_000;
@@ -131,8 +111,8 @@ const RESILVER_STEP_TIMEOUT: SimDuration = SimDuration::from_millis(10);
 pub struct PmmConfig {
     /// While a member is degraded, how often to probe its dead half.
     pub probe_interval: SimDuration,
-    /// Bulk-mover granularity, bytes: the unit of a device copy and of a
-    /// device digest, for resilver and migration alike.
+    /// Resilver granularity, bytes: the unit of a device copy and of a
+    /// device digest.
     pub resilver_chunk: u32,
     /// How new regions are laid out across pool members.
     pub placement: PlacementPolicy,
@@ -148,7 +128,7 @@ impl Default for PmmConfig {
     }
 }
 
-/// Counters for failure handling, resilvering and migration, shared with
+/// Counters for failure handling and resilvering, shared with
 /// the test / bench harness via [`PmmHandle::stats`] (pool aggregate) and
 /// [`PmmHandle::vol_stats`] (per member volume).
 #[derive(Clone, Copy, Debug, Default)]
@@ -176,13 +156,7 @@ pub struct PmmStats {
     /// Virtual timestamps of the last resilver start / completion.
     pub resilver_started_ns: u64,
     pub resilver_completed_ns: u64,
-    /// Region migrations started / committed / aborted.
-    pub migrations_started: u64,
-    pub migrations_completed: u64,
-    pub migrations_aborted: u64,
-    /// Bytes copied source → destination by committed+aborted migrations.
-    pub migrate_bytes_copied: u64,
-    /// Times a bulk mover (resilver / migration copy) was denied fabric
+    /// Times a resilver copy was denied fabric
     /// admission by the QoS token bucket and backed off.
     pub bulk_throttle_waits: u64,
 }
@@ -209,10 +183,24 @@ struct PendingOp {
     att_actions: Vec<AttAction>,
 }
 
+impl PendingOp {
+    /// An op that will wait for its metadata writes, then program ATT and
+    /// send `reply` to `reply_to_ep`.
+    fn new(reply_to_ep: EndpointId, reply: PendingReply, att_actions: Vec<AttAction>) -> Self {
+        PendingOp {
+            waiting_writes: 0,
+            write_timeout: None,
+            waiting_ckpt: false,
+            reply_to_ep,
+            reply,
+            att_actions,
+        }
+    }
+}
+
 enum PendingReply {
     Create(u64, Result<RegionInfo, PmError>),
     Delete(u64, Result<(), PmError>),
-    Migrate(u64, Result<RegionInfo, PmError>),
     /// Epoch fence (token, new epoch): engage every member's device
     /// write fence once the epoch bump is durable, then ack.
     Fence(u64, u64),
@@ -247,9 +235,10 @@ struct MetaWriteTimeout {
 struct BulkStepTimeout {
     rid: u64,
 }
-/// The QoS token bucket denied a copy chunk; retry the mover's admission.
+/// The QoS token bucket denied a copy chunk; retry member `vol`'s
+/// resilver admission.
 struct BulkBackoff {
-    mover: Mover,
+    vol: usize,
 }
 
 /// Why a probe read was sent.
@@ -261,21 +250,13 @@ enum ProbeKind {
     Revival { half: u8 },
 }
 
-/// Which of the PMM's bulk movers a run, or an op in flight, belongs to.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mover {
-    /// The resilver of member `vol`.
-    Resilver(usize),
-    /// The one region migration.
-    Migration,
-}
-
-/// Which engine step an RDMA op id belongs to. Offsets are the run's own:
-/// device offsets for a resilver, region-relative for a migration.
+/// Which engine step an RDMA op id belongs to (offsets are device
+/// offsets, the same on both halves).
 enum BulkOp {
     /// One device-to-device copy of the chunk queued at `off`.
     Copy { off: u64, len: u32 },
-    /// One party's digests of the scrub run queued at `off`.
+    /// One half's digests of the scrub run queued at `off` (party 0 is
+    /// the survivor, 1 the revived half).
     Scrub { off: u64, len: u64, party: usize },
 }
 
@@ -297,24 +278,6 @@ struct ResilverRun {
     /// A client reported a failed write leg to the half under repair:
     /// chunks that digested equal may have diverged since.
     voided: bool,
-}
-
-/// An in-flight online region migration (volatile: a takeover drops it
-/// and the client retries).
-struct MigrationRun {
-    region_id: u64,
-    client_token: u64,
-    reply_to_ep: EndpointId,
-    src_vol: usize,
-    dst_vol: usize,
-    src_base: u64,
-    dst_base: u64,
-    len: u64,
-    /// Source window revoked from clients (PMM-only) for the verify pass.
-    fenced: bool,
-    /// The engine: source half 0 → both destination halves, three
-    /// parties' digests.
-    bulk: BulkRun,
 }
 
 /// One mirrored member volume of the pool, with its own durable
@@ -366,10 +329,9 @@ pub struct PmmProc {
     next_rdma: u64,
     /// Outstanding probe reads, each with its [`ProbeTimeout`].
     probes: BTreeMap<u64, (usize, ProbeKind, TimerId)>,
-    migration: Option<MigrationRun>,
-    /// Outstanding device copies and scrubs, every mover's in one table,
-    /// each with its [`BulkStepTimeout`].
-    bulk_ops: BTreeMap<u64, (Mover, BulkOp, TimerId)>,
+    /// Outstanding device copies and scrubs of every member's resilver,
+    /// by member, each with its [`BulkStepTimeout`].
+    bulk_ops: BTreeMap<u64, (usize, BulkOp, TimerId)>,
     /// Pool-aggregate counters (every member's events also land here).
     stats: SharedPmmStats,
 }
@@ -613,16 +575,6 @@ impl PmmProc {
                     DeleteRegionAck { token: tok, result },
                 );
             }
-            PendingReply::Migrate(tok, result) => {
-                send_net_msg(
-                    ctx,
-                    &net,
-                    self.pair.ep,
-                    op.reply_to_ep,
-                    128,
-                    MigrateRegionAck { token: tok, result },
-                );
-            }
             PendingReply::Fence(tok, epoch) => {
                 // The epoch bump is durable on every member: drop the
                 // portcullis. The PMM's own endpoint stays exempt so
@@ -654,7 +606,7 @@ impl PmmProc {
     /// (Re)program every extent window of a region, on both mirrors of
     /// each extent's member, from `open_cpus`. The PMM's own CPUs are
     /// always included: the copies and scrubs it commands during resilvers
-    /// and migrations read region bytes under its identity.
+    /// read region bytes under its identity.
     fn program_region_att(&mut self, region_id: u64) {
         let Some(r) = self.pool.find_by_id(region_id) else {
             return;
@@ -739,15 +691,6 @@ impl PmmProc {
                 return;
             }
         }
-        // A migration touching this member can no longer trust its copy
-        // legs: abort it before recording the health change.
-        if self
-            .migration
-            .as_ref()
-            .is_some_and(|m| m.src_vol == vol || m.dst_vol == vol)
-        {
-            self.abort_migration(ctx);
-        }
         self.vol_stat(vol, |s| s.degraded_events += 1);
         self.vols[vol].meta.epoch += 1;
         self.vols[vol].meta.health = HealthState::Degraded {
@@ -764,14 +707,7 @@ impl PmmProc {
     }
 
     fn internal_op(&self) -> PendingOp {
-        PendingOp {
-            waiting_writes: 0,
-            write_timeout: None,
-            waiting_ckpt: false,
-            reply_to_ep: self.pair.ep,
-            reply: PendingReply::Internal,
-            att_actions: Vec::new(),
-        }
+        PendingOp::new(self.pair.ep, PendingReply::Internal, Vec::new())
     }
 
     fn arm_probe_tick(&mut self, ctx: &mut Ctx<'_>, vol: usize) {
@@ -873,11 +809,16 @@ impl PmmProc {
             since_epoch,
             dirty_upto,
             suspects: queue.iter().map(|&(off, _)| off).collect(),
-            bulk: self.new_bulk_run(Phase::Verify, queue, 2),
+            bulk: BulkRun::new(
+                Phase::Verify,
+                queue,
+                TRANSFER_WINDOW,
+                self.cfg.resilver_chunk,
+            ),
             recheck: Vec::new(),
             voided: false,
         });
-        self.bulk_pump(ctx, Mover::Resilver(vol));
+        self.bulk_pump(ctx, vol);
     }
 
     /// Arm or lift the stale-half read fence from the member's health: a
@@ -966,58 +907,28 @@ impl PmmProc {
             .collect()
     }
 
-    // --- the bulk engine's pump: one for every mover ----------------------
+    // --- the resilver's pump over the bulk engine ---------------------------
 
-    fn new_bulk_run(&self, phase: Phase, queue: VecDeque<Chunk>, parties: usize) -> BulkRun {
-        BulkRun::new(
-            phase,
-            queue,
-            parties,
-            TRANSFER_WINDOW,
-            self.cfg.resilver_chunk,
-        )
+    fn bulk_mut(&mut self, vol: usize) -> Option<&mut BulkRun> {
+        self.vols[vol].resilver.as_mut().map(|r| &mut r.bulk)
     }
 
-    fn bulk_mut(&mut self, mover: Mover) -> Option<&mut BulkRun> {
-        match mover {
-            Mover::Resilver(vol) => self.vols[vol].resilver.as_mut().map(|r| &mut r.bulk),
-            Mover::Migration => self.migration.as_mut().map(|m| &mut m.bulk),
-        }
+    /// The two halves of member `vol`'s run, `(survivor, revived)`: a copy
+    /// goes from the first to the second at the same device offset, a
+    /// verify digests both.
+    fn parties(&self, vol: usize) -> (EndpointId, EndpointId) {
+        let run = self.vols[vol].resilver.as_ref();
+        let half = run.expect("pumped without a run").half;
+        (self.half_ep(vol, 1 - half), self.half_ep(vol, half))
     }
 
-    /// The device ranges behind a run offset, source first: a copy goes
-    /// from party 0 to each of the others, a verify digests them all.
-    /// Resilver: survivor → revived, same device offset. Migration: the
-    /// source's primary half (the source member is Healthy — a degrade
-    /// aborts the migration) → both destination halves.
-    fn parties(&self, mover: Mover, off: u64) -> Vec<(EndpointId, u64)> {
-        match mover {
-            Mover::Resilver(vol) => {
-                let run = self.vols[vol].resilver.as_ref();
-                let half = run.expect("pumped without a run").half;
-                vec![
-                    (self.half_ep(vol, 1 - half), off),
-                    (self.half_ep(vol, half), off),
-                ]
-            }
-            Mover::Migration => {
-                let m = self.migration.as_ref().expect("pumped without a run");
-                vec![
-                    (self.half_ep(m.src_vol, 0), m.src_base + off),
-                    (self.half_ep(m.dst_vol, 0), m.dst_base + off),
-                    (self.half_ep(m.dst_vol, 1), m.dst_base + off),
-                ]
-            }
-        }
-    }
-
-    /// `mover`'s run is over: its ops still in flight answer to nobody.
-    fn forget_bulk_ops(&mut self, ctx: &mut Ctx<'_>, mover: Mover) {
-        self.bulk_ops.retain(|_, (m, _, timeout)| {
-            if *m == mover {
+    /// Member `vol`'s run is over: its ops still in flight answer to nobody.
+    fn forget_bulk_ops(&mut self, ctx: &mut Ctx<'_>, vol: usize) {
+        self.bulk_ops.retain(|_, (v, _, timeout)| {
+            if *v == vol {
                 ctx.disarm(*timeout);
             }
-            *m != mover
+            *v != vol
         });
     }
 
@@ -1027,79 +938,69 @@ impl PmmProc {
         &mut self,
         ctx: &mut Ctx<'_>,
         rid: u64,
-        mover: Mover,
+        vol: usize,
         op: BulkOp,
         timeout: SimDuration,
     ) {
         let timeout = ctx.arm_timer(timeout, BulkStepTimeout { rid });
-        self.bulk_ops.insert(rid, (mover, op, timeout));
+        self.bulk_ops.insert(rid, (vol, op, timeout));
     }
 
     /// A bulk step was answered: its entry and its watchdog go.
-    fn retire_bulk_op(&mut self, ctx: &mut Ctx<'_>, rid: u64) -> Option<(Mover, BulkOp)> {
-        let (mover, op, timeout) = self.bulk_ops.remove(&rid)?;
+    fn retire_bulk_op(&mut self, ctx: &mut Ctx<'_>, rid: u64) -> Option<(usize, BulkOp)> {
+        let (vol, op, timeout) = self.bulk_ops.remove(&rid)?;
         ctx.disarm(timeout);
-        Some((mover, op))
+        Some((vol, op))
     }
 
-    /// Drive a mover's run: keep up to [`TRANSFER_WINDOW`] units in flight,
-    /// and hand the run to its owner's transition rule each time a phase
-    /// has drained *and* the window emptied. Every byte moves device to
-    /// device (the source pushes a chunk straight to each destination;
-    /// bulk admission is bought first) and every comparison is of digests
-    /// the devices took themselves — the PMM's ports carry 64-byte
-    /// commands and 8 bytes per chunk back.
-    fn bulk_pump(&mut self, ctx: &mut Ctx<'_>, mover: Mover) {
+    /// Drive member `vol`'s resilver: keep up to [`TRANSFER_WINDOW`] units
+    /// in flight, and apply its transition rule each time a phase has
+    /// drained *and* the window emptied. Every byte moves device to device
+    /// (the survivor pushes a chunk straight to the revived half; bulk
+    /// admission is bought first) and every comparison is of digests the
+    /// devices took themselves — the PMM's ports carry 64-byte commands
+    /// and 8 bytes per chunk back.
+    fn bulk_pump(&mut self, ctx: &mut Ctx<'_>, vol: usize) {
         let chunk = self.cfg.resilver_chunk.max(1);
         let now_ns = ctx.now().as_nanos();
         let (net, me) = (self.pair.net.clone(), self.pair.ep);
+        let class = TrafficClass::Bulk;
         loop {
-            let Some(run) = self.bulk_mut(mover) else {
+            let Some(run) = self.bulk_mut(vol) else {
                 return;
             };
             let admit = |bytes| net.lock().try_bulk_admission(bytes, now_ns);
             match run.next(admit) {
                 Step::Wait => return,
                 Step::Backoff { wait_ns, arm } => {
-                    match mover {
-                        Mover::Resilver(vol) => self.vol_stat(vol, |s| s.bulk_throttle_waits += 1),
-                        Mover::Migration => self.stats.lock().bulk_throttle_waits += 1,
-                    }
+                    self.vol_stat(vol, |s| s.bulk_throttle_waits += 1);
                     if arm {
                         let wait = SimDuration::from_nanos(wait_ns.max(1));
-                        ctx.send_self(wait, BulkBackoff { mover });
+                        ctx.send_self(wait, BulkBackoff { vol });
                     }
                     return;
                 }
                 Step::Copy { off, len } => {
-                    let parties = self.parties(mover, off);
-                    let (src, src_at) = parties[0];
-                    let timeout = self.step_timeout(len * (parties.len() as u32 - 1));
-                    for &(dst, dst_at) in &parties[1..] {
-                        let rid = self.next_rdma;
-                        self.next_rdma += 1;
-                        let class = TrafficClass::Bulk;
-                        rdma_copy(ctx, &net, me, src, src_at, len, dst, dst_at, rid, class);
-                        self.track_bulk_op(ctx, rid, mover, BulkOp::Copy { off, len }, timeout);
-                    }
+                    let (src, dst) = self.parties(vol);
+                    let timeout = self.step_timeout(len);
+                    let rid = self.next_rdma;
+                    self.next_rdma += 1;
+                    rdma_copy(ctx, &net, me, src, off, len, dst, off, rid, class);
+                    self.track_bulk_op(ctx, rid, vol, BulkOp::Copy { off, len }, timeout);
                 }
                 Step::Scrub { off, len } => {
                     let timeout = self.digest_timeout();
-                    for (party, (ep, at)) in self.parties(mover, off).into_iter().enumerate() {
+                    let (survivor, revived) = self.parties(vol);
+                    for (party, ep) in [survivor, revived].into_iter().enumerate() {
                         let rid = self.next_rdma;
                         self.next_rdma += 1;
-                        let class = TrafficClass::Bulk;
-                        rdma_scrub(ctx, &net, me, ep, at, len, chunk, rid, class);
+                        rdma_scrub(ctx, &net, me, ep, off, len, chunk, rid, class);
                         let op = BulkOp::Scrub { off, len, party };
-                        self.track_bulk_op(ctx, rid, mover, op, timeout);
+                        self.track_bulk_op(ctx, rid, vol, op, timeout);
                     }
                 }
                 Step::Transition(drained) => {
-                    let go_on = match mover {
-                        Mover::Resilver(vol) => self.resilver_transition(ctx, vol, drained),
-                        Mover::Migration => self.mig_transition(ctx, drained),
-                    };
-                    if !go_on {
+                    if !self.resilver_transition(ctx, vol, drained) {
                         return;
                     }
                 }
@@ -1108,50 +1009,37 @@ impl PmmProc {
     }
 
     /// A device-to-device copy was acknowledged (or refused).
-    fn on_copy_done(&mut self, ctx: &mut Ctx<'_>, mover: Mover, op: BulkOp, status: RdmaStatus) {
+    fn on_copy_done(&mut self, ctx: &mut Ctx<'_>, vol: usize, op: BulkOp, status: RdmaStatus) {
         let BulkOp::Copy { off, len } = op else {
             return;
         };
         if status != RdmaStatus::Ok {
-            self.abort_mover(ctx, mover);
+            self.abort_resilver(ctx, vol);
             return;
         }
-        if !self.bulk_mut(mover).is_some_and(|run| run.copy_done(off)) {
+        if !self.bulk_mut(vol).is_some_and(|run| run.copy_done(off)) {
             return;
         }
-        match mover {
-            Mover::Resilver(vol) => self.vol_stat(vol, |s| s.resilver_bytes_copied += len as u64),
-            Mover::Migration => self.stats.lock().migrate_bytes_copied += len as u64,
-        }
-        self.bulk_pump(ctx, mover);
+        self.vol_stat(vol, |s| s.resilver_bytes_copied += len as u64);
+        self.bulk_pump(ctx, vol);
     }
 
-    /// One party's digest vector for a scrub run arrived. The run leaves
-    /// the window once every party has answered.
-    fn on_scrub_done(&mut self, ctx: &mut Ctx<'_>, mover: Mover, op: BulkOp, done: RdmaScrubDone) {
+    /// One half's digest vector for a scrub run arrived. The run leaves
+    /// the window once both halves have answered.
+    fn on_scrub_done(&mut self, ctx: &mut Ctx<'_>, vol: usize, op: BulkOp, done: RdmaScrubDone) {
         let BulkOp::Scrub { off, len, party } = op else {
             return;
         };
         if done.status != RdmaStatus::Ok {
-            self.abort_mover(ctx, mover);
+            self.abort_resilver(ctx, vol);
             return;
         }
-        if let Mover::Resilver(vol) = mover {
-            self.vol_stat(vol, |s| s.resilver_bytes_digested += len);
-        }
+        self.vol_stat(vol, |s| s.resilver_bytes_digested += len);
         if self
-            .bulk_mut(mover)
+            .bulk_mut(vol)
             .is_some_and(|run| run.scrub_done(off, party, done.digests))
         {
-            self.bulk_pump(ctx, mover);
-        }
-    }
-
-    /// A step of `mover`'s run failed or went unanswered.
-    fn abort_mover(&mut self, ctx: &mut Ctx<'_>, mover: Mover) {
-        match mover {
-            Mover::Resilver(vol) => self.abort_resilver(ctx, vol),
-            Mover::Migration => self.abort_migration(ctx),
+            self.bulk_pump(ctx, vol);
         }
     }
 
@@ -1219,7 +1107,7 @@ impl PmmProc {
         let Some(run) = self.vols[vol].resilver.take() else {
             return;
         };
-        self.forget_bulk_ops(ctx, Mover::Resilver(vol));
+        self.forget_bulk_ops(ctx, vol);
         self.vols[vol].meta.epoch += 1;
         self.vols[vol].meta.health = HealthState::Degraded {
             half: run.half,
@@ -1235,7 +1123,7 @@ impl PmmProc {
     /// Healthy with a metadata write to both of its halves.
     fn finish_resilver(&mut self, ctx: &mut Ctx<'_>, vol: usize) {
         self.vols[vol].resilver = None;
-        self.forget_bulk_ops(ctx, Mover::Resilver(vol));
+        self.forget_bulk_ops(ctx, vol);
         let now = ctx.now().as_nanos();
         self.vol_stat(vol, |s| {
             s.resilvers_completed += 1;
@@ -1252,22 +1140,9 @@ impl PmmProc {
     /// Resume failure handling from durable/checkpointed health after a
     /// (re)start or takeover, member by member. A Resilvering member
     /// restarts as Degraded: the copy progress was volatile, and the
-    /// probe path re-enters the resilver cleanly. Any in-memory
-    /// migration reservation from a dead primary is dropped too.
+    /// probe path re-enters the resilver cleanly.
     fn resume_health(&mut self, ctx: &mut Ctx<'_>) {
         for vol in 0..self.vols.len() {
-            let leaked: Vec<u64> = self.vols[vol]
-                .meta
-                .regions
-                .iter()
-                .filter(|r| r.id == MIG_RESERVATION_ID)
-                .map(|r| r.base)
-                .collect();
-            for base in leaked {
-                self.vols[vol].meta.regions.retain(|r| r.base != base);
-                self.vols[vol].npmu_a.att.lock().unmap(base);
-                self.vols[vol].npmu_b.att.lock().unmap(base);
-            }
             match self.vols[vol].meta.health {
                 HealthState::Healthy => {}
                 HealthState::Degraded { .. } => self.arm_probe_tick(ctx, vol),
@@ -1304,136 +1179,11 @@ impl PmmProc {
         }
     }
 
-    // --- online region migration -----------------------------------------
-
-    /// (Re)map `[base, base + len)` on both halves of `vol` for the PMM
-    /// CPUs only. On a migration's destination this is the window its
-    /// copies land through; on its source it is the fence — clients take
-    /// RDMA faults from here until the new map commits (or the migration
-    /// aborts and the window is re-opened).
-    fn map_pmm_only(&mut self, vol: usize, base: u64, len: u64) {
-        let vol = &self.vols[vol];
-        for att in [&vol.npmu_a.att, &vol.npmu_b.att] {
-            let mut att = att.lock();
-            att.unmap(base);
-            att.map(AttEntry {
-                nva_base: base,
-                len,
-                phys_base: base,
-                allowed: CpuFilter::Only(self.att_cpus.clone()),
-            });
-        }
-    }
-
-    /// The migration's transition rule; `false` once the run has ended.
-    fn mig_transition(&mut self, ctx: &mut Ctx<'_>, drained: Phase) -> bool {
-        let Some(run) = &mut self.migration else {
-            return false;
-        };
-        if drained == Phase::Verify {
-            let divergent = run.bulk.take_divergent();
-            if divergent.is_empty() {
-                self.commit_migration(ctx);
-                return false;
-            }
-            // Chunks clients wrote between their copy and the fence — or
-            // between the two device copies of one chunk, which leaves
-            // the destination halves unequal: re-copy them (behind the
-            // fence the source no longer moves, so this converges).
-            run.bulk.start(Phase::Copy, divergent.into());
-            return true;
-        }
-        // Copy drained and every device copy acknowledged: fence the
-        // source so no further client write can race the verify, then
-        // compare source and both destination halves over the whole
-        // region.
-        let (src_vol, src_base, len) = (run.src_vol, run.src_base, run.len);
-        if !std::mem::replace(&mut run.fenced, true) {
-            self.map_pmm_only(src_vol, src_base, len);
-        }
-        let queue = self.chunks(0, len).collect();
-        if let Some(run) = &mut self.migration {
-            run.bulk.start(Phase::Verify, queue);
-        }
-        true
-    }
-
-    /// Undo an in-flight migration: drop the destination reservation and
-    /// its PMM-only windows, unfence the source, tell the client.
-    fn abort_migration(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(run) = self.migration.take() else {
-            return;
-        };
-        self.forget_bulk_ops(ctx, Mover::Migration);
-        self.vols[run.dst_vol]
-            .meta
-            .regions
-            .retain(|r| r.id != MIG_RESERVATION_ID);
-        self.vols[run.dst_vol].npmu_a.att.lock().unmap(run.dst_base);
-        self.vols[run.dst_vol].npmu_b.att.lock().unmap(run.dst_base);
-        if run.fenced {
-            self.program_region_att(run.region_id);
-        }
-        self.stats.lock().migrations_aborted += 1;
-        let net = self.pair.net.clone();
-        send_net_msg(
-            ctx,
-            &net,
-            self.pair.ep,
-            run.reply_to_ep,
-            128,
-            MigrateRegionAck {
-                token: run.client_token,
-                result: Err(PmError::Failed),
-            },
-        );
-    }
-
-    /// The verify pass was clean: switch the region's map to the
-    /// destination with a pool-wide durable metadata write, then (on
-    /// commit) tear down the old window and open the new one to clients.
-    fn commit_migration(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(run) = self.migration.take() else {
-            return;
-        };
-        self.forget_bulk_ops(ctx, Mover::Migration);
-        if let Some(r) = self.pool.regions.iter_mut().find(|r| r.id == run.region_id) {
-            r.map = StripeMap::solo(run.dst_vol as u32, run.dst_base, run.len);
-        }
-        // Rebuilding member tables from the pool drops the destination
-        // reservation and installs the real region record in one move.
-        self.commit_namespace_change();
-        self.stats.lock().migrations_completed += 1;
-        let info = self
-            .pool
-            .find_by_id(run.region_id)
-            .map(|r| self.region_info(r));
-        let targets = self.all_vols();
-        self.start_meta_write(
-            ctx,
-            PendingOp {
-                waiting_writes: 0,
-                write_timeout: None,
-                waiting_ckpt: false,
-                reply_to_ep: run.reply_to_ep,
-                reply: PendingReply::Migrate(run.client_token, info.ok_or(PmError::Failed)),
-                att_actions: vec![
-                    AttAction::UnmapExtents(vec![(run.src_vol, run.src_base)]),
-                    AttAction::MapRegion {
-                        region_id: run.region_id,
-                    },
-                ],
-            },
-            &targets,
-        );
-    }
-
     // --- placement -------------------------------------------------------
 
-    /// The member with the most free space, optionally excluding one.
-    fn most_free_vol(&self, exclude: Option<usize>) -> Option<usize> {
+    /// The member with the most free space.
+    fn most_free_vol(&self) -> Option<usize> {
         (0..self.vols.len())
-            .filter(|v| Some(*v) != exclude)
             .max_by_key(|&v| alloc::free_bytes(&self.vols[v].meta, self.device_capacity(v)))
     }
 
@@ -1457,7 +1207,7 @@ impl PmmProc {
     fn place(&self, placement: Placement, len: u64) -> Option<StripeMap> {
         match placement {
             Placement::Balanced => {
-                let v = self.most_free_vol(None)?;
+                let v = self.most_free_vol()?;
                 let base = alloc::find_space(&self.vols[v].meta, self.device_capacity(v), len)?;
                 Some(StripeMap::solo(v as u32, base, len))
             }
@@ -1542,11 +1292,6 @@ impl PmmProc {
                     );
                     return;
                 }
-                if self.migration.is_some() {
-                    // A migration owns the namespace until it resolves.
-                    reject(ctx, PmError::Busy);
-                    return;
-                }
                 let len = req.len.max(1);
                 let placement = self
                     .cfg
@@ -1578,14 +1323,11 @@ impl PmmProc {
                 let targets = self.all_vols();
                 self.start_meta_write(
                     ctx,
-                    PendingOp {
-                        waiting_writes: 0,
-                        write_timeout: None,
-                        waiting_ckpt: false,
-                        reply_to_ep: from_ep,
-                        reply: PendingReply::Create(req.token, Ok(info)),
-                        att_actions: vec![AttAction::MapRegion { region_id: id }],
-                    },
+                    PendingOp::new(
+                        from_ep,
+                        PendingReply::Create(req.token, Ok(info)),
+                        vec![AttAction::MapRegion { region_id: id }],
+                    ),
                     &targets,
                 );
                 return;
@@ -1660,7 +1402,7 @@ impl PmmProc {
         let payload = match payload.downcast::<DeleteRegion>() {
             Ok(req) => {
                 let req = *req;
-                let reject = |ctx: &mut Ctx<'_>, e: PmError| {
+                let Some(r) = self.pool.find(&req.name).cloned() else {
                     send_net_msg(
                         ctx,
                         &net,
@@ -1669,141 +1411,30 @@ impl PmmProc {
                         64,
                         DeleteRegionAck {
                             token: req.token,
-                            result: Err(e),
+                            result: Err(PmError::NotFound),
                         },
                     );
-                };
-                if self.migration.is_some() {
-                    reject(ctx, PmError::Busy);
                     return;
-                }
-                match self.pool.find(&req.name).cloned() {
-                    Some(r) => {
-                        let unmaps: Vec<(usize, u64)> = r
-                            .map
-                            .extents
-                            .iter()
-                            .map(|e| (e.volume as usize, e.base))
-                            .collect();
-                        self.pool.regions.retain(|x| x.id != r.id);
-                        self.commit_namespace_change();
-                        self.open_cpus.remove(&r.id);
-                        let targets = self.all_vols();
-                        self.start_meta_write(
-                            ctx,
-                            PendingOp {
-                                waiting_writes: 0,
-                                write_timeout: None,
-                                waiting_ckpt: false,
-                                reply_to_ep: from_ep,
-                                reply: PendingReply::Delete(req.token, Ok(())),
-                                att_actions: vec![AttAction::UnmapExtents(unmaps)],
-                            },
-                            &targets,
-                        );
-                    }
-                    None => reject(ctx, PmError::NotFound),
-                }
-                return;
-            }
-            Err(p) => p,
-        };
-
-        let payload = match payload.downcast::<MigrateRegion>() {
-            Ok(req) => {
-                let req = *req;
-                let reject = |ctx: &mut Ctx<'_>, e: PmError| {
-                    send_net_msg(
-                        ctx,
-                        &net,
-                        self.pair.ep,
+                };
+                let unmaps: Vec<(usize, u64)> = r
+                    .map
+                    .extents
+                    .iter()
+                    .map(|e| (e.volume as usize, e.base))
+                    .collect();
+                self.pool.regions.retain(|x| x.id != r.id);
+                self.commit_namespace_change();
+                self.open_cpus.remove(&r.id);
+                let targets = self.all_vols();
+                self.start_meta_write(
+                    ctx,
+                    PendingOp::new(
                         from_ep,
-                        128,
-                        MigrateRegionAck {
-                            token: req.token,
-                            result: Err(e),
-                        },
-                    );
-                };
-                if self.migration.is_some() {
-                    reject(ctx, PmError::Busy);
-                    return;
-                }
-                let Some(r) = self.pool.find(&req.name).cloned() else {
-                    reject(ctx, PmError::NotFound);
-                    return;
-                };
-                if r.map.is_striped() {
-                    // Striped regions are already spread out; draining a
-                    // member of its stripe slots is out of scope.
-                    reject(ctx, PmError::Failed);
-                    return;
-                }
-                let src_vol = r.map.extents[0].volume as usize;
-                let dst_vol = match req.to_volume {
-                    Some(v) => {
-                        let v = v as usize;
-                        if v >= self.vols.len() {
-                            reject(ctx, PmError::NotFound);
-                            return;
-                        }
-                        v
-                    }
-                    None => match self.most_free_vol(Some(src_vol)) {
-                        Some(v) => v,
-                        None => {
-                            reject(ctx, PmError::NoSpace);
-                            return;
-                        }
-                    },
-                };
-                if dst_vol == src_vol {
-                    reject(ctx, PmError::AlreadyExists);
-                    return;
-                }
-                // Both ends must have both mirrors: the copy lands on the
-                // destination's two halves and trusts the source's primary.
-                if !self.vols[src_vol].meta.health.is_healthy()
-                    || !self.vols[dst_vol].meta.health.is_healthy()
-                {
-                    reject(ctx, PmError::Busy);
-                    return;
-                }
-                let Some(dst_base) = alloc::find_space(
-                    &self.vols[dst_vol].meta,
-                    self.device_capacity(dst_vol),
-                    r.len,
-                ) else {
-                    reject(ctx, PmError::NoSpace);
-                    return;
-                };
-                // Reserve the destination in-memory only: recovery
-                // rederives member tables from the pool namespace, so a
-                // crash mid-migration leaves nothing behind.
-                self.vols[dst_vol].meta.regions.push(RegionMeta {
-                    id: MIG_RESERVATION_ID,
-                    name: format!("{}#mig", r.name),
-                    base: dst_base,
-                    len: r.len,
-                    owner_cpu: r.owner_cpu,
-                });
-                self.map_pmm_only(dst_vol, dst_base, r.len);
-                self.stats.lock().migrations_started += 1;
-                let src_base = r.map.extents[0].base;
-                let queue = self.chunks(0, r.len).collect();
-                self.migration = Some(MigrationRun {
-                    region_id: r.id,
-                    client_token: req.token,
-                    reply_to_ep: from_ep,
-                    src_vol,
-                    dst_vol,
-                    src_base,
-                    dst_base,
-                    len: r.len,
-                    fenced: false,
-                    bulk: self.new_bulk_run(Phase::Copy, queue, 3),
-                });
-                self.bulk_pump(ctx, Mover::Migration);
+                        PendingReply::Delete(req.token, Ok(())),
+                        vec![AttAction::UnmapExtents(unmaps)],
+                    ),
+                    &targets,
+                );
                 return;
             }
             Err(p) => p,
@@ -1866,14 +1497,7 @@ impl PmmProc {
             let targets = self.all_vols();
             self.start_meta_write(
                 ctx,
-                PendingOp {
-                    waiting_writes: 0,
-                    write_timeout: None,
-                    waiting_ckpt: false,
-                    reply_to_ep: from_ep,
-                    reply: PendingReply::Fence(req.token, req.epoch),
-                    att_actions: vec![],
-                },
+                PendingOp::new(from_ep, PendingReply::Fence(req.token, req.epoch), vec![]),
                 &targets,
             );
         }
@@ -1972,20 +1596,20 @@ impl Actor for PmmProc {
 
         let msg = match msg.take::<BulkStepTimeout>() {
             Ok((_, t)) => {
-                if let Some((mover, _, _)) = self.bulk_ops.remove(&t.rid) {
-                    self.abort_mover(ctx, mover);
+                if let Some((vol, _, _)) = self.bulk_ops.remove(&t.rid) {
+                    self.abort_resilver(ctx, vol);
                 }
                 return;
             }
             Err(m) => m,
         };
 
-        // Bulk-admission backoff expiry: retry the mover's pump.
+        // Bulk-admission backoff expiry: retry the resilver's pump.
         let msg = match msg.take::<BulkBackoff>() {
             Ok((_, t)) => {
-                if let Some(run) = self.bulk_mut(t.mover) {
+                if let Some(run) = self.bulk_mut(t.vol) {
                     run.backoff_expired();
-                    self.bulk_pump(ctx, t.mover);
+                    self.bulk_pump(ctx, t.vol);
                 }
                 return;
             }
@@ -2040,8 +1664,8 @@ impl Actor for PmmProc {
         // Device-to-device copy acks.
         let msg = match msg.take::<RdmaCopyDone>() {
             Ok((_, done)) => {
-                if let Some((mover, op)) = self.retire_bulk_op(ctx, done.op_id) {
-                    self.on_copy_done(ctx, mover, op, done.status);
+                if let Some((vol, op)) = self.retire_bulk_op(ctx, done.op_id) {
+                    self.on_copy_done(ctx, vol, op, done.status);
                 }
                 return;
             }
@@ -2051,8 +1675,8 @@ impl Actor for PmmProc {
         // Device scrub digests.
         let msg = match msg.take::<RdmaScrubDone>() {
             Ok((_, done)) => {
-                if let Some((mover, op)) = self.retire_bulk_op(ctx, done.op_id) {
-                    self.on_scrub_done(ctx, mover, op, done);
+                if let Some((vol, op)) = self.retire_bulk_op(ctx, done.op_id) {
+                    self.on_scrub_done(ctx, vol, op, done);
                 }
                 return;
             }
@@ -2126,14 +1750,12 @@ pub fn install_pmm_pool(
         }
     }
 
-    // Device-to-device resilver copy: every pool member device may DMA
-    // into any other, so register them as mutual peers on each device's
-    // allowlist (peer writes skip the CPU filter but not window bounds).
-    let pool_eps: Vec<EndpointId> = volumes.iter().flat_map(|(a, b)| [a.ep, b.ep]).collect();
+    // Device-to-device resilver copy: a member's survivor DMAs into its
+    // revived twin, so each half registers the other as its one peer
+    // (peer writes skip the CPU filter but not window bounds).
     for (a, b) in volumes {
-        for h in [a, b] {
-            h.dma_peers.lock().extend(pool_eps.iter().copied());
-        }
+        a.dma_peers.lock().insert(b.ep);
+        b.dma_peers.lock().insert(a.ep);
     }
 
     // Recover each member: per-device two-slot recovery, then
@@ -2201,7 +1823,6 @@ pub fn install_pmm_pool(
                 rdma_ops: BTreeMap::new(),
                 next_rdma: 0,
                 probes: BTreeMap::new(),
-                migration: None,
                 bulk_ops: BTreeMap::new(),
                 stats: stats2,
             })

@@ -14,12 +14,9 @@ pub enum PmError {
     NotFound,
     NoSpace,
     NotOpen,
-    /// The pool is busy with a conflicting operation (e.g. a region
-    /// migration is draining a member).
+    /// The request conflicts with the pool's state (a [`FencePool`] whose
+    /// epoch is not newer than the pool's).
     Busy,
-    /// The operation started but could not complete (e.g. a migration
-    /// aborted because a device stopped answering mid-copy).
-    Failed,
 }
 
 /// The mirrored NPMU endpoints of one pool member volume.
@@ -115,27 +112,6 @@ pub struct DeleteRegion {
 pub struct DeleteRegionAck {
     pub token: u64,
     pub result: Result<(), PmError>,
-}
-
-/// Move a single-extent region's bytes to another member volume, online
-/// (drain / rebalance). The copy runs while clients keep writing to the
-/// old location; a brief fence before the final verify makes the switch
-/// atomic, after which stale clients take an `OutOfBounds` completion
-/// and must reopen for the new map.
-#[derive(Clone, Debug)]
-pub struct MigrateRegion {
-    pub name: String,
-    /// Destination member; `None` picks the member with the most free
-    /// space other than the current one.
-    pub to_volume: Option<u32>,
-    pub token: u64,
-}
-
-#[derive(Clone, Debug)]
-pub struct MigrateRegionAck {
-    pub token: u64,
-    /// The region's fresh info (new map) on success.
-    pub result: Result<RegionInfo, PmError>,
 }
 
 /// Fire-and-forget client report: RDMA to one mirror half of a member

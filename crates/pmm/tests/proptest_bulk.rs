@@ -1,24 +1,24 @@
 //! Property tests for the PMM's bulk engine (`pmm::bulk::BulkRun`), driven
 //! the way the manager's pump drives it but with a scripted fabric: under
-//! any queue shape, window, party count, admission pattern and completion
-//! order the engine never exceeds its window, issues every queued chunk
-//! exactly once per phase, coalesces only contiguous full-size chunks into
-//! a scrub, changes phase only with nothing in flight, issues nothing on a
-//! denied admission, and calls divergent exactly the chunks on which the
-//! parties' digests differ or are missing.
+//! any queue shape, window, admission pattern and completion order the
+//! engine never exceeds its window, issues every queued chunk exactly once
+//! per phase, coalesces only contiguous full-size chunks into a scrub,
+//! changes phase only with nothing in flight, issues nothing on a denied
+//! admission, and calls divergent exactly the chunks on which the two
+//! halves' digests differ or are missing.
 
 use pmm::bulk::{BulkRun, Chunk, Phase, Step, SCRUB_BATCH};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
 const CHUNK: u32 = 8;
+/// A run's parties: the source (0) and the destination (1).
+const PARTIES: usize = 2;
 
 /// A unit the model believes is in flight.
 enum Unit {
-    Copy {
-        off: u64,
-        legs_left: usize,
-    },
+    /// The chunk at this offset.
+    Copy(u64),
     Scrub {
         off: u64,
         /// Digest vector per party still to deliver.
@@ -64,7 +64,6 @@ fn drive_phase(
     phase: Phase,
     expected: &[Chunk],
     window: u32,
-    parties: usize,
     dice: &mut Dice<'_>,
 ) -> Vec<Chunk> {
     let mut todo: VecDeque<Chunk> = expected.iter().copied().collect();
@@ -80,10 +79,7 @@ fn drive_phase(
                 assert_eq!(phase, Phase::Copy);
                 assert!(!deny, "issued on a denied admission");
                 assert_eq!(todo.pop_front(), Some((off, len)), "out of order or twice");
-                inflight.push(Unit::Copy {
-                    off,
-                    legs_left: parties - 1,
-                });
+                inflight.push(Unit::Copy(off));
             }
             Step::Scrub { off, len } => {
                 assert_eq!(phase, Phase::Verify);
@@ -99,13 +95,13 @@ fn drive_phase(
                 assert_eq!(covered, len);
                 assert!(parts.len() <= SCRUB_BATCH as usize);
                 assert!(parts[..parts.len() - 1].iter().all(|&(_, l)| l == CHUNK));
-                // Per chunk: all parties agree, one differs, or one's
+                // Per chunk: both parties agree, one differs, or one's
                 // vector stops short of it.
-                let mut vectors = vec![Vec::new(); parties];
+                let mut vectors = vec![Vec::new(); PARTIES];
                 let mut short: Option<usize> = None;
                 for (i, &(o, l)) in parts.iter().enumerate() {
                     let fate = dice.roll(5);
-                    let odd = dice.roll(parties);
+                    let odd = dice.roll(PARTIES);
                     if fate == 0 && short.is_none() && i + 1 == parts.len() {
                         short = Some(odd);
                     }
@@ -120,7 +116,7 @@ fn drive_phase(
                     }
                 }
                 let mut pending: Vec<_> = vectors.into_iter().enumerate().collect();
-                let k = dice.roll(parties);
+                let k = dice.roll(PARTIES);
                 pending.rotate_left(k);
                 inflight.push(Unit::Scrub { off, pending });
             }
@@ -136,11 +132,10 @@ fn drive_phase(
                 assert!(!inflight.is_empty(), "waiting on nothing");
                 let i = dice.roll(inflight.len());
                 let done = match &mut inflight[i] {
-                    Unit::Copy { off, legs_left } => {
-                        *legs_left -= 1;
-                        let done = run.copy_done(*off);
-                        assert_eq!(done, *legs_left == 0);
-                        done
+                    Unit::Copy(off) => {
+                        assert!(run.copy_done(*off), "one ack retires a copy");
+                        assert!(!run.copy_done(*off), "a second ack counted");
+                        true
                     }
                     Unit::Scrub { off, pending } => {
                         let (party, digests) = pending.pop().expect("delivered twice");
@@ -171,7 +166,6 @@ proptest! {
     fn engine_invariants_hold_under_any_schedule(
         extents in proptest::collection::vec((0u64..3, 1u64..(CHUNK as u64 * 90)), 1..5),
         window in 1u32..6,
-        parties in 2usize..4,
         tape in proptest::collection::vec(any::<u8>(), 16..64),
     ) {
         let mut dice = Dice {
@@ -180,17 +174,17 @@ proptest! {
             timer_armed: false,
         };
         let all = queue_of(&extents);
-        let mut run = BulkRun::new(Phase::Verify, all.iter().copied().collect(), parties, window, CHUNK);
+        let mut run = BulkRun::new(Phase::Verify, all.iter().copied().collect(), window, CHUNK);
         let mut expected = all;
-        // Verify, re-copy what diverged, verify that: as a migration does.
+        // Verify, re-copy what diverged, verify that: as a resilver does.
         for _ in 0..3 {
-            let divergent = drive_phase(&mut run, Phase::Verify, &expected, window, parties, &mut dice);
+            let divergent = drive_phase(&mut run, Phase::Verify, &expected, window, &mut dice);
             prop_assert_eq!(run.take_divergent(), divergent.clone());
             if divergent.is_empty() {
                 break;
             }
             run.start(Phase::Copy, divergent.iter().copied().collect());
-            let none = drive_phase(&mut run, Phase::Copy, &divergent, window, parties, &mut dice);
+            let none = drive_phase(&mut run, Phase::Copy, &divergent, window, &mut dice);
             prop_assert!(none.is_empty() && run.take_divergent().is_empty());
             run.start(Phase::Verify, divergent.iter().copied().collect());
             expected = divergent;

@@ -14,8 +14,7 @@
 //! 1. **Traffic classes.** Every fabric operation is tagged
 //!    [`TrafficClass::Commit`] (latency-critical publication),
 //!    [`TrafficClass::Audit`] (trail data batches) or
-//!    [`TrafficClass::Bulk`] (resilver / scrub / migration / recovery
-//!    scans). Replies inherit the request's class.
+//!    [`TrafficClass::Bulk`] (resilver copy and scrub, recovery scans). Replies inherit the request's class.
 //! 2. **Per-(port, class) queues + a scheduler.** With QoS enabled the
 //!    *device-side* port becomes an honest store-and-forward stage: it is
 //!    occupied for the full wire time of each transfer, and concurrent
@@ -50,8 +49,8 @@ pub enum TrafficClass {
     /// phase. Throughput-sensitive but still on the commit critical path
     /// (a commit ack waits for the batch covering its LSN).
     Audit = 1,
-    /// Background movers: the PMM's device-to-device copies and device
-    /// scrubs (resilver and `MigrateRegion` alike), recovery scans.
+    /// Background movers: the resilver's device-to-device copies and
+    /// device scrubs, recovery scans.
     /// Bandwidth-hungry, latency-tolerant.
     Bulk = 2,
 }

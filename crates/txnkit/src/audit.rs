@@ -13,6 +13,7 @@
 
 use crate::types::{Lsn, PartitionId, TxnId};
 use bytes::{BufMut, Bytes, BytesMut};
+use std::borrow::Cow;
 
 const MAGIC: u8 = 0xAD;
 
@@ -197,36 +198,124 @@ impl AuditRecord {
     }
 }
 
-/// Walk a trail image from offset 0, yielding `(lsn, record)` until the
-/// first torn/invalid record (the recovery stop point).
+/// The trail bytes an insert record occupies: its encoded image for a
+/// `body_len`-byte payload ([`AuditRecord::encoded_len`]), or its logical
+/// `virtual_len` if larger. The trail's LSN advances by this much; past
+/// the image the rest stays a zero gap.
+pub fn insert_trail_len(body_len: usize, virtual_len: u32) -> u64 {
+    (10 + 36 + body_len as u64).max(u64::from(virtual_len))
+}
+
+/// A trail's bytes in LSN order: `bytes[i]` lies at LSN `base + i`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Window<'a> {
+    pub base: u64,
+    pub bytes: &'a [u8],
+}
+
+impl<'a> From<&'a [u8]> for Window<'a> {
+    /// A trail read from LSN 0.
+    fn from(bytes: &'a [u8]) -> Self {
+        Window { base: 0, bytes }
+    }
+}
+
+/// The published window of a trail ring. LSN `l` lies at offset
+/// `l mod cap` of `ring` (a region's bytes past its control cell; a
+/// byte past its end reads as zero), so the last `cap` LSNs below
+/// `watermark` are the ones the ring still holds: the window is
+/// `[watermark − cap, watermark)`, returned as its base LSN and its bytes
+/// in LSN order (borrowed until the ring has lapped). A ring of no
+/// capacity holds nothing past its prefix.
+pub fn ring_window(ring: &[u8], watermark: u64, cap: u64) -> (u64, Cow<'_, [u8]>) {
+    if watermark <= cap || cap == 0 {
+        let end = ring.len().min(watermark as usize);
+        return (0, Cow::Borrowed(&ring[..end]));
+    }
+    let base = watermark - cap;
+    let at = (base % cap) as usize;
+    let mut bytes = vec![0u8; cap as usize];
+    let (head, tail) = bytes.split_at_mut(cap as usize - at);
+    for (to, from) in [(head, at), (tail, 0)] {
+        let have = ring.get(from..).unwrap_or_default();
+        let n = have.len().min(to.len());
+        to[..n].copy_from_slice(&have[..n]);
+    }
+    (base, Cow::Owned(bytes))
+}
+
+/// The records of a trail window, in LSN order, and how the read went.
+#[derive(Clone, Debug, Default)]
+pub struct TrailScan {
+    pub records: Vec<(Lsn, AuditRecord)>,
+    /// Non-zero bytes a lapped window's read passed over: the fragment at
+    /// its floor, and older laps' leftovers in the gaps appends leave.
+    pub skipped: u64,
+    /// Where a non-zero byte did not decode and stopped the read (a torn
+    /// record); `None` when it read its window to the end.
+    pub stopped_at: Option<Lsn>,
+}
+
+/// Read a trail window, yielding `(lsn, record)` until the window ends or
+/// a torn/invalid record stops it (the recovery stop point).
 ///
 /// LSNs advance by *virtual* record length, which can exceed the encoded
 /// length (compact descriptors at benchmark scale, padded commit
-/// records), leaving zero gaps between records on media; the scanner
-/// skips runs of zero bytes. A *non-zero* undecodable position is a torn
-/// record and stops the scan.
-pub fn scan(trail: &[u8]) -> Vec<(Lsn, AuditRecord)> {
-    let mut out = Vec::new();
+/// records). Only the encoded bytes are written, so the first lap leaves
+/// zero gaps between records, which the scanner skips; there a *non-zero*
+/// undecodable position is a torn record and stops the scan. A lapped
+/// window (`base > 0`) opens on the tail of a record whose head the ring
+/// overwrote, and its gaps still hold older laps' bytes. Everything below
+/// the watermark was published whole, so there an undecodable byte is
+/// such a leftover, never a torn record: it is skipped.
+pub fn scan_window(window: Window<'_>) -> TrailScan {
+    let Window { base, bytes } = window;
+    let lapped = base > 0;
+    let mut out = TrailScan::default();
     let mut pos = 0usize;
-    while pos < trail.len() {
-        if trail[pos] == 0 {
+    while pos < bytes.len() {
+        if bytes[pos] == 0 {
             pos += 1;
             continue;
         }
-        match AuditRecord::decode(&trail[pos..]) {
+        match AuditRecord::decode(&bytes[pos..]) {
             Some((rec, used)) => {
-                out.push((Lsn(pos as u64), rec));
+                out.records.push((Lsn(base + pos as u64), rec));
                 pos += used;
             }
-            None => break,
+            None if lapped => {
+                out.skipped += 1;
+                pos += 1;
+            }
+            None => {
+                out.stopped_at = Some(Lsn(pos as u64));
+                break;
+            }
         }
     }
     out
 }
 
+/// Read a trail ring's published window ([`ring_window`]).
+pub fn scan_ring(ring: &[u8], watermark: u64, cap: u64) -> TrailScan {
+    let (base, bytes) = ring_window(ring, watermark, cap);
+    scan_window(Window {
+        base,
+        bytes: &bytes,
+    })
+}
+
+/// Walk a trail image from offset 0, yielding `(lsn, record)` until the
+/// first torn/invalid record: the unlapped case of [`scan_window`].
+pub fn scan(trail: &[u8]) -> Vec<(Lsn, AuditRecord)> {
+    scan_window(trail.into()).records
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adp::pm::split_trail_parts;
+    use crate::adp::PM_CTRL_BYTES;
 
     fn insert_rec(txn: u64, key: u64, payload: &[u8]) -> AuditRecord {
         AuditRecord::Insert {
@@ -450,5 +539,79 @@ mod tests {
         r2.encode_into(&mut trail);
         let recs = scan(&trail);
         assert_eq!(recs[1].0, Lsn(r1.encoded_len() as u64));
+    }
+
+    /// A trail ring of `cap` bytes after `recs` were appended from LSN 0,
+    /// each `virt` virtual bytes long, laid out as the ADP lays its
+    /// appends: [`split_trail_parts`]. Returns the ring and the watermark.
+    fn ring_of(recs: &[AuditRecord], virt: u64, cap: u64) -> (Vec<u8>, u64) {
+        let (mut ring, mut lsn) = (vec![0u8; cap as usize], 0);
+        for r in recs {
+            let enc = r.encode();
+            for (off, part, _) in split_trail_parts(lsn, cap, virt, enc.len()) {
+                let at = (off - PM_CTRL_BYTES) as usize;
+                ring[at..at + part.len()].copy_from_slice(&enc[part]);
+            }
+            lsn += virt;
+        }
+        (ring, lsn)
+    }
+
+    #[test]
+    fn scan_reads_a_record_wrapped_across_the_ring_end() {
+        // Four 60-byte appends fill 240 of 256 bytes: the fifth record's
+        // first 16 bytes land at the ring's end, the rest at offset 0.
+        let recs: Vec<_> = (0..5).map(|k| insert_rec(1, k, b"x")).collect();
+        let (ring, wm) = ring_of(&recs, 60, 256);
+        assert_eq!(wm, 300);
+        let enc = recs[4].encode();
+        assert_eq!(ring[240..], enc[..16], "first segment at the ring's end");
+        assert_eq!(ring[..enc.len() - 16], enc[16..], "second at offset 0");
+        let scan = scan_ring(&ring, wm, 256);
+        let lsns: Vec<u64> = scan.records.iter().map(|(l, _)| l.0).collect();
+        assert_eq!(lsns, [60, 120, 180, 240]);
+        assert_eq!(scan.records[3].1, recs[4]);
+        // The floor (LSN 44) cuts record 0, whose head the wrap
+        // overwrote: its last bytes are skipped, not a stop.
+        assert!(scan.skipped > 0);
+        assert_eq!(scan.stopped_at, None);
+        // Read in physical order the ring offers the fragment first.
+        assert!(scan_window(ring[..].into()).records.is_empty());
+    }
+
+    #[test]
+    fn a_lapped_ring_reads_its_window_in_lsn_order() {
+        // Ten 64-byte appends on a 256-byte ring: two and a half laps.
+        // The window is the last four, each at its virtual LSN.
+        let recs: Vec<_> = (0..10).map(|k| insert_rec(k, k, b"x")).collect();
+        let (ring, wm) = ring_of(&recs, 64, 256);
+        let (base, window) = ring_window(&ring, wm, 256);
+        assert_eq!((base, window.len()), (384, 256));
+        let scan = scan_ring(&ring, wm, 256);
+        let want: Vec<_> = (6..10)
+            .map(|k| (Lsn(64 * k), recs[k as usize].clone()))
+            .collect();
+        assert_eq!(scan.records, want);
+        assert_eq!((scan.skipped, scan.stopped_at), (0, None));
+        // Unlapped, the window is the published prefix, borrowed.
+        let (base, window) = ring_window(&ring, 200, 256);
+        assert!(matches!(window, Cow::Borrowed(b) if b.len() == 200) && base == 0);
+    }
+
+    #[test]
+    fn older_laps_left_in_the_gaps_are_skipped_not_a_stop() {
+        // A lap of inserts, then a lap of commits padded to the same 64
+        // bytes: each commit leaves the tail of an older insert behind it.
+        let mut recs: Vec<_> = (0..4).map(|k| insert_rec(1, k, b"payload")).collect();
+        recs.extend((0..4).map(|t| AuditRecord::Commit { txn: TxnId(t) }));
+        let (ring, wm) = ring_of(&recs, 64, 256);
+        let scan = scan_ring(&ring, wm, 256);
+        assert_eq!(scan.records.len(), 4, "every commit of the window");
+        assert!(scan.skipped > 0);
+        assert_eq!(scan.stopped_at, None);
+        // The same bytes unlapped are a torn record: the scan stops.
+        let torn = scan_window(ring[..].into());
+        assert_eq!(torn.records.len(), 1);
+        assert_eq!(torn.stopped_at, Some(Lsn(18)));
     }
 }

@@ -226,7 +226,7 @@ impl Dp2Proc {
         };
         let records = audit.encode_in(&mut self.scratch);
         // The trail's virtual size carries the full record image.
-        let virt = (records.len() as u32).max(p.rec.virtual_len);
+        let virt = crate::audit::insert_trail_len(req.body.len(), p.rec.virtual_len) as u32;
         // Delta appends carry full record images — the bandwidth-bearing
         // arm of the commit path. They ride the audit class so the fabric
         // can arbitrate them against the TMF's commit-record control ops.

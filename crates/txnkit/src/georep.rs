@@ -39,6 +39,7 @@
 //! by a zombie's acks. RPO/RTO are then *measured*, not asserted: see
 //! the `georep` bench and `tests/georep_failover.rs`.
 
+use crate::adp::pm::split_trail_parts;
 use crate::adp::{encode_ctrl_slot, parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
 use crate::config::TxnConfig;
 use crate::types::{SubscribeTrail, TrailAdvance};
@@ -390,18 +391,10 @@ impl LogShipper {
         p.read_inflight = true;
         // The trail is circular: a span crossing the wrap reads as two
         // scatter-gather parts, concatenated by the library in order.
-        let cap = p.cap;
-        let pos = start % cap;
         let len = end - start;
-        let spans: Vec<(u64, u32)> = if pos + len <= cap {
-            vec![(PM_CTRL_BYTES + pos, len as u32)]
-        } else {
-            let first = cap - pos;
-            vec![
-                (PM_CTRL_BYTES + pos, first as u32),
-                (PM_CTRL_BYTES, (len - first) as u32),
-            ]
-        };
+        let spans: Vec<(u64, u32)> = split_trail_parts(start, p.cap, len, len as usize)
+            .map(|(off, _, wire)| (off, wire))
+            .collect();
         let tok = self.token(ShipToken::Data {
             part: i,
             start,
@@ -720,7 +713,7 @@ impl ReplicaApply {
                 // Same circular-split discipline as the primary ADP, so
                 // the standby image is byte-identical to the primary's.
                 let parts: Vec<(u64, Bytes, u32)> =
-                    crate::adp::pm::split_trail_parts(applied, cap, data.len() as u64, data.len())
+                    split_trail_parts(applied, cap, data.len() as u64, data.len())
                         .map(|(off, range, wire)| (off, data.slice(range), wire))
                         .collect();
                 let tok = self.token(ApplyToken::Data { part: i, end });

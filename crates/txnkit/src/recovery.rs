@@ -17,7 +17,7 @@
 //!   in-flight and where their trail extents are: it reads only the tail
 //!   past the last fuzzy checkpoint mark.
 
-use crate::audit::{scan, AuditRecord};
+use crate::audit::{scan_window, AuditRecord, Window};
 use crate::dp2::StoredRecord;
 use crate::types::{Lsn, PartitionId, TxnId};
 use simcore::hash::FastSet;
@@ -41,21 +41,23 @@ pub struct RecoveredState {
     pub bytes_scanned: u64,
 }
 
-/// Merge per-partition audit trails into one serializable history.
+/// Merge per-partition trail windows into one serializable history.
 ///
-/// Each partition's trail is internally LSN-ordered (the scan yields
-/// records in trail-position order); the merge interleaves partitions by
-/// `(Lsn, partition)` so replaying the merged stream front to back is
-/// equivalent to some serial execution: a transaction's records are
-/// confined to one partition (all audit sites route by
-/// [`TxnId::audit_partition`]), so cross-partition order only matters
-/// between independent transactions, and the LSN tiebreak makes the
-/// interleaving deterministic.
+/// Each partition's window is internally LSN-ordered (the scan stamps
+/// each record with its virtual LSN, a lapped ring's included); the merge
+/// interleaves partitions by `(Lsn, partition)` so replaying the merged
+/// stream front to back is equivalent to some serial execution: a
+/// transaction's records are confined to one partition (all audit sites
+/// route by [`TxnId::audit_partition`]), so cross-partition order only
+/// matters between independent transactions, and the LSN tiebreak makes
+/// the interleaving deterministic.
 ///
 /// Returns `(partition_index, lsn, record)` triples.
-pub fn merge_trails_by_lsn(trails: &[&[u8]]) -> Vec<(usize, Lsn, AuditRecord)> {
-    let mut parsed: Vec<std::vec::IntoIter<(Lsn, AuditRecord)>> =
-        trails.iter().map(|t| scan(t).into_iter()).collect();
+fn merge_windows_by_lsn(windows: &[Window<'_>]) -> Vec<(usize, Lsn, AuditRecord)> {
+    let mut parsed: Vec<std::vec::IntoIter<(Lsn, AuditRecord)>> = windows
+        .iter()
+        .map(|&w| scan_window(w).records.into_iter())
+        .collect();
     let mut fronts: Vec<Option<(Lsn, AuditRecord)>> =
         parsed.iter_mut().map(|it| it.next()).collect();
     let mut out = Vec::new();
@@ -94,10 +96,10 @@ struct NodeScan {
 
 /// Pass 1 of every recovery: merge a node's trails by LSN and collect the
 /// outcome records found in them.
-fn scan_node(trails: &[&[u8]]) -> NodeScan {
+fn scan_node(trails: &[Window<'_>]) -> NodeScan {
     let mut node = NodeScan {
-        merged: merge_trails_by_lsn(trails),
-        bytes: trails.iter().map(|t| t.len() as u64).sum(),
+        merged: merge_windows_by_lsn(trails),
+        bytes: trails.iter().map(|t| t.bytes.len() as u64).sum(),
         wrote: FastSet::default(),
         prepared: FastSet::default(),
         committed: FastSet::default(),
@@ -158,7 +160,8 @@ fn redo_committed(
 /// resolving it for real needs the coordinator shard's trail, see
 /// [`redo_scan_sharded`].
 pub fn redo_scan_partitioned(trails: &[&[u8]]) -> RecoveredState {
-    let node = scan_node(trails);
+    let windows: Vec<Window<'_>> = trails.iter().map(|&t| t.into()).collect();
+    let node = scan_node(&windows);
     let tables = redo_committed(&node.merged, |t| node.committed.contains(t));
     let inflight = node
         .wrote
@@ -213,6 +216,16 @@ pub struct ShardedRecovery {
 /// data AND `Prepared` record are durable, so a committed transaction is
 /// either locally decided or rule-2-resolvable on every shard it touched.
 pub fn redo_scan_sharded(shards: &[Vec<&[u8]>]) -> ShardedRecovery {
+    let windows: Vec<Vec<Window<'_>>> = shards
+        .iter()
+        .map(|trails| trails.iter().map(|&t| t.into()).collect())
+        .collect();
+    redo_windows_sharded(&windows)
+}
+
+/// [`redo_scan_sharded`] over trail windows: what a lapped ring still
+/// holds, each record at its virtual LSN ([`crate::audit::ring_window`]).
+pub fn redo_windows_sharded(shards: &[Vec<Window<'_>>]) -> ShardedRecovery {
     let nodes: Vec<NodeScan> = shards.iter().map(|trails| scan_node(trails)).collect();
     let mut out = ShardedRecovery::default();
 
@@ -543,7 +556,7 @@ mod tests {
         // order is what matters).
         let t0 = trail(&[insert(1, 0, 10), insert(1, 0, 11)]);
         let t1 = trail(&[insert(2, 1, 20)]);
-        let merged = merge_trails_by_lsn(&[&t0, &t1]);
+        let merged = merge_windows_by_lsn(&[t0[..].into(), t1[..].into()]);
         assert_eq!(merged.len(), 3);
         // Both trails start at LSN 0; the partition-index tiebreak puts
         // partition 0 first, and within a partition LSN order is kept.

@@ -211,7 +211,8 @@ impl Names {
         }
     }
 
-    fn adp(self, i: u32) -> String {
+    /// The ADP pair writing audit partition `i`.
+    pub fn adp(self, i: u32) -> String {
         match self {
             Names::Node => format!("$ADP{i}"),
             Names::Shard(s) => format!("$ADP-s{s}p{i}"),

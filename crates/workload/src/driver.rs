@@ -25,6 +25,7 @@ use simcore::hash::FastMap;
 use simcore::{Actor, Ctx, Histogram, Msg, Shared, Sim, SimDuration, SimTime};
 use simnet::NetDelivery;
 use std::sync::Arc;
+use txnkit::audit::insert_trail_len;
 use txnkit::scenario::ClusterView;
 use txnkit::shard::{shard_of_key, splitmix64};
 use txnkit::types::*;
@@ -119,6 +120,11 @@ pub struct WorkloadStats {
     /// Acknowledged-committed transaction ids, in ack order (crash and
     /// fault tests hold offline recovery to them).
     pub committed_ids: Vec<TxnId>,
+    /// Where each acknowledged transaction's audit begins: per ADP its
+    /// inserts went to, the lowest LSN one of them starts at, in ack
+    /// order. Recovery owes a commit only while a lap has not overwritten
+    /// its records (`pmem::oracle::Expect::acked_at`).
+    pub acked_at: Vec<(TxnId, String, Lsn)>,
     pub started_ns: u64,
     pub finished_ns: u64,
     pools: u32,
@@ -156,6 +162,8 @@ struct VClient {
     cross: bool,
     outstanding: u32,
     failed: bool,
+    /// This attempt's acked inserts: per ADP, the lowest LSN one starts at.
+    acked_at: Vec<(String, Lsn)>,
     started_ns: u64,
     done: bool,
 }
@@ -379,6 +387,9 @@ impl ClientPool {
                     st.cross_shard_committed += 1;
                 }
                 st.committed_ids.push(txn);
+                let acked_at = s.acked_at.drain(..);
+                st.acked_at
+                    .extend(acked_at.map(|(adp, lsn)| (txn, adp, lsn)));
                 st.response.record(ctx.now().as_nanos() - started);
             } else {
                 st.aborted += 1;
@@ -440,6 +451,7 @@ impl Actor for ClientPool {
                         s.txn = Some(b.txn);
                         s.outstanding = s.plan.len() as u32;
                         s.failed = false;
+                        s.acked_at.clear();
                     }
                     self.by_txn.insert(b.txn, slot);
                     self.issue_one(ctx, slot, 0);
@@ -451,10 +463,20 @@ impl Actor for ClientPool {
                 Ok(done) => {
                     let slot = done.token as u32;
                     let ok = self.client.note_insert_done(&done);
+                    // The body is the key's 8 bytes (`issue_one`): the
+                    // record starts its trail footprint below its ack.
+                    let footprint = insert_trail_len(8, self.cfg.record_bytes);
                     let act = {
                         let s = &mut self.slots[slot as usize];
                         if s.txn != Some(done.txn) {
                             return; // stale reply from an aborted attempt
+                        }
+                        if let InsertResult::Ok { adp, lsn } = done.result {
+                            let start = Lsn(lsn.0.saturating_sub(footprint));
+                            match s.acked_at.iter_mut().find(|(a, _)| *a == adp) {
+                                Some((_, l)) => *l = (*l).min(start),
+                                None => s.acked_at.push((adp, start)),
+                            }
                         }
                         if !ok {
                             s.failed = true;
@@ -539,6 +561,7 @@ pub fn install_workload(
                     cross: false,
                     outstanding: 0,
                     failed: false,
+                    acked_at: Vec::new(),
                     started_ns: 0,
                     done: false,
                 })

@@ -7,13 +7,17 @@
 //! every acked commit redone whole, nothing invented, one 2PC verdict,
 //! mirror halves that agree and are byte-equal after the repair, and a DR
 //! replica that is a bit-identical prefix and alone recovers every acked
-//! commit. A cell whose fault needs a mirror repair also runs again and
+//! commit — every one, or on a lapped ring every one a lap did not
+//! overwrite (the oracle counts those; only the lapped cells have any). A
+//! cell whose fault needs a mirror repair also runs again and
 //! cuts power halfway through the repair, while the PMM's durable health
 //! still marks the repaired half stale: every commit acked by then must
 //! redo from the survivor.
 //!
-//! * topology: a node with 1 audit partition, a node with 4, a 4-volume
-//!   pool, a 2-shard cluster, a geo-replicated pair, the disk baseline;
+//! * topology: a node with 1 audit partition, the same node with trail
+//!   rings small enough to lap about five times, a node with 4, a
+//!   4-volume pool, a 2-shard cluster, a geo-replicated pair, the disk
+//!   baseline;
 //! * persistence mode: `PersistFlush`, `FlushOnRead`;
 //! * QoS: `QosConfig::disabled()`, DRR with 90% bulk admission;
 //! * fault: none, one NPMU half down (member 0, half `b`), fabric X down,
@@ -28,7 +32,7 @@
 
 use nsk::machine::{SharedMachine, WatchTarget};
 use nsk::ProcessDied;
-use pmem::oracle::{Expect, Snapshot, Trails, Violation};
+use pmem::oracle::{Expect, Report, Snapshot, Trails};
 use pmem::{PmmHandle, PmmStats};
 use simcore::fault::{Fault, FaultPlan};
 use simcore::time::MILLIS;
@@ -37,7 +41,7 @@ use simnet::{PersistMode, QosConfig};
 use txnkit::georep::SharedShipperStats;
 use txnkit::scenario::{build_cluster, build_georep, build_ods, AuditMode};
 use txnkit::scenario::{ClusterParams, GeorepParams, OdsParams};
-use txnkit::TxnId;
+use txnkit::{Lsn, TxnId};
 use workload::{install_workload, Keys, SharedWorkloadStats, ThinkTime, WorkloadConfig};
 use FaultKind::*;
 use Topology::*;
@@ -53,6 +57,7 @@ const CEILING: SimTime = SimTime(20_000 * MILLIS);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Topology {
     Node1,
+    Lapped,
     Node4,
     Pool4,
     Cluster2,
@@ -72,7 +77,7 @@ enum FaultKind {
     OutageMidResilver,
 }
 
-const TOPOLOGIES: [Topology; 6] = [Node1, Node4, Pool4, Cluster2, Georep, Disk];
+const TOPOLOGIES: [Topology; 7] = [Node1, Lapped, Node4, Pool4, Cluster2, Georep, Disk];
 const MODES: [PersistMode; 2] = [PersistMode::PersistFlush, PersistMode::FlushOnRead];
 /// QoS off, or DRR arbitration.
 const DRR: [bool; 2] = [false, true];
@@ -223,7 +228,7 @@ fn build(c: Cell, store: &mut DurableStore) -> (Rig, Vec<Trails>, Option<Trails>
         ..base
     };
     let mut base = match TOPOLOGIES[c[0]] {
-        Node1 => OdsParams {
+        Node1 | Lapped => OdsParams {
             audit_partitions: 1,
             ..hw(OdsParams::pm(SEED))
         },
@@ -232,8 +237,12 @@ fn build(c: Cell, store: &mut DurableStore) -> (Rig, Vec<Trails>, Option<Trails>
         Disk => OdsParams::baseline(SEED),
     };
     // Trail regions hold a cell's load in one lap, and a repair scans
-    // only a quarter of the default 8 MiB.
-    base.pm_region_len = 2 << 20;
+    // only a quarter of the default 8 MiB; a lapped cell's ring holds
+    // about a fifth of its load.
+    base.pm_region_len = match TOPOLOGIES[c[0]] {
+        Lapped => 256 << 10,
+        _ => 2 << 20,
+    };
     base.txn.pm_persist_mode = MODES[c[1]];
     base.qos = match DRR[c[2]] {
         true => QosConfig::drr(0.9),
@@ -351,9 +360,10 @@ fn start(c: Cell, store: &mut DurableStore) -> Result<(Rig, Vec<Trails>, Option<
 
 /// Run the cell's workload under its fault, heal, cut power and run the
 /// oracle; where the fault needs a mirror repair, run the cell again and
-/// cut power halfway through the repair too. The acked commit count, or
-/// how the cell failed.
-fn run_cell(c: Cell) -> Result<usize, String> {
+/// cut power halfway through the repair too. The acked commit count and
+/// how many of them a lap overwrote, or how the cell failed: the
+/// oracle's explanation of each failed cut.
+fn run_cell(c: Cell) -> Result<(usize, usize), String> {
     let mut store = DurableStore::new();
     let (mut rig, site, replica) = start(c, &mut store)?;
     // Heal: every mirror repaired, the DR pipe drained.
@@ -377,7 +387,7 @@ fn run_cell(c: Cell) -> Result<usize, String> {
     if FAULTS[c[3]] == OutageMidResilver && rig.pmm_stat(|s| s.resilvers_started) < 2 {
         return Err("the second outage did not restart the repair".into());
     }
-    let acked = rig.driver.lock().committed_ids.clone();
+    let (acked, acked_at) = acks(&rig);
     drop(rig); // power loss
     store.reset_volatile();
 
@@ -386,10 +396,12 @@ fn run_cell(c: Cell) -> Result<usize, String> {
         acked: &acked,
         truth: Some(&acked),
         inserts: INSERTS,
+        acked_at: &acked_at,
         replica: replica.as_ref(),
         resilvered: TOPOLOGIES[c[0]] != Disk,
     };
-    let mut violations = Snapshot::read(&store, &site).check(&expect).violations;
+    let report = Snapshot::read(&store, &site).check(&expect);
+    let mut failures: Vec<String> = failure(&report).into_iter().collect();
     if let Some(replica) = &replica {
         // Drained: the DR site alone recovers every acked commit.
         let at_dr = Expect {
@@ -397,27 +409,44 @@ fn run_cell(c: Cell) -> Result<usize, String> {
             resilvered: false,
             ..expect
         };
-        violations.extend(replica.check(&at_dr).violations);
+        let at_dr = failure(&replica.check(&at_dr));
+        failures.extend(at_dr.map(|why| format!("at the DR site: {why}")));
     }
-    if repairs > 0 && violations.is_empty() {
-        violations = cut_at(c, mid_repair, &acked)?;
+    // Only a ring small enough to lap overwrites acked commits.
+    if (report.overwritten > 0) != (TOPOLOGIES[c[0]] == Lapped) {
+        let n = report.overwritten;
+        failures.push(format!("{n} acked commits overwritten by a lap"));
     }
-    match (acked.len(), violations.is_empty()) {
+    if repairs > 0 && failures.is_empty() {
+        failures.extend(cut_at(c, mid_repair, &acked)?);
+    }
+    match (acked.len(), failures.is_empty()) {
         (0, _) => Err("nothing acknowledged".into()),
-        (n, true) => Ok(n),
-        _ => Err(format!("{violations:?}")),
+        (n, true) => Ok((n, report.overwritten)),
+        _ => Err(failures.join("\n")),
     }
+}
+
+/// The driver's acked commits, and where each one's records begin.
+fn acks(rig: &Rig) -> (Vec<TxnId>, Vec<(TxnId, String, Lsn)>) {
+    let d = rig.driver.lock();
+    (d.committed_ids.clone(), d.acked_at.clone())
+}
+
+/// A report's explanation, if it names a violation.
+fn failure(report: &Report) -> Option<String> {
+    (!report.violations.is_empty()).then(|| report.explain())
 }
 
 /// Run the cell again to dispatch `k` and cut power there, mid-repair:
 /// the PMM's durable health keeps recovery off the half under repair, so
 /// every commit acked by then redoes from the survivor, and nothing the
 /// healed run did not commit.
-fn cut_at(c: Cell, k: u64, truth: &[TxnId]) -> Result<Vec<Violation>, String> {
+fn cut_at(c: Cell, k: u64, truth: &[TxnId]) -> Result<Option<String>, String> {
     let mut store = DurableStore::new();
     let (mut rig, site, replica) = start(c, &mut store)?;
     rig.sim.run_until_dispatched(k);
-    let acked = rig.driver.lock().committed_ids.clone();
+    let (acked, acked_at) = acks(&rig);
     drop(rig);
     store.reset_volatile();
     let replica = replica.map(|r| Snapshot::read(&store, &[r]));
@@ -425,10 +454,12 @@ fn cut_at(c: Cell, k: u64, truth: &[TxnId]) -> Result<Vec<Violation>, String> {
         acked: &acked,
         truth: Some(truth),
         inserts: INSERTS,
+        acked_at: &acked_at,
         replica: replica.as_ref(),
         resilvered: false,
     };
-    Ok(Snapshot::read(&store, &site).check(&expect).violations)
+    let report = Snapshot::read(&store, &site).check(&expect);
+    Ok(failure(&report).map(|why| format!("cut mid-repair: {why}")))
 }
 
 /// Run `cells`, print the cell table, and fail if any cell did.
@@ -444,7 +475,10 @@ fn run_matrix(cells: &[Cell]) {
                         failed.push(c);
                         format!("FAILED: {why}")
                     },
-                    |acked| format!("ok ({acked} acked)"),
+                    |(acked, lapped)| match lapped {
+                        0 => format!("ok ({acked} acked)"),
+                        n => format!("ok ({acked} acked, {n} of them overwritten by a lap)"),
+                    },
                 )
             }
         };
