@@ -47,7 +47,7 @@ use simcore::hash::{FastMap, FastSet};
 use simcore::DurableStore;
 use std::borrow::Cow;
 use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES};
-use txnkit::audit::{ring_window, scan_window, AuditRecord, Window};
+use txnkit::audit::{ring_window, AuditRecord, Records, Window};
 use txnkit::recovery::{redo_windows_sharded, ShardedRecovery};
 use txnkit::scenario::{adp_count, AuditMode, ClusterParams, Names, OdsParams, DR_POOL};
 use txnkit::{Lsn, TxnId};
@@ -365,7 +365,7 @@ impl Snapshot {
         let mut keys_of: FastMap<TxnId, FastSet<u64>> = FastMap::default();
         let mut owner: FastMap<u64, TxnId> = FastMap::default();
         for trail in self.shards.iter().flatten() {
-            for (_, r) in scan_window(trail.view(h)).records {
+            for (_, r) in Records::new(trail.view(h)) {
                 if let AuditRecord::Insert { txn, key, .. } = r {
                     keys_of.entry(txn).or_default().insert(key);
                     owner.insert(key, txn);
@@ -461,15 +461,16 @@ impl Snapshot {
         }
         // A clean report needs no explanation: reading every half once
         // more would double the oracle's scans at every crash point.
-        let halves = match v.is_empty() {
-            true => Vec::new(),
-            false => self.half_scans(),
+        let (halves, txns) = match v.is_empty() {
+            true => Default::default(),
+            false => (self.half_scans(), self.txn_scans(&v, expect)),
         };
         Report {
             recovery,
             violations: v,
             overwritten: self.overwritten(0, expect).len(),
             halves,
+            txns,
         }
     }
 
@@ -478,7 +479,7 @@ impl Snapshot {
         let mut out = Vec::new();
         for t in self.shards.iter().flatten() {
             for (i, half) in t.halves.iter().enumerate() {
-                let scan = scan_window(half.bytes());
+                let mut read = Records::new(half.bytes());
                 out.push(HalfScan {
                     trail: t.name.clone(),
                     half: i,
@@ -486,9 +487,40 @@ impl Snapshot {
                     watermark: half.watermark,
                     laps: half.watermark.checked_div(half.cap).unwrap_or(0),
                     base: half.base,
-                    records: scan.records.len(),
-                    skipped: scan.skipped,
-                    stopped_at: scan.stopped_at,
+                    records: read.by_ref().count(),
+                    skipped: read.skipped,
+                    stopped_at: read.stopped_at,
+                });
+            }
+        }
+        out
+    }
+
+    /// What every half of its trail holds where each `Lost` or
+    /// `HalfApplied` commit in `violations` was acked.
+    fn txn_scans(&self, violations: &[Violation], expect: &Expect) -> Vec<TxnScan> {
+        let trails: FastMap<&str, &Trail> = (self.shards.iter().zip(&self.writers))
+            .flat_map(|(trails, adps)| adps.iter().map(String::as_str).zip(trails))
+            .collect();
+        let mut out = Vec::new();
+        for v in violations {
+            let (Violation::Lost(txn) | Violation::HalfApplied(txn, _)) = v else {
+                continue;
+            };
+            let acked = expect.acked_at.iter().filter(|(t, ..)| t == txn);
+            for (_, adp, lsn) in acked {
+                let Some(trail) = trails.get(adp.as_str()) else {
+                    continue;
+                };
+                let halves: Vec<HalfAt> = (trail.halves.iter().enumerate())
+                    .map(|(i, half)| HalfAt::new(half, trail.stale == Some(i), *lsn))
+                    .collect();
+                out.push(TxnScan {
+                    violation: v.clone(),
+                    trail: trail.name.clone(),
+                    lsn: *lsn,
+                    cause: Cause::of(&halves, *lsn),
+                    halves,
                 });
             }
         }
@@ -577,6 +609,111 @@ pub struct HalfScan {
     pub stopped_at: Option<Lsn>,
 }
 
+/// What one trail half holds at the LSN a commit was acked at.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HalfAt {
+    /// Its member's durable health marks it stale: no reader reads it.
+    pub stale: bool,
+    /// The half's window `[floor, watermark)`.
+    pub floor: u64,
+    pub watermark: u64,
+    /// A record decodes at the LSN.
+    pub decodes: bool,
+}
+
+impl HalfAt {
+    fn new(half: &Half, stale: bool, lsn: Lsn) -> HalfAt {
+        let Window { base, bytes } = half.bytes();
+        let at = lsn
+            .0
+            .checked_sub(base)
+            .and_then(|o| bytes.get(o as usize..));
+        HalfAt {
+            stale,
+            floor: base,
+            watermark: half.watermark,
+            decodes: at.and_then(AuditRecord::decode).is_some(),
+        }
+    }
+
+    fn holds(&self, lsn: Lsn) -> bool {
+        (self.floor..self.watermark).contains(&lsn.0)
+    }
+}
+
+/// Why a commit is not whole, as its trail's halves tell it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cause {
+    /// No readable half holds a record where it was acked (nothing
+    /// published it, or the bytes there are torn), or one does and a
+    /// later record of it is missing.
+    DroppedRecord,
+    /// A lapped window holds its LSN and nothing decodes there: a
+    /// fragment of an older lap.
+    LappedFragment,
+    /// One readable half holds its record; another's watermark stops
+    /// short of it.
+    StaleHalf,
+}
+
+impl Cause {
+    fn of(halves: &[HalfAt], lsn: Lsn) -> Cause {
+        let readable = || halves.iter().filter(|h| !h.stale);
+        if readable().any(|h| h.holds(lsn) && h.decodes) && readable().any(|h| !h.holds(lsn)) {
+            Cause::StaleHalf
+        } else if readable().any(|h| h.holds(lsn) && !h.decodes && h.floor > 0) {
+            Cause::LappedFragment
+        } else {
+            Cause::DroppedRecord
+        }
+    }
+}
+
+/// A `Lost` or `HalfApplied` commit at one LSN it was acked at.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TxnScan {
+    pub violation: Violation,
+    /// The trail the acking ADP writes.
+    pub trail: String,
+    /// The lowest LSN the commit wrote there.
+    pub lsn: Lsn,
+    /// Every half of the trail, `a` first.
+    pub halves: Vec<HalfAt>,
+    pub cause: Cause,
+}
+
+impl std::fmt::Display for TxnScan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let cause = match self.cause {
+            Cause::DroppedRecord => "a dropped record",
+            Cause::LappedFragment => "a lapped fragment",
+            Cause::StaleHalf => "a stale half",
+        };
+        write!(
+            f,
+            "{:?} acked at {} LSN {}: {cause}",
+            self.violation, self.trail, self.lsn.0
+        )?;
+        for (i, h) in self.halves.iter().enumerate() {
+            let holds = match h.holds(self.lsn) {
+                true => "holds it",
+                false => "does not hold it",
+            };
+            let decodes = match h.decodes {
+                true => "a record decodes there",
+                false => "no record decodes there",
+            };
+            let stale = if h.stale { " (stale, not read)" } else { "" };
+            write!(
+                f,
+                "; half {i}{stale}: window [{}, {}) {holds}, {decodes}",
+                h.floor, h.watermark
+            )?;
+        }
+        Ok(())
+    }
+}
+
 /// A recovery and what it breached.
 pub struct Report {
     pub recovery: ShardedRecovery,
@@ -587,6 +724,9 @@ pub struct Report {
     /// How each trail half's read went, when the report names a
     /// violation.
     pub halves: Vec<HalfScan>,
+    /// Where each `Lost` or `HalfApplied` commit was acked
+    /// ([`Expect::acked_at`]), and what its trail's halves hold there.
+    pub txns: Vec<TxnScan>,
 }
 
 impl Report {
@@ -596,7 +736,8 @@ impl Report {
         self.violations.iter().filter(lost).count()
     }
 
-    /// The violations, then how each trail half was read.
+    /// The violations, how each trail half was read, then what the
+    /// halves hold where each lost or half-applied commit was acked.
     pub fn explain(&self) -> String {
         let mut out = format!(
             "{} violations: {:?}; {} acked overwritten by a lap",
@@ -606,6 +747,9 @@ impl Report {
         );
         for h in &self.halves {
             out += &format!("\n  {h:?}");
+        }
+        for t in &self.txns {
+            out += &format!("\n  {t}");
         }
         out
     }
@@ -724,13 +868,35 @@ mod tests {
         assert_eq!(violations(&store, &["pm"], repaired), vec![]);
     }
 
+    /// `report` names one `Lost` or `HalfApplied` commit, at `lsn`, and
+    /// `cause` as why.
+    fn assert_explained(report: &Report, lsn: u64, cause: Cause, says: &str) {
+        let [txn] = &report.txns[..] else {
+            panic!("one commit explained: {}", report.explain());
+        };
+        assert_eq!((txn.lsn, txn.cause), (Lsn(lsn), cause), "{txn}");
+        let line = format!("acked at adp0.audit LSN {lsn}: {says}");
+        assert!(report.explain().contains(&line), "{}", report.explain());
+    }
+
     #[test]
     fn a_dropped_acked_txn_is_lost() {
         let mut store = DurableStore::new();
-        put_pair(&mut store, "pm", &trail(&[(1, &[10])], &[]));
-        let report = check(&store, &["pm"], &Expect::finished(T12, 1));
+        let bytes = trail(&[(1, &[10])], &[]);
+        put_pair(&mut store, "pm", &bytes);
+        // Txn 2 was acked where its record would follow txn 1's: no half
+        // published it.
+        let acked_at = at(&[(1, 0), (2, bytes.len() as u64)]);
+        let expect = Expect {
+            acked_at: &acked_at,
+            ..Expect::finished(T12, 1)
+        };
+        let report = check(&store, &["pm"], &expect);
         assert_eq!(report.violations, vec![Lost(TxnId(2))]);
         assert_eq!(report.lost(), 1);
+        let dropped = Cause::DroppedRecord;
+        assert_explained(&report, bytes.len() as u64, dropped, "a dropped record");
+        assert!(report.explain().contains("does not hold it"));
     }
 
     #[test]
@@ -745,8 +911,18 @@ mod tests {
     fn a_half_applied_commit_is_named() {
         let mut store = DurableStore::new();
         put_pair(&mut store, "pm", &trail(&[(1, &[10])], &[]));
-        let v = violations(&store, &["pm"], Expect::finished(T1, 2));
-        assert_eq!(v, vec![HalfApplied(TxnId(1), 1)]);
+        let acked_at = at(&[(1, 0)]);
+        let expect = Expect {
+            acked_at: &acked_at,
+            ..Expect::finished(T1, 2)
+        };
+        let report = check(&store, &["pm"], &expect);
+        assert_eq!(report.violations, vec![HalfApplied(TxnId(1), 1)]);
+        // Its first record is where it was acked; a later one was dropped.
+        assert_explained(&report, 0, Cause::DroppedRecord, "a dropped record");
+        assert!(report
+            .explain()
+            .contains("holds it, a record decodes there"));
     }
 
     #[test]
@@ -770,12 +946,21 @@ mod tests {
         let mut store = DurableStore::new();
         put_pair(&mut store, "pm", &bytes);
         put_half(&mut store, "npmu:pm-b", &flipped, bytes.len(), HEALTHY);
-        // A reader routed to `b` no longer finds txn 1 whole.
+        // A reader routed to `b` no longer finds txn 1 whole: its first
+        // record there is torn.
         let diverge = MirrorsDiverge("adp0.audit".into(), 3);
-        assert_eq!(
-            violations(&store, &["pm"], Expect::finished(T1, 2)),
-            vec![Lost(TxnId(1)), diverge]
-        );
+        let acked_at = at(&[(1, 0)]);
+        let expect = Expect {
+            acked_at: &acked_at,
+            ..Expect::finished(T1, 2)
+        };
+        let report = check(&store, &["pm"], &expect);
+        assert_eq!(report.violations, vec![Lost(TxnId(1)), diverge]);
+        assert_explained(&report, 0, Cause::DroppedRecord, "a dropped record");
+        let [a, b] = &report.txns[0].halves[..] else {
+            panic!("two halves")
+        };
+        assert!(a.decodes && !b.decodes);
         // Repaired halves must agree everywhere: invariant 6 fails too.
         let repaired = Expect {
             resilvered: true,
@@ -858,16 +1043,24 @@ mod tests {
     fn an_ack_on_one_half_of_a_healthy_pair_is_lost() {
         // Nothing marked `a` stale, so a reader may route to it: txn 2,
         // durable on `b` alone, is lost there.
+        let old = trail(&[(1, &[10])], &[]);
+        let acked_at = at(&[(1, 0), (2, old.len() as u64)]);
+        let expect = Expect {
+            acked_at: &acked_at,
+            ..Expect::finished(T12, 1)
+        };
         let (store, _) = stale_a(HEALTHY);
-        let v = violations(&store, &["pm"], Expect::finished(T12, 1));
-        assert_eq!(v, vec![Lost(TxnId(2))]);
+        let report = check(&store, &["pm"], &expect);
+        assert_eq!(report.violations, vec![Lost(TxnId(2))]);
+        let lsn = old.len() as u64;
+        assert_explained(&report, lsn, Cause::StaleHalf, "a stale half");
         // The same state with `a`, then `b`, the half left behind.
         let (mut store, new) = stale_a(HEALTHY);
-        let old = trail(&[(1, &[10])], &[]);
         put_half(&mut store, "npmu:pm-a", &new, new.len(), HEALTHY);
         put_half(&mut store, "npmu:pm-b", &old, old.len(), HEALTHY);
-        let v = violations(&store, &["pm"], Expect::finished(T12, 1));
-        assert_eq!(v, vec![Lost(TxnId(2))]);
+        let report = check(&store, &["pm"], &expect);
+        assert_eq!(report.violations, vec![Lost(TxnId(2))]);
+        assert_explained(&report, lsn, Cause::StaleHalf, "a stale half");
     }
 
     /// The test region's ring: 64 KiB less the control cell.
@@ -974,6 +1167,9 @@ mod tests {
         let report = check_lapped(&acked, &[(1, 0), (2, CAP - 4096), (3, 4130)]);
         assert_eq!(report.violations, vec![Lost(TxnId(3))]);
         assert_eq!(report.overwritten, 1);
+        // The floor opens on the tail of txn 9's insert.
+        let fragment = Cause::LappedFragment;
+        assert_explained(&report, 4130, fragment, "a lapped fragment");
     }
 
     #[test]
@@ -986,6 +1182,8 @@ mod tests {
         assert_eq!((a.laps, a.base, a.stopped_at), (1, 4130, None));
         assert!(a.skipped > 0 && a.records == 5, "{a:?}");
         assert!(lap.explain().contains("stopped_at: None"));
+        let fragment = Cause::LappedFragment;
+        assert_explained(&lap, 4130, fragment, "a lapped fragment");
         // A dropped record: txn 2's first insert torn in place on an
         // unlapped trail. The read stops there, and txn 2 is lost, not
         // overwritten.
@@ -995,12 +1193,19 @@ mod tests {
         bytes[at2 + 12] ^= 1;
         let mut store = DurableStore::new();
         put_pair(&mut store, "pm", &bytes);
-        let dropped = check(&store, &["pm"], &Expect::finished(T12, 1));
+        let acked_at = at(&[(1, 0), (2, at2 as u64)]);
+        let expect = Expect {
+            acked_at: &acked_at,
+            ..Expect::finished(T12, 1)
+        };
+        let dropped = check(&store, &["pm"], &expect);
         assert_eq!(dropped.violations, vec![Lost(TxnId(2))]);
         assert_eq!(dropped.overwritten, 0);
         let a = &dropped.halves[0];
         let torn = Some(Lsn(at2 as u64));
         assert_eq!((a.laps, a.skipped, a.stopped_at), (0, 0, torn));
         assert!(dropped.explain().contains(&format!("stopped_at: {torn:?}")));
+        let cause = Cause::DroppedRecord;
+        assert_explained(&dropped, at2 as u64, cause, "a dropped record");
     }
 }

@@ -256,59 +256,101 @@ pub struct TrailScan {
     pub stopped_at: Option<Lsn>,
 }
 
-/// Read a trail window, yielding `(lsn, record)` until the window ends or
-/// a torn/invalid record stops it (the recovery stop point).
+/// Read a trail window one record per `next()`, yielding `(lsn, record)`
+/// until the window ends or a torn/invalid record stops it (the recovery
+/// stop point). Once it returns `None`, [`Records::skipped`] and
+/// [`Records::stopped_at`] say how the read went.
 ///
 /// LSNs advance by *virtual* record length, which can exceed the encoded
 /// length (compact descriptors at benchmark scale, padded commit
 /// records). Only the encoded bytes are written, so the first lap leaves
-/// zero gaps between records, which the scanner skips; there a *non-zero*
-/// undecodable position is a torn record and stops the scan. A lapped
-/// window (`base > 0`) opens on the tail of a record whose head the ring
-/// overwrote, and its gaps still hold older laps' bytes. Everything below
-/// the watermark was published whole, so there an undecodable byte is
-/// such a leftover, never a torn record: it is skipped.
-pub fn scan_window(window: Window<'_>) -> TrailScan {
-    let Window { base, bytes } = window;
-    let lapped = base > 0;
-    let mut out = TrailScan::default();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        if bytes[pos] == 0 {
-            pos += 1;
-            continue;
+/// zero gaps between records, which the reader skips 32 bytes a step;
+/// there a *non-zero* undecodable position is a torn record and stops the
+/// read. A lapped window (`base > 0`) opens on the tail of a record whose
+/// head the ring overwrote, and its gaps still hold older laps' bytes.
+/// Everything below the watermark was published whole, so there an
+/// undecodable byte is such a leftover, never a torn record: it is
+/// skipped.
+#[derive(Clone, Debug)]
+pub struct Records<'a> {
+    window: Window<'a>,
+    pos: usize,
+    /// Non-zero bytes a lapped window's read passed over so far.
+    pub skipped: u64,
+    /// Where a non-zero byte did not decode and stopped the read.
+    pub stopped_at: Option<Lsn>,
+}
+
+impl<'a> Records<'a> {
+    pub fn new(window: Window<'a>) -> Self {
+        Records {
+            window,
+            pos: 0,
+            skipped: 0,
+            stopped_at: None,
         }
-        match AuditRecord::decode(&bytes[pos..]) {
-            Some((rec, used)) => {
-                out.records.push((Lsn(base + pos as u64), rec));
-                pos += used;
-            }
-            None if lapped => {
-                out.skipped += 1;
-                pos += 1;
-            }
-            None => {
-                out.stopped_at = Some(Lsn(pos as u64));
-                break;
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = (Lsn, AuditRecord);
+
+    fn next(&mut self) -> Option<(Lsn, AuditRecord)> {
+        let Window { base, bytes } = self.window;
+        loop {
+            self.pos = skip_zeros(bytes, self.pos);
+            let rest = bytes.get(self.pos..).filter(|r| !r.is_empty())?;
+            match AuditRecord::decode(rest) {
+                Some((rec, used)) => {
+                    let lsn = Lsn(base + self.pos as u64);
+                    self.pos += used;
+                    return Some((lsn, rec));
+                }
+                None if base > 0 => {
+                    self.skipped += 1;
+                    self.pos += 1;
+                }
+                None => {
+                    self.stopped_at = Some(Lsn(self.pos as u64));
+                    self.pos = bytes.len();
+                    return None;
+                }
             }
         }
     }
-    out
 }
 
-/// Read a trail ring's published window ([`ring_window`]).
-pub fn scan_ring(ring: &[u8], watermark: u64, cap: u64) -> TrailScan {
-    let (base, bytes) = ring_window(ring, watermark, cap);
-    scan_window(Window {
-        base,
-        bytes: &bytes,
-    })
+/// The first non-zero byte of `bytes` at or after `pos` (`bytes.len()` if
+/// none). Zeros are passed over 32 bytes a step (a fold the compiler
+/// vectorizes), then one byte a step inside the first block that is not
+/// all zero: a benchmark trail is mostly the zero gaps behind compact
+/// descriptors.
+fn skip_zeros(bytes: &[u8], mut pos: usize) -> usize {
+    while let Some(block) = bytes.get(pos..).and_then(<[u8]>::first_chunk::<32>) {
+        if block.iter().fold(0, |any, &b| any | b) != 0 {
+            break;
+        }
+        pos += 32;
+    }
+    let rest = bytes.get(pos..).unwrap_or_default();
+    pos + rest.iter().position(|&b| b != 0).unwrap_or(rest.len())
+}
+
+/// Read a whole trail window into a `Vec` ([`Records`]).
+pub fn scan_window(window: Window<'_>) -> TrailScan {
+    let mut read = Records::new(window);
+    let records = read.by_ref().collect();
+    TrailScan {
+        records,
+        skipped: read.skipped,
+        stopped_at: read.stopped_at,
+    }
 }
 
 /// Walk a trail image from offset 0, yielding `(lsn, record)` until the
 /// first torn/invalid record: the unlapped case of [`scan_window`].
 pub fn scan(trail: &[u8]) -> Vec<(Lsn, AuditRecord)> {
-    scan_window(trail.into()).records
+    Records::new(trail.into()).collect()
 }
 
 #[cfg(test)]
@@ -541,6 +583,15 @@ mod tests {
         assert_eq!(recs[1].0, Lsn(r1.encoded_len() as u64));
     }
 
+    /// Read a trail ring's published window ([`ring_window`]).
+    fn scan_ring(ring: &[u8], watermark: u64, cap: u64) -> TrailScan {
+        let (base, bytes) = ring_window(ring, watermark, cap);
+        scan_window(Window {
+            base,
+            bytes: &bytes,
+        })
+    }
+
     /// A trail ring of `cap` bytes after `recs` were appended from LSN 0,
     /// each `virt` virtual bytes long, laid out as the ADP lays its
     /// appends: [`split_trail_parts`]. Returns the ring and the watermark.
@@ -613,5 +664,116 @@ mod tests {
         let torn = scan_window(ring[..].into());
         assert_eq!(torn.records.len(), 1);
         assert_eq!(torn.stopped_at, Some(Lsn(18)));
+    }
+
+    /// The reader as it was before it skipped zeros a block at a time: one
+    /// byte per step. The reference the zero-skip tests hold it to.
+    fn bytewise(window: Window<'_>) -> TrailScan {
+        let Window { base, bytes } = window;
+        let mut out = TrailScan::default();
+        let mut pos = 0usize;
+        while pos < bytes.len() {
+            if bytes[pos] == 0 {
+                pos += 1;
+                continue;
+            }
+            match AuditRecord::decode(&bytes[pos..]) {
+                Some((rec, used)) => {
+                    out.records.push((Lsn(base + pos as u64), rec));
+                    pos += used;
+                }
+                None if base > 0 => {
+                    out.skipped += 1;
+                    pos += 1;
+                }
+                None => {
+                    out.stopped_at = Some(Lsn(pos as u64));
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    /// The streaming reader and the bytewise one agree on `window`;
+    /// returns what they read.
+    fn read_as_bytewise(window: Window<'_>) -> TrailScan {
+        let (got, want) = (scan_window(window), bytewise(window));
+        assert_eq!(got.records, want.records);
+        assert_eq!(
+            (got.skipped, got.stopped_at),
+            (want.skipped, want.stopped_at)
+        );
+        got
+    }
+
+    /// Every offset of a 32-byte block, and so of each word in it.
+    #[test]
+    fn records_at_every_offset_of_a_block_are_found() {
+        let (first, second) = (
+            insert_rec(1, 1, b"x"),
+            AuditRecord::Commit { txn: TxnId(1) },
+        );
+        for lead in 0..=32usize {
+            for gap in 0..=33usize {
+                let mut bytes = vec![0u8; lead];
+                bytes.extend_from_slice(&first.encode());
+                bytes.resize(bytes.len() + gap, 0);
+                let at = bytes.len() as u64;
+                bytes.extend_from_slice(&second.encode());
+                let scan = read_as_bytewise(bytes[..].into());
+                let lsns: Vec<u64> = scan.records.iter().map(|(l, _)| l.0).collect();
+                assert_eq!(lsns, [lead as u64, at], "lead {lead}, gap {gap}");
+                assert_eq!(scan.stopped_at, None);
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_ending_inside_a_sub_block_zero_run_reads_to_its_end() {
+        let rec = AuditRecord::Commit { txn: TxnId(5) }.encode();
+        for zeros in 1..32usize {
+            for lead in 0..32usize {
+                let mut bytes = vec![0u8; lead];
+                bytes.extend_from_slice(&rec);
+                bytes.resize(bytes.len() + zeros, 0);
+                let scan = read_as_bytewise(bytes[..].into());
+                assert_eq!((scan.records.len(), scan.stopped_at), (1, None));
+                // A torn byte inside the same short run stops the read
+                // there, at the same LSN either way.
+                let torn = bytes.len() - 1;
+                bytes[torn] = MAGIC;
+                let scan = read_as_bytewise(bytes[..].into());
+                assert_eq!(scan.stopped_at, Some(Lsn(torn as u64)));
+                // Lapped, the same byte is a leftover: skipped.
+                let lapped = read_as_bytewise(Window {
+                    base: 64,
+                    bytes: &bytes,
+                });
+                assert_eq!((lapped.skipped, lapped.stopped_at), (1, None));
+            }
+        }
+    }
+
+    #[test]
+    fn a_lapped_window_skips_older_lap_bytes_in_its_gaps_as_bytewise_does() {
+        // Inserts of mixed sizes, then commits padded to fewer bytes than
+        // an insert: the commits' gaps hold the tails of older inserts at
+        // every offset of a word.
+        let mut recs: Vec<_> = (0..7)
+            .map(|k| insert_rec(k, k, &b"payload-of-some-length"[..k as usize * 3]))
+            .collect();
+        recs.extend((0..9).map(|t| AuditRecord::Commit { txn: TxnId(t) }));
+        for virt in [64u64, 67, 71, 77] {
+            let (ring, wm) = ring_of(&recs, virt, 256);
+            let (base, window) = ring_window(&ring, wm, 256);
+            assert!(base > 0, "virt {virt}: the ring lapped");
+            let scan = read_as_bytewise(Window {
+                base,
+                bytes: &window,
+            });
+            assert!(scan.skipped > 0, "virt {virt}");
+            assert_eq!(scan.stopped_at, None);
+        }
     }
 }

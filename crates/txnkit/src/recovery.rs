@@ -17,7 +17,7 @@
 //!   in-flight and where their trail extents are: it reads only the tail
 //!   past the last fuzzy checkpoint mark.
 
-use crate::audit::{scan_window, AuditRecord, Window};
+use crate::audit::{AuditRecord, Records, Window};
 use crate::dp2::StoredRecord;
 use crate::types::{Lsn, PartitionId, TxnId};
 use simcore::hash::FastSet;
@@ -41,9 +41,11 @@ pub struct RecoveredState {
     pub bytes_scanned: u64,
 }
 
-/// Merge per-partition trail windows into one serializable history.
+/// Merge per-partition trail windows into one serializable history,
+/// lazily: each window is read one record at a time ([`Records`]), so the
+/// history is never held in memory.
 ///
-/// Each partition's window is internally LSN-ordered (the scan stamps
+/// Each partition's window is internally LSN-ordered (the reader stamps
 /// each record with its virtual LSN, a lapped ring's included); the merge
 /// interleaves partitions by `(Lsn, partition)` so replaying the merged
 /// stream front to back is equivalent to some serial execution: a
@@ -52,40 +54,47 @@ pub struct RecoveredState {
 /// matters between independent transactions, and the LSN tiebreak makes
 /// the interleaving deterministic.
 ///
-/// Returns `(partition_index, lsn, record)` triples.
-fn merge_windows_by_lsn(windows: &[Window<'_>]) -> Vec<(usize, Lsn, AuditRecord)> {
-    let mut parsed: Vec<std::vec::IntoIter<(Lsn, AuditRecord)>> = windows
-        .iter()
-        .map(|&w| scan_window(w).records.into_iter())
-        .collect();
-    let mut fronts: Vec<Option<(Lsn, AuditRecord)>> =
-        parsed.iter_mut().map(|it| it.next()).collect();
-    let mut out = Vec::new();
-    loop {
+/// Yields `(partition_index, lsn, record)` triples.
+fn merge_windows_by_lsn<'a>(windows: &[Window<'a>]) -> MergeByLsn<'a> {
+    let mut parts: Vec<Records<'a>> = windows.iter().map(|&w| Records::new(w)).collect();
+    let fronts = parts.iter_mut().map(Iterator::next).collect();
+    MergeByLsn { parts, fronts }
+}
+
+/// The k-way merge [`merge_windows_by_lsn`] returns: one decoded record
+/// per partition, the front of its window.
+struct MergeByLsn<'a> {
+    parts: Vec<Records<'a>>,
+    fronts: Vec<Option<(Lsn, AuditRecord)>>,
+}
+
+impl Iterator for MergeByLsn<'_> {
+    type Item = (usize, Lsn, AuditRecord);
+
+    fn next(&mut self) -> Option<(usize, Lsn, AuditRecord)> {
         // k is small (partition count); a linear min scan beats a heap.
-        let mut best: Option<usize> = None;
-        for (i, f) in fronts.iter().enumerate() {
-            if let Some((lsn, _)) = f {
-                if best
-                    .map(|b| *lsn < fronts[b].as_ref().unwrap().0)
-                    .unwrap_or(true)
-                {
-                    best = Some(i);
+        // Strictly less: the lower partition wins a tie.
+        let mut best: Option<(usize, Lsn)> = None;
+        for (i, front) in self.fronts.iter().enumerate() {
+            if let Some((lsn, _)) = front {
+                if best.is_none_or(|(_, b)| *lsn < b) {
+                    best = Some((i, *lsn));
                 }
             }
         }
-        let Some(i) = best else { break };
-        let (lsn, rec) = fronts[i].take().unwrap();
-        fronts[i] = parsed[i].next();
-        out.push((i, lsn, rec));
+        let (i, _) = best?;
+        let next = self.parts[i].next();
+        let (lsn, rec) = std::mem::replace(&mut self.fronts[i], next)?;
+        Some((i, lsn, rec))
     }
-    out
 }
 
-/// One node's partition trails merged into one history, and every
-/// transaction its records name, by the kind of record that names it.
-struct NodeScan {
-    merged: Vec<(usize, Lsn, AuditRecord)>,
+/// One node's partition trails, and every transaction their records name,
+/// by the kind of record that names it. It keeps the windows, not their
+/// records: the redo reads them again.
+struct NodeScan<'a> {
+    windows: &'a [Window<'a>],
+    records: u64,
     bytes: u64,
     /// Wrote data (an `Insert`).
     wrote: FastSet<TxnId>,
@@ -96,39 +105,42 @@ struct NodeScan {
 
 /// Pass 1 of every recovery: merge a node's trails by LSN and collect the
 /// outcome records found in them.
-fn scan_node(trails: &[Window<'_>]) -> NodeScan {
+fn scan_node<'a>(windows: &'a [Window<'a>]) -> NodeScan<'a> {
     let mut node = NodeScan {
-        merged: merge_windows_by_lsn(trails),
-        bytes: trails.iter().map(|t| t.bytes.len() as u64).sum(),
+        windows,
+        records: 0,
+        bytes: windows.iter().map(|t| t.bytes.len() as u64).sum(),
         wrote: FastSet::default(),
         prepared: FastSet::default(),
         committed: FastSet::default(),
         aborted: FastSet::default(),
     };
-    for (_, _, r) in &node.merged {
+    for (_, _, r) in merge_windows_by_lsn(windows) {
+        node.records += 1;
         match r {
-            AuditRecord::Insert { txn, .. } => node.wrote.insert(*txn),
-            AuditRecord::Prepared { txn } => node.prepared.insert(*txn),
-            AuditRecord::Commit { txn } => node.committed.insert(*txn),
-            AuditRecord::Abort { txn } => node.aborted.insert(*txn),
+            AuditRecord::Insert { txn, .. } => node.wrote.insert(txn),
+            AuditRecord::Prepared { txn } => node.prepared.insert(txn),
+            AuditRecord::Commit { txn } => node.committed.insert(txn),
+            AuditRecord::Abort { txn } => node.aborted.insert(txn),
             AuditRecord::CheckpointMark { .. } => continue,
         };
     }
     node
 }
 
-/// The last pass of every recovery: redo the inserts of `committed`
-/// transactions only. Undo of an insert is "don't redo it", since recovery
-/// starts from the last consistent data image (here: empty tables; a real
-/// DP2 would start from its data volumes plus this).
+/// The last pass of every recovery: merge the node's trails again and
+/// redo the inserts of `committed` transactions only. Undo of an insert is
+/// "don't redo it", since recovery starts from the last consistent data
+/// image (here: empty tables; a real DP2 would start from its data volumes
+/// plus this).
 fn redo_committed(
-    merged: &[(usize, Lsn, AuditRecord)],
+    node: &NodeScan<'_>,
     committed: impl Fn(&TxnId) -> bool,
 ) -> HashMap<PartitionId, BTreeMap<u64, StoredRecord>> {
     // std-hashed: this becomes `RecoveredState::tables`.
     #[allow(clippy::disallowed_methods)]
     let mut tables: HashMap<PartitionId, BTreeMap<u64, StoredRecord>> = HashMap::new();
-    for (_, _, r) in merged {
+    for (_, _, r) in merge_windows_by_lsn(node.windows) {
         if let AuditRecord::Insert {
             txn,
             partition,
@@ -138,12 +150,12 @@ fn redo_committed(
             ..
         } = r
         {
-            if committed(txn) {
-                tables.entry(*partition).or_default().insert(
-                    *key,
+            if committed(&txn) {
+                tables.entry(partition).or_default().insert(
+                    key,
                     StoredRecord {
-                        virtual_len: *virtual_len,
-                        crc: *body_crc,
+                        virtual_len,
+                        crc: body_crc,
                     },
                 );
             }
@@ -162,7 +174,7 @@ fn redo_committed(
 pub fn redo_scan_partitioned(trails: &[&[u8]]) -> RecoveredState {
     let windows: Vec<Window<'_>> = trails.iter().map(|&t| t.into()).collect();
     let node = scan_node(&windows);
-    let tables = redo_committed(&node.merged, |t| node.committed.contains(t));
+    let tables = redo_committed(&node, |t| node.committed.contains(t));
     let inflight = node
         .wrote
         .union(&node.prepared)
@@ -172,7 +184,7 @@ pub fn redo_scan_partitioned(trails: &[&[u8]]) -> RecoveredState {
     RecoveredState {
         tables,
         inflight,
-        records_scanned: node.merged.len() as u64,
+        records_scanned: node.records,
         bytes_scanned: node.bytes,
         committed: node.committed.into_iter().collect(),
         aborted: node.aborted.into_iter().collect(),
@@ -256,7 +268,7 @@ pub fn redo_windows_sharded(shards: &[Vec<Window<'_>>]) -> ShardedRecovery {
     // Redo each shard under the global resolution.
     for node in nodes {
         out.shards.push(RecoveredState {
-            tables: redo_committed(&node.merged, |t| out.committed.contains(t)),
+            tables: redo_committed(&node, |t| out.committed.contains(t)),
             committed: node
                 .wrote
                 .union(&node.prepared)
@@ -269,7 +281,7 @@ pub fn redo_windows_sharded(shards: &[Vec<Window<'_>>]) -> ShardedRecovery {
                 .filter(|t| !out.committed.contains(t) && !out.aborted.contains(t))
                 .copied()
                 .collect(),
-            records_scanned: node.merged.len() as u64,
+            records_scanned: node.records,
             bytes_scanned: node.bytes,
             aborted: node.aborted.into_iter().collect(),
         });
@@ -556,7 +568,7 @@ mod tests {
         // order is what matters).
         let t0 = trail(&[insert(1, 0, 10), insert(1, 0, 11)]);
         let t1 = trail(&[insert(2, 1, 20)]);
-        let merged = merge_windows_by_lsn(&[t0[..].into(), t1[..].into()]);
+        let merged: Vec<_> = merge_windows_by_lsn(&[t0[..].into(), t1[..].into()]).collect();
         assert_eq!(merged.len(), 3);
         // Both trails start at LSN 0; the partition-index tiebreak puts
         // partition 0 first, and within a partition LSN order is kept.

@@ -57,7 +57,7 @@ echo "== sparse block stores (maps from a block number to its bytes)"
 { grep -rhoE '(FastMap|BTreeMap|HashMap)<u64, (Box<\[u8|Page>)' crates/*/src src || true; } | wc -l
 
 # Each call site interprets a trail's watermark by itself; recovery reads
-# a lapped trail as a ring (`txnkit::audit::scan_ring`), never by hand.
+# a lapped trail as a ring (`txnkit::audit::ring_window`), never by hand.
 echo "== ctrl-cell readers outside txnkit::adp"
 { grep -rhoE 'parse_ctrl_cell\(' crates/*/src src tests benchmark/src \
     --exclude-dir=adp 2>/dev/null || true; } | wc -l
