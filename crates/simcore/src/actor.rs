@@ -8,7 +8,7 @@
 //! also how the NonStop kernel's own process model behaves at the message
 //! layer.
 
-use crate::event::{EventSlot, TimerId};
+use crate::event::{EventKey, EventSlot, TimerId};
 use crate::sim::Sim;
 use crate::time::{SimDuration, SimTime};
 use crate::DetRng;
@@ -158,6 +158,20 @@ impl<'a> Ctx<'a> {
     pub fn forward(&mut self, to: ActorId, delay: SimDuration, msg: Msg) {
         let at = self.sim.now() + delay;
         self.sim.queue.push(at, to, msg);
+    }
+
+    /// [`Self::forward`], returning the key [`Self::recall`] takes the
+    /// message back by — the idiom for a delivery sent ahead on a guess
+    /// that later news may overturn.
+    pub fn forward_keyed(&mut self, to: ActorId, delay: SimDuration, msg: Msg) -> EventKey {
+        let at = self.sim.now() + delay;
+        self.sim.queue.push_keyed(at, to, msg)
+    }
+
+    /// Take back a message sent with [`Self::forward_keyed`]: `None` if it
+    /// was already delivered, or discarded with a killed target.
+    pub fn recall(&mut self, key: EventKey) -> Option<Msg> {
+        self.sim.queue.recall(key)
     }
 
     /// Up to 1 ns of seeded delay under a perturbation seed

@@ -22,6 +22,13 @@
 //! if it turns out to be needed. Draws are what fix the order, so every
 //! other event keeps its key whether or not the slot is ever filled.
 //!
+//! An event that is usually delivered but may have to be taken back —
+//! a delivery computed ahead of time, on a guess that later news can
+//! overturn — is pushed with [`EventQueue::push_keyed`], which returns
+//! its [`EventKey`]; [`EventQueue::recall`] takes it out again and hands
+//! its message back. A recall searches the heap, so it suits events that
+//! are rarely recalled.
+//!
 //! A queue built with a perturbation seed ([`EventQueue::perturbed`])
 //! keeps time order and each actor's own order but shuffles the rest: an
 //! event's key is `(time, rank ‖ seq)`, where the rank — the top 24
@@ -92,6 +99,15 @@ impl EventSlot {
     }
 }
 
+/// The queue key of an event pushed with [`EventQueue::push_keyed`]. Stays
+/// valid — and harmless — after the event was delivered, recalled or
+/// discarded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EventKey {
+    time: SimTime,
+    seq: u64,
+}
+
 /// High bits of an event's `seq` a perturbation seed ranks it by; the
 /// schedule counter keeps the low `64 - RANK_BITS`.
 const RANK_BITS: u32 = 24;
@@ -153,6 +169,28 @@ impl EventQueue {
             target,
             msg,
         });
+    }
+
+    /// [`Self::push`], returning the key [`Self::recall`] takes the event
+    /// back by. (`push` does not return it: every event goes through
+    /// there, and the unused key measurably slowed it.)
+    pub fn push_keyed(&mut self, time: SimTime, target: ActorId, msg: Msg) -> EventKey {
+        let seq = self.ranked(time, target, self.next_seq);
+        self.push(time, target, msg);
+        EventKey { time, seq }
+    }
+
+    /// Take a keyed event out of the queue and return its message, or
+    /// `None` if it was already popped or discarded. Linear in the queue;
+    /// the events left pop in the order they would have.
+    pub fn recall(&mut self, key: EventKey) -> Option<Msg> {
+        let mut events = std::mem::take(&mut self.heap).into_vec();
+        let found = events
+            .iter()
+            .position(|e| (e.time, e.seq) == (key.time, key.seq))
+            .map(|i| events.swap_remove(i).msg);
+        self.heap = BinaryHeap::from(events);
+        found
     }
 
     /// Draw the next `seq` for an event due at `time` without pushing it:
@@ -288,6 +326,53 @@ mod tests {
             .map(|e| *e.msg.payload.downcast_ref::<u32>().unwrap())
             .collect();
         assert_eq!(tags, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_recalled_event_hands_back_its_message_and_the_rest_keep_their_order() {
+        for perturb in [None, Some(5)] {
+            // `reference` never holds the recalled event: it draws the
+            // event's seq and pushes nothing.
+            let fill = |keyed: bool| {
+                let mut q = perturb.map_or_else(EventQueue::new, EventQueue::perturbed);
+                q.push(SimTime(5), ActorId(2), msg(0));
+                q.push(SimTime(3), ActorId(1), msg(1));
+                let key = if keyed {
+                    Some(q.push_keyed(SimTime(5), ActorId(1), msg(2)))
+                } else {
+                    let _drawn = q.reserve(SimTime(5));
+                    None
+                };
+                q.push(SimTime(5), ActorId(2), msg(3));
+                q.push(SimTime(5), ActorId(3), msg(4));
+                (q, key)
+            };
+            let ((mut q, key), (mut reference, _)) = (fill(true), fill(false));
+            let recalled = q.recall(key.unwrap()).expect("still queued");
+            assert_eq!(*recalled.payload.downcast_ref::<u32>().unwrap(), 2);
+            assert_eq!(q.len(), 4);
+            let tags = |q: &mut EventQueue| {
+                std::iter::from_fn(|| q.pop())
+                    .map(|e| *e.msg.payload.downcast_ref::<u32>().unwrap())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(tags(&mut q), tags(&mut reference));
+        }
+    }
+
+    #[test]
+    fn recalling_a_popped_event_finds_nothing() {
+        let mut q = EventQueue::new();
+        let key = q.push_keyed(SimTime(1), ActorId(1), msg(0));
+        q.push(SimTime(2), ActorId(1), msg(1));
+        assert_eq!(q.pop().unwrap().time, SimTime(1));
+        assert!(q.recall(key).is_none());
+        assert_eq!(q.len(), 1);
+        // Discarded with its target: nothing to recall either.
+        let key = q.push_keyed(SimTime(3), ActorId(4), msg(2));
+        q.discard_for(ActorId(4));
+        assert!(q.recall(key).is_none());
+        assert_eq!(q.len(), 1);
     }
 
     proptest::proptest! {

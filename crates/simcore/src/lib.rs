@@ -52,7 +52,7 @@ pub mod trace;
 pub use actor::{Actor, ActorId, Ctx, Msg};
 pub use checksum::{checksum64, crc32, Checksum64};
 pub use durable::DurableStore;
-pub use event::{EventQueue, EventSlot, TimerId};
+pub use event::{EventKey, EventQueue, EventSlot, TimerId};
 pub use rng::DetRng;
 pub use shared::Shared;
 pub use sim::{RunOutcome, Sim, SimConfig};

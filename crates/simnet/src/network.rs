@@ -30,8 +30,9 @@
 
 use crate::config::FabricConfig;
 use crate::qos::{ClassStats, QosConfig, TokenBucket, TrafficClass, CLASS_COUNT};
+use crate::transport::PortState;
 use simcore::fault::FaultPlan;
-use simcore::hash::FastSet;
+use simcore::hash::{FastMap, FastSet};
 use simcore::{ActorId, Shared, SimTime};
 
 /// Which side of an endpoint's link a transfer occupies.
@@ -119,6 +120,10 @@ pub struct Network {
     /// Token bucket pacing bulk movers, built on first use from
     /// `qos.bulk_share` of the link rate.
     pub(crate) bulk_bucket: Option<TokenBucket>,
+    /// Every scheduled port's state, shared by the arbiter and the legs
+    /// that grant themselves at issue (see [`crate::transport`]).
+    /// Per-`Sim`, like `arbiter`.
+    pub(crate) ports: FastMap<(EndpointId, PortDir), PortState>,
     /// Per-class totals across every port (bytes always counted, even on
     /// the legacy path; waits/depths only exist with the scheduler on).
     class_totals: [ClassStats; CLASS_COUNT],
@@ -145,15 +150,18 @@ impl Network {
             qos,
             arbiter: None,
             bulk_bucket: None,
+            ports: FastMap::default(),
             class_totals: [ClassStats::default(); CLASS_COUNT],
         })
     }
 
-    /// Forget per-`Sim` QoS runtime state (arbiter id, bucket fill) so the
-    /// network can be reused with a freshly built simulator.
+    /// Forget per-`Sim` QoS runtime state (arbiter id, bucket fill, the
+    /// ports with their grants and arrivals in flight) so the network can
+    /// be reused with a freshly built simulator.
     pub fn reset_qos_runtime(&mut self) {
         self.arbiter = None;
         self.bulk_bucket = None;
+        self.ports.clear();
     }
 
     /// Ask to move `bytes` of bulk-class traffic now. `Ok` debits the

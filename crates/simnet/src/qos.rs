@@ -216,6 +216,16 @@ pub struct Segment<T> {
     pub done: Option<T>,
 }
 
+/// What an empty [`PortScheduler`] carries from one busy period to the
+/// next: the DRR cursor and credits, the arrival counter, the counters.
+#[derive(Clone, Copy)]
+pub struct IdleState {
+    deficit: [u64; CLASS_COUNT],
+    cursor: usize,
+    next_seq: u64,
+    stats: [ClassStats; CLASS_COUNT],
+}
+
 /// The pure per-port scheduler: per-class FIFO queues arbitrated by
 /// [`SchedPolicy`], serving one quantum-bounded segment per call.
 ///
@@ -275,33 +285,72 @@ impl<T> PortScheduler<T> {
         }
     }
 
+    /// The state of this (empty) scheduler, for [`Self::restore`].
+    pub fn idle_state(&self) -> IdleState {
+        debug_assert!(self.is_empty());
+        IdleState {
+            deficit: self.deficit,
+            cursor: self.cursor,
+            next_seq: self.next_seq,
+            stats: self.stats,
+        }
+    }
+
+    /// Put this (empty) scheduler back in a state [`Self::idle_state`]
+    /// took: as if nothing had been admitted since.
+    pub fn restore(&mut self, state: IdleState) {
+        debug_assert!(self.is_empty());
+        self.deficit = state.deficit;
+        self.cursor = state.cursor;
+        self.next_seq = state.next_seq;
+        self.stats = state.stats;
+    }
+
+    /// Admit an op into this empty scheduler and serve it at once, if it
+    /// leaves in one segment: the segment comes back with the state the
+    /// op found, for a later [`Self::restore`]. If it would not, the
+    /// scheduler is left as it was and the payload is handed back.
+    ///
+    /// This is [`Self::enqueue`] then [`Self::next_segment`] at the same
+    /// instant, without the queue: the op is the only one, so it is the
+    /// one picked, and it has waited nothing.
+    pub fn serve_alone(
+        &mut self,
+        class: TrafficClass,
+        bytes: u64,
+        payload: T,
+    ) -> Result<(Segment<T>, IdleState), T> {
+        debug_assert!(self.is_empty());
+        let before = self.idle_state();
+        let (c, bytes) = (class.idx(), bytes.max(1));
+        self.next_seq += 1;
+        self.stats[c].peak_depth = self.stats[c].peak_depth.max(1);
+        if self.policy != SchedPolicy::Fifo {
+            let picked = self.rr_pick(1 << c);
+            debug_assert_eq!(picked, Some(class));
+        }
+        if bytes > self.budget(class) {
+            self.restore(before);
+            return Err(payload);
+        }
+        Ok((self.charge(class, bytes, Some(0), Some(payload)), before))
+    }
+
     /// Pick the next segment to serve, or `None` if every queue is empty.
     pub fn next_segment(&mut self, now_ns: u64) -> Option<Segment<T>> {
         let class = match self.policy {
             SchedPolicy::Fifo => self.fifo_head()?,
-            SchedPolicy::Drr => self.drr_pick(0)?,
-            SchedPolicy::StrictCommit => {
-                if !self.queues[TrafficClass::Commit.idx()].is_empty() {
-                    TrafficClass::Commit
-                } else {
-                    self.drr_pick(1)?
-                }
+            _ => {
+                let busy = (0..CLASS_COUNT)
+                    .filter(|&c| !self.queues[c].is_empty())
+                    .fold(0, |mask, c| mask | 1 << c);
+                self.rr_pick(busy)?
             }
         };
-        let c = class.idx();
-        // FIFO and strict-priority commit serve whole ops; DRR-governed
-        // classes serve at most their remaining deficit per segment.
-        let budget = match self.policy {
-            SchedPolicy::Fifo => u64::MAX,
-            SchedPolicy::StrictCommit if class == TrafficClass::Commit => u64::MAX,
-            _ => self.deficit[c],
-        };
+        let (c, budget) = (class.idx(), self.budget(class));
         let op = self.queues[c].front_mut().expect("picked non-empty class");
         let bytes = op.remaining.min(budget);
         op.remaining -= bytes;
-        if budget != u64::MAX {
-            self.deficit[c] -= bytes;
-        }
         let first_wait_ns = if op.started {
             None
         } else {
@@ -309,24 +358,63 @@ impl<T> PortScheduler<T> {
             Some(now_ns.saturating_sub(op.enq_ns))
         };
         let done = if op.remaining == 0 {
-            let op = self.queues[c].pop_front().unwrap();
-            self.stats[c].ops += 1;
-            Some(op.payload)
+            Some(self.queues[c].pop_front().unwrap().payload)
         } else {
             None
         };
+        Some(self.charge(class, bytes, first_wait_ns, done))
+    }
+
+    /// Most `class` may serve in one segment: FIFO and strict-priority
+    /// commit serve whole ops; DRR-governed classes serve at most their
+    /// remaining deficit.
+    fn budget(&self, class: TrafficClass) -> u64 {
+        match self.policy {
+            SchedPolicy::Fifo => u64::MAX,
+            SchedPolicy::StrictCommit if class == TrafficClass::Commit => u64::MAX,
+            _ => self.deficit[class.idx()],
+        }
+    }
+
+    /// Account a segment of `bytes` served from `class`: its deficit and
+    /// the class's counters.
+    fn charge(
+        &mut self,
+        class: TrafficClass,
+        bytes: u64,
+        first_wait_ns: Option<u64>,
+        done: Option<T>,
+    ) -> Segment<T> {
+        let c = class.idx();
+        if self.budget(class) != u64::MAX {
+            self.deficit[c] -= bytes;
+        }
+        if done.is_some() {
+            self.stats[c].ops += 1;
+        }
         self.stats[c].bytes += bytes;
         if let Some(w) = first_wait_ns {
             if w > self.stats[c].max_wait_ns {
                 self.stats[c].max_wait_ns = w;
             }
         }
-        Some(Segment {
+        Segment {
             class,
             bytes,
             first_wait_ns,
             done,
-        })
+        }
+    }
+
+    /// The class the round-robin policies serve next, of those whose bit
+    /// is set in `busy`: `Commit` first under strict priority, then DRR
+    /// over the rest.
+    fn rr_pick(&mut self, busy: u8) -> Option<TrafficClass> {
+        match self.policy {
+            SchedPolicy::StrictCommit if busy & 1 != 0 => Some(TrafficClass::Commit),
+            SchedPolicy::StrictCommit => self.drr_pick(1, busy),
+            _ => self.drr_pick(0, busy),
+        }
     }
 
     /// Class whose head op arrived first (global FIFO order).
@@ -339,12 +427,13 @@ impl<T> PortScheduler<T> {
     }
 
     /// Advance the DRR cursor (over classes ≥ `lo`) to a class with both
-    /// traffic and deficit. Deficits top up only when the round-robin
-    /// pointer *arrives* at a class, so a class that exhausts its quantum
-    /// must let the pointer visit everyone else before being served again
-    /// — the classic DRR no-starvation guarantee.
-    fn drr_pick(&mut self, lo: usize) -> Option<TrafficClass> {
-        if self.queues[lo..].iter().all(|q| q.is_empty()) {
+    /// traffic (its bit set in `busy`) and deficit. Deficits top up only
+    /// when the round-robin pointer *arrives* at a class, so a class that
+    /// exhausts its quantum must let the pointer visit everyone else
+    /// before being served again — the classic DRR no-starvation
+    /// guarantee.
+    fn drr_pick(&mut self, lo: usize, busy: u8) -> Option<TrafficClass> {
+        if busy >> lo == 0 {
             return None;
         }
         if self.cursor < lo {
@@ -354,7 +443,7 @@ impl<T> PortScheduler<T> {
         // the arrival top-ups during it guarantee the second succeeds.
         for _ in 0..(2 * CLASS_COUNT) {
             let c = self.cursor;
-            if self.queues[c].is_empty() {
+            if busy & 1 << c == 0 {
                 // An idle class forfeits its credit (classic DRR: deficit
                 // never accumulates while you have nothing to send).
                 self.deficit[c] = 0;

@@ -32,6 +32,38 @@
 //! Uncontended latency is identical in both paths (the wire time is paid
 //! once either way); only *queueing* differs — which is the point.
 //!
+//! ## Grants: the arbiter's work done at issue
+//!
+//! A scheduled leg reaches the arbiter as a `QosArrive` at its arrival
+//! instant A, `pre_ns` after issue. Most legs find their port idle and
+//! leave in one segment, and the issue side can already see that, so
+//! `qos_route` *grants* such a leg: it serves it itself, as of A, through
+//! the same `PortState::dispatch` the arbiter uses. The port table lives
+//! in the [`crate::Network`] for that reason. Three rules keep a grant
+//! exactly what the arbiter would have done:
+//!
+//! * **Grant** only when the port's scheduler is empty, the port is busy
+//!   until no later than A, no `QosArrive` in flight to it arrives at or
+//!   before A, no grant is outstanding on it, and the leg leaves in one
+//!   segment ([`PortScheduler::serve_alone`]). The slot the `QosArrive`
+//!   would have taken is reserved, so its seq is drawn where the send's
+//!   would have been; the delivery goes out with a key it can be recalled
+//!   by.
+//! * **Revoke** when a leg issued later arrives before an outstanding
+//!   grant: the grant's delivery is recalled, the port returns to the
+//!   state the grant found, and the grant's `QosArrive` fills the
+//!   reserved slot. The later leg is then routed itself, and may be
+//!   granted. A delivery discarded with its killed target still sends
+//!   the `QosArrive`, so the port stays occupied as on the arbiter's path.
+//! * **Final**: a grant whose A is now or past can no longer be revoked.
+//!   A later leg arriving at the same instant has a later seq, so the
+//!   arbiter would have served it second too.
+//!
+//! One ordering changes: a grant draws the seqs of its delivery and of
+//! its port's next `SegDone` at issue instead of at A, so events due at
+//! the same nanosecond as those can leave in issue order rather than in
+//! arrival order.
+//!
 //! ## Which port a leg leaves through
 //!
 //! Both paths share the issue side (`issue_leg`): a leg rides the
@@ -43,13 +75,13 @@
 //! their issue order. A device's data reply (read, scrub)
 //! returns on the fabric its request arrived on.
 
+use crate::config::FabricConfig;
 use crate::latency;
 use crate::network::{EndpointId, PortDir, SharedNetwork};
-use crate::qos::{PortScheduler, TrafficClass};
+use crate::qos::{IdleState, PortScheduler, QosConfig, Segment, TrafficClass};
 use bytes::Bytes;
 use simcore::actor::Start;
-use simcore::hash::FastMap;
-use simcore::{Actor, ActorId, Ctx, EventSlot, Msg, SimDuration};
+use simcore::{Actor, ActorId, Ctx, EventKey, EventSlot, Msg, SimDuration};
 use std::any::Any;
 use std::rc::Rc;
 
@@ -319,40 +351,36 @@ fn issue_leg(
     Some((issued, fabric))
 }
 
-/// The typed payload a scheduled port eventually releases.
-enum QosPayload {
-    Write(InboundRdmaWrite),
-    Read(InboundRdmaRead),
-    Scrub(InboundRdmaScrub),
-    Copy(InboundRdmaCopy),
-    Ipc(NetDelivery),
-    ReadDone(RdmaReadDone),
-    ScrubDone(RdmaScrubDone),
+/// A scheduled port: the endpoint and the side of its link.
+type PortKey = (EndpointId, PortDir);
+
+/// What a scheduled port releases once a transfer's last segment has
+/// left: `msg`, already addressed from the arbiter, to `target`,
+/// `tail_ns` later (target-NIC processing for requests, the hardware ack
+/// for replies).
+struct Delivery {
+    target: ActorId,
+    tail_ns: u64,
+    msg: Msg,
 }
 
 /// A transfer arriving at a scheduled port (sent to the arbiter actor).
 struct QosArrive {
-    ep: EndpointId,
-    dir: PortDir,
+    port: PortKey,
     class: TrafficClass,
     bytes: u64,
-    /// Latency added after the final segment leaves the port: target-NIC
-    /// processing for requests, the hardware ack for replies.
-    tail_ns: u64,
-    /// Final recipient of the payload.
-    target: ActorId,
-    payload: QosPayload,
+    delivery: Delivery,
 }
 
 /// A served segment finished serializing; the port may dispatch the next.
 struct SegDone {
-    ep: EndpointId,
-    dir: PortDir,
+    port: PortKey,
 }
 
-/// Per-port scheduler state inside the arbiter.
-struct PortState {
-    sched: PortScheduler<(ActorId, u64, QosPayload)>,
+/// One scheduled port. Kept in the [`crate::Network`], where both the
+/// arbiter and the issue side reach it.
+pub(crate) struct PortState {
+    sched: PortScheduler<Delivery>,
     busy_until_ns: u64,
     /// The `SegDone` of a segment that left the scheduler empty, reserved
     /// instead of sent: delivered, it would find nothing to serve. An
@@ -360,61 +388,121 @@ struct PortState {
     /// frees exactly when and in the order it would have — and a serve
     /// replaces it.
     idle_done: Option<EventSlot>,
+    /// When each `QosArrive` in flight to this port arrives.
+    inbound_ns: Vec<u64>,
+    /// The port's last grant, revocable while its arrival is ahead.
+    grant: Option<Grant>,
 }
 
-/// The fabric arbiter: one actor per `Sim` owning every scheduled port.
-/// Spawned lazily on the first QoS-routed operation; all arbitration
-/// logic lives in the pure [`PortScheduler`], this actor only converts
-/// segments to wire time and forwards completed payloads.
+/// A leg served when it was issued, as of its arrival, and what a later
+/// leg that arrives first needs to take the grant back.
+struct Grant {
+    at_ns: u64,
+    /// The slot the leg's `QosArrive` would have taken.
+    arrive: EventSlot,
+    delivery: EventKey,
+    target: ActorId,
+    tail_ns: u64,
+    class: TrafficClass,
+    bytes: u64,
+    /// The port as the grant found it.
+    before: (IdleState, u64, Option<EventSlot>),
+}
+
+impl PortState {
+    fn new(qos: &QosConfig) -> Self {
+        PortState {
+            sched: PortScheduler::new(qos.policy, qos.quantum_bytes),
+            busy_until_ns: 0,
+            idle_done: None,
+            inbound_ns: Vec::new(),
+            grant: None,
+        }
+    }
+
+    /// Put a served segment on the wire as of `at_ns` — now for the
+    /// arbiter, the leg's arrival for a grant. The port is busy for the
+    /// segment's wire time and then frees with a `SegDone` to `arbiter`,
+    /// or only reserves it if nothing is left queued. A finished op's
+    /// delivery leaves its tail later; its key is returned.
+    fn dispatch(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        cfg: &FabricConfig,
+        arbiter: ActorId,
+        port: PortKey,
+        seg: Segment<Delivery>,
+        at_ns: u64,
+    ) -> Option<EventKey> {
+        let dur = latency::wire_ns(cfg, seg.bytes.min(u32::MAX as u64) as u32);
+        self.busy_until_ns = at_ns + dur;
+        let free_in = SimDuration::from_nanos(self.busy_until_ns - ctx.now().as_nanos());
+        self.idle_done = if self.sched.is_empty() {
+            Some(ctx.reserve(free_in))
+        } else {
+            ctx.send(arbiter, free_in, SegDone { port });
+            None
+        };
+        seg.done.map(|d| {
+            let delay = free_in + SimDuration::from_nanos(d.tail_ns);
+            ctx.forward_keyed(d.target, delay, d.msg)
+        })
+    }
+
+    /// Take back a grant a later leg arrives before: its delivery leaves
+    /// the queue, the port returns to the state the grant found, and the
+    /// leg's `QosArrive` goes out in the slot it would have had. A
+    /// delivery discarded with its killed target still occupies the port.
+    fn revoke(&mut self, ctx: &mut Ctx<'_>, arbiter: ActorId, port: PortKey, g: Grant) {
+        let msg = ctx.recall(g.delivery).unwrap_or_else(|| {
+            debug_assert!(!ctx.is_alive(g.target), "a live grant's delivery is queued");
+            Msg::new(arbiter, ())
+        });
+        let (sched, busy_until_ns, idle_done) = g.before;
+        self.sched.restore(sched);
+        self.busy_until_ns = busy_until_ns;
+        self.idle_done = idle_done;
+        self.inbound_ns.push(g.at_ns);
+        let delivery = Delivery {
+            target: g.target,
+            tail_ns: g.tail_ns,
+            msg,
+        };
+        let arrive = QosArrive {
+            port,
+            class: g.class,
+            bytes: g.bytes,
+            delivery,
+        };
+        ctx.send_reserved(g.arrive, arbiter, arrive);
+    }
+}
+
+/// The fabric arbiter: one actor per `Sim`, serving the scheduled ports
+/// legs reach as `QosArrive`s. Spawned lazily on the first QoS-routed
+/// operation; all arbitration logic lives in the pure [`PortScheduler`].
 struct FabricArbiter {
     net: SharedNetwork,
-    ports: FastMap<(EndpointId, PortDir), PortState>,
 }
 
 impl FabricArbiter {
-    fn serve(&mut self, ctx: &mut Ctx<'_>, key: (EndpointId, PortDir)) {
+    fn serve(&mut self, ctx: &mut Ctx<'_>, key: PortKey) {
         let now = ctx.now().as_nanos();
-        let Some(port) = self.ports.get_mut(&key) else {
+        let mut guard = self.net.lock();
+        let n = &mut *guard;
+        let Some(port) = n.ports.get_mut(&key) else {
             return;
         };
-        if port.busy_until_ns > now || port.sched.is_empty() {
+        if port.busy_until_ns > now {
             return;
         }
         let Some(seg) = port.sched.next_segment(now) else {
             return;
         };
-        let dur = {
-            let n = self.net.lock();
-            latency::wire_ns(&n.cfg, seg.bytes.min(u32::MAX as u64) as u32)
-        };
-        port.busy_until_ns = now + dur;
-        if let Some(w) = seg.first_wait_ns {
-            self.net.lock().record_port_wait(seg.class, w, 0);
-        }
-        let free_in = SimDuration::from_nanos(dur);
-        port.idle_done = if port.sched.is_empty() {
-            Some(ctx.reserve(free_in))
-        } else {
-            ctx.send_self(
-                free_in,
-                SegDone {
-                    ep: key.0,
-                    dir: key.1,
-                },
-            );
-            None
-        };
-        if let Some((target, tail_ns, payload)) = seg.done {
-            let d = SimDuration::from_nanos(dur + tail_ns);
-            match payload {
-                QosPayload::Write(p) => ctx.send(target, d, p),
-                QosPayload::Read(p) => ctx.send(target, d, p),
-                QosPayload::Scrub(p) => ctx.send(target, d, p),
-                QosPayload::Copy(p) => ctx.send(target, d, p),
-                QosPayload::Ipc(p) => ctx.send(target, d, p),
-                QosPayload::ReadDone(p) => ctx.send(target, d, p),
-                QosPayload::ScrubDone(p) => ctx.send(target, d, p),
-            }
+        let (class, wait, me) = (seg.class, seg.first_wait_ns, ctx.self_id());
+        port.dispatch(ctx, &n.cfg, me, key, seg, now);
+        if let Some(w) = wait {
+            n.record_port_wait(class, w, 0);
         }
     }
 }
@@ -429,41 +517,32 @@ impl Actor for FabricArbiter {
         }
         let msg = match msg.take::<QosArrive>() {
             Ok((_, a)) => {
-                let key = (a.ep, a.dir);
-                let (policy, quantum) = {
-                    let n = self.net.lock();
-                    (n.qos.policy, n.qos.quantum_bytes)
-                };
-                let port = self.ports.entry(key).or_insert_with(|| PortState {
-                    sched: PortScheduler::new(policy, quantum),
-                    busy_until_ns: 0,
-                    idle_done: None,
-                });
                 let now = ctx.now().as_nanos();
-                port.sched
-                    .enqueue(a.class, a.bytes, now, (a.target, a.tail_ns, a.payload));
+                let mut n = self.net.lock();
+                let port = n
+                    .ports
+                    .get_mut(&a.port)
+                    .expect("made when the leg was issued");
+                let i = port.inbound_ns.iter().position(|&t| t == now);
+                port.inbound_ns
+                    .swap_remove(i.expect("an arrival is in flight"));
+                port.sched.enqueue(a.class, a.bytes, now, a.delivery);
                 if port.busy_until_ns > now {
                     if let Some(slot) = port.idle_done.take() {
                         let me = ctx.self_id();
-                        ctx.send_reserved(
-                            slot,
-                            me,
-                            SegDone {
-                                ep: a.ep,
-                                dir: a.dir,
-                            },
-                        );
+                        ctx.send_reserved(slot, me, SegDone { port: a.port });
                     }
                 }
                 let depth = port.sched.depth(a.class) as u64;
-                self.net.lock().record_port_wait(a.class, 0, depth);
-                self.serve(ctx, key);
+                n.record_port_wait(a.class, 0, depth);
+                drop(n);
+                self.serve(ctx, a.port);
                 return;
             }
             Err(m) => m,
         };
         if let Ok((_, s)) = msg.take::<SegDone>() {
-            self.serve(ctx, (s.ep, s.dir));
+            self.serve(ctx, s.port);
         }
     }
 }
@@ -473,42 +552,104 @@ fn ensure_arbiter(ctx: &mut Ctx<'_>, net: &SharedNetwork) -> ActorId {
     if let Some(a) = net.lock().arbiter {
         return a;
     }
-    let a = ctx.spawn(Box::new(FabricArbiter {
-        net: net.clone(),
-        ports: FastMap::default(),
-    }));
+    let a = ctx.spawn(Box::new(FabricArbiter { net: net.clone() }));
     net.lock().arbiter = Some(a);
     a
 }
 
-/// Route one leg to the target-side scheduled port.
+/// Route one leg to a scheduled port, arriving `pre_ns` from now. A leg
+/// that will find the port idle is granted: served here, as of its
+/// arrival. Any other leg goes to the arbiter as a `QosArrive`, and so
+/// does a grant this leg arrives before, taken back first.
 #[allow(clippy::too_many_arguments)]
-fn qos_route(
+fn qos_route<T: Any>(
     ctx: &mut Ctx<'_>,
     net: &SharedNetwork,
-    ep: EndpointId,
-    dir: PortDir,
+    key: PortKey,
     class: TrafficClass,
     bytes: u64,
     tail_ns: u64,
     pre_ns: u64,
     target: ActorId,
-    payload: QosPayload,
+    payload: T,
 ) {
-    let arb = ensure_arbiter(ctx, net);
-    ctx.send(
-        arb,
-        SimDuration::from_nanos(pre_ns),
-        QosArrive {
-            ep,
-            dir,
-            class,
-            bytes,
-            tail_ns,
-            target,
-            payload,
-        },
-    );
+    let arbiter = ensure_arbiter(ctx, net);
+    let now = ctx.now().as_nanos();
+    let at_ns = now + pre_ns;
+    let mut delivery = Delivery {
+        target,
+        tail_ns,
+        msg: Msg::new(arbiter, payload),
+    };
+    let mut guard = net.lock();
+    let n = &mut *guard;
+    let qos = &n.qos;
+    let port = n.ports.entry(key).or_insert_with(|| PortState::new(qos));
+    // A grant whose arrival is due is final; one this leg arrives before
+    // is taken back.
+    if let Some(g) = port.grant.take_if(|g| g.at_ns <= now || at_ns < g.at_ns) {
+        if g.at_ns > now {
+            port.revoke(ctx, arbiter, key, g);
+        }
+    }
+    let idle = port.sched.is_empty()
+        && port.busy_until_ns <= at_ns
+        && port.grant.is_none()
+        && port.inbound_ns.iter().all(|&t| t > at_ns);
+    if idle {
+        let (busy_until_ns, idle_done) = (port.busy_until_ns, port.idle_done);
+        match port.sched.serve_alone(class, bytes, delivery) {
+            Ok((seg, sched)) => {
+                let arrive = (at_ns > now).then(|| ctx.reserve(SimDuration::from_nanos(pre_ns)));
+                let delivery_key = port.dispatch(ctx, &n.cfg, arbiter, key, seg, at_ns);
+                if let (Some(arrive), Some(delivery)) = (arrive, delivery_key) {
+                    port.grant = Some(Grant {
+                        at_ns,
+                        arrive,
+                        delivery,
+                        target,
+                        tail_ns,
+                        class,
+                        bytes,
+                        before: (sched, busy_until_ns, idle_done),
+                    });
+                }
+                n.record_port_wait(class, 0, 1);
+                return;
+            }
+            Err(d) => delivery = d,
+        }
+    }
+    port.inbound_ns.push(at_ns);
+    let arrive = QosArrive {
+        port: key,
+        class,
+        bytes,
+        delivery,
+    };
+    ctx.send(arbiter, SimDuration::from_nanos(pre_ns), arrive);
+}
+
+/// Deliver `payload` over a leg [`issue_leg`] issued: on the analytic
+/// path straight to its target, on the scheduled one through the
+/// receive port of `to_ep`.
+fn send_leg<T: Any>(
+    ctx: &mut Ctx<'_>,
+    net: &SharedNetwork,
+    issued: Issued,
+    to_ep: EndpointId,
+    class: TrafficClass,
+    bytes: u64,
+    payload: T,
+) {
+    match issued {
+        Issued::Legacy { target, ns } => ctx.send(target, SimDuration::from_nanos(ns), payload),
+        Issued::Qos { target, pre_ns } => {
+            let nic = net.lock().cfg.target_nic_ns;
+            let port = (to_ep, PortDir::Rx);
+            qos_route(ctx, net, port, class, bytes, nic, pre_ns, target, payload)
+        }
+    }
 }
 
 /// Send an IPC message (`payload`) from `from_ep` to the actor bound to
@@ -546,42 +687,22 @@ pub fn send_net_msg_class<T: Any>(
     class: TrafficClass,
     payload: T,
 ) -> bool {
-    match issue_leg(ctx, net, from_ep, to_ep, wire_len, class) {
-        Some((issued, _)) => {
-            let nic = {
-                let mut n = net.lock();
-                n.stats.msgs += 1;
-                n.stats.msg_bytes += wire_len as u64;
-                n.cfg.target_nic_ns
-            };
-            let delivery = NetDelivery {
-                from_ep,
-                payload: Box::new(payload),
-            };
-            match issued {
-                Issued::Legacy { target, ns } => {
-                    ctx.send(target, SimDuration::from_nanos(ns), delivery)
-                }
-                Issued::Qos { target, pre_ns } => qos_route(
-                    ctx,
-                    net,
-                    to_ep,
-                    PortDir::Rx,
-                    class,
-                    wire_len.max(1) as u64,
-                    nic,
-                    pre_ns,
-                    target,
-                    QosPayload::Ipc(delivery),
-                ),
-            }
-            true
-        }
-        None => {
-            net.lock().stats.unreachable += 1;
-            false
-        }
+    let Some((issued, _)) = issue_leg(ctx, net, from_ep, to_ep, wire_len, class) else {
+        net.lock().stats.unreachable += 1;
+        return false;
+    };
+    {
+        let mut n = net.lock();
+        n.stats.msgs += 1;
+        n.stats.msg_bytes += wire_len as u64;
     }
+    let delivery = NetDelivery {
+        from_ep,
+        payload: Box::new(payload),
+    };
+    let bytes = wire_len.max(1) as u64;
+    send_leg(ctx, net, issued, to_ep, class, bytes, delivery);
+    true
 }
 
 /// Issue an RDMA write. Completion arrives at the *calling actor* as
@@ -650,52 +771,32 @@ pub fn rdma_write_chain(
     assert!(!links.is_empty(), "empty write chain");
     let span: u64 = links.iter().map(ChainLink::span).sum();
     let len = u32::try_from(span).expect("write chain exceeds the u32 wire-size field");
-    match issue_leg(ctx, net, from_ep, to_ep, len, class) {
-        Some((issued, _)) => {
-            let nic = {
-                let mut n = net.lock();
-                n.stats.rdma_writes += 1;
-                n.stats.rdma_write_bytes += span;
-                n.cfg.target_nic_ns
-            };
-            let reply_to = ctx.self_id();
-            let inbound = InboundRdmaWrite {
-                from_ep,
-                reply_to,
+    let Some((issued, _)) = issue_leg(ctx, net, from_ep, to_ep, len, class) else {
+        net.lock().stats.unreachable += 1;
+        ctx.send_self(
+            SimDuration::from_nanos(UNREACHABLE_TIMEOUT_NS),
+            RdmaWriteDone {
                 op_id,
-                links,
-                fence,
-                class,
-            };
-            match issued {
-                Issued::Legacy { target, ns } => {
-                    ctx.send(target, SimDuration::from_nanos(ns), inbound)
-                }
-                Issued::Qos { target, pre_ns } => qos_route(
-                    ctx,
-                    net,
-                    to_ep,
-                    PortDir::Rx,
-                    class,
-                    span.max(1),
-                    nic,
-                    pre_ns,
-                    target,
-                    QosPayload::Write(inbound),
-                ),
-            }
-        }
-        None => {
-            net.lock().stats.unreachable += 1;
-            ctx.send_self(
-                SimDuration::from_nanos(UNREACHABLE_TIMEOUT_NS),
-                RdmaWriteDone {
-                    op_id,
-                    status: RdmaStatus::Unreachable,
-                },
-            );
-        }
+                status: RdmaStatus::Unreachable,
+            },
+        );
+        return;
+    };
+    {
+        let mut n = net.lock();
+        n.stats.rdma_writes += 1;
+        n.stats.rdma_write_bytes += span;
     }
+    let reply_to = ctx.self_id();
+    let inbound = InboundRdmaWrite {
+        from_ep,
+        reply_to,
+        op_id,
+        links,
+        fence,
+        class,
+    };
+    send_leg(ctx, net, issued, to_ep, class, span.max(1), inbound);
 }
 
 /// Issue an RDMA read of `len` bytes. Completion arrives as [`RdmaReadDone`].
@@ -712,54 +813,34 @@ pub fn rdma_read(
     op_id: u64,
     class: TrafficClass,
 ) {
-    match issue_leg(ctx, net, from_ep, to_ep, 64, class) {
-        Some((issued, fabric)) => {
-            let nic = {
-                let mut n = net.lock();
-                n.stats.rdma_reads += 1;
-                n.stats.rdma_read_bytes += len as u64;
-                n.cfg.target_nic_ns
-            };
-            let reply_to = ctx.self_id();
-            let inbound = InboundRdmaRead {
-                from_ep,
-                reply_to,
+    let Some((issued, fabric)) = issue_leg(ctx, net, from_ep, to_ep, 64, class) else {
+        net.lock().stats.unreachable += 1;
+        ctx.send_self(
+            SimDuration::from_nanos(UNREACHABLE_TIMEOUT_NS),
+            RdmaReadDone {
                 op_id,
-                addr,
-                len,
-                class,
-                fabric,
-            };
-            match issued {
-                Issued::Legacy { target, ns } => {
-                    ctx.send(target, SimDuration::from_nanos(ns), inbound)
-                }
-                Issued::Qos { target, pre_ns } => qos_route(
-                    ctx,
-                    net,
-                    to_ep,
-                    PortDir::Rx,
-                    class,
-                    64,
-                    nic,
-                    pre_ns,
-                    target,
-                    QosPayload::Read(inbound),
-                ),
-            }
-        }
-        None => {
-            net.lock().stats.unreachable += 1;
-            ctx.send_self(
-                SimDuration::from_nanos(UNREACHABLE_TIMEOUT_NS),
-                RdmaReadDone {
-                    op_id,
-                    status: RdmaStatus::Unreachable,
-                    data: Bytes::new(),
-                },
-            );
-        }
+                status: RdmaStatus::Unreachable,
+                data: Bytes::new(),
+            },
+        );
+        return;
+    };
+    {
+        let mut n = net.lock();
+        n.stats.rdma_reads += 1;
+        n.stats.rdma_read_bytes += len as u64;
     }
+    let reply_to = ctx.self_id();
+    let inbound = InboundRdmaRead {
+        from_ep,
+        reply_to,
+        op_id,
+        addr,
+        len,
+        class,
+        fabric,
+    };
+    send_leg(ctx, net, issued, to_ep, class, 64, inbound);
 }
 
 /// Called by a device actor to complete an inbound write chain: sends
@@ -814,18 +895,8 @@ pub fn reply_rdma_read(
         (n.qos.enabled, n.cfg.ack_ns)
     };
     if qos_on {
-        qos_route(
-            ctx,
-            net,
-            device_ep,
-            PortDir::Tx,
-            req.class,
-            bytes,
-            ack_ns,
-            0,
-            req.reply_to,
-            QosPayload::ReadDone(done),
-        );
+        let (port, to) = ((device_ep, PortDir::Tx), req.reply_to);
+        qos_route(ctx, net, port, req.class, bytes, ack_ns, 0, to, done);
         return;
     }
     let ns = {
@@ -852,54 +923,31 @@ pub fn rdma_scrub(
     op_id: u64,
     class: TrafficClass,
 ) {
-    match issue_leg(ctx, net, from_ep, to_ep, 64, class) {
-        Some((issued, fabric)) => {
-            let nic = {
-                let mut n = net.lock();
-                n.stats.rdma_scrubs += 1;
-                n.cfg.target_nic_ns
-            };
-            let reply_to = ctx.self_id();
-            let inbound = InboundRdmaScrub {
-                from_ep,
-                reply_to,
+    let Some((issued, fabric)) = issue_leg(ctx, net, from_ep, to_ep, 64, class) else {
+        net.lock().stats.unreachable += 1;
+        ctx.send_self(
+            SimDuration::from_nanos(UNREACHABLE_TIMEOUT_NS),
+            RdmaScrubDone {
                 op_id,
-                addr,
-                len,
-                chunk,
-                class,
-                fabric,
-            };
-            match issued {
-                Issued::Legacy { target, ns } => {
-                    ctx.send(target, SimDuration::from_nanos(ns), inbound)
-                }
-                Issued::Qos { target, pre_ns } => qos_route(
-                    ctx,
-                    net,
-                    to_ep,
-                    PortDir::Rx,
-                    class,
-                    64,
-                    nic,
-                    pre_ns,
-                    target,
-                    QosPayload::Scrub(inbound),
-                ),
-            }
-        }
-        None => {
-            net.lock().stats.unreachable += 1;
-            ctx.send_self(
-                SimDuration::from_nanos(UNREACHABLE_TIMEOUT_NS),
-                RdmaScrubDone {
-                    op_id,
-                    status: RdmaStatus::Unreachable,
-                    digests: Vec::new(),
-                },
-            );
-        }
-    }
+                status: RdmaStatus::Unreachable,
+                digests: Vec::new(),
+            },
+        );
+        return;
+    };
+    net.lock().stats.rdma_scrubs += 1;
+    let reply_to = ctx.self_id();
+    let inbound = InboundRdmaScrub {
+        from_ep,
+        reply_to,
+        op_id,
+        addr,
+        len,
+        chunk,
+        class,
+        fabric,
+    };
+    send_leg(ctx, net, issued, to_ep, class, 64, inbound);
 }
 
 /// Issue a device-to-device copy command to the *source* device: a 64 B
@@ -921,54 +969,34 @@ pub fn rdma_copy(
     op_id: u64,
     class: TrafficClass,
 ) {
-    match issue_leg(ctx, net, from_ep, to_ep, 64, class) {
-        Some((issued, _)) => {
-            let nic = {
-                let mut n = net.lock();
-                n.stats.rdma_copies += 1;
-                n.stats.rdma_copy_bytes += len as u64;
-                n.cfg.target_nic_ns
-            };
-            let reply_to = ctx.self_id();
-            let inbound = InboundRdmaCopy {
-                from_ep,
-                reply_to,
+    let Some((issued, _)) = issue_leg(ctx, net, from_ep, to_ep, 64, class) else {
+        net.lock().stats.unreachable += 1;
+        ctx.send_self(
+            SimDuration::from_nanos(UNREACHABLE_TIMEOUT_NS),
+            RdmaCopyDone {
                 op_id,
-                src_addr,
-                len,
-                dst_ep,
-                dst_addr,
-                class,
-            };
-            match issued {
-                Issued::Legacy { target, ns } => {
-                    ctx.send(target, SimDuration::from_nanos(ns), inbound)
-                }
-                Issued::Qos { target, pre_ns } => qos_route(
-                    ctx,
-                    net,
-                    to_ep,
-                    PortDir::Rx,
-                    class,
-                    64,
-                    nic,
-                    pre_ns,
-                    target,
-                    QosPayload::Copy(inbound),
-                ),
-            }
-        }
-        None => {
-            net.lock().stats.unreachable += 1;
-            ctx.send_self(
-                SimDuration::from_nanos(UNREACHABLE_TIMEOUT_NS),
-                RdmaCopyDone {
-                    op_id,
-                    status: RdmaStatus::Unreachable,
-                },
-            );
-        }
+                status: RdmaStatus::Unreachable,
+            },
+        );
+        return;
+    };
+    {
+        let mut n = net.lock();
+        n.stats.rdma_copies += 1;
+        n.stats.rdma_copy_bytes += len as u64;
     }
+    let reply_to = ctx.self_id();
+    let inbound = InboundRdmaCopy {
+        from_ep,
+        reply_to,
+        op_id,
+        src_addr,
+        len,
+        dst_ep,
+        dst_addr,
+        class,
+    };
+    send_leg(ctx, net, issued, to_ep, class, 64, inbound);
 }
 
 /// Called by a device actor to complete an inbound scrub, once its scan
@@ -996,18 +1024,8 @@ pub fn reply_rdma_scrub(
         (n.qos.enabled, n.cfg.ack_ns)
     };
     if qos_on {
-        qos_route(
-            ctx,
-            net,
-            device_ep,
-            PortDir::Tx,
-            req.class,
-            bytes,
-            ack_ns,
-            0,
-            req.reply_to,
-            QosPayload::ScrubDone(done),
-        );
+        let (port, to) = ((device_ep, PortDir::Tx), req.reply_to);
+        qos_route(ctx, net, port, req.class, bytes, ack_ns, 0, to, done);
         return;
     }
     let ns = {
@@ -1045,9 +1063,8 @@ pub fn reply_rdma_copy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FabricConfig;
     use crate::network::Network;
-    use crate::qos::{QosConfig, SchedPolicy};
+    use crate::qos::SchedPolicy;
     use simcore::actor::Start;
     use simcore::{Actor, Msg, Shared, Sim};
 
@@ -1546,14 +1563,14 @@ mod tests {
         assert_eq!(drr.len(), 3);
     }
 
-    /// An uncontended scheduled leg is two events — the arrival at the
-    /// arbiter and the delivery — not three: the segment that empties its
-    /// port reserves its `SegDone` instead of sending it. Write request,
-    /// read request and read reply each ride a scheduled port here, so
-    /// the QoS run dispatches the legacy run's events plus the arbiter's
-    /// `Start` and one arrival per leg.
+    /// An uncontended scheduled leg is one event, its delivery, as on the
+    /// analytic path: it is granted when issued (no `QosArrive`), and the
+    /// segment that empties its port reserves its `SegDone` instead of
+    /// sending it. Write request, read request and read reply each ride a
+    /// scheduled port here, so the QoS run dispatches the legacy run's
+    /// events plus the arbiter's `Start`.
     #[test]
-    fn uncontended_scheduled_legs_dispatch_two_events_each() {
+    fn uncontended_scheduled_legs_dispatch_one_event_each() {
         let dispatched = |qos| {
             let (mut sim, _net, _mem, events) = setup_with(qos);
             sim.run_until_idle();
@@ -1562,7 +1579,7 @@ mod tests {
         };
         let legacy = dispatched(QosConfig::disabled());
         let scheduled = dispatched(QosConfig::drr(0.9));
-        assert_eq!(scheduled, legacy + 1 + 3);
+        assert_eq!(scheduled, legacy + 1);
     }
 
     /// 4 KiB writes from separate initiators into one device port, each
@@ -1626,10 +1643,11 @@ mod tests {
         (eps.into_iter().map(at).collect(), sim.dispatched())
     }
 
-    /// A write arriving while the port still serializes another fills the
-    /// reserved `SegDone` and is served the instant the port frees, as if
-    /// the `SegDone` had been sent; one arriving after the port went idle
-    /// is served at once and leaves the stale slot unfilled.
+    /// A write arriving while the port still serializes another goes to
+    /// the arbiter, fills the reserved `SegDone` and is served the instant
+    /// the port frees, as if the `SegDone` had been sent; one arriving
+    /// after the port went idle is granted when issued and leaves the
+    /// stale slot unfilled.
     #[test]
     fn an_arrival_behind_a_reserved_segdone_is_served_when_the_port_frees() {
         let cfg = FabricConfig::default();
@@ -1641,9 +1659,175 @@ mod tests {
         assert_eq!(done, vec![alone, sw + 2 * wire + nic + ack]);
         let (done, idle) = staggered_writes(&[0, 2 * wire]);
         assert_eq!(done, vec![alone, 2 * wire + alone]);
-        // The queued write needed the first one's `SegDone`; the idle
-        // port's second write did not.
-        assert_eq!(contended, idle + 1);
+        // The queued write needed an arrival at the arbiter and the first
+        // one's `SegDone`; the idle port's second write neither.
+        assert_eq!(contended, idle + 2);
+    }
+
+    /// Records when each tagged IPC message reaches it.
+    struct Inbox {
+        got: Shared<Vec<(u64, u64)>>,
+    }
+    impl Actor for Inbox {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            if let Ok((_, d)) = msg.take::<NetDelivery>() {
+                let tag = *d.payload.downcast::<u64>().unwrap();
+                self.got.lock().push((tag, ctx.now().as_nanos()));
+            }
+        }
+    }
+
+    /// Posted to a [`Sender`]: send `bytes` tagged `tag` to `to` now.
+    struct SendLeg {
+        to: EndpointId,
+        bytes: u32,
+        tag: u64,
+    }
+    struct Sender {
+        net: SharedNetwork,
+        ep: EndpointId,
+    }
+    impl Actor for Sender {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            if let Ok((_, leg)) = msg.take::<SendLeg>() {
+                let net = self.net.clone();
+                assert!(send_net_msg(ctx, &net, self.ep, leg.to, leg.bytes, leg.tag));
+            }
+        }
+    }
+
+    /// A sender on a new endpoint, with `legs` `(at_ns, to, bytes, tag)`
+    /// posted to it.
+    fn sender(sim: &mut Sim, net: &SharedNetwork, legs: &[(u64, EndpointId, u32, u64)]) {
+        let ep = net.lock().attach(ActorId(u32::MAX));
+        let a = sim.spawn(Sender {
+            net: net.clone(),
+            ep,
+        });
+        net.lock().rebind(ep, a);
+        for &(at, to, bytes, tag) in legs {
+            sim.post(a, SimDuration::from_nanos(at), SendLeg { to, bytes, tag });
+        }
+    }
+
+    fn no_jitter() -> FabricConfig {
+        FabricConfig {
+            jitter_frac: 0.0,
+            ..FabricConfig::default()
+        }
+    }
+
+    /// A grant whose target died before a later leg took it back still
+    /// occupies its port, as its arrival at the arbiter would have: a leg
+    /// arriving just after it waits a wire time.
+    #[test]
+    fn a_revoked_grant_whose_target_died_still_occupies_its_port() {
+        let cfg = no_jitter();
+        let (sw, nic) = (cfg.sw_overhead_ns, cfg.target_nic_ns);
+        let wire = latency::wire_ns(&cfg, 4096);
+        let mut sim = Sim::with_seed(1);
+        let net = Network::with_qos(cfg.clone(), QosConfig::drr(1.0));
+        let got = Shared::new(Vec::new());
+        let inbox = |sim: &mut Sim| sim.spawn(Inbox { got: got.clone() });
+        let (dev, other) = (inbox(&mut sim), inbox(&mut sim));
+        let dev_ep = net.lock().attach(dev);
+        let other_ep = net.lock().attach(other);
+        // Tag 1 waits behind 60 KB on its initiator's transmit port, so it
+        // is granted to arrive at `granted_at`, long after it is issued.
+        let granted_at = sw + latency::wire_ns(&cfg, 60_000);
+        sender(
+            &mut sim,
+            &net,
+            &[(0, other_ep, 60_000, 0), (0, dev_ep, 4096, 1)],
+        );
+        // Tag 2 arrives first and takes the grant back; tag 3 arrives just
+        // after the grant would have.
+        sender(&mut sim, &net, &[(200_000, dev_ep, 4096, 2)]);
+        sender(&mut sim, &net, &[(granted_at - sw + 100, dev_ep, 4096, 3)]);
+        sim.run_until(simcore::SimTime(100_000));
+        sim.kill(dev);
+        let restarted = inbox(&mut sim);
+        net.lock().rebind(dev_ep, restarted);
+        sim.run_until_idle();
+
+        let mut got = got.lock().clone();
+        got.sort();
+        let tail = wire + nic;
+        let want = vec![
+            (0, sw + latency::wire_ns(&cfg, 60_000) + nic),
+            (2, 200_000 + sw + tail),
+            (3, granted_at + wire + tail),
+        ];
+        assert_eq!(got, want);
+    }
+
+    /// A QoS network reused by a second `Sim` after `reset_qos_runtime`
+    /// keeps no port state from the first: not its last grant, not its
+    /// arrivals still in flight. The second run is event for event the
+    /// run on a fresh network.
+    #[test]
+    fn reset_qos_runtime_forgets_grants_and_arrivals_in_flight() {
+        let cfg = no_jitter();
+        let sw = cfg.sw_overhead_ns;
+        let granted_at = sw + latency::wire_ns(&cfg, 60_000);
+        // Endpoints 0 (the device) and 1 (a bystander) exist in both.
+        let network = || {
+            let net = Network::with_qos(cfg.clone(), QosConfig::drr(1.0));
+            net.lock().attach(ActorId(u32::MAX));
+            net.lock().attach(ActorId(u32::MAX));
+            net
+        };
+        let (dev_ep, other_ep) = (EndpointId(0), EndpointId(1));
+        // Runs the second Sim's legs on `net`: one arriving before the
+        // first Sim's grant would, one just after.
+        let second = |net: &SharedNetwork| {
+            let mut sim = Sim::with_seed(2);
+            let got = Shared::new(Vec::new());
+            let dev = sim.spawn(Inbox { got: got.clone() });
+            net.lock().rebind(dev_ep, dev);
+            sender(&mut sim, net, &[(0, dev_ep, 4096, 1)]);
+            sender(&mut sim, net, &[(granted_at - sw + 100, dev_ep, 4096, 2)]);
+            sim.run_until_idle();
+            let got = got.lock().clone();
+            (got, sim.dispatched())
+        };
+
+        let reused = network();
+        {
+            let mut sim = Sim::with_seed(1);
+            let dev = sim.spawn(Inbox {
+                got: Shared::new(Vec::new()),
+            });
+            reused.lock().rebind(dev_ep, dev);
+            sender(
+                &mut sim,
+                &reused,
+                &[(0, other_ep, 60_000, 0), (0, dev_ep, 4096, 1)],
+            );
+            sender(
+                &mut sim,
+                &reused,
+                &[(granted_at - sw + 5_000, dev_ep, 4096, 2)],
+            );
+            sim.run_until(simcore::SimTime(granted_at - 1_000));
+            let n = reused.lock();
+            let port = &n.ports[&(dev_ep, PortDir::Rx)];
+            assert!(port.grant.is_some(), "a grant outstanding");
+            assert_eq!(
+                port.inbound_ns,
+                vec![granted_at + 5_000],
+                "an arrival in flight"
+            );
+        }
+        reused.lock().reset_qos_runtime();
+        // The fresh network gets the first run's two senders' endpoints too.
+        let fresh = network();
+        for _ in 0..2 {
+            fresh.lock().attach(ActorId(u32::MAX));
+        }
+        let (want, want_dispatched) = second(&fresh);
+        assert_eq!(want.len(), 2);
+        assert_eq!(second(&reused), (want, want_dispatched));
     }
 
     /// Two equal chains posted in one event, one to a device homed on X

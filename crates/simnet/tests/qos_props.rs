@@ -185,3 +185,65 @@ proptest! {
         prop_assert_eq!(run(&script), run(&script));
     }
 }
+
+proptest! {
+    /// `serve_alone` on an empty scheduler is `enqueue` + `next_segment`
+    /// when the op leaves in one segment, and leaves no trace when it
+    /// does not: after any history, both schedulers serve the same
+    /// segments from then on and keep the same counters.
+    #[test]
+    fn serve_alone_is_enqueue_then_next_segment(
+        policy_sel in 0usize..3,
+        script in proptest::collection::vec(
+            (ev_strategy(), 0usize..CLASS_COUNT, 1u64..100_000),
+            1..40,
+        ),
+    ) {
+        let policy = policy_of(policy_sel);
+        let mut alone: PortScheduler<u64> = PortScheduler::new(policy, QUANTA);
+        let mut plain: PortScheduler<u64> = PortScheduler::new(policy, QUANTA);
+        for (i, (ev, class, bytes)) in script.into_iter().enumerate() {
+            let now = i as u64 * 10;
+            if alone.is_empty() {
+                let class = class_of(class);
+                match alone.serve_alone(class, bytes, u64::MAX) {
+                    Ok((seg, _)) => {
+                        plain.enqueue(class, bytes, now, u64::MAX);
+                        let want = plain.next_segment(now).unwrap();
+                        prop_assert_eq!(
+                            (seg.class, seg.bytes, seg.first_wait_ns, seg.done),
+                            (want.class, want.bytes, want.first_wait_ns, want.done)
+                        );
+                        prop_assert!(plain.is_empty());
+                    }
+                    Err(payload) => {
+                        prop_assert_eq!(payload, u64::MAX);
+                        prop_assert!(alone.is_empty());
+                    }
+                }
+            }
+            match ev {
+                Ev::Enq { class, bytes } => {
+                    alone.enqueue(class_of(class), bytes, now, i as u64);
+                    plain.enqueue(class_of(class), bytes, now, i as u64);
+                }
+                Ev::Drain(k) => {
+                    for _ in 0..k {
+                        let (a, p) = (alone.next_segment(now), plain.next_segment(now));
+                        let key = |s: Option<simnet::qos::Segment<u64>>| {
+                            s.map(|s| (s.class, s.bytes, s.first_wait_ns, s.done))
+                        };
+                        prop_assert_eq!(key(a), key(p));
+                    }
+                }
+            }
+            for c in 0..CLASS_COUNT {
+                let (a, p) = (alone.stats[c], plain.stats[c]);
+                prop_assert_eq!(
+                    (a.ops, a.bytes, a.max_wait_ns, a.peak_depth),
+                    (p.ops, p.bytes, p.max_wait_ns, p.peak_depth)
+                );
+            }
+        }
+    }
+}

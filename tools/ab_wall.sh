@@ -10,10 +10,12 @@
 # and quartiles, how many pairs each side won (a tie counts for
 # neither), and whether the medians are further apart than the parent's
 # own quartiles — so a memory claim and its wall-time check come from the
-# same pairs. Last, whether the three simulated metrics and the
-# correctness counts are identical in every run of both sides — which a
-# host-cost change owes and a commit-path change does not. SEED picks the
-# plan seed (default: the reference seed).
+# same pairs. Then each side's event count per repetition and whether it
+# is the same in every run, so an event cut shows in the same pairs.
+# Last, whether the three simulated metrics and the correctness counts
+# are identical in every run of both sides — which a host-cost change
+# owes and a commit-path change does not. SEED picks the plan seed
+# (default: the reference seed).
 #
 # Nothing under `benchmark/` is modified; each tree builds into its own
 # `benchmark/target`, exactly as the benchmark driver does.
@@ -34,11 +36,13 @@ for tree in "$parent" "$change"; do
   cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
 done
 
-# One run of a tree's benchmark; its result is the last stdout line (the
-# per-repetition narration on stderr is dropped).
+# One run of a tree's benchmark; its result is the last stdout line. Of
+# the per-repetition narration on stderr, each `rep N: …, E events` line's
+# E is appended to $scratch/$2.events, one run per line.
 run() {
   (cd "$1/benchmark" && target/release/odsbench \
-    --workload "$workload" --seed "$seed" --seconds 12 --trace 0 2>/dev/null | tail -n 1)
+    --workload "$workload" --seed "$seed" --seconds 12 --trace 0 2>"$scratch/stderr" | tail -n 1)
+  sed -n 's/.* rep [0-9]*: .* \([0-9]*\) events$/\1/p' "$scratch/stderr" | paste -sd ' ' >>"$scratch/$2.events"
 }
 metric() { sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" <<<"$1"; }
 # What must not move: correctness counts and the simulated metrics.
@@ -52,7 +56,7 @@ metrics=(wall_s peak_rss_mb)
 for ((i = 1; i <= pairs; i++)); do
   if ((i % 2)); then order=(parent change); else order=(change parent); fi
   for side in "${order[@]}"; do
-    out="$(run "${!side}")"
+    out="$(run "${!side}" "$side")"
     for m in "${metrics[@]}"; do
       if [[ -z "$(metric "$out" "$m")" ]]; then
         echo "$0: no $m in the result line from the $side tree's benchmark" >&2
@@ -95,6 +99,14 @@ for m in "${metrics[@]}"; do
     gain = (w * 10 >= n * 9 && pm - cm > q3 - q1)
     print m (gain ? ": gain resolved" : ": no gain resolved")
   }'
+done
+for side in parent change; do
+  if [[ "$(sort -u "$scratch/$side.events" | wc -l)" -eq 1 ]]; then
+    echo "$side events per repetition: $(head -n 1 "$scratch/$side.events") (identical in all $pairs runs)"
+  else
+    echo "$side events per repetition: DIFFER between runs:"
+    sort "$scratch/$side.events" | uniq -c
+  fi
 done
 if [[ "$(sort -u "$scratch/simulated" | wc -l)" -eq 1 ]]; then
   echo "simulated metrics: identical in all $((2 * pairs)) runs ($(head -n 1 "$scratch/simulated"))"
