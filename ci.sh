@@ -7,7 +7,7 @@ cd "$(dirname "$0")"
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 # --workspace: the root is itself a package, so a bare `cargo test` stops
-# at its 17 suites and never reaches the member crates' (pmclient, npmu,
+# at its 16 suites and never reaches the member crates' (pmclient, npmu,
 # simnet qos_props, txnkit end_to_end, ...).
 cargo test --release --workspace
 # The end-to-end benchmark package gates itself: fmt, clippy, its unit
@@ -64,19 +64,19 @@ cargo run --release -p pm-bench --bin qos_isolation
 # primary, eager RPO <= lazy below the bandwidth-delay crossover, the
 # epoch fence round-trips, and no arm accumulates unbounded backlog.
 cargo run --release -p pm-bench --bin georep
-# The recovery matrix's whole product: topology x persistence mode x QoS x
-# fault, every cell's recovery held to `pmem::oracle` (~3 s in release on
-# 2 CPUs). `cargo test --release --workspace` above ran its pairwise
-# subset and the crash fuzz's full 2,340-point sweep.
-cargo test --release --test recovery_matrix -- --ignored
-# The same two under three perturbation seeds (SimConfig::perturb): events
-# due at one instant for different actors leave in a seeded order and
-# fabric legs take up to 1 ns of seeded jitter — other legal schedules of
-# the same model. A failure here is a store bug (the first was a georep
-# shipper that re-subscribed to a dead ADP primary; tests/
-# perturbed_takeover.rs holds it); fix it, never drop the seed.
-for perturb in 1 2 3; do
-  SIM_PERTURB=$perturb cargo test --release --test crash_fuzz
+# The recovery matrix's whole product (topology x persistence mode x QoS x
+# fault), every cell cut at every distinct boundary of its fault window
+# and each cut held to `pmem::oracle`, unperturbed and under three
+# perturbation seeds (SimConfig::perturb): events due at one instant for
+# different actors leave in a seeded order and fabric legs take up to 1 ns
+# of seeded jitter — other legal schedules of the same model. `cargo test
+# --release --workspace` above ran the product at its healed end and
+# through its repairs under the same seeds (tests/perturbed.rs), the window
+# sweep of a pairwise subset, and the NicAck negative control. A failure
+# here is a store bug (the first was a georep shipper that re-subscribed
+# to a dead ADP primary; tests/perturbed.rs holds it); fix it, never drop
+# the seed. An empty SIM_PERTURB is no seed.
+for perturb in "" 1 2 3; do
   SIM_PERTURB=$perturb cargo test --release --test recovery_matrix -- --ignored
 done
 # Throughput-regression gate: fresh --json runs vs committed results/.

@@ -6,7 +6,8 @@
 //! each mode's persist point costs at the commit boundary:
 //!
 //! * `NicAck` — ack at the NPMU's ingress buffer (the optimistic
-//!   assumption the crash fuzzer proves lossy): no persist point at all.
+//!   assumption the recovery matrix's negative control proves lossy): no
+//!   persist point at all.
 //! * `FlushOnRead` — a forcing RDMA read per mirror half drags the
 //!   buffered bytes onto the array before the ack: one extra round trip.
 //! * `PersistFlush` — each write chain ends in a persist fence, so the

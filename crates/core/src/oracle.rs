@@ -27,7 +27,9 @@
 //!      trail is the durability horizon (DESIGN.md §5);
 //!   2. nothing is invented: what recovery commits, an uncrashed run
 //!      commits too;
-//!   3. the 2PC verdict is single-valued, and no shard redoes a key of a
+//!   3. the 2PC verdict is single-valued, a participant's commit record
+//!      stands only behind its coordinator's (the decision leaves once
+//!      the commit point is durable), and no shard redoes a key of a
 //!      transaction that did not commit;
 //!   4. a healthy member's halves agree over the LSNs both windows hold,
 //!      up to the lower published watermark;
@@ -87,6 +89,24 @@ impl Trails {
         }
     }
 
+    /// Writes so far to every device image a [`Snapshot`] of these
+    /// trails reads. `PageStore::write` is the only way media changes, so
+    /// two cuts of one run with the same count and the same acked set
+    /// read the same bytes and get the same verdict.
+    pub fn media_writes(&self, store: &DurableStore) -> u64 {
+        match self {
+            Trails::Pm { members, .. } => (members.iter())
+                .flat_map(|m| ['a', 'b'].map(|h| npmu_image(m, h)))
+                .filter_map(|key| store.get::<NvImage>(&key))
+                .map(|img| img.lock().writes())
+                .sum(),
+            Trails::Disk { media } => (media.iter())
+                .filter_map(|key| store.get::<simdisk::SparseMedia>(key))
+                .map(|img| img.lock().writes())
+                .sum(),
+        }
+    }
+
     fn of(names: Names, base: &OdsParams) -> Trails {
         let n = adp_count(base);
         if base.audit == AuditMode::Disk {
@@ -100,6 +120,11 @@ impl Trails {
             adps: (0..n).map(|i| names.adp(i)).collect(),
         }
     }
+}
+
+/// The store key of half `h` (`a` or `b`) of pool member `member`.
+fn npmu_image(member: &str, h: char) -> String {
+    format!("npmu:{member}-{h}")
 }
 
 /// One copy of a trail as the store holds it.
@@ -270,7 +295,7 @@ impl Snapshot {
     fn read_pool(&mut self, store: &DurableStore, members: &[String], n: usize) -> Vec<Trail> {
         let mut pool = Vec::new();
         for m in members {
-            let imgs = ['a', 'b'].map(|h| store.get::<NvImage>(&format!("npmu:{m}-{h}")));
+            let imgs = ['a', 'b'].map(|h| store.get::<NvImage>(&npmu_image(m, h)));
             if let [Some(a), Some(b)] = &imgs {
                 self.pairs.push((m.clone(), a.clone(), b.clone()));
             }
@@ -364,11 +389,20 @@ impl Snapshot {
         );
         let mut keys_of: FastMap<TxnId, FastSet<u64>> = FastMap::default();
         let mut owner: FastMap<u64, TxnId> = FastMap::default();
-        for trail in self.shards.iter().flatten() {
-            for (_, r) in Records::new(trail.view(h)) {
-                if let AuditRecord::Insert { txn, key, .. } = r {
-                    keys_of.entry(txn).or_default().insert(key);
-                    owner.insert(key, txn);
+        // Per shard: what its own records prepare and commit.
+        let n = self.shards.len();
+        let (mut prepared, mut commits) =
+            (vec![FastSet::default(); n], vec![FastSet::default(); n]);
+        for (s, trails) in self.shards.iter().enumerate() {
+            for (_, r) in trails.iter().flat_map(|t| Records::new(t.view(h))) {
+                match r {
+                    AuditRecord::Insert { txn, key, .. } => {
+                        keys_of.entry(txn).or_default().insert(key);
+                        owner.insert(key, txn);
+                    }
+                    AuditRecord::Prepared { txn } => _ = prepared[s].insert(txn),
+                    AuditRecord::Commit { txn } => _ = commits[s].insert(txn),
+                    _ => {}
                 }
             }
         }
@@ -389,6 +423,16 @@ impl Snapshot {
         // 3. One verdict per transaction, redone only where it committed.
         let split = sorted.iter().filter(|t| recovery.aborted.contains(t));
         v.extend(split.map(|&t| Violation::SplitVerdict(t)));
+        let mut ahead: Vec<TxnId> = (prepared.iter().zip(&commits).enumerate())
+            .flat_map(|(s, (p, c))| p.intersection(c).map(move |&t| (s, t)))
+            .filter(|&(s, t)| {
+                let home = t.coordinator_shard() as usize;
+                home != s && commits.get(home).is_some_and(|c| !c.contains(&t))
+            })
+            .map(|(_, t)| t)
+            .collect();
+        ahead.sort_unstable();
+        v.extend(ahead.into_iter().map(Violation::DecidedAhead));
         let mut keys: Vec<u64> = recovery
             .shards
             .iter()
@@ -575,6 +619,10 @@ pub enum Violation {
     Invented(TxnId),
     /// 3: recovered both committed and aborted.
     SplitVerdict(TxnId),
+    /// 3: a participant shard's own record commits this transaction, and
+    /// its coordinator's trail holds no commit record: the decision left
+    /// before the commit point was durable.
+    DecidedAhead(TxnId),
     /// 3: a shard redid this key, whose transaction did not commit.
     UncommittedApplied(u64),
     /// 4: this trail's halves differ at this offset, below the lower
@@ -936,6 +984,31 @@ mod tests {
         };
         let v = violations(&store, &["s0", "s1"], two);
         assert_eq!(v, vec![SplitVerdict(TxnId(7))]);
+    }
+
+    #[test]
+    fn a_participant_commit_ahead_of_its_coordinators_is_named() {
+        let txn = TxnId(7);
+        let two = Expect {
+            inserts: 2,
+            ..Expect::default()
+        };
+        let participant: Vec<u8> = [ins(7, 2), AuditRecord::Prepared { txn }, commit(7)]
+            .iter()
+            .flat_map(|r| r.encode().to_vec())
+            .collect();
+        let mut store = DurableStore::new();
+        put_pair(&mut store, "s0", &ins(7, 1).encode());
+        put_pair(&mut store, "s1", &participant);
+        assert_eq!(
+            violations(&store, &["s0", "s1"], two),
+            vec![DecidedAhead(txn)]
+        );
+        // Behind the coordinator's commit record, the same record stands.
+        let mut store = DurableStore::new();
+        put_pair(&mut store, "s0", &trail(&[(7, &[1])], &[]));
+        put_pair(&mut store, "s1", &participant);
+        assert_eq!(violations(&store, &["s0", "s1"], two), vec![]);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Fault injection planning.
 //!
 //! Experiments declare faults up front — "kill CPU 2 at t=40 s", "drop 0.1%
-//! of fabric packets", "take mirror half 1 down from t=10 s to t=20 s",
-//! "power-fail the node at t=55 s" — and the plan is consulted by the
-//! layers that own the faulted resources. Keeping the plan declarative
-//! keeps fault scenarios reproducible and reviewable.
+//! of fabric packets", "take mirror half 1 down from t=10 s to t=20 s" —
+//! and the plan is consulted by the layers that own the faulted resources.
+//! Keeping the plan declarative keeps fault scenarios reproducible and
+//! reviewable. A power loss is not a planned fault: the harness drops the
+//! `Sim` and recovers from the `DurableStore` (see [`crate::durable`]).
 //!
 //! Device faults are *windows*, not just points: [`Fault::NpmuDown`] takes
 //! an NPMU mirror half offline for `[from, to)` and the device returns at
@@ -33,9 +34,6 @@ pub enum Fault {
         from: SimTime,
         to: SimTime,
     },
-    /// Whole-node power loss: the experiment harness tears the Sim down at
-    /// this time and runs recovery against the durable store.
-    PowerLoss { at: SimTime },
     /// One half of a mirrored NPMU volume (0 = primary "a", 1 = mirror
     /// "b") is down for the window `[from, to)`. While down the device
     /// NACKs (or silently drops, per its config) inbound RDMA instead of
@@ -73,17 +71,6 @@ impl FaultPlan {
     pub fn with(mut self, f: Fault) -> Self {
         self.faults.push(f);
         self
-    }
-
-    /// First planned power loss, if any: the harness runs until then.
-    pub fn power_loss_at(&self) -> Option<SimTime> {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::PowerLoss { at } => Some(*at),
-                _ => None,
-            })
-            .min()
     }
 
     /// Process kills, sorted by time.
@@ -203,20 +190,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SECS;
-
-    #[test]
-    fn power_loss_earliest_wins() {
-        let plan = FaultPlan::none()
-            .with(Fault::PowerLoss {
-                at: SimTime(5 * SECS),
-            })
-            .with(Fault::PowerLoss {
-                at: SimTime(2 * SECS),
-            });
-        assert_eq!(plan.power_loss_at(), Some(SimTime(2 * SECS)));
-        assert_eq!(FaultPlan::none().power_loss_at(), None);
-    }
 
     #[test]
     fn kills_sorted_by_time() {

@@ -25,7 +25,8 @@ pub struct TxnConfig {
     /// trail bytes AND the control-cell watermark are proven on the NPMU
     /// array, not merely acked into its volatile ingress buffer.
     /// `NicAck` restores the paper's optimistic assumption (and is what
-    /// the crash-point fuzzer uses to demonstrate acked-commit loss).
+    /// the recovery matrix's negative control runs to demonstrate
+    /// acked-commit loss).
     pub pm_persist_mode: simnet::PersistMode,
 }
 

@@ -74,8 +74,9 @@ pub struct OdsParams {
     /// Data volumes per DP2 (paper: 16 volumes / 4 DP2s = 4).
     pub data_volumes_per_dp2: u32,
     /// Override the NPMUs' modelled ingress-buffer drain latency, ns
-    /// (`None` keeps the device default). The crash-point fuzzer widens
-    /// this so the ack-vs-persist window spans many event boundaries.
+    /// (`None` keeps the device default). The recovery matrix's `NicAck`
+    /// control widens this so the ack-vs-persist window spans many event
+    /// boundaries.
     pub pm_ingress_drain_ns: Option<u64>,
     /// Fabric QoS configuration (per-class port scheduling + bulk
     /// admission). The default keeps QoS off — the legacy analytic

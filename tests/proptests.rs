@@ -122,15 +122,16 @@ proptest! {
 
     /// Power loss at ANY byte offset inside the 16 B watermark cell
     /// recovers to the previously published watermark — never a garbage
-    /// LSN. The double-buffered cell writes the slot NOT holding the
-    /// latest valid watermark; the torn slot either parses (write landed
-    /// whole) or the survivor wins. The parse is total: a read of any
-    /// length, empty included, sees exactly the slots whose 12 payload
-    /// bytes it covers.
+    /// LSN — whichever slot holds it. The double-buffered cell writes the
+    /// slot NOT holding the latest valid watermark; the torn slot either
+    /// parses (write landed whole) or the survivor wins. The parse is
+    /// total: a read of any length, empty included, sees exactly the slots
+    /// whose 12 payload bytes it covers.
     #[test]
     fn torn_watermark_cell_recovers_previous_watermark(
         prev_wm in any::<u64>(),
         next_wm in any::<u64>(),
+        prev_slot in 0usize..2,
         torn_at in 0usize..17,
         junk in proptest::collection::vec(any::<u8>(), 0..65)
     ) {
@@ -143,33 +144,37 @@ proptest! {
             c
         };
         // Start from arbitrary junk (a recycled region), publish prev_wm
-        // into slot 0, then tear the next publication in slot 1 at byte
-        // `torn_at`.
+        // into slot `prev_slot`, then tear the next publication in the
+        // other slot at byte `torn_at`.
+        let torn = 1 - prev_slot;
         let read_len = junk.len();
         let mut raw = junk;
         raw.resize(read_len.max(32), 0);
-        raw[..16].copy_from_slice(&cell_for(prev_wm));
+        raw[prev_slot * 16..prev_slot * 16 + 16].copy_from_slice(&cell_for(prev_wm));
         let next = cell_for(next_wm);
-        raw[16..16 + torn_at].copy_from_slice(&next[..torn_at]);
+        raw[torn * 16..torn * 16 + torn_at].copy_from_slice(&next[..torn_at]);
         let (got, slot) = parse_ctrl_cell(&raw);
         if torn_at == 16 {
             // The write completed: the new watermark must win.
             prop_assert_eq!(got, next_wm);
-            prop_assert_eq!(slot, Some(1));
+            prop_assert_eq!(slot, Some(torn));
         } else {
             // Torn: recovery must land on the previous watermark unless
             // the tear accidentally produced valid higher junk — CRC-32
             // over the LSN makes that a non-event, and the survivor slot
             // guarantees we never fall below prev_wm or to garbage < it.
-            prop_assert!(got == prev_wm || (got > prev_wm && slot == Some(1)),
+            prop_assert!(got == prev_wm || (got > prev_wm && slot == Some(torn)),
                 "parsed {got} (slot {slot:?}), previous {prev_wm}");
             // A torn cell never erases the published watermark.
             prop_assert!(got >= prev_wm);
         }
+        // 12 to 27 bytes cover slot 0 alone, survivor or torn.
         let short = parse_ctrl_cell(&raw[..read_len]);
-        match read_len {
-            0..=11 => prop_assert_eq!(short, (0, None)),
-            12..=27 => prop_assert_eq!(short, (prev_wm, Some(0))),
+        match (read_len, prev_slot) {
+            (0..=11, _) => prop_assert_eq!(short, (0, None)),
+            (12..=27, 0) => prop_assert_eq!(short, (prev_wm, Some(0))),
+            (12..=27, _) if torn_at >= 12 => prop_assert_eq!(short, (next_wm, Some(0))),
+            (12..=27, _) => prop_assert_eq!(short, (0, None)),
             _ => prop_assert_eq!(short, (got, slot)),
         }
     }
