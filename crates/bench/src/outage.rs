@@ -21,7 +21,7 @@ use simnet::{NetDelivery, RdmaWriteDone};
 
 /// Bytes per block written.
 const BLOCK: usize = 64;
-/// Blocks per `write_batch`: keeps one batch's chain short on the wire.
+/// Blocks per `write_batch_publish`: keeps one batch's chain short on the wire.
 const BATCH: u64 = 64;
 
 /// What an [`install`]ed writer does.
@@ -65,7 +65,9 @@ impl OutageWriter {
             return;
         }
         self.next += BATCH * self.spec.stride;
-        self.lib.write_batch(ctx, id, &parts, 0);
+        let class = self.lib.config().traffic_class;
+        self.lib
+            .write_batch_publish(ctx, id, &parts, None, 0, class);
     }
 }
 

@@ -48,10 +48,10 @@ use simcore::durable::Image;
 use simcore::hash::{FastMap, FastSet};
 use simcore::DurableStore;
 use std::borrow::Cow;
-use txnkit::adp::{parse_ctrl_cell, PM_CTRL_BYTES};
 use txnkit::audit::{ring_window, AuditRecord, Records, Window};
 use txnkit::recovery::{redo_windows_sharded, ShardedRecovery};
 use txnkit::scenario::{adp_count, AuditMode, ClusterParams, Names, OdsParams, DR_POOL};
+use txnkit::trail;
 use txnkit::{Lsn, TxnId};
 
 /// Where one shard's audit trails live in a durable store.
@@ -224,11 +224,10 @@ impl Trail {
 /// Region `name` of one device image, if its metadata holds it.
 fn read_half(img: &NvImage, meta: &VolumeMeta, name: &str) -> Option<Half> {
     let r = meta.find(name)?;
-    let mut cell = img.read(r.base, img.written_extent(r.base, r.len) as usize);
-    let trail = cell.split_off(cell.len().min(PM_CTRL_BYTES as usize));
-    let (watermark, _) = parse_ctrl_cell(&cell);
-    let cap = r.len.saturating_sub(PM_CTRL_BYTES);
-    Some(Half::new(cell, trail, watermark, cap))
+    let image = img.read(r.base, img.written_extent(r.base, r.len) as usize);
+    let (cell, ring) = trail::split_image(image);
+    let watermark = trail::watermark(&cell);
+    Some(Half::new(cell, ring, watermark, trail::capacity(r.len)))
 }
 
 /// A disk audit volume's media up to its high water.
@@ -476,6 +475,9 @@ impl Snapshot {
 
         // 5. The replica is a bit-identical prefix of the primary: it ends
         // no later, and the LSNs both windows hold carry the same bytes.
+        // Below its watermark, past its last written page, the primary
+        // reads as zeros (an append's virtual tail is never written), so
+        // the zeros a shipped image carries there are the primary's bytes.
         if let Some(replica) = expect.replica {
             let pairs = self
                 .shards
@@ -486,7 +488,9 @@ impl Snapshot {
                 let (pw, rw) = (p.view(0), r.view(0));
                 let ends = |w: Window<'_>| w.base + w.bytes.len() as u64;
                 let same = overlap(pw, rw, u64::MAX).is_none_or(|(_, x, y)| x == y);
-                if r.watermark() > p.watermark() || ends(rw) > ends(pw) || !same {
+                let past = ends(pw).saturating_sub(rw.base) as usize;
+                let zeros = rw.bytes.get(past..).unwrap_or(&[]).iter().all(|&b| b == 0);
+                if r.watermark() > p.watermark() || (ends(rw) > ends(pw) && !zeros) || !same {
                     v.push(Violation::NotAPrefix(r.name.clone()));
                 }
             }
@@ -813,7 +817,7 @@ impl Report {
 mod tests {
     use super::*;
     use pmm::{HealthState, RegionMeta, META_BYTES};
-    use txnkit::adp::encode_ctrl_slot;
+    use txnkit::trail::{encode_ctrl_slot, PM_CTRL_BYTES};
     use txnkit::PartitionId;
     use Violation::*;
 
@@ -1073,6 +1077,40 @@ mod tests {
         };
         assert_eq!(check_replica(&shipped), vec![]);
         shipped[12] ^= 1;
+        assert_eq!(
+            check_replica(&shipped),
+            vec![NotAPrefix("adp0.audit".into())]
+        );
+    }
+
+    /// A primary whose last append's virtual tail crosses into a page it
+    /// never wrote reads as zeros there; a replica that wrote the shipped
+    /// image of that tail — zeros — holds the same bytes, one page more of
+    /// them. A non-zero byte there is not the primary's.
+    #[test]
+    fn a_replica_holding_the_zeros_of_a_virtual_tail_is_a_prefix() {
+        let bytes = trail(&[(1, &[10]), (2, &[20])], &[]);
+        let published = bytes.len() + 4096;
+        let mut store = DurableStore::new();
+        for half in ["npmu:pm-a", "npmu:pm-b"] {
+            put_half(&mut store, half, &bytes, published, HEALTHY);
+        }
+        let mut check_replica = |shipped: &[u8]| {
+            for half in ["npmu:drpm-a", "npmu:drpm-b"] {
+                put_half(&mut store, half, shipped, published, HEALTHY);
+            }
+            let replica = Snapshot::read(&store, &site(&[DR_POOL]));
+            let expect = Expect {
+                inserts: 1,
+                replica: Some(&replica),
+                ..Expect::default()
+            };
+            violations(&store, &["pm"], expect)
+        };
+        let mut shipped = bytes.clone();
+        shipped.resize(published, 0);
+        assert_eq!(check_replica(&shipped), vec![]);
+        shipped[published - 1] = 1;
         assert_eq!(
             check_replica(&shipped),
             vec![NotAPrefix("adp0.audit".into())]

@@ -552,50 +552,27 @@ impl PmLib {
         wire_len: u32,
         token: u64,
     ) {
-        self.write_batch(ctx, region_id, &[(offset, data, wire_len)], token)
+        let part = [(offset, data, wire_len)];
+        let class = self.cfg.traffic_class;
+        self.write_batch_publish(ctx, region_id, &part, None, token, class)
     }
 
-    /// Batched persistent write: every `(offset, data, wire_len)` part is
-    /// submitted in ONE fan-out under a single completion, timeout and
-    /// token — the ADP's trail-write primitive. The parts' stripe
-    /// fragments are grouped by member volume and each group is posted as
-    /// one ordered write chain per mirror half, links in part order —
-    /// under `PersistFlush` closed by a persist fence, so data and
+    /// Batched persistent write riding `class`: every `(offset, data,
+    /// wire_len)` part is submitted in ONE fan-out under a single
+    /// completion, timeout and token — the trail writer's primitive. The
+    /// parts' stripe fragments are grouped by member volume and each group
+    /// is posted as one ordered write chain per mirror half, links in part
+    /// order — under `PersistFlush` closed by a persist fence, so data and
     /// durability arrive in the chain's one round trip. The write
     /// completes (possibly degraded) only when every member's chain is
     /// persistent on at least one answering mirror.
-    pub fn write_batch(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        region_id: u64,
-        parts: &[(u64, Bytes, u32)],
-        token: u64,
-    ) {
-        let class = self.cfg.traffic_class;
-        self.write_batch_class(ctx, region_id, parts, token, class)
-    }
-
-    /// As [`Self::write_batch`], riding an explicit [`TrafficClass`]
-    /// instead of the library default (e.g. the geo-replica tags its
-    /// applied batches `Bulk`).
-    pub fn write_batch_class(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        region_id: u64,
-        parts: &[(u64, Bytes, u32)],
-        token: u64,
-        class: TrafficClass,
-    ) {
-        self.write_batch_publish(ctx, region_id, parts, None, token, class);
-    }
-
-    /// As [`Self::write_batch_class`], with an optional *publish part*
-    /// ordered after all the data — a watermark cell naming the batch's
-    /// bytes. A device applies a chain strictly in order, so the part
-    /// rides as the last link of the data's chain. One ordered channel
-    /// means one member volume: panics unless the data and the publish
-    /// part all land on the same member (a region placed `Solo` or
-    /// `OnVolume` always does).
+    ///
+    /// An optional *publish part* is ordered after all the data — a
+    /// watermark cell naming the batch's bytes. A device applies a chain
+    /// strictly in order, so the part rides as the last link of the data's
+    /// chain. One ordered channel means one member volume: panics unless
+    /// the data and the publish part all land on the same member (a region
+    /// placed `Solo` or `OnVolume` always does).
     pub fn write_batch_publish(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -697,7 +674,7 @@ impl PmLib {
 
     /// Batched scatter-gather read: every `(offset, len)` part is
     /// submitted under ONE completion, window and token — the read-side
-    /// mirror of [`Self::write_batch`]. Parts' stripe fragments are
+    /// mirror of [`Self::write_batch_publish`]. Parts' stripe fragments are
     /// concatenated in argument order into the completion's single
     /// buffer. At most `read_window` fragments are on the wire at once;
     /// each completion immediately issues the next, so a bulk read

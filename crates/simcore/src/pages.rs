@@ -303,14 +303,20 @@ impl PageStore {
     }
 
     /// How many of the `len` bytes at `offset` reach the end of the last
-    /// page written there: the rest reads as zeros. Scans the whole index.
+    /// page written there: the rest reads as zeros. Looks up the range's
+    /// pages from its end down — from the high water's page, if that is
+    /// lower — and stops at the first one written.
     pub fn written_extent(&self, offset: u64, len: u64) -> u64 {
         let (end, page) = (offset + len, PAGE as u64);
-        let pages = self.full.keys().chain(self.runs.keys());
-        let page_ends = pages.map(|&p| (p + 1) * page);
-        (page_ends.filter(|&p_end| p_end > offset && p_end - page < end))
-            .max()
-            .map_or(0, |p_end| p_end.min(end) - offset)
+        let top = end.min(self.high_water.div_ceil(page) * page);
+        if top <= offset {
+            return 0;
+        }
+        let written = |p: &u64| self.full.contains_key(p) || self.runs.contains_key(p);
+        (offset / page..=(top - 1) / page)
+            .rev()
+            .find(written)
+            .map_or(0, |p| ((p + 1) * page).min(end) - offset)
     }
 
     pub fn writes(&self) -> u64 {
@@ -453,7 +459,37 @@ mod tests {
         ]
     }
 
+    /// The reference `written_extent`: a scan of the whole page index.
+    fn scanned_extent(s: &PageStore, offset: u64, len: u64) -> u64 {
+        let (end, page) = (offset + len, PAGE as u64);
+        let pages = s.full.keys().chain(s.runs.keys());
+        let page_ends = pages.map(|&p| (p + 1) * page);
+        (page_ends.filter(|&p_end| p_end > offset && p_end - page < end))
+            .max()
+            .map_or(0, |p_end| p_end.min(end) - offset)
+    }
+
     proptest! {
+        /// Over random sets of written pages — sparse, full, or a lone
+        /// byte — and random ranges, looking down from the range's end
+        /// finds what scanning the whole index finds.
+        #[test]
+        fn written_extent_matches_a_scan_of_the_index(
+            pages in proptest::collection::vec((0u64..256, 0usize..PAGE, 1usize..PAGE + 1), 0..40),
+            ranges in proptest::collection::vec((0u64..257 * PAGE as u64, 0u64..64 * PAGE as u64), 1..40),
+        ) {
+            let cap = 256 * PAGE as u64;
+            let mut s = PageStore::new(cap);
+            for (p, at, n) in pages {
+                let n = n.min(PAGE - at);
+                s.write(p * PAGE as u64 + at as u64, &vec![0xA5; n]);
+            }
+            for (o, n) in ranges {
+                let (o, n) = (o.min(cap), n.min(cap - o.min(cap)));
+                prop_assert_eq!(s.written_extent(o, n), scanned_extent(&s, o, n), "range {}+{}", o, n);
+            }
+        }
+
         /// Against a flat array and the set of pages ever written, every
         /// read, digest and extent agrees, and so does the accounting.
         #[test]

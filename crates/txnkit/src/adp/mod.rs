@@ -15,9 +15,10 @@
 //!
 //! * `disk::DiskLog` (baseline): buffered appends checkpointed to the
 //!   backup before each ack, group-commit flushes to the audit volume.
-//! * `pm::PmLog` (the paper's ADP): one ordered PM write chain in
-//!   flight, carrying every staged append and the control cell that
-//!   publishes them — no backup checkpoints at all.
+//! * `pm::PmLog` (the paper's ADP): the host of [`crate::trail`]'s
+//!   writer — one ordered PM write chain in flight, carrying every staged
+//!   append and the control cell that publishes them; no backup
+//!   checkpoints at all.
 //!
 //! Scaling past one ADP is the scenario layer's job: §4.2's "multiple
 //! ADPs can be configured per node" installs N independent pairs, each
@@ -39,7 +40,8 @@ use simcore::{Actor, ActorId, Ctx, Msg, Sim};
 use simnet::{EndpointId, NetDelivery};
 use std::any::Any;
 
-pub use pm::{encode_ctrl_slot, parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
+/// The trail format's readers outside this crate know these names here.
+pub use crate::trail::{parse_ctrl_cell, PM_CTRL_BYTES};
 
 /// Fabric traffic class for commit-critical PM ops: the ADP's trail
 /// chains (each carries the control cell that releases commit acks), its

@@ -356,8 +356,7 @@ pub fn scan(trail: &[u8]) -> Vec<(Lsn, AuditRecord)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adp::pm::split_trail_parts;
-    use crate::adp::PM_CTRL_BYTES;
+    use crate::trail::{split_trail_parts, PM_CTRL_BYTES};
 
     fn insert_rec(txn: u64, key: u64, payload: &[u8]) -> AuditRecord {
         AuditRecord::Insert {

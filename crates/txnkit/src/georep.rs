@@ -21,13 +21,14 @@
 //!   ADP primary alone, so the shipper watches each hot partition's ADP
 //!   pair and subscribes again to the primary a takeover promotes.
 //! * [`ReplicaApply`] (DR site) owns a standby mirror of every trail
-//!   region on the replica's own PM pool. Every arriving batch is
-//!   CRC-checked and contiguity-checked ([`validate_batch`] — a pure,
-//!   panic-free function; the WAN is an adversary), written to the
-//!   standby trail at the same virtual offsets, and *acknowledged only
-//!   after the replica's own control-cell publication persists* — the
-//!   ack is a durability receipt, so primary-side RPO accounting
-//!   (`acked`-vs-`durable` gap) is honest.
+//!   region on the replica's own PM pool, written by the ADP's own trail
+//!   writer ([`crate::trail`]). Every arriving batch is CRC-checked and
+//!   contiguity-checked against what the replica has staged
+//!   ([`validate_batch`] — a pure, panic-free function; the WAN is an
+//!   adversary), staged at the same virtual offsets, and *acknowledged
+//!   only once the chain carrying it — data, then the standby cell —
+//!   persists*: the ack is a durability receipt, so primary-side RPO
+//!   accounting (`acked`-vs-`durable` gap) is honest.
 //!
 //! Failover is epoch-fenced: the drill controller severs the WAN,
 //! declares the primary dead, and sends the primary PMM a
@@ -39,19 +40,15 @@
 //! by a zombie's acks. RPO/RTO are then *measured*, not asserted: see
 //! the `georep` bench and `tests/georep_failover.rs`.
 
-use crate::adp::pm::split_trail_parts;
-use crate::adp::{encode_ctrl_slot, parse_ctrl_cell, PM_CTRL_BYTES, PM_CTRL_SLOT_BYTES};
 use crate::config::TxnConfig;
+use crate::trail::{self, TrailCore, TrailEvent, TrailWriter};
 use crate::types::{SubscribeTrail, TrailAdvance};
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine, WatchTarget};
 use nsk::ProcessDied;
-use pmclient::{PmClientConfig, PmLib, PmReadTimeout, PmWriteTimeout};
+use pmclient::{PmClientConfig, PmLib, PmReadTimeout};
 use simcore::{Actor, ActorId, Ctx, Msg, Shared, Sim, SimDuration, TimerId};
-use simnet::{
-    EndpointId, NetDelivery, RdmaReadDone, RdmaStatus, RdmaWriteDone, SharedWanLink, TrafficClass,
-};
-use std::collections::{BTreeMap, VecDeque};
+use simnet::{EndpointId, NetDelivery, RdmaReadDone, RdmaStatus, SharedWanLink, TrafficClass};
 
 // ---------------------------------------------------------------------
 // WAN protocol
@@ -92,17 +89,18 @@ const WAN_HDR_BYTES: u64 = 64;
 // Replica-side batch validation (pure, panic-free)
 // ---------------------------------------------------------------------
 
-/// What the replica should do with an arriving batch, given its durable
-/// applied watermark.
+/// What the replica should do with an arriving batch, given the end of
+/// what it has staged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchVerdict {
-    /// Write `payload[skip..]` at virtual offset `applied`, advancing
-    /// the watermark to `end_lsn`.
+    /// Stage `payload[skip..]` at virtual offset `applied`, extending the
+    /// staged end to `end_lsn`.
     Apply { skip: u64 },
-    /// Entirely at or behind the watermark (a WAN-delayed duplicate):
-    /// drop, re-ack the current watermark.
+    /// Entirely at or behind the staged end (a WAN-delayed duplicate, or
+    /// a re-ship of a batch still in flight): drop, re-ack the current
+    /// watermark.
     Stale,
-    /// Starts past the watermark (an earlier batch was lost): drop,
+    /// Starts past the staged end (an earlier batch was lost): drop,
     /// re-ack so the shipper rewinds.
     Gap,
     /// Internally inconsistent — bad CRC, length/span mismatch, span
@@ -111,14 +109,14 @@ pub enum BatchVerdict {
     Corrupt,
 }
 
-/// Classify `batch` against the replica's durable `applied` watermark
-/// for a trail of `cap` circular bytes.
+/// Classify `batch` against the end of what the replica has staged,
+/// `applied`, for a trail of `cap` circular bytes.
 ///
 /// This function is deliberately total: every field of `batch` is
 /// attacker-controlled (bit flips, truncation, duplication, reordering
 /// are all in the WAN's fault model) and the apply path must never
 /// panic, never apply a partial or torn batch, and never move the
-/// watermark except for a fully-validated contiguous extension.
+/// staged end except for a fully-validated contiguous extension.
 pub fn validate_batch(applied: u64, cap: u64, batch: &ShipBatch) -> BatchVerdict {
     let Some(span) = batch.end_lsn.checked_sub(batch.start_lsn) else {
         return BatchVerdict::Corrupt; // end < start
@@ -246,17 +244,15 @@ struct ShipperPart {
     acked: u64,
     /// Shipped through here; `> acked` means a batch awaits its ack.
     sent: u64,
-    read_inflight: bool,
+    /// The trail span `[start, end)` being read; the read's token is
+    /// `2 × partition`.
+    reading: Option<(u64, u64)>,
     ship_inflight: bool,
     /// The [`RetryTick`] standing over the batch in flight.
     ship_retry: Option<TimerId>,
+    /// A control-cell poll is in flight, token `2 × partition + 1`.
     ctrl_read_inflight: bool,
     subscribed: bool,
-}
-
-enum ShipToken {
-    Ctrl(usize),
-    Data { part: usize, start: u64, end: u64 },
 }
 
 struct BootTick;
@@ -289,19 +285,10 @@ pub struct LogShipper {
     adp_names: Vec<String>,
     wan: SharedWanLink,
     replica: ActorId,
-    tokens: BTreeMap<u64, ShipToken>,
-    next_token: u64,
     stats: SharedShipperStats,
 }
 
 impl LogShipper {
-    fn token(&mut self, t: ShipToken) -> u64 {
-        let k = self.next_token;
-        self.next_token += 1;
-        self.tokens.insert(k, t);
-        k
-    }
-
     fn publish_part_stats(&self) {
         let mut s = self.stats.lock();
         s.parts = self
@@ -373,9 +360,8 @@ impl LogShipper {
             return;
         }
         p.ctrl_read_inflight = true;
-        let tok = self.token(ShipToken::Ctrl(i));
-        self.lib
-            .read(ctx, region, 0, 2 * PM_CTRL_SLOT_BYTES as u32, tok);
+        let tok = 2 * i as u64 + 1;
+        self.lib.read(ctx, region, 0, trail::CELL_READ_LEN, tok);
     }
 
     /// Ship the next contiguous span if the watermark is ahead and the
@@ -383,29 +369,20 @@ impl LogShipper {
     fn try_ship(&mut self, ctx: &mut Ctx<'_>, i: usize) {
         let p = &mut self.parts[i];
         let Some(region) = p.region_id else { return };
-        if p.read_inflight || p.ship_inflight || p.durable <= p.sent {
+        if p.reading.is_some() || p.ship_inflight || p.durable <= p.sent {
             return;
         }
         let start = p.sent;
         let end = p.durable.min(start + MAX_BATCH);
-        p.read_inflight = true;
+        p.reading = Some((start, end));
         // The trail is circular: a span crossing the wrap reads as two
         // scatter-gather parts, concatenated by the library in order.
-        let len = end - start;
-        let spans: Vec<(u64, u32)> = split_trail_parts(start, p.cap, len, len as usize)
-            .map(|(off, _, wire)| (off, wire))
-            .collect();
-        let tok = self.token(ShipToken::Data {
-            part: i,
-            start,
-            end,
-        });
+        let spans: Vec<(u64, u32)> = trail::ring_spans(start, p.cap, end - start).collect();
         self.lib
-            .read_batch_class(ctx, region, &spans, tok, TrafficClass::Bulk);
+            .read_batch_class(ctx, region, &spans, 2 * i as u64, TrafficClass::Bulk);
     }
 
     fn data_read_done(&mut self, ctx: &mut Ctx<'_>, i: usize, start: u64, end: u64, data: Bytes) {
-        self.parts[i].read_inflight = false;
         if end <= self.parts[i].acked {
             // Acked while the read was in flight (stale rewind): skip.
             self.try_ship(ctx, i);
@@ -602,28 +579,26 @@ impl Actor for LogShipper {
 
 impl LogShipper {
     fn read_complete(&mut self, ctx: &mut Ctx<'_>, token: u64, status: RdmaStatus, data: Bytes) {
-        match self.tokens.remove(&token) {
-            Some(ShipToken::Ctrl(i)) => {
-                self.parts[i].ctrl_read_inflight = false;
-                if status == RdmaStatus::Ok {
-                    let (wm, _) = parse_ctrl_cell(&data);
-                    self.parts[i].durable = self.parts[i].durable.max(wm);
-                    self.publish_part_stats();
-                }
-                self.try_ship(ctx, i);
+        let part = (token / 2) as usize;
+        let Some(p) = self.parts.get_mut(part) else {
+            return;
+        };
+        if token % 2 == 1 {
+            p.ctrl_read_inflight = false;
+            if status == RdmaStatus::Ok {
+                p.durable = p.durable.max(trail::watermark(&data));
+                self.publish_part_stats();
             }
-            Some(ShipToken::Data { part, start, end }) => {
-                if status == RdmaStatus::Ok {
-                    self.data_read_done(ctx, part, start, end, data);
-                } else {
-                    // Transient local read failure: release the slot and
-                    // re-drive on a timer — progress must not depend on
-                    // the primary publishing another watermark.
-                    self.parts[part].read_inflight = false;
-                    ctx.send_self(self.cfg.retry_interval, ReadRetryTick { part });
-                }
+            self.try_ship(ctx, part);
+        } else if let Some((start, end)) = p.reading.take() {
+            if status == RdmaStatus::Ok {
+                self.data_read_done(ctx, part, start, end, data);
+            } else {
+                // Transient local read failure: release the slot and
+                // re-drive on a timer — progress must not depend on the
+                // primary publishing another watermark.
+                ctx.send_self(self.cfg.retry_interval, ReadRetryTick { part });
             }
-            None => {}
         }
     }
 }
@@ -632,60 +607,40 @@ impl LogShipper {
 // Replica apply (DR site)
 // ---------------------------------------------------------------------
 
-struct ReplicaPart {
-    region: String,
-    region_id: Option<u64>,
-    cap: u64,
-    /// Durable applied watermark (standby control cell published).
-    applied: u64,
-    ctrl_slot: usize,
-    ready: bool,
-    busy: bool,
-    queue: VecDeque<ShipBatch>,
-}
-
-enum ApplyToken {
-    BootRead(usize),
-    Data { part: usize, end: u64 },
-    Ctrl { part: usize, end: u64 },
-}
-
+/// The DR site's host of the trail writer ([`crate::trail`]), one trail
+/// per shipped partition: batches in, [`ShipAck`]s out.
 pub struct ReplicaApply {
     name: String,
-    lib: PmLib,
-    parts: Vec<ReplicaPart>,
-    region_len: u64,
+    writer: TrailWriter<()>,
+    /// Batches that arrived before their trail's cell was read back.
+    boot_pending: Vec<Vec<ShipBatch>>,
     wan: SharedWanLink,
-    tokens: BTreeMap<u64, ApplyToken>,
-    next_token: u64,
     /// Shipper actor, learned from the first batch (acks go back here).
     shipper: Option<ActorId>,
     stats: SharedReplicaStats,
 }
 
+/// Classify `batch` against what `core` has staged — not what it has
+/// published, or a batch re-shipped while its first copy is still in
+/// flight would be staged twice — and stage it if it extends that.
+pub(crate) fn intake(core: &mut TrailCore<()>, batch: &ShipBatch) -> BatchVerdict {
+    let end = core.staged_end();
+    let verdict = validate_batch(end, core.capacity(), batch);
+    if let BatchVerdict::Apply { skip } = verdict {
+        let data = batch.payload.slice(skip as usize..);
+        core.stage(end, data.len() as u64, data, ());
+    }
+    verdict
+}
+
 impl ReplicaApply {
-    fn token(&mut self, t: ApplyToken) -> u64 {
-        let k = self.next_token;
-        self.next_token += 1;
-        self.tokens.insert(k, t);
-        k
-    }
-
-    fn boot(&mut self, ctx: &mut Ctx<'_>) {
-        for i in 0..self.parts.len() {
-            let (region, len) = (self.parts[i].region.clone(), self.region_len);
-            self.lib.create_region(ctx, &region, len, true, i as u64);
-        }
-        if self.parts.iter().any(|p| p.region_id.is_none()) {
-            ctx.send_self(SimDuration::from_millis(5), BootTick);
-        }
-    }
-
+    /// Receipt for partition `part`: its standby trail is durable through
+    /// the watermark its cell publishes.
     fn send_ack(&mut self, ctx: &mut Ctx<'_>, part: usize) {
         let Some(shipper) = self.shipper else { return };
         let ack = ShipAck {
             partition: part as u32,
-            applied_upto: self.parts[part].applied,
+            applied_upto: self.writer.core(part).durable(),
         };
         if let Some(d) = self.wan.lock().transfer(ctx.now(), WAN_HDR_BYTES) {
             ctx.send(shipper, d, ack);
@@ -694,105 +649,44 @@ impl ReplicaApply {
         // re-shipped batch classifies Stale and re-acks.
     }
 
-    fn pump(&mut self, ctx: &mut Ctx<'_>, i: usize) {
-        if self.parts[i].busy || !self.parts[i].ready {
-            return;
-        }
-        let Some(batch) = self.parts[i].queue.pop_front() else {
-            return;
-        };
-        let Some(region) = self.parts[i].region_id else {
-            return;
-        };
-        let applied = self.parts[i].applied;
-        let cap = self.parts[i].cap;
-        match validate_batch(applied, cap, &batch) {
+    fn apply(&mut self, ctx: &mut Ctx<'_>, i: usize, batch: ShipBatch) {
+        let verdict = intake(self.writer.core_mut(i), &batch);
+        let mut s = self.stats.lock();
+        match verdict {
             BatchVerdict::Apply { skip } => {
-                let data = batch.payload.slice(skip as usize..);
-                let end = batch.end_lsn;
-                // Same circular-split discipline as the primary ADP, so
-                // the standby image is byte-identical to the primary's.
-                let parts: Vec<(u64, Bytes, u32)> =
-                    split_trail_parts(applied, cap, data.len() as u64, data.len())
-                        .map(|(off, range, wire)| (off, data.slice(range), wire))
-                        .collect();
-                let tok = self.token(ApplyToken::Data { part: i, end });
-                self.parts[i].busy = true;
-                self.lib
-                    .write_batch_class(ctx, region, &parts, tok, TrafficClass::Bulk);
-                let mut s = self.stats.lock();
                 s.batches_applied += 1;
-                s.bytes_applied += data.len() as u64;
+                s.bytes_applied += batch.payload.len() as u64 - skip;
+                drop(s);
+                // Acked when the chain carrying it publishes.
+                self.writer.pump(ctx, i);
+                return;
             }
-            BatchVerdict::Stale => {
-                self.stats.lock().stale += 1;
-                self.send_ack(ctx, i);
-                self.pump(ctx, i);
-            }
-            BatchVerdict::Gap => {
-                self.stats.lock().gaps += 1;
-                self.send_ack(ctx, i);
-                self.pump(ctx, i);
-            }
-            BatchVerdict::Corrupt => {
-                self.stats.lock().corrupt += 1;
-                self.send_ack(ctx, i);
-                self.pump(ctx, i);
-            }
+            BatchVerdict::Stale => s.stale += 1,
+            BatchVerdict::Gap => s.gaps += 1,
+            BatchVerdict::Corrupt => s.corrupt += 1,
         }
+        drop(s);
+        self.send_ack(ctx, i);
     }
 
-    fn write_complete(&mut self, ctx: &mut Ctx<'_>, c: pmclient::PmWriteComplete) {
-        match self.tokens.remove(&c.token) {
-            Some(ApplyToken::Data { part, end }) => {
-                if c.status != RdmaStatus::Ok {
-                    // The standby pool misbehaved: drop the batch (the
-                    // shipper re-drives) rather than publish a watermark
-                    // the data may not cover.
-                    self.parts[part].busy = false;
-                    self.pump(ctx, part);
-                    return;
+    fn on_trail(&mut self, ctx: &mut Ctx<'_>, event: TrailEvent) {
+        match event {
+            // Takeover-identical boot: the standby cell is the applied
+            // watermark; batches that waited for it go in now.
+            TrailEvent::Booted { trail, .. } => {
+                for batch in std::mem::take(&mut self.boot_pending[trail]) {
+                    self.apply(ctx, trail, batch);
                 }
-                // Data durable → publish the applied watermark through
-                // the same double-buffered control cell the primary
-                // uses, so replica takeover reads it identically.
-                let region = self.parts[part].region_id.expect("adopted");
-                let cell = encode_ctrl_slot(end);
-                let off = self.parts[part].ctrl_slot as u64 * PM_CTRL_SLOT_BYTES;
-                self.parts[part].ctrl_slot ^= 1;
-                let tok = self.token(ApplyToken::Ctrl { part, end });
-                self.lib.write_sized(
-                    ctx,
-                    region,
-                    off,
-                    Bytes::copy_from_slice(&cell),
-                    PM_CTRL_SLOT_BYTES as u32,
-                    tok,
-                );
             }
-            Some(ApplyToken::Ctrl { part, end }) => {
-                self.parts[part].busy = false;
-                if c.status == RdmaStatus::Ok {
-                    self.parts[part].applied = self.parts[part].applied.max(end);
-                    // Durable receipt: only now does the primary count
-                    // these bytes as off-site.
-                    self.send_ack(ctx, part);
-                }
-                self.pump(ctx, part);
+            // Durable receipt: only now does the primary count these
+            // bytes as off-site.
+            TrailEvent::Published { trail, .. } => {
+                self.send_ack(ctx, trail);
+                self.writer.pump(ctx, trail);
             }
-            _ => {}
-        }
-    }
-
-    fn read_complete(&mut self, ctx: &mut Ctx<'_>, token: u64, status: RdmaStatus, data: Bytes) {
-        if let Some(ApplyToken::BootRead(i)) = self.tokens.remove(&token) {
-            if status == RdmaStatus::Ok {
-                let (wm, slot) = parse_ctrl_cell(&data);
-                self.parts[i].applied = self.parts[i].applied.max(wm);
-                self.parts[i].ctrl_slot = slot.map(|s| 1 - s).unwrap_or(0);
-            }
-            self.parts[i].ready = true;
-            self.pump(ctx, i);
+            // The writer re-drives a failed chain; the standby pool is
+            // never fenced.
+            TrailEvent::Failed | TrailEvent::Rejected { .. } => {}
         }
     }
 }
@@ -804,64 +698,30 @@ impl Actor for ReplicaApply {
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
-            self.boot(ctx);
+            for i in 0..self.boot_pending.len() {
+                self.writer.open(ctx, i, 0);
+            }
             return;
         }
-        let msg = match msg.take::<BootTick>() {
-            Ok(_) => {
-                if self.parts.iter().any(|p| p.region_id.is_none()) {
-                    self.boot(ctx);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
         let msg = match msg.take::<ShipBatch>() {
             Ok((_, batch)) => {
                 self.shipper = Some(batch.reply_to);
                 let i = batch.partition as usize;
-                if i < self.parts.len() {
-                    self.parts[i].queue.push_back(batch);
-                    self.pump(ctx, i);
+                if i < self.boot_pending.len() {
+                    if self.writer.ready(i) {
+                        self.apply(ctx, i, batch);
+                    } else {
+                        self.boot_pending[i].push(batch);
+                    }
                 }
                 return;
             }
             Err(m) => m,
         };
-        // PmLib completions (writes, persist phases, reads).
-        let msg = match msg.take::<RdmaWriteDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_rdma_write_done(ctx, &done) {
-                    self.write_complete(ctx, c);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<PmWriteTimeout>() {
-            Ok((_, t)) => {
-                if let Some(c) = self.lib.on_write_timeout(ctx, &t) {
-                    self.write_complete(ctx, c);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<RdmaReadDone>() {
-            Ok((_, done)) => {
-                if let Some(c) = self.lib.on_persist_read_done(ctx, &done) {
-                    self.write_complete(ctx, c);
-                } else if let Some(c) = self.lib.on_rdma_read_done(ctx, done) {
-                    self.read_complete(ctx, c.token, c.status, c.data);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.take::<PmReadTimeout>() {
-            Ok((_, t)) => {
-                if let Some(c) = self.lib.on_read_timeout(ctx, &t) {
-                    self.read_complete(ctx, c.token, c.status, c.data);
+        let msg = match self.writer.on_msg(ctx, msg) {
+            Ok(event) => {
+                if let Some(e) = event {
+                    self.on_trail(ctx, e);
                 }
                 return;
             }
@@ -869,19 +729,7 @@ impl Actor for ReplicaApply {
         };
         if let Ok((_, delivery)) = msg.take::<NetDelivery>() {
             if let Ok(ack) = delivery.payload.downcast::<pmm::msgs::CreateRegionAck>() {
-                let i = ack.token as usize;
-                if let (true, Ok(info)) = (i < self.parts.len(), ack.result) {
-                    if self.parts[i].region_id.is_none() {
-                        self.parts[i].region_id = Some(info.region_id);
-                        self.lib.adopt(info);
-                        // Takeover-identical boot: recover the applied
-                        // watermark from the standby control cell.
-                        let tok = self.token(ApplyToken::BootRead(i));
-                        let region = self.parts[i].region_id.unwrap();
-                        self.lib
-                            .read(ctx, region, 0, 2 * PM_CTRL_SLOT_BYTES as u32, tok);
-                    }
-                }
+                self.writer.on_region_ack(ctx, &ack);
             }
         }
     }
@@ -1001,7 +849,7 @@ pub fn install_georep(
     let shipper_stats: SharedShipperStats = Shared::new(ShipperStats::default());
     let replica_stats: SharedReplicaStats = Shared::new(ReplicaStats::default());
     let record: SharedDrillRecord = Shared::new(DrillRecord::default());
-    let cap = region_len - PM_CTRL_BYTES;
+    let cap = trail::capacity(region_len);
 
     // Replica first: the shipper needs its actor id as the WAN target.
     let (replica_actor, _) = {
@@ -1009,36 +857,23 @@ pub fn install_georep(
         let regions2: Vec<String> = regions.to_vec();
         let (pmm2, txn2) = (replica_pmm.to_string(), txn.clone());
         nsk::machine::install_primary(sim, machine, "$GEO-APPLY", replica_cpu, move |ep| {
+            // Every DR op is bulk: the replica gates no commit.
+            let lib = PmLib::new(m2, ep, replica_cpu, pmm2).with_config(PmClientConfig {
+                persist_mode: txn2.pm_persist_mode,
+                traffic_class: TrafficClass::Bulk,
+                // Bulk DR transfers serialize for milliseconds at
+                // ServerNet bandwidth; the default timeouts are tuned
+                // for 4 KB commit ops and would declare a healthy
+                // device unreachable mid-batch.
+                write_timeout: SimDuration::from_millis(50),
+                read_timeout: SimDuration::from_millis(50),
+                ..PmClientConfig::default()
+            });
             Box::new(ReplicaApply {
                 name: "$GEO-APPLY".into(),
-                lib: PmLib::new(m2, ep, replica_cpu, pmm2).with_config(PmClientConfig {
-                    persist_mode: txn2.pm_persist_mode,
-                    traffic_class: crate::adp::PM_COMMIT_CLASS,
-                    // Bulk DR transfers serialize for milliseconds at
-                    // ServerNet bandwidth; the default timeouts are tuned
-                    // for 4 KB commit ops and would declare a healthy
-                    // device unreachable mid-batch.
-                    write_timeout: SimDuration::from_millis(50),
-                    read_timeout: SimDuration::from_millis(50),
-                    ..PmClientConfig::default()
-                }),
-                parts: regions2
-                    .iter()
-                    .map(|r| ReplicaPart {
-                        region: r.clone(),
-                        region_id: None,
-                        cap,
-                        applied: 0,
-                        ctrl_slot: 0,
-                        ready: false,
-                        busy: false,
-                        queue: VecDeque::new(),
-                    })
-                    .collect(),
-                region_len,
+                boot_pending: vec![Vec::new(); regions2.len()],
+                writer: TrailWriter::new(lib, regions2.into_iter().map(|r| (r, region_len))),
                 wan: wan2,
-                tokens: BTreeMap::new(),
-                next_token: 0,
                 shipper: None,
                 stats: st2,
             })
@@ -1077,7 +912,7 @@ pub fn install_georep(
                         durable: 0,
                         acked: 0,
                         sent: 0,
-                        read_inflight: false,
+                        reading: None,
                         ship_inflight: false,
                         ship_retry: None,
                         ctrl_read_inflight: false,
@@ -1088,8 +923,6 @@ pub fn install_georep(
                 adp_names: adps2,
                 wan: wan2,
                 replica: replica_actor,
-                tokens: BTreeMap::new(),
-                next_token: 0,
                 cfg: cfg2,
                 stats: st2,
             })
@@ -1162,6 +995,29 @@ mod tests {
             validate_batch(50, cap, &batch(100, 164, vec![7; 64])),
             BatchVerdict::Gap
         );
+    }
+
+    /// A batch re-shipped while its first copy is still staged — cut into
+    /// a chain or not, but not yet published — is a duplicate: staged
+    /// again, its bytes would land twice, the second copy at LSNs past
+    /// the first.
+    #[test]
+    fn a_batch_reshipped_while_its_first_copy_is_staged_is_stale() {
+        let mut core = TrailCore::new(1 << 20);
+        let b = batch(0, 64, vec![7; 64]);
+        assert_eq!(intake(&mut core, &b), BatchVerdict::Apply { skip: 0 });
+        assert_eq!(intake(&mut core, &b), BatchVerdict::Stale);
+        assert!(core.next_chain().is_some());
+        assert_eq!(intake(&mut core, &b), BatchVerdict::Stale);
+        assert_eq!((core.staged_end(), core.durable()), (64, 0));
+        // The next batch extends what is staged, not what is published.
+        let next = batch(64, 96, vec![8; 32]);
+        assert_eq!(intake(&mut core, &next), BatchVerdict::Apply { skip: 0 });
+        assert_eq!(
+            core.complete(RdmaStatus::Ok),
+            Some(trail::Completion::Published(64))
+        );
+        assert_eq!(core.staged_end(), 96);
     }
 
     #[test]

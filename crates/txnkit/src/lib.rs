@@ -45,6 +45,7 @@ pub mod scenario;
 pub mod shard;
 pub mod stats;
 pub mod tmf;
+pub mod trail;
 pub mod types;
 
 pub use adp::{install_adp_pairs, AuditBackend};

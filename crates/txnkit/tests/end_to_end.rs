@@ -1037,8 +1037,8 @@ fn an_acknowledged_insert_is_at_the_backup_and_on_the_trail() {
                     let img = img.lock();
                     let meta = pmm::MetaStore::recover(|off, len| img.read(off, len));
                     let region = meta.find(&format!("adp{i}.audit")).unwrap();
-                    let skip = txnkit::adp::PM_CTRL_BYTES;
-                    img.read(region.base + skip, (region.len - skip) as usize)
+                    let image = img.read(region.base, region.len as usize);
+                    txnkit::trail::split_image(image).1
                 })
                 .collect();
             let seen = std::mem::take(&mut *seen.lock());

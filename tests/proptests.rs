@@ -135,7 +135,7 @@ proptest! {
         torn_at in 0usize..17,
         junk in proptest::collection::vec(any::<u8>(), 0..65)
     ) {
-        use txnkit::adp::{encode_ctrl_slot, parse_ctrl_cell, PM_CTRL_SLOT_BYTES};
+        use txnkit::trail::{encode_ctrl_slot, parse_ctrl_cell, PM_CTRL_SLOT_BYTES};
         let next_wm = next_wm | 1; // ensure next != 0 so it is observable
         let prev_wm = prev_wm.min(next_wm - 1);
         let cell_for = |wm: u64| {
@@ -323,6 +323,200 @@ fn shard_routing_covers_every_shard() {
             *max < 2 * *min,
             "{shards}-shard routing badly skewed: {hit:?}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The PM trail writer's core under arbitrary completions and takeovers
+// ---------------------------------------------------------------------
+
+use simnet::RdmaStatus;
+use txnkit::trail::{Completion, Part, TrailCore};
+
+#[derive(Clone, Debug)]
+enum TrailOp {
+    /// Stage an append of `virt` virtual bytes carrying `len` of them.
+    Stage { virt: u64, len: usize },
+    /// Post the next chain, if the core cuts one.
+    Post,
+    /// The chain in flight completes `status`. A failed chain may still
+    /// have reached the device: `landed` writes its cell slot's first
+    /// `landed` bytes (of 16).
+    Complete { status: RdmaStatus, landed: usize },
+    /// The re-drive timer fires.
+    Redrive,
+    /// Takeover: a fresh core boots from the device's cell.
+    Boot,
+}
+
+fn arb_trail_op() -> impl Strategy<Value = TrailOp> {
+    let args = (0u8..10, 1u64..300, 0usize..80, 0u8..16, 0usize..17);
+    args.prop_map(|(op, virt, len, status, landed)| match op {
+        0..=2 => TrailOp::Stage {
+            virt,
+            len: len.min(virt as usize),
+        },
+        3..=4 => TrailOp::Post,
+        5..=7 => TrailOp::Complete {
+            // Rejections are rarer than the rest: a frozen trail stays so.
+            status: match status {
+                0..=7 => RdmaStatus::Ok,
+                8..=11 => RdmaStatus::DeviceFailed,
+                12..=13 => RdmaStatus::Unreachable,
+                14 => RdmaStatus::AccessViolation,
+                _ => RdmaStatus::OutOfBounds,
+            },
+            landed,
+        },
+        8 => TrailOp::Redrive,
+        _ => TrailOp::Boot,
+    })
+}
+
+/// A posted chain's bytes: every part, then the cell.
+type ChainBytes = Vec<(u64, Vec<u8>, u32)>;
+
+/// A chain as the host posted it: its bytes, its cell slot, its acks.
+type Posted = (ChainBytes, usize, Vec<(u64, u64)>);
+
+fn chain_bytes(parts: &[Part], cell: &Part) -> ChainBytes {
+    parts
+        .iter()
+        .chain([cell])
+        .map(|(o, b, w)| (*o, b.to_vec(), *w))
+        .collect()
+}
+
+/// The watermark one cell slot holds on its own (0 if it is not valid).
+fn slot_watermark(cell: &[u8; 32], slot: usize) -> u64 {
+    let mut one = [0u8; 32];
+    one[..16].copy_from_slice(&cell[slot * 16..slot * 16 + 16]);
+    txnkit::trail::watermark(&one)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Over arbitrary interleavings of stages, posts, completions of every
+    /// kind, re-drives and takeovers that boot from the device's cell: no
+    /// ack is released before a published chain covers it, and none
+    /// twice; the watermark never falls; a re-driven chain is the chain
+    /// first cut, byte for byte and slot for slot; the slot a chain does
+    /// not write holds the last published watermark; nothing is posted
+    /// after a rejection.
+    #[test]
+    fn trail_core_publishes_only_what_completed_chains_cover(
+        cap in 64u64..1024,
+        ops in proptest::collection::vec(arb_trail_op(), 1..80),
+    ) {
+        // The device's control cell, and what a published completion put
+        // there last.
+        let mut device = [0u8; 32];
+        let mut published = 0u64;
+        let mut core: TrailCore<(u64, u64)> = TrailCore::new(cap);
+        // Acks staged and not yet released, the chain in flight as first
+        // cut (with its cell slot and its acks), and every ack released.
+        let mut owed: Vec<(u64, u64)> = Vec::new();
+        let mut inflight: Option<Posted> = None;
+        let mut released = std::collections::BTreeSet::new();
+        let mut wm = 0u64;
+        for op in ops {
+            match op {
+                TrailOp::Stage { virt, len } => {
+                    let start = core.staged_end();
+                    prop_assert!(start >= core.durable());
+                    core.stage(start, virt, Bytes::from(vec![0xC3; len]), (start, start + virt));
+                    owed.push((start, start + virt));
+                }
+                TrailOp::Post => {
+                    let (was_idle, frozen, end) = (inflight.is_none(), core.frozen(), core.staged_end());
+                    match core.next_chain() {
+                        Some((parts, cell)) => {
+                            prop_assert!(was_idle && !frozen, "a chain posted while one is in flight or after a reject");
+                            // A slot-sized write at a slot's offset.
+                            let slot = (cell.0 / cell.2 as u64) as usize;
+                            prop_assert!(slot < 2 && cell.0 % cell.2 as u64 == 0);
+                            // The other slot is the last published watermark.
+                            prop_assert_eq!(slot_watermark(&device, 1 - slot), published);
+                            prop_assert_eq!(txnkit::trail::watermark(&cell.1), end);
+                            inflight = Some((chain_bytes(parts, cell), slot, std::mem::take(&mut owed)));
+                        }
+                        None => prop_assert!(!was_idle || frozen || owed.is_empty()),
+                    }
+                }
+                TrailOp::Complete { status, landed } => {
+                    let frozen = core.frozen();
+                    let got = core.complete(status);
+                    let Some((bytes, slot, acks)) = inflight.clone() else {
+                        // A stray completion: it publishes nothing, but a
+                        // rejection still freezes the trail.
+                        let rejects = matches!(status, RdmaStatus::AccessViolation | RdmaStatus::OutOfBounds);
+                        prop_assert!(!matches!(got, Some(Completion::Published(_))));
+                        prop_assert_eq!(core.frozen(), frozen || rejects);
+                        continue;
+                    };
+                    let cell = &bytes.last().expect("a cell").1;
+                    match got {
+                        Some(Completion::Published(w)) => {
+                            prop_assert!(!frozen && status == RdmaStatus::Ok);
+                            prop_assert!(w >= wm, "the watermark fell from {} to {}", wm, w);
+                            wm = w;
+                            device[slot * 16..slot * 16 + 12].copy_from_slice(&cell[..12]);
+                            published = w;
+                            prop_assert_eq!(core.released(), &acks[..]);
+                            for &a in core.released() {
+                                prop_assert!(a.1 <= w, "ack {:?} released above the watermark {}", a, w);
+                                prop_assert!(released.insert(a), "ack {:?} released twice", a);
+                            }
+                            inflight = None;
+                        }
+                        Some(Completion::Failed) => {
+                            prop_assert!(!frozen);
+                            prop_assert!(matches!(status, RdmaStatus::DeviceFailed | RdmaStatus::Unreachable));
+                            let n = landed.min(12);
+                            device[slot * 16..slot * 16 + n].copy_from_slice(&cell[..n]);
+                        }
+                        Some(Completion::Rejected) => {
+                            prop_assert!(core.frozen());
+                            prop_assert!(frozen || matches!(status, RdmaStatus::AccessViolation | RdmaStatus::OutOfBounds));
+                        }
+                        None => prop_assert!(false, "a chain in flight completed as nothing"),
+                    }
+                    prop_assert_eq!(core.durable(), wm);
+                }
+                TrailOp::Redrive => {
+                    match (&inflight, core.inflight()) {
+                        (Some((bytes, _, _)), Some((parts, cell))) => {
+                            prop_assert!(!core.frozen());
+                            prop_assert_eq!(&chain_bytes(parts, cell), bytes, "a re-driven chain differs from the chain first cut");
+                        }
+                        (None, None) => {}
+                        (Some(_), None) => prop_assert!(core.frozen(), "the chain in flight vanished"),
+                        (None, Some(_)) => prop_assert!(false, "a chain in flight the host never posted"),
+                    }
+                }
+                TrailOp::Boot => {
+                    // Whatever the old core had staged or in flight is gone
+                    // unacked; the new one starts from the device's cell.
+                    let before = published;
+                    core = TrailCore::new(cap);
+                    let (w, slot) = core.boot(&device);
+                    let (a, b) = (slot_watermark(&device, 0), slot_watermark(&device, 1));
+                    prop_assert_eq!(w, a.max(b));
+                    prop_assert!(w >= before, "boot fell below the published watermark");
+                    prop_assert_eq!(slot_watermark(&device, 1 - slot), w);
+                    prop_assert_eq!((core.staged_end(), core.durable()), (w, w));
+                    published = w;
+                    wm = w;
+                    owed.clear();
+                    inflight = None;
+                }
+            }
+            // Whatever the core exposes as released, a publication covered.
+            for a in core.released() {
+                prop_assert!(released.contains(a), "ack {:?} released before its chain published", a);
+            }
+        }
     }
 }
 

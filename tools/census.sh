@@ -56,11 +56,17 @@ echo "== redo_scan_* calls under tests/ + crates/bench/src"
 echo "== sparse block stores (maps from a block number to its bytes)"
 { grep -rhoE '(FastMap|BTreeMap|HashMap)<u64, (Box<\[u8|Page>)' crates/*/src src || true; } | wc -l
 
-# Each call site interprets a trail's watermark by itself; recovery reads
-# a lapped trail as a ring (`txnkit::audit::ring_window`), never by hand.
-echo "== ctrl-cell readers outside txnkit::adp"
-{ grep -rhoE 'parse_ctrl_cell\(' crates/*/src src tests benchmark/src \
-    --exclude-dir=adp 2>/dev/null || true; } | wc -l
+# The PM trail's format (control cell, ring split) has one home,
+# `txnkit::trail`: every other use of its names is code that knows the
+# format by itself. Counted per use, with the files that have any.
+echo "== trail-format knowers outside txnkit::trail"
+knowers() {
+  { grep -roE 'PM_CTRL_BYTES|PM_CTRL_SLOT_BYTES|encode_ctrl_slot|parse_ctrl_cell|split_trail_parts' \
+    crates/*/src src tests --include='*.rs' 2>/dev/null || true; } |
+    cut -d: -f1 | grep -vx 'crates/txnkit/src/trail\.rs' | sort | uniq -c
+}
+printf '%-28s %6d\n' "uses" "$(knowers | awk '{ n += $1 } END { print n + 0 }')"
+knowers | awk '{ printf "  %-32s %6d\n", $2, $1 }'
 
 echo "== crates/bench bins"
 find crates/bench/src/bin -name '*.rs' -type f | wc -l
