@@ -6,8 +6,11 @@
 //! 64-byte control cell keeps 64 bytes and a lapped trail page keeps its
 //! descriptors, not the gaps between them — until more than half of its
 //! bytes have been written: then the page is full, one block written by a
-//! plain copy, as in a block store. What no page holds reads as zeros,
-//! like a fresh medium.
+//! plain copy, as in a block store. A write that covers a whole page
+//! replaces it with the spans of its nonzero 8-byte words — runs while
+//! they fill at most half the page, a block otherwise — so a copied or
+//! rewritten page is as sparse as its contents. What no page holds reads
+//! as zeros, like a fresh medium.
 
 use crate::checksum::Checksum64;
 use crate::hash::FastMap;
@@ -86,6 +89,19 @@ impl Runs {
             next = r.end;
             Some((at, r))
         })
+    }
+
+    /// The page's `out.len()` bytes from `at` copied into `out`, which
+    /// holds zeros: each record's part of them, in order.
+    fn read(&self, at: usize, out: &mut [u8]) {
+        let end = at + out.len();
+        for (a, r) in self.records() {
+            let (from, to) = (a.max(at), (a + r.len()).min(end));
+            if from < to {
+                out[from - at..to - at]
+                    .copy_from_slice(&self.log[r.start + from - a..][..to - from]);
+            }
+        }
     }
 
     /// The page as it reads: every record copied in order over zeros.
@@ -256,6 +272,9 @@ impl PageStore {
 
     /// Copy `src` to byte `at` of `page`.
     fn put(&mut self, page: u64, at: usize, src: &[u8]) {
+        if src.len() == PAGE {
+            return self.replace(page, src);
+        }
         if let Some(block) = self.full.get_mut(&page) {
             return block[at..at + src.len()].copy_from_slice(src);
         }
@@ -272,33 +291,69 @@ impl PageStore {
         }
     }
 
-    /// Hand `f` the `len` bytes at `offset` in order, zeros where unwritten.
-    fn visit(&self, offset: u64, len: u64, mut f: impl FnMut(&[u8])) {
-        for (page, at, n) in self.pieces(offset, len, "read") {
-            let end = at + n;
-            if let Some(block) = self.full.get(&page) {
-                f(&block[at..end]);
-            } else if let Some(runs) = self.runs.get(&page) {
-                f(&runs.image()[at..end]);
-            } else {
-                f(&ZEROS[at..end]);
-            }
+    /// Make `page` hold `src`, a whole page: its nonzero 8-byte words as
+    /// runs, found word by word, while they are at most half of it; else
+    /// a block.
+    fn replace(&mut self, page: u64, src: &[u8]) {
+        let mut mask = [0u64; PAGE / 64];
+        for (w, word) in src.chunks_exact(8).enumerate() {
+            let nonzero = u64::from_ne_bytes(word.try_into().unwrap()) != 0;
+            mask[w / 8] |= (nonzero as u64 * 0xFF) << (w % 8 * 8);
         }
+        let distinct = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        if distinct > PAGE / 2 {
+            if let Some(block) = self.full.get_mut(&page) {
+                return block.copy_from_slice(src);
+            }
+            self.runs.remove(&page);
+            self.full.insert(page, Box::new(src.try_into().unwrap()));
+            return;
+        }
+        self.full.remove(&page);
+        let room = set_runs(&mask).map(|(s, e)| 4 + e - s).sum();
+        let mut runs = Runs::default();
+        let mut len = 0;
+        for (s, e) in set_runs(&mask) {
+            len = runs.put(len, s, &src[s..e], room);
+        }
+        (runs.len, runs.compacted, runs.tail) = (len as u16, distinct as u16, len as u16);
+        self.runs.insert(page, runs);
     }
 
+    /// The `len` bytes at `offset`, zeros where unwritten: each page's
+    /// block or runs copied straight into a zeroed buffer.
     pub fn read(&self, offset: u64, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
-        self.visit(offset, len as u64, |s| out.extend_from_slice(s));
+        let mut out = vec![0; len];
+        let mut rest = &mut out[..];
+        for (page, at, n) in self.pieces(offset, len as u64, "read") {
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            rest = tail;
+            if let Some(block) = self.full.get(&page) {
+                piece.copy_from_slice(&block[at..at + n]);
+            } else if let Some(runs) = self.runs.get(&page) {
+                runs.read(at, piece);
+            }
+        }
         out
     }
 
     /// [`checksum64`](crate::checksum64) of `len` bytes at `offset`,
-    /// computed where they lie. Not a CRC-32 on purpose: the CRC of a
-    /// watermark cell `x ‖ crc32(x)` is a constant, so mirrors diverging
-    /// only in such a cell would verify clean.
+    /// computed where they lie, a page of runs as its image. Not a CRC-32
+    /// on purpose: the CRC of a watermark cell `x ‖ crc32(x)` is a
+    /// constant, so mirrors diverging only in such a cell would verify
+    /// clean.
     pub fn digest(&self, offset: u64, len: u64) -> u64 {
         let mut sum = Checksum64::default();
-        self.visit(offset, len, |s| sum.update(s));
+        for (page, at, n) in self.pieces(offset, len, "read") {
+            let end = at + n;
+            if let Some(block) = self.full.get(&page) {
+                sum.update(&block[at..end]);
+            } else if let Some(runs) = self.runs.get(&page) {
+                sum.update(&runs.image()[at..end]);
+            } else {
+                sum.update(&ZEROS[at..end]);
+            }
+        }
         sum.finish()
     }
 
@@ -337,6 +392,13 @@ impl PageStore {
         self.full.len() + self.runs.len()
     }
 
+    /// Bytes the pages hold: each page's run bytes (record headers
+    /// aside), a whole page when full.
+    pub fn held_bytes(&self) -> usize {
+        let runs = self.runs.values().flat_map(Runs::records);
+        self.full.len() * PAGE + runs.map(|(_, r)| r.len()).sum::<usize>()
+    }
+
     /// `(page, offset in page, length)` of each page `len` bytes at `offset` touch.
     fn pieces(&self, offset: u64, len: u64, op: &str) -> impl Iterator<Item = (u64, usize, usize)> {
         assert!(offset + len <= self.capacity(), "{op} beyond capacity");
@@ -355,13 +417,6 @@ mod tests {
     use crate::checksum64;
     use proptest::prelude::*;
 
-    /// Bytes the pages hold: each page's run bytes (record headers
-    /// aside), a whole page when full.
-    fn resident(s: &PageStore) -> usize {
-        let runs = s.runs.values().flat_map(Runs::records);
-        s.full.len() * PAGE + runs.map(|(_, r)| r.len()).sum::<usize>()
-    }
-
     #[test]
     fn a_small_write_per_page_keeps_only_its_bytes() {
         let mut s = PageStore::new(64 << 20);
@@ -369,17 +424,17 @@ mod tests {
             s.write(page * 4096 + 1000, &[0xAB; 64]);
         }
         assert_eq!(s.blocks_used(), 1000);
-        assert_eq!(resident(&s), 64 * 1000);
+        assert_eq!(s.held_bytes(), 64 * 1000);
         // A second small write adds its own run, not the gap before it.
         s.write(1200, &[1; 8]);
-        assert_eq!(resident(&s), 64 * 1000 + 8);
+        assert_eq!(s.held_bytes(), 64 * 1000 + 8);
         // The page holds up to half its bytes as runs ...
         s.write(2000, &[2; 1976]);
         s.write(3500, &[3; 8]);
-        assert_eq!((s.full.len(), resident(&s)), (0, 64 * 999 + 2048));
+        assert_eq!((s.full.len(), s.held_bytes()), (0, 64 * 999 + 2048));
         // ... and goes full with the next distinct byte.
         s.write(0, &[4]);
-        assert_eq!((s.full.len(), resident(&s)), (1, 64 * 999 + PAGE));
+        assert_eq!((s.full.len(), s.held_bytes()), (1, 64 * 999 + PAGE));
         let page = s.read(0, PAGE);
         assert_eq!(
             (page[0], page[1], page[999], &page[1000..1064], page[1064]),
@@ -393,6 +448,44 @@ mod tests {
                 page[3976]
             ),
             (&[1; 8][..], &[2; 1500][..], &[3; 8][..], 0)
+        );
+    }
+
+    #[test]
+    fn a_whole_page_write_keeps_its_nonzero_words() {
+        let mut s = PageStore::new(16 * PAGE as u64);
+        // A copied page of sparse records: 100-byte records 1 KiB apart,
+        // each ending mid-word, and a nonzero word of one set bit.
+        let mut page = [0u8; PAGE];
+        for r in 0..4 {
+            page[r * 1024..][..100].fill(0xC7);
+        }
+        page[4000] = 1;
+        s.write(0, &page);
+        assert_eq!((s.full.len(), s.held_bytes()), (0, 4 * 104 + 8));
+        assert!(s.read(0, PAGE) == page);
+        // Whole pages: all zeros; just above and just below half nonzero.
+        let words = |k: usize| {
+            let mut p = [0u8; PAGE];
+            (0..k).for_each(|w| p[16 * w % PAGE + 16 * w / PAGE * 8] = 0x5A);
+            p
+        };
+        s.write(PAGE as u64, &[0; PAGE]);
+        s.write(2 * PAGE as u64, &words(257));
+        s.write(3 * PAGE as u64, &words(256));
+        assert_eq!((s.blocks_used(), s.full.len()), (4, 1));
+        assert_eq!(s.held_bytes(), 4 * 104 + 8 + PAGE + 256 * 8);
+        assert_eq!(s.written_extent(0, 5 * PAGE as u64), 4 * PAGE as u64);
+        // A block rewritten sparse drops the bytes under its zero words.
+        s.write(2 * PAGE as u64, &page);
+        assert_eq!(s.full.len(), 0);
+        assert!(s.read(2 * PAGE as u64, PAGE) == page);
+        assert_eq!(s.held_bytes(), 2 * (4 * 104 + 8) + 256 * 8);
+        let flat = [&page[..], &[0; PAGE], &page, &words(256)].concat();
+        assert!(s.read(0, 4 * PAGE) == flat);
+        assert_eq!(
+            s.digest(100, 4 * PAGE as u64 - 200),
+            checksum64(&flat[100..4 * PAGE - 100])
         );
     }
 
@@ -415,9 +508,9 @@ mod tests {
         let distinct = written.iter().filter(|&&w| w).count();
         assert_eq!((s.blocks_used(), s.full.len()), (256, 0));
         assert!(
-            resident(&s) <= 2 * distinct + 512 * s.blocks_used(),
+            s.held_bytes() <= 2 * distinct + 512 * s.blocks_used(),
             "{} bytes held for {distinct} distinct",
-            resident(&s)
+            s.held_bytes()
         );
         assert!(s.read(0, RING as usize) == flat);
     }
@@ -441,6 +534,37 @@ mod tests {
     fn range() -> impl Strategy<Value = (u64, u64)> {
         (at(), 0u64..10_000).prop_map(|(o, n)| (o, n.min(CAP - o)))
     }
+    /// A page of `k` nonzero 8-byte words among zero ones, placed by
+    /// `seed` side by side or scattered; every third holds one nonzero
+    /// byte among zeros.
+    fn page(k: usize, seed: u64) -> Vec<u8> {
+        let words = PAGE / 8;
+        let stride = if seed & 1 == 0 {
+            1
+        } else {
+            (seed >> 32) as usize | 1
+        };
+        let mut page = vec![0; PAGE];
+        for i in 0..k {
+            let w = (seed as usize / 2 + i * stride) % words;
+            let v = match i % 3 {
+                0 => 1u64 << (seed.wrapping_add(i as u64) % 64),
+                _ => seed.wrapping_mul(2 * i as u64 + 1) | 1,
+            };
+            page[w * 8..][..8].copy_from_slice(&v.to_le_bytes());
+        }
+        page
+    }
+    /// Page-aligned writes of one to three pages, each all zeros, just
+    /// below or above half nonzero, or anything up to all nonzero.
+    fn pages() -> impl Strategy<Value = (u64, Vec<u8>)> {
+        let words = prop_oneof![Just(0usize), 254..259usize, 0..513usize, Just(512usize)];
+        let fills = proptest::collection::vec((words, any::<u64>()), 1..4);
+        (0..16u64, fills).prop_map(|(p, fills)| {
+            let data = fills.iter().flat_map(|&(k, seed)| page(k, seed));
+            (p * PAGE as u64, data.collect())
+        })
+    }
     fn op() -> impl Strategy<Value = Op> {
         let data = prop_oneof![
             proptest::collection::vec(any::<u8>(), 1..200),
@@ -453,10 +577,23 @@ mod tests {
                 prop_oneof![Just(None), any::<usize>().prop_map(Some)]
             )
                 .prop_map(|(o, d, k)| Op::Write(o, d, k)),
+            pages().prop_map(|(o, d)| Op::Write(o, d, None)),
             range().prop_map(|(o, n)| Op::Read(o, n)),
             range().prop_map(|(o, n)| Op::Digest(o, n)),
             range().prop_map(|(o, n)| Op::Extent(o, n)),
         ]
+    }
+
+    /// Mark in `held` the bytes a write of `d` at `o` leaves the pages
+    /// holding: a page it covers whole, its nonzero 8-byte words alone;
+    /// any other, what it held and the bytes written.
+    fn cover(held: &mut [bool], o: usize, d: &[u8]) {
+        held[o..o + d.len()].fill(true);
+        for p in o.div_ceil(PAGE)..(o + d.len()) / PAGE {
+            for (w, word) in d[p * PAGE - o..][..PAGE].chunks(8).enumerate() {
+                held[p * PAGE + w * 8..][..8].fill(word.iter().any(|&b| b != 0));
+            }
+        }
     }
 
     /// The reference `written_extent`: a scan of the whole page index.
@@ -492,12 +629,14 @@ mod tests {
 
         /// Against a flat array and the set of pages ever written, every
         /// read, digest and extent agrees, and so does the accounting.
+        /// Whole-page writes carry zero words: all-zero pages, pages just
+        /// either side of half nonzero, blocks rewritten sparse.
         #[test]
         fn behaves_as_a_flat_array(ops in proptest::collection::vec(op(), 1..60)) {
             let mut s = PageStore::new(CAP);
             let mut flat = vec![0u8; CAP as usize];
             let mut touched = std::collections::BTreeSet::new();
-            let mut written = vec![false; CAP as usize];
+            let mut held = vec![false; CAP as usize];
             let (mut writes, mut bytes, mut high) = (0, 0, 0);
             for op in ops {
                 match op {
@@ -510,7 +649,7 @@ mod tests {
                         }
                         flat[o as usize..][..k].copy_from_slice(&d[..k]);
                         touched.extend((o..o + k as u64).map(|b| b / PAGE as u64));
-                        written[o as usize..][..k].fill(true);
+                        cover(&mut held, o as usize, &d[..k]);
                         if k > 0 {
                             (writes, bytes) = (writes + 1, bytes + k as u64);
                             high = high.max(o + k as u64);
@@ -534,16 +673,16 @@ mod tests {
             }
             prop_assert_eq!((s.writes(), s.bytes_written(), s.high_water()), (writes, bytes, high));
             prop_assert_eq!(s.blocks_used(), touched.len());
-            prop_assert!(resident(&s) <= touched.len() * PAGE);
+            prop_assert!(s.held_bytes() <= touched.len() * PAGE);
             // A page that is not full holds at most twice its distinct
-            // bytes plus 512, and a full page has more than half written.
+            // bytes plus 512, and a full page has more than half held.
+            let distinct = |page: u64| held[page as usize * PAGE..][..PAGE].iter().filter(|&&h| h).count();
             for (&page, runs) in &s.runs {
-                let distinct = written[page as usize * PAGE..][..PAGE].iter().filter(|&&w| w).count();
-                let held = runs.records().map(|(_, r)| r.len()).sum::<usize>();
+                let (distinct, held) = (distinct(page), runs.records().map(|(_, r)| r.len()).sum::<usize>());
                 prop_assert!(distinct <= PAGE / 2 && held <= 2 * distinct + 512, "page {}: {} held, {} distinct", page, held, distinct);
             }
             for &page in s.full.keys() {
-                prop_assert!(written[page as usize * PAGE..][..PAGE].iter().filter(|&&w| w).count() > PAGE / 2);
+                prop_assert!(distinct(page) > PAGE / 2, "page {}: full with {} distinct", page, distinct(page));
             }
         }
     }

@@ -89,6 +89,19 @@ fn npmu_half_dies_mid_run_workload_survives_and_resilvers() {
     assert_eq!(ns.rdma_copy_bytes, stats.resilver_bytes_copied, "{ns:?}");
     assert!(ns.rdma_scrubs > 0, "no batched scrub commands: {ns:?}");
 
+    // The repair wrote whole chunks to the revived half, but a copied
+    // page keeps only its nonzero words: that half holds about what its
+    // survivor holds, which took the same records as they were written.
+    let held = |h: char| {
+        let img = store.get::<npmu::NvImage>(&format!("npmu:pm-{h}"));
+        img.expect("both halves exist").lock().held_bytes()
+    };
+    let (survivor, revived) = (held('a'), held('b'));
+    assert!(
+        revived * 10 <= survivor * 11,
+        "the revived half holds {revived} bytes, its survivor {survivor}"
+    );
+
     // Power loss after the repair: every acked commit redoes whole from
     // the images, and the §1.3 scrubber finds metadata and every region
     // byte identical on both halves.

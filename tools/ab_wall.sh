@@ -6,12 +6,13 @@
 # Builds `benchmark/` in <parent-checkout> and in this tree, runs the
 # workload <pairs> times on each side in alternating order (the side that
 # goes first flips every pair, so drift on a shared box hits both), and
-# prints, for `wall_s` and for `peak_rss_mb` alike, per side the median
-# and quartiles, how many pairs each side won (a tie counts for
-# neither), and whether the medians are further apart than the parent's
-# own quartiles — so a memory claim and its wall-time check come from the
-# same pairs. Then each side's event count per repetition and whether it
-# is the same in every run, so an event cut shows in the same pairs.
+# prints, for `wall_s`, `setup_s` and `peak_rss_mb` alike — the three
+# host metrics the benchmark bounds — per side the median and quartiles,
+# how many pairs each side won (a tie counts for neither), and whether
+# the medians are further apart than the parent's own quartiles — so a
+# memory claim and its time checks come from the same pairs. Then each
+# side's event count per repetition and whether it is the same in every
+# run, so an event cut shows in the same pairs.
 # Last, whether the three simulated metrics and the correctness counts
 # are identical in every run of both sides — which a host-cost change
 # owes and a commit-path change does not. SEED picks the plan seed
@@ -52,7 +53,7 @@ simulated() {
 
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
-metrics=(wall_s peak_rss_mb)
+metrics=(wall_s setup_s peak_rss_mb)
 for ((i = 1; i <= pairs; i++)); do
   if ((i % 2)); then order=(parent change); else order=(change parent); fi
   for side in "${order[@]}"; do
