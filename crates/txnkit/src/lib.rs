@@ -46,6 +46,7 @@ pub mod shard;
 pub mod stats;
 pub mod tmf;
 pub mod trail;
+pub mod twopc;
 pub mod types;
 
 pub use adp::{install_adp_pairs, AuditBackend};

@@ -217,7 +217,7 @@ fn adp_primary_killed_between_chain_post_and_completion() {
 /// The primary dies *between a commit record's append and its ack*. The
 /// TMF never hears back, re-drives the append, and the new primary —
 /// whose watermark came from the control cell — acks it as durable: the
-/// commit goes from `MasterAppend` straight to hardened, no `FlushReq`
+/// commit goes from its record's append straight to hardened, no `FlushReq`
 /// anywhere, and power loss right after the run loses nothing.
 #[test]
 fn adp_primary_killed_between_a_commit_append_and_its_ack() {

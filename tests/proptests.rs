@@ -1182,3 +1182,600 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Two-phase commit: both machines under random interleavings
+// ---------------------------------------------------------------------
+
+/// A model of the TMFs hosting `txnkit::twopc`'s machines for one
+/// cross-shard transaction: shard 0 coordinates, every other shard takes
+/// part. Each shard has a data trail holding the transaction's insert and
+/// a master trail, each a list of records of which a prefix is durable;
+/// the network is a bag of messages that are delivered in any order,
+/// duplicated or lost. A host does what `tmf::TmfProc` does with the
+/// machines' outputs, minus the sends' timing; `Subs` is the real table.
+mod twopc_model {
+    use bytes::{Bytes, BytesMut};
+    use nsk::pair::{Died, PairCore, Role};
+    use simcore::hash::FastMap;
+    use txnkit::audit::AuditRecord;
+    use txnkit::recovery::redo_scan_sharded;
+    use txnkit::twopc::{Answer, Coordinator, Out, Owner, Participant, SubKind, Subs};
+    use txnkit::types::{Lsn, PartitionId, TxnId};
+
+    pub const TXN: TxnId = TxnId(7);
+
+    #[derive(Default)]
+    struct Trail {
+        recs: Vec<AuditRecord>,
+        durable: usize,
+    }
+
+    impl Trail {
+        fn holds(&self, rec: &AuditRecord) -> bool {
+            self.recs[..self.durable].contains(rec)
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Msg {
+        /// To shard `at`'s master trail, from its TMF.
+        Append {
+            at: usize,
+            rec: AuditRecord,
+            token: u64,
+        },
+        /// To a trail of shard `at` (`data`, or its master trail).
+        Flush {
+            at: usize,
+            data: bool,
+            upto: u64,
+            token: u64,
+        },
+        AppendDone {
+            to: usize,
+            token: u64,
+            covers: bool,
+            end: u64,
+        },
+        FlushDone {
+            to: usize,
+            token: u64,
+        },
+        Prepare {
+            to: usize,
+            token: u64,
+            flush_points: Vec<(String, Lsn)>,
+            dp2: Vec<String>,
+        },
+        Vote {
+            token: u64,
+        },
+        Decision {
+            to: usize,
+            token: u64,
+        },
+        DecisionAck {
+            token: u64,
+        },
+    }
+
+    struct Tmf {
+        alive: bool,
+        subs: Subs<()>,
+        /// Every token this TMF registered, for the retry picker.
+        issued: Vec<u64>,
+        coord: Option<Coordinator>,
+        part: Option<Participant>,
+        /// The outcome this shard's DP2s were told.
+        resolved: Option<bool>,
+    }
+
+    pub struct World {
+        data: Vec<Trail>,
+        master: Vec<Trail>,
+        tmfs: Vec<Tmf>,
+        net: Vec<Msg>,
+        pair: PairCore<u64>,
+        /// The decision checkpoint's seq, once it left (acks may repeat).
+        ckpt: Option<u64>,
+        backup: bool,
+        pub externalized: u32,
+        pub deaths: u32,
+    }
+
+    fn insert(shard: usize) -> AuditRecord {
+        let body = Bytes::from_static(b"row");
+        AuditRecord::Insert {
+            txn: TXN,
+            partition: PartitionId {
+                file: shard as u32,
+                part: 0,
+            },
+            key: shard as u64,
+            virtual_len: body.len() as u32,
+            body_crc: pmm::meta::crc32(&body),
+            body,
+        }
+    }
+
+    impl World {
+        /// `shards` shards (shard 0 coordinates); bit `s` of `flushed`:
+        /// shard `s`'s insert was durable at its ack, so the commit carries
+        /// no flush point there.
+        pub fn new(shards: usize, flushed: u8, backup: bool) -> World {
+            let mut w = World {
+                data: Vec::new(),
+                master: (0..shards).map(|_| Trail::default()).collect(),
+                tmfs: Vec::new(),
+                net: Vec::new(),
+                pair: PairCore::new(Role::Primary),
+                ckpt: None,
+                backup,
+                externalized: 0,
+                deaths: 0,
+            };
+            let mut flush_points = Vec::new();
+            for s in 0..shards {
+                let durable = usize::from(flushed & (1 << s) != 0);
+                w.data.push(Trail {
+                    recs: vec![insert(s)],
+                    durable,
+                });
+                flush_points.push((durable == 0).then(|| (format!("d{s}"), Lsn(1))));
+                w.tmfs.push(Tmf {
+                    alive: true,
+                    subs: Subs::default(),
+                    issued: Vec::new(),
+                    coord: None,
+                    part: None,
+                    resolved: None,
+                });
+            }
+            let remote = (1..shards)
+                .map(|s| {
+                    (
+                        s as u32,
+                        (
+                            flush_points[s].iter().cloned().collect(),
+                            vec![format!("p{s}")],
+                        ),
+                    )
+                })
+                .collect::<FastMap<_, _>>();
+            let local = flush_points[0].iter().cloned().collect();
+            let mut outs = Vec::new();
+            let c = Coordinator::new(
+                TXN,
+                local,
+                vec!["p0".into()],
+                remote,
+                true,
+                backup,
+                &mut outs,
+            );
+            w.tmfs[0].coord = Some(c);
+            w.run(0, Owner::coordinator(0, TXN), outs);
+            w
+        }
+
+        fn shard_of(adp: &str) -> usize {
+            adp[1..].parse().unwrap()
+        }
+
+        /// Carry out shard `at`'s machine outputs as `tmf::TmfProc::run`
+        /// does, checking rules 1 and 2 where they apply.
+        fn run(&mut self, at: usize, owner: Owner, outs: Vec<Out>) {
+            for out in outs {
+                match out {
+                    Out::Sub(kind) => {
+                        let tmf = &mut self.tmfs[at];
+                        let token = tmf.subs.token();
+                        tmf.subs.insert(token, owner, kind, ());
+                        tmf.issued.push(token);
+                        self.send_sub(at, token);
+                    }
+                    Out::Checkpoint => {
+                        if self.backup {
+                            self.ckpt = Some(self.pair.park(0));
+                        }
+                    }
+                    Out::Externalize => {
+                        // Rule 2: only after its own record and every
+                        // participant's `Prepared` record are durable.
+                        assert!(
+                            self.master[0].holds(&AuditRecord::Commit { txn: TXN }),
+                            "externalized before the commit record is durable"
+                        );
+                        for s in 1..self.master.len() {
+                            assert!(
+                                self.master[s].holds(&AuditRecord::Prepared { txn: TXN }),
+                                "externalized before shard {s}'s Prepared record is durable"
+                            );
+                        }
+                        self.externalized += 1;
+                        assert_eq!(self.externalized, 1, "externalized twice");
+                        self.tmfs[0].coord = None;
+                    }
+                    Out::Vote => {
+                        let token = self.tmfs[at].part.as_ref().unwrap().coord_token;
+                        self.net.push(Msg::Vote { token });
+                    }
+                    Out::Record { committed } => {
+                        let rec = if committed {
+                            AuditRecord::Commit { txn: TXN }
+                        } else {
+                            AuditRecord::Abort { txn: TXN }
+                        };
+                        let token = self.tmfs[at].subs.token();
+                        self.net.push(Msg::Append { at, rec, token });
+                    }
+                    Out::Resolve { committed, .. } => {
+                        // Rule 1: no participant resolves committed before
+                        // the coordinator's commit record is durable.
+                        if committed && at != 0 {
+                            assert!(
+                                self.master[0].holds(&AuditRecord::Commit { txn: TXN }),
+                                "shard {at} resolved committed before the commit record is durable"
+                            );
+                        }
+                        self.tmfs[at].resolved = Some(committed);
+                    }
+                }
+            }
+        }
+
+        /// Send (or re-send) sub-operation `token` of shard `at`.
+        fn send_sub(&mut self, at: usize, token: u64) {
+            let Some((owner, kind)) = self.tmfs[at].subs.get(token) else {
+                return;
+            };
+            let msg = match kind {
+                SubKind::Flush { adp, upto } => Msg::Flush {
+                    at: Self::shard_of(adp),
+                    data: true,
+                    upto: upto.0,
+                    token,
+                },
+                SubKind::Harden { flush: None } => {
+                    let rec = match owner.commit {
+                        Some(_) => AuditRecord::Commit { txn: TXN },
+                        None => AuditRecord::Prepared { txn: TXN },
+                    };
+                    Msg::Append { at, rec, token }
+                }
+                SubKind::Harden { flush: Some(upto) } => Msg::Flush {
+                    at,
+                    data: false,
+                    upto: upto.0,
+                    token,
+                },
+                SubKind::Prepare { peer, work } => Msg::Prepare {
+                    to: *peer as usize,
+                    token,
+                    flush_points: work.0.clone(),
+                    dp2: work.1.clone(),
+                },
+                SubKind::Decision { peer } => Msg::Decision {
+                    to: *peer as usize,
+                    token,
+                },
+            };
+            self.net.push(msg);
+        }
+
+        /// An answer reaches shard `to`'s TMF: retire the token, and hand
+        /// it to its owner as `TmfProc::answered` does.
+        fn answered(&mut self, to: usize, token: u64, answer: Answer) {
+            let tmf = &mut self.tmfs[to];
+            let Some((owner, kind, ())) = tmf.subs.answer(token, answer) else {
+                return;
+            };
+            let mut outs = Vec::new();
+            match (owner.commit, &mut tmf.coord, &mut tmf.part) {
+                (Some(_), Some(c), _) => c.answered(&kind, answer, self.backup, &mut outs),
+                (None, _, Some(p)) => p.answered(&kind, answer, &mut outs),
+                _ => {}
+            }
+            self.run(to, owner, outs);
+        }
+
+        fn ckpt_done(&mut self) {
+            let mut outs = Vec::new();
+            if let Some(c) = &mut self.tmfs[0].coord {
+                c.ckpt_done(&mut outs);
+            }
+            self.run(0, Owner::coordinator(0, TXN), outs);
+        }
+
+        /// Deliver `msg`; an append's ack covers it if `covers`.
+        fn deliver(&mut self, msg: Msg, covers: bool) {
+            let to = match msg {
+                Msg::Append { at, .. } | Msg::Flush { at, .. } => at,
+                Msg::AppendDone { to, .. } | Msg::FlushDone { to, .. } => to,
+                Msg::Prepare { to, .. } | Msg::Decision { to, .. } => to,
+                Msg::Vote { .. } | Msg::DecisionAck { .. } => 0,
+            };
+            let is_adp = matches!(msg, Msg::Append { .. } | Msg::Flush { .. });
+            if !is_adp && !self.tmfs[to].alive {
+                return;
+            }
+            match msg {
+                Msg::Append { at, rec, token } => {
+                    let trail = &mut self.master[at];
+                    trail.recs.push(rec);
+                    if covers {
+                        trail.durable = trail.recs.len();
+                    }
+                    let end = trail.recs.len() as u64;
+                    let covers = trail.durable as u64 >= end;
+                    self.net.push(Msg::AppendDone {
+                        to: at,
+                        token,
+                        covers,
+                        end,
+                    });
+                }
+                Msg::Flush {
+                    at,
+                    data,
+                    upto,
+                    token,
+                } => {
+                    let trail = if data {
+                        &mut self.data[at]
+                    } else {
+                        &mut self.master[at]
+                    };
+                    trail.durable = trail.durable.max(upto as usize);
+                    // The flush is answered by the TMF that asked: a
+                    // data flush of another shard's trail is never asked.
+                    self.net.push(Msg::FlushDone { to: at, token });
+                }
+                Msg::AppendDone {
+                    to,
+                    token,
+                    covers,
+                    end,
+                } => self.answered(
+                    to,
+                    token,
+                    Answer::Appended {
+                        covers,
+                        end: Lsn(end),
+                    },
+                ),
+                Msg::FlushDone { to, token } => self.answered(to, token, Answer::Flushed),
+                Msg::Vote { token } => self.answered(0, token, Answer::Voted),
+                Msg::DecisionAck { token } => self.answered(0, token, Answer::DecisionAcked),
+                Msg::Prepare {
+                    to,
+                    token,
+                    flush_points,
+                    dp2,
+                } => {
+                    let tmf = &mut self.tmfs[to];
+                    if let Some(p) = &mut tmf.part {
+                        if p.again("c".into(), token) {
+                            self.net.push(Msg::Vote { token });
+                        }
+                        return;
+                    }
+                    let mut outs = Vec::new();
+                    tmf.part = Some(Participant::new(
+                        "c".into(),
+                        token,
+                        flush_points,
+                        dp2,
+                        true,
+                        &mut outs,
+                    ));
+                    self.run(to, Owner::participant(TXN), outs);
+                }
+                Msg::Decision { to, token } => {
+                    if let Some(p) = self.tmfs[to].part.take() {
+                        let mut outs = Vec::new();
+                        p.decided(true, &mut outs);
+                        self.run(to, Owner::participant(TXN), outs);
+                    }
+                    self.net.push(Msg::DecisionAck { token });
+                }
+            }
+        }
+
+        /// One step of the schedule: `op` picks the kind, `pick` the
+        /// message, shard or token, `flag` the variant.
+        pub fn step(&mut self, op: u8, pick: usize, flag: bool) {
+            let shards = self.tmfs.len();
+            match op {
+                // Deliver a message — and keep a copy in flight: a duplicate.
+                0..=5 if !self.net.is_empty() => {
+                    let i = pick % self.net.len();
+                    let msg = if op == 5 {
+                        self.net[i].clone()
+                    } else {
+                        self.net.swap_remove(i)
+                    };
+                    self.deliver(msg, flag);
+                }
+                // A message lost to a takeover.
+                6 if !self.net.is_empty() => {
+                    let i = pick % self.net.len();
+                    self.net.swap_remove(i);
+                }
+                // A retry timer fires.
+                7 | 8 => {
+                    let at = pick % shards;
+                    let tmf = &self.tmfs[at];
+                    if tmf.alive && !tmf.issued.is_empty() {
+                        let token = tmf.issued[pick / shards % tmf.issued.len()];
+                        self.send_sub(at, token);
+                    }
+                }
+                // A trail becomes durable by someone else's flush.
+                9 => {
+                    let trail = if flag {
+                        &mut self.data[pick % shards]
+                    } else {
+                        &mut self.master[pick % shards]
+                    };
+                    trail.durable = trail.recs.len();
+                }
+                // The backup acks the decision checkpoint — again, a
+                // duplicate; after its death, a late ack — or dies.
+                10 if flag && self.ckpt.and_then(|seq| self.pair.acked(seq)).is_some() => {
+                    self.ckpt_done();
+                }
+                10 if !flag && self.backup => {
+                    self.backup = false;
+                    let Died::BackupLost(waiters) = self.pair.died(false) else {
+                        panic!("a primary's backup died");
+                    };
+                    for _ in waiters {
+                        self.ckpt_done();
+                    }
+                }
+                // A coordinator's or a participant's TMF dies for good.
+                11 if pick.is_multiple_of(16) => {
+                    let tmf = &mut self.tmfs[pick / 16 % shards];
+                    if tmf.alive {
+                        tmf.alive = false;
+                        tmf.coord = None;
+                        tmf.part = None;
+                        self.deaths += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        /// Rule 3 at this cut: the durable records, resolved by
+        /// `redo_scan_sharded`, resolve the transaction one way on every
+        /// shard — all of its inserts redone or none — and as committed if
+        /// the client was told so.
+        pub fn check_cut(&self) {
+            let images: Vec<Vec<Vec<u8>>> = (0..self.tmfs.len())
+                .map(|s| {
+                    [&self.data[s], &self.master[s]]
+                        .iter()
+                        .map(|t| {
+                            let mut b = BytesMut::new();
+                            t.recs[..t.durable]
+                                .iter()
+                                .for_each(|r| r.encode_into(&mut b));
+                            b.to_vec()
+                        })
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<Vec<&[u8]>> = images
+                .iter()
+                .map(|s| s.iter().map(|t| t.as_slice()).collect())
+                .collect();
+            let rec = redo_scan_sharded(&refs);
+            let committed = rec.committed.contains(&TXN);
+            assert!(
+                !(committed && rec.aborted.contains(&TXN)),
+                "resolved both ways"
+            );
+            if self.externalized > 0 {
+                assert!(
+                    committed,
+                    "the client was told committed, recovery says not"
+                );
+            }
+            for (s, shard) in rec.shards.iter().enumerate() {
+                let part = PartitionId {
+                    file: s as u32,
+                    part: 0,
+                };
+                let redone = shard
+                    .tables
+                    .get(&part)
+                    .is_some_and(|t| t.contains_key(&(s as u64)));
+                assert_eq!(
+                    redone, committed,
+                    "shard {s} redoes {redone}, the transaction committed: {committed}"
+                );
+            }
+        }
+
+        /// With no death, run the schedule out: deliver everything (acks
+        /// covering), ack the checkpoint and fire every retry until
+        /// nothing is left. Then the commit is externalized, every shard
+        /// resolved committed, and no sub-operation is left unanswered.
+        pub fn drain(&mut self) {
+            for _ in 0..10_000 {
+                if let Some(msg) = self.net.pop() {
+                    self.deliver(msg, true);
+                } else if let Some(seq) = self.ckpt.take() {
+                    if self.pair.acked(seq).is_some() {
+                        self.ckpt_done();
+                    }
+                } else {
+                    let live: Vec<_> = self.live().collect();
+                    if live.is_empty() {
+                        break;
+                    }
+                    for (at, token) in live {
+                        self.send_sub(at, token);
+                    }
+                }
+                self.check_cut();
+            }
+            assert_eq!(self.externalized, 1, "never externalized");
+            for (s, tmf) in self.tmfs.iter().enumerate() {
+                // (A prepare re-driven across the vote and delivered after
+                // the decision prepares the shard again, for good: the
+                // participant holds no memory of decided transactions.)
+                assert_eq!(tmf.resolved, Some(true), "shard {s} never resolved");
+            }
+            assert!(
+                self.live().next().is_none(),
+                "a sub-operation was never answered"
+            );
+        }
+
+        fn live(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+            self.tmfs.iter().enumerate().flat_map(|(s, tmf)| {
+                tmf.issued
+                    .iter()
+                    .filter(|&&t| tmf.subs.get(t).is_some())
+                    .map(move |&t| (s, t))
+            })
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Both 2PC machines, through random interleavings of votes,
+    /// decisions and their acks, covering and non-covering append acks,
+    /// flushes, retries, duplicate, late and lost messages, `BackupLost`
+    /// and the death of a coordinator or a participant, keep three rules:
+    /// (1) no participant resolves committed before the coordinator's
+    /// commit record is durable; (2) the coordinator externalizes once,
+    /// after its own record and every participant's `Prepared` record are
+    /// durable; (3) at every cut, recovery resolves the transaction one
+    /// way on every shard, and as committed if the client was told so.
+    /// Without a death, the schedule then runs out to every shard
+    /// resolved.
+    #[test]
+    fn two_phase_commit_keeps_its_three_rules(
+        shards in 2usize..5,
+        flushed in any::<u8>(),
+        backup in any::<bool>(),
+        schedule in proptest::collection::vec((0u8..12, any::<u16>(), any::<bool>()), 0..240),
+    ) {
+        let mut w = twopc_model::World::new(shards, flushed, backup);
+        w.check_cut();
+        for (op, pick, flag) in schedule {
+            w.step(op, pick as usize, flag);
+            w.check_cut();
+        }
+        if w.deaths == 0 {
+            w.drain();
+        }
+    }
+}

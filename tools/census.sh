@@ -68,6 +68,18 @@ knowers() {
 printf '%-28s %6d\n' "uses" "$(knowers | awk '{ n += $1 } END { print n + 0 }')"
 knowers | awk '{ printf "  %-32s %6d\n", $2, $1 }'
 
+# The commit protocol: the TMF and its 2PC machines (`txnkit::twopc`,
+# where present), each file counted above its `#[cfg(test)]`, and the
+# kinds of sub-operation the TMF sends and re-drives (`enum SubKind`).
+echo "== commit protocol"
+protocol=$(for f in crates/txnkit/src/{tmf,twopc}.rs; do if [[ -f $f ]]; then echo "$f"; fi; done)
+printf '%-28s %6d\n' "tmf.rs + twopc.rs non-test" \
+  "$(for f in $protocol; do awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"; done |
+    awk '{ n += $1 } END { print n + 0 }')"
+printf '%-28s %6d\n' "sub-operation kinds" \
+  "$(awk '/^(pub )?enum SubKind/ { on = 1; next } on && /^}/ { on = 0 } on && /^    [A-Z]/ { n++ }
+    END { print n + 0 }' $protocol)"
+
 echo "== crates/bench bins"
 find crates/bench/src/bin -name '*.rs' -type f | wc -l
 
