@@ -202,7 +202,11 @@ fn run_point(partitions: u32, clients: u64, commits_per_client: u64) -> Point {
     let ceiling = SimTime(600 * SECS);
     while results.lock().committed < target {
         let now = sim.now();
-        assert!(now < ceiling, "audit_scaling point never completed");
+        assert!(
+            now < ceiling,
+            "audit_scaling point never completed\n{}",
+            sim.stalled()
+        );
         sim.run_until(SimTime(now.as_nanos() + 200 * MILLIS));
     }
     let r = results.lock();

@@ -105,7 +105,7 @@ fn run_to_repair(sim: &mut Sim, pmm: &PmmHandle) {
         .any(|vs| vs.lock().resilvers_completed == 0)
     {
         let now = sim.now();
-        assert!(now < ceiling, "resilver never completed");
+        assert!(now < ceiling, "resilver never completed\n{}", sim.stalled());
         sim.run_until(SimTime(now.as_nanos() + SECS));
     }
 }

@@ -277,8 +277,9 @@ pub fn measure_pool_write_bw(opts: PoolBwOpts) -> PoolBwResult {
         let now = sim.now();
         assert!(
             now < ceiling,
-            "pool bw run stalled: {}/{total} ops",
-            shared.lock().ops
+            "pool bw run stalled: {}/{total} ops\n{}",
+            shared.lock().ops,
+            sim.stalled()
         );
         sim.run_until(SimTime(now.as_nanos() + 200 * MILLIS));
     }

@@ -318,8 +318,9 @@ pub fn measure_pool_read_bw(opts: ReadBwOpts) -> ReadBwResult {
         let now = sim.now();
         assert!(
             now < ceiling,
-            "read bw run stalled: {}/{total} batches",
-            shared.lock().batches
+            "read bw run stalled: {}/{total} batches\n{}",
+            shared.lock().batches,
+            sim.stalled()
         );
         sim.run_until(SimTime(now.as_nanos() + 200 * MILLIS));
     }

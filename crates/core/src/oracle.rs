@@ -475,9 +475,9 @@ impl Snapshot {
 
         // 5. The replica is a bit-identical prefix of the primary: it ends
         // no later, and the LSNs both windows hold carry the same bytes.
-        // Below its watermark, past its last written page, the primary
-        // reads as zeros (an append's virtual tail is never written), so
-        // the zeros a shipped image carries there are the primary's bytes.
+        // An append lands with its whole span, its virtual tail as zeros,
+        // so the pages a shipped image of that tail covers are written on
+        // the primary too.
         if let Some(replica) = expect.replica {
             let pairs = self
                 .shards
@@ -488,9 +488,7 @@ impl Snapshot {
                 let (pw, rw) = (p.view(0), r.view(0));
                 let ends = |w: Window<'_>| w.base + w.bytes.len() as u64;
                 let same = overlap(pw, rw, u64::MAX).is_none_or(|(_, x, y)| x == y);
-                let past = ends(pw).saturating_sub(rw.base) as usize;
-                let zeros = rw.bytes.get(past..).unwrap_or(&[]).iter().all(|&b| b == 0);
-                if r.watermark() > p.watermark() || (ends(rw) > ends(pw) && !zeros) || !same {
+                if r.watermark() > p.watermark() || ends(rw) > ends(pw) || !same {
                     v.push(Violation::NotAPrefix(r.name.clone()));
                 }
             }
@@ -1083,19 +1081,23 @@ mod tests {
         );
     }
 
-    /// A primary whose last append's virtual tail crosses into a page it
-    /// never wrote reads as zeros there; a replica that wrote the shipped
-    /// image of that tail — zeros — holds the same bytes, one page more of
-    /// them. A non-zero byte there is not the primary's.
+    /// A primary whose last append's virtual tail crosses into a page its
+    /// payload never reached writes that page as zeros; a replica that
+    /// wrote the shipped image of that tail — zeros — holds the same
+    /// bytes. A non-zero byte there is not the primary's, and a replica
+    /// that ends past the primary, even on zeros, is not a prefix.
     #[test]
     fn a_replica_holding_the_zeros_of_a_virtual_tail_is_a_prefix() {
         let bytes = trail(&[(1, &[10]), (2, &[20])], &[]);
         let published = bytes.len() + 4096;
-        let mut store = DurableStore::new();
-        for half in ["npmu:pm-a", "npmu:pm-b"] {
-            put_half(&mut store, half, &bytes, published, HEALTHY);
-        }
-        let mut check_replica = |shipped: &[u8]| {
+        let check = |span: usize, shipped: &[u8]| {
+            let mut store = DurableStore::new();
+            for half in ["npmu:pm-a", "npmu:pm-b"] {
+                put_half(&mut store, half, &[], published, HEALTHY);
+                let img = store.get::<NvImage>(half).unwrap();
+                let ring = META_BYTES + PM_CTRL_BYTES;
+                img.lock().write_span(ring, &bytes, span as u64);
+            }
             for half in ["npmu:drpm-a", "npmu:drpm-b"] {
                 put_half(&mut store, half, shipped, published, HEALTHY);
             }
@@ -1109,12 +1111,12 @@ mod tests {
         };
         let mut shipped = bytes.clone();
         shipped.resize(published, 0);
-        assert_eq!(check_replica(&shipped), vec![]);
+        assert_eq!(check(published, &shipped), vec![]);
+        let not_a_prefix = vec![NotAPrefix("adp0.audit".into())];
+        // A primary that wrote only the payload ends a page earlier.
+        assert_eq!(check(bytes.len(), &shipped), not_a_prefix);
         shipped[published - 1] = 1;
-        assert_eq!(
-            check_replica(&shipped),
-            vec![NotAPrefix("adp0.audit".into())]
-        );
+        assert_eq!(check(published, &shipped), not_a_prefix);
     }
 
     /// Half `a` missed txn 2 while `health` was recorded on `b`.

@@ -238,9 +238,11 @@ pub struct Npmu {
     /// window entry so `failure_epochs` counts windows, not ops.
     was_down: bool,
     /// Volatile ingress buffer: acked writes waiting to reach the array,
-    /// FIFO, as `(apply_at_ns, phys, data)`. Lives in actor state, so a
-    /// power loss (dropping the `Sim`) loses exactly these bytes.
-    ingress: VecDeque<(u64, u64, Bytes)>,
+    /// FIFO, as `(apply_at_ns, phys, span, data)` — a link's payload and
+    /// the on-wire span it lands as, zeros past the payload. Lives in
+    /// actor state, so a power loss (dropping the `Sim`) loses exactly
+    /// these bytes.
+    ingress: VecDeque<(u64, u64, u64, Bytes)>,
     /// Outbound device-to-device copies awaiting the destination's write
     /// ack, keyed by our local write op-id → the orchestrator's command.
     pending_copies: BTreeMap<u64, InboundRdmaCopy>,
@@ -366,15 +368,16 @@ impl Npmu {
     }
 
     /// Apply buffered writes whose dwell has expired (FIFO: `apply_at` is
-    /// monotone, so the prefix test preserves write order).
+    /// monotone, so the prefix test preserves write order), each over its
+    /// whole span.
     fn drain_due(&mut self, now_ns: u64) {
         let mut mem = self.mem.lock();
-        while let Some((at, _, _)) = self.ingress.front() {
+        while let Some((at, _, _, _)) = self.ingress.front() {
             if *at > now_ns {
                 break;
             }
-            let (_, phys, data) = self.ingress.pop_front().unwrap();
-            mem.write(phys, &data);
+            let (_, phys, span, data) = self.ingress.pop_front().unwrap();
+            mem.write_span(phys, &data, span);
         }
     }
 
@@ -382,8 +385,8 @@ impl Npmu {
     /// fence: both act as a persist barrier for everything acked so far).
     fn drain_all(&mut self) {
         let mut mem = self.mem.lock();
-        while let Some((_, phys, data)) = self.ingress.pop_front() {
-            mem.write(phys, &data);
+        while let Some((_, phys, span, data)) = self.ingress.pop_front() {
+            mem.write_span(phys, &data, span);
         }
     }
 
@@ -396,7 +399,7 @@ impl Npmu {
         if self.ingress.is_empty() {
             return;
         }
-        let lost: u64 = self.ingress.iter().map(|(_, _, d)| d.len() as u64).sum();
+        let lost: u64 = self.ingress.iter().map(|(_, _, _, d)| d.len() as u64).sum();
         self.ingress.clear();
         self.stats.lock().ingress_lost_bytes += lost;
     }
@@ -431,10 +434,13 @@ impl Npmu {
         // payload: a zero-length translate at a window boundary matches
         // the preceding window and fails on the wrong entry's permissions.
         // A link that passes is staged in the volatile ingress buffer at
-        // once: the ack of an unfenced chain proves arrival, not
-        // durability, and the bytes reach the array only at the drain tick
-        // (or a forcing read/fence). A rejected link takes the links staged
-        // before it back out, so the chain is rejected whole.
+        // once, with its span: it lands as its payload and then zeros to
+        // the span's end, so a compact link's virtual tail reads as zeros
+        // on the array and keeps nothing older. The ack of an unfenced
+        // chain proves arrival, not durability, and the bytes reach the
+        // array only at the drain tick (or a forcing read/fence). A
+        // rejected link takes the links staged before it back out, so the
+        // chain is rejected whole.
         let apply_at = ctx.now().as_nanos() + self.cfg.ingress_drain_ns;
         let staged_before = self.ingress.len();
         let verdict = {
@@ -445,7 +451,8 @@ impl Npmu {
                 } else {
                     att.translate(l.addr, l.span(), cpu)
                 }?;
-                self.ingress.push_back((apply_at, phys, l.data.clone()));
+                self.ingress
+                    .push_back((apply_at, phys, l.span(), l.data.clone()));
                 Ok(())
             })
         };
@@ -1532,6 +1539,35 @@ mod tests {
         assert_eq!(h.mem.lock().writes(), 0, "acked, still volatile");
         assert_eq!(h.stats.lock().flushes, 0);
         assert_eq!(fenced_at - unfenced_at, 500);
+    }
+
+    /// A compact link lands with its whole span: its payload, then zeros
+    /// over what an older write left under the rest of the span. The
+    /// device counts the payload bytes only.
+    #[test]
+    fn a_compact_link_lands_its_virtual_tail_as_zeros() {
+        let (mut sim, _store, h, log, net, _cep) = setup(NpmuKind::Hardware);
+        h.mem.lock().write(0x100, &[0xEE; 96]);
+        let compact = ChainLink {
+            addr: 0x1100,
+            wire_len: 64,
+            data: Bytes::from(vec![0xA1; 16]),
+        };
+        spawn_chain(
+            &mut sim,
+            &net,
+            h.ep,
+            (1, vec![compact], true),
+            log.clone(),
+            0,
+        );
+        sim.run_until_idle();
+        assert!(log.lock()[0].starts_with("w1:Ok"), "{:?}", log.lock());
+        let mem = h.mem.lock();
+        assert_eq!(mem.read(0x100, 16), vec![0xA1; 16]);
+        assert_eq!(mem.read(0x110, 48), vec![0; 48]);
+        assert_eq!(mem.read(0x140, 32), vec![0xEE; 32]);
+        assert_eq!(h.stats.lock().bytes_written, 16);
     }
 
     #[test]

@@ -127,6 +127,18 @@ impl Machine {
         Some(backup)
     }
 
+    /// The registry's view of process `name`, for a stalled run's report:
+    /// each side's actor, endpoint and CPU, and whether that CPU is up.
+    pub fn describe(&self, name: &str) -> Option<String> {
+        let e = self.procs.get(name)?;
+        let side = |s: &ProcSide| {
+            let up = if self.cpu_alive(s.cpu) { "up" } else { "down" };
+            format!("{:?} {:?} on cpu {} ({up})", s.actor, s.ep, s.cpu.0)
+        };
+        let backup = e.backup.as_ref().map_or("none".into(), side);
+        Some(format!("primary {}, backup {backup}", side(&e.primary)))
+    }
+
     /// Which CPU hosts this endpoint (used for access-control checks).
     pub fn cpu_of_ep(&self, ep: EndpointId) -> Option<CpuId> {
         self.ep_cpu.get(&ep).copied()

@@ -25,7 +25,7 @@
 
 use crate::machine::{CpuId, SharedMachine, WatchTarget};
 use crate::proc::{send_to, Checkpoint, CheckpointAck, ProcessDied};
-use simcore::{Ctx, Msg};
+use simcore::{Ctx, Msg, Wait};
 use simnet::{EndpointId, SharedNetwork, TrafficClass};
 use std::any::Any;
 
@@ -163,6 +163,24 @@ impl<W> Pair<W> {
         self.machine
             .lock()
             .watch(WatchTarget::Process(self.name.clone()), me);
+    }
+
+    /// A [`Wait`] on the backup's acknowledgement for each waiter parked
+    /// on a checkpoint, under the id `id` gives it.
+    pub fn checkpoint_waits(&self, id: impl Fn(&W) -> u64, out: &mut Vec<Wait>) {
+        if self.core.parked.is_empty() {
+            return;
+        }
+        let backup = self.machine.lock().resolve_backup(&self.name);
+        let on = backup.map_or(format!("{} backup", self.name), |b| {
+            format!("{:?}", b.actor)
+        });
+        out.extend(self.core.parked.iter().map(|(_, w)| Wait {
+            what: "checkpoint ack",
+            on: on.clone(),
+            id: id(w),
+            since: None,
+        }));
     }
 
     /// The registry names a live backup right now. A primary checkpoints

@@ -5,7 +5,7 @@ use nsk::machine::{CpuId, SharedMachine};
 use pmm::msgs::*;
 use pmm::{Frag, PlacementHint};
 use simcore::hash::FastMap;
-use simcore::{Ctx, SimDuration, TimerId};
+use simcore::{Ctx, SimDuration, SimTime, TimerId, Wait};
 use simnet::{
     rdma_read, rdma_write_chain, ChainLink, EndpointId, PersistMode, RdmaReadDone, RdmaStatus,
     RdmaWriteDone, SharedNetwork, TrafficClass,
@@ -364,6 +364,59 @@ pub struct PmLib {
 }
 
 impl PmLib {
+    /// Each leg in flight — a write chain, a forcing read, a read — on
+    /// the device it went to (its actor, where the network still binds
+    /// its endpoint), under the write's or read's token.
+    pub fn waits(&self, out: &mut Vec<Wait>) {
+        let net = self.net.lock();
+        let device = |region: u64, volume: u32, half: u8| {
+            let eps = self.regions.get(&region).and_then(|r| r.eps_for(volume));
+            let Some(eps) = eps else {
+                return format!("volume {volume} half {half}");
+            };
+            let ep = if half == 0 {
+                eps.primary_ep
+            } else {
+                eps.mirror_ep
+            };
+            net.actor_of(ep)
+                .map_or(format!("{ep:?}"), |actor| format!("{actor:?}"))
+        };
+        let mut writes: Vec<_> = self.writes.iter().collect();
+        writes.sort_unstable_by_key(|(&wid, _)| wid);
+        for (_, w) in writes {
+            let legs = w
+                .pending
+                .iter()
+                .map(|&(_, mi, half)| ("write chain", mi, half));
+            let persist = w
+                .persist_pending
+                .iter()
+                .filter_map(|op| self.persist_map.get(op));
+            let legs = legs.chain(persist.map(|&(_, mi, half)| ("forcing read", mi, half)));
+            out.extend(legs.map(|(what, mi, half)| Wait {
+                what,
+                on: device(w.region_id, w.members[mi].volume, half),
+                id: w.token,
+                since: None,
+            }));
+        }
+        let mut reads: Vec<_> = self.read_map.values().collect();
+        reads.sort_unstable_by_key(|&&(run, part, _)| (run, part));
+        for &(run, part, _) in reads {
+            let Some(r) = self.reads.get(&run) else {
+                continue;
+            };
+            let p = &r.parts[part];
+            out.push(Wait {
+                what: "read",
+                on: device(r.region_id, p.volume, p.half),
+                id: r.token,
+                since: Some(SimTime(p.issued_ns)),
+            });
+        }
+    }
+
     pub fn new(
         machine: SharedMachine,
         ep: EndpointId,

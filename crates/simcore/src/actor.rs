@@ -71,6 +71,23 @@ impl Msg {
     }
 }
 
+/// One thing an actor waits for: what, on whom, which one, and since
+/// when — an edge of the wait graph [`Sim::stalled`] prints when a run
+/// stops short. Waits are read from an actor's state only then; nothing
+/// keeps them as the run goes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Wait {
+    /// What is awaited: "commit", "append", "write chain", ...
+    pub what: &'static str,
+    /// Whom it is awaited from: a process name, an actor (`actor#N`), or
+    /// an endpoint.
+    pub on: String,
+    /// Which one: a transaction, token or operation id.
+    pub id: u64,
+    /// Since when, where the waiter keeps it.
+    pub since: Option<SimTime>,
+}
+
 /// A simulated process/device. A simulation runs on one thread, so an
 /// actor need not be `Send`; a parallel sweep builds a whole `Sim` on each
 /// worker thread instead of moving actors between them.
@@ -82,6 +99,11 @@ pub trait Actor {
     fn name(&self) -> &str {
         "actor"
     }
+
+    /// Push what this actor waits on into `out` ([`Wait`]): asked only of
+    /// a run that stopped short ([`Sim::stalled`]). The default waits on
+    /// nothing.
+    fn waits(&self, _out: &mut Vec<Wait>) {}
 }
 
 /// The execution context handed to [`Actor::handle`]: the only way an actor

@@ -265,6 +265,18 @@ impl EventQueue {
         self.heap.is_empty() && self.timers.is_empty()
     }
 
+    /// When the next event or armed timer for `target` is due, if any: a
+    /// walk of the whole queue, for a stalled run's report only.
+    pub(crate) fn next_for(&self, target: ActorId) -> Option<SimTime> {
+        let events = self
+            .heap
+            .iter()
+            .filter(|e| e.target == target)
+            .map(|e| e.time);
+        let timers = self.timers.iter().filter(|(_, (to, _))| *to == target);
+        events.chain(timers.map(|(&(time, _), _)| time)).min()
+    }
+
     /// Drop every pending event and timer addressed to `target`. Used
     /// when an actor is killed by fault injection: a dead CPU receives
     /// nothing. The survivors' heap layout may change, but not the order

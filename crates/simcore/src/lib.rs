@@ -45,16 +45,18 @@ pub mod pages;
 pub mod rng;
 mod shared;
 pub mod sim;
+pub mod stall;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use actor::{Actor, ActorId, Ctx, Msg};
+pub use actor::{Actor, ActorId, Ctx, Msg, Wait};
 pub use checksum::{checksum64, crc32, Checksum64};
 pub use durable::DurableStore;
 pub use event::{EventKey, EventQueue, EventSlot, TimerId};
 pub use rng::DetRng;
 pub use shared::Shared;
 pub use sim::{RunOutcome, Sim, SimConfig};
+pub use stall::Stall;
 pub use stats::{Counter, Histogram, TimeSeries};
 pub use time::{SimDuration, SimTime, MICROS, MILLIS, NANOS, SECS};

@@ -11,9 +11,17 @@
 //! they fill at most half the page, a block otherwise — so a copied or
 //! rewritten page is as sparse as its contents. What no page holds reads
 //! as zeros, like a fresh medium.
+//!
+//! A write lands with its whole span ([`PageStore::write_span`]): its
+//! payload, then zeros to the span's end, which the pages hold as nothing
+//! — the runs they cover are cut out in place, and each page the span
+//! touches is marked written. So a compact append's virtual tail reads as
+//! zeros, and a lapped trail page holds one lap's descriptors, not every
+//! lap's.
 
 use crate::checksum::Checksum64;
 use crate::hash::FastMap;
+use std::collections::hash_map::Entry;
 use std::ops::Range;
 
 const PAGE: usize = 4096;
@@ -165,8 +173,87 @@ impl Runs {
         }
     }
 
-    /// Compact the log with `src` at `at` written last. Returns the whole
-    /// page instead when that makes more than half of it written.
+    /// Cut the bytes of `zeros` out of every record, in place, in one walk
+    /// of the log: a record inside the range goes, one across an end of
+    /// it is cut short, and one across both ends becomes two — the one
+    /// case that can grow the log (by at most 3 bytes). The records left
+    /// are held to the bound a compaction keeps: if they lie in offset
+    /// order, each past the last, they are disjoint runs and their bytes
+    /// are the page's distinct bytes; otherwise the page's distinct bytes
+    /// are not known, and a log holding more than 512 bytes is compacted.
+    fn trim(&mut self, zeros: Range<usize>) {
+        let (z0, z1) = (zeros.start, zeros.end);
+        let (mut r, mut w, mut end) = (0, 0, self.len as usize);
+        let (mut cut, mut held, mut sorted, mut last) = (false, 0, true, 0);
+        while let Some((a, bytes)) = self.record(r).filter(|_| r < end) {
+            let b = a + bytes.len();
+            let mut next = bytes.end;
+            if b <= z0 || z1 <= a {
+                if w < r {
+                    self.log.copy_within(r..next, w);
+                }
+                w += next - r;
+                (held, sorted, last) = (held + b - a, sorted && last <= a, b);
+            } else {
+                cut = true;
+                let (lo, hi) = (z0.saturating_sub(a), b.saturating_sub(z1));
+                let need = w + 8 + lo + hi;
+                if lo > 0 && hi > 0 && need > next {
+                    self.shift(next..end, need - next);
+                    (end, next) = (end + need - next, need);
+                }
+                if lo > 0 {
+                    w = self.emit(w, a, bytes.start, lo);
+                    (sorted, last) = (sorted && last <= a, a + lo);
+                }
+                if hi > 0 {
+                    w = self.emit(w, z1, bytes.start + z1 - a, hi);
+                    (sorted, last) = (sorted && last <= z1, b);
+                }
+                held += lo + hi;
+            }
+            r = next;
+        }
+        if !cut {
+            return;
+        }
+        let runs = self.tail == self.len;
+        self.len = w as u16;
+        if sorted {
+            (self.compacted, self.tail) = (held as u16, if runs { w as u16 } else { 0 });
+        } else {
+            (self.compacted, self.tail) = (0, 0);
+            if held > 512 {
+                self.compact(0, &[]);
+            }
+        }
+    }
+
+    /// Write the record of the `n` log bytes at `from` as lying at `at`,
+    /// to the log at `w`, which is at most `from − 4`, or past the bytes
+    /// if they move up. Returns where the record ends.
+    fn emit(&mut self, w: usize, at: usize, from: usize, n: usize) -> usize {
+        self.log.copy_within(from..from + n, w + 4);
+        self.log[w..w + 2].copy_from_slice(&(at as u16).to_le_bytes());
+        self.log[w + 2..w + 4].copy_from_slice(&(n as u16).to_le_bytes());
+        w + 4 + n
+    }
+
+    /// Move the log bytes of `range` up by `by`, growing the log first if
+    /// it cannot hold them there.
+    fn shift(&mut self, range: Range<usize>, by: usize) {
+        if self.log.len() < range.end + by {
+            let mut log = std::mem::take(&mut self.log).into_vec();
+            log.resize(range.end + by, 0);
+            self.log = log.into_boxed_slice();
+        }
+        let to = range.start + by;
+        self.log.copy_within(range, to);
+    }
+
+    /// Compact the log with `src` at `at` written last (nothing, if `src`
+    /// is empty). Returns the whole page instead when that makes more
+    /// than half of it written.
     fn compact(&mut self, at: usize, src: &[u8]) -> Option<[u8; PAGE]> {
         let mut mask = [0u64; PAGE / 64];
         let mut overlap = false;
@@ -184,7 +271,10 @@ impl Runs {
         let distinct = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         if distinct <= PAGE / 2 && !overlap {
             // No byte was written twice: the records are the runs already.
-            let len = self.put(self.len as usize, at, src, limit(distinct));
+            let len = match src {
+                [] => self.len as usize,
+                _ => self.put(self.len as usize, at, src, limit(distinct)),
+            };
             (self.len, self.compacted, self.tail) = (len as u16, distinct as u16, 0);
             return None;
         }
@@ -210,7 +300,7 @@ fn limit(distinct: usize) -> usize {
 }
 
 /// `(start, end)` of each maximal run of set bits in a page's byte mask.
-fn set_runs(mask: &[u64; PAGE / 64]) -> impl Iterator<Item = (usize, usize)> + '_ {
+fn set_runs(mask: &[u64; PAGE / 64]) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
     // The first bit at or after `from` that is set (`want`) or clear;
     // PAGE if none is.
     let find = move |from: usize, want: bool| {
@@ -251,14 +341,26 @@ impl PageStore {
     }
 
     pub fn write(&mut self, offset: u64, data: &[u8]) {
+        self.write_span(offset, data, data.len() as u64);
+    }
+
+    /// Write `data` at `offset`, then zeros to `offset + span` (a span
+    /// shorter than `data` is `data`'s): the whole span lands, as one
+    /// write. Each page it covers is looked up once and marked written;
+    /// the zeros cut the runs under them in place, so a page holds none
+    /// of the bytes they cover, and a page covered whole — payload and
+    /// zeros together — keeps only its nonzero words.
+    pub fn write_span(&mut self, offset: u64, data: &[u8], span: u64) {
+        let span = span.max(data.len() as u64);
         let mut rest = data;
-        for (page, at, n) in self.pieces(offset, data.len() as u64, "write") {
-            self.put(page, at, &rest[..n]);
-            rest = &rest[n..];
+        for (page, at, n) in self.pieces(offset, span, "write") {
+            let (src, tail) = rest.split_at(rest.len().min(n));
+            self.put(page, at, src, at + n);
+            rest = tail;
         }
         self.writes += 1;
-        self.bytes_written += data.len() as u64;
-        self.high_water = self.high_water.max(offset + data.len() as u64);
+        self.bytes_written += span;
+        self.high_water = self.high_water.max(offset + span);
     }
 
     /// Apply only the first `applied` bytes of a write — the power-loss
@@ -270,16 +372,26 @@ impl PageStore {
         }
     }
 
-    /// Copy `src` to byte `at` of `page`.
-    fn put(&mut self, page: u64, at: usize, src: &[u8]) {
-        if src.len() == PAGE {
+    /// Copy `src` to byte `at` of `page`, then zeros up to byte `end`.
+    fn put(&mut self, page: u64, at: usize, src: &[u8], end: usize) {
+        if end - at == PAGE {
             return self.replace(page, src);
         }
-        if let Some(block) = self.full.get_mut(&page) {
-            return block[at..at + src.len()].copy_from_slice(src);
+        let zeros = at + src.len()..end;
+        let runs = match self.runs.entry(page) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                if let Some(block) = self.full.get_mut(&page) {
+                    block[at..at + src.len()].copy_from_slice(src);
+                    return block[zeros].fill(0);
+                }
+                v.insert(Runs::default())
+            }
+        };
+        if !zeros.is_empty() {
+            runs.trim(zeros);
         }
-        let runs = self.runs.entry(page).or_default();
-        if runs.overwrite(at, src) {
+        if src.is_empty() || runs.overwrite(at, src) {
             return;
         }
         if runs.len as usize + 4 + src.len() <= runs.limit() {
@@ -291,33 +403,54 @@ impl PageStore {
         }
     }
 
-    /// Make `page` hold `src`, a whole page: its nonzero 8-byte words as
-    /// runs, found word by word, while they are at most half of it; else
-    /// a block.
+    /// Make `page` hold `src` followed by zeros, a whole page: its nonzero
+    /// 8-byte words as runs, found word by word, while they are at most
+    /// half of it; else a block.
     fn replace(&mut self, page: u64, src: &[u8]) {
         let mut mask = [0u64; PAGE / 64];
-        for (w, word) in src.chunks_exact(8).enumerate() {
-            let nonzero = u64::from_ne_bytes(word.try_into().unwrap()) != 0;
-            mask[w / 8] |= (nonzero as u64 * 0xFF) << (w % 8 * 8);
+        let mut words = src.chunks_exact(8);
+        let mut w = 0;
+        let mut mark = |word: u64| {
+            mask[w / 8] |= ((word != 0) as u64 * 0xFF) << (w % 8 * 8);
+            w += 1;
+        };
+        for word in &mut words {
+            mark(u64::from_ne_bytes(word.try_into().unwrap()));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            mark(u64::from_ne_bytes(last));
         }
         let distinct = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         if distinct > PAGE / 2 {
             if let Some(block) = self.full.get_mut(&page) {
-                return block.copy_from_slice(src);
+                block[..src.len()].copy_from_slice(src);
+                return block[src.len()..].fill(0);
             }
             self.runs.remove(&page);
-            self.full.insert(page, Box::new(src.try_into().unwrap()));
+            let mut block = Box::new([0; PAGE]);
+            block[..src.len()].copy_from_slice(src);
+            self.full.insert(page, block);
             return;
         }
-        self.full.remove(&page);
-        let room = set_runs(&mask).map(|(s, e)| 4 + e - s).sum();
-        let mut runs = Runs::default();
+        // A word's run ends at the payload's end: past it is zeros.
+        let runs = set_runs(&mask).map(|(s, e)| (s, e.min(src.len())));
+        let room = runs.clone().map(|(s, e)| 4 + e - s).sum();
+        let mut fresh = Runs::default();
         let mut len = 0;
-        for (s, e) in set_runs(&mask) {
-            len = runs.put(len, s, &src[s..e], room);
+        for (s, e) in runs {
+            len = fresh.put(len, s, &src[s..e], room);
         }
-        (runs.len, runs.compacted, runs.tail) = (len as u16, distinct as u16, len as u16);
-        self.runs.insert(page, runs);
+        (fresh.len, fresh.compacted, fresh.tail) = (len as u16, distinct as u16, len as u16);
+        match self.runs.entry(page) {
+            Entry::Occupied(mut e) => *e.get_mut() = fresh,
+            Entry::Vacant(v) => {
+                self.full.remove(&page);
+                v.insert(fresh);
+            }
+        }
     }
 
     /// The `len` bytes at `offset`, zeros where unwritten: each page's
@@ -515,10 +648,63 @@ mod tests {
         assert!(s.read(0, RING as usize) == flat);
     }
 
+    /// The same ring written as a trail writes it: each append a 52-byte
+    /// descriptor whose span runs to the next one's, so the ring is
+    /// covered lap after lap. Lapped ten times, the pages hold the last
+    /// lap's descriptors and nothing of the nine before, and read as the
+    /// last lap wrote them.
+    #[test]
+    fn a_lapped_ring_of_compact_appends_holds_one_lap() {
+        const RING: u64 = 1 << 20;
+        const SPAN: u64 = 4136;
+        let mut s = PageStore::new(RING);
+        let mut flat = vec![0; RING as usize];
+        for i in 0..10 * RING / SPAN {
+            let record = [i as u8 | 1; 52];
+            let at = i * SPAN % RING;
+            // An append that passes the ring's end wraps to its start.
+            let first = SPAN.min(RING - at);
+            let (head, tail) = record.split_at(52.min(first as usize));
+            s.write_span(at, head, first);
+            s.write_span(0, tail, SPAN - first);
+            flat[at as usize..][..first as usize].fill(0);
+            flat[at as usize..][..head.len()].copy_from_slice(head);
+            flat[..(SPAN - first) as usize].fill(0);
+            flat[..tail.len()].copy_from_slice(tail);
+        }
+        let lap = RING.div_ceil(SPAN) as usize * 52;
+        assert_eq!((s.blocks_used(), s.full.len()), (256, 0));
+        assert!(
+            s.held_bytes() <= lap,
+            "{} bytes held, one lap is {lap}",
+            s.held_bytes()
+        );
+        assert!(s.read(0, RING as usize) == flat);
+    }
+
+    /// Zeros that cut a page's distinct bytes down under a log of
+    /// rewrites leave it holding what a compaction keeps: the records
+    /// left overlap, so they are compacted to the runs they cover.
+    #[test]
+    fn zeros_under_a_log_of_rewrites_compact_it() {
+        let mut s = PageStore::new(PAGE as u64);
+        s.write(0, &[1; 1000]);
+        for v in 2..11 {
+            s.write(1500, &[v; 100]);
+        }
+        assert_eq!(s.held_bytes(), 1900);
+        s.write_span(0, &[], 1000);
+        assert_eq!(s.held_bytes(), 100);
+        let page = s.read(0, PAGE);
+        assert!(page[..1500].iter().all(|&b| b == 0) && page[1500..1600] == [10; 100]);
+    }
+
     #[derive(Clone, Debug)]
     enum Op {
         /// `Some(k)`: a `partial_write` applying `k` bytes (mod len + 1).
         Write(u64, Vec<u8>, Option<usize>),
+        /// A `write_span` of the bytes and this many zeros past them.
+        Span(u64, Vec<u8>, u64),
         Read(u64, u64),
         Digest(u64, u64),
         Extent(u64, u64),
@@ -578,6 +764,12 @@ mod tests {
             )
                 .prop_map(|(o, d, k)| Op::Write(o, d, k)),
             pages().prop_map(|(o, d)| Op::Write(o, d, None)),
+            (
+                at(),
+                proptest::collection::vec(any::<u8>(), 0..300),
+                prop_oneof![0u64..64, 0u64..3 * PAGE as u64],
+            )
+                .prop_map(|(o, d, zeros)| Op::Span(o, d, zeros)),
             range().prop_map(|(o, n)| Op::Read(o, n)),
             range().prop_map(|(o, n)| Op::Digest(o, n)),
             range().prop_map(|(o, n)| Op::Extent(o, n)),
@@ -585,15 +777,19 @@ mod tests {
     }
 
     /// Mark in `held` the bytes a write of `d` at `o` leaves the pages
-    /// holding: a page it covers whole, its nonzero 8-byte words alone;
-    /// any other, what it held and the bytes written.
-    fn cover(held: &mut [bool], o: usize, d: &[u8]) {
-        held[o..o + d.len()].fill(true);
+    /// holding, `d`'s trailing zeros past `payload` as a span writes them:
+    /// a page it covers whole, its nonzero 8-byte words alone; any other,
+    /// what it held and the payload, less the zeros. Returns the pages
+    /// it covers in part.
+    fn cover(held: &mut [bool], o: usize, d: &[u8], payload: usize) -> [usize; 2] {
+        held[o..o + payload].fill(true);
+        held[o + payload..o + d.len()].fill(false);
         for p in o.div_ceil(PAGE)..(o + d.len()) / PAGE {
             for (w, word) in d[p * PAGE - o..][..PAGE].chunks(8).enumerate() {
                 held[p * PAGE + w * 8..][..8].fill(word.iter().any(|&b| b != 0));
             }
         }
+        [o / PAGE, (o + d.len()).saturating_sub(1) / PAGE]
     }
 
     /// The reference `written_extent`: a scan of the whole page index.
@@ -630,16 +826,21 @@ mod tests {
         /// Against a flat array and the set of pages ever written, every
         /// read, digest and extent agrees, and so does the accounting.
         /// Whole-page writes carry zero words: all-zero pages, pages just
-        /// either side of half nonzero, blocks rewritten sparse.
+        /// either side of half nonzero, blocks rewritten sparse. A span
+        /// write is its payload followed by zeros to its end.
         #[test]
         fn behaves_as_a_flat_array(ops in proptest::collection::vec(op(), 1..60)) {
             let mut s = PageStore::new(CAP);
             let mut flat = vec![0u8; CAP as usize];
-            let mut touched = std::collections::BTreeSet::new();
+            let mut touched = std::collections::BTreeSet::<u64>::new();
             let mut held = vec![false; CAP as usize];
+            // Pages a span's zeros covered in part: a block keeps them.
+            let mut zeroed = std::collections::BTreeSet::<usize>::new();
             let (mut writes, mut bytes, mut high) = (0, 0, 0);
             for op in ops {
-                match op {
+                // What a write leaves the flat array, how much of it is
+                // payload, and whether the store counts it as a write.
+                let (o, d, k, counts) = match op {
                     Op::Write(o, mut d, partial) => {
                         d.truncate((CAP - o) as usize);
                         let k = partial.map_or(d.len(), |k| k % (d.len() + 1));
@@ -647,19 +848,24 @@ mod tests {
                             Some(_) => s.partial_write(o, &d, k),
                             None => s.write(o, &d),
                         }
-                        flat[o as usize..][..k].copy_from_slice(&d[..k]);
-                        touched.extend((o..o + k as u64).map(|b| b / PAGE as u64));
-                        cover(&mut held, o as usize, &d[..k]);
-                        if k > 0 {
-                            (writes, bytes) = (writes + 1, bytes + k as u64);
-                            high = high.max(o + k as u64);
-                        }
+                        d.truncate(k);
+                        (o, d, k, k > 0)
+                    }
+                    Op::Span(o, mut d, zeros) => {
+                        d.truncate((CAP - o) as usize);
+                        let span = (d.len() as u64 + zeros).min(CAP - o);
+                        s.write_span(o, &d, span);
+                        let k = d.len();
+                        d.resize(span as usize, 0);
+                        (o, d, k, true)
                     }
                     Op::Read(o, n) => {
                         prop_assert_eq!(s.read(o, n as usize), &flat[o as usize..][..n as usize]);
+                        continue;
                     }
                     Op::Digest(o, n) => {
                         prop_assert_eq!(s.digest(o, n), checksum64(&flat[o as usize..][..n as usize]));
+                        continue;
                     }
                     Op::Extent(o, n) => {
                         let page = PAGE as u64;
@@ -668,21 +874,37 @@ mod tests {
                             .max()
                             .map_or(0, |e| e.min(o + n) - o);
                         prop_assert_eq!(s.written_extent(o, n), want);
+                        continue;
                     }
+                };
+                let n = d.len();
+                flat[o as usize..][..n].copy_from_slice(&d);
+                touched.extend((o..o + n as u64).map(|b| b / PAGE as u64));
+                let whole = (o as usize).div_ceil(PAGE)..(o as usize + n) / PAGE;
+                zeroed.retain(|p| !whole.contains(p));
+                let part = cover(&mut held, o as usize, &d, k);
+                if k < n {
+                    zeroed.extend(part.into_iter().filter(|p| !whole.contains(p)));
+                }
+                if counts {
+                    (writes, bytes) = (writes + 1, bytes + n as u64);
+                    high = high.max(o + n as u64);
                 }
             }
             prop_assert_eq!((s.writes(), s.bytes_written(), s.high_water()), (writes, bytes, high));
             prop_assert_eq!(s.blocks_used(), touched.len());
             prop_assert!(s.held_bytes() <= touched.len() * PAGE);
             // A page that is not full holds at most twice its distinct
-            // bytes plus 512, and a full page has more than half held.
+            // bytes plus 512, and a full page has more than half held
+            // unless a span's zeros covered part of it since.
             let distinct = |page: u64| held[page as usize * PAGE..][..PAGE].iter().filter(|&&h| h).count();
             for (&page, runs) in &s.runs {
                 let (distinct, held) = (distinct(page), runs.records().map(|(_, r)| r.len()).sum::<usize>());
                 prop_assert!(distinct <= PAGE / 2 && held <= 2 * distinct + 512, "page {}: {} held, {} distinct", page, held, distinct);
             }
             for &page in s.full.keys() {
-                prop_assert!(distinct(page) > PAGE / 2, "page {}: full with {} distinct", page, distinct(page));
+                let ok = distinct(page) > PAGE / 2 || zeroed.contains(&(page as usize));
+                prop_assert!(ok, "page {}: full with {} distinct", page, distinct(page));
             }
         }
     }

@@ -3,6 +3,7 @@
 
 use crate::actor::{Actor, ActorId, Ctx, Msg, Start, ENGINE};
 use crate::event::EventQueue;
+use crate::stall::Stall;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
 use crate::DetRng;
@@ -78,6 +79,8 @@ pub struct Sim {
     pub(crate) trace: Trace,
     dispatched: u64,
     max_events: u64,
+    /// Each actor killed with its state in place: its name, and when.
+    killed: Vec<(ActorId, String, SimTime)>,
 }
 
 impl Sim {
@@ -93,6 +96,7 @@ impl Sim {
             trace: Trace::new(config.trace),
             dispatched: 0,
             max_events: config.max_events,
+            killed: Vec::new(),
         }
     }
 
@@ -142,10 +146,28 @@ impl Sim {
     /// Kill an actor and drop its pending messages.
     pub fn kill(&mut self, id: ActorId) {
         if let Some(slot) = self.slots.get_mut(id.0 as usize) {
+            if let Some(actor) = slot.actor.take() {
+                self.killed.push((id, actor.name().to_string(), self.now));
+            }
             slot.alive = false;
-            slot.actor = None;
             self.queue.discard_for(id);
         }
+    }
+
+    /// What the live actors wait on, and who was killed: the report of a
+    /// run that reached its ceiling or drained its queue short of done
+    /// ([`Stall`]). It costs nothing until called.
+    pub fn stalled(&self) -> Stall {
+        let mut stall = Stall::new(self.now, self.killed.clone());
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Some(actor) = slot.actor.as_deref().filter(|_| slot.alive) {
+                let id = ActorId(i as u32);
+                let mut waits = Vec::new();
+                actor.waits(&mut waits);
+                stall.add(id, actor.name(), waits, self.queue.next_for(id));
+            }
+        }
+        stall
     }
 
     pub fn is_alive(&self, id: ActorId) -> bool {

@@ -148,7 +148,8 @@ pub struct ChainLink {
     /// validate/translate this span, not `data.len()`: a compact write
     /// starting exactly on a translation-window boundary would otherwise
     /// zero-length-match the *preceding* window and bounce off its
-    /// permissions.
+    /// permissions. A device applies the whole span: the payload, then
+    /// zeros to its end.
     pub wire_len: u32,
 }
 

@@ -10,7 +10,7 @@
 use super::{AdpShared, AuditLog, HeldAck};
 use crate::types::*;
 use bytes::{Bytes, BytesMut};
-use simcore::{ActorId, Ctx, Msg, SimDuration};
+use simcore::{ActorId, Ctx, Msg, SimDuration, Wait};
 use simdisk::{DiskWrite, DiskWriteDone};
 use simnet::EndpointId;
 use std::any::Any;
@@ -147,6 +147,15 @@ impl DiskLog {
 }
 
 impl AuditLog for DiskLog {
+    fn waits(&self, out: &mut Vec<Wait>) {
+        out.extend(self.flush.as_ref().map(|f| Wait {
+            what: "audit write",
+            on: format!("{:?}", self.volume),
+            id: f.end_lsn,
+            since: None,
+        }));
+    }
+
     fn open(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>) {
         let _ = ctx;
         // Fresh primary: nothing to do. Takeover: rebuild the unflushed

@@ -36,7 +36,7 @@ use crate::stats::SharedTxnStats;
 use crate::types::*;
 use nsk::machine::{CpuId, SharedMachine};
 use nsk::pair::{Died, Inbound, Pair, Role};
-use simcore::{Actor, ActorId, Ctx, Msg, Sim};
+use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimTime, Wait};
 use simnet::{EndpointId, NetDelivery};
 use std::any::Any;
 
@@ -210,6 +210,9 @@ pub(crate) trait AuditLog {
     /// message if it is not this backend's.
     fn on_msg(&mut self, sh: &mut AdpShared, ctx: &mut Ctx<'_>, msg: Msg) -> Option<Msg>;
 
+    /// What the trail's writes in flight wait on ([`Actor::waits`]).
+    fn waits(&self, out: &mut Vec<Wait>);
+
     /// Backup side: apply a checkpoint from the primary. Only the disk
     /// discipline checkpoints at all.
     fn apply_checkpoint(&mut self, _sh: &mut AdpShared, _ck: Box<dyn Any>) {}
@@ -234,6 +237,28 @@ pub struct AdpProc {
 impl Actor for AdpProc {
     fn name(&self) -> &str {
         &self.sh.pair.name
+    }
+
+    /// The trail's writes in flight, on their devices; each flush waiter
+    /// on the first of them (nothing in flight leaves it waiting on the
+    /// trail itself); each held ack on the backup's checkpoint ack.
+    fn waits(&self, out: &mut Vec<Wait>) {
+        if !self.sh.pair.is_primary() {
+            return;
+        }
+        let first = out.len();
+        self.log.waits(out);
+        let on = out.get(first).map_or_else(
+            || format!("{} trail, nothing in flight", self.sh.pair.name),
+            |w| w.on.clone(),
+        );
+        out.extend(self.sh.waiters.iter().map(|&(_, _, upto, arrival)| Wait {
+            what: "durable",
+            on: on.clone(),
+            id: upto,
+            since: Some(SimTime(arrival)),
+        }));
+        self.sh.pair.checkpoint_waits(|held| held.lsn_end, out);
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {

@@ -20,7 +20,7 @@ use crate::types::*;
 use nsk::machine::{CpuId, SharedMachine};
 use pmclient::{PmClientConfig, PmLib};
 use pmm::msgs::CreateRegionAck;
-use simcore::{Ctx, Msg, SimDuration};
+use simcore::{Ctx, Msg, SimDuration, Wait};
 use simnet::{EndpointId, PersistMode, RdmaStatus, TrafficClass};
 use std::any::Any;
 
@@ -162,6 +162,10 @@ impl PmLog {
 }
 
 impl AuditLog for PmLog {
+    fn waits(&self, out: &mut Vec<Wait>) {
+        self.writer.waits(out);
+    }
+
     fn open(&mut self, _sh: &mut AdpShared, ctx: &mut Ctx<'_>) {
         // Boot and takeover are the same: (re)open the region and recover
         // the exact durable position from the PM control cell; no shadow

@@ -249,7 +249,8 @@ pub fn ring_window(ring: &[u8], watermark: u64, cap: u64) -> (u64, Cow<'_, [u8]>
 pub struct TrailScan {
     pub records: Vec<(Lsn, AuditRecord)>,
     /// Non-zero bytes a lapped window's read passed over: the fragment at
-    /// its floor, and older laps' leftovers in the gaps appends leave.
+    /// its floor (and, in a ring laid out payload-only, older laps'
+    /// leftovers in its gaps).
     pub skipped: u64,
     /// Where a non-zero byte did not decode and stopped the read (a torn
     /// record); `None` when it read its window to the end.
@@ -263,14 +264,15 @@ pub struct TrailScan {
 ///
 /// LSNs advance by *virtual* record length, which can exceed the encoded
 /// length (compact descriptors at benchmark scale, padded commit
-/// records). Only the encoded bytes are written, so the first lap leaves
-/// zero gaps between records, which the reader skips 32 bytes a step;
-/// there a *non-zero* undecodable position is a torn record and stops the
-/// read. A lapped window (`base > 0`) opens on the tail of a record whose
-/// head the ring overwrote, and its gaps still hold older laps' bytes.
-/// Everything below the watermark was published whole, so there an
-/// undecodable byte is such a leftover, never a torn record: it is
-/// skipped.
+/// records). An append lands with its whole span — its encoded bytes,
+/// then zeros to its virtual end — so every gap between records reads
+/// as zeros, lap after lap, and the reader skips them 32 bytes a step;
+/// on an unlapped window a *non-zero* undecodable position is a torn
+/// record and stops the read. A lapped window (`base > 0`) opens on the
+/// tail of a record whose head the ring overwrote. Everything below the
+/// watermark was published whole, so there an undecodable byte is that
+/// fragment, never a torn record: it is skipped, as are older laps'
+/// bytes in a ring laid out payload-only (the tests here build some).
 #[derive(Clone, Debug)]
 pub struct Records<'a> {
     window: Window<'a>,

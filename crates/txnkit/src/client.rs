@@ -38,6 +38,11 @@ impl TxnClient {
         }
     }
 
+    /// The TMF this client begins, commits and aborts through.
+    pub fn tmf(&self) -> &str {
+        &self.tmf
+    }
+
     /// Request a new transaction; [`TxnBegun`] arrives with `token`.
     pub fn begin(&mut self, ctx: &mut Ctx<'_>, token: u64) -> bool {
         nsk::proc::send_to_process(

@@ -27,7 +27,7 @@ use bytes::BytesMut;
 use nsk::machine::{CpuId, SharedMachine};
 use nsk::pair::{Died, Inbound, Pair, Role};
 use simcore::hash::{FastMap, FastSet};
-use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration, TimerId};
+use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration, TimerId, Wait};
 use simdisk::DiskWrite;
 use simnet::{EndpointId, NetDelivery};
 
@@ -378,6 +378,37 @@ impl Dp2Proc {
 impl Actor for Dp2Proc {
     fn name(&self) -> &str {
         &self.pair.name
+    }
+
+    /// Each insert whose audit delta no append ack has answered, on its
+    /// ADP; each insert parked on a lock; each insert checkpoint on the
+    /// backup's ack. The id is the transaction's.
+    fn waits(&self, out: &mut Vec<Wait>) {
+        if !self.pair.is_primary() {
+            return;
+        }
+        let mut ops: Vec<_> = (self.pending.iter())
+            .filter(|(_, p)| p.appended.is_none())
+            .collect();
+        ops.sort_unstable_by_key(|(&op, _)| op);
+        out.extend(ops.into_iter().map(|(_, p)| Wait {
+            what: "append",
+            on: self.adp_for(p.req.txn).to_string(),
+            id: p.req.txn.0,
+            since: None,
+        }));
+        let mut locks: Vec<_> = self.parked.iter().collect();
+        locks.sort_unstable_by_key(|(&wait, _)| wait);
+        for (&(txn, key), parked) in locks {
+            out.extend(parked.iter().map(|_| Wait {
+                what: "lock",
+                on: format!("key {key}"),
+                id: txn.0,
+                since: None,
+            }));
+        }
+        let txn = |op: &u64| self.pending.get(op).map_or(*op, |p| p.req.txn.0);
+        self.pair.checkpoint_waits(txn, out);
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {

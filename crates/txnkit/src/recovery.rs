@@ -681,4 +681,61 @@ mod tests {
         assert!(rec.committed.contains(&TxnId(9)));
         assert_eq!(rec.records_scanned, 2);
     }
+
+    /// A key rewritten a lap later, whose older descriptor lies in the
+    /// newer record's virtual tail: the device writes that tail as zeros,
+    /// so recovery over the lapped window redoes only the newer value.
+    /// Were only the encoded bytes written, the older insert and its
+    /// commit would still decode in the gaps, each at an LSN past the
+    /// newer insert's, and redo would end on the stale value.
+    #[test]
+    fn a_key_rewritten_a_lap_later_redoes_only_the_newer_value() {
+        use crate::audit::{ring_window, scan_window};
+        use crate::trail::{split_image, split_trail_parts, PM_CTRL_BYTES};
+        const CAP: u64 = 1100;
+        const VIRT: u64 = 250;
+        let value = |txn: u64, key: u64, crc: u32| AuditRecord::Insert {
+            txn: TxnId(txn),
+            partition: PartitionId { file: 0, part: 0 },
+            key,
+            virtual_len: VIRT as u32,
+            body_crc: crc,
+            body: Bytes::new(),
+        };
+        // LSN 0 and 250 hold txn 1's insert and commit; a lap later
+        // txn 2's insert (LSN 1000) and commit (1250) begin 150 and 100
+        // bytes before them, at positions 1000 and 150, so their tails
+        // cover both.
+        let appends = [
+            value(1, 10, 0xA),
+            AuditRecord::Commit { txn: TxnId(1) },
+            value(3, 30, 0xF),
+            AuditRecord::Commit { txn: TxnId(3) },
+            value(2, 10, 0xB),
+            AuditRecord::Commit { txn: TxnId(2) },
+        ];
+        let mut region = simcore::pages::PageStore::new(PM_CTRL_BYTES + CAP);
+        for (i, rec) in appends.iter().enumerate() {
+            let enc = rec.encode();
+            for (off, part, wire) in split_trail_parts(i as u64 * VIRT, CAP, VIRT, enc.len()) {
+                region.write_span(off, &enc[part], wire.into());
+            }
+        }
+        let watermark = appends.len() as u64 * VIRT;
+        let (_, ring) = split_image(region.read(0, (PM_CTRL_BYTES + CAP) as usize));
+        let (base, bytes) = ring_window(&ring, watermark, CAP);
+        let window = Window {
+            base,
+            bytes: &bytes,
+        };
+        let scan = scan_window(window);
+        let longest = appends.iter().map(|r| r.encode().len()).max().unwrap();
+        assert!(scan.skipped <= longest as u64, "{} skipped", scan.skipped);
+        let lsns: Vec<u64> = scan.records.iter().map(|(l, _)| l.0).collect();
+        assert_eq!(lsns, [500, 750, 1000, 1250]);
+        let rec = redo_windows_sharded(&[vec![window]]);
+        let table = &rec.shards[0].tables[&PartitionId { file: 0, part: 0 }];
+        assert_eq!((table[&10].crc, table[&30].crc), (0xB, 0xF));
+        assert!(!rec.committed.contains(&TxnId(1)));
+    }
 }

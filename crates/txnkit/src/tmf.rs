@@ -23,7 +23,7 @@ use bytes::BytesMut;
 use nsk::machine::{CpuId, SharedMachine};
 use nsk::pair::{Died, Inbound, Pair, Role};
 use simcore::hash::FastMap;
-use simcore::{Actor, Ctx, Msg, Sim, TimerId};
+use simcore::{Actor, Ctx, Msg, Sim, SimTime, TimerId, Wait};
 use simnet::{EndpointId, NetDelivery};
 use std::sync::Arc;
 
@@ -475,6 +475,33 @@ impl TmfProc {
 impl Actor for TmfProc {
     fn name(&self) -> &str {
         &self.pair.name
+    }
+
+    /// Each sub-operation in flight, on the ADP or peer TMF that owes its
+    /// answer, and each decision checkpoint on the backup's ack; a
+    /// coordinator's since its commit arrived.
+    fn waits(&self, out: &mut Vec<Wait>) {
+        if !self.pair.is_primary() {
+            return;
+        }
+        let commit = |token: &u64| self.commits.get(token);
+        for (_, owner, kind) in self.subs.live() {
+            let (what, on) = match kind {
+                SubKind::Flush { adp, .. } => ("flush", adp.as_str()),
+                SubKind::Harden { .. } => ("harden", self.master_for(owner.txn).unwrap_or("")),
+                SubKind::Prepare { peer, .. } => ("prepare", self.directory.tmf(*peer)),
+                SubKind::Decision { peer } => ("decision ack", self.directory.tmf(*peer)),
+            };
+            let since = owner.commit.as_ref().and_then(commit);
+            out.push(Wait {
+                what,
+                on: on.to_string(),
+                id: owner.txn.0,
+                since: since.map(|c| SimTime(c.started_ns)),
+            });
+        }
+        let txn = |token: &u64| commit(token).map_or(*token, |c| c.coord.txn().0);
+        self.pair.checkpoint_waits(txn, out);
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {

@@ -3,7 +3,10 @@
 //! A PM trail region is a control cell of [`PM_CTRL_BYTES`] — two
 //! [`PM_CTRL_SLOT_BYTES`] slots written in turn, the higher valid one the
 //! watermark the trail is durable through — then a ring holding virtual
-//! LSN `l` at `l mod cap` ([`split_trail_parts`]). This module is the
+//! LSN `l` at `l mod cap` ([`split_trail_parts`]). An append is posted as
+//! its encoded records with a wire length of its virtual length, and the
+//! device lands the whole span, zeros past the records: below the
+//! watermark the ring holds only the current lap. This module is the
 //! format's one home, and holds the trail's one writer in two layers:
 //!
 //! * [`TrailCore`] is pure. With nothing in flight it cuts every staged
@@ -345,6 +348,11 @@ pub(crate) struct TrailWriter<A> {
 }
 
 impl<A> TrailWriter<A> {
+    /// The legs of the chains and reads in flight ([`PmLib::waits`]).
+    pub fn waits(&self, out: &mut Vec<simcore::Wait>) {
+        self.lib.waits(out);
+    }
+
     /// A writer over the regions `(name, length)`, posting on `lib`'s
     /// traffic class.
     pub fn new(lib: PmLib, regions: impl IntoIterator<Item = (String, u64)>) -> Self {

@@ -153,6 +153,15 @@ impl<T> Subs<T> {
         self.live.get(&token).map(|(owner, kind, _)| (*owner, kind))
     }
 
+    /// Every sub-operation in flight, by token.
+    pub fn live(&self) -> Vec<(u64, Owner, &SubKind)> {
+        let mut live: Vec<_> = (self.live.iter())
+            .map(|(&token, (owner, kind, _))| (token, *owner, kind))
+            .collect();
+        live.sort_unstable_by_key(|&(token, ..)| token);
+        live
+    }
+
     /// `token` was re-driven under a new retry handle.
     pub fn rearm(&mut self, token: u64, retry: T) {
         if let Some(entry) = self.live.get_mut(&token) {

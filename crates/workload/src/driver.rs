@@ -22,7 +22,7 @@ use crate::dist::{Rng64, ThinkTime, Zipf};
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
 use simcore::hash::FastMap;
-use simcore::{Actor, Ctx, Histogram, Msg, Shared, Sim, SimDuration, SimTime};
+use simcore::{Actor, Ctx, Histogram, Msg, Shared, Sim, SimDuration, SimTime, Wait};
 use simnet::NetDelivery;
 use std::sync::Arc;
 use txnkit::audit::insert_trail_len;
@@ -165,6 +165,8 @@ struct VClient {
     /// This attempt's acked inserts: per ADP, the lowest LSN one starts at.
     acked_at: Vec<(String, Lsn)>,
     started_ns: u64,
+    /// A begin was sent and its transaction has not come back.
+    begun: bool,
     done: bool,
 }
 
@@ -335,7 +337,8 @@ impl ClientPool {
             return;
         }
         self.build_plan(slot);
-        self.slots[slot as usize].started_ns = now;
+        let s = &mut self.slots[slot as usize];
+        (s.started_ns, s.begun) = (now, true);
         self.client.begin(ctx, slot as u64);
     }
 
@@ -404,6 +407,36 @@ impl Actor for ClientPool {
         &self.name
     }
 
+    /// Each client's reply outstanding, since its transaction began: a
+    /// begin or its commit (or abort) from the TMF, or its inserts from
+    /// each DP2 they went to.
+    fn waits(&self, out: &mut Vec<Wait>) {
+        let tmf = self.client.tmf();
+        for s in self.slots.iter().filter(|s| !s.done) {
+            let since = Some(SimTime(s.started_ns));
+            let wait = |what, on: &str, id| Wait {
+                what,
+                on: on.to_string(),
+                id,
+                since,
+            };
+            match s.txn {
+                None if s.begun => out.push(wait("begin", tmf, s.id)),
+                None => {}
+                Some(txn) if s.outstanding > 0 => {
+                    let mut dp2s: Vec<&str> = (s.plan.iter())
+                        .map(|(part, _)| self.view.partition_map[part].as_str())
+                        .collect();
+                    dp2s.sort_unstable();
+                    dp2s.dedup();
+                    out.extend(dp2s.into_iter().map(|dp2| wait("insert", dp2, txn.0)));
+                }
+                Some(txn) if s.failed => out.push(wait("abort", tmf, txn.0)),
+                Some(txn) => out.push(wait("commit", tmf, txn.0)),
+            }
+        }
+    }
+
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
             // Stagger client arrivals across one think time so a cold
@@ -448,7 +481,7 @@ impl Actor for ClientPool {
                     let slot = b.token as u32;
                     {
                         let s = &mut self.slots[slot as usize];
-                        s.txn = Some(b.txn);
+                        (s.txn, s.begun) = (Some(b.txn), false);
                         s.outstanding = s.plan.len() as u32;
                         s.failed = false;
                         s.acked_at.clear();
@@ -563,6 +596,7 @@ pub fn install_workload(
                     failed: false,
                     acked_at: Vec::new(),
                     started_ns: 0,
+                    begun: false,
                     done: false,
                 })
                 .collect();
@@ -604,7 +638,11 @@ pub fn run_to_completion(sim: &mut Sim, stats: &SharedWorkloadStats, ceiling: Si
             return;
         }
         let now = sim.now();
-        assert!(now < ceiling, "workload exceeded the simulated ceiling");
+        assert!(
+            now < ceiling,
+            "workload exceeded the simulated ceiling\n{}",
+            sim.stalled()
+        );
         sim.run_until(SimTime(now.as_nanos() + 2_000_000_000));
     }
 }

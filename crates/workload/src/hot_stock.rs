@@ -141,7 +141,10 @@ pub fn run_hot_stock_with(
         let now = node.sim.now();
         assert!(
             now < ceiling,
-            "hot-stock run exceeded the 1h simulated ceiling"
+            "hot-stock run exceeded the 1h simulated ceiling\n{}",
+            node.sim
+                .stalled()
+                .render(|name| machine.lock().describe(name))
         );
         node.sim.run_until(SimTime(now.as_nanos() + 5 * SECS));
     }

@@ -360,12 +360,17 @@ fn single_node_is_the_one_shard_cluster() {
     }
 }
 
+/// `(dispatched, (commits, every driver done, last finish ns), trail
+/// digest)` of a [`takeover_run`].
+type Takeover = (u64, (u64, bool, u64), u64);
+
 /// One fault against a node carrying two hot-stock drivers on CPUs 2
 /// and 3, run to 4 s: `(dispatched, (commits, every driver done, last
-/// finish ns), trail-image digest)`. A driver whose request died with a
-/// primary never finishes (nothing re-drives a lost reply), so with
-/// neither driver done the finish time reads 0.
-fn takeover_run(base: OdsParams, fault: Fault) -> (u64, (u64, bool, u64), u64) {
+/// finish ns), trail-image digest)`, and what the run waits on at 4 s
+/// (`Sim::stalled`, with the registry's view). A driver whose request
+/// died with a primary never finishes (nothing re-drives a lost reply),
+/// so with neither driver done the finish time reads 0.
+fn takeover_run(base: OdsParams, fault: Fault) -> (Takeover, String) {
     let mut store = DurableStore::new();
     let params = OdsParams {
         fault_plan: FaultPlan::none().with(fault),
@@ -393,12 +398,11 @@ fn takeover_run(base: OdsParams, fault: Fault) -> (u64, (u64, bool, u64), u64) {
         let s = stats.lock();
         (s.committed, s.done(), s.finished_ns)
     };
+    let stall = node.sim.stalled();
+    let stall = stall.render(|name| machine.lock().describe(name));
     drop(node);
-    (
-        dispatched,
-        drivers,
-        digest(&trails_at_cut(&mut store, &site)),
-    )
+    let trails = digest(&trails_at_cut(&mut store, &site));
+    ((dispatched, drivers, trails), stall)
 }
 
 #[test]
@@ -440,27 +444,27 @@ fn takeovers_keep_their_schedule() {
         (
             &pm,
             kill("$TMF", 1500),
-            (11503, (94, false, 0), 5079481480833276432),
+            (11503, (94, false, 0), 12313246360205379152),
         ),
         (
             &pm,
             kill("$DP2-0", 1600),
-            (22478, (188, false, 2117127792), 5676903632757811524),
+            (22478, (188, false, 2117127792), 10952919595701019926),
         ),
         (
             &pm,
             kill("$ADP0", 1700),
-            (30533, (256, true, 3065672617), 12294410604440157272),
+            (30533, (256, true, 3065672617), 1997819908842907906),
         ),
         (
             &pm,
             kill("$PMM", 1800),
-            (30500, (256, true, 2169413509), 6156968513316966160),
+            (30500, (256, true, 2169413509), 4077358064169221920),
         ),
         (
             &pm,
             cpu1(1_501_165_000),
-            (20210, (175, false, 2505928137), 16403225150398762877),
+            (20210, (175, false, 2505928137), 13923966452775435999),
         ),
         (
             &disk,
@@ -489,7 +493,24 @@ fn takeovers_keep_their_schedule() {
         ),
     ];
     for (base, fault, want) in runs {
-        let got = takeover_run(base.clone(), fault.clone());
-        assert_eq!(got, want, "{:?} node, {fault:?}", base.audit);
+        let (got, stall) = takeover_run(base.clone(), fault.clone());
+        assert_eq!(got, want, "{:?} node, {fault:?}\n{stall}", base.audit);
+        if base.audit == AuditMode::HardwareNpmu && fault == kill("$TMF", 1500) {
+            // The drivers wait on `$TMF` for their commits, and the
+            // report names the primary the requests died with.
+            eprintln!("{stall}");
+            let lines: Vec<&str> = stall.lines().collect();
+            let edge = lines.iter().position(|l| l.contains(") → $TMF: commit ×"));
+            let edge = edge.unwrap_or_else(|| panic!("no driver → $TMF commit edge:\n{stall}"));
+            let target = lines[edge + 1..]
+                .iter()
+                .take_while(|l| l.starts_with("    "));
+            assert!(
+                target
+                    .clone()
+                    .any(|l| l.contains("$TMF actor#") && l.contains("killed at t+1.500s")),
+                "the edge does not name the dead primary:\n{stall}"
+            );
+        }
     }
 }

@@ -191,19 +191,27 @@ impl Rig {
         while !done(self) {
             let now = self.sim.now();
             if now >= CEILING {
-                return Err(format!("{what} not reached by {CEILING:?}"));
+                return Err(self.stalled(what));
             }
             self.sim.run_until(SimTime(now.as_nanos() + 10 * MILLIS));
         }
         Ok(())
     }
 
-    /// Dispatch one event, failing past the ceiling.
+    /// Dispatch one event, failing past the ceiling or on an empty queue.
     fn step(&mut self, what: &str) -> Result<(), String> {
         match self.sim.now() < CEILING && self.sim.step() {
             true => Ok(()),
-            false => Err(format!("{what} not reached by {CEILING:?}")),
+            false => Err(self.stalled(what)),
         }
+    }
+
+    /// Why `what` was not reached: who waits on whom, with the registry's
+    /// view of each process ([`simcore::Sim::stalled`]).
+    fn stalled(&self, what: &str) -> String {
+        let stall = self.sim.stalled();
+        let stall = stall.render(|name| self.machine.lock().describe(name));
+        format!("{what} not reached by {CEILING:?}\n{stall}")
     }
 
     /// Kill the backup of pair `name` alone, as the fault monitor kills a

@@ -2,6 +2,12 @@
 # A/B the end-to-end benchmark's host cost between two checkouts:
 #
 #   tools/ab_wall.sh <parent-checkout> <workload> [pairs=10]
+#   tools/ab_wall.sh <parent-checkout> all [pairs=10]
+#
+# `all` runs the four workloads in turn (trade_pm, trade_disk,
+# oltp_saturated, repair_under_load), each with its own pairs, and
+# prints each one's block as a single workload does: a perf change's
+# no-regression evidence from one command.
 #
 # Builds `benchmark/` in <parent-checkout> and in this tree, runs the
 # workload <pairs> times on each side in alternating order (the side that
@@ -23,8 +29,15 @@
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
-  echo "usage: $0 <parent-checkout> <workload> [pairs=10]" >&2
+  echo "usage: $0 <parent-checkout> <workload|all> [pairs=10]" >&2
   exit 2
+fi
+if [[ "$2" == all ]]; then
+  for workload in trade_pm trade_disk oltp_saturated repair_under_load; do
+    "$0" "$1" "$workload" "${3:-10}"
+    echo
+  done
+  exit 0
 fi
 parent="$(cd "$1" && pwd)"
 change="$(cd "$(dirname "$0")/.." && pwd)"
