@@ -6,22 +6,22 @@
 //! 64-byte control cell keeps 64 bytes and a lapped trail page keeps its
 //! descriptors, not the gaps between them — until more than half of its
 //! bytes have been written: then the page is full, one block written by a
-//! plain copy, as in a block store. A write that covers a whole page
+//! plain copy, as in a block store, and it stays a block when a span's
+//! zeros later cover part of it. A write that covers a whole page
 //! replaces it with the spans of its nonzero 8-byte words — runs while
 //! they fill at most half the page, a block otherwise — so a copied or
 //! rewritten page is as sparse as its contents. What no page holds reads
 //! as zeros, like a fresh medium.
 //!
 //! A write lands with its whole span ([`PageStore::write_span`]): its
-//! payload, then zeros to the span's end, which the pages hold as nothing
-//! — the runs they cover are cut out in place, and each page the span
-//! touches is marked written. So a compact append's virtual tail reads as
-//! zeros, and a lapped trail page holds one lap's descriptors, not every
-//! lap's.
+//! payload, then zeros to the span's end, which a page of runs holds as
+//! nothing — the runs they cover are cut out of its log — and a block
+//! holds as zero bytes; each page the span touches is marked written. So
+//! a compact append's virtual tail reads as zeros, and a lapped trail
+//! page holds one lap's descriptors, not every lap's.
 
 use crate::checksum::Checksum64;
 use crate::hash::FastMap;
-use std::collections::hash_map::Entry;
 use std::ops::Range;
 
 const PAGE: usize = 4096;
@@ -33,14 +33,30 @@ static ZEROS: [u8; PAGE] = [0; PAGE];
 #[derive(Default, Clone)]
 pub struct PageStore {
     capacity: Option<u64>,
-    /// Page number → block, for pages more than half written: a point lookup.
-    full: FastMap<u64, Box<[u8; PAGE]>>,
-    /// Page number → its runs, for the rest.
-    runs: FastMap<u64, Runs>,
+    /// Page number → page, for every page written: one lookup finds it.
+    pages: FastMap<u64, Page>,
     writes: u64,
     bytes_written: u64,
     high_water: u64,
 }
+
+/// A written page: its runs, or a block once more than half of it has
+/// been written.
+#[derive(Clone)]
+enum Page {
+    Runs(Runs),
+    Block(Box<[u8; PAGE]>),
+}
+
+impl Default for Page {
+    fn default() -> Self {
+        Page::Runs(Runs::default())
+    }
+}
+
+// A page fills a 32-byte map bucket, as a page of runs alone would: the
+// bucket's width is paid on every lookup.
+const _: () = assert!(std::mem::size_of::<(u64, Page)>() == 32);
 
 /// A page that is not full: a log of its writes, oldest first, each a
 /// record of `at: u16`, `len: u16` and the `len` bytes; where two overlap
@@ -50,8 +66,10 @@ pub struct PageStore {
 /// overlap, rewritten as the page's maximal runs in offset order, else
 /// left as the disjoint runs they are. So a write costs amortised O(1),
 /// the written bytes the log holds stay within twice the page's distinct
-/// bytes plus 512, and a page goes full exactly when its distinct bytes
-/// pass half.
+/// bytes plus 512, and a page goes full when its distinct bytes pass
+/// half. A block stays a block when a span's zeros cover part of it: it
+/// may hold fewer distinct bytes than that until a write covers it whole.
+/// A span's zeros cut a page's log in place ([`Runs::trim`]).
 #[derive(Default, Clone)]
 struct Runs {
     /// The records, then room for more.
@@ -66,10 +84,6 @@ struct Runs {
     /// that can take a write in place.
     tail: u16,
 }
-
-// A page of runs fills a 32-byte map bucket: the bucket's width is paid
-// on every lookup.
-const _: () = assert!(std::mem::size_of::<(u64, Runs)>() == 32);
 
 impl Runs {
     /// Log length up to which a write appends rather than compacts.
@@ -174,45 +188,51 @@ impl Runs {
     }
 
     /// Cut the bytes of `zeros` out of every record, in place, in one walk
-    /// of the log: a record inside the range goes, one across an end of
-    /// it is cut short, and one across both ends becomes two — the one
-    /// case that can grow the log (by at most 3 bytes). The records left
-    /// are held to the bound a compaction keeps: if they lie in offset
-    /// order, each past the last, they are disjoint runs and their bytes
-    /// are the page's distinct bytes; otherwise the page's distinct bytes
-    /// are not known, and a log holding more than 512 bytes is compacted.
+    /// of the log: a record inside the range goes and one across an end
+    /// of it is cut short. A record across both ends would become two, so
+    /// the log is rewritten instead as the page's runs less the range
+    /// ([`Runs::clear`]). The records left are held to the bound a
+    /// compaction keeps: if they lie in offset order, each past the last,
+    /// they are disjoint runs and their bytes are the page's distinct
+    /// bytes; otherwise the page's distinct bytes are not known, and a log
+    /// holding more than 512 bytes is compacted.
     fn trim(&mut self, zeros: Range<usize>) {
         let (z0, z1) = (zeros.start, zeros.end);
-        let (mut r, mut w, mut end) = (0, 0, self.len as usize);
+        let (mut r, mut w, len) = (0, 0, self.len as usize);
         let (mut cut, mut held, mut sorted, mut last) = (false, 0, true, 0);
-        while let Some((a, bytes)) = self.record(r).filter(|_| r < end) {
+        while let Some((a, bytes)) = self.record(r) {
             let b = a + bytes.len();
-            let mut next = bytes.end;
-            if b <= z0 || z1 <= a {
+            if a < z0 && z1 < b {
+                // Close the gap the walk left, then clear the range.
+                self.log.copy_within(r..len, w);
+                self.len = (w + len - r) as u16;
+                return self.clear(zeros);
+            }
+            // What is left of the record: all of it, one end, or nothing.
+            let (s, e) = if a < z0 {
+                (a, b.min(z0))
+            } else {
+                (a.max(z1), b)
+            };
+            if (s, e) == (a, b) {
                 if w < r {
-                    self.log.copy_within(r..next, w);
+                    self.log.copy_within(r..bytes.end, w);
                 }
-                w += next - r;
-                (held, sorted, last) = (held + b - a, sorted && last <= a, b);
+                w += bytes.end - r;
             } else {
                 cut = true;
-                let (lo, hi) = (z0.saturating_sub(a), b.saturating_sub(z1));
-                let need = w + 8 + lo + hi;
-                if lo > 0 && hi > 0 && need > next {
-                    self.shift(next..end, need - next);
-                    (end, next) = (end + need - next, need);
+                if s < e {
+                    self.log
+                        .copy_within(bytes.start + s - a..bytes.start + e - a, w + 4);
+                    self.log[w..w + 2].copy_from_slice(&(s as u16).to_le_bytes());
+                    self.log[w + 2..w + 4].copy_from_slice(&((e - s) as u16).to_le_bytes());
+                    w += 4 + e - s;
                 }
-                if lo > 0 {
-                    w = self.emit(w, a, bytes.start, lo);
-                    (sorted, last) = (sorted && last <= a, a + lo);
-                }
-                if hi > 0 {
-                    w = self.emit(w, z1, bytes.start + z1 - a, hi);
-                    (sorted, last) = (sorted && last <= z1, b);
-                }
-                held += lo + hi;
             }
-            r = next;
+            if s < e {
+                (held, sorted, last) = (held + e - s, sorted && last <= s, e);
+            }
+            r = bytes.end;
         }
         if !cut {
             return;
@@ -229,45 +249,41 @@ impl Runs {
         }
     }
 
-    /// Write the record of the `n` log bytes at `from` as lying at `at`,
-    /// to the log at `w`, which is at most `from − 4`, or past the bytes
-    /// if they move up. Returns where the record ends.
-    fn emit(&mut self, w: usize, at: usize, from: usize, n: usize) -> usize {
-        self.log.copy_within(from..from + n, w + 4);
-        self.log[w..w + 2].copy_from_slice(&(at as u16).to_le_bytes());
-        self.log[w + 2..w + 4].copy_from_slice(&(n as u16).to_le_bytes());
-        w + 4 + n
+    /// Rewrite the log as the page's runs less the bytes of `zeros`: what
+    /// a trim does when a record lies across both ends of them. Kept out
+    /// of line, so that the page image it builds does not widen every
+    /// trim's stack frame.
+    #[cold]
+    #[inline(never)]
+    fn clear(&mut self, zeros: Range<usize>) {
+        let (mut mask, _) = self.mask(0..0);
+        words(zeros, |i, bits| mask[i] &= !bits);
+        let img = self.image();
+        self.rewrite(&mask, &img);
     }
 
-    /// Move the log bytes of `range` up by `by`, growing the log first if
-    /// it cannot hold them there.
-    fn shift(&mut self, range: Range<usize>, by: usize) {
-        if self.log.len() < range.end + by {
-            let mut log = std::mem::take(&mut self.log).into_vec();
-            log.resize(range.end + by, 0);
-            self.log = log.into_boxed_slice();
+    /// The bytes the records and `extra` cover, as a page's byte mask, and
+    /// whether any byte is covered twice.
+    fn mask(&self, extra: Range<usize>) -> ([u64; PAGE / 64], bool) {
+        let mut mask = [0u64; PAGE / 64];
+        let mut overlap = false;
+        let records = self.records().map(|(a, r)| a..a + r.len());
+        for range in records.chain([extra]) {
+            words(range, |i, bits| {
+                overlap |= mask[i] & bits != 0;
+                mask[i] |= bits;
+            });
         }
-        let to = range.start + by;
-        self.log.copy_within(range, to);
+        (mask, overlap)
     }
 
     /// Compact the log with `src` at `at` written last (nothing, if `src`
     /// is empty). Returns the whole page instead when that makes more
-    /// than half of it written.
+    /// than half of it written. Out of line, as [`Runs::clear`] is, for
+    /// its page image: a page compacts once per log's worth of appends.
+    #[inline(never)]
     fn compact(&mut self, at: usize, src: &[u8]) -> Option<[u8; PAGE]> {
-        let mut mask = [0u64; PAGE / 64];
-        let mut overlap = false;
-        let records = self.records().map(|(a, r)| (a, r.len()));
-        for (a, len) in records.chain([(at, src.len())]) {
-            let (mut b, end) = (a, a + len);
-            while b < end {
-                let n = (64 - b % 64).min(end - b);
-                let bits = (u64::MAX >> (64 - n)) << (b % 64);
-                overlap |= mask[b / 64] & bits != 0;
-                mask[b / 64] |= bits;
-                b += n;
-            }
-        }
+        let (mask, overlap) = self.mask(at..at + src.len());
         let distinct = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         if distinct <= PAGE / 2 && !overlap {
             // No byte was written twice: the records are the runs already.
@@ -283,13 +299,19 @@ impl Runs {
         if distinct > PAGE / 2 {
             return Some(img);
         }
-        // Rewrite the log as the page's runs, where it lies if it fits.
+        self.rewrite(&mask, &img);
+        None
+    }
+
+    /// Rewrite the log as the runs of `mask` (at most half a page), their
+    /// bytes taken from `img`, where the log lies if it fits.
+    fn rewrite(&mut self, mask: &[u64; PAGE / 64], img: &[u8; PAGE]) {
+        let distinct = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         let mut len = 0;
-        for (s, e) in set_runs(&mask) {
+        for (s, e) in set_runs(mask) {
             len = self.put(len, s, &img[s..e], limit(distinct));
         }
         (self.len, self.compacted, self.tail) = (len as u16, distinct as u16, len as u16);
-        None
     }
 }
 
@@ -297,6 +319,17 @@ impl Runs {
 /// appends: twice them, at least 512, at most half a page.
 fn limit(distinct: usize) -> usize {
     (2 * distinct).clamp(512, PAGE / 2)
+}
+
+/// Call `f` with `(word, bits)` for each word of a page's byte mask that
+/// `range` covers.
+fn words(range: Range<usize>, mut f: impl FnMut(usize, u64)) {
+    let mut b = range.start;
+    while b < range.end {
+        let n = (64 - b % 64).min(range.end - b);
+        f(b / 64, (u64::MAX >> (64 - n)) << (b % 64));
+        b += n;
+    }
 }
 
 /// `(start, end)` of each maximal run of set bits in a page's byte mask.
@@ -346,10 +379,11 @@ impl PageStore {
 
     /// Write `data` at `offset`, then zeros to `offset + span` (a span
     /// shorter than `data` is `data`'s): the whole span lands, as one
-    /// write. Each page it covers is looked up once and marked written;
-    /// the zeros cut the runs under them in place, so a page holds none
-    /// of the bytes they cover, and a page covered whole — payload and
-    /// zeros together — keeps only its nonzero words.
+    /// write. Each page it covers is visited once, with one map lookup,
+    /// and marked written. The zeros cut the runs under them out of the
+    /// page's log, so a page of runs holds none of the bytes they cover;
+    /// a block takes them as bytes; and a page covered whole — payload
+    /// and zeros together — keeps only its nonzero words.
     pub fn write_span(&mut self, offset: u64, data: &[u8], span: u64) {
         let span = span.max(data.len() as u64);
         let mut rest = data;
@@ -378,14 +412,12 @@ impl PageStore {
             return self.replace(page, src);
         }
         let zeros = at + src.len()..end;
-        let runs = match self.runs.entry(page) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => {
-                if let Some(block) = self.full.get_mut(&page) {
-                    block[at..at + src.len()].copy_from_slice(src);
-                    return block[zeros].fill(0);
-                }
-                v.insert(Runs::default())
+        let slot = self.pages.entry(page).or_default();
+        let runs = match slot {
+            Page::Runs(runs) => runs,
+            Page::Block(block) => {
+                block[at..at + src.len()].copy_from_slice(src);
+                return block[zeros].fill(0);
             }
         };
         if !zeros.is_empty() {
@@ -398,8 +430,7 @@ impl PageStore {
             return runs.append(at, src);
         }
         if let Some(block) = runs.compact(at, src) {
-            self.runs.remove(&page);
-            self.full.insert(page, Box::new(block));
+            *slot = Page::Block(Box::new(block));
         }
     }
 
@@ -424,15 +455,15 @@ impl PageStore {
             mark(u64::from_ne_bytes(last));
         }
         let distinct = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let slot = self.pages.entry(page).or_default();
         if distinct > PAGE / 2 {
-            if let Some(block) = self.full.get_mut(&page) {
+            if let Page::Block(block) = slot {
                 block[..src.len()].copy_from_slice(src);
                 return block[src.len()..].fill(0);
             }
-            self.runs.remove(&page);
             let mut block = Box::new([0; PAGE]);
             block[..src.len()].copy_from_slice(src);
-            self.full.insert(page, block);
+            *slot = Page::Block(block);
             return;
         }
         // A word's run ends at the payload's end: past it is zeros.
@@ -444,13 +475,7 @@ impl PageStore {
             len = fresh.put(len, s, &src[s..e], room);
         }
         (fresh.len, fresh.compacted, fresh.tail) = (len as u16, distinct as u16, len as u16);
-        match self.runs.entry(page) {
-            Entry::Occupied(mut e) => *e.get_mut() = fresh,
-            Entry::Vacant(v) => {
-                self.full.remove(&page);
-                v.insert(fresh);
-            }
-        }
+        *slot = Page::Runs(fresh);
     }
 
     /// The `len` bytes at `offset`, zeros where unwritten: each page's
@@ -461,10 +486,10 @@ impl PageStore {
         for (page, at, n) in self.pieces(offset, len as u64, "read") {
             let (piece, tail) = std::mem::take(&mut rest).split_at_mut(n);
             rest = tail;
-            if let Some(block) = self.full.get(&page) {
-                piece.copy_from_slice(&block[at..at + n]);
-            } else if let Some(runs) = self.runs.get(&page) {
-                runs.read(at, piece);
+            match self.pages.get(&page) {
+                Some(Page::Runs(runs)) => runs.read(at, piece),
+                Some(Page::Block(block)) => piece.copy_from_slice(&block[at..at + n]),
+                None => {}
             }
         }
         out
@@ -479,12 +504,10 @@ impl PageStore {
         let mut sum = Checksum64::default();
         for (page, at, n) in self.pieces(offset, len, "read") {
             let end = at + n;
-            if let Some(block) = self.full.get(&page) {
-                sum.update(&block[at..end]);
-            } else if let Some(runs) = self.runs.get(&page) {
-                sum.update(&runs.image()[at..end]);
-            } else {
-                sum.update(&ZEROS[at..end]);
+            match self.pages.get(&page) {
+                Some(Page::Runs(runs)) => sum.update(&runs.image()[at..end]),
+                Some(Page::Block(block)) => sum.update(&block[at..end]),
+                None => sum.update(&ZEROS[at..end]),
             }
         }
         sum.finish()
@@ -500,10 +523,9 @@ impl PageStore {
         if top <= offset {
             return 0;
         }
-        let written = |p: &u64| self.full.contains_key(p) || self.runs.contains_key(p);
         (offset / page..=(top - 1) / page)
             .rev()
-            .find(written)
+            .find(|p| self.pages.contains_key(p))
             .map_or(0, |p| ((p + 1) * page).min(end) - offset)
     }
 
@@ -522,14 +544,17 @@ impl PageStore {
 
     /// Number of distinct 4 KiB pages touched.
     pub fn blocks_used(&self) -> usize {
-        self.full.len() + self.runs.len()
+        self.pages.len()
     }
 
     /// Bytes the pages hold: each page's run bytes (record headers
     /// aside), a whole page when full.
     pub fn held_bytes(&self) -> usize {
-        let runs = self.runs.values().flat_map(Runs::records);
-        self.full.len() * PAGE + runs.map(|(_, r)| r.len()).sum::<usize>()
+        let held = |page: &Page| match page {
+            Page::Runs(runs) => runs.records().map(|(_, r)| r.len()).sum(),
+            Page::Block(_) => PAGE,
+        };
+        self.pages.values().map(held).sum()
     }
 
     /// `(page, offset in page, length)` of each page `len` bytes at `offset` touch.
@@ -550,6 +575,12 @@ mod tests {
     use crate::checksum64;
     use proptest::prelude::*;
 
+    /// How many pages are blocks.
+    fn blocks(s: &PageStore) -> usize {
+        let block = |p: &&Page| matches!(p, Page::Block(_));
+        s.pages.values().filter(block).count()
+    }
+
     #[test]
     fn a_small_write_per_page_keeps_only_its_bytes() {
         let mut s = PageStore::new(64 << 20);
@@ -564,10 +595,10 @@ mod tests {
         // The page holds up to half its bytes as runs ...
         s.write(2000, &[2; 1976]);
         s.write(3500, &[3; 8]);
-        assert_eq!((s.full.len(), s.held_bytes()), (0, 64 * 999 + 2048));
+        assert_eq!((blocks(&s), s.held_bytes()), (0, 64 * 999 + 2048));
         // ... and goes full with the next distinct byte.
         s.write(0, &[4]);
-        assert_eq!((s.full.len(), s.held_bytes()), (1, 64 * 999 + PAGE));
+        assert_eq!((blocks(&s), s.held_bytes()), (1, 64 * 999 + PAGE));
         let page = s.read(0, PAGE);
         assert_eq!(
             (page[0], page[1], page[999], &page[1000..1064], page[1064]),
@@ -595,7 +626,7 @@ mod tests {
         }
         page[4000] = 1;
         s.write(0, &page);
-        assert_eq!((s.full.len(), s.held_bytes()), (0, 4 * 104 + 8));
+        assert_eq!((blocks(&s), s.held_bytes()), (0, 4 * 104 + 8));
         assert!(s.read(0, PAGE) == page);
         // Whole pages: all zeros; just above and just below half nonzero.
         let words = |k: usize| {
@@ -606,12 +637,12 @@ mod tests {
         s.write(PAGE as u64, &[0; PAGE]);
         s.write(2 * PAGE as u64, &words(257));
         s.write(3 * PAGE as u64, &words(256));
-        assert_eq!((s.blocks_used(), s.full.len()), (4, 1));
+        assert_eq!((s.blocks_used(), blocks(&s)), (4, 1));
         assert_eq!(s.held_bytes(), 4 * 104 + 8 + PAGE + 256 * 8);
         assert_eq!(s.written_extent(0, 5 * PAGE as u64), 4 * PAGE as u64);
         // A block rewritten sparse drops the bytes under its zero words.
         s.write(2 * PAGE as u64, &page);
-        assert_eq!(s.full.len(), 0);
+        assert_eq!(blocks(&s), 0);
         assert!(s.read(2 * PAGE as u64, PAGE) == page);
         assert_eq!(s.held_bytes(), 2 * (4 * 104 + 8) + 256 * 8);
         let flat = [&page[..], &[0; PAGE], &page, &words(256)].concat();
@@ -639,7 +670,7 @@ mod tests {
             written[at as usize..][..len].fill(true);
         }
         let distinct = written.iter().filter(|&&w| w).count();
-        assert_eq!((s.blocks_used(), s.full.len()), (256, 0));
+        assert_eq!((s.blocks_used(), blocks(&s)), (256, 0));
         assert!(
             s.held_bytes() <= 2 * distinct + 512 * s.blocks_used(),
             "{} bytes held for {distinct} distinct",
@@ -673,7 +704,7 @@ mod tests {
             flat[..tail.len()].copy_from_slice(tail);
         }
         let lap = RING.div_ceil(SPAN) as usize * 52;
-        assert_eq!((s.blocks_used(), s.full.len()), (256, 0));
+        assert_eq!((s.blocks_used(), blocks(&s)), (256, 0));
         assert!(
             s.held_bytes() <= lap,
             "{} bytes held, one lap is {lap}",
@@ -697,6 +728,33 @@ mod tests {
         assert_eq!(s.held_bytes(), 100);
         let page = s.read(0, PAGE);
         assert!(page[..1500].iter().all(|&b| b == 0) && page[1500..1600] == [10; 100]);
+    }
+
+    /// Zeros inside records that overlap are cleared by rewriting the
+    /// page's runs, and the records past them are kept: the log is not
+    /// walked past its end, however many records the zeros lie inside.
+    #[test]
+    fn zeros_inside_overlapping_records_keep_the_records_after_them() {
+        let mut s = PageStore::new(PAGE as u64);
+        s.write(0, &[1; 100]);
+        s.write(0, &[2; 101]);
+        s.write(200, &[3]);
+        s.write(300, &[4; 10]);
+        s.write_span(50, &[], 1);
+        let page = s.read(0, PAGE);
+        assert_eq!(
+            (&page[..50], page[50], &page[51..101]),
+            (&[2; 50][..], 0, &[2; 50][..])
+        );
+        assert_eq!(
+            (page[101], page[200], &page[300..310]),
+            (0, 3, &[4; 10][..])
+        );
+        assert_eq!(s.held_bytes(), 100 + 1 + 10);
+        // A record across both ends of the zeros, with no overlap.
+        s.write_span(305, &[], 2);
+        assert_eq!(&s.read(300, 10)[..], &[4, 4, 4, 4, 4, 0, 0, 4, 4, 4]);
+        assert_eq!(s.held_bytes(), 100 + 1 + 8);
     }
 
     #[derive(Clone, Debug)]
@@ -795,8 +853,7 @@ mod tests {
     /// The reference `written_extent`: a scan of the whole page index.
     fn scanned_extent(s: &PageStore, offset: u64, len: u64) -> u64 {
         let (end, page) = (offset + len, PAGE as u64);
-        let pages = s.full.keys().chain(s.runs.keys());
-        let page_ends = pages.map(|&p| (p + 1) * page);
+        let page_ends = s.pages.keys().map(|&p| (p + 1) * page);
         (page_ends.filter(|&p_end| p_end > offset && p_end - page < end))
             .max()
             .map_or(0, |p_end| p_end.min(end) - offset)
@@ -820,6 +877,32 @@ mod tests {
             for (o, n) in ranges {
                 let (o, n) = (o.min(cap), n.min(cap - o.min(cap)));
                 prop_assert_eq!(s.written_extent(o, n), scanned_extent(&s, o, n), "range {}+{}", o, n);
+            }
+        }
+
+        /// Writes and spans piled up in one page's first bytes, so that
+        /// zeros land inside several records that overlap, and records of
+        /// a byte or two follow them: the page reads as a flat array
+        /// after each.
+        #[test]
+        fn zeros_among_piled_up_records_read_as_a_flat_array(
+            ops in proptest::collection::vec((0u8..4, 0usize..160, 1usize..80, 0usize..24), 1..40),
+        ) {
+            let mut s = PageStore::new(PAGE as u64);
+            let mut flat = [0u8; PAGE];
+            for (i, (kind, at, n, zeros)) in ops.into_iter().enumerate() {
+                let byte = i as u8 | 1;
+                // A write of `n` bytes or of one or two, or a span of up
+                // to two bytes and then `zeros` zeros.
+                let (n, zeros) = match kind {
+                    0 | 1 => (n, 0),
+                    2 => (n % 2 + 1, 0),
+                    _ => (n % 3, zeros + 1),
+                };
+                s.write_span(at as u64, &vec![byte; n], (n + zeros) as u64);
+                flat[at..at + n].fill(byte);
+                flat[at + n..at + n + zeros].fill(0);
+                prop_assert!(s.read(0, 256) == flat[..256], "after op {}", i);
             }
         }
 
@@ -898,13 +981,17 @@ mod tests {
             // bytes plus 512, and a full page has more than half held
             // unless a span's zeros covered part of it since.
             let distinct = |page: u64| held[page as usize * PAGE..][..PAGE].iter().filter(|&&h| h).count();
-            for (&page, runs) in &s.runs {
-                let (distinct, held) = (distinct(page), runs.records().map(|(_, r)| r.len()).sum::<usize>());
-                prop_assert!(distinct <= PAGE / 2 && held <= 2 * distinct + 512, "page {}: {} held, {} distinct", page, held, distinct);
-            }
-            for &page in s.full.keys() {
-                let ok = distinct(page) > PAGE / 2 || zeroed.contains(&(page as usize));
-                prop_assert!(ok, "page {}: full with {} distinct", page, distinct(page));
+            for (&page, p) in &s.pages {
+                match p {
+                    Page::Runs(runs) => {
+                        let (distinct, held) = (distinct(page), runs.records().map(|(_, r)| r.len()).sum::<usize>());
+                        prop_assert!(distinct <= PAGE / 2 && held <= 2 * distinct + 512, "page {}: {} held, {} distinct", page, held, distinct);
+                    }
+                    Page::Block(_) => {
+                        let ok = distinct(page) > PAGE / 2 || zeroed.contains(&(page as usize));
+                        prop_assert!(ok, "page {}: full with {} distinct", page, distinct(page));
+                    }
+                }
             }
         }
     }
