@@ -20,6 +20,9 @@
 //!   pure state machine ([`pair::PairCore`]) and the shell that puts it
 //!   on the wire ([`pair::Pair`]: own-name watch, promotion, checkpoints
 //!   to the current backup and their acks);
+//! * re-drive, written once in [`requests`]: a requester's table of
+//!   requests in flight ([`requests::Requests`]), each re-sent on a
+//!   capped doubling backoff until its first answer retires it;
 //! * a fault [`monitor::Monitor`] actor that executes a declarative
 //!   `FaultPlan` — killing CPUs or processes, detaching their endpoints,
 //!   and notifying registered watchers after the configured failure
@@ -33,6 +36,7 @@ pub mod machine;
 pub mod monitor;
 pub mod pair;
 pub mod proc;
+pub mod requests;
 
 pub use machine::{CpuId, Machine, MachineConfig, SharedMachine};
 pub use monitor::Monitor;

@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine};
+use nsk::requests::Backoff;
 use pmm::msgs::*;
 use pmm::{Frag, PlacementHint};
 use simcore::hash::FastMap;
@@ -62,10 +63,9 @@ pub struct PmClientConfig {
     pub write_timeout: SimDuration,
     /// A read that got no reply by then fails over to the other mirror.
     pub read_timeout: SimDuration,
-    /// First retry delay for PMM RPCs that got no ack (e.g. across a PMM
-    /// takeover); doubles per attempt up to `rpc_retry_cap`.
-    pub rpc_retry_base: SimDuration,
-    pub rpc_retry_cap: SimDuration,
+    /// Retry backoff for PMM RPCs that got no ack (e.g. across a PMM
+    /// takeover).
+    pub rpc_retry: Backoff,
     /// In-flight window per read run: how many stripe fragments a
     /// multi-fragment read (or [`PmLib::read_batch`]) keeps outstanding
     /// at once. 1 restores lock-step issue; the default pipelines the
@@ -91,23 +91,14 @@ impl Default for PmClientConfig {
         PmClientConfig {
             write_timeout: SimDuration::from_millis(5),
             read_timeout: SimDuration::from_millis(5),
-            rpc_retry_base: SimDuration::from_millis(200),
-            rpc_retry_cap: SimDuration::from_millis(1600),
+            rpc_retry: Backoff::new(
+                SimDuration::from_millis(200),
+                SimDuration::from_millis(1600),
+            ),
             read_window: 8,
             persist_mode: PersistMode::NicAck,
             traffic_class: TrafficClass::Commit,
         }
-    }
-}
-
-impl PmClientConfig {
-    /// Capped exponential backoff: `base * 2^attempt`, saturating at
-    /// `rpc_retry_cap`.
-    pub fn rpc_retry_delay(&self, attempt: u32) -> SimDuration {
-        let base = self.rpc_retry_base.as_nanos();
-        let cap = self.rpc_retry_cap.as_nanos();
-        let d = base.saturating_mul(1u64 << attempt.min(32));
-        SimDuration::from_nanos(d.min(cap))
     }
 }
 
@@ -364,6 +355,11 @@ pub struct PmLib {
 }
 
 impl PmLib {
+    /// The PMM this library asks for regions.
+    pub fn pmm_name(&self) -> &str {
+        &self.pmm_name
+    }
+
     /// Each leg in flight — a write chain, a forcing read, a read — on
     /// the device it went to (its actor, where the network still binds
     /// its endpoint), under the write's or read's token.

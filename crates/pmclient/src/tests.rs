@@ -5,6 +5,7 @@ use crate::{MirrorPolicy, PmClientConfig, PmLib, PmReadTimeout, PmWriteTimeout, 
 use bytes::Bytes;
 use npmu::{Npmu, NpmuConfig};
 use nsk::machine::{CpuId, Machine, MachineConfig, SharedMachine};
+use nsk::requests::Backoff;
 use nsk::Monitor;
 use pmm::msgs::*;
 use pmm::{install_pmm_pool, PmmConfig, PmmHandle};
@@ -292,7 +293,7 @@ impl Actor for TestClient {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<Start>() {
             self.fire(ctx);
-            let delay = self.lib.config().rpc_retry_delay(0);
+            let delay = self.lib.config().rpc_retry.delay(0);
             ctx.send_self(delay, RetryTick);
             return;
         }
@@ -313,7 +314,7 @@ impl Actor for TestClient {
                 }
             }
             if self.pos < self.steps.len() {
-                let delay = self.lib.config().rpc_retry_delay(self.retry_attempt);
+                let delay = self.lib.config().rpc_retry.delay(self.retry_attempt);
                 ctx.send_self(delay, RetryTick);
             }
             return;
@@ -1028,8 +1029,7 @@ fn a_dead_pmm_backup_never_strands_an_rpc_parked_on_its_checkpoint_ack() {
             MirrorPolicy::ParallelBoth,
             move |lib| {
                 let cfg = PmClientConfig {
-                    rpc_retry_base: never,
-                    rpc_retry_cap: never,
+                    rpc_retry: Backoff::new(never, never),
                     ..*lib.config()
                 };
                 lib.with_config(cfg)

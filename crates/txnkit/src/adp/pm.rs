@@ -170,7 +170,7 @@ impl AuditLog for PmLog {
         // Boot and takeover are the same: (re)open the region and recover
         // the exact durable position from the PM control cell; no shadow
         // state is needed.
-        self.writer.open(ctx, 0, 0);
+        self.writer.open(ctx, 0);
     }
 
     fn append(

@@ -2,6 +2,9 @@
 //! processors running a full database insert path (message handling, lock
 //! acquisition, index maintenance, audit generation).
 
+use nsk::requests::Backoff;
+use simcore::SimDuration;
+
 #[derive(Clone, Debug)]
 pub struct TxnConfig {
     /// Server-side CPU cost of one insert at the DP2, ns.
@@ -34,34 +37,19 @@ pub struct TxnConfig {
 /// payload it carries, bytes (DP2, TMF and the disk ADP all checkpoint).
 pub(crate) const CHECKPOINT_OVERHEAD_BYTES: u32 = 64;
 
-/// Base delay before the TMF (or a DP2) re-drives an unanswered
-/// flush/append sub-operation — typically one lost to an ADP takeover,
-/// ns. Doubles per attempt up to [`SUB_RETRY_CAP_NS`].
-const SUB_RETRY_BASE_NS: u64 = 900_000_000;
-/// Ceiling on the sub-operation retry delay, ns.
-const SUB_RETRY_CAP_NS: u64 = 7_200_000_000;
-/// Base delay before an ADP re-tries its PM region create/open RPC at
-/// startup or takeover, ns. Doubles per attempt up to
-/// [`REGION_RETRY_CAP_NS`].
-const REGION_RETRY_BASE_NS: u64 = 500_000_000;
-/// Ceiling on the region-RPC retry delay, ns.
-const REGION_RETRY_CAP_NS: u64 = 4_000_000_000;
-
-/// Capped exponential backoff: `base * 2^attempt`, clamped to `cap`.
-fn backoff(base: u64, cap: u64, attempt: u32) -> simcore::SimDuration {
-    simcore::SimDuration::from_nanos(base.saturating_mul(1u64 << attempt.min(32)).min(cap))
-}
-
-/// Delay before retrying a flush/append sub-operation for the
-/// `attempt`-th time (0 = the first, armed when the op is issued).
-pub(crate) fn sub_retry_delay(attempt: u32) -> simcore::SimDuration {
-    backoff(SUB_RETRY_BASE_NS, SUB_RETRY_CAP_NS, attempt)
-}
-
-/// Delay before retrying the ADP's region create/open RPC.
-pub(crate) fn region_retry_delay(attempt: u32) -> simcore::SimDuration {
-    backoff(REGION_RETRY_BASE_NS, REGION_RETRY_CAP_NS, attempt)
-}
+/// Re-drive of an unanswered flush/append sub-operation by the TMF or a
+/// DP2 — typically one lost to an ADP takeover: 900 ms, doubling per
+/// attempt up to 7.2 s.
+pub(crate) const SUB_RETRY: Backoff = Backoff::new(
+    SimDuration::from_millis(900),
+    SimDuration::from_millis(7_200),
+);
+/// Re-try of a trail writer's PM region create/open RPC at startup or
+/// takeover: 500 ms, doubling per attempt up to 4 s.
+pub(crate) const REGION_RETRY: Backoff = Backoff::new(
+    SimDuration::from_millis(500),
+    SimDuration::from_millis(4_000),
+);
 
 impl Default for TxnConfig {
     fn default() -> Self {
@@ -123,13 +111,14 @@ mod tests {
 
     #[test]
     fn retry_backoff_doubles_and_caps() {
-        assert_eq!(sub_retry_delay(0).as_nanos(), 900_000_000);
-        assert_eq!(sub_retry_delay(1).as_nanos(), 1_800_000_000);
-        assert_eq!(sub_retry_delay(2).as_nanos(), 3_600_000_000);
-        assert_eq!(sub_retry_delay(3).as_nanos(), 7_200_000_000);
-        assert_eq!(sub_retry_delay(10).as_nanos(), 7_200_000_000);
-        assert_eq!(sub_retry_delay(u32::MAX).as_nanos(), 7_200_000_000);
-        assert_eq!(region_retry_delay(0).as_nanos(), 500_000_000);
-        assert_eq!(region_retry_delay(3).as_nanos(), 4_000_000_000);
+        let sub = |attempt| SUB_RETRY.delay(attempt).as_nanos();
+        assert_eq!(sub(0), 900_000_000);
+        assert_eq!(sub(1), 1_800_000_000);
+        assert_eq!(sub(2), 3_600_000_000);
+        assert_eq!(sub(3), 7_200_000_000);
+        assert_eq!(sub(10), 7_200_000_000);
+        assert_eq!(sub(u32::MAX), 7_200_000_000);
+        assert_eq!(REGION_RETRY.delay(0).as_nanos(), 500_000_000);
+        assert_eq!(REGION_RETRY.delay(3).as_nanos(), 4_000_000_000);
     }
 }

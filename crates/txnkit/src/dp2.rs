@@ -17,7 +17,9 @@
 //! flushes only what its acks did not already prove durable.
 //!
 //! The pair protocol is [`nsk::pair`]'s; a DP2 parks each insert's op on
-//! its checkpoint, and a pair without a backup does not checkpoint.
+//! its checkpoint, and a pair without a backup does not checkpoint. Each
+//! delta is re-sent until its first append ack through [`nsk::requests`],
+//! under the insert's op as its token.
 
 use crate::config::TxnConfig;
 use crate::lock::{Acquire, LockManager, LockMode};
@@ -26,6 +28,7 @@ use crate::types::*;
 use bytes::BytesMut;
 use nsk::machine::{CpuId, SharedMachine};
 use nsk::pair::{Died, Inbound, Pair, Role};
+use nsk::requests::{Requests, Retry};
 use simcore::hash::{FastMap, FastSet};
 use simcore::{Actor, ActorId, Ctx, Msg, Sim, SimDuration, TimerId, Wait};
 use simdisk::DiskWrite;
@@ -70,14 +73,6 @@ struct StagedInsert {
 /// Background destage tick.
 struct DestageTick;
 
-/// Retry timer for an audit append whose ack never came (ADP takeover);
-/// disarmed by the first ack. `attempt` counts the retries already fired,
-/// driving the capped exponential backoff.
-struct AppendRetry {
-    op: u64,
-    attempt: u32,
-}
-
 /// Lock-wait timeout: the coarse victimization backstop, [`LOCK_TIMEOUT`]
 /// after the wait began. The per-DP2 wait-for graph catches local
 /// cycles eagerly, but a distributed deadlock spanning DP2s (or shards,
@@ -106,8 +101,6 @@ struct PendingInsert {
     appended: Option<(Lsn, bool)>,
     /// Its own checkpoint is at the backup, not yet acknowledged.
     awaiting_ckpt: bool,
-    /// The [`AppendRetry`] standing over the delta until `appended` is set.
-    retry: Option<TimerId>,
 }
 
 pub struct Dp2Proc {
@@ -130,7 +123,9 @@ pub struct Dp2Proc {
     txn_writes: FastMap<TxnId, Vec<(PartitionId, u64)>>,
     /// Inserts in flight past the lock stage, keyed by op token.
     pending: FastMap<u64, PendingInsert>,
-    next_op: u64,
+    /// Audit deltas no append ack has answered, by op, each re-sent on
+    /// its retry timer (an ADP takeover loses them); the ops' numbering.
+    appends: Requests<TxnId>,
     /// Inserts parked on a lock, by the (txn, key) wait they belong to.
     parked: FastMap<(TxnId, u64), Vec<Parked>>,
     /// Ops staged but not yet applied (waiting on lock) keep their request
@@ -173,6 +168,7 @@ impl Dp2Proc {
             s.inserts += 1;
             s.audit_deltas += 1;
         }
+        let txn = req.txn;
         self.pending.insert(
             op,
             PendingInsert {
@@ -181,21 +177,12 @@ impl Dp2Proc {
                 rec,
                 appended: None,
                 awaiting_ckpt: false,
-                retry: None,
             },
         );
         // Delta first: the longer leg, and both share the transmit port.
         self.send_audit_delta(ctx, op);
         self.send_checkpoint(ctx, op);
-        self.arm_append_retry(ctx, op, 0);
-    }
-
-    fn arm_append_retry(&mut self, ctx: &mut Ctx<'_>, op: u64, attempt: u32) {
-        let delay = crate::config::sub_retry_delay(attempt);
-        let retry = ctx.arm_timer(delay, AppendRetry { op, attempt });
-        if let Some(p) = self.pending.get_mut(&op) {
-            p.retry = Some(retry);
-        }
+        self.appends.issue(op, txn, |d, r| ctx.arm_timer(d, r));
     }
 
     /// Locks were granted: apply every insert that was parked on them.
@@ -269,16 +256,14 @@ impl Dp2Proc {
     /// Audit append confirmed (the first ack counts; a retried append may
     /// be acknowledged twice).
     fn after_append(&mut self, ctx: &mut Ctx<'_>, done: &AppendDone) {
-        let Some(p) = self.pending.get_mut(&done.token) else {
+        let op = done.token;
+        if self.appends.answer(op, |t| ctx.disarm(t)).is_none() {
             return;
-        };
-        if p.appended.is_none() {
-            p.appended = Some((done.lsn_end, done.is_durable()));
-            if let Some(retry) = p.retry.take() {
-                ctx.disarm(retry);
-            }
-            self.maybe_reply(ctx, done.token);
         }
+        if let Some(p) = self.pending.get_mut(&op) {
+            p.appended = Some((done.lsn_end, done.is_durable()));
+        }
+        self.maybe_reply(ctx, op);
     }
 
     /// `op`'s checkpoint is acknowledged — or never will be.
@@ -303,42 +288,33 @@ impl Dp2Proc {
         }
         let p = self.pending.remove(&op).expect("pending insert");
         let adp = self.adp_for(p.req.txn).to_string();
-        simnet::send_net_msg(
+        self.reply(
             ctx,
-            &self.pair.net,
-            self.pair.ep,
             p.from_ep,
-            48,
-            InsertDone {
-                txn: p.req.txn,
-                token: p.req.token,
-                result: InsertResult::Ok { adp, lsn },
-                durable,
-            },
+            &p.req,
+            InsertResult::Ok { adp, lsn },
+            durable,
         );
     }
 
-    /// Answer an insert that was never applied (lock victim, misrouted).
-    fn reply_failed(
+    /// Answer insert `req` with `result`: its append's, or a failure (a
+    /// lock victim, or misrouted) for one never applied.
+    fn reply(
         &self,
         ctx: &mut Ctx<'_>,
         to: EndpointId,
         req: &InsertReq,
         result: InsertResult,
+        durable: bool,
     ) {
-        simnet::send_net_msg(
-            ctx,
-            &self.pair.net,
-            self.pair.ep,
-            to,
-            48,
-            InsertDone {
-                txn: req.txn,
-                token: req.token,
-                result,
-                durable: false,
-            },
-        );
+        let (txn, token) = (req.txn, req.token);
+        let done = InsertDone {
+            txn,
+            token,
+            result,
+            durable,
+        };
+        simnet::send_net_msg(ctx, &self.pair.net, self.pair.ep, to, 48, done);
     }
 
     fn destage(&mut self, ctx: &mut Ctx<'_>) {
@@ -387,14 +363,10 @@ impl Actor for Dp2Proc {
         if !self.pair.is_primary() {
             return;
         }
-        let mut ops: Vec<_> = (self.pending.iter())
-            .filter(|(_, p)| p.appended.is_none())
-            .collect();
-        ops.sort_unstable_by_key(|(&op, _)| op);
-        out.extend(ops.into_iter().map(|(_, p)| Wait {
+        out.extend(self.appends.live().into_iter().map(|(_, txn)| Wait {
             what: "append",
-            on: self.adp_for(p.req.txn).to_string(),
-            id: p.req.txn.0,
+            on: self.adp_for(*txn).to_string(),
+            id: txn.0,
             since: None,
         }));
         let mut locks: Vec<_> = self.parked.iter().collect();
@@ -420,18 +392,11 @@ impl Actor for Dp2Proc {
             return;
         }
 
-        let msg = match msg.take::<AppendRetry>() {
+        let msg = match msg.take::<Retry>() {
             Ok((_, r)) => {
-                if self.pair.is_primary() {
-                    let stalled = self
-                        .pending
-                        .get(&r.op)
-                        .map(|p| p.appended.is_none())
-                        .unwrap_or(false);
-                    if stalled {
-                        self.send_audit_delta(ctx, r.op);
-                        self.arm_append_retry(ctx, r.op, r.attempt + 1);
-                    }
+                if self.appends.get(r.token).is_some() {
+                    self.send_audit_delta(ctx, r.token);
+                    self.appends.rearm(r, |d, r| ctx.arm_timer(d, r));
                 }
                 return;
             }
@@ -459,7 +424,7 @@ impl Actor for Dp2Proc {
                     // The other ops of this wait each armed their own.
                     ctx.disarm(p.timeout);
                     if let Some((req, from_ep)) = self.staged.remove(&p.op) {
-                        self.reply_failed(ctx, from_ep, &req, InsertResult::Deadlock);
+                        self.reply(ctx, from_ep, &req, InsertResult::Deadlock, false);
                     }
                 }
                 let granted = self.locks.cancel_wait(t.txn, t.key);
@@ -497,12 +462,12 @@ impl Actor for Dp2Proc {
 
         let msg = match msg.take::<StagedInsert>() {
             Ok((_, st)) => {
-                let op = self.next_op;
-                self.next_op += 1;
+                let op = self.appends.token();
                 let txn = st.req.txn;
                 let key = st.req.key;
                 if !self.partitions.contains(&st.req.partition) {
-                    self.reply_failed(ctx, st.from_ep, &st.req, InsertResult::WrongPartition);
+                    let wrong = InsertResult::WrongPartition;
+                    self.reply(ctx, st.from_ep, &st.req, wrong, false);
                     return;
                 }
                 self.staged.insert(op, (st.req, st.from_ep));
@@ -518,7 +483,7 @@ impl Actor for Dp2Proc {
                     Acquire::Deadlock => {
                         let (req, from_ep) = self.staged.remove(&op).unwrap();
                         self.stats.lock().deadlocks += 1;
-                        self.reply_failed(ctx, from_ep, &req, InsertResult::Deadlock);
+                        self.reply(ctx, from_ep, &req, InsertResult::Deadlock, false);
                     }
                 }
                 return;
@@ -607,17 +572,9 @@ impl Actor for Dp2Proc {
                     .get(&req.partition)
                     .and_then(|t| t.get(&req.key))
                     .map(|r| (r.virtual_len, r.crc));
-                simnet::send_net_msg(
-                    ctx,
-                    &self.pair.net,
-                    self.pair.ep,
-                    from_ep,
-                    32,
-                    ReadDone {
-                        token: req.token,
-                        found,
-                    },
-                );
+                let token = req.token;
+                let done = ReadDone { token, found };
+                simnet::send_net_msg(ctx, &self.pair.net, self.pair.ep, from_ep, 32, done);
             }
         }
     }
@@ -661,7 +618,7 @@ pub fn install_dp2(
                 locks: LockManager::new(),
                 txn_writes: FastMap::default(),
                 pending: FastMap::default(),
-                next_op: 0,
+                appends: Requests::new(role, crate::config::SUB_RETRY),
                 parked: FastMap::default(),
                 staged: FastMap::default(),
                 dirty_bytes: 0,

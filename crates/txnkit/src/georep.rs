@@ -45,9 +45,11 @@ use crate::trail::{self, TrailCore, TrailEvent, TrailWriter};
 use crate::types::{SubscribeTrail, TrailAdvance};
 use bytes::Bytes;
 use nsk::machine::{CpuId, SharedMachine, WatchTarget};
+use nsk::pair::Role;
+use nsk::requests::{Backoff, Requests, Retry};
 use nsk::ProcessDied;
 use pmclient::{PmClientConfig, PmLib, PmReadTimeout};
-use simcore::{Actor, ActorId, Ctx, Msg, Shared, Sim, SimDuration, TimerId};
+use simcore::{Actor, ActorId, Ctx, Msg, Shared, Sim, SimDuration};
 use simnet::{EndpointId, NetDelivery, RdmaReadDone, RdmaStatus, SharedWanLink, TrafficClass};
 
 // ---------------------------------------------------------------------
@@ -247,9 +249,6 @@ struct ShipperPart {
     /// The trail span `[start, end)` being read; the read's token is
     /// `2 × partition`.
     reading: Option<(u64, u64)>,
-    ship_inflight: bool,
-    /// The [`RetryTick`] standing over the batch in flight.
-    ship_retry: Option<TimerId>,
     /// A control-cell poll is in flight, token `2 × partition + 1`.
     ctrl_read_inflight: bool,
     subscribed: bool,
@@ -259,12 +258,8 @@ struct BootTick;
 struct LazyTick {
     part: usize,
 }
-struct RetryTick {
-    part: usize,
-    expect: u64,
-}
 /// Re-drive a partition whose *local* trail read failed (transient
-/// device error or timeout) — distinct from the WAN-loss retry above.
+/// device error or timeout) — distinct from a WAN-lost batch's `Retry`.
 struct ReadRetryTick {
     part: usize,
 }
@@ -281,6 +276,9 @@ pub struct LogShipper {
     lib: PmLib,
     cfg: ShipperConfig,
     parts: Vec<ShipperPart>,
+    /// The batch in flight per partition, by partition, until its ack; a
+    /// batch whose timer fires first was lost, and is shipped again.
+    ships: Requests<()>,
     region_len: u64,
     adp_names: Vec<String>,
     wan: SharedWanLink,
@@ -369,7 +367,8 @@ impl LogShipper {
     fn try_ship(&mut self, ctx: &mut Ctx<'_>, i: usize) {
         let p = &mut self.parts[i];
         let Some(region) = p.region_id else { return };
-        if p.reading.is_some() || p.ship_inflight || p.durable <= p.sent {
+        let inflight = self.ships.get(i as u64).is_some();
+        if p.reading.is_some() || inflight || p.durable <= p.sent {
             return;
         }
         let start = p.sent;
@@ -413,14 +412,7 @@ impl LogShipper {
             }
         }
         self.parts[i].sent = end;
-        self.parts[i].ship_inflight = true;
-        self.parts[i].ship_retry = Some(ctx.arm_timer(
-            self.cfg.retry_interval,
-            RetryTick {
-                part: i,
-                expect: end,
-            },
-        ));
+        self.ships.issue(i as u64, (), |d, r| ctx.arm_timer(d, r));
     }
 
     fn on_ack(&mut self, ctx: &mut Ctx<'_>, ack: ShipAck) {
@@ -432,16 +424,11 @@ impl LogShipper {
         let p = &mut self.parts[i];
         p.acked = p.acked.max(ack.applied_upto);
         // Either way the batch in flight is answered.
-        if let Some(retry) = p.ship_retry.take() {
-            ctx.disarm(retry);
-        }
-        if ack.applied_upto >= p.sent {
-            p.ship_inflight = false;
-        } else {
+        self.ships.answer(i as u64, |t| ctx.disarm(t));
+        if ack.applied_upto < p.sent {
             // The replica refused (gap/corrupt) or is behind: rewind to
             // its authoritative watermark and re-ship from there.
             p.sent = ack.applied_upto;
-            p.ship_inflight = false;
             self.stats.lock().rewinds += 1;
         }
         self.publish_part_stats();
@@ -501,16 +488,16 @@ impl Actor for LogShipper {
             }
             Err(m) => m,
         };
-        let msg = match msg.take::<RetryTick>() {
-            Ok((_, t)) => {
-                let p = &mut self.parts[t.part];
-                if p.acked < t.expect && p.sent == t.expect && p.ship_inflight {
-                    // The batch (or its ack) was lost: rewind and
-                    // re-drive from the replica's last receipt.
+        let msg = match msg.take::<Retry>() {
+            Ok((_, r)) => {
+                // The batch (or its ack) was lost, and its fired timer is
+                // its answer: rewind and re-drive from the replica's last
+                // receipt.
+                if self.ships.answer(r.token, drop).is_some() {
+                    let p = &mut self.parts[r.token as usize];
                     p.sent = p.acked;
-                    p.ship_inflight = false;
                     self.stats.lock().rewinds += 1;
-                    self.try_ship(ctx, t.part);
+                    self.try_ship(ctx, r.token as usize);
                 }
                 return;
             }
@@ -699,7 +686,7 @@ impl Actor for ReplicaApply {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if msg.is::<simcore::actor::Start>() {
             for i in 0..self.boot_pending.len() {
-                self.writer.open(ctx, i, 0);
+                self.writer.open(ctx, i);
             }
             return;
         }
@@ -885,6 +872,9 @@ pub fn install_georep(
         let regions2: Vec<String> = regions.to_vec();
         let adps2: Vec<String> = adp_names.to_vec();
         let (pmm2, txn2, cfg2) = (primary_pmm.to_string(), txn.clone(), cfg.clone());
+        // A lost batch is re-shipped at a constant pace: a backoff capped at
+        // its base.
+        let pace = Backoff::new(cfg.retry_interval, cfg.retry_interval);
         nsk::machine::install_primary(sim, machine, "$GEO-SHIP", shipper_cpu, move |ep| {
             Box::new(LogShipper {
                 name: "$GEO-SHIP".into(),
@@ -913,12 +903,11 @@ pub fn install_georep(
                         acked: 0,
                         sent: 0,
                         reading: None,
-                        ship_inflight: false,
-                        ship_retry: None,
                         ctrl_read_inflight: false,
                         subscribed: false,
                     })
                     .collect(),
+                ships: Requests::new(Role::Primary, pace),
                 region_len,
                 adp_names: adps2,
                 wan: wan2,

@@ -10,20 +10,22 @@
 //! The commit protocol — a commit's coordinator, and a participant of
 //! another shard's cross-shard commit — is [`crate::twopc`]'s two pure
 //! machines. This actor is their shell: it owns the pair, the CPU charge,
-//! the sends, the sub-operations' retry timers, the stats and the
-//! checkpoint marks, and it splits a commit's work by owning shard.
+//! the sends, the stats and the checkpoint marks, and it splits a commit's
+//! work by owning shard. Its sub-operations are re-sent until answered
+//! through [`nsk::requests`].
 
 use crate::audit::AuditRecord;
 use crate::config::TxnConfig;
 use crate::shard::ShardDirectory;
 use crate::stats::SharedTxnStats;
-use crate::twopc::{Answer, Coordinator, Out, Owner, Participant, ShardWork, SubKind, Subs};
+use crate::twopc::{Answer, Coordinator, Out, Owner, Participant, ShardWork, SubKind};
 use crate::types::*;
 use bytes::BytesMut;
 use nsk::machine::{CpuId, SharedMachine};
 use nsk::pair::{Died, Inbound, Pair, Role};
+use nsk::requests::{Requests, Retry};
 use simcore::hash::FastMap;
-use simcore::{Actor, Ctx, Msg, Sim, SimTime, TimerId, Wait};
+use simcore::{Actor, Ctx, Msg, Sim, SimTime, Wait};
 use simnet::{EndpointId, NetDelivery};
 use std::sync::Arc;
 
@@ -33,14 +35,6 @@ const COMMIT_RECORD_BYTES: u32 = 64;
 /// the master trail every this many commits — the recovery scan's
 /// starting hint.
 const CHECKPOINT_MARK_EVERY: u64 = 64;
-
-/// Retry timer for a sub-operation, disarmed when its token retires.
-/// `attempt` counts the retries already fired, driving the capped
-/// exponential backoff.
-struct SubRetry {
-    sub: u64,
-    attempt: u32,
-}
 
 /// A commit this TMF coordinates, and whom to answer.
 struct Commit {
@@ -82,8 +76,9 @@ pub struct TmfProc {
     next_token: u64,
     /// Participant role: transactions this shard holds prepared.
     prepared: FastMap<TxnId, Participant>,
-    /// Sub-operations in flight, each under its [`SubRetry`] timer.
-    subs: Subs<TimerId>,
+    /// Sub-operations in flight, by token, each re-sent on its retry
+    /// timer until answered; the fire-and-forget appends' tokens too.
+    subs: Requests<(Owner, SubKind)>,
     /// The machines' outputs, carried out in order (kept for its buffer).
     outs: Vec<Out>,
     commits_since_mark: u64,
@@ -170,17 +165,16 @@ impl TmfProc {
     /// send it.
     fn start_sub(&mut self, ctx: &mut Ctx<'_>, owner: Owner, kind: SubKind) {
         let sub = self.subs.token();
-        let delay = crate::config::sub_retry_delay(0);
-        let retry = ctx.arm_timer(delay, SubRetry { sub, attempt: 0 });
-        self.subs.insert(sub, owner, kind, retry);
+        self.subs
+            .issue(sub, (owner, kind), |d, r| ctx.arm_timer(d, r));
         self.send_sub(ctx, sub);
     }
 
     /// Send sub-operation `sub` if it is still unanswered — the one place
     /// a sub-operation leaves the TMF, first issue and re-drive alike.
-    fn send_sub(&mut self, ctx: &mut Ctx<'_>, sub: u64) -> bool {
-        let Some((owner, kind)) = self.subs.get(sub) else {
-            return false;
+    fn send_sub(&mut self, ctx: &mut Ctx<'_>, sub: u64) {
+        let Some(&(owner, ref kind)) = self.subs.get(sub) else {
+            return;
         };
         let txn = owner.txn;
         match kind {
@@ -219,28 +213,15 @@ impl TmfProc {
                 self.send_proc(ctx, self.directory.tmf(*peer), 24, msg);
             }
         }
-        true
-    }
-
-    /// Re-drive a sub-operation that got no answer (e.g. its ADP failed
-    /// over and the new primary never saw it, or a peer TMF's reply was
-    /// lost to a takeover).
-    fn reissue(&mut self, ctx: &mut Ctx<'_>, sub: u64, attempt: u32) {
-        if self.send_sub(ctx, sub) {
-            let next = attempt + 1;
-            let delay = crate::config::sub_retry_delay(next);
-            let retry = ctx.arm_timer(delay, SubRetry { sub, attempt: next });
-            self.subs.rearm(sub, retry);
-        }
     }
 
     /// `answer` came back for sub-operation `sub`: retire it and hand the
-    /// answer to its owner, if that is still here.
+    /// answer to its owner, if that is still here. An answer meant for a
+    /// dead primary names a token of another incarnation: it finds nothing.
     fn answered(&mut self, ctx: &mut Ctx<'_>, sub: u64, answer: Answer) {
-        let Some((owner, kind, retry)) = self.subs.answer(sub, answer) else {
+        let Some((owner, kind)) = self.subs.answer(sub, |t| ctx.disarm(t)) else {
             return;
         };
-        ctx.disarm(retry);
         let mut outs = std::mem::take(&mut self.outs);
         match owner.commit {
             Some(token) => {
@@ -485,7 +466,7 @@ impl Actor for TmfProc {
             return;
         }
         let commit = |token: &u64| self.commits.get(token);
-        for (_, owner, kind) in self.subs.live() {
+        for (_, (owner, kind)) in self.subs.live() {
             let (what, on) = match kind {
                 SubKind::Flush { adp, .. } => ("flush", adp.as_str()),
                 SubKind::Harden { .. } => ("harden", self.master_for(owner.txn).unwrap_or("")),
@@ -510,10 +491,14 @@ impl Actor for TmfProc {
             return;
         }
 
-        let msg = match msg.take::<SubRetry>() {
+        // Re-drive a sub-operation that got no answer (e.g. its ADP failed
+        // over and the new primary never saw it, or a peer TMF's reply was
+        // lost to a takeover).
+        let msg = match msg.take::<Retry>() {
             Ok((_, r)) => {
-                if self.pair.is_primary() {
-                    self.reissue(ctx, r.sub, r.attempt);
+                if self.subs.get(r.token).is_some() {
+                    self.send_sub(ctx, r.token);
+                    self.subs.rearm(r, |d, r| ctx.arm_timer(d, r));
                 }
                 return;
             }
@@ -624,7 +609,7 @@ pub fn install_tmf(
                 commits: FastMap::default(),
                 next_token: 0,
                 prepared: FastMap::default(),
-                subs: Subs::default(),
+                subs: Requests::new(role, crate::config::SUB_RETRY),
                 outs: Vec::new(),
                 commits_since_mark: 0,
                 scratch: BytesMut::new(),
@@ -634,5 +619,26 @@ pub fn install_tmf(
     nsk::machine::install_primary(sim, machine, name, cpu, mk(Role::Primary, cpu));
     if let Some(bcpu) = backup_cpu {
         nsk::machine::install_backup(sim, machine, name, bcpu, mk(Role::Backup, bcpu));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A participant votes by name, so a vote meant for a dead coordinator
+    /// reaches its promoted backup, whose first sub-operation is a prepare
+    /// too: the vote names the dead primary's token 0, of another
+    /// incarnation than the backup's first token.
+    #[test]
+    fn a_vote_meant_for_a_dead_primary_retires_nothing_at_its_backup() {
+        let mut subs = Requests::<_, ()>::new(Role::Backup, crate::config::SUB_RETRY);
+        let (token, txn) = (subs.token(), TxnId::compose(0, 9));
+        let work = Default::default();
+        let prepare = SubKind::Prepare { peer: 1, work };
+        subs.issue(token, (Owner::coordinator(0, txn), prepare), |_, _| ());
+        let stale = subs.answer(0, |()| ());
+        assert!(stale.is_none(), "a stale vote retired a prepare");
+        assert!(subs.answer(token, |()| ()).is_some());
     }
 }

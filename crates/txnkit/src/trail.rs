@@ -17,20 +17,22 @@
 //!   the trail: nothing is posted, acked or re-driven again.
 //! * `TrailWriter` is the shell around one core per region, sharing one
 //!   `PmLib`: it creates each region `Solo` (the cell shares an ordered
-//!   channel with every byte it names) under a capped-backoff
-//!   `RegionRetry`, boots the core from the cell read back, posts chains
-//!   on the library's traffic class, routes the completions and paces
-//!   re-drives.
+//!   channel with every byte it names), re-sending the create through
+//!   [`nsk::requests`] until the cell is read back, boots the core from
+//!   that cell, posts chains on the library's traffic class, routes the
+//!   completions and paces re-drives.
 //!
 //! Its hosts are the ADP (`adp::pm::PmLog`) and the DR replica
 //! (`georep::ReplicaApply`). Acks only ever follow a completed chain, so
 //! a torn or stale cell under-reports unacked work, never loses an ack.
 
 use bytes::Bytes;
+use nsk::pair::Role;
+use nsk::requests::{Requests, Retry};
 use pmclient::{PmLib, PmReadComplete, PmReadTimeout, PmWriteComplete, PmWriteTimeout};
 use pmm::msgs::CreateRegionAck;
 use pmm::PlacementHint;
-use simcore::{Ctx, Msg, TimerId};
+use simcore::{Ctx, Msg};
 use simnet::{RdmaReadDone, RdmaStatus, RdmaWriteDone};
 use std::ops::Range;
 
@@ -301,14 +303,6 @@ impl<A> TrailCore<A> {
     }
 }
 
-/// Retry timer over trail `trail`'s region creation, disarmed once its
-/// cell is read. `attempt` counts the RPCs already sent, driving the
-/// capped exponential backoff.
-struct RegionRetry {
-    trail: usize,
-    attempt: u32,
-}
-
 /// Pacing timer for re-driving trail `trail`'s chain after no mirror half
 /// took it.
 struct Redrive {
@@ -333,10 +327,6 @@ struct Trail<A> {
     name: String,
     len: u64,
     region: Option<u64>,
-    /// The [`RegionRetry`] standing until the cell is read.
-    retry: Option<TimerId>,
-    reading: bool,
-    ready: bool,
     core: TrailCore<A>,
 }
 
@@ -345,11 +335,23 @@ struct Trail<A> {
 pub(crate) struct TrailWriter<A> {
     lib: PmLib,
     trails: Vec<Trail<A>>,
+    /// The trails opened whose cell is not yet read, by trail: their
+    /// create RPC is re-sent until then.
+    opens: Requests<()>,
 }
 
 impl<A> TrailWriter<A> {
-    /// The legs of the chains and reads in flight ([`PmLib::waits`]).
+    /// Each trail whose cell is not yet read, on the PMM, and the legs of
+    /// the chains and reads in flight ([`PmLib::waits`]).
     pub fn waits(&self, out: &mut Vec<simcore::Wait>) {
+        for (id, ()) in self.opens.live() {
+            out.push(simcore::Wait {
+                what: "region",
+                on: self.lib.pmm_name().to_string(),
+                id,
+                since: None,
+            });
+        }
         self.lib.waits(out);
     }
 
@@ -360,19 +362,19 @@ impl<A> TrailWriter<A> {
             name,
             len,
             region: None,
-            retry: None,
-            reading: false,
-            ready: false,
             core: TrailCore::new(capacity(len)),
         });
         TrailWriter {
             lib,
             trails: trails.collect(),
+            opens: Requests::new(Role::Primary, crate::config::REGION_RETRY),
         }
     }
 
+    /// Trail `trail`'s cell is read back: its region was opened, and its
+    /// create is no longer re-sent.
     pub fn ready(&self, trail: usize) -> bool {
-        self.trails[trail].ready
+        self.trails[trail].region.is_some() && self.opens.get(trail as u64).is_none()
     }
 
     pub fn core(&self, trail: usize) -> &TrailCore<A> {
@@ -384,16 +386,22 @@ impl<A> TrailWriter<A> {
     }
 
     /// Create (or open) trail `trail`'s region, one extent on one member,
-    /// and stand the retry over it.
-    pub fn open(&mut self, ctx: &mut Ctx<'_>, trail: usize, attempt: u32) {
-        let t = &mut self.trails[trail];
-        self.lib
-            .create_region_placed(ctx, &t.name, t.len, true, PlacementHint::Solo, trail as u64);
-        let delay = crate::config::region_retry_delay(attempt);
-        t.retry = Some(ctx.arm_timer(delay, RegionRetry { trail, attempt }));
+    /// and re-send that until its cell is read back.
+    pub fn open(&mut self, ctx: &mut Ctx<'_>, trail: usize) {
+        self.create(ctx, trail as u64);
+        self.opens
+            .issue(trail as u64, (), |d, r| ctx.arm_timer(d, r));
     }
 
-    /// A region ack: adopt the region and read its cell back, once.
+    fn create(&mut self, ctx: &mut Ctx<'_>, trail: u64) {
+        let t = &self.trails[trail as usize];
+        let solo = PlacementHint::Solo;
+        self.lib
+            .create_region_placed(ctx, &t.name, t.len, true, solo, trail);
+    }
+
+    /// A region ack: adopt the region and read its cell back, once (the
+    /// first ack; a re-sent create's ack finds the region adopted).
     pub fn on_region_ack(&mut self, ctx: &mut Ctx<'_>, ack: &CreateRegionAck) {
         let trail = ack.token as usize;
         let (Some(t), Ok(info)) = (self.trails.get_mut(trail), &ack.result) else {
@@ -403,10 +411,8 @@ impl<A> TrailWriter<A> {
             t.region = Some(info.region_id);
             t.core = TrailCore::new(capacity(info.len));
             self.lib.adopt(info.clone());
-        }
-        if let (false, false, Some(region)) = (t.ready, t.reading, t.region) {
-            t.reading = true;
-            self.lib.read(ctx, region, 0, CELL_READ_LEN, trail as u64);
+            self.lib
+                .read(ctx, info.region_id, 0, CELL_READ_LEN, trail as u64);
         }
     }
 
@@ -429,10 +435,11 @@ impl<A> TrailWriter<A> {
     /// Route a message: the writer's own timers and the library's
     /// completions. Anything else is handed back.
     pub fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) -> Result<Option<TrailEvent>, Msg> {
-        let msg = match msg.take::<RegionRetry>() {
+        let msg = match msg.take::<Retry>() {
             Ok((_, r)) => {
-                if !self.trails[r.trail].ready {
-                    self.open(ctx, r.trail, r.attempt + 1);
+                if self.opens.get(r.token).is_some() {
+                    self.create(ctx, r.token);
+                    self.opens.rearm(r, |d, r| ctx.arm_timer(d, r));
                 }
                 return Ok(None);
             }
@@ -505,13 +512,8 @@ impl<A> TrailWriter<A> {
     /// The cell came back (a failed read reads as a fresh cell).
     fn booted(&mut self, ctx: &mut Ctx<'_>, c: PmReadComplete) -> TrailEvent {
         let trail = c.token as usize;
-        let t = &mut self.trails[trail];
-        let (watermark, _) = t.core.boot(&c.data);
-        t.reading = false;
-        t.ready = true;
-        if let Some(retry) = t.retry.take() {
-            ctx.disarm(retry);
-        }
+        let (watermark, _) = self.trails[trail].core.boot(&c.data);
+        self.opens.answer(trail as u64, |t| ctx.disarm(t));
         TrailEvent::Booted { trail, watermark }
     }
 }

@@ -36,8 +36,9 @@
 //!
 //! Neither machine sends, times, charges or counts anything: each input
 //! pushes the [`Out`]s its host carries out, in order. The host
-//! (`tmf::TmfProc`) owns the pair, the sends, the retry timers and the
-//! stats; [`Subs`] is its table of sub-operations in flight.
+//! (`tmf::TmfProc`) owns the pair, the sends and the stats, and keeps its
+//! sub-operations in flight in an `nsk::requests::Requests` table, which
+//! re-sends each until its first answer retires it.
 //! `tests/proptests.rs::two_phase_commit_keeps_its_three_rules` drives
 //! both machines through random interleavings against three rules.
 
@@ -116,70 +117,6 @@ pub enum Out {
     Record { committed: bool },
     /// Tell `dp2`s the outcome, to release their locks.
     Resolve { dp2: Vec<String>, committed: bool },
-}
-
-/// The sub-operations in flight, by token. `T` is the host's retry
-/// handle, replaced at each re-drive and handed back when the answer
-/// retires the token.
-pub struct Subs<T> {
-    next: u64,
-    live: FastMap<u64, (Owner, SubKind, T)>,
-}
-
-impl<T> Default for Subs<T> {
-    fn default() -> Self {
-        Subs {
-            next: 0,
-            live: FastMap::default(),
-        }
-    }
-}
-
-impl<T> Subs<T> {
-    /// A fresh token. A fire-and-forget append takes one it never
-    /// registers, so every request a process sends names its own token.
-    pub fn token(&mut self) -> u64 {
-        let token = self.next;
-        self.next += 1;
-        token
-    }
-
-    pub fn insert(&mut self, token: u64, owner: Owner, kind: SubKind, retry: T) {
-        self.live.insert(token, (owner, kind, retry));
-    }
-
-    /// The unanswered sub-operation `token` names: what to re-drive.
-    pub fn get(&self, token: u64) -> Option<(Owner, &SubKind)> {
-        self.live.get(&token).map(|(owner, kind, _)| (*owner, kind))
-    }
-
-    /// Every sub-operation in flight, by token.
-    pub fn live(&self) -> Vec<(u64, Owner, &SubKind)> {
-        let mut live: Vec<_> = (self.live.iter())
-            .map(|(&token, (owner, kind, _))| (token, *owner, kind))
-            .collect();
-        live.sort_unstable_by_key(|&(token, ..)| token);
-        live
-    }
-
-    /// `token` was re-driven under a new retry handle.
-    pub fn rearm(&mut self, token: u64, retry: T) {
-        if let Some(entry) = self.live.get_mut(&token) {
-            entry.2 = retry;
-        }
-    }
-
-    /// `answer` came back for `token`: retire it. A vote retires only a
-    /// prepare — a promoted backup numbers its tokens afresh, so a vote
-    /// meant for its dead primary may name another kind.
-    pub fn answer(&mut self, token: u64, answer: Answer) -> Option<(Owner, SubKind, T)> {
-        if let Answer::Voted = answer {
-            if !matches!(self.live.get(&token), Some((_, SubKind::Prepare { .. }, _))) {
-                return None;
-            }
-        }
-        self.live.remove(&token)
-    }
 }
 
 /// How far a role's record is.

@@ -160,7 +160,8 @@ struct VClient {
     /// This attempt's inserts: (partition, key).
     plan: Vec<(PartitionId, u64)>,
     cross: bool,
-    outstanding: u32,
+    /// The indices into `plan` of the inserts not yet answered.
+    unanswered: Vec<u32>,
     failed: bool,
     /// This attempt's acked inserts: per ADP, the lowest LSN one starts at.
     acked_at: Vec<(String, Lsn)>,
@@ -357,7 +358,7 @@ impl ClientPool {
             key,
             body,
             self.cfg.record_bytes,
-            slot as u64,
+            u64::from(i) << 32 | u64::from(slot), // the index in the slot's plan
         );
         if i + 1 < n {
             let now = ctx.now().as_nanos();
@@ -408,8 +409,8 @@ impl Actor for ClientPool {
     }
 
     /// Each client's reply outstanding, since its transaction began: a
-    /// begin or its commit (or abort) from the TMF, or its inserts from
-    /// each DP2 they went to.
+    /// begin or its commit (or abort) from the TMF, or its unanswered
+    /// inserts from each DP2 they went to.
     fn waits(&self, out: &mut Vec<Wait>) {
         let tmf = self.client.tmf();
         for s in self.slots.iter().filter(|s| !s.done) {
@@ -423,9 +424,9 @@ impl Actor for ClientPool {
             match s.txn {
                 None if s.begun => out.push(wait("begin", tmf, s.id)),
                 None => {}
-                Some(txn) if s.outstanding > 0 => {
-                    let mut dp2s: Vec<&str> = (s.plan.iter())
-                        .map(|(part, _)| self.view.partition_map[part].as_str())
+                Some(txn) if !s.unanswered.is_empty() => {
+                    let mut dp2s: Vec<&str> = (s.unanswered.iter())
+                        .map(|&i| self.view.partition_map[&s.plan[i as usize].0].as_str())
                         .collect();
                     dp2s.sort_unstable();
                     dp2s.dedup();
@@ -482,7 +483,8 @@ impl Actor for ClientPool {
                     {
                         let s = &mut self.slots[slot as usize];
                         (s.txn, s.begun) = (Some(b.txn), false);
-                        s.outstanding = s.plan.len() as u32;
+                        s.unanswered.clear();
+                        s.unanswered.extend(0..s.plan.len() as u32);
                         s.failed = false;
                         s.acked_at.clear();
                     }
@@ -494,7 +496,7 @@ impl Actor for ClientPool {
             };
             let payload = match payload.downcast::<InsertDone>() {
                 Ok(done) => {
-                    let slot = done.token as u32;
+                    let (slot, i) = (done.token as u32, (done.token >> 32) as u32);
                     let ok = self.client.note_insert_done(&done);
                     // The body is the key's 8 bytes (`issue_one`): the
                     // record starts its trail footprint below its ack.
@@ -504,6 +506,9 @@ impl Actor for ClientPool {
                         if s.txn != Some(done.txn) {
                             return; // stale reply from an aborted attempt
                         }
+                        let Some(at) = s.unanswered.iter().position(|&j| j == i) else {
+                            return;
+                        };
                         if let InsertResult::Ok { adp, lsn } = done.result {
                             let start = Lsn(lsn.0.saturating_sub(footprint));
                             match s.acked_at.iter_mut().find(|(a, _)| *a == adp) {
@@ -514,8 +519,8 @@ impl Actor for ClientPool {
                         if !ok {
                             s.failed = true;
                         }
-                        s.outstanding -= 1;
-                        if s.outstanding == 0 {
+                        s.unanswered.swap_remove(at);
+                        if s.unanswered.is_empty() {
                             Some((done.txn, s.failed))
                         } else {
                             None
@@ -592,7 +597,7 @@ pub fn install_workload(
                     txn: None,
                     plan: Vec::new(),
                     cross: false,
-                    outstanding: 0,
+                    unanswered: Vec::new(),
                     failed: false,
                     acked_at: Vec::new(),
                     started_ns: 0,

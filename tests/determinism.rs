@@ -512,5 +512,20 @@ fn takeovers_keep_their_schedule() {
                 "the edge does not name the dead primary:\n{stall}"
             );
         }
+        if base.audit == AuditMode::HardwareNpmu && fault == kill("$DP2-0", 1600) {
+            // A driver waits for its inserts' replies only on the DP2s
+            // that owe one: the dead `$DP2-0`, never `$DP2-1`.
+            let inserts: Vec<&str> = (stall.lines())
+                .filter(|l| l.contains("$pool") && l.contains(": insert ×"))
+                .collect();
+            assert!(
+                inserts.iter().any(|l| l.contains(") → $DP2-0: insert ×")),
+                "no driver → $DP2-0 insert edge:\n{stall}"
+            );
+            assert!(
+                !inserts.iter().any(|l| l.contains(") → $DP2-1: insert ×")),
+                "a driver waits on $DP2-1, which owes it nothing:\n{stall}"
+            );
+        }
     }
 }

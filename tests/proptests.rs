@@ -1193,14 +1193,17 @@ proptest! {
 /// a master trail, each a list of records of which a prefix is durable;
 /// the network is a bag of messages that are delivered in any order,
 /// duplicated or lost. A host does what `tmf::TmfProc` does with the
-/// machines' outputs, minus the sends' timing; `Subs` is the real table.
+/// machines' outputs, minus the sends' timing; `nsk::requests::Requests`
+/// is the real table of sub-operations, its timers fired at random.
 mod twopc_model {
     use bytes::{Bytes, BytesMut};
     use nsk::pair::{Died, PairCore, Role};
+    use nsk::requests::{Backoff, Requests, Retry};
     use simcore::hash::FastMap;
+    use simcore::SimDuration;
     use txnkit::audit::AuditRecord;
     use txnkit::recovery::redo_scan_sharded;
-    use txnkit::twopc::{Answer, Coordinator, Out, Owner, Participant, SubKind, Subs};
+    use txnkit::twopc::{Answer, Coordinator, Out, Owner, Participant, SubKind};
     use txnkit::types::{Lsn, PartitionId, TxnId};
 
     pub const TXN: TxnId = TxnId(7);
@@ -1260,9 +1263,15 @@ mod twopc_model {
         },
     }
 
+    /// The timers are fired by the schedule, not by a clock.
+    const BACKOFF: Backoff = Backoff::new(
+        SimDuration::from_millis(900),
+        SimDuration::from_millis(7_200),
+    );
+
     struct Tmf {
         alive: bool,
-        subs: Subs<()>,
+        subs: Requests<(Owner, SubKind), ()>,
         /// Every token this TMF registered, for the retry picker.
         issued: Vec<u64>,
         coord: Option<Coordinator>,
@@ -1325,7 +1334,7 @@ mod twopc_model {
                 flush_points.push((durable == 0).then(|| (format!("d{s}"), Lsn(1))));
                 w.tmfs.push(Tmf {
                     alive: true,
-                    subs: Subs::default(),
+                    subs: Requests::new(Role::Primary, BACKOFF),
                     issued: Vec::new(),
                     coord: None,
                     part: None,
@@ -1371,7 +1380,7 @@ mod twopc_model {
                     Out::Sub(kind) => {
                         let tmf = &mut self.tmfs[at];
                         let token = tmf.subs.token();
-                        tmf.subs.insert(token, owner, kind, ());
+                        tmf.subs.issue(token, (owner, kind), |_, _| ());
                         tmf.issued.push(token);
                         self.send_sub(at, token);
                     }
@@ -1468,7 +1477,7 @@ mod twopc_model {
         /// it to its owner as `TmfProc::answered` does.
         fn answered(&mut self, to: usize, token: u64, answer: Answer) {
             let tmf = &mut self.tmfs[to];
-            let Some((owner, kind, ())) = tmf.subs.answer(token, answer) else {
+            let Some((owner, kind)) = tmf.subs.answer(token, |()| ()) else {
                 return;
             };
             let mut outs = Vec::new();
@@ -1603,13 +1612,17 @@ mod twopc_model {
                     let i = pick % self.net.len();
                     self.net.swap_remove(i);
                 }
-                // A retry timer fires.
+                // A retry timer fires: an unanswered sub-operation is
+                // re-sent and re-armed.
                 7 | 8 => {
                     let at = pick % shards;
                     let tmf = &self.tmfs[at];
                     if tmf.alive && !tmf.issued.is_empty() {
                         let token = tmf.issued[pick / shards % tmf.issued.len()];
-                        self.send_sub(at, token);
+                        if tmf.subs.get(token).is_some() {
+                            self.send_sub(at, token);
+                            self.tmfs[at].subs.rearm(Retry { token }, |_, _| ());
+                        }
                     }
                 }
                 // A trail becomes durable by someone else's flush.
@@ -1718,7 +1731,10 @@ mod twopc_model {
                         break;
                     }
                     for (at, token) in live {
-                        self.send_sub(at, token);
+                        if self.tmfs[at].subs.get(token).is_some() {
+                            self.send_sub(at, token);
+                            self.tmfs[at].subs.rearm(Retry { token }, |_, _| ());
+                        }
                     }
                 }
                 self.check_cut();
@@ -1737,12 +1753,223 @@ mod twopc_model {
         }
 
         fn live(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-            self.tmfs.iter().enumerate().flat_map(|(s, tmf)| {
-                tmf.issued
-                    .iter()
-                    .filter(|&&t| tmf.subs.get(t).is_some())
-                    .map(move |&t| (s, t))
-            })
+            let tables = self.tmfs.iter().enumerate();
+            tables.flat_map(|(s, tmf)| tmf.subs.live().into_iter().map(move |(t, _)| (s, t)))
+        }
+    }
+}
+
+/// A model of one requester over `nsk::requests::Requests`: it issues
+/// requests, its timers fire in due order on a model clock and it re-sends
+/// what the table hands back, answers come back once, twice, late or not
+/// at all, and its primary dies and is succeeded by its promoted backup,
+/// whose table is fresh — while answers meant for the dead one still
+/// arrive.
+mod requests_model {
+    use nsk::pair::Role;
+    use nsk::requests::{Backoff, Requests, Retry};
+    use simcore::SimDuration;
+    use std::collections::BTreeMap;
+
+    const BACKOFF: Backoff = Backoff::new(
+        SimDuration::from_millis(900),
+        SimDuration::from_millis(7_200),
+    );
+
+    /// What the model knows of one token of the live incarnation.
+    #[derive(Default)]
+    struct Token {
+        /// The request it was issued with.
+        req: u64,
+        /// Timers armed for it so far, the first at issue.
+        arms: u32,
+        /// Times the requester re-sent it.
+        resends: u32,
+        /// Answers the table released for it.
+        released: u32,
+    }
+
+    pub struct World {
+        table: Requests<u64, u64>,
+        role: Role,
+        /// Timers armed and not disarmed, by handle: `(due ns, token)`.
+        timers: BTreeMap<u64, (u64, u64)>,
+        next_timer: u64,
+        now: u64,
+        mine: BTreeMap<u64, Token>,
+        /// Tokens an earlier incarnation issued.
+        stale: Vec<u64>,
+        next_req: u64,
+    }
+
+    impl World {
+        pub fn new() -> World {
+            World {
+                table: Requests::new(Role::Primary, BACKOFF),
+                role: Role::Primary,
+                timers: BTreeMap::new(),
+                next_timer: 0,
+                now: 0,
+                mine: BTreeMap::new(),
+                stale: Vec::new(),
+                next_req: 0,
+            }
+        }
+
+        /// A timer the table armed for `token`, `delay` out: rule 4, the
+        /// k-th arm of a request waits the backoff's k-th delay, and it is
+        /// armed at issue and after each re-send only.
+        fn armed(&mut self, handle: u64, (delay, token): (SimDuration, u64)) {
+            let t = self
+                .mine
+                .get_mut(&token)
+                .expect("armed for a token it issued");
+            assert_eq!(t.arms, t.resends, "armed without a re-send");
+            assert_eq!(
+                delay,
+                BACKOFF.delay(t.arms),
+                "arm {} of token {token}",
+                t.arms
+            );
+            t.arms += 1;
+            self.timers
+                .insert(handle, (self.now + delay.as_nanos(), token));
+        }
+
+        fn live(&self) -> Vec<u64> {
+            self.table.live().into_iter().map(|(t, _)| t).collect()
+        }
+
+        /// An answer naming `token` arrives (`stale`: meant for a dead
+        /// incarnation): it releases the request only the first time, and
+        /// only to the incarnation that issued it.
+        fn answer(&mut self, token: u64, stale: bool) {
+            let before = self.live();
+            let mut disarmed = None;
+            let got = self.table.answer(token, |h| disarmed = Some(h));
+            if stale {
+                // Rule 3: a stale answer retires nothing.
+                assert_eq!(got, None, "a stale answer released a request");
+                assert_eq!(before, self.live(), "a stale answer retired a request");
+                return;
+            }
+            let t = self
+                .mine
+                .get_mut(&token)
+                .expect("an answer to a token it issued");
+            let Some(req) = got else {
+                assert!(t.released > 0, "a first answer found nothing");
+                return;
+            };
+            // Rule 2: no answer is released twice.
+            assert_eq!(t.released, 0, "token {token} released twice");
+            assert_eq!(req, t.req);
+            t.released += 1;
+            let handle = disarmed.expect("the answer disarmed nothing");
+            assert_eq!(self.timers.remove(&handle).map(|(_, t)| t), Some(token));
+        }
+
+        /// One step: `op` picks the kind, `pick` the token.
+        pub fn step(&mut self, op: u8, pick: usize) {
+            let mine: Vec<u64> = self.mine.keys().copied().collect();
+            match op {
+                // Issue a request.
+                0 | 1 => {
+                    let (token, req, handle) = (self.table.token(), self.next_req, self.next_timer);
+                    self.next_req += 1;
+                    self.next_timer += 1;
+                    let t = Token {
+                        req,
+                        ..Token::default()
+                    };
+                    self.mine.insert(token, t);
+                    let mut armed = None;
+                    self.table.issue(token, req, |d, r| {
+                        armed = Some((d, r.token));
+                        handle
+                    });
+                    self.armed(handle, armed.expect("issue armed nothing"));
+                }
+                // Answer an unanswered request.
+                2 => {
+                    let live = self.table.live();
+                    if let Some(&(token, _)) = live.get(pick % live.len().max(1)) {
+                        self.answer(token, false);
+                    }
+                }
+                // Answer any token this incarnation issued: a duplicate
+                // or a late answer if it was answered already.
+                3 if !mine.is_empty() => self.answer(mine[pick % mine.len()], false),
+                // An answer meant for a dead incarnation.
+                4 if !self.stale.is_empty() => {
+                    self.answer(self.stale[pick % self.stale.len()], true);
+                }
+                // The next timer fires: rule 1, an unanswered request is
+                // handed back, re-sent and re-armed.
+                5 | 6 => {
+                    let Some((&handle, &(due, token))) =
+                        self.timers.iter().min_by_key(|(&h, &(due, _))| (due, h))
+                    else {
+                        return;
+                    };
+                    self.timers.remove(&handle);
+                    self.now = due;
+                    let t = self.mine.get_mut(&token).expect("a timer of its own");
+                    let req = self.table.get(token).copied();
+                    assert_eq!(req, Some(t.req), "a live request's timer found no request");
+                    t.resends += 1;
+                    let handle = self.next_timer;
+                    self.next_timer += 1;
+                    let mut armed = None;
+                    self.table.rearm(Retry { token }, |d, r| {
+                        armed = Some((d, r.token));
+                        handle
+                    });
+                    self.armed(handle, armed.expect("a re-send was not re-armed"));
+                }
+                // A timer message naming an answered request finds nothing
+                // to re-send, and arms nothing.
+                7 => {
+                    let answered = mine.iter().filter(|t| self.mine[t].released > 0);
+                    if let Some(&token) = answered.clone().nth(pick % answered.count().max(1)) {
+                        assert_eq!(self.table.get(token), None, "an answered request");
+                        let retry = Retry { token };
+                        self.table
+                            .rearm(retry, |_, _| panic!("re-armed an answered request"));
+                    }
+                }
+                // The primary dies; its promoted backup starts a fresh
+                // table, and the dead primary's timers die with it.
+                8 if self.role == Role::Primary => {
+                    self.role = Role::Backup;
+                    self.table = Requests::new(Role::Backup, BACKOFF);
+                    self.stale
+                        .extend(std::mem::take(&mut self.mine).into_keys());
+                    self.timers.clear();
+                }
+                _ => {}
+            }
+            self.check();
+        }
+
+        /// Rule 1 at every step: a request is answered once, or it is
+        /// live with exactly one timer standing over it.
+        fn check(&self) {
+            let live = self.live();
+            let unanswered: Vec<u64> = (self.mine.iter())
+                .filter(|(_, t)| t.released == 0)
+                .map(|(&token, _)| token)
+                .collect();
+            assert_eq!(live, unanswered, "live requests");
+            for &token in &live {
+                let standing = self.timers.values().filter(|&&(_, t)| t == token).count();
+                assert_eq!(standing, 1, "timers standing over live token {token}");
+            }
+            assert_eq!(
+                self.timers.len(),
+                live.len(),
+                "a timer outlived its request"
+            );
         }
     }
 }
@@ -1776,6 +2003,24 @@ proptest! {
         }
         if w.deaths == 0 {
             w.drain();
+        }
+    }
+
+    /// One requester's table of requests in flight, through random
+    /// issues, answers (first, duplicate and late), answers meant for a
+    /// dead primary, timers firing in due order and a takeover, keeps four
+    /// rules: (1) every request is answered once, or it is live with one
+    /// timer standing, and a fired timer hands it back to be re-sent and
+    /// re-armed; (2) no answer is released twice; (3) a stale answer never
+    /// retires a newer request; (4) the k-th timer armed for a request,
+    /// each after a re-send, waits the backoff's k-th delay.
+    #[test]
+    fn requests_are_answered_once_or_resent(
+        schedule in proptest::collection::vec((0u8..9, any::<u16>()), 0..200),
+    ) {
+        let mut w = requests_model::World::new();
+        for (op, pick) in schedule {
+            w.step(op, pick as usize);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Per-operation watchdogs leave the event queue with their operation.
 //!
-//! Every PM insert stands a `PmWriteTimeout` over each mirrored chain, an
-//! `AppendRetry` over its audit delta and a `SubRetry` over each TMF
+//! Every PM insert stands a `PmWriteTimeout` over each mirrored chain, and
+//! an `nsk::requests::Retry` over its audit delta (DP2) and over each TMF
 //! sub-operation; the retry timers are due 900 ms out. While nothing
 //! fails, none of them has anything to do — and none of them may still be
 //! standing in the queue once the operation it guarded has completed.
@@ -62,9 +62,10 @@ fn fault_free_pm_run_leaves_no_watchdog_standing() {
     );
 }
 
-/// `RegionRetry` is the one ported watchdog no other test makes fire: the
-/// ADPs' first region-create RPC dies in a boot-time outage of both
-/// fabrics, and only the retry 500 ms later can bring the trails up.
+/// The trail writer's region-create `Retry` is the one re-drive no other
+/// test makes fire: the ADPs' first region-create RPC dies in a boot-time
+/// outage of both fabrics, and only the re-send 500 ms later can bring the
+/// trails up.
 #[test]
 fn region_create_lost_at_boot_is_redriven_by_its_retry_timer() {
     let outage = |fabric| Fault::FabricDown {

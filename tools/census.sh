@@ -80,6 +80,17 @@ printf '%-28s %6d\n' "sub-operation kinds" \
   "$(awk '/^(pub )?enum SubKind/ { on = 1; next } on && /^}/ { on = 0 } on && /^    [A-Z]/ { n++ }
     END { print n + 0 }' $protocol)"
 
+# Re-drive is written once, in `nsk::requests`: a timer type of its own
+# that re-sends or re-drives outside `nsk` is that loop written again.
+echo "== retry/re-drive timer types outside nsk"
+redrivers() {
+  find crates/*/src src -name '*.rs' ! -name 'tests.rs' ! -path 'crates/nsk/*' -type f -print0 |
+    xargs -0 grep -hoE '^(pub(\([a-z]+\))? )?struct [A-Za-z0-9]*(Retry|Redrive)[A-Za-z0-9]*' |
+    awk '{ print $NF }' | sort
+}
+printf '%-28s %6d\n' "types" "$(redrivers | wc -l)"
+redrivers | awk '{ printf "  %s\n", $1 }'
+
 echo "== crates/bench bins"
 find crates/bench/src/bin -name '*.rs' -type f | wc -l
 
